@@ -110,8 +110,9 @@ func main() {
 		default:
 			start := time.Now()
 			n := 0
-			for k := range srv.Dataset().ChangeSets {
-				cs := &srv.Dataset().ChangeSets[k]
+			changeSets := srv.ChangeSets()
+			for k := range changeSets {
+				cs := &changeSets[k]
 				if err := srv.Enqueue(cs.Changes, true); err != nil {
 					fmt.Fprintf(os.Stderr, "ttcserve: replay change set %d: %v\n", k, err)
 					srv.Close()
@@ -120,7 +121,7 @@ func main() {
 				n += len(cs.Changes)
 			}
 			log.Printf("replayed %d change sets (%d changes) in %v",
-				len(srv.Dataset().ChangeSets), n, time.Since(start))
+				len(changeSets), n, time.Since(start))
 		}
 	}
 

@@ -43,11 +43,8 @@ func (ch *Change) Key() ChangeKey {
 	case KindAddUser:
 		return ChangeKey{Kind: KeyUser, A: ch.User.ID}
 	case KindAddFriendship, KindRemoveFriendship:
-		a, b := ch.Friendship.User1, ch.Friendship.User2
-		if a > b {
-			a, b = b, a
-		}
-		return ChangeKey{Kind: KeyFriendship, A: a, B: b}
+		k := ch.Friendship.key()
+		return ChangeKey{Kind: KeyFriendship, A: k[0], B: k[1]}
 	case KindAddLike, KindRemoveLike:
 		return ChangeKey{Kind: KeyLike, A: ch.Like.UserID, B: ch.Like.CommentID}
 	default:

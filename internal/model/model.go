@@ -4,7 +4,8 @@
 // Users (Hinkel, "The TTC 2018 Social Media case"; schema derived from the
 // LDBC Social Network Benchmark). It also defines the change sets applied
 // during the benchmark's update phases, dense id↔index mapping, CSV
-// serialization, and referential-integrity validation.
+// serialization, and the validated model State that enforces referential
+// integrity.
 //
 // The model is the neutral interchange format: both the GraphBLAS solution
 // and the NMF-style reference solution load the same Snapshot and ChangeSet
@@ -48,6 +49,17 @@ type Like struct {
 	UserID    ID
 	CommentID ID
 }
+
+// key is the friendship's canonical key: endpoints ordered, so both
+// spellings of the undirected edge collide.
+func (f Friendship) key() [2]ID {
+	if f.User2 < f.User1 {
+		return [2]ID{f.User2, f.User1}
+	}
+	return [2]ID{f.User1, f.User2}
+}
+
+func (l Like) key() [2]ID { return [2]ID{l.UserID, l.CommentID} }
 
 // Snapshot is the initial state of the social network.
 type Snapshot struct {
@@ -190,15 +202,16 @@ func (d *Dataset) TotalInserts() int {
 }
 
 // Apply applies a change set to the snapshot in place: insertions append,
-// removals delete their edge. It is the reference semantics of an update
-// step; engines maintain their own incremental state but tests validate
-// against an applied snapshot, and the WAL writer replays every committed
-// batch through it.
+// removals delete their edge, and the surviving edges keep their order. It
+// is the reference semantics of an update step: engines maintain their own
+// incremental state and the serving writer materializes through State, but
+// tests and the benchmark's reference answers are checked against an
+// applied snapshot. Apply does not check integrity (see State).
 //
 // Removals resolve through a keyed index over the edge slices (built only
 // when the set contains removals), so Apply is linear in snapshot+changes
-// even on removal-heavy replays — the naive per-removal slice scan is
-// quadratic exactly on the histories the WAL replays longest.
+// even on removal-heavy histories — the naive per-removal slice scan is
+// quadratic.
 func (s *Snapshot) Apply(cs *ChangeSet) {
 	if !cs.HasRemovals() {
 		for _, ch := range cs.Changes {
@@ -224,32 +237,24 @@ func (s *Snapshot) Apply(cs *ChangeSet) {
 	// paid by the final compaction pass). Values are slice positions (a
 	// stack per key, so duplicate instances remove LIFO); removal marks the
 	// position dead and a final pass compacts each touched slice once.
-	fkey := func(f Friendship) ChangeKey {
-		ch := Change{Kind: KindAddFriendship, Friendship: f}
-		return ch.Key()
-	}
-	lkey := func(l Like) ChangeKey {
-		ch := Change{Kind: KindAddLike, Like: l}
-		return ch.Key()
-	}
-	friendIdx := make(map[ChangeKey][]int)
-	likeIdx := make(map[ChangeKey][]int)
+	friendIdx := make(map[[2]ID][]int)
+	likeIdx := make(map[[2]ID][]int)
 	for _, ch := range cs.Changes {
 		switch ch.Kind {
 		case KindRemoveFriendship:
-			friendIdx[fkey(ch.Friendship)] = nil
+			friendIdx[ch.Friendship.key()] = nil
 		case KindRemoveLike:
-			likeIdx[lkey(ch.Like)] = nil
+			likeIdx[ch.Like.key()] = nil
 		}
 	}
 	for i, f := range s.Friendships {
-		if stack, tracked := friendIdx[fkey(f)]; tracked {
-			friendIdx[fkey(f)] = append(stack, i)
+		if stack, tracked := friendIdx[f.key()]; tracked {
+			friendIdx[f.key()] = append(stack, i)
 		}
 	}
 	for i, l := range s.Likes {
-		if stack, tracked := likeIdx[lkey(l)]; tracked {
-			likeIdx[lkey(l)] = append(stack, i)
+		if stack, tracked := likeIdx[l.key()]; tracked {
+			likeIdx[l.key()] = append(stack, i)
 		}
 	}
 	deadFriends := make(map[int]struct{})
@@ -266,23 +271,23 @@ func (s *Snapshot) Apply(cs *ChangeSet) {
 		case KindAddFriendship:
 			// Index the new instance only when some removal in this set
 			// targets its key (untracked keys cannot be removed here).
-			if stack, tracked := friendIdx[fkey(ch.Friendship)]; tracked {
-				friendIdx[fkey(ch.Friendship)] = append(stack, len(s.Friendships))
+			if stack, tracked := friendIdx[ch.Friendship.key()]; tracked {
+				friendIdx[ch.Friendship.key()] = append(stack, len(s.Friendships))
 			}
 			s.Friendships = append(s.Friendships, ch.Friendship)
 		case KindAddLike:
-			if stack, tracked := likeIdx[lkey(ch.Like)]; tracked {
-				likeIdx[lkey(ch.Like)] = append(stack, len(s.Likes))
+			if stack, tracked := likeIdx[ch.Like.key()]; tracked {
+				likeIdx[ch.Like.key()] = append(stack, len(s.Likes))
 			}
 			s.Likes = append(s.Likes, ch.Like)
 		case KindRemoveFriendship:
-			k := fkey(ch.Friendship)
+			k := ch.Friendship.key()
 			if stack := friendIdx[k]; len(stack) > 0 {
 				deadFriends[stack[len(stack)-1]] = struct{}{}
 				friendIdx[k] = stack[:len(stack)-1]
 			}
 		case KindRemoveLike:
-			k := lkey(ch.Like)
+			k := ch.Like.key()
 			if stack := likeIdx[k]; len(stack) > 0 {
 				deadLikes[stack[len(stack)-1]] = struct{}{}
 				likeIdx[k] = stack[:len(stack)-1]

@@ -10,157 +10,18 @@ var ErrIntegrity = errors.New("model: integrity violation")
 
 // Validate checks the referential integrity of a dataset: unique ids per
 // kind, comments referencing existing submissions and root posts, likes and
-// friendships referencing existing users/comments, no self-friendships, and
-// comment root pointers consistent with the parent chain. Change sets are
-// validated in replay order against the growing entity sets.
+// friendships referencing existing users/comments, no self-friendships,
+// comment root pointers consistent with the parent chain, and removals of
+// existing edges only. Change sets are validated in replay order against
+// the growing state (see State for the rules).
 func Validate(d *Dataset) error {
-	posts := map[ID]struct{}{}
-	comments := map[ID]Comment{}
-	users := map[ID]struct{}{}
-
-	addPost := func(p Post) error {
-		if _, dup := posts[p.ID]; dup {
-			return fmt.Errorf("%w: duplicate post id %d", ErrIntegrity, p.ID)
-		}
-		posts[p.ID] = struct{}{}
-		return nil
+	st, err := NewState(d.Snapshot)
+	if err != nil {
+		return err
 	}
-	addUser := func(u User) error {
-		if _, dup := users[u.ID]; dup {
-			return fmt.Errorf("%w: duplicate user id %d", ErrIntegrity, u.ID)
-		}
-		users[u.ID] = struct{}{}
-		return nil
-	}
-	addComment := func(c Comment) error {
-		if _, dup := comments[c.ID]; dup {
-			return fmt.Errorf("%w: duplicate comment id %d", ErrIntegrity, c.ID)
-		}
-		if _, ok := posts[c.PostID]; !ok {
-			return fmt.Errorf("%w: comment %d references missing root post %d", ErrIntegrity, c.ID, c.PostID)
-		}
-		if _, isPost := posts[c.ParentID]; !isPost {
-			parent, isComment := comments[c.ParentID]
-			if !isComment {
-				return fmt.Errorf("%w: comment %d references missing parent %d", ErrIntegrity, c.ID, c.ParentID)
-			}
-			if parent.PostID != c.PostID {
-				return fmt.Errorf("%w: comment %d root post %d differs from parent's root %d",
-					ErrIntegrity, c.ID, c.PostID, parent.PostID)
-			}
-		} else if c.ParentID != c.PostID {
-			return fmt.Errorf("%w: comment %d replies to post %d but roots at %d",
-				ErrIntegrity, c.ID, c.ParentID, c.PostID)
-		}
-		comments[c.ID] = c
-		return nil
-	}
-	friendKey := func(f Friendship) [2]ID {
-		a, b := f.User1, f.User2
-		if b < a {
-			a, b = b, a
-		}
-		return [2]ID{a, b}
-	}
-	friendships := map[[2]ID]struct{}{}
-	likes := map[[2]ID]struct{}{}
-	addFriendship := func(f Friendship) error {
-		if f.User1 == f.User2 {
-			return fmt.Errorf("%w: self-friendship of user %d", ErrIntegrity, f.User1)
-		}
-		if _, ok := users[f.User1]; !ok {
-			return fmt.Errorf("%w: friendship references missing user %d", ErrIntegrity, f.User1)
-		}
-		if _, ok := users[f.User2]; !ok {
-			return fmt.Errorf("%w: friendship references missing user %d", ErrIntegrity, f.User2)
-		}
-		if _, dup := friendships[friendKey(f)]; dup {
-			return fmt.Errorf("%w: duplicate friendship %d–%d", ErrIntegrity, f.User1, f.User2)
-		}
-		friendships[friendKey(f)] = struct{}{}
-		return nil
-	}
-	addLike := func(l Like) error {
-		if _, ok := users[l.UserID]; !ok {
-			return fmt.Errorf("%w: like references missing user %d", ErrIntegrity, l.UserID)
-		}
-		if _, ok := comments[l.CommentID]; !ok {
-			return fmt.Errorf("%w: like references missing comment %d", ErrIntegrity, l.CommentID)
-		}
-		key := [2]ID{l.UserID, l.CommentID}
-		if _, dup := likes[key]; dup {
-			return fmt.Errorf("%w: duplicate like %d→%d", ErrIntegrity, l.UserID, l.CommentID)
-		}
-		likes[key] = struct{}{}
-		return nil
-	}
-	removeFriendship := func(f Friendship) error {
-		if _, ok := friendships[friendKey(f)]; !ok {
-			return fmt.Errorf("%w: removal of missing friendship %d–%d", ErrIntegrity, f.User1, f.User2)
-		}
-		delete(friendships, friendKey(f))
-		return nil
-	}
-	removeLike := func(l Like) error {
-		key := [2]ID{l.UserID, l.CommentID}
-		if _, ok := likes[key]; !ok {
-			return fmt.Errorf("%w: removal of missing like %d→%d", ErrIntegrity, l.UserID, l.CommentID)
-		}
-		delete(likes, key)
-		return nil
-	}
-
-	s := d.Snapshot
-	for _, p := range s.Posts {
-		if err := addPost(p); err != nil {
-			return err
-		}
-	}
-	for _, u := range s.Users {
-		if err := addUser(u); err != nil {
-			return err
-		}
-	}
-	for _, c := range s.Comments {
-		if err := addComment(c); err != nil {
-			return err
-		}
-	}
-	for _, f := range s.Friendships {
-		if err := addFriendship(f); err != nil {
-			return err
-		}
-	}
-	for _, l := range s.Likes {
-		if err := addLike(l); err != nil {
-			return err
-		}
-	}
-
-	for csIdx := range d.ChangeSets {
-		for _, ch := range d.ChangeSets[csIdx].Changes {
-			var err error
-			switch ch.Kind {
-			case KindAddPost:
-				err = addPost(ch.Post)
-			case KindAddUser:
-				err = addUser(ch.User)
-			case KindAddComment:
-				err = addComment(ch.Comment)
-			case KindAddFriendship:
-				err = addFriendship(ch.Friendship)
-			case KindAddLike:
-				err = addLike(ch.Like)
-			case KindRemoveFriendship:
-				err = removeFriendship(ch.Friendship)
-			case KindRemoveLike:
-				err = removeLike(ch.Like)
-			default:
-				err = fmt.Errorf("%w: unknown change kind %d", ErrIntegrity, ch.Kind)
-			}
-			if err != nil {
-				return fmt.Errorf("change set %d: %w", csIdx, err)
-			}
+	for i := range d.ChangeSets {
+		if err := st.Apply(d.ChangeSets[i].Changes); err != nil {
+			return fmt.Errorf("change set %d: %w", i, err)
 		}
 	}
 	return nil

@@ -27,19 +27,19 @@ func (r *updateReq) finish(err error) {
 	}
 }
 
-// writer is the single goroutine that owns the engines, the reference
-// state and the materialized model state. It first replays the recovered
-// WAL tail (if any) and flips the server ready, then drains the queue into
-// batches — a batch closes when MaxBatch changes have accumulated or
-// FlushInterval has elapsed since its first request — commits each batch
-// and publishes the new snapshot. It exits when Close closes the queue,
-// after draining it. Requests enqueued during replay simply wait in the
-// queue: they commit (and their wait=1 returns) only after every recovered
-// batch is visible, preserving commit order across the restart.
-func (s *Server) writer(ref *refState, replay []wal.Batch) {
+// writer is the single goroutine that owns the engines and the model
+// state. It first replays the recovered WAL tail (if any) and flips the
+// server ready, then drains the queue into batches — a batch closes when
+// MaxBatch changes have accumulated or FlushInterval has elapsed since its
+// first request — commits each batch and publishes the new snapshot. It
+// exits when Close closes the queue, after draining it. Requests enqueued
+// during replay simply wait in the queue: they commit (and their wait=1
+// returns) only after every recovered batch is visible, preserving commit
+// order across the restart.
+func (s *Server) writer(replay []wal.Batch) {
 	defer close(s.writerDone)
 	if len(replay) > 0 {
-		if s.replayWAL(ref, replay) {
+		if s.replayWAL(replay) {
 			s.ready.Store(true)
 		}
 	}
@@ -61,11 +61,11 @@ func (s *Server) writer(ref *refState, replay []wal.Batch) {
 			}
 		}
 		timer.Stop()
-		s.commit(ref, batch)
+		s.commit(batch)
 	}
 }
 
-// commit validates each request against the reference state, makes the
+// commit validates and applies each request to the model state, makes the
 // merged change set of the accepted requests durable (WAL append, honoring
 // the fsync policy), commits it through the sharded runtime (whose barrier
 // returns only once every shard has applied its slice), publishes the new
@@ -73,7 +73,7 @@ func (s *Server) writer(ref *refState, replay []wal.Batch) {
 // do not reach any engine; accepted requests only get nil after their
 // batch is in the WAL *and* visible to readers on all shards, so a waited
 // update survives a crash the instant /update returns.
-func (s *Server) commit(ref *refState, batch []updateReq) {
+func (s *Server) commit(batch []updateReq) {
 	if err := s.brokenErr(); err != nil {
 		for i := range batch {
 			batch[i].finish(fmt.Errorf("%w: %w", ErrBroken, err))
@@ -85,7 +85,7 @@ func (s *Server) commit(ref *refState, batch []updateReq) {
 	accepted := make([]*updateReq, 0, len(batch))
 	for i := range batch {
 		req := &batch[i]
-		if err := ref.applyAll(req.changes); err != nil {
+		if err := s.state.Apply(req.changes); err != nil {
 			req.finish(fmt.Errorf("%w: %w", ErrRejected, err))
 			continue
 		}
@@ -118,7 +118,6 @@ func (s *Server) commit(ref *refState, batch []updateReq) {
 			fail(fmt.Errorf("wal append: %w", err))
 			return
 		}
-		s.applyDurable(cs)
 	}
 
 	start := time.Now()
@@ -182,7 +181,7 @@ func (s *Server) commit(ref *refState, batch []updateReq) {
 // disagrees with the base snapshot, and serving writes on top would
 // diverge. On success it writes a fresh durable snapshot so the next
 // restart replays nothing.
-func (s *Server) replayWAL(ref *refState, batches []wal.Batch) bool {
+func (s *Server) replayWAL(batches []wal.Batch) bool {
 	start := time.Now()
 	replayed := 0
 	for i, b := range batches {
@@ -191,11 +190,10 @@ func (s *Server) replayWAL(ref *refState, batches []wal.Batch) bool {
 		s.mu.Unlock()
 		replayed += len(b.Changes)
 		cs := &model.ChangeSet{Changes: b.Changes}
-		if err := ref.applyAll(b.Changes); err != nil {
+		if err := s.state.Apply(b.Changes); err != nil {
 			s.setBroken(fmt.Errorf("wal replay: batch seq %d: %w", b.Seq, err))
 			return false
 		}
-		s.applyDurable(cs)
 		results, err := s.rt.Commit(cs)
 		if err != nil {
 			s.setBroken(fmt.Errorf("wal replay: commit seq %d: %w", b.Seq, err))
@@ -223,48 +221,10 @@ func (s *Server) replayWAL(ref *refState, batches []wal.Batch) bool {
 	return true
 }
 
-// applyDurable folds a committed batch into the writer's materialized
-// model state. This is the copy-on-write moment of the streaming snapshot
-// design: while a background encode holds a view of curr's arrays, inserts
-// are harmless (they append at or past the view's clamped length, or
-// reallocate) but a removal batch would compact the edge arrays in place
-// under the encoder — so the first removal batch during an in-flight
-// encode detaches fresh Friendships/Likes arrays first. The pause is one
-// memcpy of the edge arrays, paid at most once per snapshot and only on
-// removal traffic, instead of a full encode+fsync stall on every snapshot.
-func (s *Server) applyDurable(cs *model.ChangeSet) {
-	if s.cowPending && cs.HasRemovals() && s.snapInProgress.Load() {
-		start := time.Now()
-		s.curr.Friendships = append([]model.Friendship(nil), s.curr.Friendships...)
-		s.curr.Likes = append([]model.Like(nil), s.curr.Likes...)
-		s.cowPending = false
-		s.noteSnapStall(time.Since(start))
-		s.mu.Lock()
-		s.cowClones++
-		s.mu.Unlock()
-	}
-	s.curr.Apply(cs)
-}
-
-// snapshotView is the writer's O(1) snapshot handoff: the five slice
-// headers clamped to their current length (full slice expressions, so the
-// view also cannot see capacity beyond it). The encoder iterates the view;
-// the writer keeps committing into curr, with applyDurable detaching the
-// arrays a removal batch would mutate in place.
-func snapshotView(s *model.Snapshot) *model.Snapshot {
-	return &model.Snapshot{
-		Posts:       s.Posts[:len(s.Posts):len(s.Posts)],
-		Comments:    s.Comments[:len(s.Comments):len(s.Comments)],
-		Users:       s.Users[:len(s.Users):len(s.Users)],
-		Friendships: s.Friendships[:len(s.Friendships):len(s.Friendships)],
-		Likes:       s.Likes[:len(s.Likes):len(s.Likes)],
-	}
-}
-
 // noteSnapStall records one writer pause attributable to snapshot work —
-// the stat BenchmarkSnapshotStall and /stats defend: with streaming
-// snapshots it should stay at microseconds (handoff) to one edge-array
-// memcpy (COW), never a full encode.
+// the stat /stats defends: it should stay at microseconds (the view
+// handoff) to one edge-array copy (a copy-on-write detach), never a full
+// encode.
 func (s *Server) noteSnapStall(d time.Duration) {
 	s.mu.Lock()
 	s.lastSnapStall = d
@@ -274,25 +234,28 @@ func (s *Server) noteSnapStall(d time.Duration) {
 	s.mu.Unlock()
 }
 
+// noteDetach records a copy-on-write detach of the edge arrays: a removal
+// committed while an encode still reads a view of them.
+func (s *Server) noteDetach(d time.Duration) {
+	s.noteSnapStall(d)
+	s.mu.Lock()
+	s.cowClones++
+	s.mu.Unlock()
+}
+
 // snapshotDurable persists the materialized model state at seq. A failure
 // is not fatal — the WAL still holds every commit since the last good
 // snapshot, so durability degrades to a longer replay — but it is counted
 // and surfaced in /stats.
 //
-// Called by the writer goroutine. By default the writer only pays the O(1)
-// copy-on-write handoff: a background goroutine streams the view to disk
-// chunk by chunk while the writer returns to draining the queue. With
-// Config.BlockingSnapshots the whole encode runs inline (the pre-streaming
-// behavior, kept for the stall benchmark).
+// Called by the writer goroutine, which only pays the O(1) copy-on-write
+// handoff (model.State.View): a background goroutine streams the view to
+// disk chunk by chunk while the writer returns to draining the queue.
 func (s *Server) snapshotDurable(seq int) {
 	s.mu.Lock()
 	last := s.lastSnap
 	s.mu.Unlock()
 	if seq == last {
-		return
-	}
-	if s.cfg.BlockingSnapshots {
-		s.snapshotBlocking(seq)
 		return
 	}
 	if s.snapInProgress.Load() {
@@ -305,8 +268,7 @@ func (s *Server) snapshotDurable(seq int) {
 		return
 	}
 	start := time.Now()
-	view := snapshotView(s.curr)
-	s.cowPending = true
+	view, release := s.state.View()
 	s.snapInProgress.Store(true)
 	done := make(chan struct{})
 	s.snapDone = done
@@ -315,7 +277,8 @@ func (s *Server) snapshotDurable(seq int) {
 		defer close(done)
 		encStart := time.Now()
 		err := s.wal.WriteSnapshotStream(uint64(seq), meta, view, s.streamChunk)
-		s.finishSnapshot(seq, encStart, true, err)
+		release()
+		s.finishSnapshot(seq, encStart, err)
 		s.snapInProgress.Store(false)
 	}()
 	s.noteSnapStall(time.Since(start))
@@ -325,16 +288,14 @@ func (s *Server) snapshotDurable(seq int) {
 // snapInProgress only *after* this returns: single-flighting means a newer
 // encode cannot start — and so cannot write its bookkeeping — until the
 // older one's has landed, which keeps lastSnap monotone.
-func (s *Server) finishSnapshot(seq int, start time.Time, streamed bool, err error) {
+func (s *Server) finishSnapshot(seq int, start time.Time, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case err == nil:
-		if streamed {
-			// Counted only on success: streamedSnapshots is the "streaming
-			// works" probe and must stay zero when no encode ever lands.
-			s.snapStreams++
-		}
+		// Counted only on success: streamedSnapshots is the "streaming
+		// works" probe and must stay zero when no encode ever lands.
+		s.snapStreams++
 		s.lastSnap = seq
 		s.lastSnapDur = time.Since(start)
 	case errors.Is(err, wal.ErrSnapshotAborted):
@@ -357,18 +318,6 @@ func (s *Server) streamChunk(written int) error {
 	return nil
 }
 
-// snapshotBlocking is the pre-streaming inline path (Config.
-// BlockingSnapshots): the writer stalls for the whole encode+fsync. Kept
-// so the stall benchmark has its baseline.
-func (s *Server) snapshotBlocking(seq int) {
-	start := time.Now()
-	s.snapInProgress.Store(true)
-	err := s.wal.WriteSnapshot(uint64(seq), uint64(s.snap.Load().Changes), s.curr)
-	s.finishSnapshot(seq, start, false, err)
-	s.snapInProgress.Store(false)
-	s.noteSnapStall(time.Since(start))
-}
-
 // snapshotFinal writes the shutdown snapshot synchronously — a draining
 // server has nothing better to do — through the same streaming encoder.
 // snapInProgress stays set for the duration so /healthz reports the
@@ -380,13 +329,11 @@ func (s *Server) snapshotFinal(seq int) {
 	if seq == last {
 		return
 	}
-	if s.cfg.BlockingSnapshots {
-		s.snapshotBlocking(seq)
-		return
-	}
 	s.snapInProgress.Store(true)
 	start := time.Now()
-	err := s.wal.WriteSnapshotStream(uint64(seq), uint64(s.snap.Load().Changes), s.curr, s.streamChunk)
-	s.finishSnapshot(seq, start, true, err)
+	view, release := s.state.View()
+	err := s.wal.WriteSnapshotStream(uint64(seq), uint64(s.snap.Load().Changes), view, s.streamChunk)
+	release()
+	s.finishSnapshot(seq, start, err)
 	s.snapInProgress.Store(false)
 }

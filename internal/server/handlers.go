@@ -367,10 +367,10 @@ type persistStatsJSON struct {
 
 	// Streaming-snapshot health: whether a background encode is in flight
 	// right now, how long the writer was last (and at worst ever) paused
-	// on snapshot work — the O(1) view handoff or a copy-on-write clone,
-	// or the full inline encode under BlockingSnapshots — and how many
-	// encodes streamed, cadence points were skipped because one was still
-	// in flight, and edge-array COW clones removal batches forced.
+	// on snapshot work — the O(1) view handoff or a copy-on-write detach
+	// of the edge arrays — and how many snapshots were written, cadence
+	// points were skipped because an encode was still in flight, and
+	// detaches removals forced.
 	SnapshotInProgress  bool  `json:"snapshotInProgress"`
 	LastSnapshotStallNs int64 `json:"lastSnapshotStallNs"`
 	MaxSnapshotStallNs  int64 `json:"maxSnapshotStallNs"`

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -654,5 +655,44 @@ func TestPersistentServerWritesQueuedDuringReplay(t *testing.T) {
 	oracleQ1 := oracle(t, "Q1", d)
 	if snap.Results[EngineQ1] != oracleQ1[pre+1] {
 		t.Fatalf("Q1 after queued-during-replay commit: %q, oracle %q", snap.Results[EngineQ1], oracleQ1[pre+1])
+	}
+}
+
+// TestRecoverFromV1SeedSnapshot: a durability directory whose newest
+// snapshot is a TTCSNAP1 image still recovers. The fixture in
+// testdata/v1-seed was written by a release that still wrote that format:
+// model.ExampleDataset seeded at seq 0, the two batches below committed,
+// then the process killed — so recovery is the v1 seed plus a WAL tail.
+func TestRecoverFromV1SeedSnapshot(t *testing.T) {
+	batches := [][]model.Change{
+		model.ExampleDataset().ChangeSets[0].Changes,
+		{
+			{Kind: model.KindRemoveLike, Like: model.Like{UserID: model.U3, CommentID: model.C2}},
+			{Kind: model.KindRemoveFriendship, Friendship: model.Friendship{User1: model.U3, User2: model.U2}},
+		},
+	}
+	ref, err := New(Config{Dataset: model.ExampleDataset(), FlushInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for _, b := range batches {
+		if err := ref.Enqueue(b, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, err := New(Config{PersistDir: copyDataDir(t, filepath.Join("testdata", "v1-seed")), Fsync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitReady(t, srv)
+	if !srv.Recovered() {
+		t.Fatal("the v1 seed snapshot was not recovered")
+	}
+	got, want := srv.Snapshot(), ref.Snapshot()
+	if got.Seq != want.Seq || !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("recovered seq %d %v, want seq %d %v", got.Seq, got.Results, want.Seq, want.Results)
 	}
 }

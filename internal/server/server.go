@@ -9,13 +9,13 @@
 //
 // Write path: Enqueue → buffered queue → the batching goroutine drains
 // requests into one batch (bounded by MaxBatch changes or FlushInterval,
-// whichever comes first), validates each request against the reference
-// state, then commits the merged change set through the sharded runtime —
-// one writer goroutine per shard applies its slice behind a commit barrier,
-// so the new Snapshot is published only once the batch is visible on every
-// shard and wait=1 keeps meaning "globally visible". Read path: an atomic
-// pointer load merging nothing at all — per-shard answers were merged at
-// commit time.
+// whichever comes first), validates and applies each request to the model
+// state (model.State), then commits the merged change set through the
+// sharded runtime — one writer goroutine per shard applies its slice behind
+// a commit barrier, so the new Snapshot is published only once the batch is
+// visible on every shard and wait=1 keeps meaning "globally visible". Read
+// path: an atomic pointer load merging nothing at all — per-shard answers
+// were merged at commit time.
 package server
 
 import (
@@ -95,12 +95,6 @@ type Config struct {
 	// 4 MiB). A tuning/testing knob: compaction only ever works on sealed
 	// segments, so tests use small segments to exercise it.
 	SegmentBytes int64
-	// BlockingSnapshots restores the pre-streaming snapshot path: the
-	// writer encodes and fsyncs the whole image inline, stalling the queue
-	// for the duration. Kept so BenchmarkSnapshotStall can measure the
-	// stall the streaming encoder removes; production wants the default
-	// (false = copy-on-write handoff to a background encoder).
-	BlockingSnapshots bool
 
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
 	// snapshotChunkHook observes every flushed chunk — test hooks (same
@@ -195,8 +189,10 @@ type recoveryStats struct {
 // Server is the serving subsystem. Create with New, serve via Handler,
 // stop with Close.
 type Server struct {
-	cfg     Config
-	dataset *model.Dataset
+	cfg Config
+	// changeSets is the loaded dataset's update stream (ttcserve -replay);
+	// the initial snapshot is not kept once state and engines are built.
+	changeSets []model.ChangeSet
 
 	// rt owns the engines: one partition and one writer goroutine per
 	// shard. Only the batching goroutine commits through it; the stats
@@ -208,12 +204,15 @@ type Server struct {
 	updates    chan updateReq
 	writerDone chan struct{}
 
+	// state is the writer-owned model: every request is validated and
+	// applied against it before any engine sees it, and durable snapshots
+	// encode its views.
+	state *model.State
 	// wal is the durability subsystem (nil when Config.PersistDir is
 	// empty): every committed batch is appended to it before the commit's
-	// waiters are released, and curr — the writer-owned materialized model
-	// state — is periodically snapshotted through it.
-	wal  *wal.Log
-	curr *model.Snapshot
+	// waiters are released, and the state is periodically snapshotted
+	// through it.
+	wal *wal.Log
 	// recovered reports that startup state came from a durable snapshot
 	// rather than the dataset.
 	recovered bool
@@ -226,14 +225,11 @@ type Server struct {
 	// background encode (and the final shutdown snapshot) — /stats and
 	// /healthz report it so orchestrators can see a snapshot-draining
 	// server. snapAbort tells the encoder's next chunk to abandon the write
-	// (crash simulation). snapDone and cowPending are writer-owned:
-	// snapDone is the in-flight encode's completion channel, cowPending
-	// marks that the encoder's view still shares the edge arrays with curr,
-	// so a removal batch must detach (clone) them before applying.
+	// (crash simulation). snapDone, the in-flight encode's completion
+	// channel, is writer-owned.
 	snapInProgress atomic.Bool
 	snapAbort      atomic.Bool
 	snapDone       chan struct{}
-	cowPending     bool
 
 	mu      sync.Mutex // guards closing, broken, phases
 	closing bool
@@ -266,10 +262,10 @@ type Server struct {
 	snapErrs    int
 	// Streaming-snapshot counters (guarded by mu): lastSnapStall/
 	// maxSnapStall record how long the writer was actually paused on
-	// snapshot work (the O(1) view handoff, a copy-on-write clone, or —
-	// under BlockingSnapshots — the whole encode); snapStreams/snapSkips
-	// count background encodes started and cadence points skipped because
-	// one was still in flight; cowClones counts edge-array detaches.
+	// snapshot work (the O(1) view handoff or a copy-on-write detach);
+	// snapStreams/snapSkips count snapshots written and cadence points
+	// skipped because an encode was still in flight; cowClones counts
+	// edge-array detaches.
 	lastSnapStall time.Duration
 	maxSnapStall  time.Duration
 	snapStreams   int
@@ -343,27 +339,35 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
+	// The engines only ever see states that pass the integrity rules.
+	state, err := model.NewState(d.Snapshot)
+	if err != nil {
+		closeWAL()
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	grb.SetThreads(cfg.Threads)
 	rt, err := shard.New(cfg.Shards, d.Snapshot)
 	if err != nil {
 		closeWAL()
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	cfg.Dataset = nil // state holds its own copy; let the caller's be collected
 	s := &Server{
 		cfg:        cfg,
-		dataset:    d,
+		changeSets: d.ChangeSets,
 		rt:         rt,
+		state:      state,
 		updates:    make(chan updateReq, cfg.QueueDepth),
 		writerDone: make(chan struct{}),
 		wal:        wlog,
 		recovered:  rec.HasSnapshot,
 	}
+	state.OnDetach = s.noteDetach
 	s.phases.Load = rt.LoadDuration()
 	s.phases.Initial = rt.InitialDuration()
 
 	baseSeq, baseChanges := 0, 0
 	if s.wal != nil {
-		s.curr = d.Snapshot.Clone()
 		s.lastSnap = -1
 		if rec.HasSnapshot {
 			baseSeq = int(rec.SnapshotSeq)
@@ -388,7 +392,7 @@ func New(cfg Config) (*Server, error) {
 	if s.wal != nil && !rec.HasSnapshot {
 		// Seed a fresh durability directory with the base state so recovery
 		// never needs the dataset again.
-		if err := s.wal.WriteSnapshot(uint64(baseSeq), uint64(baseChanges), d.Snapshot); err != nil {
+		if err := s.wal.WriteSnapshotStream(uint64(baseSeq), uint64(baseChanges), d.Snapshot, nil); err != nil {
 			s.rt.Close()
 			s.wal.Close()
 			return nil, fmt.Errorf("server: seed snapshot: %w", err)
@@ -399,13 +403,14 @@ func New(cfg Config) (*Server, error) {
 	// Readiness: immediate unless there is a WAL tail to replay, in which
 	// case the writer flips it after the replay commits.
 	s.ready.Store(len(rec.Batches) == 0)
-	go s.writer(newRefState(d.Snapshot), rec.Batches)
+	go s.writer(rec.Batches)
 	return s, nil
 }
 
-// Dataset exposes the served dataset (its change sets are the natural
-// replay stream for warming or testing).
-func (s *Server) Dataset() *model.Dataset { return s.dataset }
+// ChangeSets returns the loaded dataset's change sets — the natural replay
+// stream for warming or testing. It is empty after recovery from a durable
+// snapshot, which never loads the dataset.
+func (s *Server) ChangeSets() []model.ChangeSet { return s.changeSets }
 
 // Snapshot returns the last committed state. It never blocks on writers.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
@@ -500,7 +505,7 @@ func (s *Server) Close() {
 //
 // Both paths run after the writer goroutine has exited (Close/crash wait
 // on writerDone first), so reading the writer-owned snapDone handle and
-// passing s.curr to a synchronous encode are race-free.
+// taking a view of the writer-owned state are race-free.
 func (s *Server) closeDurable(graceful bool) {
 	if s.wal == nil {
 		return

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // Snapshot is the immutable last-committed state readers observe: the
@@ -46,182 +44,4 @@ type Snapshot struct {
 	// epoch). Concurrent first readers may race to fill a slot; they
 	// marshal identical bytes, so last-store-wins is harmless.
 	respCache [3]atomic.Pointer[[]byte]
-}
-
-// refState is the writer's referential-integrity view of the committed
-// model: which entities and edges exist. The writer validates every update
-// request against it *before* touching any engine, so a bad request is
-// rejected uniformly instead of half-applied to some engines — the engines
-// only ever see change sets that keep them in agreement.
-type refState struct {
-	posts map[model.ID]struct{}
-	// comments maps each comment to its root post, so a new comment's
-	// PostID can be checked for consistency with its parent chain (the
-	// same invariant model.Validate enforces).
-	comments map[model.ID]model.ID
-	users    map[model.ID]struct{}
-	friends  map[[2]model.ID]struct{} // canonical (min, max) pairs
-	likes    map[[2]model.ID]struct{} // (user, comment) pairs
-}
-
-func newRefState(s *model.Snapshot) *refState {
-	r := &refState{
-		posts:    make(map[model.ID]struct{}, len(s.Posts)),
-		comments: make(map[model.ID]model.ID, len(s.Comments)),
-		users:    make(map[model.ID]struct{}, len(s.Users)),
-		friends:  make(map[[2]model.ID]struct{}, len(s.Friendships)),
-		likes:    make(map[[2]model.ID]struct{}, len(s.Likes)),
-	}
-	for _, p := range s.Posts {
-		r.posts[p.ID] = struct{}{}
-	}
-	for _, c := range s.Comments {
-		r.comments[c.ID] = c.PostID
-	}
-	for _, u := range s.Users {
-		r.users[u.ID] = struct{}{}
-	}
-	for _, f := range s.Friendships {
-		r.friends[friendKey(f)] = struct{}{}
-	}
-	for _, l := range s.Likes {
-		r.likes[likeKey(l)] = struct{}{}
-	}
-	return r
-}
-
-func friendKey(f model.Friendship) [2]model.ID {
-	a, b := f.User1, f.User2
-	if a > b {
-		a, b = b, a
-	}
-	return [2]model.ID{a, b}
-}
-
-func likeKey(l model.Like) [2]model.ID { return [2]model.ID{l.UserID, l.CommentID} }
-
-// applyAll validates a request's changes in order and applies them to the
-// reference state. It is all-or-nothing: on the first invalid change every
-// previously applied change of this request is rolled back and the error
-// returned, so a rejected request leaves no trace.
-func (r *refState) applyAll(changes []model.Change) error {
-	for i := range changes {
-		if err := r.apply(&changes[i]); err != nil {
-			for j := i - 1; j >= 0; j-- {
-				r.rollback(&changes[j])
-			}
-			return fmt.Errorf("change %d (%s): %w", i, changes[i].Kind, err)
-		}
-	}
-	return nil
-}
-
-func (r *refState) apply(ch *model.Change) error {
-	switch ch.Kind {
-	case model.KindAddPost:
-		if _, dup := r.posts[ch.Post.ID]; dup {
-			return fmt.Errorf("post %d already exists", ch.Post.ID)
-		}
-		r.posts[ch.Post.ID] = struct{}{}
-	case model.KindAddComment:
-		c := ch.Comment
-		if _, dup := r.comments[c.ID]; dup {
-			return fmt.Errorf("comment %d already exists", c.ID)
-		}
-		if _, ok := r.posts[c.PostID]; !ok {
-			return fmt.Errorf("comment %d roots at unknown post %d", c.ID, c.PostID)
-		}
-		if _, isPost := r.posts[c.ParentID]; isPost {
-			if c.ParentID != c.PostID {
-				return fmt.Errorf("comment %d replies to post %d but roots at %d", c.ID, c.ParentID, c.PostID)
-			}
-		} else if parentRoot, isComment := r.comments[c.ParentID]; isComment {
-			if parentRoot != c.PostID {
-				return fmt.Errorf("comment %d root post %d differs from parent's root %d", c.ID, c.PostID, parentRoot)
-			}
-		} else {
-			return fmt.Errorf("comment %d replies to unknown submission %d", c.ID, c.ParentID)
-		}
-		r.comments[c.ID] = c.PostID
-	case model.KindAddUser:
-		if _, dup := r.users[ch.User.ID]; dup {
-			return fmt.Errorf("user %d already exists", ch.User.ID)
-		}
-		r.users[ch.User.ID] = struct{}{}
-	case model.KindAddFriendship:
-		f := ch.Friendship
-		if f.User1 == f.User2 {
-			return fmt.Errorf("self-friendship of user %d", f.User1)
-		}
-		if err := r.checkUsers(f.User1, f.User2); err != nil {
-			return err
-		}
-		if _, dup := r.friends[friendKey(f)]; dup {
-			return fmt.Errorf("friendship %d–%d already exists", f.User1, f.User2)
-		}
-		r.friends[friendKey(f)] = struct{}{}
-	case model.KindAddLike:
-		l := ch.Like
-		if err := r.checkLikeRefs(l); err != nil {
-			return err
-		}
-		if _, dup := r.likes[likeKey(l)]; dup {
-			return fmt.Errorf("user %d already likes comment %d", l.UserID, l.CommentID)
-		}
-		r.likes[likeKey(l)] = struct{}{}
-	case model.KindRemoveFriendship:
-		f := ch.Friendship
-		if _, ok := r.friends[friendKey(f)]; !ok {
-			return fmt.Errorf("friendship %d–%d does not exist", f.User1, f.User2)
-		}
-		delete(r.friends, friendKey(f))
-	case model.KindRemoveLike:
-		l := ch.Like
-		if _, ok := r.likes[likeKey(l)]; !ok {
-			return fmt.Errorf("user %d does not like comment %d", l.UserID, l.CommentID)
-		}
-		delete(r.likes, likeKey(l))
-	default:
-		return fmt.Errorf("unknown change kind %d", ch.Kind)
-	}
-	return nil
-}
-
-// rollback undoes an apply of a change that previously succeeded.
-func (r *refState) rollback(ch *model.Change) {
-	switch ch.Kind {
-	case model.KindAddPost:
-		delete(r.posts, ch.Post.ID)
-	case model.KindAddComment:
-		delete(r.comments, ch.Comment.ID)
-	case model.KindAddUser:
-		delete(r.users, ch.User.ID)
-	case model.KindAddFriendship:
-		delete(r.friends, friendKey(ch.Friendship))
-	case model.KindAddLike:
-		delete(r.likes, likeKey(ch.Like))
-	case model.KindRemoveFriendship:
-		r.friends[friendKey(ch.Friendship)] = struct{}{}
-	case model.KindRemoveLike:
-		r.likes[likeKey(ch.Like)] = struct{}{}
-	}
-}
-
-func (r *refState) checkUsers(ids ...model.ID) error {
-	for _, id := range ids {
-		if _, ok := r.users[id]; !ok {
-			return fmt.Errorf("unknown user %d", id)
-		}
-	}
-	return nil
-}
-
-func (r *refState) checkLikeRefs(l model.Like) error {
-	if err := r.checkUsers(l.UserID); err != nil {
-		return err
-	}
-	if _, ok := r.comments[l.CommentID]; !ok {
-		return fmt.Errorf("unknown comment %d", l.CommentID)
-	}
-	return nil
 }

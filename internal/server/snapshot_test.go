@@ -2,122 +2,50 @@ package server
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/model"
 )
 
-// Direct unit coverage for snapshot.go: the referential-integrity state the
-// batcher validates against (previously only exercised through the e2e
-// test) and the staleness contract of the published Snapshot.
-
-func refFixture() *refState {
-	return newRefState(&model.Snapshot{
-		Posts:       []model.Post{{ID: 1, Timestamp: 1}},
-		Comments:    []model.Comment{{ID: 10, Timestamp: 2, ParentID: 1, PostID: 1}},
-		Users:       []model.User{{ID: 100}, {ID: 101}},
-		Friendships: []model.Friendship{{User1: 100, User2: 101}},
-		Likes:       []model.Like{{UserID: 100, CommentID: 10}},
-	})
-}
-
-func TestRefStateApply(t *testing.T) {
+// TestNewRejectsInvalidInitialState: the initial state goes through the
+// same integrity rules as every update, so New refuses a dataset
+// model.Validate rejects instead of serving it (engines and model would
+// disagree after the first removal).
+func TestNewRejectsInvalidInitialState(t *testing.T) {
 	cases := []struct {
-		name    string
-		change  model.Change
-		wantErr string // substring; empty means accepted
+		name   string
+		mutate func(*model.Snapshot)
 	}{
-		{"new post", model.Change{Kind: model.KindAddPost, Post: model.Post{ID: 2}}, ""},
-		{"dup post", model.Change{Kind: model.KindAddPost, Post: model.Post{ID: 1}}, "already exists"},
-		{"comment on post", model.Change{Kind: model.KindAddComment,
-			Comment: model.Comment{ID: 11, ParentID: 1, PostID: 1}}, ""},
-		{"comment on comment", model.Change{Kind: model.KindAddComment,
-			Comment: model.Comment{ID: 11, ParentID: 10, PostID: 1}}, ""},
-		{"dup comment", model.Change{Kind: model.KindAddComment,
-			Comment: model.Comment{ID: 10, ParentID: 1, PostID: 1}}, "already exists"},
-		{"comment root mismatch via post parent", model.Change{Kind: model.KindAddComment,
-			Comment: model.Comment{ID: 11, ParentID: 1, PostID: 99}}, "roots at unknown post"},
-		{"comment parent unknown", model.Change{Kind: model.KindAddComment,
-			Comment: model.Comment{ID: 11, ParentID: 999, PostID: 1}}, "unknown submission"},
-		{"new user", model.Change{Kind: model.KindAddUser, User: model.User{ID: 102}}, ""},
-		{"dup user", model.Change{Kind: model.KindAddUser, User: model.User{ID: 100}}, "already exists"},
-		{"self friendship", model.Change{Kind: model.KindAddFriendship,
-			Friendship: model.Friendship{User1: 100, User2: 100}}, "self-friendship"},
-		{"friendship unknown user", model.Change{Kind: model.KindAddFriendship,
-			Friendship: model.Friendship{User1: 100, User2: 999}}, "unknown user"},
-		{"dup friendship reversed", model.Change{Kind: model.KindAddFriendship,
-			Friendship: model.Friendship{User1: 101, User2: 100}}, "already exists"},
-		{"new like", model.Change{Kind: model.KindAddLike,
-			Like: model.Like{UserID: 101, CommentID: 10}}, ""},
-		{"dup like", model.Change{Kind: model.KindAddLike,
-			Like: model.Like{UserID: 100, CommentID: 10}}, "already likes"},
-		{"like unknown comment", model.Change{Kind: model.KindAddLike,
-			Like: model.Like{UserID: 100, CommentID: 999}}, "unknown comment"},
-		{"remove friendship reversed", model.Change{Kind: model.KindRemoveFriendship,
-			Friendship: model.Friendship{User1: 101, User2: 100}}, ""},
-		{"remove missing friendship", model.Change{Kind: model.KindRemoveFriendship,
-			Friendship: model.Friendship{User1: 100, User2: 102}}, "does not exist"},
-		{"remove like", model.Change{Kind: model.KindRemoveLike,
-			Like: model.Like{UserID: 100, CommentID: 10}}, ""},
-		{"remove missing like", model.Change{Kind: model.KindRemoveLike,
-			Like: model.Like{UserID: 101, CommentID: 10}}, "does not like"},
+		{"duplicate friendship", func(s *model.Snapshot) {
+			s.Friendships = append(s.Friendships, model.Friendship{User1: model.U3, User2: model.U2})
+		}},
+		{"duplicate like", func(s *model.Snapshot) {
+			s.Likes = append(s.Likes, model.Like{UserID: model.U2, CommentID: model.C1})
+		}},
+		{"duplicate user", func(s *model.Snapshot) {
+			s.Users = append(s.Users, model.User{ID: model.U1})
+		}},
+		{"self friendship", func(s *model.Snapshot) {
+			s.Friendships = append(s.Friendships, model.Friendship{User1: model.U1, User2: model.U1})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := refFixture().applyAll([]model.Change{tc.change})
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("applyAll: %v, want accepted", err)
-				}
-				return
+			d := model.ExampleDataset()
+			tc.mutate(d.Snapshot)
+			if err := model.Validate(d); !errors.Is(err, model.ErrIntegrity) {
+				t.Fatalf("Validate = %v, want an integrity violation", err)
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("applyAll: %v, want error containing %q", err, tc.wantErr)
+			srv, err := New(Config{Dataset: d})
+			if err == nil {
+				srv.Close()
+				t.Fatal("New served an initial state that violates integrity")
+			}
+			if !errors.Is(err, model.ErrIntegrity) {
+				t.Fatalf("New = %v, want an error wrapping model.ErrIntegrity", err)
 			}
 		})
-	}
-}
-
-// TestRefStateRemoveMissingFriendship uses two known users with no edge so
-// the existence check itself (not the user check) rejects.
-func TestRefStateRemoveMissingFriendship(t *testing.T) {
-	r := refFixture()
-	if err := r.applyAll([]model.Change{{Kind: model.KindAddUser, User: model.User{ID: 102}}}); err != nil {
-		t.Fatal(err)
-	}
-	err := r.applyAll([]model.Change{{Kind: model.KindRemoveFriendship,
-		Friendship: model.Friendship{User1: 100, User2: 102}}})
-	if err == nil || !strings.Contains(err.Error(), "does not exist") {
-		t.Fatalf("applyAll: %v, want 'does not exist'", err)
-	}
-}
-
-// TestRefStateRollbackIsComplete applies a request whose last change is
-// invalid and checks that every earlier change was rolled back: the same
-// changes must then be individually appliable (no leftover state) and the
-// removals must be restored.
-func TestRefStateRollbackIsComplete(t *testing.T) {
-	r := refFixture()
-	req := []model.Change{
-		{Kind: model.KindAddUser, User: model.User{ID: 200}},
-		{Kind: model.KindAddPost, Post: model.Post{ID: 5}},
-		{Kind: model.KindAddComment, Comment: model.Comment{ID: 50, ParentID: 5, PostID: 5}},
-		{Kind: model.KindAddLike, Like: model.Like{UserID: 200, CommentID: 50}},
-		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 200, User2: 100}},
-		{Kind: model.KindRemoveFriendship, Friendship: model.Friendship{User1: 100, User2: 101}},
-		{Kind: model.KindRemoveLike, Like: model.Like{UserID: 100, CommentID: 10}},
-		{Kind: model.KindAddPost, Post: model.Post{ID: 1}}, // duplicate → rejects the request
-	}
-	if err := r.applyAll(req); err == nil {
-		t.Fatal("request with duplicate post was accepted")
-	}
-	// All-or-nothing: re-applying the valid prefix must succeed, which can
-	// only happen if the failed request left no trace (no dup user/post/
-	// comment/like/friendship) and restored the removed edges.
-	if err := r.applyAll(req[:7]); err != nil {
-		t.Fatalf("valid prefix rejected after rollback: %v", err)
 	}
 }
 

@@ -155,48 +155,6 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 	}
 }
 
-// TestBlockingSnapshotsCompat pins the pre-streaming inline path kept for
-// BenchmarkSnapshotStall: with BlockingSnapshots the server still commits,
-// snapshots, records the (full-encode) stall, and recovers.
-func TestBlockingSnapshotsCompat(t *testing.T) {
-	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 11})
-	dir := t.TempDir()
-	srv, err := New(Config{
-		Dataset: d, PersistDir: dir, Fsync: wal.SyncOff,
-		SnapshotEvery: 2, FlushInterval: time.Millisecond,
-		BlockingSnapshots: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 5 && k < len(d.ChangeSets); k++ {
-		if err := srv.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.mu.Lock()
-	maxStall, streams := srv.maxSnapStall, srv.snapStreams
-	srv.mu.Unlock()
-	if maxStall <= 0 {
-		t.Fatal("blocking snapshot recorded no stall")
-	}
-	if streams != 0 {
-		t.Fatalf("blocking mode streamed %d snapshots", streams)
-	}
-	liveSeq := srv.Snapshot().Seq
-	srv.Close()
-
-	srv2, err := New(Config{Dataset: d, PersistDir: dir, Fsync: wal.SyncOff, FlushInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	waitReady(t, srv2)
-	if srv2.Snapshot().Seq != liveSeq {
-		t.Fatalf("recovered seq %d, want %d", srv2.Snapshot().Seq, liveSeq)
-	}
-}
-
 // TestQueryBodyEpochCache pins the read-path epoch cache: between commits
 // every read of an engine serves the same cached bytes (zero re-encodes);
 // a commit publishes a new snapshot, which is the invalidation.

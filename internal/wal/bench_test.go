@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -41,12 +42,15 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	for _, sf := range []int{1, 4} {
 		b.Run(fmt.Sprintf("sf=%d", sf), func(b *testing.B) {
 			d := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 2018})
+			var buf bytes.Buffer
 			b.ResetTimer()
-			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(encodeSnapshot(uint64(i), 0, d.Snapshot))
+				buf.Reset()
+				if err := encodeSnapshotStream(&buf, uint64(i), 0, d.Snapshot, 0, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.SetBytes(int64(n))
+			b.SetBytes(int64(buf.Len()))
 		})
 	}
 }
@@ -55,7 +59,11 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	for _, sf := range []int{1, 4} {
 		b.Run(fmt.Sprintf("sf=%d", sf), func(b *testing.B) {
 			d := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 2018})
-			data := encodeSnapshot(1, 0, d.Snapshot)
+			var buf bytes.Buffer
+			if err := encodeSnapshotStream(&buf, 1, 0, d.Snapshot, 0, nil); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -68,17 +76,17 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 }
 
 // BenchmarkSnapshotStall measures the worst-case *writer pause* a durable
-// snapshot inflicts, old versus new, at sf 8 (the acceptance bar for the
-// streaming refactor is a ≥10× drop):
+// snapshot inflicts, inline versus handed off, at sf 8 (the streaming
+// design's acceptance bar is a ≥10× drop):
 //
-//   - Blocking: the pre-streaming path — the writer sits through the whole
-//     encode + temp file + fsync + rename + dir fsync. The pause is the
-//     entire call.
+//   - Blocking: the snapshot written inline by the writer — it sits
+//     through the whole encode + temp file + fsync + rename + dir fsync.
+//     The pause is the entire call.
 //   - Streaming: the writer's pause is the O(1) copy-on-write handoff
-//     (clamped slice headers) plus, as the worst case, one COW clone of
-//     the edge arrays — what a removal batch pays while the background
-//     goroutine encodes. The encode itself runs off the timed path and is
-//     awaited (untimed) before the next iteration.
+//     (model.State.View) plus, as the worst case, one detach of the edge
+//     arrays — what a removal pays while the background goroutine
+//     encodes. The encode itself runs off the timed path and is awaited
+//     (untimed) before the next iteration.
 //
 // ns/op is the mean pause; the "worst-pause-ns" metric is the max across
 // iterations, the number a tail-latency SLO actually cares about.
@@ -94,7 +102,7 @@ func BenchmarkSnapshotStall(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			if err := l.WriteSnapshot(uint64(i+1), 0, d.Snapshot); err != nil {
+			if err := l.WriteSnapshotStream(uint64(i+1), 0, d.Snapshot, nil); err != nil {
 				b.Fatal(err)
 			}
 			if pause := time.Since(start); pause > worst {
@@ -109,29 +117,35 @@ func BenchmarkSnapshotStall(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer l.Close()
-		curr := d.Snapshot.Clone()
+		st, err := model.NewState(d.Snapshot)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var worst time.Duration
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			view := &model.Snapshot{
-				Posts:       curr.Posts[:len(curr.Posts):len(curr.Posts)],
-				Comments:    curr.Comments[:len(curr.Comments):len(curr.Comments)],
-				Users:       curr.Users[:len(curr.Users):len(curr.Users)],
-				Friendships: curr.Friendships[:len(curr.Friendships):len(curr.Friendships)],
-				Likes:       curr.Likes[:len(curr.Likes):len(curr.Likes)],
-			}
+			view, release := st.View()
 			done := make(chan error, 1)
-			go func(seq uint64) { done <- l.WriteSnapshotStream(seq, 0, view, nil) }(uint64(i + 1))
-			// Worst case while the encode is in flight: a removal batch
-			// forces the copy-on-write clone of the edge arrays.
-			curr.Friendships = append([]model.Friendship(nil), curr.Friendships...)
-			curr.Likes = append([]model.Like(nil), curr.Likes...)
+			go func(seq uint64) {
+				done <- l.WriteSnapshotStream(seq, 0, view, nil)
+				release()
+			}(uint64(i + 1))
+			// Worst case while the encode is in flight: a removal forces
+			// the copy-on-write detach of the edge arrays. The like is
+			// added back untimed, so every iteration sees the same state.
+			rm := d.Snapshot.Likes[i%len(d.Snapshot.Likes)]
+			if err := st.Apply([]model.Change{{Kind: model.KindRemoveLike, Like: rm}}); err != nil {
+				b.Fatal(err)
+			}
 			if pause := time.Since(start); pause > worst {
 				worst = pause
 			}
 			b.StopTimer()
 			if err := <-done; err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Apply([]model.Change{{Kind: model.KindAddLike, Like: rm}}); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
@@ -141,7 +155,7 @@ func BenchmarkSnapshotStall(b *testing.B) {
 }
 
 // BenchmarkSnapshotWrite measures the full durable snapshot path (encode +
-// temp file + fsync + rename + dir sync) — what the serving writer pays
+// temp file + fsync + rename + dir sync) — what a background encode costs
 // every SnapshotEvery commits.
 func BenchmarkSnapshotWrite(b *testing.B) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 2018})
@@ -152,7 +166,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	defer l.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.WriteSnapshot(uint64(i+1), 0, d.Snapshot); err != nil {
+		if err := l.WriteSnapshotStream(uint64(i+1), 0, d.Snapshot, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,9 +58,9 @@ type CompactionReport struct {
 }
 
 // Compact rewrites the log's sealed segments under change-key supersession.
-// It must be called from the committing goroutine (the one calling Append
-// and WriteSnapshot); appends to the active segment continue unaffected, as
-// sealed segments are immutable until trimmed or compacted. The pass holds
+// It must be called from the committing goroutine (the one calling
+// Append); appends to the active segment continue unaffected, as sealed
+// segments are immutable until trimmed or compacted. The pass holds
 // maintMu throughout so a background snapshot completing mid-pass cannot
 // trim a sealed segment out from under the rewrite (the swap would
 // resurrect the deleted file and tear a hole recovery refuses).

@@ -64,7 +64,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		Likes:       []model.Like{{UserID: 5, CommentID: 3}},
 	}
 	for _, s := range []*model.Snapshot{{}, full} {
-		enc := encodeSnapshot(7, 9, s)
+		enc := encodeSnapshotV1(7, 9, s)
 		f.Add(enc)
 		f.Add(enc[:len(enc)-1]) // clipped CRC
 		mut := append([]byte(nil), enc...)
@@ -98,7 +98,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			// Chunk boundaries are an encoder choice, so v2 round-trips
 			// semantically: re-encode (as v1, the canonical single-buffer
 			// form) and the result must decode back to the same state.
-			seq2, meta2, s2, err := decodeSnapshot(encodeSnapshot(seq, meta, s))
+			seq2, meta2, s2, err := decodeSnapshot(encodeSnapshotV1(seq, meta, s))
 			if err != nil {
 				t.Fatalf("decoded v2 snapshot fails to re-encode: %v", err)
 			}
@@ -107,7 +107,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
-		out := encodeSnapshot(seq, meta, s)
+		out := encodeSnapshotV1(seq, meta, s)
 		if !bytes.Equal(out, data) {
 			t.Fatalf("round trip mismatch for seq %d", seq)
 		}

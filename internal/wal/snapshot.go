@@ -13,37 +13,35 @@ import (
 
 // Snapshot file formats.
 //
-// Version 1 ("TTCSNAP1", written by WriteSnapshot) is a single buffer:
-//
-//	8-byte magic | body | u32 CRC-32C of body
-//
-// where the body is the snapshot's commit sequence number, the caller's
-// metadata word, and the five entity arrays, each as a u64 count and
-// fixed-width little-endian int64 fields (see record.go for the per-entity
-// field lists).
-//
-// Version 2 ("TTCSNAP2", written by WriteSnapshotStream) is chunked so the
-// encoder can stream a large model straight to the file through a bounded
-// buffer instead of materializing the whole image in memory (and so the
-// serving writer never stalls for the encode — it hands off a
-// copy-on-write view and keeps committing):
+// Version 2 ("TTCSNAP2", the only one WriteSnapshotStream writes) is
+// chunked so the encoder can stream a large model straight to the file
+// through a bounded buffer instead of materializing the whole image in
+// memory (and so the serving writer never stalls for the encode — it hands
+// off a copy-on-write view and keeps committing):
 //
 //	8-byte magic | u64 seq | u64 meta | u32 CRC-32C of seq+meta |
 //	( u32 len>0 | u32 CRC-32C of chunk | chunk bytes )* |
 //	u32 0 | u32 chunk count
 //
-// The chunk payloads concatenate to exactly a version-1 body's entity
-// arrays; chunk boundaries carry no meaning beyond the encoder's buffer
-// limit. Every chunk carries its own CRC, so corruption is localized and
-// detected without buffering the whole file's checksum state, and the
-// zero-length terminator (whose CRC field holds the chunk count) proves
-// the image is complete.
+// The chunk payloads concatenate to the body: the five entity arrays, each
+// as a u64 count and fixed-width little-endian int64 fields (see the
+// append*Rec encoders for the per-entity field lists). Chunk boundaries
+// carry no meaning beyond the encoder's buffer limit. Every chunk carries
+// its own CRC, so corruption is localized and detected without buffering
+// the whole file's checksum state, and the zero-length terminator (whose
+// CRC field holds the chunk count) proves the image is complete.
 //
-// Both versions are written to a temp file, fsynced, and renamed into
-// place, so a visible snap-*.snap is always complete; the CRCs guard
-// against latent media corruption, and the loader falls back to the
-// previous snapshot if the newest fails them. decodeSnapshot dispatches on
-// the magic, so a durability directory can mix versions across upgrades.
+// Version 1 ("TTCSNAP1") is no longer written, but is still decoded:
+// directories created by older releases hold one, and one that never
+// reached a later snapshot recovers from it. It is a single buffer:
+//
+//	8-byte magic | u64 seq | u64 meta | body | u32 CRC-32C of seq..body
+//
+// Snapshots are written to a temp file, fsynced, and renamed into place,
+// so a visible snap-*.snap is always complete; the CRCs guard against
+// latent media corruption, and the loader falls back to the previous
+// snapshot if the newest fails them. decodeSnapshot dispatches on the
+// magic, so a durability directory can mix versions across upgrades.
 
 const (
 	snapshotMagic   = "TTCSNAP1"
@@ -59,25 +57,8 @@ const (
 	maxSnapChunkLen = 64 << 20
 )
 
-// encodeSnapshot serializes the model state as of sequence number seq in
-// the version-1 format. meta is an opaque caller value stored alongside it
-// (the server persists its committed-changes counter there).
-func encodeSnapshot(seq, meta uint64, s *model.Snapshot) []byte {
-	size := len(snapshotMagic) + 2*8 + 5*8 +
-		len(s.Posts)*16 + len(s.Comments)*32 + len(s.Users)*8 +
-		len(s.Friendships)*16 + len(s.Likes)*16 + 4
-	b := make([]byte, 0, size)
-	b = append(b, snapshotMagic...)
-	b = appendUint64(b, seq)
-	b = appendUint64(b, meta)
-	b = appendSnapshotArrays(b, s)
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(snapshotMagic):], castagnoli))
-}
-
 // Per-entity field encoders — the single definition of each entity's body
-// layout, shared by the v1 buffer encoder and the v2 streaming encoder so
-// the two formats' bodies cannot drift (parseSnapshotArrays is the one
-// decoder for both).
+// layout (parseSnapshotArrays is the one decoder, for both versions).
 func appendPostRec(b []byte, p model.Post) []byte {
 	b = appendID(b, p.ID)
 	return appendUint64(b, uint64(p.Timestamp))
@@ -102,32 +83,6 @@ func appendFriendshipRec(b []byte, f model.Friendship) []byte {
 func appendLikeRec(b []byte, l model.Like) []byte {
 	b = appendID(b, l.UserID)
 	return appendID(b, l.CommentID)
-}
-
-// appendSnapshotArrays encodes the five entity arrays — the shared body
-// layout of both snapshot versions.
-func appendSnapshotArrays(b []byte, s *model.Snapshot) []byte {
-	b = appendUint64(b, uint64(len(s.Posts)))
-	for _, p := range s.Posts {
-		b = appendPostRec(b, p)
-	}
-	b = appendUint64(b, uint64(len(s.Comments)))
-	for _, c := range s.Comments {
-		b = appendCommentRec(b, c)
-	}
-	b = appendUint64(b, uint64(len(s.Users)))
-	for _, u := range s.Users {
-		b = appendUserRec(b, u)
-	}
-	b = appendUint64(b, uint64(len(s.Friendships)))
-	for _, f := range s.Friendships {
-		b = appendFriendshipRec(b, f)
-	}
-	b = appendUint64(b, uint64(len(s.Likes)))
-	for _, l := range s.Likes {
-		b = appendLikeRec(b, l)
-	}
-	return b
 }
 
 // chunkWriter frames the streaming encoder's output: entities accumulate
@@ -203,8 +158,7 @@ func encodeSnapshotStream(w io.Writer, seq, meta uint64, s *model.Snapshot, chun
 	}
 
 	cw := &chunkWriter{w: w, buf: make([]byte, 0, chunkBytes+64), limit: chunkBytes, onChunk: onChunk}
-	// Each entity is appended whole (through the same per-entity encoders
-	// the v1 path uses), then the buffer is flushed if it crossed the limit
+	// Each entity is appended whole, then the buffer is flushed if it crossed the limit
 	// — a chunk never splits an entity's fields, but that is an encoder
 	// convenience, not a format guarantee the decoder relies on (it
 	// reassembles the body before parsing).

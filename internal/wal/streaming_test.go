@@ -82,11 +82,9 @@ func TestSnapshotV2CorruptionFallsBack(t *testing.T) {
 	old := &model.Snapshot{Users: []model.User{{ID: 1}}}
 	newer := &model.Snapshot{Users: []model.User{{ID: 1}, {ID: 2}}}
 	dir := t.TempDir()
+	writeSnapshotV1(t, dir, 1, 0, old) // v1 fallback, as an older release left it
 	l, _, err := Open(Options{Dir: dir, Sync: SyncOff})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WriteSnapshot(1, 0, old); err != nil { // v1 fallback
 		t.Fatal(err)
 	}
 	if err := l.WriteSnapshotStream(2, 0, newer, nil); err != nil { // v2 newest

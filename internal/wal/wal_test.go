@@ -101,13 +101,13 @@ func TestSegmentRotationAndTrim(t *testing.T) {
 	// retained snapshot, so recovery can still fall back to it if the
 	// newest snapshot turns out corrupt. One snapshot alone trims nothing.
 	snap := &model.Snapshot{Users: []model.User{{ID: 1}}}
-	if err := l.WriteSnapshot(n/2, 3*n, snap); err != nil {
+	if err := l.WriteSnapshotStream(n/2, 3*n, snap, nil); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	if m := l.Metrics(); m.TrimmedSegs != 0 {
 		t.Errorf("a single snapshot (no fallback yet) trimmed %d segments", m.TrimmedSegs)
 	}
-	if err := l.WriteSnapshot(n, 3*n, snap); err != nil {
+	if err := l.WriteSnapshotStream(n, 3*n, snap, nil); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	m = l.Metrics()
@@ -293,10 +293,10 @@ func TestSnapshotFallbackToPreviousValid(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteSnapshot(2, 20, &model.Snapshot{Users: []model.User{{ID: 2}}}); err != nil {
+	if err := l.WriteSnapshotStream(2, 20, &model.Snapshot{Users: []model.User{{ID: 2}}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot(4, 40, &model.Snapshot{Users: []model.User{{ID: 4}}}); err != nil {
+	if err := l.WriteSnapshotStream(4, 40, &model.Snapshot{Users: []model.User{{ID: 4}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -378,7 +378,7 @@ func TestVerifyReport(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteSnapshot(3, 30, &model.Snapshot{}); err != nil {
+	if err := l.WriteSnapshotStream(3, 30, &model.Snapshot{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -432,7 +432,7 @@ func TestSnapshotRoundTripEmptyAndFull(t *testing.T) {
 		},
 	}
 	for i, s := range snaps {
-		data := encodeSnapshot(uint64(i+41), uint64(i+90), s)
+		data := encodeSnapshotV1(uint64(i+41), uint64(i+90), s)
 		seq, meta, got, err := decodeSnapshot(data)
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
