@@ -33,6 +33,9 @@ type Q2IncrementalCC struct {
 
 	friends   [][]int // user index → friend user indices
 	userLikes [][]int // user index → liked comment indices
+	// friendEdges and likeEdges are the total lengths of friends and
+	// userLikes, kept current by every handler so Stats is O(1).
+	friendEdges, likeEdges int
 
 	cc   []commentComponents
 	prev Result
@@ -126,6 +129,7 @@ func (s *Q2IncrementalCC) onLike(ci, ui int) {
 		}
 	}
 	s.userLikes[ui] = append(s.userLikes[ui], ci)
+	s.likeEdges++
 }
 
 // onFriendship ingests an undirected friends edge.
@@ -150,6 +154,7 @@ func (s *Q2IncrementalCC) onFriendship(a, b int) {
 	}
 	s.friends[a] = append(s.friends[a], b)
 	s.friends[b] = append(s.friends[b], a)
+	s.friendEdges += 2
 }
 
 // onUnlike ingests a like removal: drop the user from the comment's
@@ -166,6 +171,7 @@ func (s *Q2IncrementalCC) onUnlike(ci, ui int) {
 	for k, c := range likes {
 		if c == ci {
 			s.userLikes[ui] = append(likes[:k], likes[k+1:]...)
+			s.likeEdges--
 			break
 		}
 	}
@@ -179,6 +185,7 @@ func (s *Q2IncrementalCC) onUnfriend(a, b int) []int {
 	removeFrom := func(list []int, x int) []int {
 		for k, v := range list {
 			if v == x {
+				s.friendEdges--
 				return append(list[:k], list[k+1:]...)
 			}
 		}
@@ -275,6 +282,8 @@ func (s *Q2IncrementalCC) Retract(r *model.Retraction) (Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: retraction references unknown user %d", id)
 		}
+		s.friendEdges -= len(s.friends[ui])
+		s.likeEdges -= len(s.userLikes[ui])
 		s.friends[ui] = nil
 		s.userLikes[ui] = nil
 		s.retiredUsers[ui] = struct{}{}

@@ -40,10 +40,13 @@ type EngineStats struct {
 	Users    int `json:"users"`
 	// NNZ is the total number of stored entries across the maintained
 	// matrices (both orientations where kept), the figure the paper tracks
-	// as graph size.
+	// as graph size. It counts pending updates and is read in O(1) without
+	// assembling anything (grb.Matrix.NVals).
 	NNZ int `json:"nnz"`
-	// Pending counts entries not yet assembled into the CSR structure
-	// (SuiteSparse-style pending tuples).
+	// Pending counts the updates buffered but not yet assembled into the
+	// CSR structure (SuiteSparse-style pending tuples), as they stand
+	// between commits: reading Stats never assembles, so this is what the
+	// next whole-matrix kernel or the matrices' own bound will fold in.
 	Pending int `json:"pending"`
 }
 
@@ -52,8 +55,9 @@ type StatsReporter interface {
 	Stats() EngineStats
 }
 
-// engineStats sizes the matrix state shared by the GraphBLAS engines.
-// Retired entities (retracted to another partition; see graph.retract) are
+// engineStats sizes the matrix state shared by the GraphBLAS engines in
+// O(1): NVals and NPending read counters and never assemble. Retired
+// entities (retracted to another partition; see graph.retract) are
 // excluded, so a donor repaired incrementally reports the same live counts
 // a reloaded donor would.
 func (g *graph) engineStats() EngineStats {
@@ -83,10 +87,11 @@ func (s *Q2Batch) Stats() EngineStats { return s.g.engineStats() }
 // Stats implements StatsReporter.
 func (s *Q2Incremental) Stats() EngineStats { return s.g.engineStats() }
 
-// Stats implements StatsReporter. The CC engine maintains adjacency lists
-// and per-comment DSU forests instead of matrices; NNZ counts the directed
-// friend edges and the user→comment like edges it stores. Retired entities
-// are excluded, matching a reloaded donor's live counts.
+// Stats implements StatsReporter in O(1). The CC engine maintains adjacency
+// lists and per-comment DSU forests instead of matrices; NNZ counts the
+// directed friend edges and the user→comment like edges it stores, from
+// counters its handlers keep. Retired entities are excluded, matching a
+// reloaded donor's live counts.
 func (s *Q2IncrementalCC) Stats() EngineStats {
 	st := EngineStats{}
 	if s.posts != nil {
@@ -98,11 +103,6 @@ func (s *Q2IncrementalCC) Stats() EngineStats {
 	if s.users != nil {
 		st.Users = s.users.Len() - len(s.retiredUsers)
 	}
-	for _, fs := range s.friends {
-		st.NNZ += len(fs)
-	}
-	for _, ls := range s.userLikes {
-		st.NNZ += len(ls)
-	}
+	st.NNZ = s.friendEdges + s.likeEdges
 	return st
 }

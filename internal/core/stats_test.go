@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/grb"
 	"repro/internal/model"
 )
 
@@ -94,5 +96,204 @@ func TestEngineStats(t *testing.T) {
 			t.Errorf("%s %s: nnz did not grow across insert-only updates (%d -> %d)",
 				sol.Name(), sol.Query(), before, after)
 		}
+	}
+}
+
+// matrices lists a matrix engine's maintained matrices.
+func (g *graph) matrices() []*grb.Matrix[bool] {
+	return []*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends}
+}
+
+// TestMatrixEngineStatsNeverAssemble: after an incremental Update the
+// matrix engines hold pending tuples, Stats reports them, and reading Stats
+// assembles nothing — observation must not cost a CSR rebuild per commit.
+func TestMatrixEngineStatsNeverAssemble(t *testing.T) {
+	q1, q2 := NewQ1Incremental(), NewQ2Incremental()
+	engines := map[string]struct {
+		sol Solution
+		g   func() *graph
+	}{
+		"Q1Incremental": {q1, func() *graph { return q1.g }},
+		"Q2Incremental": {q2, func() *graph { return q2.g }},
+	}
+	for name, e := range engines {
+		t.Run(name, func(t *testing.T) {
+			if err := e.sol.Load(twoGroupSnapshot()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.sol.Initial(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.sol.Update(&model.ChangeSet{Changes: []model.Change{
+				{Kind: model.KindAddComment, Comment: model.Comment{ID: 30, Timestamp: 9, ParentID: 1, PostID: 1}},
+				{Kind: model.KindAddLike, Like: model.Like{UserID: 100, CommentID: 30}},
+				{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 101, User2: 200}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			ms := e.g().matrices()
+			before := make([]int, len(ms))
+			pending := 0
+			for k, m := range ms {
+				before[k] = m.NPending()
+				pending += m.NPending()
+			}
+			st := e.sol.(StatsReporter).Stats()
+			if st.Pending == 0 || st.Pending != pending {
+				t.Fatalf("Stats().Pending = %d, want the matrices' %d pending tuples (> 0)", st.Pending, pending)
+			}
+			for k, m := range ms {
+				if m.NPending() != before[k] {
+					t.Fatalf("Stats() assembled matrix %d: NPending %d -> %d", k, before[k], m.NPending())
+				}
+			}
+			// NNZ counts pending updates: it matches the assembled count.
+			nnz := 0
+			for _, m := range ms {
+				m.Wait()
+				nnz += m.NVals()
+			}
+			if st.NNZ != nnz {
+				t.Fatalf("Stats().NNZ = %d before assembly, %d after", st.NNZ, nnz)
+			}
+		})
+	}
+}
+
+// recountCC is Q2IncrementalCC's stored edge count by a full walk of its
+// adjacency lists — what its Stats counters must equal.
+func recountCC(s *Q2IncrementalCC) int {
+	n := 0
+	for _, fs := range s.friends {
+		n += len(fs)
+	}
+	for _, ls := range s.userLikes {
+		n += len(ls)
+	}
+	return n
+}
+
+// TestQ2CCStatsCountersMatchRecount drives the CC engine through random
+// like and friendship additions and removals on a few disjoint islands,
+// retracting whole islands (self-contained by construction) and adding
+// them back the way a migration recipient would, and checks after every
+// step that the O(1) Stats counters equal a full recount and the edges the
+// test's own model holds.
+func TestQ2CCStatsCountersMatchRecount(t *testing.T) {
+	const islands, usersPer, commentsPer = 4, 6, 4
+	rng := rand.New(rand.NewSource(11))
+	user := func(is, k int) model.ID { return model.ID(1000*is + k) }
+	comment := func(is, k int) model.ID { return model.ID(1000*is + 500 + k) }
+	post := model.Post{ID: 1, Timestamp: 1}
+	snap := &model.Snapshot{Posts: []model.Post{post}}
+	for is := 0; is < islands; is++ {
+		for k := 0; k < usersPer; k++ {
+			snap.Users = append(snap.Users, model.User{ID: user(is, k)})
+		}
+		for k := 0; k < commentsPer; k++ {
+			snap.Comments = append(snap.Comments, model.Comment{ID: comment(is, k), Timestamp: int64(10*is + k), ParentID: 1, PostID: 1})
+		}
+	}
+	// The test's model: per island, the live like and friendship edges.
+	likes := make([]map[model.Like]bool, islands)
+	friends := make([]map[model.Friendship]bool, islands)
+	away := make([]bool, islands)
+	for is := range likes {
+		likes[is] = map[model.Like]bool{}
+		friends[is] = map[model.Friendship]bool{}
+	}
+	s := NewQ2IncrementalCC()
+	if err := s.Load(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Initial(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step int) {
+		t.Helper()
+		want := 0
+		for is := range likes {
+			if !away[is] {
+				want += len(likes[is]) + 2*len(friends[is])
+			}
+		}
+		if got := s.Stats().NNZ; got != recountCC(s) || got != want {
+			t.Fatalf("step %d: Stats().NNZ = %d, recount %d, model %d", step, got, recountCC(s), want)
+		}
+	}
+	for step := 0; step < 400; step++ {
+		is := rng.Intn(islands)
+		if away[is] {
+			// Add the island back as a migration recipient's add stream.
+			cs := &model.ChangeSet{}
+			for k := 0; k < usersPer; k++ {
+				cs.Changes = append(cs.Changes, model.Change{Kind: model.KindAddUser, User: model.User{ID: user(is, k)}})
+			}
+			for k := 0; k < commentsPer; k++ {
+				cs.Changes = append(cs.Changes, model.Change{Kind: model.KindAddComment,
+					Comment: model.Comment{ID: comment(is, k), Timestamp: int64(10*is + k), ParentID: 1, PostID: 1}})
+			}
+			for l := range likes[is] {
+				cs.Changes = append(cs.Changes, model.Change{Kind: model.KindAddLike, Like: l})
+			}
+			for f := range friends[is] {
+				cs.Changes = append(cs.Changes, model.Change{Kind: model.KindAddFriendship, Friendship: f})
+			}
+			if _, err := s.Update(cs); err != nil {
+				t.Fatal(err)
+			}
+			away[is] = false
+			check(step)
+			continue
+		}
+		if rng.Intn(20) == 0 {
+			r := &model.Retraction{}
+			for k := 0; k < usersPer; k++ {
+				r.Users = append(r.Users, user(is, k))
+			}
+			for k := 0; k < commentsPer; k++ {
+				r.Comments = append(r.Comments, comment(is, k))
+			}
+			for l := range likes[is] {
+				r.Likes = append(r.Likes, l)
+			}
+			for f := range friends[is] {
+				r.Friendships = append(r.Friendships, f)
+			}
+			if _, err := s.Retract(r); err != nil {
+				t.Fatal(err)
+			}
+			away[is] = true
+			check(step)
+			continue
+		}
+		var ch model.Change
+		if rng.Intn(2) == 0 {
+			l := model.Like{UserID: user(is, rng.Intn(usersPer)), CommentID: comment(is, rng.Intn(commentsPer))}
+			if likes[is][l] {
+				ch = model.Change{Kind: model.KindRemoveLike, Like: l}
+				delete(likes[is], l)
+			} else {
+				ch = model.Change{Kind: model.KindAddLike, Like: l}
+				likes[is][l] = true
+			}
+		} else {
+			a, b := rng.Intn(usersPer), rng.Intn(usersPer-1)
+			if b >= a {
+				b++
+			}
+			f := model.Friendship{User1: user(is, min(a, b)), User2: user(is, max(a, b))}
+			if friends[is][f] {
+				ch = model.Change{Kind: model.KindRemoveFriendship, Friendship: f}
+				delete(friends[is], f)
+			} else {
+				ch = model.Change{Kind: model.KindAddFriendship, Friendship: f}
+				friends[is][f] = true
+			}
+		}
+		if _, err := s.Update(&model.ChangeSet{Changes: []model.Change{ch}}); err != nil {
+			t.Fatal(err)
+		}
+		check(step)
 	}
 }

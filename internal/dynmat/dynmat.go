@@ -6,9 +6,11 @@
 //
 //   - dynmat.Matrix: SetElement is O(row degree) and immediately visible;
 //     row reads never merge; no assembly step exists.
-//   - grb.Matrix: SetElement is O(1) into the pending buffer; row reads
-//     merge pending entries on the fly; whole-matrix kernels pay an
-//     O(nnz + p log p) assembly (Wait).
+//   - grb.Matrix: SetElement appends to the pending buffer after a lookup
+//     of the row (its pending entries, then a binary search); row reads
+//     merge pending entries on the fly; whole-matrix kernels, and a
+//     buffer past its bound, pay an O(nrows + nnz + p log p) assembly
+//     (Wait).
 //
 // The trade-off the benchmark quantifies: under many small updates with
 // frequent whole-matrix reads, assembly dominates grb.Matrix, while
@@ -48,8 +50,7 @@ func (m *Matrix[T]) NRows() int { return len(m.rows) }
 // NCols reports the number of columns.
 func (m *Matrix[T]) NCols() int { return m.ncols }
 
-// NVals reports the number of stored elements. Unlike grb.Matrix.NVals it
-// is O(1) and never assembles — the format has nothing to assemble.
+// NVals reports the number of stored elements in O(1).
 func (m *Matrix[T]) NVals() int { return m.nvals }
 
 // SetElement stores x at (i, j), overwriting any existing element. Cost:

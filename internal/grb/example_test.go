@@ -38,18 +38,20 @@ func ExampleEWiseAddV() {
 }
 
 // Updates buffer as pending tuples; deletions buffer as zombies. Both are
-// observed immediately and assembled lazily.
+// observed immediately and assembled lazily, and a newer one replaces an
+// older one at the same position. NVals counts them without assembling,
+// so assembly takes an explicit Wait.
 func ExampleMatrix_Wait() {
 	a := grb.NewMatrix[int](2, 2)
 	_ = a.SetElement(0, 0, 7)
 	_ = a.SetElement(1, 1, 8)
 	_ = a.RemoveElement(0, 0)
-	fmt.Println("pending ops:", a.NPending())
+	fmt.Println("entries:", a.NVals(), "pending ops:", a.NPending())
 	a.Wait()
-	fmt.Println("entries after assembly:", a.NVals())
+	fmt.Println("entries:", a.NVals(), "pending ops:", a.NPending())
 	// Output:
-	// pending ops: 3
-	// entries after assembly: 1
+	// entries: 1 pending ops: 2
+	// entries: 1 pending ops: 0
 }
 
 // A structural mask keeps only the positions present in the mask.

@@ -3,20 +3,40 @@ package grb
 import "sort"
 
 // Matrix is a sparse matrix in CSR (compressed sparse row) form with a
-// SuiteSparse-style pending-tuple buffer (GrB_Matrix). SetElement appends to
-// the pending buffer in O(1); whole-matrix kernels assemble pending tuples
+// SuiteSparse-style pending-tuple buffer (GrB_Matrix). SetElement and
+// RemoveElement buffer pending tuples; whole-matrix kernels assemble them
 // into the CSR arrays first (Wait), while row-sparse kernels (VxM, row
 // extraction) merge pending entries of only the touched rows on the fly, so
-// small incremental updates never pay a full O(nnz) rebuild.
+// small incremental updates never pay a full O(nnz) rebuild. The buffer
+// assembles itself once it outgrows a fixed fraction of the matrix (see
+// pendingFraction), so it stays bounded without any caller having to Wait.
 type Matrix[T any] struct {
 	nrows, ncols int
 	rowPtr       []int
 	colInd       []Index
 	val          []T
 
-	pending map[Index][]matEntry[T] // row → appended entries, insertion order
+	// pending holds each row's pending entries sorted by column, at most
+	// one per column (a newer update replaces an older one in place), so
+	// row reads merge them with the CSR row in one pass.
+	pending map[Index][]matEntry[T]
 	npend   int
+	// pendDelta is the net change the pending tuples make to the stored
+	// element count, so NVals = len(colInd) + pendDelta without assembling.
+	// Every CSR-building constructor leaves it 0, as does assembly.
+	pendDelta int
 }
+
+// A matrix assembles its pending tuples once there are more than
+// pendingFloor of them and more than 1/pendingFraction of its rows plus
+// stored entries (an assembly pass walks both). Every change since the
+// previous assembly then pays for at most pendingFraction steps of the next
+// one, so buffering stays amortised O(1) per change while memory and the
+// per-row merges of row-sparse reads stay bounded.
+const (
+	pendingFraction = 8
+	pendingFloor    = 64
+)
 
 type matEntry[T any] struct {
 	col Index
@@ -92,28 +112,27 @@ func (a *Matrix[T]) NRows() int { return a.nrows }
 // NCols reports the number of columns.
 func (a *Matrix[T]) NCols() int { return a.ncols }
 
-// NVals reports the number of stored elements. It assembles pending tuples
-// first (like GrB_Matrix_nvals, which implies a wait).
-func (a *Matrix[T]) NVals() int {
-	a.Wait()
-	return len(a.colInd)
-}
+// NVals reports the number of stored elements, pending updates included. It
+// is O(1) and never assembles: unlike GrB_Matrix_nvals, which implies a
+// wait, the count is kept exact as elements are set and removed, so
+// observing a matrix leaves NPending unchanged. Call Wait explicitly to
+// assemble.
+func (a *Matrix[T]) NVals() int { return len(a.colInd) + a.pendDelta }
 
-// NPending reports the number of unassembled pending tuples (diagnostic).
+// NPending reports the number of unassembled pending tuples, at most one
+// per position (diagnostic).
 func (a *Matrix[T]) NPending() int { return a.npend }
 
 // SetElement stores x at (i, j), overwriting any existing element. The
-// update is buffered as a pending tuple; it costs O(1) and is observed by
-// all subsequent operations.
+// update is buffered as a pending tuple and observed by all subsequent
+// operations. It costs a binary search of row i's pending entries and of
+// its stored entries, which keeps NVals exact, plus the insertion into the
+// row's pending entries.
 func (a *Matrix[T]) SetElement(i, j Index, x T) error {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return boundsErrf("SetElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
-	if a.pending == nil {
-		a.pending = make(map[Index][]matEntry[T])
-	}
-	a.pending[i] = append(a.pending[i], matEntry[T]{col: j, val: x})
-	a.npend++
+	a.setPending(i, matEntry[T]{col: j, val: x})
 	return nil
 }
 
@@ -125,12 +144,46 @@ func (a *Matrix[T]) RemoveElement(i, j Index) error {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return boundsErrf("RemoveElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
-	if a.pending == nil {
-		a.pending = make(map[Index][]matEntry[T])
-	}
-	a.pending[i] = append(a.pending[i], matEntry[T]{col: j, del: true})
-	a.npend++
+	a.setPending(i, matEntry[T]{col: j, del: true})
 	return nil
+}
+
+// setPending records e as row i's pending entry for its column, replacing
+// an older pending entry there, keeps pendDelta exact, and assembles once
+// the buffer outgrows its bound (see pendingFraction).
+func (a *Matrix[T]) setPending(i Index, e matEntry[T]) {
+	ents := a.pending[i]
+	q := searchPending(ents, e.col)
+	var had bool
+	if q < len(ents) && ents[q].col == e.col {
+		had = !ents[q].del
+		ents[q] = e
+	} else {
+		_, had = a.stored(i, e.col)
+		ents = append(ents, matEntry[T]{})
+		copy(ents[q+1:], ents[q:])
+		ents[q] = e
+		if a.pending == nil {
+			a.pending = make(map[Index][]matEntry[T])
+		}
+		a.pending[i] = ents
+		a.npend++
+	}
+	if had {
+		a.pendDelta--
+	}
+	if !e.del {
+		a.pendDelta++
+	}
+	if a.npend > pendingFloor && a.npend*pendingFraction > a.nrows+len(a.colInd) {
+		a.Wait()
+	}
+}
+
+// searchPending returns the position of column j in a row's sorted pending
+// entries, or where it would be inserted.
+func searchPending[T any](ents []matEntry[T], j Index) int {
+	return sort.Search(len(ents), func(k int) bool { return ents[k].col >= j })
 }
 
 // GetElement returns the value stored at (i, j) and whether one exists.
@@ -139,148 +192,102 @@ func (a *Matrix[T]) GetElement(i, j Index) (T, bool, error) {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return zero, false, boundsErrf("GetElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
-	// Pending entries are newer than CSR entries; the last one wins.
-	if ents, ok := a.pending[i]; ok {
-		for k := len(ents) - 1; k >= 0; k-- {
-			if ents[k].col == j {
-				if ents[k].del {
-					return zero, false, nil
-				}
-				return ents[k].val, true, nil
-			}
-		}
+	// A pending entry is newer than the CSR entry it shadows.
+	ents := a.pending[i]
+	if q := searchPending(ents, j); q < len(ents) && ents[q].col == j {
+		return ents[q].val, !ents[q].del, nil
 	}
+	x, ok := a.stored(i, j)
+	return x, ok, nil
+}
+
+// stored returns the CSR (assembled) element at the in-range position
+// (i, j), ignoring pending entries.
+func (a *Matrix[T]) stored(i, j Index) (T, bool) {
+	var zero T
 	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
 	p := lo + sort.SearchInts(a.colInd[lo:hi], j)
 	if p < hi && a.colInd[p] == j {
-		return a.val[p], true, nil
+		return a.val[p], true
 	}
-	return zero, false, nil
+	return zero, false
 }
 
 // Wait assembles all pending tuples into the CSR arrays (GrB_wait). It is a
-// no-op when nothing is pending. Cost: O(nnz + p log p) for p pending
-// tuples, a single merge pass.
+// no-op when nothing is pending. Cost: O(nrows + nnz + p log p) for p
+// pending tuples: rows without pending entries are copied in bulk, the
+// others merged with their sorted pending entries.
 func (a *Matrix[T]) Wait() {
 	if a.npend == 0 {
 		return
 	}
-	newCol := make([]Index, 0, len(a.colInd)+a.npend)
-	newVal := make([]T, 0, len(a.val)+a.npend)
-	newPtr := make([]int, a.nrows+1)
-	var scratch []matEntry[T]
-	for i := 0; i < a.nrows; i++ {
-		newPtr[i] = len(newCol)
-		ents, ok := a.pending[i]
-		if !ok {
-			newCol = append(newCol, a.colInd[a.rowPtr[i]:a.rowPtr[i+1]]...)
-			newVal = append(newVal, a.val[a.rowPtr[i]:a.rowPtr[i+1]]...)
-			continue
-		}
-		scratch = mergePendingRow(ents, scratch[:0])
-		lo, hi := a.rowPtr[i], a.rowPtr[i+1]
-		p, q := lo, 0
-		for p < hi && q < len(scratch) {
-			switch {
-			case a.colInd[p] < scratch[q].col:
-				newCol = append(newCol, a.colInd[p])
-				newVal = append(newVal, a.val[p])
-				p++
-			case a.colInd[p] > scratch[q].col:
-				if !scratch[q].del {
-					newCol = append(newCol, scratch[q].col)
-					newVal = append(newVal, scratch[q].val)
-				}
-				q++
-			default: // pending overwrites base; a tombstone kills it
-				if !scratch[q].del {
-					newCol = append(newCol, scratch[q].col)
-					newVal = append(newVal, scratch[q].val)
-				}
-				p++
-				q++
-			}
-		}
-		for ; p < hi; p++ {
-			newCol = append(newCol, a.colInd[p])
-			newVal = append(newVal, a.val[p])
-		}
-		for ; q < len(scratch); q++ {
-			if !scratch[q].del {
-				newCol = append(newCol, scratch[q].col)
-				newVal = append(newVal, scratch[q].val)
-			}
-		}
+	rows := make([]Index, 0, len(a.pending))
+	for i := range a.pending {
+		rows = append(rows, i)
 	}
+	sort.Ints(rows)
+	newCol := make([]Index, 0, len(a.colInd)+a.pendDelta)
+	newVal := make([]T, 0, len(a.val)+a.pendDelta)
+	newPtr := make([]int, a.nrows+1)
+	copyRows := func(from, to Index) { // rows [from, to) have nothing pending
+		shift := len(newCol) - a.rowPtr[from]
+		for r := from; r < to; r++ {
+			newPtr[r] = a.rowPtr[r] + shift
+		}
+		newCol = append(newCol, a.colInd[a.rowPtr[from]:a.rowPtr[to]]...)
+		newVal = append(newVal, a.val[a.rowPtr[from]:a.rowPtr[to]]...)
+	}
+	next := 0 // first row not yet written
+	for _, i := range rows {
+		copyRows(next, i)
+		newPtr[i] = len(newCol)
+		a.forRow(i, func(j Index, x T) {
+			newCol = append(newCol, j)
+			newVal = append(newVal, x)
+		})
+		next = i + 1
+	}
+	copyRows(next, a.nrows)
 	newPtr[a.nrows] = len(newCol)
 	a.rowPtr, a.colInd, a.val = newPtr, newCol, newVal
 	a.pending = nil
 	a.npend = 0
-}
-
-// mergePendingRow sorts a row's pending entries by column, keeping only the
-// newest value per column (append order is chronological).
-func mergePendingRow[T any](ents []matEntry[T], out []matEntry[T]) []matEntry[T] {
-	out = append(out, ents...)
-	sort.SliceStable(out, func(x, y int) bool { return out[x].col < out[y].col })
-	w := 0
-	for r := 0; r < len(out); r++ {
-		if r+1 < len(out) && out[r+1].col == out[r].col {
-			continue // a newer value for the same column follows
-		}
-		out[w] = out[r]
-		w++
-	}
-	return out[:w]
+	a.pendDelta = 0
 }
 
 // rowNNZ reports the assembled number of entries in row i (pending entries
-// of that row included, deduplicated).
+// of that row included).
 func (a *Matrix[T]) rowNNZ(i Index) int {
-	n := a.rowPtr[i+1] - a.rowPtr[i]
-	if ents, ok := a.pending[i]; ok {
-		merged := mergePendingRow(ents, nil)
-		lo, hi := a.rowPtr[i], a.rowPtr[i+1]
-		for _, e := range merged {
-			p := lo + sort.SearchInts(a.colInd[lo:hi], e.col)
-			inBase := p < hi && a.colInd[p] == e.col
-			switch {
-			case e.del && inBase:
-				n--
-			case !e.del && !inBase:
-				n++
-			}
-		}
-	}
+	n := 0
+	a.forRow(i, func(Index, T) { n++ })
 	return n
 }
 
 // forRow calls f(col, val) for every entry of row i in column order,
-// merging pending entries without assembling the whole matrix.
+// merging the row's sorted pending entries in one pass without assembling.
 func (a *Matrix[T]) forRow(i Index, f func(j Index, x T)) {
 	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
-	ents, ok := a.pending[i]
-	if !ok {
+	pend := a.pending[i]
+	if len(pend) == 0 {
 		for p := lo; p < hi; p++ {
 			f(a.colInd[p], a.val[p])
 		}
 		return
 	}
-	merged := mergePendingRow(ents, nil)
 	p, q := lo, 0
-	for p < hi && q < len(merged) {
+	for p < hi && q < len(pend) {
 		switch {
-		case a.colInd[p] < merged[q].col:
+		case a.colInd[p] < pend[q].col:
 			f(a.colInd[p], a.val[p])
 			p++
-		case a.colInd[p] > merged[q].col:
-			if !merged[q].del {
-				f(merged[q].col, merged[q].val)
+		case a.colInd[p] > pend[q].col:
+			if !pend[q].del {
+				f(pend[q].col, pend[q].val)
 			}
 			q++
-		default:
-			if !merged[q].del {
-				f(merged[q].col, merged[q].val)
+		default: // a pending entry overwrites the stored one; a tombstone kills it
+			if !pend[q].del {
+				f(pend[q].col, pend[q].val)
 			}
 			p++
 			q++
@@ -289,16 +296,17 @@ func (a *Matrix[T]) forRow(i Index, f func(j Index, x T)) {
 	for ; p < hi; p++ {
 		f(a.colInd[p], a.val[p])
 	}
-	for ; q < len(merged); q++ {
-		if !merged[q].del {
-			f(merged[q].col, merged[q].val)
+	for ; q < len(pend); q++ {
+		if !pend[q].del {
+			f(pend[q].col, pend[q].val)
 		}
 	}
 }
 
 // ForRow calls f(col, value) for every entry of row i in column order. It
 // merges pending updates of that row on the fly without assembling the
-// matrix — the exported face of the row-sparse access path.
+// matrix — the exported face of the row-sparse access path. f must not
+// modify a: a SetElement or RemoveElement may assemble it.
 func (a *Matrix[T]) ForRow(i Index, f func(j Index, x T)) error {
 	if i < 0 || i >= a.nrows {
 		return boundsErrf("ForRow: row %d outside [0,%d)", i, a.nrows)
@@ -392,6 +400,7 @@ func (a *Matrix[T]) Clear() {
 	a.val = nil
 	a.pending = nil
 	a.npend = 0
+	a.pendDelta = 0
 }
 
 // Clone returns a deep copy (pending tuples are assembled first).

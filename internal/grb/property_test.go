@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -339,4 +340,141 @@ func TestPropSelectPartition(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pendingOp is one step of a mixed pending-tuple workload.
+type pendingOp struct {
+	kind pendingOpKind
+	i, j Index // position (SetElement, RemoveElement) or new shape (Resize)
+	x    int
+}
+
+type pendingOpKind uint8
+
+const (
+	opSet pendingOpKind = iota
+	opRemove
+	opWait
+	opResize
+)
+
+// checkPendingOps runs ops on a matrix and a map oracle side by side. After
+// every step NVals must equal the oracle's size without changing NPending,
+// reads must see the oracle's value, and the pending buffer must respect
+// its bound; at the end the assembled contents must equal the oracle.
+func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
+	t.Helper()
+	a := NewMatrix[int](nr, nc)
+	oracle := map[[2]Index]int{}
+	for k, op := range ops {
+		switch op.kind {
+		case opSet:
+			i, j := op.i%a.NRows(), op.j%a.NCols()
+			Must0(a.SetElement(i, j, op.x))
+			oracle[[2]Index{i, j}] = op.x
+		case opRemove:
+			i, j := op.i%a.NRows(), op.j%a.NCols()
+			Must0(a.RemoveElement(i, j))
+			delete(oracle, [2]Index{i, j})
+		case opWait:
+			a.Wait()
+			if a.NPending() != 0 {
+				t.Fatalf("step %d: Wait left %d pending tuples", k, a.NPending())
+			}
+		case opResize:
+			Must0(a.Resize(op.i, op.j))
+			for p := range oracle {
+				if p[0] >= op.i || p[1] >= op.j {
+					delete(oracle, p)
+				}
+			}
+		}
+		pend := a.NPending()
+		if got := a.NVals(); got != len(oracle) {
+			t.Fatalf("step %d (%+v): NVals = %d, oracle holds %d", k, op, got, len(oracle))
+		}
+		if a.NPending() != pend {
+			t.Fatalf("step %d: NVals changed NPending %d -> %d", k, pend, a.NPending())
+		}
+		if pend > pendingFloor && pend*pendingFraction > a.nrows+len(a.colInd) {
+			t.Fatalf("step %d: %d pending tuples exceed the bound for %d rows and %d stored entries",
+				k, pend, a.nrows, len(a.colInd))
+		}
+		if op.kind == opSet || op.kind == opRemove {
+			i, j := op.i%a.NRows(), op.j%a.NCols()
+			x, ok, _ := a.GetElement(i, j)
+			wx, wok := oracle[[2]Index{i, j}]
+			if ok != wok || x != wx {
+				t.Fatalf("step %d: GetElement(%d,%d) = %d,%v; oracle %d,%v", k, i, j, x, ok, wx, wok)
+			}
+		}
+	}
+	if got := matToMap(a); !reflect.DeepEqual(got, oracle) {
+		t.Fatalf("assembled contents %v, oracle %v", got, oracle)
+	}
+	if a.NVals() != len(oracle) || a.NPending() != 0 {
+		t.Fatalf("after assembly: NVals %d (oracle %d), NPending %d", a.NVals(), len(oracle), a.NPending())
+	}
+}
+
+// randomPendingOps draws n ops on a small shape, so overwrites and repeated
+// deletes of the same position are common. waitEvery = 0 never waits, which
+// lets the buffer grow until it assembles itself.
+func randomPendingOps(rng *rand.Rand, n, waitEvery int) []pendingOp {
+	ops := make([]pendingOp, 0, n)
+	for k := 0; k < n; k++ {
+		op := pendingOp{i: rng.Intn(16), j: rng.Intn(16), x: rng.Intn(5)}
+		switch r := rng.Intn(100); {
+		case waitEvery > 0 && k%waitEvery == waitEvery-1:
+			op.kind = opWait
+		case r < 3:
+			op.kind = opResize
+			op.i, op.j = 1+rng.Intn(16), 1+rng.Intn(16)
+		case r < 35:
+			op.kind = opRemove
+		default:
+			op.kind = opSet
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// Property: NVals is exact and non-assembling under any interleaving of
+// sets, overwrites, repeated deletes, waits and resizes — including runs
+// long enough for the pending buffer to assemble itself.
+func TestPropNValsMatchesOracleWithoutAssembly(t *testing.T) {
+	f := func(seed int64, waitEvery uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		checkPendingOps(t, 12, 12, randomPendingOps(rng, 600, int(waitEvery%64)))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	// Never waiting: only the bound keeps the buffer in check.
+	checkPendingOps(t, 12, 12, randomPendingOps(rand.New(rand.NewSource(1)), 2000, 0))
+}
+
+// FuzzMatrixPending decodes the input as a sequence of 4-byte ops (kind,
+// row, column, value) and checks them with checkPendingOps.
+func FuzzMatrixPending(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 7, 0, 1, 1, 8, 1, 1, 1, 0, 1, 1, 1, 0, 2, 0, 0, 0})
+	f.Add([]byte{0, 3, 4, 1, 3, 2, 9, 0, 0, 1, 8, 2, 1, 3, 4, 0})
+	f.Add(bytes.Repeat([]byte{0, 5, 6, 1, 0, 6, 5, 2, 0, 7, 7, 3}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := make([]pendingOp, 0, len(data)/4)
+		for k := 0; k+4 <= len(data); k += 4 {
+			op := pendingOp{kind: pendingOpKind(data[k] % 8), i: Index(data[k+1] % 16), j: Index(data[k+2] % 16), x: int(data[k+3])}
+			switch op.kind {
+			case opSet, opRemove, opWait:
+			case opResize:
+				op.i, op.j = op.i+1, op.j+1
+			default: // weight the decoding towards SetElement
+				op.kind = opSet
+			}
+			ops = append(ops, op)
+		}
+		checkPendingOps(t, 8, 8, ops)
+	})
 }

@@ -504,3 +504,34 @@ func TestCloseRejectsWrites(t *testing.T) {
 		t.Errorf("enqueue after close: %v, want ErrClosed", err)
 	}
 }
+
+// TestStatsReportPendingTuples: after a waited update the matrix engines
+// hold pending tuples, and /stats must report them — reading engine stats
+// must not assemble the matrices first.
+func TestStatsReportPendingTuples(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 3})
+	srv, err := New(Config{Dataset: d, FlushInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	post := d.Snapshot.Posts[0]
+	liker := d.Snapshot.Users[0].ID
+	resp, _ := postUpdate(t, ts.URL, []model.Change{
+		{Kind: model.KindAddComment, Comment: model.Comment{ID: 1_000_000, Timestamp: 1 << 40, ParentID: post.ID, PostID: post.ID}},
+		{Kind: model.KindAddLike, Like: model.Like{UserID: liker, CommentID: 1_000_000}},
+	}, true)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /update: status %d", resp.StatusCode)
+	}
+	var st statsResponse
+	getJSON(t, ts.URL+"/stats", &st)
+	for _, key := range []string{EngineQ1, EngineQ2} {
+		if st.Engines[key].Pending == 0 {
+			t.Errorf("/stats engines.%s.pending = 0 after a waited update: %+v", key, st.Engines[key])
+		}
+	}
+}

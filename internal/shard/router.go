@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -136,10 +137,11 @@ type router struct {
 	// they score exactly 0, are ranked by parkedTopK as a virtual
 	// partition, and materialize onto their first liker's shard.
 	parked map[model.ID]model.Comment
-	// parkedTop caches parkedTopK's answer (nil = stale). Parking merges
-	// the new entry into the cache; only unparking a cached comment forces
-	// a rescan, so commits don't pay O(parked) ranking work.
-	parkedTop core.Result
+	// parkedOrder orders the parked comments by core.Less so park, unpark
+	// and parkedTopK cost amortised O(log n) instead of a walk of parked.
+	// Unparking leaves a stale entry (its id no longer in parked) that
+	// ranking skips.
+	parkedOrder parkedHeap
 
 	// Union-find over users ∪ comments with per-root group state.
 	node         map[nodeKey]int
@@ -207,11 +209,12 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 			continue
 		}
 		if len(r.members[i]) == 1 && r.keys[i].kind == nodeComment {
-			r.park(commentByID[r.keys[i].id])
+			r.parked[r.keys[i].id] = commentByID[r.keys[i].id]
 			continue
 		}
 		roots = append(roots, i)
 	}
+	r.orderParked()
 	sort.Slice(roots, func(a, b int) bool {
 		ra, rb := roots[a], roots[b]
 		if len(r.members[ra]) != len(r.members[rb]) {
@@ -623,40 +626,68 @@ func (r *router) q1Snapshot(snap *model.Snapshot, s int) *model.Snapshot {
 	return out
 }
 
-// park adds a likeless comment to the router-side parking, keeping the
-// cached ranking current (a grown set can only admit the new entry, so a
-// two-way merge suffices).
+// park adds a likeless comment to the router-side parking.
 func (r *router) park(c model.Comment) {
 	r.parked[c.ID] = c
-	if r.parkedTop != nil {
-		r.parkedTop = core.MergeTopK(core.TopK, r.parkedTop,
-			core.Result{{ID: c.ID, Score: 0, Timestamp: c.Timestamp}})
+	heap.Push(&r.parkedOrder, parkedEntry(c))
+}
+
+// parkedEntry is a parked comment's ranking entry: likeless, it scores 0.
+func parkedEntry(c model.Comment) core.Entry {
+	return core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp}
+}
+
+// unpark removes a comment at its first like. Its heap entry goes stale;
+// once stale entries outnumber live ones the heap is rebuilt from parked,
+// which costs amortised O(1) per unpark.
+func (r *router) unpark(id model.ID) {
+	delete(r.parked, id)
+	if len(r.parkedOrder) > 2*len(r.parked) {
+		r.orderParked()
 	}
 }
 
-// unpark removes a comment at its first like, invalidating the cached
-// ranking only when that comment was part of it.
-func (r *router) unpark(id model.ID) {
-	delete(r.parked, id)
-	for _, e := range r.parkedTop {
-		if e.ID == id {
-			r.parkedTop = nil
-			break
-		}
+// orderParked rebuilds parkedOrder from parked in O(n), dropping every
+// stale entry.
+func (r *router) orderParked() {
+	r.parkedOrder = r.parkedOrder[:0]
+	for _, c := range r.parked {
+		r.parkedOrder = append(r.parkedOrder, parkedEntry(c))
 	}
+	heap.Init(&r.parkedOrder)
 }
 
 // parkedTopK ranks the parked (likeless, hence zero-scoring) comments as
-// one more partition for the global Q2 merge.
+// one more partition for the global Q2 merge. It pops the best live
+// entries, drops the stale ones it meets on the way, and pushes the live
+// ones back.
 func (r *router) parkedTopK() core.Result {
-	if r.parkedTop == nil {
-		t := core.NewTopK(core.TopK)
-		for _, c := range r.parked {
-			t.Consider(core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp})
+	top := make(core.Result, 0, core.TopK)
+	for len(top) < core.TopK && len(r.parkedOrder) > 0 {
+		e := heap.Pop(&r.parkedOrder).(core.Entry)
+		if _, live := r.parked[e.ID]; live {
+			top = append(top, e)
 		}
-		r.parkedTop = t.Result()
 	}
-	return r.parkedTop
+	for _, e := range top {
+		heap.Push(&r.parkedOrder, e)
+	}
+	return top
+}
+
+// parkedHeap is a container/heap of entries whose root is the best entry
+// under core.Less.
+type parkedHeap []core.Entry
+
+func (h parkedHeap) Len() int           { return len(h) }
+func (h parkedHeap) Less(i, j int) bool { return core.Less(h[i], h[j]) }
+func (h parkedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *parkedHeap) Push(x any)        { *h = append(*h, x.(core.Entry)) }
+func (h *parkedHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // q2Snapshot renders shard s's current Q2 partition as a loadable

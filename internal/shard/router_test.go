@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -99,5 +102,66 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	// the virtual partition.
 	if got := r.parkedTopK().String(); got != "11" {
 		t.Fatalf("parked ranking after unpark = %q, want %q", got, "11")
+	}
+}
+
+// TestParkedTopKMatchesBruteForce is a differential test of the ordered
+// parked set: over random park/unpark sequences with many equal
+// timestamps, parkedTopK must equal a brute-force top-3 of r.parked, and
+// enough unparks must leave stale heap entries and trigger compaction.
+func TestParkedTopKMatchesBruteForce(t *testing.T) {
+	r, err := newRouter(2, &model.Snapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := model.ID(1)
+	var live []model.ID // parked ids, for picking unpark targets
+	compactions, sawStale := 0, false
+	for step := 0; step < 5000; step++ {
+		switch {
+		case len(live) == 0 || rng.Intn(100) < 45:
+			r.park(model.Comment{ID: next, Timestamp: int64(rng.Intn(8)), ParentID: 1, PostID: 1})
+			live = append(live, next)
+			next++
+		default:
+			// Half the unparks hit the current top-3, like first likes on
+			// the newest comments do; the rest hit any parked comment.
+			var id model.ID
+			if top := r.parkedTopK(); rng.Intn(2) == 0 && len(top) > 0 {
+				id = top[rng.Intn(len(top))].ID
+			} else {
+				id = live[rng.Intn(len(live))]
+			}
+			for k, v := range live {
+				if v == id {
+					live = append(live[:k], live[k+1:]...)
+					break
+				}
+			}
+			before := len(r.parkedOrder)
+			r.unpark(id)
+			if len(r.parkedOrder) < before {
+				compactions++
+			}
+		}
+		if len(r.parkedOrder) > len(r.parked) {
+			sawStale = true
+		}
+		if len(r.parkedOrder) > 2*len(r.parked) {
+			t.Fatalf("step %d: %d heap entries for %d parked comments", step, len(r.parkedOrder), len(r.parked))
+		}
+		all := make(core.Result, 0, len(r.parked))
+		for _, c := range r.parked {
+			all = append(all, core.Entry{ID: c.ID, Timestamp: c.Timestamp})
+		}
+		sort.Slice(all, func(i, j int) bool { return core.Less(all[i], all[j]) })
+		want := all[:min(core.TopK, len(all))]
+		if got := r.parkedTopK(); got.String() != want.String() {
+			t.Fatalf("step %d: parkedTopK = %q, brute force %q", step, got, want)
+		}
+	}
+	if !sawStale || compactions == 0 {
+		t.Fatalf("churn left stale entries: %v, compactions: %d; want both", sawStale, compactions)
 	}
 }
