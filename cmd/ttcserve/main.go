@@ -49,7 +49,7 @@ func main() {
 		seed    = flag.Int64("seed", 2018, "generator seed when generating")
 		threads = flag.Int("threads", 1, "GraphBLAS thread count")
 		batch   = flag.Int("batch", 64, "max changes merged into one commit")
-		flush   = flag.Duration("flush", 2*time.Millisecond, "max wait for co-batched updates before committing")
+		flush   = flag.Duration("flush", 2*time.Millisecond, "max wait for co-batched unwaited updates before committing (a batch holding a waited update commits at once)")
 		queue   = flag.Int("queue", 256, "write queue capacity (requests)")
 		shards  = flag.Int("shards", 1, "engine shards (one writer goroutine each)")
 		replay  = flag.Bool("replay", false, "replay the dataset's change sets through the write queue at startup")
@@ -129,7 +129,7 @@ func main() {
 	log.Printf("serving on %s (shards=%d seq=%d q1=%q q2=%q)", *addr, *shards, snap.Seq,
 		snap.Results[server.EngineQ1], snap.Results[server.EngineQ2])
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -152,6 +152,25 @@ func main() {
 		log.Printf("shutdown complete: queue drained, WAL flushed, final snapshot written to %s", *dataDir)
 	} else {
 		log.Printf("shutdown complete: queue drained")
+	}
+}
+
+// Connection timeouts bound how long a slow or idle client can hold a
+// connection. There is deliberately no WriteTimeout: a waited update
+// legitimately lasts as long as its commit.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener's http.Server with the connection
+// timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

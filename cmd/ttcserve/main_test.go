@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"testing"
 	"time"
 
@@ -56,5 +57,21 @@ func TestValidateFlags(t *testing.T) {
 		if tc.name == "ok fsync off" && err == nil && policy != wal.SyncOff {
 			t.Errorf("fsync off resolved to %v", policy)
 		}
+	}
+}
+
+// TestHTTPServerTimeouts pins the connection bounds: a slow client cannot
+// hold a connection by trickling headers or idling, and no WriteTimeout
+// cuts off a waited update whose commit takes long.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer(":0", http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want a bound", s.ReadHeaderTimeout)
+	}
+	if s.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want a bound", s.IdleTimeout)
+	}
+	if s.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", s.WriteTimeout)
 	}
 }

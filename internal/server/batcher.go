@@ -29,13 +29,11 @@ func (r *updateReq) finish(err error) {
 
 // writer is the single goroutine that owns the engines and the model
 // state. It first replays the recovered WAL tail (if any) and flips the
-// server ready, then drains the queue into batches — a batch closes when
-// MaxBatch changes have accumulated or FlushInterval has elapsed since its
-// first request — commits each batch and publishes the new snapshot. It
-// exits when Close closes the queue, after draining it. Requests enqueued
-// during replay simply wait in the queue: they commit (and their wait=1
-// returns) only after every recovered batch is visible, preserving commit
-// order across the restart.
+// server ready, then drains the queue into batches (see fill), commits each
+// batch and publishes the new snapshot. It exits when Close closes the
+// queue, after draining it. Requests enqueued during replay simply wait in
+// the queue: they commit (and their wait=1 returns) only after every
+// recovered batch is visible, preserving commit order across the restart.
 func (s *Server) writer(replay []wal.Batch) {
 	defer close(s.writerDone)
 	if len(replay) > 0 {
@@ -44,25 +42,56 @@ func (s *Server) writer(replay []wal.Batch) {
 		}
 	}
 	for first := range s.updates {
-		batch := []updateReq{first}
-		n := len(first.changes)
-		timer := time.NewTimer(s.cfg.FlushInterval)
-	fill:
-		for n < s.cfg.MaxBatch {
-			select {
-			case req, ok := <-s.updates:
-				if !ok {
-					break fill // queue closed; commit what we have and exit
-				}
-				batch = append(batch, req)
-				n += len(req.changes)
-			case <-timer.C:
-				break fill
-			}
+		batch := s.fill(first)
+		if h := s.cfg.batchHook; h != nil {
+			h(batch)
 		}
-		timer.Stop()
 		s.commit(batch)
 	}
+}
+
+// fill grows a batch from its first request by group commit: it takes
+// whatever is already queued until the batch holds MaxBatch changes (the
+// last request may overshoot — a request is never split). Then the waiter
+// rule decides. A batch holding a waited request commits as soon as the
+// queue is empty, because a client is blocked on it. A batch of only
+// unwaited requests — acknowledged at enqueue, so batching them costs no
+// one visible latency — lingers up to FlushInterval from its first request
+// for co-batched company; a waited request that joins it ends the linger.
+// A closed queue ends the batch too.
+func (s *Server) fill(first updateReq) []updateReq {
+	batch := []updateReq{first}
+	n := len(first.changes)
+	waited := first.done != nil
+	start := time.Now()
+	var linger *time.Timer
+	for n < s.cfg.MaxBatch {
+		var req updateReq
+		var open bool
+		select {
+		case req, open = <-s.updates:
+		default:
+			if waited {
+				return batch
+			}
+			if linger == nil {
+				linger = time.NewTimer(s.cfg.FlushInterval - time.Since(start))
+				defer linger.Stop()
+			}
+			select {
+			case req, open = <-s.updates:
+			case <-linger.C:
+				return batch
+			}
+		}
+		if !open {
+			return batch
+		}
+		batch = append(batch, req)
+		n += len(req.changes)
+		waited = waited || req.done != nil
+	}
+	return batch
 }
 
 // commit validates and applies each request to the model state, makes the

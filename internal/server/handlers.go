@@ -18,7 +18,8 @@ import (
 //
 //	GET  /query/q1            Q1 top-3 from the last committed snapshot
 //	GET  /query/q2            Q2 top-3 (?engine=cc serves the CC extension)
-//	POST /update              enqueue changes; {"wait":true} blocks to commit
+//	POST /update              enqueue changes; {"wait":true} blocks to commit;
+//	                          a body over 1 MiB is answered 413
 //	GET  /stats               per-phase latencies, engine sizes, queue depth
 //	GET  /healthz             readiness: 503 + JSON reason during startup
 //	                          WAL replay or after an engine failure, 200
@@ -240,6 +241,11 @@ func WireChange(ch model.Change) any {
 	return w
 }
 
+// maxUpdateBytes caps an /update body (on the order of ten thousand
+// changes): a request is never split, so an unbounded body would be an
+// unbounded commit. A larger body is answered 413 and nothing is enqueued.
+const maxUpdateBytes = 1 << 20
+
 // updateRequest is the /update body: one or more changes committed
 // atomically as a unit. Wait=true blocks the response until the batch
 // containing the request has been committed and is visible to readers.
@@ -262,9 +268,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req updateRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "update body exceeds %d bytes", maxUpdateBytes)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad update body: %v", err)
 		return
 	}

@@ -8,9 +8,11 @@
 // mid-update state.
 //
 // Write path: Enqueue → buffered queue → the batching goroutine drains
-// requests into one batch (bounded by MaxBatch changes or FlushInterval,
-// whichever comes first), validates and applies each request to the model
-// state (model.State), then commits the merged change set through the
+// requests into one batch by group commit: it takes what is already queued,
+// up to MaxBatch changes; a batch holding a waited request then commits at
+// once, while a batch of only unwaited (wait=false) requests lingers up to
+// FlushInterval for company. It validates and applies each request to the
+// model state (model.State), then commits the merged change set through the
 // sharded runtime — one writer goroutine per shard applies its slice behind
 // a commit barrier, so the new Snapshot is published only once the batch is
 // visible on every shard and wait=1 keeps meaning "globally visible". Read
@@ -57,8 +59,10 @@ type Config struct {
 	// MaxBatch caps the number of changes merged into one commit; a single
 	// request is never split. Default 64.
 	MaxBatch int
-	// FlushInterval bounds how long a queued change waits for co-batched
-	// company before the writer commits anyway. Default 2ms.
+	// FlushInterval bounds how long a batch of only unwaited (wait=false)
+	// requests lingers for co-batched company before the writer commits
+	// anyway. A batch holding a waited request never lingers: it commits
+	// once the queue is empty. Default 2ms.
 	FlushInterval time.Duration
 	// QueueDepth is the write queue's buffered capacity in requests.
 	// Default 256.
@@ -97,10 +101,12 @@ type Config struct {
 	SegmentBytes int64
 
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
-	// snapshotChunkHook observes every flushed chunk — test hooks (same
-	// package only) for pinning down encode/commit interleavings.
+	// snapshotChunkHook observes every flushed chunk; batchHook sees each
+	// batch the writer closes, before it commits — test hooks (same package
+	// only) for pinning down encode/commit and batching interleavings.
 	snapshotChunkBytes int
 	snapshotChunkHook  func(written int)
+	batchHook          func(batch []updateReq)
 }
 
 func (c Config) withDefaults() Config {

@@ -290,6 +290,40 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
+// TestUpdateBodyTooLarge sends an /update body over the cap: it is answered
+// 413 and nothing is enqueued or committed.
+func TestUpdateBodyTooLarge(t *testing.T) {
+	srv, err := New(Config{Dataset: datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 7})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var body bytes.Buffer
+	body.WriteString(`{"wait":true,"changes":[`)
+	for i := 0; body.Len() <= maxUpdateBytes; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"kind":"add-user","user":{"id":%d}}`, 820_000+i)
+	}
+	body.WriteString("]}")
+	resp, err := http.Post(ts.URL+"/update", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if snap := srv.Snapshot(); snap.Seq != 0 || snap.Changes != 0 || srv.QueueDepth() != 0 {
+		t.Errorf("oversized body reached the writer: seq %d, changes %d, queued %d", snap.Seq, snap.Changes, srv.QueueDepth())
+	}
+}
+
 // TestBatching exercises the fire-and-forget path: many small requests
 // merge into few commits, and a final waited request flushes everything
 // (FIFO order guarantees all earlier requests are committed by then).
