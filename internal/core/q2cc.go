@@ -17,7 +17,8 @@ import (
 //   - a new like adds the user to the comment's DSU and unions it with its
 //     friends already present — O(deg_friends(u) · α);
 //   - a new friendship unions the endpoints in every comment both users
-//     like — O(deg_likes(u1) + deg_likes(u2)) row merge plus unions;
+//     like — O(min(deg_likes(u1), deg_likes(u2))) membership probes plus
+//     unions;
 //   - each union updates the comment's Σ sizes² score in O(1) via
 //     (s₁+s₂)² − s₁² − s₂².
 //
@@ -134,27 +135,29 @@ func (s *Q2IncrementalCC) onLike(ci, ui int) {
 
 // onFriendship ingests an undirected friends edge.
 func (s *Q2IncrementalCC) onFriendship(a, b int) {
-	// Union in every comment both users like: merge the (sorted-order-
-	// irrelevant) like lists via a membership probe on the smaller one.
-	la, lb := s.userLikes[a], s.userLikes[b]
-	if len(lb) < len(la) {
-		la, lb = lb, la
-		a, b = b, a
-	}
-	inA := make(map[int]struct{}, len(la))
-	for _, ci := range la {
-		inA[ci] = struct{}{}
-	}
-	for _, ci := range lb {
-		if _, ok := inA[ci]; !ok {
-			continue
-		}
+	// Union the endpoints in every comment both users like.
+	s.forCoLiked(a, b, func(ci int) {
 		cc := &s.cc[ci]
 		s.unionScored(cc, cc.node[a], cc.node[b])
-	}
+	})
 	s.friends[a] = append(s.friends[a], b)
 	s.friends[b] = append(s.friends[b], a)
 	s.friendEdges += 2
+}
+
+// forCoLiked calls f for every comment both users like: it walks the like
+// list of the user with fewer likes and probes each comment's component
+// map for the other user — O(min(likes(a), likes(b))), no allocation, so a
+// hub's long like list is never scanned for a rare liker's friendship.
+func (s *Q2IncrementalCC) forCoLiked(a, b int, f func(ci int)) {
+	if len(s.userLikes[b]) < len(s.userLikes[a]) {
+		a, b = b, a
+	}
+	for _, ci := range s.userLikes[a] {
+		if _, ok := s.cc[ci].node[b]; ok {
+			f(ci)
+		}
+	}
 }
 
 // onUnlike ingests a like removal: drop the user from the comment's
@@ -193,17 +196,11 @@ func (s *Q2IncrementalCC) onUnfriend(a, b int) []int {
 	}
 	s.friends[a] = removeFrom(s.friends[a], b)
 	s.friends[b] = removeFrom(s.friends[b], a)
-	inA := make(map[int]struct{}, len(s.userLikes[a]))
-	for _, ci := range s.userLikes[a] {
-		inA[ci] = struct{}{}
-	}
 	var rebuilt []int
-	for _, ci := range s.userLikes[b] {
-		if _, ok := inA[ci]; ok {
-			s.rebuildComment(ci)
-			rebuilt = append(rebuilt, ci)
-		}
-	}
+	s.forCoLiked(a, b, func(ci int) {
+		s.rebuildComment(ci)
+		rebuilt = append(rebuilt, ci)
+	})
 	return rebuilt
 }
 
@@ -380,21 +377,8 @@ func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User2)
 			}
-			// Record affected comments (liked by both) before the handler
-			// mutates the like lists — scores change exactly there.
-			small, large := s.userLikes[a], s.userLikes[b]
-			if len(large) < len(small) {
-				small, large = large, small
-			}
-			inSmall := make(map[int]struct{}, len(small))
-			for _, ci := range small {
-				inSmall[ci] = struct{}{}
-			}
-			for _, ci := range large {
-				if _, ok := inSmall[ci]; ok {
-					touched[ci] = struct{}{}
-				}
-			}
+			// Scores change exactly in the comments both users like.
+			s.forCoLiked(a, b, func(ci int) { touched[ci] = struct{}{} })
 			s.onFriendship(a, b)
 		default:
 			return nil, fmt.Errorf("core: unknown change kind %d", ch.Kind)

@@ -161,10 +161,31 @@ func BenchmarkExtractSubmatrix(b *testing.B) {
 		idx[k] = i
 		k++
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExtractSubmatrix(a, idx, idx); err != nil {
-			b.Fatal(err)
+	b.Run("induced32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ExtractSubmatrix(a, idx, idx); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	// A hub liker: one row of degree 10⁴ among five likers. The hub row is
+	// probed at the five columns rather than scanned, so the cost is that
+	// of five short rows.
+	hub := idx[0]
+	rows, cols, vals := make([]Index, 0, 10_000), make([]Index, 0, 10_000), make([]bool, 0, 10_000)
+	for j := 0; j < 10_000; j++ {
+		rows, cols, vals = append(rows, hub), append(cols, j*(n/10_000)), append(vals, true)
 	}
+	rows, cols, vals = append(rows, hub), append(cols, idx[1]), append(vals, true)
+	h, err := MatrixFromTuples(n, n, rows, cols, vals, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("hubrow10k-J5", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ExtractSubmatrix(h, idx[:5], idx[:5]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -34,7 +34,9 @@ func ExtractSubvector[T any](u *Vector[T], I []Index) (*Vector[T], error) {
 // C(r, c) = A(I[r], J[c]) where present. Only the rows listed in I are
 // touched, and pending tuples of other rows are left unassembled, so
 // extracting a small induced subgraph from a large updated matrix is cheap —
-// this is step 2 of the batch Q2 algorithm.
+// this is step 2 of the batch Q2 algorithm. Each row costs
+// O(min(deg, len(J) · log deg)): a row longer than J is probed at J's
+// columns, as SuiteSparse's GrB_extract does, rather than scanned.
 func ExtractSubmatrix[T any](a *Matrix[T], I, J []Index) (*Matrix[T], error) {
 	c := NewMatrix[T](len(I), len(J))
 	colPos := make(map[Index]int, len(J))
@@ -60,14 +62,26 @@ func ExtractSubmatrix[T any](a *Matrix[T], I, J []Index) (*Matrix[T], error) {
 		seenRow[i] = struct{}{}
 		var cols []Index
 		var vals []T
-		a.forRow(i, func(j Index, x T) {
-			if p, ok := colPos[j]; ok {
-				cols = append(cols, p)
-				vals = append(vals, x)
+		if a.rowPtr[i+1]-a.rowPtr[i]+len(a.pending[i]) > len(J) {
+			// Probe the shorter side: look each J[p] up in the long row
+			// (a hub's friends) instead of scanning it. Output is in J
+			// order, so already sorted by p.
+			for p, j := range J {
+				if x, ok := a.get(i, j); ok {
+					cols = append(cols, p)
+					vals = append(vals, x)
+				}
 			}
-		})
-		if len(cols) > 1 && !sort.IntsAreSorted(cols) {
-			sortColsVals(cols, vals)
+		} else {
+			a.forRow(i, func(j Index, x T) {
+				if p, ok := colPos[j]; ok {
+					cols = append(cols, p)
+					vals = append(vals, x)
+				}
+			})
+			if len(cols) > 1 && !sort.IntsAreSorted(cols) {
+				sortColsVals(cols, vals)
+			}
 		}
 		rowCols[r], rowVals[r] = cols, vals
 	}

@@ -1,6 +1,10 @@
 package grb
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Matrix is a sparse matrix in CSR (compressed sparse row) form with a
 // SuiteSparse-style pending-tuple buffer (GrB_Matrix). SetElement and
@@ -52,8 +56,15 @@ func NewMatrix[T any](nrows, ncols int) *Matrix[T] {
 	return &Matrix[T]{nrows: nrows, ncols: ncols, rowPtr: make([]int, nrows+1)}
 }
 
+// tupleKey is one input tuple's sort key in MatrixFromTuples.
+type tupleKey struct {
+	row, col Index
+	pos      int // position in the input
+}
+
 // MatrixFromTuples builds a matrix from (row, col, value) triples
-// (GrB_build). Duplicates are combined with dup; nil dup keeps the last.
+// (GrB_build). Duplicates are combined with dup in input order; nil dup
+// keeps the last. Cost: O(n log n) for n tuples plus O(nrows).
 func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup func(T, T) T) (*Matrix[T], error) {
 	if len(rows) != len(cols) || len(rows) != len(vals) {
 		return nil, invalidErrf("MatrixFromTuples: tuple slices of unequal length %d/%d/%d",
@@ -69,23 +80,27 @@ func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup
 				rows[k], cols[k], nrows, ncols)
 		}
 	}
-	perm := make([]int, len(rows))
-	for i := range perm {
-		perm[i] = i
+	// Sort (row, col, input position) keys; the position tie-break keeps
+	// duplicates in input order, so an unstable sort serves.
+	keys := make([]tupleKey, len(rows))
+	for p := range keys {
+		keys[p] = tupleKey{rows[p], cols[p], p}
 	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		px, py := perm[x], perm[y]
-		if rows[px] != rows[py] {
-			return rows[px] < rows[py]
+	slices.SortFunc(keys, func(x, y tupleKey) int {
+		if c := cmp.Compare(x.row, y.row); c != 0 {
+			return c
 		}
-		return cols[px] < cols[py]
+		if c := cmp.Compare(x.col, y.col); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.pos, y.pos)
 	})
 	a.colInd = make([]Index, 0, len(rows))
 	a.val = make([]T, 0, len(rows))
 	counts := make([]int, nrows)
 	prevI, prevJ := -1, -1
-	for _, p := range perm {
-		i, j, x := rows[p], cols[p], vals[p]
+	for _, t := range keys {
+		i, j, x := t.row, t.col, vals[t.pos]
 		if i == prevI && j == prevJ { // duplicates are adjacent after the sort
 			k := len(a.val) - 1
 			if dup != nil {
@@ -192,13 +207,19 @@ func (a *Matrix[T]) GetElement(i, j Index) (T, bool, error) {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return zero, false, boundsErrf("GetElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
+	x, ok := a.get(i, j)
+	return x, ok, nil
+}
+
+// get returns the element at the in-range position (i, j), pending
+// entries included.
+func (a *Matrix[T]) get(i, j Index) (T, bool) {
 	// A pending entry is newer than the CSR entry it shadows.
 	ents := a.pending[i]
 	if q := searchPending(ents, j); q < len(ents) && ents[q].col == j {
-		return ents[q].val, !ents[q].del, nil
+		return ents[q].val, !ents[q].del
 	}
-	x, ok := a.stored(i, j)
-	return x, ok, nil
+	return a.stored(i, j)
 }
 
 // stored returns the CSR (assembled) element at the in-range position

@@ -2,8 +2,10 @@ package grb
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -360,12 +362,14 @@ const (
 
 // checkPendingOps runs ops on a matrix and a map oracle side by side. After
 // every step NVals must equal the oracle's size without changing NPending,
-// reads must see the oracle's value, and the pending buffer must respect
-// its bound; at the end the assembled contents must equal the oracle.
+// reads and ExtractSubmatrix must see the oracle's values, and the pending
+// buffer must respect its bound; at the end the assembled contents must
+// equal the oracle.
 func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
 	t.Helper()
 	a := NewMatrix[int](nr, nc)
 	oracle := map[[2]Index]int{}
+	rng := rand.New(rand.NewSource(int64(len(ops))))
 	for k, op := range ops {
 		switch op.kind {
 		case opSet:
@@ -408,6 +412,7 @@ func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
 				t.Fatalf("step %d: GetElement(%d,%d) = %d,%v; oracle %d,%v", k, i, j, x, ok, wx, wok)
 			}
 		}
+		checkExtract(t, k, a, oracle, rng)
 	}
 	if got := matToMap(a); !reflect.DeepEqual(got, oracle) {
 		t.Fatalf("assembled contents %v, oracle %v", got, oracle)
@@ -415,6 +420,73 @@ func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
 	if a.NVals() != len(oracle) || a.NPending() != 0 {
 		t.Fatalf("after assembly: NVals %d (oracle %d), NPending %d", a.NVals(), len(oracle), a.NPending())
 	}
+}
+
+// checkExtract compares ExtractSubmatrix over random index lists with the
+// map oracle. I and J are random subsets of the rows and columns in random
+// order, J sorted half of the time, so rows both longer and shorter than J
+// (the probe and the scan path) meet pending overwrites and tombstones.
+// Extraction must not assemble a, its output must be valid CSR, and
+// duplicate or out-of-range indices must still be rejected.
+func checkExtract(t *testing.T, step int, a *Matrix[int], oracle map[[2]Index]int, rng *rand.Rand) {
+	t.Helper()
+	I := rng.Perm(a.NRows())[:rng.Intn(a.NRows()+1)]
+	J := rng.Perm(a.NCols())[:rng.Intn(a.NCols()+1)]
+	if rng.Intn(2) == 0 {
+		sort.Ints(J)
+	}
+	pend := a.NPending()
+	c, err := ExtractSubmatrix(a, I, J)
+	if err != nil {
+		t.Fatalf("step %d: ExtractSubmatrix(%v, %v): %v", step, I, J, err)
+	}
+	if a.NPending() != pend {
+		t.Fatalf("step %d: ExtractSubmatrix changed NPending %d -> %d", step, pend, a.NPending())
+	}
+	if !csrSorted(c) {
+		t.Fatalf("step %d: ExtractSubmatrix(%v, %v) rows not sorted by column: %v", step, I, J, c.colInd)
+	}
+	want := map[[2]Index]int{}
+	for r, i := range I {
+		for p, j := range J {
+			if x, ok := oracle[[2]Index{i, j}]; ok {
+				want[[2]Index{r, p}] = x
+			}
+		}
+	}
+	if got := matToMap(c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: ExtractSubmatrix(%v, %v) = %v, oracle %v", step, I, J, got, want)
+	}
+	with := func(idx []Index, x Index) []Index { return append(idx[:len(idx):len(idx)], x) }
+	if len(I) > 0 {
+		if _, err := ExtractSubmatrix(a, with(I, I[0]), J); !errors.Is(err, ErrInvalidValue) {
+			t.Fatalf("step %d: duplicate row %d: %v", step, I[0], err)
+		}
+	}
+	if len(J) > 0 {
+		if _, err := ExtractSubmatrix(a, I, with(J, J[len(J)-1])); !errors.Is(err, ErrInvalidValue) {
+			t.Fatalf("step %d: duplicate column %d: %v", step, J[len(J)-1], err)
+		}
+	}
+	if _, err := ExtractSubmatrix(a, with(I, a.NRows()), J); !errors.Is(err, ErrIndexOutOfBounds) {
+		t.Fatalf("step %d: row %d out of range: %v", step, a.NRows(), err)
+	}
+	if _, err := ExtractSubmatrix(a, I, with(J, -1)); !errors.Is(err, ErrIndexOutOfBounds) {
+		t.Fatalf("step %d: column -1 out of range: %v", step, err)
+	}
+}
+
+// csrSorted reports whether every row of a's CSR arrays is strictly
+// increasing by column.
+func csrSorted[T any](a *Matrix[T]) bool {
+	for i := 0; i < a.nrows; i++ {
+		for p := a.rowPtr[i] + 1; p < a.rowPtr[i+1]; p++ {
+			if a.colInd[p-1] >= a.colInd[p] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // randomPendingOps draws n ops on a small shape, so overwrites and repeated
@@ -477,4 +549,40 @@ func FuzzMatrixPending(f *testing.F) {
 		}
 		checkPendingOps(t, 8, 8, ops)
 	})
+}
+
+// Property: MatrixFromTuples combines duplicates in input order. The
+// non-commutative dup 31a+b tells any reordering of a cell's tuples apart,
+// and nil dup must keep the last one, so both pin the input-position
+// tie-break that lets the build use an unstable sort.
+func TestPropMatrixFromTuplesKeepsInputOrder(t *testing.T) {
+	dups := []func(a, b int) int{nil, func(a, b int) int { return 31*a + b }}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const nr, nc = 6, 5 // 30 cells: most tuples are duplicates
+		n := rng.Intn(400)
+		rows, cols, vals := make([]Index, n), make([]Index, n), make([]int, n)
+		for k := range rows {
+			rows[k], cols[k], vals[k] = rng.Intn(nr), rng.Intn(nc), rng.Intn(1000)
+		}
+		for _, dup := range dups {
+			want := map[[2]Index]int{}
+			for k := range rows {
+				p := [2]Index{rows[k], cols[k]}
+				if x, ok := want[p]; ok && dup != nil {
+					want[p] = dup(x, vals[k])
+				} else {
+					want[p] = vals[k]
+				}
+			}
+			a, err := MatrixFromTuples(nr, nc, rows, cols, vals, dup)
+			if err != nil || a.NVals() != len(want) || !csrSorted(a) || !reflect.DeepEqual(matToMap(a), want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
