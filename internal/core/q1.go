@@ -100,8 +100,13 @@ func (s *Q1Batch) evaluate() (Result, error) {
 //	                 likesCount⁺ᵀ ⊕.⊗ RootPost′ᵀ so only changed comments'
 //	                 rows are touched)
 //	scores⁺        ← repliesScores⁺ ⊕ likesScore⁺
-//	scores′        ← scores ⊕ scores⁺
-//	Δscores⟨scores⁺⟩ ← scores′
+//	scores′        ← scores ⊕ scores⁺           (in place: GrB_assign of
+//	                 scores⁺ into scores with a plus accumulator)
+//	Δscores⟨scores⁺⟩ ← scores′                  (read as scores⁺'s pattern)
+//
+// Every step allocates in proportion to the change: ΔRootPost's row sums
+// are built from the new comments alone, VxM's scratch is bounded by its
+// products, and the score vector is never copied.
 //
 // The top-3 answer merges the previous top-3 with the changed and new
 // posts; in the case's insert-only workload scores grow monotonically, so
@@ -161,20 +166,16 @@ func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	}
 
 	// repliesScores⁺ = 10 × [⊕_j ΔRootPost(:,j)]: ΔRootPost has one entry
-	// per new comment at (root post, comment).
+	// per new comment at (root post, comment), so its row sums are built
+	// directly from the new comments' root posts (GrB_build with a plus
+	// dup), in O(Δ) rather than over a |posts|-row matrix.
 	deltaRows := make([]grb.Index, 0, len(d.newComments))
-	deltaCols := make([]grb.Index, 0, len(d.newComments))
-	deltaVals := make([]bool, 0, len(d.newComments))
+	ones := make([]int64, 0, len(d.newComments))
 	for _, pc := range d.newComments {
 		deltaRows = append(deltaRows, pc[0])
-		deltaCols = append(deltaCols, pc[1])
-		deltaVals = append(deltaVals, true)
+		ones = append(ones, 1)
 	}
-	deltaRP, err := grb.MatrixFromTuples(np, nc, deltaRows, deltaCols, deltaVals, nil)
-	if err != nil {
-		return nil, err
-	}
-	sum, err := grb.ReduceRows(grb.PlusMonoid[int64](), grb.One[bool, int64], deltaRP)
+	sum, err := grb.VectorFromTuples(np, deltaRows, ones, grb.Plus[int64])
 	if err != nil {
 		return nil, err
 	}
@@ -209,15 +210,11 @@ func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scoresNew, err := grb.EWiseAddV(grb.Plus[int64], s.scores, scoresPlus)
-	if err != nil {
+	// scores′ = scores ⊕ scores⁺, accumulated in place over GrB_ALL. The
+	// changed posts Δscores are exactly scores⁺'s pattern.
+	if err := grb.AssignV(s.scores, nil, scoresPlus, grb.Plus[int64]); err != nil {
 		return nil, err
 	}
-	deltaScores, err := grb.MaskV(scoresNew, scoresPlus, false)
-	if err != nil {
-		return nil, err
-	}
-	s.scores = scoresNew
 
 	// Under removals scores are not monotone, so an unchanged post may
 	// climb into the top-3; the merge shortcut is unsound and we re-rank
@@ -230,7 +227,7 @@ func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
 
 	// Merge the previous top-3 with the changed and new posts.
 	t := NewTopK(TopK)
-	seen := make(map[grb.Index]struct{}, 2*TopK+deltaScores.NVals())
+	seen := make(map[grb.Index]struct{}, 2*TopK+scoresPlus.NVals())
 	add := func(i grb.Index) {
 		if _, dup := seen[i]; dup {
 			return
@@ -242,7 +239,7 @@ func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	for _, e := range s.prev {
 		add(s.g.posts.MustIndex(e.ID))
 	}
-	deltaScores.Iterate(func(i grb.Index, _ int64) bool {
+	scoresPlus.Iterate(func(i grb.Index, _ int64) bool {
 		add(i)
 		return true
 	})

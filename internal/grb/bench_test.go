@@ -64,6 +64,35 @@ func BenchmarkVxMSparseVector(b *testing.B) {
 	}
 }
 
+// BenchmarkVxMFront runs both VxM accumulators on fronts whose product
+// count W spans vxmDenseFraction's crossover, from W = ncols/256 to a full
+// front (W = 8·ncols); VxM picks sparse below ncols/vxmDenseFraction.
+func BenchmarkVxMFront(b *testing.B) {
+	const n = 100_000
+	a := benchMatrix(n, 8*n, 3)
+	for _, rows := range []int{n / 2048, n / 1024, n / 512, n / 128, n} {
+		u := NewVector[int](n)
+		for k := 0; k < rows; k++ {
+			Must0(u.SetElement(k*(n/rows), 1))
+		}
+		work := 0
+		for _, i := range u.ind {
+			work += a.rowPtr[i+1] - a.rowPtr[i]
+		}
+		name := fmt.Sprintf("W÷ncols=%.4f", float64(work)/n)
+		b.Run(name+"/sparse", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vxmSparse(PlusTimes[int](), u, a, work)
+			}
+		})
+		b.Run(name+"/dense", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vxmDense(PlusTimes[int](), u, a)
+			}
+		})
+	}
+}
+
 func BenchmarkMxM(b *testing.B) {
 	for _, n := range []int{1_000, 10_000} {
 		a := benchMatrix(n, 8*n, 4)

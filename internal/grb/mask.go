@@ -3,7 +3,8 @@ package grb
 // Structural masks ⟨M⟩: an output position is writable iff the mask stores
 // an element there (or does not, under complement). The masked assignment of
 // Alg. 2 line 14, Δscores⟨scores⁺⟩ ← scores′, is MaskV(scores′, scoresPlus,
-// false).
+// false); the incremental Q1 engine reads it as scores⁺'s pattern instead,
+// because it accumulates scores′ in place.
 
 // MaskV returns the elements of u at positions present in mask (or absent,
 // when complement is true).

@@ -1,6 +1,10 @@
 package grb
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // MxV computes w = A ⊕.⊗ u (GrB_mxv): w_i = ⊕_j mul(A_ij, u_j) over the
 // structural intersection of row i and u. The vector is gathered into dense
@@ -16,7 +20,6 @@ func MxV[A, B, C any](s Semiring[A, B, C], a *Matrix[A], u *Vector[B]) (*Vector[
 		uval[i] = u.val[p]
 		upresent[i] = true
 	}
-	rowInd := make([]Index, a.nrows)
 	rowVal := make([]C, a.nrows)
 	hit := make([]bool, a.nrows)
 	parallelRanges(a.nrows, func(lo, hi int) {
@@ -31,7 +34,6 @@ func MxV[A, B, C any](s Semiring[A, B, C], a *Matrix[A], u *Vector[B]) (*Vector[
 				}
 			}
 			if any {
-				rowInd[i] = i
 				rowVal[i] = acc
 				hit[i] = true
 			}
@@ -49,12 +51,67 @@ func MxV[A, B, C any](s Semiring[A, B, C], a *Matrix[A], u *Vector[B]) (*Vector[
 // VxM computes wᵀ = uᵀ ⊕.⊗ A (GrB_vxm): w_j = ⊕_i mul(u_i, A_ij). This is
 // the sparse "pull from few rows" kernel: it touches only the rows of A
 // indexed by u's stored elements and never assembles pending tuples of
-// untouched rows, so its cost is O(Σ_{i ∈ supp(u)} nnz(A(i,:))) — the
-// workhorse of the incremental algorithms.
+// untouched rows — the workhorse of the incremental algorithms. With
+// W = Σ_{i ∈ supp(u)} nnz(A(i,:)) products, it costs O(W log W) time and
+// O(W) scratch while W < ncols/vxmDenseFraction, and O(W + ncols) beyond
+// that (see vxmSparse and vxmDense). Both fold each column's products in
+// u's order.
 func VxM[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B]) (*Vector[C], error) {
 	if u.n != a.nrows {
 		return nil, dimErrf("VxM: vector has size %d but matrix is %d×%d", u.n, a.nrows, a.ncols)
 	}
+	work := 0 // an upper bound on W: stored plus pending entries of the rows
+	for _, i := range u.ind {
+		work += a.rowPtr[i+1] - a.rowPtr[i] + len(a.pending[i])
+	}
+	if work*vxmDenseFraction < a.ncols {
+		return vxmSparse(s, u, a, work), nil
+	}
+	return vxmDense(s, u, a), nil
+}
+
+// vxmDenseFraction is where VxM's accumulators cross over. On a 100k-column
+// matrix (BenchmarkVxMFront, 2 vCPUs) sparse takes a quarter of dense's
+// time at W = ncols/270 and four fifths at ncols/125; dense is about 10%
+// faster at ncols/64, 30% at ncols/16 and 9× on a full front (W = 8·ncols).
+// Either way scratch is O(W): dense runs only when ncols ≤
+// vxmDenseFraction·W.
+const vxmDenseFraction = 64
+
+// vxmSparse is VxM with Gustavson's accumulator kept sparse: the products
+// are sorted by column, then by u's index (so each column folds in u's
+// order), and folded, in O(W log W) time and O(W) scratch for W products,
+// at most work.
+func vxmSparse[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B], work int) *Vector[C] {
+	prods := make([]vxmProduct[C], 0, work)
+	for p, i := range u.ind {
+		ux := u.val[p]
+		a.forRow(i, func(j Index, x B) {
+			prods = append(prods, vxmProduct[C]{j, i, s.Mul(ux, x)})
+		})
+	}
+	slices.SortFunc(prods, func(x, y vxmProduct[C]) int {
+		if c := cmp.Compare(x.col, y.col); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.row, y.row)
+	})
+	w := NewVector[C](a.ncols)
+	w.ind = make([]Index, 0, len(prods))
+	w.val = make([]C, 0, len(prods))
+	for _, e := range prods {
+		if k := len(w.ind) - 1; k >= 0 && w.ind[k] == e.col {
+			w.val[k] = s.Add.Op(w.val[k], e.x)
+		} else {
+			w.setSorted(e.col, e.x)
+		}
+	}
+	return w
+}
+
+// vxmDense is VxM with a dense accumulator of ncols slots: O(W + ncols)
+// time and scratch, plus sorting the touched columns.
+func vxmDense[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B]) *Vector[C] {
 	acc := make([]C, a.ncols)
 	present := make([]bool, a.ncols)
 	var touched []Index
@@ -77,7 +134,13 @@ func VxM[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B]) (*Vector[
 	for _, j := range touched {
 		w.setSorted(j, acc[j])
 	}
-	return w, nil
+	return w
+}
+
+// vxmProduct is one product mul(u_i, A_ij) in VxM's accumulator.
+type vxmProduct[C any] struct {
+	col, row Index
+	x        C
 }
 
 // MxVMasked is MxV restricted to the structural mask: only positions present

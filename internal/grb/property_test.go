@@ -424,14 +424,18 @@ func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
 
 // checkExtract compares ExtractSubmatrix over random index lists with the
 // map oracle. I and J are random subsets of the rows and columns in random
-// order, J sorted half of the time, so rows both longer and shorter than J
-// (the probe and the scan path) meet pending overwrites and tombstones.
-// Extraction must not assemble a, its output must be valid CSR, and
-// duplicate or out-of-range indices must still be rejected.
+// order, each sorted half of the time, so rows both longer and shorter than
+// J (the probe and the scan path) meet pending overwrites and tombstones
+// under both the map and the sorted-list validation. Extraction must not
+// assemble a, its output must be valid CSR, and duplicate or out-of-range
+// indices must still be rejected, sorted lists included.
 func checkExtract(t *testing.T, step int, a *Matrix[int], oracle map[[2]Index]int, rng *rand.Rand) {
 	t.Helper()
 	I := rng.Perm(a.NRows())[:rng.Intn(a.NRows()+1)]
 	J := rng.Perm(a.NCols())[:rng.Intn(a.NCols()+1)]
+	if rng.Intn(2) == 0 {
+		sort.Ints(I)
+	}
 	if rng.Intn(2) == 0 {
 		sort.Ints(J)
 	}
@@ -473,6 +477,9 @@ func checkExtract(t *testing.T, step int, a *Matrix[int], oracle map[[2]Index]in
 	}
 	if _, err := ExtractSubmatrix(a, I, with(J, -1)); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("step %d: column -1 out of range: %v", step, err)
+	}
+	if _, err := ExtractSubmatrix(a, I, with(J, a.NCols())); !errors.Is(err, ErrIndexOutOfBounds) {
+		t.Fatalf("step %d: column %d out of range: %v", step, a.NCols(), err)
 	}
 }
 
@@ -584,5 +591,86 @@ func TestPropMatrixFromTuplesKeepsInputOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: VxM folds each column's products in u's order on both its
+// accumulators: dense at 8 columns, sparse at 4000 (at most 60 products,
+// below 4000/vxmDenseFraction). The add 31a+b is neither commutative nor
+// associative, so any other order shows.
+func TestPropVxMFoldOrderBothPaths(t *testing.T) {
+	s := Semiring[int, int, int]{
+		Add: Monoid[int]{Op: func(a, b int) int { return 31*a + b }},
+		Mul: func(a, b int) int { return a * b },
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, nc := range []int{8, 4000} { // dense, sparse
+		for round := 0; round < 50; round++ {
+			nr := 1 + rng.Intn(20)
+			a := NewMatrix[int](nr, nc)
+			for k := 0; k < 3*nr; k++ {
+				Must0(a.SetElement(rng.Intn(nr), rng.Intn(min(nc, 8)), 1+rng.Intn(5)))
+			}
+			if rng.Intn(2) == 0 {
+				a.Wait()
+			}
+			u := NewVector[int](nr)
+			for i := 0; i < nr; i++ {
+				if rng.Intn(2) == 0 {
+					Must0(u.SetElement(i, 1+rng.Intn(5)))
+				}
+			}
+			want := map[Index]int{}
+			u.Iterate(func(i Index, ux int) bool {
+				Must0(a.ForRow(i, func(j Index, x int) {
+					if acc, ok := want[j]; ok {
+						want[j] = s.Add.Op(acc, s.Mul(ux, x))
+					} else {
+						want[j] = s.Mul(ux, x)
+					}
+				}))
+				return true
+			})
+			if got := vecToMap(Must(VxM(s, u, a))); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ncols %d round %d: VxM = %v, in-order fold %v", nc, round, got, want)
+			}
+		}
+	}
+}
+
+// Property: AssignV over GrB_ALL (nil I) equals the map oracle, with and
+// without an accumulator, whether u adds positions to w or not.
+func TestPropAssignVAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		n := 1 + rng.Intn(40)
+		w, u := NewVector[int](n), NewVector[int](n)
+		want := map[Index]int{}
+		for k := rng.Intn(n); k > 0; k-- {
+			i, x := rng.Intn(n), rng.Intn(100)
+			Must0(w.SetElement(i, x))
+			want[i] = x
+		}
+		for k := rng.Intn(n); k > 0; k-- {
+			Must0(u.SetElement(rng.Intn(n), rng.Intn(100)))
+		}
+		var accum func(int, int) int
+		if rng.Intn(2) == 0 {
+			accum = Plus[int]
+		}
+		u.Iterate(func(i Index, x int) bool {
+			if old, ok := want[i]; ok && accum != nil {
+				x = accum(old, x)
+			}
+			want[i] = x
+			return true
+		})
+		Must0(AssignV(w, nil, u, accum))
+		if got := vecToMap(w); !reflect.DeepEqual(got, want) || !sortedUnique(w.ind) {
+			t.Fatalf("round %d: AssignV(all) = %v (ind %v), oracle %v", round, got, w.ind, want)
+		}
+	}
+	if err := AssignV(NewVector[int](4), nil, NewVector[int](3), nil); !errors.Is(err, ErrDimensionMismatch) {
+		t.Fatalf("size mismatch over GrB_ALL: %v", err)
 	}
 }

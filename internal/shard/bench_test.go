@@ -2,9 +2,11 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/harness"
 	"repro/internal/model"
 )
@@ -104,4 +106,32 @@ func BenchmarkDonorReload(b *testing.B) {
 	}
 	defer func() { servedEngines = old }()
 	benchDonor(b, false)
+}
+
+// BenchmarkNewRouter builds the 4-shard router of a scale-factor-32
+// snapshot and reports the heap it retains per snapshot entity (posts,
+// comments, users, likes and friendships): the router's share of a
+// server's memory, beside the engines and model.State.
+func BenchmarkNewRouter(b *testing.B) {
+	snap := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1}).Snapshot
+	entities := len(snap.Posts) + len(snap.Comments) + len(snap.Users) + len(snap.Likes) + len(snap.Friendships)
+	var retained int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		r, err := newRouter(4, snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(r)
+		retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(retained)/float64(entities), "retained-B/entity")
 }

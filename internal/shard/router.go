@@ -3,6 +3,7 @@ package shard
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -25,8 +26,9 @@ import (
 //     each resulting group lives wholly on one shard, which makes every
 //     shard's Q2 scores exact for the comments it owns. When a new edge
 //     merges two groups living on different shards, the router migrates the
-//     smaller (by materialized entities) group to the other shard and the
-//     donor shard rebuilds its Q2 engines from its remaining partition.
+//     smaller (by materialized entities) group to the other shard: the
+//     donor subtracts the group's subgraph from its Q2 engines and the
+//     recipient adds it (see migrate).
 //
 //     Comments with no likes are not assigned to any shard at all: they
 //     score exactly 0, so the router parks them locally and ranks the
@@ -40,6 +42,15 @@ import (
 // union-find cannot un-union, so the grouping over-approximates the true
 // connectivity. Over-grouping only costs parallelism, never correctness —
 // co-location requirements are monotone in the edge history.
+//
+// The router stores the Q2 partitions once, indexed by union-find node
+// rather than per shard: a node's shard is groupShard[find(node)], its
+// entity is in a partition iff it is materialized, and adj holds the edges
+// Q2 reads (a comment's likers, a user's friends). A migration therefore
+// moves nothing inside the router — re-stamping the merged root's shard
+// moves the whole group — and a partition snapshot is rendered from the
+// store on demand. Memory is proportional to the graph once, not to the
+// graph plus a per-shard copy of it.
 type nodeKind uint8
 
 const (
@@ -61,25 +72,6 @@ func (k nodeKey) less(o nodeKey) bool {
 		return k.kind < o.kind
 	}
 	return k.id < o.id
-}
-
-// q2state is the authoritative content of one shard's Q2 partition: the
-// users and comments it owns plus the edges among them. It is what moves
-// during a rebalance and what a donor shard's engines reload from.
-type q2state struct {
-	users    map[model.ID]struct{}
-	comments map[model.ID]model.Comment
-	likes    map[model.ID]map[model.ID]struct{} // comment → likers
-	friends  map[model.ID]map[model.ID]struct{} // user → friends (both directions)
-}
-
-func newQ2State() *q2state {
-	return &q2state{
-		users:    make(map[model.ID]struct{}),
-		comments: make(map[model.ID]model.Comment),
-		likes:    make(map[model.ID]map[model.ID]struct{}),
-		friends:  make(map[model.ID]map[model.ID]struct{}),
-	}
 }
 
 // shardOp is one migration-bookkeeping step for a single shard, applied
@@ -150,9 +142,15 @@ type router struct {
 	members      [][]int // valid at root: node indices in the group
 	groupShard   []int   // valid at root
 	matCount     []int   // valid at root: materialized members
-	materialized []bool  // per node: entity data present in its shard's q2state
+	materialized []bool  // per node: the entity is in its group's Q2 partition
 
-	states []*q2state
+	// adj holds the Q2 edges per node: a comment node lists its likers, a
+	// user node its friends (both directions). Node indices fit in int32
+	// (addNode enforces it), half the size of an int.
+	adj [][]int32
+	// comments holds the records of materialized comments (parked ones
+	// live in parked).
+	comments map[model.ID]model.Comment
 
 	rebalances int
 }
@@ -164,10 +162,7 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 		commentRoot: make(map[model.ID]model.ID, len(snap.Comments)),
 		node:        make(map[nodeKey]int, len(snap.Users)+len(snap.Comments)),
 		parked:      make(map[model.ID]model.Comment),
-		states:      make([]*q2state, n),
-	}
-	for s := 0; s < n; s++ {
-		r.states[s] = newQ2State()
+		comments:    make(map[model.ID]model.Comment),
 	}
 
 	for _, p := range snap.Posts {
@@ -182,26 +177,38 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 	// groups over the shards, largest first onto the least-loaded shard, so
 	// the initial partition is balanced and deterministic.
 	for _, u := range snap.Users {
-		r.addNode(userKey(u.ID), 0)
+		if _, err := r.addNode(userKey(u.ID), 0); err != nil {
+			return nil, err
+		}
 	}
 	for _, c := range snap.Comments {
-		r.addNode(commentKey(c.ID), 0)
+		if _, err := r.addNode(commentKey(c.ID), 0); err != nil {
+			return nil, err
+		}
 	}
 	for _, l := range snap.Likes {
-		if err := r.loadUnion(userKey(l.UserID), commentKey(l.CommentID)); err != nil {
+		u, c, err := r.loadUnion(userKey(l.UserID), commentKey(l.CommentID))
+		if err != nil {
 			return nil, err
 		}
+		r.adj[c] = append(r.adj[c], int32(u))
 	}
 	for _, f := range snap.Friendships {
-		if err := r.loadUnion(userKey(f.User1), userKey(f.User2)); err != nil {
+		u, v, err := r.loadUnion(userKey(f.User1), userKey(f.User2))
+		if err != nil {
 			return nil, err
 		}
+		r.adj[u] = append(r.adj[u], int32(v))
+		r.adj[v] = append(r.adj[v], int32(u))
 	}
 	// A singleton comment node is a likeless comment (comment nodes only
 	// ever union through likes): park it instead of assigning a shard.
-	commentByID := make(map[model.ID]model.Comment, len(snap.Comments))
 	for _, c := range snap.Comments {
-		commentByID[c.ID] = c
+		if ni := r.node[commentKey(c.ID)]; len(r.members[r.find(ni)]) == 1 {
+			r.parked[c.ID] = c
+		} else {
+			r.comments[c.ID] = c
+		}
 	}
 	roots := make([]int, 0)
 	for i := range r.parent {
@@ -209,7 +216,6 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 			continue
 		}
 		if len(r.members[i]) == 1 && r.keys[i].kind == nodeComment {
-			r.parked[r.keys[i].id] = commentByID[r.keys[i].id]
 			continue
 		}
 		roots = append(roots, i)
@@ -237,36 +243,20 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 			r.materialized[ni] = true
 		}
 	}
-
-	// Materialize the per-shard Q2 partition content.
-	for _, u := range snap.Users {
-		r.states[r.shardOf(userKey(u.ID))].users[u.ID] = struct{}{}
-	}
-	for _, c := range snap.Comments {
-		if _, isParked := r.parked[c.ID]; isParked {
-			continue
-		}
-		r.states[r.shardOf(commentKey(c.ID))].comments[c.ID] = c
-	}
-	for _, l := range snap.Likes {
-		st := r.states[r.shardOf(commentKey(l.CommentID))]
-		addEdge(st.likes, l.CommentID, l.UserID)
-	}
-	for _, f := range snap.Friendships {
-		st := r.states[r.shardOf(userKey(f.User1))]
-		addEdge(st.friends, f.User1, f.User2)
-		addEdge(st.friends, f.User2, f.User1)
-	}
 	return r, nil
 }
 
-func addEdge(m map[model.ID]map[model.ID]struct{}, a, b model.ID) {
-	s, ok := m[a]
-	if !ok {
-		s = make(map[model.ID]struct{})
-		m[a] = s
+// unlink swap-removes the first v from a node's adjacency list, costing
+// O(degree). The order of an adjacency list carries no meaning.
+func unlink(list []int32, v int) []int32 {
+	for k, x := range list {
+		if int(x) == v {
+			last := len(list) - 1
+			list[k] = list[last]
+			return list[:last]
+		}
 	}
-	s[b] = struct{}{}
+	return list
 }
 
 // hashShard places ids deterministically (splitmix64 finalizer).
@@ -280,11 +270,17 @@ func hashShard(id model.ID, n int) int {
 	return int(x % uint64(n))
 }
 
-func (r *router) addNode(k nodeKey, shard int) int {
+// addNode returns k's node index, creating the node (a singleton group
+// stamped with shard) if k is new. It fails rather than let a node index
+// outgrow the int32 adjacency lists.
+func (r *router) addNode(k nodeKey, shard int) (int, error) {
 	if ni, ok := r.node[k]; ok {
-		return ni
+		return ni, nil
 	}
 	ni := len(r.parent)
+	if ni >= math.MaxInt32 {
+		return 0, fmt.Errorf("shard: router holds %d users and comments, the most it can index", ni)
+	}
 	r.node[k] = ni
 	r.parent = append(r.parent, ni)
 	r.keys = append(r.keys, k)
@@ -292,7 +288,8 @@ func (r *router) addNode(k nodeKey, shard int) int {
 	r.groupShard = append(r.groupShard, shard)
 	r.matCount = append(r.matCount, 0)
 	r.materialized = append(r.materialized, false)
-	return ni
+	r.adj = append(r.adj, nil)
+	return ni, nil
 }
 
 func (r *router) find(x int) int {
@@ -315,8 +312,6 @@ func (r *router) lookup(k nodeKey) (int, error) {
 	return ni, nil
 }
 
-func (r *router) shardOf(k nodeKey) int { return r.groupShard[r.find(r.node[k])] }
-
 func (r *router) minMemberKey(root int) nodeKey {
 	min := r.keys[r.members[root][0]]
 	for _, ni := range r.members[root][1:] {
@@ -328,22 +323,20 @@ func (r *router) minMemberKey(root int) nodeKey {
 }
 
 // loadUnion merges groups during initial-snapshot analysis, before shards
-// are assigned — no migration bookkeeping.
-func (r *router) loadUnion(a, b nodeKey) error {
+// are assigned — no migration bookkeeping. It returns the two nodes.
+func (r *router) loadUnion(a, b nodeKey) (int, int, error) {
 	na, err := r.lookup(a)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	nb, err := r.lookup(b)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	ra, rb := r.find(na), r.find(nb)
-	if ra == rb {
-		return nil
+	if ra, rb := r.find(na), r.find(nb); ra != rb {
+		r.mergeRoots(ra, rb, 0)
 	}
-	r.mergeRoots(ra, rb, 0)
-	return nil
+	return na, nb, nil
 }
 
 // mergeRoots links two roots, concatenating the smaller member list into
@@ -363,9 +356,8 @@ func (r *router) mergeRoots(ra, rb, shard int) int {
 
 // union merges the groups of a and b during a commit. If the groups live on
 // different shards, the side with fewer materialized entities migrates to
-// the other side's shard: its entities and edges move between q2states, the
-// donor shard is marked dirty (engine rebuild), and the recipient receives
-// synthetic add-changes replaying the moved subgraph.
+// the other side's shard: the donor is queued a retraction of the moved
+// subgraph and the recipient synthetic add-changes replaying it.
 func (r *router) union(a, b nodeKey, p *plan) error {
 	na, err := r.lookup(a)
 	if err != nil {
@@ -400,11 +392,11 @@ func (r *router) union(a, b nodeKey, p *plan) error {
 // subtracts it; engines without the capability fall back to a reload) and
 // for the recipient as synthetic add-changes. All materialized members of a
 // group live on its shard and all their Q2-relevant edges are intra-group,
-// so moving the member list moves a complete, self-contained subgraph —
-// exactly the precondition DeltaEngine.Retract requires.
+// so the member list and its adjacency describe a complete, self-contained
+// subgraph — exactly the precondition DeltaEngine.Retract requires. The
+// store itself needs no update: the caller re-stamps the merged root.
 func (r *router) migrate(loser, dest int, p *plan) {
 	src := r.groupShard[loser]
-	from, to := r.states[src], r.states[dest]
 	ret := &model.Retraction{}
 	var movedComments []model.Comment
 	for _, ni := range r.members[loser] {
@@ -413,37 +405,21 @@ func (r *router) migrate(loser, dest int, p *plan) {
 		}
 		k := r.keys[ni]
 		if k.kind == nodeUser {
-			delete(from.users, k.id)
-			to.users[k.id] = struct{}{}
-			if adj, ok := from.friends[k.id]; ok {
-				to.friends[k.id] = adj
-				delete(from.friends, k.id)
-			}
 			ret.Users = append(ret.Users, k.id)
-		} else {
-			c := from.comments[k.id]
-			delete(from.comments, k.id)
-			to.comments[k.id] = c
-			if likers, ok := from.likes[k.id]; ok {
-				to.likes[k.id] = likers
-				delete(from.likes, k.id)
+			// Both endpoints of every moved friendship migrate together, so
+			// the u < v half of the adjacency lists each edge exactly once.
+			for _, v := range r.adj[ni] {
+				if vid := r.keys[v].id; k.id < vid {
+					ret.Friendships = append(ret.Friendships, model.Friendship{User1: k.id, User2: vid})
+				}
 			}
-			ret.Comments = append(ret.Comments, c.ID)
-			movedComments = append(movedComments, c)
+			continue
 		}
-	}
-	for _, c := range movedComments {
-		for u := range to.likes[c.ID] {
-			ret.Likes = append(ret.Likes, model.Like{UserID: u, CommentID: c.ID})
-		}
-	}
-	// Both endpoints of every moved friendship migrate together, so the
-	// u < v half of each adjacency set lists the edge exactly once.
-	for _, u := range ret.Users {
-		for v := range to.friends[u] {
-			if u < v {
-				ret.Friendships = append(ret.Friendships, model.Friendship{User1: u, User2: v})
-			}
+		c := r.comments[k.id]
+		ret.Comments = append(ret.Comments, c.ID)
+		movedComments = append(movedComments, c)
+		for _, u := range r.adj[ni] {
+			ret.Likes = append(ret.Likes, model.Like{UserID: r.keys[u].id, CommentID: c.ID})
 		}
 	}
 
@@ -480,9 +456,13 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 		ch := &cs.Changes[i]
 		switch ch.Kind {
 		case model.KindAddUser:
-			r.addNode(userKey(ch.User.ID), hashShard(ch.User.ID, r.n))
+			if _, err := r.addNode(userKey(ch.User.ID), hashShard(ch.User.ID, r.n)); err != nil {
+				return nil, err
+			}
 		case model.KindAddComment:
-			r.addNode(commentKey(ch.Comment.ID), hashShard(ch.Comment.ID, r.n))
+			if _, err := r.addNode(commentKey(ch.Comment.ID), hashShard(ch.Comment.ID, r.n)); err != nil {
+				return nil, err
+			}
 		case model.KindAddLike:
 			if err := r.union(userKey(ch.Like.UserID), commentKey(ch.Like.CommentID), p); err != nil {
 				return nil, err
@@ -494,8 +474,8 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 		}
 	}
 
-	// Pass B: route each change to its final owner and keep the q2states
-	// (the authoritative partition content) current.
+	// Pass B: route each change to its final owner and keep the store (the
+	// authoritative partition content) current.
 	for i := range cs.Changes {
 		ch := cs.Changes[i]
 		switch ch.Kind {
@@ -514,7 +494,6 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 			}
 			root := r.find(ni)
 			s := r.groupShard[root]
-			r.states[s].users[ch.User.ID] = struct{}{}
 			if !r.materialized[ni] {
 				r.materialized[ni] = true
 				r.matCount[root]++
@@ -539,23 +518,26 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 			if err != nil {
 				return nil, err
 			}
+			ui, err := r.lookup(userKey(ch.Like.UserID))
+			if err != nil {
+				return nil, err
+			}
 			root := r.find(ni)
 			s := r.groupShard[root]
-			st := r.states[s]
 			if c, wasParked := r.parked[ch.Like.CommentID]; wasParked {
 				// First like: the comment joins its liker's group's shard.
 				// (Pass A already unioned them, and the parked side has no
 				// materialized entities, so no migration was triggered.)
 				r.unpark(c.ID)
-				st.comments[c.ID] = c
+				r.comments[c.ID] = c
 				r.materialized[ni] = true
 				r.matCount[root]++
 				p.q2[s] = append(p.q2[s], model.Change{Kind: model.KindAddComment, Comment: c})
 			}
 			if ch.Kind == model.KindAddLike {
-				addEdge(st.likes, ch.Like.CommentID, ch.Like.UserID)
-			} else if likers, ok := st.likes[ch.Like.CommentID]; ok {
-				delete(likers, ch.Like.UserID)
+				r.adj[ni] = append(r.adj[ni], int32(ui))
+			} else {
+				r.adj[ni] = unlink(r.adj[ni], ui)
 			}
 			p.q2[s] = append(p.q2[s], ch)
 			ps, err := r.q1ShardOfComment(ch.Like.CommentID)
@@ -568,18 +550,17 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 			if err != nil {
 				return nil, err
 			}
+			nj, err := r.lookup(userKey(ch.Friendship.User2))
+			if err != nil {
+				return nil, err
+			}
 			s := r.groupShard[r.find(ni)]
-			st := r.states[s]
 			if ch.Kind == model.KindAddFriendship {
-				addEdge(st.friends, ch.Friendship.User1, ch.Friendship.User2)
-				addEdge(st.friends, ch.Friendship.User2, ch.Friendship.User1)
+				r.adj[ni] = append(r.adj[ni], int32(nj))
+				r.adj[nj] = append(r.adj[nj], int32(ni))
 			} else {
-				if adj, ok := st.friends[ch.Friendship.User1]; ok {
-					delete(adj, ch.Friendship.User2)
-				}
-				if adj, ok := st.friends[ch.Friendship.User2]; ok {
-					delete(adj, ch.Friendship.User1)
-				}
+				r.adj[ni] = unlink(r.adj[ni], nj)
+				r.adj[nj] = unlink(r.adj[nj], ni)
 			}
 			p.q2[s] = append(p.q2[s], ch)
 			// Q1 ignores the friends graph entirely; not routed.
@@ -690,29 +671,30 @@ func (h *parkedHeap) Pop() any {
 	return e
 }
 
-// q2Snapshot renders shard s's current Q2 partition as a loadable
-// snapshot: all posts (broadcast), plus the shard's owned users, comments
-// and intra-partition edges. Used at startup and whenever a rebalance
-// dirties the shard.
+// q2Snapshot renders shard s's current Q2 partition from the store as a
+// loadable snapshot: all posts (broadcast), plus the materialized users and
+// comments whose group lives on s and the edges among them. It walks every
+// router node, not just s's partition: O(router nodes) plus s's edges. find compresses paths, so rendering writes to the
+// union-find and must not run concurrently with anything else on r. Used at
+// startup and for the reload fallback.
 func (r *router) q2Snapshot(s int) *model.Snapshot {
-	st := r.states[s]
 	out := &model.Snapshot{Posts: append([]model.Post(nil), r.posts...)}
-	for id := range st.users {
-		out.Users = append(out.Users, model.User{ID: id})
-	}
-	for _, c := range st.comments {
-		out.Comments = append(out.Comments, c)
-	}
-	for c, likers := range st.likes {
-		for u := range likers {
-			out.Likes = append(out.Likes, model.Like{UserID: u, CommentID: c})
+	for ni, k := range r.keys {
+		if !r.materialized[ni] || r.groupShard[r.find(ni)] != s {
+			continue
 		}
-	}
-	for u, adj := range st.friends {
-		for v := range adj {
-			if u < v {
-				out.Friendships = append(out.Friendships, model.Friendship{User1: u, User2: v})
+		if k.kind == nodeUser {
+			out.Users = append(out.Users, model.User{ID: k.id})
+			for _, v := range r.adj[ni] {
+				if vid := r.keys[v].id; k.id < vid {
+					out.Friendships = append(out.Friendships, model.Friendship{User1: k.id, User2: vid})
+				}
 			}
+			continue
+		}
+		out.Comments = append(out.Comments, r.comments[k.id])
+		for _, u := range r.adj[ni] {
+			out.Likes = append(out.Likes, model.Like{UserID: r.keys[u].id, CommentID: k.id})
 		}
 	}
 	return out

@@ -205,9 +205,15 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	}
 
 	start := time.Now()
+	// Rendering a Q2 partition compresses union-find paths, so every
+	// shard's snapshot is rendered here, before the parallel load. Each
+	// render walks all router nodes: O(n × nodes) in total, once.
+	q2Snaps := make([]*model.Snapshot, n)
+	for s := range q2Snaps {
+		q2Snaps[s] = router.q2Snapshot(s)
+	}
 	phase(func(w *worker, s int) error {
-		q1Snap := router.q1Snapshot(snap, s)
-		q2Snap := router.q2Snapshot(s)
+		q1Snap, q2Snap := router.q1Snapshot(snap, s), q2Snaps[s]
 		for _, e := range w.q1 {
 			if err := e.sol.Load(q1Snap); err != nil {
 				return fmt.Errorf("shard %d: %s load: %w", s, e.sol.Name(), err)
@@ -391,7 +397,8 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 		if !rt.deltaCapable && p.hasRetraction(s) {
 			// Some engine will need the reload fallback; the snapshot is
 			// built only then — when every engine repairs incrementally the
-			// O(partition) snapshot walk never happens.
+			// snapshot walk, O(router nodes) plus the partition's edges,
+			// never happens.
 			cmd.reload = rt.router.q2Snapshot(s)
 		}
 		if len(cmd.q1) == 0 && len(cmd.q2) == 0 && len(cmd.ops) == 0 {
