@@ -85,9 +85,11 @@ type Solution interface {
 // the retraction targets a retracted comment from a retracted user, every
 // friendship joins two retracted users — from their maintained state and
 // reevaluate, without reloading the surviving partition. This is what makes
-// a shard group migration O(|group|) on the donor side: the router computes
-// the migrated group's retraction once and the engine subtracts it, instead
-// of rebuilding matrices and re-scoring every remaining comment.
+// a shard group migration O(|group| log |comments|) on the donor side: the
+// router computes the migrated group's retraction once, the engine
+// subtracts it, and the retired comments leave the engine's RankIndex,
+// instead of rebuilding matrices, re-scoring every remaining comment or
+// re-ranking them.
 //
 // Retract's contract mirrors Update: it returns the engine's post-retraction
 // answer, and the engine's LastResult/Stats reflect the retraction. Callers
@@ -96,6 +98,15 @@ type Solution interface {
 // entities is an error.
 type DeltaEngine interface {
 	Retract(r *model.Retraction) (Result, error)
+}
+
+// denseKeys returns the dense indices 0..n−1.
+func denseKeys(n int) []int {
+	keys := make([]int, n)
+	for i := range keys {
+		keys[i] = i
+	}
+	return keys
 }
 
 // Ranker selects the best k entries under Less, in order. It is a partial

@@ -56,13 +56,6 @@ type delta struct {
 	removedFriends [][2]int // (user, user) index pairs
 }
 
-// hasRemovals reports whether the delta contains deletions, which force the
-// incremental engines to re-rank from the full score state (scores are no
-// longer monotone, so the previous-top-3 merge shortcut is unsound).
-func (d *delta) hasRemovals() bool {
-	return len(d.removedLikes) > 0 || len(d.removedFriends) > 0
-}
-
 // loadGraph builds the matrices from an initial snapshot.
 func loadGraph(s *model.Snapshot) (*graph, error) {
 	g := &graph{

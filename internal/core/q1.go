@@ -108,12 +108,13 @@ func (s *Q1Batch) evaluate() (Result, error) {
 // are built from the new comments alone, VxM's scratch is bounded by its
 // products, and the score vector is never copied.
 //
-// The top-3 answer merges the previous top-3 with the changed and new
-// posts; in the case's insert-only workload scores grow monotonically, so
-// unchanged posts can never climb past unchanged higher-ranked ones.
+// The top-3 answer is read from a RankIndex over every post, updated only
+// for the posts in scores⁺'s pattern and the new posts, so ranking costs
+// O(|Δscores| log |posts|) whether the change set adds or removes edges.
 type Q1Incremental struct {
 	g      *graph
 	scores *grb.Vector[int64]
+	rank   RankIndex // by post index
 	prev   Result
 }
 
@@ -138,7 +139,7 @@ func (s *Q1Incremental) Load(snap *model.Snapshot) error {
 }
 
 // Initial implements Solution: the first evaluation is a full one; it also
-// seeds the maintained score vector.
+// seeds the maintained score vector and fills the rank index.
 func (s *Q1Incremental) Initial() (Result, error) {
 	likesCount, err := likesPerComment(s.g.likes)
 	if err != nil {
@@ -149,8 +150,16 @@ func (s *Q1Incremental) Initial() (Result, error) {
 		return nil, err
 	}
 	s.scores = scores
-	s.prev = q1TopK(s.g, scores)
+	s.rank.Init(denseKeys(s.g.posts.Len()), s.postEntry)
+	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
+}
+
+// postEntry is post i's ranking entry at its maintained score (absent
+// entries score 0).
+func (s *Q1Incremental) postEntry(i int) Entry {
+	score, _, _ := s.scores.GetElement(i)
+	return Entry{ID: s.g.posts.IDOf(i), Score: score, Timestamp: s.g.postTS[i]}
 }
 
 // Update implements Solution with the incremental maintenance of Alg. 2.
@@ -216,36 +225,13 @@ func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
 		return nil, err
 	}
 
-	// Under removals scores are not monotone, so an unchanged post may
-	// climb into the top-3; the merge shortcut is unsound and we re-rank
-	// from the full maintained score vector (score maintenance above stays
-	// incremental — only the ranking pass is O(|posts|)).
-	if d.hasRemovals() {
-		s.prev = q1TopK(s.g, s.scores)
-		return s.prev, nil
-	}
-
-	// Merge the previous top-3 with the changed and new posts.
-	t := NewTopK(TopK)
-	seen := make(map[grb.Index]struct{}, 2*TopK+scoresPlus.NVals())
-	add := func(i grb.Index) {
-		if _, dup := seen[i]; dup {
-			return
-		}
-		seen[i] = struct{}{}
-		score, _, _ := s.scores.GetElement(i)
-		t.Consider(Entry{ID: s.g.posts.IDOf(i), Score: score, Timestamp: s.g.postTS[i]})
-	}
-	for _, e := range s.prev {
-		add(s.g.posts.MustIndex(e.ID))
-	}
 	scoresPlus.Iterate(func(i grb.Index, _ int64) bool {
-		add(i)
+		s.rank.Set(i, s.postEntry(i))
 		return true
 	})
 	for _, pi := range d.newPosts {
-		add(pi)
+		s.rank.Set(pi, s.postEntry(pi))
 	}
-	s.prev = t.Result()
+	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
 }

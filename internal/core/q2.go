@@ -55,14 +55,11 @@ func q2ScoreAll(likes, friends *grb.Matrix[bool], commentIdx []int, scores []int
 	return firstErr
 }
 
-// q2TopK ranks every live comment by its dense score; retired comments
-// (retracted to another partition) are excluded.
+// q2TopK ranks every comment by its dense score (the batch engine's full
+// pass; the batch engine never retracts, so every comment is live).
 func q2TopK(g *graph, scores []int64) Result {
 	t := NewTopK(TopK)
 	for ci, score := range scores {
-		if _, gone := g.retiredComments[ci]; gone {
-			continue
-		}
 		t.Consider(Entry{ID: g.comments.IDOf(ci), Score: score, Timestamp: g.commentTS[ci]})
 	}
 	return t.Result()
@@ -109,12 +106,8 @@ func (s *Q2Batch) evaluate() (Result, error) {
 	s.g.likes.Wait()
 	s.g.friends.Wait()
 	nc := s.g.comments.Len()
-	all := make([]int, nc)
-	for i := range all {
-		all[i] = i
-	}
 	scores := make([]int64, nc)
-	if err := q2ScoreAll(s.g.likes, s.g.friends, all, scores); err != nil {
+	if err := q2ScoreAll(s.g.likes, s.g.friends, denseKeys(nc), scores); err != nil {
 		return nil, err
 	}
 	return q2TopK(s.g, scores), nil
@@ -132,12 +125,14 @@ func (s *Q2Batch) evaluate() (Result, error) {
 //     followed by GxB_select(AC = 2); see affectedByFriendshipsIncidence
 //     for the literal formulation, kept for the ablation benchmark).
 //
-// Affected comments are re-scored with the batch kernel and merged into the
-// maintained score vector; the top-3 merges the previous answer with the
-// changed comments.
+// Affected comments are re-scored with the batch kernel into the maintained
+// score vector and re-ranked in a RankIndex over every live comment, so the
+// top-3 costs O(|affected| log |comments|) whether the change set adds or
+// removes edges.
 type Q2Incremental struct {
 	g      *graph
-	scores []int64 // dense by comment index
+	scores []int64   // dense by comment index
+	rank   RankIndex // by comment index, live comments only
 	prev   Result
 
 	// useIncidence switches affected-comment detection to the literal
@@ -180,16 +175,19 @@ func (s *Q2Incremental) Initial() (Result, error) {
 	s.g.likes.Wait()
 	s.g.friends.Wait()
 	nc := s.g.comments.Len()
-	all := make([]int, nc)
-	for i := range all {
-		all[i] = i
-	}
+	all := denseKeys(nc)
 	s.scores = make([]int64, nc)
 	if err := q2ScoreAll(s.g.likes, s.g.friends, all, s.scores); err != nil {
 		return nil, err
 	}
-	s.prev = q2TopK(s.g, s.scores)
+	s.rank.Init(all, s.entry)
+	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
+}
+
+// entry is comment ci's ranking entry at its maintained score.
+func (s *Q2Incremental) entry(ci int) Entry {
+	return Entry{ID: s.g.comments.IDOf(ci), Score: s.scores[ci], Timestamp: s.g.commentTS[ci]}
 }
 
 // Update implements Solution with incremental maintenance.
@@ -240,30 +238,10 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 		return nil, err
 	}
 
-	// Removals break score monotonicity; re-rank from the full maintained
-	// score state (see Q1Incremental for the argument).
-	if d.hasRemovals() {
-		s.prev = q2TopK(s.g, s.scores)
-		return s.prev, nil
-	}
-
-	// Merge previous top-3 with the changed comments.
-	t := NewTopK(TopK)
-	seen := make(map[int]struct{}, len(idxs)+TopK)
-	add := func(ci int) {
-		if _, dup := seen[ci]; dup {
-			return
-		}
-		seen[ci] = struct{}{}
-		t.Consider(Entry{ID: s.g.comments.IDOf(ci), Score: s.scores[ci], Timestamp: s.g.commentTS[ci]})
-	}
-	for _, e := range s.prev {
-		add(s.g.comments.MustIndex(e.ID))
-	}
 	for _, ci := range idxs {
-		add(ci)
+		s.rank.Set(ci, s.entry(ci))
 	}
-	s.prev = t.Result()
+	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
 }
 
@@ -271,8 +249,7 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 // matrices, its comments retire from the ranking, and their maintained
 // scores zero out. No surviving comment's score can change — the retracted
 // subgraph is self-contained, so no remaining comment shares a liker with
-// it — which means the previous answer stays valid unless it ranked a
-// now-retired comment; only then is the O(|comments|) re-rank paid.
+// it — so only the retired comments leave the rank index.
 func (s *Q2Incremental) Retract(r *model.Retraction) (Result, error) {
 	retired, err := s.g.retract(r)
 	if err != nil {
@@ -282,17 +259,9 @@ func (s *Q2Incremental) Retract(r *model.Retraction) (Result, error) {
 		if ci < len(s.scores) {
 			s.scores[ci] = 0
 		}
+		s.rank.Remove(ci)
 	}
-	rerank := s.prev == nil
-	for _, e := range s.prev {
-		if _, gone := s.g.retiredComments[s.g.comments.MustIndex(e.ID)]; gone {
-			rerank = true
-			break
-		}
-	}
-	if rerank {
-		s.prev = q2TopK(s.g, s.scores)
-	}
+	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
 }
 

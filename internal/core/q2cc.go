@@ -23,7 +23,10 @@ import (
 //     (s₁+s₂)² − s₁² − s₂².
 //
 // Scores therefore never need recomputation, at the price of per-comment
-// DSU state (ca. one integer pair per like).
+// DSU state (ca. one integer pair per like). The comments a change set
+// touched are re-ranked in a RankIndex over every live comment, so the
+// top-3 costs O(|touched| log |comments|) whether the change set adds or
+// removes edges.
 type Q2IncrementalCC struct {
 	// Entity bookkeeping (same dense index spaces as the matrix engines).
 	posts    *model.IDMap // unused for scoring; retained for symmetry
@@ -39,6 +42,7 @@ type Q2IncrementalCC struct {
 	friendEdges, likeEdges int
 
 	cc   []commentComponents
+	rank RankIndex // by comment index, live comments only
 	prev Result
 
 	// retiredComments/retiredUsers mark entities subtracted by Retract (the
@@ -241,32 +245,25 @@ func (s *Q2IncrementalCC) unionScored(cc *commentComponents, x, y int) {
 	cc.score += (s1+s2)*(s1+s2) - s1*s1 - s2*s2
 }
 
-// rankAll ranks every live comment from the maintained scores; retired
-// comments (retracted to another partition) are excluded.
-func (s *Q2IncrementalCC) rankAll() Result {
-	t := NewTopK(TopK)
-	for ci := range s.cc {
-		if _, gone := s.retiredComments[ci]; gone {
-			continue
-		}
-		t.Consider(Entry{ID: s.comments.IDOf(ci), Score: s.cc[ci].score, Timestamp: s.commentTS[ci]})
-	}
-	return t.Result()
+// Initial implements Solution: scores are already maintained, so the first
+// evaluation just fills the rank index.
+func (s *Q2IncrementalCC) Initial() (Result, error) {
+	s.rank.Init(denseKeys(len(s.cc)), s.entry)
+	s.prev = s.rank.Top(TopK)
+	return s.prev, nil
 }
 
-// Initial implements Solution: scores are already maintained, so the first
-// evaluation is just a ranking pass.
-func (s *Q2IncrementalCC) Initial() (Result, error) {
-	s.prev = s.rankAll()
-	return s.prev, nil
+// entry is comment ci's ranking entry at its maintained score.
+func (s *Q2IncrementalCC) entry(ci int) Entry {
+	return Entry{ID: s.comments.IDOf(ci), Score: s.cc[ci].score, Timestamp: s.commentTS[ci]}
 }
 
 // Retract implements DeltaEngine: retracted users lose their adjacency and
 // like lists wholesale, retracted comments drop their component state, and
 // both retire from the ranking. Self-containment (see core.DeltaEngine)
 // guarantees no surviving user or comment references the retracted set, so
-// no surviving score changes and the previous answer stays valid unless it
-// ranked a now-retired comment.
+// no surviving score changes and only the retired comments leave the rank
+// index.
 func (s *Q2IncrementalCC) Retract(r *model.Retraction) (Result, error) {
 	if s.retiredUsers == nil {
 		s.retiredUsers = make(map[int]struct{})
@@ -292,23 +289,14 @@ func (s *Q2IncrementalCC) Retract(r *model.Retraction) (Result, error) {
 		}
 		s.cc[ci] = newCommentComponents()
 		s.retiredComments[ci] = struct{}{}
+		s.rank.Remove(ci)
 	}
-	rerank := s.prev == nil
-	for _, e := range s.prev {
-		if _, gone := s.retiredComments[s.comments.MustIndex(e.ID)]; gone {
-			rerank = true
-			break
-		}
-	}
-	if rerank {
-		s.prev = s.rankAll()
-	}
+	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
 }
 
 // Update implements Solution: feed each change through its event handler,
-// then merge the touched comments into the previous top-3 (or re-rank
-// everything when the change set removed edges, since scores may drop).
+// then re-rank the touched comments.
 func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
 	touched := make(map[int]struct{})
 	for _, ch := range cs.Changes {
@@ -384,26 +372,9 @@ func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
 			return nil, fmt.Errorf("core: unknown change kind %d", ch.Kind)
 		}
 	}
-	if cs.HasRemovals() {
-		// Non-monotone scores: re-rank everything from maintained state.
-		s.prev = s.rankAll()
-		return s.prev, nil
-	}
-	t := NewTopK(TopK)
-	seen := make(map[int]struct{}, len(touched)+TopK)
-	add := func(ci int) {
-		if _, dup := seen[ci]; dup {
-			return
-		}
-		seen[ci] = struct{}{}
-		t.Consider(Entry{ID: s.comments.IDOf(ci), Score: s.cc[ci].score, Timestamp: s.commentTS[ci]})
-	}
-	for _, e := range s.prev {
-		add(s.comments.MustIndex(e.ID))
-	}
 	for ci := range touched {
-		add(ci)
+		s.rank.Set(ci, s.entry(ci))
 	}
-	s.prev = t.Result()
+	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
 }

@@ -51,6 +51,7 @@ func TestUpdateCostScaleInvariant(t *testing.T) {
 		removal float64
 	}{
 		{"q1/rf0", func() Solution { return NewQ1Incremental() }, 0},
+		{"q1/rf35", func() Solution { return NewQ1Incremental() }, 0.35},
 		{"q2cc/rf0", func() Solution { return NewQ2IncrementalCC() }, 0},
 	}
 	for _, row := range rows {

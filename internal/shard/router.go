@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -129,11 +128,9 @@ type router struct {
 	// they score exactly 0, are ranked by parkedTopK as a virtual
 	// partition, and materialize onto their first liker's shard.
 	parked map[model.ID]model.Comment
-	// parkedOrder orders the parked comments by core.Less so park, unpark
-	// and parkedTopK cost amortised O(log n) instead of a walk of parked.
-	// Unparking leaves a stale entry (its id no longer in parked) that
-	// ranking skips.
-	parkedOrder parkedHeap
+	// parkedRank ranks the parked comments by node index, so park, unpark
+	// and parkedTopK cost O(log n) instead of a walk of parked.
+	parkedRank core.RankIndex
 
 	// Union-find over users ∪ comments with per-root group state.
 	node         map[nodeKey]int
@@ -203,13 +200,16 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 	}
 	// A singleton comment node is a likeless comment (comment nodes only
 	// ever union through likes): park it instead of assigning a shard.
+	var parkedNodes []int
 	for _, c := range snap.Comments {
 		if ni := r.node[commentKey(c.ID)]; len(r.members[r.find(ni)]) == 1 {
 			r.parked[c.ID] = c
+			parkedNodes = append(parkedNodes, ni)
 		} else {
 			r.comments[c.ID] = c
 		}
 	}
+	r.parkedRank.Init(parkedNodes, func(ni int) core.Entry { return parkedEntry(r.parked[r.keys[ni].id]) })
 	roots := make([]int, 0)
 	for i := range r.parent {
 		if r.find(i) != i {
@@ -220,7 +220,6 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 		}
 		roots = append(roots, i)
 	}
-	r.orderParked()
 	sort.Slice(roots, func(a, b int) bool {
 		ra, rb := roots[a], roots[b]
 		if len(r.members[ra]) != len(r.members[rb]) {
@@ -505,8 +504,13 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 		case model.KindAddComment:
 			// Q2: park the likeless comment at the router; it materializes
 			// on a shard at its first like (keeping first likes
-			// migration-free — no singleton group to move).
-			r.park(ch.Comment)
+			// migration-free — no singleton group to move). Pass A gave it
+			// its node.
+			ni, err := r.lookup(commentKey(ch.Comment.ID))
+			if err != nil {
+				return nil, err
+			}
+			r.park(ni, ch.Comment)
 			r.commentRoot[ch.Comment.ID] = ch.Comment.PostID
 			ps, err := r.q1ShardOfComment(ch.Comment.ID)
 			if err != nil {
@@ -528,7 +532,7 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 				// First like: the comment joins its liker's group's shard.
 				// (Pass A already unioned them, and the parked side has no
 				// materialized entities, so no migration was triggered.)
-				r.unpark(c.ID)
+				r.unpark(ni, c.ID)
 				r.comments[c.ID] = c
 				r.materialized[ni] = true
 				r.matCount[root]++
@@ -607,10 +611,11 @@ func (r *router) q1Snapshot(snap *model.Snapshot, s int) *model.Snapshot {
 	return out
 }
 
-// park adds a likeless comment to the router-side parking.
-func (r *router) park(c model.Comment) {
+// park adds a likeless comment, whose node is ni, to the router-side
+// parking.
+func (r *router) park(ni int, c model.Comment) {
 	r.parked[c.ID] = c
-	heap.Push(&r.parkedOrder, parkedEntry(c))
+	r.parkedRank.Set(ni, parkedEntry(c))
 }
 
 // parkedEntry is a parked comment's ranking entry: likeless, it scores 0.
@@ -618,58 +623,15 @@ func parkedEntry(c model.Comment) core.Entry {
 	return core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp}
 }
 
-// unpark removes a comment at its first like. Its heap entry goes stale;
-// once stale entries outnumber live ones the heap is rebuilt from parked,
-// which costs amortised O(1) per unpark.
-func (r *router) unpark(id model.ID) {
+// unpark removes a comment at its first like.
+func (r *router) unpark(ni int, id model.ID) {
 	delete(r.parked, id)
-	if len(r.parkedOrder) > 2*len(r.parked) {
-		r.orderParked()
-	}
-}
-
-// orderParked rebuilds parkedOrder from parked in O(n), dropping every
-// stale entry.
-func (r *router) orderParked() {
-	r.parkedOrder = r.parkedOrder[:0]
-	for _, c := range r.parked {
-		r.parkedOrder = append(r.parkedOrder, parkedEntry(c))
-	}
-	heap.Init(&r.parkedOrder)
+	r.parkedRank.Remove(ni)
 }
 
 // parkedTopK ranks the parked (likeless, hence zero-scoring) comments as
-// one more partition for the global Q2 merge. It pops the best live
-// entries, drops the stale ones it meets on the way, and pushes the live
-// ones back.
-func (r *router) parkedTopK() core.Result {
-	top := make(core.Result, 0, core.TopK)
-	for len(top) < core.TopK && len(r.parkedOrder) > 0 {
-		e := heap.Pop(&r.parkedOrder).(core.Entry)
-		if _, live := r.parked[e.ID]; live {
-			top = append(top, e)
-		}
-	}
-	for _, e := range top {
-		heap.Push(&r.parkedOrder, e)
-	}
-	return top
-}
-
-// parkedHeap is a container/heap of entries whose root is the best entry
-// under core.Less.
-type parkedHeap []core.Entry
-
-func (h parkedHeap) Len() int           { return len(h) }
-func (h parkedHeap) Less(i, j int) bool { return core.Less(h[i], h[j]) }
-func (h parkedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *parkedHeap) Push(x any)        { *h = append(*h, x.(core.Entry)) }
-func (h *parkedHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
-}
+// one more partition for the global Q2 merge.
+func (r *router) parkedTopK() core.Result { return r.parkedRank.Top(core.TopK) }
 
 // q2Snapshot renders shard s's current Q2 partition from the store as a
 // loadable snapshot: all posts (broadcast), plus the materialized users and

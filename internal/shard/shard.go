@@ -5,10 +5,11 @@
 // applies that shard's slice of every committed change set to its own warm
 // engine instances. Because ownership is exclusive and each partition is
 // closed under the edges its query reads, every shard's top-3 answer is
-// exact for the entities it owns, and the global answer is recovered at
-// read time by merging the per-shard answers with core.MergedTopK — the
-// sharded runtime is change-for-change indistinguishable from a single
-// engine.
+// exact for the entities it owns, so the global top-3 is a subset of the
+// union of the per-shard answers. Results recovers it by feeding those (at
+// most 3·shards) entries through one core.Ranker; no id repeats across
+// shards, so nothing needs deduplicating, and the sharded runtime is
+// change-for-change indistinguishable from a single engine.
 //
 // Commits are barriers: Commit routes the change set (rebalancing Q2
 // groups that a new edge merged across shards), fans the per-shard work out
@@ -135,11 +136,11 @@ type Runtime struct {
 	rebalances     int
 	parkedComments int
 
-	// merge is the reusable top-k heap Results folds the per-shard answers
+	// merge is the reusable ranker Results folds the per-shard answers
 	// through — one commit-path merge per engine per commit, so a fresh
 	// allocation each round is pure garbage. Owned by the committing
 	// goroutine (the only caller of Results).
-	merge *core.MergedTopK
+	merge *core.Ranker
 
 	closeOnce sync.Once
 }
@@ -166,7 +167,7 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		lastStats:      make([]map[string]core.EngineStats, n),
 		meta:           make([]Stats, n),
 		parkedComments: len(router.parked),
-		merge:          core.NewMergedTopK(core.TopK),
+		merge:          core.NewTopK(core.TopK),
 	}
 	for s := 0; s < n; s++ {
 		w := &worker{id: s, cmds: make(chan command, 1), done: make(chan struct{})}
@@ -457,10 +458,14 @@ func (rt *Runtime) Results() map[string]string {
 	for _, e := range servedEngines() {
 		rt.merge.Reset()
 		if e.Query == "Q2" {
-			rt.merge.Merge(parked)
+			for _, p := range parked {
+				rt.merge.Consider(p)
+			}
 		}
 		for s := 0; s < rt.n; s++ {
-			rt.merge.Merge(rt.last[s][e.Key])
+			for _, p := range rt.last[s][e.Key] {
+				rt.merge.Consider(p)
+			}
 		}
 		out[e.Key] = rt.merge.Result().String()
 	}
