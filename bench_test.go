@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/dynmat"
 	"repro/internal/grb"
 	"repro/internal/harness"
 	"repro/internal/lagraph"
@@ -118,62 +117,6 @@ func BenchmarkFig5Q1(b *testing.B) { benchFig5(b, "Q1") }
 
 // BenchmarkFig5Q2 reproduces the Q2 column of Fig. 5.
 func BenchmarkFig5Q2(b *testing.B) { benchFig5(b, "Q2") }
-
-// BenchmarkAblationMatrixUpdate compares the update regime of the two
-// sparse-matrix representations (paper future-work item 1): CSR with
-// pending tuples + assembly-on-read versus the dynamic row-slice format.
-// Each iteration applies a burst of scattered single-element updates to a
-// matrix with E existing nonzeros, then performs one full row sweep (the
-// read that forces grb.Matrix to assemble).
-func BenchmarkAblationMatrixUpdate(b *testing.B) {
-	const updates = 100
-	for _, scale := range []int{10_000, 100_000, 1_000_000} {
-		n := scale / 8 // ~8 nonzeros per row
-		rows := make([]grb.Index, scale)
-		cols := make([]grb.Index, scale)
-		vals := make([]int, scale)
-		rng := rand.New(rand.NewSource(1))
-		for k := range rows {
-			rows[k] = rng.Intn(n)
-			cols[k] = rng.Intn(n)
-			vals[k] = k
-		}
-		b.Run(fmt.Sprintf("CSRPending/nnz%d", scale), func(b *testing.B) {
-			base, err := grb.MatrixFromTuples(n, n, rows, cols, vals, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(2))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for u := 0; u < updates; u++ {
-					_ = base.SetElement(rng.Intn(n), rng.Intn(n), u)
-				}
-				// Whole-matrix read: forces assembly of the pending burst.
-				_ = grb.ReduceMatrixToScalar(grb.PlusMonoid[int](), grb.Ident[int], base)
-			}
-		})
-		b.Run(fmt.Sprintf("DynRows/nnz%d", scale), func(b *testing.B) {
-			base := dynmat.New[int](n, n)
-			for k := range rows {
-				_ = base.SetElement(rows[k], cols[k], vals[k])
-			}
-			rng := rand.New(rand.NewSource(2))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for u := 0; u < updates; u++ {
-					_ = base.SetElement(rng.Intn(n), rng.Intn(n), u)
-				}
-				sum := 0
-				base.Iterate(func(_, _ int, x int) bool {
-					sum += x
-					return true
-				})
-				_ = sum
-			}
-		})
-	}
-}
 
 // BenchmarkAblationCC compares the three connected-component algorithms on
 // random symmetric graphs — FastSV (the paper's choice via LAGraph), the

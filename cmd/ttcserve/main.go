@@ -156,10 +156,14 @@ func main() {
 }
 
 // Connection timeouts bound how long a slow or idle client can hold a
-// connection. There is deliberately no WriteTimeout: a waited update
-// legitimately lasts as long as its commit.
+// connection. readTimeout covers headers and body, so a client trickling a
+// 1 MiB /update body must send at least ~35 KB/s. It stops counting once
+// the body is read: net/http clears the read deadline then, so a waited
+// commit is never cut off. There is deliberately no WriteTimeout: a waited
+// update legitimately lasts as long as its commit.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -170,6 +174,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

@@ -1,8 +1,7 @@
 package grb
 
 // Apply (GrB_apply): map a unary operator over every stored element, keeping
-// the structure. Index-aware variants expose entry positions, mirroring
-// GrB_apply with a GrB_IndexUnaryOp.
+// the structure.
 
 // ApplyV returns f mapped over u's stored elements.
 func ApplyV[A, B any](f UnaryOp[A, B], u *Vector[A]) *Vector[B] {
@@ -14,53 +13,4 @@ func ApplyV[A, B any](f UnaryOp[A, B], u *Vector[A]) *Vector[B] {
 		w.val[p] = f(x)
 	}
 	return w
-}
-
-// ApplyIndexV returns f(i, 0, u_i) mapped over u's stored elements.
-func ApplyIndexV[A, B any](f IndexUnaryOp[A, B], u *Vector[A]) *Vector[B] {
-	w := NewVector[B](u.n)
-	w.ind = make([]Index, len(u.ind))
-	copy(w.ind, u.ind)
-	w.val = make([]B, len(u.val))
-	for p, x := range u.val {
-		w.val[p] = f(u.ind[p], 0, x)
-	}
-	return w
-}
-
-// ApplyM returns f mapped over a's stored elements. Values are transformed
-// in parallel; the structure (rowPtr/colInd) is shared-shape copied.
-func ApplyM[A, B any](f UnaryOp[A, B], a *Matrix[A]) *Matrix[B] {
-	a.Wait()
-	b := NewMatrix[B](a.nrows, a.ncols)
-	b.rowPtr = make([]int, len(a.rowPtr))
-	copy(b.rowPtr, a.rowPtr)
-	b.colInd = make([]Index, len(a.colInd))
-	copy(b.colInd, a.colInd)
-	b.val = make([]B, len(a.val))
-	parallelRanges(len(a.val), func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			b.val[p] = f(a.val[p])
-		}
-	})
-	return b
-}
-
-// ApplyIndexM returns f(i, j, A_ij) mapped over a's stored elements.
-func ApplyIndexM[A, B any](f IndexUnaryOp[A, B], a *Matrix[A]) *Matrix[B] {
-	a.Wait()
-	b := NewMatrix[B](a.nrows, a.ncols)
-	b.rowPtr = make([]int, len(a.rowPtr))
-	copy(b.rowPtr, a.rowPtr)
-	b.colInd = make([]Index, len(a.colInd))
-	copy(b.colInd, a.colInd)
-	b.val = make([]B, len(a.val))
-	parallelRanges(a.nrows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-				b.val[p] = f(i, a.colInd[p], a.val[p])
-			}
-		}
-	})
-	return b
 }

@@ -2,6 +2,7 @@ package grb
 
 import (
 	"errors"
+	"sort"
 	"testing"
 )
 
@@ -53,113 +54,6 @@ func TestAssignVErrors(t *testing.T) {
 	}
 }
 
-func TestAssignVScalar(t *testing.T) {
-	w := NewVector[int](5)
-	Must0(w.SetElement(2, 1))
-	if err := AssignVScalar(w, []Index{0, 2, 4}, 9, Plus[int]); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []struct{ i, v int }{{0, 9}, {2, 10}, {4, 9}} {
-		if x, _, _ := w.GetElement(want.i); x != want.v {
-			t.Fatalf("w[%d] = %d, want %d", want.i, x, want.v)
-		}
-	}
-	if err := AssignVScalar(w, []Index{7}, 1, nil); !errors.Is(err, ErrIndexOutOfBounds) {
-		t.Fatalf("oob: %v", err)
-	}
-}
-
-func TestAssignVMasked(t *testing.T) {
-	w := NewVector[int](6)
-	mask, _ := VectorFromTuples(6, []Index{1, 3}, []bool{true, true}, nil)
-	u, _ := VectorFromTuples(3, []Index{0, 1, 2}, []int{10, 20, 30}, nil)
-	if err := AssignVMasked(w, mask, false, []Index{1, 2, 3}, u, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Only targets 1 and 3 are in the mask.
-	if x, _, _ := w.GetElement(1); x != 10 {
-		t.Fatalf("w[1] = %d", x)
-	}
-	if _, ok, _ := w.GetElement(2); ok {
-		t.Fatal("w[2] assigned through mask hole")
-	}
-	if x, _, _ := w.GetElement(3); x != 30 {
-		t.Fatalf("w[3] = %d", x)
-	}
-	// Complemented: only target 2.
-	w2 := NewVector[int](6)
-	if err := AssignVMasked(w2, mask, true, []Index{1, 2, 3}, u, nil); err != nil {
-		t.Fatal(err)
-	}
-	if w2.NVals() != 1 {
-		t.Fatalf("complement NVals = %d", w2.NVals())
-	}
-	if x, _, _ := w2.GetElement(2); x != 20 {
-		t.Fatalf("w2[2] = %d", x)
-	}
-}
-
-func TestAssignM(t *testing.T) {
-	c := NewMatrix[int](4, 4)
-	Must0(c.SetElement(0, 0, 1))
-	a := mustMatrix(t, 2, 2, []Index{0, 1}, []Index{0, 1}, []int{5, 6})
-	if err := AssignM(c, []Index{0, 2}, []Index{0, 3}, a, Plus[int]); err != nil {
-		t.Fatal(err)
-	}
-	if x, _, _ := c.GetElement(0, 0); x != 6 { // 1 + 5
-		t.Fatalf("c(0,0) = %d, want 6", x)
-	}
-	if x, _, _ := c.GetElement(2, 3); x != 6 {
-		t.Fatalf("c(2,3) = %d, want 6", x)
-	}
-	if c.NVals() != 2 {
-		t.Fatalf("NVals = %d", c.NVals())
-	}
-}
-
-func TestAssignMErrors(t *testing.T) {
-	c := NewMatrix[int](3, 3)
-	a := NewMatrix[int](2, 2)
-	if err := AssignM(c, []Index{0}, []Index{0, 1}, a, nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("region: %v", err)
-	}
-	if err := AssignM(c, []Index{0, 5}, []Index{0, 1}, a, nil); !errors.Is(err, ErrIndexOutOfBounds) {
-		t.Fatalf("oob: %v", err)
-	}
-	if err := AssignM(c, []Index{0, 0}, []Index{0, 1}, a, nil); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("dup: %v", err)
-	}
-}
-
-func TestRangeAndAll(t *testing.T) {
-	r := Range(2, 5)
-	if len(r) != 3 || r[0] != 2 || r[2] != 4 {
-		t.Fatalf("Range = %v", r)
-	}
-	if len(Range(5, 2)) != 0 {
-		t.Fatal("inverted range must be empty")
-	}
-	if len(All(4)) != 4 {
-		t.Fatal("All(4) wrong length")
-	}
-}
-
-func TestAssignExtractRoundTrip(t *testing.T) {
-	// Extract a region, assign it back: target unchanged.
-	a := kernelFixture(t)
-	I := []Index{0, 2}
-	J := []Index{0, 2, 3}
-	sub, err := ExtractSubmatrix(a, I, J)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := a.Clone()
-	if err := AssignM(b, I, J, sub, nil); err != nil {
-		t.Fatal(err)
-	}
-	assertMatricesEqual(t, a, b)
-}
-
 func TestSortedUnique(t *testing.T) {
 	if !sortedUnique([]Index{1, 3, 5}) {
 		t.Fatal("sorted unique rejected")
@@ -170,4 +64,18 @@ func TestSortedUnique(t *testing.T) {
 	if sortedUnique([]Index{3, 1}) {
 		t.Fatal("unsorted accepted")
 	}
+}
+
+// sortedUnique reports whether ind is strictly increasing: a stored
+// vector's index invariant.
+func sortedUnique(ind []Index) bool {
+	return sort.SliceIsSorted(ind, func(a, b int) bool { return ind[a] < ind[b] }) &&
+		func() bool {
+			for k := 1; k < len(ind); k++ {
+				if ind[k] == ind[k-1] {
+					return false
+				}
+			}
+			return true
+		}()
 }

@@ -113,42 +113,6 @@ func EWiseAddM[T any](op func(T, T) T, a, b *Matrix[T]) (*Matrix[T], error) {
 	return c, nil
 }
 
-// EWiseMultM returns the element-wise intersection C = A ⊗ B.
-func EWiseMultM[A, B, C any](op func(A, B) C, a *Matrix[A], b *Matrix[B]) (*Matrix[C], error) {
-	if a.nrows != b.nrows || a.ncols != b.ncols {
-		return nil, dimErrf("EWiseMultM: %d×%d vs %d×%d", a.nrows, a.ncols, b.nrows, b.ncols)
-	}
-	a.Wait()
-	b.Wait()
-	c := NewMatrix[C](a.nrows, a.ncols)
-	rowCols := make([][]Index, a.nrows)
-	rowVals := make([][]C, a.nrows)
-	parallelRanges(a.nrows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ap, ah := a.rowPtr[i], a.rowPtr[i+1]
-			bp, bh := b.rowPtr[i], b.rowPtr[i+1]
-			var cols []Index
-			var vals []C
-			for ap < ah && bp < bh {
-				switch {
-				case a.colInd[ap] < b.colInd[bp]:
-					ap++
-				case a.colInd[ap] > b.colInd[bp]:
-					bp++
-				default:
-					cols = append(cols, a.colInd[ap])
-					vals = append(vals, op(a.val[ap], b.val[bp]))
-					ap++
-					bp++
-				}
-			}
-			rowCols[i], rowVals[i] = cols, vals
-		}
-	})
-	stitchRows(c, rowCols, rowVals)
-	return c, nil
-}
-
 // stitchRows assembles per-row slices produced by a parallel kernel into the
 // CSR arrays of c.
 func stitchRows[T any](c *Matrix[T], rowCols [][]Index, rowVals [][]T) {

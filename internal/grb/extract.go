@@ -6,30 +6,6 @@ import "sort"
 // Index lists must not contain duplicates (unlike the C API, which permits
 // them); duplicates return ErrInvalidValue.
 
-// ExtractSubvector returns w of size len(I) with w_r = u(I[r]) where
-// present.
-func ExtractSubvector[T any](u *Vector[T], I []Index) (*Vector[T], error) {
-	w := NewVector[T](len(I))
-	seen := make(map[Index]struct{}, len(I))
-	for r, i := range I {
-		if i < 0 || i >= u.n {
-			return nil, boundsErrf("ExtractSubvector: index %d outside [0,%d)", i, u.n)
-		}
-		if _, dup := seen[i]; dup {
-			return nil, invalidErrf("ExtractSubvector: duplicate index %d", i)
-		}
-		seen[i] = struct{}{}
-		if p, ok := u.find(i); ok {
-			// Output entries may arrive out of order; fix below.
-			w.ind = append(w.ind, r)
-			w.val = append(w.val, u.val[p])
-		}
-	}
-	// I is an arbitrary permutation, but we appended in r order, so the
-	// output is already sorted by r.
-	return w, nil
-}
-
 // ExtractSubmatrix returns the len(I)×len(J) matrix C with
 // C(r, c) = A(I[r], J[c]) where present. Only the rows listed in I are
 // touched, and pending tuples of other rows are left unassembled, so
@@ -146,23 +122,5 @@ func ExtractRow[T any](a *Matrix[T], i Index) (*Vector[T], error) {
 		w.ind = append(w.ind, j)
 		w.val = append(w.val, x)
 	})
-	return w, nil
-}
-
-// ExtractCol returns column j of a as a sparse vector of size NRows. It
-// scans the whole matrix (CSR has no column index), assembling first.
-func ExtractCol[T any](a *Matrix[T], j Index) (*Vector[T], error) {
-	if j < 0 || j >= a.ncols {
-		return nil, boundsErrf("ExtractCol: column %d outside [0,%d)", j, a.ncols)
-	}
-	a.Wait()
-	w := NewVector[T](a.nrows)
-	for i := 0; i < a.nrows; i++ {
-		lo, hi := a.rowPtr[i], a.rowPtr[i+1]
-		p := lo + sort.SearchInts(a.colInd[lo:hi], j)
-		if p < hi && a.colInd[p] == j {
-			w.setSorted(i, a.val[p])
-		}
-	}
 	return w, nil
 }

@@ -3,26 +3,27 @@
 // GraphBLAS") and its SuiteSparse implementation. It provides sparse vectors
 // and matrices over arbitrary element types, generalized matrix
 // multiplication over user-supplied semirings, element-wise set
-// union/intersection, submatrix extraction, masked operations, reductions,
-// and SuiteSparse-style pending tuples with lazy assembly so that
-// fine-grained updates are cheap.
+// union/intersection, submatrix extraction, structural masks,
+// reductions, and SuiteSparse-style pending tuples with lazy assembly so
+// that fine-grained updates are cheap.
 //
-// The operation set mirrors Table I of Elekes & Szárnyas, "An incremental
+// The operation set covers Table I of Elekes & Szárnyas, "An incremental
 // GraphBLAS solution for the 2018 TTC Social Media case study":
 //
 //	GrB_mxm            → MxM
 //	GrB_vxm            → VxM
 //	GrB_mxv            → MxV
 //	GrB_eWiseAdd       → EWiseAddV, EWiseAddM
-//	GrB_eWiseMult      → EWiseMultV, EWiseMultM
-//	GrB_extract        → ExtractSubmatrix, ExtractSubvector
-//	GrB_apply          → ApplyV, ApplyM
-//	GxB_select         → SelectV, SelectM
-//	GrB_reduce         → ReduceMatrixToVector, ReduceVectorToScalar, ...
+//	GrB_eWiseMult      → EWiseMultV
+//	GrB_extract        → ExtractSubmatrix, ExtractRow
+//	GrB_assign         → AssignV
+//	GrB_apply          → ApplyV
+//	GxB_select         → SelectV, SelectM, Tril, Triu
+//	GrB_reduce         → ReduceRows, ReduceCols, ReduceVectorToScalar, ReduceMatrixToScalar
 //	GrB_transpose      → Transpose
 //	GrB_build          → VectorFromTuples, MatrixFromTuples
 //	GrB_extractTuples  → (*Vector).ExtractTuples, (*Matrix).ExtractTuples
-//	masks ⟨M⟩          → MaskV, MaskM and the masked kernel variants
+//	masks ⟨M⟩          → MaskV, MaskM, MxMMasked
 //	GrB_wait           → (*Matrix).Wait
 //
 // Unlike the C API, results are returned rather than written through output

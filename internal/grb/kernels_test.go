@@ -201,18 +201,6 @@ func TestEWiseAddM(t *testing.T) {
 	}
 }
 
-func TestEWiseMultM(t *testing.T) {
-	a := mustMatrix(t, 2, 2, []Index{0, 1}, []Index{0, 1}, []int{3, 2})
-	b := mustMatrix(t, 2, 2, []Index{0, 1}, []Index{0, 0}, []int{10, 20})
-	c := Must(EWiseMultM(Times[int], a, b))
-	if c.NVals() != 1 {
-		t.Fatalf("NVals = %d, want 1", c.NVals())
-	}
-	if x, _, _ := c.GetElement(0, 0); x != 30 {
-		t.Fatalf("c(0,0) = %d, want 30", x)
-	}
-}
-
 func TestEWiseDimensionErrors(t *testing.T) {
 	u := NewVector[int](3)
 	v := NewVector[int](4)
@@ -226,9 +214,6 @@ func TestEWiseDimensionErrors(t *testing.T) {
 	b := NewMatrix[int](2, 3)
 	if _, err := EWiseAddM(Plus[int], a, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("addM err = %v", err)
-	}
-	if _, err := EWiseMultM(Times[int], a, b); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("multM err = %v", err)
 	}
 }
 
@@ -308,28 +293,6 @@ func TestApplyVChangesType(t *testing.T) {
 	w := ApplyV(func(x int) bool { return x > 5 }, u)
 	if x, _, _ := w.GetElement(0); !x {
 		t.Fatal("type-changing apply failed")
-	}
-}
-
-func TestApplyM(t *testing.T) {
-	a := kernelFixture(t)
-	b := ApplyM(func(x int) int { return -x }, a)
-	if x, _, _ := b.GetElement(2, 3); x != -5 {
-		t.Fatalf("b(2,3) = %d, want -5", x)
-	}
-	if b.NVals() != a.NVals() {
-		t.Fatal("apply must preserve structure")
-	}
-}
-
-func TestApplyIndexM(t *testing.T) {
-	a := mustMatrix(t, 2, 2, []Index{0, 1}, []Index{1, 0}, []int{5, 5})
-	b := ApplyIndexM(func(i, j Index, x int) int { return 100*i + 10*j + x }, a)
-	if x, _, _ := b.GetElement(0, 1); x != 15 {
-		t.Fatalf("b(0,1) = %d, want 15", x)
-	}
-	if x, _, _ := b.GetElement(1, 0); x != 105 {
-		t.Fatalf("b(1,0) = %d, want 105", x)
 	}
 }
 
@@ -428,35 +391,11 @@ func TestExtractSubmatrixErrors(t *testing.T) {
 	}
 }
 
-func TestExtractSubvector(t *testing.T) {
-	u, _ := VectorFromTuples(6, []Index{1, 4}, []int{10, 40}, nil)
-	w, err := ExtractSubvector(u, []Index{4, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x, _, _ := w.GetElement(0); x != 40 {
-		t.Fatalf("w[0] = %d, want 40", x)
-	}
-	if _, ok, _ := w.GetElement(1); ok {
-		t.Fatal("w[1] should be empty (u[2] empty)")
-	}
-	if x, _, _ := w.GetElement(2); x != 10 {
-		t.Fatalf("w[2] = %d, want 10", x)
-	}
-}
-
-func TestExtractRowAndCol(t *testing.T) {
+func TestExtractRow(t *testing.T) {
 	a := kernelFixture(t)
 	r := Must(ExtractRow(a, 2))
 	if x, _, _ := r.GetElement(3); x != 5 {
 		t.Fatalf("row[3] = %d, want 5", x)
-	}
-	c := Must(ExtractCol(a, 0))
-	if x, _, _ := c.GetElement(2); x != 4 {
-		t.Fatalf("col[2] = %d, want 4", x)
-	}
-	if c.NVals() != 2 {
-		t.Fatalf("col NVals = %d, want 2", c.NVals())
 	}
 }
 

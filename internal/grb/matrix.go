@@ -276,14 +276,6 @@ func (a *Matrix[T]) Wait() {
 	a.pendDelta = 0
 }
 
-// rowNNZ reports the assembled number of entries in row i (pending entries
-// of that row included).
-func (a *Matrix[T]) rowNNZ(i Index) int {
-	n := 0
-	a.forRow(i, func(Index, T) { n++ })
-	return n
-}
-
 // forRow calls f(col, val) for every entry of row i in column order,
 // merging the row's sorted pending entries in one pass without assembling.
 func (a *Matrix[T]) forRow(i Index, f func(j Index, x T)) {

@@ -193,6 +193,13 @@ func TestMatrixResizeShrink(t *testing.T) {
 	}
 }
 
+// rowNNZ counts the entries forRow visits in row i, pending ones included.
+func (a *Matrix[T]) rowNNZ(i Index) int {
+	n := 0
+	a.forRow(i, func(Index, T) { n++ })
+	return n
+}
+
 func TestMatrixRowNNZ(t *testing.T) {
 	a := mustMatrix(t, 2, 5, []Index{0, 0}, []Index{1, 3}, []int{1, 1})
 	if got := a.rowNNZ(0); got != 2 {

@@ -142,13 +142,3 @@ type vxmProduct[C any] struct {
 	col, row Index
 	x        C
 }
-
-// MxVMasked is MxV restricted to the structural mask: only positions present
-// in mask (or absent, when complement is true) are computed and stored.
-func MxVMasked[A, B, C, M any](s Semiring[A, B, C], a *Matrix[A], u *Vector[B], mask *Vector[M], complement bool) (*Vector[C], error) {
-	w, err := MxV(s, a, u)
-	if err != nil {
-		return nil, err
-	}
-	return MaskV(w, mask, complement)
-}

@@ -23,10 +23,6 @@ type UnaryOp[T, U any] func(T) U
 // BinaryOp combines an A and a B into a C (GrB_BinaryOp).
 type BinaryOp[A, B, C any] func(A, B) C
 
-// IndexUnaryOp is a positional operator: it sees the entry's row, column and
-// value (GrB_IndexUnaryOp). Vectors pass their position as i with j == 0.
-type IndexUnaryOp[T, U any] func(i, j Index, v T) U
-
 // Monoid is an associative, commutative binary operator with an identity
 // (GrB_Monoid). The engine relies on associativity for parallel reduction.
 type Monoid[T any] struct {
@@ -58,14 +54,6 @@ func Min[T Ordered](x, y T) T {
 	return x
 }
 
-// Max returns the larger of x and y.
-func Max[T Ordered](x, y T) T {
-	if y > x {
-		return y
-	}
-	return x
-}
-
 // First returns its first argument (GrB_FIRST).
 func First[A, B any](x A, _ B) A { return x }
 
@@ -88,21 +76,12 @@ func And(x, y bool) bool { return x && y }
 // PlusMonoid is the (+, 0) monoid.
 func PlusMonoid[T Number]() Monoid[T] { return Monoid[T]{Identity: 0, Op: Plus[T]} }
 
-// TimesMonoid is the (*, 1) monoid.
-func TimesMonoid[T Number]() Monoid[T] { return Monoid[T]{Identity: 1, Op: Times[T]} }
-
 // MinMonoid is the (min, +inf) monoid; the identity must be supplied because
 // Go has no generic maximal value for all Ordered types.
 func MinMonoid[T Ordered](identity T) Monoid[T] { return Monoid[T]{Identity: identity, Op: Min[T]} }
 
-// MaxMonoid is the (max, -inf) monoid with a caller-supplied identity.
-func MaxMonoid[T Ordered](identity T) Monoid[T] { return Monoid[T]{Identity: identity, Op: Max[T]} }
-
 // OrMonoid is the (∨, false) monoid.
 func OrMonoid() Monoid[bool] { return Monoid[bool]{Identity: false, Op: Or} }
-
-// AndMonoid is the (∧, true) monoid.
-func AndMonoid() Monoid[bool] { return Monoid[bool]{Identity: true, Op: And} }
 
 // ---------------------------------------------------------------------------
 // Predefined semirings.
@@ -134,11 +113,6 @@ func PlusPair[A, B any]() Semiring[A, B, int] {
 // value larger than any vertex id).
 func MinSecond[A any, T Ordered](identity T) Semiring[A, T, T] {
 	return Semiring[A, T, T]{Add: MinMonoid(identity), Mul: Second[A, T]}
-}
-
-// MinFirst propagates the minimum of the A operand over structural matches.
-func MinFirst[T Ordered, B any](identity T) Semiring[T, B, T] {
-	return Semiring[T, B, T]{Add: MinMonoid(identity), Mul: First[T, B]}
 }
 
 // OrAnd is the boolean (∨, ∧) semiring used for reachability.

@@ -175,8 +175,8 @@ func VectorFromDense[T any](dense []T, keep func(T) bool) *Vector[T] {
 }
 
 // VectorFromSlice builds a fully dense vector: position i holds vals[i] for
-// every i. Iterative algorithms (FastSV, PageRank) use it to feed dense
-// state vectors into sparse kernels.
+// every i. FastSV and CCLabelProp use it to feed their dense label vectors
+// into MxV.
 func VectorFromSlice[T any](vals []T) *Vector[T] {
 	v := NewVector[T](len(vals))
 	v.ind = make([]Index, len(vals))

@@ -1,7 +1,6 @@
 package lagraph
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,64 +65,6 @@ func TestBFSErrors(t *testing.T) {
 	}
 	if _, err := BFS(grb.NewMatrix[bool](3, 3), 7); err == nil {
 		t.Fatal("src out of range must error")
-	}
-}
-
-func TestPageRankCycleIsUniform(t *testing.T) {
-	const n = 6
-	a := grb.NewMatrix[bool](n, n)
-	for i := 0; i < n; i++ {
-		grb.Must0(a.SetElement(i, (i+1)%n, true))
-	}
-	res, err := PageRank(a, 0.85, 1e-12, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res.Ranks {
-		if math.Abs(r-1.0/n) > 1e-9 {
-			t.Fatalf("rank[%d] = %g, want uniform 1/%d", i, r, n)
-		}
-	}
-}
-
-func TestPageRankSumsToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 40
-	a := grb.NewMatrix[bool](n, n)
-	for k := 0; k < 120; k++ {
-		grb.Must0(a.SetElement(rng.Intn(n), rng.Intn(n), true))
-	}
-	res, err := PageRank(a, 0.85, 1e-10, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, r := range res.Ranks {
-		sum += r
-	}
-	if math.Abs(sum-1) > 1e-8 {
-		t.Fatalf("ranks sum to %g, want 1 (dangling mass must be redistributed)", sum)
-	}
-	if res.Delta > 1e-10 {
-		t.Fatalf("did not converge: delta = %g after %d iters", res.Delta, res.Iterations)
-	}
-}
-
-func TestPageRankHubGetsMoreRank(t *testing.T) {
-	// Star pointing into vertex 0: 0 must outrank the leaves.
-	const n = 8
-	a := grb.NewMatrix[bool](n, n)
-	for i := 1; i < n; i++ {
-		grb.Must0(a.SetElement(i, 0, true))
-	}
-	res, err := PageRank(a, 0.85, 1e-12, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < n; i++ {
-		if res.Ranks[0] <= res.Ranks[i] {
-			t.Fatalf("hub rank %g not above leaf rank %g", res.Ranks[0], res.Ranks[i])
-		}
 	}
 }
 

@@ -160,8 +160,8 @@ func TestSumSquaredComponentSizes(t *testing.T) {
 
 func TestDSUBasics(t *testing.T) {
 	d := NewDSU(5)
-	if d.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", d.Count())
+	if got := d.Labels(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("Labels = %v, want singletons", got)
 	}
 	if !d.Union(0, 1) {
 		t.Fatal("first union must merge")
@@ -171,14 +171,8 @@ func TestDSUBasics(t *testing.T) {
 	}
 	d.Union(2, 3)
 	d.Union(0, 3)
-	if d.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", d.Count())
-	}
-	if !d.Connected(1, 2) {
-		t.Fatal("1 and 2 should be connected")
-	}
-	if d.Connected(0, 4) {
-		t.Fatal("4 should be isolated")
+	if got := d.Labels(); !reflect.DeepEqual(got, []int{0, 0, 0, 0, 4}) {
+		t.Fatalf("Labels = %v, want {0,1,2,3} and {4}", got)
 	}
 	if d.ComponentSize(3) != 4 {
 		t.Fatalf("ComponentSize = %d, want 4", d.ComponentSize(3))
@@ -191,11 +185,11 @@ func TestDSUBasics(t *testing.T) {
 func TestDSUAdd(t *testing.T) {
 	d := NewDSU(2)
 	id := d.Add()
-	if id != 2 || d.Len() != 3 || d.Count() != 3 {
-		t.Fatalf("Add: id=%d len=%d count=%d", id, d.Len(), d.Count())
+	if id != 2 || d.Len() != 3 || d.ComponentSize(id) != 1 {
+		t.Fatalf("Add: id=%d len=%d size=%d", id, d.Len(), d.ComponentSize(id))
 	}
 	d.Union(id, 0)
-	if !d.Connected(2, 0) {
+	if d.Find(2) != d.Find(0) {
 		t.Fatal("added element cannot union")
 	}
 }

@@ -1,7 +1,6 @@
 package lagraph
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -119,124 +118,4 @@ func TestKCoreNonSquare(t *testing.T) {
 	if _, err := KCore(grb.NewMatrix[bool](2, 3)); err == nil {
 		t.Fatal("non-square accepted")
 	}
-}
-
-func TestBetweennessPath(t *testing.T) {
-	// Undirected path 0-1-2-3: exact betweenness (both directions as
-	// sources) gives 1: 2·(1·2)/... compute: pairs passing through v=1:
-	// (0,2),(0,3),(2,0),(3,0) → wait directed both ways: through 1:
-	// 0→2, 0→3, 2→0? no — 2→0 passes via 1, 3→0 too, plus 1 is endpoint
-	// otherwise. Through 1: {0→2, 0→3, 3→0, 2→0} = 4. Same for 2.
-	a := symmetricMatrix(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	bc, err := BetweennessCentrality(a, []int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 4, 4, 0}
-	for v := range want {
-		if math.Abs(bc[v]-want[v]) > 1e-9 {
-			t.Fatalf("bc = %v, want %v", bc, want)
-		}
-	}
-}
-
-func TestBetweennessStar(t *testing.T) {
-	// Star centred at 0 with 4 leaves: every leaf pair's shortest path
-	// passes the hub: 4·3 = 12 ordered pairs.
-	a := symmetricMatrix(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	bc, err := BetweennessCentrality(a, []int{0, 1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(bc[0]-12) > 1e-9 {
-		t.Fatalf("hub bc = %g, want 12", bc[0])
-	}
-	for v := 1; v < 5; v++ {
-		if math.Abs(bc[v]) > 1e-9 {
-			t.Fatalf("leaf bc[%d] = %g, want 0", v, bc[v])
-		}
-	}
-}
-
-func TestBetweennessAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 8; trial++ {
-		n := 6 + rng.Intn(10)
-		var edges [][2]int
-		seen := map[[2]int]bool{}
-		for k := 0; k < 2*n; k++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if i == j {
-				continue
-			}
-			if i > j {
-				i, j = j, i
-			}
-			if seen[[2]int{i, j}] {
-				continue
-			}
-			seen[[2]int{i, j}] = true
-			edges = append(edges, [2]int{i, j})
-		}
-		a := symmetricMatrix(n, edges)
-		sources := make([]int, n)
-		for i := range sources {
-			sources[i] = i
-		}
-		got, err := BetweennessCentrality(a, sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteBetweenness(n, edges)
-		for v := range want {
-			if math.Abs(got[v]-want[v]) > 1e-6 {
-				t.Fatalf("trial %d: bc[%d] = %g, brute %g", trial, v, got[v], want[v])
-			}
-		}
-	}
-}
-
-// bruteBetweenness enumerates all shortest paths with BFS path counting.
-func bruteBetweenness(n int, edges [][2]int) []float64 {
-	adj := make([][]int, n)
-	for _, e := range edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	bc := make([]float64, n)
-	for s := 0; s < n; s++ {
-		dist := make([]int, n)
-		sigma := make([]float64, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		sigma[s] = 1
-		order := []int{s}
-		for q := 0; q < len(order); q++ {
-			v := order[q]
-			for _, w := range adj[v] {
-				if dist[w] == -1 {
-					dist[w] = dist[v] + 1
-					order = append(order, w)
-				}
-				if dist[w] == dist[v]+1 {
-					sigma[w] += sigma[v]
-				}
-			}
-		}
-		delta := make([]float64, n)
-		for q := len(order) - 1; q >= 0; q-- {
-			v := order[q]
-			for _, w := range adj[v] {
-				if dist[w] == dist[v]+1 {
-					delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-				}
-			}
-			if v != s {
-				bc[v] += delta[v]
-			}
-		}
-	}
-	return bc
 }

@@ -1,12 +1,14 @@
-// Package lagraph collects graph algorithms built on top of the grb engine,
-// mirroring the role of the LAGraph library (Mattson et al., "LAGraph: a
+// Package lagraph holds the graph algorithms the engines build on the grb
+// engine, in the role the LAGraph library (Mattson et al., "LAGraph: a
 // community effort to collect graph algorithms built on top of the
-// GraphBLAS") in the paper's solution. The central algorithm for the Social
-// Media case study is FastSV connected components (Zhang, Azad, Hu, "FastSV:
-// a distributed-memory connected component algorithm with fast
-// convergence"), used in step 3 of the batch Q2 query; the package also
-// provides a label-propagation CC for cross-checking, a plain union-find,
-// and the usual demonstration kit (BFS, PageRank, triangle counting).
+// GraphBLAS") plays in the paper's solution: FastSV connected components
+// (Zhang, Azad, Hu, "FastSV: a distributed-memory connected component
+// algorithm with fast convergence"), used in step 3 of the batch Q2 query,
+// the Σ (component size)² score, and a union-find (DSU) for the
+// incremental Q2 engines. CCLabelProp and CCUnionFind cross-check FastSV
+// and back the FastSV ablation. BFS, triangle counting and k-core remain
+// as small worked examples of the GraphBLAS formulation, each checked
+// against a brute-force oracle.
 package lagraph
 
 import "fmt"

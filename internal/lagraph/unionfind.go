@@ -10,12 +10,11 @@ package lagraph
 type DSU struct {
 	parent []int
 	size   []int
-	count  int // number of live components
 }
 
 // NewDSU returns a DSU over n singleton elements.
 func NewDSU(n int) *DSU {
-	d := &DSU{parent: make([]int, n), size: make([]int, n), count: n}
+	d := &DSU{parent: make([]int, n), size: make([]int, n)}
 	for i := range d.parent {
 		d.parent[i] = i
 		d.size[i] = 1
@@ -26,15 +25,11 @@ func NewDSU(n int) *DSU {
 // Len reports the number of elements.
 func (d *DSU) Len() int { return len(d.parent) }
 
-// Count reports the number of components.
-func (d *DSU) Count() int { return d.count }
-
 // Add appends a new singleton element and returns its id.
 func (d *DSU) Add() int {
 	id := len(d.parent)
 	d.parent = append(d.parent, id)
 	d.size = append(d.size, 1)
-	d.count++
 	return id
 }
 
@@ -59,12 +54,8 @@ func (d *DSU) Union(a, b int) bool {
 	}
 	d.parent[rb] = ra
 	d.size[ra] += d.size[rb]
-	d.count--
 	return true
 }
-
-// Connected reports whether a and b share a component.
-func (d *DSU) Connected(a, b int) bool { return d.Find(a) == d.Find(b) }
 
 // ComponentSize returns the size of x's component.
 func (d *DSU) ComponentSize(x int) int { return d.size[d.Find(x)] }
