@@ -18,7 +18,7 @@
 //	GrB_extract        → ExtractSubmatrix, ExtractRow
 //	GrB_assign         → AssignV
 //	GrB_apply          → ApplyV
-//	GxB_select         → SelectV, SelectM, Tril, Triu
+//	GxB_select         → SelectM, Tril, Triu
 //	GrB_reduce         → ReduceRows, ReduceCols, ReduceVectorToScalar, ReduceMatrixToScalar
 //	GrB_transpose      → Transpose
 //	GrB_build          → VectorFromTuples, MatrixFromTuples

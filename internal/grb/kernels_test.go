@@ -296,17 +296,6 @@ func TestApplyVChangesType(t *testing.T) {
 	}
 }
 
-func TestSelectV(t *testing.T) {
-	u, _ := VectorFromTuples(5, []Index{0, 1, 2}, []int{1, 2, 3}, nil)
-	w := SelectV(func(_ Index, v int) bool { return v == 2 }, u)
-	if w.NVals() != 1 {
-		t.Fatalf("NVals = %d, want 1", w.NVals())
-	}
-	if x, _, _ := w.GetElement(1); x != 2 {
-		t.Fatal("select kept wrong entry")
-	}
-}
-
 func TestSelectM(t *testing.T) {
 	a := kernelFixture(t)
 	b := SelectM(func(_, _ Index, v int) bool { return v >= 3 }, a)

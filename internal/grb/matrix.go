@@ -405,29 +405,3 @@ func (a *Matrix[T]) Resize(nrows, ncols int) error {
 	a.ncols = ncols
 	return nil
 }
-
-// Clear removes all stored elements, keeping the shape.
-func (a *Matrix[T]) Clear() {
-	a.rowPtr = make([]int, a.nrows+1)
-	a.colInd = nil
-	a.val = nil
-	a.pending = nil
-	a.npend = 0
-	a.pendDelta = 0
-}
-
-// Clone returns a deep copy (pending tuples are assembled first).
-func (a *Matrix[T]) Clone() *Matrix[T] {
-	a.Wait()
-	b := &Matrix[T]{
-		nrows:  a.nrows,
-		ncols:  a.ncols,
-		rowPtr: make([]int, len(a.rowPtr)),
-		colInd: make([]Index, len(a.colInd)),
-		val:    make([]T, len(a.val)),
-	}
-	copy(b.rowPtr, a.rowPtr)
-	copy(b.colInd, a.colInd)
-	copy(b.val, a.val)
-	return b
-}

@@ -211,22 +211,3 @@ func TestMatrixRowNNZ(t *testing.T) {
 		t.Fatalf("rowNNZ with pending = %d, want 3", got)
 	}
 }
-
-func TestMatrixClear(t *testing.T) {
-	a := mustMatrix(t, 2, 2, []Index{0}, []Index{0}, []int{1})
-	Must0(a.SetElement(1, 1, 2))
-	a.Clear()
-	if a.NVals() != 0 || a.NRows() != 2 || a.NCols() != 2 {
-		t.Fatal("clear must empty the matrix but keep its shape")
-	}
-}
-
-func TestMatrixCloneIndependent(t *testing.T) {
-	a := mustMatrix(t, 2, 2, []Index{0}, []Index{1}, []int{3})
-	b := a.Clone()
-	Must0(b.SetElement(0, 1, 99))
-	b.Wait()
-	if x, _, _ := a.GetElement(0, 1); x != 3 {
-		t.Fatal("clone shares storage with original")
-	}
-}

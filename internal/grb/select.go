@@ -4,17 +4,6 @@ package grb
 // positional/value predicate, e.g. "cells equal to 2" in step 2 of the
 // incremental Q2 algorithm.
 
-// SelectV returns the elements of u for which pred(i, u_i) holds.
-func SelectV[T any](pred func(i Index, v T) bool, u *Vector[T]) *Vector[T] {
-	w := NewVector[T](u.n)
-	for p, i := range u.ind {
-		if pred(i, u.val[p]) {
-			w.setSorted(i, u.val[p])
-		}
-	}
-	return w
-}
-
 // SelectM returns the elements of a for which pred(i, j, A_ij) holds.
 func SelectM[T any](pred func(i, j Index, v T) bool, a *Matrix[T]) *Matrix[T] {
 	a.Wait()

@@ -99,18 +99,6 @@ func (v *Vector[T]) SetElement(i Index, x T) error {
 	return nil
 }
 
-// RemoveElement deletes the element at position i if present.
-func (v *Vector[T]) RemoveElement(i Index) error {
-	if i < 0 || i >= v.n {
-		return boundsErrf("RemoveElement: index %d outside [0,%d)", i, v.n)
-	}
-	if p, ok := v.find(i); ok {
-		v.ind = append(v.ind[:p], v.ind[p+1:]...)
-		v.val = append(v.val[:p], v.val[p+1:]...)
-	}
-	return nil
-}
-
 // ExtractTuples returns copies of the stored (index, value) pairs in index
 // order (GrB_extractTuples).
 func (v *Vector[T]) ExtractTuples() ([]Index, []T) {
@@ -144,34 +132,6 @@ func (v *Vector[T]) Resize(n int) error {
 	}
 	v.n = n
 	return nil
-}
-
-// Clear removes all stored elements, keeping the logical size.
-func (v *Vector[T]) Clear() {
-	v.ind = v.ind[:0]
-	v.val = v.val[:0]
-}
-
-// Clone returns a deep copy.
-func (v *Vector[T]) Clone() *Vector[T] {
-	w := &Vector[T]{n: v.n, ind: make([]Index, len(v.ind)), val: make([]T, len(v.val))}
-	copy(w.ind, v.ind)
-	copy(w.val, v.val)
-	return w
-}
-
-// VectorFromDense builds a vector of the same length as dense, storing every
-// position for which keep reports true. It is a convenience for tests and
-// algorithms that compute into dense scratch space.
-func VectorFromDense[T any](dense []T, keep func(T) bool) *Vector[T] {
-	v := NewVector[T](len(dense))
-	for i, x := range dense {
-		if keep(x) {
-			v.ind = append(v.ind, i)
-			v.val = append(v.val, x)
-		}
-	}
-	return v
 }
 
 // VectorFromSlice builds a fully dense vector: position i holds vals[i] for

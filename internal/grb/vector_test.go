@@ -62,26 +62,6 @@ func TestVectorBounds(t *testing.T) {
 	if _, _, err := v.GetElement(5); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("GetElement(5): err = %v, want ErrIndexOutOfBounds", err)
 	}
-	if err := v.RemoveElement(9); !errors.Is(err, ErrIndexOutOfBounds) {
-		t.Fatalf("RemoveElement(9): err = %v, want ErrIndexOutOfBounds", err)
-	}
-}
-
-func TestVectorRemove(t *testing.T) {
-	v := NewVector[int](5)
-	Must0(v.SetElement(2, 20))
-	Must0(v.SetElement(4, 40))
-	Must0(v.RemoveElement(2))
-	if _, ok, _ := v.GetElement(2); ok {
-		t.Fatal("element 2 still present after remove")
-	}
-	if x, ok, _ := v.GetElement(4); !ok || x != 40 {
-		t.Fatal("element 4 disturbed by removal of 2")
-	}
-	Must0(v.RemoveElement(2)) // removing an absent element is a no-op
-	if v.NVals() != 1 {
-		t.Fatalf("NVals = %d, want 1", v.NVals())
-	}
 }
 
 func TestVectorFromTuples(t *testing.T) {
@@ -145,25 +125,6 @@ func TestVectorResize(t *testing.T) {
 	}
 }
 
-func TestVectorCloneIndependent(t *testing.T) {
-	v := NewVector[int](4)
-	Must0(v.SetElement(1, 10))
-	w := v.Clone()
-	Must0(w.SetElement(1, 99))
-	if x, _, _ := v.GetElement(1); x != 10 {
-		t.Fatal("clone shares storage with original")
-	}
-}
-
-func TestVectorClear(t *testing.T) {
-	v := NewVector[int](4)
-	Must0(v.SetElement(1, 10))
-	v.Clear()
-	if v.NVals() != 0 || v.Size() != 4 {
-		t.Fatalf("after clear: nvals=%d size=%d", v.NVals(), v.Size())
-	}
-}
-
 func TestVectorIterateOrderAndStop(t *testing.T) {
 	v, _ := VectorFromTuples(10, []Index{7, 2, 5}, []int{70, 20, 50}, nil)
 	var seen []Index
@@ -173,15 +134,5 @@ func TestVectorIterateOrderAndStop(t *testing.T) {
 	})
 	if len(seen) != 2 || seen[0] != 2 || seen[1] != 5 {
 		t.Fatalf("Iterate visited %v, want [2 5] then stop", seen)
-	}
-}
-
-func TestVectorFromDense(t *testing.T) {
-	v := VectorFromDense([]int{0, 3, 0, 7}, func(x int) bool { return x != 0 })
-	if v.NVals() != 2 {
-		t.Fatalf("NVals = %d, want 2", v.NVals())
-	}
-	if x, ok, _ := v.GetElement(3); !ok || x != 7 {
-		t.Fatal("dense conversion lost element 3")
 	}
 }

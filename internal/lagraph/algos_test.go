@@ -2,71 +2,8 @@ package lagraph
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
-
-	"repro/internal/grb"
 )
-
-func TestBFSPath(t *testing.T) {
-	// Directed path 0→1→2→3 plus a back edge 3→0.
-	a := grb.NewMatrix[bool](5, 5)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
-		grb.Must0(a.SetElement(e[0], e[1], true))
-	}
-	got, err := BFS(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 2, 3, -1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BFS = %v, want %v", got, want)
-	}
-}
-
-func TestBFSAgainstQueueOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n = 80
-	a := grb.NewMatrix[bool](n, n)
-	adj := make([][]int, n)
-	for k := 0; k < 300; k++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		grb.Must0(a.SetElement(i, j, true))
-		adj[i] = append(adj[i], j)
-	}
-	got, err := BFS(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int, n)
-	for i := range want {
-		want[i] = -1
-	}
-	want[0] = 0
-	queue := []int{0}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if want[w] == -1 {
-				want[w] = want[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BFS disagrees with queue oracle")
-	}
-}
-
-func TestBFSErrors(t *testing.T) {
-	if _, err := BFS(grb.NewMatrix[bool](2, 3), 0); err == nil {
-		t.Fatal("non-square must error")
-	}
-	if _, err := BFS(grb.NewMatrix[bool](3, 3), 7); err == nil {
-		t.Fatal("src out of range must error")
-	}
-}
 
 func TestTriangleCount(t *testing.T) {
 	cases := []struct {

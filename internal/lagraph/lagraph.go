@@ -6,9 +6,9 @@
 // algorithm with fast convergence"), used in step 3 of the batch Q2 query,
 // the Σ (component size)² score, and a union-find (DSU) for the
 // incremental Q2 engines. CCLabelProp and CCUnionFind cross-check FastSV
-// and back the FastSV ablation. BFS, triangle counting and k-core remain
-// as small worked examples of the GraphBLAS formulation, each checked
-// against a brute-force oracle.
+// and back the FastSV ablation (BenchmarkAblationCC). Triangle counting
+// and k-core remain as small worked examples of the GraphBLAS
+// formulation, each checked against a brute-force oracle.
 package lagraph
 
 import "fmt"

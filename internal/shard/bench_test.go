@@ -108,30 +108,62 @@ func BenchmarkDonorReload(b *testing.B) {
 	benchDonor(b, false)
 }
 
-// BenchmarkNewRouter builds the 4-shard router of a scale-factor-32
-// snapshot and reports the heap it retains per snapshot entity (posts,
-// comments, users, likes and friendships): the router's share of a
-// server's memory, beside the engines and model.State.
-func BenchmarkNewRouter(b *testing.B) {
+// routerFixture is the scale-factor-32 snapshot BenchmarkNewRouter and
+// TestRouterRetainedBytes build a 4-shard router of, and its entity count
+// (posts, comments, users, likes and friendships).
+func routerFixture() (*model.Snapshot, int) {
 	snap := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1}).Snapshot
-	entities := len(snap.Posts) + len(snap.Comments) + len(snap.Users) + len(snap.Likes) + len(snap.Friendships)
+	return snap, len(snap.Posts) + len(snap.Comments) + len(snap.Users) + len(snap.Likes) + len(snap.Friendships)
+}
+
+// heapAfterGC is the live heap: HeapAlloc right after a collection.
+func heapAfterGC() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// BenchmarkNewRouter builds the 4-shard router of routerFixture and reports
+// the heap it retains per snapshot entity: the router's share of a server's
+// memory, beside the engines and model.State.
+func BenchmarkNewRouter(b *testing.B) {
+	snap, entities := routerFixture()
 	var retained int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		before := heapAfterGC()
 		b.StartTimer()
 		r, err := newRouter(4, snap)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
+		retained = heapAfterGC() - before
 		runtime.KeepAlive(r)
-		retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(retained)/float64(entities), "retained-B/entity")
+}
+
+// TestRouterRetainedBytes is a deterministic memory gate on the router: the
+// 4-shard router of routerFixture must retain at most 110 bytes per
+// snapshot entity. The node-indexed store with member rings measures 87 on
+// Go 1.24; the per-entity maps and member slices it replaced took 159.
+// Map layouts differ across Go versions, hence the headroom.
+func TestRouterRetainedBytes(t *testing.T) {
+	snap, entities := routerFixture()
+	before := heapAfterGC()
+	r, err := newRouter(4, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := heapAfterGC() - before
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(snap) // or the second collection frees it
+	got := float64(retained) / float64(entities)
+	t.Logf("router retains %.1f B per snapshot entity", got)
+	if got > 110 {
+		t.Fatalf("router retains %.1f B per snapshot entity, want at most 110", got)
+	}
 }

@@ -44,12 +44,13 @@ import (
 //
 // The router stores the Q2 partitions once, indexed by union-find node
 // rather than per shard: a node's shard is groupShard[find(node)], its
-// entity is in a partition iff it is materialized, and adj holds the edges
-// Q2 reads (a comment's likers, a user's friends). A migration therefore
-// moves nothing inside the router — re-stamping the merged root's shard
-// moves the whole group — and a partition snapshot is rendered from the
-// store on demand. Memory is proportional to the graph once, not to the
-// graph plus a per-shard copy of it.
+// entity is in a partition iff its state is materialized, and adj holds the
+// edges Q2 reads (a comment's likers, a user's friends). A migration
+// therefore moves nothing inside the router — re-stamping the merged root's
+// shard moves the whole group — and a partition snapshot is rendered from
+// the store on demand. Every per-node value is fixed-width and
+// slice-indexed; the only maps are the two id → node indexes. Memory is
+// proportional to the graph once, not to the graph plus a per-shard copy.
 type nodeKind uint8
 
 const (
@@ -73,6 +74,22 @@ func (k nodeKey) less(o nodeKey) bool {
 	return k.id < o.id
 }
 
+// nodeState says where a node's entity lives.
+type nodeState uint8
+
+const (
+	stateNone         nodeState = iota // in no Q2 partition yet
+	stateMaterialized                  // in its group's Q2 partition
+	stateParked                        // a likeless comment, held by the router
+)
+
+// commentRec is a comment node's record; the comment's id is the node's.
+type commentRec struct {
+	timestamp int64
+	parent    model.ID
+	post      model.ID // root post
+}
+
 // shardOp is one migration-bookkeeping step for a single shard, applied
 // before the shard's routed q2 stream. Exactly one field is set: retract is
 // the donor side of a group migration (a self-contained subtractive delta
@@ -93,14 +110,6 @@ type plan struct {
 	ops [][]shardOp
 }
 
-func newPlan(n int) *plan {
-	return &plan{
-		q1:  make([][]model.Change, n),
-		q2:  make([][]model.Change, n),
-		ops: make([][]shardOp, n),
-	}
-}
-
 // hasRetraction reports whether shard s donates a group this commit.
 func (p *plan) hasRetraction(s int) bool {
 	for i := range p.ops[s] {
@@ -116,58 +125,57 @@ func (p *plan) hasRetraction(s int) bool {
 type router struct {
 	n int
 
-	// Q1 routing.
-	postShard   map[model.ID]int
-	commentRoot map[model.ID]model.ID // comment → root post
-
 	// posts is every post ever seen; posts are broadcast to all Q2
 	// partitions (comments need their root to exist wherever they land).
+	// Q1 needs no table: a post lives on hashShard(post), and a comment and
+	// its likes follow their root post.
 	posts []model.Post
 
-	// parked holds the likeless comments, which belong to no Q2 partition:
-	// they score exactly 0, are ranked by parkedTopK as a virtual
-	// partition, and materialize onto their first liker's shard.
-	parked map[model.ID]model.Comment
-	// parkedRank ranks the parked comments by node index, so park, unpark
-	// and parkedTopK cost O(log n) instead of a walk of parked.
+	// parkedRank ranks the parked comments (likeless, so they belong to no
+	// Q2 partition and score exactly 0) by node index as a virtual
+	// partition; a parked comment materializes onto its first liker's shard.
 	parkedRank core.RankIndex
 
-	// Union-find over users ∪ comments with per-root group state.
-	node         map[nodeKey]int
-	parent       []int
-	keys         []nodeKey
-	members      [][]int // valid at root: node indices in the group
-	groupShard   []int   // valid at root
-	matCount     []int   // valid at root: materialized members
-	materialized []bool  // per node: the entity is in its group's Q2 partition
+	// nodeOf[kind] indexes the union-find nodes of that kind by entity id.
+	nodeOf [2]map[model.ID]int32
 
+	// Per node. Node indices fit in int32 (addNode enforces it).
+	ids    []model.ID
+	kinds  []nodeKind
+	states []nodeState
+	recs   []commentRec // comment nodes only
+	parent []int32
+	// next links each group's members into a circular ring, so a merge
+	// splices two rings in O(1) and a group is walked from its root.
+	next []int32
 	// adj holds the Q2 edges per node: a comment node lists its likers, a
-	// user node its friends (both directions). Node indices fit in int32
-	// (addNode enforces it), half the size of an int.
+	// user node its friends (both directions).
 	adj [][]int32
-	// comments holds the records of materialized comments (parked ones
-	// live in parked).
-	comments map[model.ID]model.Comment
+
+	// Valid at a root: group size, materialized members and shard.
+	size       []int32
+	matCount   []int32
+	groupShard []int32
 
 	rebalances int
 }
 
 func newRouter(n int, snap *model.Snapshot) (*router, error) {
+	nodes := len(snap.Users) + len(snap.Comments)
 	r := &router{
-		n:           n,
-		postShard:   make(map[model.ID]int, len(snap.Posts)),
-		commentRoot: make(map[model.ID]model.ID, len(snap.Comments)),
-		node:        make(map[nodeKey]int, len(snap.Users)+len(snap.Comments)),
-		parked:      make(map[model.ID]model.Comment),
-		comments:    make(map[model.ID]model.Comment),
-	}
-
-	for _, p := range snap.Posts {
-		r.posts = append(r.posts, p)
-		r.postShard[p.ID] = hashShard(p.ID, n)
-	}
-	for _, c := range snap.Comments {
-		r.commentRoot[c.ID] = c.PostID
+		n:          n,
+		posts:      append([]model.Post(nil), snap.Posts...),
+		nodeOf:     [2]map[model.ID]int32{make(map[model.ID]int32, len(snap.Users)), make(map[model.ID]int32, len(snap.Comments))},
+		ids:        make([]model.ID, 0, nodes),
+		kinds:      make([]nodeKind, 0, nodes),
+		states:     make([]nodeState, 0, nodes),
+		recs:       make([]commentRec, 0, nodes),
+		parent:     make([]int32, 0, nodes),
+		next:       make([]int32, 0, nodes),
+		adj:        make([][]int32, 0, nodes),
+		size:       make([]int32, 0, nodes),
+		matCount:   make([]int32, 0, nodes),
+		groupShard: make([]int32, 0, nodes),
 	}
 
 	// Build the Q2 grouping of the initial snapshot, then spread whole
@@ -179,7 +187,7 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 		}
 	}
 	for _, c := range snap.Comments {
-		if _, err := r.addNode(commentKey(c.ID), 0); err != nil {
+		if _, err := r.addComment(c, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -200,30 +208,21 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 	}
 	// A singleton comment node is a likeless comment (comment nodes only
 	// ever union through likes): park it instead of assigning a shard.
-	var parkedNodes []int
-	for _, c := range snap.Comments {
-		if ni := r.node[commentKey(c.ID)]; len(r.members[r.find(ni)]) == 1 {
-			r.parked[c.ID] = c
+	var parkedNodes, roots []int
+	for ni := range r.parent {
+		switch {
+		case r.kinds[ni] == nodeComment && int(r.next[ni]) == ni:
+			r.states[ni] = stateParked
 			parkedNodes = append(parkedNodes, ni)
-		} else {
-			r.comments[c.ID] = c
+		case int(r.parent[ni]) == ni:
+			roots = append(roots, ni)
 		}
 	}
-	r.parkedRank.Init(parkedNodes, func(ni int) core.Entry { return parkedEntry(r.parked[r.keys[ni].id]) })
-	roots := make([]int, 0)
-	for i := range r.parent {
-		if r.find(i) != i {
-			continue
-		}
-		if len(r.members[i]) == 1 && r.keys[i].kind == nodeComment {
-			continue
-		}
-		roots = append(roots, i)
-	}
+	r.parkedRank.Init(parkedNodes, r.parkedEntry)
 	sort.Slice(roots, func(a, b int) bool {
 		ra, rb := roots[a], roots[b]
-		if len(r.members[ra]) != len(r.members[rb]) {
-			return len(r.members[ra]) > len(r.members[rb])
+		if r.size[ra] != r.size[rb] {
+			return r.size[ra] > r.size[rb]
 		}
 		return r.minMemberKey(ra).less(r.minMemberKey(rb))
 	})
@@ -235,12 +234,10 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 				s = i
 			}
 		}
-		r.groupShard[root] = s
-		load[s] += len(r.members[root])
-		r.matCount[root] = len(r.members[root])
-		for _, ni := range r.members[root] {
-			r.materialized[ni] = true
-		}
+		r.groupShard[root] = int32(s)
+		load[s] += int(r.size[root])
+		r.matCount[root] = r.size[root]
+		r.eachMember(root, func(ni int) { r.states[ni] = stateMaterialized })
 	}
 	return r, nil
 }
@@ -271,86 +268,116 @@ func hashShard(id model.ID, n int) int {
 
 // addNode returns k's node index, creating the node (a singleton group
 // stamped with shard) if k is new. It fails rather than let a node index
-// outgrow the int32 adjacency lists.
+// outgrow int32.
 func (r *router) addNode(k nodeKey, shard int) (int, error) {
-	if ni, ok := r.node[k]; ok {
-		return ni, nil
+	if ni, ok := r.nodeOf[k.kind][k.id]; ok {
+		return int(ni), nil
 	}
 	ni := len(r.parent)
 	if ni >= math.MaxInt32 {
 		return 0, fmt.Errorf("shard: router holds %d users and comments, the most it can index", ni)
 	}
-	r.node[k] = ni
-	r.parent = append(r.parent, ni)
-	r.keys = append(r.keys, k)
-	r.members = append(r.members, []int{ni})
-	r.groupShard = append(r.groupShard, shard)
-	r.matCount = append(r.matCount, 0)
-	r.materialized = append(r.materialized, false)
+	r.nodeOf[k.kind][k.id] = int32(ni)
+	r.ids = append(r.ids, k.id)
+	r.kinds = append(r.kinds, k.kind)
+	r.states = append(r.states, stateNone)
+	r.recs = append(r.recs, commentRec{})
+	r.parent = append(r.parent, int32(ni))
+	r.next = append(r.next, int32(ni))
 	r.adj = append(r.adj, nil)
+	r.size = append(r.size, 1)
+	r.matCount = append(r.matCount, 0)
+	r.groupShard = append(r.groupShard, int32(shard))
 	return ni, nil
 }
 
+// addComment is addNode for a comment, recording its timestamp, parent and
+// root post.
+func (r *router) addComment(c model.Comment, shard int) (int, error) {
+	ni, err := r.addNode(commentKey(c.ID), shard)
+	if err == nil {
+		r.recs[ni] = commentRec{timestamp: c.Timestamp, parent: c.ParentID, post: c.PostID}
+	}
+	return ni, err
+}
+
+func (r *router) key(ni int) nodeKey { return nodeKey{r.kinds[ni], r.ids[ni]} }
+
+// comment rebuilds comment node ni's model record.
+func (r *router) comment(ni int) model.Comment {
+	c := r.recs[ni]
+	return model.Comment{ID: r.ids[ni], Timestamp: c.timestamp, ParentID: c.parent, PostID: c.post}
+}
+
 func (r *router) find(x int) int {
-	for r.parent[x] != x {
+	for int(r.parent[x]) != x {
 		r.parent[x] = r.parent[r.parent[x]]
-		x = r.parent[x]
+		x = int(r.parent[x])
 	}
 	return x
 }
 
 func (r *router) lookup(k nodeKey) (int, error) {
-	ni, ok := r.node[k]
+	ni, ok := r.nodeOf[k.kind][k.id]
 	if !ok {
-		kind := "user"
-		if k.kind == nodeComment {
-			kind = "comment"
-		}
-		return 0, fmt.Errorf("shard: change references unknown %s %d", kind, k.id)
+		return 0, fmt.Errorf("shard: change references unknown %s %d", [...]string{"user", "comment"}[k.kind], k.id)
 	}
-	return ni, nil
+	return int(ni), nil
+}
+
+// eachMember calls f on every node of root's group, walking its ring.
+func (r *router) eachMember(root int, f func(ni int)) {
+	for ni := root; ; {
+		f(ni)
+		if ni = int(r.next[ni]); ni == root {
+			return
+		}
+	}
 }
 
 func (r *router) minMemberKey(root int) nodeKey {
-	min := r.keys[r.members[root][0]]
-	for _, ni := range r.members[root][1:] {
-		if r.keys[ni].less(min) {
-			min = r.keys[ni]
+	min := r.key(root)
+	r.eachMember(root, func(ni int) {
+		if k := r.key(ni); k.less(min) {
+			min = k
 		}
-	}
+	})
 	return min
 }
 
-// loadUnion merges groups during initial-snapshot analysis, before shards
-// are assigned — no migration bookkeeping. It returns the two nodes.
-func (r *router) loadUnion(a, b nodeKey) (int, int, error) {
+// lookup2 resolves the two endpoints of an edge.
+func (r *router) lookup2(a, b nodeKey) (int, int, error) {
 	na, err := r.lookup(a)
 	if err != nil {
 		return 0, 0, err
 	}
 	nb, err := r.lookup(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	if ra, rb := r.find(na), r.find(nb); ra != rb {
-		r.mergeRoots(ra, rb, 0)
-	}
-	return na, nb, nil
+	return na, nb, err
 }
 
-// mergeRoots links two roots, concatenating the smaller member list into
-// the larger (so members move O(log n) times over any union sequence), and
-// stamps the merged root with the given shard.
-func (r *router) mergeRoots(ra, rb, shard int) int {
-	if len(r.members[ra]) < len(r.members[rb]) {
+// loadUnion merges groups during initial-snapshot analysis, before shards
+// are assigned — no migration bookkeeping. It returns the two nodes.
+func (r *router) loadUnion(a, b nodeKey) (int, int, error) {
+	na, nb, err := r.lookup2(a, b)
+	if err == nil {
+		if ra, rb := r.find(na), r.find(nb); ra != rb {
+			r.mergeRoots(ra, rb, 0)
+		}
+	}
+	return na, nb, err
+}
+
+// mergeRoots links the smaller root under the larger, splices their member
+// rings in O(1), and stamps the merged root with the given shard.
+func (r *router) mergeRoots(ra, rb int, shard int32) {
+	if r.size[ra] < r.size[rb] {
 		ra, rb = rb, ra
 	}
-	r.parent[rb] = ra
-	r.members[ra] = append(r.members[ra], r.members[rb]...)
-	r.members[rb] = nil
+	r.parent[rb] = int32(ra)
+	r.next[ra], r.next[rb] = r.next[rb], r.next[ra]
+	r.size[ra] += r.size[rb]
 	r.matCount[ra] += r.matCount[rb]
 	r.groupShard[ra] = shard
-	return ra
 }
 
 // union merges the groups of a and b during a commit. If the groups live on
@@ -358,11 +385,7 @@ func (r *router) mergeRoots(ra, rb, shard int) int {
 // the other side's shard: the donor is queued a retraction of the moved
 // subgraph and the recipient synthetic add-changes replaying it.
 func (r *router) union(a, b nodeKey, p *plan) error {
-	na, err := r.lookup(a)
-	if err != nil {
-		return err
-	}
-	nb, err := r.lookup(b)
+	na, nb, err := r.lookup2(a, b)
 	if err != nil {
 		return err
 	}
@@ -373,8 +396,8 @@ func (r *router) union(a, b nodeKey, p *plan) error {
 	winner, loser := ra, rb
 	if r.matCount[loser] > r.matCount[winner] ||
 		(r.matCount[loser] == r.matCount[winner] &&
-			(len(r.members[loser]) > len(r.members[winner]) ||
-				(len(r.members[loser]) == len(r.members[winner]) && r.groupShard[loser] < r.groupShard[winner]))) {
+			(r.size[loser] > r.size[winner] ||
+				(r.size[loser] == r.size[winner] && r.groupShard[loser] < r.groupShard[winner]))) {
 		winner, loser = loser, winner
 	}
 	dest := r.groupShard[winner]
@@ -391,36 +414,35 @@ func (r *router) union(a, b nodeKey, p *plan) error {
 // subtracts it; engines without the capability fall back to a reload) and
 // for the recipient as synthetic add-changes. All materialized members of a
 // group live on its shard and all their Q2-relevant edges are intra-group,
-// so the member list and its adjacency describe a complete, self-contained
+// so the member ring and its adjacency describe a complete, self-contained
 // subgraph — exactly the precondition DeltaEngine.Retract requires. The
 // store itself needs no update: the caller re-stamps the merged root.
-func (r *router) migrate(loser, dest int, p *plan) {
+func (r *router) migrate(loser int, dest int32, p *plan) {
 	src := r.groupShard[loser]
 	ret := &model.Retraction{}
 	var movedComments []model.Comment
-	for _, ni := range r.members[loser] {
-		if !r.materialized[ni] {
-			continue
+	r.eachMember(loser, func(ni int) {
+		if r.states[ni] != stateMaterialized {
+			return
 		}
-		k := r.keys[ni]
-		if k.kind == nodeUser {
-			ret.Users = append(ret.Users, k.id)
+		id := r.ids[ni]
+		if r.kinds[ni] == nodeUser {
+			ret.Users = append(ret.Users, id)
 			// Both endpoints of every moved friendship migrate together, so
 			// the u < v half of the adjacency lists each edge exactly once.
 			for _, v := range r.adj[ni] {
-				if vid := r.keys[v].id; k.id < vid {
-					ret.Friendships = append(ret.Friendships, model.Friendship{User1: k.id, User2: vid})
+				if vid := r.ids[v]; id < vid {
+					ret.Friendships = append(ret.Friendships, model.Friendship{User1: id, User2: vid})
 				}
 			}
-			continue
+			return
 		}
-		c := r.comments[k.id]
-		ret.Comments = append(ret.Comments, c.ID)
-		movedComments = append(movedComments, c)
+		ret.Comments = append(ret.Comments, id)
+		movedComments = append(movedComments, r.comment(ni))
 		for _, u := range r.adj[ni] {
-			ret.Likes = append(ret.Likes, model.Like{UserID: r.keys[u].id, CommentID: c.ID})
+			ret.Likes = append(ret.Likes, model.Like{UserID: r.ids[u], CommentID: id})
 		}
-	}
+	})
 
 	// The recipient's synthetic add stream is the same delta replayed
 	// additively: nodes first, then the edges among them.
@@ -448,7 +470,7 @@ func (r *router) migrate(loser, dest int, p *plan) {
 // every change against the final ownership — a change early in the set must
 // not land on a shard that loses its group to a merge later in the set.
 func (r *router) route(cs *model.ChangeSet) (*plan, error) {
-	p := newPlan(r.n)
+	p := &plan{q1: make([][]model.Change, r.n), q2: make([][]model.Change, r.n), ops: make([][]shardOp, r.n)}
 
 	// Pass A: create nodes for new entities, union along new edges.
 	for i := range cs.Changes {
@@ -459,7 +481,7 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 				return nil, err
 			}
 		case model.KindAddComment:
-			if _, err := r.addNode(commentKey(ch.Comment.ID), hashShard(ch.Comment.ID, r.n)); err != nil {
+			if _, err := r.addComment(ch.Comment, hashShard(ch.Comment.ID, r.n)); err != nil {
 				return nil, err
 			}
 		case model.KindAddLike:
@@ -481,7 +503,6 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 		case model.KindAddPost:
 			r.posts = append(r.posts, ch.Post)
 			s := hashShard(ch.Post.ID, r.n)
-			r.postShard[ch.Post.ID] = s
 			p.q1[s] = append(p.q1[s], ch)
 			for t := range p.q2 { // every Q2 partition needs every root post
 				p.q2[t] = append(p.q2[t], ch)
@@ -493,8 +514,8 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 			}
 			root := r.find(ni)
 			s := r.groupShard[root]
-			if !r.materialized[ni] {
-				r.materialized[ni] = true
+			if r.states[ni] != stateMaterialized {
+				r.states[ni] = stateMaterialized
 				r.matCount[root]++
 			}
 			p.q2[s] = append(p.q2[s], ch)
@@ -505,38 +526,26 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 			// Q2: park the likeless comment at the router; it materializes
 			// on a shard at its first like (keeping first likes
 			// migration-free — no singleton group to move). Pass A gave it
-			// its node.
+			// its node and record.
 			ni, err := r.lookup(commentKey(ch.Comment.ID))
 			if err != nil {
 				return nil, err
 			}
-			r.park(ni, ch.Comment)
-			r.commentRoot[ch.Comment.ID] = ch.Comment.PostID
-			ps, err := r.q1ShardOfComment(ch.Comment.ID)
-			if err != nil {
-				return nil, err
-			}
+			r.park(ni)
+			ps := hashShard(ch.Comment.PostID, r.n)
 			p.q1[ps] = append(p.q1[ps], ch)
 		case model.KindAddLike, model.KindRemoveLike:
-			ni, err := r.lookup(commentKey(ch.Like.CommentID))
+			ni, ui, err := r.lookup2(commentKey(ch.Like.CommentID), userKey(ch.Like.UserID))
 			if err != nil {
 				return nil, err
 			}
-			ui, err := r.lookup(userKey(ch.Like.UserID))
-			if err != nil {
-				return nil, err
-			}
-			root := r.find(ni)
-			s := r.groupShard[root]
-			if c, wasParked := r.parked[ch.Like.CommentID]; wasParked {
+			s := r.groupShard[r.find(ni)]
+			if r.states[ni] == stateParked {
 				// First like: the comment joins its liker's group's shard.
 				// (Pass A already unioned them, and the parked side has no
 				// materialized entities, so no migration was triggered.)
-				r.unpark(ni, c.ID)
-				r.comments[c.ID] = c
-				r.materialized[ni] = true
-				r.matCount[root]++
-				p.q2[s] = append(p.q2[s], model.Change{Kind: model.KindAddComment, Comment: c})
+				r.unpark(ni)
+				p.q2[s] = append(p.q2[s], model.Change{Kind: model.KindAddComment, Comment: r.comment(ni)})
 			}
 			if ch.Kind == model.KindAddLike {
 				r.adj[ni] = append(r.adj[ni], int32(ui))
@@ -544,17 +553,10 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 				r.adj[ni] = unlink(r.adj[ni], ui)
 			}
 			p.q2[s] = append(p.q2[s], ch)
-			ps, err := r.q1ShardOfComment(ch.Like.CommentID)
-			if err != nil {
-				return nil, err
-			}
+			ps := hashShard(r.recs[ni].post, r.n)
 			p.q1[ps] = append(p.q1[ps], ch)
 		case model.KindAddFriendship, model.KindRemoveFriendship:
-			ni, err := r.lookup(userKey(ch.Friendship.User1))
-			if err != nil {
-				return nil, err
-			}
-			nj, err := r.lookup(userKey(ch.Friendship.User2))
+			ni, nj, err := r.lookup2(userKey(ch.Friendship.User1), userKey(ch.Friendship.User2))
 			if err != nil {
 				return nil, err
 			}
@@ -575,18 +577,6 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 	return p, nil
 }
 
-func (r *router) q1ShardOfComment(commentID model.ID) (int, error) {
-	postID, ok := r.commentRoot[commentID]
-	if !ok {
-		return 0, fmt.Errorf("shard: like references unknown comment %d", commentID)
-	}
-	s, ok := r.postShard[postID]
-	if !ok {
-		return 0, fmt.Errorf("shard: comment %d roots at unknown post %d", commentID, postID)
-	}
-	return s, nil
-}
-
 // q1Snapshot builds shard s's Q1 partition of the initial snapshot: its
 // hashed posts with their comment subtrees and likes, and every user (likes
 // reference users, and users are too cheap to be worth partitioning for
@@ -594,40 +584,44 @@ func (r *router) q1ShardOfComment(commentID model.ID) (int, error) {
 func (r *router) q1Snapshot(snap *model.Snapshot, s int) *model.Snapshot {
 	out := &model.Snapshot{Users: snap.Users}
 	for _, p := range snap.Posts {
-		if r.postShard[p.ID] == s {
+		if hashShard(p.ID, r.n) == s {
 			out.Posts = append(out.Posts, p)
 		}
 	}
 	for _, c := range snap.Comments {
-		if r.postShard[c.PostID] == s {
+		if hashShard(c.PostID, r.n) == s {
 			out.Comments = append(out.Comments, c)
 		}
 	}
 	for _, l := range snap.Likes {
-		if r.postShard[r.commentRoot[l.CommentID]] == s {
+		if hashShard(r.recs[r.nodeOf[nodeComment][l.CommentID]].post, r.n) == s {
 			out.Likes = append(out.Likes, l)
 		}
 	}
 	return out
 }
 
-// park adds a likeless comment, whose node is ni, to the router-side
-// parking.
-func (r *router) park(ni int, c model.Comment) {
-	r.parked[c.ID] = c
-	r.parkedRank.Set(ni, parkedEntry(c))
+// park adds a likeless comment node to the router-side parking.
+func (r *router) park(ni int) {
+	r.states[ni] = stateParked
+	r.parkedRank.Set(ni, r.parkedEntry(ni))
 }
 
 // parkedEntry is a parked comment's ranking entry: likeless, it scores 0.
-func parkedEntry(c model.Comment) core.Entry {
-	return core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp}
+func (r *router) parkedEntry(ni int) core.Entry {
+	return core.Entry{ID: r.ids[ni], Score: 0, Timestamp: r.recs[ni].timestamp}
 }
 
-// unpark removes a comment at its first like.
-func (r *router) unpark(ni int, id model.ID) {
-	delete(r.parked, id)
+// unpark materializes a parked comment into its group's partition at its
+// first like.
+func (r *router) unpark(ni int) {
 	r.parkedRank.Remove(ni)
+	r.states[ni] = stateMaterialized
+	r.matCount[r.find(ni)]++
 }
+
+// parkedComments counts the parked comments.
+func (r *router) parkedComments() int { return r.parkedRank.Len() }
 
 // parkedTopK ranks the parked (likeless, hence zero-scoring) comments as
 // one more partition for the global Q2 merge.
@@ -636,27 +630,28 @@ func (r *router) parkedTopK() core.Result { return r.parkedRank.Top(core.TopK) }
 // q2Snapshot renders shard s's current Q2 partition from the store as a
 // loadable snapshot: all posts (broadcast), plus the materialized users and
 // comments whose group lives on s and the edges among them. It walks every
-// router node, not just s's partition: O(router nodes) plus s's edges. find compresses paths, so rendering writes to the
-// union-find and must not run concurrently with anything else on r. Used at
-// startup and for the reload fallback.
+// router node, not just s's partition, so it costs O(router nodes) plus s's
+// edges. Rendering writes to the union-find (find compresses paths), so it
+// must not run concurrently with anything else on r. Used at startup and
+// for the reload fallback.
 func (r *router) q2Snapshot(s int) *model.Snapshot {
 	out := &model.Snapshot{Posts: append([]model.Post(nil), r.posts...)}
-	for ni, k := range r.keys {
-		if !r.materialized[ni] || r.groupShard[r.find(ni)] != s {
+	for ni, id := range r.ids {
+		if r.states[ni] != stateMaterialized || int(r.groupShard[r.find(ni)]) != s {
 			continue
 		}
-		if k.kind == nodeUser {
-			out.Users = append(out.Users, model.User{ID: k.id})
+		if r.kinds[ni] == nodeUser {
+			out.Users = append(out.Users, model.User{ID: id})
 			for _, v := range r.adj[ni] {
-				if vid := r.keys[v].id; k.id < vid {
-					out.Friendships = append(out.Friendships, model.Friendship{User1: k.id, User2: vid})
+				if vid := r.ids[v]; id < vid {
+					out.Friendships = append(out.Friendships, model.Friendship{User1: id, User2: vid})
 				}
 			}
 			continue
 		}
-		out.Comments = append(out.Comments, r.comments[k.id])
+		out.Comments = append(out.Comments, r.comment(ni))
 		for _, u := range r.adj[ni] {
-			out.Likes = append(out.Likes, model.Like{UserID: r.keys[u].id, CommentID: k.id})
+			out.Likes = append(out.Likes, model.Like{UserID: r.ids[u], CommentID: id})
 		}
 	}
 	return out

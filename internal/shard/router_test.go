@@ -34,10 +34,10 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	}
 
 	// Initial analysis: the likeless comment parked, the liked one did not.
-	if _, ok := r.parked[11]; !ok {
+	if !isParked(r, 11) {
 		t.Fatal("likeless snapshot comment 11 did not park")
 	}
-	if _, ok := r.parked[10]; ok {
+	if isParked(r, 10) {
 		t.Fatal("liked comment 10 parked")
 	}
 	if got := r.parkedTopK().String(); got != "11" {
@@ -52,7 +52,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.parked[12]; !ok {
+	if !isParked(r, 12) {
 		t.Fatal("new likeless comment 12 did not park")
 	}
 	for s := 0; s < r.n; s++ {
@@ -74,7 +74,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.parked[12]; ok {
+	if isParked(r, 12) {
 		t.Fatal("comment 12 still parked after its first like")
 	}
 	if got := r.shardOf(commentKey(12)); got != likerShard {
@@ -117,7 +117,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 // TestParkedTopKMatchesBruteForce is a differential test of the ordered
 // parked set: starting from a snapshot's likeless comments, over random
 // park/unpark sequences with many equal timestamps, parkedTopK must equal
-// a brute-force top-3 of r.parked.
+// a brute-force top-3 of the comments in the parked state.
 func TestParkedTopKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	snap := &model.Snapshot{Posts: []model.Post{{ID: 1}}}
@@ -134,11 +134,11 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		switch {
 		case len(live) == 0 || rng.Intn(100) < 45:
-			ni, err := r.addNode(commentKey(next), 0)
+			ni, err := r.addComment(model.Comment{ID: next, Timestamp: int64(rng.Intn(8)), ParentID: 1, PostID: 1}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.park(ni, model.Comment{ID: next, Timestamp: int64(rng.Intn(8)), ParentID: 1, PostID: 1})
+			r.park(ni)
 			live = append(live, next)
 			next++
 		default:
@@ -156,11 +156,13 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 					break
 				}
 			}
-			r.unpark(r.node[commentKey(id)], id)
+			r.unpark(int(r.nodeOf[nodeComment][id]))
 		}
-		all := make(core.Result, 0, len(r.parked))
-		for _, c := range r.parked {
-			all = append(all, core.Entry{ID: c.ID, Timestamp: c.Timestamp})
+		var all core.Result
+		for ni, st := range r.states {
+			if st == stateParked {
+				all = append(all, core.Entry{ID: r.ids[ni], Timestamp: r.recs[ni].timestamp})
+			}
 		}
 		sort.Slice(all, func(i, j int) bool { return core.Less(all[i], all[j]) })
 		want := all[:min(core.TopK, len(all))]
@@ -171,7 +173,19 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 }
 
 // shardOf reports the shard of k's group.
-func (r *router) shardOf(k nodeKey) int { return r.groupShard[r.find(r.node[k])] }
+func (r *router) shardOf(k nodeKey) int {
+	ni, err := r.lookup(k)
+	if err != nil {
+		panic(err)
+	}
+	return int(r.groupShard[r.find(ni)])
+}
+
+// isParked reports whether comment id is in the router's parking.
+func isParked(r *router, id model.ID) bool {
+	ni, ok := r.nodeOf[nodeComment][id]
+	return ok && r.states[ni] == stateParked
+}
 
 // owner maps every model entity to its router-side Q2 owner: the shard of
 // its group, or -1 for a parked comment.
@@ -181,7 +195,7 @@ func owner(r *router, snap *model.Snapshot) map[nodeKey]int {
 		own[userKey(u.ID)] = r.shardOf(userKey(u.ID))
 	}
 	for _, c := range snap.Comments {
-		if _, isParked := r.parked[c.ID]; isParked {
+		if isParked(r, c.ID) {
 			own[commentKey(c.ID)] = -1
 		} else {
 			own[commentKey(c.ID)] = r.shardOf(commentKey(c.ID))

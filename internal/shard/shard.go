@@ -166,7 +166,7 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		last:           make([]map[string]core.Result, n),
 		lastStats:      make([]map[string]core.EngineStats, n),
 		meta:           make([]Stats, n),
-		parkedComments: len(router.parked),
+		parkedComments: router.parkedComments(),
 		merge:          core.NewTopK(core.TopK),
 	}
 	for s := 0; s < n; s++ {
@@ -411,7 +411,7 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 	var firstErr error
 	rt.mu.Lock()
 	rt.rebalances = rt.router.rebalances
-	rt.parkedComments = len(rt.router.parked)
+	rt.parkedComments = rt.router.parkedComments()
 	rt.mu.Unlock()
 	for i := 0; i < active; i++ {
 		resp := <-respCh
