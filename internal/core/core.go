@@ -96,6 +96,10 @@ type Solution interface {
 // must guarantee the self-containment precondition (the shard router's
 // groups provide it by construction); a retraction referencing unknown
 // entities is an error.
+//
+// Every served Q2 engine must implement it: shard.New rejects a lineup
+// whose Q2 engine does not, and a donor shard has no other way to give up
+// a migrated group.
 type DeltaEngine interface {
 	Retract(r *model.Retraction) (Result, error)
 }

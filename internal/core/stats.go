@@ -59,7 +59,7 @@ type StatsReporter interface {
 // O(1): NVals and NPending read counters and never assemble. Retired
 // entities (retracted to another partition; see graph.retract) are
 // excluded, so a donor repaired incrementally reports the same live counts
-// a reloaded donor would.
+// an engine loaded from its surviving partition would.
 func (g *graph) engineStats() EngineStats {
 	if g == nil {
 		return EngineStats{}
@@ -90,8 +90,8 @@ func (s *Q2Incremental) Stats() EngineStats { return s.g.engineStats() }
 // Stats implements StatsReporter in O(1). The CC engine maintains adjacency
 // lists and per-comment DSU forests instead of matrices; NNZ counts the
 // directed friend edges and the user→comment like edges it stores, from
-// counters its handlers keep. Retired entities are excluded, matching a
-// reloaded donor's live counts.
+// counters its handlers keep. Retired entities are excluded, matching the
+// live counts of an engine loaded from the donor's surviving partition.
 func (s *Q2IncrementalCC) Stats() EngineStats {
 	st := EngineStats{}
 	if s.posts != nil {

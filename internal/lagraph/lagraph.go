@@ -7,8 +7,8 @@
 // the Σ (component size)² score, and a union-find (DSU) for the
 // incremental Q2 engines. CCLabelProp and CCUnionFind cross-check FastSV
 // and back the FastSV ablation (BenchmarkAblationCC). Triangle counting
-// and k-core remain as small worked examples of the GraphBLAS
-// formulation, each checked against a brute-force oracle.
+// remains as a small worked example of the GraphBLAS formulation, checked
+// against a brute-force oracle.
 package lagraph
 
 import "fmt"

@@ -153,8 +153,9 @@ func CompactionMask(changes []Change) []bool {
 // targets a listed comment from a listed user, every friendship joins two
 // listed users — to be removed wholesale from an engine's maintained state.
 // It is the donor side of a shard group migration: the router computes the
-// migrated group's retraction once and a DeltaEngine subtracts it, instead
-// of reloading the donor's entire remaining partition.
+// migrated group's retraction once and every served Q2 engine subtracts it
+// through core.DeltaEngine, at a cost proportional to the group, not the
+// donor's remaining partition.
 type Retraction struct {
 	Users       []ID
 	Comments    []ID

@@ -149,36 +149,13 @@ func (s *Server) commit(batch []updateReq) {
 		}
 	}
 
-	start := time.Now()
-	results, err := s.rt.Commit(cs)
-	if err != nil {
+	if err := s.publish(seq, cs); err != nil {
 		// Validation should make this unreachable; if it happens some
 		// shards may have applied the batch while another failed, so stop
 		// accepting writes but keep serving the last committed snapshot.
 		fail(fmt.Errorf("commit: %w", err))
 		return
 	}
-	elapsed := time.Since(start)
-
-	prev := s.snap.Load()
-	s.snap.Store(&Snapshot{
-		Seq:      seq,
-		Changes:  prev.Changes + len(cs.Changes),
-		Inserts:  prev.Inserts + cs.InsertCount(),
-		Removals: prev.Removals + cs.RemovalCount(),
-		Results:  results,
-		Engines:  s.rt.EngineTotals(),
-		At:       time.Now(),
-	})
-
-	s.mu.Lock()
-	s.phases.UpdateCount++
-	s.phases.UpdateTotal += elapsed
-	s.phases.UpdateLast = elapsed
-	if results[EngineQ2] != results[EngineQ2CC] {
-		s.q2Disagreements++
-	}
-	s.mu.Unlock()
 
 	for _, req := range accepted {
 		req.finish(nil)
@@ -204,6 +181,39 @@ func (s *Server) commit(batch []updateReq) {
 	}
 }
 
+// publish commits cs through the sharded runtime as batch seq, publishes the
+// new Snapshot, and records the update phase and the Q2 cross-check. It is
+// the last step of both a live commit and WAL replay.
+func (s *Server) publish(seq int, cs *model.ChangeSet) error {
+	start := time.Now()
+	results, err := s.rt.Commit(cs)
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+
+	prev := s.snap.Load()
+	s.snap.Store(&Snapshot{
+		Seq:      seq,
+		Changes:  prev.Changes + len(cs.Changes),
+		Inserts:  prev.Inserts + cs.InsertCount(),
+		Removals: prev.Removals + cs.RemovalCount(),
+		Results:  results,
+		Engines:  s.rt.EngineTotals(),
+		At:       time.Now(),
+	})
+
+	s.mu.Lock()
+	s.phases.UpdateCount++
+	s.phases.UpdateTotal += elapsed
+	s.phases.UpdateLast = elapsed
+	if results[EngineQ2] != results[EngineQ2CC] {
+		s.q2Disagreements++
+	}
+	s.mu.Unlock()
+	return nil
+}
+
 // replayWAL redoes the recovered log tail through the engines before any
 // queued request commits. Returns false (leaving the server broken and not
 // ready) if a recovered batch fails — that means the durability directory
@@ -218,26 +228,14 @@ func (s *Server) replayWAL(batches []wal.Batch) bool {
 		s.replayDone = i
 		s.mu.Unlock()
 		replayed += len(b.Changes)
-		cs := &model.ChangeSet{Changes: b.Changes}
 		if err := s.state.Apply(b.Changes); err != nil {
 			s.setBroken(fmt.Errorf("wal replay: batch seq %d: %w", b.Seq, err))
 			return false
 		}
-		results, err := s.rt.Commit(cs)
-		if err != nil {
+		if err := s.publish(int(b.Seq), &model.ChangeSet{Changes: b.Changes}); err != nil {
 			s.setBroken(fmt.Errorf("wal replay: commit seq %d: %w", b.Seq, err))
 			return false
 		}
-		prev := s.snap.Load()
-		s.snap.Store(&Snapshot{
-			Seq:      int(b.Seq),
-			Changes:  prev.Changes + len(b.Changes),
-			Inserts:  prev.Inserts + cs.InsertCount(),
-			Removals: prev.Removals + cs.RemovalCount(),
-			Results:  results,
-			Engines:  s.rt.EngineTotals(),
-			At:       time.Now(),
-		})
 	}
 	last := int(batches[len(batches)-1].Seq)
 	s.snapshotDurable(last)
@@ -279,7 +277,8 @@ func (s *Server) noteDetach(d time.Duration) {
 //
 // Called by the writer goroutine, which only pays the O(1) copy-on-write
 // handoff (model.State.View): a background goroutine streams the view to
-// disk chunk by chunk while the writer returns to draining the queue.
+// disk chunk by chunk while the writer returns to draining the queue. The
+// graceful close calls it too, once the writer has exited, and waits.
 func (s *Server) snapshotDurable(seq int) {
 	s.mu.Lock()
 	last := s.lastSnap
@@ -345,24 +344,4 @@ func (s *Server) streamChunk(written int) error {
 		h(written)
 	}
 	return nil
-}
-
-// snapshotFinal writes the shutdown snapshot synchronously — a draining
-// server has nothing better to do — through the same streaming encoder.
-// snapInProgress stays set for the duration so /healthz reports the
-// final-snapshot drain instead of looking idle and healthy.
-func (s *Server) snapshotFinal(seq int) {
-	s.mu.Lock()
-	last := s.lastSnap
-	s.mu.Unlock()
-	if seq == last {
-		return
-	}
-	s.snapInProgress.Store(true)
-	start := time.Now()
-	view, release := s.state.View()
-	err := s.wal.WriteSnapshotStream(uint64(seq), uint64(s.snap.Load().Changes), view, s.streamChunk)
-	release()
-	s.finishSnapshot(seq, start, err)
-	s.snapInProgress.Store(false)
 }

@@ -337,16 +337,14 @@ type statsResponse struct {
 	Broken          string                      `json:"broken,omitempty"`
 
 	// Shards reports each engine shard's queue depth and apply latencies;
-	// Rebalances counts Q2 group migrations between shards — split into
-	// DonorRepairs (the donor subtracted the migrated group incrementally
-	// via core.DeltaEngine) and DonorReloads (full engine rebuilds, the
-	// fallback for engines without the capability) — and ParkedComments the
-	// likeless comments the router holds outside every Q2 partition (engine
-	// comment totals + parked = all comments).
+	// Rebalances counts Q2 group migrations between shards, DonorRepairs
+	// the donor commits that subtracted a migrated group through
+	// core.DeltaEngine, and ParkedComments the likeless comments the router
+	// holds outside every Q2 partition (engine comment totals + parked = all
+	// comments).
 	Shards         []shardStatsJSON `json:"shards"`
 	Rebalances     int              `json:"rebalances"`
 	DonorRepairs   int              `json:"donorRepairs"`
-	DonorReloads   int              `json:"donorReloads"`
 	ParkedComments int              `json:"parkedComments"`
 
 	// Ready mirrors /healthz readiness; Persistence reports the durability
@@ -414,11 +412,9 @@ type shardStatsJSON struct {
 	Shard   int `json:"shard"`
 	Depth   int `json:"depth"`
 	Commits int `json:"commits"`
-	// Repairs/Reloads split the shard's donated-group migrations into
-	// incremental DeltaEngine repairs and full engine rebuilds; RepairLast
-	// and RepairMean time the subtractive-delta portion of repair commits.
+	// Repairs counts the shard's donated-group migrations; RepairLast and
+	// RepairMean time their DeltaEngine retractions.
 	Repairs    int        `json:"repairs"`
-	Reloads    int        `json:"reloads"`
 	Last       durationMS `json:"lastMs"`
 	Mean       durationMS `json:"meanMs"`
 	RepairLast durationMS `json:"repairLastMs"`
@@ -480,13 +476,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, st := range s.rt.ShardStats() {
 		resp.DonorRepairs += st.Repairs
-		resp.DonorReloads += st.Reloads
 		resp.Shards = append(resp.Shards, shardStatsJSON{
 			Shard:      st.Shard,
 			Depth:      st.Depth,
 			Commits:    st.Commits,
 			Repairs:    st.Repairs,
-			Reloads:    st.Reloads,
 			Last:       durationMS(st.Last),
 			Mean:       durationMS(st.Mean()),
 			RepairLast: durationMS(st.RepairLast),

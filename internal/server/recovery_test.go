@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,7 +208,7 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 		PersistDir:    dir,
 		Fsync:         wal.SyncOff,
 		SnapshotEvery: -1,  // the WAL tail is the whole history
-		SegmentBytes:  512, // tiny segments: most of the history seals
+		segmentBytes:  512, // tiny segments: most of the history seals
 		FlushInterval: time.Millisecond,
 	}
 	srv, err := New(cfg)
@@ -297,7 +298,7 @@ func TestServerCompactEvery(t *testing.T) {
 		PersistDir:    dir,
 		Fsync:         wal.SyncOff,
 		SnapshotEvery: -1,
-		SegmentBytes:  1024,
+		segmentBytes:  1024,
 		CompactEvery:  4,
 		FlushInterval: time.Millisecond,
 	})
@@ -694,5 +695,95 @@ func TestRecoverFromV1SeedSnapshot(t *testing.T) {
 	got, want := srv.Snapshot(), ref.Snapshot()
 	if got.Seq != want.Seq || !reflect.DeepEqual(got.Results, want.Results) {
 		t.Fatalf("recovered seq %d %v, want seq %d %v", got.Seq, got.Results, want.Seq, want.Results)
+	}
+}
+
+// TestReplayAndShutdownShareTheLivePaths: WAL replay publishes through the
+// live commit step, and the graceful close writes its snapshot through the
+// live snapshot writer. A restart on a WAL tail of n batches must count n
+// update phases with no Q2 disagreement; the shutdown snapshot must keep
+// snapshotInProgress set while it streams and leave lastSnapshotSeq at the
+// final seq.
+func TestReplayAndShutdownShareTheLivePaths(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 21, RemovalFraction: 0.2})
+	const n = 5
+	if len(d.ChangeSets) <= n {
+		t.Fatalf("dataset too small: %d change sets", len(d.ChangeSets))
+	}
+	dir := t.TempDir()
+	cfg := Config{
+		Dataset:       d,
+		Shards:        2,
+		PersistDir:    dir,
+		Fsync:         wal.SyncOff,
+		SnapshotEvery: -1,
+		FlushInterval: time.Millisecond,
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < n; k++ {
+		if err := srv.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.crash()
+
+	// Chunks of the shutdown snapshot record whether snapInProgress was set.
+	var (
+		closing        atomic.Bool
+		srv2           *Server
+		shutdownChunks atomic.Int64
+		unflagged      atomic.Int64
+	)
+	cfg.snapshotChunkBytes = 1024
+	cfg.snapshotChunkHook = func(int) {
+		if !closing.Load() {
+			return
+		}
+		shutdownChunks.Add(1)
+		if !srv2.snapInProgress.Load() {
+			unflagged.Add(1)
+		}
+	}
+	srv2, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv2.Handler())
+	defer ts.Close()
+	waitReady(t, srv2)
+
+	var stats statsResponse
+	getJSON(t, ts.URL+"/stats", &stats)
+	if stats.Persistence == nil || stats.Persistence.Recovery.ReplayedBatches != n {
+		t.Fatalf("stats.persistence %+v, want %d replayed batches", stats.Persistence, n)
+	}
+	if stats.Updates.Count != n {
+		t.Errorf("updates.count = %d after replaying %d batches, want %d", stats.Updates.Count, n, n)
+	}
+	if stats.Q2Disagreements != 0 {
+		t.Errorf("q2Disagreements = %d after replay, want 0", stats.Q2Disagreements)
+	}
+
+	if err := srv2.Enqueue(d.ChangeSets[n].Changes, true); err != nil {
+		t.Fatal(err)
+	}
+	srv2.waitSnapshot() // the post-replay snapshot
+	closing.Store(true)
+	srv2.Close()
+	if shutdownChunks.Load() == 0 {
+		t.Fatal("the graceful close wrote no snapshot chunk")
+	}
+	if u := unflagged.Load(); u != 0 {
+		t.Errorf("%d of %d shutdown snapshot chunks streamed with snapshotInProgress unset", u, shutdownChunks.Load())
+	}
+	getJSON(t, ts.URL+"/stats", &stats)
+	if got := stats.Persistence.LastSnapshotSeq; got != n+1 {
+		t.Errorf("lastSnapshotSeq = %d after close, want the final seq %d", got, n+1)
+	}
+	if stats.Persistence.SnapshotInProgress {
+		t.Error("snapshotInProgress still set after close")
 	}
 }

@@ -95,15 +95,15 @@ type Config struct {
 	// numbers survive). 0 disables compaction; only meaningful with
 	// PersistDir.
 	CompactEvery int
-	// SegmentBytes overrides the WAL's segment rotation threshold (default
-	// 4 MiB). A tuning/testing knob: compaction only ever works on sealed
-	// segments, so tests use small segments to exercise it.
-	SegmentBytes int64
 
+	// segmentBytes overrides the WAL's segment rotation threshold (compaction
+	// only works on sealed segments, so tests use small ones);
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
 	// snapshotChunkHook observes every flushed chunk; batchHook sees each
 	// batch the writer closes, before it commits — test hooks (same package
-	// only) for pinning down encode/commit and batching interleavings.
+	// only) for pinning down compaction, encode/commit and batching
+	// interleavings.
+	segmentBytes       int64
 	snapshotChunkBytes int
 	snapshotChunkHook  func(written int)
 	batchHook          func(batch []updateReq)
@@ -163,9 +163,6 @@ func (c Config) Validate() error {
 	}
 	if c.CompactEvery < 0 {
 		return fmt.Errorf("compact every must be >= 0 (got %d; 0 disables)", c.CompactEvery)
-	}
-	if c.SegmentBytes < 0 {
-		return fmt.Errorf("segment bytes must be >= 0 (got %d; 0 means the default)", c.SegmentBytes)
 	}
 	return nil
 }
@@ -311,7 +308,7 @@ func New(cfg Config) (*Server, error) {
 			Dir:                cfg.PersistDir,
 			Sync:               cfg.Fsync,
 			SyncInterval:       cfg.FsyncInterval,
-			SegmentBytes:       cfg.SegmentBytes,
+			SegmentBytes:       cfg.segmentBytes,
 			SnapshotChunkBytes: cfg.snapshotChunkBytes,
 		})
 		if err != nil {
@@ -503,9 +500,11 @@ func (s *Server) Close() {
 
 // closeDurable finishes the durability subsystem exactly once: a graceful
 // close drains any in-flight background encode, writes a final snapshot
-// (so the next start replays nothing) and fsyncs the WAL; an abrupt one
-// aborts the encode at its next chunk (dropping the temp file, exactly as
-// a crash would) and drops the file handles. The final snapshot is skipped
+// through snapshotDurable and waits for it (so the next start replays
+// nothing; snapInProgress stays set meanwhile, so /healthz reports the
+// drain), and fsyncs the WAL; an abrupt one aborts the encode at its next
+// chunk (dropping the temp file, exactly as a crash would) and drops the
+// file handles. The final snapshot is skipped
 // when the engines are broken — the materialized state may then be ahead
 // of the published seq, and the WAL alone is the truth.
 //
@@ -520,7 +519,8 @@ func (s *Server) closeDurable(graceful bool) {
 		if graceful {
 			s.waitSnapshot()
 			if s.brokenErr() == nil && s.ready.Load() {
-				s.snapshotFinal(s.snap.Load().Seq)
+				s.snapshotDurable(s.snap.Load().Seq)
+				s.waitSnapshot()
 			}
 			_ = s.wal.Close()
 		} else {

@@ -5,23 +5,20 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/harness"
 	"repro/internal/model"
 )
 
 // donorFixture builds a 2-shard workload in which a small group (the
 // migrated-group size, fixed) bridges into a big group on the other shard,
 // forcing the donor — which also holds a `remaining`-sized partition — to
-// repair or reload. The deterministic initial placement puts the biggest
+// repair. The deterministic initial placement puts the biggest
 // group alone on shard 0 and the remaining + small groups on shard 1, so
 // the bridge always migrates the small group 1→0 and the donor's surviving
 // partition has exactly `remaining`+1 entities.
 //
-// The tentpole's claim is measured by sweeping `remaining` with the group
-// size fixed: incremental repair (DeltaEngine retraction) stays flat while
-// the reload fallback grows with the surviving partition.
+// BenchmarkDonorRepair sweeps `remaining` with the group size fixed: the
+// DeltaEngine retraction stays flat as the surviving partition grows.
 func donorFixture(remaining, group int) (*model.Snapshot, *model.ChangeSet) {
 	big := remaining + group + 10 // strictly biggest: placed first, wins the merge
 	snap := &model.Snapshot{Posts: []model.Post{{ID: 1, Timestamp: 1}}}
@@ -42,7 +39,10 @@ func donorFixture(remaining, group int) (*model.Snapshot, *model.ChangeSet) {
 	return snap, bridge
 }
 
-func benchDonor(b *testing.B, wantRepair bool) {
+// BenchmarkDonorRepair times the cross-shard merge commit when the donor
+// subtracts the migrated group through core.DeltaEngine: cost tracks the
+// migrated-group size, not the donor's surviving partition.
+func BenchmarkDonorRepair(b *testing.B) {
 	const group = 8
 	for _, remaining := range []int{1 << 10, 1 << 12, 1 << 14} {
 		b.Run(fmt.Sprintf("remaining%d", remaining), func(b *testing.B) {
@@ -60,52 +60,21 @@ func benchDonor(b *testing.B, wantRepair bool) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				repairs, reloads := 0, 0
+				repairs := 0
 				for _, st := range rt.ShardStats() {
 					repairs += st.Repairs
-					reloads += st.Reloads
 					repairNs += float64(st.RepairTotal.Nanoseconds())
 				}
-				if wantRepair && (repairs == 0 || reloads != 0) {
-					b.Fatalf("expected incremental repair, got repairs=%d reloads=%d", repairs, reloads)
-				}
-				if !wantRepair && reloads == 0 {
-					b.Fatalf("expected reload fallback, got repairs=%d reloads=%d", repairs, reloads)
+				if repairs == 0 {
+					b.Fatal("the bridge commit repaired no donor")
 				}
 				rt.Close()
 			}
-			if wantRepair {
-				// The retraction itself (the part that replaced the reload);
-				// the surrounding ns/op also pays commit bookkeeping and the
-				// per-commit stats observation.
-				b.ReportMetric(repairNs/float64(b.N), "repair-ns/op")
-			}
+			// The retraction itself; the surrounding ns/op also pays commit
+			// bookkeeping and the per-commit stats observation.
+			b.ReportMetric(repairNs/float64(b.N), "repair-ns/op")
 		})
 	}
-}
-
-// BenchmarkDonorRepair times the cross-shard merge commit when the donor
-// subtracts the migrated group through core.DeltaEngine: cost tracks the
-// migrated-group size, not the donor's surviving partition.
-func BenchmarkDonorRepair(b *testing.B) { benchDonor(b, true) }
-
-// BenchmarkDonorReload times the same commit with the DeltaEngine
-// capability hidden, forcing the pre-refactor behavior: the donor rebuilds
-// its Q2 engines from the surviving partition, so cost grows with it.
-func BenchmarkDonorReload(b *testing.B) {
-	old := servedEngines
-	servedEngines = func() []harness.ServedEngine {
-		out := harness.ServedEngines()
-		for i := range out {
-			if out[i].Query == "Q2" {
-				inner := out[i].New
-				out[i].New = func() core.Solution { return noDelta{inner()} }
-			}
-		}
-		return out
-	}
-	defer func() { servedEngines = old }()
-	benchDonor(b, false)
 }
 
 // routerFixture is the scale-factor-32 snapshot BenchmarkNewRouter and

@@ -34,7 +34,7 @@ import (
 //     parked set as one more (virtual) partition at merge time. A parked
 //     comment materializes directly onto its first liker's shard, which
 //     keeps the common arrival order "comment now, first like a few
-//     commits later" migration-free — donor rebuilds happen only when a
+//     commits later" migration-free — migrations happen only when a
 //     new edge genuinely merges two populated groups across shards.
 //
 // Removals (the future-work workload) never split router groups: a
@@ -108,16 +108,6 @@ type plan struct {
 	q1  [][]model.Change
 	q2  [][]model.Change
 	ops [][]shardOp
-}
-
-// hasRetraction reports whether shard s donates a group this commit.
-func (p *plan) hasRetraction(s int) bool {
-	for i := range p.ops[s] {
-		if p.ops[s][i].retract != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // router holds all partitioning state. It is confined to the runtime's
@@ -410,13 +400,13 @@ func (r *router) union(a, b nodeKey, p *plan) error {
 
 // migrate moves the materialized entities of the group rooted at loser from
 // its current shard to dest: the moved subgraph is expressed once as a
-// keyed delta, queued for the donor as a retraction (a core.DeltaEngine
-// subtracts it; engines without the capability fall back to a reload) and
-// for the recipient as synthetic add-changes. All materialized members of a
-// group live on its shard and all their Q2-relevant edges are intra-group,
-// so the member ring and its adjacency describe a complete, self-contained
-// subgraph — exactly the precondition DeltaEngine.Retract requires. The
-// store itself needs no update: the caller re-stamps the merged root.
+// keyed delta, queued for the donor as a retraction (every served Q2
+// engine subtracts it through core.DeltaEngine) and for the recipient as
+// synthetic add-changes. All materialized members of a group live on its
+// shard and all their Q2-relevant edges are intra-group, so the member ring
+// and its adjacency describe a complete, self-contained subgraph — exactly
+// the precondition DeltaEngine.Retract requires. The store itself needs no
+// update: the caller re-stamps the merged root.
 func (r *router) migrate(loser int, dest int32, p *plan) {
 	src := r.groupShard[loser]
 	ret := &model.Retraction{}
@@ -632,8 +622,8 @@ func (r *router) parkedTopK() core.Result { return r.parkedRank.Top(core.TopK) }
 // comments whose group lives on s and the edges among them. It walks every
 // router node, not just s's partition, so it costs O(router nodes) plus s's
 // edges. Rendering writes to the union-find (find compresses paths), so it
-// must not run concurrently with anything else on r. Used at startup and
-// for the reload fallback.
+// must not run concurrently with anything else on r. Used only at startup,
+// to load each shard's Q2 engines.
 func (r *router) q2Snapshot(s int) *model.Snapshot {
 	out := &model.Snapshot{Posts: append([]model.Post(nil), r.posts...)}
 	for ni, id := range r.ids {

@@ -36,14 +36,11 @@ type Stats struct {
 	Depth int
 	// Commits counts commands the shard's writer has applied.
 	Commits int
-	// Repairs counts donor-side group migrations applied incrementally
-	// through core.DeltaEngine; Reloads counts full Q2 engine rebuilds
-	// (engines without the capability). Repairs + Reloads commits carried a
-	// donated group.
+	// Repairs counts commits in which the shard donated a group: its Q2
+	// engines subtracted the migrated subgraph through core.DeltaEngine.
 	Repairs int
-	Reloads int
 	// Last and Total aggregate the shard's apply latencies; RepairLast and
-	// RepairTotal the subtractive-delta portion of repair commits.
+	// RepairTotal the Retract calls of repair commits.
 	Last        time.Duration
 	Total       time.Duration
 	RepairLast  time.Duration
@@ -66,11 +63,12 @@ func (s Stats) RepairMean() time.Duration {
 	return s.RepairTotal / time.Duration(s.Repairs)
 }
 
-// engineInst is one warm engine on one shard.
+// engineInst is one warm engine on one shard. delta is the engine's
+// core.DeltaEngine, set for every Q2 engine.
 type engineInst struct {
-	key     string
-	factory harness.Factory
-	sol     core.Solution
+	key   string
+	sol   core.Solution
+	delta core.DeltaEngine
 }
 
 // command is one commit's slice of work for a single shard.
@@ -79,13 +77,8 @@ type command struct {
 	q2 []model.Change // group-routed stream, applied after ops
 	// ops are the shard's chronological migration steps: retractions when it
 	// donates a group, synthetic adds when it receives one.
-	ops []shardOp
-	// reload is the fallback for Q2 engines without the core.DeltaEngine
-	// capability: set (to the post-commit partition snapshot) only when ops
-	// contain a retraction some engine cannot apply subtractively. Capable
-	// engines still repair incrementally; incapable ones rebuild from it.
-	reload *model.Snapshot
-	resp   chan<- response
+	ops  []shardOp
+	resp chan<- response
 }
 
 type response struct {
@@ -94,7 +87,6 @@ type response struct {
 	results   map[string]core.Result
 	stats     map[string]core.EngineStats
 	repaired  bool // a donated group was subtracted via DeltaEngine
-	reloaded  bool // a donated group forced a full engine rebuild
 	repairDur time.Duration
 	elapsed   time.Duration
 }
@@ -109,10 +101,6 @@ type worker struct {
 	q2   []engineInst
 }
 
-// servedEngines resolves the engine lineup; a variable so tests can stub a
-// lineup without the DeltaEngine capability to exercise the reload fallback.
-var servedEngines = harness.ServedEngines
-
 // Runtime is the sharded engine runtime. New loads the partitions and
 // starts one writer goroutine per shard; Commit routes and applies one
 // change set with a global barrier; Results/Stats serve reads. Commit and
@@ -122,9 +110,6 @@ type Runtime struct {
 	n       int
 	router  *router
 	workers []*worker
-	// deltaCapable is true when every Q2 engine implements core.DeltaEngine,
-	// so a donor repairs incrementally and no reload snapshot is ever built.
-	deltaCapable bool
 
 	loadDur    time.Duration
 	initialDur time.Duration
@@ -147,7 +132,8 @@ type Runtime struct {
 
 // New partitions the snapshot over n shards, loads and initially evaluates
 // every shard's engines (in parallel across shards), and starts the
-// per-shard writers.
+// per-shard writers. Every Q2 engine must implement core.DeltaEngine: a
+// donor shard subtracts a migrated group through it.
 func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
@@ -171,23 +157,21 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	}
 	for s := 0; s < n; s++ {
 		w := &worker{id: s, cmds: make(chan command, 1), done: make(chan struct{})}
-		for _, e := range servedEngines() {
-			inst := engineInst{key: e.Key, factory: e.New, sol: e.New()}
+		for _, e := range harness.ServedEngines() {
+			inst := engineInst{key: e.Key, sol: e.New()}
 			if e.Query == "Q1" {
 				w.q1 = append(w.q1, inst)
-			} else {
-				w.q2 = append(w.q2, inst)
+				continue
 			}
+			de, ok := inst.sol.(core.DeltaEngine)
+			if !ok {
+				return nil, fmt.Errorf("shard: Q2 engine %s does not implement core.DeltaEngine", inst.sol.Name())
+			}
+			inst.delta = de
+			w.q2 = append(w.q2, inst)
 		}
 		rt.workers[s] = w
 		rt.meta[s].Shard = s
-	}
-	rt.deltaCapable = true
-	for _, e := range rt.workers[0].q2 {
-		if _, ok := e.sol.(core.DeltaEngine); !ok {
-			rt.deltaCapable = false
-			break
-		}
 	}
 
 	errs := make([]error, n)
@@ -294,88 +278,52 @@ func (w *worker) run() {
 	}
 }
 
+// apply runs one command: the Q1 stream, then the shard's migration ops in
+// order and its routed Q2 stream. Consecutive synthetic adds accumulate
+// into one Update; a retraction first flushes them, so a shard that
+// receives a group and then donates the merged result retracts from engines
+// that hold it. The routed stream joins the final run.
 func (w *worker) apply(cmd command, resp *response) error {
-	if len(cmd.q1) > 0 {
-		cs := &model.ChangeSet{Changes: cmd.q1}
-		for _, e := range w.q1 {
-			if _, err := e.sol.Update(cs); err != nil {
-				return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
-			}
-		}
+	if err := w.update(w.q1, cmd.q1); err != nil {
+		return err
 	}
-
-	hasRetract := false
-	for i := range cmd.ops {
-		if cmd.ops[i].retract != nil {
-			hasRetract = true
-			break
-		}
-	}
-	if !hasRetract {
-		// No donation: any ops are purely additive (migrated-in subgraphs),
-		// so they merge ahead of the routed stream into one update.
-		q2 := cmd.q2
-		if len(cmd.ops) > 0 {
-			var merged []model.Change
-			for i := range cmd.ops {
-				merged = append(merged, cmd.ops[i].synthetic...)
-			}
-			q2 = append(merged, cmd.q2...)
-		}
-		if len(q2) > 0 {
-			cs := &model.ChangeSet{Changes: q2}
-			for _, e := range w.q2 {
-				if _, err := e.sol.Update(cs); err != nil {
-					return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
-				}
-			}
-		}
-		return nil
-	}
-
-	// Donor path: engines with the DeltaEngine capability replay the ops in
-	// order — retractions subtractively, migrated-in groups additively —
-	// then the routed stream; engines without it rebuild from the
-	// post-commit partition snapshot instead (the reload this refactor
-	// makes the exception rather than the rule).
-	for i := range w.q2 {
-		e := &w.q2[i]
-		if de, ok := e.sol.(core.DeltaEngine); ok {
-			start := time.Now()
-			for _, op := range cmd.ops {
-				if op.retract != nil {
-					if _, err := de.Retract(op.retract); err != nil {
-						return fmt.Errorf("shard %d: %s retract: %w", w.id, e.sol.Name(), err)
-					}
-				} else if len(op.synthetic) > 0 {
-					cs := &model.ChangeSet{Changes: op.synthetic}
-					if _, err := e.sol.Update(cs); err != nil {
-						return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
-					}
-				}
-			}
-			resp.repairDur += time.Since(start)
-			resp.repaired = true
-			if len(cmd.q2) > 0 {
-				cs := &model.ChangeSet{Changes: cmd.q2}
-				if _, err := e.sol.Update(cs); err != nil {
-					return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
-				}
-			}
+	var run []model.Change
+	for _, op := range cmd.ops {
+		if op.retract == nil {
+			run = append(run, op.synthetic...)
 			continue
 		}
-		if cmd.reload == nil {
-			return fmt.Errorf("shard %d: %s cannot retract and no reload snapshot was provided", w.id, e.sol.Name())
+		if err := w.update(w.q2, run); err != nil {
+			return err
 		}
-		sol := e.factory()
-		if err := sol.Load(cmd.reload); err != nil {
-			return fmt.Errorf("shard %d: %s reload: %w", w.id, sol.Name(), err)
+		run = nil
+		start := time.Now()
+		for _, e := range w.q2 {
+			if _, err := e.delta.Retract(op.retract); err != nil {
+				return fmt.Errorf("shard %d: %s retract: %w", w.id, e.sol.Name(), err)
+			}
 		}
-		if _, err := sol.Initial(); err != nil {
-			return fmt.Errorf("shard %d: %s reload initial: %w", w.id, sol.Name(), err)
+		resp.repairDur += time.Since(start)
+		resp.repaired = true
+	}
+	if len(run) == 0 {
+		run = cmd.q2
+	} else {
+		run = append(run, cmd.q2...)
+	}
+	return w.update(w.q2, run)
+}
+
+// update applies one change list to engines; an empty list is a no-op.
+func (w *worker) update(engines []engineInst, changes []model.Change) error {
+	if len(changes) == 0 {
+		return nil
+	}
+	cs := &model.ChangeSet{Changes: changes}
+	for _, e := range engines {
+		if _, err := e.sol.Update(cs); err != nil {
+			return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
 		}
-		e.sol = sol
-		resp.reloaded = true
 	}
 	return nil
 }
@@ -395,13 +343,6 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 	active := 0
 	for s := 0; s < rt.n; s++ {
 		cmd := command{q1: p.q1[s], q2: p.q2[s], ops: p.ops[s], resp: respCh}
-		if !rt.deltaCapable && p.hasRetraction(s) {
-			// Some engine will need the reload fallback; the snapshot is
-			// built only then — when every engine repairs incrementally the
-			// snapshot walk, O(router nodes) plus the partition's edges,
-			// never happens.
-			cmd.reload = rt.router.q2Snapshot(s)
-		}
 		if len(cmd.q1) == 0 && len(cmd.q2) == 0 && len(cmd.ops) == 0 {
 			continue
 		}
@@ -432,9 +373,6 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 				m.RepairLast = resp.repairDur
 				m.RepairTotal += resp.repairDur
 			}
-			if resp.reloaded {
-				m.Reloads++
-			}
 			rt.last[resp.shard] = resp.results
 			rt.lastStats[resp.shard] = resp.stats
 		}
@@ -455,7 +393,7 @@ func (rt *Runtime) Results() map[string]string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	out := make(map[string]string)
-	for _, e := range servedEngines() {
+	for _, e := range harness.ServedEngines() {
 		rt.merge.Reset()
 		if e.Query == "Q2" {
 			for _, p := range parked {
@@ -478,7 +416,7 @@ func (rt *Runtime) Results() map[string]string {
 // the totals count distinct entities rather than replicas.
 func (rt *Runtime) EngineTotals() map[string]core.EngineStats {
 	queryOf := make(map[string]string)
-	for _, e := range servedEngines() {
+	for _, e := range harness.ServedEngines() {
 		queryOf[e.Key] = e.Query
 	}
 	rt.mu.Lock()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/harness"
 	"repro/internal/model"
 )
 
@@ -229,7 +228,7 @@ func rebalanceFixture() *model.Snapshot {
 
 // TestRebalanceOnCrossShardMerge forces the rebalance path: a friendship
 // bridging two groups that live on different shards must migrate one group
-// (donor engines reload), and results must stay identical to a single
+// (the donor's engines retract it), and results must stay identical to a single
 // shard's.
 func TestRebalanceOnCrossShardMerge(t *testing.T) {
 	snap := rebalanceFixture()
@@ -279,10 +278,9 @@ func TestRebalanceOnCrossShardMerge(t *testing.T) {
 	if rt2.Rebalances() == 0 {
 		t.Error("bridging friendship did not trigger a rebalance")
 	}
-	repairs, reloads := 0, 0
+	repairs := 0
 	for _, st := range rt2.ShardStats() {
 		repairs += st.Repairs
-		reloads += st.Reloads
 		if st.Depth != 0 {
 			t.Errorf("shard %d: nonzero depth %d after barrier", st.Shard, st.Depth)
 		}
@@ -293,87 +291,74 @@ func TestRebalanceOnCrossShardMerge(t *testing.T) {
 	if repairs == 0 {
 		t.Error("rebalance did not repair any donor shard incrementally")
 	}
-	if reloads != 0 {
-		t.Errorf("donor fell back to %d full reloads despite the DeltaEngine capability", reloads)
-	}
 }
 
-// noDelta wraps an engine, hiding a DeltaEngine implementation while
-// keeping the introspection interfaces the runtime observes — the shape of
-// a served engine that cannot retract.
-type noDelta struct {
-	core.Solution
-}
-
-func (n noDelta) LastResult() (core.Result, bool) {
-	return n.Solution.(core.ResultSnapshotter).LastResult()
-}
-
-func (n noDelta) Stats() core.EngineStats {
-	return n.Solution.(core.StatsReporter).Stats()
-}
-
-// withoutDeltaEngines stubs the served lineup so every Q2 engine lacks the
-// DeltaEngine capability, restoring it when the test ends.
-func withoutDeltaEngines(t *testing.T) {
-	t.Helper()
-	old := servedEngines
-	servedEngines = func() []harness.ServedEngine {
-		out := harness.ServedEngines()
-		for i := range out {
-			if out[i].Query == "Q2" {
-				inner := out[i].New
-				out[i].New = func() core.Solution { return noDelta{inner()} }
-			}
+// TestReceiveThenDonate pins the order of a shard's migration ops. Three
+// co-like groups of 3, 4 and 9 entities start on shards 2, 1 and 0. One
+// commit bridges the small group into the middle one, which migrates it
+// from shard 2 onto shard 1, then bridges the grown group into the big one,
+// which migrates it from shard 1 onto shard 0. Shard 1's ops are therefore
+// [synthetic, retract]: its engines must add the received group before
+// they retract the merged one, and answers must match a single shard's.
+func TestReceiveThenDonate(t *testing.T) {
+	snap := &model.Snapshot{Posts: []model.Post{{ID: 1, Timestamp: 1}}}
+	addGroup := func(comment, firstUser model.ID, users int) {
+		snap.Comments = append(snap.Comments, model.Comment{ID: comment, Timestamp: int64(comment), ParentID: 1, PostID: 1})
+		for u := firstUser; u < firstUser+model.ID(users); u++ {
+			snap.Users = append(snap.Users, model.User{ID: u})
+			snap.Likes = append(snap.Likes, model.Like{UserID: u, CommentID: comment})
 		}
-		return out
 	}
-	t.Cleanup(func() { servedEngines = old })
-}
+	addGroup(10, 100, 2) // 3 entities: shard 2
+	addGroup(20, 200, 3) // 4 entities: shard 1
+	addGroup(30, 300, 8) // 9 entities: shard 0
 
-// TestRebalanceReloadFallback pins the fallback: when a served Q2 engine
-// cannot retract, a donated group forces the old full reload — and answers
-// still match a single shard change for change.
-func TestRebalanceReloadFallback(t *testing.T) {
-	withoutDeltaEngines(t)
-	snap := rebalanceFixture()
-	rt2, err := New(2, snap)
+	rt3, err := New(3, snap.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt2.Close()
-	rt1, err := New(1, snap)
+	defer rt3.Close()
+	rt1, err := New(1, snap.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt1.Close()
 
-	cs := &model.ChangeSet{Changes: []model.Change{
-		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 101, User2: 200}},
-	}}
-	res2, err := rt2.Commit(cs)
-	if err != nil {
-		t.Fatal(err)
+	steps := []model.ChangeSet{
+		{Changes: []model.Change{
+			{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 100, User2: 200}},
+			{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 201, User2: 300}},
+			{Kind: model.KindAddLike, Like: model.Like{UserID: 101, CommentID: 20}},
+		}},
+		// The merged group keeps answering exactly on its new shard.
+		{Changes: []model.Change{
+			{Kind: model.KindAddLike, Like: model.Like{UserID: 300, CommentID: 10}},
+			{Kind: model.KindRemoveFriendship, Friendship: model.Friendship{User1: 100, User2: 200}},
+		}},
 	}
-	res1, err := rt1.Commit(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"q1", "q2", "q2cc"} {
-		if res2[key] != res1[key] {
-			t.Errorf("%s diverged under fallback: 2-shard %q vs 1-shard %q", key, res2[key], res1[key])
+	for k := range steps {
+		res3, err := rt3.Commit(&steps[k])
+		if err != nil {
+			t.Fatalf("step %d (3 shards): %v", k, err)
+		}
+		res1, err := rt1.Commit(&steps[k])
+		if err != nil {
+			t.Fatalf("step %d (1 shard): %v", k, err)
+		}
+		for _, key := range []string{"q1", "q2", "q2cc"} {
+			if res3[key] != res1[key] {
+				t.Fatalf("step %d: %s diverged: 3-shard %q vs 1-shard %q", k, key, res3[key], res1[key])
+			}
 		}
 	}
-	repairs, reloads := 0, 0
-	for _, st := range rt2.ShardStats() {
-		repairs += st.Repairs
-		reloads += st.Reloads
+	if got := rt3.Rebalances(); got != 2 {
+		t.Fatalf("rebalances = %d, want 2 (shard 2 → 1, then shard 1 → 0)", got)
 	}
-	if reloads == 0 {
-		t.Error("incapable engines did not trigger the reload fallback")
-	}
-	if repairs != 0 {
-		t.Errorf("%d repairs recorded for a lineup without the capability", repairs)
+	for _, st := range rt3.ShardStats() {
+		want := map[int]int{0: 0, 1: 1, 2: 1}[st.Shard]
+		if st.Repairs != want {
+			t.Errorf("shard %d: %d repairs, want %d", st.Shard, st.Repairs, want)
+		}
 	}
 }
 
