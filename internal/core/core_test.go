@@ -105,29 +105,52 @@ func TestLoadGraphRejectsDanglingReferences(t *testing.T) {
 			Friendships: []model.Friendship{{User1: 1, User2: 42}},
 		},
 	}
-	for i, s := range bad {
-		if _, err := loadGraph(s); err == nil {
-			t.Fatalf("snapshot %d: expected load error", i)
+	for _, keep := range keepSets {
+		for i, s := range bad {
+			if _, err := loadGraph(s, keep); err == nil {
+				t.Fatalf("parts %b, snapshot %d: expected load error", keep, i)
+			}
 		}
 	}
 }
 
+// keepSets are the part sets the dangling-reference tests load with: none
+// and all of them, since a graph resolves every reference whatever it keeps.
+var keepSets = []parts{0, withRootPost | withRootPostT | withLikes | withLikesT | withFriends | withPostTS | withCommentTS}
+
 func TestApplyRejectsDanglingReferences(t *testing.T) {
 	d := model.ExampleDataset()
-	g, err := loadGraph(d.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := []model.Change{
 		{Kind: model.KindAddComment, Comment: model.Comment{ID: 999, PostID: 888}},
 		{Kind: model.KindAddLike, Like: model.Like{UserID: model.U1, CommentID: 888}},
 		{Kind: model.KindAddLike, Like: model.Like{UserID: 888, CommentID: model.C1}},
 		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: model.U1, User2: 888}},
+		{Kind: model.KindRemoveLike, Like: model.Like{UserID: 888, CommentID: model.C1}},
+		{Kind: model.KindRemoveFriendship, Friendship: model.Friendship{User1: 888, User2: model.U1}},
 	}
-	for i, ch := range bad {
-		if _, err := g.apply(&model.ChangeSet{Changes: []model.Change{ch}}); err == nil {
-			t.Fatalf("change %d: expected apply error", i)
+	for _, keep := range keepSets {
+		g, err := loadGraph(d.Snapshot, keep)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, ch := range bad {
+			if _, err := g.apply(&model.ChangeSet{Changes: []model.Change{ch}}); err == nil {
+				t.Fatalf("parts %b, change %d: expected apply error", keep, i)
+			}
+		}
+	}
+}
+
+// TestRetractNeedsNoRootPost: retract removes no rootPost edges (no
+// retracting engine keeps them), so a graph that keeps one refuses to
+// retract rather than keep a retired comment's edge.
+func TestRetractNeedsNoRootPost(t *testing.T) {
+	g, err := loadGraph(twoGroupSnapshot(), withRootPostT|withLikes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.retract(groupARetraction()); err == nil {
+		t.Fatal("retract on a graph keeping rootPostT: expected an error")
 	}
 }
 

@@ -1,22 +1,30 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/grb"
 	"repro/internal/model"
 )
 
-// graph is the linear-algebraic representation of the social network shared
-// by the GraphBLAS engines: one boolean adjacency matrix per edge type, in
-// both orientations where the incremental algorithms need the transpose for
-// row-sparse access, plus dense id↔index maps and per-entity timestamps.
+// graph is the linear-algebraic representation of the social network used
+// by the GraphBLAS engines: boolean adjacency matrices per edge type, in
+// the orientations the algorithms read, plus dense id↔index maps and
+// per-entity timestamps. Each engine builds and maintains only the parts
+// it reads (a nil matrix or timestamp slice is one it does not keep):
 //
-//	rootPost   |posts| × |comments|   (Q1 batch row-reduce)
-//	rootPostT  |comments| × |posts|   (Q1 incremental sparse VxM)
-//	likes      |comments| × |users|   (Q2 liker collection)
-//	likesT     |users| × |comments|   (Q2 incremental friendship probing)
-//	friends    |users| × |users|      (symmetric)
+//	rootPost   |posts| × |comments|   Q1Batch; Q1Incremental's Initial (Alg. 1)
+//	rootPostT  |comments| × |posts|   Q1Incremental (sparse VxM)
+//	likes      |comments| × |users|   Q1Batch, Q2Batch, Q2Incremental;
+//	                                  Q1Incremental's Initial
+//	likesT     |users| × |comments|   Q2Incremental (friendship probing)
+//	friends    |users| × |users|      Q2Batch, Q2Incremental (symmetric)
+//	postTS                            Q1Batch, Q1Incremental
+//	commentTS                         Q2Batch, Q2Incremental
+//
+// Every engine keeps all three id maps: a change is resolved in full, so an
+// unknown reference is an error whichever parts the engine keeps.
 //
 // Change sets grow the dimensions (|posts′|, |comments′|, |users′|) and add
 // entries as pending tuples; whole-matrix kernels assemble lazily while
@@ -26,6 +34,7 @@ type graph struct {
 	comments *model.IDMap
 	users    *model.IDMap
 
+	keep      parts
 	postTS    []int64
 	commentTS []int64
 
@@ -43,6 +52,19 @@ type graph struct {
 	retiredUsers    map[int]struct{}
 }
 
+// parts selects the matrices and timestamp slices a graph keeps.
+type parts uint8
+
+const (
+	withRootPost parts = 1 << iota
+	withRootPostT
+	withLikes
+	withLikesT
+	withFriends
+	withPostTS
+	withCommentTS
+)
+
 // delta reports what one change set added, in dense-index terms at the
 // post-update dimensions. It is the input of the incremental algorithms.
 type delta struct {
@@ -56,53 +78,54 @@ type delta struct {
 	removedFriends [][2]int // (user, user) index pairs
 }
 
-// loadGraph builds the matrices from an initial snapshot.
-func loadGraph(s *model.Snapshot) (*graph, error) {
+// loadGraph builds the parts keep selects from an initial snapshot. It
+// resolves every reference, kept or not.
+func loadGraph(s *model.Snapshot, keep parts) (*graph, error) {
 	g := &graph{
 		posts:    model.NewIDMap(),
 		comments: model.NewIDMap(),
 		users:    model.NewIDMap(),
+		keep:     keep,
 	}
 	for _, p := range s.Posts {
 		g.posts.Add(p.ID)
-		g.postTS = append(g.postTS, p.Timestamp)
+		if keep&withPostTS != 0 {
+			g.postTS = append(g.postTS, p.Timestamp)
+		}
 	}
 	for _, c := range s.Comments {
 		g.comments.Add(c.ID)
-		g.commentTS = append(g.commentTS, c.Timestamp)
+		if keep&withCommentTS != 0 {
+			g.commentTS = append(g.commentTS, c.Timestamp)
+		}
 	}
 	for _, u := range s.Users {
 		g.users.Add(u.ID)
 	}
 	np, nc, nu := g.posts.Len(), g.comments.Len(), g.users.Len()
 
-	rpRows := make([]grb.Index, 0, len(s.Comments))
-	rpCols := make([]grb.Index, 0, len(s.Comments))
+	keepRP := keep&(withRootPost|withRootPostT) != 0
+	rpRows, rpCols := tupleRoom(keepRP, len(s.Comments))
 	for _, c := range s.Comments {
 		pi, ok := g.posts.Index(c.PostID)
 		if !ok {
 			return nil, fmt.Errorf("core: comment %d roots at unknown post %d", c.ID, c.PostID)
 		}
-		rpRows = append(rpRows, pi)
-		rpCols = append(rpCols, g.comments.MustIndex(c.ID))
-	}
-	trues := func(n int) []bool {
-		b := make([]bool, n)
-		for i := range b {
-			b[i] = true
+		if keepRP {
+			rpRows = append(rpRows, pi)
+			rpCols = append(rpCols, g.comments.MustIndex(c.ID))
 		}
-		return b
 	}
 	var err error
-	if g.rootPost, err = grb.MatrixFromTuples(np, nc, rpRows, rpCols, trues(len(rpRows)), nil); err != nil {
+	if g.rootPost, err = buildMatrix(keep&withRootPost != 0, np, nc, rpRows, rpCols); err != nil {
 		return nil, err
 	}
-	if g.rootPostT, err = grb.MatrixFromTuples(nc, np, rpCols, rpRows, trues(len(rpRows)), nil); err != nil {
+	if g.rootPostT, err = buildMatrix(keep&withRootPostT != 0, nc, np, rpCols, rpRows); err != nil {
 		return nil, err
 	}
 
-	lkRows := make([]grb.Index, 0, len(s.Likes))
-	lkCols := make([]grb.Index, 0, len(s.Likes))
+	keepLk := keep&(withLikes|withLikesT) != 0
+	lkRows, lkCols := tupleRoom(keepLk, len(s.Likes))
 	for _, l := range s.Likes {
 		ci, ok := g.comments.Index(l.CommentID)
 		if !ok {
@@ -112,18 +135,19 @@ func loadGraph(s *model.Snapshot) (*graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: like references unknown user %d", l.UserID)
 		}
-		lkRows = append(lkRows, ci)
-		lkCols = append(lkCols, ui)
+		if keepLk {
+			lkRows = append(lkRows, ci)
+			lkCols = append(lkCols, ui)
+		}
 	}
-	if g.likes, err = grb.MatrixFromTuples(nc, nu, lkRows, lkCols, trues(len(lkRows)), nil); err != nil {
+	if g.likes, err = buildMatrix(keep&withLikes != 0, nc, nu, lkRows, lkCols); err != nil {
 		return nil, err
 	}
-	if g.likesT, err = grb.MatrixFromTuples(nu, nc, lkCols, lkRows, trues(len(lkRows)), nil); err != nil {
+	if g.likesT, err = buildMatrix(keep&withLikesT != 0, nu, nc, lkCols, lkRows); err != nil {
 		return nil, err
 	}
 
-	frRows := make([]grb.Index, 0, 2*len(s.Friendships))
-	frCols := make([]grb.Index, 0, 2*len(s.Friendships))
+	frRows, frCols := tupleRoom(keep&withFriends != 0, 2*len(s.Friendships))
 	for _, f := range s.Friendships {
 		a, ok := g.users.Index(f.User1)
 		if !ok {
@@ -133,17 +157,65 @@ func loadGraph(s *model.Snapshot) (*graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: friendship references unknown user %d", f.User2)
 		}
-		frRows = append(frRows, a, b)
-		frCols = append(frCols, b, a)
+		if keep&withFriends != 0 {
+			frRows = append(frRows, a, b)
+			frCols = append(frCols, b, a)
+		}
 	}
-	if g.friends, err = grb.MatrixFromTuples(nu, nu, frRows, frCols, trues(len(frRows)), nil); err != nil {
+	if g.friends, err = buildMatrix(keep&withFriends != 0, nu, nu, frRows, frCols); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
+// tupleRoom returns empty row and column lists with room for n tuples, or
+// nil lists when the matrices they would build are not kept.
+func tupleRoom(kept bool, n int) (rows, cols []grb.Index) {
+	if !kept {
+		return nil, nil
+	}
+	return make([]grb.Index, 0, n), make([]grb.Index, 0, n)
+}
+
+// buildMatrix builds an nrows × ncols boolean matrix with a true at each
+// (rows[k], cols[k]), or returns nil when the matrix is not kept.
+func buildMatrix(kept bool, nrows, ncols int, rows, cols []grb.Index) (*grb.Matrix[bool], error) {
+	if !kept {
+		return nil, nil
+	}
+	trues := make([]bool, len(rows))
+	for i := range trues {
+		trues[i] = true
+	}
+	return grb.MatrixFromTuples(nrows, ncols, rows, cols, trues, nil)
+}
+
+// resize grows a kept matrix; a nil one is not kept.
+func resize(m *grb.Matrix[bool], nrows, ncols int) error {
+	if m == nil {
+		return nil
+	}
+	return m.Resize(nrows, ncols)
+}
+
+// setTrue stores a true at (i, j) of a kept matrix; a nil one is not kept.
+func setTrue(m *grb.Matrix[bool], i, j int) error {
+	if m == nil {
+		return nil
+	}
+	return m.SetElement(i, j, true)
+}
+
+// unset removes (i, j) from a kept matrix; a nil one is not kept.
+func unset(m *grb.Matrix[bool], i, j int) error {
+	if m == nil {
+		return nil
+	}
+	return m.RemoveElement(i, j)
+}
+
 // apply ingests one change set: new entities extend the id maps and matrix
-// dimensions, new edges land as pending tuples in both orientations. It
+// dimensions, new edges land as pending tuples in the kept matrices. It
 // returns the delta in dense indices.
 func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 	d := &delta{}
@@ -151,7 +223,7 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 		switch ch.Kind {
 		case model.KindAddPost:
 			idx := g.posts.Add(ch.Post.ID)
-			if idx == len(g.postTS) {
+			if g.keep&withPostTS != 0 && idx == len(g.postTS) {
 				g.postTS = append(g.postTS, ch.Post.Timestamp)
 			}
 			d.newPosts = append(d.newPosts, idx)
@@ -160,7 +232,7 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			delete(g.retiredUsers, idx) // a re-add revives a retracted user
 		case model.KindAddComment:
 			idx := g.comments.Add(ch.Comment.ID)
-			if idx == len(g.commentTS) {
+			if g.keep&withCommentTS != 0 && idx == len(g.commentTS) {
 				g.commentTS = append(g.commentTS, ch.Comment.Timestamp)
 			}
 			delete(g.retiredComments, idx) // a re-add revives a retracted comment
@@ -173,20 +245,13 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 		}
 	}
 	np, nc, nu := g.posts.Len(), g.comments.Len(), g.users.Len()
-	if err := g.rootPost.Resize(np, nc); err != nil {
-		return nil, err
-	}
-	if err := g.rootPostT.Resize(nc, np); err != nil {
-		return nil, err
-	}
-	if err := g.likes.Resize(nc, nu); err != nil {
-		return nil, err
-	}
-	if err := g.likesT.Resize(nu, nc); err != nil {
-		return nil, err
-	}
-	if err := g.friends.Resize(nu, nu); err != nil {
-		return nil, err
+	for _, err := range [...]error{
+		resize(g.rootPost, np, nc), resize(g.rootPostT, nc, np),
+		resize(g.likes, nc, nu), resize(g.likesT, nu, nc), resize(g.friends, nu, nu),
+	} {
+		if err != nil {
+			return nil, err
+		}
 	}
 	for _, ch := range cs.Changes {
 		switch ch.Kind {
@@ -196,10 +261,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 				return nil, fmt.Errorf("core: comment %d roots at unknown post %d", ch.Comment.ID, ch.Comment.PostID)
 			}
 			ci := g.comments.MustIndex(ch.Comment.ID)
-			if err := g.rootPost.SetElement(pi, ci, true); err != nil {
+			if err := setTrue(g.rootPost, pi, ci); err != nil {
 				return nil, err
 			}
-			if err := g.rootPostT.SetElement(ci, pi, true); err != nil {
+			if err := setTrue(g.rootPostT, ci, pi); err != nil {
 				return nil, err
 			}
 			d.newComments = append(d.newComments, [2]int{pi, ci})
@@ -212,10 +277,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: like references unknown user %d", ch.Like.UserID)
 			}
-			if err := g.likes.SetElement(ci, ui, true); err != nil {
+			if err := setTrue(g.likes, ci, ui); err != nil {
 				return nil, err
 			}
-			if err := g.likesT.SetElement(ui, ci, true); err != nil {
+			if err := setTrue(g.likesT, ui, ci); err != nil {
 				return nil, err
 			}
 			d.newLikes = append(d.newLikes, [2]int{ci, ui})
@@ -228,10 +293,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User2)
 			}
-			if err := g.friends.SetElement(a, b, true); err != nil {
+			if err := setTrue(g.friends, a, b); err != nil {
 				return nil, err
 			}
-			if err := g.friends.SetElement(b, a, true); err != nil {
+			if err := setTrue(g.friends, b, a); err != nil {
 				return nil, err
 			}
 			d.newFriends = append(d.newFriends, [2]int{a, b})
@@ -244,10 +309,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: unlike references unknown user %d", ch.Like.UserID)
 			}
-			if err := g.likes.RemoveElement(ci, ui); err != nil {
+			if err := unset(g.likes, ci, ui); err != nil {
 				return nil, err
 			}
-			if err := g.likesT.RemoveElement(ui, ci); err != nil {
+			if err := unset(g.likesT, ui, ci); err != nil {
 				return nil, err
 			}
 			d.removedLikes = append(d.removedLikes, [2]int{ci, ui})
@@ -260,10 +325,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: unfriend references unknown user %d", ch.Friendship.User2)
 			}
-			if err := g.friends.RemoveElement(a, b); err != nil {
+			if err := unset(g.friends, a, b); err != nil {
 				return nil, err
 			}
-			if err := g.friends.RemoveElement(b, a); err != nil {
+			if err := unset(g.friends, b, a); err != nil {
 				return nil, err
 			}
 			d.removedFriends = append(d.removedFriends, [2]int{a, b})
@@ -274,12 +339,16 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 
 // retract subtracts a self-contained subgraph (see core.DeltaEngine for the
 // contract): the retraction's like and friendship edges are removed from
-// both orientations, retracted comments lose their rootPost edges, and the
-// retracted entities are marked retired. It returns the retired comment
-// indices so the engine can zero their maintained scores. Cost is
-// O(|retraction|) edge removals — never proportional to the surviving
-// partition.
+// the kept matrices, and the retracted entities are marked retired. It
+// returns the retired comment indices so the engine can zero their
+// maintained scores. Cost is O(|retraction|) edge removals — never
+// proportional to the surviving partition. Only the Q2 engines retract;
+// they keep no rootPost edge a retired comment would have to give up, and
+// a graph that keeps one cannot retract.
 func (g *graph) retract(r *model.Retraction) ([]int, error) {
+	if g.rootPost != nil || g.rootPostT != nil {
+		return nil, errors.New("core: retract on a graph that keeps rootPost")
+	}
 	for _, l := range r.Likes {
 		ci, ok := g.comments.Index(l.CommentID)
 		if !ok {
@@ -289,10 +358,10 @@ func (g *graph) retract(r *model.Retraction) ([]int, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: retraction references unknown user %d", l.UserID)
 		}
-		if err := g.likes.RemoveElement(ci, ui); err != nil {
+		if err := unset(g.likes, ci, ui); err != nil {
 			return nil, err
 		}
-		if err := g.likesT.RemoveElement(ui, ci); err != nil {
+		if err := unset(g.likesT, ui, ci); err != nil {
 			return nil, err
 		}
 	}
@@ -305,10 +374,10 @@ func (g *graph) retract(r *model.Retraction) ([]int, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: retraction references unknown user %d", f.User2)
 		}
-		if err := g.friends.RemoveElement(a, b); err != nil {
+		if err := unset(g.friends, a, b); err != nil {
 			return nil, err
 		}
-		if err := g.friends.RemoveElement(b, a); err != nil {
+		if err := unset(g.friends, b, a); err != nil {
 			return nil, err
 		}
 	}
@@ -330,21 +399,6 @@ func (g *graph) retract(r *model.Retraction) ([]int, error) {
 		ci, ok := g.comments.Index(id)
 		if !ok {
 			return nil, fmt.Errorf("core: retraction references unknown comment %d", id)
-		}
-		// The comment leaves this partition entirely: its rootPost edge goes
-		// with it (a reload from the surviving partition would not have it).
-		row, err := grb.ExtractRow(g.rootPostT, ci)
-		if err != nil {
-			return nil, err
-		}
-		postIdx, _ := row.ExtractTuples()
-		for _, pi := range postIdx {
-			if err := g.rootPostT.RemoveElement(ci, pi); err != nil {
-				return nil, err
-			}
-			if err := g.rootPost.RemoveElement(pi, ci); err != nil {
-				return nil, err
-			}
 		}
 		g.retiredComments[ci] = struct{}{}
 		retired = append(retired, ci)

@@ -58,9 +58,10 @@ func (*Q1Batch) Name() string { return "GraphBLAS Batch" }
 // Query implements Solution.
 func (*Q1Batch) Query() string { return "Q1" }
 
-// Load implements Solution.
+// Load implements Solution: the batch engine keeps the two matrices of
+// Alg. 1.
 func (s *Q1Batch) Load(snap *model.Snapshot) error {
-	g, err := loadGraph(snap)
+	g, err := loadGraph(snap, withRootPost|withLikes|withPostTS)
 	if err != nil {
 		return err
 	}
@@ -128,9 +129,10 @@ func (*Q1Incremental) Name() string { return "GraphBLAS Incremental" }
 // Query implements Solution.
 func (*Q1Incremental) Query() string { return "Q1" }
 
-// Load implements Solution.
+// Load implements Solution. Update reads only RootPostᵀ, but Initial's
+// Alg. 1 also needs RootPost and Likes; Initial releases those two.
 func (s *Q1Incremental) Load(snap *model.Snapshot) error {
-	g, err := loadGraph(snap)
+	g, err := loadGraph(snap, withRootPost|withRootPostT|withLikes|withPostTS)
 	if err != nil {
 		return err
 	}
@@ -139,7 +141,9 @@ func (s *Q1Incremental) Load(snap *model.Snapshot) error {
 }
 
 // Initial implements Solution: the first evaluation is a full one; it also
-// seeds the maintained score vector and fills the rank index.
+// seeds the maintained score vector and fills the rank index. Alg. 2 never
+// reads RootPost or Likes, so they are released here: likes enter Update
+// only as the change set's like-count deltas.
 func (s *Q1Incremental) Initial() (Result, error) {
 	likesCount, err := likesPerComment(s.g.likes)
 	if err != nil {
@@ -149,6 +153,7 @@ func (s *Q1Incremental) Initial() (Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.g.rootPost, s.g.likes = nil, nil
 	s.scores = scores
 	s.rank.Init(denseKeys(s.g.posts.Len()), s.postEntry)
 	s.prev = s.rank.Top(TopK)

@@ -81,7 +81,7 @@ func (*Q2Batch) Query() string { return "Q2" }
 
 // Load implements Solution.
 func (s *Q2Batch) Load(snap *model.Snapshot) error {
-	g, err := loadGraph(snap)
+	g, err := loadGraph(snap, withLikes|withFriends|withCommentTS)
 	if err != nil {
 		return err
 	}
@@ -160,9 +160,10 @@ func (s *Q2Incremental) Name() string {
 // Query implements Solution.
 func (*Q2Incremental) Query() string { return "Q2" }
 
-// Load implements Solution.
+// Load implements Solution: Likes′ᵀ serves the affected-comment
+// detection, Likes and Friends the re-scoring.
 func (s *Q2Incremental) Load(snap *model.Snapshot) error {
-	g, err := loadGraph(snap)
+	g, err := loadGraph(snap, withLikes|withLikesT|withFriends|withCommentTS)
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,7 @@ import (
 // removes edges.
 type Q2IncrementalCC struct {
 	// Entity bookkeeping (same dense index spaces as the matrix engines).
-	posts    *model.IDMap // unused for scoring; retained for symmetry
+	posts    *model.IDMap // not read for scoring; backs Stats().Posts
 	comments *model.IDMap
 	users    *model.IDMap
 

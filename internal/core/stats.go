@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/grb"
+
 // This file is the introspection surface the serving layer builds on: a
 // zero-cost accessor for the last committed answer of the incremental
 // engines, and size statistics of the maintained engine state.
@@ -38,10 +40,12 @@ type EngineStats struct {
 	Posts    int `json:"posts"`
 	Comments int `json:"comments"`
 	Users    int `json:"users"`
-	// NNZ is the total number of stored entries across the maintained
-	// matrices (both orientations where kept), the figure the paper tracks
-	// as graph size. It counts pending updates and is read in O(1) without
-	// assembling anything (grb.Matrix.NVals).
+	// NNZ is the total number of stored entries across the matrices the
+	// engine maintains, and only those (see graph: Q1Incremental keeps
+	// RootPostᵀ alone, Q2Incremental Likes, Likesᵀ and Friends), so it
+	// differs between engines over the same graph. It counts pending
+	// updates and is read in O(1) without assembling anything
+	// (grb.Matrix.NVals). Q2IncrementalCC counts its adjacency-list edges.
 	NNZ int `json:"nnz"`
 	// Pending counts the updates buffered but not yet assembled into the
 	// CSR structure (SuiteSparse-style pending tuples), as they stand
@@ -55,24 +59,27 @@ type StatsReporter interface {
 	Stats() EngineStats
 }
 
-// engineStats sizes the matrix state shared by the GraphBLAS engines in
-// O(1): NVals and NPending read counters and never assemble. Retired
-// entities (retracted to another partition; see graph.retract) are
-// excluded, so a donor repaired incrementally reports the same live counts
-// an engine loaded from its surviving partition would.
+// engineStats sizes the matrices a GraphBLAS engine keeps in O(1): NVals
+// and NPending read counters and never assemble. Retired entities
+// (retracted to another partition; see graph.retract) are excluded, so a
+// donor repaired incrementally reports the same live counts an engine
+// loaded from its surviving partition would.
 func (g *graph) engineStats() EngineStats {
 	if g == nil {
 		return EngineStats{}
 	}
-	return EngineStats{
+	st := EngineStats{
 		Posts:    g.posts.Len(),
 		Comments: g.comments.Len() - len(g.retiredComments),
 		Users:    g.users.Len() - len(g.retiredUsers),
-		NNZ: g.rootPost.NVals() + g.rootPostT.NVals() +
-			g.likes.NVals() + g.likesT.NVals() + g.friends.NVals(),
-		Pending: g.rootPost.NPending() + g.rootPostT.NPending() +
-			g.likes.NPending() + g.likesT.NPending() + g.friends.NPending(),
 	}
+	for _, m := range [...]*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends} {
+		if m != nil { // not kept
+			st.NNZ += m.NVals()
+			st.Pending += m.NPending()
+		}
+	}
+	return st
 }
 
 // Stats implements StatsReporter.

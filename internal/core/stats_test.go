@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/grb"
@@ -99,9 +100,72 @@ func TestEngineStats(t *testing.T) {
 	}
 }
 
-// matrices lists a matrix engine's maintained matrices.
+// keptParts names a graph's non-nil matrices and timestamp slices.
+func keptParts(g *graph) string {
+	var out []string
+	for _, p := range []struct {
+		name string
+		kept bool
+	}{
+		{"rootPost", g.rootPost != nil}, {"rootPostT", g.rootPostT != nil},
+		{"likes", g.likes != nil}, {"likesT", g.likesT != nil}, {"friends", g.friends != nil},
+		{"postTS", g.postTS != nil}, {"commentTS", g.commentTS != nil},
+	} {
+		if p.kept {
+			out = append(out, p.name)
+		}
+	}
+	return strings.Join(out, " ")
+}
+
+// TestEnginesKeepOnlyWhatTheyRead pins the parts each matrix engine holds
+// after Load, Initial and an Update that adds a post, a comment, a like and
+// a friendship: only the matrices and timestamps its algorithm reads.
+func TestEnginesKeepOnlyWhatTheyRead(t *testing.T) {
+	q1b, q1, q2b, q2, q2i := NewQ1Batch(), NewQ1Incremental(), NewQ2Batch(), NewQ2Incremental(), NewQ2IncrementalIncidence()
+	for _, e := range []struct {
+		name string
+		sol  Solution
+		g    func() *graph
+		want string
+	}{
+		{"Q1Batch", q1b, func() *graph { return q1b.g }, "rootPost likes postTS"},
+		{"Q1Incremental", q1, func() *graph { return q1.g }, "rootPostT postTS"},
+		{"Q2Batch", q2b, func() *graph { return q2b.g }, "likes friends commentTS"},
+		{"Q2Incremental", q2, func() *graph { return q2.g }, "likes likesT friends commentTS"},
+		{"Q2IncrementalIncidence", q2i, func() *graph { return q2i.g }, "likes likesT friends commentTS"},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			if err := e.sol.Load(twoGroupSnapshot()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.sol.Initial(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.sol.Update(&model.ChangeSet{Changes: []model.Change{
+				{Kind: model.KindAddPost, Post: model.Post{ID: 2, Timestamp: 8}},
+				{Kind: model.KindAddComment, Comment: model.Comment{ID: 30, Timestamp: 9, ParentID: 2, PostID: 2}},
+				{Kind: model.KindAddLike, Like: model.Like{UserID: 100, CommentID: 30}},
+				{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 101, User2: 200}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			if got := keptParts(e.g()); got != e.want {
+				t.Fatalf("keeps %q, want %q", got, e.want)
+			}
+		})
+	}
+}
+
+// matrices lists a matrix engine's maintained matrices: the non-nil ones.
 func (g *graph) matrices() []*grb.Matrix[bool] {
-	return []*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends}
+	var out []*grb.Matrix[bool]
+	for _, m := range []*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends} {
+		if m != nil {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // TestMatrixEngineStatsNeverAssemble: after an incremental Update the

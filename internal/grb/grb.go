@@ -18,12 +18,12 @@
 //	GrB_extract        → ExtractSubmatrix, ExtractRow
 //	GrB_assign         → AssignV
 //	GrB_apply          → ApplyV
-//	GxB_select         → SelectM, Tril, Triu
-//	GrB_reduce         → ReduceRows, ReduceCols, ReduceVectorToScalar, ReduceMatrixToScalar
+//	GxB_select         → SelectM
+//	GrB_reduce         → ReduceRows, ReduceCols
 //	GrB_transpose      → Transpose
 //	GrB_build          → VectorFromTuples, MatrixFromTuples
 //	GrB_extractTuples  → (*Vector).ExtractTuples, (*Matrix).ExtractTuples
-//	masks ⟨M⟩          → MaskV, MaskM, MxMMasked
+//	masks ⟨M⟩          → MaskV
 //	GrB_wait           → (*Matrix).Wait
 //
 // Unlike the C API, results are returned rather than written through output

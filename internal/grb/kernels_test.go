@@ -263,20 +263,6 @@ func TestReduceCols(t *testing.T) {
 	}
 }
 
-func TestReduceScalars(t *testing.T) {
-	a := kernelFixture(t)
-	if got := ReduceMatrixToScalar(PlusMonoid[int](), Ident[int], a); got != 15 {
-		t.Fatalf("matrix sum = %d, want 15", got)
-	}
-	u, _ := VectorFromTuples(4, []Index{1, 3}, []int{4, 6}, nil)
-	if got := ReduceVectorToScalar(PlusMonoid[int](), Ident[int], u); got != 10 {
-		t.Fatalf("vector sum = %d, want 10", got)
-	}
-	if got := ReduceVectorToScalar(MinMonoid(1<<30), Ident[int], u); got != 4 {
-		t.Fatalf("vector min = %d, want 4", got)
-	}
-}
-
 func TestApplyV(t *testing.T) {
 	u, _ := VectorFromTuples(4, []Index{1, 3}, []int{4, 6}, nil)
 	w := ApplyV(func(x int) int { return 10 * x }, u)
@@ -302,21 +288,6 @@ func TestSelectM(t *testing.T) {
 	if b.NVals() != 3 {
 		t.Fatalf("NVals = %d, want 3", b.NVals())
 	}
-}
-
-func TestTrilTriu(t *testing.T) {
-	a := mustMatrix(t, 3, 3,
-		[]Index{0, 0, 1, 2}, []Index{0, 2, 1, 0}, []int{1, 2, 3, 4})
-	lo := Tril(a, -1) // strictly lower
-	if lo.NVals() != 1 {
-		t.Fatalf("tril NVals = %d, want 1", lo.NVals())
-	}
-	hi := Triu(a, 1) // strictly upper
-	if hi.NVals() != 1 {
-		t.Fatalf("triu NVals = %d, want 1", hi.NVals())
-	}
-	diag := Must(EWiseAddM(Plus[int], Tril(a, 0), Triu(a, 0)))
-	_ = diag // diagonal counted twice in both; structure check only
 }
 
 func TestTranspose(t *testing.T) {
@@ -415,19 +386,6 @@ func TestMaskPartition(t *testing.T) {
 	outMask := Must(MaskV(u, m, true))
 	back := Must(EWiseAddV(Plus[int], inMask, outMask))
 	assertVectorsEqual(t, u, back)
-}
-
-func TestMaskM(t *testing.T) {
-	a := kernelFixture(t)
-	m, _ := MatrixFromTuples(3, 4, []Index{0, 2}, []Index{0, 3}, []bool{true, true}, nil)
-	b := Must(MaskM(a, m, false))
-	if b.NVals() != 2 {
-		t.Fatalf("NVals = %d, want 2", b.NVals())
-	}
-	bc := Must(MaskM(a, m, true))
-	if bc.NVals() != 3 {
-		t.Fatalf("complement NVals = %d, want 3", bc.NVals())
-	}
 }
 
 func assertVectorsEqual[T comparable](t *testing.T, want, got *Vector[T]) {

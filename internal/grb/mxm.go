@@ -54,14 +54,3 @@ func MxM[A, B, C any](s Semiring[A, B, C], a *Matrix[A], b *Matrix[B]) (*Matrix[
 	stitchRows(c, rowCols, rowVals)
 	return c, nil
 }
-
-// MxMMasked is MxM restricted to the structural mask: only result positions
-// present in the mask (or absent, under complement) are kept. The mask is
-// applied per output row, so fully masked-out rows are skipped.
-func MxMMasked[A, B, C, M any](s Semiring[A, B, C], a *Matrix[A], b *Matrix[B], mask *Matrix[M], complement bool) (*Matrix[C], error) {
-	cm, err := MxM(s, a, b)
-	if err != nil {
-		return nil, err
-	}
-	return MaskM(cm, mask, complement)
-}

@@ -62,34 +62,3 @@ func ReduceCols[A, C any](m Monoid[C], cast func(A) C, a *Matrix[A]) (*Vector[C]
 	}
 	return w, nil
 }
-
-// ReduceVectorToScalar folds all stored elements of u into a scalar,
-// starting from the monoid identity.
-func ReduceVectorToScalar[A, C any](m Monoid[C], cast func(A) C, u *Vector[A]) C {
-	acc := m.Identity
-	for _, x := range u.val {
-		acc = m.Op(acc, cast(x))
-	}
-	return acc
-}
-
-// ReduceMatrixToScalar folds all stored elements of a into a scalar. The
-// reduction runs in parallel over row chunks and relies on the monoid's
-// associativity and commutativity to combine per-chunk partials.
-func ReduceMatrixToScalar[A, C any](m Monoid[C], cast func(A) C, a *Matrix[A]) C {
-	a.Wait()
-	bounds := parallelChunks(a.nrows)
-	partial := make([]C, len(bounds)-1)
-	runChunks(bounds, func(c, lo, hi int) {
-		acc := m.Identity
-		for p := a.rowPtr[lo]; p < a.rowPtr[hi]; p++ {
-			acc = m.Op(acc, cast(a.val[p]))
-		}
-		partial[c] = acc
-	})
-	acc := m.Identity
-	for _, x := range partial {
-		acc = m.Op(acc, x)
-	}
-	return acc
-}

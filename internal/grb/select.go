@@ -26,15 +26,3 @@ func SelectM[T any](pred func(i, j Index, v T) bool, a *Matrix[T]) *Matrix[T] {
 	stitchRows(b, rowCols, rowVals)
 	return b
 }
-
-// Tril keeps the strictly lower triangle (j < i), a common building block
-// (e.g. triangle counting). Offset k shifts the diagonal: entries with
-// j <= i+k are kept.
-func Tril[T any](a *Matrix[T], k int) *Matrix[T] {
-	return SelectM(func(i, j Index, _ T) bool { return j <= i+k }, a)
-}
-
-// Triu keeps the upper triangle: entries with j >= i+k.
-func Triu[T any](a *Matrix[T], k int) *Matrix[T] {
-	return SelectM(func(i, j Index, _ T) bool { return j >= i+k }, a)
-}

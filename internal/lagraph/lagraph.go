@@ -6,9 +6,7 @@
 // algorithm with fast convergence"), used in step 3 of the batch Q2 query,
 // the Σ (component size)² score, and a union-find (DSU) for the
 // incremental Q2 engines. CCLabelProp and CCUnionFind cross-check FastSV
-// and back the FastSV ablation (BenchmarkAblationCC). Triangle counting
-// remains as a small worked example of the GraphBLAS formulation, checked
-// against a brute-force oracle.
+// and back the FastSV ablation (BenchmarkAblationCC).
 package lagraph
 
 import "fmt"
