@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // IDMap maintains a dense, insertion-ordered mapping between external
@@ -55,10 +56,7 @@ func (m *IDMap) grow() {
 		n = 16
 	}
 	m.slots = make([]int32, n)
-	m.shift = 64
-	for ; n > 1; n >>= 1 {
-		m.shift--
-	}
+	m.shift = 64 - uint(bits.TrailingZeros(uint(n)))
 	mask := len(m.slots) - 1
 	for i, id := range m.toID {
 		p := m.home(id)
