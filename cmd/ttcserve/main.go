@@ -51,7 +51,7 @@ func main() {
 		batch   = flag.Int("batch", 64, "max changes merged into one commit")
 		flush   = flag.Duration("flush", 2*time.Millisecond, "max wait for co-batched unwaited updates before committing (a batch holding a waited update commits at once)")
 		queue   = flag.Int("queue", 256, "write queue capacity (requests)")
-		shards  = flag.Int("shards", 1, "engine shards (one writer goroutine each)")
+		shards  = flag.Int("shards", 1, "engine shards (one writer goroutine each; Q1 is partitioned by post, Q2 runs on shard 0)")
 		replay  = flag.Bool("replay", false, "replay the dataset's change sets through the write queue at startup")
 
 		dataDir   = flag.String("data-dir", "", "durability directory (write-ahead log + snapshots); empty disables persistence")

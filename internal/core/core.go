@@ -80,30 +80,6 @@ type Solution interface {
 	Update(cs *model.ChangeSet) (Result, error)
 }
 
-// DeltaEngine is the subtractive counterpart of Solution.Update: engines
-// that implement it can retract a self-contained subgraph — every like in
-// the retraction targets a retracted comment from a retracted user, every
-// friendship joins two retracted users — from their maintained state and
-// reevaluate, without reloading the surviving partition. This is what makes
-// a shard group migration O(|group| log |comments|) on the donor side: the
-// router computes the migrated group's retraction once, the engine
-// subtracts it, and the retired comments leave the engine's RankIndex,
-// instead of rebuilding matrices, re-scoring every remaining comment or
-// re-ranking them.
-//
-// Retract's contract mirrors Update: it returns the engine's post-retraction
-// answer, and the engine's LastResult/Stats reflect the retraction. Callers
-// must guarantee the self-containment precondition (the shard router's
-// groups provide it by construction); a retraction referencing unknown
-// entities is an error.
-//
-// Every served Q2 engine must implement it: shard.New rejects a lineup
-// whose Q2 engine does not, and a donor shard has no other way to give up
-// a migrated group.
-type DeltaEngine interface {
-	Retract(r *model.Retraction) (Result, error)
-}
-
 // denseKeys returns the dense indices 0..n−1.
 func denseKeys(n int) []int {
 	keys := make([]int, n)

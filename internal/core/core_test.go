@@ -141,19 +141,6 @@ func TestApplyRejectsDanglingReferences(t *testing.T) {
 	}
 }
 
-// TestRetractNeedsNoRootPost: retract removes no rootPost edges (no
-// retracting engine keeps them), so a graph that keeps one refuses to
-// retract rather than keep a retired comment's edge.
-func TestRetractNeedsNoRootPost(t *testing.T) {
-	g, err := loadGraph(twoGroupSnapshot(), withRootPostT|withLikes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.retract(groupARetraction()); err == nil {
-		t.Fatal("retract on a graph keeping rootPostT: expected an error")
-	}
-}
-
 func TestEnginesOnEmptySnapshot(t *testing.T) {
 	empty := &model.Snapshot{}
 	for _, eng := range append(q1Engines(), q2Engines()...) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/grb"
@@ -43,13 +42,6 @@ type graph struct {
 	likes     *grb.Matrix[bool]
 	likesT    *grb.Matrix[bool]
 	friends   *grb.Matrix[bool]
-
-	// retiredComments/retiredUsers (by dense index) are entities subtracted
-	// by a retraction (see retract): the id maps are append-only, so a
-	// retracted entity keeps its index but is excluded from ranking and
-	// stats until a re-add (a group migrating back) revives it.
-	retiredComments map[int]struct{}
-	retiredUsers    map[int]struct{}
 }
 
 // parts selects the matrices and timestamp slices a graph keeps.
@@ -228,14 +220,12 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			}
 			d.newPosts = append(d.newPosts, idx)
 		case model.KindAddUser:
-			idx := g.users.Add(ch.User.ID)
-			delete(g.retiredUsers, idx) // a re-add revives a retracted user
+			g.users.Add(ch.User.ID)
 		case model.KindAddComment:
 			idx := g.comments.Add(ch.Comment.ID)
 			if g.keep&withCommentTS != 0 && idx == len(g.commentTS) {
 				g.commentTS = append(g.commentTS, ch.Comment.Timestamp)
 			}
-			delete(g.retiredComments, idx) // a re-add revives a retracted comment
 		case model.KindAddFriendship, model.KindAddLike,
 			model.KindRemoveFriendship, model.KindRemoveLike:
 			// Edges are resolved in a second pass, after all nodes of the
@@ -335,73 +325,4 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 		}
 	}
 	return d, nil
-}
-
-// retract subtracts a self-contained subgraph (see core.DeltaEngine for the
-// contract): the retraction's like and friendship edges are removed from
-// the kept matrices, and the retracted entities are marked retired. It
-// returns the retired comment indices so the engine can zero their
-// maintained scores. Cost is O(|retraction|) edge removals — never
-// proportional to the surviving partition. Only the Q2 engines retract;
-// they keep no rootPost edge a retired comment would have to give up, and
-// a graph that keeps one cannot retract.
-func (g *graph) retract(r *model.Retraction) ([]int, error) {
-	if g.rootPost != nil || g.rootPostT != nil {
-		return nil, errors.New("core: retract on a graph that keeps rootPost")
-	}
-	for _, l := range r.Likes {
-		ci, ok := g.comments.Index(l.CommentID)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown comment %d", l.CommentID)
-		}
-		ui, ok := g.users.Index(l.UserID)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", l.UserID)
-		}
-		if err := unset(g.likes, ci, ui); err != nil {
-			return nil, err
-		}
-		if err := unset(g.likesT, ui, ci); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range r.Friendships {
-		a, ok := g.users.Index(f.User1)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", f.User1)
-		}
-		b, ok := g.users.Index(f.User2)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", f.User2)
-		}
-		if err := unset(g.friends, a, b); err != nil {
-			return nil, err
-		}
-		if err := unset(g.friends, b, a); err != nil {
-			return nil, err
-		}
-	}
-	if g.retiredUsers == nil {
-		g.retiredUsers = make(map[int]struct{})
-	}
-	for _, id := range r.Users {
-		ui, ok := g.users.Index(id)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", id)
-		}
-		g.retiredUsers[ui] = struct{}{}
-	}
-	if g.retiredComments == nil {
-		g.retiredComments = make(map[int]struct{})
-	}
-	retired := make([]int, 0, len(r.Comments))
-	for _, id := range r.Comments {
-		ci, ok := g.comments.Index(id)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown comment %d", id)
-		}
-		g.retiredComments[ci] = struct{}{}
-		retired = append(retired, ci)
-	}
-	return retired, nil
 }

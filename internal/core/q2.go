@@ -56,7 +56,7 @@ func q2ScoreAll(likes, friends *grb.Matrix[bool], commentIdx []int, scores []int
 }
 
 // q2TopK ranks every comment by its dense score (the batch engine's full
-// pass; the batch engine never retracts, so every comment is live).
+// pass).
 func q2TopK(g *graph, scores []int64) Result {
 	t := NewTopK(TopK)
 	for ci, score := range scores {
@@ -126,13 +126,13 @@ func (s *Q2Batch) evaluate() (Result, error) {
 //     for the literal formulation, kept for the ablation benchmark).
 //
 // Affected comments are re-scored with the batch kernel into the maintained
-// score vector and re-ranked in a RankIndex over every live comment, so the
+// score vector and re-ranked in a RankIndex over every comment, so the
 // top-3 costs O(|affected| log |comments|) whether the change set adds or
 // removes edges.
 type Q2Incremental struct {
 	g      *graph
 	scores []int64   // dense by comment index
-	rank   RankIndex // by comment index, live comments only
+	rank   RankIndex // by comment index
 	prev   Result
 
 	// useIncidence switches affected-comment detection to the literal
@@ -241,26 +241,6 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 
 	for _, ci := range idxs {
 		s.rank.Set(ci, s.entry(ci))
-	}
-	s.prev = s.rank.Top(TopK)
-	return s.prev, nil
-}
-
-// Retract implements DeltaEngine: the retraction's edges leave the
-// matrices, its comments retire from the ranking, and their maintained
-// scores zero out. No surviving comment's score can change — the retracted
-// subgraph is self-contained, so no remaining comment shares a liker with
-// it — so only the retired comments leave the rank index.
-func (s *Q2Incremental) Retract(r *model.Retraction) (Result, error) {
-	retired, err := s.g.retract(r)
-	if err != nil {
-		return nil, err
-	}
-	for _, ci := range retired {
-		if ci < len(s.scores) {
-			s.scores[ci] = 0
-		}
-		s.rank.Remove(ci)
 	}
 	s.prev = s.rank.Top(TopK)
 	return s.prev, nil

@@ -24,7 +24,7 @@ import (
 //
 // Scores therefore never need recomputation, at the price of per-comment
 // DSU state (ca. one integer pair per like). The comments a change set
-// touched are re-ranked in a RankIndex over every live comment, so the
+// touched are re-ranked in a RankIndex over every comment, so the
 // top-3 costs O(|touched| log |comments|) whether the change set adds or
 // removes edges.
 type Q2IncrementalCC struct {
@@ -42,14 +42,8 @@ type Q2IncrementalCC struct {
 	friendEdges, likeEdges int
 
 	cc   []commentComponents
-	rank RankIndex // by comment index, live comments only
+	rank RankIndex // by comment index
 	prev Result
-
-	// retiredComments/retiredUsers mark entities subtracted by Retract (the
-	// id maps are append-only, so they keep their dense index); a re-add
-	// revives them.
-	retiredComments map[int]struct{}
-	retiredUsers    map[int]struct{}
 }
 
 // commentComponents is the per-comment incremental component state.
@@ -258,43 +252,6 @@ func (s *Q2IncrementalCC) entry(ci int) Entry {
 	return Entry{ID: s.comments.IDOf(ci), Score: s.cc[ci].score, Timestamp: s.commentTS[ci]}
 }
 
-// Retract implements DeltaEngine: retracted users lose their adjacency and
-// like lists wholesale, retracted comments drop their component state, and
-// both retire from the ranking. Self-containment (see core.DeltaEngine)
-// guarantees no surviving user or comment references the retracted set, so
-// no surviving score changes and only the retired comments leave the rank
-// index.
-func (s *Q2IncrementalCC) Retract(r *model.Retraction) (Result, error) {
-	if s.retiredUsers == nil {
-		s.retiredUsers = make(map[int]struct{})
-	}
-	if s.retiredComments == nil {
-		s.retiredComments = make(map[int]struct{})
-	}
-	for _, id := range r.Users {
-		ui, ok := s.users.Index(id)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", id)
-		}
-		s.friendEdges -= len(s.friends[ui])
-		s.likeEdges -= len(s.userLikes[ui])
-		s.friends[ui] = nil
-		s.userLikes[ui] = nil
-		s.retiredUsers[ui] = struct{}{}
-	}
-	for _, id := range r.Comments {
-		ci, ok := s.comments.Index(id)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown comment %d", id)
-		}
-		s.cc[ci] = newCommentComponents()
-		s.retiredComments[ci] = struct{}{}
-		s.rank.Remove(ci)
-	}
-	s.prev = s.rank.Top(TopK)
-	return s.prev, nil
-}
-
 // Update implements Solution: feed each change through its event handler,
 // then re-rank the touched comments.
 func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
@@ -336,14 +293,12 @@ func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
 				s.friends = append(s.friends, nil)
 				s.userLikes = append(s.userLikes, nil)
 			}
-			delete(s.retiredUsers, idx) // a re-add revives a retracted user
 		case model.KindAddComment:
 			idx := s.comments.Add(ch.Comment.ID)
 			if idx == len(s.cc) {
 				s.cc = append(s.cc, newCommentComponents())
 				s.commentTS = append(s.commentTS, ch.Comment.Timestamp)
 			}
-			delete(s.retiredComments, idx) // a re-add revives a retracted comment
 			touched[idx] = struct{}{}
 		case model.KindAddLike:
 			ci, ok := s.comments.Index(ch.Like.CommentID)

@@ -60,18 +60,15 @@ type StatsReporter interface {
 }
 
 // engineStats sizes the matrices a GraphBLAS engine keeps in O(1): NVals
-// and NPending read counters and never assemble. Retired entities
-// (retracted to another partition; see graph.retract) are excluded, so a
-// donor repaired incrementally reports the same live counts an engine
-// loaded from its surviving partition would.
+// and NPending read counters and never assemble.
 func (g *graph) engineStats() EngineStats {
 	if g == nil {
 		return EngineStats{}
 	}
 	st := EngineStats{
 		Posts:    g.posts.Len(),
-		Comments: g.comments.Len() - len(g.retiredComments),
-		Users:    g.users.Len() - len(g.retiredUsers),
+		Comments: g.comments.Len(),
+		Users:    g.users.Len(),
 	}
 	for _, m := range [...]*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends} {
 		if m != nil { // not kept
@@ -97,18 +94,17 @@ func (s *Q2Incremental) Stats() EngineStats { return s.g.engineStats() }
 // Stats implements StatsReporter in O(1). The CC engine maintains adjacency
 // lists and per-comment DSU forests instead of matrices; NNZ counts the
 // directed friend edges and the user→comment like edges it stores, from
-// counters its handlers keep. Retired entities are excluded, matching the
-// live counts of an engine loaded from the donor's surviving partition.
+// counters its handlers keep.
 func (s *Q2IncrementalCC) Stats() EngineStats {
 	st := EngineStats{}
 	if s.posts != nil {
 		st.Posts = s.posts.Len()
 	}
 	if s.comments != nil {
-		st.Comments = s.comments.Len() - len(s.retiredComments)
+		st.Comments = s.comments.Len()
 	}
 	if s.users != nil {
-		st.Users = s.users.Len() - len(s.retiredUsers)
+		st.Users = s.users.Len()
 	}
 	st.NNZ = s.friendEdges + s.likeEdges
 	return st

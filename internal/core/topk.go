@@ -5,11 +5,11 @@ package core
 // entries change: Set and Remove cost O(log n) and Top(k) reads only the
 // heap's first 2^k−1 slots. An engine keeps one entry per ranked entity and
 // calls Set only for the entities whose score changed, so ranking costs in
-// proportion to the change whether scores rise (inserts) or fall (removals,
-// retractions).
+// proportion to the change whether scores rise (inserts) or fall
+// (removals).
 //
 // Keys index a dense position table, so they should be small non-negative
-// ints below 2^31 (an engine's dense entity index, the router's node
+// ints below 2^31 (an engine's dense entity index, the router's comment
 // index). The zero value is an empty index.
 type RankIndex struct {
 	heap []rankSlot

@@ -60,16 +60,17 @@ func Factories(query string) map[string]Factory {
 
 // ServedEngine names one engine the serving layer keeps warm: the key it
 // is served under over HTTP, the query it answers (which also selects the
-// shard-routing strategy — "Q1" partitions by post, "Q2" by friendship
-// component), and its factory.
+// shard placement — "Q1" engines run on every shard, each over the posts
+// hashed to it; "Q2" engines run on one home shard over the whole graph),
+// and its factory.
 type ServedEngine struct {
 	Key   string
 	Query string
 	New   Factory
 }
 
-// ServedEngines returns the incremental engine lineup instantiated per
-// shard by internal/shard and served by internal/server, in serving order.
+// ServedEngines returns the incremental engine lineup instantiated by
+// internal/shard and served by internal/server, in serving order.
 // Every entry resolves through Factories, keeping the engine registry
 // single-sourced.
 func ServedEngines() []ServedEngine {

@@ -4,11 +4,10 @@ package model
 // ChangeKey identifying the model element it touches, and a ChangeSet can be
 // normalized and compacted under those keys. It is the same
 // change-propagation idea the paper applies inside the GraphBLAS engines,
-// lifted to the model so the layers above (engines, shard router, WAL) can
-// reason about update streams as keyed deltas instead of opaque change
-// lists: add+remove pairs on the same key supersede each other, duplicates
-// collapse, and a self-contained subgraph can be expressed as a Retraction
-// and subtracted from an engine instead of rebuilding it.
+// lifted to the model so the layers above (the server's commit path, the
+// WAL compactor) can reason about update streams as keyed deltas instead of
+// opaque change lists: add+remove pairs on the same key supersede each
+// other, and duplicates collapse.
 
 // KeyKind identifies the model element family a ChangeKey addresses. Unlike
 // ChangeKind it is operation-free: KindAddLike and KindRemoveLike changes on
@@ -86,8 +85,8 @@ func (cs *ChangeSet) Normalize() {
 // every node they reference (the node existed before the edge's final
 // operation). Compact therefore preserves referential validity and the
 // final applied state, but not intermediate states: it is meant for
-// replay-shaped histories (WAL segments, migration streams), not for live
-// commits whose intermediate answers readers observed.
+// replay-shaped histories (WAL segments), not for live commits whose
+// intermediate answers readers observed.
 func (cs *ChangeSet) Compact() {
 	cs.Normalize()
 	mask := CompactionMask(cs.Changes)
@@ -147,29 +146,4 @@ func CompactionMask(changes []Change) []bool {
 		}
 	}
 	return mask
-}
-
-// Retraction is a subtractive delta: a self-contained subgraph — every like
-// targets a listed comment from a listed user, every friendship joins two
-// listed users — to be removed wholesale from an engine's maintained state.
-// It is the donor side of a shard group migration: the router computes the
-// migrated group's retraction once and every served Q2 engine subtracts it
-// through core.DeltaEngine, at a cost proportional to the group, not the
-// donor's remaining partition.
-type Retraction struct {
-	Users       []ID
-	Comments    []ID
-	Likes       []Like
-	Friendships []Friendship
-}
-
-// Empty reports whether the retraction subtracts nothing.
-func (r *Retraction) Empty() bool {
-	return len(r.Users) == 0 && len(r.Comments) == 0 &&
-		len(r.Likes) == 0 && len(r.Friendships) == 0
-}
-
-// Size reports the number of retracted elements.
-func (r *Retraction) Size() int {
-	return len(r.Users) + len(r.Comments) + len(r.Likes) + len(r.Friendships)
 }

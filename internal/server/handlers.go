@@ -337,14 +337,9 @@ type statsResponse struct {
 	Broken          string                      `json:"broken,omitempty"`
 
 	// Shards reports each engine shard's queue depth and apply latencies;
-	// Rebalances counts Q2 group migrations between shards, DonorRepairs
-	// the donor commits that subtracted a migrated group through
-	// core.DeltaEngine, and ParkedComments the likeless comments the router
-	// holds outside every Q2 partition (engine comment totals + parked = all
-	// comments).
+	// ParkedComments counts the never-liked comments the router holds
+	// outside the Q2 engines (Q2 engine comments + parked = all comments).
 	Shards         []shardStatsJSON `json:"shards"`
-	Rebalances     int              `json:"rebalances"`
-	DonorRepairs   int              `json:"donorRepairs"`
 	ParkedComments int              `json:"parkedComments"`
 
 	// Ready mirrors /healthz readiness; Persistence reports the durability
@@ -409,16 +404,11 @@ type persistStatsJSON struct {
 
 // shardStatsJSON is the wire form of one shard's shard.Stats.
 type shardStatsJSON struct {
-	Shard   int `json:"shard"`
-	Depth   int `json:"depth"`
-	Commits int `json:"commits"`
-	// Repairs counts the shard's donated-group migrations; RepairLast and
-	// RepairMean time their DeltaEngine retractions.
-	Repairs    int        `json:"repairs"`
-	Last       durationMS `json:"lastMs"`
-	Mean       durationMS `json:"meanMs"`
-	RepairLast durationMS `json:"repairLastMs"`
-	RepairMean durationMS `json:"repairMeanMs"`
+	Shard   int        `json:"shard"`
+	Depth   int        `json:"depth"`
+	Commits int        `json:"commits"`
+	Last    durationMS `json:"lastMs"`
+	Mean    durationMS `json:"meanMs"`
 }
 
 // durationMS renders a duration as fractional milliseconds in JSON.
@@ -471,20 +461,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Threads:         grb.Threads(),
 		Engines:         snap.Engines,
 		Q2Disagreements: disagreements,
-		Rebalances:      s.rt.Rebalances(),
 		ParkedComments:  s.rt.ParkedComments(),
 	}
 	for _, st := range s.rt.ShardStats() {
-		resp.DonorRepairs += st.Repairs
 		resp.Shards = append(resp.Shards, shardStatsJSON{
-			Shard:      st.Shard,
-			Depth:      st.Depth,
-			Commits:    st.Commits,
-			Repairs:    st.Repairs,
-			Last:       durationMS(st.Last),
-			Mean:       durationMS(st.Mean()),
-			RepairLast: durationMS(st.RepairLast),
-			RepairMean: durationMS(st.RepairMean()),
+			Shard:   st.Shard,
+			Depth:   st.Depth,
+			Commits: st.Commits,
+			Last:    durationMS(st.Last),
+			Mean:    durationMS(st.Mean()),
 		})
 	}
 	resp.Updates.Count = m.UpdateCount

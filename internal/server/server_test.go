@@ -203,8 +203,8 @@ func testServeConcurrentReadsWithOracle(t *testing.T, shards int) {
 	if totalCommits == 0 {
 		t.Error("no shard reported any commit")
 	}
-	t.Logf("%d concurrent reads validated against the oracle across %d commits (%d shards, %d rebalances)",
-		reads.Load(), st.Seq, shards, st.Rebalances)
+	t.Logf("%d concurrent reads validated against the oracle across %d commits (%d shards)",
+		reads.Load(), st.Seq, shards)
 }
 
 // TestUpdateValidation checks that malformed and integrity-violating

@@ -1,21 +1,22 @@
 // Package shard runs the paper's incremental engines as an N-way sharded
-// runtime. Each shard owns a disjoint partition of the graph — posts (with
-// their comment subtrees) for Q1, friendship-connected groups of users and
-// the comments they like for Q2 — and one writer goroutine per shard
-// applies that shard's slice of every committed change set to its own warm
-// engine instances. Because ownership is exclusive and each partition is
-// closed under the edges its query reads, every shard's top-3 answer is
-// exact for the entities it owns, so the global top-3 is a subset of the
-// union of the per-shard answers. Results recovers it by feeding those (at
-// most 3·shards) entries through one core.Ranker; no id repeats across
-// shards, so nothing needs deduplicating, and the sharded runtime is
-// change-for-change indistinguishable from a single engine.
+// runtime, one writer goroutine per shard, each applying its slice of every
+// committed change set to its own warm engine instances. Q1 is partitioned:
+// each shard owns the posts that hash to it, with their comment subtrees.
+// Q2 is not: its engines run on one home shard (see router.go), because a
+// comment's score reads the friendship subgraph of its likers and the
+// social graph has one giant friendship component. Every partition is
+// closed under the edges its query reads, so every shard's top-3 answer is
+// exact for the entities it owns, and the global top-3 is a subset of the
+// union of the per-shard answers and the router's parked comments. Results
+// recovers it by feeding those entries through one core.Ranker; no id
+// repeats across partitions, so nothing needs deduplicating, and the
+// sharded runtime is change-for-change indistinguishable from a single
+// engine.
 //
-// Commits are barriers: Commit routes the change set (rebalancing Q2
-// groups that a new edge merged across shards), fans the per-shard work out
-// to the writer goroutines, and returns the merged results only after
-// every shard has applied its slice — so a committed change set is visible
-// on all shards at once and a serving layer's wait=1 keeps meaning
+// Commits are barriers: Commit routes the change set, fans the per-shard
+// work out to the writer goroutines, and returns the merged results only
+// after every shard has applied its slice — so a committed change set is
+// visible on all shards at once and a serving layer's wait=1 keeps meaning
 // "globally visible".
 package shard
 
@@ -36,15 +37,9 @@ type Stats struct {
 	Depth int
 	// Commits counts commands the shard's writer has applied.
 	Commits int
-	// Repairs counts commits in which the shard donated a group: its Q2
-	// engines subtracted the migrated subgraph through core.DeltaEngine.
-	Repairs int
-	// Last and Total aggregate the shard's apply latencies; RepairLast and
-	// RepairTotal the Retract calls of repair commits.
-	Last        time.Duration
-	Total       time.Duration
-	RepairLast  time.Duration
-	RepairTotal time.Duration
+	// Last and Total aggregate the shard's apply latencies.
+	Last  time.Duration
+	Total time.Duration
 }
 
 // Mean is the shard's mean apply latency.
@@ -55,44 +50,29 @@ func (s Stats) Mean() time.Duration {
 	return s.Total / time.Duration(s.Commits)
 }
 
-// RepairMean is the shard's mean incremental-repair latency.
-func (s Stats) RepairMean() time.Duration {
-	if s.Repairs == 0 {
-		return 0
-	}
-	return s.RepairTotal / time.Duration(s.Repairs)
-}
-
-// engineInst is one warm engine on one shard. delta is the engine's
-// core.DeltaEngine, set for every Q2 engine.
+// engineInst is one warm engine on one shard.
 type engineInst struct {
-	key   string
-	sol   core.Solution
-	delta core.DeltaEngine
+	key string
+	sol core.Solution
 }
 
 // command is one commit's slice of work for a single shard.
 type command struct {
-	q1 []model.Change // post-routed stream, applied to Q1-family engines
-	q2 []model.Change // group-routed stream, applied after ops
-	// ops are the shard's chronological migration steps: retractions when it
-	// donates a group, synthetic adds when it receives one.
-	ops  []shardOp
+	q1   []model.Change // post-routed stream, applied to Q1-family engines
+	q2   []model.Change // the home shard's stream, applied to Q2-family engines
 	resp chan<- response
 }
 
 type response struct {
-	shard     int
-	err       error
-	results   map[string]core.Result
-	stats     map[string]core.EngineStats
-	repaired  bool // a donated group was subtracted via DeltaEngine
-	repairDur time.Duration
-	elapsed   time.Duration
+	shard   int
+	err     error
+	results map[string]core.Result
+	stats   map[string]core.EngineStats
+	elapsed time.Duration
 }
 
-// worker owns one shard's engines. Only its goroutine touches them after
-// startup.
+// worker owns one shard's engines: its Q1 partition's, and on the home
+// shard the Q2 engines. Only its goroutine touches them after startup.
 type worker struct {
 	id   int
 	cmds chan command
@@ -105,7 +85,7 @@ type worker struct {
 // starts one writer goroutine per shard; Commit routes and applies one
 // change set with a global barrier; Results/Stats serve reads. Commit and
 // Results/EngineTotals must be called from a single committing goroutine;
-// ShardStats and Rebalances are safe from any goroutine.
+// ShardStats and ParkedComments are safe from any goroutine.
 type Runtime struct {
 	n       int
 	router  *router
@@ -118,7 +98,6 @@ type Runtime struct {
 	last           []map[string]core.Result
 	lastStats      []map[string]core.EngineStats
 	meta           []Stats
-	rebalances     int
 	parkedComments int
 
 	// merge is the reusable ranker Results folds the per-shard answers
@@ -132,8 +111,7 @@ type Runtime struct {
 
 // New partitions the snapshot over n shards, loads and initially evaluates
 // every shard's engines (in parallel across shards), and starts the
-// per-shard writers. Every Q2 engine must implement core.DeltaEngine: a
-// donor shard subtracts a migrated group through it.
+// per-shard writers.
 func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
@@ -159,16 +137,12 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		w := &worker{id: s, cmds: make(chan command, 1), done: make(chan struct{})}
 		for _, e := range harness.ServedEngines() {
 			inst := engineInst{key: e.Key, sol: e.New()}
-			if e.Query == "Q1" {
+			switch {
+			case e.Query == "Q1":
 				w.q1 = append(w.q1, inst)
-				continue
+			case s == q2Shard:
+				w.q2 = append(w.q2, inst)
 			}
-			de, ok := inst.sol.(core.DeltaEngine)
-			if !ok {
-				return nil, fmt.Errorf("shard: Q2 engine %s does not implement core.DeltaEngine", inst.sol.Name())
-			}
-			inst.delta = de
-			w.q2 = append(w.q2, inst)
 		}
 		rt.workers[s] = w
 		rt.meta[s].Shard = s
@@ -190,15 +164,9 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	}
 
 	start := time.Now()
-	// Rendering a Q2 partition compresses union-find paths, so every
-	// shard's snapshot is rendered here, before the parallel load. Each
-	// render walks all router nodes: O(n × nodes) in total, once.
-	q2Snaps := make([]*model.Snapshot, n)
-	for s := range q2Snaps {
-		q2Snaps[s] = router.q2Snapshot(s)
-	}
+	q2Snap := router.q2Snapshot(snap)
 	phase(func(w *worker, s int) error {
-		q1Snap, q2Snap := router.q1Snapshot(snap, s), q2Snaps[s]
+		q1Snap := router.q1Snapshot(snap, s)
 		for _, e := range w.q1 {
 			if err := e.sol.Load(q1Snap); err != nil {
 				return fmt.Errorf("shard %d: %s load: %w", s, e.sol.Name(), err)
@@ -269,7 +237,7 @@ func (w *worker) run() {
 	for cmd := range w.cmds {
 		start := time.Now()
 		resp := response{shard: w.id}
-		resp.err = w.apply(cmd, &resp)
+		resp.err = w.apply(cmd)
 		if resp.err == nil {
 			resp.results, resp.stats = w.observe()
 		}
@@ -278,40 +246,12 @@ func (w *worker) run() {
 	}
 }
 
-// apply runs one command: the Q1 stream, then the shard's migration ops in
-// order and its routed Q2 stream. Consecutive synthetic adds accumulate
-// into one Update; a retraction first flushes them, so a shard that
-// receives a group and then donates the merged result retracts from engines
-// that hold it. The routed stream joins the final run.
-func (w *worker) apply(cmd command, resp *response) error {
+// apply runs one command: the Q1 stream, then the Q2 stream.
+func (w *worker) apply(cmd command) error {
 	if err := w.update(w.q1, cmd.q1); err != nil {
 		return err
 	}
-	var run []model.Change
-	for _, op := range cmd.ops {
-		if op.retract == nil {
-			run = append(run, op.synthetic...)
-			continue
-		}
-		if err := w.update(w.q2, run); err != nil {
-			return err
-		}
-		run = nil
-		start := time.Now()
-		for _, e := range w.q2 {
-			if _, err := e.delta.Retract(op.retract); err != nil {
-				return fmt.Errorf("shard %d: %s retract: %w", w.id, e.sol.Name(), err)
-			}
-		}
-		resp.repairDur += time.Since(start)
-		resp.repaired = true
-	}
-	if len(run) == 0 {
-		run = cmd.q2
-	} else {
-		run = append(run, cmd.q2...)
-	}
-	return w.update(w.q2, run)
+	return w.update(w.q2, cmd.q2)
 }
 
 // update applies one change list to engines; an empty list is a no-op.
@@ -342,8 +282,11 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 	respCh := make(chan response, rt.n)
 	active := 0
 	for s := 0; s < rt.n; s++ {
-		cmd := command{q1: p.q1[s], q2: p.q2[s], ops: p.ops[s], resp: respCh}
-		if len(cmd.q1) == 0 && len(cmd.q2) == 0 && len(cmd.ops) == 0 {
+		cmd := command{q1: p.q1[s], resp: respCh}
+		if s == q2Shard {
+			cmd.q2 = p.q2
+		}
+		if len(cmd.q1) == 0 && len(cmd.q2) == 0 {
 			continue
 		}
 		rt.workers[s].cmds <- cmd
@@ -351,7 +294,6 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 	}
 	var firstErr error
 	rt.mu.Lock()
-	rt.rebalances = rt.router.rebalances
 	rt.parkedComments = rt.router.parkedComments()
 	rt.mu.Unlock()
 	for i := 0; i < active; i++ {
@@ -368,11 +310,6 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 			m.Commits++
 			m.Last = resp.elapsed
 			m.Total += resp.elapsed
-			if resp.repaired {
-				m.Repairs++
-				m.RepairLast = resp.repairDur
-				m.RepairTotal += resp.repairDur
-			}
 			rt.last[resp.shard] = resp.results
 			rt.lastStats[resp.shard] = resp.stats
 		}
@@ -410,31 +347,22 @@ func (rt *Runtime) Results() map[string]string {
 	return out
 }
 
-// EngineTotals merges every engine's state sizes across shards.
-// Partitioned dimensions sum; dimensions replicated into every partition —
-// users in Q1 partitions, posts in Q2 partitions — take the maximum, so
-// the totals count distinct entities rather than replicas.
+// EngineTotals merges every engine's state sizes across shards. Users are
+// replicated into every Q1 partition, so they take the maximum, which
+// counts distinct users; every other dimension sums. Q2 engines run on one
+// shard, so their totals are that shard's.
 func (rt *Runtime) EngineTotals() map[string]core.EngineStats {
-	queryOf := make(map[string]string)
-	for _, e := range harness.ServedEngines() {
-		queryOf[e.Key] = e.Query
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	out := make(map[string]core.EngineStats)
 	for s := 0; s < rt.n; s++ {
 		for key, st := range rt.lastStats[s] {
 			t := out[key]
+			t.Posts += st.Posts
 			t.Comments += st.Comments
+			t.Users = max(t.Users, st.Users)
 			t.NNZ += st.NNZ
 			t.Pending += st.Pending
-			if queryOf[key] == "Q1" {
-				t.Posts += st.Posts
-				t.Users = max(t.Users, st.Users)
-			} else {
-				t.Posts = max(t.Posts, st.Posts)
-				t.Users += st.Users
-			}
 			out[key] = t
 		}
 	}
@@ -454,16 +382,8 @@ func (rt *Runtime) ShardStats() []Stats {
 	return out
 }
 
-// Rebalances reports how many Q2 group migrations the router has
-// performed. Safe for concurrent use with Commit.
-func (rt *Runtime) Rebalances() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.rebalances
-}
-
-// ParkedComments reports how many likeless comments the router currently
-// holds outside every Q2 partition (they rank as a virtual partition; see
+// ParkedComments reports how many never-liked comments the router currently
+// holds outside the Q2 engines (they rank as a virtual partition; see
 // internal/shard/router.go). Engine comment totals plus this count cover
 // all comments. Safe for concurrent use with Commit.
 func (rt *Runtime) ParkedComments() int {

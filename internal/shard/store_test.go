@@ -3,147 +3,130 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/model"
 )
 
-// checkStore asserts the invariants of the router's node-indexed store
-// against snap, the model state the routed changes were applied to:
-//   - each member ring holds exactly the nodes whose find is its root, and
-//     size and matCount at the root are the ring's length and materialized
-//     members;
-//   - the parked nodes are exactly the likeless, unmaterialized comments,
-//     and parkedComments counts them;
-//   - across all shards, the Q2 partitions hold every user, unparked
-//     comment, like and friendship exactly once, each edge on the shard of
-//     both its endpoints;
-//   - the Q1 partitions, and the Q1 changes of p if it is not nil, place
-//     every post at hashShard(post) and every comment and like with its
-//     root post.
-func checkStore(t testing.TB, r *router, snap *model.Snapshot, p *plan) {
-	t.Helper()
-	if got, want := len(r.ids), len(snap.Users)+len(snap.Comments); got != want {
-		t.Fatalf("router holds %d nodes, model %d users and comments", got, want)
+// storeModel is the brute-force model the router store is checked against:
+// every comment's record, and the comments liked in the initial snapshot or
+// by any change since.
+type storeModel struct {
+	comments  map[model.ID]model.Comment
+	everLiked map[model.ID]bool
+}
+
+func newStoreModel(snap *model.Snapshot) *storeModel {
+	m := &storeModel{comments: map[model.ID]model.Comment{}, everLiked: map[model.ID]bool{}}
+	for _, c := range snap.Comments {
+		m.comments[c.ID] = c
 	}
-	ringOf := make([]int, len(r.parent))
-	for ni := range ringOf {
-		ringOf[ni] = -1
+	for _, l := range snap.Likes {
+		m.everLiked[l.CommentID] = true
 	}
-	for root := range r.parent {
-		if r.find(root) != root {
+	return m
+}
+
+// q2 records cs in the model and returns what the Q2 engines of a
+// one-shard runtime receive for it (perfbench's q2View): every change but
+// AddComment, with a never-liked comment's record prepended to its first
+// like or unlike.
+func (m *storeModel) q2(cs []model.Change) []model.Change {
+	var out []model.Change
+	for _, ch := range cs {
+		switch ch.Kind {
+		case model.KindAddComment:
+			m.comments[ch.Comment.ID] = ch.Comment
+			continue
+		case model.KindAddLike, model.KindRemoveLike:
+			if id := ch.Like.CommentID; !m.everLiked[id] {
+				m.everLiked[id] = true
+				out = append(out, model.Change{Kind: model.KindAddComment, Comment: m.comments[id]})
+			}
+		}
+		out = append(out, ch)
+	}
+	return out
+}
+
+// q1 is the brute-force Q1 placement of cs over n shards: posts, comments
+// and likes on hashShard of their root post, users on every shard,
+// friendships nowhere. Call it after q2, which records cs's comments.
+func (m *storeModel) q1(cs []model.Change, n int) [][]model.Change {
+	out := make([][]model.Change, n)
+	for _, ch := range cs {
+		var post model.ID
+		switch ch.Kind {
+		case model.KindAddPost:
+			post = ch.Post.ID
+		case model.KindAddComment:
+			post = ch.Comment.PostID
+		case model.KindAddLike, model.KindRemoveLike:
+			post = m.comments[ch.Like.CommentID].PostID
+		case model.KindAddUser:
+			for s := range out {
+				out[s] = append(out[s], ch)
+			}
+			continue
+		default:
 			continue
 		}
-		var size, mat int32
-		r.eachMember(root, func(ni int) {
-			if ringOf[ni] != -1 {
-				t.Fatalf("node %d is in the rings of roots %d and %d", ni, ringOf[ni], root)
-			}
-			ringOf[ni] = root
-			size++
-			if r.states[ni] == stateMaterialized {
-				mat++
-			}
-		})
-		if size != r.size[root] || mat != r.matCount[root] {
-			t.Fatalf("root %d: ring of %d nodes, %d materialized; size %d, matCount %d", root, size, mat, r.size[root], r.matCount[root])
-		}
+		s := hashShard(post, n)
+		out[s] = append(out[s], ch)
 	}
-	for ni := range r.parent {
-		if root := r.find(ni); ringOf[ni] != root {
-			t.Fatalf("node %d has root %d but sits in the ring of %d", ni, root, ringOf[ni])
-		}
-	}
+	return out
+}
 
-	liked := map[model.ID]bool{}
-	for _, l := range snap.Likes {
-		liked[l.CommentID] = true
+// sameChanges compares two change lists, nil equal to empty.
+func sameChanges(a, b []model.Change) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// checkStore asserts the router's store against the model: it holds every
+// comment's record, the parked set is exactly the never-liked comments,
+// and parkedComments and parkedTopK count and rank that set.
+func checkStore(t testing.TB, r *router, m *storeModel) {
+	t.Helper()
+	if n := r.comments.Len(); n != len(m.comments) || len(r.recs) != n || len(r.parked) != n {
+		t.Fatalf("router holds %d comment ids, %d records, %d parked flags; model %d comments",
+			n, len(r.recs), len(r.parked), len(m.comments))
 	}
-	parked, nParked := map[model.ID]bool{}, 0
-	for _, c := range snap.Comments {
-		ni, err := r.lookup(commentKey(c.ID))
+	var parked core.Result
+	for id, c := range m.comments {
+		ci, err := r.lookup(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := !liked[c.ID] && r.states[ni] != stateMaterialized
-		if (r.states[ni] == stateParked) != want {
-			t.Fatalf("comment %d: state %d, liked %v", c.ID, r.states[ni], liked[c.ID])
+		if got := r.comment(ci); got != c {
+			t.Fatalf("comment %d: router record %+v, model %+v", id, got, c)
 		}
-		if parked[c.ID] = want; want {
-			nParked++
+		if r.parked[ci] == m.everLiked[id] {
+			t.Fatalf("comment %d: parked %v, ever liked %v", id, r.parked[ci], m.everLiked[id])
+		}
+		if r.parked[ci] {
+			parked = append(parked, core.Entry{ID: id, Timestamp: c.Timestamp})
 		}
 	}
-	if r.parkedComments() != nParked {
-		t.Fatalf("parkedComments = %d, want %d", r.parkedComments(), nParked)
+	if r.parkedComments() != len(parked) {
+		t.Fatalf("parkedComments = %d, want %d", r.parkedComments(), len(parked))
 	}
+	sort.Slice(parked, func(i, j int) bool { return core.Less(parked[i], parked[j]) })
+	if got, want := r.parkedTopK().String(), parked[:min(core.TopK, len(parked))].String(); got != want {
+		t.Fatalf("parkedTopK = %q, brute force %q", got, want)
+	}
+}
 
-	userShard := map[model.ID]int{}
-	seen := map[any]int{}
-	for s := 0; s < r.n; s++ {
-		q2 := r.q2Snapshot(s)
-		if len(q2.Posts) != len(snap.Posts) {
-			t.Fatalf("shard %d: Q2 partition holds %d posts, model %d", s, len(q2.Posts), len(snap.Posts))
-		}
-		onShard := map[model.ID]bool{}
-		for _, u := range q2.Users {
-			seen[u]++
-			userShard[u.ID] = s
-		}
-		for _, c := range q2.Comments {
-			seen[c]++
-			onShard[c.ID] = true
-		}
-		for _, l := range q2.Likes {
-			if seen[l]++; !onShard[l.CommentID] || userShard[l.UserID] != s {
-				t.Fatalf("shard %d: like %d→%d leaves the partition", s, l.UserID, l.CommentID)
-			}
-		}
-		for _, f := range q2.Friendships {
-			if seen[f]++; userShard[f.User1] != s || userShard[f.User2] != s {
-				t.Fatalf("shard %d: friendship %d–%d leaves the partition", s, f.User1, f.User2)
-			}
-		}
-	}
-	want := 0
-	for _, u := range snap.Users {
-		want++
-		if seen[u] != 1 {
-			t.Fatalf("user %d is in %d Q2 partitions, want 1", u.ID, seen[u])
-		}
-	}
-	for _, c := range snap.Comments {
-		if parked[c.ID] {
-			continue
-		}
-		want++
-		if seen[c] != 1 {
-			t.Fatalf("comment %+v is in %d Q2 partitions, want 1", c, seen[c])
-		}
-	}
-	for _, l := range snap.Likes {
-		want++
-		if seen[l] != 1 {
-			t.Fatalf("like %+v is in %d Q2 partitions, want 1", l, seen[l])
-		}
-	}
-	for _, f := range snap.Friendships {
-		if f.User1 > f.User2 {
-			f.User1, f.User2 = f.User2, f.User1
-		}
-		want++
-		if seen[f] != 1 {
-			t.Fatalf("friendship %+v is in %d Q2 partitions, want 1", f, seen[f])
-		}
-	}
-	if len(seen) != want {
-		t.Fatalf("Q2 partitions hold %d distinct entities and edges, model %d", len(seen), want)
-	}
-
-	root := map[model.ID]model.ID{}
-	for _, c := range snap.Comments {
-		root[c.ID] = c.PostID
-	}
+// checkInitial asserts the partitions a new router renders of snap: each
+// Q1 partition holds its hashed posts with their comments and likes, and
+// the Q2 partition is snap without its likeless comments.
+func checkInitial(t testing.TB, r *router, snap *model.Snapshot) {
+	t.Helper()
+	m := newStoreModel(snap)
+	checkStore(t, r, m)
 	posts := 0
 	for s := 0; s < r.n; s++ {
 		q1 := r.q1Snapshot(snap, s)
@@ -159,81 +142,133 @@ func checkStore(t testing.TB, r *router, snap *model.Snapshot, p *plan) {
 			}
 		}
 		for _, l := range q1.Likes {
-			if hashShard(root[l.CommentID], r.n) != s {
+			if post := m.comments[l.CommentID].PostID; hashShard(post, r.n) != s {
 				t.Fatalf("like on comment %d in shard %d's Q1 partition, off its root post's shard", l.CommentID, s)
 			}
+		}
+		if len(q1.Users) != len(snap.Users) {
+			t.Fatalf("shard %d's Q1 partition holds %d users, model %d", s, len(q1.Users), len(snap.Users))
 		}
 	}
 	if posts != len(snap.Posts) {
 		t.Fatalf("Q1 partitions hold %d posts, model %d", posts, len(snap.Posts))
 	}
-	for s := 0; p != nil && s < r.n; s++ {
-		for _, ch := range p.q1[s] {
-			var post model.ID
-			switch ch.Kind {
-			case model.KindAddPost:
-				post = ch.Post.ID
-			case model.KindAddComment:
-				post = ch.Comment.PostID
-			case model.KindAddLike, model.KindRemoveLike:
-				post = root[ch.Like.CommentID]
-			default:
-				continue
-			}
-			if hashShard(post, r.n) != s {
-				t.Fatalf("%v routed to Q1 shard %d, its root post %d is on %d", ch.Kind, s, post, hashShard(post, r.n))
-			}
+	want := *snap
+	want.Comments = nil
+	for _, c := range snap.Comments {
+		if m.everLiked[c.ID] {
+			want.Comments = append(want.Comments, c)
 		}
+	}
+	got := r.q2Snapshot(snap)
+	if len(got.Comments) != len(want.Comments) || len(got.Comments) > 0 && !reflect.DeepEqual(got.Comments, want.Comments) ||
+		!reflect.DeepEqual(got.Posts, snap.Posts) || !reflect.DeepEqual(got.Users, snap.Users) ||
+		!reflect.DeepEqual(got.Likes, snap.Likes) || !reflect.DeepEqual(got.Friendships, snap.Friendships) {
+		t.Fatalf("Q2 partition %+v, want %+v", got, want)
 	}
 }
 
-// routeChecked routes cs, applied to st first so the router sees only what
-// the writer would pass it, then checks the store against the new state.
-func routeChecked(t testing.TB, r *router, st *model.State, cs []model.Change) {
+// routeChecked routes cs and checks the plan and the store against the
+// model: every Q1 change on hashShard of its root post, and the Q2 stream
+// equal to the one-shard q2View stream. It returns the plan.
+func routeChecked(t testing.TB, r *router, m *storeModel, cs []model.Change) *plan {
 	t.Helper()
 	p, err := r.route(&model.ChangeSet{Changes: cs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, release := st.View()
-	defer release()
-	checkStore(t, r, view, p)
+	if want := m.q2(cs); !sameChanges(p.q2, want) {
+		t.Fatalf("Q2 stream %+v, q2View %+v", p.q2, want)
+	}
+	for s, want := range m.q1(cs, r.n) {
+		if !sameChanges(p.q1[s], want) {
+			t.Fatalf("shard %d: Q1 stream %+v, brute force %+v", s, p.q1[s], want)
+		}
+	}
+	checkStore(t, r, m)
+	return p
+}
+
+// synthetic counts the comments a plan hands to the Q2 engines at their
+// first like: the AddComments of its Q2 stream.
+func synthetic(p *plan) int {
+	n := 0
+	for _, ch := range p.q2 {
+		if ch.Kind == model.KindAddComment {
+			n++
+		}
+	}
+	return n
 }
 
 // TestRouterStoreInvariants routes a seeded datagen stream with 35%
-// removals at 2 and 4 shards and checks the store after every commit.
+// removals, in its own change sets, at 2 and 4 shards and checks the plan
+// and the store after every commit.
 func TestRouterStoreInvariants(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 2, Seed: 11, ChangeSets: 150, RemovalFraction: 0.35})
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
-			st, err := model.NewState(d.Snapshot)
-			if err != nil {
-				t.Fatal(err)
-			}
 			r, err := newRouter(n, d.Snapshot)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkStore(t, r, d.Snapshot, nil)
-			for k, cs := range d.ChangeSets {
-				if err := st.Apply(cs.Changes); err != nil {
-					t.Fatalf("change set %d: model: %v", k, err)
-				}
-				routeChecked(t, r, st, cs.Changes)
+			checkInitial(t, r, d.Snapshot)
+			m := newStoreModel(d.Snapshot)
+			unparked := 0
+			for _, cs := range d.ChangeSets {
+				unparked += synthetic(routeChecked(t, r, m, cs.Changes))
 			}
-			if r.rebalances == 0 {
-				t.Fatal("no group migrated: the stream exercised no ring splice across shards")
+			if unparked == 0 {
+				t.Fatal("no parked comment was liked: the stream exercised no unpark")
+			}
+		})
+	}
+}
+
+// TestRouterStoreMatchesBruteForce routes a datagen stream with 30%
+// removals, re-split at random commit boundaries so that a comment and its
+// first like often share a commit, at 2 and 4 shards, and checks the plan
+// and the store against the brute-force model after every commit.
+func TestRouterStoreMatchesBruteForce(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
+			d := datagen.Generate(datagen.Config{ScaleFactor: 2, Seed: 5, ChangeSets: 120, RemovalFraction: 0.3})
+			r, err := newRouter(n, d.Snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkInitial(t, r, d.Snapshot)
+			m := newStoreModel(d.Snapshot)
+			rng := rand.New(rand.NewSource(int64(n)))
+			sameCommit := 0
+			for _, cs := range rebatch(d, rng) {
+				added := map[model.ID]bool{}
+				for _, ch := range cs.Changes {
+					if ch.Kind == model.KindAddComment {
+						added[ch.Comment.ID] = true
+					}
+				}
+				for _, ch := range routeChecked(t, r, m, cs.Changes).q2 {
+					if ch.Kind == model.KindAddComment && added[ch.Comment.ID] {
+						sameCommit++
+					}
+				}
+			}
+			t.Logf("%d comments added and first liked in one commit", sameCommit)
+			if sameCommit == 0 {
+				t.Fatal("no commit added a comment and its first like: the oracle exercised nothing new")
 			}
 		})
 	}
 }
 
 // FuzzRouterStore decodes the input into a short change stream over 8
-// users and 8 comments on one post, three bytes per change: an opcode (add
+// users and 8 comments on two posts, three bytes per change: an opcode (add
 // comment, add or remove like, add or remove friendship, or end of change
 // set) and two operands. Changes model.State rejects are dropped. The
 // first change set becomes the initial snapshot of a 2-shard router; every
-// later one is routed, and the store is checked after each.
+// later one is routed, and the plan and the store are checked after each
+// against the brute-force model.
 func FuzzRouterStore(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
@@ -242,7 +277,7 @@ func FuzzRouterStore(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		base := &model.Snapshot{Posts: []model.Post{{ID: 1, Timestamp: 1}}}
+		base := &model.Snapshot{Posts: []model.Post{{ID: 1, Timestamp: 1}, {ID: 2, Timestamp: 2}}}
 		for u := model.ID(1); u <= 8; u++ {
 			base.Users = append(base.Users, model.User{ID: u})
 		}
@@ -251,16 +286,18 @@ func FuzzRouterStore(f *testing.F) {
 			t.Fatal(err)
 		}
 		var r *router
+		var m *storeModel
 		var pending []model.Change
 		flush := func() {
 			if r != nil {
-				routeChecked(t, r, st, pending)
+				routeChecked(t, r, m, pending)
 			} else {
 				view, release := st.View()
 				if r, err = newRouter(2, view); err != nil {
 					t.Fatal(err)
 				}
-				checkStore(t, r, view, nil)
+				checkInitial(t, r, view)
+				m = newStoreModel(view)
 				release()
 			}
 			pending = pending[:0]
@@ -270,7 +307,8 @@ func FuzzRouterStore(f *testing.F) {
 			var ch model.Change
 			switch data[i] % 6 {
 			case 0:
-				ch = model.Change{Kind: model.KindAddComment, Comment: model.Comment{ID: 100 + a, Timestamp: int64(b), ParentID: 1, PostID: 1}}
+				post := 1 + b%2
+				ch = model.Change{Kind: model.KindAddComment, Comment: model.Comment{ID: 100 + a, Timestamp: int64(b), ParentID: post, PostID: post}}
 			case 1:
 				ch = model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: 1 + a, CommentID: 100 + b}}
 			case 2:
