@@ -3,7 +3,11 @@ package grb
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/model"
 )
 
 // Kernel micro-benchmarks: not tied to a table or figure, but they pin the
@@ -217,4 +221,58 @@ func BenchmarkExtractSubmatrix(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMatrixFromTuples builds the engines' boolean matrices at their
+// scale-factor-128 shapes (datagen seed 1), from tuples in snapshot order
+// as core.loadGraph passes them: likes (comments × users) and friends
+// (users × users, both orientations of every friendship). It reports the
+// build's ns and allocated bytes per tuple.
+func BenchmarkMatrixFromTuples(b *testing.B) {
+	snap := datagen.Generate(datagen.Config{ScaleFactor: 128, Seed: 1}).Snapshot
+	comments, users := model.NewIDMap(), model.NewIDMap()
+	for _, c := range snap.Comments {
+		comments.Add(c.ID)
+	}
+	for _, u := range snap.Users {
+		users.Add(u.ID)
+	}
+	var likes, friends [2][]Index
+	for _, l := range snap.Likes {
+		likes[0] = append(likes[0], comments.MustIndex(l.CommentID))
+		likes[1] = append(likes[1], users.MustIndex(l.UserID))
+	}
+	for _, f := range snap.Friendships {
+		u, v := users.MustIndex(f.User1), users.MustIndex(f.User2)
+		friends[0] = append(friends[0], u, v)
+		friends[1] = append(friends[1], v, u)
+	}
+	for _, c := range []struct {
+		name       string
+		nr, nc     int
+		rows, cols []Index
+	}{
+		{"likes", comments.Len(), users.Len(), likes[0], likes[1]},
+		{"friends", users.Len(), users.Len(), friends[0], friends[1]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			trues := make([]bool, len(c.rows))
+			for k := range trues {
+				trues[k] = true
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := MatrixFromTuples(c.nr, c.nc, c.rows, c.cols, trues, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			tuples := float64(b.N) * float64(len(c.rows))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/tuples, "B/tuple")
+		})
+	}
 }

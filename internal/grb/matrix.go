@@ -1,7 +1,7 @@
 package grb
 
 import (
-	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -56,15 +56,14 @@ func NewMatrix[T any](nrows, ncols int) *Matrix[T] {
 	return &Matrix[T]{nrows: nrows, ncols: ncols, rowPtr: make([]int, nrows+1)}
 }
 
-// tupleKey is one input tuple's sort key in MatrixFromTuples.
-type tupleKey struct {
-	row, col Index
-	pos      int // position in the input
-}
-
 // MatrixFromTuples builds a matrix from (row, col, value) triples
 // (GrB_build). Duplicates are combined with dup in input order; nil dup
-// keeps the last. Cost: O(n log n) for n tuples plus O(nrows).
+// keeps the last. It builds the CSR arrays by row buckets, as SuiteSparse
+// does: a stable counting sort scatters the tuples into their rows, then
+// each row is sorted by column, stably, so a cell's duplicates stay in
+// input order. Cost: O(n + nrows) for n tuples, plus O(d log d) for a row
+// of d tuples that does not arrive sorted by column. It allocates the CSR
+// arrays and nothing else that grows with n or nrows.
 func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup func(T, T) T) (*Matrix[T], error) {
 	if len(rows) != len(cols) || len(rows) != len(vals) {
 		return nil, invalidErrf("MatrixFromTuples: tuple slices of unequal length %d/%d/%d",
@@ -80,45 +79,108 @@ func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup
 				rows[k], cols[k], nrows, ncols)
 		}
 	}
-	// Sort (row, col, input position) keys; the position tie-break keeps
-	// duplicates in input order, so an unstable sort serves.
-	keys := make([]tupleKey, len(rows))
-	for p := range keys {
-		keys[p] = tupleKey{rows[p], cols[p], p}
+	// Count each row's tuples and turn the counts into row starts.
+	ptr := a.rowPtr
+	for _, i := range rows {
+		ptr[i]++
 	}
-	slices.SortFunc(keys, func(x, y tupleKey) int {
-		if c := cmp.Compare(x.row, y.row); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.col, y.col); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.pos, y.pos)
-	})
-	a.colInd = make([]Index, 0, len(rows))
-	a.val = make([]T, 0, len(rows))
-	counts := make([]int, nrows)
-	prevI, prevJ := -1, -1
-	for _, t := range keys {
-		i, j, x := t.row, t.col, vals[t.pos]
-		if i == prevI && j == prevJ { // duplicates are adjacent after the sort
-			k := len(a.val) - 1
-			if dup != nil {
-				a.val[k] = dup(a.val[k], x)
-			} else {
-				a.val[k] = x
+	start := 0
+	for i := 0; i < nrows; i++ {
+		start, ptr[i] = start+ptr[i], start
+	}
+	ptr[nrows] = start
+	// Scatter in input order, advancing each row's start to its end, then
+	// shift the ends back into starts.
+	colInd := make([]Index, len(rows))
+	val := make([]T, len(rows))
+	for k, i := range rows {
+		p := ptr[i]
+		colInd[p], val[p] = cols[k], vals[k]
+		ptr[i] = p + 1
+	}
+	copy(ptr[1:], ptr[:nrows])
+	ptr[0] = 0
+	// Sort each row by column and combine its duplicates, compacting the
+	// arrays in place: w is the next write position, lo the row's old start.
+	colBits := bits.Len(uint(ncols))
+	w, lo := 0, 0
+	for i := 0; i < nrows; i++ {
+		hi := ptr[i+1]
+		ptr[i] = w
+		sortRow(colInd[lo:hi], val[lo:hi], colBits)
+		for p := lo; p < hi; p++ {
+			if p > lo && colInd[p] == colInd[w-1] { // a duplicate, next in input order
+				if dup != nil {
+					val[w-1] = dup(val[w-1], val[p])
+				} else {
+					val[w-1] = val[p]
+				}
+				continue
 			}
+			colInd[w], val[w] = colInd[p], val[p]
+			w++
+		}
+		lo = hi
+	}
+	ptr[nrows] = w
+	a.colInd, a.val = colInd[:w], val[:w]
+	return a, nil
+}
+
+// sortRow orders one row's columns, and its values with them, by column,
+// keeping equal columns in their current order; colBits bounds the
+// columns' bit length. A row that arrives sorted costs one pass and a
+// short one an insertion sort. A longer row tags each column with its
+// position in the row, so the keys are distinct and an unstable sort puts
+// them in the stable order, then gathers the values after them in place.
+func sortRow[T any](cols []Index, vals []T, colBits int) {
+	n := len(cols)
+	p := 1
+	for p < n && cols[p-1] <= cols[p] {
+		p++
+	}
+	if p >= n {
+		return
+	}
+	shift := bits.Len(uint(n - 1))
+	if n <= 16 || colBits+shift > bits.UintSize-2 { // the keys would not fit a non-negative Index
+		for ; p < n; p++ {
+			c, x := cols[p], vals[p]
+			q := p
+			for q > 0 && cols[q-1] > c {
+				cols[q], vals[q] = cols[q-1], vals[q-1]
+				q--
+			}
+			cols[q], vals[q] = c, x
+		}
+		return
+	}
+	mask := Index(1)<<shift - 1
+	for q := range cols {
+		cols[q] = cols[q]<<shift | q
+	}
+	slices.Sort(cols)
+	// Position q takes the value from position cols[q]&mask. Follow each
+	// permutation cycle once; a settled position's tag points at itself.
+	for q := range cols {
+		if cols[q]&mask == q {
 			continue
 		}
-		a.colInd = append(a.colInd, j)
-		a.val = append(a.val, x)
-		counts[i]++
-		prevI, prevJ = i, j
+		x, j := vals[q], q
+		for {
+			k := cols[j] & mask
+			cols[j] = cols[j]&^mask | j
+			if k == q {
+				vals[j] = x
+				break
+			}
+			vals[j] = vals[k]
+			j = k
+		}
 	}
-	for i := 0; i < nrows; i++ {
-		a.rowPtr[i+1] = a.rowPtr[i] + counts[i]
+	for q := range cols {
+		cols[q] >>= shift
 	}
-	return a, nil
 }
 
 // NRows reports the number of rows.

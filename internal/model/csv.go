@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Dataset directory layout (one file per entity kind plus one per change
@@ -114,63 +115,78 @@ func WriteDataset(dir string, d *Dataset) error {
 	return nil
 }
 
-// ReadDataset deserializes a dataset directory written by WriteDataset.
+// ReadDataset deserializes a dataset directory written by WriteDataset. It
+// parses the five snapshot files concurrently, each into its own slice;
+// when several fail, the error of the first in the order posts, comments,
+// users, friends, likes is returned. Change files are read after them, in
+// name order.
 func ReadDataset(dir string) (*Dataset, error) {
 	d := &Dataset{Snapshot: &Snapshot{}}
 	s := d.Snapshot
-	if err := readCSV(filepath.Join(dir, "posts.csv"), 2, func(rec []string) error {
-		id, ts, err := atoi2(rec[0], rec[1])
-		if err != nil {
-			return err
-		}
-		s.Posts = append(s.Posts, Post{ID: id, Timestamp: ts})
-		return nil
-	}); err != nil {
-		return nil, err
+	files := []struct {
+		name   string
+		fields int
+		row    func([]string) error
+	}{
+		{"posts.csv", 2, func(rec []string) error {
+			id, ts, err := atoi2(rec[0], rec[1])
+			if err != nil {
+				return err
+			}
+			s.Posts = append(s.Posts, Post{ID: id, Timestamp: ts})
+			return nil
+		}},
+		{"comments.csv", 4, func(rec []string) error {
+			id, ts, err := atoi2(rec[0], rec[1])
+			if err != nil {
+				return err
+			}
+			parent, post, err := atoi2(rec[2], rec[3])
+			if err != nil {
+				return err
+			}
+			s.Comments = append(s.Comments, Comment{ID: id, Timestamp: ts, ParentID: parent, PostID: post})
+			return nil
+		}},
+		{"users.csv", 1, func(rec []string) error {
+			id, err := strconv.ParseInt(rec[0], 10, 64)
+			if err != nil {
+				return err
+			}
+			s.Users = append(s.Users, User{ID: id})
+			return nil
+		}},
+		{"friends.csv", 2, func(rec []string) error {
+			u1, u2, err := atoi2(rec[0], rec[1])
+			if err != nil {
+				return err
+			}
+			s.Friendships = append(s.Friendships, Friendship{User1: u1, User2: u2})
+			return nil
+		}},
+		{"likes.csv", 2, func(rec []string) error {
+			u, c, err := atoi2(rec[0], rec[1])
+			if err != nil {
+				return err
+			}
+			s.Likes = append(s.Likes, Like{UserID: u, CommentID: c})
+			return nil
+		}},
 	}
-	if err := readCSV(filepath.Join(dir, "comments.csv"), 4, func(rec []string) error {
-		id, ts, err := atoi2(rec[0], rec[1])
-		if err != nil {
-			return err
-		}
-		parent, post, err := atoi2(rec[2], rec[3])
-		if err != nil {
-			return err
-		}
-		s.Comments = append(s.Comments, Comment{ID: id, Timestamp: ts, ParentID: parent, PostID: post})
-		return nil
-	}); err != nil {
-		return nil, err
+	errs := make([]error, len(files))
+	var wg sync.WaitGroup
+	for k, f := range files {
+		wg.Add(1)
+		go func(k int, path string, fields int, row func([]string) error) {
+			defer wg.Done()
+			errs[k] = readCSV(path, fields, row)
+		}(k, filepath.Join(dir, f.name), f.fields, f.row)
 	}
-	if err := readCSV(filepath.Join(dir, "users.csv"), 1, func(rec []string) error {
-		id, err := strconv.ParseInt(rec[0], 10, 64)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.Users = append(s.Users, User{ID: id})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := readCSV(filepath.Join(dir, "friends.csv"), 2, func(rec []string) error {
-		u1, u2, err := atoi2(rec[0], rec[1])
-		if err != nil {
-			return err
-		}
-		s.Friendships = append(s.Friendships, Friendship{User1: u1, User2: u2})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := readCSV(filepath.Join(dir, "likes.csv"), 2, func(rec []string) error {
-		u, c, err := atoi2(rec[0], rec[1])
-		if err != nil {
-			return err
-		}
-		s.Likes = append(s.Likes, Like{UserID: u, CommentID: c})
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 
 	entries, err := os.ReadDir(dir)
@@ -323,6 +339,7 @@ func readCSV(path string, fields int, row func([]string) error) error {
 	defer f.Close()
 	r := csv.NewReader(f)
 	r.FieldsPerRecord = fields
+	r.ReuseRecord = true // row parses the record before the next Read
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {

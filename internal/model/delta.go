@@ -1,13 +1,13 @@
 package model
 
 // This file is the change-key delta layer: every Change has a canonical
-// ChangeKey identifying the model element it touches, and a ChangeSet can be
-// normalized and compacted under those keys. It is the same
+// ChangeKey identifying the model element it touches, and a change list can
+// be normalized and compacted under those keys. It is the same
 // change-propagation idea the paper applies inside the GraphBLAS engines,
 // lifted to the model so the layers above (the server's commit path, the
 // WAL compactor) can reason about update streams as keyed deltas instead of
 // opaque change lists: add+remove pairs on the same key supersede each
-// other, and duplicates collapse.
+// other, and duplicates collapse (CompactionMask).
 
 // KeyKind identifies the model element family a ChangeKey addresses. Unlike
 // ChangeKind it is operation-free: KindAddLike and KindRemoveLike changes on
@@ -69,12 +69,14 @@ func (cs *ChangeSet) Normalize() {
 	}
 }
 
-// Compact normalizes the set and collapses it under change keys, in place:
-// node insertions deduplicate (keeping their first position — a node add
-// must stay ahead of the edges that reference it), and each edge key's
-// add/remove history reduces to its net effect. In a referentially valid
-// history an edge key's operations alternate add/remove, so the net effect
-// follows from the first and last operation alone:
+// CompactionMask reports, per change, whether it survives change-key
+// compaction of the slice, or nil when every key occurs exactly once and
+// nothing collapses. Node insertions deduplicate, keeping their first
+// position: a node add must stay ahead of the edges that reference it.
+// Each edge key's add/remove history reduces to its net effect. In a
+// referentially valid history an edge key's operations alternate
+// add/remove, so the net effect follows from the first and last operation
+// alone:
 //
 //	first add,    last add    → one add (edge absent before, present after)
 //	first add,    last remove → nothing (absent before and after)
@@ -83,32 +85,13 @@ func (cs *ChangeSet) Normalize() {
 //
 // Surviving edge operations keep their *last* position, which is after
 // every node they reference (the node existed before the edge's final
-// operation). Compact therefore preserves referential validity and the
+// operation). Compaction therefore preserves referential validity and the
 // final applied state, but not intermediate states: it is meant for
 // replay-shaped histories (WAL segments), not for live commits whose
-// intermediate answers readers observed.
-func (cs *ChangeSet) Compact() {
-	cs.Normalize()
-	mask := CompactionMask(cs.Changes)
-	if mask == nil {
-		return
-	}
-	out := cs.Changes[:0]
-	for i := range cs.Changes {
-		if mask[i] {
-			out = append(out, cs.Changes[i])
-		}
-	}
-	cs.Changes = out
-}
-
-// CompactionMask reports, per change, whether it survives change-key
-// compaction of the slice under ChangeSet.Compact's rules. A nil mask means
-// every key occurs exactly once — nothing collapses. The mask form exists
-// for callers that must preserve structure around the changes: the WAL
-// compactor applies the same supersession decision while keeping batch
-// boundaries and sequence numbers intact. ChangeKey ordering of friendship
-// endpoints is applied by Key itself, so the input need not be normalized.
+// intermediate answers readers observed. The WAL compactor applies the
+// mask while keeping batch boundaries and sequence numbers intact. Key
+// orders friendship endpoints itself, so the input need not be
+// normalized.
 func CompactionMask(changes []Change) []bool {
 	type span struct {
 		first, last int  // positions of the key's first/last operation

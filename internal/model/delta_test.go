@@ -48,6 +48,22 @@ func TestNormalizeOrdersFriendshipEndpoints(t *testing.T) {
 	}
 }
 
+// compacted is what change-key compaction keeps of changes: the survivors
+// of CompactionMask, in order, as the WAL compactor writes them.
+func compacted(changes []Change) []Change {
+	mask := CompactionMask(changes)
+	if mask == nil {
+		return append([]Change(nil), changes...)
+	}
+	var out []Change
+	for i, keep := range mask {
+		if keep {
+			out = append(out, changes[i])
+		}
+	}
+	return out
+}
+
 func TestCompactSupersedesAddRemovePairs(t *testing.T) {
 	cs := &ChangeSet{Changes: []Change{
 		{Kind: KindAddUser, User: User{ID: 1}},
@@ -57,7 +73,7 @@ func TestCompactSupersedesAddRemovePairs(t *testing.T) {
 		{Kind: KindRemoveFriendship, Friendship: Friendship{User1: 2, User2: 1}}, // reversed spelling: nets out
 		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 11}},                // survives
 	}}
-	cs.Compact()
+	cs.Changes = compacted(cs.Changes)
 	want := []Change{
 		{Kind: KindAddUser, User: User{ID: 1}},
 		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 11}},
@@ -87,7 +103,7 @@ func TestCompactNetEffectTable(t *testing.T) {
 			for _, k := range tc.in {
 				cs.Changes = append(cs.Changes, like(k))
 			}
-			cs.Compact()
+			cs.Changes = compacted(cs.Changes)
 			var got []ChangeKind
 			for i := range cs.Changes {
 				got = append(got, cs.Changes[i].Kind)
@@ -107,7 +123,7 @@ func TestCompactKeepsNodesAheadOfTheirEdges(t *testing.T) {
 		{Kind: KindAddUser, User: User{ID: 1}}, // synthetic duplicate
 		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 10}},
 	}}
-	cs.Compact()
+	cs.Changes = compacted(cs.Changes)
 	want := []Change{
 		{Kind: KindAddUser, User: User{ID: 1}},
 		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 10}},
@@ -129,7 +145,8 @@ func TestCompactPreservesAppliedState(t *testing.T) {
 			Users:    []User{{ID: 100}, {ID: 101}, {ID: 102}},
 		}
 		// Track live edges so the generated history stays valid (no double
-		// adds, no removals of absent edges) — the regime Compact documents.
+		// adds, no removals of absent edges) — the regime CompactionMask
+		// documents.
 		liveF := map[ChangeKey]Friendship{}
 		liveL := map[ChangeKey]Like{}
 		var cs ChangeSet
@@ -161,13 +178,12 @@ func TestCompactPreservesAppliedState(t *testing.T) {
 		}
 		plain := base.Clone()
 		plain.Apply(&cs)
-		compacted := &ChangeSet{Changes: append([]Change(nil), cs.Changes...)}
-		compacted.Compact()
-		if compacted.Size() > cs.Size() {
-			t.Fatalf("trial %d: compaction grew the set (%d -> %d)", trial, cs.Size(), compacted.Size())
+		kept := &ChangeSet{Changes: compacted(cs.Changes)}
+		if kept.Size() > cs.Size() {
+			t.Fatalf("trial %d: compaction grew the set (%d -> %d)", trial, cs.Size(), kept.Size())
 		}
 		viaCompact := base.Clone()
-		viaCompact.Apply(compacted)
+		viaCompact.Apply(kept)
 		if !sameEdgeSets(plain, viaCompact) {
 			t.Fatalf("trial %d: compacted replay diverged\noriginal:  %+v %+v\ncompacted: %+v %+v",
 				trial, plain.Friendships, plain.Likes, viaCompact.Friendships, viaCompact.Likes)

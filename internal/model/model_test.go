@@ -1,7 +1,9 @@
 package model
 
 import (
+	"encoding/csv"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -168,6 +170,34 @@ func TestCSVRoundTrip(t *testing.T) {
 func TestReadDatasetMissingDir(t *testing.T) {
 	if _, err := ReadDataset(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("expected error for missing directory")
+	}
+}
+
+// TestReadDatasetFirstErrorInFileOrder: the snapshot files are parsed
+// concurrently, yet with several broken files the error is always the one
+// of the first broken file in the order posts, comments, users, friends,
+// likes. Comments get a short row (a csv.ParseError), users and likes a
+// non-numeric id (a strconv.NumError).
+func TestReadDatasetFirstErrorInFileOrder(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := WriteDataset(dir, ExampleDataset()); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"comments.csv": "1,2,3\n",
+		"users.csv":    "x\n",
+		"likes.csv":    "1,y\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		_, err := ReadDataset(dir)
+		var pe *csv.ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("run %d: ReadDataset = %v, want comments.csv's short-row error", run, err)
+		}
 	}
 }
 

@@ -315,6 +315,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // update+reevaluation entry per committed batch) plus engine and queue
 // state.
 type statsResponse struct {
+	// Load and Initial are the wall times of the engines' start-up phases:
+	// every engine instance loads its partition, and then initially
+	// evaluates it, on its own goroutine (see shard.New). Validation of the
+	// base state runs alongside and is not part of either.
 	Load    durationMS `json:"loadMs"`
 	Initial durationMS `json:"initialMs"`
 	Updates struct {

@@ -283,7 +283,10 @@ type Server struct {
 }
 
 // New builds the serving state, warms every engine through its Load and
-// Initial phases, publishes the base snapshot, and starts the writer.
+// Initial phases, publishes the base snapshot, and starts the writer. The
+// base state is validated concurrently with the engine warm-up; a state
+// that fails validation is never served: New closes the engines and
+// returns the validation error, which wraps model.ErrIntegrity.
 //
 // Without persistence the base state is the configured dataset (loaded or
 // generated). With Config.PersistDir the durability directory decides: a
@@ -342,14 +345,29 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// The engines only ever see states that pass the integrity rules.
-	state, err := model.NewState(d.Snapshot)
-	if err != nil {
-		closeWAL()
-		return nil, fmt.Errorf("server: %w", err)
-	}
+	// The engines only ever serve states that pass the integrity rules.
+	// Validation runs alongside the engine start-up, both reading the
+	// snapshot; its error wins over whatever the engines made of a
+	// snapshot it rejects.
+	var (
+		state    *model.State
+		stateErr error
+		valid    = make(chan struct{})
+	)
+	go func() {
+		defer close(valid)
+		state, stateErr = model.NewState(d.Snapshot)
+	}()
 	grb.SetThreads(cfg.Threads)
 	rt, err := shard.New(cfg.Shards, d.Snapshot)
+	<-valid
+	if stateErr != nil {
+		if rt != nil {
+			rt.Close()
+		}
+		closeWAL()
+		return nil, fmt.Errorf("server: %w", stateErr)
+	}
 	if err != nil {
 		closeWAL()
 		return nil, fmt.Errorf("server: %w", err)

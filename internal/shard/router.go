@@ -179,9 +179,14 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 // q1Snapshot builds shard s's Q1 partition of the initial snapshot: its
 // hashed posts with their comment subtrees and likes, and every user (likes
 // reference users, and users are too cheap to be worth partitioning for
-// Q1). Friendships are omitted — Q1 never reads them.
+// Q1). Friendships are omitted — Q1 never reads them. With one shard every
+// post hashes to it, so the partition shares the snapshot's slices.
 func (r *router) q1Snapshot(snap *model.Snapshot, s int) *model.Snapshot {
 	out := &model.Snapshot{Users: snap.Users}
+	if r.n == 1 {
+		out.Posts, out.Comments, out.Likes = snap.Posts, snap.Comments, snap.Likes
+		return out
+	}
 	for _, p := range snap.Posts {
 		if hashShard(p.ID, r.n) == s {
 			out.Posts = append(out.Posts, p)

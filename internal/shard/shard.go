@@ -110,8 +110,12 @@ type Runtime struct {
 }
 
 // New partitions the snapshot over n shards, loads and initially evaluates
-// every shard's engines (in parallel across shards), and starts the
-// per-shard writers.
+// every engine instance, and starts the per-shard writers. Start-up must
+// read the whole graph, so each instance loads, and then initially
+// evaluates, on its own goroutine; each phase ends at a barrier, so its
+// duration is its wall time. A panic in an engine during either phase
+// becomes an error: a snapshot the caller has not validated yet may break
+// an engine's assumptions. On error no goroutine is left running.
 func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
@@ -133,74 +137,70 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		parkedComments: router.parkedComments(),
 		merge:          core.NewTopK(core.TopK),
 	}
+	// startJob is one engine instance's start-up; partitions are cut on
+	// first use, on the goroutine of the first instance that loads them.
+	type startJob struct {
+		shard int
+		e     engineInst
+		snap  func() *model.Snapshot
+	}
+	var jobs []startJob
+	q2Snap := sync.OnceValue(func() *model.Snapshot { return router.q2Snapshot(snap) })
 	for s := 0; s < n; s++ {
+		s := s
+		q1Snap := sync.OnceValue(func() *model.Snapshot { return router.q1Snapshot(snap, s) })
 		w := &worker{id: s, cmds: make(chan command, 1), done: make(chan struct{})}
 		for _, e := range harness.ServedEngines() {
 			inst := engineInst{key: e.Key, sol: e.New()}
 			switch {
 			case e.Query == "Q1":
 				w.q1 = append(w.q1, inst)
+				jobs = append(jobs, startJob{s, inst, q1Snap})
 			case s == q2Shard:
 				w.q2 = append(w.q2, inst)
+				jobs = append(jobs, startJob{s, inst, q2Snap})
 			}
 		}
 		rt.workers[s] = w
 		rt.meta[s].Shard = s
 	}
 
-	errs := make([]error, n)
-	phase := func(f func(w *worker, s int) error) {
+	phase := func(name string, f func(j startJob) error) (time.Duration, error) {
+		start := time.Now()
+		errs := make([]error, len(jobs))
 		var wg sync.WaitGroup
-		for s := 0; s < n; s++ {
+		for k := range jobs {
 			wg.Add(1)
-			go func(s int) {
+			go func(k int) {
 				defer wg.Done()
-				if errs[s] == nil {
-					errs[s] = f(rt.workers[s], s)
+				j := jobs[k]
+				defer func() {
+					if p := recover(); p != nil {
+						errs[k] = fmt.Errorf("shard %d: %s %s: panic: %v", j.shard, j.e.sol.Name(), name, p)
+					}
+				}()
+				if err := f(j); err != nil {
+					errs[k] = fmt.Errorf("shard %d: %s %s: %w", j.shard, j.e.sol.Name(), name, err)
 				}
-			}(s)
+			}(k)
 		}
 		wg.Wait()
-	}
-
-	start := time.Now()
-	q2Snap := router.q2Snapshot(snap)
-	phase(func(w *worker, s int) error {
-		q1Snap := router.q1Snapshot(snap, s)
-		for _, e := range w.q1 {
-			if err := e.sol.Load(q1Snap); err != nil {
-				return fmt.Errorf("shard %d: %s load: %w", s, e.sol.Name(), err)
+		for _, err := range errs {
+			if err != nil {
+				return 0, err
 			}
 		}
-		for _, e := range w.q2 {
-			if err := e.sol.Load(q2Snap); err != nil {
-				return fmt.Errorf("shard %d: %s load: %w", s, e.sol.Name(), err)
-			}
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return time.Since(start), nil
 	}
-	rt.loadDur = time.Since(start)
-
-	start = time.Now()
-	phase(func(w *worker, s int) error {
-		for _, e := range w.engines() {
-			if _, err := e.sol.Initial(); err != nil {
-				return fmt.Errorf("shard %d: %s initial: %w", s, e.sol.Name(), err)
-			}
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if rt.loadDur, err = phase("load", func(j startJob) error { return j.e.sol.Load(j.snap()) }); err != nil {
+		return nil, err
 	}
-	rt.initialDur = time.Since(start)
+	if rt.initialDur, err = phase("initial", func(j startJob) error {
+		_, err := j.e.sol.Initial()
+		return err
+	}); err != nil {
+		return nil, err
+	}
 
 	for s := 0; s < n; s++ {
 		rt.last[s], rt.lastStats[s] = rt.workers[s].observe()
@@ -392,10 +392,12 @@ func (rt *Runtime) ParkedComments() int {
 	return rt.parkedComments
 }
 
-// LoadDuration is the parallel partition-load phase latency.
+// LoadDuration is the wall time of the load phase: every engine instance
+// loading its partition, each on its own goroutine.
 func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 
-// InitialDuration is the parallel initial-evaluation phase latency.
+// InitialDuration is the wall time of the initial-evaluation phase, every
+// engine instance on its own goroutine.
 func (rt *Runtime) InitialDuration() time.Duration { return rt.initialDur }
 
 // Close stops every shard writer after it drains its queue. Idempotent.

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -264,6 +266,47 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(2, nil); err == nil {
 		t.Error("New(2, nil) succeeded, want error")
+	}
+}
+
+// TestNewRejectsDanglingSnapshots: New may be handed a snapshot nobody
+// has validated yet (the server validates alongside it). A like naming an
+// unknown comment stops the router; one naming an unknown user, and a
+// comment rooted at an unknown post, stop an engine's load. New must
+// return an error and leave no goroutine behind, neither a start-up worker
+// nor a shard writer.
+func TestNewRejectsDanglingSnapshots(t *testing.T) {
+	for _, tc := range []struct {
+		what   string
+		mutate func(s *model.Snapshot)
+	}{
+		{"like references unknown comment", func(s *model.Snapshot) {
+			s.Likes = append(s.Likes, model.Like{UserID: 100, CommentID: 999})
+		}},
+		{"like references unknown user", func(s *model.Snapshot) {
+			s.Likes = append(s.Likes, model.Like{UserID: 999, CommentID: 10})
+		}},
+		{"comment roots at unknown post", func(s *model.Snapshot) {
+			s.Comments = append(s.Comments, model.Comment{ID: 11, ParentID: 1, PostID: 99})
+		}},
+	} {
+		for _, n := range []int{1, 3} {
+			snap := twoGroupFixture()
+			tc.mutate(snap)
+			before := runtime.NumGoroutine()
+			rt, err := New(n, snap)
+			if err == nil {
+				rt.Close()
+				t.Fatalf("%s, %d shards: New succeeded, want error", tc.what, n)
+			}
+			got := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); got > before && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got > before {
+				t.Fatalf("%s, %d shards: %d goroutines after the failed New, %d before", tc.what, n, got, before)
+			}
+		}
 	}
 }
 
