@@ -51,15 +51,6 @@ func (r Result) String() string {
 	return strings.Join(parts, "|")
 }
 
-// IDs returns just the ranked entity ids.
-func (r Result) IDs() []model.ID {
-	ids := make([]model.ID, len(r))
-	for i, e := range r {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // TopK is the number of ranked entities the case study reports.
 const TopK = 3
 

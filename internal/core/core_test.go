@@ -80,14 +80,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestResultIDs(t *testing.T) {
-	r := Result{{ID: 3}, {ID: 1}}
-	ids := r.IDs()
-	if len(ids) != 2 || ids[0] != 3 || ids[1] != 1 {
-		t.Fatalf("IDs = %v", ids)
-	}
-}
-
 func TestLoadGraphRejectsDanglingReferences(t *testing.T) {
 	bad := []*model.Snapshot{
 		{Comments: []model.Comment{{ID: 1, PostID: 99, ParentID: 99}}},

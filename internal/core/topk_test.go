@@ -42,7 +42,7 @@ func TestRankerMergeOrdersAcrossPartitions(t *testing.T) {
 func TestRankerMergeFewerThanK(t *testing.T) {
 	got := rankParts(NewTopK(TopK), Result{{ID: 1, Score: 5}}, Result{{ID: 2, Score: 7}})
 	if len(got) != 2 || got[0].ID != 2 || got[1].ID != 1 {
-		t.Errorf("got %v, want [2 1]", got.IDs())
+		t.Errorf("got %q, want 2|1", got)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestRankerMergeReset(t *testing.T) {
 	first := rankParts(r, Result{{ID: 1, Score: 9}, {ID: 2, Score: 8}, {ID: 3, Score: 7}})
 	r.Reset()
 	if got := rankParts(r, Result{{ID: 4, Score: 1}}); len(got) != 1 || got[0].ID != 4 {
-		t.Fatalf("after Reset got %v, want [4]", got.IDs())
+		t.Fatalf("after Reset got %q, want 4", got)
 	}
 	if first.String() != "1|2|3" {
 		t.Fatalf("pre-Reset result mutated: %q", first)

@@ -41,7 +41,7 @@ func BenchmarkMxV(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := MxV(PlusTimes[int](), a, u); err != nil {
+				if _, err := MxV(plusTimes[int](), a, u); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -60,7 +60,7 @@ func BenchmarkVxMSparseVector(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := VxM(PlusTimes[int](), u, a); err != nil {
+				if _, err := VxM(plusTimes[int](), u, a); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -86,12 +86,12 @@ func BenchmarkVxMFront(b *testing.B) {
 		name := fmt.Sprintf("W÷ncols=%.4f", float64(work)/n)
 		b.Run(name+"/sparse", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				vxmSparse(PlusTimes[int](), u, a, work)
+				vxmSparse(plusTimes[int](), u, a, work)
 			}
 		})
 		b.Run(name+"/dense", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				vxmDense(PlusTimes[int](), u, a)
+				vxmDense(plusTimes[int](), u, a)
 			}
 		})
 	}
@@ -103,7 +103,7 @@ func BenchmarkMxM(b *testing.B) {
 		c := benchMatrix(n, 8*n, 5)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := MxM(PlusTimes[int](), a, c); err != nil {
+				if _, err := MxM(plusTimes[int](), a, c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,14 +166,6 @@ func BenchmarkReduceRows(b *testing.B) {
 		if _, err := ReduceRows(PlusMonoid[int](), Ident[int], a); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkTranspose(b *testing.B) {
-	a := benchMatrix(100_000, 800_000, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Transpose(a)
 	}
 }
 

@@ -61,58 +61,6 @@ func EWiseMultV[A, B, C any](op func(A, B) C, u *Vector[A], v *Vector[B]) (*Vect
 	return w, nil
 }
 
-// EWiseAddM returns the element-wise union C = A ⊕ B over matching shapes.
-// Rows are processed in parallel.
-func EWiseAddM[T any](op func(T, T) T, a, b *Matrix[T]) (*Matrix[T], error) {
-	if a.nrows != b.nrows || a.ncols != b.ncols {
-		return nil, dimErrf("EWiseAddM: %d×%d vs %d×%d", a.nrows, a.ncols, b.nrows, b.ncols)
-	}
-	a.Wait()
-	b.Wait()
-	c := NewMatrix[T](a.nrows, a.ncols)
-	rowCols := make([][]Index, a.nrows)
-	rowVals := make([][]T, a.nrows)
-	parallelRanges(a.nrows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ap, ah := a.rowPtr[i], a.rowPtr[i+1]
-			bp, bh := b.rowPtr[i], b.rowPtr[i+1]
-			if ap == ah && bp == bh {
-				continue
-			}
-			cols := make([]Index, 0, (ah-ap)+(bh-bp))
-			vals := make([]T, 0, cap(cols))
-			for ap < ah && bp < bh {
-				switch {
-				case a.colInd[ap] < b.colInd[bp]:
-					cols = append(cols, a.colInd[ap])
-					vals = append(vals, a.val[ap])
-					ap++
-				case a.colInd[ap] > b.colInd[bp]:
-					cols = append(cols, b.colInd[bp])
-					vals = append(vals, b.val[bp])
-					bp++
-				default:
-					cols = append(cols, a.colInd[ap])
-					vals = append(vals, op(a.val[ap], b.val[bp]))
-					ap++
-					bp++
-				}
-			}
-			for ; ap < ah; ap++ {
-				cols = append(cols, a.colInd[ap])
-				vals = append(vals, a.val[ap])
-			}
-			for ; bp < bh; bp++ {
-				cols = append(cols, b.colInd[bp])
-				vals = append(vals, b.val[bp])
-			}
-			rowCols[i], rowVals[i] = cols, vals
-		}
-	})
-	stitchRows(c, rowCols, rowVals)
-	return c, nil
-}
-
 // stitchRows assembles per-row slices produced by a parallel kernel into the
 // CSR arrays of c.
 func stitchRows[T any](c *Matrix[T], rowCols [][]Index, rowVals [][]T) {

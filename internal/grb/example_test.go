@@ -7,14 +7,18 @@ import (
 )
 
 // Build a small adjacency matrix and multiply it with a vector over the
-// conventional (+, ×) semiring.
+// conventional (+, ×) semiring, defined as a plain value.
 func ExampleMxV() {
 	a, _ := grb.MatrixFromTuples(2, 3,
 		[]grb.Index{0, 0, 1},
 		[]grb.Index{0, 2, 1},
 		[]int{1, 2, 3}, nil)
 	u, _ := grb.VectorFromTuples(3, []grb.Index{0, 1, 2}, []int{10, 20, 30}, nil)
-	w, _ := grb.MxV(grb.PlusTimes[int](), a, u)
+	plusTimes := grb.Semiring[int, int, int]{
+		Add: grb.PlusMonoid[int](),
+		Mul: func(x, y int) int { return x * y },
+	}
+	w, _ := grb.MxV(plusTimes, a, u)
 	w.Iterate(func(i grb.Index, x int) bool {
 		fmt.Printf("w[%d] = %d\n", i, x)
 		return true
@@ -29,7 +33,7 @@ func ExampleEWiseAddV() {
 	u, _ := grb.VectorFromTuples(4, []grb.Index{0, 2}, []int{1, 2}, nil)
 	v, _ := grb.VectorFromTuples(4, []grb.Index{2, 3}, []int{10, 20}, nil)
 	sum, _ := grb.EWiseAddV(grb.Plus[int], u, v)
-	prod, _ := grb.EWiseMultV(grb.Times[int], u, v)
+	prod, _ := grb.EWiseMultV(func(x, y int) int { return x * y }, u, v)
 	fmt.Println("union entries:", sum.NVals())
 	fmt.Println("intersection entries:", prod.NVals())
 	// Output:

@@ -13,14 +13,13 @@
 //	GrB_mxm            → MxM
 //	GrB_vxm            → VxM
 //	GrB_mxv            → MxV
-//	GrB_eWiseAdd       → EWiseAddV, EWiseAddM
+//	GrB_eWiseAdd       → EWiseAddV
 //	GrB_eWiseMult      → EWiseMultV
 //	GrB_extract        → ExtractSubmatrix, ExtractRow
 //	GrB_assign         → AssignV
 //	GrB_apply          → ApplyV
 //	GxB_select         → SelectM
 //	GrB_reduce         → ReduceRows, ReduceCols
-//	GrB_transpose      → Transpose
 //	GrB_build          → VectorFromTuples, MatrixFromTuples
 //	GrB_extractTuples  → (*Vector).ExtractTuples, (*Matrix).ExtractTuples
 //	masks ⟨M⟩          → MaskV

@@ -43,9 +43,6 @@ type Semiring[A, B, C any] struct {
 // Plus returns x+y.
 func Plus[T Number](x, y T) T { return x + y }
 
-// Times returns x*y.
-func Times[T Number](x, y T) T { return x * y }
-
 // Min returns the smaller of x and y.
 func Min[T Ordered](x, y T) T {
 	if y < x {
@@ -85,11 +82,6 @@ func OrMonoid() Monoid[bool] { return Monoid[bool]{Identity: false, Op: Or} }
 
 // ---------------------------------------------------------------------------
 // Predefined semirings.
-
-// PlusTimes is the conventional (+, ×) arithmetic semiring.
-func PlusTimes[T Number]() Semiring[T, T, T] {
-	return Semiring[T, T, T]{Add: PlusMonoid[T](), Mul: Times[T]}
-}
 
 // PlusSecond sums the vector/matrix-B operand over structural matches of A:
 // mul(a, b) = b. It is the workhorse for "sum values selected by a boolean

@@ -173,9 +173,9 @@ func (s *Server) commit(batch []updateReq) {
 		rep, err := s.wal.Compact()
 		s.mu.Lock()
 		if err != nil {
-			s.compactErrs++
+			s.stats.Persist.CompactionErrors++
 		} else {
-			s.lastCompaction = &rep
+			s.stats.Persist.LastCompaction = &rep
 		}
 		s.mu.Unlock()
 	}
@@ -186,29 +186,28 @@ func (s *Server) commit(batch []updateReq) {
 // the last step of both a live commit and WAL replay.
 func (s *Server) publish(seq int, cs *model.ChangeSet) error {
 	start := time.Now()
-	results, err := s.rt.Commit(cs)
+	rec, err := s.rt.Commit(cs)
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
+	elapsed := durationMS(time.Since(start))
 
 	prev := s.snap.Load()
-	s.snap.Store(&Snapshot{
+	next := &Snapshot{
 		Seq:      seq,
 		Changes:  prev.Changes + len(cs.Changes),
 		Inserts:  prev.Inserts + cs.InsertCount(),
 		Removals: prev.Removals + cs.RemovalCount(),
-		Results:  results,
-		Engines:  s.rt.EngineTotals(),
+		Record:   rec,
 		At:       time.Now(),
-	})
-
+	}
 	s.mu.Lock()
-	s.phases.UpdateCount++
-	s.phases.UpdateTotal += elapsed
-	s.phases.UpdateLast = elapsed
-	if results[EngineQ2] != results[EngineQ2CC] {
-		s.q2Disagreements++
+	s.snap.Store(next)
+	s.stats.Updates.Count++
+	s.stats.Updates.Total += elapsed
+	s.stats.Updates.Last = elapsed
+	if rec.Results[EngineQ2] != rec.Results[EngineQ2CC] {
+		s.stats.Q2Disagreements++
 	}
 	s.mu.Unlock()
 	return nil
@@ -241,9 +240,9 @@ func (s *Server) replayWAL(batches []wal.Batch) bool {
 	s.snapshotDurable(last)
 	s.mu.Lock()
 	s.replayDone = len(batches)
-	s.recovery.ReplayedBatches = len(batches)
-	s.recovery.ReplayedChanges = replayed
-	s.recovery.Duration = time.Since(start)
+	s.stats.Persist.Recovery.ReplayedBatches = len(batches)
+	s.stats.Persist.Recovery.ReplayedChanges = replayed
+	s.stats.Persist.Recovery.Ms = durationMS(time.Since(start))
 	s.mu.Unlock()
 	return true
 }
@@ -254,10 +253,8 @@ func (s *Server) replayWAL(batches []wal.Batch) bool {
 // encode.
 func (s *Server) noteSnapStall(d time.Duration) {
 	s.mu.Lock()
-	s.lastSnapStall = d
-	if d > s.maxSnapStall {
-		s.maxSnapStall = d
-	}
+	s.stats.Persist.LastSnapshotStallNs = d.Nanoseconds()
+	s.stats.Persist.MaxSnapshotStallNs = max(s.stats.Persist.MaxSnapshotStallNs, d.Nanoseconds())
 	s.mu.Unlock()
 }
 
@@ -266,7 +263,7 @@ func (s *Server) noteSnapStall(d time.Duration) {
 func (s *Server) noteDetach(d time.Duration) {
 	s.noteSnapStall(d)
 	s.mu.Lock()
-	s.cowClones++
+	s.stats.Persist.CowClones++
 	s.mu.Unlock()
 }
 
@@ -291,7 +288,7 @@ func (s *Server) snapshotDurable(seq int) {
 		// means the WAL replays a little longer, and the next trigger
 		// catches up.
 		s.mu.Lock()
-		s.snapSkips++
+		s.stats.Persist.SkippedSnapshots++
 		s.mu.Unlock()
 		return
 	}
@@ -321,15 +318,13 @@ func (s *Server) finishSnapshot(seq int, start time.Time, err error) {
 	defer s.mu.Unlock()
 	switch {
 	case err == nil:
-		// Counted only on success: streamedSnapshots is the "streaming
-		// works" probe and must stay zero when no encode ever lands.
-		s.snapStreams++
+		s.stats.Persist.StreamedSnapshots++
 		s.lastSnap = seq
-		s.lastSnapDur = time.Since(start)
+		s.stats.Persist.LastSnapshotMs = durationMS(time.Since(start))
 	case errors.Is(err, wal.ErrSnapshotAborted):
 		// Shutdown cancellation, not a failure.
 	default:
-		s.snapErrs++
+		s.stats.Persist.SnapshotErrors++
 	}
 }
 

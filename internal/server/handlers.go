@@ -310,39 +310,92 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// statsResponse reports the serving-side view of the paper's phase
-// breakdown (harness.Measurement conventions: load, initial, then one
-// update+reevaluation entry per committed batch) plus engine and queue
-// state.
-type statsResponse struct {
+// counters are the figures the writer and the snapshot encoder keep for
+// /stats, each declared once, under its wire name. Server.mu guards them;
+// handleStats copies them whole, beside the Snapshot they belong to.
+type counters struct {
 	// Load and Initial are the wall times of the engines' start-up phases:
 	// every engine instance loads its partition, and then initially
 	// evaluates it, on its own goroutine (see shard.New). Validation of the
 	// base state runs alongside and is not part of either.
 	Load    durationMS `json:"loadMs"`
 	Initial durationMS `json:"initialMs"`
+	// Updates aggregates the update+reevaluation phase of every committed
+	// batch (harness.Measurement's phase breakdown) in O(1) state, so a
+	// long-lived server never grows with commit count; Mean is derived
+	// when served.
 	Updates struct {
 		Count int        `json:"count"`
 		Total durationMS `json:"totalMs"`
 		Last  durationMS `json:"lastMs"`
 		Mean  durationMS `json:"meanMs"`
 	} `json:"updates"`
+	// Q2Disagreements counts commits where the Q2 matrix engine and the
+	// connected-components extension disagreed — continuous cross-
+	// validation in the spirit of ttcvalidate; anything nonzero is a bug.
+	Q2Disagreements int `json:"q2Disagreements"`
+
+	// Persist is served under "persistence", and only with a WAL.
+	Persist persistCounters `json:"-"`
+}
+
+// persistCounters is the durability bookkeeping of /stats: snapshot and
+// compaction outcomes and what startup recovery did.
+type persistCounters struct {
+	LastSnapshotMs durationMS `json:"lastSnapshotMs"`
+	SnapshotErrors int        `json:"snapshotErrors"`
+	// Streaming-snapshot health: how long the writer was last (and at worst
+	// ever) paused on snapshot work — the O(1) view handoff or a
+	// copy-on-write detach of the edge arrays — and how many snapshots were
+	// written (counted only on success, so it stays zero when no encode
+	// ever lands), cadence points were skipped because an encode was still
+	// in flight, and detaches removals forced.
+	LastSnapshotStallNs int64 `json:"lastSnapshotStallNs"`
+	MaxSnapshotStallNs  int64 `json:"maxSnapshotStallNs"`
+	StreamedSnapshots   int   `json:"streamedSnapshots"`
+	SkippedSnapshots    int   `json:"skippedSnapshots"`
+	CowClones           int   `json:"cowClones"`
+	// CompactionErrors counts failed change-key compaction passes;
+	// LastCompaction is the most recent successful pass (nil until one
+	// completes; each pass stores a new report, never changing an old one).
+	CompactionErrors int                   `json:"compactionErrors"`
+	LastCompaction   *wal.CompactionReport `json:"lastCompaction,omitempty"`
+
+	// Recovered reports that the base state came from a durable snapshot
+	// rather than the dataset; Recovery is where that snapshot was, how
+	// much WAL tail was replayed, and whether a torn tail was truncated.
+	Recovered bool `json:"recovered"`
+	Recovery  struct {
+		SnapshotSeq     int        `json:"snapshotSeq"`
+		ReplayedBatches int        `json:"replayedBatches"`
+		ReplayedChanges int        `json:"replayedChanges"`
+		TruncatedBytes  int64      `json:"truncatedBytes"`
+		Ms              durationMS `json:"ms"`
+	} `json:"recovery"`
+}
+
+// statsResponse reports the serving-side view of the paper's phase
+// breakdown (harness.Measurement conventions: load, initial, then one
+// update+reevaluation entry per committed batch) plus engine and queue
+// state. Every figure but the live ones (queue depth, threads, readiness,
+// WAL metrics and the in-flight snapshot) belongs to the commit Seq names.
+type statsResponse struct {
+	counters
 
 	Seq     int `json:"seq"`
 	Changes int `json:"changes"`
 	// Inserts/Removals split the changes committed by this process
 	// (model.ChangeSet.InsertCount/RemovalCount).
-	Inserts         int                         `json:"inserts"`
-	Removals        int                         `json:"removals"`
-	QueueDepth      int                         `json:"queueDepth"`
-	Threads         int                         `json:"threads"`
-	Engines         map[string]core.EngineStats `json:"engines"`
-	Q2Disagreements int                         `json:"q2Disagreements"`
-	Broken          string                      `json:"broken,omitempty"`
+	Inserts    int                         `json:"inserts"`
+	Removals   int                         `json:"removals"`
+	QueueDepth int                         `json:"queueDepth"`
+	Threads    int                         `json:"threads"`
+	Engines    map[string]core.EngineStats `json:"engines"`
+	Broken     string                      `json:"broken,omitempty"`
 
-	// Shards reports each engine shard's queue depth and apply latencies;
-	// ParkedComments counts the never-liked comments the router holds
-	// outside the Q2 engines (Q2 engine comments + parked = all comments).
+	// Shards reports each engine shard's apply latencies; ParkedComments
+	// counts the never-liked comments the router holds outside the Q2
+	// engines (Q2 engine comments + parked = all comments).
 	Shards         []shardStatsJSON `json:"shards"`
 	ParkedComments int              `json:"parkedComments"`
 
@@ -352,8 +405,8 @@ type statsResponse struct {
 	Persistence *persistStatsJSON `json:"persistence,omitempty"`
 }
 
-// persistStatsJSON is the /stats view of internal/wal: log and snapshot
-// counters plus what startup recovery did.
+// persistStatsJSON is the /stats view of internal/wal: the live log and
+// snapshot metrics plus the server's durability counters.
 type persistStatsJSON struct {
 	Dir   string `json:"dir"`
 	Fsync string `json:"fsync"`
@@ -366,50 +419,25 @@ type persistStatsJSON struct {
 	WalLastSeq    uint64 `json:"walLastSeq"`
 	WalSyncErrors int64  `json:"walSyncErrors"`
 
-	Snapshots       int64      `json:"snapshots"`
-	SnapshotBytes   int64      `json:"snapshotBytes"`
-	LastSnapshotSeq uint64     `json:"lastSnapshotSeq"`
-	LastSnapshotMs  durationMS `json:"lastSnapshotMs"`
-	SnapshotErrors  int        `json:"snapshotErrors"`
-	TrimmedSegments int64      `json:"trimmedSegments"`
-
-	// Streaming-snapshot health: whether a background encode is in flight
-	// right now, how long the writer was last (and at worst ever) paused
-	// on snapshot work — the O(1) view handoff or a copy-on-write detach
-	// of the edge arrays — and how many snapshots were written, cadence
-	// points were skipped because an encode was still in flight, and
-	// detaches removals forced.
-	SnapshotInProgress  bool  `json:"snapshotInProgress"`
-	LastSnapshotStallNs int64 `json:"lastSnapshotStallNs"`
-	MaxSnapshotStallNs  int64 `json:"maxSnapshotStallNs"`
-	StreamedSnapshots   int   `json:"streamedSnapshots"`
-	SkippedSnapshots    int   `json:"skippedSnapshots"`
-	CowClones           int   `json:"cowClones"`
+	Snapshots       int64  `json:"snapshots"`
+	SnapshotBytes   int64  `json:"snapshotBytes"`
+	LastSnapshotSeq uint64 `json:"lastSnapshotSeq"`
+	TrimmedSegments int64  `json:"trimmedSegments"`
+	// SnapshotInProgress reports a background encode in flight right now.
+	SnapshotInProgress bool `json:"snapshotInProgress"`
 
 	// Change-key compaction of sealed WAL segments (ttcserve
 	// -compact-every; see internal/wal).
-	Compactions      int64 `json:"compactions"`
-	CompactedSegs    int64 `json:"compactedSegments"`
-	CompactedBytes   int64 `json:"compactedBytes"`
-	CompactionErrors int   `json:"compactionErrors"`
-	// LastCompaction summarizes the most recent pass: how much of the
-	// scanned history (split by inserts vs removals) survived supersession.
-	LastCompaction *wal.CompactionReport `json:"lastCompaction,omitempty"`
+	Compactions    int64 `json:"compactions"`
+	CompactedSegs  int64 `json:"compactedSegments"`
+	CompactedBytes int64 `json:"compactedBytes"`
 
-	Recovered bool `json:"recovered"`
-	Recovery  struct {
-		SnapshotSeq     int        `json:"snapshotSeq"`
-		ReplayedBatches int        `json:"replayedBatches"`
-		ReplayedChanges int        `json:"replayedChanges"`
-		TruncatedBytes  int64      `json:"truncatedBytes"`
-		Ms              durationMS `json:"ms"`
-	} `json:"recovery"`
+	persistCounters
 }
 
 // shardStatsJSON is the wire form of one shard's shard.Stats.
 type shardStatsJSON struct {
 	Shard   int        `json:"shard"`
-	Depth   int        `json:"depth"`
 	Commits int        `json:"commits"`
 	Last    durationMS `json:"lastMs"`
 	Mean    durationMS `json:"meanMs"`
@@ -436,96 +464,58 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	snap := s.Snapshot()
-
+	// The writer publishes each Snapshot and counts its commit under mu, so
+	// the two are read as one.
 	s.mu.Lock()
-	m := s.phases
-	disagreements := s.q2Disagreements
+	snap := s.Snapshot()
+	c := s.stats
 	broken := s.broken
-	recovery := s.recovery
-	lastSnapDur := s.lastSnapDur
-	snapErrs := s.snapErrs
-	lastCompaction := s.lastCompaction
-	compactErrs := s.compactErrs
-	lastSnapStall := s.lastSnapStall
-	maxSnapStall := s.maxSnapStall
-	snapStreams := s.snapStreams
-	snapSkips := s.snapSkips
-	cowClones := s.cowClones
 	s.mu.Unlock()
 
+	if c.Updates.Count > 0 {
+		c.Updates.Mean = durationMS(time.Duration(c.Updates.Total) / time.Duration(c.Updates.Count))
+	}
 	resp := statsResponse{
-		Load:            durationMS(m.Load),
-		Initial:         durationMS(m.Initial),
-		Seq:             snap.Seq,
-		Changes:         snap.Changes,
-		Inserts:         snap.Inserts,
-		Removals:        snap.Removals,
-		QueueDepth:      s.QueueDepth(),
-		Threads:         grb.Threads(),
-		Engines:         snap.Engines,
-		Q2Disagreements: disagreements,
-		ParkedComments:  s.rt.ParkedComments(),
+		counters:       c,
+		Seq:            snap.Seq,
+		Changes:        snap.Changes,
+		Inserts:        snap.Inserts,
+		Removals:       snap.Removals,
+		QueueDepth:     s.QueueDepth(),
+		Threads:        grb.Threads(),
+		Engines:        snap.Engines,
+		Shards:         make([]shardStatsJSON, len(snap.Shards)),
+		ParkedComments: snap.ParkedComments,
+		Ready:          s.Ready(),
 	}
-	for _, st := range s.rt.ShardStats() {
-		resp.Shards = append(resp.Shards, shardStatsJSON{
-			Shard:   st.Shard,
-			Depth:   st.Depth,
-			Commits: st.Commits,
-			Last:    durationMS(st.Last),
-			Mean:    durationMS(st.Mean()),
-		})
-	}
-	resp.Updates.Count = m.UpdateCount
-	resp.Updates.Total = durationMS(m.UpdateTotal)
-	resp.Updates.Last = durationMS(m.UpdateLast)
-	if m.UpdateCount > 0 {
-		resp.Updates.Mean = durationMS(m.UpdateTotal / time.Duration(m.UpdateCount))
+	for i, st := range snap.Shards {
+		resp.Shards[i] = shardStatsJSON{Shard: i, Commits: st.Commits, Last: durationMS(st.Last), Mean: durationMS(st.Mean())}
 	}
 	if broken != nil {
 		resp.Broken = broken.Error()
 	}
-	resp.Ready = s.Ready()
 	if s.wal != nil {
 		wm := s.wal.Metrics()
-		p := &persistStatsJSON{
-			Dir:                 s.cfg.PersistDir,
-			Fsync:               s.cfg.Fsync.String(),
-			WalAppends:          wm.Appends,
-			WalBytes:            wm.AppendedBytes,
-			WalFsyncs:           wm.Fsyncs,
-			WalRotations:        wm.Rotations,
-			WalSegments:         wm.Segments,
-			WalLastSeq:          s.wal.LastSeq(),
-			WalSyncErrors:       wm.SyncErrors,
-			Snapshots:           wm.Snapshots,
-			SnapshotBytes:       wm.SnapshotBytes,
-			LastSnapshotSeq:     wm.LastSnapSeq,
-			LastSnapshotMs:      durationMS(lastSnapDur),
-			SnapshotErrors:      snapErrs,
-			TrimmedSegments:     wm.TrimmedSegs,
-			SnapshotInProgress:  s.snapInProgress.Load(),
-			LastSnapshotStallNs: lastSnapStall.Nanoseconds(),
-			MaxSnapshotStallNs:  maxSnapStall.Nanoseconds(),
-			StreamedSnapshots:   snapStreams,
-			SkippedSnapshots:    snapSkips,
-			CowClones:           cowClones,
-			Compactions:         wm.Compactions,
-			CompactedSegs:       wm.CompactedSegs,
-			CompactedBytes:      wm.CompactedBytes,
-			CompactionErrors:    compactErrs,
-			Recovered:           s.recovered,
+		resp.Persistence = &persistStatsJSON{
+			Dir:                s.cfg.PersistDir,
+			Fsync:              s.cfg.Fsync.String(),
+			WalAppends:         wm.Appends,
+			WalBytes:           wm.AppendedBytes,
+			WalFsyncs:          wm.Fsyncs,
+			WalRotations:       wm.Rotations,
+			WalSegments:        wm.Segments,
+			WalLastSeq:         s.wal.LastSeq(),
+			WalSyncErrors:      wm.SyncErrors,
+			Snapshots:          wm.Snapshots,
+			SnapshotBytes:      wm.SnapshotBytes,
+			LastSnapshotSeq:    wm.LastSnapSeq,
+			TrimmedSegments:    wm.TrimmedSegs,
+			SnapshotInProgress: s.snapInProgress.Load(),
+			Compactions:        wm.Compactions,
+			CompactedSegs:      wm.CompactedSegs,
+			CompactedBytes:     wm.CompactedBytes,
+			persistCounters:    c.Persist,
 		}
-		if lastCompaction != nil {
-			lc := *lastCompaction
-			p.LastCompaction = &lc
-		}
-		p.Recovery.SnapshotSeq = recovery.SnapshotSeq
-		p.Recovery.ReplayedBatches = recovery.ReplayedBatches
-		p.Recovery.ReplayedChanges = recovery.ReplayedChanges
-		p.Recovery.TruncatedBytes = recovery.TruncatedBytes
-		p.Recovery.Ms = durationMS(recovery.Duration)
-		resp.Persistence = p
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -420,7 +420,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	// The torn batch (seq 4) is gone; seqs 1..3 survive intact.
 	checkAgainstOracle(t, "after truncation", srv2.Snapshot(), applied-1, oracleQ1, oracleQ2)
 	srv2.mu.Lock()
-	truncated := srv2.recovery.TruncatedBytes
+	truncated := srv2.stats.Persist.Recovery.TruncatedBytes
 	srv2.mu.Unlock()
 	if truncated == 0 {
 		t.Error("recovery reports no truncated bytes for a torn tail")

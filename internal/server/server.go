@@ -167,28 +167,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// phaseStats is the serving-side aggregate of the TTC phase latencies:
-// the one-shot Load and Initial phases, plus a running view of the
-// update+reevaluation phase across all committed batches.
-type phaseStats struct {
-	Load    time.Duration
-	Initial time.Duration
-
-	UpdateCount int
-	UpdateTotal time.Duration
-	UpdateLast  time.Duration
-}
-
-// recoveryStats records what startup recovery did: where the snapshot was,
-// how much WAL tail was replayed, and whether a torn tail was truncated.
-type recoveryStats struct {
-	SnapshotSeq     int
-	ReplayedBatches int
-	ReplayedChanges int
-	TruncatedBytes  int64
-	Duration        time.Duration
-}
-
 // Server is the serving subsystem. Create with New, serve via Handler,
 // stop with Close.
 type Server struct {
@@ -198,8 +176,8 @@ type Server struct {
 	changeSets []model.ChangeSet
 
 	// rt owns the engines: one partition and one writer goroutine per
-	// shard. Only the batching goroutine commits through it; the stats
-	// accessors are safe for concurrent readers.
+	// shard. Only the batching goroutine commits through it; readers see
+	// its figures only through the published Snapshot.
 	rt *shard.Runtime
 
 	snap atomic.Pointer[Snapshot]
@@ -216,9 +194,6 @@ type Server struct {
 	// waiters are released, and the state is periodically snapshotted
 	// through it.
 	wal *wal.Log
-	// recovered reports that startup state came from a durable snapshot
-	// rather than the dataset.
-	recovered bool
 	// ready flips to true once startup WAL replay (if any) has committed;
 	// /healthz serves 503 until then.
 	ready   atomic.Bool
@@ -234,7 +209,7 @@ type Server struct {
 	snapAbort      atomic.Bool
 	snapDone       chan struct{}
 
-	mu      sync.Mutex // guards closing, broken, phases
+	mu      sync.Mutex // guards closing, broken, stats and the bookkeeping below
 	closing bool
 	// producers counts Enqueue calls between their closing-check and their
 	// channel send, so Close can wait for in-flight sends before closing
@@ -244,42 +219,16 @@ type Server struct {
 	// broken records the first engine failure; once set the server keeps
 	// serving the last committed snapshot but rejects further writes.
 	broken error
-	// phases records per-phase latencies following the harness.Measurement
-	// phase breakdown (Load, Initial, then Update+Reevaluation per
-	// committed batch), aggregated to O(1) state so a long-lived server
-	// never grows with commit count.
-	phases phaseStats
-	// q2Disagreements counts commits where the Q2 matrix engine and the
-	// connected-components extension disagreed — continuous cross-
-	// validation in the spirit of ttcvalidate; anything nonzero is a bug.
-	q2Disagreements int
-	// recovery, replayDone/replayTotal, lastSnap (seq of the last durable
-	// snapshot this process wrote — updated by the background encoder, so
-	// mu-guarded), lastSnapDur and snapErrs are the durability bookkeeping
-	// /stats and /healthz report (guarded by mu).
-	recovery    recoveryStats
+	// stats are the /stats counters. publish stores each Snapshot and
+	// counts its commit in one critical section, so /stats never pairs a
+	// Snapshot with another commit's counters.
+	stats counters
+	// replayDone/replayTotal are startup replay's progress (/healthz), and
+	// lastSnap the seq of the last durable snapshot this process wrote (-1
+	// before the first) — updated by the background encoder.
 	replayDone  int
 	replayTotal int
 	lastSnap    int
-	lastSnapDur time.Duration
-	snapErrs    int
-	// Streaming-snapshot counters (guarded by mu): lastSnapStall/
-	// maxSnapStall record how long the writer was actually paused on
-	// snapshot work (the O(1) view handoff or a copy-on-write detach);
-	// snapStreams/snapSkips count snapshots written and cadence points
-	// skipped because an encode was still in flight; cowClones counts
-	// edge-array detaches.
-	lastSnapStall time.Duration
-	maxSnapStall  time.Duration
-	snapStreams   int
-	snapSkips     int
-	cowClones     int
-	// lastCompaction is the most recent WAL compaction pass's report (nil
-	// until a pass completes — /stats gates on the report itself, not the
-	// WAL's pass counter, which increments before the report is stored);
-	// compactErrs counts failed passes (guarded by mu).
-	lastCompaction *wal.CompactionReport
-	compactErrs    int
 }
 
 // New builds the serving state, warms every engine through its Load and
@@ -381,11 +330,10 @@ func New(cfg Config) (*Server, error) {
 		updates:    make(chan updateReq, cfg.QueueDepth),
 		writerDone: make(chan struct{}),
 		wal:        wlog,
-		recovered:  rec.HasSnapshot,
 	}
 	state.OnDetach = s.noteDetach
-	s.phases.Load = rt.LoadDuration()
-	s.phases.Initial = rt.InitialDuration()
+	s.stats.Load = durationMS(rt.LoadDuration())
+	s.stats.Initial = durationMS(rt.InitialDuration())
 
 	baseSeq, baseChanges := 0, 0
 	if s.wal != nil {
@@ -395,18 +343,16 @@ func New(cfg Config) (*Server, error) {
 			baseChanges = int(rec.SnapshotMeta)
 			s.lastSnap = baseSeq
 		}
-		s.recovery = recoveryStats{
-			SnapshotSeq:    baseSeq,
-			TruncatedBytes: rec.TruncatedBytes,
-		}
+		s.stats.Persist.Recovered = rec.HasSnapshot
+		s.stats.Persist.Recovery.SnapshotSeq = baseSeq
+		s.stats.Persist.Recovery.TruncatedBytes = rec.TruncatedBytes
 		s.replayTotal = len(rec.Batches)
 	}
 
 	s.snap.Store(&Snapshot{
 		Seq:     baseSeq,
 		Changes: baseChanges,
-		Results: rt.Results(),
-		Engines: rt.EngineTotals(),
+		Record:  rt.Record(),
 		At:      time.Now(),
 	})
 
@@ -583,8 +529,9 @@ func (s *Server) crash() {
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Recovered reports whether the base state came from a durable snapshot in
-// Config.PersistDir rather than from the dataset.
-func (s *Server) Recovered() bool { return s.recovered }
+// Config.PersistDir rather than from the dataset. (Set once by New, before
+// any other goroutine reads it.)
+func (s *Server) Recovered() bool { return s.stats.Persist.Recovered }
 
 // Handler returns the HTTP API (see handlers.go for routes).
 func (s *Server) Handler() http.Handler { return s.routes() }

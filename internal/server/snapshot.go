@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/shard"
 )
 
 // Snapshot is the immutable last-committed state readers observe: the
@@ -25,13 +25,14 @@ type Snapshot struct {
 	// insertion volume from removal churn.
 	Inserts  int
 	Removals int
+	// Record is the sharded runtime's merged view as of this commit:
 	// Results maps engine key (EngineQ1, EngineQ2, EngineQ2CC) to the
-	// contest's "id|id|id" answer string.
-	Results map[string]string
-	// Engines sizes each engine's maintained state as of this commit.
-	// Captured by the writer (engines are not safe for concurrent access),
-	// published immutably here so /stats never touches a live engine.
-	Engines map[string]core.EngineStats
+	// contest's "id|id|id" answer string, and Engines, Shards and
+	// ParkedComments are the engine sizes, per-shard apply statistics and
+	// parked-comment count /stats serves. Built by the writer (engines are
+	// not safe for concurrent access) and immutable, so readers never
+	// touch a live engine or the runtime.
+	*shard.Record
 	// At is the publication time.
 	At time.Time
 

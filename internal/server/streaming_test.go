@@ -114,8 +114,8 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 	gateOnce.Do(func() { close(gate) })
 	srv.waitSnapshot()
 	srv.mu.Lock()
-	streams, cowClones, snapErrs := srv.snapStreams, srv.cowClones, srv.snapErrs
-	maxStall := srv.maxSnapStall
+	p := srv.stats.Persist
+	streams, cowClones, snapErrs, maxStall := p.StreamedSnapshots, p.CowClones, p.SnapshotErrors, p.MaxSnapshotStallNs
 	srv.mu.Unlock()
 	if streams == 0 {
 		t.Fatal("no streamed snapshot completed")

@@ -7,17 +7,24 @@
 // social graph has one giant friendship component. Every partition is
 // closed under the edges its query reads, so every shard's top-3 answer is
 // exact for the entities it owns, and the global top-3 is a subset of the
-// union of the per-shard answers and the router's parked comments. Results
-// recovers it by feeding those entries through one core.Ranker; no id
+// union of the per-shard answers and the router's parked comments. Every
+// commit recovers it by feeding those entries through one core.Ranker; no id
 // repeats across partitions, so nothing needs deduplicating, and the
 // sharded runtime is change-for-change indistinguishable from a single
 // engine.
 //
 // Commits are barriers: Commit routes the change set, fans the per-shard
-// work out to the writer goroutines, and returns the merged results only
-// after every shard has applied its slice — so a committed change set is
-// visible on all shards at once and a serving layer's wait=1 keeps meaning
-// "globally visible".
+// work out to the writer goroutines, and returns only after every shard has
+// applied its slice — so a committed change set is visible on all shards
+// at once and a serving layer's wait=1 keeps meaning "globally visible".
+//
+// What the Runtime exposes is one immutable Record per commit (and one
+// from New): the merged answers, the engine size totals, each shard's
+// apply statistics and the parked-comment count, all as of that commit.
+// There is no live accessor beside it, so a layer that publishes the
+// Record with its commit never serves figures of two different commits.
+// Under the barrier a shard holds at most one queued command, and none
+// between commits, so the Record carries no queue depths.
 package shard
 
 import (
@@ -30,11 +37,8 @@ import (
 	"repro/internal/model"
 )
 
-// Stats is one shard's serving statistics.
+// Stats is one shard's apply statistics.
 type Stats struct {
-	Shard int
-	// Depth is the shard's queued-command count at observation time.
-	Depth int
 	// Commits counts commands the shard's writer has applied.
 	Commits int
 	// Last and Total aggregate the shard's apply latencies.
@@ -48,6 +52,26 @@ func (s Stats) Mean() time.Duration {
 		return 0
 	}
 	return s.Total / time.Duration(s.Commits)
+}
+
+// Record is the runtime's merged view as of one commit (or of New): what a
+// serving layer publishes with the commit, so every figure in it belongs to
+// the same commit. It is built on the committing goroutine and never
+// changed afterwards.
+type Record struct {
+	// Results maps engine key to the merged global top-3 ("id|id|id").
+	Results map[string]string
+	// Engines sums every engine's state sizes across shards. Users are
+	// replicated into every Q1 partition, so they take the maximum, which
+	// counts distinct users; every other dimension sums. Q2 engines run on
+	// one shard, so their totals are that shard's.
+	Engines map[string]core.EngineStats
+	// Shards holds each shard's apply statistics, indexed by shard.
+	Shards []Stats
+	// ParkedComments counts the never-liked comments the router holds
+	// outside the Q2 engines (they rank as a virtual partition; see
+	// router.go). Q2 engine comments plus this count cover all comments.
+	ParkedComments int
 }
 
 // engineInst is one warm engine on one shard.
@@ -83,9 +107,9 @@ type worker struct {
 
 // Runtime is the sharded engine runtime. New loads the partitions and
 // starts one writer goroutine per shard; Commit routes and applies one
-// change set with a global barrier; Results/Stats serve reads. Commit and
-// Results/EngineTotals must be called from a single committing goroutine;
-// ShardStats and ParkedComments are safe from any goroutine.
+// change set with a global barrier and returns the merged Record. New and
+// Commit build every Record on the committing goroutine, which alone may
+// call Commit and Record; a Record itself is immutable and safe to share.
 type Runtime struct {
 	n       int
 	router  *router
@@ -94,16 +118,17 @@ type Runtime struct {
 	loadDur    time.Duration
 	initialDur time.Duration
 
-	mu             sync.Mutex
-	last           []map[string]core.Result
-	lastStats      []map[string]core.EngineStats
-	meta           []Stats
-	parkedComments int
+	// last, lastStats and meta are each shard's last committed answers,
+	// engine sizes and apply statistics; rec is the Record merged from
+	// them. All are owned by the committing goroutine.
+	last      []map[string]core.Result
+	lastStats []map[string]core.EngineStats
+	meta      []Stats
+	rec       *Record
 
-	// merge is the reusable ranker Results folds the per-shard answers
+	// merge is the reusable ranker the per-shard answers are folded
 	// through — one commit-path merge per engine per commit, so a fresh
-	// allocation each round is pure garbage. Owned by the committing
-	// goroutine (the only caller of Results).
+	// allocation each round is pure garbage.
 	merge *core.Ranker
 
 	closeOnce sync.Once
@@ -128,14 +153,13 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		return nil, err
 	}
 	rt := &Runtime{
-		n:              n,
-		router:         router,
-		workers:        make([]*worker, n),
-		last:           make([]map[string]core.Result, n),
-		lastStats:      make([]map[string]core.EngineStats, n),
-		meta:           make([]Stats, n),
-		parkedComments: router.parkedComments(),
-		merge:          core.NewTopK(core.TopK),
+		n:         n,
+		router:    router,
+		workers:   make([]*worker, n),
+		last:      make([]map[string]core.Result, n),
+		lastStats: make([]map[string]core.EngineStats, n),
+		meta:      make([]Stats, n),
+		merge:     core.NewTopK(core.TopK),
 	}
 	// startJob is one engine instance's start-up; partitions are cut on
 	// first use, on the goroutine of the first instance that loads them.
@@ -162,7 +186,6 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 			}
 		}
 		rt.workers[s] = w
-		rt.meta[s].Shard = s
 	}
 
 	phase := func(name string, f func(j startJob) error) (time.Duration, error) {
@@ -206,6 +229,7 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		rt.last[s], rt.lastStats[s] = rt.workers[s].observe()
 		go rt.workers[s].run()
 	}
+	rt.rec = rt.record()
 	return rt, nil
 }
 
@@ -270,11 +294,11 @@ func (w *worker) update(engines []engineInst, changes []model.Change) error {
 
 // Commit routes one validated change set, fans the per-shard slices out to
 // the writer goroutines, waits for every touched shard (the commit
-// barrier), and returns the merged global results. On error the runtime
-// must be considered diverged: some shards may have applied their slice
-// while another failed. Callers should stop committing (the serving layer
-// turns this into its broken state).
-func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
+// barrier), and returns the merged Record. On error the runtime must be
+// considered diverged: some shards may have applied their slice while
+// another failed. Callers should stop committing (the serving layer turns
+// this into its broken state).
+func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
 	p, err := rt.router.route(cs)
 	if err != nil {
 		return nil, err
@@ -293,43 +317,45 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 		active++
 	}
 	var firstErr error
-	rt.mu.Lock()
-	rt.parkedComments = rt.router.parkedComments()
-	rt.mu.Unlock()
 	for i := 0; i < active; i++ {
 		resp := <-respCh
-		rt.mu.Lock()
 		if resp.err != nil {
 			// A failed apply is not a commit: leave the shard's stats
-			// untouched so /stats reflects only applied commands.
+			// untouched so they reflect only applied commands.
 			if firstErr == nil {
 				firstErr = resp.err
 			}
-		} else {
-			m := &rt.meta[resp.shard]
-			m.Commits++
-			m.Last = resp.elapsed
-			m.Total += resp.elapsed
-			rt.last[resp.shard] = resp.results
-			rt.lastStats[resp.shard] = resp.stats
+			continue
 		}
-		rt.mu.Unlock()
+		m := &rt.meta[resp.shard]
+		m.Commits++
+		m.Last = resp.elapsed
+		m.Total += resp.elapsed
+		rt.last[resp.shard] = resp.results
+		rt.lastStats[resp.shard] = resp.stats
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return rt.Results(), nil
+	rt.rec = rt.record()
+	return rt.rec, nil
 }
 
-// Results merges the per-shard last-committed answers into the global
-// top-3 per engine key. The Q2-family merge includes the router's parked
-// (likeless, zero-scoring) comments as a virtual partition. Must be called
-// from the committing goroutine (it reads router state).
-func (rt *Runtime) Results() map[string]string {
+// Record returns the Record of the last commit, or New's before the first.
+// Must be called from the committing goroutine.
+func (rt *Runtime) Record() *Record { return rt.rec }
+
+// record merges the per-shard state into a new Record. The Q2-family merge
+// includes the router's parked (likeless, zero-scoring) comments as a
+// virtual partition.
+func (rt *Runtime) record() *Record {
 	parked := rt.router.parkedTopK()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[string]string)
+	rec := &Record{
+		Results:        make(map[string]string),
+		Engines:        make(map[string]core.EngineStats),
+		Shards:         append([]Stats(nil), rt.meta...),
+		ParkedComments: rt.router.parkedComments(),
+	}
 	for _, e := range harness.ServedEngines() {
 		rt.merge.Reset()
 		if e.Query == "Q2" {
@@ -342,54 +368,20 @@ func (rt *Runtime) Results() map[string]string {
 				rt.merge.Consider(p)
 			}
 		}
-		out[e.Key] = rt.merge.Result().String()
+		rec.Results[e.Key] = rt.merge.Result().String()
 	}
-	return out
-}
-
-// EngineTotals merges every engine's state sizes across shards. Users are
-// replicated into every Q1 partition, so they take the maximum, which
-// counts distinct users; every other dimension sums. Q2 engines run on one
-// shard, so their totals are that shard's.
-func (rt *Runtime) EngineTotals() map[string]core.EngineStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[string]core.EngineStats)
 	for s := 0; s < rt.n; s++ {
 		for key, st := range rt.lastStats[s] {
-			t := out[key]
+			t := rec.Engines[key]
 			t.Posts += st.Posts
 			t.Comments += st.Comments
 			t.Users = max(t.Users, st.Users)
 			t.NNZ += st.NNZ
 			t.Pending += st.Pending
-			out[key] = t
+			rec.Engines[key] = t
 		}
 	}
-	return out
-}
-
-// ShardStats reports each shard's queue depth and apply latencies. Safe
-// for concurrent use with Commit.
-func (rt *Runtime) ShardStats() []Stats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]Stats, rt.n)
-	copy(out, rt.meta)
-	for s := range out {
-		out[s].Depth = len(rt.workers[s].cmds)
-	}
-	return out
-}
-
-// ParkedComments reports how many never-liked comments the router currently
-// holds outside the Q2 engines (they rank as a virtual partition; see
-// internal/shard/router.go). Engine comment totals plus this count cover
-// all comments. Safe for concurrent use with Commit.
-func (rt *Runtime) ParkedComments() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.parkedComments
+	return rec
 }
 
 // LoadDuration is the wall time of the load phase: every engine instance

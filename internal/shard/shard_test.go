@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -92,7 +93,7 @@ func TestShardedEquivalence(t *testing.T) {
 	defer rt4.Close()
 	oracle := newBatchOracle(t, d.Snapshot)
 
-	res1, res4 := rt1.Results(), rt4.Results()
+	res1, res4 := rt1.Record().Results, rt4.Record().Results
 	for _, key := range []string{"q1", "q2", "q2cc"} {
 		if res1[key] != res4[key] {
 			t.Fatalf("initial %s: 1-shard %q vs 4-shard %q", key, res1[key], res4[key])
@@ -102,14 +103,15 @@ func TestShardedEquivalence(t *testing.T) {
 	for k := range batches {
 		cs := &batches[k]
 		wantQ1, wantQ2 := oracle.update(t, cs)
-		res1, err := rt1.Commit(cs)
+		rec1, err := rt1.Commit(cs)
 		if err != nil {
 			t.Fatalf("commit %d (1 shard): %v", k, err)
 		}
-		res4, err := rt4.Commit(cs)
+		rec4, err := rt4.Commit(cs)
 		if err != nil {
 			t.Fatalf("commit %d (4 shards): %v", k, err)
 		}
+		res1, res4 := rec1.Results, rec4.Results
 		for _, tc := range []struct{ key, want string }{
 			{"q1", wantQ1}, {"q2", wantQ2}, {"q2cc", wantQ2},
 		} {
@@ -126,7 +128,7 @@ func TestShardedEquivalence(t *testing.T) {
 	// Merged state-size totals must be sharding-invariant: partitioned
 	// dimensions sum back to the whole, and q1 users, replicated into every
 	// Q1 partition, are max'd rather than multiplied by the shard count.
-	totals1, totals4 := rt1.EngineTotals(), rt4.EngineTotals()
+	totals1, totals4 := rt1.Record().Engines, rt4.Record().Engines
 	for _, key := range []string{"q1", "q2", "q2cc"} {
 		a, b := totals1[key], totals4[key]
 		if a.Posts != b.Posts || a.Comments != b.Comments || a.Users != b.Users || a.NNZ != b.NNZ {
@@ -166,7 +168,7 @@ func TestParkedCommentsRankExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt3.Results()["q2"]; got != res.String() {
+	if got := rt3.Record().Results["q2"]; got != res.String() {
 		t.Fatalf("initial q2 with parked comments: %q, oracle %q", got, res.String())
 	}
 
@@ -180,14 +182,15 @@ func TestParkedCommentsRankExactly(t *testing.T) {
 	}
 	for k := range steps {
 		wantQ1, wantQ2 := oracle.update(t, &steps[k])
-		res3, err := rt3.Commit(&steps[k])
+		rec3, err := rt3.Commit(&steps[k])
 		if err != nil {
 			t.Fatalf("step %d (3 shards): %v", k, err)
 		}
-		res1, err := rt1.Commit(&steps[k])
+		rec1, err := rt1.Commit(&steps[k])
 		if err != nil {
 			t.Fatalf("step %d (1 shard): %v", k, err)
 		}
+		res3, res1 := rec3.Results, rec1.Results
 		for _, tc := range []struct{ key, want string }{
 			{"q1", wantQ1}, {"q2", wantQ2}, {"q2cc", wantQ2},
 		} {
@@ -198,7 +201,7 @@ func TestParkedCommentsRankExactly(t *testing.T) {
 		}
 	}
 	// Comment 12 never got a like: it is the one comment still parked.
-	if got := rt3.ParkedComments(); got != 1 {
+	if got := rt3.Record().ParkedComments; got != 1 {
 		t.Errorf("parked comments = %d, want 1", got)
 	}
 }
@@ -235,7 +238,7 @@ func TestMoreShardsThanGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt1.Close()
-	r8, r1 := rt8.Results(), rt1.Results()
+	r8, r1 := rt8.Record().Results, rt1.Record().Results
 	for _, key := range []string{"q1", "q2", "q2cc"} {
 		if r8[key] != r1[key] {
 			t.Errorf("initial %s: 8-shard %q vs 1-shard %q", key, r8[key], r1[key])
@@ -245,17 +248,17 @@ func TestMoreShardsThanGroups(t *testing.T) {
 		{Kind: model.KindAddUser, User: model.User{ID: 300}},
 		{Kind: model.KindAddLike, Like: model.Like{UserID: 300, CommentID: 20}},
 	}}
-	res8, err := rt8.Commit(cs)
+	rec8, err := rt8.Commit(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := rt1.Commit(cs)
+	rec1, err := rt1.Commit(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"q1", "q2", "q2cc"} {
-		if res8[key] != res1[key] {
-			t.Errorf("%s: 8-shard %q vs 1-shard %q", key, res8[key], res1[key])
+		if rec8.Results[key] != rec1.Results[key] {
+			t.Errorf("%s: 8-shard %q vs 1-shard %q", key, rec8.Results[key], rec1.Results[key])
 		}
 	}
 }
@@ -332,5 +335,41 @@ func TestCommitRejectsUnknownReferences(t *testing.T) {
 			t.Errorf("commit with %s succeeded, want error", tc.what)
 		}
 		rt.Close()
+	}
+}
+
+// TestRecordsAreImmutable: a serving layer publishes each commit's Record
+// and readers keep it while later commits run, so a later Commit must
+// build a new Record and leave every earlier one as it was.
+func TestRecordsAreImmutable(t *testing.T) {
+	rt, err := New(2, twoGroupFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	first := rt.Record()
+	want := fmt.Sprintf("%+v", *first)
+	if len(first.Shards) != 2 || first.ParkedComments != 0 {
+		t.Fatalf("initial record %s: want 2 shards, no parked comment", want)
+	}
+	rec, err := rt.Commit(&model.ChangeSet{Changes: []model.Change{
+		{Kind: model.KindAddComment, Comment: model.Comment{ID: 30, Timestamp: 9, ParentID: 1, PostID: 1}},
+		{Kind: model.KindAddLike, Like: model.Like{UserID: 200, CommentID: 10}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%+v", *first); got != want {
+		t.Fatalf("commit changed the initial record:\n got  %s\n want %s", got, want)
+	}
+	if rec == first || rt.Record() != rec {
+		t.Fatal("Commit must return a new record, and Record must return it")
+	}
+	commits := 0
+	for _, st := range rec.Shards {
+		commits += st.Commits
+	}
+	if commits == 0 || rec.ParkedComments != 1 || rec.Engines["q2"].Comments != 2 {
+		t.Fatalf("record after one commit: %+v", *rec)
 	}
 }

@@ -488,16 +488,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Sync flushes unsynced appends to stable storage. Safe from any goroutine.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.active == nil {
-		return nil
-	}
-	return l.syncLocked()
-}
-
 func (l *Log) syncLoop() {
 	defer close(l.syncDone)
 	t := time.NewTicker(l.opt.SyncInterval)
