@@ -16,7 +16,8 @@
 //	ttcwal -dir /var/lib/ttc -compact         # compact sealed segments
 //
 // Exit status: 0 when the directory is clean (or compaction succeeded),
-// 1 when any file is damaged or the committed history has a gap, 2 on bad
+// 1 when any file is damaged or the replay tail has a gap — judged by the
+// rule ttcserve starts from, so exactly when it would refuse to — 2 on bad
 // flags.
 package main
 

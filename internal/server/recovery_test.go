@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -169,6 +168,24 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 	t.Logf("shards=%d: %d change sets across %d crash/restart cycles, all answers oracle-identical", shards, n, restarts)
 }
 
+// waitSnapshot waits until the snapshot at seq (or a later one) is durable.
+func waitSnapshot(t *testing.T, srv *Server, seq int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		srv.mu.Lock()
+		last := srv.lastSnap
+		srv.mu.Unlock()
+		if last >= seq {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("snapshot at seq %d not durable within 30s (last %d)", seq, last)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // copyDataDir duplicates a durability directory for compacted-vs-plain
 // recovery comparisons.
 func copyDataDir(t *testing.T, src string) string {
@@ -194,8 +211,18 @@ func copyDataDir(t *testing.T, src string) string {
 // test: a crashed server's WAL is compacted offline by change key, and
 // recovery over the compacted history must serve answers identical to
 // recovery over an untouched copy — and to the batch oracle — even though
-// the compacted log replays fewer changes.
+// the compacted log replays fewer changes. With periodic snapshots,
+// recovery starts inside the history, and compaction must leave every
+// segment a snapshot splits as written.
 func TestCompactedWALRecoveryOracle(t *testing.T) {
+	for _, every := range []int{-1, 8, 5} {
+		t.Run(fmt.Sprintf("snapshotEvery=%d", every), func(t *testing.T) {
+			testCompactedWALRecoveryOracle(t, every)
+		})
+	}
+}
+
+func testCompactedWALRecoveryOracle(t *testing.T, snapshotEvery int) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 21, RemovalFraction: 0.35})
 	oracleQ1 := oracle(t, "Q1", d)
 	oracleQ2 := oracle(t, "Q2", d)
@@ -207,8 +234,8 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 		Shards:        2,
 		PersistDir:    dir,
 		Fsync:         wal.SyncOff,
-		SnapshotEvery: -1,  // the WAL tail is the whole history
-		segmentBytes:  512, // tiny segments: most of the history seals
+		SnapshotEvery: snapshotEvery, // -1: the WAL tail is the whole history
+		segmentBytes:  512,           // tiny segments: most of the history seals
 		FlushInterval: time.Millisecond,
 	}
 	srv, err := New(cfg)
@@ -245,7 +272,7 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.CompactedSegments == 0 || rep.ChangesOut >= rep.ChangesIn {
+	if snapshotEvery < 0 && (rep.CompactedSegments == 0 || rep.ChangesOut >= rep.ChangesIn) {
 		t.Fatalf("compaction had no effect on the history: %+v", rep)
 	}
 
@@ -289,17 +316,40 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 }
 
 // TestServerCompactEvery wires the cadence: with -compact-every the writer
-// compacts sealed segments as it goes, and /stats reports the passes.
+// compacts sealed segments as it goes, and /stats reports the passes. After
+// a crash the directory recovers the exact final state — also when periodic
+// snapshots land inside segments that seal and are compacted later.
+//
+// The snapshot cases crash with the newest snapshot inside a segment that
+// sealed and was compacted after it: at seq 24 of 13-record segments
+// (14..26, compacted at 28) and at seq 55 of 14-record segments (43..56,
+// compacted at 57).
 func TestServerCompactEvery(t *testing.T) {
+	for _, tc := range []struct {
+		snapshotEvery, compactEvery int
+		segmentBytes                int64
+		churn                       int
+	}{
+		{-1, 4, 1024, 64},
+		{8, 4, 480, 30},
+		{5, 3, 512, 58},
+	} {
+		t.Run(fmt.Sprintf("snapshotEvery=%d/compactEvery=%d", tc.snapshotEvery, tc.compactEvery), func(t *testing.T) {
+			testServerCompactEvery(t, tc.snapshotEvery, tc.compactEvery, tc.segmentBytes, tc.churn)
+		})
+	}
+}
+
+func testServerCompactEvery(t *testing.T, snapshotEvery, compactEvery int, segmentBytes int64, churn int) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 5})
 	dir := t.TempDir()
 	srv, err := New(Config{
 		Dataset:       d,
 		PersistDir:    dir,
 		Fsync:         wal.SyncOff,
-		SnapshotEvery: -1,
-		segmentBytes:  1024,
-		CompactEvery:  4,
+		SnapshotEvery: snapshotEvery,
+		segmentBytes:  segmentBytes,
+		CompactEvery:  compactEvery,
 		FlushInterval: time.Millisecond,
 	})
 	if err != nil {
@@ -307,7 +357,7 @@ func TestServerCompactEvery(t *testing.T) {
 	}
 	u := d.Snapshot.Users[0].ID
 	c := d.Snapshot.Comments[0].ID
-	for i := 0; i < 64; i++ {
+	for i := 0; i < churn; i++ {
 		kind := model.KindAddLike
 		if i%2 == 1 {
 			kind = model.KindRemoveLike
@@ -315,6 +365,12 @@ func TestServerCompactEvery(t *testing.T) {
 		ch := model.Change{Kind: kind, Like: model.Like{UserID: u, CommentID: c}}
 		if err := srv.Enqueue([]model.Change{ch}, true); err != nil {
 			t.Fatalf("churn %d: %v", i, err)
+		}
+		if snapshotEvery > 0 {
+			// Let each cadence snapshot land before the next commit, so
+			// none is skipped behind a slower encode and the crash finds
+			// the newest one on disk.
+			waitSnapshot(t, srv, i+1-(i+1)%snapshotEvery)
 		}
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -328,14 +384,15 @@ func TestServerCompactEvery(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	srv.Close()
+	final := srv.Snapshot()
+	srv.crash()
 	if stats.Persistence == nil {
 		t.Fatal("stats.persistence missing")
 	}
 	if stats.Persistence.Compactions == 0 {
 		t.Fatal("compact-every cadence never compacted")
 	}
-	if stats.Persistence.CompactedSegs == 0 || stats.Persistence.CompactedBytes <= 0 {
+	if snapshotEvery < 0 && (stats.Persistence.CompactedSegs == 0 || stats.Persistence.CompactedBytes <= 0) {
 		t.Fatalf("compaction reclaimed nothing: %+v", stats.Persistence)
 	}
 	if stats.Persistence.LastCompaction == nil {
@@ -349,13 +406,15 @@ func TestServerCompactEvery(t *testing.T) {
 	}
 
 	// The compacted directory still recovers the exact final state.
-	final := srv.Snapshot()
 	srv2, err := New(Config{Dataset: d, PersistDir: dir, Fsync: wal.SyncOff, FlushInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
 	waitReady(t, srv2)
+	if got := srv2.Snapshot().Seq; got != final.Seq {
+		t.Fatalf("recovered seq %d, want %d", got, final.Seq)
+	}
 	for _, key := range []string{EngineQ1, EngineQ2, EngineQ2CC} {
 		if got := srv2.Snapshot().Results[key]; got != final.Results[key] {
 			t.Fatalf("engine %s after restart: %q, want %q", key, got, final.Results[key])
@@ -656,45 +715,6 @@ func TestPersistentServerWritesQueuedDuringReplay(t *testing.T) {
 	oracleQ1 := oracle(t, "Q1", d)
 	if snap.Results[EngineQ1] != oracleQ1[pre+1] {
 		t.Fatalf("Q1 after queued-during-replay commit: %q, oracle %q", snap.Results[EngineQ1], oracleQ1[pre+1])
-	}
-}
-
-// TestRecoverFromV1SeedSnapshot: a durability directory whose newest
-// snapshot is a TTCSNAP1 image still recovers. The fixture in
-// testdata/v1-seed was written by a release that still wrote that format:
-// model.ExampleDataset seeded at seq 0, the two batches below committed,
-// then the process killed — so recovery is the v1 seed plus a WAL tail.
-func TestRecoverFromV1SeedSnapshot(t *testing.T) {
-	batches := [][]model.Change{
-		model.ExampleDataset().ChangeSets[0].Changes,
-		{
-			{Kind: model.KindRemoveLike, Like: model.Like{UserID: model.U3, CommentID: model.C2}},
-			{Kind: model.KindRemoveFriendship, Friendship: model.Friendship{User1: model.U3, User2: model.U2}},
-		},
-	}
-	ref, err := New(Config{Dataset: model.ExampleDataset(), FlushInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	for _, b := range batches {
-		if err := ref.Enqueue(b, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	srv, err := New(Config{PersistDir: copyDataDir(t, filepath.Join("testdata", "v1-seed")), Fsync: wal.SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	waitReady(t, srv)
-	if !srv.Recovered() {
-		t.Fatal("the v1 seed snapshot was not recovered")
-	}
-	got, want := srv.Snapshot(), ref.Snapshot()
-	if got.Seq != want.Seq || !reflect.DeepEqual(got.Results, want.Results) {
-		t.Fatalf("recovered seq %d %v, want seq %d %v", got.Seq, got.Results, want.Seq, want.Results)
 	}
 }
 

@@ -2,8 +2,9 @@ package wal
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -26,9 +27,14 @@ import (
 // non-atomic as a whole: a pair dropped across two segments with only one
 // swap surviving a crash would corrupt acknowledged history.
 //
-// Each rewrite goes through a temp file (fsync, rename over the original,
-// directory fsync) with the same per-record CRC-32C framing the appender
-// writes — the same atomic-replace discipline snapshots use.
+// Supersession keeps a segment's net effect, which is what recovery
+// replays only when it replays the whole segment or none of it. A snapshot
+// inside the segment — seq in [FirstSeq, LastSeq) — makes recovery replay
+// a suffix, so a segment any snapshot on disk or in flight splits is left
+// as written (Segment.splitBy).
+//
+// Each rewrite goes through replaceFile with the same per-record CRC-32C
+// framing the appender writes — the atomic-replace snapshots use too.
 
 // CompactionReport summarizes one compaction pass.
 type CompactionReport struct {
@@ -73,28 +79,29 @@ func (l *Log) Compact() (CompactionReport, error) {
 		return CompactionReport{}, fmt.Errorf("wal: log is closed")
 	}
 	// Everything but the active (last) segment is sealed and immutable; the
-	// scan and rewrite run outside the lock. Segments at or below the
-	// compactedThrough watermark were processed by an earlier pass and can
-	// never shrink further, so only newly sealed ones are scanned — without
-	// this, a long-running server's periodic passes would re-read the whole
-	// sealed history every time.
-	sealed := make([]string, 0, len(l.segments))
-	for i := 0; i < len(l.segments)-1; i++ {
-		if name := l.segments[i].name; name > l.compactedThrough {
-			sealed = append(sealed, name)
+	// scan and rewrite run outside the lock. Only segments sealed since the
+	// last pass are claimed — without that, a long-running server's
+	// periodic passes would re-read the whole sealed history every time.
+	var sealed []string
+	for _, seg := range l.segments[:len(l.segments)-1] {
+		if seg.Records > 0 && seg.LastSeq > l.compactedSeq {
+			sealed = append(sealed, seg.Name)
+			l.compactedSeq = seg.LastSeq
 		}
 	}
+	snaps := slices.Clone(l.writing)
 	l.mu.Unlock()
 
-	rep, err := compactSegments(l.opt.Dir, sealed, false)
+	onDisk, err := snapshotSeqs(l.opt.Dir)
+	if err != nil {
+		return CompactionReport{}, err
+	}
+	rep, err := compactSegments(l.opt.Dir, sealed, append(snaps, onDisk...), false)
 	if err == nil {
 		l.mu.Lock()
 		l.metrics.Compactions++
 		l.metrics.CompactedSegs += int64(rep.CompactedSegments)
 		l.metrics.CompactedBytes += rep.BytesIn - rep.BytesOut
-		if len(sealed) > 0 && sealed[len(sealed)-1] > l.compactedThrough {
-			l.compactedThrough = sealed[len(sealed)-1]
-		}
 		l.mu.Unlock()
 	}
 	return rep, err
@@ -109,16 +116,22 @@ func CompactDir(dir string, dryRun bool) (CompactionReport, error) {
 	if err != nil {
 		return CompactionReport{}, err
 	}
+	snaps, err := snapshotSeqs(dir)
+	if err != nil {
+		return CompactionReport{}, err
+	}
 	if len(names) > 0 {
 		names = names[:len(names)-1]
 	}
-	return compactSegments(dir, names, dryRun)
+	return compactSegments(dir, names, snaps, dryRun)
 }
 
-func compactSegments(dir string, names []string, dryRun bool) (CompactionReport, error) {
+// compactSegments compacts the named sealed segments, leaving as written
+// every one that a snapshot in snaps splits.
+func compactSegments(dir string, names []string, snaps []uint64, dryRun bool) (CompactionReport, error) {
 	rep := CompactionReport{DryRun: dryRun}
 	for _, name := range names {
-		if err := compactOne(dir, name, dryRun, &rep); err != nil {
+		if err := compactOne(dir, name, snaps, dryRun, &rep); err != nil {
 			return rep, err
 		}
 	}
@@ -126,30 +139,24 @@ func compactSegments(dir string, names []string, dryRun bool) (CompactionReport,
 }
 
 // compactOne scans one sealed segment, applies the supersession mask, and —
-// when changes drop out and this is not a dry run — atomically replaces the
-// file with the rewritten records.
-func compactOne(dir, name string, dryRun bool, rep *CompactionReport) error {
-	path := filepath.Join(dir, name)
-	st, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	rep.SealedSegments++
-	rep.BytesIn += st.Size()
-
+// when changes drop out, no snapshot splits the segment and this is not a
+// dry run — atomically replaces the file with the rewritten records.
+func compactOne(dir, name string, snaps []uint64, dryRun bool, rep *CompactionReport) error {
 	var batches []Batch
-	_, torn, err := scanSegment(path, func(off int64, b Batch) {
+	seg, err := scanSegment(dir, name, func(off int64, b Batch) {
 		batches = append(batches, b)
 	})
 	if err != nil {
 		return err
 	}
-	if torn != nil {
+	if seg.Err != "" {
 		// Sealed segments must scan cleanly: damage here is lost commits
 		// (Open refuses it too), and compaction must never paper over it by
 		// rewriting what remains.
-		return fmt.Errorf("wal: sealed segment %s is damaged at offset %d (%v); refusing to compact", name, torn.Offset, torn.Err)
+		return fmt.Errorf("wal: sealed segment %s is damaged at offset %d (%s); refusing to compact", name, seg.Offset, seg.Err)
 	}
+	rep.SealedSegments++
+	rep.BytesIn += seg.Bytes
 
 	// Flatten the segment's changes (keeping each one's batch), normalize,
 	// and apply the shared supersession decision.
@@ -169,12 +176,13 @@ func compactOne(dir, name string, dryRun bool, rep *CompactionReport) error {
 	rep.RemovalsIn += cs.RemovalCount()
 
 	mask := model.CompactionMask(flat)
-	if mask == nil {
-		// Nothing collapses; the segment stays as is.
+	if mask == nil || seg.splitBy(snaps) {
+		// Nothing collapses, or recovery may replay only part of the
+		// segment; it stays as is.
 		rep.ChangesOut += cs.Size()
 		rep.InsertsOut += cs.InsertCount()
 		rep.RemovalsOut += cs.RemovalCount()
-		rep.BytesOut += st.Size()
+		rep.BytesOut += seg.Bytes
 		return nil
 	}
 	kept := make([][]model.Change, len(batches))
@@ -190,21 +198,7 @@ func compactOne(dir, name string, dryRun bool, rep *CompactionReport) error {
 	rep.RemovalsOut += out.RemovalCount()
 	rep.CompactedSegments++
 
-	if dryRun {
-		// Measure the would-be size without writing anything.
-		size := int64(len(segmentMagic))
-		for bi := range batches {
-			payload, err := encodePayload(nil, batches[bi].Seq, kept[bi])
-			if err != nil {
-				return err
-			}
-			size += recHeaderSize + int64(len(payload))
-		}
-		rep.BytesOut += size
-		return nil
-	}
-
-	data := make([]byte, 0, st.Size())
+	data := make([]byte, 0, seg.Bytes)
 	data = append(data, segmentMagic...)
 	for bi := range batches {
 		payload, err := encodePayload(nil, batches[bi].Seq, kept[bi])
@@ -213,18 +207,13 @@ func compactOne(dir, name string, dryRun bool, rep *CompactionReport) error {
 		}
 		data = append(data, frameRecord(payload)...)
 	}
-	tmp := path + ".compact"
-	if err := writeFileSync(tmp, data); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: compact swap: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
 	rep.BytesOut += int64(len(data))
-	return nil
+	if dryRun {
+		return nil
+	}
+	_, err = replaceFile(filepath.Join(dir, name), ".compact", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	return err
 }

@@ -296,3 +296,122 @@ func TestOpenSweepsOrphanedCompactTemp(t *testing.T) {
 		t.Fatal("orphaned .compact temp file survived Open")
 	}
 }
+
+// splitHistory is a sealed segment of seq 1 add-like, seq 2 add-user and
+// seq 3 remove-like, then seq 4 opening the active segment (with 100-byte
+// segments): the like nets out inside the sealed segment, but a snapshot
+// at seq 2 holds it, so recovery from that snapshot must still replay the
+// removal — the segment must not be compacted.
+var splitHistory = [][]model.Change{
+	{{Kind: model.KindAddLike, Like: model.Like{UserID: 1, CommentID: 1}}},
+	{{Kind: model.KindAddUser, User: model.User{ID: 2}}},
+	{{Kind: model.KindRemoveLike, Like: model.Like{UserID: 1, CommentID: 1}}},
+	{{Kind: model.KindAddUser, User: model.User{ID: 3}}},
+}
+
+// splitAt2 is the model state after seq 2 of splitHistory.
+var splitAt2 = &model.Snapshot{
+	Users: []model.User{{ID: 1}, {ID: 2}},
+	Likes: []model.Like{{UserID: 1, CommentID: 1}},
+}
+
+func appendHistory(t *testing.T, l *Log, from, to int) {
+	t.Helper()
+	for seq := from; seq <= to; seq++ {
+		if err := l.Append(uint64(seq), splitHistory[seq-1]); err != nil {
+			t.Fatalf("append %d: %v", seq, err)
+		}
+	}
+}
+
+// recoveredLikes opens dir and returns the likes recovery rebuilds.
+func recoveredLikes(t *testing.T, dir string) []model.Like {
+	t.Helper()
+	l, info := mustOpen(t, Options{Dir: dir})
+	defer l.Close()
+	return replayState(info).Likes
+}
+
+// TestCompactSkipsSegmentSplitBySnapshot: a snapshot on disk inside a
+// sealed segment keeps compaction — offline and live — from rewriting it,
+// so recovery rebuilds what an untouched copy rebuilds (no like).
+func TestCompactSkipsSegmentSplitBySnapshot(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		t.Run(map[bool]string{false: "offline", true: "live"}[live], func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := mustOpen(t, Options{Dir: dir, Sync: SyncOff, SegmentBytes: 100})
+			appendHistory(t, l, 1, 2)
+			if err := l.WriteSnapshotStream(2, 0, splitAt2, nil); err != nil {
+				t.Fatal(err)
+			}
+			appendHistory(t, l, 3, 4)
+			var rep CompactionReport
+			var err error
+			if live {
+				rep, err = l.Compact()
+				// A snapshot older than the compacted log could split a
+				// rewritten segment, so it is refused.
+				if serr := l.WriteSnapshotStream(1, 0, &model.Snapshot{}, nil); serr == nil {
+					t.Error("snapshot below the compacted log accepted")
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			plain := copyDir(t, dir)
+			if !live {
+				rep, err = CompactDir(dir, false)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := recoveredLikes(t, dir), recoveredLikes(t, plain); len(got) != 0 || len(want) != 0 {
+				t.Fatalf("recovered likes %v, untouched copy %v, want none", got, want)
+			}
+			if rep.SealedSegments != 1 || rep.CompactedSegments != 0 {
+				t.Fatalf("compaction rewrote a segment the snapshot splits: %+v", rep)
+			}
+		})
+	}
+}
+
+// TestCompactSkipsSegmentSplitByInFlightSnapshot: a snapshot still being
+// written (held open in its onChunk hook) counts like one on disk — its
+// segment seals while it encodes, and a Compact pass must leave it alone.
+func TestCompactSkipsSegmentSplitByInFlightSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Sync: SyncOff, SegmentBytes: 100})
+	appendHistory(t, l, 1, 2)
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		first := true
+		done <- l.WriteSnapshotStream(2, 0, splitAt2, func(int) error {
+			if first {
+				first = false
+				close(started)
+				<-release
+			}
+			return nil
+		})
+	}()
+	<-started
+	appendHistory(t, l, 3, 4)
+	rep, err := l.Compact()
+	close(release)
+	if serr := <-done; serr != nil {
+		t.Fatalf("snapshot: %v", serr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredLikes(t, dir); len(got) != 0 {
+		t.Fatalf("recovered likes %v, want none", got)
+	}
+	if rep.SealedSegments != 1 || rep.CompactedSegments != 0 {
+		t.Fatalf("compaction rewrote the segment an in-flight snapshot splits: %+v", rep)
+	}
+}

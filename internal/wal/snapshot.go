@@ -5,19 +5,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/model"
 )
 
-// Snapshot file formats.
-//
-// Version 2 ("TTCSNAP2", the only one WriteSnapshotStream writes) is
-// chunked so the encoder can stream a large model straight to the file
-// through a bounded buffer instead of materializing the whole image in
-// memory (and so the serving writer never stalls for the encode — it hands
-// off a copy-on-write view and keeps committing):
+// Snapshot file format ("TTCSNAP2"). It is chunked so the encoder can
+// stream a large model straight to the file through a bounded buffer
+// instead of materializing the whole image in memory (and so the serving
+// writer never stalls for the encode — it hands off a copy-on-write view
+// and keeps committing):
 //
 //	8-byte magic | u64 seq | u64 meta | u32 CRC-32C of seq+meta |
 //	( u32 len>0 | u32 CRC-32C of chunk | chunk bytes )* |
@@ -31,21 +27,12 @@ import (
 // the whole file's checksum state, and the zero-length terminator (whose
 // CRC field holds the chunk count) proves the image is complete.
 //
-// Version 1 ("TTCSNAP1") is no longer written, but is still decoded:
-// directories created by older releases hold one, and one that never
-// reached a later snapshot recovers from it. It is a single buffer:
-//
-//	8-byte magic | u64 seq | u64 meta | body | u32 CRC-32C of seq..body
-//
-// Snapshots are written to a temp file, fsynced, and renamed into place,
-// so a visible snap-*.snap is always complete; the CRCs guard against
-// latent media corruption, and the loader falls back to the previous
-// snapshot if the newest fails them. decodeSnapshot dispatches on the
-// magic, so a durability directory can mix versions across upgrades.
+// Snapshots are written through replaceFile, so a visible snap-*.snap is
+// always complete; the CRCs guard against latent media corruption, and
+// recovery falls back to the previous snapshot if the newest fails them.
 
 const (
-	snapshotMagic   = "TTCSNAP1"
-	snapshotMagicV2 = "TTCSNAP2"
+	snapshotMagic = "TTCSNAP2"
 
 	// defaultSnapChunk is the streaming encoder's buffer bound: chunks are
 	// flushed once they reach this size (plus at most one entity).
@@ -58,7 +45,7 @@ const (
 )
 
 // Per-entity field encoders — the single definition of each entity's body
-// layout (parseSnapshotArrays is the one decoder, for both versions).
+// layout (parseSnapshotArrays is its decoder).
 func appendPostRec(b []byte, p model.Post) []byte {
 	b = appendID(b, p.ID)
 	return appendUint64(b, uint64(p.Timestamp))
@@ -142,17 +129,17 @@ func (cw *chunkWriter) terminator() error {
 	return nil
 }
 
-// encodeSnapshotStream writes a version-2 snapshot to w chunk by chunk,
+// encodeSnapshotStream writes a snapshot to w chunk by chunk,
 // never holding more than ~chunkBytes of encoded state in memory.
 func encodeSnapshotStream(w io.Writer, seq, meta uint64, s *model.Snapshot, chunkBytes int, onChunk func(int) error) error {
 	if chunkBytes <= 0 {
 		chunkBytes = defaultSnapChunk
 	}
 	var hdr []byte
-	hdr = append(hdr, snapshotMagicV2...)
+	hdr = append(hdr, snapshotMagic...)
 	hdr = appendUint64(hdr, seq)
 	hdr = appendUint64(hdr, meta)
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr[len(snapshotMagicV2):], castagnoli))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr[len(snapshotMagic):], castagnoli))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -200,51 +187,19 @@ func encodeSnapshotStream(w io.Writer, seq, meta uint64, s *model.Snapshot, chun
 	return cw.terminator()
 }
 
-// decodeSnapshot parses an encoded snapshot of either version. Like
+// decodeSnapshot parses an encoded snapshot: header CRC, then per-chunk
+// CRCs, then the terminator's chunk count, then the reassembled body. Like
 // decodePayload it is total: arbitrary bytes decode or error, never panic.
 func decodeSnapshot(data []byte) (seq, meta uint64, _ *model.Snapshot, _ error) {
-	if len(data) >= len(snapshotMagicV2) && string(data[:len(snapshotMagicV2)]) == snapshotMagicV2 {
-		return decodeSnapshotV2(data)
-	}
 	fail := func(err error) (uint64, uint64, *model.Snapshot, error) { return 0, 0, nil, err }
-	if len(data) < len(snapshotMagic)+2*8+4 {
+	hdrLen := len(snapshotMagic) + 2*8 + 4
+	if len(data) < hdrLen+8 {
 		return fail(fmt.Errorf("wal: snapshot too short (%d bytes)", len(data)))
 	}
 	if string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return fail(fmt.Errorf("wal: bad snapshot magic %q", data[:len(snapshotMagic)]))
 	}
-	body := data[len(snapshotMagic) : len(data)-4]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != wantCRC {
-		return fail(fmt.Errorf("wal: snapshot checksum mismatch"))
-	}
-
-	r := &byteReader{b: body}
-	seq, err := r.u64()
-	if err != nil {
-		return fail(err)
-	}
-	meta, err = r.u64()
-	if err != nil {
-		return fail(err)
-	}
-	s, err := parseSnapshotArrays(r)
-	if err != nil {
-		return fail(err)
-	}
-	return seq, meta, s, nil
-}
-
-// decodeSnapshotV2 parses the chunked streaming format: header CRC, then
-// per-chunk CRCs, then the terminator's chunk count, then the reassembled
-// body. Total like every decoder on the recovery path.
-func decodeSnapshotV2(data []byte) (seq, meta uint64, _ *model.Snapshot, _ error) {
-	fail := func(err error) (uint64, uint64, *model.Snapshot, error) { return 0, 0, nil, err }
-	hdrLen := len(snapshotMagicV2) + 2*8 + 4
-	if len(data) < hdrLen+8 {
-		return fail(fmt.Errorf("wal: snapshot too short (%d bytes)", len(data)))
-	}
-	hdrBody := data[len(snapshotMagicV2) : hdrLen-4]
+	hdrBody := data[len(snapshotMagic) : hdrLen-4]
 	if crc32.Checksum(hdrBody, castagnoli) != binary.LittleEndian.Uint32(data[hdrLen-4:hdrLen]) {
 		return fail(fmt.Errorf("wal: snapshot header checksum mismatch"))
 	}
@@ -387,26 +342,4 @@ func parseSnapshotArrays(r *byteReader) (*model.Snapshot, error) {
 		return nil, fmt.Errorf("wal: %d trailing bytes after snapshot body", r.remaining())
 	}
 	return s, nil
-}
-
-// loadLatestSnapshot finds the newest snapshot file that decodes cleanly
-// (falling back over invalid ones). ok is false when no valid snapshot
-// exists; err reports only filesystem-level failures.
-func loadLatestSnapshot(dir string) (s *model.Snapshot, seq, meta uint64, ok bool, err error) {
-	names, err := listSeqFiles(dir, "snap-", ".snap")
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	for i := len(names) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(filepath.Join(dir, names[i]))
-		if err != nil {
-			continue
-		}
-		seq, meta, s, err := decodeSnapshot(data)
-		if err != nil {
-			continue // fall back to the previous snapshot
-		}
-		return s, seq, meta, true, nil
-	}
-	return nil, 0, 0, false, nil
 }

@@ -12,10 +12,8 @@ import (
 	"repro/internal/model"
 )
 
-// TestWriteSnapshotStreamRoundTrip proves the chunked version-2 format is
-// recovery-equivalent to the blocking version-1 path: a streamed snapshot
-// decodes to exactly the encoded model, through loadLatestSnapshot like
-// real recovery.
+// TestWriteSnapshotStreamRoundTrip: a streamed snapshot decodes to exactly
+// the encoded model, through the directory scan like real recovery.
 func TestWriteSnapshotStreamRoundTrip(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 2018})
 	dir := t.TempDir()
@@ -39,9 +37,9 @@ func TestWriteSnapshotStreamRoundTrip(t *testing.T) {
 		t.Fatalf("only %d chunks for a %d-byte budget — not streaming", chunks, 4096)
 	}
 
-	s, seq, meta, ok, err := loadLatestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("loadLatestSnapshot: ok=%v err=%v", ok, err)
+	s, seq, meta := latestSnapshot(t, dir)
+	if s == nil {
+		t.Fatal("no snapshot loads")
 	}
 	if seq != 7 || meta != 42 {
 		t.Fatalf("seq/meta = %d/%d, want 7/42", seq, meta)
@@ -66,9 +64,9 @@ func TestWriteSnapshotStreamEmptyModel(t *testing.T) {
 	if err := l.WriteSnapshotStream(1, 0, &model.Snapshot{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	s, seq, _, ok, err := loadLatestSnapshot(dir)
-	if err != nil || !ok || seq != 1 {
-		t.Fatalf("ok=%v seq=%d err=%v", ok, seq, err)
+	s, seq, _ := latestSnapshot(t, dir)
+	if s == nil || seq != 1 {
+		t.Fatalf("loaded %v at seq %d", s, seq)
 	}
 	if !reflect.DeepEqual(s, &model.Snapshot{}) {
 		t.Fatalf("empty model round-trips to %+v", s)
@@ -77,17 +75,19 @@ func TestWriteSnapshotStreamEmptyModel(t *testing.T) {
 
 // TestSnapshotV2CorruptionFallsBack flips one byte in a streamed snapshot:
 // a chunk CRC must fail the decode and recovery must fall back to the
-// older (v1) snapshot — mixed-version directories stay recoverable.
+// older snapshot.
 func TestSnapshotV2CorruptionFallsBack(t *testing.T) {
 	old := &model.Snapshot{Users: []model.User{{ID: 1}}}
 	newer := &model.Snapshot{Users: []model.User{{ID: 1}, {ID: 2}}}
 	dir := t.TempDir()
-	writeSnapshotV1(t, dir, 1, 0, old) // v1 fallback, as an older release left it
 	l, _, err := Open(Options{Dir: dir, Sync: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshotStream(2, 0, newer, nil); err != nil { // v2 newest
+	if err := l.WriteSnapshotStream(1, 0, old, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteSnapshotStream(2, 0, newer, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -102,12 +102,9 @@ func TestSnapshotV2CorruptionFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, seq, _, ok, err := loadLatestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("fallback load: ok=%v err=%v", ok, err)
-	}
+	s, seq, _ := latestSnapshot(t, dir)
 	if seq != 1 || !reflect.DeepEqual(s, old) {
-		t.Fatalf("fell back to seq %d %+v, want the v1 snapshot at seq 1", seq, s)
+		t.Fatalf("fell back to seq %d %+v, want the snapshot at seq 1", seq, s)
 	}
 }
 
@@ -123,7 +120,7 @@ func TestSnapshotV2Truncation(t *testing.T) {
 	if seq, meta, got, err := decodeSnapshot(data); err != nil || seq != 3 || meta != 4 || !reflect.DeepEqual(got, s) {
 		t.Fatalf("intact decode failed: seq=%d meta=%d err=%v", seq, meta, err)
 	}
-	for _, cut := range []int{len(data) - 1, len(data) - 8, len(data) / 2, len(snapshotMagicV2) + 10} {
+	for _, cut := range []int{len(data) - 1, len(data) - 8, len(data) / 2, len(snapshotMagic) + 10} {
 		if _, _, _, err := decodeSnapshot(data[:cut]); err == nil {
 			t.Errorf("decode accepted an image truncated to %d of %d bytes", cut, len(data))
 		}
@@ -147,7 +144,7 @@ func TestWriteSnapshotStreamAbort(t *testing.T) {
 	if !errors.Is(err, ErrSnapshotAborted) {
 		t.Fatalf("err = %v, want ErrSnapshotAborted", err)
 	}
-	if _, _, _, ok, _ := loadLatestSnapshot(dir); ok {
+	if s, _, _ := latestSnapshot(t, dir); s != nil {
 		t.Fatal("aborted stream left a visible snapshot")
 	}
 	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
@@ -157,6 +154,17 @@ func TestWriteSnapshotStreamAbort(t *testing.T) {
 	if m := l.Metrics(); m.Snapshots != 0 {
 		t.Fatalf("aborted stream counted as a snapshot: %+v", m)
 	}
+}
+
+// latestSnapshot returns the snapshot recovery would load from dir (nil
+// when none decodes), with its seq and meta.
+func latestSnapshot(t *testing.T, dir string) (*model.Snapshot, uint64, uint64) {
+	t.Helper()
+	rep, err := scanDir(dir, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.base, rep.baseSeq, rep.baseMeta
 }
 
 // TestAppendPooledBufferReuse sanity-checks the pooled encode path against

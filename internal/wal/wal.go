@@ -8,7 +8,7 @@
 // Layout of a durability directory:
 //
 //	wal-<firstseq>.seg   append log segments (see record.go for the framing)
-//	snap-<seq>.snap      model snapshots, written atomically (tmp + rename)
+//	snap-<seq>.snap      model snapshots, written atomically (replaceFile)
 //
 // Records are length-prefixed and CRC-32C-checksummed individually, so a
 // torn or corrupted tail record — the signature of a crash mid-write — is
@@ -19,25 +19,26 @@
 // size threshold, and a successful snapshot trims segments and snapshots
 // the log no longer needs.
 //
-// Open is the single entry point: it repairs the tail, loads the newest
-// valid snapshot, decodes the batches committed after it, verifies the
-// sequence numbers are contiguous, and returns the log ready for appends.
-// Append and Compact are intended for the one committing goroutine;
+// Every reader of the directory goes through one read-only scan (scan.go)
+// and one recovery rule: load the newest snapshot that decodes, replay the
+// intact records above its seq, which must run contiguously from it. Open
+// is that scan plus the repairs only it makes (truncating a torn tail,
+// dropping a headerless last segment, sweeping temp files); Verify reports
+// the same scan, so ttcwal flags a gap exactly when Open refuses to start.
+// Compaction rewrites a sealed segment only when no snapshot on disk or in
+// flight splits it: recovery replays a whole compacted segment or none of
+// it. Append and Compact are intended for the one committing goroutine;
 // WriteSnapshotStream may run beside it on another goroutine, and Metrics
-// and Sync are safe from any goroutine.
+// is safe from any goroutine.
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -166,14 +167,6 @@ type Metrics struct {
 	CompactedBytes int64 // bytes reclaimed by compaction
 }
 
-// segmentMeta tracks one live segment file (its first sequence number is
-// embedded in the name).
-type segmentMeta struct {
-	name    string
-	lastSeq uint64
-	records int
-}
-
 // Log is an open write-ahead log. Create with Open.
 type Log struct {
 	opt Options
@@ -191,18 +184,24 @@ type Log struct {
 	mu       sync.Mutex
 	active   *os.File
 	actSize  int64
-	segments []segmentMeta // ascending; last is active
-	lastSeq  uint64        // highest appended/recovered sequence number
-	dirty    bool          // unsynced appends
-	err      error         // sticky write/sync failure
+	segments []Segment // ascending; last is active (Bytes, Err unused)
+	lastSeq  uint64    // highest appended/recovered sequence number
+	dirty    bool      // unsynced appends
+	err      error     // sticky write/sync failure
 	closed   bool
 	metrics  Metrics
 
-	// compactedThrough is the name of the newest sealed segment a Compact
-	// pass has already processed: sealed segments are immutable and
-	// segment-local compaction is idempotent, so re-scanning them could
-	// never shrink them further and later passes skip ahead of this mark.
-	compactedThrough string
+	// writing holds the seqs of the snapshots WriteSnapshotStream is
+	// writing: like the snap-*.snap files on disk, recovery may load them,
+	// so compaction must not rewrite a segment they split.
+	writing []uint64
+	// compactedSeq is the last seq of the newest sealed segment a Compact
+	// pass has claimed: sealed segments are immutable and segment-local
+	// compaction is idempotent, so later passes skip the segments at or
+	// below it (a failed pass leaves its claimed segments uncompacted). A
+	// snapshot below it is refused — it could fall inside a rewritten
+	// segment.
+	compactedSeq uint64
 
 	stopSync chan struct{} // interval-sync goroutine shutdown
 	syncDone chan struct{}
@@ -214,20 +213,6 @@ func segmentName(firstSeq uint64) string {
 
 func snapshotName(seq uint64) string {
 	return fmt.Sprintf("snap-%020d.snap", seq)
-}
-
-// parseSeqName extracts the sequence number from wal-*.seg / snap-*.snap
-// file names.
-func parseSeqName(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	mid := name[len(prefix) : len(name)-len(suffix)]
-	n, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 // Open opens (creating if needed) the durability directory, repairs a torn
@@ -254,88 +239,54 @@ func Open(opt Options) (*Log, RecoveryInfo, error) {
 		}
 	}
 
-	info := RecoveryInfo{}
-	snap, snapSeq, snapMeta, ok, err := loadLatestSnapshot(opt.Dir)
+	rep, err := scanDir(opt.Dir, false, nil)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	if ok {
-		info.HasSnapshot, info.Snapshot = true, snap
-		info.SnapshotSeq, info.SnapshotMeta = snapSeq, snapMeta
-	}
-
-	segNames, err := listSeqFiles(opt.Dir, "wal-", ".seg")
-	if err != nil {
-		return nil, RecoveryInfo{}, err
-	}
-
-	l := &Log{opt: opt}
-	for i, name := range segNames {
-		path := filepath.Join(opt.Dir, name)
-		meta := segmentMeta{name: name}
-		last := i == len(segNames)-1
-		validEnd, torn, err := scanSegment(path, func(off int64, b Batch) {
-			meta.lastSeq = b.Seq
-			meta.records++
-			if b.Seq > info.SnapshotSeq {
-				info.Batches = append(info.Batches, b)
-			}
-			if b.Seq > l.lastSeq {
-				l.lastSeq = b.Seq
-			}
-		})
-		if err != nil {
-			return nil, RecoveryInfo{}, err
-		}
-		if torn != nil {
-			if !last || torn.Interior {
-				return nil, RecoveryInfo{}, fmt.Errorf(
-					"wal: segment %s is corrupt at offset %d (%v) with committed records after it; refusing to drop acknowledged data — restore the file or inspect with ttcwal", name, torn.Offset, torn.Err)
-			}
-			st, err := os.Stat(path)
-			if err != nil {
-				return nil, RecoveryInfo{}, fmt.Errorf("wal: %w", err)
-			}
-			info.TruncatedBytes = st.Size() - validEnd
-			if validEnd < int64(len(segmentMagic)) {
-				// Not even the segment header survived (crash between create
-				// and header write, or header corruption with no intact
-				// records): drop the file; a fresh segment replaces it.
-				if err := os.Remove(path); err != nil {
-					return nil, RecoveryInfo{}, fmt.Errorf("wal: remove headerless segment %s: %w", name, err)
-				}
-				continue
-			}
-			if err := os.Truncate(path, validEnd); err != nil {
-				return nil, RecoveryInfo{}, fmt.Errorf("wal: truncate torn tail of %s: %w", name, err)
-			}
-		}
-		l.segments = append(l.segments, meta)
-	}
-
-	// The replay tail must be gapless and duplicate-free on top of the
-	// snapshot; anything else means segments or snapshots were lost.
-	want := info.SnapshotSeq + 1
-	for _, b := range info.Batches {
-		if b.Seq != want {
+	segs := rep.Segments
+	for i, seg := range segs {
+		if seg.Err != "" && (i < len(segs)-1 || seg.Interior) {
 			return nil, RecoveryInfo{}, fmt.Errorf(
-				"wal: replay tail needs batch seq %d but found %d (snapshot at %d); the log is missing committed data", want, b.Seq, info.SnapshotSeq)
+				"wal: segment %s is corrupt at offset %d (%s) with committed records after it; refusing to drop acknowledged data — restore the file or inspect with ttcwal", seg.Name, seg.Offset, seg.Err)
 		}
-		want++
 	}
-	if l.lastSeq < info.SnapshotSeq {
-		// The snapshot is ahead of every surviving record (e.g. a clean
-		// shutdown wrote a final snapshot and trims removed the segments).
-		l.lastSeq = info.SnapshotSeq
+	if rep.gap != nil {
+		return nil, RecoveryInfo{}, fmt.Errorf("wal: %w", rep.gap)
+	}
+	info := RecoveryInfo{
+		HasSnapshot:  rep.base != nil,
+		SnapshotSeq:  rep.baseSeq,
+		SnapshotMeta: rep.baseMeta,
+		Snapshot:     rep.base,
+		Batches:      rep.tail,
 	}
 
-	// Open (or create) the active segment for appends.
+	// A damaged final segment is a torn tail: cut it back to its last
+	// intact record, or drop it when not even the header survived (crash
+	// between create and header write); a fresh segment replaces it.
+	if n := len(segs); n > 0 && segs[n-1].Err != "" {
+		last := segs[n-1]
+		path := filepath.Join(opt.Dir, last.Name)
+		info.TruncatedBytes = last.Bytes - last.validEnd
+		if last.validEnd < int64(len(segmentMagic)) {
+			if err := os.Remove(path); err != nil {
+				return nil, RecoveryInfo{}, fmt.Errorf("wal: remove headerless segment %s: %w", last.Name, err)
+			}
+			segs = segs[:n-1]
+		} else if err := os.Truncate(path, last.validEnd); err != nil {
+			return nil, RecoveryInfo{}, fmt.Errorf("wal: truncate torn tail of %s: %w", last.Name, err)
+		}
+	}
+
+	// With the tail contiguous, the newest record (or the snapshot, when it
+	// is ahead of every surviving record) is the last durable seq.
+	l := &Log{opt: opt, segments: segs, lastSeq: rep.baseSeq + uint64(len(rep.tail))}
 	if len(l.segments) == 0 {
 		if err := l.createSegmentLocked(l.lastSeq + 1); err != nil {
 			return nil, RecoveryInfo{}, err
 		}
 	} else {
-		name := l.segments[len(l.segments)-1].name
+		name := l.segments[len(l.segments)-1].Name
 		f, err := os.OpenFile(filepath.Join(opt.Dir, name), os.O_RDWR, 0)
 		if err != nil {
 			return nil, RecoveryInfo{}, fmt.Errorf("wal: %w", err)
@@ -349,9 +300,7 @@ func Open(opt Options) (*Log, RecoveryInfo, error) {
 	}
 	l.metrics.Segments = len(l.segments)
 	l.metrics.ActiveBytes = l.actSize
-	if info.HasSnapshot {
-		l.metrics.LastSnapSeq = info.SnapshotSeq
-	}
+	l.metrics.LastSnapSeq = rep.baseSeq
 
 	if opt.Sync == SyncInterval {
 		l.stopSync = make(chan struct{})
@@ -386,7 +335,7 @@ func (l *Log) createSegmentLocked(firstSeq uint64) error {
 	}
 	l.active = f
 	l.actSize = int64(len(segmentMagic))
-	l.segments = append(l.segments, segmentMeta{name: name})
+	l.segments = append(l.segments, Segment{Name: name, FirstSeq: firstSeq})
 	l.metrics.Segments = len(l.segments)
 	return nil
 }
@@ -448,8 +397,8 @@ func (l *Log) Append(seq uint64, changes []model.Change) error {
 	l.actSize += int64(len(rec))
 	l.dirty = true
 	cur := &l.segments[len(l.segments)-1]
-	cur.lastSeq = seq
-	cur.records++
+	cur.LastSeq = seq
+	cur.Records++
 	l.lastSeq = seq
 	l.metrics.Appends++
 	l.metrics.AppendedBytes += int64(len(rec))
@@ -512,62 +461,48 @@ func (l *Log) syncLoop() {
 }
 
 // WriteSnapshotStream atomically persists the full model state as of
-// sequence number seq (write to a temp file, fsync, rename, fsync the
-// directory) together with meta, an opaque caller value (the server stores
-// its committed-changes counter there), then trims snapshots and sealed segments the recovery
-// procedure no longer needs. The two newest snapshots are kept so a latent
-// corruption of the newest still leaves a recovery point. It writes the
-// chunked version-2 format, encoding straight to the temp file through a
-// bounded buffer (Options.SnapshotChunkBytes) instead of materializing the
-// whole image. It is safe to call concurrently with Append — the snapshot
-// writes to its own file and only takes the log's lock for the final
-// metrics/trim bookkeeping — which is what lets a serving writer hand a
-// copy-on-write view to a background goroutine and keep committing while
-// the encode is in flight.
+// sequence number seq (replaceFile: temp file, fsync, rename, directory
+// fsync) together with meta, an opaque caller value (the server stores its
+// committed-changes counter there), then trims snapshots and sealed
+// segments the recovery procedure no longer needs. The two newest
+// snapshots are kept so a latent corruption of the newest still leaves a
+// recovery point. It encodes straight to the temp file through a bounded
+// buffer (Options.SnapshotChunkBytes) instead of materializing the whole
+// image. It is safe to call concurrently with Append — the snapshot writes
+// to its own file and only takes the log's lock to register itself and for
+// the final metrics/trim bookkeeping — which is what lets a serving writer
+// hand a copy-on-write view to a background goroutine and keep committing
+// while the encode is in flight. A snapshot below the compacted part of the
+// log is refused: it could split a rewritten segment.
 //
 // onChunk, when non-nil, is invoked after every flushed chunk with the
 // bytes written so far; returning a non-nil error aborts the write (the
 // temp file is removed, nothing is renamed into place) and is returned
 // wrapped in ErrSnapshotAborted when it is that sentinel.
 func (l *Log) WriteSnapshotStream(seq, meta uint64, view *model.Snapshot, onChunk func(written int) error) error {
-	final := filepath.Join(l.opt.Dir, snapshotName(seq))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+	l.mu.Lock()
+	if seq < l.compactedSeq {
+		l.mu.Unlock()
+		return fmt.Errorf("wal: snapshot at seq %d is older than the log compacted through seq %d", seq, l.compactedSeq)
 	}
-	abort := func(err error) error {
-		f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := encodeSnapshotStream(f, seq, meta, view, l.opt.SnapshotChunkBytes, onChunk); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(fmt.Errorf("wal: %w", err))
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return abort(fmt.Errorf("wal: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: snapshot rename: %w", err)
-	}
-	if err := syncDir(l.opt.Dir); err != nil {
-		return err
-	}
+	l.writing = append(l.writing, seq)
+	l.mu.Unlock()
+
+	size, err := replaceFile(filepath.Join(l.opt.Dir, snapshotName(seq)), ".tmp", func(w io.Writer) error {
+		return encodeSnapshotStream(w, seq, meta, view, l.opt.SnapshotChunkBytes, onChunk)
+	})
 
 	l.maintMu.Lock()
 	defer l.maintMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	i := slices.Index(l.writing, seq)
+	l.writing = slices.Delete(l.writing, i, i+1)
+	if err != nil {
+		return err
+	}
 	l.metrics.Snapshots++
-	l.metrics.SnapshotBytes = st.Size()
+	l.metrics.SnapshotBytes = size
 	l.metrics.LastSnapSeq = seq
 	l.trimLocked(seq)
 	return nil
@@ -599,15 +534,15 @@ func (l *Log) trimLocked(seq uint64) {
 	if len(names) < 2 {
 		return // no fallback snapshot yet: every segment may still be needed
 	}
-	safeSeq, ok := parseSeqName(names[0], "snap-", ".snap")
-	if !ok || safeSeq > seq {
+	safeSeq, _ := parseSeqName(names[0], "snap-", ".snap")
+	if safeSeq > seq {
 		return
 	}
 	// The last segment is the active one and is never trimmed.
 	kept := l.segments[:0]
 	for i, m := range l.segments {
-		if i < len(l.segments)-1 && m.records > 0 && m.lastSeq <= safeSeq {
-			if os.Remove(filepath.Join(l.opt.Dir, m.name)) == nil {
+		if i < len(l.segments)-1 && m.Records > 0 && m.LastSeq <= safeSeq {
+			if os.Remove(filepath.Join(l.opt.Dir, m.Name)) == nil {
 				l.metrics.TrimmedSegs++
 				continue
 			}
@@ -678,118 +613,35 @@ func (l *Log) close(sync bool) error {
 	return err
 }
 
-// tornError describes where and why a segment scan stopped early.
-type tornError struct {
-	Offset int64
-	Err    error
-	// Interior marks a complete record frame that failed its checksum or
-	// decoding with more bytes following it. A torn write — the only
-	// damage a crash can cause — always extends to end of file, so an
-	// interior failure is corruption of an acknowledged commit: Open
-	// refuses to truncate it (that would silently drop the intact records
-	// after it), unlike a genuine tail tear.
-	Interior bool
-}
-
-// scanSegment reads one segment, invoking visit for every intact record.
-// It returns the offset of the first byte past the last intact record and,
-// when the segment does not end cleanly, a tornError describing the damage
-// (an io-level failure reading the file itself is returned as err).
-func scanSegment(path string, visit func(off int64, b Batch)) (validEnd int64, torn *tornError, err error) {
-	f, err := os.Open(path)
+// replaceFile atomically puts what write produces at path: it writes
+// path+tmpSuffix, fsyncs it, renames it over path and fsyncs the
+// directory, so a crash leaves the old file or the whole new one, never a
+// part. On failure the temp file is removed. It returns the new size.
+func replaceFile(path, tmpSuffix string, write func(io.Writer) error) (int64, error) {
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return 0, nil, fmt.Errorf("wal: %w", err)
+		return 0, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	st, err := f.Stat()
+	var size int64
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("wal: %w", err)
+		_ = os.Remove(tmp)
+		return 0, fmt.Errorf("wal: replace %s: %w", filepath.Base(path), err)
 	}
-	size := st.Size()
-
-	magic := make([]byte, len(segmentMagic))
-	n, err := io.ReadFull(f, magic)
-	if err != nil {
-		// Shorter than the header: a crash between create and header write.
-		return 0, &tornError{Offset: int64(n), Err: errors.New("segment shorter than its header")}, nil
-	}
-	if string(magic) != segmentMagic {
-		return 0, &tornError{Offset: 0, Err: fmt.Errorf("bad segment magic %q", magic)}, nil
-	}
-
-	off := int64(len(segmentMagic))
-	hdr := make([]byte, recHeaderSize)
-	for {
-		n, err := io.ReadFull(f, hdr)
-		if err == io.EOF {
-			return off, nil, nil // clean end
-		}
-		if err == io.ErrUnexpectedEOF {
-			return off, &tornError{Offset: off + int64(n), Err: errors.New("torn record header")}, nil
-		}
-		if err != nil {
-			return off, nil, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordLen {
-			// The length field itself is damaged; the frame extent is
-			// unknowable, so this is indistinguishable from a torn header.
-			return off, &tornError{Offset: off, Err: fmt.Errorf("record length %d exceeds limit", length)}, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return off, &tornError{Offset: off, Err: errors.New("torn record payload")}, nil
-		}
-		frameEnd := off + recHeaderSize + int64(length)
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			return off, &tornError{Offset: off, Err: errors.New("record checksum mismatch"),
-				Interior: frameEnd < size}, nil
-		}
-		b, err := decodePayload(payload)
-		if err != nil {
-			return off, &tornError{Offset: off, Err: err, Interior: frameEnd < size}, nil
-		}
-		visit(off, b)
-		off = frameEnd
-	}
-}
-
-// listSeqFiles returns the directory's prefix/suffix-matching file names in
-// ascending sequence order (names embed zero-padded decimals, so the
-// lexical sort is numeric).
-func listSeqFiles(dir, prefix, suffix string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if _, ok := parseSeqName(e.Name(), prefix, suffix); ok {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
+	return size, syncDir(filepath.Dir(path))
 }
 
 func syncDir(dir string) error {

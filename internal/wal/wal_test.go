@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -432,8 +433,11 @@ func TestSnapshotRoundTripEmptyAndFull(t *testing.T) {
 		},
 	}
 	for i, s := range snaps {
-		data := encodeSnapshotV1(uint64(i+41), uint64(i+90), s)
-		seq, meta, got, err := decodeSnapshot(data)
+		var buf bytes.Buffer
+		if err := encodeSnapshotStream(&buf, uint64(i+41), uint64(i+90), s, 16, nil); err != nil {
+			t.Fatal(err)
+		}
+		seq, meta, got, err := decodeSnapshot(buf.Bytes())
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
