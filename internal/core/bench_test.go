@@ -1,34 +1,72 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
 )
 
 // BenchmarkWarmup measures the start-up cost of each served engine: Load
-// plus Initial on a scale-factor-32 snapshot, the work a shard does before
-// it can answer its first query.
+// plus Initial on a datagen seed-1 snapshot, the work a shard does before
+// it can answer its first query. Every engine runs at scale factor 32; q2,
+// whose Initial scores every comment on all cores, also at 128.
 func BenchmarkWarmup(b *testing.B) {
-	snap := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1}).Snapshot
 	for _, e := range []struct {
 		name string
 		new  func() Solution
+		sfs  []int
 	}{
-		{"q1", func() Solution { return NewQ1Incremental() }},
-		{"q2", func() Solution { return NewQ2Incremental() }},
-		{"q2cc", func() Solution { return NewQ2IncrementalCC() }},
+		{"q1", func() Solution { return NewQ1Incremental() }, []int{32}},
+		{"q2", func() Solution { return NewQ2Incremental() }, []int{32, 128}},
+		{"q2cc", func() Solution { return NewQ2IncrementalCC() }, []int{32}},
 	} {
-		b.Run(e.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := e.new()
-				if err := eng.Load(snap); err != nil {
-					b.Fatal(err)
+		for _, sf := range e.sfs {
+			b.Run(fmt.Sprintf("%s/sf%d", e.name, sf), func(b *testing.B) {
+				snap := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 1}).Snapshot
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng := e.new()
+					if err := eng.Load(snap); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := eng.Initial(); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := eng.Initial(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
+}
+
+// BenchmarkQ2Score times Q2's per-comment scoring kernel — liker row,
+// induced-subgraph extraction, FastSV, Σ size² — on one worker over every
+// comment of the datagen sf-128, seed-1 snapshot, and reports the time and
+// the bytes allocated per comment. One untimed pass first grows the
+// worker's buffers, so the figures are the steady state a commit sees.
+func BenchmarkQ2Score(b *testing.B) {
+	g, err := loadGraph(datagen.Generate(datagen.Config{ScaleFactor: 128, Seed: 1}).Snapshot, withLikes|withFriends)
+	if err != nil {
+		b.Fatal(err)
+	}
+	comments := denseKeys(g.comments.Len())
+	scores := make([]int64, len(comments))
+	scorers := make([]q2Scorer, 1)
+	if _, err := q2ScoreAll(g.likes, g.friends, comments, scores, scorers); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q2ScoreAll(g.likes, g.friends, comments, scores, scorers); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(len(comments))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/comment")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/comment")
 }

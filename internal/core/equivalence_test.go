@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/grb"
 	"repro/internal/model"
 )
 
@@ -142,5 +147,67 @@ func TestQ2AffectedDetectionVariantsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertResultsEqual(t, "incidence-vs-rowmerge", "update", a, b)
+	}
+}
+
+// TestQ2ParallelInitialMatchesSerial: Initial scores comments on
+// runtime.GOMAXPROCS(0) workers and Update on grb.Threads() workers, each
+// with its own scratch. At four workers both must produce exactly the
+// scores and Results of one worker, on a stream with removals and on the
+// hub graph, where one friend row takes the probe path. Under -race it
+// also checks that the workers share the matrices read-only.
+func TestQ2ParallelInitialMatchesSerial(t *testing.T) {
+	hubSnap, hubStream := hubSnapshot(rand.New(rand.NewSource(3)))
+	hubSets := make([]model.ChangeSet, 40)
+	for k := range hubSets {
+		hubSets[k] = hubStream.next()
+	}
+	d := datagen.Generate(datagen.Config{ScaleFactor: 4, Seed: 7, ChangeSets: 40, RemovalFraction: 0.35})
+	for _, tc := range []struct {
+		name string
+		snap *model.Snapshot
+		sets []model.ChangeSet
+	}{
+		{"datagen-sf4-rf35", d.Snapshot, d.ChangeSets},
+		{"hub", hubSnap, hubSets},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) (initial []int64, eng *Q2Incremental, results []Result) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				defer grb.SetThreads(grb.SetThreads(workers))
+				eng = NewQ2Incremental()
+				if err := eng.Load(tc.snap); err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.Initial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				initial = append([]int64(nil), eng.scores...)
+				results = []Result{res}
+				for k := range tc.sets {
+					res, err := eng.Update(&tc.sets[k])
+					if err != nil {
+						t.Fatalf("update %d: %v", k, err)
+					}
+					results = append(results, res)
+				}
+				return initial, eng, results
+			}
+			serialInit, serial, want := run(1)
+			parallelInit, parallel, got := run(4)
+			if !reflect.DeepEqual(parallelInit, serialInit) {
+				t.Fatal("Initial's scores at four workers differ from one worker's")
+			}
+			if !reflect.DeepEqual(parallel.scores, serial.scores) {
+				t.Fatal("scores after the stream at four workers differ from one worker's")
+			}
+			for k := range want {
+				assertResultsEqual(t, "four workers", fmt.Sprintf("step %d", k), want[k], got[k])
+			}
+			if parallel.subgraphEntries != serial.subgraphEntries {
+				t.Fatalf("subgraph entries: %d at four workers, %d at one", parallel.subgraphEntries, serial.subgraphEntries)
+			}
+		})
 	}
 }

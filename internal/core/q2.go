@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/grb"
@@ -8,40 +9,60 @@ import (
 	"repro/internal/model"
 )
 
-// q2ScoreComment computes one comment's score (Fig. 4b, steps 1–4 of the
-// batch algorithm): collect the comment's likers from the Likes matrix,
-// extract the friendship subgraph they induce, find its connected
-// components with FastSV, and sum the squared component sizes. Comments
-// nobody likes score 0.
-func q2ScoreComment(likes, friends *grb.Matrix[bool], ci int) (int64, error) {
-	likers, err := grb.ExtractRow(likes, ci)
-	if err != nil {
+// q2Scorer is one worker's scratch for scoring comments: the liker row,
+// the inverse index over users that extraction marks and clears, the
+// extracted subgraph and FastSV's arrays. Scoring a comment allocates only
+// when the comment is larger than every one the scorer has scored before,
+// or when the user dimension has grown.
+type q2Scorer struct {
+	likers  []grb.Index
+	pos     []int32 // all zero between calls
+	sub     grb.Matrix[bool]
+	cc      lagraph.CCWorkspace
+	entries int // subgraph entries scored since q2ScoreAll started
+}
+
+// score computes one comment's score (Fig. 4b, steps 1–4 of the batch
+// algorithm): collect the comment's likers from the Likes matrix, extract
+// the friendship subgraph they induce, find its connected components with
+// FastSV, and sum the squared component sizes. Comments nobody likes score
+// 0.
+func (w *q2Scorer) score(likes, friends *grb.Matrix[bool], ci int) (int64, error) {
+	w.likers = w.likers[:0]
+	if err := likes.ForRow(ci, func(u grb.Index, _ bool) { w.likers = append(w.likers, u) }); err != nil {
 		return 0, err
 	}
-	if likers.NVals() == 0 {
+	if len(w.likers) == 0 {
 		return 0, nil
 	}
-	userIdx, _ := likers.ExtractTuples()
-	sub, err := grb.ExtractSubmatrix(friends, userIdx, userIdx)
+	if n := friends.NCols(); len(w.pos) < n {
+		w.pos = make([]int32, n+n/8) // room for users added later
+	}
+	if err := grb.ExtractSubmatrix(&w.sub, friends, w.likers, w.likers, w.pos); err != nil {
+		return 0, err
+	}
+	w.entries += w.sub.NVals()
+	labels, err := w.cc.FastSV(&w.sub)
 	if err != nil {
 		return 0, err
 	}
-	labels, err := lagraph.FastSV(sub)
-	if err != nil {
-		return 0, err
-	}
-	return lagraph.SumSquaredComponentSizes(labels), nil
+	return w.cc.SumSquaredComponentSizes(labels), nil
 }
 
 // q2ScoreAll scores the given comments in parallel at comment granularity
-// (the paper's OpenMP strategy) into the dense slice scores, which must
-// have room for every comment index.
-func q2ScoreAll(likes, friends *grb.Matrix[bool], commentIdx []int, scores []int64) error {
+// (the paper's OpenMP strategy), one goroutine per scorer, into the dense
+// slice scores, which must have room for every comment index. It returns
+// the number of entries of the induced subgraphs it extracted: the work
+// Q2's cost model counts.
+func q2ScoreAll(likes, friends *grb.Matrix[bool], commentIdx []int, scores []int64, scorers []q2Scorer) (int, error) {
 	var mu sync.Mutex
 	var firstErr error
-	grb.ParallelItems(len(commentIdx), func(k int) {
+	for k := range scorers {
+		scorers[k].entries = 0
+	}
+	grb.ParallelItems(len(commentIdx), len(scorers), func(w, k int) {
 		ci := commentIdx[k]
-		score, err := q2ScoreComment(likes, friends, ci)
+		score, err := scorers[w].score(likes, friends, ci)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -52,7 +73,20 @@ func q2ScoreAll(likes, friends *grb.Matrix[bool], commentIdx []int, scores []int
 		}
 		scores[ci] = score
 	})
-	return firstErr
+	entries := 0
+	for k := range scorers {
+		entries += scorers[k].entries
+	}
+	return entries, firstErr
+}
+
+// scorersFor returns scorers when it holds n of them, else n new ones: a
+// change of -threads costs one regrowth of the buffers.
+func scorersFor(scorers []q2Scorer, n int) []q2Scorer {
+	if len(scorers) != n {
+		return make([]q2Scorer, n)
+	}
+	return scorers
 }
 
 // q2TopK ranks every comment by its dense score (the batch engine's full
@@ -67,7 +101,8 @@ func q2TopK(g *graph, scores []int64) Result {
 
 // Q2Batch evaluates Q2 from scratch on every step.
 type Q2Batch struct {
-	g *graph
+	g       *graph
+	scorers []q2Scorer
 }
 
 // NewQ2Batch returns the batch Q2 engine.
@@ -107,7 +142,8 @@ func (s *Q2Batch) evaluate() (Result, error) {
 	s.g.friends.Wait()
 	nc := s.g.comments.Len()
 	scores := make([]int64, nc)
-	if err := q2ScoreAll(s.g.likes, s.g.friends, denseKeys(nc), scores); err != nil {
+	s.scorers = scorersFor(s.scorers, grb.Threads())
+	if _, err := q2ScoreAll(s.g.likes, s.g.friends, denseKeys(nc), scores, s.scorers); err != nil {
 		return nil, err
 	}
 	return q2TopK(s.g, scores), nil
@@ -128,12 +164,24 @@ func (s *Q2Batch) evaluate() (Result, error) {
 // Affected comments are re-scored with the batch kernel into the maintained
 // score vector and re-ranked in a RankIndex over every comment, so the
 // top-3 costs O(|affected| log |comments|) whether the change set adds or
-// removes edges.
+// removes edges. Re-scoring a comment costs its induced subgraph: its
+// likers, their friend rows (or, for a friend row longer than the liker
+// list, one probe per liker) and FastSV's rounds over the subgraph.
+//
+// Initial scores every comment on runtime.GOMAXPROCS(0) workers, because
+// start-up reads the whole graph anyway; Update re-scores on grb.Threads()
+// workers, the -threads setting of the commit path.
 type Q2Incremental struct {
-	g      *graph
-	scores []int64   // dense by comment index
-	rank   RankIndex // by comment index
-	prev   Result
+	g       *graph
+	scores  []int64   // dense by comment index
+	rank    RankIndex // by comment index
+	prev    Result
+	scorers []q2Scorer // Update's, one per grb.Threads() worker
+
+	// subgraphEntries counts the entries of the induced subgraphs Update
+	// has extracted, summed over every commit: the work Q2's cost model
+	// charges a change set.
+	subgraphEntries int64
 
 	// useIncidence switches affected-comment detection to the literal
 	// incidence-matrix formulation of the paper (assembles Likes′ᵀ).
@@ -178,7 +226,9 @@ func (s *Q2Incremental) Initial() (Result, error) {
 	nc := s.g.comments.Len()
 	all := denseKeys(nc)
 	s.scores = make([]int64, nc)
-	if err := q2ScoreAll(s.g.likes, s.g.friends, all, s.scores); err != nil {
+	// Start-up's scorers go with it; Update keeps its own.
+	scorers := make([]q2Scorer, runtime.GOMAXPROCS(0))
+	if _, err := q2ScoreAll(s.g.likes, s.g.friends, all, s.scores, scorers); err != nil {
 		return nil, err
 	}
 	s.rank.Init(all, s.entry)
@@ -235,9 +285,12 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	for ci := range affected {
 		idxs = append(idxs, ci)
 	}
-	if err := q2ScoreAll(s.g.likes, s.g.friends, idxs, s.scores); err != nil {
+	s.scorers = scorersFor(s.scorers, grb.Threads())
+	entries, err := q2ScoreAll(s.g.likes, s.g.friends, idxs, s.scores, s.scorers)
+	if err != nil {
 		return nil, err
 	}
+	s.subgraphEntries += int64(entries)
 
 	for _, ci := range idxs {
 		s.rank.Set(ci, s.entry(ci))

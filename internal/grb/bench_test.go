@@ -186,9 +186,13 @@ func BenchmarkExtractSubmatrix(b *testing.B) {
 		idx[k] = i
 		k++
 	}
+	// One output matrix and position table serve every call, as one Q2
+	// worker's serve every comment it scores.
+	c, pos := NewMatrix[int](0, 0), make([]int32, n)
 	b.Run("induced32", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ExtractSubmatrix(a, idx, idx); err != nil {
+			if err := ExtractSubmatrix(c, a, idx, idx, pos); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -206,9 +210,11 @@ func BenchmarkExtractSubmatrix(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	hc := NewMatrix[bool](0, 0)
 	b.Run("hubrow10k-J5", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ExtractSubmatrix(h, idx[:5], idx[:5]); err != nil {
+			if err := ExtractSubmatrix(hc, h, idx[:5], idx[:5], pos); err != nil {
 				b.Fatal(err)
 			}
 		}

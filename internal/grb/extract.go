@@ -1,85 +1,122 @@
 package grb
 
-import "sort"
+import (
+	"math"
+	"slices"
+	"sort"
+)
 
 // Extract (GrB_extract): gather a submatrix or subvector by index lists.
 // Index lists must not contain duplicates (unlike the C API, which permits
 // them); duplicates return ErrInvalidValue.
 
-// ExtractSubmatrix returns the len(I)×len(J) matrix C with
-// C(r, c) = A(I[r], J[c]) where present. Only the rows listed in I are
-// touched, and pending tuples of other rows are left unassembled, so
-// extracting a small induced subgraph from a large updated matrix is cheap —
-// this is step 2 of the batch Q2 algorithm. A row longer than J is probed
-// at J's columns, as SuiteSparse's GrB_extract does, in O(len(J) · log
-// deg); a shorter one is scanned, looking each column up in J. Strictly
-// ascending, in-range index lists (an induced subgraph's sorted vertex
-// list) are validated in one pass and J is binary-searched; other lists
-// are checked for duplicates and looked up through maps.
-func ExtractSubmatrix[T any](a *Matrix[T], I, J []Index) (*Matrix[T], error) {
-	jSorted := ascendingIn(J, a.ncols)
-	var colPos map[Index]int
-	if !jSorted {
-		colPos = make(map[Index]int, len(J))
-		for p, j := range J {
-			if j < 0 || j >= a.ncols {
-				return nil, boundsErrf("ExtractSubmatrix: column %d outside [0,%d)", j, a.ncols)
-			}
-			if _, dup := colPos[j]; dup {
-				return nil, invalidErrf("ExtractSubmatrix: duplicate column index %d", j)
-			}
-			colPos[j] = p
-		}
+// ExtractSubmatrix writes into c the len(I)×len(J) matrix
+// C(r, k) = A(I[r], J[k]) where present, reusing c's storage. Only the rows
+// listed in I are touched, and pending tuples of other rows are left
+// unassembled, so extracting a small induced subgraph from a large updated
+// matrix costs the rows it reads — step 2 of the batch Q2 algorithm.
+//
+// pos is the caller's inverse index over a's columns, the method
+// SuiteSparse:GraphBLAS uses for long index lists (Davis, "Algorithm 1000",
+// ACM TOMS 45(4), 2019): it needs at least NCols slots, all zero on entry,
+// and is all zero again on return, error or not. ExtractSubmatrix marks
+// pos[J[k]] = k+1, so a scanned row finds each column's position in O(1).
+// A row longer than J is probed at J's columns instead, in O(len(J) · log
+// deg), so a hub row costs no more than the list. Cost: O(len(I) + len(J)
+// + the entries of the scanned rows), plus a sort of each output row when
+// J is not ascending; unsorted row lists are checked for duplicates
+// through a map.
+func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
+	if c == a {
+		return invalidErrf("ExtractSubmatrix: output aliases the input")
 	}
-	var seenRow map[Index]struct{}
+	if len(pos) < a.ncols {
+		return invalidErrf("ExtractSubmatrix: position table has %d slots for %d columns", len(pos), a.ncols)
+	}
+	if len(J) >= math.MaxInt32 {
+		return invalidErrf("ExtractSubmatrix: %d columns overflow the position table", len(J))
+	}
+	jSorted := true
+	for k, j := range J {
+		if j < 0 || j >= a.ncols {
+			unmark(pos, J[:k])
+			return boundsErrf("ExtractSubmatrix: column %d outside [0,%d)", j, a.ncols)
+		}
+		if pos[j] != 0 {
+			unmark(pos, J[:k])
+			return invalidErrf("ExtractSubmatrix: duplicate column index %d", j)
+		}
+		pos[j] = int32(k + 1)
+		jSorted = jSorted && (k == 0 || j > J[k-1])
+	}
+	defer unmark(pos, J)
 	if !ascendingIn(I, a.nrows) {
-		seenRow = make(map[Index]struct{}, len(I))
+		seenRow := make(map[Index]struct{}, len(I))
 		for _, i := range I {
 			if i < 0 || i >= a.nrows {
-				return nil, boundsErrf("ExtractSubmatrix: row %d outside [0,%d)", i, a.nrows)
+				return boundsErrf("ExtractSubmatrix: row %d outside [0,%d)", i, a.nrows)
 			}
 			if _, dup := seenRow[i]; dup {
-				return nil, invalidErrf("ExtractSubmatrix: duplicate row index %d", i)
+				return invalidErrf("ExtractSubmatrix: duplicate row index %d", i)
 			}
 			seenRow[i] = struct{}{}
 		}
 	}
-	c := NewMatrix[T](len(I), len(J))
+	c.reset(len(I), len(J))
 	for r, i := range I {
 		c.rowPtr[r] = len(c.colInd)
-		if a.rowPtr[i+1]-a.rowPtr[i]+len(a.pending[i]) > len(J) {
-			// Probe the shorter side: look each J[p] up in the long row
+		lo, hi, pend := a.rowPtr[i], a.rowPtr[i+1], a.pending[i]
+		switch {
+		case hi-lo+len(pend) > len(J):
+			// Probe the shorter side: look each J[k] up in the long row
 			// (a hub's friends) instead of scanning it. Output is in J
-			// order, so already sorted by p.
-			for p, j := range J {
+			// order, so already sorted by k.
+			for k, j := range J {
 				if x, ok := a.get(i, j); ok {
-					c.colInd = append(c.colInd, p)
+					c.colInd = append(c.colInd, k)
 					c.val = append(c.val, x)
 				}
 			}
 			continue
+		case len(pend) == 0:
+			for q := lo; q < hi; q++ {
+				if k := pos[a.colInd[q]]; k != 0 {
+					c.colInd = append(c.colInd, int(k)-1)
+					c.val = append(c.val, a.val[q])
+				}
+			}
+		default:
+			a.forRow(i, func(j Index, x T) {
+				if k := pos[j]; k != 0 {
+					c.colInd = append(c.colInd, int(k)-1)
+					c.val = append(c.val, x)
+				}
+			})
 		}
-		a.forRow(i, func(j Index, x T) {
-			var p int
-			var ok bool
-			if jSorted {
-				p = sort.SearchInts(J, j)
-				ok = p < len(J) && J[p] == j
-			} else {
-				p, ok = colPos[j]
-			}
-			if ok {
-				c.colInd = append(c.colInd, p)
-				c.val = append(c.val, x)
-			}
-		})
 		// Row entries arrive by column, so positions in a sorted J do too.
 		if row := c.colInd[c.rowPtr[r]:]; !jSorted && len(row) > 1 && !sort.IntsAreSorted(row) {
 			sortColsVals(row, c.val[c.rowPtr[r]:])
 		}
 	}
 	c.rowPtr[len(I)] = len(c.colInd)
-	return c, nil
+	return nil
+}
+
+// unmark clears the inverse-index slots ExtractSubmatrix set for cols.
+func unmark(pos []int32, cols []Index) {
+	for _, j := range cols {
+		pos[j] = 0
+	}
+}
+
+// reset makes a an empty nrows×ncols matrix with nothing pending, keeping
+// its arrays' capacity for reuse.
+func (a *Matrix[T]) reset(nrows, ncols int) {
+	a.nrows, a.ncols = nrows, ncols
+	a.rowPtr = slices.Grow(a.rowPtr[:0], nrows+1)[:nrows+1]
+	a.rowPtr[0] = 0
+	a.colInd, a.val = a.colInd[:0], a.val[:0]
+	a.pending, a.npend, a.pendDelta = nil, 0, 0
 }
 
 // ascendingIn reports whether idx is strictly ascending within [0, n).

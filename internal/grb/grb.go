@@ -12,7 +12,7 @@
 //
 //	GrB_mxm            → MxM
 //	GrB_vxm            → VxM
-//	GrB_mxv            → MxV
+//	GrB_mxv            → MxV, MxVFull
 //	GrB_eWiseAdd       → EWiseAddV
 //	GrB_eWiseMult      → EWiseMultV
 //	GrB_extract        → ExtractSubmatrix, ExtractRow
@@ -26,7 +26,9 @@
 //	GrB_wait           → (*Matrix).Wait
 //
 // Unlike the C API, results are returned rather than written through output
-// parameters, and type dispatch happens through Go generics rather than
+// parameters — except where a caller reuses the output from call to call:
+// ExtractSubmatrix writes into a given matrix and MxVFull into a given
+// slice — and type dispatch happens through Go generics rather than
 // runtime descriptors. Masks are structural: an entry is "in the mask" iff
 // the mask has a stored element at that position.
 package grb

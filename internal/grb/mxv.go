@@ -48,6 +48,30 @@ func MxV[A, B, C any](s Semiring[A, B, C], a *Matrix[A], u *Vector[B]) (*Vector[
 	return w, nil
 }
 
+// MxVFull computes w = A ⊕.⊗ u for full (dense) vectors u and w, the
+// SuiteSparse "full" format: w[i] = ⊕_j mul(A_ij, u[j]) over row i's
+// stored entries, the monoid's identity for an empty row. It reads
+// pending tuples in place, never assembles a and allocates nothing, so a
+// caller that keeps u and w from call to call (FastSV on each of Q2's
+// small subgraphs) pays O(nrows + nnz(A)) and no garbage.
+func MxVFull[A, B, C any](s Semiring[A, B, C], a *Matrix[A], u []B, w []C) error {
+	if len(u) != a.ncols || len(w) != a.nrows {
+		return dimErrf("MxVFull: matrix is %d×%d but vectors have sizes %d and %d", a.nrows, a.ncols, len(u), len(w))
+	}
+	for i := range w {
+		acc := s.Add.Identity
+		if len(a.pending[i]) == 0 {
+			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+				acc = s.Add.Op(acc, s.Mul(a.val[p], u[a.colInd[p]]))
+			}
+		} else {
+			a.forRow(i, func(j Index, x A) { acc = s.Add.Op(acc, s.Mul(x, u[j])) })
+		}
+		w[i] = acc
+	}
+	return nil
+}
+
 // VxM computes wᵀ = uᵀ ⊕.⊗ A (GrB_vxm): w_j = ⊕_i mul(u_i, A_ij). This is
 // the sparse "pull from few rows" kernel: it touches only the rows of A
 // indexed by u's stored elements and never assembles pending tuples of

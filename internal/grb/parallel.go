@@ -66,37 +66,38 @@ func parallelRanges(n int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ParallelItems invokes body(i) for every i in [0, n) using up to Threads()
-// workers with dynamic (work-stealing counter) scheduling. Unlike the
-// internal chunked helpers it parallelizes even small n, because callers use
-// it for coarse-grained tasks of highly uneven cost — e.g. the per-comment
-// connected-component computations of Q2, which the paper parallelizes with
-// OpenMP at comment granularity.
-func ParallelItems(n int, body func(i int)) {
-	nt := Threads()
-	if nt > n {
-		nt = n
+// ParallelItems invokes body(w, i) for every i in [0, n) on up to workers
+// goroutines with dynamic (work-stealing counter) scheduling; w in
+// [0, workers) names the goroutine, so body can use per-worker scratch.
+// Unlike the internal chunked helpers it takes its worker count from the
+// caller and parallelizes even small n, because callers use it for
+// coarse-grained tasks of highly uneven cost — e.g. the per-comment
+// connected-component computations of Q2, which the paper parallelizes
+// with OpenMP at comment granularity.
+func ParallelItems(n, workers int, body func(w, i int)) {
+	if workers > n {
+		workers = n
 	}
-	if nt <= 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			body(i)
+			body(0, i)
 		}
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < nt; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				body(i)
+				body(w, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

@@ -167,6 +167,45 @@ func TestPropMxVOracle(t *testing.T) {
 	}
 }
 
+// Property: MxVFull equals the naive dense product over the map view, the
+// identity on empty rows, with or without pending overwrites and
+// tombstones on top of the assembled entries, and leaves them pending.
+func TestPropMxVFullOracle(t *testing.T) {
+	f := func(sm sparseSpec, u [16]int8, pend []uint16) bool {
+		const nr, nc = 24, 16
+		a := sm.matrix(nr, nc)
+		m := matToMap(a)
+		for _, p := range pend {
+			i, j := Index(p>>8)%nr, Index(p)%nc
+			if p&1 == 0 {
+				Must0(a.RemoveElement(i, j))
+				delete(m, [2]Index{i, j})
+			} else {
+				Must0(a.SetElement(i, j, int(p>>4)))
+				m[[2]Index{i, j}] = int(p >> 4)
+			}
+		}
+		full := make([]int, nc)
+		for j := range full {
+			full[j] = int(u[j])
+		}
+		want := make([]int, nr)
+		for ij, x := range m {
+			want[ij[0]] += x * full[ij[1]]
+		}
+		npend := a.NPending()
+		w := make([]int, nr)
+		if err := MxVFull(plusTimes[int](), a, full, w); err != nil {
+			return false
+		}
+		return reflect.DeepEqual(w, want) && a.NPending() == npend &&
+			errors.Is(MxVFull(plusTimes[int](), a, full[1:], w), ErrDimensionMismatch)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: VxM(u, A) ≡ MxV(Aᵀ, u) for the plus-times semiring.
 func TestPropVxMTransposeEquivalence(t *testing.T) {
 	f := func(sm, sv sparseSpec) bool {
@@ -351,7 +390,8 @@ const (
 
 // checkPendingOps runs ops on a matrix and a map oracle side by side. After
 // every step NVals must equal the oracle's size without changing NPending,
-// reads and ExtractSubmatrix must see the oracle's values, and the pending
+// reads and ExtractSubmatrix must see the oracle's values (one position
+// table serving every extraction, the rejected ones included), and the pending
 // buffer must respect its bound; at the end the assembled contents must
 // equal the oracle.
 func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
@@ -359,6 +399,7 @@ func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
 	a := NewMatrix[int](nr, nc)
 	oracle := map[[2]Index]int{}
 	rng := rand.New(rand.NewSource(int64(len(ops))))
+	x := newExtractScratch()
 	for k, op := range ops {
 		switch op.kind {
 		case opSet:
@@ -401,7 +442,7 @@ func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
 				t.Fatalf("step %d: GetElement(%d,%d) = %d,%v; oracle %d,%v", k, i, j, x, ok, wx, wok)
 			}
 		}
-		checkExtract(t, k, a, oracle, rng)
+		checkExtract(t, k, a, oracle, rng, x)
 	}
 	if got := matToMap(a); !reflect.DeepEqual(got, oracle) {
 		t.Fatalf("assembled contents %v, oracle %v", got, oracle)
@@ -411,14 +452,46 @@ func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
 	}
 }
 
+// extractScratch is the output matrix and position table that every
+// ExtractSubmatrix call of one test shares, as a Q2 worker shares its own
+// across comments, plus counts of the row paths the calls took.
+type extractScratch struct {
+	c   *Matrix[int]
+	pos []int32
+
+	probed        int // rows longer than J, probed at J's columns
+	probedPending int // ... that carried pending tuples
+	scannedPend   int // rows scanned through their pending tuples
+}
+
+func newExtractScratch() *extractScratch { return &extractScratch{c: NewMatrix[int](0, 0)} }
+
+// extract runs ExtractSubmatrix in the shared scratch and fails the test
+// unless the position table comes back all zero, error or not.
+func (x *extractScratch) extract(t *testing.T, a *Matrix[int], I, J []Index) (*Matrix[int], error) {
+	t.Helper()
+	if len(x.pos) < a.NCols() {
+		x.pos = make([]int32, a.NCols())
+	}
+	err := ExtractSubmatrix(x.c, a, I, J, x.pos)
+	for j, p := range x.pos {
+		if p != 0 {
+			t.Fatalf("ExtractSubmatrix(%v, %v) (err %v) left pos[%d] = %d", I, J, err, j, p)
+		}
+	}
+	return x.c, err
+}
+
 // checkExtract compares ExtractSubmatrix over random index lists with the
 // map oracle. I and J are random subsets of the rows and columns in random
 // order, each sorted half of the time, so rows both longer and shorter than
 // J (the probe and the scan path) meet pending overwrites and tombstones
-// under both the map and the sorted-list validation. Extraction must not
-// assemble a, its output must be valid CSR, and duplicate or out-of-range
-// indices must still be rejected, sorted lists included.
-func checkExtract(t *testing.T, step int, a *Matrix[int], oracle map[[2]Index]int, rng *rand.Rand) {
+// under both the map and the sorted-list validation. Every call, the
+// failing ones included, shares x's output matrix and position table.
+// Extraction must not assemble a, its output must be valid CSR, and
+// duplicate or out-of-range indices, a short position table and an output
+// aliasing a must still be rejected, sorted lists included.
+func checkExtract(t *testing.T, step int, a *Matrix[int], oracle map[[2]Index]int, rng *rand.Rand, x *extractScratch) {
 	t.Helper()
 	I := rng.Perm(a.NRows())[:rng.Intn(a.NRows()+1)]
 	J := rng.Perm(a.NCols())[:rng.Intn(a.NCols()+1)]
@@ -428,8 +501,20 @@ func checkExtract(t *testing.T, step int, a *Matrix[int], oracle map[[2]Index]in
 	if rng.Intn(2) == 0 {
 		sort.Ints(J)
 	}
+	for _, i := range I {
+		pend := len(a.pending[i])
+		switch {
+		case a.rowPtr[i+1]-a.rowPtr[i]+pend > len(J):
+			x.probed++
+			if pend > 0 {
+				x.probedPending++
+			}
+		case pend > 0:
+			x.scannedPend++
+		}
+	}
 	pend := a.NPending()
-	c, err := ExtractSubmatrix(a, I, J)
+	c, err := x.extract(t, a, I, J)
 	if err != nil {
 		t.Fatalf("step %d: ExtractSubmatrix(%v, %v): %v", step, I, J, err)
 	}
@@ -452,23 +537,85 @@ func checkExtract(t *testing.T, step int, a *Matrix[int], oracle map[[2]Index]in
 	}
 	with := func(idx []Index, x Index) []Index { return append(idx[:len(idx):len(idx)], x) }
 	if len(I) > 0 {
-		if _, err := ExtractSubmatrix(a, with(I, I[0]), J); !errors.Is(err, ErrInvalidValue) {
+		if _, err := x.extract(t, a, with(I, I[0]), J); !errors.Is(err, ErrInvalidValue) {
 			t.Fatalf("step %d: duplicate row %d: %v", step, I[0], err)
 		}
 	}
 	if len(J) > 0 {
-		if _, err := ExtractSubmatrix(a, I, with(J, J[len(J)-1])); !errors.Is(err, ErrInvalidValue) {
+		if _, err := x.extract(t, a, I, with(J, J[len(J)-1])); !errors.Is(err, ErrInvalidValue) {
 			t.Fatalf("step %d: duplicate column %d: %v", step, J[len(J)-1], err)
 		}
+		if _, err := x.extract(t, a, I, append(with(J, J[0]), a.NCols())); !errors.Is(err, ErrInvalidValue) {
+			t.Fatalf("step %d: duplicate column %d before an out-of-range one: %v", step, J[0], err)
+		}
 	}
-	if _, err := ExtractSubmatrix(a, with(I, a.NRows()), J); !errors.Is(err, ErrIndexOutOfBounds) {
+	if _, err := x.extract(t, a, with(I, a.NRows()), J); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("step %d: row %d out of range: %v", step, a.NRows(), err)
 	}
-	if _, err := ExtractSubmatrix(a, I, with(J, -1)); !errors.Is(err, ErrIndexOutOfBounds) {
+	if _, err := x.extract(t, a, I, with(J, -1)); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("step %d: column -1 out of range: %v", step, err)
 	}
-	if _, err := ExtractSubmatrix(a, I, with(J, a.NCols())); !errors.Is(err, ErrIndexOutOfBounds) {
+	if _, err := x.extract(t, a, I, with(J, a.NCols())); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("step %d: column %d out of range: %v", step, a.NCols(), err)
+	}
+	if a.NCols() > 0 {
+		if err := ExtractSubmatrix(x.c, a, I, J, x.pos[:a.NCols()-1]); !errors.Is(err, ErrInvalidValue) {
+			t.Fatalf("step %d: position table of %d slots for %d columns: %v", step, a.NCols()-1, a.NCols(), err)
+		}
+	}
+	if err := ExtractSubmatrix(a, a, I, J, x.pos); !errors.Is(err, ErrInvalidValue) {
+		t.Fatalf("step %d: output aliasing the input: %v", step, err)
+	}
+}
+
+// Property: one position table and output matrix serve every extraction
+// from matrices with hub rows — rows longer than J, which take the probe
+// path — and pending overwrites and tombstones on hub and ordinary rows
+// alike; each result matches the map oracle and the table is all zero
+// after every call, the rejected ones included.
+func TestPropExtractHubAndPendingRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := newExtractScratch()
+	for round := 0; round < 300; round++ {
+		n := 8 + rng.Intn(32)
+		a := NewMatrix[int](n, n)
+		oracle := map[[2]Index]int{}
+		set := func(i, j Index) {
+			v := 1 + rng.Intn(9)
+			Must0(a.SetElement(i, j, v))
+			oracle[[2]Index{i, j}] = v
+		}
+		hub := rng.Intn(n)
+		for j := 0; j < n; j++ {
+			if rng.Intn(4) != 0 {
+				set(hub, j)
+			}
+		}
+		for k := 0; k < 2*n; k++ {
+			set(rng.Intn(n), rng.Intn(n))
+		}
+		if rng.Intn(3) != 0 {
+			a.Wait()
+		}
+		for k := 0; k < n/2; k++ { // pending on top, a third of it on the hub
+			i, j := rng.Intn(n), rng.Intn(n)
+			if k%3 == 0 {
+				i = hub
+			}
+			if rng.Intn(2) == 0 {
+				Must0(a.RemoveElement(i, j))
+				delete(oracle, [2]Index{i, j})
+			} else {
+				set(i, j)
+			}
+		}
+		for k := 0; k < 4; k++ {
+			checkExtract(t, round, a, oracle, rng, x)
+		}
+	}
+	if x.probed == 0 || x.probedPending == 0 || x.scannedPend == 0 {
+		t.Fatalf("paths not all taken: %d probed rows (%d with pending tuples), %d scanned rows with pending tuples",
+			x.probed, x.probedPending, x.scannedPend)
 	}
 }
 

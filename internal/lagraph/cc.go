@@ -10,20 +10,33 @@ import (
 // symmetric boolean adjacency matrix a. It returns a label per vertex; two
 // vertices get equal labels iff they are connected, and each label is the
 // minimum vertex id of its component.
+func FastSV(a *grb.Matrix[bool]) ([]int, error) { return new(CCWorkspace).FastSV(a) }
+
+// CCWorkspace holds FastSV's per-vertex arrays and the component-size
+// counts, so that a caller scoring many small graphs one after another
+// allocates only when a graph larger than every earlier one arrives. The
+// zero value is ready to use; a workspace serves one goroutine at a time.
+type CCWorkspace struct {
+	f, gp, mngp []int
+}
+
+// FastSV is FastSV computed in ws. The labels it returns are ws's own
+// parent array: they stay valid until ws's next call.
 //
 // The algorithm follows Zhang, Azad & Hu: each round computes the minimum
 // neighbour grandparent with a min.second matrix-vector product, then
 // applies stochastic hooking (f[f[u]] ← min(f[f[u]], mngp[u])), aggressive
 // hooking (f[u] ← min(f[u], mngp[u])) and shortcutting (f[u] ← f[f[u]]),
 // converging when the grandparent vector stabilizes — typically in O(log n)
-// rounds rather than O(diameter).
-func FastSV(a *grb.Matrix[bool]) ([]int, error) {
+// rounds rather than O(diameter). A vertex without neighbours gets the
+// min monoid's identity, which hooks nothing.
+func (ws *CCWorkspace) FastSV(a *grb.Matrix[bool]) ([]int, error) {
 	n := a.NRows()
 	if a.NCols() != n {
 		return nil, errNotSquare("FastSV", a.NRows(), a.NCols())
 	}
-	f := make([]int, n) // parent
-	gp := make([]int, n)
+	ws.f, ws.gp, ws.mngp = resize(ws.f, n), resize(ws.gp, n), resize(ws.mngp, n)
+	f, gp, mngp := ws.f, ws.gp, ws.mngp // parent, grandparent, min neighbour grandparent
 	for i := range f {
 		f[i] = i
 		gp[i] = i
@@ -33,26 +46,23 @@ func FastSV(a *grb.Matrix[bool]) ([]int, error) {
 	}
 	semiring := grb.MinSecond[bool, int](math.MaxInt)
 	for {
-		// mngp_u = min over neighbours j of gp[j].
-		mngp, err := grb.MxV(semiring, a, grb.VectorFromSlice(gp))
-		if err != nil {
+		// mngp[u] = min over u's neighbours j of gp[j].
+		if err := grb.MxVFull(semiring, a, gp, mngp); err != nil {
 			return nil, err
 		}
 		// Stochastic hooking: hook u's tree root under the minimum
 		// neighbouring grandparent.
-		mngp.Iterate(func(u grb.Index, x int) bool {
+		for u, x := range mngp {
 			if x < f[f[u]] {
 				f[f[u]] = x
 			}
-			return true
-		})
+		}
 		// Aggressive hooking: also pull u itself down.
-		mngp.Iterate(func(u grb.Index, x int) bool {
+		for u, x := range mngp {
 			if x < f[u] {
 				f[u] = x
 			}
-			return true
-		})
+		}
 		// Shortcutting: compress one level.
 		for u := range f {
 			if f[f[u]] < f[u] {
@@ -79,6 +89,38 @@ func FastSV(a *grb.Matrix[bool]) ([]int, error) {
 		}
 	}
 	return f, nil
+}
+
+// SumSquaredComponentSizes maps a component labelling to Σ (size)², the Q2
+// scoring kernel (step 4 of the batch algorithm). Labels are vertex ids,
+// as every algorithm here returns them, so it counts sizes in ws's scratch
+// indexed by label: O(len(labels) + max label), allocating only to grow
+// ws.
+func (ws *CCWorkspace) SumSquaredComponentSizes(labels []int) int64 {
+	top := -1
+	for _, l := range labels {
+		top = max(top, l)
+	}
+	counts := resize(ws.mngp, top+1)
+	ws.mngp = counts
+	clear(counts)
+	for _, l := range labels {
+		counts[l]++
+	}
+	var total int64
+	for _, c := range counts {
+		total += int64(c) * int64(c)
+	}
+	return total
+}
+
+// resize returns buf with length n, reusing its storage when it is large
+// enough.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
 }
 
 // CCLabelProp computes connected components by minimum-label propagation:
@@ -133,18 +175,4 @@ func CCUnionFind(a *grb.Matrix[bool]) ([]int, error) {
 		return true
 	})
 	return d.Labels(), nil
-}
-
-// SumSquaredComponentSizes maps a component labelling to Σ (size)², the Q2
-// scoring kernel (step 4 of the batch algorithm).
-func SumSquaredComponentSizes(labels []int) int64 {
-	sizes := make(map[int]int64, 8)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	var total int64
-	for _, s := range sizes {
-		total += s * s
-	}
-	return total
 }

@@ -113,8 +113,11 @@ func TestCCUnionFindSmall(t *testing.T) {
 }
 
 // Property: all three CC algorithms agree with the DSU oracle on random
-// graphs of varying density.
+// graphs of varying density, FastSV also when one workspace serves every
+// graph, larger and smaller ones in turn, with some pending tuples left
+// unassembled; Σ size² in that workspace matches the DSU's.
 func TestPropCCAlgorithmsAgree(t *testing.T) {
+	var ws CCWorkspace
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%60) + 1
@@ -127,6 +130,21 @@ func TestPropCCAlgorithmsAgree(t *testing.T) {
 		want := dsuLabels(n, edges)
 		fsv, err := FastSV(a)
 		if err != nil || !reflect.DeepEqual(fsv, want) {
+			return false
+		}
+		if len(edges) > 0 && rng.Intn(2) == 0 {
+			e := edges[rng.Intn(len(edges))] // already present: pending, same graph
+			grb.Must0(a.SetElement(e[0], e[1], true))
+		}
+		reused, err := ws.FastSV(a)
+		if err != nil || !reflect.DeepEqual(reused, want) {
+			return false
+		}
+		d := NewDSU(n)
+		for _, e := range edges {
+			d.Union(e[0], e[1])
+		}
+		if ws.SumSquaredComponentSizes(reused) != d.SumSquaredComponentSizes() {
 			return false
 		}
 		lp, err := CCLabelProp(a)
@@ -145,15 +163,16 @@ func TestPropCCAlgorithmsAgree(t *testing.T) {
 }
 
 func TestSumSquaredComponentSizes(t *testing.T) {
+	var ws CCWorkspace
 	// Components of sizes 1 and 2 → 1² + 2² = 5, the Fig. 3a example.
-	if got := SumSquaredComponentSizes([]int{0, 1, 1}); got != 5 {
+	if got := ws.SumSquaredComponentSizes([]int{0, 1, 1}); got != 5 {
 		t.Fatalf("got %d, want 5", got)
 	}
 	// Single component of 4 → 16, the Fig. 3b example.
-	if got := SumSquaredComponentSizes([]int{7, 7, 7, 7}); got != 16 {
+	if got := ws.SumSquaredComponentSizes([]int{7, 7, 7, 7}); got != 16 {
 		t.Fatalf("got %d, want 16", got)
 	}
-	if got := SumSquaredComponentSizes(nil); got != 0 {
+	if got := ws.SumSquaredComponentSizes(nil); got != 0 {
 		t.Fatalf("empty = %d, want 0", got)
 	}
 }

@@ -1,7 +1,10 @@
 package model
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -126,58 +129,29 @@ func ReadDataset(dir string) (*Dataset, error) {
 	files := []struct {
 		name   string
 		fields int
-		row    func([]string) error
+		row    func([]int64)
 	}{
-		{"posts.csv", 2, func(rec []string) error {
-			id, ts, err := atoi2(rec[0], rec[1])
-			if err != nil {
-				return err
-			}
-			s.Posts = append(s.Posts, Post{ID: id, Timestamp: ts})
-			return nil
+		{"posts.csv", 2, func(v []int64) {
+			s.Posts = append(s.Posts, Post{ID: v[0], Timestamp: v[1]})
 		}},
-		{"comments.csv", 4, func(rec []string) error {
-			id, ts, err := atoi2(rec[0], rec[1])
-			if err != nil {
-				return err
-			}
-			parent, post, err := atoi2(rec[2], rec[3])
-			if err != nil {
-				return err
-			}
-			s.Comments = append(s.Comments, Comment{ID: id, Timestamp: ts, ParentID: parent, PostID: post})
-			return nil
+		{"comments.csv", 4, func(v []int64) {
+			s.Comments = append(s.Comments, Comment{ID: v[0], Timestamp: v[1], ParentID: v[2], PostID: v[3]})
 		}},
-		{"users.csv", 1, func(rec []string) error {
-			id, err := strconv.ParseInt(rec[0], 10, 64)
-			if err != nil {
-				return err
-			}
-			s.Users = append(s.Users, User{ID: id})
-			return nil
+		{"users.csv", 1, func(v []int64) {
+			s.Users = append(s.Users, User{ID: v[0]})
 		}},
-		{"friends.csv", 2, func(rec []string) error {
-			u1, u2, err := atoi2(rec[0], rec[1])
-			if err != nil {
-				return err
-			}
-			s.Friendships = append(s.Friendships, Friendship{User1: u1, User2: u2})
-			return nil
+		{"friends.csv", 2, func(v []int64) {
+			s.Friendships = append(s.Friendships, Friendship{User1: v[0], User2: v[1]})
 		}},
-		{"likes.csv", 2, func(rec []string) error {
-			u, c, err := atoi2(rec[0], rec[1])
-			if err != nil {
-				return err
-			}
-			s.Likes = append(s.Likes, Like{UserID: u, CommentID: c})
-			return nil
+		{"likes.csv", 2, func(v []int64) {
+			s.Likes = append(s.Likes, Like{UserID: v[0], CommentID: v[1]})
 		}},
 	}
 	errs := make([]error, len(files))
 	var wg sync.WaitGroup
 	for k, f := range files {
 		wg.Add(1)
-		go func(k int, path string, fields int, row func([]string) error) {
+		go func(k int, path string, fields int, row func([]int64)) {
 			defer wg.Done()
 			errs[k] = readCSV(path, fields, row)
 		}(k, filepath.Join(dir, f.name), f.fields, f.row)
@@ -331,27 +305,131 @@ func writeCSV(path string, body func(*csv.Writer) error) error {
 	return f.Close()
 }
 
-func readCSV(path string, fields int, row func([]string) error) error {
+// readCSV opens path and reads it with readRecords.
+func readCSV(path string, fields int, row func([]int64)) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r := csv.NewReader(f)
-	r.FieldsPerRecord = fields
-	r.ReuseRecord = true // row parses the record before the next Read
-	for {
-		rec, err := r.Read()
+	return readRecords(path, f, fields, row)
+}
+
+// readRecords reads a snapshot file, named path in its errors, of records
+// of exactly fields integer fields, calling row with each record's values
+// in a slice it reuses. It accepts what encoding/csv (default settings,
+// FieldsPerRecord = fields) followed by strconv.ParseInt accepts and
+// yields the same rows (FuzzReadRecords), but parses the bytes in place
+// instead of allocating a string per field: lines end in \n or \r\n, empty
+// lines are skipped, and a record's field count is checked before its
+// fields are parsed. From the first line holding a double quote on,
+// encoding/csv reads the rest of the file, which is exact because every
+// record before that line was plain. Errors name the file and the line: a
+// *csv.ParseError with csv.ErrFieldCount for a wrong field count, a
+// *strconv.NumError for a field that is not an int64.
+func readRecords(path string, r io.Reader, fields int, row func([]int64)) error {
+	br := bufio.NewReaderSize(r, 64<<10)
+	vals := make([]int64, fields)
+	var long []byte // a line longer than br's buffer
+	for line := 1; ; line++ {
+		b, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], b...)
+			for err == bufio.ErrBufferFull {
+				b, err = br.ReadSlice('\n')
+				long = append(long, b...)
+			}
+			b = long
+		}
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		if len(b) == 0 { // err is io.EOF
+			return nil
+		}
+		if bytes.IndexByte(b, '"') >= 0 {
+			rest := io.MultiReader(bytes.NewReader(bytes.Clone(b)), br)
+			return readQuotedCSV(path, rest, line-1, fields, row)
+		}
+		b = bytes.TrimSuffix(b, []byte{'\n'})
+		b = bytes.TrimSuffix(b, []byte{'\r'})
+		if len(b) > 0 {
+			if n := bytes.Count(b, []byte{','}) + 1; n != fields {
+				return fmt.Errorf("%s: %w", path, &csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount})
+			}
+			for k := range vals {
+				field := b
+				if c := bytes.IndexByte(b, ','); c >= 0 {
+					field, b = b[:c], b[c+1:]
+				}
+				v, err := parseInt(field)
+				if err != nil {
+					return fmt.Errorf("%s: line %d: %w", path, line, err)
+				}
+				vals[k] = v
+			}
+			row(vals)
+		}
 		if err == io.EOF {
 			return nil
 		}
-		if err != nil {
-			return err
-		}
-		if err := row(rec); err != nil {
-			return err
-		}
 	}
+}
+
+// readQuotedCSV is readRecords' encoding/csv path for the rest of a file from
+// a line holding a double quote; skipped is the number of lines before it.
+func readQuotedCSV(path string, r io.Reader, skipped, fields int, row func([]int64)) error {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = fields
+	cr.ReuseRecord = true // row copies the values before the next Read
+	vals := make([]int64, fields)
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return nil
+		}
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			pe.StartLine += skipped
+			pe.Line += skipped
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		for k, field := range rec {
+			v, err := strconv.ParseInt(field, 10, 64)
+			if err != nil {
+				line, _ := cr.FieldPos(k)
+				return fmt.Errorf("%s: line %d: %w", path, skipped+line, err)
+			}
+			vals[k] = v
+		}
+		row(vals)
+	}
+}
+
+// parseInt is strconv.ParseInt(string(b), 10, 64) without the string: an
+// optional sign and up to 18 digits, which cannot overflow, are summed in
+// place; anything else goes to strconv for its value or its error.
+func parseInt(b []byte) (int64, error) {
+	digits := b
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if b[0] == '-' {
+		v = -v
+	}
+	return v, nil
 }
 
 func readCSVVariadic(path string, row func([]string) error) error {

@@ -162,8 +162,10 @@ func (s *Server) commit(batch []updateReq) {
 	}
 
 	// Snapshot cadence: every SnapshotEvery commits, after the waiters are
-	// answered so snapshot encoding never sits on a commit ack.
-	if s.wal != nil && s.cfg.SnapshotEvery > 0 && seq%s.cfg.SnapshotEvery == 0 {
+	// answered so snapshot encoding never sits on a commit ack. A cadence
+	// point that finds an encode in flight leaves one pending request,
+	// which the first commit after that encode lands starts.
+	if s.wal != nil && s.cfg.SnapshotEvery > 0 && (s.snapPending || seq%s.cfg.SnapshotEvery == 0) {
 		s.snapshotDurable(seq)
 	}
 	// Compaction cadence: supersede add+remove churn in the sealed WAL
@@ -284,14 +286,19 @@ func (s *Server) snapshotDurable(seq int) {
 		return
 	}
 	if s.snapInProgress.Load() {
-		// One encode in flight at a time: a skipped cadence point only
-		// means the WAL replays a little longer, and the next trigger
-		// catches up.
-		s.mu.Lock()
-		s.stats.Persist.SkippedSnapshots++
-		s.mu.Unlock()
+		// One encode in flight at a time: the request waits for it to
+		// land, so replay stays bounded by the cadence plus the batches
+		// committed during one encode. Requests made meanwhile share the
+		// one pending snapshot, which covers them all.
+		if !s.snapPending {
+			s.snapPending = true
+			s.mu.Lock()
+			s.stats.Persist.SkippedSnapshots++
+			s.mu.Unlock()
+		}
 		return
 	}
+	s.snapPending = false
 	start := time.Now()
 	view, release := s.state.View()
 	s.snapInProgress.Store(true)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -55,25 +56,29 @@ func BenchmarkReadMergeCached(b *testing.B) {
 
 // BenchmarkStartup measures time to ready in-process: New on a dataset
 // directory, which reads it with model.ReadDataset, validates it and warms
-// the engines. The directory holds the scale-factor-32 snapshot of datagen
-// seed 1 without change sets, as perfbench writes it; this is the rung
-// under perfbench's setup_s, which adds process start and the first
-// /healthz. BenchmarkWarmup in internal/core times the engines alone.
+// the engines. The directory holds the datagen seed-1 snapshot at scale
+// factor 32 or 128 without change sets, as perfbench writes it; this is
+// the rung under perfbench's setup_s, which adds process start and the
+// first /healthz. BenchmarkWarmup in internal/core times the engines alone.
 func BenchmarkStartup(b *testing.B) {
-	dir := b.TempDir()
-	d := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1})
-	if err := model.WriteDataset(dir, &model.Dataset{Snapshot: d.Snapshot}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv, err := New(Config{DataDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		srv.Close()
-		b.StartTimer()
+	for _, sf := range []int{32, 128} {
+		b.Run(fmt.Sprintf("sf%d", sf), func(b *testing.B) {
+			dir := b.TempDir()
+			d := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 1})
+			if err := model.WriteDataset(dir, &model.Dataset{Snapshot: d.Snapshot}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv, err := New(Config{DataDir: dir})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				srv.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -348,8 +348,10 @@ type persistCounters struct {
 	// ever) paused on snapshot work — the O(1) view handoff or a
 	// copy-on-write detach of the edge arrays — and how many snapshots were
 	// written (counted only on success, so it stays zero when no encode
-	// ever lands), cadence points were skipped because an encode was still
-	// in flight, and detaches removals forced.
+	// ever lands), how many times a cadence point found an encode still in
+	// flight and left the one pending request that the first commit after
+	// that encode starts (cadence points reached while a request is
+	// already pending share it), and detaches removals forced.
 	LastSnapshotStallNs int64 `json:"lastSnapshotStallNs"`
 	MaxSnapshotStallNs  int64 `json:"maxSnapshotStallNs"`
 	StreamedSnapshots   int   `json:"streamedSnapshots"`

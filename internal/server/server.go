@@ -204,10 +204,12 @@ type Server struct {
 	// /healthz report it so orchestrators can see a snapshot-draining
 	// server. snapAbort tells the encoder's next chunk to abandon the write
 	// (crash simulation). snapDone, the in-flight encode's completion
-	// channel, is writer-owned.
+	// channel, and snapPending, a snapshot requested while an encode was in
+	// flight and not yet started, are writer-owned.
 	snapInProgress atomic.Bool
 	snapAbort      atomic.Bool
 	snapDone       chan struct{}
+	snapPending    bool
 
 	mu      sync.Mutex // guards closing, broken, stats and the bookkeeping below
 	closing bool

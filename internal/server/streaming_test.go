@@ -155,6 +155,101 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 	}
 }
 
+// TestSnapshotEveryDefersBehindEncode makes -snapshot-every N a bound: a
+// cadence point that finds an encode still running leaves one pending
+// request instead of being skipped, and the first commit after that
+// encode lands starts it at its own seq. An encode held open through
+// snapshotChunkHook spans two cadence points; they share one pending
+// request, and the commit after the release — not a cadence point —
+// snapshots. A crash then replays nothing. Replay is thus bounded by N
+// plus the batches committed during one encode.
+func TestSnapshotEveryDefersBehindEncode(t *testing.T) {
+	const every = 3
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 77, ChangeSets: 4 * every})
+	gate := make(chan struct{})
+	dir := t.TempDir()
+	cfg := Config{
+		Dataset:            d,
+		PersistDir:         dir,
+		Fsync:              wal.SyncOff,
+		SnapshotEvery:      every,
+		FlushInterval:      time.Millisecond,
+		snapshotChunkBytes: 1024,
+		snapshotChunkHook:  func(int) { <-gate }, // the seed snapshot runs without the hook
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(k int) {
+		t.Helper()
+		if err := srv.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
+			t.Fatalf("change set %d: %v", k, err)
+		}
+	}
+	persist := func() (persistCounters, int) { return persistOf(srv) }
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// Seq every starts the held encode; seqs 2·every and 3·every find it
+	// still running.
+	held := 3*every + 1
+	for k := 0; k < held; k++ {
+		commit(k)
+	}
+	if !srv.snapInProgress.Load() {
+		t.Fatal("no encode in flight after the first cadence point")
+	}
+	if p, last := persist(); p.SkippedSnapshots != 1 || p.StreamedSnapshots != 0 || last != 0 {
+		t.Fatalf("during the held encode: %d deferrals (want 1: two cadence points, one request), %d streamed, last snapshot seq %d",
+			p.SkippedSnapshots, p.StreamedSnapshots, last)
+	}
+
+	close(gate)
+	await("the held encode to land", func() bool { _, last := persist(); return last == every })
+	await("the encode to clear its in-progress flag", func() bool { return !srv.snapInProgress.Load() })
+	commit(held) // seq held+1, no cadence point: starts the pending request
+	await("the pending snapshot", func() bool { _, last := persist(); return last == held+1 })
+	if p, _ := persist(); p.StreamedSnapshots != 2 || p.SnapshotErrors != 0 {
+		t.Fatalf("%d snapshots streamed, %d errors; want 2 and 0", p.StreamedSnapshots, p.SnapshotErrors)
+	}
+	live := srv.Snapshot()
+	srv.crash()
+
+	srv2, err := New(Config{Dataset: d, PersistDir: dir, Fsync: wal.SyncOff, FlushInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	waitReady(t, srv2)
+	if p, _ := persistOf(srv2); p.Recovery.ReplayedBatches != 0 {
+		t.Fatalf("restart replayed %d batches; the pending snapshot covered them all", p.Recovery.ReplayedBatches)
+	}
+	got := srv2.Snapshot()
+	if got.Seq != live.Seq {
+		t.Fatalf("recovered seq %d, live was %d", got.Seq, live.Seq)
+	}
+	for engine, want := range live.Results {
+		if got.Results[engine] != want {
+			t.Fatalf("recovered %s = %q, live served %q", engine, got.Results[engine], want)
+		}
+	}
+}
+
+// persistOf reads a server's durability counters and the seq of its last
+// durable snapshot.
+func persistOf(srv *Server) (persistCounters, int) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.stats.Persist, srv.lastSnap
+}
+
 // TestQueryBodyEpochCache pins the read-path epoch cache: between commits
 // every read of an engine serves the same cached bytes (zero re-encodes);
 // a commit publishes a new snapshot, which is the invalidation.
