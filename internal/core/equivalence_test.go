@@ -14,7 +14,8 @@ import (
 
 // runAll drives a set of engines through a dataset in lockstep, asserting
 // after the initial evaluation and after every change set that all engines
-// agree with the brute-force oracle (and hence with each other).
+// agree with the brute-force oracle (and hence with each other), and that
+// Q2IncrementalCC's maintained score of every comment is the oracle's.
 func runAll(t *testing.T, d *model.Dataset, engines []Solution, q1 bool) {
 	t.Helper()
 	snapshot := d.Snapshot.Clone()
@@ -26,10 +27,12 @@ func runAll(t *testing.T, d *model.Dataset, engines []Solution, q1 bool) {
 	check := func(step string) {
 		postTS, commentTS := timestamps(snapshot)
 		var want Result
+		var q2Scores map[model.ID]int64
 		if q1 {
 			want = oracleTopK(oracleQ1(snapshot), postTS, TopK)
 		} else {
-			want = oracleTopK(oracleQ2(snapshot), commentTS, TopK)
+			q2Scores = oracleQ2(snapshot)
+			want = oracleTopK(q2Scores, commentTS, TopK)
 		}
 		for _, eng := range engines {
 			var got Result
@@ -43,6 +46,9 @@ func runAll(t *testing.T, d *model.Dataset, engines []Solution, q1 bool) {
 				t.Fatalf("%s %s: %v", eng.Name(), step, err)
 			}
 			assertResultsEqual(t, eng.Name(), step, want, got)
+			if cc, ok := eng.(*Q2IncrementalCC); ok {
+				assertCCScores(t, cc, step, q2Scores)
+			}
 		}
 	}
 	check("initial")
@@ -50,10 +56,12 @@ func runAll(t *testing.T, d *model.Dataset, engines []Solution, q1 bool) {
 		snapshot.Apply(&d.ChangeSets[k])
 		postTS, commentTS := timestamps(snapshot)
 		var want Result
+		var q2Scores map[model.ID]int64
 		if q1 {
 			want = oracleTopK(oracleQ1(snapshot), postTS, TopK)
 		} else {
-			want = oracleTopK(oracleQ2(snapshot), commentTS, TopK)
+			q2Scores = oracleQ2(snapshot)
+			want = oracleTopK(q2Scores, commentTS, TopK)
 		}
 		for _, eng := range engines {
 			got, err := eng.Update(&d.ChangeSets[k])
@@ -61,6 +69,20 @@ func runAll(t *testing.T, d *model.Dataset, engines []Solution, q1 bool) {
 				t.Fatalf("%s update %d: %v", eng.Name(), k, err)
 			}
 			assertResultsEqual(t, eng.Name(), "update", want, got)
+			if cc, ok := eng.(*Q2IncrementalCC); ok {
+				assertCCScores(t, cc, fmt.Sprintf("update %d", k), q2Scores)
+			}
+		}
+	}
+}
+
+// assertCCScores checks every comment's maintained Q2IncrementalCC score
+// against the oracle's.
+func assertCCScores(t *testing.T, cc *Q2IncrementalCC, step string, want map[model.ID]int64) {
+	t.Helper()
+	for id, score := range want {
+		if got := cc.cc[cc.comments.MustIndex(id)].score; got != score {
+			t.Fatalf("%s %s: comment %d scores %d, oracle %d", cc.Name(), step, id, got, score)
 		}
 	}
 }

@@ -193,10 +193,8 @@ func TestQ2EnginesMatchBatchUnderHubSkew(t *testing.T) {
 			if got := inc.scores[inc.g.comments.MustIndex(id)]; got != score {
 				t.Fatalf("%s %s: comment %d scores %d, oracle %d", inc.Name(), step, id, got, score)
 			}
-			if got := cc.cc[cc.comments.MustIndex(id)].score; got != score {
-				t.Fatalf("%s %s: comment %d scores %d, oracle %d", cc.Name(), step, id, got, score)
-			}
 		}
+		assertCCScores(t, cc, step, want)
 	}
 	results := make([]Result, len(engines))
 	for k, eng := range engines {

@@ -60,13 +60,12 @@ func retainedBytes(t testing.TB, eng Solution, view *model.Snapshot) int64 {
 // after Load and Initial on the view a one-shard runtime serves them
 // (datagen sf 32, seed 1), each engine may retain at most its bound in
 // bytes per entity of the full snapshot (posts, comments, users, likes and
-// friendships). With compact id maps and only the matrices each engine
-// reads, Go 1.24 measures q1 21.3, q2 15.5 and q2cc 38.6 B per entity
-// (39.9 under -race). q1 and q2 then hold no Go map, so their bounds add
-// 15% for allocator differences; q2cc's state is mostly small per-comment
-// Go maps, whose layout differs across Go versions, so its bound adds 25%.
-// Go-map id tables and all five matrices in every engine measured 52.6,
-// 22.7 and 43.7.
+// friendships). With compact id maps, only the matrices each engine reads
+// and q2cc's components in flat per-like labels, Go 1.24 measures q1 21.3,
+// q2 15.5 and q2cc 19.1 B per entity. None of them holds a Go map, so
+// each bound adds 15% for allocator differences. Go-map id tables and all
+// five matrices in every engine measured 52.6, 22.7 and 43.7; q2cc with a
+// DSU and a Go map per comment measured 38.6.
 func TestEngineRetainedBytes(t *testing.T) {
 	snap := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1}).Snapshot
 	entities := len(snap.Posts) + len(snap.Comments) + len(snap.Users) + len(snap.Likes) + len(snap.Friendships)
@@ -78,7 +77,7 @@ func TestEngineRetainedBytes(t *testing.T) {
 	}{
 		{"q1", "Q1", func() Solution { return NewQ1Incremental() }, 24.5},
 		{"q2", "Q2", func() Solution { return NewQ2Incremental() }, 17.8},
-		{"q2cc", "Q2", func() Solution { return NewQ2IncrementalCC() }, 48.3},
+		{"q2cc", "Q2", func() Solution { return NewQ2IncrementalCC() }, 22.0},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			view := servedView(snap, e.query)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -186,6 +187,12 @@ type Q2Incremental struct {
 	// useIncidence switches affected-comment detection to the literal
 	// incidence-matrix formulation of the paper (assembles Likes′ᵀ).
 	useIncidence bool
+
+	// Update's affected set, its index list and one Likes′ᵀ row, reused
+	// across commits.
+	affected map[int]struct{}
+	idxs     []int
+	row      []grb.Index
 }
 
 // NewQ2Incremental returns the incremental Q2 engine.
@@ -253,7 +260,11 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	}
 
 	// Step 5: collect the comments that might be affected.
-	affected := make(map[int]struct{})
+	if s.affected == nil {
+		s.affected = make(map[int]struct{})
+	}
+	affected := s.affected
+	clear(affected)
 	for _, pc := range d.newComments {
 		affected[pc[1]] = struct{}{}
 	}
@@ -266,25 +277,28 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	// Friendship changes (added or removed) affect the comments both
 	// endpoints like; removed likes are covered above even when the same
 	// change set also removed the friendship.
-	friendPairs := append(append([][2]int{}, d.newFriends...), d.removedFriends...)
-	var byFriends []int
 	if s.useIncidence {
-		byFriends, err = affectedByFriendshipsIncidence(s.g, friendPairs)
+		byFriends, err := affectedByFriendshipsIncidence(s.g, append(append([][2]int{}, d.newFriends...), d.removedFriends...))
+		if err != nil {
+			return nil, err
+		}
+		for _, ci := range byFriends {
+			affected[ci] = struct{}{}
+		}
 	} else {
-		byFriends, err = affectedByFriendshipsRowMerge(s.g, friendPairs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, ci := range byFriends {
-		affected[ci] = struct{}{}
+		for _, pairs := range [2][][2]int{d.newFriends, d.removedFriends} {
+			if s.row, err = affectedByFriendshipsRowMerge(s.g, pairs, s.row, affected); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	// Steps 6–9: re-score the affected comments with the batch kernel.
-	idxs := make([]int, 0, len(affected))
+	idxs := s.idxs[:0]
 	for ci := range affected {
 		idxs = append(idxs, ci)
 	}
+	s.idxs = idxs
 	s.scorers = scorersFor(s.scorers, grb.Threads())
 	entries, err := q2ScoreAll(s.g.likes, s.g.friends, idxs, s.scores, s.scorers)
 	if err != nil {
@@ -299,31 +313,55 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	return s.prev, nil
 }
 
-// affectedByFriendshipsRowMerge finds, for each new friendship (u1, u2),
-// the comments liked by both users by intersecting the two users' rows of
-// Likes′ᵀ. Only those two rows are read (pending tuples merge on the fly),
-// so the cost is O(deg(u1) + deg(u2)) per friendship.
-func affectedByFriendshipsRowMerge(g *graph, newFriends [][2]int) ([]int, error) {
-	var out []int
-	for _, uv := range newFriends {
-		r1, err := grb.ExtractRow(g.likesT, uv[0])
-		if err != nil {
-			return nil, err
+// affectedByFriendshipsRowMerge adds to affected, for each friendship
+// (u1, u2), the comments liked by both users, by intersecting the two
+// users' rows of Likes′ᵀ in place: the shorter row is copied into row, a
+// buffer the caller reuses, then the longer row is merged against it or,
+// when probing costs less than a scan, probed at the copied comments.
+// Only those two rows are read (pending tuples merge on the fly), so the
+// cost is O(min(d₁, d₂) + min(max(d₁, d₂), min(d₁, d₂) · log max(d₁, d₂)))
+// per friendship for row lengths d₁ and d₂, and nothing is allocated once
+// row has grown. It returns row for reuse.
+func affectedByFriendshipsRowMerge(g *graph, pairs [][2]int, row []grb.Index, affected map[int]struct{}) ([]grb.Index, error) {
+	m := g.likesT
+	for _, uv := range pairs {
+		short, long := uv[0], uv[1]
+		if m.RowNValsBound(long) < m.RowNValsBound(short) {
+			short, long = long, short
 		}
-		r2, err := grb.ExtractRow(g.likesT, uv[1])
-		if err != nil {
-			return nil, err
+		row = row[:0]
+		if err := m.ForRow(short, func(ci grb.Index, _ bool) { row = append(row, ci) }); err != nil {
+			return row, err
 		}
-		both, err := grb.EWiseMultV(grb.Pair[bool, bool], r1, r2)
-		if err != nil {
-			return nil, err
+		if len(row) == 0 {
+			continue
 		}
-		both.Iterate(func(ci grb.Index, _ int) bool {
-			out = append(out, ci)
-			return true
+		if n := m.RowNValsBound(long); len(row)*bits.Len(uint(n)) < n {
+			for _, ci := range row {
+				_, ok, err := m.GetElement(long, ci)
+				if err != nil {
+					return row, err
+				}
+				if ok {
+					affected[ci] = struct{}{}
+				}
+			}
+			continue
+		}
+		k := 0
+		err := m.ForRow(long, func(ci grb.Index, _ bool) {
+			for k < len(row) && row[k] < ci {
+				k++
+			}
+			if k < len(row) && row[k] == ci {
+				affected[ci] = struct{}{}
+			}
 		})
+		if err != nil {
+			return row, err
+		}
 	}
-	return out, nil
+	return row, nil
 }
 
 // affectedByFriendshipsIncidence is the paper's literal formulation

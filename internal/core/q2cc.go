@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
-	"repro/internal/lagraph"
 	"repro/internal/model"
 )
 
@@ -11,22 +12,32 @@ import (
 // re-running connected components over each affected comment's induced
 // subgraph, it maintains the components themselves incrementally (in the
 // spirit of Ediger et al., "Tracking structure of streaming social
-// networks"). The case study's update stream is insert-only, so components
-// only ever merge and a disjoint-set union per comment tracks them exactly:
+// networks"), under inserts and removals alike. Each comment keeps its
+// likers sorted by user, one component label per like and the size of each
+// label's component, in flat arrays, and its score Σ sizes²:
 //
-//   - a new like adds the user to the comment's DSU and unions it with its
-//     friends already present — O(deg_friends(u) · α);
-//   - a new friendship unions the endpoints in every comment both users
-//     like — O(min(deg_likes(u1), deg_likes(u2))) membership probes plus
-//     unions;
-//   - each union updates the comment's Σ sizes² score in O(1) via
-//     (s₁+s₂)² − s₁² − s₂².
+//   - a new like gives the user a singleton label and merges it with the
+//     components of its friends among the comment's likers;
+//   - a new friendship merges the endpoints' components in every comment
+//     both users like — O(min(likes(u1), likes(u2))) membership probes;
+//   - a merge relabels the smaller component, found by a search over the
+//     comment's likers that stops once it has the component's size, and
+//     adds 2·s₁·s₂ to the score;
+//   - a removed friendship searches from both endpoints in lockstep in
+//     every comment both users like: if the searches meet, nothing splits;
+//     if one side runs out first, that side is a whole component, so it
+//     takes a new label and the score gains s₁² + s₂² − (s₁+s₂)²;
+//   - an unlike drops the user's like, then runs the same search between
+//     its former neighbours in the comment.
 //
-// Scores therefore never need recomputation, at the price of per-comment
-// DSU state (ca. one integer pair per like). The comments a change set
-// touched are re-ranked in a RankIndex over every comment, so the
-// top-3 costs O(|touched| log |comments|) whether the change set adds or
-// removes edges.
+// A removal therefore costs the side that splits off, not the comment
+// (Even & Shiloach, "An on-line edge-deletion problem", J. ACM 1981). A
+// search expands a liker by walking its friends and probing the comment's
+// likers, or by probing its friends for each of the comment's likers,
+// whichever list is shorter, so a hub's friend list is never scanned for a
+// small comment. The comments a change set touched are re-ranked in a
+// RankIndex over every comment, so the top-3 costs O(|touched| log
+// |comments|).
 type Q2IncrementalCC struct {
 	// Entity bookkeeping (same dense index spaces as the matrix engines).
 	posts    *model.IDMap // not read for scoring; backs Stats().Posts
@@ -35,22 +46,108 @@ type Q2IncrementalCC struct {
 
 	commentTS []int64
 
-	friends   [][]int // user index → friend user indices
-	userLikes [][]int // user index → liked comment indices
-	// friendEdges and likeEdges are the total lengths of friends and
-	// userLikes, kept current by every handler so Stats is O(1).
+	// adj holds, by user index, the user's friends (ascending user
+	// indices) and then the comments the user likes (comment indices, in
+	// no order): one slice per user for both lists, split at nFriends.
+	adj      [][]int32
+	nFriends []int32
+	// friendEdges and likeEdges are the total lengths of the two lists,
+	// kept current by every handler so Stats is O(1).
 	friendEdges, likeEdges int
 
-	cc   []commentComponents
+	cc   []commentLabels
 	rank RankIndex // by comment index
 	prev Result
+
+	touched []int32  // comments the current change set touched
+	search  ccSearch // scratch of every component search
 }
 
-// commentComponents is the per-comment incremental component state.
-type commentComponents struct {
-	dsu   *lagraph.DSU
-	node  map[int]int // user index → DSU element
-	score int64
+// commentLabels is one comment's connected components in flat arrays.
+type commentLabels struct {
+	likes []likeLabel // the comment's likers, ascending by user
+	// sizes holds each label's component size. A free label holds ≤ 0:
+	// minus one plus the next free label, so the free labels form a list
+	// headed by free − 1 (free is 0 when the list is empty).
+	sizes []int32
+	free  int32
+	score int64 // Σ sizes²
+}
+
+// likeLabel is one like of a comment: the liker and its component label.
+type likeLabel struct{ user, label int32 }
+
+// slot returns where user u is, or would be inserted, among c's likers and
+// whether u likes c.
+func (c *commentLabels) slot(u int32) (int, bool) { return c.slotFrom(0, u) }
+
+// slotFrom is slot for a user known to sort at or after slot lo.
+func (c *commentLabels) slotFrom(lo int, u int32) (int, bool) {
+	hi := len(c.likes)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.likes[m].user < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(c.likes) && c.likes[lo].user == u
+}
+
+// newLabel takes a free label, or a new one, for a component of the given
+// size.
+func (c *commentLabels) newLabel(size int32) int32 {
+	if c.free == 0 {
+		c.sizes = append(c.sizes, size)
+		return int32(len(c.sizes) - 1)
+	}
+	l := c.free - 1
+	c.free = -c.sizes[l]
+	c.sizes[l] = size
+	return l
+}
+
+// freeLabel returns a label whose component is gone to the free list.
+func (c *commentLabels) freeLabel(l int32) {
+	c.sizes[l] = -c.free
+	c.free = l + 1
+}
+
+// ccSearch is the scratch of the searches over one comment's likers,
+// reused across comments and commits: a search from one side or from two
+// in lockstep.
+type ccSearch struct {
+	// mark holds, by slot, epoch when side 0 of the current search reached
+	// the slot and epoch+1 when side 1 did; anything else is unvisited.
+	mark  []uint32
+	epoch uint32
+	// side holds the slots each side reached, in order: its queue while the
+	// search runs, its component once the side has run out.
+	side [2][]int32
+	// nbrs holds an unliked user's former neighbours while onUnlike
+	// searches between them.
+	nbrs []int32
+}
+
+// begin starts a search over a comment with n likers.
+func (q *ccSearch) begin(n int) {
+	if len(q.mark) < n {
+		q.mark = make([]uint32, n+n/4)
+		q.epoch = 0
+	}
+	if q.epoch >= math.MaxUint32-2 {
+		clear(q.mark)
+		q.epoch = 0
+	}
+	q.epoch += 2
+	q.side[0], q.side[1] = q.side[0][:0], q.side[1][:0]
+}
+
+// visit marks slot k as reached by side s and queues it.
+func (q *ccSearch) visit(s, k int) {
+	q.mark[k] = q.epoch + uint32(s)
+	q.side[s] = append(q.side[s], int32(k))
 }
 
 // NewQ2IncrementalCC returns the incremental-connected-components Q2
@@ -63,10 +160,13 @@ func (*Q2IncrementalCC) Name() string { return "GraphBLAS Incremental (increment
 // Query implements Solution.
 func (*Q2IncrementalCC) Query() string { return "Q2" }
 
-// Load implements Solution by replaying the snapshot through the same event
-// handlers the update phase uses: every co-liking friend pair is observed
-// by whichever of its two events arrives second, so the final partition is
-// order-independent.
+// Load implements Solution. It builds the friend lists, each comment's
+// sorted liker list and each user's like list in arrays shared by all
+// entities, then labels each comment's components by one search from each
+// unlabelled liker, in the scratch the updates reuse. The per-user and
+// per-comment slices get a quarter more room than the snapshot needs, as
+// RankIndex.Init does, so the first users and comments an update adds do
+// not copy them.
 func (s *Q2IncrementalCC) Load(snap *model.Snapshot) error {
 	s.posts = model.NewIDMap()
 	s.comments = model.NewIDMap()
@@ -74,27 +174,18 @@ func (s *Q2IncrementalCC) Load(snap *model.Snapshot) error {
 	for _, p := range snap.Posts {
 		s.posts.Add(p.ID)
 	}
+	s.commentTS = make([]int64, 0, len(snap.Comments)+len(snap.Comments)/4)
 	for _, c := range snap.Comments {
 		s.comments.Add(c.ID)
 		s.commentTS = append(s.commentTS, c.Timestamp)
-		s.cc = append(s.cc, newCommentComponents())
 	}
 	for _, u := range snap.Users {
 		s.users.Add(u.ID)
-		s.friends = append(s.friends, nil)
-		s.userLikes = append(s.userLikes, nil)
 	}
-	for _, l := range snap.Likes {
-		ci, ok := s.comments.Index(l.CommentID)
-		if !ok {
-			return fmt.Errorf("core: like references unknown comment %d", l.CommentID)
-		}
-		ui, ok := s.users.Index(l.UserID)
-		if !ok {
-			return fmt.Errorf("core: like references unknown user %d", l.UserID)
-		}
-		s.onLike(ci, ui)
-	}
+	nu, nc := s.users.Len(), s.comments.Len()
+
+	ends := make([]int32, 0, 2*len(snap.Friendships))
+	perUser := make([]int32, nu) // list lengths: friends, then likes
 	for _, f := range snap.Friendships {
 		a, ok := s.users.Index(f.User1)
 		if !ok {
@@ -104,139 +195,366 @@ func (s *Q2IncrementalCC) Load(snap *model.Snapshot) error {
 		if !ok {
 			return fmt.Errorf("core: friendship references unknown user %d", f.User2)
 		}
-		s.onFriendship(a, b)
+		if a == b {
+			continue // a self-friendship joins nothing
+		}
+		ends = append(ends, int32(a), int32(b))
+		perUser[a]++
+		perUser[b]++
+	}
+
+	type like struct{ comment, user int32 }
+	resolved := make([]like, 0, len(snap.Likes))
+	perComment := make([]int32, nc+1)
+	for _, l := range snap.Likes {
+		ci, ok := s.comments.Index(l.CommentID)
+		if !ok {
+			return fmt.Errorf("core: like references unknown comment %d", l.CommentID)
+		}
+		ui, ok := s.users.Index(l.UserID)
+		if !ok {
+			return fmt.Errorf("core: like references unknown user %d", l.UserID)
+		}
+		resolved = append(resolved, like{int32(ci), int32(ui)})
+		perComment[ci+1]++
+	}
+	for ci := 0; ci < nc; ci++ {
+		perComment[ci+1] += perComment[ci]
+	}
+	likes := make([]likeLabel, len(resolved))
+	next := slices.Clone(perComment[:nc])
+	for _, l := range resolved {
+		likes[next[l.comment]] = likeLabel{user: l.user, label: -1}
+		next[l.comment]++
+	}
+	s.cc = make([]commentLabels, nc, nc+nc/4)
+	for ci := range s.cc {
+		c := &s.cc[ci]
+		lo, hi := perComment[ci], perComment[ci+1]
+		ls := likes[lo:hi:hi]
+		slices.SortFunc(ls, func(x, y likeLabel) int { return int(x.user - y.user) })
+		c.likes = slices.CompactFunc(ls, func(x, y likeLabel) bool { return x.user == y.user })
+		for _, l := range c.likes {
+			perUser[l.user]++
+		}
+		s.likeEdges += len(c.likes)
+	}
+
+	s.adj = carve(perUser)
+	for i := 0; i < len(ends); i += 2 {
+		a, b := ends[i], ends[i+1]
+		s.adj[a] = append(s.adj[a], b)
+		s.adj[b] = append(s.adj[b], a)
+	}
+	s.nFriends = make([]int32, nu, cap(s.adj))
+	for u, fs := range s.adj {
+		slices.Sort(fs)
+		s.adj[u] = slices.Compact(fs)
+		s.nFriends[u] = int32(len(s.adj[u]))
+		s.friendEdges += len(s.adj[u])
+	}
+	sizes := make([]int32, 0, s.likeEdges)
+	// Comment ci's labels are sizes[first[ci]:first[ci+1]]; a comment has
+	// at most one label per like.
+	first := make([]int32, nc+1)
+	for ci := range s.cc {
+		c := &s.cc[ci]
+		for k := range c.likes {
+			u := c.likes[k].user
+			s.adj[u] = append(s.adj[u], int32(ci))
+			if c.likes[k].label >= 0 {
+				continue
+			}
+			comp := s.collect(c, k, len(c.likes))
+			l := int32(len(sizes)) - first[ci]
+			for _, y := range comp {
+				c.likes[y].label = l
+			}
+			sizes = append(sizes, int32(len(comp)))
+			c.score += int64(len(comp)) * int64(len(comp))
+		}
+		first[ci+1] = int32(len(sizes))
+	}
+	for ci := range s.cc {
+		lo, hi := first[ci], first[ci+1]
+		s.cc[ci].sizes = sizes[lo:hi:hi]
 	}
 	return nil
 }
 
-func newCommentComponents() commentComponents {
-	return commentComponents{dsu: lagraph.NewDSU(0), node: make(map[int]int)}
+// carve returns one empty list per count, each a slice of one shared
+// array with room for exactly its count, so filling the lists allocates
+// nothing more. The outer slice has a quarter more room, for the lists of
+// users added later.
+func carve(counts []int32) [][]int32 {
+	total := 0
+	for _, n := range counts {
+		total += int(n)
+	}
+	backing := make([]int32, total)
+	lists := make([][]int32, len(counts), len(counts)+len(counts)/4)
+	off := 0
+	for i, n := range counts {
+		lists[i] = backing[off : off : off+int(n)]
+		off += int(n)
+	}
+	return lists
+}
+
+// forNeighbours calls f with the slot of every liker of c that is a friend
+// of the liker at slot x, in slot order, until f returns false. Both lists
+// are ascending, so it walks the shorter one and searches the longer one
+// from where the previous search ended: x's friends probing c's likers, or
+// c's likers probing x's friends.
+func (s *Q2IncrementalCC) forNeighbours(c *commentLabels, x int, f func(y int) bool) {
+	fs := s.friendsOf(c.likes[x].user)
+	if len(fs) <= len(c.likes) {
+		lo := 0
+		for _, v := range fs {
+			k, ok := c.slotFrom(lo, v)
+			lo = k
+			if ok && !f(k) {
+				return
+			}
+		}
+		return
+	}
+	lo := 0
+	for y := range c.likes {
+		k, ok := slices.BinarySearch(fs[lo:], c.likes[y].user)
+		lo += k
+		if ok && !f(y) {
+			return
+		}
+	}
+}
+
+// collect returns the slots of the component of c's liker at slot x: a
+// search over friendships among the likers that carry x's label, which
+// stops once it has reached limit likers (the component's size, when it is
+// known). The slice is the search's scratch.
+func (s *Q2IncrementalCC) collect(c *commentLabels, x, limit int) []int32 {
+	q := &s.search
+	q.begin(len(c.likes))
+	l := c.likes[x].label
+	q.visit(0, x)
+	for head := 0; head < len(q.side[0]) && len(q.side[0]) < limit; head++ {
+		s.forNeighbours(c, int(q.side[0][head]), func(y int) bool {
+			if q.mark[y] != q.epoch && c.likes[y].label == l {
+				q.visit(0, y)
+			}
+			return len(q.side[0]) < limit
+		})
+	}
+	return q.side[0]
+}
+
+// union merges the components of c's likers at slots x and y, if they
+// differ, by relabelling the smaller one.
+func (s *Q2IncrementalCC) union(c *commentLabels, x, y int) {
+	lx, ly := c.likes[x].label, c.likes[y].label
+	if lx == ly {
+		return
+	}
+	if c.sizes[lx] > c.sizes[ly] {
+		x, lx, ly = y, ly, lx
+	}
+	sx, sy := c.sizes[lx], c.sizes[ly]
+	for _, k := range s.collect(c, x, int(sx)) {
+		c.likes[k].label = ly
+	}
+	c.sizes[ly] = sx + sy
+	c.freeLabel(lx)
+	c.score += 2 * int64(sx) * int64(sy)
+}
+
+// split runs after a friendship between c's likers at slots x and y, which
+// share a label, is gone: it searches from both in lockstep, one liker per
+// side per round. If the searches meet, x and y are still connected. If one
+// side runs out first, it is a whole component: it takes a new label, and
+// the score drops by 2·s₁·s₂.
+func (s *Q2IncrementalCC) split(c *commentLabels, x, y int) {
+	q := &s.search
+	q.begin(len(c.likes))
+	l := c.likes[x].label
+	q.visit(0, x)
+	q.visit(1, y)
+	var head [2]int
+	for {
+		for side := 0; side < 2; side++ {
+			met := false
+			mine, theirs := q.epoch+uint32(side), q.epoch+uint32(1-side)
+			s.forNeighbours(c, int(q.side[side][head[side]]), func(z int) bool {
+				switch q.mark[z] {
+				case mine:
+				case theirs:
+					met = true
+				default:
+					if c.likes[z].label == l {
+						q.visit(side, z)
+					}
+				}
+				return !met
+			})
+			if met {
+				return
+			}
+			if head[side]++; head[side] == len(q.side[side]) {
+				s.relabel(c, q.side[side], l)
+				return
+			}
+		}
+	}
+}
+
+// relabel moves the likers at slots comp, a component split off label l,
+// to a new label.
+func (s *Q2IncrementalCC) relabel(c *commentLabels, comp []int32, l int32) {
+	n := int32(len(comp))
+	nl := c.newLabel(n)
+	for _, k := range comp {
+		c.likes[k].label = nl
+	}
+	rest := c.sizes[l] - n
+	c.sizes[l] = rest
+	c.score -= 2 * int64(n) * int64(rest)
 }
 
 // onLike ingests a likes edge (comment ci ← user ui).
 func (s *Q2IncrementalCC) onLike(ci, ui int) {
-	cc := &s.cc[ci]
-	if _, dup := cc.node[ui]; dup {
+	c := &s.cc[ci]
+	k, dup := c.slot(int32(ui))
+	if dup {
 		return
 	}
-	id := cc.dsu.Add()
-	cc.node[ui] = id
-	cc.score++ // new singleton: +1²
-	for _, f := range s.friends[ui] {
-		if fid, ok := cc.node[f]; ok {
-			s.unionScored(cc, id, fid)
+	c.likes = slices.Insert(c.likes, k, likeLabel{user: int32(ui), label: c.newLabel(1)})
+	c.score++ // new singleton: +1²
+	s.forNeighbours(c, k, func(y int) bool {
+		s.union(c, k, y)
+		return true
+	})
+	s.adj[ui] = append(s.adj[ui], int32(ci))
+	s.likeEdges++
+	s.touched = append(s.touched, int32(ci))
+}
+
+// onUnlike ingests a like removal: the user's like leaves the comment, and
+// its former neighbours there, which all shared its label, are searched
+// pairwise for the pieces its removal split apart. r is always a neighbour
+// that still carries the old label, and every neighbour that carries it
+// has been found connected to r, so at the end the old label holds one
+// piece.
+func (s *Q2IncrementalCC) onUnlike(ci, ui int) {
+	c := &s.cc[ci]
+	k, ok := c.slot(int32(ui))
+	if !ok {
+		return
+	}
+	l := c.likes[k].label
+	nbrs := s.search.nbrs[:0] // their slots once the like is gone
+	s.forNeighbours(c, k, func(y int) bool {
+		if y > k {
+			y--
+		}
+		nbrs = append(nbrs, int32(y))
+		return true
+	})
+	s.search.nbrs = nbrs
+	c.likes = slices.Delete(c.likes, k, k+1)
+	size := c.sizes[l]
+	c.score -= 2*int64(size) - 1 // s² → (s−1)²
+	if size == 1 {
+		c.freeLabel(l)
+	} else {
+		c.sizes[l] = size - 1
+	}
+	if len(nbrs) > 1 {
+		r := int(nbrs[0])
+		for _, y := range nbrs[1:] {
+			if c.likes[y].label != l {
+				continue // split off with an earlier piece
+			}
+			s.split(c, int(y), r) // y's side first: often y alone
+			if c.likes[r].label != l {
+				r = int(y)
+			}
 		}
 	}
-	s.userLikes[ui] = append(s.userLikes[ui], ci)
-	s.likeEdges++
+	likes := s.likesOf(ui)
+	likes[slices.Index(likes, int32(ci))] = likes[len(likes)-1]
+	s.adj[ui] = s.adj[ui][:len(s.adj[ui])-1]
+	s.likeEdges--
+	s.touched = append(s.touched, int32(ci))
 }
 
-// onFriendship ingests an undirected friends edge.
+// onFriendship ingests an undirected friends edge: the endpoints'
+// components merge in every comment both users like.
 func (s *Q2IncrementalCC) onFriendship(a, b int) {
-	// Union the endpoints in every comment both users like.
-	s.forCoLiked(a, b, func(ci int) {
-		cc := &s.cc[ci]
-		s.unionScored(cc, cc.node[a], cc.node[b])
-	})
-	s.friends[a] = append(s.friends[a], b)
-	s.friends[b] = append(s.friends[b], a)
+	if a == b || !s.addFriend(a, b) {
+		return // a self-friendship joins nothing; or already friends
+	}
+	s.addFriend(b, a)
 	s.friendEdges += 2
+	s.forCoLiked(a, b, s.union)
 }
 
-// forCoLiked calls f for every comment both users like: it walks the like
-// list of the user with fewer likes and probes each comment's component
-// map for the other user — O(min(likes(a), likes(b))), no allocation, so a
-// hub's long like list is never scanned for a rare liker's friendship.
-func (s *Q2IncrementalCC) forCoLiked(a, b int, f func(ci int)) {
-	if len(s.userLikes[b]) < len(s.userLikes[a]) {
+// onUnfriend ingests a friendship removal: in every comment both users
+// still like, the edge may have held their component together.
+func (s *Q2IncrementalCC) onUnfriend(a, b int) {
+	if !s.dropFriend(a, b) {
+		return // not friends
+	}
+	s.dropFriend(b, a)
+	s.friendEdges -= 2
+	s.forCoLiked(a, b, s.split)
+}
+
+// forCoLiked calls f(c, slot of a, slot of b) for every comment c both
+// users like, and touches it: it walks the like list of the user with fewer
+// likes and probes each comment's likers for the other user —
+// O(min(likes(a), likes(b)) · log likers), no allocation, so a hub's long
+// like list is never scanned for a rare liker's friendship.
+func (s *Q2IncrementalCC) forCoLiked(a, b int, f func(c *commentLabels, ka, kb int)) {
+	if len(s.likesOf(b)) < len(s.likesOf(a)) {
 		a, b = b, a
 	}
-	for _, ci := range s.userLikes[a] {
-		if _, ok := s.cc[ci].node[b]; ok {
-			f(ci)
+	for _, ci := range s.likesOf(a) {
+		c := &s.cc[ci]
+		if kb, ok := c.slot(int32(b)); ok {
+			ka, _ := c.slot(int32(a))
+			f(c, ka, kb)
+			s.touched = append(s.touched, ci)
 		}
 	}
 }
 
-// onUnlike ingests a like removal: drop the user from the comment's
-// component state and rebuild it (a DSU cannot split, so removals
-// re-derive the comment from current adjacency — still local to one
-// comment, unlike a full Q2 recomputation).
-func (s *Q2IncrementalCC) onUnlike(ci, ui int) {
-	cc := &s.cc[ci]
-	if _, ok := cc.node[ui]; !ok {
-		return
+// friendsOf is user u's friends, ascending.
+func (s *Q2IncrementalCC) friendsOf(u int32) []int32 { return s.adj[u][:s.nFriends[u]] }
+
+// likesOf is the comments user u likes.
+func (s *Q2IncrementalCC) likesOf(u int) []int32 { return s.adj[u][s.nFriends[u]:] }
+
+// addFriend adds b to a's friends unless it is there already, and reports
+// whether it did.
+func (s *Q2IncrementalCC) addFriend(a, b int) bool {
+	k, found := slices.BinarySearch(s.friendsOf(int32(a)), int32(b))
+	if found {
+		return false
 	}
-	delete(cc.node, ui)
-	likes := s.userLikes[ui]
-	for k, c := range likes {
-		if c == ci {
-			s.userLikes[ui] = append(likes[:k], likes[k+1:]...)
-			s.likeEdges--
-			break
-		}
-	}
-	s.rebuildComment(ci)
+	s.adj[a] = slices.Insert(s.adj[a], k, int32(b))
+	s.nFriends[a]++
+	return true
 }
 
-// onUnfriend ingests a friendship removal: drop the adjacency and rebuild
-// every comment both users still like (the only comments whose components
-// the edge could have been holding together).
-func (s *Q2IncrementalCC) onUnfriend(a, b int) []int {
-	removeFrom := func(list []int, x int) []int {
-		for k, v := range list {
-			if v == x {
-				s.friendEdges--
-				return append(list[:k], list[k+1:]...)
-			}
-		}
-		return list
+// dropFriend removes b from a's friends and reports whether it was there.
+func (s *Q2IncrementalCC) dropFriend(a, b int) bool {
+	k, found := slices.BinarySearch(s.friendsOf(int32(a)), int32(b))
+	if !found {
+		return false
 	}
-	s.friends[a] = removeFrom(s.friends[a], b)
-	s.friends[b] = removeFrom(s.friends[b], a)
-	var rebuilt []int
-	s.forCoLiked(a, b, func(ci int) {
-		s.rebuildComment(ci)
-		rebuilt = append(rebuilt, ci)
-	})
-	return rebuilt
-}
-
-// rebuildComment re-derives one comment's DSU and score from the current
-// liker set and friendship adjacency.
-func (s *Q2IncrementalCC) rebuildComment(ci int) {
-	cc := &s.cc[ci]
-	users := make([]int, 0, len(cc.node))
-	for u := range cc.node {
-		users = append(users, u)
-	}
-	cc.dsu = lagraph.NewDSU(len(users))
-	newNode := make(map[int]int, len(users))
-	for id, u := range users {
-		newNode[u] = id
-	}
-	cc.node = newNode
-	for _, u := range users {
-		for _, f := range s.friends[u] {
-			if fid, ok := newNode[f]; ok {
-				cc.dsu.Union(newNode[u], fid)
-			}
-		}
-	}
-	cc.score = cc.dsu.SumSquaredComponentSizes()
-}
-
-// unionScored merges two DSU elements and updates the comment score by
-// (s₁+s₂)² − s₁² − s₂².
-func (s *Q2IncrementalCC) unionScored(cc *commentComponents, x, y int) {
-	rx, ry := cc.dsu.Find(x), cc.dsu.Find(y)
-	if rx == ry {
-		return
-	}
-	s1 := int64(cc.dsu.ComponentSize(rx))
-	s2 := int64(cc.dsu.ComponentSize(ry))
-	cc.dsu.Union(rx, ry)
-	cc.score += (s1+s2)*(s1+s2) - s1*s1 - s2*s2
+	s.adj[a] = slices.Delete(s.adj[a], k, k+1)
+	s.nFriends[a]--
+	return true
 }
 
 // Initial implements Solution: scores are already maintained, so the first
@@ -255,52 +573,25 @@ func (s *Q2IncrementalCC) entry(ci int) Entry {
 // Update implements Solution: feed each change through its event handler,
 // then re-rank the touched comments.
 func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
-	touched := make(map[int]struct{})
+	s.touched = s.touched[:0]
 	for _, ch := range cs.Changes {
-		switch ch.Kind {
-		case model.KindRemoveLike:
-			ci, ok := s.comments.Index(ch.Like.CommentID)
-			if !ok {
-				return nil, fmt.Errorf("core: unlike references unknown comment %d", ch.Like.CommentID)
-			}
-			ui, ok := s.users.Index(ch.Like.UserID)
-			if !ok {
-				return nil, fmt.Errorf("core: unlike references unknown user %d", ch.Like.UserID)
-			}
-			s.onUnlike(ci, ui)
-			touched[ci] = struct{}{}
-			continue
-		case model.KindRemoveFriendship:
-			a, ok := s.users.Index(ch.Friendship.User1)
-			if !ok {
-				return nil, fmt.Errorf("core: unfriend references unknown user %d", ch.Friendship.User1)
-			}
-			b, ok := s.users.Index(ch.Friendship.User2)
-			if !ok {
-				return nil, fmt.Errorf("core: unfriend references unknown user %d", ch.Friendship.User2)
-			}
-			for _, ci := range s.onUnfriend(a, b) {
-				touched[ci] = struct{}{}
-			}
-			continue
-		}
 		switch ch.Kind {
 		case model.KindAddPost:
 			s.posts.Add(ch.Post.ID)
 		case model.KindAddUser:
 			idx := s.users.Add(ch.User.ID)
-			if idx == len(s.friends) {
-				s.friends = append(s.friends, nil)
-				s.userLikes = append(s.userLikes, nil)
+			if idx == len(s.adj) {
+				s.adj = append(s.adj, nil)
+				s.nFriends = append(s.nFriends, 0)
 			}
 		case model.KindAddComment:
 			idx := s.comments.Add(ch.Comment.ID)
 			if idx == len(s.cc) {
-				s.cc = append(s.cc, newCommentComponents())
+				s.cc = append(s.cc, commentLabels{})
 				s.commentTS = append(s.commentTS, ch.Comment.Timestamp)
 			}
-			touched[idx] = struct{}{}
-		case model.KindAddLike:
+			s.touched = append(s.touched, int32(idx))
+		case model.KindAddLike, model.KindRemoveLike:
 			ci, ok := s.comments.Index(ch.Like.CommentID)
 			if !ok {
 				return nil, fmt.Errorf("core: like references unknown comment %d", ch.Like.CommentID)
@@ -309,9 +600,12 @@ func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: like references unknown user %d", ch.Like.UserID)
 			}
-			s.onLike(ci, ui)
-			touched[ci] = struct{}{}
-		case model.KindAddFriendship:
+			if ch.Kind == model.KindAddLike {
+				s.onLike(ci, ui)
+			} else {
+				s.onUnlike(ci, ui)
+			}
+		case model.KindAddFriendship, model.KindRemoveFriendship:
 			a, ok := s.users.Index(ch.Friendship.User1)
 			if !ok {
 				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User1)
@@ -320,15 +614,18 @@ func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User2)
 			}
-			// Scores change exactly in the comments both users like.
-			s.forCoLiked(a, b, func(ci int) { touched[ci] = struct{}{} })
-			s.onFriendship(a, b)
+			if ch.Kind == model.KindAddFriendship {
+				s.onFriendship(a, b)
+			} else {
+				s.onUnfriend(a, b)
+			}
 		default:
 			return nil, fmt.Errorf("core: unknown change kind %d", ch.Kind)
 		}
 	}
-	for ci := range touched {
-		s.rank.Set(ci, s.entry(ci))
+	slices.Sort(s.touched)
+	for _, ci := range slices.Compact(s.touched) {
+		s.rank.Set(int(ci), s.entry(int(ci)))
 	}
 	s.prev = s.rank.Top(TopK)
 	return s.prev, nil

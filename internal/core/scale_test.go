@@ -3,10 +3,20 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/model"
 )
+
+// scaleStream is the change stream every scaling measurement replays: the
+// datagen seed-7 graph at scale factor sf with 2000 change sets, each
+// change a removal with probability removal.
+func scaleStream(sf int, removal float64) datagen.Config {
+	return datagen.Config{ScaleFactor: sf, Seed: 7, ChangeSets: 2000, RemovalFraction: removal}
+}
 
 // updateBytesPerChange loads an engine on a generated dataset, evaluates
 // it once, and reports the bytes its Update calls allocate per change over
@@ -23,36 +33,106 @@ func updateBytesPerChange(t *testing.T, eng Solution, cfg datagen.Config) float6
 // stream and the number of changes in it.
 func updateAlloc(t *testing.T, eng Solution, cfg datagen.Config) (bytes uint64, changes int) {
 	t.Helper()
-	ds := datagen.Generate(cfg)
+	run := runUpdates(t, eng, datagen.Generate(cfg), false)
+	return run.bytes, run.changes
+}
+
+// updateRun is what one engine's Update calls cost over a change stream.
+type updateRun struct {
+	changes   int
+	bytes     uint64        // allocated by all Update calls together
+	elapsed   time.Duration // spent inside Update calls
+	slowest   time.Duration // the longest single Update call
+	perUpdate []uint64      // bytes each Update call allocated, if asked for
+}
+
+// runUpdates loads eng on ds, evaluates it once, then feeds it every
+// change set of ds. With perUpdate it also reads the allocation counter
+// around each Update call, outside the timed span.
+func runUpdates(tb testing.TB, eng Solution, ds *model.Dataset, perUpdate bool) updateRun {
+	tb.Helper()
 	if err := eng.Load(ds.Snapshot); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := eng.Initial(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	var run updateRun
 	for i := range ds.ChangeSets {
-		changes += len(ds.ChangeSets[i].Changes)
+		run.changes += len(ds.ChangeSets[i].Changes)
 	}
-	var before, after runtime.MemStats
+	var before, after, mid runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	last := before.TotalAlloc
 	for i := range ds.ChangeSets {
+		start := time.Now()
 		if _, err := eng.Update(&ds.ChangeSets[i]); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
+		}
+		took := time.Since(start)
+		run.elapsed += took
+		run.slowest = max(run.slowest, took)
+		if perUpdate {
+			runtime.ReadMemStats(&mid)
+			run.perUpdate = append(run.perUpdate, mid.TotalAlloc-last)
+			last = mid.TotalAlloc
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc, changes
+	run.bytes = after.TotalAlloc - before.TotalAlloc
+	return run
+}
+
+// BenchmarkUpdateScaling is the engine rung of the paper's claim that
+// incremental maintenance pays for the change, not the graph: each served
+// engine replays scaleStream, insert-only and with 35% removals, at scale
+// factors 8, 32 and 128 (the stream TestUpdateCostScaleInvariant gates),
+// and reports the time and bytes its Update calls take per change, the
+// 99th percentile of the bytes one Update call allocates and the slowest
+// call. ns/op counts loading the engine too; the per-change figures do not.
+func BenchmarkUpdateScaling(b *testing.B) {
+	for _, e := range []struct {
+		name string
+		new  func() Solution
+	}{
+		{"q1", func() Solution { return NewQ1Incremental() }},
+		{"q2", func() Solution { return NewQ2Incremental() }},
+		{"q2cc", func() Solution { return NewQ2IncrementalCC() }},
+	} {
+		for _, removal := range []float64{0, 0.35} {
+			for _, sf := range []int{8, 32, 128} {
+				b.Run(fmt.Sprintf("%s/rf%.0f/sf%d", e.name, removal*100, sf), func(b *testing.B) {
+					ds := datagen.Generate(scaleStream(sf, removal))
+					var total updateRun
+					for i := 0; i < b.N; i++ {
+						run := runUpdates(b, e.new(), ds, true)
+						total.changes += run.changes
+						total.bytes += run.bytes
+						total.elapsed += run.elapsed
+						total.slowest = max(total.slowest, run.slowest)
+						total.perUpdate = append(total.perUpdate, run.perUpdate...)
+					}
+					slices.Sort(total.perUpdate)
+					n := float64(total.changes)
+					b.ReportMetric(float64(total.elapsed.Nanoseconds())/n, "ns/change")
+					b.ReportMetric(float64(total.bytes)/n, "B/change")
+					b.ReportMetric(float64(total.perUpdate[len(total.perUpdate)*99/100]), "p99-B/update")
+					b.ReportMetric(float64(total.slowest.Nanoseconds()), "max-ns/update")
+				})
+			}
+		}
+	}
 }
 
 // TestUpdateCostScaleInvariant holds the served engines to the paper's
 // claim that incremental maintenance pays for the change, not the graph:
 // on the same seed and change-stream shape, the bytes an engine's Update
 // allocates per change at scale factor 128 (a graph 16× larger) may be at
-// most twice those at scale factor 8. Each row lands with the change that
-// makes it pass and is never loosened; the rows still missing are listed in
-// README.md with the reason. 2000 change sets keep one-off slice growth
-// from skewing the ratio.
+// most twice those at scale factor 8. Every served engine has a row for
+// the insert-only stream and one for 35% removals; each row landed with
+// the change that made it pass and is never loosened. 2000 change sets
+// keep one-off slice growth from skewing the ratio.
 func TestUpdateCostScaleInvariant(t *testing.T) {
 	rows := []struct {
 		name    string
@@ -62,15 +142,14 @@ func TestUpdateCostScaleInvariant(t *testing.T) {
 		{"q1/rf0", func() Solution { return NewQ1Incremental() }, 0},
 		{"q1/rf35", func() Solution { return NewQ1Incremental() }, 0.35},
 		{"q2cc/rf0", func() Solution { return NewQ2IncrementalCC() }, 0},
+		{"q2cc/rf35", func() Solution { return NewQ2IncrementalCC() }, 0.35},
 		{"q2/rf0", func() Solution { return NewQ2Incremental() }, 0},
+		{"q2/rf35", func() Solution { return NewQ2Incremental() }, 0.35},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := datagen.Config{Seed: 7, ChangeSets: 2000, RemovalFraction: row.removal}
-			cfg.ScaleFactor = 8
-			small := updateBytesPerChange(t, row.new(), cfg)
-			cfg.ScaleFactor = 128
-			large := updateBytesPerChange(t, row.new(), cfg)
+			small := updateBytesPerChange(t, row.new(), scaleStream(8, row.removal))
+			large := updateBytesPerChange(t, row.new(), scaleStream(128, row.removal))
 			t.Logf("bytes allocated per change: sf 8 %.0f, sf 128 %.0f (×%.2f)", small, large, large/small)
 			if large > 2*small {
 				t.Fatalf("Update allocates %.0f B/change at sf 128 vs %.0f at sf 8 (×%.2f > ×2): cost grows with the graph",
@@ -84,17 +163,16 @@ func TestUpdateCostScaleInvariant(t *testing.T) {
 // model: Update re-scores each affected comment by extracting the
 // friendship subgraph its likers induce and running FastSV on it, so its
 // cost is the entries of those subgraphs, and Zipf-popular comments gain
-// likers as the graph grows. Bytes per change therefore cannot be flat
-// (the README lists q2's rows as missing from
-// TestUpdateCostScaleInvariant), but the bytes Update allocates per
-// subgraph entry must be: at scale factor 128 at most twice those at
-// scale factor 8, on the same stream as TestUpdateCostScaleInvariant.
+// likers as the graph grows. Besides TestUpdateCostScaleInvariant's bytes
+// per change, the bytes Update allocates per subgraph entry must be flat:
+// at scale factor 128 at most twice those at scale factor 8, on the same
+// stream.
 func TestQ2CostPerSubgraphEntry(t *testing.T) {
 	for _, removal := range []float64{0, 0.35} {
 		t.Run(fmt.Sprintf("rf%.0f", removal*100), func(t *testing.T) {
 			perEntry := func(sf int) (float64, int64) {
 				eng := NewQ2Incremental()
-				bytes, _ := updateAlloc(t, eng, datagen.Config{ScaleFactor: sf, Seed: 7, ChangeSets: 2000, RemovalFraction: removal})
+				bytes, _ := updateAlloc(t, eng, scaleStream(sf, removal))
 				if eng.subgraphEntries == 0 {
 					t.Fatalf("sf %d: Update extracted no subgraph entries", sf)
 				}

@@ -92,7 +92,7 @@ func (s *Q2Batch) Stats() EngineStats { return s.g.engineStats() }
 func (s *Q2Incremental) Stats() EngineStats { return s.g.engineStats() }
 
 // Stats implements StatsReporter in O(1). The CC engine maintains adjacency
-// lists and per-comment DSU forests instead of matrices; NNZ counts the
+// lists and per-comment component labels instead of matrices; NNZ counts the
 // directed friend edges and the user→comment like edges it stores, from
 // counters its handlers keep.
 func (s *Q2IncrementalCC) Stats() EngineStats {

@@ -228,11 +228,8 @@ func TestMatrixEngineStatsNeverAssemble(t *testing.T) {
 // adjacency lists — what its Stats counters must equal.
 func recountCC(s *Q2IncrementalCC) int {
 	n := 0
-	for _, fs := range s.friends {
-		n += len(fs)
-	}
-	for _, ls := range s.userLikes {
-		n += len(ls)
+	for _, l := range s.adj {
+		n += len(l) // friends, then likes
 	}
 	return n
 }

@@ -200,6 +200,14 @@ func (a *Matrix[T]) NVals() int { return len(a.colInd) + a.pendDelta }
 // per position (diagnostic).
 func (a *Matrix[T]) NPending() int { return a.npend }
 
+// RowNValsBound bounds the entries of row i, which must be in range, in
+// O(1) without assembling: its stored entries plus its pending ones, exact
+// when nothing in the row is pending. It is what a caller weighs to scan a
+// row or probe it.
+func (a *Matrix[T]) RowNValsBound(i Index) int {
+	return a.rowPtr[i+1] - a.rowPtr[i] + len(a.pending[i])
+}
+
 // SetElement stores x at (i, j), overwriting any existing element. The
 // update is buffered as a pending tuple and observed by all subsequent
 // operations. It costs a binary search of row i's pending entries and of

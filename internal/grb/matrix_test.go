@@ -211,3 +211,23 @@ func TestMatrixRowNNZ(t *testing.T) {
 		t.Fatalf("rowNNZ with pending = %d, want 3", got)
 	}
 }
+
+func TestMatrixRowNValsBound(t *testing.T) {
+	a := mustMatrix(t, 2, 5, []Index{0, 0}, []Index{1, 3}, []int{1, 1})
+	if got := a.RowNValsBound(0); got != 2 {
+		t.Fatalf("RowNValsBound = %d, want the exact 2 with nothing pending", got)
+	}
+	Must0(a.SetElement(0, 3, 9)) // overwrite
+	Must0(a.SetElement(0, 4, 9)) // new entry
+	Must0(a.RemoveElement(0, 1)) // tombstone
+	if got, exact := a.RowNValsBound(0), a.rowNNZ(0); got < exact || got != 2+3 {
+		t.Fatalf("RowNValsBound with pending = %d, want stored 2 + pending 3 (≥ exact %d)", got, exact)
+	}
+	if got := a.RowNValsBound(1); got != 0 {
+		t.Fatalf("RowNValsBound of an empty row = %d", got)
+	}
+	a.Wait()
+	if got, exact := a.RowNValsBound(0), a.rowNNZ(0); got != exact {
+		t.Fatalf("RowNValsBound after Wait = %d, want exact %d", got, exact)
+	}
+}

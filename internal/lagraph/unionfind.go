@@ -1,12 +1,11 @@
 package lagraph
 
 // DSU is a disjoint-set union (union-find) structure with path halving and
-// union by size. It serves three roles in this repository: the correctness
-// oracle for the GraphBLAS connected-component algorithms, the component
-// engine of the NMF-style reference solution, and the incremental
-// connected-components extension for Q2 (the paper's future-work item (2) —
-// insert-only streams never split components, so a DSU maintains them
-// exactly).
+// union by size. It serves two roles in this repository: the correctness
+// oracle for the GraphBLAS connected-component algorithms (CCUnionFind and
+// the Q2 test oracle), and the component engine of the NMF-style reference
+// solution. It cannot split a component, so the incremental-CC Q2 engine,
+// which also ingests removals, keeps explicit labels instead.
 type DSU struct {
 	parent []int
 	size   []int
