@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/model"
 )
 
 // BenchmarkWarmup measures the start-up cost of each served engine: Load
@@ -46,11 +47,15 @@ func BenchmarkWarmup(b *testing.B) {
 // the bytes allocated per comment. One untimed pass first grows the
 // worker's buffers, so the figures are the steady state a commit sees.
 func BenchmarkQ2Score(b *testing.B) {
-	g, err := loadGraph(datagen.Generate(datagen.Config{ScaleFactor: 128, Seed: 1}).Snapshot, withLikes|withFriends)
+	st, err := model.NewState(datagen.Generate(datagen.Config{ScaleFactor: 128, Seed: 1}).Snapshot)
 	if err != nil {
 		b.Fatal(err)
 	}
-	comments := denseKeys(g.comments.Len())
+	g, err := loadGraph(Part{State: st}, st.Refs(), withLikes|withFriends)
+	if err != nil {
+		b.Fatal(err)
+	}
+	comments := denseKeys(g.nc)
 	scores := make([]int64, len(comments))
 	scorers := make([]q2Scorer, 1)
 	if _, err := q2ScoreAll(g.likes, g.friends, comments, scores, scorers); err != nil {

@@ -80,59 +80,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestLoadGraphRejectsDanglingReferences(t *testing.T) {
-	bad := []*model.Snapshot{
-		{Comments: []model.Comment{{ID: 1, PostID: 99, ParentID: 99}}},
-		{
-			Posts:    []model.Post{{ID: 1}},
-			Comments: []model.Comment{{ID: 1, PostID: 1, ParentID: 1}},
-			Likes:    []model.Like{{UserID: 42, CommentID: 1}},
-		},
-		{
-			Users: []model.User{{ID: 1}},
-			Likes: []model.Like{{UserID: 1, CommentID: 42}},
-		},
-		{
-			Users:       []model.User{{ID: 1}},
-			Friendships: []model.Friendship{{User1: 1, User2: 42}},
-		},
-	}
-	for _, keep := range keepSets {
-		for i, s := range bad {
-			if _, err := loadGraph(s, keep); err == nil {
-				t.Fatalf("parts %b, snapshot %d: expected load error", keep, i)
-			}
-		}
-	}
-}
-
-// keepSets are the part sets the dangling-reference tests load with: none
-// and all of them, since a graph resolves every reference whatever it keeps.
-var keepSets = []parts{0, withRootPost | withRootPostT | withLikes | withLikesT | withFriends | withPostTS | withCommentTS}
-
-func TestApplyRejectsDanglingReferences(t *testing.T) {
-	d := model.ExampleDataset()
-	bad := []model.Change{
-		{Kind: model.KindAddComment, Comment: model.Comment{ID: 999, PostID: 888}},
-		{Kind: model.KindAddLike, Like: model.Like{UserID: model.U1, CommentID: 888}},
-		{Kind: model.KindAddLike, Like: model.Like{UserID: 888, CommentID: model.C1}},
-		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: model.U1, User2: 888}},
-		{Kind: model.KindRemoveLike, Like: model.Like{UserID: 888, CommentID: model.C1}},
-		{Kind: model.KindRemoveFriendship, Friendship: model.Friendship{User1: 888, User2: model.U1}},
-	}
-	for _, keep := range keepSets {
-		g, err := loadGraph(d.Snapshot, keep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ch := range bad {
-			if _, err := g.apply(&model.ChangeSet{Changes: []model.Change{ch}}); err == nil {
-				t.Fatalf("parts %b, change %d: expected apply error", keep, i)
-			}
-		}
-	}
-}
-
 func TestEnginesOnEmptySnapshot(t *testing.T) {
 	empty := &model.Snapshot{}
 	for _, eng := range append(q1Engines(), q2Engines()...) {

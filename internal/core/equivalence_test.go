@@ -80,11 +80,22 @@ func runAll(t *testing.T, d *model.Dataset, engines []Solution, q1 bool) {
 // against the oracle's.
 func assertCCScores(t *testing.T, cc *Q2IncrementalCC, step string, want map[model.ID]int64) {
 	t.Helper()
+	index := commentIndex(cc.st)
 	for id, score := range want {
-		if got := cc.cc[cc.comments.MustIndex(id)].score; got != score {
+		if got := cc.cc[index[id]].score; got != score {
 			t.Fatalf("%s %s: comment %d scores %d, oracle %d", cc.Name(), step, id, got, score)
 		}
 	}
+}
+
+// commentIndex maps every comment id of st to its index.
+func commentIndex(st *model.State) map[model.ID]int {
+	_, nc, _ := st.Counts()
+	index := make(map[model.ID]int, nc)
+	for i := 0; i < nc; i++ {
+		index[st.Comment(i).ID] = i
+	}
+	return index
 }
 
 func assertResultsEqual(t *testing.T, name, step string, want, got Result) {

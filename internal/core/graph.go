@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/grb"
 	"repro/internal/model"
@@ -9,9 +9,9 @@ import (
 
 // graph is the linear-algebraic representation of the social network used
 // by the GraphBLAS engines: boolean adjacency matrices per edge type, in
-// the orientations the algorithms read, plus dense id↔index maps and
-// per-entity timestamps. Each engine builds and maintains only the parts
-// it reads (a nil matrix or timestamp slice is one it does not keep):
+// the orientations the algorithms read, over the part of the State the
+// engine holds. Each engine builds and maintains only the matrices it
+// reads (a nil matrix is one it does not keep):
 //
 //	rootPost   |posts| × |comments|   Q1Batch; Q1Incremental's Initial (Alg. 1)
 //	rootPostT  |comments| × |posts|   Q1Incremental (sparse VxM)
@@ -19,23 +19,18 @@ import (
 //	                                  Q1Incremental's Initial
 //	likesT     |users| × |comments|   Q2Incremental (friendship probing)
 //	friends    |users| × |users|      Q2Batch, Q2Incremental (symmetric)
-//	postTS                            Q1Batch, Q1Incremental
-//	commentTS                         Q2Batch, Q2Incremental
 //
-// Every engine keeps all three id maps: a change is resolved in full, so an
-// unknown reference is an error whichever parts the engine keeps.
+// Matrix indices are the part's node indices (see Part): the State
+// resolved every change before the engine sees it, so a graph keeps no id
+// map and has no unknown reference to reject. Ids and timestamps are read
+// back through the part.
 //
 // Change sets grow the dimensions (|posts′|, |comments′|, |users′|) and add
 // entries as pending tuples; whole-matrix kernels assemble lazily while
 // row-sparse kernels never do, matching SuiteSparse semantics.
 type graph struct {
-	posts    *model.IDMap
-	comments *model.IDMap
-	users    *model.IDMap
-
-	keep      parts
-	postTS    []int64
-	commentTS []int64
+	part       Part
+	np, nc, nu int
 
 	rootPost  *grb.Matrix[bool]
 	rootPostT *grb.Matrix[bool]
@@ -44,7 +39,7 @@ type graph struct {
 	friends   *grb.Matrix[bool]
 }
 
-// parts selects the matrices and timestamp slices a graph keeps.
+// parts selects the matrices a graph keeps.
 type parts uint8
 
 const (
@@ -53,11 +48,9 @@ const (
 	withLikes
 	withLikesT
 	withFriends
-	withPostTS
-	withCommentTS
 )
 
-// delta reports what one change set added, in dense-index terms at the
+// delta reports what one change set added, in the graph's indices at the
 // post-update dimensions. It is the input of the incremental algorithms.
 type delta struct {
 	newPosts    []int    // post indices
@@ -70,91 +63,53 @@ type delta struct {
 	removedFriends [][2]int // (user, user) index pairs
 }
 
-// loadGraph builds the parts keep selects from an initial snapshot. It
-// resolves every reference, kept or not.
-func loadGraph(s *model.Snapshot, keep parts) (*graph, error) {
-	g := &graph{
-		posts:    model.NewIDMap(),
-		comments: model.NewIDMap(),
-		users:    model.NewIDMap(),
-		keep:     keep,
-	}
-	for _, p := range s.Posts {
-		g.posts.Add(p.ID)
-		if keep&withPostTS != 0 {
-			g.postTS = append(g.postTS, p.Timestamp)
+// loadGraph builds the parts keep selects from refs, the adds that build
+// the engine's part.
+func loadGraph(p Part, refs []model.Ref, keep parts) (*graph, error) {
+	g := &graph{part: p}
+	var nLikes, nFriends int
+	for _, r := range refs {
+		switch r.Kind {
+		case model.KindAddPost:
+			g.np++
+		case model.KindAddComment:
+			g.nc++
+		case model.KindAddUser:
+			g.nu++
+		case model.KindAddLike:
+			nLikes++
+		case model.KindAddFriendship:
+			nFriends++
 		}
 	}
-	for _, c := range s.Comments {
-		g.comments.Add(c.ID)
-		if keep&withCommentTS != 0 {
-			g.commentTS = append(g.commentTS, c.Timestamp)
-		}
-	}
-	for _, u := range s.Users {
-		g.users.Add(u.ID)
-	}
-	np, nc, nu := g.posts.Len(), g.comments.Len(), g.users.Len()
-
-	keepRP := keep&(withRootPost|withRootPostT) != 0
-	rpRows, rpCols := tupleRoom(keepRP, len(s.Comments))
-	for _, c := range s.Comments {
-		pi, ok := g.posts.Index(c.PostID)
-		if !ok {
-			return nil, fmt.Errorf("core: comment %d roots at unknown post %d", c.ID, c.PostID)
-		}
-		if keepRP {
-			rpRows = append(rpRows, pi)
-			rpCols = append(rpCols, g.comments.MustIndex(c.ID))
+	rpRows, rpCols := tupleRoom(keep&(withRootPost|withRootPostT) != 0, g.nc)
+	lkRows, lkCols := tupleRoom(keep&(withLikes|withLikesT) != 0, nLikes)
+	frRows, frCols := tupleRoom(keep&withFriends != 0, 2*nFriends)
+	for _, r := range refs {
+		a, b := int(r.A), int(r.B)
+		switch {
+		case r.Kind == model.KindAddComment && rpRows != nil:
+			rpRows, rpCols = append(rpRows, b), append(rpCols, a)
+		case r.Kind == model.KindAddLike && lkRows != nil:
+			lkRows, lkCols = append(lkRows, b), append(lkCols, a)
+		case r.Kind == model.KindAddFriendship && frRows != nil:
+			frRows, frCols = append(frRows, a, b), append(frCols, b, a)
 		}
 	}
 	var err error
-	if g.rootPost, err = buildMatrix(keep&withRootPost != 0, np, nc, rpRows, rpCols); err != nil {
+	if g.rootPost, err = buildMatrix(keep&withRootPost != 0, g.np, g.nc, rpRows, rpCols); err != nil {
 		return nil, err
 	}
-	if g.rootPostT, err = buildMatrix(keep&withRootPostT != 0, nc, np, rpCols, rpRows); err != nil {
+	if g.rootPostT, err = buildMatrix(keep&withRootPostT != 0, g.nc, g.np, rpCols, rpRows); err != nil {
 		return nil, err
 	}
-
-	keepLk := keep&(withLikes|withLikesT) != 0
-	lkRows, lkCols := tupleRoom(keepLk, len(s.Likes))
-	for _, l := range s.Likes {
-		ci, ok := g.comments.Index(l.CommentID)
-		if !ok {
-			return nil, fmt.Errorf("core: like references unknown comment %d", l.CommentID)
-		}
-		ui, ok := g.users.Index(l.UserID)
-		if !ok {
-			return nil, fmt.Errorf("core: like references unknown user %d", l.UserID)
-		}
-		if keepLk {
-			lkRows = append(lkRows, ci)
-			lkCols = append(lkCols, ui)
-		}
-	}
-	if g.likes, err = buildMatrix(keep&withLikes != 0, nc, nu, lkRows, lkCols); err != nil {
+	if g.likes, err = buildMatrix(keep&withLikes != 0, g.nc, g.nu, lkRows, lkCols); err != nil {
 		return nil, err
 	}
-	if g.likesT, err = buildMatrix(keep&withLikesT != 0, nu, nc, lkCols, lkRows); err != nil {
+	if g.likesT, err = buildMatrix(keep&withLikesT != 0, g.nu, g.nc, lkCols, lkRows); err != nil {
 		return nil, err
 	}
-
-	frRows, frCols := tupleRoom(keep&withFriends != 0, 2*len(s.Friendships))
-	for _, f := range s.Friendships {
-		a, ok := g.users.Index(f.User1)
-		if !ok {
-			return nil, fmt.Errorf("core: friendship references unknown user %d", f.User1)
-		}
-		b, ok := g.users.Index(f.User2)
-		if !ok {
-			return nil, fmt.Errorf("core: friendship references unknown user %d", f.User2)
-		}
-		if keep&withFriends != 0 {
-			frRows = append(frRows, a, b)
-			frCols = append(frCols, b, a)
-		}
-	}
-	if g.friends, err = buildMatrix(keep&withFriends != 0, nu, nu, frRows, frCols); err != nil {
+	if g.friends, err = buildMatrix(keep&withFriends != 0, g.nu, g.nu, frRows, frCols); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -206,122 +161,53 @@ func unset(m *grb.Matrix[bool], i, j int) error {
 	return m.RemoveElement(i, j)
 }
 
-// apply ingests one change set: new entities extend the id maps and matrix
+// apply ingests one change set's refs: new nodes extend the matrix
 // dimensions, new edges land as pending tuples in the kept matrices. It
-// returns the delta in dense indices.
-func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
+// returns the delta.
+func (g *graph) apply(refs []model.Ref) (*delta, error) {
 	d := &delta{}
-	for _, ch := range cs.Changes {
-		switch ch.Kind {
+	for _, r := range refs {
+		switch r.Kind {
 		case model.KindAddPost:
-			idx := g.posts.Add(ch.Post.ID)
-			if g.keep&withPostTS != 0 && idx == len(g.postTS) {
-				g.postTS = append(g.postTS, ch.Post.Timestamp)
-			}
-			d.newPosts = append(d.newPosts, idx)
-		case model.KindAddUser:
-			g.users.Add(ch.User.ID)
+			g.np++
+			d.newPosts = append(d.newPosts, int(r.A))
 		case model.KindAddComment:
-			idx := g.comments.Add(ch.Comment.ID)
-			if g.keep&withCommentTS != 0 && idx == len(g.commentTS) {
-				g.commentTS = append(g.commentTS, ch.Comment.Timestamp)
-			}
-		case model.KindAddFriendship, model.KindAddLike,
-			model.KindRemoveFriendship, model.KindRemoveLike:
-			// Edges are resolved in a second pass, after all nodes of the
-			// change set exist.
-		default:
-			return nil, fmt.Errorf("core: unknown change kind %d", ch.Kind)
+			g.nc++
+		case model.KindAddUser:
+			g.nu++
 		}
 	}
-	np, nc, nu := g.posts.Len(), g.comments.Len(), g.users.Len()
 	for _, err := range [...]error{
-		resize(g.rootPost, np, nc), resize(g.rootPostT, nc, np),
-		resize(g.likes, nc, nu), resize(g.likesT, nu, nc), resize(g.friends, nu, nu),
+		resize(g.rootPost, g.np, g.nc), resize(g.rootPostT, g.nc, g.np),
+		resize(g.likes, g.nc, g.nu), resize(g.likesT, g.nu, g.nc), resize(g.friends, g.nu, g.nu),
 	} {
 		if err != nil {
 			return nil, err
 		}
 	}
-	for _, ch := range cs.Changes {
-		switch ch.Kind {
+	// Edges go in once every node of the change set exists.
+	for _, r := range refs {
+		a, b := int(r.A), int(r.B)
+		var err error
+		switch r.Kind {
 		case model.KindAddComment:
-			pi, ok := g.posts.Index(ch.Comment.PostID)
-			if !ok {
-				return nil, fmt.Errorf("core: comment %d roots at unknown post %d", ch.Comment.ID, ch.Comment.PostID)
-			}
-			ci := g.comments.MustIndex(ch.Comment.ID)
-			if err := setTrue(g.rootPost, pi, ci); err != nil {
-				return nil, err
-			}
-			if err := setTrue(g.rootPostT, ci, pi); err != nil {
-				return nil, err
-			}
-			d.newComments = append(d.newComments, [2]int{pi, ci})
+			err = errors.Join(setTrue(g.rootPost, b, a), setTrue(g.rootPostT, a, b))
+			d.newComments = append(d.newComments, [2]int{b, a})
 		case model.KindAddLike:
-			ci, ok := g.comments.Index(ch.Like.CommentID)
-			if !ok {
-				return nil, fmt.Errorf("core: like references unknown comment %d", ch.Like.CommentID)
-			}
-			ui, ok := g.users.Index(ch.Like.UserID)
-			if !ok {
-				return nil, fmt.Errorf("core: like references unknown user %d", ch.Like.UserID)
-			}
-			if err := setTrue(g.likes, ci, ui); err != nil {
-				return nil, err
-			}
-			if err := setTrue(g.likesT, ui, ci); err != nil {
-				return nil, err
-			}
-			d.newLikes = append(d.newLikes, [2]int{ci, ui})
+			err = errors.Join(setTrue(g.likes, b, a), setTrue(g.likesT, a, b))
+			d.newLikes = append(d.newLikes, [2]int{b, a})
 		case model.KindAddFriendship:
-			a, ok := g.users.Index(ch.Friendship.User1)
-			if !ok {
-				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User1)
-			}
-			b, ok := g.users.Index(ch.Friendship.User2)
-			if !ok {
-				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User2)
-			}
-			if err := setTrue(g.friends, a, b); err != nil {
-				return nil, err
-			}
-			if err := setTrue(g.friends, b, a); err != nil {
-				return nil, err
-			}
+			err = errors.Join(setTrue(g.friends, a, b), setTrue(g.friends, b, a))
 			d.newFriends = append(d.newFriends, [2]int{a, b})
 		case model.KindRemoveLike:
-			ci, ok := g.comments.Index(ch.Like.CommentID)
-			if !ok {
-				return nil, fmt.Errorf("core: unlike references unknown comment %d", ch.Like.CommentID)
-			}
-			ui, ok := g.users.Index(ch.Like.UserID)
-			if !ok {
-				return nil, fmt.Errorf("core: unlike references unknown user %d", ch.Like.UserID)
-			}
-			if err := unset(g.likes, ci, ui); err != nil {
-				return nil, err
-			}
-			if err := unset(g.likesT, ui, ci); err != nil {
-				return nil, err
-			}
-			d.removedLikes = append(d.removedLikes, [2]int{ci, ui})
+			err = errors.Join(unset(g.likes, b, a), unset(g.likesT, a, b))
+			d.removedLikes = append(d.removedLikes, [2]int{b, a})
 		case model.KindRemoveFriendship:
-			a, ok := g.users.Index(ch.Friendship.User1)
-			if !ok {
-				return nil, fmt.Errorf("core: unfriend references unknown user %d", ch.Friendship.User1)
-			}
-			b, ok := g.users.Index(ch.Friendship.User2)
-			if !ok {
-				return nil, fmt.Errorf("core: unfriend references unknown user %d", ch.Friendship.User2)
-			}
-			if err := unset(g.friends, a, b); err != nil {
-				return nil, err
-			}
-			if err := unset(g.friends, b, a); err != nil {
-				return nil, err
-			}
+			err = errors.Join(unset(g.friends, a, b), unset(g.friends, b, a))
 			d.removedFriends = append(d.removedFriends, [2]int{a, b})
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return d, nil

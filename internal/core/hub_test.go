@@ -189,8 +189,9 @@ func TestQ2EnginesMatchBatchUnderHubSkew(t *testing.T) {
 		for k, eng := range engines[1:] {
 			assertResultsEqual(t, eng.Name(), step, results[0], results[k+1])
 		}
+		index := commentIndex(inc.st)
 		for id, score := range want {
-			if got := inc.scores[inc.g.comments.MustIndex(id)]; got != score {
+			if got := inc.scores[index[id]]; got != score {
 				t.Fatalf("%s %s: comment %d scores %d, oracle %d", inc.Name(), step, id, got, score)
 			}
 		}

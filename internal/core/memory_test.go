@@ -8,26 +8,51 @@ import (
 	"repro/internal/model"
 )
 
-// servedView is the snapshot a one-shard runtime hands an engine of the
-// given query: Q1 gets every post, comment, like and user but no
-// friendships (Q1 never reads them); Q2 gets every post, user, like and
+// engine is a GraphBLAS engine as the sharded runtime drives it.
+type engine interface {
+	Solution
+	attacher
+}
+
+// servedPart is the part of st a one-shard runtime hands an engine of the
+// given query, and the refs that build it: Q1 holds every node and edge
+// (it keeps no friendship matrix); Q2 holds every post, user, like and
 // friendship but no likeless comment (the router parks those and ranks
-// them itself).
-func servedView(snap *model.Snapshot, query string) *model.Snapshot {
+// them itself), so its comments get compact local indices in State order.
+func servedPart(st *model.State, query string) (Part, []model.Ref) {
+	refs := st.Refs()
 	if query == "Q1" {
-		return &model.Snapshot{Posts: snap.Posts, Comments: snap.Comments, Users: snap.Users, Likes: snap.Likes}
+		return Part{State: st}, refs
 	}
-	liked := make(map[model.ID]bool, len(snap.Comments))
-	for _, l := range snap.Likes {
-		liked[l.CommentID] = true
-	}
-	view := &model.Snapshot{Posts: snap.Posts, Users: snap.Users, Likes: snap.Likes, Friendships: snap.Friendships}
-	for _, c := range snap.Comments {
-		if liked[c.ID] {
-			view.Comments = append(view.Comments, c)
+	_, nc, _ := st.Counts()
+	local := make([]int32, nc)
+	for _, r := range refs {
+		if r.Kind == model.KindAddLike {
+			local[r.B] = 1
 		}
 	}
-	return view
+	space := &Space{}
+	for ci, liked := range local {
+		local[ci] = -1
+		if liked == 1 {
+			local[ci] = int32(len(space.Of))
+			space.Of = append(space.Of, int32(ci))
+		}
+	}
+	out := refs[:0]
+	for _, r := range refs {
+		switch r.Kind {
+		case model.KindAddComment:
+			if local[r.A] < 0 {
+				continue
+			}
+			r.A = local[r.A]
+		case model.KindAddLike:
+			r.B = local[r.B]
+		}
+		out = append(out, r)
+	}
+	return Part{State: st, Comments: space}, out
 }
 
 // heapAfterGC is the live heap: HeapAlloc right after a collection.
@@ -38,12 +63,12 @@ func heapAfterGC() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// retainedBytes is the heap an engine keeps after Load and Initial on
-// view, excluding the view itself.
-func retainedBytes(t testing.TB, eng Solution, view *model.Snapshot) int64 {
+// retainedBytes is the heap an engine keeps after Attach and Initial on
+// its part, excluding the State, the part's spaces and the refs.
+func retainedBytes(t testing.TB, eng engine, p Part, refs []model.Ref) int64 {
 	t.Helper()
 	before := heapAfterGC()
-	if err := eng.Load(view); err != nil {
+	if err := eng.Attach(p, refs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Initial(); err != nil {
@@ -51,7 +76,8 @@ func retainedBytes(t testing.TB, eng Solution, view *model.Snapshot) int64 {
 	}
 	retained := heapAfterGC() - before
 	runtime.KeepAlive(eng)
-	runtime.KeepAlive(view) // or the second collection frees it
+	runtime.KeepAlive(p) // or the second collection frees it
+	runtime.KeepAlive(refs)
 	return retained
 }
 
@@ -69,19 +95,23 @@ func retainedBytes(t testing.TB, eng Solution, view *model.Snapshot) int64 {
 func TestEngineRetainedBytes(t *testing.T) {
 	snap := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1}).Snapshot
 	entities := len(snap.Posts) + len(snap.Comments) + len(snap.Users) + len(snap.Likes) + len(snap.Friendships)
+	st, err := model.NewState(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range []struct {
 		name  string
 		query string
-		new   func() Solution
+		new   func() engine
 		bound float64
 	}{
-		{"q1", "Q1", func() Solution { return NewQ1Incremental() }, 24.5},
-		{"q2", "Q2", func() Solution { return NewQ2Incremental() }, 17.8},
-		{"q2cc", "Q2", func() Solution { return NewQ2IncrementalCC() }, 22.0},
+		{"q1", "Q1", func() engine { return NewQ1Incremental() }, 24.5},
+		{"q2", "Q2", func() engine { return NewQ2Incremental() }, 17.8},
+		{"q2cc", "Q2", func() engine { return NewQ2IncrementalCC() }, 22.0},
 	} {
 		t.Run(e.name, func(t *testing.T) {
-			view := servedView(snap, e.query)
-			got := float64(retainedBytes(t, e.new(), view)) / float64(entities)
+			p, refs := servedPart(st, e.query)
+			got := float64(retainedBytes(t, e.new(), p, refs)) / float64(entities)
 			t.Logf("%s retains %.1f B per snapshot entity", e.name, got)
 			if got > e.bound {
 				t.Fatalf("%s retains %.1f B per snapshot entity, want at most %.1f", e.name, got, e.bound)

@@ -33,24 +33,30 @@ func likesPerComment(likes *grb.Matrix[bool]) (*grb.Vector[int64], error) {
 // q1TopK ranks every post by its score (absent entries score 0).
 func q1TopK(g *graph, scores *grb.Vector[int64]) Result {
 	t := NewTopK(TopK)
-	dense := make([]int64, g.posts.Len())
+	dense := make([]int64, g.np)
 	scores.Iterate(func(i grb.Index, x int64) bool {
 		dense[i] = x
 		return true
 	})
-	for i := 0; i < g.posts.Len(); i++ {
-		t.Consider(Entry{ID: g.posts.IDOf(i), Score: dense[i], Timestamp: g.postTS[i]})
+	for i := 0; i < g.np; i++ {
+		p := g.part.post(i)
+		t.Consider(Entry{ID: p.ID, Score: dense[i], Timestamp: p.Timestamp})
 	}
 	return t.Result()
 }
 
 // Q1Batch evaluates Q1 from scratch on every step.
 type Q1Batch struct {
+	standalone
 	g *graph
 }
 
 // NewQ1Batch returns the batch Q1 engine ("GraphBLAS Batch" in the paper).
-func NewQ1Batch() *Q1Batch { return &Q1Batch{} }
+func NewQ1Batch() *Q1Batch {
+	s := &Q1Batch{}
+	s.self = s
+	return s
+}
 
 // Name implements Solution.
 func (*Q1Batch) Name() string { return "GraphBLAS Batch" }
@@ -58,10 +64,10 @@ func (*Q1Batch) Name() string { return "GraphBLAS Batch" }
 // Query implements Solution.
 func (*Q1Batch) Query() string { return "Q1" }
 
-// Load implements Solution: the batch engine keeps the two matrices of
+// Attach implements Engine: the batch engine keeps the two matrices of
 // Alg. 1.
-func (s *Q1Batch) Load(snap *model.Snapshot) error {
-	g, err := loadGraph(snap, withRootPost|withLikes|withPostTS)
+func (s *Q1Batch) Attach(p Part, refs []model.Ref) error {
+	g, err := loadGraph(p, refs, withRootPost|withLikes)
 	if err != nil {
 		return err
 	}
@@ -72,9 +78,10 @@ func (s *Q1Batch) Load(snap *model.Snapshot) error {
 // Initial implements Solution.
 func (s *Q1Batch) Initial() (Result, error) { return s.evaluate() }
 
-// Update implements Solution: apply the change set, then fully recompute.
-func (s *Q1Batch) Update(cs *model.ChangeSet) (Result, error) {
-	if _, err := s.g.apply(cs); err != nil {
+// UpdateRefs implements Engine: apply the change set, then fully
+// recompute.
+func (s *Q1Batch) UpdateRefs(refs []model.Ref) (Result, error) {
+	if _, err := s.g.apply(refs); err != nil {
 		return nil, err
 	}
 	return s.evaluate()
@@ -113,6 +120,7 @@ func (s *Q1Batch) evaluate() (Result, error) {
 // for the posts in scores⁺'s pattern and the new posts, so ranking costs
 // O(|Δscores| log |posts|) whether the change set adds or removes edges.
 type Q1Incremental struct {
+	standalone
 	g      *graph
 	scores *grb.Vector[int64]
 	rank   RankIndex // by post index
@@ -121,7 +129,11 @@ type Q1Incremental struct {
 
 // NewQ1Incremental returns the incremental Q1 engine ("GraphBLAS
 // Incremental" in the paper).
-func NewQ1Incremental() *Q1Incremental { return &Q1Incremental{} }
+func NewQ1Incremental() *Q1Incremental {
+	s := &Q1Incremental{}
+	s.self = s
+	return s
+}
 
 // Name implements Solution.
 func (*Q1Incremental) Name() string { return "GraphBLAS Incremental" }
@@ -129,10 +141,10 @@ func (*Q1Incremental) Name() string { return "GraphBLAS Incremental" }
 // Query implements Solution.
 func (*Q1Incremental) Query() string { return "Q1" }
 
-// Load implements Solution. Update reads only RootPostᵀ, but Initial's
+// Attach implements Engine. Update reads only RootPostᵀ, but Initial's
 // Alg. 1 also needs RootPost and Likes; Initial releases those two.
-func (s *Q1Incremental) Load(snap *model.Snapshot) error {
-	g, err := loadGraph(snap, withRootPost|withRootPostT|withLikes|withPostTS)
+func (s *Q1Incremental) Attach(p Part, refs []model.Ref) error {
+	g, err := loadGraph(p, refs, withRootPost|withRootPostT|withLikes)
 	if err != nil {
 		return err
 	}
@@ -155,7 +167,7 @@ func (s *Q1Incremental) Initial() (Result, error) {
 	}
 	s.g.rootPost, s.g.likes = nil, nil
 	s.scores = scores
-	s.rank.Init(denseKeys(s.g.posts.Len()), s.postEntry)
+	s.rank.Init(denseKeys(s.g.np), s.postEntry)
 	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
 }
@@ -164,17 +176,17 @@ func (s *Q1Incremental) Initial() (Result, error) {
 // entries score 0).
 func (s *Q1Incremental) postEntry(i int) Entry {
 	score, _, _ := s.scores.GetElement(i)
-	return Entry{ID: s.g.posts.IDOf(i), Score: score, Timestamp: s.g.postTS[i]}
+	p := s.g.part.post(i)
+	return Entry{ID: p.ID, Score: score, Timestamp: p.Timestamp}
 }
 
-// Update implements Solution with the incremental maintenance of Alg. 2.
-func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
-	d, err := s.g.apply(cs)
+// UpdateRefs implements Engine with the incremental maintenance of Alg. 2.
+func (s *Q1Incremental) UpdateRefs(refs []model.Ref) (Result, error) {
+	d, err := s.g.apply(refs)
 	if err != nil {
 		return nil, err
 	}
-	np := s.g.posts.Len()
-	nc := s.g.comments.Len()
+	np, nc := s.g.np, s.g.nc
 	if err := s.scores.Resize(np); err != nil {
 		return nil, err
 	}

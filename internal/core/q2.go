@@ -95,19 +95,25 @@ func scorersFor(scorers []q2Scorer, n int) []q2Scorer {
 func q2TopK(g *graph, scores []int64) Result {
 	t := NewTopK(TopK)
 	for ci, score := range scores {
-		t.Consider(Entry{ID: g.comments.IDOf(ci), Score: score, Timestamp: g.commentTS[ci]})
+		c := g.part.comment(ci)
+		t.Consider(Entry{ID: c.ID, Score: score, Timestamp: c.Timestamp})
 	}
 	return t.Result()
 }
 
 // Q2Batch evaluates Q2 from scratch on every step.
 type Q2Batch struct {
+	standalone
 	g       *graph
 	scorers []q2Scorer
 }
 
 // NewQ2Batch returns the batch Q2 engine.
-func NewQ2Batch() *Q2Batch { return &Q2Batch{} }
+func NewQ2Batch() *Q2Batch {
+	s := &Q2Batch{}
+	s.self = s
+	return s
+}
 
 // Name implements Solution.
 func (*Q2Batch) Name() string { return "GraphBLAS Batch" }
@@ -115,9 +121,9 @@ func (*Q2Batch) Name() string { return "GraphBLAS Batch" }
 // Query implements Solution.
 func (*Q2Batch) Query() string { return "Q2" }
 
-// Load implements Solution.
-func (s *Q2Batch) Load(snap *model.Snapshot) error {
-	g, err := loadGraph(snap, withLikes|withFriends|withCommentTS)
+// Attach implements Engine.
+func (s *Q2Batch) Attach(p Part, refs []model.Ref) error {
+	g, err := loadGraph(p, refs, withLikes|withFriends)
 	if err != nil {
 		return err
 	}
@@ -128,9 +134,10 @@ func (s *Q2Batch) Load(snap *model.Snapshot) error {
 // Initial implements Solution.
 func (s *Q2Batch) Initial() (Result, error) { return s.evaluate() }
 
-// Update implements Solution: apply the change set, then fully recompute.
-func (s *Q2Batch) Update(cs *model.ChangeSet) (Result, error) {
-	if _, err := s.g.apply(cs); err != nil {
+// UpdateRefs implements Engine: apply the change set, then fully
+// recompute.
+func (s *Q2Batch) UpdateRefs(refs []model.Ref) (Result, error) {
+	if _, err := s.g.apply(refs); err != nil {
 		return nil, err
 	}
 	return s.evaluate()
@@ -141,7 +148,7 @@ func (s *Q2Batch) evaluate() (Result, error) {
 	// plain CSR rows.
 	s.g.likes.Wait()
 	s.g.friends.Wait()
-	nc := s.g.comments.Len()
+	nc := s.g.nc
 	scores := make([]int64, nc)
 	s.scorers = scorersFor(s.scorers, grb.Threads())
 	if _, err := q2ScoreAll(s.g.likes, s.g.friends, denseKeys(nc), scores, s.scorers); err != nil {
@@ -173,6 +180,7 @@ func (s *Q2Batch) evaluate() (Result, error) {
 // start-up reads the whole graph anyway; Update re-scores on grb.Threads()
 // workers, the -threads setting of the commit path.
 type Q2Incremental struct {
+	standalone
 	g       *graph
 	scores  []int64   // dense by comment index
 	rank    RankIndex // by comment index
@@ -196,12 +204,18 @@ type Q2Incremental struct {
 }
 
 // NewQ2Incremental returns the incremental Q2 engine.
-func NewQ2Incremental() *Q2Incremental { return &Q2Incremental{} }
+func NewQ2Incremental() *Q2Incremental {
+	s := &Q2Incremental{}
+	s.self = s
+	return s
+}
 
 // NewQ2IncrementalIncidence returns the incremental Q2 engine using the
 // paper's literal incidence-matrix affected-set detection (ablation).
 func NewQ2IncrementalIncidence() *Q2Incremental {
-	return &Q2Incremental{useIncidence: true}
+	s := NewQ2Incremental()
+	s.useIncidence = true
+	return s
 }
 
 // Name implements Solution.
@@ -215,10 +229,10 @@ func (s *Q2Incremental) Name() string {
 // Query implements Solution.
 func (*Q2Incremental) Query() string { return "Q2" }
 
-// Load implements Solution: Likes′ᵀ serves the affected-comment
+// Attach implements Engine: Likes′ᵀ serves the affected-comment
 // detection, Likes and Friends the re-scoring.
-func (s *Q2Incremental) Load(snap *model.Snapshot) error {
-	g, err := loadGraph(snap, withLikes|withLikesT|withFriends|withCommentTS)
+func (s *Q2Incremental) Attach(p Part, refs []model.Ref) error {
+	g, err := loadGraph(p, refs, withLikes|withLikesT|withFriends)
 	if err != nil {
 		return err
 	}
@@ -230,7 +244,7 @@ func (s *Q2Incremental) Load(snap *model.Snapshot) error {
 func (s *Q2Incremental) Initial() (Result, error) {
 	s.g.likes.Wait()
 	s.g.friends.Wait()
-	nc := s.g.comments.Len()
+	nc := s.g.nc
 	all := denseKeys(nc)
 	s.scores = make([]int64, nc)
 	// Start-up's scorers go with it; Update keeps its own.
@@ -245,16 +259,17 @@ func (s *Q2Incremental) Initial() (Result, error) {
 
 // entry is comment ci's ranking entry at its maintained score.
 func (s *Q2Incremental) entry(ci int) Entry {
-	return Entry{ID: s.g.comments.IDOf(ci), Score: s.scores[ci], Timestamp: s.g.commentTS[ci]}
+	c := s.g.part.comment(ci)
+	return Entry{ID: c.ID, Score: s.scores[ci], Timestamp: c.Timestamp}
 }
 
-// Update implements Solution with incremental maintenance.
-func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
-	d, err := s.g.apply(cs)
+// UpdateRefs implements Engine with incremental maintenance.
+func (s *Q2Incremental) UpdateRefs(refs []model.Ref) (Result, error) {
+	d, err := s.g.apply(refs)
 	if err != nil {
 		return nil, err
 	}
-	nc := s.g.comments.Len()
+	nc := s.g.nc
 	for len(s.scores) < nc {
 		s.scores = append(s.scores, 0)
 	}
@@ -374,7 +389,7 @@ func affectedByFriendshipsIncidence(g *graph, newFriends [][2]int) ([]int, error
 	if len(newFriends) == 0 {
 		return nil, nil
 	}
-	nf := grb.NewMatrix[bool](len(newFriends), g.users.Len())
+	nf := grb.NewMatrix[bool](len(newFriends), g.nu)
 	for f, uv := range newFriends {
 		if err := nf.SetElement(f, uv[0], true); err != nil {
 			return nil, err

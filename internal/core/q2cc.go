@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -39,12 +38,9 @@ import (
 // RankIndex over every comment, so the top-3 costs O(|touched| log
 // |comments|).
 type Q2IncrementalCC struct {
-	// Entity bookkeeping (same dense index spaces as the matrix engines).
-	posts    *model.IDMap // not read for scoring; backs Stats().Posts
-	comments *model.IDMap
-	users    *model.IDMap
-
-	commentTS []int64
+	standalone
+	part Part
+	np   int // posts: not read for scoring; backs Stats().Posts
 
 	// adj holds, by user index, the user's friends (ascending user
 	// indices) and then the comments the user likes (comment indices, in
@@ -152,7 +148,11 @@ func (q *ccSearch) visit(s, k int) {
 
 // NewQ2IncrementalCC returns the incremental-connected-components Q2
 // engine.
-func NewQ2IncrementalCC() *Q2IncrementalCC { return &Q2IncrementalCC{} }
+func NewQ2IncrementalCC() *Q2IncrementalCC {
+	s := &Q2IncrementalCC{}
+	s.self = s
+	return s
+}
 
 // Name implements Solution.
 func (*Q2IncrementalCC) Name() string { return "GraphBLAS Incremental (incremental CC)" }
@@ -160,63 +160,46 @@ func (*Q2IncrementalCC) Name() string { return "GraphBLAS Incremental (increment
 // Query implements Solution.
 func (*Q2IncrementalCC) Query() string { return "Q2" }
 
-// Load implements Solution. It builds the friend lists, each comment's
+// Attach implements Engine. It builds the friend lists, each comment's
 // sorted liker list and each user's like list in arrays shared by all
 // entities, then labels each comment's components by one search from each
 // unlabelled liker, in the scratch the updates reuse. The per-user and
-// per-comment slices get a quarter more room than the snapshot needs, as
+// per-comment slices get a quarter more room than the part needs, as
 // RankIndex.Init does, so the first users and comments an update adds do
 // not copy them.
-func (s *Q2IncrementalCC) Load(snap *model.Snapshot) error {
-	s.posts = model.NewIDMap()
-	s.comments = model.NewIDMap()
-	s.users = model.NewIDMap()
-	for _, p := range snap.Posts {
-		s.posts.Add(p.ID)
+func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
+	s.part = p
+	var nc, nu, nFriendships, nLikes int
+	for _, r := range refs {
+		switch r.Kind {
+		case model.KindAddPost:
+			s.np++
+		case model.KindAddComment:
+			nc++
+		case model.KindAddUser:
+			nu++
+		case model.KindAddFriendship:
+			nFriendships++
+		case model.KindAddLike:
+			nLikes++
+		}
 	}
-	s.commentTS = make([]int64, 0, len(snap.Comments)+len(snap.Comments)/4)
-	for _, c := range snap.Comments {
-		s.comments.Add(c.ID)
-		s.commentTS = append(s.commentTS, c.Timestamp)
-	}
-	for _, u := range snap.Users {
-		s.users.Add(u.ID)
-	}
-	nu, nc := s.users.Len(), s.comments.Len()
 
-	ends := make([]int32, 0, 2*len(snap.Friendships))
+	ends := make([]int32, 0, 2*nFriendships)
 	perUser := make([]int32, nu) // list lengths: friends, then likes
-	for _, f := range snap.Friendships {
-		a, ok := s.users.Index(f.User1)
-		if !ok {
-			return fmt.Errorf("core: friendship references unknown user %d", f.User1)
-		}
-		b, ok := s.users.Index(f.User2)
-		if !ok {
-			return fmt.Errorf("core: friendship references unknown user %d", f.User2)
-		}
-		if a == b {
-			continue // a self-friendship joins nothing
-		}
-		ends = append(ends, int32(a), int32(b))
-		perUser[a]++
-		perUser[b]++
-	}
-
 	type like struct{ comment, user int32 }
-	resolved := make([]like, 0, len(snap.Likes))
+	resolved := make([]like, 0, nLikes)
 	perComment := make([]int32, nc+1)
-	for _, l := range snap.Likes {
-		ci, ok := s.comments.Index(l.CommentID)
-		if !ok {
-			return fmt.Errorf("core: like references unknown comment %d", l.CommentID)
+	for _, r := range refs {
+		switch r.Kind {
+		case model.KindAddFriendship:
+			ends = append(ends, r.A, r.B)
+			perUser[r.A]++
+			perUser[r.B]++
+		case model.KindAddLike:
+			resolved = append(resolved, like{r.B, r.A})
+			perComment[r.B+1]++
 		}
-		ui, ok := s.users.Index(l.UserID)
-		if !ok {
-			return fmt.Errorf("core: like references unknown user %d", l.UserID)
-		}
-		resolved = append(resolved, like{int32(ci), int32(ui)})
-		perComment[ci+1]++
 	}
 	for ci := 0; ci < nc; ci++ {
 		perComment[ci+1] += perComment[ci]
@@ -567,60 +550,33 @@ func (s *Q2IncrementalCC) Initial() (Result, error) {
 
 // entry is comment ci's ranking entry at its maintained score.
 func (s *Q2IncrementalCC) entry(ci int) Entry {
-	return Entry{ID: s.comments.IDOf(ci), Score: s.cc[ci].score, Timestamp: s.commentTS[ci]}
+	c := s.part.comment(ci)
+	return Entry{ID: c.ID, Score: s.cc[ci].score, Timestamp: c.Timestamp}
 }
 
-// Update implements Solution: feed each change through its event handler,
-// then re-rank the touched comments.
-func (s *Q2IncrementalCC) Update(cs *model.ChangeSet) (Result, error) {
+// UpdateRefs implements Engine: feed each change through its event
+// handler, then re-rank the touched comments.
+func (s *Q2IncrementalCC) UpdateRefs(refs []model.Ref) (Result, error) {
 	s.touched = s.touched[:0]
-	for _, ch := range cs.Changes {
-		switch ch.Kind {
+	for _, r := range refs {
+		a, b := int(r.A), int(r.B)
+		switch r.Kind {
 		case model.KindAddPost:
-			s.posts.Add(ch.Post.ID)
+			s.np++
 		case model.KindAddUser:
-			idx := s.users.Add(ch.User.ID)
-			if idx == len(s.adj) {
-				s.adj = append(s.adj, nil)
-				s.nFriends = append(s.nFriends, 0)
-			}
+			s.adj = append(s.adj, nil)
+			s.nFriends = append(s.nFriends, 0)
 		case model.KindAddComment:
-			idx := s.comments.Add(ch.Comment.ID)
-			if idx == len(s.cc) {
-				s.cc = append(s.cc, commentLabels{})
-				s.commentTS = append(s.commentTS, ch.Comment.Timestamp)
-			}
-			s.touched = append(s.touched, int32(idx))
-		case model.KindAddLike, model.KindRemoveLike:
-			ci, ok := s.comments.Index(ch.Like.CommentID)
-			if !ok {
-				return nil, fmt.Errorf("core: like references unknown comment %d", ch.Like.CommentID)
-			}
-			ui, ok := s.users.Index(ch.Like.UserID)
-			if !ok {
-				return nil, fmt.Errorf("core: like references unknown user %d", ch.Like.UserID)
-			}
-			if ch.Kind == model.KindAddLike {
-				s.onLike(ci, ui)
-			} else {
-				s.onUnlike(ci, ui)
-			}
-		case model.KindAddFriendship, model.KindRemoveFriendship:
-			a, ok := s.users.Index(ch.Friendship.User1)
-			if !ok {
-				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User1)
-			}
-			b, ok := s.users.Index(ch.Friendship.User2)
-			if !ok {
-				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User2)
-			}
-			if ch.Kind == model.KindAddFriendship {
-				s.onFriendship(a, b)
-			} else {
-				s.onUnfriend(a, b)
-			}
-		default:
-			return nil, fmt.Errorf("core: unknown change kind %d", ch.Kind)
+			s.cc = append(s.cc, commentLabels{})
+			s.touched = append(s.touched, int32(a))
+		case model.KindAddLike:
+			s.onLike(b, a)
+		case model.KindRemoveLike:
+			s.onUnlike(b, a)
+		case model.KindAddFriendship:
+			s.onFriendship(a, b)
+		case model.KindRemoveFriendship:
+			s.onUnfriend(a, b)
 		}
 	}
 	slices.Sort(s.touched)

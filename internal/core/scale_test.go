@@ -22,7 +22,7 @@ func scaleStream(sf int, removal float64) datagen.Config {
 // it once, and reports the bytes its Update calls allocate per change over
 // the whole change stream (runtime.MemStats.TotalAlloc, so the figure does
 // not depend on host speed).
-func updateBytesPerChange(t *testing.T, eng Solution, cfg datagen.Config) float64 {
+func updateBytesPerChange(t *testing.T, eng engine, cfg datagen.Config) float64 {
 	t.Helper()
 	bytes, changes := updateAlloc(t, eng, cfg)
 	return float64(bytes) / float64(changes)
@@ -31,7 +31,7 @@ func updateBytesPerChange(t *testing.T, eng Solution, cfg datagen.Config) float6
 // updateAlloc loads an engine on a generated dataset, evaluates it once,
 // and returns the bytes its Update calls allocate over the whole change
 // stream and the number of changes in it.
-func updateAlloc(t *testing.T, eng Solution, cfg datagen.Config) (bytes uint64, changes int) {
+func updateAlloc(t *testing.T, eng engine, cfg datagen.Config) (bytes uint64, changes int) {
 	t.Helper()
 	run := runUpdates(t, eng, datagen.Generate(cfg), false)
 	return run.bytes, run.changes
@@ -46,28 +46,40 @@ type updateRun struct {
 	perUpdate []uint64      // bytes each Update call allocated, if asked for
 }
 
-// runUpdates loads eng on ds, evaluates it once, then feeds it every
-// change set of ds. With perUpdate it also reads the allocation counter
-// around each Update call, outside the timed span.
-func runUpdates(tb testing.TB, eng Solution, ds *model.Dataset, perUpdate bool) updateRun {
+// runUpdates loads eng on ds the way the sharded runtime does, from a
+// model.State it does not count, evaluates it once, then feeds it every
+// change set of ds, resolved by the State beforehand. With perUpdate it
+// also reads the allocation counter around each Update call, outside the
+// timed span.
+func runUpdates(tb testing.TB, eng engine, ds *model.Dataset, perUpdate bool) updateRun {
 	tb.Helper()
-	if err := eng.Load(ds.Snapshot); err != nil {
+	st, err := model.NewState(ds.Snapshot)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := eng.Attach(Part{State: st}, st.Refs()); err != nil {
 		tb.Fatal(err)
 	}
 	if _, err := eng.Initial(); err != nil {
 		tb.Fatal(err)
 	}
 	var run updateRun
+	sets := make([][]model.Ref, len(ds.ChangeSets))
 	for i := range ds.ChangeSets {
 		run.changes += len(ds.ChangeSets[i].Changes)
+		refs, err := st.Apply(ds.ChangeSets[i].Changes)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sets[i] = slices.Clone(refs)
 	}
 	var before, after, mid runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	last := before.TotalAlloc
-	for i := range ds.ChangeSets {
+	for i := range sets {
 		start := time.Now()
-		if _, err := eng.Update(&ds.ChangeSets[i]); err != nil {
+		if _, err := eng.UpdateRefs(sets[i]); err != nil {
 			tb.Fatal(err)
 		}
 		took := time.Since(start)
@@ -94,11 +106,11 @@ func runUpdates(tb testing.TB, eng Solution, ds *model.Dataset, perUpdate bool) 
 func BenchmarkUpdateScaling(b *testing.B) {
 	for _, e := range []struct {
 		name string
-		new  func() Solution
+		new  func() engine
 	}{
-		{"q1", func() Solution { return NewQ1Incremental() }},
-		{"q2", func() Solution { return NewQ2Incremental() }},
-		{"q2cc", func() Solution { return NewQ2IncrementalCC() }},
+		{"q1", func() engine { return NewQ1Incremental() }},
+		{"q2", func() engine { return NewQ2Incremental() }},
+		{"q2cc", func() engine { return NewQ2IncrementalCC() }},
 	} {
 		for _, removal := range []float64{0, 0.35} {
 			for _, sf := range []int{8, 32, 128} {
@@ -136,15 +148,15 @@ func BenchmarkUpdateScaling(b *testing.B) {
 func TestUpdateCostScaleInvariant(t *testing.T) {
 	rows := []struct {
 		name    string
-		new     func() Solution
+		new     func() engine
 		removal float64
 	}{
-		{"q1/rf0", func() Solution { return NewQ1Incremental() }, 0},
-		{"q1/rf35", func() Solution { return NewQ1Incremental() }, 0.35},
-		{"q2cc/rf0", func() Solution { return NewQ2IncrementalCC() }, 0},
-		{"q2cc/rf35", func() Solution { return NewQ2IncrementalCC() }, 0.35},
-		{"q2/rf0", func() Solution { return NewQ2Incremental() }, 0},
-		{"q2/rf35", func() Solution { return NewQ2Incremental() }, 0.35},
+		{"q1/rf0", func() engine { return NewQ1Incremental() }, 0},
+		{"q1/rf35", func() engine { return NewQ1Incremental() }, 0.35},
+		{"q2cc/rf0", func() engine { return NewQ2IncrementalCC() }, 0},
+		{"q2cc/rf35", func() engine { return NewQ2IncrementalCC() }, 0.35},
+		{"q2/rf0", func() engine { return NewQ2Incremental() }, 0},
+		{"q2/rf35", func() engine { return NewQ2Incremental() }, 0.35},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -65,11 +65,7 @@ func (g *graph) engineStats() EngineStats {
 	if g == nil {
 		return EngineStats{}
 	}
-	st := EngineStats{
-		Posts:    g.posts.Len(),
-		Comments: g.comments.Len(),
-		Users:    g.users.Len(),
-	}
+	st := EngineStats{Posts: g.np, Comments: g.nc, Users: g.nu}
 	for _, m := range [...]*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends} {
 		if m != nil { // not kept
 			st.NNZ += m.NVals()
@@ -96,16 +92,5 @@ func (s *Q2Incremental) Stats() EngineStats { return s.g.engineStats() }
 // directed friend edges and the user→comment like edges it stores, from
 // counters its handlers keep.
 func (s *Q2IncrementalCC) Stats() EngineStats {
-	st := EngineStats{}
-	if s.posts != nil {
-		st.Posts = s.posts.Len()
-	}
-	if s.comments != nil {
-		st.Comments = s.comments.Len()
-	}
-	if s.users != nil {
-		st.Users = s.users.Len()
-	}
-	st.NNZ = s.friendEdges + s.likeEdges
-	return st
+	return EngineStats{Posts: s.np, Comments: len(s.cc), Users: len(s.adj), NNZ: s.friendEdges + s.likeEdges}
 }

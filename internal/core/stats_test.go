@@ -100,7 +100,7 @@ func TestEngineStats(t *testing.T) {
 	}
 }
 
-// keptParts names a graph's non-nil matrices and timestamp slices.
+// keptParts names a graph's non-nil matrices.
 func keptParts(g *graph) string {
 	var out []string
 	for _, p := range []struct {
@@ -109,7 +109,6 @@ func keptParts(g *graph) string {
 	}{
 		{"rootPost", g.rootPost != nil}, {"rootPostT", g.rootPostT != nil},
 		{"likes", g.likes != nil}, {"likesT", g.likesT != nil}, {"friends", g.friends != nil},
-		{"postTS", g.postTS != nil}, {"commentTS", g.commentTS != nil},
 	} {
 		if p.kept {
 			out = append(out, p.name)
@@ -120,7 +119,7 @@ func keptParts(g *graph) string {
 
 // TestEnginesKeepOnlyWhatTheyRead pins the parts each matrix engine holds
 // after Load, Initial and an Update that adds a post, a comment, a like and
-// a friendship: only the matrices and timestamps its algorithm reads.
+// a friendship: only the matrices its algorithm reads.
 func TestEnginesKeepOnlyWhatTheyRead(t *testing.T) {
 	q1b, q1, q2b, q2, q2i := NewQ1Batch(), NewQ1Incremental(), NewQ2Batch(), NewQ2Incremental(), NewQ2IncrementalIncidence()
 	for _, e := range []struct {
@@ -129,11 +128,11 @@ func TestEnginesKeepOnlyWhatTheyRead(t *testing.T) {
 		g    func() *graph
 		want string
 	}{
-		{"Q1Batch", q1b, func() *graph { return q1b.g }, "rootPost likes postTS"},
-		{"Q1Incremental", q1, func() *graph { return q1.g }, "rootPostT postTS"},
-		{"Q2Batch", q2b, func() *graph { return q2b.g }, "likes friends commentTS"},
-		{"Q2Incremental", q2, func() *graph { return q2.g }, "likes likesT friends commentTS"},
-		{"Q2IncrementalIncidence", q2i, func() *graph { return q2i.g }, "likes likesT friends commentTS"},
+		{"Q1Batch", q1b, func() *graph { return q1b.g }, "rootPost likes"},
+		{"Q1Incremental", q1, func() *graph { return q1.g }, "rootPostT"},
+		{"Q2Batch", q2b, func() *graph { return q2b.g }, "likes friends"},
+		{"Q2Incremental", q2, func() *graph { return q2.g }, "likes likesT friends"},
+		{"Q2IncrementalIncidence", q2i, func() *graph { return q2i.g }, "likes likesT friends"},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			if err := e.sol.Load(twoGroupSnapshot()); err != nil {

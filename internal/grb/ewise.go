@@ -1,9 +1,8 @@
 package grb
 
-// Element-wise operations (GrB_eWiseAdd = set union of structures,
-// GrB_eWiseMult = set intersection). Union requires both operands to share
+// Element-wise union (GrB_eWiseAdd). It requires both operands to share
 // one element type because the operator must be applicable when either side
-// is absent; intersection may mix types freely.
+// is absent.
 
 // EWiseAddV returns the element-wise union w = u ⊕ v: positions present in
 // either operand, combined with op where both are present.
@@ -34,29 +33,6 @@ func EWiseAddV[T any](op func(T, T) T, u, v *Vector[T]) (*Vector[T], error) {
 	}
 	for ; q < len(v.ind); q++ {
 		w.setSorted(v.ind[q], v.val[q])
-	}
-	return w, nil
-}
-
-// EWiseMultV returns the element-wise intersection w = u ⊗ v: positions
-// present in both operands, combined with op.
-func EWiseMultV[A, B, C any](op func(A, B) C, u *Vector[A], v *Vector[B]) (*Vector[C], error) {
-	if u.n != v.n {
-		return nil, dimErrf("EWiseMultV: %d vs %d", u.n, v.n)
-	}
-	w := NewVector[C](u.n)
-	p, q := 0, 0
-	for p < len(u.ind) && q < len(v.ind) {
-		switch {
-		case u.ind[p] < v.ind[q]:
-			p++
-		case u.ind[p] > v.ind[q]:
-			q++
-		default:
-			w.setSorted(u.ind[p], op(u.val[p], v.val[q]))
-			p++
-			q++
-		}
 	}
 	return w, nil
 }

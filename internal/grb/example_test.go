@@ -28,17 +28,14 @@ func ExampleMxV() {
 	// w[1] = 60
 }
 
-// eWiseAdd is a set union; eWiseMult is a set intersection.
+// eWiseAdd is a set union.
 func ExampleEWiseAddV() {
 	u, _ := grb.VectorFromTuples(4, []grb.Index{0, 2}, []int{1, 2}, nil)
 	v, _ := grb.VectorFromTuples(4, []grb.Index{2, 3}, []int{10, 20}, nil)
 	sum, _ := grb.EWiseAddV(grb.Plus[int], u, v)
-	prod, _ := grb.EWiseMultV(func(x, y int) int { return x * y }, u, v)
 	fmt.Println("union entries:", sum.NVals())
-	fmt.Println("intersection entries:", prod.NVals())
 	// Output:
 	// union entries: 3
-	// intersection entries: 1
 }
 
 // Updates buffer as pending tuples; deletions buffer as zombies. Both are

@@ -21,8 +21,10 @@ import (
 // ACM TOMS 45(4), 2019): it needs at least NCols slots, all zero on entry,
 // and is all zero again on return, error or not. ExtractSubmatrix marks
 // pos[J[k]] = k+1, so a scanned row finds each column's position in O(1).
-// A row longer than J is probed at J's columns instead, in O(len(J) · log
-// deg), so a hub row costs no more than the list. Cost: O(len(I) + len(J)
+// A row longer than J is walked at J's columns instead: an ascending J
+// gallops through the row and its pending list, fetched once, in
+// O(len(J) · log(deg/len(J))); an unsorted J probes each column in
+// O(log deg). So a hub row costs no more than the list. Cost: O(len(I) + len(J)
 // + the entries of the scanned rows), plus a sort of each output row when
 // J is not ascending; unsorted row lists are checked for duplicates
 // through a map.
@@ -67,10 +69,27 @@ func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
 		c.rowPtr[r] = len(c.colInd)
 		lo, hi, pend := a.rowPtr[i], a.rowPtr[i+1], a.pending[i]
 		switch {
+		case hi-lo+len(pend) > len(J) && jSorted:
+			// Walk the shorter side: an ascending J gallops through the
+			// long row (a hub's friends) and its pending list instead of
+			// scanning them. Output is in J order, so already sorted by k.
+			q, pq := lo, 0
+			for k, j := range J {
+				if pq = gallopPending(pend, pq, j); pq < len(pend) && pend[pq].col == j {
+					if !pend[pq].del { // a pending entry shadows the stored one
+						c.colInd = append(c.colInd, k)
+						c.val = append(c.val, pend[pq].val)
+					}
+					continue
+				}
+				if q = gallop(a.colInd, q, hi, j); q < hi && a.colInd[q] == j {
+					c.colInd = append(c.colInd, k)
+					c.val = append(c.val, a.val[q])
+				}
+			}
+			continue
 		case hi-lo+len(pend) > len(J):
-			// Probe the shorter side: look each J[k] up in the long row
-			// (a hub's friends) instead of scanning it. Output is in J
-			// order, so already sorted by k.
+			// An unsorted J probes the long row at each of its columns.
 			for k, j := range J {
 				if x, ok := a.get(i, j); ok {
 					c.colInd = append(c.colInd, k)
@@ -100,6 +119,31 @@ func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
 	}
 	c.rowPtr[len(I)] = len(c.colInd)
 	return nil
+}
+
+// gallop returns the first position in cols[from:hi], ascending, whose
+// column is at least j (hi if none): doubling steps from from, then a
+// binary search within the last step, so walking an ascending list of m
+// columns through a row of d entries costs O(m · log(d/m)).
+func gallop(cols []Index, from, hi int, j Index) int {
+	step, lo := 1, from
+	for from < hi && cols[from] < j {
+		lo = from + 1
+		from += step
+		step *= 2
+	}
+	return lo + sort.SearchInts(cols[lo:min(from, hi)], j)
+}
+
+// gallopPending is gallop over a row's pending entries.
+func gallopPending[T any](ents []matEntry[T], from int, j Index) int {
+	step, lo := 1, from
+	for from < len(ents) && ents[from].col < j {
+		lo = from + 1
+		from += step
+		step *= 2
+	}
+	return lo + searchPending(ents[lo:min(from, len(ents))], j)
 }
 
 // unmark clears the inverse-index slots ExtractSubmatrix set for cols.
@@ -147,17 +191,4 @@ func sortColsVals[T any](cols []Index, vals []T) {
 	}
 	copy(cols, nc)
 	copy(vals, nv)
-}
-
-// ExtractRow returns row i of a as a sparse vector of size NCols.
-func ExtractRow[T any](a *Matrix[T], i Index) (*Vector[T], error) {
-	if i < 0 || i >= a.nrows {
-		return nil, boundsErrf("ExtractRow: row %d outside [0,%d)", i, a.nrows)
-	}
-	w := NewVector[T](a.ncols)
-	a.forRow(i, func(j Index, x T) {
-		w.ind = append(w.ind, j)
-		w.val = append(w.val, x)
-	})
-	return w, nil
 }

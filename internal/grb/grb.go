@@ -3,7 +3,7 @@
 // GraphBLAS") and its SuiteSparse implementation. It provides sparse vectors
 // and matrices over arbitrary element types, generalized matrix
 // multiplication over user-supplied semirings, element-wise set
-// union/intersection, submatrix extraction, structural masks,
+// union, submatrix extraction, structural masks,
 // reductions, and SuiteSparse-style pending tuples with lazy assembly so
 // that fine-grained updates are cheap.
 //
@@ -14,8 +14,7 @@
 //	GrB_vxm            → VxM
 //	GrB_mxv            → MxV, MxVFull
 //	GrB_eWiseAdd       → EWiseAddV
-//	GrB_eWiseMult      → EWiseMultV
-//	GrB_extract        → ExtractSubmatrix, ExtractRow
+//	GrB_extract        → ExtractSubmatrix
 //	GrB_assign         → AssignV
 //	GrB_apply          → ApplyV
 //	GxB_select         → SelectM

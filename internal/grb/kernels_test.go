@@ -183,35 +183,11 @@ func TestEWiseAddV(t *testing.T) {
 	}
 }
 
-func TestEWiseMultV(t *testing.T) {
-	u, _ := VectorFromTuples(5, []Index{0, 2}, []int{3, 2}, nil)
-	v, _ := VectorFromTuples(5, []Index{2, 4}, []int{10, 20}, nil)
-	w := Must(EWiseMultV(times[int], u, v))
-	if w.NVals() != 1 {
-		t.Fatalf("NVals = %d, want 1", w.NVals())
-	}
-	if x, _, _ := w.GetElement(2); x != 20 {
-		t.Fatalf("w[2] = %d, want 20", x)
-	}
-}
-
-func TestEWiseMultVMixedTypes(t *testing.T) {
-	u, _ := VectorFromTuples(3, []Index{1}, []bool{true}, nil)
-	v, _ := VectorFromTuples(3, []Index{1, 2}, []int{5, 9}, nil)
-	w := Must(EWiseMultV(Second[bool, int], u, v))
-	if x, _, _ := w.GetElement(1); x != 5 {
-		t.Fatalf("w[1] = %d, want 5", x)
-	}
-}
-
 func TestEWiseDimensionErrors(t *testing.T) {
 	u := NewVector[int](3)
 	v := NewVector[int](4)
 	if _, err := EWiseAddV(Plus[int], u, v); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("addV err = %v", err)
-	}
-	if _, err := EWiseMultV(times[int], u, v); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("multV err = %v", err)
 	}
 }
 
@@ -337,14 +313,6 @@ func TestExtractSubmatrixErrors(t *testing.T) {
 	}
 	if _, err := extract(a, []Index{9}, []Index{0}); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("row oob: %v", err)
-	}
-}
-
-func TestExtractRow(t *testing.T) {
-	a := kernelFixture(t)
-	r := Must(ExtractRow(a, 2))
-	if x, _, _ := r.GetElement(3); x != 5 {
-		t.Fatalf("row[3] = %d, want 5", x)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // IDMap maintains a dense, insertion-ordered mapping between external
@@ -49,12 +50,12 @@ func (m *IDMap) find(id ID) (int, int32) {
 	}
 }
 
-// grow doubles the table (16 slots at first) and reinserts every id.
-func (m *IDMap) grow() {
-	n := 2 * len(m.slots)
-	if n == 0 {
-		n = 16
-	}
+// grow doubles the table (16 slots at first).
+func (m *IDMap) grow() { m.rehash(max(16, 2*len(m.slots))) }
+
+// rehash rebuilds the table with n slots, a power of two, and reinserts
+// every id in index order.
+func (m *IDMap) rehash(n int) {
 	m.slots = make([]int32, n)
 	m.shift = 64 - uint(bits.TrailingZeros(uint(n)))
 	mask := len(m.slots) - 1
@@ -65,6 +66,26 @@ func (m *IDMap) grow() {
 		}
 		m.slots[p] = int32(i + 1)
 	}
+}
+
+// reserve makes room for n ids in all, so adding up to n needs no rehash.
+func (m *IDMap) reserve(n int) {
+	if 4*n <= 3*len(m.slots) {
+		return
+	}
+	m.toID = slices.Grow(m.toID, n-len(m.toID))
+	m.rehash(max(16, 1<<bits.Len(uint(4*n/3))))
+}
+
+// pop removes the newest id. It is exact: each id's probe run, from its
+// home to its slot, held only older ids when it was placed (a rehash
+// reinserts in index order too), so the newest id's slot lies in no other
+// id's run and emptying it leaves every lookup as before the id was added.
+func (m *IDMap) pop() {
+	id := m.toID[len(m.toID)-1]
+	p, _ := m.find(id)
+	m.slots[p] = 0
+	m.toID = m.toID[:len(m.toID)-1]
 }
 
 // Add inserts id and returns its dense index. Adding an existing id returns

@@ -3,6 +3,9 @@ package model
 import (
 	"cmp"
 	"errors"
+	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -58,7 +61,7 @@ func TestStateApply(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := stateFixture(t).Apply([]Change{tc.change})
+			_, err := stateFixture(t).Apply([]Change{tc.change})
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("Apply: %v, want accepted", err)
@@ -76,10 +79,10 @@ func TestStateApply(t *testing.T) {
 // the existence check itself (not a user check) rejects.
 func TestStateRemoveMissingFriendship(t *testing.T) {
 	st := stateFixture(t)
-	if err := st.Apply([]Change{{Kind: KindAddUser, User: User{ID: 102}}}); err != nil {
+	if _, err := st.Apply([]Change{{Kind: KindAddUser, User: User{ID: 102}}}); err != nil {
 		t.Fatal(err)
 	}
-	err := st.Apply([]Change{{Kind: KindRemoveFriendship, Friendship: Friendship{User1: 100, User2: 102}}})
+	_, err := st.Apply([]Change{{Kind: KindRemoveFriendship, Friendship: Friendship{User1: 100, User2: 102}}})
 	if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), "removal of missing friendship") {
 		t.Fatalf("Apply: %v, want an integrity violation containing %q", err, "removal of missing friendship")
 	}
@@ -101,13 +104,13 @@ func TestStateRollbackIsComplete(t *testing.T) {
 		{Kind: KindRemoveLike, Like: Like{UserID: 100, CommentID: 10}},
 		{Kind: KindAddPost, Post: Post{ID: 1}}, // duplicate → rejects the request
 	}
-	if err := st.Apply(req); !errors.Is(err, ErrIntegrity) {
+	if _, err := st.Apply(req); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("request with duplicate post: %v, want an integrity violation", err)
 	}
 	if err := sameState(st, before); err != nil {
 		t.Fatalf("rejected request left a trace: %v", err)
 	}
-	if err := st.Apply(req[:7]); err != nil {
+	if _, err := st.Apply(req[:7]); err != nil {
 		t.Fatalf("valid prefix rejected after rollback: %v", err)
 	}
 }
@@ -129,7 +132,7 @@ func TestStateViewCopyOnWrite(t *testing.T) {
 		{Kind: KindRemoveFriendship, Friendship: Friendship{User1: 100, User2: 101}},
 	}
 	for _, ch := range changes {
-		if err := st.Apply([]Change{ch}); err != nil {
+		if _, err := st.Apply([]Change{ch}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +145,7 @@ func TestStateViewCopyOnWrite(t *testing.T) {
 
 	release()
 	st.View()
-	if err := st.Apply([]Change{{Kind: KindRemoveLike, Like: Like{UserID: 101, CommentID: 10}}}); err != nil {
+	if _, err := st.Apply([]Change{{Kind: KindRemoveLike, Like: Like{UserID: 101, CommentID: 10}}}); err != nil {
 		t.Fatal(err)
 	}
 	if detaches != 2 {
@@ -154,7 +157,10 @@ func TestStateViewCopyOnWrite(t *testing.T) {
 // naive linear scan of the reference Snapshot's slices decides every
 // request, Snapshot.Apply materializes the accepted ones, and the state
 // must agree on every decision and equal the reference after every
-// request (edges compared as multisets, since removal reorders them). A
+// request (edges compared as multisets, since removal reorders them).
+// Every resolved index of an accepted request must map back to its
+// change's id, and every edge key unpack to its endpoints; a rejected
+// request must leave every table, index and slice exactly as before. A
 // view taken along the way must not change until it is released.
 //
 // The input is read four bytes per change over small id ranges, so
@@ -174,6 +180,12 @@ func FuzzState(f *testing.F) {
 	})
 	f.Add([]byte{0x80, 1, 0, 0, 0x80, 1, 0, 0, 0x83, 1, 1, 0, 0x87, 0, 0, 0})
 	f.Add([]byte{0x02, 1, 0, 0, 0x02, 2, 0, 0, 0x03, 1, 2, 0, 0x05, 2, 1, 0, 0x83, 1, 2, 0, 0x85, 1, 2, 0})
+	f.Add([]byte{
+		0x02, 0, 0, 0, 0x02, 1, 0, 0, 0x02, 2, 0, 0, // add users 1, 2, 3
+		0x03, 0, 1, 0, 0x83, 0, 2, 0, // add friendships 1–2, 1–3
+		0x05, 0, 1, 0, // remove friendship 1–2: 1–3 moves into its slot
+		0x00, 0, 0, 0, 0x80, 0, 0, 0, // add post 1 twice: the request is rejected
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := NewState(&Snapshot{})
@@ -194,7 +206,8 @@ func FuzzState(f *testing.F) {
 				continue
 			}
 			next, refErr := naiveApply(ref, req)
-			stErr := st.Apply(req)
+			before := tablesOf(st)
+			refs, stErr := st.Apply(req)
 			if (refErr == nil) != (stErr == nil) {
 				t.Fatalf("request %d %+v: State.Apply = %v, naive check = %v", requests, req, stErr, refErr)
 			}
@@ -203,6 +216,11 @@ func FuzzState(f *testing.F) {
 			}
 			if refErr == nil {
 				ref = next
+				if err := checkRefs(st, req, refs); err != nil {
+					t.Fatalf("request %d %+v: %v", requests, req, err)
+				}
+			} else if err := sameTables(st, before, req); err != nil {
+				t.Fatalf("rejected request %d %+v: %v", requests, req, err)
 			}
 			if err := sameState(st, ref); err != nil {
 				t.Fatalf("after request %d %+v: %v", requests, req, err)
@@ -342,13 +360,126 @@ func sameState(st *State, want *Snapshot) error {
 		return errors.New("edge index sizes differ from the edge slices")
 	}
 	for i, f := range st.s.Friendships {
-		if st.friendAt[f.key()] != i {
+		if f != f.ordered() {
+			return errors.New("friendship stored with unordered endpoints")
+		}
+		if at, ok := st.friendAt[st.friendshipKey(f)]; !ok || int(at) != i {
 			return errors.New("friendship index is stale")
 		}
 	}
 	for i, l := range st.s.Likes {
-		if st.likeAt[l.key()] != i {
+		if at, ok := st.likeAt[st.likeKey(l)]; !ok || int(at) != i {
 			return errors.New("like index is stale")
+		}
+	}
+	for k, i := range st.friendAt {
+		a, b := unpack(k)
+		if f := st.s.Friendships[i]; a >= b || (Friendship{User1: st.users.IDOf(int(a)), User2: st.users.IDOf(int(b))}).key() != f.key() {
+			return fmt.Errorf("friendship key %x does not unpack to %+v", k, f)
+		}
+	}
+	for k, i := range st.likeAt {
+		u, c := unpack(k)
+		if l := st.s.Likes[i]; st.users.IDOf(int(u)) != l.UserID || st.comments.IDOf(int(c)) != l.CommentID {
+			return fmt.Errorf("like key %x does not unpack to %+v", k, l)
+		}
+	}
+	return nil
+}
+
+type edge interface{ key() [2]ID }
+
+// checkRefs checks an accepted request's resolved changes: each index maps
+// back to its change's id, a comment's B is its root post, and each edge
+// key unpacks to the change's endpoints.
+func checkRefs(st *State, req []Change, refs []Ref) error {
+	if len(refs) != len(req) {
+		return fmt.Errorf("%d refs for %d changes", len(refs), len(req))
+	}
+	for i, ch := range req {
+		r := refs[i]
+		ok := r.Kind == ch.Kind
+		switch ch.Kind {
+		case KindAddPost:
+			ok = ok && st.posts.IDOf(int(r.A)) == ch.Post.ID
+		case KindAddComment:
+			ok = ok && st.comments.IDOf(int(r.A)) == ch.Comment.ID && st.posts.IDOf(int(r.B)) == ch.Comment.PostID && st.root[r.A] == r.B
+		case KindAddUser:
+			ok = ok && st.users.IDOf(int(r.A)) == ch.User.ID
+		case KindAddFriendship, KindRemoveFriendship:
+			f := ch.Friendship
+			lo, hi := unpack(friendKey(r.A, r.B))
+			ok = ok && st.users.IDOf(int(r.A)) == f.User1 && st.users.IDOf(int(r.B)) == f.User2 &&
+				(Friendship{User1: st.users.IDOf(int(lo)), User2: st.users.IDOf(int(hi))}).key() == f.key()
+		case KindAddLike, KindRemoveLike:
+			u, c := unpack(pair(r.A, r.B))
+			ok = ok && st.users.IDOf(int(u)) == ch.Like.UserID && st.comments.IDOf(int(c)) == ch.Like.CommentID
+		}
+		if !ok {
+			return fmt.Errorf("change %d %+v resolved to %+v", i, ch, r)
+		}
+	}
+	return nil
+}
+
+// tables is a copy of everything a State indexes.
+type tables struct {
+	posts, comments, users []ID
+	root                   []int32
+	friendAt, likeAt       map[uint64]int32
+	s                      *Snapshot
+}
+
+func tablesOf(st *State) tables {
+	return tables{
+		posts: slices.Clone(st.posts.toID), comments: slices.Clone(st.comments.toID), users: slices.Clone(st.users.toID),
+		root:     slices.Clone(st.root),
+		friendAt: maps.Clone(st.friendAt), likeAt: maps.Clone(st.likeAt),
+		s: st.s.Clone(),
+	}
+}
+
+// sameTables checks that st holds exactly the tables want copied, slice
+// order included, that every id resolves as it did, and that no node id
+// req added resolves any more.
+func sameTables(st *State, want tables, req []Change) error {
+	got := tablesOf(st)
+	if !slices.Equal(got.posts, want.posts) || !slices.Equal(got.comments, want.comments) ||
+		!slices.Equal(got.users, want.users) || !slices.Equal(got.root, want.root) {
+		return errors.New("node tables differ")
+	}
+	if !maps.Equal(got.friendAt, want.friendAt) || !maps.Equal(got.likeAt, want.likeAt) {
+		return errors.New("edge indexes differ")
+	}
+	if !reflect.DeepEqual(got.s, want.s) {
+		return errors.New("entity slices differ")
+	}
+	for _, m := range []struct {
+		m   *IDMap
+		ids []ID
+	}{{&st.posts, want.posts}, {&st.comments, want.comments}, {&st.users, want.users}} {
+		for i, id := range m.ids {
+			if got, ok := m.m.Index(id); !ok || got != i {
+				return fmt.Errorf("id %d resolves to %d, %v; want %d", id, got, ok, i)
+			}
+		}
+	}
+	for _, ch := range req {
+		var m *IDMap
+		var ids []ID
+		var id ID
+		switch ch.Kind {
+		case KindAddPost:
+			m, ids, id = &st.posts, want.posts, ch.Post.ID
+		case KindAddComment:
+			m, ids, id = &st.comments, want.comments, ch.Comment.ID
+		case KindAddUser:
+			m, ids, id = &st.users, want.users, ch.User.ID
+		default:
+			continue
+		}
+		if _, ok := m.Index(id); ok && !slices.Contains(ids, id) {
+			return fmt.Errorf("rolled-back id %d still resolves", id)
 		}
 	}
 	return nil

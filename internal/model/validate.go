@@ -20,7 +20,7 @@ func Validate(d *Dataset) error {
 		return err
 	}
 	for i := range d.ChangeSets {
-		if err := st.Apply(d.ChangeSets[i].Changes); err != nil {
+		if _, err := st.Apply(d.ChangeSets[i].Changes); err != nil {
 			return fmt.Errorf("change set %d: %w", i, err)
 		}
 	}

@@ -112,13 +112,16 @@ func (s *Server) commit(batch []updateReq) {
 
 	cs := &model.ChangeSet{}
 	accepted := make([]*updateReq, 0, len(batch))
+	s.refs = s.refs[:0]
 	for i := range batch {
 		req := &batch[i]
-		if err := s.state.Apply(req.changes); err != nil {
+		refs, err := s.state.Apply(req.changes)
+		if err != nil {
 			req.finish(fmt.Errorf("%w: %w", ErrRejected, err))
 			continue
 		}
 		cs.Changes = append(cs.Changes, req.changes...)
+		s.refs = append(s.refs, refs...)
 		accepted = append(accepted, req)
 	}
 	if len(cs.Changes) == 0 {
@@ -149,7 +152,7 @@ func (s *Server) commit(batch []updateReq) {
 		}
 	}
 
-	if err := s.publish(seq, cs); err != nil {
+	if err := s.publish(seq, cs, s.refs); err != nil {
 		// Validation should make this unreachable; if it happens some
 		// shards may have applied the batch while another failed, so stop
 		// accepting writes but keep serving the last committed snapshot.
@@ -183,12 +186,13 @@ func (s *Server) commit(batch []updateReq) {
 	}
 }
 
-// publish commits cs through the sharded runtime as batch seq, publishes the
-// new Snapshot, and records the update phase and the Q2 cross-check. It is
-// the last step of both a live commit and WAL replay.
-func (s *Server) publish(seq int, cs *model.ChangeSet) error {
+// publish commits cs, which the State resolved to refs, through the
+// sharded runtime as batch seq, publishes the new Snapshot, and records the
+// update phase and the Q2 cross-check. It is the last step of both a live
+// commit and WAL replay.
+func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref) error {
 	start := time.Now()
-	rec, err := s.rt.Commit(cs)
+	rec, err := s.rt.CommitRefs(refs)
 	if err != nil {
 		return err
 	}
@@ -229,11 +233,12 @@ func (s *Server) replayWAL(batches []wal.Batch) bool {
 		s.replayDone = i
 		s.mu.Unlock()
 		replayed += len(b.Changes)
-		if err := s.state.Apply(b.Changes); err != nil {
+		refs, err := s.state.Apply(b.Changes)
+		if err != nil {
 			s.setBroken(fmt.Errorf("wal replay: batch seq %d: %w", b.Seq, err))
 			return false
 		}
-		if err := s.publish(int(b.Seq), &model.ChangeSet{Changes: b.Changes}); err != nil {
+		if err := s.publish(int(b.Seq), &model.ChangeSet{Changes: b.Changes}, refs); err != nil {
 			s.setBroken(fmt.Errorf("wal replay: commit seq %d: %w", b.Seq, err))
 			return false
 		}

@@ -12,12 +12,13 @@
 // up to MaxBatch changes; a batch holding a waited request then commits at
 // once, while a batch of only unwaited (wait=false) requests lingers up to
 // FlushInterval for company. It validates and applies each request to the
-// model state (model.State), then commits the merged change set through the
-// sharded runtime — one writer goroutine per shard applies its slice behind
-// a commit barrier, so the new Snapshot is published only once the batch is
-// visible on every shard and wait=1 keeps meaning "globally visible". Read
-// path: an atomic pointer load merging nothing at all — per-shard answers
-// were merged at commit time.
+// model state (model.State), which resolves its ids to node indices, then
+// commits the merged, resolved change set through the sharded runtime,
+// which runs on that State — one writer goroutine per shard applies its
+// slice behind a commit barrier, so the new Snapshot is published only once
+// the batch is visible on every shard and wait=1 keeps meaning "globally
+// visible". Read path: an atomic pointer load merging nothing at all —
+// per-shard answers were merged at commit time.
 package server
 
 import (
@@ -189,6 +190,9 @@ type Server struct {
 	// applied against it before any engine sees it, and durable snapshots
 	// encode its views.
 	state *model.State
+	// refs is the batch being committed, as the state resolved it; the
+	// writer reuses it from batch to batch.
+	refs []model.Ref
 	// wal is the durability subsystem (nil when Config.PersistDir is
 	// empty): every committed batch is appended to it before the commit's
 	// waiters are released, and the state is periodically snapshotted
@@ -296,29 +300,16 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// The engines only ever serve states that pass the integrity rules.
-	// Validation runs alongside the engine start-up, both reading the
-	// snapshot; its error wins over whatever the engines made of a
-	// snapshot it rejects.
-	var (
-		state    *model.State
-		stateErr error
-		valid    = make(chan struct{})
-	)
-	go func() {
-		defer close(valid)
-		state, stateErr = model.NewState(d.Snapshot)
-	}()
-	grb.SetThreads(cfg.Threads)
-	rt, err := shard.New(cfg.Shards, d.Snapshot)
-	<-valid
-	if stateErr != nil {
-		if rt != nil {
-			rt.Close()
-		}
+	// The engines only ever serve states that pass the integrity rules:
+	// the State validates the snapshot and resolves its ids once, and the
+	// shard runtime starts on it.
+	state, err := model.NewState(d.Snapshot)
+	if err != nil {
 		closeWAL()
-		return nil, fmt.Errorf("server: %w", stateErr)
+		return nil, fmt.Errorf("server: %w", err)
 	}
+	grb.SetThreads(cfg.Threads)
+	rt, err := shard.Start(cfg.Shards, state)
 	if err != nil {
 		closeWAL()
 		return nil, fmt.Errorf("server: %w", err)

@@ -26,19 +26,20 @@ func heapAfterGC() int64 {
 
 // BenchmarkNewRouter builds the 4-shard router of routerFixture and reports
 // the heap it retains per snapshot entity: the router's share of a server's
-// memory, beside the engines and model.State. Only comments cost the router
-// anything (an id slot, a record and a parked flag each).
+// memory, beside the engines and model.State. The router keeps the local
+// indices it assigned: an int32 or two per post and per comment.
 func BenchmarkNewRouter(b *testing.B) {
 	snap, entities := routerFixture()
+	st, err := model.NewState(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var retained int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		before := heapAfterGC()
 		b.StartTimer()
-		r, err := newRouter(4, snap)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r, _, _ := newRouter(4, st)
 		b.StopTimer()
 		retained = heapAfterGC() - before
 		runtime.KeepAlive(r)
@@ -48,24 +49,56 @@ func BenchmarkNewRouter(b *testing.B) {
 }
 
 // TestRouterRetainedBytes is a deterministic memory gate on the router: the
-// 4-shard router of routerFixture must retain at most 50 bytes per
-// snapshot entity. The per-comment store (a model.IDMap, records and parked
-// flags) measures 37.6 on Go 1.24; the union-find store with member rings
-// it replaced took 87. The store holds no Go map, so its layout does not
-// vary across Go versions.
+// 4-shard router of routerFixture, started the way the runtime starts it
+// on a model.State it does not count, must retain at most 50 bytes per
+// snapshot entity. Go 1.24 measures 22.4 with the local indices
+// it assigns; its own comment id map, records and parked flags measured
+// 37.6, and the union-find store with member rings before those took 87.
+// The router holds no Go map, so its layout does not vary across Go
+// versions.
 func TestRouterRetainedBytes(t *testing.T) {
 	snap, entities := routerFixture()
-	before := heapAfterGC()
-	r, err := newRouter(4, snap)
+	st, err := model.NewState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := heapAfterGC()
+	r, _, _ := newRouter(4, st)
 	retained := heapAfterGC() - before
 	runtime.KeepAlive(r)
-	runtime.KeepAlive(snap) // or the second collection frees it
+	runtime.KeepAlive(st) // or the second collection frees it
 	got := float64(retained) / float64(entities)
 	t.Logf("router retains %.1f B per snapshot entity", got)
 	if got > 50 {
 		t.Fatalf("router retains %.1f B per snapshot entity, want at most 50", got)
+	}
+}
+
+// TestRuntimeRetainedBytes is the combined memory gate: model.State plus
+// a one-shard runtime started on it (the router and the q1, q2 and q2cc
+// engines), as a server holds them, on routerFixture. Go 1.24 measures
+// 101.4 bytes per snapshot entity, State 43.7 of them; the bound adds 15%.
+// The same State and runtime with Go maps keyed by model.ID in the State
+// and an id map in the router and in every engine measured 149.9–150.4,
+// State 54.5–55.0.
+func TestRuntimeRetainedBytes(t *testing.T) {
+	snap, entities := routerFixture()
+	before := heapAfterGC()
+	st, err := model.NewState(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := Start(1, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	retained := heapAfterGC() - before
+	runtime.KeepAlive(rt)
+	runtime.KeepAlive(snap) // or the second collection frees it
+	got := float64(retained) / float64(entities)
+	t.Logf("State and one-shard runtime retain %.1f B per snapshot entity", got)
+	if got > 116.6 {
+		t.Fatalf("State and one-shard runtime retain %.1f B per snapshot entity, want at most 116.6", got)
 	}
 }

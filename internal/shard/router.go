@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/model"
 )
@@ -27,74 +25,123 @@ import (
 //     engines at its first like (or unlike), as a synthetic AddComment
 //     prepended to that change.
 //
-// The router's state is one record per comment: the root post Q1 routes a
-// like by, the timestamp and parent a parked comment is ranked and
-// materialized with, and a parked flag. Users are not tracked; a change
-// naming an unknown user is rejected by the engines' own id resolution.
+// The router routes changes the State has already validated and resolved
+// (model.Ref), so it rejects nothing. An engine that holds only some nodes
+// of a kind numbers them compactly (see core.Space): the router assigns
+// those local indices, in the order it hands the nodes to the engine,
+// records them, and translates each ref into them. It keeps, by State
+// comment index, the comment's local index in the Q2 engines (or parked)
+// and, over more than one shard, in its Q1 partition, and by State post
+// index the post's local index in its Q1 partition. Users keep their State
+// indices everywhere, and so do posts in the Q2 engines and, on one shard,
+// posts and comments in the Q1 partition.
 
 // q2Shard is the shard whose worker runs the Q2 engines.
 const q2Shard = 0
 
-// commentRec is one comment's record, indexed like the router's comments
-// map.
-type commentRec struct {
-	timestamp int64
-	parent    model.ID
-	post      model.ID // root post
-}
-
-// plan is the per-commit output of routing: one Q1 change list per shard
-// and the home shard's Q2 change list.
+// plan is the per-commit output of routing: one Q1 ref list per shard and
+// the home shard's Q2 ref list, each in its engines' indices. The router
+// reuses it from commit to commit.
 type plan struct {
-	q1 [][]model.Change
-	q2 []model.Change
+	q1 [][]model.Ref
+	q2 []model.Ref
 }
 
 // router holds all partitioning state. It is confined to the runtime's
 // committing goroutine; nothing here is safe for concurrent use.
 type router struct {
-	n int
+	n  int
+	st *model.State
 
-	// comments indexes recs and parked by comment id.
-	comments model.IDMap
-	recs     []commentRec
-	// parked marks the comments that have never been liked: they belong to
-	// no Q2 partition and score exactly 0.
-	parked []bool
+	// Q1 partitions over more than one shard: each shard's posts, each
+	// post's and comment's local index in its partition, and each
+	// partition's comment count. All nil on one shard.
+	q1Posts      []*core.Space
+	postLocal    []int32
+	commentLocal []int32
+	q1Comments   []int32
 
-	// parkedRank ranks the parked comments by comment index as a virtual
+	// q2Comments is the Q2 engines' comments; q2Local holds each comment's
+	// local index there, by State index, or −1 while the comment is parked:
+	// never liked, so in no Q2 partition and scoring exactly 0.
+	q2Comments *core.Space
+	q2Local    []int32
+
+	// parkedRank ranks the parked comments by State index as a virtual
 	// partition.
 	parkedRank core.RankIndex
+
+	plan plan
 }
 
-func newRouter(n int, snap *model.Snapshot) (*router, error) {
-	r := &router{
-		n:      n,
-		recs:   make([]commentRec, 0, len(snap.Comments)),
-		parked: make([]bool, 0, len(snap.Comments)),
+// newRouter places the state's nodes and returns the router with the refs
+// that build each shard's Q1 partition and the Q2 partition, in the
+// engines' indices.
+func newRouter(n int, st *model.State) (r *router, q1 [][]model.Ref, q2 []model.Ref) {
+	refs := st.Refs()
+	np, nc, _ := st.Counts()
+	r = &router{
+		n:          n,
+		st:         st,
+		q2Comments: &core.Space{},
+		q2Local:    make([]int32, nc),
+		plan:       plan{q1: make([][]model.Ref, n)},
 	}
-	for _, c := range snap.Comments {
-		if _, err := r.addComment(c); err != nil {
-			return nil, err
+	for _, x := range refs {
+		if x.Kind == model.KindAddLike {
+			r.q2Local[x.B] = 1
 		}
 	}
-	liked := make([]bool, len(r.recs))
-	for _, l := range snap.Likes {
-		ci, err := r.lookup(l.CommentID)
-		if err != nil {
-			return nil, err
-		}
-		liked[ci] = true
-	}
-	var parkedIdx []int
-	for ci := range liked {
-		if !liked[ci] {
-			r.parked[ci] = true
-			parkedIdx = append(parkedIdx, ci)
+	var parked []int
+	for ci, liked := range r.q2Local {
+		r.q2Local[ci] = -1
+		if liked == 1 {
+			r.q2Local[ci] = int32(len(r.q2Comments.Of))
+			r.q2Comments.Of = append(r.q2Comments.Of, int32(ci))
+		} else {
+			parked = append(parked, ci)
 		}
 	}
-	r.parkedRank.Init(parkedIdx, r.parkedEntry)
-	return r, nil
+	r.parkedRank.Init(parked, r.parkedEntry)
+	q2 = make([]model.Ref, 0, len(refs)-len(parked))
+	for _, x := range refs {
+		switch x.Kind {
+		case model.KindAddComment:
+			if r.q2Local[x.A] < 0 {
+				continue
+			}
+			x.A = r.q2Local[x.A]
+		case model.KindAddLike:
+			x.B = r.q2Local[x.B]
+		}
+		q2 = append(q2, x)
+	}
+
+	if n == 1 {
+		// One partition holds every node, in State indices; Q1 engines
+		// keep no friendship matrix.
+		return r, [][]model.Ref{refs}, q2
+	}
+	r.q1Posts = make([]*core.Space, n)
+	for s := range r.q1Posts {
+		r.q1Posts[s] = &core.Space{}
+	}
+	r.postLocal = make([]int32, 0, np)
+	r.commentLocal = make([]int32, 0, nc)
+	r.q1Comments = make([]int32, n)
+	q1 = make([][]model.Ref, n)
+	for _, x := range refs {
+		switch x.Kind {
+		case model.KindAddUser:
+			for s := range q1 {
+				q1[s] = append(q1[s], x)
+			}
+		case model.KindAddPost, model.KindAddComment, model.KindAddLike:
+			s, y := r.q1Ref(x)
+			q1[s] = append(q1[s], y)
+		}
+	}
+	return r, q1, q2
 }
 
 // hashShard places ids deterministically (splitmix64 finalizer).
@@ -108,131 +155,80 @@ func hashShard(id model.ID, n int) int {
 	return int(x % uint64(n))
 }
 
-// addComment records a new comment, unparked, and returns its index.
-func (r *router) addComment(c model.Comment) (int, error) {
-	ci := r.comments.Add(c.ID)
-	if ci != len(r.recs) {
-		return 0, fmt.Errorf("shard: comment %d added twice", c.ID)
+// q1Ref places a post, comment or like ref on the Q1 partition of its
+// (root) post and translates it into that partition's indices, assigning
+// a new post or comment its local index. On one shard it changes nothing.
+func (r *router) q1Ref(x model.Ref) (int, model.Ref) {
+	if r.n == 1 {
+		return 0, x
 	}
-	r.recs = append(r.recs, commentRec{timestamp: c.Timestamp, parent: c.ParentID, post: c.PostID})
-	r.parked = append(r.parked, false)
-	return ci, nil
-}
-
-func (r *router) lookup(id model.ID) (int, error) {
-	ci, ok := r.comments.Index(id)
-	if !ok {
-		return 0, fmt.Errorf("shard: change references unknown comment %d", id)
+	switch x.Kind {
+	case model.KindAddPost:
+		post := x.A
+		s := hashShard(r.st.Post(int(post)).ID, r.n)
+		x.A = int32(len(r.q1Posts[s].Of))
+		r.q1Posts[s].Of = append(r.q1Posts[s].Of, post)
+		r.postLocal = append(r.postLocal, x.A)
+		return s, x
+	case model.KindAddComment:
+		s := hashShard(r.st.Post(int(x.B)).ID, r.n)
+		x.A, x.B = r.q1Comments[s], r.postLocal[x.B]
+		r.q1Comments[s]++
+		r.commentLocal = append(r.commentLocal, x.A)
+		return s, x
+	default: // a like or an unlike
+		s := hashShard(r.st.Post(r.st.Root(int(x.B))).ID, r.n)
+		x.B = r.commentLocal[x.B]
+		return s, x
 	}
-	return ci, nil
 }
 
-// comment rebuilds comment ci's model record.
-func (r *router) comment(ci int) model.Comment {
-	c := r.recs[ci]
-	return model.Comment{ID: r.comments.IDOf(ci), Timestamp: c.timestamp, ParentID: c.parent, PostID: c.post}
-}
-
-// route translates one validated change set into the per-shard plan.
-func (r *router) route(cs *model.ChangeSet) (*plan, error) {
-	p := &plan{q1: make([][]model.Change, r.n)}
-	for _, ch := range cs.Changes {
-		switch ch.Kind {
+// route translates one validated, resolved change set into the per-shard
+// plan, which stays valid until the next route.
+func (r *router) route(refs []model.Ref) *plan {
+	p := &r.plan
+	for s := range p.q1 {
+		p.q1[s] = p.q1[s][:0]
+	}
+	p.q2 = p.q2[:0]
+	for _, x := range refs {
+		switch x.Kind {
 		case model.KindAddPost:
-			s := hashShard(ch.Post.ID, r.n)
-			p.q1[s] = append(p.q1[s], ch)
-			p.q2 = append(p.q2, ch)
+			s, y := r.q1Ref(x)
+			p.q1[s] = append(p.q1[s], y)
+			p.q2 = append(p.q2, x)
 		case model.KindAddUser:
 			for s := range p.q1 { // Q1 partitions hold all users (like targets)
-				p.q1[s] = append(p.q1[s], ch)
+				p.q1[s] = append(p.q1[s], x)
 			}
-			p.q2 = append(p.q2, ch)
+			p.q2 = append(p.q2, x)
 		case model.KindAddComment:
-			ci, err := r.addComment(ch.Comment)
-			if err != nil {
-				return nil, err
-			}
-			r.park(ci)
-			s := hashShard(ch.Comment.PostID, r.n)
-			p.q1[s] = append(p.q1[s], ch)
+			s, y := r.q1Ref(x)
+			p.q1[s] = append(p.q1[s], y)
+			r.q2Local = append(r.q2Local, -1)
+			r.parkedRank.Set(int(x.A), r.parkedEntry(int(x.A)))
 		case model.KindAddLike, model.KindRemoveLike:
-			ci, err := r.lookup(ch.Like.CommentID)
-			if err != nil {
-				return nil, err
+			if c := x.B; r.q2Local[c] < 0 {
+				r.q2Local[c] = int32(len(r.q2Comments.Of))
+				r.q2Comments.Of = append(r.q2Comments.Of, c)
+				r.parkedRank.Remove(int(c))
+				p.q2 = append(p.q2, model.Ref{Kind: model.KindAddComment, A: r.q2Local[c], B: int32(r.st.Root(int(c)))})
 			}
-			if r.parked[ci] {
-				r.unpark(ci)
-				p.q2 = append(p.q2, model.Change{Kind: model.KindAddComment, Comment: r.comment(ci)})
-			}
-			p.q2 = append(p.q2, ch)
-			s := hashShard(r.recs[ci].post, r.n)
-			p.q1[s] = append(p.q1[s], ch)
+			s, y := r.q1Ref(x)
+			p.q1[s] = append(p.q1[s], y)
+			x.B = r.q2Local[x.B]
+			p.q2 = append(p.q2, x)
 		case model.KindAddFriendship, model.KindRemoveFriendship:
-			p.q2 = append(p.q2, ch) // Q1 ignores the friends graph
-		default:
-			return nil, fmt.Errorf("shard: unknown change kind %d", ch.Kind)
+			p.q2 = append(p.q2, x) // Q1 ignores the friends graph
 		}
 	}
-	return p, nil
-}
-
-// q1Snapshot builds shard s's Q1 partition of the initial snapshot: its
-// hashed posts with their comment subtrees and likes, and every user (likes
-// reference users, and users are too cheap to be worth partitioning for
-// Q1). Friendships are omitted — Q1 never reads them. With one shard every
-// post hashes to it, so the partition shares the snapshot's slices.
-func (r *router) q1Snapshot(snap *model.Snapshot, s int) *model.Snapshot {
-	out := &model.Snapshot{Users: snap.Users}
-	if r.n == 1 {
-		out.Posts, out.Comments, out.Likes = snap.Posts, snap.Comments, snap.Likes
-		return out
-	}
-	for _, p := range snap.Posts {
-		if hashShard(p.ID, r.n) == s {
-			out.Posts = append(out.Posts, p)
-		}
-	}
-	for _, c := range snap.Comments {
-		if hashShard(c.PostID, r.n) == s {
-			out.Comments = append(out.Comments, c)
-		}
-	}
-	for _, l := range snap.Likes {
-		if hashShard(r.recs[r.comments.MustIndex(l.CommentID)].post, r.n) == s {
-			out.Likes = append(out.Likes, l)
-		}
-	}
-	return out
-}
-
-// q2Snapshot is the home shard's Q2 partition of the initial snapshot: all
-// of it but the parked comments. It must run before any route.
-func (r *router) q2Snapshot(snap *model.Snapshot) *model.Snapshot {
-	out := *snap
-	out.Comments = make([]model.Comment, 0, len(snap.Comments)-r.parkedComments())
-	for ci, c := range snap.Comments {
-		if !r.parked[ci] {
-			out.Comments = append(out.Comments, c)
-		}
-	}
-	return &out
-}
-
-// park adds a likeless comment to the router-side parking.
-func (r *router) park(ci int) {
-	r.parked[ci] = true
-	r.parkedRank.Set(ci, r.parkedEntry(ci))
+	return p
 }
 
 // parkedEntry is a parked comment's ranking entry: likeless, it scores 0.
 func (r *router) parkedEntry(ci int) core.Entry {
-	return core.Entry{ID: r.comments.IDOf(ci), Score: 0, Timestamp: r.recs[ci].timestamp}
-}
-
-// unpark hands a parked comment to the Q2 engines at its first like.
-func (r *router) unpark(ci int) {
-	r.parked[ci] = false
-	r.parkedRank.Remove(ci)
+	c := r.st.Comment(ci)
+	return core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp}
 }
 
 // parkedComments counts the parked comments.

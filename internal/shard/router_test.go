@@ -25,10 +25,11 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 		Users: []model.User{{ID: 100}, {ID: 101}},
 		Likes: []model.Like{{UserID: 100, CommentID: 10}},
 	}
-	r, err := newRouter(2, snap)
+	st, err := model.NewState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, _, q2 := newRouter(2, st)
 
 	// Initial analysis: the likeless comment parked, the liked one did not.
 	if !isParked(r, 11) {
@@ -37,8 +38,14 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if isParked(r, 10) {
 		t.Fatal("liked comment 10 parked")
 	}
-	if got := r.q2Snapshot(snap).Comments; len(got) != 1 || got[0].ID != 10 {
-		t.Fatalf("initial Q2 partition holds comments %+v, want only 10", got)
+	var comments []model.ID
+	for _, ch := range r.q2Changes(q2) {
+		if ch.Kind == model.KindAddComment {
+			comments = append(comments, ch.Comment.ID)
+		}
+	}
+	if !reflect.DeepEqual(comments, []model.ID{10}) {
+		t.Fatalf("initial Q2 partition holds comments %v, want only 10", comments)
 	}
 	if got := r.parkedTopK().String(); got != "11" {
 		t.Fatalf("parked ranking = %q, want %q", got, "11")
@@ -46,12 +53,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 
 	// A new likeless comment parks and outranks the older parked one (equal
 	// zero scores, newer timestamp wins).
-	p1, err := r.route(&model.ChangeSet{Changes: []model.Change{
-		{Kind: model.KindAddComment, Comment: model.Comment{ID: 12, Timestamp: 9, ParentID: 1, PostID: 1}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1 := routeChanges(t, r, model.Change{Kind: model.KindAddComment, Comment: model.Comment{ID: 12, Timestamp: 9, ParentID: 1, PostID: 1}})
 	if !isParked(r, 12) {
 		t.Fatal("new likeless comment 12 did not park")
 	}
@@ -64,12 +66,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 
 	// First like: the Q2 stream is a synthetic AddComment followed by the
 	// like, and nothing else.
-	p2, err := r.route(&model.ChangeSet{Changes: []model.Change{
-		{Kind: model.KindAddLike, Like: model.Like{UserID: 101, CommentID: 12}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := routeChanges(t, r, model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: 101, CommentID: 12}})
 	if isParked(r, 12) {
 		t.Fatal("comment 12 still parked after its first like")
 	}
@@ -77,8 +74,8 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 		{Kind: model.KindAddComment, Comment: model.Comment{ID: 12, Timestamp: 9, ParentID: 1, PostID: 1}},
 		{Kind: model.KindAddLike, Like: model.Like{UserID: 101, CommentID: 12}},
 	}
-	if !reflect.DeepEqual(p2.q2, want) {
-		t.Fatalf("materialization stream = %+v, want %+v", p2.q2, want)
+	if got := r.q2Changes(p2.q2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("materialization stream = %+v, want %+v", got, want)
 	}
 
 	// The remaining parked comment still ranks; the materialized one left
@@ -88,31 +85,39 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	}
 }
 
+// routeChanges applies changes to the router's State and routes them.
+func routeChanges(t *testing.T, r *router, changes ...model.Change) *plan {
+	t.Helper()
+	refs, err := r.st.Apply(changes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.route(refs)
+}
+
 // TestParkedTopKMatchesBruteForce is a differential test of the ordered
 // parked set: starting from a snapshot's likeless comments, over random
-// park/unpark sequences with many equal timestamps, parkedTopK must equal
-// a brute-force top-3 of the comments in the parked state.
+// sequences of new comments (which park) and first likes (which unpark)
+// with many equal timestamps, parkedTopK must equal a brute-force top-3 of
+// the comments in the parked state.
 func TestParkedTopKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	snap := &model.Snapshot{Posts: []model.Post{{ID: 1}}}
+	snap := &model.Snapshot{Posts: []model.Post{{ID: 1}}, Users: []model.User{{ID: 1}}}
 	var live []model.ID // parked ids, for picking unpark targets
 	next := model.ID(1)
 	for ; next <= 20; next++ {
 		snap.Comments = append(snap.Comments, model.Comment{ID: next, Timestamp: int64(rng.Intn(8)), ParentID: 1, PostID: 1})
 		live = append(live, next)
 	}
-	r, err := newRouter(2, snap)
+	st, err := model.NewState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, _, _ := newRouter(2, st)
 	for step := 0; step < 5000; step++ {
 		switch {
 		case len(live) == 0 || rng.Intn(100) < 45:
-			ci, err := r.addComment(model.Comment{ID: next, Timestamp: int64(rng.Intn(8)), ParentID: 1, PostID: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.park(ci)
+			routeChanges(t, r, model.Change{Kind: model.KindAddComment, Comment: model.Comment{ID: next, Timestamp: int64(rng.Intn(8)), ParentID: 1, PostID: 1}})
 			live = append(live, next)
 			next++
 		default:
@@ -130,12 +135,13 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 					break
 				}
 			}
-			r.unpark(r.comments.MustIndex(id))
+			routeChanges(t, r, model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: 1, CommentID: id}})
 		}
 		var all core.Result
-		for ci, parked := range r.parked {
-			if parked {
-				all = append(all, core.Entry{ID: r.comments.IDOf(ci), Timestamp: r.recs[ci].timestamp})
+		for ci, local := range r.q2Local {
+			if local < 0 {
+				c := st.Comment(ci)
+				all = append(all, core.Entry{ID: c.ID, Timestamp: c.Timestamp})
 			}
 		}
 		sort.Slice(all, func(i, j int) bool { return core.Less(all[i], all[j]) })
@@ -148,6 +154,6 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 
 // isParked reports whether comment id is in the router's parking.
 func isParked(r *router, id model.ID) bool {
-	ci, ok := r.comments.Index(id)
-	return ok && r.parked[ci]
+	ci := commentIndex(r.st, id)
+	return ci >= 0 && r.q2Local[ci] < 0
 }

@@ -13,6 +13,15 @@
 // sharded runtime is change-for-change indistinguishable from a single
 // engine.
 //
+// The runtime runs on a model.State, the one id → index map: Start loads
+// the engines from the State's resolved contents, and every commit routes
+// the changes the State has already validated and resolved (model.Ref),
+// so neither the router nor an engine resolves an id or rejects a change.
+// Where an engine holds only some nodes, the router assigns them compact
+// local indices and records them (core.Space); ids and timestamps are
+// read back through the State. New and Commit are adapters that resolve
+// through a State of the runtime's own.
+//
 // Commits are barriers: Commit routes the change set, fans the per-shard
 // work out to the writer goroutines, and returns only after every shard has
 // applied its slice — so a committed change set is visible on all shards
@@ -74,16 +83,26 @@ type Record struct {
 	ParkedComments int
 }
 
+// engine is a served engine as the runtime drives it: loaded from, and
+// updated with, changes the State has resolved, in the indices of the part
+// of the State it holds (see core.Part).
+type engine interface {
+	Name() string
+	Attach(p core.Part, refs []model.Ref) error
+	Initial() (core.Result, error)
+	UpdateRefs(refs []model.Ref) (core.Result, error)
+}
+
 // engineInst is one warm engine on one shard.
 type engineInst struct {
 	key string
-	sol core.Solution
+	eng engine
 }
 
 // command is one commit's slice of work for a single shard.
 type command struct {
-	q1   []model.Change // post-routed stream, applied to Q1-family engines
-	q2   []model.Change // the home shard's stream, applied to Q2-family engines
+	q1   []model.Ref // post-routed stream, applied to Q1-family engines
+	q2   []model.Ref // the home shard's stream, applied to Q2-family engines
 	resp chan<- response
 }
 
@@ -105,13 +124,17 @@ type worker struct {
 	q2   []engineInst
 }
 
-// Runtime is the sharded engine runtime. New loads the partitions and
-// starts one writer goroutine per shard; Commit routes and applies one
-// change set with a global barrier and returns the merged Record. New and
-// Commit build every Record on the committing goroutine, which alone may
-// call Commit and Record; a Record itself is immutable and safe to share.
+// Runtime is the sharded engine runtime over a model.State. Start loads
+// the partitions and starts one writer goroutine per shard; CommitRefs
+// routes and applies one change set the State has resolved, with a global
+// barrier, and returns the merged Record. Start and every commit build the
+// Record on the committing goroutine, which alone may commit, call Record
+// and apply changes to the State; a Record itself is immutable and safe to
+// share. The engines read ids back through the State, so its owner must
+// not apply changes while a commit runs.
 type Runtime struct {
 	n       int
+	st      *model.State
 	router  *router
 	workers []*worker
 
@@ -134,26 +157,33 @@ type Runtime struct {
 	closeOnce sync.Once
 }
 
-// New partitions the snapshot over n shards, loads and initially evaluates
-// every engine instance, and starts the per-shard writers. Start-up must
-// read the whole graph, so each instance loads, and then initially
-// evaluates, on its own goroutine; each phase ends at a barrier, so its
-// duration is its wall time. A panic in an engine during either phase
-// becomes an error: a snapshot the caller has not validated yet may break
-// an engine's assumptions. On error no goroutine is left running.
+// New validates snap into a model.State of the runtime's own and starts
+// the runtime on it (see Start). The error of an invalid snapshot wraps
+// model.ErrIntegrity.
 func New(n int, snap *model.Snapshot) (*Runtime, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
-	}
 	if snap == nil {
 		return nil, fmt.Errorf("shard: nil snapshot")
 	}
-	router, err := newRouter(n, snap)
+	st, err := model.NewState(snap)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: %w", err)
 	}
+	return Start(n, st)
+}
+
+// Start partitions st over n shards, loads and initially evaluates every
+// engine instance on its partition, and starts the per-shard writers.
+// Start-up must read the whole graph, so each instance loads, and then
+// initially evaluates, on its own goroutine; each phase ends at a barrier,
+// so its duration is its wall time. On error no goroutine is left running.
+func Start(n int, st *model.State) (*Runtime, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
+	}
+	router, q1Refs, q2Refs := newRouter(n, st)
 	rt := &Runtime{
 		n:         n,
+		st:        st,
 		router:    router,
 		workers:   make([]*worker, n),
 		last:      make([]map[string]core.Result, n),
@@ -161,28 +191,34 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		meta:      make([]Stats, n),
 		merge:     core.NewTopK(core.TopK),
 	}
-	// startJob is one engine instance's start-up; partitions are cut on
-	// first use, on the goroutine of the first instance that loads them.
+	// startJob is one engine instance's start-up: its part of the State
+	// and the refs that build it.
 	type startJob struct {
 		shard int
 		e     engineInst
-		snap  func() *model.Snapshot
+		part  core.Part
+		refs  []model.Ref
 	}
 	var jobs []startJob
-	q2Snap := sync.OnceValue(func() *model.Snapshot { return router.q2Snapshot(snap) })
 	for s := 0; s < n; s++ {
-		s := s
-		q1Snap := sync.OnceValue(func() *model.Snapshot { return router.q1Snapshot(snap, s) })
 		w := &worker{id: s, cmds: make(chan command, 1), done: make(chan struct{})}
+		q1Part := core.Part{State: st}
+		if n > 1 {
+			q1Part.Posts = router.q1Posts[s]
+		}
 		for _, e := range harness.ServedEngines() {
-			inst := engineInst{key: e.Key, sol: e.New()}
+			eng, ok := e.New().(engine)
+			if !ok {
+				return nil, fmt.Errorf("shard: engine %s does not run on resolved changes", e.Key)
+			}
+			inst := engineInst{key: e.Key, eng: eng}
 			switch {
 			case e.Query == "Q1":
 				w.q1 = append(w.q1, inst)
-				jobs = append(jobs, startJob{s, inst, q1Snap})
+				jobs = append(jobs, startJob{s, inst, q1Part, q1Refs[s]})
 			case s == q2Shard:
 				w.q2 = append(w.q2, inst)
-				jobs = append(jobs, startJob{s, inst, q2Snap})
+				jobs = append(jobs, startJob{s, inst, core.Part{State: st, Comments: router.q2Comments}, q2Refs})
 			}
 		}
 		rt.workers[s] = w
@@ -197,13 +233,8 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 			go func(k int) {
 				defer wg.Done()
 				j := jobs[k]
-				defer func() {
-					if p := recover(); p != nil {
-						errs[k] = fmt.Errorf("shard %d: %s %s: panic: %v", j.shard, j.e.sol.Name(), name, p)
-					}
-				}()
 				if err := f(j); err != nil {
-					errs[k] = fmt.Errorf("shard %d: %s %s: %w", j.shard, j.e.sol.Name(), name, err)
+					errs[k] = fmt.Errorf("shard %d: %s %s: %w", j.shard, j.e.eng.Name(), name, err)
 				}
 			}(k)
 		}
@@ -215,11 +246,12 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		}
 		return time.Since(start), nil
 	}
-	if rt.loadDur, err = phase("load", func(j startJob) error { return j.e.sol.Load(j.snap()) }); err != nil {
+	var err error
+	if rt.loadDur, err = phase("load", func(j startJob) error { return j.e.eng.Attach(j.part, j.refs) }); err != nil {
 		return nil, err
 	}
 	if rt.initialDur, err = phase("initial", func(j startJob) error {
-		_, err := j.e.sol.Initial()
+		_, err := j.e.eng.Initial()
 		return err
 	}); err != nil {
 		return nil, err
@@ -244,12 +276,12 @@ func (w *worker) observe() (map[string]core.Result, map[string]core.EngineStats)
 	results := make(map[string]core.Result)
 	stats := make(map[string]core.EngineStats)
 	for _, e := range w.engines() {
-		if rs, ok := e.sol.(core.ResultSnapshotter); ok {
+		if rs, ok := e.eng.(core.ResultSnapshotter); ok {
 			if res, ok := rs.LastResult(); ok {
 				results[e.key] = res
 			}
 		}
-		if sr, ok := e.sol.(core.StatsReporter); ok {
+		if sr, ok := e.eng.(core.StatsReporter); ok {
 			stats[e.key] = sr.Stats()
 		}
 	}
@@ -278,31 +310,38 @@ func (w *worker) apply(cmd command) error {
 	return w.update(w.q2, cmd.q2)
 }
 
-// update applies one change list to engines; an empty list is a no-op.
-func (w *worker) update(engines []engineInst, changes []model.Change) error {
-	if len(changes) == 0 {
+// update applies one ref list to engines; an empty list is a no-op.
+func (w *worker) update(engines []engineInst, refs []model.Ref) error {
+	if len(refs) == 0 {
 		return nil
 	}
-	cs := &model.ChangeSet{Changes: changes}
 	for _, e := range engines {
-		if _, err := e.sol.Update(cs); err != nil {
-			return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
+		if _, err := e.eng.UpdateRefs(refs); err != nil {
+			return fmt.Errorf("shard %d: %s update: %w", w.id, e.eng.Name(), err)
 		}
 	}
 	return nil
 }
 
-// Commit routes one validated change set, fans the per-shard slices out to
-// the writer goroutines, waits for every touched shard (the commit
-// barrier), and returns the merged Record. On error the runtime must be
-// considered diverged: some shards may have applied their slice while
-// another failed. Callers should stop committing (the serving layer turns
-// this into its broken state).
+// Commit applies cs to the runtime's State and commits the resolved
+// changes (see CommitRefs). A change set the State rejects changes nothing,
+// and its error wraps model.ErrIntegrity.
 func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
-	p, err := rt.router.route(cs)
+	refs, err := rt.st.Apply(cs.Changes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: %w", err)
 	}
+	return rt.CommitRefs(refs)
+}
+
+// CommitRefs routes one change set the State has validated and resolved,
+// fans the per-shard slices out to the writer goroutines, waits for every
+// touched shard (the commit barrier), and returns the merged Record. On
+// error the runtime must be considered diverged: some shards may have
+// applied their slice while another failed. Callers should stop
+// committing (the serving layer turns this into its broken state).
+func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
+	p := rt.router.route(refs)
 	respCh := make(chan response, rt.n)
 	active := 0
 	for s := 0; s < rt.n; s++ {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -273,11 +274,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 }
 
 // TestNewRejectsDanglingSnapshots: New may be handed a snapshot nobody
-// has validated yet (the server validates alongside it). A like naming an
-// unknown comment stops the router; one naming an unknown user, and a
-// comment rooted at an unknown post, stop an engine's load. New must
-// return an error and leave no goroutine behind, neither a start-up worker
-// nor a shard writer.
+// has validated yet. Its model.State rejects a like naming an unknown
+// comment or user and a comment rooted at an unknown post, with
+// model.ErrIntegrity, before any engine loads. New must leave no goroutine
+// behind, neither a start-up worker nor a shard writer.
 func TestNewRejectsDanglingSnapshots(t *testing.T) {
 	for _, tc := range []struct {
 		what   string
@@ -300,7 +300,9 @@ func TestNewRejectsDanglingSnapshots(t *testing.T) {
 			rt, err := New(n, snap)
 			if err == nil {
 				rt.Close()
-				t.Fatalf("%s, %d shards: New succeeded, want error", tc.what, n)
+			}
+			if !errors.Is(err, model.ErrIntegrity) {
+				t.Fatalf("%s, %d shards: New = %v, want an integrity violation", tc.what, n, err)
 			}
 			got := runtime.NumGoroutine()
 			for deadline := time.Now().Add(time.Second); got > before && time.Now().Before(deadline); got = runtime.NumGoroutine() {
@@ -313,11 +315,11 @@ func TestNewRejectsDanglingSnapshots(t *testing.T) {
 	}
 }
 
-// TestCommitRejectsUnknownReferences: the runtime routes only validated
-// change sets, but a dangling reference must surface as an error rather
-// than a panic or silent misroute. The router rejects an unknown comment
-// up front; it tracks no users, so the engines' own id resolution rejects
-// an unknown user.
+// TestCommitRejectsUnknownReferences: a dangling reference must surface as
+// an error rather than a panic or silent misroute. The runtime routes only
+// changes its model.State has resolved, so the State rejects each of these,
+// with model.ErrIntegrity, before the router or an engine sees it; Commit
+// returns that error.
 func TestCommitRejectsUnknownReferences(t *testing.T) {
 	for _, tc := range []struct {
 		what string
@@ -327,12 +329,19 @@ func TestCommitRejectsUnknownReferences(t *testing.T) {
 		{"like from unknown user", model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: 999, CommentID: 10}}},
 		{"friendship with unknown user", model.Change{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 100, User2: 999}}},
 	} {
+		st, err := model.NewState(twoGroupFixture())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Apply([]model.Change{tc.ch}); !errors.Is(err, model.ErrIntegrity) {
+			t.Errorf("State.Apply with %s = %v, want an integrity violation", tc.what, err)
+		}
 		rt, err := New(2, twoGroupFixture())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.Commit(&model.ChangeSet{Changes: []model.Change{tc.ch}}); err == nil {
-			t.Errorf("commit with %s succeeded, want error", tc.what)
+		if _, err := rt.Commit(&model.ChangeSet{Changes: []model.Change{tc.ch}}); !errors.Is(err, model.ErrIntegrity) {
+			t.Errorf("commit with %s = %v, want an integrity violation", tc.what, err)
 		}
 		rt.Close()
 	}

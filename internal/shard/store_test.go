@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -86,29 +87,105 @@ func sameChanges(a, b []model.Change) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
-// checkStore asserts the router's store against the model: it holds every
-// comment's record, the parked set is exactly the never-liked comments,
-// and parkedComments and parkedTopK count and rank that set.
+// render turns refs in State indices back into the changes they stand for.
+func render(st *model.State, refs []model.Ref) []model.Change {
+	view, release := st.View() // users in index order
+	defer release()
+	var out []model.Change
+	for _, x := range refs {
+		ch := model.Change{Kind: x.Kind}
+		switch x.Kind {
+		case model.KindAddPost:
+			ch.Post = st.Post(int(x.A))
+		case model.KindAddComment:
+			ch.Comment = st.Comment(int(x.A))
+		case model.KindAddUser:
+			ch.User = view.Users[x.A]
+		case model.KindAddFriendship, model.KindRemoveFriendship:
+			ch.Friendship = model.Friendship{User1: view.Users[x.A].ID, User2: view.Users[x.B].ID}
+		case model.KindAddLike, model.KindRemoveLike:
+			ch.Like = model.Like{UserID: view.Users[x.A].ID, CommentID: st.Comment(int(x.B)).ID}
+		}
+		out = append(out, ch)
+	}
+	return out
+}
+
+// q2Changes renders refs in the Q2 engines' indices as changes.
+func (r *router) q2Changes(refs []model.Ref) []model.Change {
+	state := make([]model.Ref, len(refs))
+	for k, x := range refs {
+		switch x.Kind {
+		case model.KindAddComment:
+			x.A = r.q2Comments.Of[x.A]
+		case model.KindAddLike, model.KindRemoveLike:
+			x.B = r.q2Comments.Of[x.B]
+		}
+		state[k] = x
+	}
+	return render(r.st, state)
+}
+
+// q1Changes renders refs in shard s's Q1 partition indices as changes.
+func (r *router) q1Changes(s int, refs []model.Ref) []model.Change {
+	if r.n == 1 {
+		return render(r.st, refs)
+	}
+	comments := map[int32]int32{} // local → State index
+	for c, l := range r.commentLocal {
+		if hashShard(r.st.Post(r.st.Root(c)).ID, r.n) == s {
+			comments[l] = int32(c)
+		}
+	}
+	state := make([]model.Ref, len(refs))
+	for k, x := range refs {
+		switch x.Kind {
+		case model.KindAddPost:
+			x.A = r.q1Posts[s].Of[x.A]
+		case model.KindAddComment:
+			x.A, x.B = comments[x.A], r.q1Posts[s].Of[x.B]
+		case model.KindAddLike, model.KindRemoveLike:
+			x.B = comments[x.B]
+		}
+		state[k] = x
+	}
+	return render(r.st, state)
+}
+
+// commentIndex returns the State index of comment id, or −1.
+func commentIndex(st *model.State, id model.ID) int {
+	_, nc, _ := st.Counts()
+	for i := 0; i < nc; i++ {
+		if st.Comment(i).ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkStore asserts the router's store against the model: it places
+// every comment, the parked set is exactly the never-liked comments, every
+// other comment's Q2 local index leads back to it, and parkedComments and
+// parkedTopK count and rank the parked set.
 func checkStore(t testing.TB, r *router, m *storeModel) {
 	t.Helper()
-	if n := r.comments.Len(); n != len(m.comments) || len(r.recs) != n || len(r.parked) != n {
-		t.Fatalf("router holds %d comment ids, %d records, %d parked flags; model %d comments",
-			n, len(r.recs), len(r.parked), len(m.comments))
+	if n := len(r.q2Local); n != len(m.comments) {
+		t.Fatalf("router places %d comments; model %d", n, len(m.comments))
 	}
 	var parked core.Result
 	for id, c := range m.comments {
-		ci, err := r.lookup(id)
-		if err != nil {
-			t.Fatal(err)
+		ci := commentIndex(r.st, id)
+		if ci < 0 {
+			t.Fatalf("comment %d: not in the state", id)
 		}
-		if got := r.comment(ci); got != c {
-			t.Fatalf("comment %d: router record %+v, model %+v", id, got, c)
+		isParked := r.q2Local[ci] < 0
+		if isParked == m.everLiked[id] {
+			t.Fatalf("comment %d: parked %v, ever liked %v", id, isParked, m.everLiked[id])
 		}
-		if r.parked[ci] == m.everLiked[id] {
-			t.Fatalf("comment %d: parked %v, ever liked %v", id, r.parked[ci], m.everLiked[id])
-		}
-		if r.parked[ci] {
+		if isParked {
 			parked = append(parked, core.Entry{ID: id, Timestamp: c.Timestamp})
+		} else if got := r.q2Comments.Of[r.q2Local[ci]]; int(got) != ci {
+			t.Fatalf("comment %d: Q2 local index %d leads to state comment %d, not %d", id, r.q2Local[ci], got, ci)
 		}
 	}
 	if r.parkedComments() != len(parked) {
@@ -120,80 +197,120 @@ func checkStore(t testing.TB, r *router, m *storeModel) {
 	}
 }
 
-// checkInitial asserts the partitions a new router renders of snap: each
-// Q1 partition holds its hashed posts with their comments and likes, and
-// the Q2 partition is snap without its likeless comments.
-func checkInitial(t testing.TB, r *router, snap *model.Snapshot) {
+// checkInitial asserts the partitions a new router renders of its state
+// (snap): each Q1 partition holds its hashed posts with their comments and
+// likes, and the Q2 partition is snap without its likeless comments.
+func checkInitial(t testing.TB, r *router, snap *model.Snapshot, q1 [][]model.Ref, q2 []model.Ref) {
 	t.Helper()
 	m := newStoreModel(snap)
 	checkStore(t, r, m)
 	posts := 0
 	for s := 0; s < r.n; s++ {
-		q1 := r.q1Snapshot(snap, s)
-		posts += len(q1.Posts)
-		for _, p := range q1.Posts {
-			if hashShard(p.ID, r.n) != s {
-				t.Fatalf("post %d in shard %d's Q1 partition, hashShard %d", p.ID, s, hashShard(p.ID, r.n))
+		users := 0
+		for _, ch := range r.q1Changes(s, q1[s]) {
+			var post model.ID
+			switch ch.Kind {
+			case model.KindAddPost:
+				post = ch.Post.ID
+				posts++
+			case model.KindAddComment:
+				post = ch.Comment.PostID
+			case model.KindAddLike:
+				post = m.comments[ch.Like.CommentID].PostID
+			case model.KindAddUser:
+				users++
+				continue
+			default:
+				continue
+			}
+			if hashShard(post, r.n) != s {
+				t.Fatalf("%+v in shard %d's Q1 partition, its root post's shard is %d", ch, s, hashShard(post, r.n))
 			}
 		}
-		for _, c := range q1.Comments {
-			if hashShard(c.PostID, r.n) != s {
-				t.Fatalf("comment %d in shard %d's Q1 partition, its root post's shard is %d", c.ID, s, hashShard(c.PostID, r.n))
-			}
-		}
-		for _, l := range q1.Likes {
-			if post := m.comments[l.CommentID].PostID; hashShard(post, r.n) != s {
-				t.Fatalf("like on comment %d in shard %d's Q1 partition, off its root post's shard", l.CommentID, s)
-			}
-		}
-		if len(q1.Users) != len(snap.Users) {
-			t.Fatalf("shard %d's Q1 partition holds %d users, model %d", s, len(q1.Users), len(snap.Users))
+		if users != len(snap.Users) {
+			t.Fatalf("shard %d's Q1 partition holds %d users, model %d", s, users, len(snap.Users))
 		}
 	}
 	if posts != len(snap.Posts) {
 		t.Fatalf("Q1 partitions hold %d posts, model %d", posts, len(snap.Posts))
 	}
-	want := *snap
-	want.Comments = nil
-	for _, c := range snap.Comments {
-		if m.everLiked[c.ID] {
-			want.Comments = append(want.Comments, c)
+	var got model.Snapshot
+	for _, ch := range r.q2Changes(q2) {
+		switch ch.Kind {
+		case model.KindAddPost:
+			got.Posts = append(got.Posts, ch.Post)
+		case model.KindAddComment:
+			got.Comments = append(got.Comments, ch.Comment)
+		case model.KindAddUser:
+			got.Users = append(got.Users, ch.User)
+		case model.KindAddFriendship:
+			got.Friendships = append(got.Friendships, ch.Friendship)
+		case model.KindAddLike:
+			got.Likes = append(got.Likes, ch.Like)
 		}
 	}
-	got := r.q2Snapshot(snap)
-	if len(got.Comments) != len(want.Comments) || len(got.Comments) > 0 && !reflect.DeepEqual(got.Comments, want.Comments) ||
-		!reflect.DeepEqual(got.Posts, snap.Posts) || !reflect.DeepEqual(got.Users, snap.Users) ||
-		!reflect.DeepEqual(got.Likes, snap.Likes) || !reflect.DeepEqual(got.Friendships, snap.Friendships) {
-		t.Fatalf("Q2 partition %+v, want %+v", got, want)
+	var liked []model.Comment
+	for _, c := range snap.Comments {
+		if m.everLiked[c.ID] {
+			liked = append(liked, c)
+		}
+	}
+	// The State stores friendships with ordered endpoints.
+	ordered := func(fs []model.Friendship) []model.Friendship {
+		out := make([]model.Friendship, len(fs))
+		for k, f := range fs {
+			out[k] = model.Friendship{User1: min(f.User1, f.User2), User2: max(f.User1, f.User2)}
+		}
+		return out
+	}
+	if !slices.Equal(got.Comments, liked) || !slices.Equal(got.Posts, snap.Posts) || !slices.Equal(got.Users, snap.Users) ||
+		!slices.Equal(got.Likes, snap.Likes) || !slices.Equal(ordered(got.Friendships), ordered(snap.Friendships)) {
+		t.Fatalf("Q2 partition %+v, want %+v with comments %+v", got, snap, liked)
 	}
 }
 
-// routeChecked routes cs and checks the plan and the store against the
-// model: every Q1 change on hashShard of its root post, and the Q2 stream
-// equal to the one-shard q2View stream. It returns the plan.
-func routeChecked(t testing.TB, r *router, m *storeModel, cs []model.Change) *plan {
+// newCheckedRouter builds an n-shard router on a State of snap and checks
+// the partitions it renders.
+func newCheckedRouter(t testing.TB, n int, snap *model.Snapshot) *router {
 	t.Helper()
-	p, err := r.route(&model.ChangeSet{Changes: cs})
+	st, err := model.NewState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := m.q2(cs); !sameChanges(p.q2, want) {
-		t.Fatalf("Q2 stream %+v, q2View %+v", p.q2, want)
+	r, q1, q2 := newRouter(n, st)
+	checkInitial(t, r, snap, q1, q2)
+	return r
+}
+
+// routeChecked applies cs to the router's State, routes the resolved
+// changes and checks the plan and the store against the model: every Q1
+// change on hashShard of its root post, and the Q2 stream equal to the
+// one-shard q2View stream. It returns the Q2 stream.
+func routeChecked(t testing.TB, r *router, m *storeModel, cs []model.Change) []model.Change {
+	t.Helper()
+	refs, err := r.st.Apply(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := r.route(refs)
+	q2 := r.q2Changes(p.q2)
+	if want := m.q2(cs); !sameChanges(q2, want) {
+		t.Fatalf("Q2 stream %+v, q2View %+v", q2, want)
 	}
 	for s, want := range m.q1(cs, r.n) {
-		if !sameChanges(p.q1[s], want) {
-			t.Fatalf("shard %d: Q1 stream %+v, brute force %+v", s, p.q1[s], want)
+		if got := r.q1Changes(s, p.q1[s]); !sameChanges(got, want) {
+			t.Fatalf("shard %d: Q1 stream %+v, brute force %+v", s, got, want)
 		}
 	}
 	checkStore(t, r, m)
-	return p
+	return q2
 }
 
-// synthetic counts the comments a plan hands to the Q2 engines at their
-// first like: the AddComments of its Q2 stream.
-func synthetic(p *plan) int {
+// synthetic counts the comments a Q2 stream hands to the engines at their
+// first like: its AddComments.
+func synthetic(q2 []model.Change) int {
 	n := 0
-	for _, ch := range p.q2 {
+	for _, ch := range q2 {
 		if ch.Kind == model.KindAddComment {
 			n++
 		}
@@ -208,11 +325,7 @@ func TestRouterStoreInvariants(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 2, Seed: 11, ChangeSets: 150, RemovalFraction: 0.35})
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
-			r, err := newRouter(n, d.Snapshot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkInitial(t, r, d.Snapshot)
+			r := newCheckedRouter(t, n, d.Snapshot)
 			m := newStoreModel(d.Snapshot)
 			unparked := 0
 			for _, cs := range d.ChangeSets {
@@ -233,11 +346,7 @@ func TestRouterStoreMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
 			d := datagen.Generate(datagen.Config{ScaleFactor: 2, Seed: 5, ChangeSets: 120, RemovalFraction: 0.3})
-			r, err := newRouter(n, d.Snapshot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkInitial(t, r, d.Snapshot)
+			r := newCheckedRouter(t, n, d.Snapshot)
 			m := newStoreModel(d.Snapshot)
 			rng := rand.New(rand.NewSource(int64(n)))
 			sameCommit := 0
@@ -248,7 +357,7 @@ func TestRouterStoreMatchesBruteForce(t *testing.T) {
 						added[ch.Comment.ID] = true
 					}
 				}
-				for _, ch := range routeChecked(t, r, m, cs.Changes).q2 {
+				for _, ch := range routeChecked(t, r, m, cs.Changes) {
 					if ch.Kind == model.KindAddComment && added[ch.Comment.ID] {
 						sameCommit++
 					}
@@ -266,9 +375,10 @@ func TestRouterStoreMatchesBruteForce(t *testing.T) {
 // users and 8 comments on two posts, three bytes per change: an opcode (add
 // comment, add or remove like, add or remove friendship, or end of change
 // set) and two operands. Changes model.State rejects are dropped. The
-// first change set becomes the initial snapshot of a 2-shard router; every
-// later one is routed, and the plan and the store are checked after each
-// against the brute-force model.
+// first change set becomes the initial snapshot of a 2-shard router, on a
+// State of its own; every later one is applied to that State and routed,
+// and the plan and the store are checked after each against the
+// brute-force model.
 func FuzzRouterStore(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
@@ -293,10 +403,7 @@ func FuzzRouterStore(f *testing.F) {
 				routeChecked(t, r, m, pending)
 			} else {
 				view, release := st.View()
-				if r, err = newRouter(2, view); err != nil {
-					t.Fatal(err)
-				}
-				checkInitial(t, r, view)
+				r = newCheckedRouter(t, 2, view)
 				m = newStoreModel(view)
 				release()
 			}
@@ -321,7 +428,7 @@ func FuzzRouterStore(f *testing.F) {
 				flush()
 				continue
 			}
-			if st.Apply([]model.Change{ch}) == nil {
+			if _, err := st.Apply([]model.Change{ch}); err == nil {
 				pending = append(pending, ch)
 			}
 		}

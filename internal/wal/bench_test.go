@@ -135,7 +135,7 @@ func BenchmarkSnapshotStall(b *testing.B) {
 			// the copy-on-write detach of the edge arrays. The like is
 			// added back untimed, so every iteration sees the same state.
 			rm := d.Snapshot.Likes[i%len(d.Snapshot.Likes)]
-			if err := st.Apply([]model.Change{{Kind: model.KindRemoveLike, Like: rm}}); err != nil {
+			if _, err := st.Apply([]model.Change{{Kind: model.KindRemoveLike, Like: rm}}); err != nil {
 				b.Fatal(err)
 			}
 			if pause := time.Since(start); pause > worst {
@@ -145,7 +145,7 @@ func BenchmarkSnapshotStall(b *testing.B) {
 			if err := <-done; err != nil {
 				b.Fatal(err)
 			}
-			if err := st.Apply([]model.Change{{Kind: model.KindAddLike, Like: rm}}); err != nil {
+			if _, err := st.Apply([]model.Change{{Kind: model.KindAddLike, Like: rm}}); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

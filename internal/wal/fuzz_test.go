@@ -200,7 +200,7 @@ func FuzzCompactRecovery(f *testing.F) {
 				t.Fatal(err)
 			}
 			for _, b := range info.Batches {
-				if err := st.Apply(b.Changes); err != nil {
+				if _, err := st.Apply(b.Changes); err != nil {
 					t.Fatalf("%s: replay of batch seq %d: %v", filepath.Base(d), b.Seq, err)
 				}
 			}
