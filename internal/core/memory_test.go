@@ -8,12 +8,6 @@ import (
 	"repro/internal/model"
 )
 
-// engine is a GraphBLAS engine as the sharded runtime drives it.
-type engine interface {
-	Solution
-	attacher
-}
-
 // servedPart is the part of st a one-shard runtime hands an engine of the
 // given query, and the refs that build it: Q1 holds every node and edge
 // (it keeps no friendship matrix); Q2 holds every post, user, like and
@@ -65,7 +59,7 @@ func heapAfterGC() int64 {
 
 // retainedBytes is the heap an engine keeps after Attach and Initial on
 // its part, excluding the State, the part's spaces and the refs.
-func retainedBytes(t testing.TB, eng engine, p Part, refs []model.Ref) int64 {
+func retainedBytes(t testing.TB, eng Engine, p Part, refs []model.Ref) int64 {
 	t.Helper()
 	before := heapAfterGC()
 	if err := eng.Attach(p, refs); err != nil {
@@ -102,12 +96,12 @@ func TestEngineRetainedBytes(t *testing.T) {
 	for _, e := range []struct {
 		name  string
 		query string
-		new   func() engine
+		new   func() Engine
 		bound float64
 	}{
-		{"q1", "Q1", func() engine { return NewQ1Incremental() }, 24.5},
-		{"q2", "Q2", func() engine { return NewQ2Incremental() }, 17.8},
-		{"q2cc", "Q2", func() engine { return NewQ2IncrementalCC() }, 22.0},
+		{"q1", "Q1", func() Engine { return NewQ1Incremental() }, 24.5},
+		{"q2", "Q2", func() Engine { return NewQ2Incremental() }, 17.8},
+		{"q2cc", "Q2", func() Engine { return NewQ2IncrementalCC() }, 22.0},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			p, refs := servedPart(st, e.query)

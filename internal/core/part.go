@@ -39,12 +39,15 @@ type Part struct {
 func (p *Part) post(i int) model.Post       { return p.State.Post(p.Posts.state(i)) }
 func (p *Part) comment(i int) model.Comment { return p.State.Comment(p.Comments.state(i)) }
 
-// attacher is how an engine runs on resolved changes, in the indices of
-// the part it holds: local post and comment indices, State user indices.
-// Every GraphBLAS engine implements it. Attach loads the engine from refs,
-// the adds that build its part (nodes before the edges on them);
-// UpdateRefs applies one change set's refs and reevaluates.
-type attacher interface {
+// Engine is a GraphBLAS engine: a Solution that also runs on resolved
+// changes, in the indices of the part of a State it holds (local post and
+// comment indices, State user indices), as the sharded runtime drives it.
+// Attach loads the engine from refs, the adds that build its part (nodes
+// before the edges on them); UpdateRefs applies one change set's refs and
+// reevaluates. Load and Update are adapters that resolve through a State
+// of the engine's own.
+type Engine interface {
+	Solution
 	Attach(p Part, refs []model.Ref) error
 	UpdateRefs(refs []model.Ref) (Result, error)
 }
@@ -59,9 +62,11 @@ type attacher interface {
 // comments may reply to: so the engine's State files each comment directly
 // under its root post. And the engines' matrices are boolean, so an insert
 // stream that adds a like or friendship the State already holds changes
-// nothing: Update drops such an add. Every other rule is checked as given.
+// nothing: Update drops an add of an edge that is present at that point
+// of the set (see model.State.DropHeldAdds), where a served State would
+// reject it as a duplicate. Every other rule is checked as given.
 type standalone struct {
-	self    attacher
+	self    Engine
 	st      *model.State
 	changes []model.Change
 }
@@ -84,17 +89,11 @@ func (a *standalone) Load(snap *model.Snapshot) error {
 
 // Update implements Solution.
 func (a *standalone) Update(cs *model.ChangeSet) (Result, error) {
-	a.changes = a.changes[:0]
-	for _, ch := range cs.Changes {
-		switch ch.Kind {
-		case model.KindAddComment:
+	a.changes = a.st.DropHeldAdds(a.changes[:0], cs.Changes)
+	for i := range a.changes {
+		if ch := &a.changes[i]; ch.Kind == model.KindAddComment {
 			ch.Comment.ParentID = ch.Comment.PostID
-		case model.KindAddLike, model.KindAddFriendship:
-			if a.st.Holds(&ch) {
-				continue
-			}
 		}
-		a.changes = append(a.changes, ch)
 	}
 	refs, err := a.st.Apply(a.changes)
 	if err != nil {

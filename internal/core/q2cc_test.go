@@ -61,17 +61,16 @@ func (st *ccStream) user(b byte) model.ID {
 	return st.users[int(b)%len(st.users)]
 }
 
-// sets decodes data into change sets.
+// sets decodes data into change sets. Each like or friendship change
+// toggles its edge, so one set may remove an edge and add it back.
 func (st *ccStream) sets(data []byte) []model.ChangeSet {
 	var out []model.ChangeSet
 	var cs model.ChangeSet
-	used := map[[2]model.ID]bool{}
 	flush := func() {
 		if len(cs.Changes) > 0 {
 			out = append(out, cs)
 		}
 		cs = model.ChangeSet{}
-		used = map[[2]model.ID]bool{}
 	}
 	for i := 0; i+1 < len(data); i += 2 {
 		b0, b1 := data[i], data[i+1]
@@ -114,10 +113,6 @@ func (st *ccStream) sets(data []byte) []model.ChangeSet {
 				continue
 			}
 		}
-		if used[key] {
-			flush()
-		}
-		used[key] = true
 		switch ch.Kind {
 		case model.KindAddLike, model.KindRemoveLike:
 			st.likes[key] = ch.Kind == model.KindAddLike
@@ -178,6 +173,8 @@ func FuzzQ2CCStream(f *testing.F) {
 	f.Add([]byte{0x02, 0x01, 0x82, 0x02, 0x06, 0x04, 0x00, 0x01, 0x81, 0x02})
 	f.Add([]byte{0x02, 0x00, 0x02, 0x00, 0x03, 0x00, 0x03, 0x01, 0x84, 0x04, 0x0a, 0x05, 0x80, 0x00, 0x00, 0x00})
 	f.Add([]byte{0x0a, 0x05, 0x0e, 0x07, 0x12, 0x0b, 0x16, 0x0d, 0x80, 0x01, 0x84, 0x02, 0x88, 0x03, 0x82, 0x05, 0x86, 0x0a})
+	// One like, then one friendship, toggled three times within a set.
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0x02, 0x01, 0x02, 0x01, 0x82, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 400 {
 			data = data[:400]

@@ -123,6 +123,80 @@ func TestRemoveThenReAdd(t *testing.T) {
 	}
 }
 
+func TestRemoveAndReAddInOneSet(t *testing.T) {
+	// A set may remove an edge and add it back, also an edge on a comment
+	// the same set adds: every engine must end with the edge, as the
+	// Snapshot.Apply oracle does.
+	like := func(kind model.ChangeKind, u, c model.ID) model.Change {
+		return model.Change{Kind: kind, Like: model.Like{UserID: u, CommentID: c}}
+	}
+	friend := func(kind model.ChangeKind, a, b model.ID) model.Change {
+		return model.Change{Kind: kind, Friendship: model.Friendship{User1: a, User2: b}}
+	}
+	const c9 = model.ID(9)
+	d := model.ExampleDataset()
+	d.ChangeSets = []model.ChangeSet{
+		{Changes: []model.Change{
+			like(model.KindRemoveLike, model.U2, model.C1),
+			like(model.KindAddLike, model.U2, model.C1),
+			friend(model.KindRemoveFriendship, model.U3, model.U4),
+			friend(model.KindAddFriendship, model.U4, model.U3),
+		}},
+		{Changes: []model.Change{
+			{Kind: model.KindAddComment, Comment: model.Comment{ID: c9, Timestamp: 60, ParentID: model.C3, PostID: model.P2}},
+			like(model.KindAddLike, model.U1, c9),
+			like(model.KindAddLike, model.U2, c9),
+			like(model.KindRemoveLike, model.U1, c9),
+			like(model.KindAddLike, model.U1, c9),
+			friend(model.KindAddFriendship, model.U1, model.U2),
+			friend(model.KindRemoveFriendship, model.U2, model.U1),
+			friend(model.KindAddFriendship, model.U2, model.U1),
+		}},
+		{Changes: []model.Change{
+			like(model.KindRemoveLike, model.U2, model.C1),
+			friend(model.KindRemoveFriendship, model.U2, model.U3),
+			like(model.KindAddLike, model.U2, model.C1),
+			like(model.KindRemoveLike, model.U2, model.C1),
+		}},
+	}
+	if err := model.Validate(d); err != nil {
+		t.Fatal(err)
+	}
+	runAll(t, d, q1Engines(), true)
+	runAll(t, d, q2Engines(), false)
+}
+
+func TestRepeatedAddInOneSetIsIdempotent(t *testing.T) {
+	// The engines' matrices are boolean: a set that adds the same edge
+	// twice, in either spelling, scores as the set adding it once.
+	once := model.ChangeSet{Changes: []model.Change{
+		{Kind: model.KindAddLike, Like: model.Like{UserID: model.U1, CommentID: model.C1}},
+		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: model.U1, User2: model.U2}},
+	}}
+	twice := model.ChangeSet{Changes: []model.Change{
+		once.Changes[0], once.Changes[1], once.Changes[0],
+		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: model.U2, User2: model.U1}},
+	}}
+	d := model.ExampleDataset()
+	update := func(eng Solution, cs *model.ChangeSet) Result {
+		if err := eng.Load(d.Snapshot); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Initial(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Update(cs)
+		if err != nil {
+			t.Fatalf("%s: %v", eng.Name(), err)
+		}
+		return res
+	}
+	want := append(q1Engines(), q2Engines()...)
+	for i, eng := range append(q1Engines(), q2Engines()...) {
+		assertResultsEqual(t, eng.Name(), "repeated-add", update(want[i], &once), update(eng, &twice))
+	}
+}
+
 func TestEnginesMatchOracleOnMixedWorkload(t *testing.T) {
 	for _, seed := range []int64{1, 5, 2018} {
 		d := datagen.Generate(datagen.Config{

@@ -22,7 +22,7 @@ func scaleStream(sf int, removal float64) datagen.Config {
 // it once, and reports the bytes its Update calls allocate per change over
 // the whole change stream (runtime.MemStats.TotalAlloc, so the figure does
 // not depend on host speed).
-func updateBytesPerChange(t *testing.T, eng engine, cfg datagen.Config) float64 {
+func updateBytesPerChange(t *testing.T, eng Engine, cfg datagen.Config) float64 {
 	t.Helper()
 	bytes, changes := updateAlloc(t, eng, cfg)
 	return float64(bytes) / float64(changes)
@@ -31,7 +31,7 @@ func updateBytesPerChange(t *testing.T, eng engine, cfg datagen.Config) float64 
 // updateAlloc loads an engine on a generated dataset, evaluates it once,
 // and returns the bytes its Update calls allocate over the whole change
 // stream and the number of changes in it.
-func updateAlloc(t *testing.T, eng engine, cfg datagen.Config) (bytes uint64, changes int) {
+func updateAlloc(t *testing.T, eng Engine, cfg datagen.Config) (bytes uint64, changes int) {
 	t.Helper()
 	run := runUpdates(t, eng, datagen.Generate(cfg), false)
 	return run.bytes, run.changes
@@ -51,7 +51,7 @@ type updateRun struct {
 // change set of ds, resolved by the State beforehand. With perUpdate it
 // also reads the allocation counter around each Update call, outside the
 // timed span.
-func runUpdates(tb testing.TB, eng engine, ds *model.Dataset, perUpdate bool) updateRun {
+func runUpdates(tb testing.TB, eng Engine, ds *model.Dataset, perUpdate bool) updateRun {
 	tb.Helper()
 	st, err := model.NewState(ds.Snapshot)
 	if err != nil {
@@ -106,11 +106,11 @@ func runUpdates(tb testing.TB, eng engine, ds *model.Dataset, perUpdate bool) up
 func BenchmarkUpdateScaling(b *testing.B) {
 	for _, e := range []struct {
 		name string
-		new  func() engine
+		new  func() Engine
 	}{
-		{"q1", func() engine { return NewQ1Incremental() }},
-		{"q2", func() engine { return NewQ2Incremental() }},
-		{"q2cc", func() engine { return NewQ2IncrementalCC() }},
+		{"q1", func() Engine { return NewQ1Incremental() }},
+		{"q2", func() Engine { return NewQ2Incremental() }},
+		{"q2cc", func() Engine { return NewQ2IncrementalCC() }},
 	} {
 		for _, removal := range []float64{0, 0.35} {
 			for _, sf := range []int{8, 32, 128} {
@@ -148,15 +148,15 @@ func BenchmarkUpdateScaling(b *testing.B) {
 func TestUpdateCostScaleInvariant(t *testing.T) {
 	rows := []struct {
 		name    string
-		new     func() engine
+		new     func() Engine
 		removal float64
 	}{
-		{"q1/rf0", func() engine { return NewQ1Incremental() }, 0},
-		{"q1/rf35", func() engine { return NewQ1Incremental() }, 0.35},
-		{"q2cc/rf0", func() engine { return NewQ2IncrementalCC() }, 0},
-		{"q2cc/rf35", func() engine { return NewQ2IncrementalCC() }, 0.35},
-		{"q2/rf0", func() engine { return NewQ2Incremental() }, 0},
-		{"q2/rf35", func() engine { return NewQ2Incremental() }, 0.35},
+		{"q1/rf0", func() Engine { return NewQ1Incremental() }, 0},
+		{"q1/rf35", func() Engine { return NewQ1Incremental() }, 0.35},
+		{"q2cc/rf0", func() Engine { return NewQ2IncrementalCC() }, 0},
+		{"q2cc/rf35", func() Engine { return NewQ2IncrementalCC() }, 0.35},
+		{"q2/rf0", func() Engine { return NewQ2Incremental() }, 0},
+		{"q2/rf35", func() Engine { return NewQ2Incremental() }, 0.35},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -32,8 +32,9 @@ type Tool struct {
 	New Factory
 }
 
-// Factories returns the named engine constructors for a query, the single
-// registry shared by ttcrun, ttcvalidate, ttcserve and the Fig. 5 lineup.
+// Factories returns the named engine constructors for a query, the
+// registry shared by ttcrun, ttcbench and the Fig. 5 lineup (ServedEngines
+// lists the engines the server keeps warm).
 // Names follow the CLI vocabulary: "batch", "incremental", "incremental-cc"
 // (Q2 only), "nmf-batch", "nmf-incremental". Unknown queries return nil.
 func Factories(query string) map[string]Factory {
@@ -62,22 +63,21 @@ func Factories(query string) map[string]Factory {
 // is served under over HTTP, the query it answers (which also selects the
 // shard placement — "Q1" engines run on every shard, each over the posts
 // hashed to it; "Q2" engines run on one home shard over the whole graph),
-// and its factory.
+// and its constructor.
 type ServedEngine struct {
 	Key   string
 	Query string
-	New   Factory
+	New   func() core.Engine
 }
 
 // ServedEngines returns the incremental engine lineup instantiated by
-// internal/shard and served by internal/server, in serving order.
-// Every entry resolves through Factories, keeping the engine registry
-// single-sourced.
+// internal/shard and served by internal/server, in serving order: the
+// engines Factories names "incremental" and "incremental-cc".
 func ServedEngines() []ServedEngine {
 	return []ServedEngine{
-		{Key: "q1", Query: "Q1", New: Factories("Q1")["incremental"]},
-		{Key: "q2", Query: "Q2", New: Factories("Q2")["incremental"]},
-		{Key: "q2cc", Query: "Q2", New: Factories("Q2")["incremental-cc"]},
+		{Key: "q1", Query: "Q1", New: func() core.Engine { return core.NewQ1Incremental() }},
+		{Key: "q2", Query: "Q2", New: func() core.Engine { return core.NewQ2Incremental() }},
+		{Key: "q2cc", Query: "Q2", New: func() core.Engine { return core.NewQ2IncrementalCC() }},
 	}
 }
 

@@ -195,9 +195,45 @@ func (st *State) Refs() []Ref {
 	return refs
 }
 
-// Holds reports whether the state holds the like or friendship an
+// DropHeldAdds appends to dst the changes an engine of boolean matrices
+// needs to see and returns dst: every change except an AddLike or
+// AddFriendship of an edge that is present where the change stands in
+// the sequence, because an earlier change of it added the edge, or the
+// state holds it and no earlier change removed it. Such an add changes no
+// boolean matrix, while Apply rejects it as a duplicate.
+func (st *State) DropHeldAdds(dst, changes []Change) []Change {
+	var present map[ChangeKey]bool // the edges changes has touched so far
+	for i := range changes {
+		ch := &changes[i]
+		switch ch.Kind {
+		case KindAddLike, KindAddFriendship, KindRemoveLike, KindRemoveFriendship:
+		default:
+			dst = append(dst, *ch)
+			continue
+		}
+		k := ch.Key()
+		add := ch.Kind == KindAddLike || ch.Kind == KindAddFriendship
+		if add {
+			held, touched := present[k]
+			if !touched {
+				held = st.holds(ch)
+			}
+			if held {
+				continue
+			}
+		}
+		if present == nil {
+			present = make(map[ChangeKey]bool)
+		}
+		present[k] = add
+		dst = append(dst, *ch)
+	}
+	return dst
+}
+
+// holds reports whether the state holds the like or friendship an
 // AddLike or AddFriendship change adds.
-func (st *State) Holds(ch *Change) bool {
+func (st *State) holds(ch *Change) bool {
 	var k uint64
 	var at map[uint64]int32
 	switch ch.Kind {

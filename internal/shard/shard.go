@@ -83,20 +83,10 @@ type Record struct {
 	ParkedComments int
 }
 
-// engine is a served engine as the runtime drives it: loaded from, and
-// updated with, changes the State has resolved, in the indices of the part
-// of the State it holds (see core.Part).
-type engine interface {
-	Name() string
-	Attach(p core.Part, refs []model.Ref) error
-	Initial() (core.Result, error)
-	UpdateRefs(refs []model.Ref) (core.Result, error)
-}
-
 // engineInst is one warm engine on one shard.
 type engineInst struct {
 	key string
-	eng engine
+	eng core.Engine
 }
 
 // command is one commit's slice of work for a single shard.
@@ -207,11 +197,7 @@ func Start(n int, st *model.State) (*Runtime, error) {
 			q1Part.Posts = router.q1Posts[s]
 		}
 		for _, e := range harness.ServedEngines() {
-			eng, ok := e.New().(engine)
-			if !ok {
-				return nil, fmt.Errorf("shard: engine %s does not run on resolved changes", e.Key)
-			}
-			inst := engineInst{key: e.Key, eng: eng}
+			inst := engineInst{key: e.Key, eng: e.New()}
 			switch {
 			case e.Query == "Q1":
 				w.q1 = append(w.q1, inst)

@@ -138,6 +138,64 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
+// TestCommitRemoveAndReAddInOneSet: a commit may remove an edge and add it
+// back, also a like on a parked comment or on a comment the same commit
+// adds. Every runtime ends with the edge, as the batch engines do.
+func TestCommitRemoveAndReAddInOneSet(t *testing.T) {
+	like := func(kind model.ChangeKind, u, c model.ID) model.Change {
+		return model.Change{Kind: kind, Like: model.Like{UserID: u, CommentID: c}}
+	}
+	friend := func(kind model.ChangeKind, a, b model.ID) model.Change {
+		return model.Change{Kind: kind, Friendship: model.Friendship{User1: a, User2: b}}
+	}
+	const c9 = model.ID(9)
+	d := model.ExampleDataset()
+	sets := []model.ChangeSet{
+		{Changes: []model.Change{
+			like(model.KindRemoveLike, model.U2, model.C1),
+			like(model.KindAddLike, model.U2, model.C1),
+			friend(model.KindRemoveFriendship, model.U3, model.U4),
+			friend(model.KindAddFriendship, model.U4, model.U3),
+		}},
+		{Changes: []model.Change{
+			like(model.KindAddLike, model.U1, model.C3),
+			like(model.KindRemoveLike, model.U1, model.C3),
+			like(model.KindAddLike, model.U1, model.C3),
+			{Kind: model.KindAddComment, Comment: model.Comment{ID: c9, Timestamp: 60, ParentID: model.C3, PostID: model.P2}},
+			like(model.KindAddLike, model.U2, c9),
+			like(model.KindRemoveLike, model.U2, c9),
+			like(model.KindAddLike, model.U2, c9),
+			like(model.KindAddLike, model.U4, c9),
+		}},
+	}
+	oracle := newBatchOracle(t, d.Snapshot)
+	var rts []*Runtime
+	for _, n := range []int{1, 4} {
+		rt, err := New(n, d.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		rts = append(rts, rt)
+	}
+	for k := range sets {
+		wantQ1, wantQ2 := oracle.update(t, &sets[k])
+		for _, rt := range rts {
+			rec, err := rt.Commit(&sets[k])
+			if err != nil {
+				t.Fatalf("commit %d (%d shards): %v", k, rt.n, err)
+			}
+			for _, tc := range []struct{ key, want string }{
+				{"q1", wantQ1}, {"q2", wantQ2}, {"q2cc", wantQ2},
+			} {
+				if got := rec.Results[tc.key]; got != tc.want {
+					t.Errorf("commit %d (%d shards): %s = %q, oracle %q", k, rt.n, tc.key, got, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestParkedCommentsRankExactly pins the router's parking of likeless
 // comments: they live in no engine, yet must rank exactly (score 0, newest
 // first) in the merged Q2 answer, reach the Q2 engines at their first like,
