@@ -80,12 +80,14 @@ func retainedBytes(t testing.TB, eng Engine, p Part, refs []model.Ref) int64 {
 // after Load and Initial on the view a one-shard runtime serves them
 // (datagen sf 32, seed 1), each engine may retain at most its bound in
 // bytes per entity of the full snapshot (posts, comments, users, likes and
-// friendships). With compact id maps, only the matrices each engine reads
-// and q2cc's components in flat per-like labels, Go 1.24 measures q1 21.3,
-// q2 15.5 and q2cc 19.1 B per entity. None of them holds a Go map, so
-// each bound adds 15% for allocator differences. Go-map id tables and all
-// five matrices in every engine measured 52.6, 22.7 and 43.7; q2cc with a
-// DSU and a Go map per comment measured 38.6.
+// friendships). On changes a model.State resolved, with only the matrices
+// each engine reads and q2cc's components in flat per-like labels, Go 1.24
+// measures q1 9.5 (10.1 under -race), q2 11.3 and q2cc 14.9 B per entity.
+// None of them holds a Go map, so each bound is the larger figure plus
+// 15% for allocator differences. Engines with id maps of their own
+// measured q1 21.3, q2 15.5 and q2cc 19.1; Go-map id tables and all five
+// matrices in every engine 52.6, 22.7 and 43.7; q2cc with a DSU and a Go
+// map per comment 38.6.
 func TestEngineRetainedBytes(t *testing.T) {
 	snap := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1}).Snapshot
 	entities := len(snap.Posts) + len(snap.Comments) + len(snap.Users) + len(snap.Likes) + len(snap.Friendships)
@@ -99,9 +101,9 @@ func TestEngineRetainedBytes(t *testing.T) {
 		new   func() Engine
 		bound float64
 	}{
-		{"q1", "Q1", func() Engine { return NewQ1Incremental() }, 24.5},
-		{"q2", "Q2", func() Engine { return NewQ2Incremental() }, 17.8},
-		{"q2cc", "Q2", func() Engine { return NewQ2IncrementalCC() }, 22.0},
+		{"q1", "Q1", func() Engine { return NewQ1Incremental() }, 11.6},
+		{"q2", "Q2", func() Engine { return NewQ2Incremental() }, 13.0},
+		{"q2cc", "Q2", func() Engine { return NewQ2IncrementalCC() }, 17.1},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			p, refs := servedPart(st, e.query)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -159,57 +160,6 @@ type wireLike struct {
 	Comment model.ID `json:"comment"`
 }
 
-func (c *wireChange) toModel() (model.Change, error) {
-	need := func(field string, ok bool) error {
-		if !ok {
-			return fmt.Errorf("kind %q requires the %q field", c.Kind, field)
-		}
-		return nil
-	}
-	switch c.Kind {
-	case "add-post":
-		if err := need("post", c.Post != nil); err != nil {
-			return model.Change{}, err
-		}
-		return model.Change{Kind: model.KindAddPost,
-			Post: model.Post{ID: c.Post.ID, Timestamp: c.Post.Timestamp}}, nil
-	case "add-comment":
-		if err := need("comment", c.Comment != nil); err != nil {
-			return model.Change{}, err
-		}
-		return model.Change{Kind: model.KindAddComment,
-			Comment: model.Comment{ID: c.Comment.ID, Timestamp: c.Comment.Timestamp,
-				ParentID: c.Comment.Parent, PostID: c.Comment.Post}}, nil
-	case "add-user":
-		if err := need("user", c.User != nil); err != nil {
-			return model.Change{}, err
-		}
-		return model.Change{Kind: model.KindAddUser, User: model.User{ID: c.User.ID}}, nil
-	case "add-friendship", "remove-friendship":
-		if err := need("friendship", c.Friendship != nil); err != nil {
-			return model.Change{}, err
-		}
-		kind := model.KindAddFriendship
-		if c.Kind == "remove-friendship" {
-			kind = model.KindRemoveFriendship
-		}
-		return model.Change{Kind: kind,
-			Friendship: model.Friendship{User1: c.Friendship.User1, User2: c.Friendship.User2}}, nil
-	case "add-like", "remove-like":
-		if err := need("like", c.Like != nil); err != nil {
-			return model.Change{}, err
-		}
-		kind := model.KindAddLike
-		if c.Kind == "remove-like" {
-			kind = model.KindRemoveLike
-		}
-		return model.Change{Kind: kind,
-			Like: model.Like{UserID: c.Like.User, CommentID: c.Like.Comment}}, nil
-	default:
-		return model.Change{}, fmt.Errorf("unknown change kind %q", c.Kind)
-	}
-}
-
 // WireChange converts a model.Change to its JSON encoding — the inverse of
 // the /update request format, for clients replaying model change streams.
 func WireChange(ch model.Change) any {
@@ -241,36 +191,17 @@ func WireChange(ch model.Change) any {
 	return w
 }
 
-// maxUpdateBytes caps an /update body (on the order of ten thousand
-// changes): a request is never split, so an unbounded body would be an
-// unbounded commit. A larger body is answered 413 and nothing is enqueued.
-const maxUpdateBytes = 1 << 20
-
-// updateRequest is the /update body: one or more changes committed
-// atomically as a unit. Wait=true blocks the response until the batch
-// containing the request has been committed and is visible to readers.
-type updateRequest struct {
-	Changes []wireChange `json:"changes"`
-	Wait    bool         `json:"wait"`
-}
-
-type updateResponse struct {
-	Queued    int  `json:"queued"`
-	Committed bool `json:"committed"`
-	// Seq is the last committed batch at response time; with wait=true the
-	// request's changes are included in it.
-	Seq int `json:"seq"`
-}
-
+// handleUpdate reads the body whole, decodes it in one pass
+// (decodeUpdate) and enqueues its changes as one atomic request. The
+// changes do not point into the body, so the acknowledgement is then
+// appended over it.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var req updateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUpdateBytes))
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			httpError(w, http.StatusRequestEntityTooLarge, "update body exceeds %d bytes", maxUpdateBytes)
@@ -279,20 +210,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad update body: %v", err)
 		return
 	}
-	if len(req.Changes) == 0 {
-		httpError(w, http.StatusBadRequest, "no changes")
+	changes, wait, err := decodeUpdate(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad update body: %v", err)
 		return
 	}
-	changes := make([]model.Change, len(req.Changes))
-	for i := range req.Changes {
-		ch, err := req.Changes[i].toModel()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "change %d: %v", i, err)
-			return
-		}
-		changes[i] = ch
-	}
-	if err := s.Enqueue(changes, req.Wait); err != nil {
+	if err := s.Enqueue(changes, wait); err != nil {
 		switch {
 		case errors.Is(err, ErrRejected):
 			httpError(w, http.StatusConflict, "%v", err)
@@ -303,11 +226,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, updateResponse{
-		Queued:    len(changes),
-		Committed: req.Wait,
-		Seq:       s.Snapshot().Seq,
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(appendUpdateResponse(body[:0], len(changes), wait, s.Snapshot().Seq))
 }
 
 // counters are the figures the writer and the snapshot encoder keep for

@@ -34,6 +34,26 @@ func waitReady(t *testing.T, srv *Server) {
 	}
 }
 
+// crash simulates an abrupt process death, for recovery tests: the writer
+// and shard runtime stop, but no final snapshot is written and the WAL is
+// abandoned without a flush — the durability directory is left exactly as
+// a kill -9 would leave it. (Batches already queued still drain through
+// the writer, which only makes the pre-crash workload longer.)
+func (s *Server) crash() {
+	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		return
+	}
+	s.closing = true
+	s.mu.Unlock()
+	s.producers.Wait()
+	close(s.updates)
+	<-s.writerDone
+	s.rt.Close()
+	s.closeDurable(false)
+}
+
 // checkAgainstOracle asserts the served snapshot is exactly the oracle's
 // answer after k committed change sets.
 func checkAgainstOracle(t *testing.T, label string, snap *Snapshot, k int, oracleQ1, oracleQ2 []string) {

@@ -201,7 +201,7 @@ type Server struct {
 	// ready flips to true once startup WAL replay (if any) has committed;
 	// /healthz serves 503 until then.
 	ready   atomic.Bool
-	durOnce sync.Once // final snapshot + WAL close (Close and crash paths)
+	durOnce sync.Once // final snapshot + WAL close (Close and the tests' crash)
 
 	// Streaming-snapshot state. snapInProgress is set for the lifetime of a
 	// background encode (and the final shutdown snapshot) — /stats and
@@ -494,26 +494,6 @@ func (s *Server) waitSnapshot() {
 	if s.snapDone != nil {
 		<-s.snapDone
 	}
-}
-
-// crash simulates an abrupt process death, for recovery tests: the writer
-// and shard runtime stop, but no final snapshot is written and the WAL is
-// abandoned without a flush — the durability directory is left exactly as
-// a kill -9 would leave it. (Batches already queued still drain through
-// the writer, which only makes the pre-crash workload longer.)
-func (s *Server) crash() {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return
-	}
-	s.closing = true
-	s.mu.Unlock()
-	s.producers.Wait()
-	close(s.updates)
-	<-s.writerDone
-	s.rt.Close()
-	s.closeDurable(false)
 }
 
 // Ready reports whether startup WAL replay (if any) has completed and the

@@ -50,10 +50,11 @@ func BenchmarkNewRouter(b *testing.B) {
 
 // TestRouterRetainedBytes is a deterministic memory gate on the router: the
 // 4-shard router of routerFixture, started the way the runtime starts it
-// on a model.State it does not count, must retain at most 50 bytes per
-// snapshot entity. Go 1.24 measures 22.4 with the local indices
-// it assigns; its own comment id map, records and parked flags measured
-// 37.6, and the union-find store with member rings before those took 87.
+// on a model.State it does not count, must retain at most 25.8 bytes per
+// snapshot entity: Go 1.24 measures 22.4 with the local indices it
+// assigns, with and without -race, and the bound adds 15%. Its own
+// comment id map, records and parked flags measured 37.6, and the
+// union-find store with member rings before those took 87.
 // The router holds no Go map, so its layout does not vary across Go
 // versions.
 func TestRouterRetainedBytes(t *testing.T) {
@@ -69,8 +70,8 @@ func TestRouterRetainedBytes(t *testing.T) {
 	runtime.KeepAlive(st) // or the second collection frees it
 	got := float64(retained) / float64(entities)
 	t.Logf("router retains %.1f B per snapshot entity", got)
-	if got > 50 {
-		t.Fatalf("router retains %.1f B per snapshot entity, want at most 50", got)
+	if got > 25.8 {
+		t.Fatalf("router retains %.1f B per snapshot entity, want at most 25.8", got)
 	}
 }
 
