@@ -20,7 +20,7 @@
 //	GxB_select         → SelectM
 //	GrB_reduce         → ReduceRows, ReduceCols
 //	GrB_build          → VectorFromTuples, MatrixFromTuples
-//	GrB_extractTuples  → (*Vector).ExtractTuples, (*Matrix).ExtractTuples
+//	GrB_extractTuples  → (*Vector).ExtractTuples
 //	masks ⟨M⟩          → MaskV
 //	GrB_wait           → (*Matrix).Wait
 //

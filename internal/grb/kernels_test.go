@@ -13,6 +13,27 @@ func plusTimes[T Number]() Semiring[T, T, T] {
 	return Semiring[T, T, T]{Add: PlusMonoid[T](), Mul: times[T]}
 }
 
+// Ident is the identity cast for same-typed reductions.
+func Ident[T any](x T) T { return x }
+
+// ExtractTuples returns copies of all (row, col, value) triples in row-major
+// order (GrB_extractTuples), the form the tests compare matrices in.
+// Pending tuples are assembled first.
+func (a *Matrix[T]) ExtractTuples() (rows, cols []Index, vals []T) {
+	a.Wait()
+	rows = make([]Index, len(a.colInd))
+	cols = make([]Index, len(a.colInd))
+	vals = make([]T, len(a.val))
+	for i := 0; i < a.nrows; i++ {
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			rows[p] = i
+		}
+	}
+	copy(cols, a.colInd)
+	copy(vals, a.val)
+	return rows, cols, vals
+}
+
 // transposeOf builds Aᵀ from A's tuples: the oracle VxM is checked
 // against through MxV.
 func transposeOf[T any](a *Matrix[T]) *Matrix[T] {

@@ -398,23 +398,6 @@ func (a *Matrix[T]) ForRow(i Index, f func(j Index, x T)) error {
 	return nil
 }
 
-// ExtractTuples returns copies of all (row, col, value) triples in row-major
-// order (GrB_extractTuples). Pending tuples are assembled first.
-func (a *Matrix[T]) ExtractTuples() (rows, cols []Index, vals []T) {
-	a.Wait()
-	rows = make([]Index, len(a.colInd))
-	cols = make([]Index, len(a.colInd))
-	vals = make([]T, len(a.val))
-	for i := 0; i < a.nrows; i++ {
-		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-			rows[p] = i
-		}
-	}
-	copy(cols, a.colInd)
-	copy(vals, a.val)
-	return rows, cols, vals
-}
-
 // Iterate calls f for every stored element in row-major order until f
 // returns false. Pending tuples are assembled first.
 func (a *Matrix[T]) Iterate(f func(i, j Index, x T) bool) {

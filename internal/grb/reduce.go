@@ -2,11 +2,8 @@ package grb
 
 // Reductions (GrB_reduce). The cast argument plays the role of the implicit
 // typecast in the C API: GraphBLAS reduces a BOOL matrix with a PLUS_INT64
-// monoid by casting true→1; here the caster is explicit. Use Ident for
-// same-type reductions and One to count entries.
-
-// Ident is the identity cast for same-typed reductions.
-func Ident[T any](x T) T { return x }
+// monoid by casting true→1; here the caster is explicit. One counts
+// entries.
 
 // One maps every element to 1, turning a plus-reduction into a count.
 func One[A any, C Number](_ A) C { return 1 }

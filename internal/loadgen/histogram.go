@@ -94,14 +94,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Max reports the exact largest recorded value (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
 
-// Min reports the exact smallest recorded value (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Mean reports the exact arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {

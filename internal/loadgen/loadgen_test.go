@@ -12,6 +12,14 @@ import (
 	"time"
 )
 
+// Min reports the exact smallest recorded value (0 when empty).
+func (h *Histogram) Min() int64 {
+	if h.count == 0 {
+		return 0
+	}
+	return h.min
+}
+
 func TestHistogramExactSmallValues(t *testing.T) {
 	h := &Histogram{}
 	for v := int64(0); v < 64; v++ {

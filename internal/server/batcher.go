@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -94,12 +95,13 @@ func (s *Server) fill(first updateReq) []updateReq {
 	return batch
 }
 
-// commit validates and applies each request to the model state, makes the
-// merged change set of the accepted requests durable (WAL append, honoring
-// the fsync policy), commits it through the sharded runtime (whose barrier
-// returns only once every shard has applied its slice), publishes the new
-// snapshot, and answers the waiters. Rejected requests get their error and
-// do not reach any engine; accepted requests only get nil after their
+// commit validates and applies each request to the model state, then runs
+// two steps side by side on the merged change set of the accepted
+// requests: the WAL append (honoring the fsync policy) and the commit
+// through the sharded runtime (whose barrier returns only once every shard
+// has applied its slice). Only when both have returned does it publish the
+// new snapshot and answer the waiters. Rejected requests get their error
+// and do not reach any engine; accepted requests only get nil after their
 // batch is in the WAL *and* visible to readers on all shards, so a waited
 // update survives a crash the instant /update returns.
 func (s *Server) commit(batch []updateReq) {
@@ -141,24 +143,38 @@ func (s *Server) commit(batch []updateReq) {
 	cs.Normalize()
 
 	seq := s.snap.Load().Seq + 1
+	// Pre-commit: the engines apply the batch while the WAL appends it,
+	// since neither needs the other's result. The batch is durable before
+	// it is published or acknowledged: both wait for the join below, and
+	// so do snapshots and compaction. A crash before the join loses only a
+	// batch that nobody saw; replay then redoes it if its record landed.
+	var logged chan error
 	if s.wal != nil {
-		// Write-ahead: the batch must be durable before any engine applies
-		// it. A batch in the WAL but not yet applied is exactly what
-		// startup replay redoes, so a crash at any point after this line
-		// recovers the batch.
-		if err := s.wal.Append(uint64(seq), cs.Changes); err != nil {
-			fail(fmt.Errorf("wal append: %w", err))
+		logged = make(chan error, 1)
+		go func() {
+			if h := s.cfg.walHook; h != nil {
+				h()
+			}
+			logged <- s.wal.Append(uint64(seq), cs.Changes)
+		}()
+	}
+	start := time.Now()
+	rec, err := s.rt.CommitRefs(s.refs)
+	elapsed := time.Since(start)
+	if logged != nil {
+		if werr := <-logged; werr != nil {
+			fail(fmt.Errorf("wal append: %w", werr))
 			return
 		}
 	}
-
-	if err := s.publish(seq, cs, s.refs); err != nil {
+	if err != nil {
 		// Validation should make this unreachable; if it happens some
 		// shards may have applied the batch while another failed, so stop
 		// accepting writes but keep serving the last committed snapshot.
 		fail(fmt.Errorf("commit: %w", err))
 		return
 	}
+	s.store(seq, cs, rec, elapsed)
 
 	for _, req := range accepted {
 		req.finish(nil)
@@ -187,17 +203,25 @@ func (s *Server) commit(batch []updateReq) {
 }
 
 // publish commits cs, which the State resolved to refs, through the
-// sharded runtime as batch seq, publishes the new Snapshot, and records the
-// update phase and the Q2 cross-check. It is the last step of both a live
-// commit and WAL replay.
+// sharded runtime as batch seq and stores the result. It is how WAL replay
+// redoes a recovered batch; a live commit runs the same two steps with the
+// WAL append beside the first.
 func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref) error {
 	start := time.Now()
 	rec, err := s.rt.CommitRefs(refs)
 	if err != nil {
 		return err
 	}
-	elapsed := durationMS(time.Since(start))
+	s.store(seq, cs, rec, time.Since(start))
+	return nil
+}
 
+// store publishes rec, the runtime's Record after batch seq (cs), as the
+// new Snapshot, and records the update phase (apply took elapsed) and the
+// Q2 cross-check with it. It is the last step of both a live commit and
+// WAL replay.
+func (s *Server) store(seq int, cs *model.ChangeSet, rec *shard.Record, apply time.Duration) {
+	elapsed := durationMS(apply)
 	prev := s.snap.Load()
 	next := &Snapshot{
 		Seq:      seq,
@@ -216,7 +240,6 @@ func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref) error {
 		s.stats.Q2Disagreements++
 	}
 	s.mu.Unlock()
-	return nil
 }
 
 // replayWAL redoes the recovered log tail through the engines before any

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/model"
+	"repro/internal/wal"
 )
 
 // BenchmarkReadMergeCached measures the read hot path with and without the
@@ -80,5 +81,45 @@ func BenchmarkStartup(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// BenchmarkServerCommit is the server.commit rung: one waited in-process
+// Enqueue per change set of the datagen sf-32, seed-1 stream with 35%
+// removals, each committing alone, at 1 and 2 shards, without a WAL and
+// with one fsynced on every append. ns/commit is the time from Enqueue to
+// its return: validation, the WAL append beside the engines' apply, and
+// publication. Periodic snapshots run at the default cadence, as in
+// ttcserve. The rung below is shard.Commit; perfbench's churn-durable-sf32
+// adds HTTP and concurrent readers on top of the durable 2-shard case.
+func BenchmarkServerCommit(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		for _, durable := range []bool{false, true} {
+			name := fmt.Sprintf("shards%d/nowal", shards)
+			if durable {
+				name = fmt.Sprintf("shards%d/fsync-always", shards)
+			}
+			b.Run(name, func(b *testing.B) {
+				d := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1, RemovalFraction: 0.35, ChangeSets: b.N})
+				cfg := Config{Dataset: d, Shards: shards}
+				if durable {
+					cfg.PersistDir = b.TempDir()
+					cfg.Fsync = wal.SyncAlways
+				}
+				srv, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := srv.Enqueue(d.ChangeSets[i].Changes, true); err != nil {
+						b.Fatalf("change set %d: %v", i, err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/commit")
+			})
+		}
 	}
 }

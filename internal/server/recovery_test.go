@@ -2,13 +2,18 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -826,4 +831,218 @@ func TestReplayAndShutdownShareTheLivePaths(t *testing.T) {
 	if stats.Persistence.SnapshotInProgress {
 		t.Error("snapshotInProgress still set after close")
 	}
+}
+
+// servedViews fetches every read endpoint's body: the three query answers
+// and /stats.
+func servedViews(t *testing.T, base string) map[string]string {
+	t.Helper()
+	views := make(map[string]string)
+	for _, path := range []string{"/query/q1", "/query/q2", "/query/q2?engine=cc", "/stats"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		views[path] = string(body)
+	}
+	return views
+}
+
+// writerAwaitsWAL reports whether the writer goroutine is parked in commit
+// itself on a channel receive. While the engines apply a batch it is parked
+// inside shard's CommitRefs instead, so this holds only once the commit
+// barrier has returned and commit waits for its WAL step.
+func writerAwaitsWAL() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		lines := strings.SplitN(g, "\n", 3)
+		if len(lines) >= 2 && strings.Contains(lines[0], "[chan receive") &&
+			strings.HasPrefix(lines[1], "repro/internal/server.(*Server).commit(") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestNothingPublishedBeforeDurable holds a commit's WAL step after the
+// engines have applied the batch: until the step returns, the published
+// Snapshot, every /query answer and /stats must still show the previous
+// commit, and the waited Enqueue must not return. Released, the commit is
+// published. A writer that published before joining the WAL step fails
+// here.
+func TestNothingPublishedBeforeDurable(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testNothingPublishedBeforeDurable(t, shards)
+		})
+	}
+}
+
+func testNothingPublishedBeforeDurable(t *testing.T, shards int) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 13, RemovalFraction: 0.2})
+	var hold atomic.Bool
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	srv, err := New(Config{
+		Dataset:       d,
+		Shards:        shards,
+		PersistDir:    t.TempDir(),
+		Fsync:         wal.SyncAlways,
+		SnapshotEvery: -1,
+		walHook: func() {
+			if hold.Load() {
+				entered <- struct{}{}
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Released before Close on every path, so a failing check cannot leave
+	// the writer parked on the held step.
+	var releaseOnce sync.Once
+	unhold := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unhold()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if err := srv.Enqueue(d.ChangeSets[0].Changes, true); err != nil {
+		t.Fatal(err)
+	}
+	prev := srv.Snapshot()
+	before := servedViews(t, ts.URL)
+
+	hold.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- srv.Enqueue(d.ChangeSets[1].Changes, true) }()
+	<-entered
+	deadline := time.Now().Add(30 * time.Second)
+	for !writerAwaitsWAL() {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer did not reach the WAL join within 30s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if got := srv.Snapshot(); got != prev {
+		t.Fatalf("seq %d published while its WAL step was held (previous seq %d)", got.Seq, prev.Seq)
+	}
+	for path, body := range servedViews(t, ts.URL) {
+		if body != before[path] {
+			t.Errorf("%s changed while the WAL step was held:\nbefore %s\nduring %s", path, before[path], body)
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("waited Enqueue returned (%v) while its WAL step was held", err)
+	default:
+	}
+
+	unhold()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Snapshot(); got.Seq != prev.Seq+1 || got.Changes != prev.Changes+len(d.ChangeSets[1].Changes) {
+		t.Fatalf("after release: seq %d, changes %d; want %d, %d",
+			got.Seq, got.Changes, prev.Seq+1, prev.Changes+len(d.ChangeSets[1].Changes))
+	}
+	oracleQ1 := oracle(t, "Q1", d)
+	if got := srv.Snapshot().Results[EngineQ1]; got != oracleQ1[2] {
+		t.Fatalf("Q1 after release %q, oracle %q", got, oracleQ1[2])
+	}
+}
+
+// TestWALFailureLeavesServerBroken closes the server's log under it, so the
+// next commit's append fails while the engines apply the batch. The waited
+// /update must get 503 (ErrBroken) and nothing may be published: seq,
+// every answer and /stats (apart from its broken field) stay as they were.
+// A restart from the directory must serve exactly the durable prefix.
+func TestWALFailureLeavesServerBroken(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testWALFailureLeavesServerBroken(t, shards)
+		})
+	}
+}
+
+func testWALFailureLeavesServerBroken(t *testing.T, shards int) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 17, RemovalFraction: 0.2})
+	oracleQ1 := oracle(t, "Q1", d)
+	oracleQ2 := oracle(t, "Q2", d)
+	cfg := Config{
+		Dataset:       d,
+		Shards:        shards,
+		PersistDir:    t.TempDir(),
+		Fsync:         wal.SyncAlways,
+		SnapshotEvery: -1,
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const k = 3
+	for i := 0; i < k; i++ {
+		if err := srv.Enqueue(d.ChangeSets[i].Changes, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev := srv.Snapshot()
+	before := servedViews(t, ts.URL)
+
+	if err := srv.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, _ := postUpdate(t, ts.URL, d.ChangeSets[k].Changes, true)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("waited /update on a closed log: status %d, want 503", resp.StatusCode)
+	}
+	if err := srv.Enqueue(d.ChangeSets[k+1].Changes, true); !errors.Is(err, ErrBroken) {
+		t.Fatalf("Enqueue after the failed append: %v, want ErrBroken", err)
+	}
+	if got := srv.Snapshot(); got != prev {
+		t.Fatalf("seq %d published after its append failed (previous seq %d)", got.Seq, prev.Seq)
+	}
+	after := servedViews(t, ts.URL)
+	for _, path := range []string{"/query/q1", "/query/q2", "/query/q2?engine=cc"} {
+		if after[path] != before[path] {
+			t.Errorf("%s changed after the failed append:\nbefore %s\nafter  %s", path, before[path], after[path])
+		}
+	}
+	var statsBefore, statsAfter map[string]any
+	if err := json.Unmarshal([]byte(before["/stats"]), &statsBefore); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(after["/stats"]), &statsAfter); err != nil {
+		t.Fatal(err)
+	}
+	if broken, _ := statsAfter["broken"].(string); !strings.Contains(broken, "wal append") {
+		t.Errorf("/stats broken = %q, want the append failure", broken)
+	}
+	delete(statsAfter, "broken")
+	if !reflect.DeepEqual(statsBefore, statsAfter) {
+		t.Errorf("/stats changed after the failed append:\nbefore %s\nafter  %s", before["/stats"], after["/stats"])
+	}
+	srv.Close()
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	waitReady(t, srv2)
+	checkAgainstOracle(t, "restart after the failed append", srv2.Snapshot(), k, oracleQ1, oracleQ2)
+	if err := srv2.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
+		t.Fatalf("restarted server: %v", err)
+	}
+	checkAgainstOracle(t, "first commit after the restart", srv2.Snapshot(), k+1, oracleQ1, oracleQ2)
 }

@@ -17,8 +17,11 @@
 // which runs on that State — one writer goroutine per shard applies its
 // slice behind a commit barrier, so the new Snapshot is published only once
 // the batch is visible on every shard and wait=1 keeps meaning "globally
-// visible". Read path: an atomic pointer load merging nothing at all —
-// per-shard answers were merged at commit time.
+// visible". With persistence the WAL append and fsync run alongside that
+// apply, and publication waits for both: a batch is durable before it is
+// published or acknowledged, and a commit's latency is the longer of the
+// two steps rather than their sum. Read path: an atomic pointer load
+// merging nothing at all — per-shard answers were merged at commit time.
 package server
 
 import (
@@ -73,9 +76,10 @@ type Config struct {
 	Shards int
 
 	// PersistDir enables durability: committed batches are appended to a
-	// write-ahead log under this directory before their waiters are
-	// released, and the model state is snapshotted periodically, so a
-	// restarted server recovers its committed state from disk instead of
+	// write-ahead log under this directory while the engines apply them,
+	// and a batch is published and its waiters released only once its
+	// append has returned. The model state is snapshotted periodically, so
+	// a restarted server recovers its committed state from disk instead of
 	// replaying the dataset (see internal/wal). When the directory holds a
 	// valid snapshot it takes precedence over Dataset/DataDir/generation.
 	// Empty disables persistence.
@@ -101,13 +105,15 @@ type Config struct {
 	// only works on sealed segments, so tests use small ones);
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
 	// snapshotChunkHook observes every flushed chunk; batchHook sees each
-	// batch the writer closes, before it commits — test hooks (same package
-	// only) for pinning down compaction, encode/commit and batching
-	// interleavings.
+	// batch the writer closes, before it commits; walHook runs at the start
+	// of each commit's WAL step, before the append, and holds that step
+	// while it blocks — test hooks (same package only) for pinning down
+	// compaction, encode/commit, batching and append/publish interleavings.
 	segmentBytes       int64
 	snapshotChunkBytes int
 	snapshotChunkHook  func(written int)
 	batchHook          func(batch []updateReq)
+	walHook            func()
 }
 
 func (c Config) withDefaults() Config {
