@@ -20,9 +20,13 @@
 // stops accepting requests, drains the write queue, flushes + fsyncs the
 // WAL, writes a final snapshot, and exits 0.
 //
-// Endpoints: GET /query/q1, GET /query/q2 (?engine=cc), POST /update,
-// GET /stats, GET /healthz (?probe=live). See internal/server for the
-// wire format, and cmd/ttcwal for offline inspection of a -data-dir.
+// Endpoints: GET /query/q1, GET /query/q2 (the connected-components
+// extension; ?engine=cc is the same, ?engine=incremental is the paper's Q2
+// engine, which verifies it off the commit path, at the seq it has
+// reached), POST /update, GET /stats (q2Disagreements and q2VerifiedSeq
+// cover every commit up to seq), GET /healthz (?probe=live). See
+// internal/server for the wire format, and cmd/ttcwal for offline
+// inspection of a -data-dir.
 package main
 
 import (

@@ -13,8 +13,7 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/model"
 )
@@ -44,11 +43,29 @@ type Result []Entry
 
 // String renders the result in the contest's "id|id|id" output format.
 func (r Result) String() string {
-	parts := make([]string, len(r))
+	var buf [TopK * 21]byte // a top-3 renders without a second allocation
+	b := buf[:0]
 	for i, e := range r {
-		parts[i] = fmt.Sprintf("%d", e.ID)
+		if i > 0 {
+			b = append(b, '|')
+		}
+		b = strconv.AppendInt(b, e.ID, 10)
 	}
-	return strings.Join(parts, "|")
+	return string(b)
+}
+
+// SameIDs reports whether r and o rank the same ids in the same order:
+// whether they render the same String.
+func (r Result) SameIDs(o Result) bool {
+	if len(r) != len(o) {
+		return false
+	}
+	for i := range r {
+		if r[i].ID != o[i].ID {
+			return false
+		}
+	}
+	return true
 }
 
 // TopK is the number of ranked entities the case study reports.
@@ -110,6 +127,10 @@ func (t *Ranker) Consider(e Entry) {
 	copy(t.entries[pos+1:], t.entries[pos:])
 	t.entries[pos] = e
 }
+
+// Peek returns the ranked entries without copying them; they are valid
+// only until the ranker next changes.
+func (t *Ranker) Peek() Result { return t.entries }
 
 // Result returns the ranked entries.
 func (t *Ranker) Result() Result {

@@ -16,7 +16,7 @@ import (
 func servedPart(st *model.State, query string) (Part, []model.Ref) {
 	refs := st.Refs()
 	if query == "Q1" {
-		return Part{State: st}, refs
+		return Part{Nodes: st}, refs
 	}
 	_, nc, _ := st.Counts()
 	local := make([]int32, nc)
@@ -46,7 +46,7 @@ func servedPart(st *model.State, query string) (Part, []model.Ref) {
 		}
 		out = append(out, r)
 	}
-	return Part{State: st, Comments: space}, out
+	return Part{Nodes: st, Comments: space}, out
 }
 
 // heapAfterGC is the live heap: HeapAlloc right after a collection.

@@ -25,19 +25,28 @@ func (sp *Space) state(i int) int {
 	return int(sp.Of[i])
 }
 
+// Nodes reads a State's node records by State index: the *model.State
+// itself, or a *model.Nodes prefix of it, which an engine applying on
+// another goroutine than the State's owner reads instead.
+type Nodes interface {
+	Post(i int) model.Post
+	Comment(i int) model.Comment
+}
+
 // Part is the slice of a State an engine holds: every user, and the posts
 // and comments its spaces list. Comments is nil also for engines that
-// read no comment's id (Q1). The engine reads the State only while the
-// State's owner is not applying changes: between commits, or inside one.
+// read no comment's id (Q1). The engine reads a *model.State only while
+// the State's owner is not applying changes: between commits, or inside
+// one.
 type Part struct {
-	State    *model.State
+	Nodes    Nodes
 	Posts    *Space
 	Comments *Space
 }
 
 // post and comment return the model record of a local index.
-func (p *Part) post(i int) model.Post       { return p.State.Post(p.Posts.state(i)) }
-func (p *Part) comment(i int) model.Comment { return p.State.Comment(p.Comments.state(i)) }
+func (p *Part) post(i int) model.Post       { return p.Nodes.Post(p.Posts.state(i)) }
+func (p *Part) comment(i int) model.Comment { return p.Nodes.Comment(p.Comments.state(i)) }
 
 // Engine is a GraphBLAS engine: a Solution that also runs on resolved
 // changes, in the indices of the part of a State it holds (local post and
@@ -84,7 +93,7 @@ func (a *standalone) Load(snap *model.Snapshot) error {
 		return err
 	}
 	a.st = st
-	return a.self.Attach(Part{State: st}, st.Refs())
+	return a.self.Attach(Part{Nodes: st}, st.Refs())
 }
 
 // Update implements Solution.

@@ -26,8 +26,11 @@ import (
 //     every comment both users like: if the searches meet, nothing splits;
 //     if one side runs out first, that side is a whole component, so it
 //     takes a new label and the score gains s₁² + s₂² − (s₁+s₂)²;
-//   - an unlike drops the user's like, then runs the same search between
-//     its former neighbours in the comment.
+//   - an unlike drops the user's like, then searches from all its former
+//     neighbours in the comment at once, one liker per search per round;
+//     searches that reach each other merge, a search that runs out is a
+//     whole component and takes a new label, and the last one left keeps
+//     the old label.
 //
 // A removal therefore costs the side that splits off, not the comment
 // (Even & Shiloach, "An on-line edge-deletion problem", J. ACM 1981). A
@@ -122,8 +125,24 @@ type ccSearch struct {
 	// search runs, its component once the side has run out.
 	side [2][]int32
 	// nbrs holds an unliked user's former neighbours while onUnlike
-	// searches between them.
+	// searches from them.
 	nbrs []int32
+	// The search from many neighbours (splitAll) keeps, by slot, the
+	// neighbour whose search reached it (owner) and the next slot of its
+	// list (link), and by neighbour a union-find parent and, at a root,
+	// its merged search (group); live lists the searches still running.
+	owner, link []int32
+	parent      []int32
+	group       []ccGroup
+	live        []int32
+}
+
+// ccGroup is one running search of splitAll: the slots it has still to
+// expand and those it has expanded, as lists linked through
+// ccSearch.link (−1 ends a list).
+type ccGroup struct {
+	todo, todoTail int32
+	done, doneTail int32
 }
 
 // begin starts a search over a comment with n likers.
@@ -390,6 +409,120 @@ func (s *Q2IncrementalCC) split(c *commentLabels, x, y int) {
 	}
 }
 
+// splitAll runs after a liker whose former neighbours in c, at slots nbrs,
+// all carry label l has left c: it searches from every neighbour at once,
+// one liker per search per round. A search that reaches a liker another
+// search reached absorbs that search; a search that runs out has reached a
+// whole component, which takes a new label. Once one search is left, it
+// keeps l. Every liker is expanded at most once, so a liker with many
+// friends among the likers costs about one expansion per neighbour, not a
+// pairwise search per neighbour.
+func (s *Q2IncrementalCC) splitAll(c *commentLabels, nbrs []int32, l int32) {
+	q := &s.search
+	q.begin(len(c.likes))
+	if len(q.owner) < len(c.likes) {
+		q.owner = make([]int32, len(q.mark))
+		q.link = make([]int32, len(q.mark))
+	}
+	q.parent, q.group, q.live = q.parent[:0], q.group[:0], q.live[:0]
+	for i, k := range nbrs {
+		q.mark[k], q.owner[k], q.link[k] = q.epoch, int32(i), -1
+		q.parent = append(q.parent, int32(i))
+		q.group = append(q.group, ccGroup{todo: k, todoTail: k, done: -1, doneTail: -1})
+		q.live = append(q.live, int32(i))
+	}
+	groups := len(nbrs)
+	for groups > 1 {
+		n := 0
+		for _, g := range q.live {
+			if groups == 1 {
+				break
+			}
+			if q.find(g) != g {
+				continue // absorbed by another search
+			}
+			gr := &q.group[g]
+			if gr.todo < 0 {
+				comp := q.side[0][:0]
+				for k := gr.done; k >= 0; k = q.link[k] {
+					comp = append(comp, k)
+				}
+				q.side[0] = comp
+				s.relabel(c, comp, l)
+				groups--
+				continue
+			}
+			x := gr.todo
+			if gr.todo = q.link[x]; gr.todo < 0 {
+				gr.todoTail = -1
+			}
+			q.link[x] = -1
+			if gr.doneTail < 0 {
+				gr.done = x
+			} else {
+				q.link[gr.doneTail] = x
+			}
+			gr.doneTail = x
+			s.forNeighbours(c, int(x), func(y int) bool {
+				switch {
+				case c.likes[y].label != l:
+				case q.mark[y] != q.epoch:
+					q.mark[y], q.owner[y], q.link[y] = q.epoch, g, -1
+					q.push(gr, int32(y))
+				default:
+					if h := q.find(q.owner[y]); h != g {
+						q.absorb(g, h)
+						groups--
+					}
+				}
+				return groups > 1
+			})
+			q.live[n] = g
+			n++
+		}
+		q.live = q.live[:n]
+	}
+}
+
+// find returns the root of neighbour i's merged search.
+func (q *ccSearch) find(i int32) int32 {
+	for q.parent[i] != i {
+		q.parent[i] = q.parent[q.parent[i]]
+		i = q.parent[i]
+	}
+	return i
+}
+
+// push appends slot k to group gr's slots to expand.
+func (q *ccSearch) push(gr *ccGroup, k int32) {
+	if gr.todoTail < 0 {
+		gr.todo = k
+	} else {
+		q.link[gr.todoTail] = k
+	}
+	gr.todoTail = k
+}
+
+// absorb merges search h into search g: g's lists gain h's.
+func (q *ccSearch) absorb(g, h int32) {
+	q.parent[h] = g
+	a, b := &q.group[g], &q.group[h]
+	a.todo, a.todoTail = q.concat(a.todo, a.todoTail, b.todo, b.todoTail)
+	a.done, a.doneTail = q.concat(a.done, a.doneTail, b.done, b.doneTail)
+}
+
+// concat joins two linked lists, given by head and tail, in O(1).
+func (q *ccSearch) concat(h1, t1, h2, t2 int32) (int32, int32) {
+	switch {
+	case h1 < 0:
+		return h2, t2
+	case h2 < 0:
+		return h1, t1
+	}
+	q.link[t1] = h2
+	return h1, t2
+}
+
 // relabel moves the likers at slots comp, a component split off label l,
 // to a new label.
 func (s *Q2IncrementalCC) relabel(c *commentLabels, comp []int32, l int32) {
@@ -423,10 +556,7 @@ func (s *Q2IncrementalCC) onLike(ci, ui int) {
 
 // onUnlike ingests a like removal: the user's like leaves the comment, and
 // its former neighbours there, which all shared its label, are searched
-// pairwise for the pieces its removal split apart. r is always a neighbour
-// that still carries the old label, and every neighbour that carries it
-// has been found connected to r, so at the end the old label holds one
-// piece.
+// from all at once for the pieces its removal split apart (splitAll).
 func (s *Q2IncrementalCC) onUnlike(ci, ui int) {
 	c := &s.cc[ci]
 	k, ok := c.slot(int32(ui))
@@ -452,16 +582,7 @@ func (s *Q2IncrementalCC) onUnlike(ci, ui int) {
 		c.sizes[l] = size - 1
 	}
 	if len(nbrs) > 1 {
-		r := int(nbrs[0])
-		for _, y := range nbrs[1:] {
-			if c.likes[y].label != l {
-				continue // split off with an earlier piece
-			}
-			s.split(c, int(y), r) // y's side first: often y alone
-			if c.likes[r].label != l {
-				r = int(y)
-			}
-		}
+		s.splitAll(c, nbrs, l)
 	}
 	likes := s.likesOf(ui)
 	likes[slices.Index(likes, int32(ci))] = likes[len(likes)-1]

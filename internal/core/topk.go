@@ -86,11 +86,11 @@ func (x *RankIndex) Remove(i int) {
 // before its descendants, so the k-th best entry has at most k−1 ancestors
 // and sits in the first 2^k−1 slots; only those go through a Ranker.
 func (x *RankIndex) Top(k int) Result {
-	t := NewTopK(k)
+	t := Ranker{k: k, entries: make(Result, 0, k)}
 	for _, s := range x.heap[:min(len(x.heap), 1<<k-1)] {
 		t.Consider(s.e)
 	}
-	return t.Result()
+	return t.entries // the ranker is gone: its entries are the caller's
 }
 
 // fix restores the heap order around position p after its entry changed.

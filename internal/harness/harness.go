@@ -62,21 +62,28 @@ func Factories(query string) map[string]Factory {
 // ServedEngine names one engine the serving layer keeps warm: the key it
 // is served under over HTTP, the query it answers (which also selects the
 // shard placement — "Q1" engines run on every shard, each over the posts
-// hashed to it; "Q2" engines run on one home shard over the whole graph),
-// and its constructor.
+// hashed to it; "Q2" engines run over the whole graph, on one home shard
+// or, verifying, on a goroutine of their own), its constructor, and, for
+// an engine that verifies another instead of serving on the commit path,
+// that engine's key.
 type ServedEngine struct {
 	Key   string
 	Query string
 	New   func() core.Engine
+	// Verifies is the key of the engine this one cross-checks off the
+	// commit path (see internal/shard), or "" for an engine every commit
+	// waits for. A verifying engine is a Q2 engine.
+	Verifies string
 }
 
 // ServedEngines returns the incremental engine lineup instantiated by
 // internal/shard and served by internal/server, in serving order: the
-// engines Factories names "incremental" and "incremental-cc".
+// engines Factories names "incremental" and "incremental-cc". The paper's
+// Q2 engine verifies the CC extension, which serves Q2.
 func ServedEngines() []ServedEngine {
 	return []ServedEngine{
 		{Key: "q1", Query: "Q1", New: func() core.Engine { return core.NewQ1Incremental() }},
-		{Key: "q2", Query: "Q2", New: func() core.Engine { return core.NewQ2Incremental() }},
+		{Key: "q2", Query: "Q2", New: func() core.Engine { return core.NewQ2Incremental() }, Verifies: "q2cc"},
 		{Key: "q2cc", Query: "Q2", New: func() core.Engine { return core.NewQ2IncrementalCC() }},
 	}
 }

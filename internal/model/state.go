@@ -24,9 +24,9 @@ import (
 // stored with ordered endpoints (User1 < User2) and keyed by ordered
 // indices.
 //
-// A State is not safe for concurrent use, except that a View may be read
-// by other goroutines while the owner keeps applying changes, and that
-// other goroutines may read nodes (Post, Comment, Root, Counts)
+// A State is not safe for concurrent use, except that a View or Nodes may
+// be read by other goroutines while the owner keeps applying changes, and
+// that other goroutines may read nodes (Post, Comment, Root, Counts)
 // while the owner is not applying.
 type State struct {
 	posts    IDMap
@@ -271,6 +271,30 @@ func (st *State) Comment(i int) Comment { return st.s.Comments[i] }
 
 // Root returns the index of comment i's root post.
 func (st *State) Root(i int) int { return int(st.root[i]) }
+
+// Nodes is a fixed prefix of a State's posts and comments: the ones it
+// held when Nodes was called. Nodes are never removed or rewritten, so
+// another goroutine may read it while the State's owner keeps applying
+// changes.
+type Nodes struct {
+	posts    []Post
+	comments []Comment
+}
+
+// Post returns post i.
+func (n *Nodes) Post(i int) Post { return n.posts[i] }
+
+// Comment returns comment i.
+func (n *Nodes) Comment(i int) Comment { return n.comments[i] }
+
+// Nodes returns the posts and comments the State holds now, in O(1): the
+// slice headers clamped to their length, so later appends stay invisible
+// to it. Unlike View it marks nothing shared: no node is ever written in
+// place.
+func (st *State) Nodes() Nodes {
+	s := &st.s
+	return Nodes{posts: s.Posts[:len(s.Posts):len(s.Posts)], comments: s.Comments[:len(s.Comments):len(s.Comments)]}
+}
 
 // View returns the current state as a Snapshot in O(1): the slice headers
 // clamped to their length, so later appends stay invisible to it. Until

@@ -100,10 +100,11 @@ func (s *Server) fill(first updateReq) []updateReq {
 // requests: the WAL append (honoring the fsync policy) and the commit
 // through the sharded runtime (whose barrier returns only once every shard
 // has applied its slice). Only when both have returned does it publish the
-// new snapshot and answer the waiters. Rejected requests get their error
-// and do not reach any engine; accepted requests only get nil after their
-// batch is in the WAL *and* visible to readers on all shards, so a waited
-// update survives a crash the instant /update returns.
+// new snapshot, hand it to the verifier and answer the waiters. Rejected
+// requests get their error and do not reach any engine; accepted requests
+// only get nil after their batch is in the WAL *and* visible to readers on
+// all shards, so a waited update survives a crash the instant /update
+// returns.
 func (s *Server) commit(batch []updateReq) {
 	if err := s.brokenErr(); err != nil {
 		for i := range batch {
@@ -175,6 +176,11 @@ func (s *Server) commit(batch []updateReq) {
 		return
 	}
 	s.store(seq, cs, rec, elapsed)
+	// The paper's Q2 checks the published commit on a goroutine of its
+	// own; the hand-off blocks only while it trails by the runtime's
+	// bound. Handing off before answering lets the scheduler run the
+	// waiters' handlers ahead of the verifier.
+	s.rt.Verify()
 
 	for _, req := range accepted {
 		req.finish(nil)
@@ -203,9 +209,9 @@ func (s *Server) commit(batch []updateReq) {
 }
 
 // publish commits cs, which the State resolved to refs, through the
-// sharded runtime as batch seq and stores the result. It is how WAL replay
-// redoes a recovered batch; a live commit runs the same two steps with the
-// WAL append beside the first.
+// sharded runtime as batch seq, stores the result and hands it to the
+// verifier. It is how WAL replay redoes a recovered batch; a live commit
+// runs the same steps with the WAL append beside the first.
 func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref) error {
 	start := time.Now()
 	rec, err := s.rt.CommitRefs(refs)
@@ -213,13 +219,14 @@ func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref) error {
 		return err
 	}
 	s.store(seq, cs, rec, time.Since(start))
+	s.rt.Verify()
 	return nil
 }
 
 // store publishes rec, the runtime's Record after batch seq (cs), as the
-// new Snapshot, and records the update phase (apply took elapsed) and the
-// Q2 cross-check with it. It is the last step of both a live commit and
-// WAL replay.
+// new Snapshot, and records the update phase (apply took elapsed) with
+// it. It is the last step of both a live commit and WAL replay before the
+// verifier gets the batch.
 func (s *Server) store(seq int, cs *model.ChangeSet, rec *shard.Record, apply time.Duration) {
 	elapsed := durationMS(apply)
 	prev := s.snap.Load()
@@ -236,18 +243,15 @@ func (s *Server) store(seq int, cs *model.ChangeSet, rec *shard.Record, apply ti
 	s.stats.Updates.Count++
 	s.stats.Updates.Total += elapsed
 	s.stats.Updates.Last = elapsed
-	if rec.Results[EngineQ2] != rec.Results[EngineQ2CC] {
-		s.stats.Q2Disagreements++
-	}
 	s.mu.Unlock()
 }
 
-// replayWAL redoes the recovered log tail through the engines before any
-// queued request commits. Returns false (leaving the server broken and not
-// ready) if a recovered batch fails — that means the durability directory
-// disagrees with the base snapshot, and serving writes on top would
-// diverge. On success it writes a fresh durable snapshot so the next
-// restart replays nothing.
+// replayWAL redoes the recovered log tail through the engines, the
+// verifier's included, before any queued request commits. Returns false
+// (leaving the server broken and not ready) if a recovered batch fails —
+// that means the durability directory disagrees with the base snapshot,
+// and serving writes on top would diverge. On success it writes a fresh
+// durable snapshot so the next restart replays nothing.
 func (s *Server) replayWAL(batches []wal.Batch) bool {
 	start := time.Now()
 	replayed := 0
@@ -267,6 +271,12 @@ func (s *Server) replayWAL(batches []wal.Batch) bool {
 		}
 	}
 	last := int(batches[len(batches)-1].Seq)
+	// Every recovered batch is checked by the paper's Q2 before the server
+	// reports ready.
+	if v := s.rt.Drain(); v.Err != nil {
+		s.setBroken(fmt.Errorf("wal replay: %w", v.Err))
+		return false
+	}
 	s.snapshotDurable(last)
 	s.mu.Lock()
 	s.replayDone = len(batches)

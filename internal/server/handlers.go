@@ -12,16 +12,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/grb"
 	"repro/internal/model"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
 // The HTTP API:
 //
 //	GET  /query/q1            Q1 top-3 from the last committed snapshot
-//	GET  /query/q2            Q2 top-3 (?engine=cc serves the CC extension)
+//	GET  /query/q2            Q2 top-3 from the CC extension (?engine=cc is
+//	                          the same); ?engine=incremental answers from the
+//	                          paper's Q2 engine, which verifies it off the
+//	                          commit path, labelled with the seq it reached
 //	POST /update              enqueue changes; {"wait":true} blocks to commit;
 //	                          a body over 1 MiB is answered 413
-//	GET  /stats               per-phase latencies, engine sizes, queue depth
+//	GET  /stats               per-phase latencies, engine sizes, queue depth,
+//	                          the Q2 cross-check (waits until it covers seq)
 //	GET  /healthz             readiness: 503 + JSON reason during startup
 //	                          WAL replay or after an engine failure, 200
 //	                          once committed snapshots are being served;
@@ -59,10 +64,8 @@ func engineCacheIdx(engine string) int {
 	switch engine {
 	case EngineQ1:
 		return 0
-	case EngineQ2:
-		return 1
 	case EngineQ2CC:
-		return 2
+		return 1
 	default:
 		return -1
 	}
@@ -105,21 +108,37 @@ func (s *Server) handleQuery(query, key string) http.HandlerFunc {
 			return
 		}
 		engine := key
-		if e := r.URL.Query().Get("engine"); e != "" {
-			switch {
-			case key == EngineQ2 && e == "cc":
-				engine = EngineQ2CC
-			case e == "incremental":
-				// the default; accepted for symmetry
-			default:
-				httpError(w, http.StatusBadRequest, "unknown engine %q for %s", e, query)
-				return
-			}
+		if key == EngineQ2 {
+			engine = EngineQ2CC // the CC extension serves Q2
+		}
+		switch e := r.URL.Query().Get("engine"); {
+		case e == "", e == "cc" && key == EngineQ2, e == "incremental" && key == EngineQ1:
+			// the served engine
+		case e == "incremental":
+			// the paper's Q2 engine, as its verifier last published it
+			writeJSON(w, http.StatusOK, s.verifiedResponse(s.rt.Verified()))
+			return
+		default:
+			httpError(w, http.StatusBadRequest, "unknown engine %q for %s", e, query)
+			return
 		}
 		snap := s.Snapshot()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(snap.queryBody(query, engine))
+	}
+}
+
+// verifiedResponse is the paper's Q2 answer the verifier published in v,
+// labelled with the commit it reflects.
+func (s *Server) verifiedResponse(v *shard.Verified) queryResponse {
+	return queryResponse{
+		Query:   "Q2",
+		Engine:  EngineQ2,
+		Result:  v.Result,
+		Seq:     s.baseSeq + v.Commits,
+		Changes: s.baseChanges + v.Changes,
+		AsOf:    v.Published,
 	}
 }
 
@@ -251,11 +270,6 @@ type counters struct {
 		Last  durationMS `json:"lastMs"`
 		Mean  durationMS `json:"meanMs"`
 	} `json:"updates"`
-	// Q2Disagreements counts commits where the Q2 matrix engine and the
-	// connected-components extension disagreed — continuous cross-
-	// validation in the spirit of ttcvalidate; anything nonzero is a bug.
-	Q2Disagreements int `json:"q2Disagreements"`
-
 	// Persist is served under "persistence", and only with a WAL.
 	Persist persistCounters `json:"-"`
 }
@@ -315,6 +329,16 @@ type statsResponse struct {
 	Threads    int                         `json:"threads"`
 	Engines    map[string]core.EngineStats `json:"engines"`
 	Broken     string                      `json:"broken,omitempty"`
+
+	// Q2Disagreements counts the commits up to Q2VerifiedSeq where the
+	// paper's Q2 engine and the connected-components extension, which
+	// serves Q2, disagreed — continuous cross-validation in the spirit of
+	// ttcvalidate; anything nonzero is a bug. The paper's engine checks
+	// each commit off the commit path; /stats waits until it has reached
+	// Seq, unless the server is broken, so Q2VerifiedSeq equals Seq and
+	// engines.q2 is its state there.
+	Q2Disagreements int `json:"q2Disagreements"`
+	Q2VerifiedSeq   int `json:"q2VerifiedSeq"`
 
 	// Shards reports each engine shard's apply latencies; ParkedComments
 	// counts the never-liked comments the router holds outside the Q2
@@ -388,12 +412,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The writer publishes each Snapshot and counts its commit under mu, so
-	// the two are read as one.
+	// the two are read as one. The verifier checks only published commits,
+	// so its value read first is not past the Snapshot, and At finds its
+	// value at the Snapshot's commit.
+	v := s.rt.Verified()
 	s.mu.Lock()
 	snap := s.Snapshot()
 	c := s.stats
-	broken := s.broken
+	broken := s.brokenLocked()
 	s.mu.Unlock()
+	v = v.At(snap.Commits, broken == nil)
+	if broken == nil && v.Err != nil {
+		broken = s.brokenErr()
+	}
 
 	if c.Updates.Count > 0 {
 		c.Updates.Mean = durationMS(time.Duration(c.Updates.Total) / time.Duration(c.Updates.Count))
@@ -406,11 +437,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Removals:       snap.Removals,
 		QueueDepth:     s.QueueDepth(),
 		Threads:        grb.Threads(),
-		Engines:        snap.Engines,
+		Engines:        make(map[string]core.EngineStats, len(snap.Engines)+1),
 		Shards:         make([]shardStatsJSON, len(snap.Shards)),
 		ParkedComments: snap.ParkedComments,
 		Ready:          s.Ready(),
+
+		Q2Disagreements: v.Disagreements,
+		Q2VerifiedSeq:   s.baseSeq + v.Commits,
 	}
+	for _, e := range snap.Engines {
+		resp.Engines[e.Key] = e.EngineStats
+	}
+	resp.Engines[EngineQ2] = v.Engine
 	for i, st := range snap.Shards {
 		resp.Shards[i] = shardStatsJSON{Shard: i, Commits: st.Commits, Last: durationMS(st.Last), Mean: durationMS(st.Mean())}
 	}

@@ -143,6 +143,7 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 		}
 		snap := srv.Snapshot()
 		checkAgainstOracle(t, fmt.Sprintf("recovered (restart %d)", restarts), snap, k, oracleQ1, oracleQ2)
+		checkVerified(t, fmt.Sprintf("recovered (restart %d)", restarts), srv, k, oracleQ2)
 		if snap.Changes != wantChanges[k] {
 			t.Fatalf("recovered at seq %d with %d changes, want %d", k, snap.Changes, wantChanges[k])
 		}
@@ -158,6 +159,7 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 			k++
 			snap := srv.Snapshot()
 			checkAgainstOracle(t, "post-commit", snap, k, oracleQ1, oracleQ2)
+			checkVerified(t, "post-commit", srv, k, oracleQ2)
 			for key, want := range uninterrupted[k] {
 				if snap.Results[key] != want {
 					t.Fatalf("engine %s at seq %d: %q differs from uninterrupted run's %q",
@@ -185,6 +187,7 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 	defer srv.Close()
 	waitReady(t, srv)
 	checkAgainstOracle(t, "final restart", srv.Snapshot(), n, oracleQ1, oracleQ2)
+	checkVerified(t, "final restart", srv, n, oracleQ2)
 	for key, want := range uninterrupted[n] {
 		if got := srv.Snapshot().Results[key]; got != want {
 			t.Fatalf("final engine %s: %q differs from uninterrupted run's %q", key, got, want)
@@ -833,12 +836,17 @@ func TestReplayAndShutdownShareTheLivePaths(t *testing.T) {
 	}
 }
 
-// servedViews fetches every read endpoint's body: the three query answers
-// and /stats.
+// queryPaths are every query endpoint: the three served answers and the
+// paper's Q2 as its verifier last published it.
+var queryPaths = []string{"/query/q1", "/query/q2", "/query/q2?engine=cc", "/query/q2?engine=incremental"}
+
+// servedViews fetches every read endpoint's body: /stats, which returns
+// once the verifier has checked the published seq, then the query
+// answers.
 func servedViews(t *testing.T, base string) map[string]string {
 	t.Helper()
 	views := make(map[string]string)
-	for _, path := range []string{"/query/q1", "/query/q2", "/query/q2?engine=cc", "/stats"} {
+	for _, path := range append([]string{"/stats"}, queryPaths...) {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -872,10 +880,12 @@ func writerAwaitsWAL() bool {
 
 // TestNothingPublishedBeforeDurable holds a commit's WAL step after the
 // engines have applied the batch: until the step returns, the published
-// Snapshot, every /query answer and /stats must still show the previous
-// commit, and the waited Enqueue must not return. Released, the commit is
-// published. A writer that published before joining the WAL step fails
-// here.
+// Snapshot, every /query answer (the verifier's paper-Q2 answer included)
+// and /stats must still show the previous commit, and the waited Enqueue
+// must not return. Released, the commit is published. A writer that
+// published, or handed the batch to the verifier, before joining the WAL
+// step fails here. The verifier's goroutine parks in internal/shard, so
+// the goroutine dump still finds the writer alone at the join.
 func TestNothingPublishedBeforeDurable(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -1013,7 +1023,7 @@ func testWALFailureLeavesServerBroken(t *testing.T, shards int) {
 		t.Fatalf("seq %d published after its append failed (previous seq %d)", got.Seq, prev.Seq)
 	}
 	after := servedViews(t, ts.URL)
-	for _, path := range []string{"/query/q1", "/query/q2", "/query/q2?engine=cc"} {
+	for _, path := range queryPaths {
 		if after[path] != before[path] {
 			t.Errorf("%s changed after the failed append:\nbefore %s\nafter  %s", path, before[path], after[path])
 		}

@@ -20,8 +20,11 @@
 // visible". With persistence the WAL append and fsync run alongside that
 // apply, and publication waits for both: a batch is durable before it is
 // published or acknowledged, and a commit's latency is the longer of the
-// two steps rather than their sum. Read path: an atomic pointer load
-// merging nothing at all — per-shard answers were merged at commit time.
+// two steps rather than their sum. Once published, the batch goes to the
+// paper's Q2 engine, which verifies the served Q2 answer on a goroutine of
+// its own, a bounded number of commits behind. Read path: an atomic
+// pointer load merging nothing at all — per-shard answers were merged at
+// commit time.
 package server
 
 import (
@@ -39,10 +42,12 @@ import (
 	"repro/internal/wal"
 )
 
-// Engine keys served by the query endpoints.
+// Engine keys served by the query endpoints. /query/q2 serves q2cc's
+// answer, which the paper's Q2 engine verifies commit by commit off the
+// commit path (see internal/shard); ?engine=incremental reads the latter.
 const (
 	EngineQ1   = "q1"   // GraphBLAS Incremental, Q1
-	EngineQ2   = "q2"   // GraphBLAS Incremental, Q2
+	EngineQ2   = "q2"   // GraphBLAS Incremental, Q2 (the verifier)
 	EngineQ2CC = "q2cc" // incremental connected components, Q2
 )
 
@@ -107,13 +112,15 @@ type Config struct {
 	// snapshotChunkHook observes every flushed chunk; batchHook sees each
 	// batch the writer closes, before it commits; walHook runs at the start
 	// of each commit's WAL step, before the append, and holds that step
-	// while it blocks — test hooks (same package only) for pinning down
-	// compaction, encode/commit, batching and append/publish interleavings.
+	// while it blocks; verifyHook is the shard runtime's OnVerify — test
+	// hooks (same package only) for pinning down compaction, encode/commit,
+	// batching, append/publish and verifier interleavings.
 	segmentBytes       int64
 	snapshotChunkBytes int
 	snapshotChunkHook  func(written int)
 	batchHook          func(batch []updateReq)
 	walHook            func()
+	verifyHook         func(commits int) error
 }
 
 func (c Config) withDefaults() Config {
@@ -183,9 +190,13 @@ type Server struct {
 	changeSets []model.ChangeSet
 
 	// rt owns the engines: one partition and one writer goroutine per
-	// shard. Only the batching goroutine commits through it; readers see
-	// its figures only through the published Snapshot.
+	// shard, and the verifier. Only the batching goroutine commits through
+	// it; readers see its figures only through the published Snapshot and
+	// the verifier's published values.
 	rt *shard.Runtime
+	// baseSeq and baseChanges are the position of the state the runtime
+	// started on: a Snapshot's Seq is baseSeq plus its Record's Commits.
+	baseSeq, baseChanges int
 
 	snap atomic.Pointer[Snapshot]
 
@@ -228,8 +239,9 @@ type Server struct {
 	// the queue. The send itself happens outside mu: a producer blocked on
 	// a full queue must not hold the lock the writer needs to commit.
 	producers sync.WaitGroup
-	// broken records the first engine failure; once set the server keeps
-	// serving the last committed snapshot but rejects further writes.
+	// broken records the first engine failure (see brokenLocked); once set
+	// the server keeps serving the last committed snapshot but rejects
+	// further writes.
 	broken error
 	// stats are the /stats counters. publish stores each Snapshot and
 	// counts its commit in one critical section, so /stats never pairs a
@@ -331,6 +343,7 @@ func New(cfg Config) (*Server, error) {
 		wal:        wlog,
 	}
 	state.OnDetach = s.noteDetach
+	rt.OnVerify = cfg.verifyHook
 	s.stats.Load = durationMS(rt.LoadDuration())
 	s.stats.Initial = durationMS(rt.InitialDuration())
 
@@ -347,6 +360,7 @@ func New(cfg Config) (*Server, error) {
 		s.stats.Persist.Recovery.TruncatedBytes = rec.TruncatedBytes
 		s.replayTotal = len(rec.Batches)
 	}
+	s.baseSeq, s.baseChanges = baseSeq, baseChanges
 
 	s.snap.Store(&Snapshot{
 		Seq:     baseSeq,
@@ -394,7 +408,7 @@ func (s *Server) Enqueue(changes []model.Change, wait bool) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if err := s.broken; err != nil {
+	if err := s.brokenLocked(); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %w", ErrBroken, err)
 	}
@@ -526,5 +540,16 @@ func (s *Server) setBroken(err error) {
 func (s *Server) brokenErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.brokenLocked()
+}
+
+// brokenLocked returns the first engine failure: a commit's, or the
+// verifier's, which it records on first sight. s.mu must be held.
+func (s *Server) brokenLocked() error {
+	if s.broken == nil {
+		if err := s.rt.Verified().Err; err != nil {
+			s.broken = err
+		}
+	}
 	return s.broken
 }

@@ -20,10 +20,13 @@ import (
 // TestStatsNeverTorn: every figure of one /stats response belongs to the
 // commit its seq names. Each waited commit adds one comment nobody likes,
 // so it parks at the router and the Q2 engines never see it, and it
-// reaches exactly one shard (its post's Q1 partition). So at seq k the Q2
-// engine comments plus the parked comments equal the base comments plus
-// k, and updates.count and the shards' commits both sum to k. Concurrent
-// readers check those invariants on every response while the commits run.
+// reaches exactly one shard (its post's Q1 partition). So at seq k the
+// served Q2 engine's (q2cc's) comments plus the parked comments equal the
+// base comments plus k, and updates.count and the shards' commits both
+// sum to k. The paper's Q2 verifies off the commit path, and /stats waits
+// for it: q2VerifiedSeq is k, and its comments plus the parked comments
+// equal the base comments plus q2VerifiedSeq. Concurrent readers check
+// those invariants on every response while the commits run.
 func TestStatsNeverTorn(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testStatsNeverTorn(t, shards) })
@@ -43,6 +46,7 @@ func testStatsNeverTorn(t *testing.T, shards int) {
 
 	type statsView struct {
 		Seq            int                         `json:"seq"`
+		Q2VerifiedSeq  int                         `json:"q2VerifiedSeq"`
 		Engines        map[string]core.EngineStats `json:"engines"`
 		ParkedComments int                         `json:"parkedComments"`
 		Updates        struct {
@@ -53,9 +57,16 @@ func testStatsNeverTorn(t *testing.T, shards int) {
 		} `json:"shards"`
 	}
 	check := func(st statsView) string {
-		if got := st.Engines[EngineQ2].Comments + st.ParkedComments; got != base+st.Seq {
-			return fmt.Sprintf("seq %d: q2 comments %d + parked %d = %d, want %d",
-				st.Seq, st.Engines[EngineQ2].Comments, st.ParkedComments, got, base+st.Seq)
+		if got := st.Engines[EngineQ2CC].Comments + st.ParkedComments; got != base+st.Seq {
+			return fmt.Sprintf("seq %d: q2cc comments %d + parked %d = %d, want %d",
+				st.Seq, st.Engines[EngineQ2CC].Comments, st.ParkedComments, got, base+st.Seq)
+		}
+		if st.Q2VerifiedSeq != st.Seq {
+			return fmt.Sprintf("seq %d: q2VerifiedSeq %d", st.Seq, st.Q2VerifiedSeq)
+		}
+		if got := st.Engines[EngineQ2].Comments + st.ParkedComments; got != base+st.Q2VerifiedSeq {
+			return fmt.Sprintf("q2VerifiedSeq %d: q2 comments %d + parked %d = %d, want %d",
+				st.Q2VerifiedSeq, st.Engines[EngineQ2].Comments, st.ParkedComments, got, base+st.Q2VerifiedSeq)
 		}
 		if st.Updates.Count != st.Seq {
 			return fmt.Sprintf("seq %d: updates.count %d", st.Seq, st.Updates.Count)
@@ -183,6 +194,7 @@ var goldenStatsKeys = []string{
 	"loadMs",
 	"parkedComments",
 	"q2Disagreements",
+	"q2VerifiedSeq",
 	"queueDepth",
 	"ready",
 	"removals",

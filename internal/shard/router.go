@@ -16,8 +16,9 @@ import (
 //     subgraph induced by its likers, so a Q2 partition must be closed under
 //     friendships between likers. The social graph has one giant friendship
 //     component, so the only useful such partition is the whole graph: the
-//     Q2 engines run on one home shard, q2Shard, and receive every post,
-//     user and friendship as it arrives.
+//     served Q2 engine runs on one home shard, q2Shard, and receives every
+//     post, user and friendship as it arrives; the verifier (verify.go)
+//     feeds the paper's Q2 the same stream, a few commits later.
 //
 //     Comments with no likes are the exception: they score exactly 0, so the
 //     router parks them locally and ranks the parked set as one more
@@ -36,7 +37,7 @@ import (
 // indices everywhere, and so do posts in the Q2 engines and, on one shard,
 // posts and comments in the Q1 partition.
 
-// q2Shard is the shard whose worker runs the Q2 engines.
+// q2Shard is the shard whose worker runs the served Q2 engine.
 const q2Shard = 0
 
 // plan is the per-commit output of routing: one Q1 ref list per shard and

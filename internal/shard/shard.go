@@ -22,18 +22,25 @@
 // read back through the State. New and Commit are adapters that resolve
 // through a State of the runtime's own.
 //
-// Commits are barriers: Commit routes the change set, fans the per-shard
-// work out to the writer goroutines, and returns only after every shard has
-// applied its slice — so a committed change set is visible on all shards
-// at once and a serving layer's wait=1 keeps meaning "globally visible".
+// Commits are barriers over the served engines: CommitRefs routes the
+// change set, fans the per-shard work out to the writer goroutines, and
+// returns only after every shard has applied its slice — so a committed
+// change set is visible on all shards at once and a serving layer's wait=1
+// keeps meaning "globally visible". The paper's Q2 engine is not served:
+// it verifies the CC extension, which serves Q2, off the barrier (see
+// verify.go). Verify hands it each commit once the commit is published,
+// and it checks every commit on a goroutine of its own, at most
+// verifyDepth commits behind.
 //
 // What the Runtime exposes is one immutable Record per commit (and one
-// from New): the merged answers, the engine size totals, each shard's
-// apply statistics and the parked-comment count, all as of that commit.
-// There is no live accessor beside it, so a layer that publishes the
-// Record with its commit never serves figures of two different commits.
-// Under the barrier a shard holds at most one queued command, and none
-// between commits, so the Record carries no queue depths.
+// from New): the merged answers, the served engines' size totals, each
+// shard's apply statistics and the parked-comment count, all as of that
+// commit; and, from the verifier, one immutable Verified per verified
+// commit. There is no live accessor beside them, so a layer that
+// publishes the Record with its commit never serves figures of two
+// different commits. Under the barrier a shard holds at most one queued
+// command, and none between commits, so the Record carries no queue
+// depths.
 package shard
 
 import (
@@ -68,13 +75,20 @@ func (s Stats) Mean() time.Duration {
 // the same commit. It is built on the committing goroutine and never
 // changed afterwards.
 type Record struct {
-	// Results maps engine key to the merged global top-3 ("id|id|id").
+	// Commits counts the commits since Start this Record follows: 0 for
+	// Start's own.
+	Commits int
+	// Results maps engine key to the merged global top-3 ("id|id|id"). A
+	// verifying engine's key maps to the answer of the engine it verifies,
+	// which serves its query. A Record shares the previous Record's map
+	// when no answer changed.
 	Results map[string]string
-	// Engines sums every engine's state sizes across shards. Users are
-	// replicated into every Q1 partition, so they take the maximum, which
-	// counts distinct users; every other dimension sums. Q2 engines run on
-	// one shard, so their totals are that shard's.
-	Engines map[string]core.EngineStats
+	// Engines sums every served engine's state sizes across shards, in
+	// lineup order. Users are replicated into every Q1 partition, so they
+	// take the maximum, which counts distinct users; every other dimension
+	// sums. Q2 engines run on one shard, so their totals are that shard's.
+	// The verifying engine's sizes are in its Verified.
+	Engines []EngineTotals
 	// Shards holds each shard's apply statistics, indexed by shard.
 	Shards []Stats
 	// ParkedComments counts the never-liked comments the router holds
@@ -83,61 +97,91 @@ type Record struct {
 	ParkedComments int
 }
 
-// engineInst is one warm engine on one shard.
+// EngineTotals is one served engine's state sizes, summed across shards.
+type EngineTotals struct {
+	Key string
+	core.EngineStats
+}
+
+// engineInst is one warm engine on one shard, at its slot in the served
+// lineup.
 type engineInst struct {
-	key string
-	eng core.Engine
+	slot int
+	eng  core.Engine
 }
 
 // command is one commit's slice of work for a single shard.
 type command struct {
-	q1   []model.Ref // post-routed stream, applied to Q1-family engines
-	q2   []model.Ref // the home shard's stream, applied to Q2-family engines
-	resp chan<- response
+	q1 []model.Ref // post-routed stream, applied to Q1-family engines
+	q2 []model.Ref // the home shard's stream, applied to Q2-family engines
 }
 
 type response struct {
 	shard   int
 	err     error
-	results map[string]core.Result
-	stats   map[string]core.EngineStats
 	elapsed time.Duration
 }
 
 // worker owns one shard's engines: its Q1 partition's, and on the home
-// shard the Q2 engines. Only its goroutine touches them after startup.
+// shard the served Q2 engine. Only its goroutine touches them after
+// startup.
 type worker struct {
 	id   int
 	cmds chan command
+	resp chan<- response
 	done chan struct{}
 	q1   []engineInst
 	q2   []engineInst
+	// results and stats hold each served engine's last answer and size on
+	// this shard, by slot (empty where the shard runs no instance). The
+	// worker writes them while it applies a command; the committing
+	// goroutine reads them once the worker has answered.
+	results []core.Result
+	stats   []core.EngineStats
 }
 
 // Runtime is the sharded engine runtime over a model.State. Start loads
-// the partitions and starts one writer goroutine per shard; CommitRefs
-// routes and applies one change set the State has resolved, with a global
-// barrier, and returns the merged Record. Start and every commit build the
-// Record on the committing goroutine, which alone may commit, call Record
-// and apply changes to the State; a Record itself is immutable and safe to
-// share. The engines read ids back through the State, so its owner must
-// not apply changes while a commit runs.
+// the partitions and starts one writer goroutine per shard and the
+// verifier; CommitRefs routes and applies one change set the State has
+// resolved, with a global barrier, and returns the merged Record, and
+// Verify hands the commit to the verifier. Start and every commit build
+// the Record on the committing goroutine, which alone may commit, verify,
+// call Record and apply changes to the State; a Record itself is
+// immutable and safe to share. The engines read ids back through the
+// State, so its owner must not apply changes while a commit runs.
 type Runtime struct {
 	n       int
 	st      *model.State
 	router  *router
 	workers []*worker
+	resp    chan response
+	// served lists the engines every commit waits for; an engine's index
+	// here is its slot in every worker's tables.
+	served []harness.ServedEngine
+	ver    *verifier
+
+	// OnVerify, when set before the first commit, runs on the verifier
+	// before it checks each commit, with the commit's count since Start;
+	// an error it returns fails that check as an engine error would. It
+	// is a test hook: it holds or fails the verifier.
+	OnVerify func(commits int) error
 
 	loadDur    time.Duration
 	initialDur time.Duration
 
-	// last, lastStats and meta are each shard's last committed answers,
-	// engine sizes and apply statistics; rec is the Record merged from
-	// them. All are owned by the committing goroutine.
-	last      []map[string]core.Result
-	lastStats []map[string]core.EngineStats
-	meta      []Stats
-	rec       *Record
+	// commits and changes count what has been committed since Start; meta
+	// is each shard's apply statistics; answers and rendered are each
+	// served engine's merged answer and its string as of the last commit;
+	// parked is the parked comments' top-3 then; pending marks a commit
+	// not yet handed to the verifier. rec is the Record of the last
+	// commit. All are owned by the committing goroutine.
+	commits, changes int
+	meta             []Stats
+	answers          []core.Result
+	rendered         []string
+	parked           core.Result
+	pending          bool
+	rec              *Record
 
 	// merge is the reusable ranker the per-shard answers are folded
 	// through — one commit-path merge per engine per commit, so a fresh
@@ -162,49 +206,67 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 }
 
 // Start partitions st over n shards, loads and initially evaluates every
-// engine instance on its partition, and starts the per-shard writers.
-// Start-up must read the whole graph, so each instance loads, and then
-// initially evaluates, on its own goroutine; each phase ends at a barrier,
-// so its duration is its wall time. On error no goroutine is left running.
+// engine instance on its partition, and starts the per-shard writers and
+// the verifier. Start-up must read the whole graph, so each instance
+// loads, and then initially evaluates, on its own goroutine; each phase
+// ends at a barrier, so its duration is its wall time. On error no
+// goroutine is left running.
 func Start(n int, st *model.State) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
 	}
 	router, q1Refs, q2Refs := newRouter(n, st)
 	rt := &Runtime{
-		n:         n,
-		st:        st,
-		router:    router,
-		workers:   make([]*worker, n),
-		last:      make([]map[string]core.Result, n),
-		lastStats: make([]map[string]core.EngineStats, n),
-		meta:      make([]Stats, n),
-		merge:     core.NewTopK(core.TopK),
+		n:       n,
+		st:      st,
+		router:  router,
+		workers: make([]*worker, n),
+		resp:    make(chan response, n),
+		meta:    make([]Stats, n),
+		merge:   core.NewTopK(core.TopK),
 	}
 	// startJob is one engine instance's start-up: its part of the State
 	// and the refs that build it.
 	type startJob struct {
 		shard int
-		e     engineInst
+		eng   core.Engine
 		part  core.Part
 		refs  []model.Ref
 	}
 	var jobs []startJob
+	for _, e := range harness.ServedEngines() {
+		if e.Verifies == "" {
+			rt.served = append(rt.served, e)
+		} else if rt.ver == nil && e.Query == "Q2" {
+			rt.ver = newVerifier(e, st, router)
+			jobs = append(jobs, startJob{q2Shard, rt.ver.eng, rt.ver.part, q2Refs})
+		}
+	}
+	if rt.ver == nil {
+		return nil, fmt.Errorf("shard: the lineup has no verifying Q2 engine")
+	}
 	for s := 0; s < n; s++ {
-		w := &worker{id: s, cmds: make(chan command, 1), done: make(chan struct{})}
-		q1Part := core.Part{State: st}
+		w := &worker{
+			id:      s,
+			cmds:    make(chan command, 1),
+			resp:    rt.resp,
+			done:    make(chan struct{}),
+			results: make([]core.Result, len(rt.served)),
+			stats:   make([]core.EngineStats, len(rt.served)),
+		}
+		q1Part := core.Part{Nodes: st}
 		if n > 1 {
 			q1Part.Posts = router.q1Posts[s]
 		}
-		for _, e := range harness.ServedEngines() {
-			inst := engineInst{key: e.Key, eng: e.New()}
+		for slot, e := range rt.served {
+			inst := engineInst{slot: slot, eng: e.New()}
 			switch {
 			case e.Query == "Q1":
 				w.q1 = append(w.q1, inst)
-				jobs = append(jobs, startJob{s, inst, q1Part, q1Refs[s]})
+				jobs = append(jobs, startJob{s, inst.eng, q1Part, q1Refs[s]})
 			case s == q2Shard:
 				w.q2 = append(w.q2, inst)
-				jobs = append(jobs, startJob{s, inst, core.Part{State: st, Comments: router.q2Comments}, q2Refs})
+				jobs = append(jobs, startJob{s, inst.eng, core.Part{Nodes: st, Comments: router.q2Comments}, q2Refs})
 			}
 		}
 		rt.workers[s] = w
@@ -220,7 +282,7 @@ func Start(n int, st *model.State) (*Runtime, error) {
 				defer wg.Done()
 				j := jobs[k]
 				if err := f(j); err != nil {
-					errs[k] = fmt.Errorf("shard %d: %s %s: %w", j.shard, j.e.eng.Name(), name, err)
+					errs[k] = fmt.Errorf("shard %d: %s %s: %w", j.shard, j.eng.Name(), name, err)
 				}
 			}(k)
 		}
@@ -233,105 +295,105 @@ func Start(n int, st *model.State) (*Runtime, error) {
 		return time.Since(start), nil
 	}
 	var err error
-	if rt.loadDur, err = phase("load", func(j startJob) error { return j.e.eng.Attach(j.part, j.refs) }); err != nil {
+	if rt.loadDur, err = phase("load", func(j startJob) error { return j.eng.Attach(j.part, j.refs) }); err != nil {
 		return nil, err
 	}
 	if rt.initialDur, err = phase("initial", func(j startJob) error {
-		_, err := j.e.eng.Initial()
+		_, err := j.eng.Initial()
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	for s := 0; s < n; s++ {
-		rt.last[s], rt.lastStats[s] = rt.workers[s].observe()
-		go rt.workers[s].run()
+	for _, w := range rt.workers {
+		for _, engines := range [][]engineInst{w.q1, w.q2} {
+			for _, e := range engines {
+				if rs, ok := e.eng.(core.ResultSnapshotter); ok {
+					w.results[e.slot], _ = rs.LastResult()
+				}
+			}
+			w.sizes(engines)
+		}
+		go w.run()
 	}
+	rt.answers = make([]core.Result, len(rt.served))
+	rt.rendered = make([]string, len(rt.served))
 	rt.rec = rt.record()
+	rt.ver.start(rt)
 	return rt, nil
 }
 
-func (w *worker) engines() []engineInst {
-	out := make([]engineInst, 0, len(w.q1)+len(w.q2))
-	out = append(out, w.q1...)
-	return append(out, w.q2...)
-}
-
-// observe captures every engine's last committed answer and state size.
-func (w *worker) observe() (map[string]core.Result, map[string]core.EngineStats) {
-	results := make(map[string]core.Result)
-	stats := make(map[string]core.EngineStats)
-	for _, e := range w.engines() {
-		if rs, ok := e.eng.(core.ResultSnapshotter); ok {
-			if res, ok := rs.LastResult(); ok {
-				results[e.key] = res
-			}
-		}
+// sizes records engines' state sizes in the worker's table.
+func (w *worker) sizes(engines []engineInst) {
+	for _, e := range engines {
 		if sr, ok := e.eng.(core.StatsReporter); ok {
-			stats[e.key] = sr.Stats()
+			w.stats[e.slot] = sr.Stats()
 		}
 	}
-	return results, stats
 }
 
 func (w *worker) run() {
 	defer close(w.done)
 	for cmd := range w.cmds {
 		start := time.Now()
-		resp := response{shard: w.id}
-		resp.err = w.apply(cmd)
-		if resp.err == nil {
-			resp.results, resp.stats = w.observe()
+		err := w.update(w.q1, cmd.q1)
+		if err == nil {
+			err = w.update(w.q2, cmd.q2)
 		}
-		resp.elapsed = time.Since(start)
-		cmd.resp <- resp
+		w.resp <- response{shard: w.id, err: err, elapsed: time.Since(start)}
 	}
 }
 
-// apply runs one command: the Q1 stream, then the Q2 stream.
-func (w *worker) apply(cmd command) error {
-	if err := w.update(w.q1, cmd.q1); err != nil {
-		return err
-	}
-	return w.update(w.q2, cmd.q2)
-}
-
-// update applies one ref list to engines; an empty list is a no-op.
+// update applies one ref list to engines and records their answers and
+// sizes; an empty list is a no-op. An engine's answer is immutable once
+// returned (a new Result per update), so the committing goroutine may
+// keep it.
 func (w *worker) update(engines []engineInst, refs []model.Ref) error {
 	if len(refs) == 0 {
 		return nil
 	}
 	for _, e := range engines {
-		if _, err := e.eng.UpdateRefs(refs); err != nil {
+		res, err := e.eng.UpdateRefs(refs)
+		if err != nil {
 			return fmt.Errorf("shard %d: %s update: %w", w.id, e.eng.Name(), err)
 		}
+		w.results[e.slot] = res
 	}
+	w.sizes(engines)
 	return nil
 }
 
-// Commit applies cs to the runtime's State and commits the resolved
-// changes (see CommitRefs). A change set the State rejects changes nothing,
-// and its error wraps model.ErrIntegrity.
+// Commit applies cs to the runtime's State, commits the resolved changes
+// (see CommitRefs) and hands the commit to the verifier (see Verify). A
+// change set the State rejects changes nothing, and its error wraps
+// model.ErrIntegrity.
 func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
 	refs, err := rt.st.Apply(cs.Changes)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	return rt.CommitRefs(refs)
+	rec, err := rt.CommitRefs(refs)
+	if err != nil {
+		return nil, err
+	}
+	rt.Verify()
+	return rec, nil
 }
 
 // CommitRefs routes one change set the State has validated and resolved,
 // fans the per-shard slices out to the writer goroutines, waits for every
-// touched shard (the commit barrier), and returns the merged Record. On
-// error the runtime must be considered diverged: some shards may have
-// applied their slice while another failed. Callers should stop
-// committing (the serving layer turns this into its broken state).
+// touched shard (the commit barrier), and returns the merged Record. The
+// verifier sees the commit once Verify hands it over; a commit not yet
+// handed over goes first. On error the runtime must be considered
+// diverged: some shards may have applied their slice while another
+// failed. Callers should stop committing (the serving layer turns this
+// into its broken state).
 func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
+	rt.Verify()
 	p := rt.router.route(refs)
-	respCh := make(chan response, rt.n)
 	active := 0
 	for s := 0; s < rt.n; s++ {
-		cmd := command{q1: p.q1[s], resp: respCh}
+		cmd := command{q1: p.q1[s]}
 		if s == q2Shard {
 			cmd.q2 = p.q2
 		}
@@ -343,7 +405,7 @@ func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
 	}
 	var firstErr error
 	for i := 0; i < active; i++ {
-		resp := <-respCh
+		resp := <-rt.resp
 		if resp.err != nil {
 			// A failed apply is not a commit: leave the shard's stats
 			// untouched so they reflect only applied commands.
@@ -356,12 +418,13 @@ func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
 		m.Commits++
 		m.Last = resp.elapsed
 		m.Total += resp.elapsed
-		rt.last[resp.shard] = resp.results
-		rt.lastStats[resp.shard] = resp.stats
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	rt.commits++
+	rt.changes += len(refs)
+	rt.pending = true
 	rt.rec = rt.record()
 	return rt.rec, nil
 }
@@ -372,38 +435,54 @@ func (rt *Runtime) Record() *Record { return rt.rec }
 
 // record merges the per-shard state into a new Record. The Q2-family merge
 // includes the router's parked (likeless, zero-scoring) comments as a
-// virtual partition.
+// virtual partition. An answer whose ids did not change keeps its string,
+// and when none changed the Record keeps the previous Record's map.
 func (rt *Runtime) record() *Record {
-	parked := rt.router.parkedTopK()
+	rt.parked = rt.router.parkedTopK()
+	changed := rt.rec == nil
+	for i, e := range rt.served {
+		rt.merge.Reset()
+		if e.Query == "Q2" {
+			for _, p := range rt.parked {
+				rt.merge.Consider(p)
+			}
+		}
+		for _, w := range rt.workers {
+			for _, p := range w.results[i] {
+				rt.merge.Consider(p)
+			}
+		}
+		if m := rt.merge.Peek(); rt.rec == nil || !m.SameIDs(rt.answers[i]) {
+			rt.answers[i] = append(rt.answers[i][:0], m...)
+			rt.rendered[i] = m.String()
+			changed = true
+		}
+	}
 	rec := &Record{
-		Results:        make(map[string]string),
-		Engines:        make(map[string]core.EngineStats),
+		Commits:        rt.commits,
+		Engines:        make([]EngineTotals, len(rt.served)),
 		Shards:         append([]Stats(nil), rt.meta...),
 		ParkedComments: rt.router.parkedComments(),
 	}
-	for _, e := range harness.ServedEngines() {
-		rt.merge.Reset()
-		if e.Query == "Q2" {
-			for _, p := range parked {
-				rt.merge.Consider(p)
-			}
+	if changed {
+		rec.Results = make(map[string]string, len(rt.served)+1)
+		for i, e := range rt.served {
+			rec.Results[e.Key] = rt.rendered[i]
 		}
-		for s := 0; s < rt.n; s++ {
-			for _, p := range rt.last[s][e.Key] {
-				rt.merge.Consider(p)
-			}
-		}
-		rec.Results[e.Key] = rt.merge.Result().String()
+		rec.Results[rt.ver.key] = rec.Results[rt.ver.verifies]
+	} else {
+		rec.Results = rt.rec.Results
 	}
-	for s := 0; s < rt.n; s++ {
-		for key, st := range rt.lastStats[s] {
-			t := rec.Engines[key]
+	for i, e := range rt.served {
+		t := &rec.Engines[i]
+		t.Key = e.Key
+		for _, w := range rt.workers {
+			st := w.stats[i]
 			t.Posts += st.Posts
 			t.Comments += st.Comments
 			t.Users = max(t.Users, st.Users)
 			t.NNZ += st.NNZ
 			t.Pending += st.Pending
-			rec.Engines[key] = t
 		}
 	}
 	return rec
@@ -417,7 +496,9 @@ func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 // engine instance on its own goroutine.
 func (rt *Runtime) InitialDuration() time.Duration { return rt.initialDur }
 
-// Close stops every shard writer after it drains its queue. Idempotent.
+// Close stops every shard writer and then the verifier, each after it
+// drains its queue; a commit not yet handed to the verifier stays
+// unverified. Idempotent.
 func (rt *Runtime) Close() {
 	rt.closeOnce.Do(func() {
 		for _, w := range rt.workers {
@@ -426,5 +507,6 @@ func (rt *Runtime) Close() {
 		for _, w := range rt.workers {
 			<-w.done
 		}
+		rt.ver.stop()
 	})
 }

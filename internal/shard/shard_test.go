@@ -72,6 +72,16 @@ func rebatch(d *model.Dataset, rng *rand.Rand) []model.ChangeSet {
 	return out
 }
 
+// engineTotals returns the Record's totals of the served engine key.
+func engineTotals(r *Record, key string) (core.EngineStats, bool) {
+	for _, e := range r.Engines {
+		if e.Key == key {
+			return e.EngineStats, true
+		}
+	}
+	return core.EngineStats{}, false
+}
+
 // TestShardedEquivalence is the oracle test of the sharded runtime: a
 // 4-shard and a 1-shard runtime replay the same randomized interleaved
 // workload (including removals) and must produce change-for-change
@@ -129,9 +139,18 @@ func TestShardedEquivalence(t *testing.T) {
 	// Merged state-size totals must be sharding-invariant: partitioned
 	// dimensions sum back to the whole, and q1 users, replicated into every
 	// Q1 partition, are max'd rather than multiplied by the shard count.
-	totals1, totals4 := rt1.Record().Engines, rt4.Record().Engines
+	totals := func(rt *Runtime, key string) core.EngineStats {
+		if key == "q2" {
+			return rt.Drain().Engine
+		}
+		e, ok := engineTotals(rt.Record(), key)
+		if !ok {
+			t.Fatalf("no totals for %s", key)
+		}
+		return e
+	}
 	for _, key := range []string{"q1", "q2", "q2cc"} {
-		a, b := totals1[key], totals4[key]
+		a, b := totals(rt1, key), totals(rt4, key)
 		if a.Posts != b.Posts || a.Comments != b.Comments || a.Users != b.Users || a.NNZ != b.NNZ {
 			t.Errorf("%s: totals diverge across shardings: 1-shard %+v vs 4-shard %+v", key, a, b)
 		}
@@ -436,7 +455,10 @@ func TestRecordsAreImmutable(t *testing.T) {
 	for _, st := range rec.Shards {
 		commits += st.Commits
 	}
-	if commits == 0 || rec.ParkedComments != 1 || rec.Engines["q2"].Comments != 2 {
+	if q2cc, _ := engineTotals(rec, "q2cc"); commits == 0 || rec.ParkedComments != 1 || q2cc.Comments != 2 {
 		t.Fatalf("record after one commit: %+v", *rec)
+	}
+	if v := rt.Drain(); v.Commits != 1 || v.Engine.Comments != 2 {
+		t.Fatalf("verified after one commit: %+v", *v)
 	}
 }

@@ -1,0 +1,275 @@
+package shard
+
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/harness"
+	"repro/internal/model"
+)
+
+// The verifier runs the lineup's verifying engine — the paper's Q2, which
+// cross-checks the CC extension that serves Q2 — off the commit barrier,
+// on a goroutine of its own. Verify hands it each commit once the commit
+// is published: the commit's Q2 refs, copied out of the router's reused
+// plan, its position, the parked comments' top-3 and the served engine's
+// merged answer then. The verifier applies the refs, merges the engine's
+// answer with the parked top-3 and counts a disagreement where the result
+// differs from the served answer of the same commit. It publishes each
+// checked commit as one immutable Verified.
+//
+// The engine reads ids back through the State and the Q2 comment space,
+// which the committing goroutine keeps appending to while the verifier
+// trails it. So each hand-off also carries both as fixed prefixes
+// (model.Nodes and a clamped copy of the space's header), and the
+// verifier's engine reads them instead: nodes are never rewritten, so a
+// prefix taken at the commit is exactly what the commit's refs need.
+
+// verifyDepth is how many handed-over commits may wait for the verifier:
+// the next hand-off blocks until it catches up, so its lag and the memory
+// queued for it stay bounded. The paper's Q2 averages 0.05–0.34 ms per
+// commit at sf 32, against about 2 ms or more between the commits of
+// every served workload, so 8 is ample.
+const verifyDepth = 8
+
+// Verified is the verifier's published state after one checked commit (or
+// after Start). It is never changed once published; later values follow
+// it through At.
+type Verified struct {
+	// Commits counts the commits since Start the verifier has checked, and
+	// Changes their changes.
+	Commits, Changes int
+	// Result is the verifying engine's answer merged with the parked
+	// comments of that commit ("id|id|id").
+	Result string
+	// Engine is the verifying engine's state sizes then.
+	Engine core.EngineStats
+	// Disagreements counts the checked commits, Start's evaluation
+	// included, whose Result differed from the answer the verified engine
+	// served for the same commit.
+	Disagreements int
+	// Published is when the verifier published this value.
+	Published time.Time
+	// Err is set when the verifier failed to check commit Commits+1; it
+	// checks nothing after that. The other fields are those of commit
+	// Commits.
+	Err error
+
+	next chan struct{} // closed once succ is set
+	succ *Verified
+}
+
+// At returns the value of commit commits: v itself or one published after
+// it, where v must not be past commits. With wait it blocks until the
+// verifier has checked that commit or failed, which ends only for a
+// commit handed over by Verify; without it returns the newest value
+// published up to that commit. A failed value ends the walk.
+func (v *Verified) At(commits int, wait bool) *Verified {
+	for v.Commits < commits && v.Err == nil {
+		if wait {
+			<-v.next
+		} else {
+			select {
+			case <-v.next:
+			default:
+				return v
+			}
+		}
+		v = v.succ
+	}
+	return v
+}
+
+// handoff is one published commit on its way to the verifier.
+type handoff struct {
+	commits, changes int
+	refs             []model.Ref
+	nodes            model.Nodes
+	comments         []int32
+	parked           core.Result
+	served           string
+	hook             func(commits int) error
+}
+
+// verifier owns the verifying engine. Its goroutine alone touches the
+// engine and the fields below cur once Start has returned.
+type verifier struct {
+	key, verifies string
+	eng           core.Engine
+	// part is what the engine reads ids through: nodes and space, which
+	// the verifier sets from each hand-off before applying it.
+	part  core.Part
+	nodes model.Nodes
+	space core.Space
+
+	// queue holds the handed-over commits; free recycles their ref
+	// buffers, one for each commit queued, being checked or being handed
+	// over, so copying refs allocates only while the queue first fills.
+	queue chan handoff
+	free  chan []model.Ref
+	done  chan struct{}
+	cur   atomic.Pointer[Verified]
+
+	res    core.Result // the engine's last answer
+	answer core.Result // its merge with the parked comments, as of cur
+	merge  *core.Ranker
+}
+
+func newVerifier(e harness.ServedEngine, st *model.State, r *router) *verifier {
+	of := r.q2Comments.Of
+	v := &verifier{
+		key:      e.Key,
+		verifies: e.Verifies,
+		eng:      e.New(),
+		nodes:    st.Nodes(),
+		space:    core.Space{Of: of[:len(of):len(of)]},
+		queue:    make(chan handoff, verifyDepth),
+		free:     make(chan []model.Ref, verifyDepth+2),
+		done:     make(chan struct{}),
+		merge:    core.NewTopK(core.TopK),
+	}
+	v.part = core.Part{Nodes: &v.nodes, Comments: &v.space}
+	return v
+}
+
+// start checks Start's evaluation against rt's first Record and starts the
+// verifier's goroutine.
+func (v *verifier) start(rt *Runtime) {
+	if rs, ok := v.eng.(core.ResultSnapshotter); ok {
+		v.res, _ = rs.LastResult()
+	}
+	v.settle(&handoff{parked: rt.parked, served: rt.Record().Results[v.verifies]})
+	go v.run()
+}
+
+func (v *verifier) run() {
+	defer close(v.done)
+	failed := false
+	for h := range v.queue {
+		if !failed {
+			if err := v.check(&h); err != nil {
+				failed = true
+				stop := *v.cur.Load()
+				stop.Err = fmt.Errorf("shard: verify commit %d: %w", h.commits, err)
+				stop.next, stop.succ = make(chan struct{}), nil
+				v.publish(&stop)
+			}
+		}
+		select {
+		case v.free <- h.refs[:0]:
+		default:
+		}
+	}
+}
+
+// check applies one handed-over commit and publishes its Verified.
+func (v *verifier) check(h *handoff) error {
+	if h.hook != nil {
+		if err := h.hook(h.commits); err != nil {
+			return err
+		}
+	}
+	v.nodes, v.space.Of = h.nodes, h.comments
+	if len(h.refs) > 0 {
+		res, err := v.eng.UpdateRefs(h.refs)
+		if err != nil {
+			return fmt.Errorf("%s update: %w", v.eng.Name(), err)
+		}
+		v.res = res
+	}
+	v.settle(h)
+	return nil
+}
+
+// settle merges the engine's answer with h's parked comments, compares the
+// result with the served answer and publishes it. An answer whose ids did
+// not change keeps its string.
+func (v *verifier) settle(h *handoff) {
+	v.merge.Reset()
+	for _, p := range h.parked {
+		v.merge.Consider(p)
+	}
+	for _, p := range v.res {
+		v.merge.Consider(p)
+	}
+	prev := v.cur.Load()
+	next := &Verified{Commits: h.commits, Changes: h.changes, Published: time.Now(), next: make(chan struct{})}
+	if m := v.merge.Peek(); prev == nil || !m.SameIDs(v.answer) {
+		v.answer = append(v.answer[:0], m...)
+		next.Result = m.String()
+	} else {
+		next.Result = prev.Result
+	}
+	if sr, ok := v.eng.(core.StatsReporter); ok {
+		next.Engine = sr.Stats()
+	}
+	if prev != nil {
+		next.Disagreements = prev.Disagreements
+	}
+	if next.Result != h.served {
+		next.Disagreements++
+	}
+	v.publish(next)
+}
+
+// publish makes next the newest value and wakes the readers waiting on
+// its predecessor.
+func (v *verifier) publish(next *Verified) {
+	prev := v.cur.Load()
+	if prev != nil {
+		prev.succ = next
+	}
+	v.cur.Store(next)
+	if prev != nil {
+		close(prev.next)
+	}
+}
+
+// stop closes the queue and waits until the verifier has drained it.
+func (v *verifier) stop() {
+	close(v.queue)
+	<-v.done
+}
+
+// Verify hands the last commit to the verifier, unless it has had it. A
+// serving layer calls it once the commit is published, so the verifier
+// never checks a commit readers cannot see; CommitRefs hands over a commit
+// left pending first. It blocks while verifyDepth handed-over commits
+// wait for the verifier. Must be called from the committing goroutine.
+func (rt *Runtime) Verify() {
+	if !rt.pending {
+		return
+	}
+	rt.pending = false
+	v := rt.ver
+	var buf []model.Ref
+	select {
+	case buf = <-v.free:
+	default:
+	}
+	of := rt.router.q2Comments.Of
+	v.queue <- handoff{
+		commits:  rt.commits,
+		changes:  rt.changes,
+		refs:     append(buf, rt.router.plan.q2...),
+		nodes:    rt.st.Nodes(),
+		comments: of[:len(of):len(of)],
+		parked:   rt.parked,
+		served:   rt.rec.Results[v.verifies],
+		hook:     rt.OnVerify,
+	}
+}
+
+// Verified returns the newest value the verifier has published. Safe to
+// call from any goroutine.
+func (rt *Runtime) Verified() *Verified { return rt.ver.cur.Load() }
+
+// Drain hands over a pending commit (see Verify), waits until the verifier
+// has checked every commit handed to it or failed, and returns its value
+// then. Must be called from the committing goroutine.
+func (rt *Runtime) Drain() *Verified {
+	rt.Verify()
+	return rt.Verified().At(rt.commits, true)
+}
