@@ -1,73 +1,82 @@
 package core
 
-// RankIndex keeps entries under dense int keys in an indexed binary heap
-// ordered by Less, so the best entries can be read at any time while single
-// entries change: Set and Remove cost O(log n) and Top(k) reads only the
-// heap's first 2^k−1 slots. An engine keeps one entry per ranked entity and
-// calls Set only for the entities whose score changed, so ranking costs in
-// proportion to the change whether scores rise (inserts) or fall
+// RankHeap keeps slots under dense int keys in an indexed binary heap
+// ordered by its Ranking, so the best entries can be read at any time while
+// single slots change: Set and Remove cost O(log n) and Top(k) reads only
+// the heap's first 2^k−1 slots. An engine keeps one slot per ranked entity
+// and calls Set only for the entities whose score changed, so ranking costs
+// in proportion to the change whether scores rise (inserts) or fall
 // (removals).
 //
-// Keys index a dense position table, so they should be small non-negative
-// ints below 2^31 (an engine's dense entity index, the router's comment
-// index). The zero value is an empty index.
-type RankIndex struct {
-	heap []rankSlot
+// A slot holds its key and as much of its entry as the Ranking needs to
+// order it: an engine's RankIndex copies whole Entries into its slots,
+// while a slot with an empty value is the bare key of an entity the
+// Ranking reads through a table of its own. Keys index a dense position
+// table, so they should be small non-negative ints below 2^31 (an
+// engine's dense entity index, the router's comment index). The zero
+// value is an empty heap under the zero Ranking.
+type RankHeap[S any, R Ranking[S]] struct {
+	heap []Slot[S]
 	pos  []int32 // key → heap position + 1; 0 means absent
+	rank R
 }
 
-type rankSlot struct {
-	e   Entry
-	key int32
+// Slot is one key in a RankHeap with the value its Ranking orders it by.
+// The value comes first, so a zero-size value adds no padding.
+type Slot[S any] struct {
+	Val S
+	Key int32
 }
 
-// Len reports how many keys the index holds.
-func (x *RankIndex) Len() int { return len(x.heap) }
+// Ranking orders a RankHeap's slots (Less of their entries) and names the
+// Entry each slot ranks as.
+type Ranking[S any] interface {
+	Less(a, b Slot[S]) bool
+	Entry(s Slot[S]) Entry
+}
 
-// Init replaces the index's content with one entry per key in keys, which
-// must be distinct, in O(n): the bulk load of a first full evaluation. It
-// allocates once, with a quarter more room than keys need (about what
-// append's next growth would give), so the load leaves no garbage and the
-// keys Set soon after it do not copy the whole index.
-func (x *RankIndex) Init(keys []int, entry func(key int) Entry) {
+// Len reports how many keys the heap holds.
+func (x *RankHeap[S, R]) Len() int { return len(x.heap) }
+
+// Init replaces the heap's content with slots, whose keys must be
+// distinct, ranked by r, in O(n): the bulk load of a first full
+// evaluation. The heap keeps slots as its storage, so their spare capacity
+// is the room later inserts take before the heap grows; its position table
+// gets a quarter more room than the keys need.
+func (x *RankHeap[S, R]) Init(r R, slots []Slot[S]) {
 	n := 0
-	for _, k := range keys {
-		n = max(n, k+1)
+	for _, s := range slots {
+		n = max(n, int(s.Key)+1)
 	}
-	x.heap = make([]rankSlot, len(keys), len(keys)+len(keys)/4)
+	x.heap, x.rank = slots, r
 	x.pos = make([]int32, n, n+n/4)
-	for p, k := range keys {
-		x.heap[p] = rankSlot{e: entry(k), key: int32(k)}
-		x.pos[k] = int32(p + 1)
+	for p, s := range slots {
+		x.pos[s.Key] = int32(p + 1)
 	}
 	for p := len(x.heap)/2 - 1; p >= 0; p-- {
 		x.down(p)
 	}
 }
 
-// Set stores e under key i, inserting the key or moving its entry to the
+// Set stores s under its key, inserting the key or moving its slot to the
 // place its new value ranks.
-func (x *RankIndex) Set(i int, e Entry) {
-	x.grow(i)
-	p := int(x.pos[i]) - 1
-	if p < 0 {
-		x.heap = append(x.heap, rankSlot{e: e, key: int32(i)})
-		x.up(len(x.heap) - 1)
-		return
-	}
-	x.heap[p].e = e
-	x.fix(p)
-}
-
-// grow extends the position table to cover key i.
-func (x *RankIndex) grow(i int) {
+func (x *RankHeap[S, R]) Set(s Slot[S]) {
+	i := int(s.Key)
 	if i >= len(x.pos) {
 		x.pos = append(x.pos, make([]int32, i+1-len(x.pos))...)
 	}
+	p := int(x.pos[i]) - 1
+	if p < 0 {
+		x.heap = append(x.heap, s)
+		x.up(len(x.heap) - 1)
+		return
+	}
+	x.heap[p] = s
+	x.fix(p)
 }
 
 // Remove drops key i; removing an absent key is a no-op.
-func (x *RankIndex) Remove(i int) {
+func (x *RankHeap[S, R]) Remove(i int) {
 	if i >= len(x.pos) || x.pos[i] == 0 {
 		return
 	}
@@ -85,26 +94,26 @@ func (x *RankIndex) Remove(i int) {
 // Top returns the best k entries, best first. Every heap ancestor ranks
 // before its descendants, so the k-th best entry has at most k−1 ancestors
 // and sits in the first 2^k−1 slots; only those go through a Ranker.
-func (x *RankIndex) Top(k int) Result {
+func (x *RankHeap[S, R]) Top(k int) Result {
 	t := Ranker{k: k, entries: make(Result, 0, k)}
 	for _, s := range x.heap[:min(len(x.heap), 1<<k-1)] {
-		t.Consider(s.e)
+		t.Consider(x.rank.Entry(s))
 	}
 	return t.entries // the ranker is gone: its entries are the caller's
 }
 
-// fix restores the heap order around position p after its entry changed.
-func (x *RankIndex) fix(p int) {
+// fix restores the heap order around position p after its slot changed.
+func (x *RankHeap[S, R]) fix(p int) {
 	if !x.down(p) {
 		x.up(p)
 	}
 }
 
-func (x *RankIndex) up(p int) {
+func (x *RankHeap[S, R]) up(p int) {
 	s := x.heap[p]
 	for p > 0 {
 		parent := (p - 1) / 2
-		if !Less(s.e, x.heap[parent].e) {
+		if !x.rank.Less(s, x.heap[parent]) {
 			break
 		}
 		x.place(p, x.heap[parent])
@@ -113,18 +122,18 @@ func (x *RankIndex) up(p int) {
 	x.place(p, s)
 }
 
-// down sinks the entry at p and reports whether it moved.
-func (x *RankIndex) down(p int) bool {
+// down sinks the slot at p and reports whether it moved.
+func (x *RankHeap[S, R]) down(p int) bool {
 	s, start, n := x.heap[p], p, len(x.heap)
 	for {
 		c := 2*p + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && Less(x.heap[r].e, x.heap[c].e) {
+		if r := c + 1; r < n && x.rank.Less(x.heap[r], x.heap[c]) {
 			c = r
 		}
-		if !Less(x.heap[c].e, s.e) {
+		if !x.rank.Less(x.heap[c], s) {
 			break
 		}
 		x.place(p, x.heap[c])
@@ -134,7 +143,42 @@ func (x *RankIndex) down(p int) bool {
 	return p != start
 }
 
-func (x *RankIndex) place(p int, s rankSlot) {
+func (x *RankHeap[S, R]) place(p int, s Slot[S]) {
 	x.heap[p] = s
-	x.pos[s.key] = int32(p + 1)
+	x.pos[s.Key] = int32(p + 1)
 }
+
+// RankIndex is the engines' RankHeap: each slot holds its entry.
+type RankIndex struct{ h RankHeap[Entry, byEntry] }
+
+// byEntry ranks slots that hold their entries.
+type byEntry struct{}
+
+func (byEntry) Less(a, b Slot[Entry]) bool { return Less(a.Val, b.Val) }
+func (byEntry) Entry(s Slot[Entry]) Entry  { return s.Val }
+
+// Len reports how many keys the index holds.
+func (x *RankIndex) Len() int { return x.h.Len() }
+
+// Init replaces the index's content with one entry per key in keys, which
+// must be distinct, in O(n). It allocates once, with a quarter more room
+// than keys need (about what append's next growth would give), so the load
+// leaves no garbage and the keys Set soon after it do not copy the whole
+// index.
+func (x *RankIndex) Init(keys []int, entry func(key int) Entry) {
+	slots := make([]Slot[Entry], len(keys), len(keys)+len(keys)/4)
+	for p, k := range keys {
+		slots[p] = Slot[Entry]{Val: entry(k), Key: int32(k)}
+	}
+	x.h.Init(byEntry{}, slots)
+}
+
+// Set stores e under key i, inserting the key or moving its entry to the
+// place its new value ranks.
+func (x *RankIndex) Set(i int, e Entry) { x.h.Set(Slot[Entry]{Val: e, Key: int32(i)}) }
+
+// Remove drops key i; removing an absent key is a no-op.
+func (x *RankIndex) Remove(i int) { x.h.Remove(i) }
+
+// Top returns the best k entries, best first.
+func (x *RankIndex) Top(k int) Result { return x.h.Top(k) }

@@ -113,9 +113,8 @@ func (s *Server) commit(batch []updateReq) {
 		return
 	}
 
-	cs := &model.ChangeSet{}
 	accepted := make([]*updateReq, 0, len(batch))
-	s.refs = s.refs[:0]
+	s.changes, s.refs = s.changes[:0], s.refs[:0]
 	for i := range batch {
 		req := &batch[i]
 		refs, err := s.state.Apply(req.changes)
@@ -123,13 +122,14 @@ func (s *Server) commit(batch []updateReq) {
 			req.finish(fmt.Errorf("%w: %w", ErrRejected, err))
 			continue
 		}
-		cs.Changes = append(cs.Changes, req.changes...)
+		s.changes = append(s.changes, req.changes...)
 		s.refs = append(s.refs, refs...)
 		accepted = append(accepted, req)
 	}
-	if len(cs.Changes) == 0 {
+	if len(s.changes) == 0 {
 		return
 	}
+	cs := model.ChangeSet{Changes: s.changes}
 
 	fail := func(err error) {
 		s.setBroken(err)
@@ -140,7 +140,7 @@ func (s *Server) commit(batch []updateReq) {
 
 	// Canonicalize the merged batch (friendship endpoints ordered) so the
 	// WAL stores — and every engine sees — the change-key-normalized form;
-	// cs.Changes is the writer's own copy, never a caller's slice.
+	// cs.Changes is the writer's own buffer, never a caller's slice.
 	cs.Normalize()
 
 	seq := s.snap.Load().Seq + 1
@@ -156,7 +156,7 @@ func (s *Server) commit(batch []updateReq) {
 			if h := s.cfg.walHook; h != nil {
 				h()
 			}
-			logged <- s.wal.Append(uint64(seq), cs.Changes)
+			logged <- s.wal.Append(uint64(seq), s.changes)
 		}()
 	}
 	start := time.Now()
@@ -175,7 +175,7 @@ func (s *Server) commit(batch []updateReq) {
 		fail(fmt.Errorf("commit: %w", err))
 		return
 	}
-	s.store(seq, cs, rec, elapsed)
+	s.store(seq, &cs, rec, elapsed)
 	// The paper's Q2 checks the published commit on a goroutine of its
 	// own; the hand-off blocks only while it trails by the runtime's
 	// bound. Handing off before answering lets the scheduler run the

@@ -61,6 +61,10 @@ func BenchmarkReadMergeCached(b *testing.B) {
 // factor 32 or 128 without change sets, as perfbench writes it; this is
 // the rung under perfbench's setup_s, which adds process start and the
 // first /healthz. BenchmarkWarmup in internal/core times the engines alone.
+// It also reports, as live-MiB and goal-MiB, the heap New's last
+// collection left live and the heap goal the server starts serving under:
+// the start-up rung of a peak-memory ladder below perfbench's
+// server_rss_mb.
 func BenchmarkStartup(b *testing.B) {
 	for _, sf := range []int{32, 128} {
 		b.Run(fmt.Sprintf("sf%d", sf), func(b *testing.B) {
@@ -71,15 +75,20 @@ func BenchmarkStartup(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			var live, goal uint64
 			for i := 0; i < b.N; i++ {
 				srv, err := New(Config{DataDir: dir})
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
+				l, g := heapLiveAndGoal()
+				live, goal = live+l, goal+g
 				srv.Close()
 				b.StartTimer()
 			}
+			b.ReportMetric(mib(live)/float64(b.N), "live-MiB")
+			b.ReportMetric(mib(goal)/float64(b.N), "goal-MiB")
 		})
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,9 +208,13 @@ type Server struct {
 	// applied against it before any engine sees it, and durable snapshots
 	// encode its views.
 	state *model.State
-	// refs is the batch being committed, as the state resolved it; the
-	// writer reuses it from batch to batch.
-	refs []model.Ref
+	// changes and refs are the batch being committed, merged from its
+	// accepted requests and as the state resolved it. The writer reuses
+	// both from batch to batch: nothing reads them past the commit (the
+	// WAL encodes the changes before its append returns, and store only
+	// counts them).
+	changes []model.Change
+	refs    []model.Ref
 	// wal is the durability subsystem (nil when Config.PersistDir is
 	// empty): every committed batch is appended to it before the commit's
 	// waiters are released, and the state is periodically snapshotted
@@ -320,22 +325,24 @@ func New(cfg Config) (*Server, error) {
 
 	// The engines only ever serve states that pass the integrity rules:
 	// the State validates the snapshot and resolves its ids once, and the
-	// shard runtime starts on it.
+	// shard runtime starts on it. The State holds its own copy, so nothing
+	// of the parsed dataset but its change sets is kept past this point.
 	state, err := model.NewState(d.Snapshot)
 	if err != nil {
 		closeWAL()
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	changeSets := d.ChangeSets
+	rec.Snapshot, cfg.Dataset = nil, nil
 	grb.SetThreads(cfg.Threads)
 	rt, err := shard.Start(cfg.Shards, state)
 	if err != nil {
 		closeWAL()
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	cfg.Dataset = nil // state holds its own copy; let the caller's be collected
 	s := &Server{
 		cfg:        cfg,
-		changeSets: d.ChangeSets,
+		changeSets: changeSets,
 		rt:         rt,
 		state:      state,
 		updates:    make(chan updateReq, cfg.QueueDepth),
@@ -371,14 +378,25 @@ func New(cfg Config) (*Server, error) {
 
 	if s.wal != nil && !rec.HasSnapshot {
 		// Seed a fresh durability directory with the base state so recovery
-		// never needs the dataset again.
-		if err := s.wal.WriteSnapshotStream(uint64(baseSeq), uint64(baseChanges), d.Snapshot, nil); err != nil {
+		// never needs the dataset again. It is written from a view of the
+		// State, as every periodic snapshot is.
+		view, release := state.View()
+		err := s.wal.WriteSnapshotStream(uint64(baseSeq), uint64(baseChanges), view, nil)
+		release()
+		if err != nil {
 			s.rt.Close()
 			s.wal.Close()
 			return nil, fmt.Errorf("server: seed snapshot: %w", err)
 		}
 		s.lastSnap = baseSeq
 	}
+
+	// Start-up ends on the served heap: its last collection ran while the
+	// parsed dataset and the refs that built the engines were still live,
+	// and the pacer sets the next heap goal to twice what a collection
+	// leaves. Collecting once more here sets the first goal as a server to
+	// twice the served state instead.
+	runtime.GC()
 
 	// Readiness: immediate unless there is a WAL tail to replay, in which
 	// case the writer flips it after the replay commits.

@@ -50,10 +50,12 @@ func BenchmarkNewRouter(b *testing.B) {
 
 // TestRouterRetainedBytes is a deterministic memory gate on the router: the
 // 4-shard router of routerFixture, started the way the runtime starts it
-// on a model.State it does not count, must retain at most 25.8 bytes per
-// snapshot entity: Go 1.24 measures 22.4 with the local indices it
-// assigns, with and without -race, and the bound adds 15%. Its own
-// comment id map, records and parked flags measured 37.6, and the
+// on a model.State it does not count, must retain at most 9.8 bytes per
+// snapshot entity: Go 1.24 measures 8.5 with the local indices it assigns
+// and the parked comments ranked by State index alone, with and without
+// -race, and the bound adds 15%. A parked set ranked through copies of
+// each comment's entry (id, score, timestamp) measured 22.4; its own
+// comment id map, records and parked flags before that 37.6, and the
 // union-find store with member rings before those took 87.
 // The router holds no Go map, so its layout does not vary across Go
 // versions.
@@ -70,18 +72,19 @@ func TestRouterRetainedBytes(t *testing.T) {
 	runtime.KeepAlive(st) // or the second collection frees it
 	got := float64(retained) / float64(entities)
 	t.Logf("router retains %.1f B per snapshot entity", got)
-	if got > 25.8 {
-		t.Fatalf("router retains %.1f B per snapshot entity, want at most 25.8", got)
+	if got > 9.8 {
+		t.Fatalf("router retains %.1f B per snapshot entity, want at most 9.8", got)
 	}
 }
 
 // TestRuntimeRetainedBytes is the combined memory gate: model.State plus
 // a one-shard runtime started on it (the router and the q1, q2 and q2cc
 // engines), as a server holds them, on routerFixture. Go 1.24 measures
-// 101.4 bytes per snapshot entity, State 43.7 of them; the bound adds 15%.
-// The same State and runtime with Go maps keyed by model.ID in the State
-// and an id map in the router and in every engine measured 149.9–150.4,
-// State 54.5–55.0.
+// 87.5 bytes per snapshot entity, State 43.7 of them; the bound adds 15%.
+// With the router's parked comments ranked through entry copies it
+// measured 101.4. The same State and runtime with Go maps keyed by
+// model.ID in the State and an id map in the router and in every engine
+// measured 149.9–150.4, State 54.5–55.0.
 func TestRuntimeRetainedBytes(t *testing.T) {
 	snap, entities := routerFixture()
 	before := heapAfterGC()
@@ -99,7 +102,7 @@ func TestRuntimeRetainedBytes(t *testing.T) {
 	runtime.KeepAlive(snap) // or the second collection frees it
 	got := float64(retained) / float64(entities)
 	t.Logf("State and one-shard runtime retain %.1f B per snapshot entity", got)
-	if got > 116.6 {
-		t.Fatalf("State and one-shard runtime retain %.1f B per snapshot entity, want at most 116.6", got)
+	if got > 100.6 {
+		t.Fatalf("State and one-shard runtime retain %.1f B per snapshot entity, want at most 100.6", got)
 	}
 }

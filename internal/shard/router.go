@@ -68,9 +68,10 @@ type router struct {
 	q2Comments *core.Space
 	q2Local    []int32
 
-	// parkedRank ranks the parked comments by State index as a virtual
-	// partition.
-	parkedRank core.RankIndex
+	// parkedRank ranks the parked comments as a virtual partition. Its
+	// slots are their State indices alone: ids and timestamps are read
+	// back through the State.
+	parkedRank core.RankHeap[struct{}, byComment]
 
 	plan plan
 }
@@ -88,22 +89,26 @@ func newRouter(n int, st *model.State) (r *router, q1 [][]model.Ref, q2 []model.
 		q2Local:    make([]int32, nc),
 		plan:       plan{q1: make([][]model.Ref, n)},
 	}
+	liked := 0
 	for _, x := range refs {
-		if x.Kind == model.KindAddLike {
+		if x.Kind == model.KindAddLike && r.q2Local[x.B] == 0 {
 			r.q2Local[x.B] = 1
+			liked++
 		}
 	}
-	var parked []int
-	for ci, liked := range r.q2Local {
+	// The parked slots become the heap's storage, with a quarter more room
+	// for the comments that park next.
+	parked := make([]core.Slot[struct{}], 0, (nc-liked)+(nc-liked)/4)
+	for ci, l := range r.q2Local {
 		r.q2Local[ci] = -1
-		if liked == 1 {
+		if l == 1 {
 			r.q2Local[ci] = int32(len(r.q2Comments.Of))
 			r.q2Comments.Of = append(r.q2Comments.Of, int32(ci))
 		} else {
-			parked = append(parked, ci)
+			parked = append(parked, core.Slot[struct{}]{Key: int32(ci)})
 		}
 	}
-	r.parkedRank.Init(parked, r.parkedEntry)
+	r.parkedRank.Init(byComment{st}, parked)
 	q2 = make([]model.Ref, 0, len(refs)-len(parked))
 	for _, x := range refs {
 		switch x.Kind {
@@ -207,7 +212,7 @@ func (r *router) route(refs []model.Ref) *plan {
 			s, y := r.q1Ref(x)
 			p.q1[s] = append(p.q1[s], y)
 			r.q2Local = append(r.q2Local, -1)
-			r.parkedRank.Set(int(x.A), r.parkedEntry(int(x.A)))
+			r.parkedRank.Set(core.Slot[struct{}]{Key: x.A})
 		case model.KindAddLike, model.KindRemoveLike:
 			if c := x.B; r.q2Local[c] < 0 {
 				r.q2Local[c] = int32(len(r.q2Comments.Of))
@@ -226,11 +231,17 @@ func (r *router) route(refs []model.Ref) *plan {
 	return p
 }
 
-// parkedEntry is a parked comment's ranking entry: likeless, it scores 0.
-func (r *router) parkedEntry(ci int) core.Entry {
-	c := r.st.Comment(ci)
+// byComment ranks comments, each slot keyed by its State index, by their
+// entries in the State. Only parked comments go through it: likeless, each
+// scores 0.
+type byComment struct{ st *model.State }
+
+func (o byComment) Entry(s core.Slot[struct{}]) core.Entry {
+	c := o.st.Comment(int(s.Key))
 	return core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp}
 }
+
+func (o byComment) Less(a, b core.Slot[struct{}]) bool { return core.Less(o.Entry(a), o.Entry(b)) }
 
 // parkedComments counts the parked comments.
 func (r *router) parkedComments() int { return r.parkedRank.Len() }

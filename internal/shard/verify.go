@@ -30,8 +30,10 @@ import (
 // verifyDepth is how many handed-over commits may wait for the verifier:
 // the next hand-off blocks until it catches up, so its lag and the memory
 // queued for it stay bounded. The paper's Q2 averages 0.05–0.34 ms per
-// commit at sf 32, against about 2 ms or more between the commits of
-// every served workload, so 8 is ample.
+// commit at sf 32 and about 0.1 ms at sf 128 under a saturating insert
+// stream, against about 1.3 ms or more between the commits of every served
+// workload (the densest, perfbench's ingest-sf128, commits every 1.3–1.4
+// ms), so 8 is ample.
 const verifyDepth = 8
 
 // Verified is the verifier's published state after one checked commit (or
