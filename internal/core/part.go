@@ -4,17 +4,17 @@ import "repro/internal/model"
 
 // Engines index nodes the way model.State does, and resolve nothing
 // themselves: the State validates every change and resolves it to node
-// indices (model.Ref) once, and an engine consumes those. An engine that
-// holds only some nodes of a kind — a Q1 partition's posts, the Q2
-// engines' liked comments — numbers them compactly in the order it
-// receives them, and a Space records which State node each local index
-// is. Ids and timestamps are read back through the State.
+// indices (model.Ref) once, and an engine consumes those. The served Q2
+// engines hold only the comments someone has liked; they number them
+// compactly in the order they receive them, and a Space records which
+// State comment each local index is. Ids and timestamps are read back
+// through the State.
 
-// Space maps an engine's compact local indices of one node kind to the
-// State's: local index i is State index Of[i]. The shard router assigns
-// the local indices, in the order it hands the nodes to the engines, and
-// records them here. A nil *Space is the identity: the engine holds every
-// node of the kind.
+// Space maps an engine's compact local comment indices to the State's:
+// local index i is State index Of[i]. The shard router assigns the local
+// indices, in the order it hands the comments to the engines, and records
+// them here. A nil *Space is the identity: the engine holds every
+// comment.
 type Space struct{ Of []int32 }
 
 // state returns the State index of local index i.
@@ -33,24 +33,22 @@ type Nodes interface {
 	Comment(i int) model.Comment
 }
 
-// Part is the slice of a State an engine holds: every user, and the posts
-// and comments its spaces list. Comments is nil also for engines that
-// read no comment's id (Q1). The engine reads a *model.State only while
-// the State's owner is not applying changes: between commits, or inside
-// one.
+// Part is the slice of a State an engine holds: every post and user, and
+// the comments its space lists. Comments is nil also for engines that read
+// no comment's id (Q1). The engine reads a *model.State only while the
+// State's owner is not applying changes: between commits, or inside one.
 type Part struct {
 	Nodes    Nodes
-	Posts    *Space
 	Comments *Space
 }
 
 // post and comment return the model record of a local index.
-func (p *Part) post(i int) model.Post       { return p.Nodes.Post(p.Posts.state(i)) }
+func (p *Part) post(i int) model.Post       { return p.Nodes.Post(i) }
 func (p *Part) comment(i int) model.Comment { return p.Nodes.Comment(p.Comments.state(i)) }
 
 // Engine is a GraphBLAS engine: a Solution that also runs on resolved
-// changes, in the indices of the part of a State it holds (local post and
-// comment indices, State user indices), as the sharded runtime drives it.
+// changes, in the indices of the part of a State it holds (local comment
+// indices, State post and user indices), as the sharded runtime drives it.
 // Attach loads the engine from refs, the adds that build its part (nodes
 // before the edges on them); UpdateRefs applies one change set's refs and
 // reevaluates. Load and Update are adapters that resolve through a State

@@ -8,7 +8,7 @@ import (
 )
 
 // rankParts feeds every partition's entries through one ranker, the way
-// the sharded runtime merges per-shard answers.
+// the sharded runtime merges q2cc's answer with the parked comments.
 func rankParts(t *Ranker, parts ...Result) Result {
 	for _, p := range parts {
 		for _, e := range p {

@@ -61,11 +61,12 @@ func Factories(query string) map[string]Factory {
 
 // ServedEngine names one engine the serving layer keeps warm: the key it
 // is served under over HTTP, the query it answers (which also selects the
-// shard placement — "Q1" engines run on every shard, each over the posts
-// hashed to it; "Q2" engines run over the whole graph, on one home shard
-// or, verifying, on a goroutine of their own), its constructor, and, for
-// an engine that verifies another instead of serving on the commit path,
-// that engine's key.
+// change stream it receives — "Q1" engines every change; "Q2" engines
+// every change but the comments nobody has liked yet, which the shard
+// router parks), its constructor, and, for an engine that verifies another
+// instead of serving on the commit path, that engine's key. Every engine
+// runs whole: a served one on one shard, chosen by its position among the
+// served engines, a verifying one on a goroutine of its own.
 type ServedEngine struct {
 	Key   string
 	Query string

@@ -255,8 +255,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // handleStats copies them whole, beside the Snapshot they belong to.
 type counters struct {
 	// Load and Initial are the wall times of the engines' start-up phases:
-	// every engine instance loads its partition, and then initially
-	// evaluates it, on its own goroutine (see shard.New). Validation of the
+	// every engine loads the State, and then initially evaluates it, on
+	// its own goroutine (see shard.Start). Validation of the
 	// base state runs alongside and is not part of either.
 	Load    durationMS `json:"loadMs"`
 	Initial durationMS `json:"initialMs"`

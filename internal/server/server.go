@@ -23,8 +23,8 @@
 // two steps rather than their sum. Once published, the batch goes to the
 // paper's Q2 engine, which verifies the served Q2 answer on a goroutine of
 // its own, a bounded number of commits behind. Read path: an atomic
-// pointer load merging nothing at all — per-shard answers were merged at
-// commit time.
+// pointer load merging nothing at all — answers were merged with the
+// parked comments at commit time.
 package server
 
 import (
@@ -78,7 +78,8 @@ type Config struct {
 	// Default 256.
 	QueueDepth int
 	// Shards is the number of engine shards (one writer goroutine each;
-	// see internal/shard for the partitioning). Default 1.
+	// each served engine runs whole on one of them, see internal/shard).
+	// Default 1.
 	Shards int
 
 	// PersistDir enables durability: committed batches are appended to a
@@ -190,8 +191,8 @@ type Server struct {
 	// the initial snapshot is not kept once state and engines are built.
 	changeSets []model.ChangeSet
 
-	// rt owns the engines: one partition and one writer goroutine per
-	// shard, and the verifier. Only the batching goroutine commits through
+	// rt owns the engines: one writer goroutine per shard, each running
+	// the served engines placed on it, and the verifier. Only the batching goroutine commits through
 	// it; readers see its figures only through the published Snapshot and
 	// the verifier's published values.
 	rt *shard.Runtime

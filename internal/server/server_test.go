@@ -77,8 +77,8 @@ func postUpdate(t *testing.T, url string, changes []model.Change, wait bool) (*h
 // only committed, consistent states. Run under -race this also exercises
 // the snapshot store, write queue and per-shard writers for data races; the
 // multi-shard variant is the serving-level oracle equivalence test required
-// by the sharded runtime (per-shard answers merged at commit time must be
-// indistinguishable from the 1-shard engine's).
+// by the sharded runtime (answers merged at commit time must be
+// indistinguishable from the 1-shard runtime's).
 func TestServeConcurrentReadsWithOracle(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

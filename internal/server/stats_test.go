@@ -20,7 +20,7 @@ import (
 // TestStatsNeverTorn: every figure of one /stats response belongs to the
 // commit its seq names. Each waited commit adds one comment nobody likes,
 // so it parks at the router and the Q2 engines never see it, and it
-// reaches exactly one shard (its post's Q1 partition). So at seq k the
+// reaches exactly one shard (q1's). So at seq k the
 // served Q2 engine's (q2cc's) comments plus the parked comments equal the
 // base comments plus k, and updates.count and the shards' commits both
 // sum to k. The paper's Q2 verifies off the commit path, and /stats waits

@@ -13,13 +13,13 @@ import (
 // TestRouterParkedCommentLifecycle is the direct unit test of the router's
 // parked-comment lifecycle: a likeless comment reaches no Q2 engine — it
 // parks at the router and ranks through parkedTopK as a virtual partition —
-// and its first like hands it to the home shard's Q2 engines as a synthetic
+// and its first like hands it to the Q2 engines as a synthetic
 // AddComment ahead of the like.
 func TestRouterParkedCommentLifecycle(t *testing.T) {
 	snap := &model.Snapshot{
 		Posts: []model.Post{{ID: 1, Timestamp: 1}},
 		Comments: []model.Comment{
-			{ID: 10, Timestamp: 5, ParentID: 1, PostID: 1}, // liked: in the Q2 partition
+			{ID: 10, Timestamp: 5, ParentID: 1, PostID: 1}, // liked: in the Q2 engines
 			{ID: 11, Timestamp: 7, ParentID: 1, PostID: 1}, // likeless: parks
 		},
 		Users: []model.User{{ID: 100}, {ID: 101}},
@@ -29,7 +29,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, q2 := newRouter(2, st)
+	r, q2 := newRouter(st, st.Refs())
 
 	// Initial analysis: the likeless comment parked, the liked one did not.
 	if !isParked(r, 11) {
@@ -45,7 +45,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(comments, []model.ID{10}) {
-		t.Fatalf("initial Q2 partition holds comments %v, want only 10", comments)
+		t.Fatalf("initial Q2 engines hold comments %v, want only 10", comments)
 	}
 	if got := r.parkedTopK().String(); got != "11" {
 		t.Fatalf("parked ranking = %q, want %q", got, "11")
@@ -57,8 +57,8 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if !isParked(r, 12) {
 		t.Fatal("new likeless comment 12 did not park")
 	}
-	if len(p1.q2) != 0 {
-		t.Fatalf("parking routed Q2 work: %v", p1.q2)
+	if len(p1) != 0 {
+		t.Fatalf("parking routed Q2 work: %v", p1)
 	}
 	if got := r.parkedTopK().String(); got != "12|11" {
 		t.Fatalf("parked ranking = %q, want %q", got, "12|11")
@@ -74,7 +74,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 		{Kind: model.KindAddComment, Comment: model.Comment{ID: 12, Timestamp: 9, ParentID: 1, PostID: 1}},
 		{Kind: model.KindAddLike, Like: model.Like{UserID: 101, CommentID: 12}},
 	}
-	if got := r.q2Changes(p2.q2); !reflect.DeepEqual(got, want) {
+	if got := r.q2Changes(p2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("materialization stream = %+v, want %+v", got, want)
 	}
 
@@ -85,8 +85,9 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	}
 }
 
-// routeChanges applies changes to the router's State and routes them.
-func routeChanges(t *testing.T, r *router, changes ...model.Change) *plan {
+// routeChanges applies changes to the router's State and routes them,
+// returning the Q2 stream.
+func routeChanges(t *testing.T, r *router, changes ...model.Change) []model.Ref {
 	t.Helper()
 	refs, err := r.st.Apply(changes)
 	if err != nil {
@@ -113,7 +114,7 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, _ := newRouter(2, st)
+	r, _ := newRouter(st, st.Refs())
 	for step := 0; step < 5000; step++ {
 		switch {
 		case len(live) == 0 || rng.Intn(100) < 45:

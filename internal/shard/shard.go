@@ -1,32 +1,29 @@
-// Package shard runs the paper's incremental engines as an N-way sharded
-// runtime, one writer goroutine per shard, each applying its slice of every
-// committed change set to its own warm engine instances. Q1 is partitioned:
-// each shard owns the posts that hash to it, with their comment subtrees.
-// Q2 is not: its engines run on one home shard (see router.go), because a
-// comment's score reads the friendship subgraph of its likers and the
-// social graph has one giant friendship component. Every partition is
-// closed under the edges its query reads, so every shard's top-3 answer is
-// exact for the entities it owns, and the global top-3 is a subset of the
-// union of the per-shard answers and the router's parked comments. Every
-// commit recovers it by feeding those entries through one core.Ranker; no id
-// repeats across partitions, so nothing needs deduplicating, and the
-// sharded runtime is change-for-change indistinguishable from a single
-// engine.
+// Package shard runs the served incremental engines on N shards: N writer
+// goroutines, each applying every committed change set to the warm engines
+// it hosts. Every served engine runs whole on one shard: engine i of the
+// served lineup runs on shard i mod N, so over two shards Q1 and the CC
+// extension that serves Q2 apply each commit side by side, and shards
+// beyond the lineup host nothing. Q1's answer is its engine's. The Q2
+// engines hold every comment but the never-liked ones, which park at the
+// router (see router.go) and score exactly 0, so the Q2 answer is the
+// engine's top-3 merged with the parked comments' through one core.Ranker.
+// The runtime therefore answers exactly as one engine per query would,
+// whatever the shard count.
 //
 // The runtime runs on a model.State, the one id → index map: Start loads
-// the engines from the State's resolved contents, and every commit routes
-// the changes the State has already validated and resolved (model.Ref),
-// so neither the router nor an engine resolves an id or rejects a change.
-// Where an engine holds only some nodes, the router assigns them compact
-// local indices and records them (core.Space); ids and timestamps are
-// read back through the State. New and Commit are adapters that resolve
-// through a State of the runtime's own.
+// the engines from the State's resolved contents, and every commit hands
+// them the changes the State has already validated and resolved
+// (model.Ref), so neither the router nor an engine resolves an id or
+// rejects a change. The Q2 engines number their comments compactly; the
+// router assigns those local indices and records them (core.Space). Ids
+// and timestamps are read back through the State. New and Commit are
+// adapters that resolve through a State of the runtime's own.
 //
 // Commits are barriers over the served engines: CommitRefs routes the
-// change set, fans the per-shard work out to the writer goroutines, and
-// returns only after every shard has applied its slice — so a committed
-// change set is visible on all shards at once and a serving layer's wait=1
-// keeps meaning "globally visible". The paper's Q2 engine is not served:
+// change set, fans it out to the writer goroutines of the shards whose
+// engines it touches, and returns only after each has applied it — so a
+// committed change set is visible in every engine at once and a serving
+// layer's wait=1 keeps meaning "globally visible". The paper's Q2 engine is not served:
 // it verifies the CC extension, which serves Q2, off the barrier (see
 // verify.go). Verify hands it each commit once the commit is published,
 // and it checks every commit on a goroutine of its own, at most
@@ -83,11 +80,10 @@ type Record struct {
 	// which serves its query. A Record shares the previous Record's map
 	// when no answer changed.
 	Results map[string]string
-	// Engines sums every served engine's state sizes across shards, in
-	// lineup order. Users are replicated into every Q1 partition, so they
-	// take the maximum, which counts distinct users; every other dimension
-	// sums. Q2 engines run on one shard, so their totals are that shard's.
-	// The verifying engine's sizes are in its Verified.
+	// Engines holds every served engine's state sizes, in lineup order.
+	// Each served engine runs whole on one shard, so its sizes do not
+	// depend on the shard count. The verifying engine's sizes are in its
+	// Verified.
 	Engines []EngineTotals
 	// Shards holds each shard's apply statistics, indexed by shard.
 	Shards []Stats
@@ -97,23 +93,22 @@ type Record struct {
 	ParkedComments int
 }
 
-// EngineTotals is one served engine's state sizes, summed across shards.
+// EngineTotals is one served engine's state sizes.
 type EngineTotals struct {
 	Key string
 	core.EngineStats
 }
 
-// engineInst is one warm engine on one shard, at its slot in the served
-// lineup.
+// engineInst is one warm engine, at its slot in the served lineup.
 type engineInst struct {
 	slot int
 	eng  core.Engine
 }
 
-// command is one commit's slice of work for a single shard.
+// command is one commit's work for a single shard.
 type command struct {
-	q1 []model.Ref // post-routed stream, applied to Q1-family engines
-	q2 []model.Ref // the home shard's stream, applied to Q2-family engines
+	q1 []model.Ref // the commit's refs, applied to Q1-family engines
+	q2 []model.Ref // the router's Q2 stream, applied to Q2-family engines
 }
 
 type response struct {
@@ -122,9 +117,8 @@ type response struct {
 	elapsed time.Duration
 }
 
-// worker owns one shard's engines: its Q1 partition's, and on the home
-// shard the served Q2 engine. Only its goroutine touches them after
-// startup.
+// worker owns the served engines placed on one shard. Only its goroutine
+// touches them after startup.
 type worker struct {
 	id   int
 	cmds chan command
@@ -132,16 +126,16 @@ type worker struct {
 	done chan struct{}
 	q1   []engineInst
 	q2   []engineInst
-	// results and stats hold each served engine's last answer and size on
-	// this shard, by slot (empty where the shard runs no instance). The
-	// worker writes them while it applies a command; the committing
-	// goroutine reads them once the worker has answered.
+	// results and stats are the runtime's tables of each served engine's
+	// last answer and size, by slot. The worker writes its engines' slots
+	// while it applies a command; the committing goroutine reads them once
+	// the worker has answered.
 	results []core.Result
 	stats   []core.EngineStats
 }
 
 // Runtime is the sharded engine runtime over a model.State. Start loads
-// the partitions and starts one writer goroutine per shard and the
+// the engines and starts one writer goroutine per shard and the
 // verifier; CommitRefs routes and applies one change set the State has
 // resolved, with a global barrier, and returns the merged Record, and
 // Verify hands the commit to the verifier. Start and every commit build
@@ -150,15 +144,17 @@ type worker struct {
 // immutable and safe to share. The engines read ids back through the
 // State, so its owner must not apply changes while a commit runs.
 type Runtime struct {
-	n       int
 	st      *model.State
 	router  *router
 	workers []*worker
 	resp    chan response
 	// served lists the engines every commit waits for; an engine's index
-	// here is its slot in every worker's tables.
-	served []harness.ServedEngine
-	ver    *verifier
+	// here is its slot in results and stats, and it runs on shard slot
+	// mod n.
+	served  []harness.ServedEngine
+	results []core.Result
+	stats   []core.EngineStats
+	ver     *verifier
 
 	// OnVerify, when set before the first commit, runs on the verifier
 	// before it checks each commit, with the commit's count since Start;
@@ -183,9 +179,9 @@ type Runtime struct {
 	pending          bool
 	rec              *Record
 
-	// merge is the reusable ranker the per-shard answers are folded
-	// through — one commit-path merge per engine per commit, so a fresh
-	// allocation each round is pure garbage.
+	// merge is the reusable ranker the Q2 answers are folded through with
+	// the parked comments — one commit-path merge per engine per commit, so
+	// a fresh allocation each round is pure garbage.
 	merge *core.Ranker
 
 	closeOnce sync.Once
@@ -205,19 +201,19 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	return Start(n, st)
 }
 
-// Start partitions st over n shards, loads and initially evaluates every
-// engine instance on its partition, and starts the per-shard writers and
-// the verifier. Start-up must read the whole graph, so each instance
-// loads, and then initially evaluates, on its own goroutine; each phase
-// ends at a barrier, so its duration is its wall time. On error no
-// goroutine is left running.
+// Start places the served engines on n shards, loads and initially
+// evaluates every engine on st, and starts the per-shard writers and the
+// verifier. Start-up must read the whole graph, so each engine loads, and
+// then initially evaluates, on its own goroutine; each phase ends at a
+// barrier, so its duration is its wall time. On error no goroutine is
+// left running.
 func Start(n int, st *model.State) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
 	}
-	router, q1Refs, q2Refs := newRouter(n, st)
+	refs := st.Refs()
+	router, q2Refs := newRouter(st, refs)
 	rt := &Runtime{
-		n:       n,
 		st:      st,
 		router:  router,
 		workers: make([]*worker, n),
@@ -225,10 +221,10 @@ func Start(n int, st *model.State) (*Runtime, error) {
 		meta:    make([]Stats, n),
 		merge:   core.NewTopK(core.TopK),
 	}
-	// startJob is one engine instance's start-up: its part of the State
-	// and the refs that build it.
+	// startJob is one engine's start-up: where it runs, its part of the
+	// State and the refs that build it.
 	type startJob struct {
-		shard int
+		where string
 		eng   core.Engine
 		part  core.Part
 		refs  []model.Ref
@@ -239,37 +235,35 @@ func Start(n int, st *model.State) (*Runtime, error) {
 			rt.served = append(rt.served, e)
 		} else if rt.ver == nil && e.Query == "Q2" {
 			rt.ver = newVerifier(e, st, router)
-			jobs = append(jobs, startJob{q2Shard, rt.ver.eng, rt.ver.part, q2Refs})
+			jobs = append(jobs, startJob{"verifier", rt.ver.eng, rt.ver.part, q2Refs})
 		}
 	}
 	if rt.ver == nil {
 		return nil, fmt.Errorf("shard: the lineup has no verifying Q2 engine")
 	}
-	for s := 0; s < n; s++ {
-		w := &worker{
+	rt.results = make([]core.Result, len(rt.served))
+	rt.stats = make([]core.EngineStats, len(rt.served))
+	for s := range rt.workers {
+		rt.workers[s] = &worker{
 			id:      s,
 			cmds:    make(chan command, 1),
 			resp:    rt.resp,
 			done:    make(chan struct{}),
-			results: make([]core.Result, len(rt.served)),
-			stats:   make([]core.EngineStats, len(rt.served)),
+			results: rt.results,
+			stats:   rt.stats,
 		}
-		q1Part := core.Part{Nodes: st}
-		if n > 1 {
-			q1Part.Posts = router.q1Posts[s]
+	}
+	for slot, e := range rt.served {
+		w := rt.workers[slot%n]
+		inst := engineInst{slot: slot, eng: e.New()}
+		job := startJob{fmt.Sprintf("shard %d", w.id), inst.eng, core.Part{Nodes: st}, refs}
+		if e.Query == "Q1" {
+			w.q1 = append(w.q1, inst)
+		} else {
+			w.q2 = append(w.q2, inst)
+			job.part.Comments, job.refs = router.q2Comments, q2Refs
 		}
-		for slot, e := range rt.served {
-			inst := engineInst{slot: slot, eng: e.New()}
-			switch {
-			case e.Query == "Q1":
-				w.q1 = append(w.q1, inst)
-				jobs = append(jobs, startJob{s, inst.eng, q1Part, q1Refs[s]})
-			case s == q2Shard:
-				w.q2 = append(w.q2, inst)
-				jobs = append(jobs, startJob{s, inst.eng, core.Part{Nodes: st, Comments: router.q2Comments}, q2Refs})
-			}
-		}
-		rt.workers[s] = w
+		jobs = append(jobs, job)
 	}
 
 	phase := func(name string, f func(j startJob) error) (time.Duration, error) {
@@ -282,7 +276,7 @@ func Start(n int, st *model.State) (*Runtime, error) {
 				defer wg.Done()
 				j := jobs[k]
 				if err := f(j); err != nil {
-					errs[k] = fmt.Errorf("shard %d: %s %s: %w", j.shard, j.eng.Name(), name, err)
+					errs[k] = fmt.Errorf("%s: %s %s: %w", j.where, j.eng.Name(), name, err)
 				}
 			}(k)
 		}
@@ -344,6 +338,20 @@ func (w *worker) run() {
 	}
 }
 
+// command returns the worker's work in one commit: the commit's refs if
+// it hosts a Q1-family engine, and the router's Q2 stream q2 if it hosts a
+// Q2-family engine.
+func (w *worker) command(refs, q2 []model.Ref) command {
+	var cmd command
+	if len(w.q1) > 0 {
+		cmd.q1 = refs
+	}
+	if len(w.q2) > 0 {
+		cmd.q2 = q2
+	}
+	return cmd
+}
+
 // update applies one ref list to engines and records their answers and
 // sizes; an empty list is a no-op. An engine's answer is immutable once
 // returned (a new Result per update), so the committing goroutine may
@@ -381,26 +389,22 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
 }
 
 // CommitRefs routes one change set the State has validated and resolved,
-// fans the per-shard slices out to the writer goroutines, waits for every
-// touched shard (the commit barrier), and returns the merged Record. The
-// verifier sees the commit once Verify hands it over; a commit not yet
-// handed over goes first. On error the runtime must be considered
-// diverged: some shards may have applied their slice while another
-// failed. Callers should stop committing (the serving layer turns this
-// into its broken state).
+// fans it out to the writer goroutines, waits for every touched shard
+// (the commit barrier), and returns the merged Record. The verifier sees
+// the commit once Verify hands it over; a commit not yet handed over goes
+// first. On error the runtime must be considered diverged: some engines
+// may have applied the change set while another failed. Callers should
+// stop committing (the serving layer turns this into its broken state).
 func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
 	rt.Verify()
-	p := rt.router.route(refs)
+	q2 := rt.router.route(refs)
 	active := 0
-	for s := 0; s < rt.n; s++ {
-		cmd := command{q1: p.q1[s]}
-		if s == q2Shard {
-			cmd.q2 = p.q2
-		}
+	for _, w := range rt.workers {
+		cmd := w.command(refs, q2)
 		if len(cmd.q1) == 0 && len(cmd.q2) == 0 {
 			continue
 		}
-		rt.workers[s].cmds <- cmd
+		w.cmds <- cmd
 		active++
 	}
 	var firstErr error
@@ -433,26 +437,27 @@ func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
 // Must be called from the committing goroutine.
 func (rt *Runtime) Record() *Record { return rt.rec }
 
-// record merges the per-shard state into a new Record. The Q2-family merge
-// includes the router's parked (likeless, zero-scoring) comments as a
-// virtual partition. An answer whose ids did not change keeps its string,
-// and when none changed the Record keeps the previous Record's map.
+// record builds a new Record from the engines' answers and sizes. A
+// Q2-family answer is merged with the router's parked (likeless,
+// zero-scoring) comments, a virtual partition. An answer whose ids did not
+// change keeps its string, and when none changed the Record keeps the
+// previous Record's map.
 func (rt *Runtime) record() *Record {
 	rt.parked = rt.router.parkedTopK()
 	changed := rt.rec == nil
 	for i, e := range rt.served {
-		rt.merge.Reset()
+		m := rt.results[i]
 		if e.Query == "Q2" {
+			rt.merge.Reset()
 			for _, p := range rt.parked {
 				rt.merge.Consider(p)
 			}
-		}
-		for _, w := range rt.workers {
-			for _, p := range w.results[i] {
+			for _, p := range m {
 				rt.merge.Consider(p)
 			}
+			m = rt.merge.Peek()
 		}
-		if m := rt.merge.Peek(); rt.rec == nil || !m.SameIDs(rt.answers[i]) {
+		if rt.rec == nil || !m.SameIDs(rt.answers[i]) {
 			rt.answers[i] = append(rt.answers[i][:0], m...)
 			rt.rendered[i] = m.String()
 			changed = true
@@ -474,26 +479,17 @@ func (rt *Runtime) record() *Record {
 		rec.Results = rt.rec.Results
 	}
 	for i, e := range rt.served {
-		t := &rec.Engines[i]
-		t.Key = e.Key
-		for _, w := range rt.workers {
-			st := w.stats[i]
-			t.Posts += st.Posts
-			t.Comments += st.Comments
-			t.Users = max(t.Users, st.Users)
-			t.NNZ += st.NNZ
-			t.Pending += st.Pending
-		}
+		rec.Engines[i] = EngineTotals{Key: e.Key, EngineStats: rt.stats[i]}
 	}
 	return rec
 }
 
-// LoadDuration is the wall time of the load phase: every engine instance
-// loading its partition, each on its own goroutine.
+// LoadDuration is the wall time of the load phase: every engine loading
+// the State, each on its own goroutine.
 func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 
 // InitialDuration is the wall time of the initial-evaluation phase, every
-// engine instance on its own goroutine.
+// engine on its own goroutine.
 func (rt *Runtime) InitialDuration() time.Duration { return rt.initialDur }
 
 // Close stops every shard writer and then the verifier, each after it

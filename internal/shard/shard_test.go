@@ -82,63 +82,56 @@ func engineTotals(r *Record, key string) (core.EngineStats, bool) {
 	return core.EngineStats{}, false
 }
 
-// TestShardedEquivalence is the oracle test of the sharded runtime: a
-// 4-shard and a 1-shard runtime replay the same randomized interleaved
-// workload (including removals) and must produce change-for-change
-// identical answers — both to each other and to the batch-recomputation
-// oracle.
+// TestShardedEquivalence is the oracle test of the sharded runtime: 1-,
+// 2- and 4-shard runtimes replay the same randomized interleaved workload
+// (including removals) and must produce change-for-change identical
+// answers — to each other and to the batch-recomputation oracle — and
+// identical engine totals.
 func TestShardedEquivalence(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 99, RemovalFraction: 0.2})
 	rng := rand.New(rand.NewSource(1))
 	batches := rebatch(d, rng)
 
-	rt1, err := New(1, d.Snapshot)
-	if err != nil {
-		t.Fatal(err)
+	var rts []*Runtime
+	for _, n := range []int{1, 2, 4} {
+		rt, err := New(n, d.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		rts = append(rts, rt)
 	}
-	defer rt1.Close()
-	rt4, err := New(4, d.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt4.Close()
 	oracle := newBatchOracle(t, d.Snapshot)
 
-	res1, res4 := rt1.Record().Results, rt4.Record().Results
-	for _, key := range []string{"q1", "q2", "q2cc"} {
-		if res1[key] != res4[key] {
-			t.Fatalf("initial %s: 1-shard %q vs 4-shard %q", key, res1[key], res4[key])
+	for _, rt := range rts[1:] {
+		for _, key := range []string{"q1", "q2", "q2cc"} {
+			if a, b := rts[0].Record().Results[key], rt.Record().Results[key]; a != b {
+				t.Fatalf("initial %s: 1-shard %q vs %d-shard %q", key, a, len(rt.workers), b)
+			}
 		}
 	}
 
 	for k := range batches {
 		cs := &batches[k]
 		wantQ1, wantQ2 := oracle.update(t, cs)
-		rec1, err := rt1.Commit(cs)
-		if err != nil {
-			t.Fatalf("commit %d (1 shard): %v", k, err)
-		}
-		rec4, err := rt4.Commit(cs)
-		if err != nil {
-			t.Fatalf("commit %d (4 shards): %v", k, err)
-		}
-		res1, res4 := rec1.Results, rec4.Results
-		for _, tc := range []struct{ key, want string }{
-			{"q1", wantQ1}, {"q2", wantQ2}, {"q2cc", wantQ2},
-		} {
-			if res1[tc.key] != tc.want {
-				t.Fatalf("commit %d: 1-shard %s = %q, oracle %q", k, tc.key, res1[tc.key], tc.want)
+		for _, rt := range rts {
+			rec, err := rt.Commit(cs)
+			if err != nil {
+				t.Fatalf("commit %d (%d shards): %v", k, len(rt.workers), err)
 			}
-			if res4[tc.key] != tc.want {
-				t.Fatalf("commit %d: 4-shard %s = %q, oracle %q", k, tc.key, res4[tc.key], tc.want)
+			for _, tc := range []struct{ key, want string }{
+				{"q1", wantQ1}, {"q2", wantQ2}, {"q2cc", wantQ2},
+			} {
+				if got := rec.Results[tc.key]; got != tc.want {
+					t.Fatalf("commit %d: %d-shard %s = %q, oracle %q", k, len(rt.workers), tc.key, got, tc.want)
+				}
 			}
 		}
 	}
 	t.Logf("replayed %d randomized commits", len(batches))
 
-	// Merged state-size totals must be sharding-invariant: partitioned
-	// dimensions sum back to the whole, and q1 users, replicated into every
-	// Q1 partition, are max'd rather than multiplied by the shard count.
+	// Every engine runs whole on one shard, so its sizes are
+	// sharding-invariant, field for field.
 	totals := func(rt *Runtime, key string) core.EngineStats {
 		if key == "q2" {
 			return rt.Drain().Engine
@@ -150,9 +143,10 @@ func TestShardedEquivalence(t *testing.T) {
 		return e
 	}
 	for _, key := range []string{"q1", "q2", "q2cc"} {
-		a, b := totals(rt1, key), totals(rt4, key)
-		if a.Posts != b.Posts || a.Comments != b.Comments || a.Users != b.Users || a.NNZ != b.NNZ {
-			t.Errorf("%s: totals diverge across shardings: 1-shard %+v vs 4-shard %+v", key, a, b)
+		for _, rt := range rts[1:] {
+			if a, b := totals(rts[0], key), totals(rt, key); a != b {
+				t.Errorf("%s: totals diverge across shardings: 1-shard %+v vs %d-shard %+v", key, a, len(rt.workers), b)
+			}
 		}
 	}
 }
@@ -202,13 +196,13 @@ func TestCommitRemoveAndReAddInOneSet(t *testing.T) {
 		for _, rt := range rts {
 			rec, err := rt.Commit(&sets[k])
 			if err != nil {
-				t.Fatalf("commit %d (%d shards): %v", k, rt.n, err)
+				t.Fatalf("commit %d (%d shards): %v", k, len(rt.workers), err)
 			}
 			for _, tc := range []struct{ key, want string }{
 				{"q1", wantQ1}, {"q2", wantQ2}, {"q2cc", wantQ2},
 			} {
 				if got := rec.Results[tc.key]; got != tc.want {
-					t.Errorf("commit %d (%d shards): %s = %q, oracle %q", k, rt.n, tc.key, got, tc.want)
+					t.Errorf("commit %d (%d shards): %s = %q, oracle %q", k, len(rt.workers), tc.key, got, tc.want)
 				}
 			}
 		}
@@ -302,8 +296,8 @@ func twoGroupFixture() *model.Snapshot {
 	}
 }
 
-// TestMoreShardsThanGroups checks that shards left empty by the partition
-// are harmless and merged answers stay exact.
+// TestMoreShardsThanGroups checks that shards beyond the served lineup,
+// which host no engine, are harmless and answers stay exact.
 func TestMoreShardsThanGroups(t *testing.T) {
 	snap := twoGroupFixture()
 	rt8, err := New(8, snap)

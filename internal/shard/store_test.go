@@ -54,34 +54,6 @@ func (m *storeModel) q2(cs []model.Change) []model.Change {
 	return out
 }
 
-// q1 is the brute-force Q1 placement of cs over n shards: posts, comments
-// and likes on hashShard of their root post, users on every shard,
-// friendships nowhere. Call it after q2, which records cs's comments.
-func (m *storeModel) q1(cs []model.Change, n int) [][]model.Change {
-	out := make([][]model.Change, n)
-	for _, ch := range cs {
-		var post model.ID
-		switch ch.Kind {
-		case model.KindAddPost:
-			post = ch.Post.ID
-		case model.KindAddComment:
-			post = ch.Comment.PostID
-		case model.KindAddLike, model.KindRemoveLike:
-			post = m.comments[ch.Like.CommentID].PostID
-		case model.KindAddUser:
-			for s := range out {
-				out[s] = append(out[s], ch)
-			}
-			continue
-		default:
-			continue
-		}
-		s := hashShard(post, n)
-		out[s] = append(out[s], ch)
-	}
-	return out
-}
-
 // sameChanges compares two change lists, nil equal to empty.
 func sameChanges(a, b []model.Change) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
@@ -126,32 +98,6 @@ func (r *router) q2Changes(refs []model.Ref) []model.Change {
 	return render(r.st, state)
 }
 
-// q1Changes renders refs in shard s's Q1 partition indices as changes.
-func (r *router) q1Changes(s int, refs []model.Ref) []model.Change {
-	if r.n == 1 {
-		return render(r.st, refs)
-	}
-	comments := map[int32]int32{} // local → State index
-	for c, l := range r.commentLocal {
-		if hashShard(r.st.Post(r.st.Root(c)).ID, r.n) == s {
-			comments[l] = int32(c)
-		}
-	}
-	state := make([]model.Ref, len(refs))
-	for k, x := range refs {
-		switch x.Kind {
-		case model.KindAddPost:
-			x.A = r.q1Posts[s].Of[x.A]
-		case model.KindAddComment:
-			x.A, x.B = comments[x.A], r.q1Posts[s].Of[x.B]
-		case model.KindAddLike, model.KindRemoveLike:
-			x.B = comments[x.B]
-		}
-		state[k] = x
-	}
-	return render(r.st, state)
-}
-
 // commentIndex returns the State index of comment id, or −1.
 func commentIndex(st *model.State, id model.ID) int {
 	_, nc, _ := st.Counts()
@@ -169,14 +115,16 @@ func commentIndex(st *model.State, id model.ID) int {
 // parkedTopK count and rank the parked set.
 func checkStore(t testing.TB, r *router, m *storeModel) {
 	t.Helper()
-	if n := len(r.q2Local); n != len(m.comments) {
-		t.Fatalf("router places %d comments; model %d", n, len(m.comments))
+	_, nc, _ := r.st.Counts()
+	if n := len(r.q2Local); n != nc || n != len(m.comments) {
+		t.Fatalf("router places %d comments; state %d, model %d", n, nc, len(m.comments))
 	}
 	var parked core.Result
-	for id, c := range m.comments {
-		ci := commentIndex(r.st, id)
-		if ci < 0 {
-			t.Fatalf("comment %d: not in the state", id)
+	for ci := 0; ci < nc; ci++ {
+		id := r.st.Comment(ci).ID
+		c, ok := m.comments[id]
+		if !ok {
+			t.Fatalf("state comment %d (id %d): not in the model", ci, id)
 		}
 		isParked := r.q2Local[ci] < 0
 		if isParked == m.everLiked[id] {
@@ -197,43 +145,12 @@ func checkStore(t testing.TB, r *router, m *storeModel) {
 	}
 }
 
-// checkInitial asserts the partitions a new router renders of its state
-// (snap): each Q1 partition holds its hashed posts with their comments and
-// likes, and the Q2 partition is snap without its likeless comments.
-func checkInitial(t testing.TB, r *router, snap *model.Snapshot, q1 [][]model.Ref, q2 []model.Ref) {
+// checkInitial asserts the Q2 engines' refs a new router renders of its
+// state (snap): snap without its likeless comments.
+func checkInitial(t testing.TB, r *router, snap *model.Snapshot, q2 []model.Ref) {
 	t.Helper()
 	m := newStoreModel(snap)
 	checkStore(t, r, m)
-	posts := 0
-	for s := 0; s < r.n; s++ {
-		users := 0
-		for _, ch := range r.q1Changes(s, q1[s]) {
-			var post model.ID
-			switch ch.Kind {
-			case model.KindAddPost:
-				post = ch.Post.ID
-				posts++
-			case model.KindAddComment:
-				post = ch.Comment.PostID
-			case model.KindAddLike:
-				post = m.comments[ch.Like.CommentID].PostID
-			case model.KindAddUser:
-				users++
-				continue
-			default:
-				continue
-			}
-			if hashShard(post, r.n) != s {
-				t.Fatalf("%+v in shard %d's Q1 partition, its root post's shard is %d", ch, s, hashShard(post, r.n))
-			}
-		}
-		if users != len(snap.Users) {
-			t.Fatalf("shard %d's Q1 partition holds %d users, model %d", s, users, len(snap.Users))
-		}
-	}
-	if posts != len(snap.Posts) {
-		t.Fatalf("Q1 partitions hold %d posts, model %d", posts, len(snap.Posts))
-	}
 	var got model.Snapshot
 	for _, ch := range r.q2Changes(q2) {
 		switch ch.Kind {
@@ -265,41 +182,90 @@ func checkInitial(t testing.TB, r *router, snap *model.Snapshot, q1 [][]model.Re
 	}
 	if !slices.Equal(got.Comments, liked) || !slices.Equal(got.Posts, snap.Posts) || !slices.Equal(got.Users, snap.Users) ||
 		!slices.Equal(got.Likes, snap.Likes) || !slices.Equal(ordered(got.Friendships), ordered(snap.Friendships)) {
-		t.Fatalf("Q2 partition %+v, want %+v with comments %+v", got, snap, liked)
+		t.Fatalf("Q2 engines' refs %+v, want %+v with comments %+v", got, snap, liked)
 	}
 }
 
-// newCheckedRouter builds an n-shard router on a State of snap and checks
-// the partitions it renders.
-func newCheckedRouter(t testing.TB, n int, snap *model.Snapshot) *router {
+// newCheckedRuntime starts an n-shard runtime on a State of snap, closed
+// when the test ends. It checks the Q2 refs a router of that State renders
+// (the runtime builds its own router the same way) and that each served
+// engine runs on exactly one shard, slot mod n.
+func newCheckedRuntime(t testing.TB, n int, snap *model.Snapshot) *Runtime {
 	t.Helper()
 	st, err := model.NewState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, q1, q2 := newRouter(n, st)
-	checkInitial(t, r, snap, q1, q2)
-	return r
-}
-
-// routeChecked applies cs to the router's State, routes the resolved
-// changes and checks the plan and the store against the model: every Q1
-// change on hashShard of its root post, and the Q2 stream equal to the
-// one-shard q2View stream. It returns the Q2 stream.
-func routeChecked(t testing.TB, r *router, m *storeModel, cs []model.Change) []model.Change {
-	t.Helper()
-	refs, err := r.st.Apply(cs)
+	r, q2 := newRouter(st, st.Refs())
+	checkInitial(t, r, snap, q2)
+	rt, err := Start(n, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := r.route(refs)
-	q2 := r.q2Changes(p.q2)
+	t.Cleanup(rt.Close)
+	hosts := make([]int, len(rt.served)) // slot → shard
+	for s := range hosts {
+		hosts[s] = -1
+	}
+	for _, w := range rt.workers {
+		for _, e := range append(slices.Clone(w.q1), w.q2...) {
+			if hosts[e.slot] >= 0 {
+				t.Fatalf("engine %s on shards %d and %d", rt.served[e.slot].Key, hosts[e.slot], w.id)
+			}
+			hosts[e.slot] = w.id
+		}
+	}
+	for slot, s := range hosts {
+		if s != slot%n {
+			t.Fatalf("engine %s on shard %d, want %d of %d", rt.served[slot].Key, s, slot%n, n)
+		}
+	}
+	return rt
+}
+
+// commitChecked applies cs to the runtime's State, commits the resolved
+// changes and checks each shard's command and the router's store against
+// the model: a shard's Q1-family engines get exactly the State's resolved
+// changes, its Q2-family engines the one-shard q2View stream, a shard
+// hosting neither gets nothing, and a shard counts a commit exactly when
+// its command holds work. It returns the Q2 stream.
+func commitChecked(t testing.TB, rt *Runtime, m *storeModel, cs []model.Change) []model.Change {
+	t.Helper()
+	refs, err := rt.st.Apply(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := rt.Record()
+	rec, err := rt.CommitRefs(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rt.router
+	q2 := r.q2Changes(r.q2)
 	if want := m.q2(cs); !sameChanges(q2, want) {
 		t.Fatalf("Q2 stream %+v, q2View %+v", q2, want)
 	}
-	for s, want := range m.q1(cs, r.n) {
-		if got := r.q1Changes(s, p.q1[s]); !sameChanges(got, want) {
-			t.Fatalf("shard %d: Q1 stream %+v, brute force %+v", s, got, want)
+	for s, w := range rt.workers {
+		cmd := w.command(refs, r.q2)
+		var wantQ1, wantQ2 []model.Change
+		if len(w.q1) > 0 {
+			wantQ1 = cs
+		}
+		if len(w.q2) > 0 {
+			wantQ2 = q2
+		}
+		if got := render(rt.st, cmd.q1); !sameChanges(got, wantQ1) {
+			t.Fatalf("shard %d: Q1 stream %+v, want %+v", s, got, wantQ1)
+		}
+		if got := r.q2Changes(cmd.q2); !sameChanges(got, wantQ2) {
+			t.Fatalf("shard %d: Q2 stream %+v, want %+v", s, got, wantQ2)
+		}
+		want := 0
+		if len(cmd.q1)+len(cmd.q2) > 0 {
+			want = 1
+		}
+		if got := rec.Shards[s].Commits - prev.Shards[s].Commits; got != want {
+			t.Fatalf("shard %d counted %d commits for a command of %d refs", s, got, len(cmd.q1)+len(cmd.q2))
 		}
 	}
 	checkStore(t, r, m)
@@ -318,18 +284,18 @@ func synthetic(q2 []model.Change) int {
 	return n
 }
 
-// TestRouterStoreInvariants routes a seeded datagen stream with 35%
-// removals, in its own change sets, at 2 and 4 shards and checks the plan
-// and the store after every commit.
+// TestRouterStoreInvariants commits a seeded datagen stream with 35%
+// removals, in its own change sets, at 2 and 4 shards and checks every
+// shard's command and the store after every commit.
 func TestRouterStoreInvariants(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 2, Seed: 11, ChangeSets: 150, RemovalFraction: 0.35})
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
-			r := newCheckedRouter(t, n, d.Snapshot)
+			rt := newCheckedRuntime(t, n, d.Snapshot)
 			m := newStoreModel(d.Snapshot)
 			unparked := 0
 			for _, cs := range d.ChangeSets {
-				unparked += synthetic(routeChecked(t, r, m, cs.Changes))
+				unparked += synthetic(commitChecked(t, rt, m, cs.Changes))
 			}
 			if unparked == 0 {
 				t.Fatal("no parked comment was liked: the stream exercised no unpark")
@@ -338,15 +304,16 @@ func TestRouterStoreInvariants(t *testing.T) {
 	}
 }
 
-// TestRouterStoreMatchesBruteForce routes a datagen stream with 30%
+// TestRouterStoreMatchesBruteForce commits a datagen stream with 30%
 // removals, re-split at random commit boundaries so that a comment and its
-// first like often share a commit, at 2 and 4 shards, and checks the plan
-// and the store against the brute-force model after every commit.
+// first like often share a commit, at 2 and 4 shards, and checks every
+// shard's command and the store against the brute-force model after every
+// commit.
 func TestRouterStoreMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
 			d := datagen.Generate(datagen.Config{ScaleFactor: 2, Seed: 5, ChangeSets: 120, RemovalFraction: 0.3})
-			r := newCheckedRouter(t, n, d.Snapshot)
+			rt := newCheckedRuntime(t, n, d.Snapshot)
 			m := newStoreModel(d.Snapshot)
 			rng := rand.New(rand.NewSource(int64(n)))
 			sameCommit := 0
@@ -357,7 +324,7 @@ func TestRouterStoreMatchesBruteForce(t *testing.T) {
 						added[ch.Comment.ID] = true
 					}
 				}
-				for _, ch := range routeChecked(t, r, m, cs.Changes) {
+				for _, ch := range commitChecked(t, rt, m, cs.Changes) {
 					if ch.Kind == model.KindAddComment && added[ch.Comment.ID] {
 						sameCommit++
 					}
@@ -375,14 +342,15 @@ func TestRouterStoreMatchesBruteForce(t *testing.T) {
 // users and 8 comments on two posts, three bytes per change: an opcode (add
 // comment, add or remove like, add or remove friendship, or end of change
 // set) and two operands. Changes model.State rejects are dropped. The
-// first change set becomes the initial snapshot of a 2-shard router, on a
-// State of its own; every later one is applied to that State and routed,
-// and the plan and the store are checked after each against the
+// first change set becomes the initial snapshot of a runtime, on a State
+// of its own, over 2 shards for an input of even length and 4 for odd;
+// every later one is applied to that State and committed, and every
+// shard's command and the store are checked after each against the
 // brute-force model.
 func FuzzRouterStore(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
-		seed := make([]byte, 150)
+		seed := make([]byte, 150+i%2)
 		rng.Read(seed)
 		f.Add(seed)
 	}
@@ -395,15 +363,15 @@ func FuzzRouterStore(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var r *router
+		var rt *Runtime
 		var m *storeModel
 		var pending []model.Change
 		flush := func() {
-			if r != nil {
-				routeChecked(t, r, m, pending)
+			if rt != nil {
+				commitChecked(t, rt, m, pending)
 			} else {
 				view, release := st.View()
-				r = newCheckedRouter(t, 2, view)
+				rt = newCheckedRuntime(t, 2<<(len(data)%2), view)
 				m = newStoreModel(view)
 				release()
 			}

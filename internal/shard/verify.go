@@ -14,7 +14,7 @@ import (
 // cross-checks the CC extension that serves Q2 — off the commit barrier,
 // on a goroutine of its own. Verify hands it each commit once the commit
 // is published: the commit's Q2 refs, copied out of the router's reused
-// plan, its position, the parked comments' top-3 and the served engine's
+// stream, its position, the parked comments' top-3 and the served engine's
 // merged answer then. The verifier applies the refs, merges the engine's
 // answer with the parked top-3 and counts a disagreement where the result
 // differs from the served answer of the same commit. It publishes each
@@ -255,7 +255,7 @@ func (rt *Runtime) Verify() {
 	v.queue <- handoff{
 		commits:  rt.commits,
 		changes:  rt.changes,
-		refs:     append(buf, rt.router.plan.q2...),
+		refs:     append(buf, rt.router.q2...),
 		nodes:    rt.st.Nodes(),
 		comments: of[:len(of):len(of)],
 		parked:   rt.parked,
