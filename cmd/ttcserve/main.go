@@ -55,7 +55,7 @@ func main() {
 		batch   = flag.Int("batch", 64, "max changes merged into one commit")
 		flush   = flag.Duration("flush", 2*time.Millisecond, "max wait for co-batched unwaited updates before committing (a batch holding a waited update commits at once)")
 		queue   = flag.Int("queue", 256, "write queue capacity (requests)")
-		shards  = flag.Int("shards", 1, "engine shards (one writer goroutine each; each served engine runs whole on one: q1 on shard 0, q2cc on shard 1 mod N; shards beyond the served lineup host nothing)")
+		shards  = flag.Int("shards", 1, "engine shards (each served engine runs whole on one: q1 on shard 0, q2cc on shard 1 mod N, applying a commit side by side from 2 shards on; shards beyond the served lineup host nothing)")
 		replay  = flag.Bool("replay", false, "replay the dataset's change sets through the write queue at startup")
 
 		dataDir   = flag.String("data-dir", "", "durability directory (write-ahead log + snapshots); empty disables persistence")

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/model"
 )
 
@@ -111,6 +113,51 @@ func TestEnginesWithEmptyChangeSet(t *testing.T) {
 			t.Fatalf("%s: empty update failed: %v", eng.Name(), err)
 		}
 		assertResultsEqual(t, eng.Name(), "empty-update", first, res)
+	}
+}
+
+// TestQ1FriendshipOnlyUpdateKeepsTheAnswer: Q1 reads no friendship, so a
+// change set of friendships alone must return the answer as it was and
+// skip Alg. 2: at most two allocations (the delta and its friendship
+// list).
+func TestQ1FriendshipOnlyUpdateKeepsTheAnswer(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 8, Seed: 1})
+	st, err := model.NewState(d.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewQ1Incremental()
+	if err := eng.Attach(Part{Nodes: st}, st.Refs()); err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.Initial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first pair of users the State takes as new friends.
+	var refs []model.Ref
+	for _, u := range d.Snapshot.Users[1:] {
+		f := model.Friendship{User1: d.Snapshot.Users[0].ID, User2: u.ID}
+		if r, err := st.Apply([]model.Change{{Kind: model.KindAddFriendship, Friendship: f}}); err == nil {
+			refs = slices.Clone(r)
+			break
+		}
+	}
+	if refs == nil {
+		t.Fatal("no new friendship to add")
+	}
+	res, err := eng.UpdateRefs(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, eng.Name(), "friendship-only update", first, res)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := eng.UpdateRefs(refs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("friendship-only UpdateRefs: %.0f allocations, want at most 2", allocs)
 	}
 }
 

@@ -186,6 +186,11 @@ func (s *Q1Incremental) UpdateRefs(refs []model.Ref) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Scores change only with posts, comments and likes: a change set of
+	// users and friendships alone leaves the answer as it was.
+	if len(d.newPosts)+len(d.newComments)+len(d.newLikes)+len(d.removedLikes) == 0 {
+		return s.prev, nil
+	}
 	np, nc := s.g.np, s.g.nc
 	if err := s.scores.Resize(np); err != nil {
 		return nil, err

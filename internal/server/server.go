@@ -14,17 +14,18 @@
 // FlushInterval for company. It validates and applies each request to the
 // model state (model.State), which resolves its ids to node indices, then
 // commits the merged, resolved change set through the sharded runtime,
-// which runs on that State — one writer goroutine per shard applies its
-// slice behind a commit barrier, so the new Snapshot is published only once
-// the batch is visible on every shard and wait=1 keeps meaning "globally
-// visible". With persistence the WAL append and fsync run alongside that
-// apply, and publication waits for both: a batch is durable before it is
-// published or acknowledged, and a commit's latency is the longer of the
-// two steps rather than their sum. Once published, the batch goes to the
-// paper's Q2 engine, which verifies the served Q2 answer on a goroutine of
-// its own, a bounded number of commits behind. Read path: an atomic
-// pointer load merging nothing at all — answers were merged with the
-// parked comments at commit time.
+// which runs on that State — each shard applies the batch to the served
+// engines it hosts, shard 0 on the batching goroutine and every other on a
+// goroutine started for the commit, behind a commit barrier, so the new
+// Snapshot is published only once the batch is visible on every shard and
+// wait=1 keeps meaning "globally visible". With persistence the WAL append
+// and fsync run alongside that apply, and publication waits for both: a
+// batch is durable before it is published or acknowledged, and a commit's
+// latency is the longer of the two steps rather than their sum. Once
+// published, the batch goes to the paper's Q2 engine, which verifies the
+// served Q2 answer on a goroutine of its own, a bounded number of commits
+// behind. Read path: an atomic pointer load merging nothing at all —
+// answers were merged with the parked comments at commit time.
 package server
 
 import (
@@ -77,9 +78,9 @@ type Config struct {
 	// QueueDepth is the write queue's buffered capacity in requests.
 	// Default 256.
 	QueueDepth int
-	// Shards is the number of engine shards (one writer goroutine each;
-	// each served engine runs whole on one of them, see internal/shard).
-	// Default 1.
+	// Shards is the number of engine shards: each served engine runs whole
+	// on one of them, and from two shards on the engines of different
+	// shards apply a commit side by side (see internal/shard). Default 1.
 	Shards int
 
 	// PersistDir enables durability: committed batches are appended to a
@@ -191,10 +192,10 @@ type Server struct {
 	// the initial snapshot is not kept once state and engines are built.
 	changeSets []model.ChangeSet
 
-	// rt owns the engines: one writer goroutine per shard, each running
-	// the served engines placed on it, and the verifier. Only the batching goroutine commits through
-	// it; readers see its figures only through the published Snapshot and
-	// the verifier's published values.
+	// rt owns the engines: the served engines, placed on its shards, and
+	// the verifier, the one goroutine it keeps running. Only the batching
+	// goroutine commits through it; readers see its figures only through
+	// the published Snapshot and the verifier's published values.
 	rt *shard.Runtime
 	// baseSeq and baseChanges are the position of the state the runtime
 	// started on: a Snapshot's Seq is baseSeq plus its Record's Commits.
@@ -461,7 +462,7 @@ var ErrBroken = errors.New("server: engines failed")
 func (s *Server) QueueDepth() int { return len(s.updates) }
 
 // Close stops the batching goroutine after it drains the queue, then stops
-// the per-shard writers. Pending waiters are answered (committed requests
+// the runtime's verifier. Pending waiters are answered (committed requests
 // with nil, the rest with an error); subsequent Enqueue calls return
 // ErrClosed.
 //

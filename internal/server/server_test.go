@@ -75,7 +75,7 @@ func postUpdate(t *testing.T, url string, changes []model.Change, wait bool) (*h
 // served answer must equal the batch-engine oracle's answer for the same
 // committed prefix (identified by the response's seq), i.e. readers observe
 // only committed, consistent states. Run under -race this also exercises
-// the snapshot store, write queue and per-shard writers for data races; the
+// the snapshot store, write queue and per-shard applies for data races; the
 // multi-shard variant is the serving-level oracle equivalence test required
 // by the sharded runtime (answers merged at commit time must be
 // indistinguishable from the 1-shard runtime's).

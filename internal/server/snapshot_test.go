@@ -111,7 +111,7 @@ func waitGoroutines(want int) int {
 // start-up, so the engines load snapshots it rejects. Whatever the router
 // or an engine makes of one, New must return the validation error
 // (wrapping model.ErrIntegrity), never panic, and leave no goroutine
-// behind: no shard writer, no start-up worker. It checks the dataset path,
+// behind: no verifier, no start-up worker. It checks the dataset path,
 // the dataset path with a fresh durability directory, and recovery from a
 // durable snapshot that holds the invalid state.
 func TestNewRejectsEveryIntegrityClass(t *testing.T) {

@@ -93,7 +93,7 @@ func TestRouterRetainedBytes(t *testing.T) {
 // Go maps keyed by model.ID in the State and an id map in the router and
 // in every engine measured 149.9–150.4, State 54.5–55.0. Every engine
 // runs whole on one shard, so 2 and 4 shards must retain at most 0.5 B
-// per entity more than one (worker goroutines and tables); with Q1
+// per entity more than one (a lane per shard); with Q1
 // hash-partitioned over the shards, its users in every partition and
 // its posts and comments indexed per partition, they measured 90.2 and
 // 90.5.

@@ -1,11 +1,10 @@
-// Package shard runs the served incremental engines on N shards: N writer
-// goroutines, each applying every committed change set to the warm engines
-// it hosts. Every served engine runs whole on one shard: engine i of the
-// served lineup runs on shard i mod N, so over two shards Q1 and the CC
-// extension that serves Q2 apply each commit side by side, and shards
-// beyond the lineup host nothing. Q1's answer is its engine's. The Q2
-// engines hold every comment but the never-liked ones, which park at the
-// router (see router.go) and score exactly 0, so the Q2 answer is the
+// Package shard runs the served incremental engines on N shards. A shard
+// is a lane of the commit: every served engine runs whole on one shard,
+// engine i of the served lineup on shard i mod N, so over two shards Q1
+// and the CC extension that serves Q2 apply each commit side by side, and
+// shards beyond the lineup host nothing. Q1's answer is its engine's. The
+// Q2 engines hold every comment but the never-liked ones, which park at
+// the router (see router.go) and score exactly 0, so the Q2 answer is the
 // engine's top-3 merged with the parked comments' through one core.Ranker.
 // The runtime therefore answers exactly as one engine per query would,
 // whatever the shard count.
@@ -20,14 +19,16 @@
 // adapters that resolve through a State of the runtime's own.
 //
 // Commits are barriers over the served engines: CommitRefs routes the
-// change set, fans it out to the writer goroutines of the shards whose
-// engines it touches, and returns only after each has applied it — so a
-// committed change set is visible in every engine at once and a serving
-// layer's wait=1 keeps meaning "globally visible". The paper's Q2 engine is not served:
-// it verifies the CC extension, which serves Q2, off the barrier (see
+// change set, applies shard 0's engines on the committing goroutine and
+// every other hosting shard's on a goroutine started for the commit, and
+// returns only once each has applied it — so a committed change set is
+// visible in every engine at once and a serving layer's wait=1 keeps
+// meaning "globally visible". The paper's Q2 engine is not served: it
+// verifies the CC extension, which serves Q2, off the barrier (see
 // verify.go). Verify hands it each commit once the commit is published,
 // and it checks every commit on a goroutine of its own, at most
-// verifyDepth commits behind.
+// verifyDepth commits behind. The verifier's is the only goroutine that
+// outlives a call.
 //
 // What the Runtime exposes is one immutable Record per commit (and one
 // from New): the merged answers, the served engines' size totals, each
@@ -35,9 +36,7 @@
 // commit; and, from the verifier, one immutable Verified per verified
 // commit. There is no live accessor beside them, so a layer that
 // publishes the Record with its commit never serves figures of two
-// different commits. Under the barrier a shard holds at most one queued
-// command, and none between commits, so the Record carries no queue
-// depths.
+// different commits.
 package shard
 
 import (
@@ -52,7 +51,8 @@ import (
 
 // Stats is one shard's apply statistics.
 type Stats struct {
-	// Commits counts commands the shard's writer has applied.
+	// Commits counts the commits in which the shard's engines had work
+	// and applied it.
 	Commits int
 	// Last and Total aggregate the shard's apply latencies.
 	Last  time.Duration
@@ -99,61 +99,93 @@ type EngineTotals struct {
 	core.EngineStats
 }
 
-// engineInst is one warm engine, at its slot in the served lineup.
-type engineInst struct {
-	slot int
-	eng  core.Engine
+// served is one served engine, at its slot in the lineup, and everything
+// the runtime keeps of it. res and stats are written by the goroutine that
+// applies the engine's shard, which alone touches eng during a commit;
+// the committing goroutine reads them once the commit's applies are
+// joined.
+type served struct {
+	harness.ServedEngine
+	eng   core.Engine
+	shard int
+	res   core.Result      // its last answer
+	stats core.EngineStats // its sizes then
+	ans   answer           // res merged with the parked comments
 }
 
-// command is one commit's work for a single shard.
-type command struct {
-	q1 []model.Ref // the commit's refs, applied to Q1-family engines
-	q2 []model.Ref // the router's Q2 stream, applied to Q2-family engines
+// stream returns what the engine applies of one commit: the commit's refs
+// for a Q1-family engine, the router's Q2 stream q2 for a Q2-family one.
+func (e *served) stream(refs, q2 []model.Ref) []model.Ref {
+	if e.Query == "Q2" {
+		return q2
+	}
+	return refs
 }
 
-type response struct {
-	shard   int
-	err     error
-	elapsed time.Duration
+// sizes records the engine's state sizes.
+func (e *served) sizes() {
+	if sr, ok := e.eng.(core.StatsReporter); ok {
+		e.stats = sr.Stats()
+	}
 }
 
-// worker owns the served engines placed on one shard. Only its goroutine
-// touches them after startup.
-type worker struct {
-	id   int
-	cmds chan command
-	resp chan<- response
-	done chan struct{}
-	q1   []engineInst
-	q2   []engineInst
-	// results and stats are the runtime's tables of each served engine's
-	// last answer and size, by slot. The worker writes its engines' slots
-	// while it applies a command; the committing goroutine reads them once
-	// the worker has answered.
-	results []core.Result
-	stats   []core.EngineStats
+// answer is an engine's answer merged with the parked (likeless,
+// zero-scoring) comments, a virtual partition, and its string. It is the
+// one parked-merge rule: the runtime keeps one per served engine (a
+// Q1-family engine merges no parked comment) and the verifier one for its
+// engine.
+type answer struct {
+	merge *core.Ranker // reused: one merge per engine per commit
+	ids   core.Result
+	str   string
+	set   bool // ids and str hold a merge
+}
+
+// update merges res with parked and reports whether the merged ids
+// changed; only then is the string rendered anew.
+func (a *answer) update(res, parked core.Result) bool {
+	if a.merge == nil {
+		a.merge = core.NewTopK(core.TopK)
+	}
+	a.merge.Reset()
+	for _, p := range parked {
+		a.merge.Consider(p)
+	}
+	for _, p := range res {
+		a.merge.Consider(p)
+	}
+	m := a.merge.Peek()
+	if a.set && m.SameIDs(a.ids) {
+		return false
+	}
+	a.ids, a.str, a.set = append(a.ids[:0], m...), m.String(), true
+	return true
+}
+
+// lane is one shard: its apply statistics and the error of its apply in
+// the running commit, which the goroutine applying the shard writes and
+// the committing goroutine reads once the applies are joined.
+type lane struct {
+	Stats
+	err error
 }
 
 // Runtime is the sharded engine runtime over a model.State. Start loads
-// the engines and starts one writer goroutine per shard and the
-// verifier; CommitRefs routes and applies one change set the State has
-// resolved, with a global barrier, and returns the merged Record, and
-// Verify hands the commit to the verifier. Start and every commit build
-// the Record on the committing goroutine, which alone may commit, verify,
-// call Record and apply changes to the State; a Record itself is
-// immutable and safe to share. The engines read ids back through the
-// State, so its owner must not apply changes while a commit runs.
+// the engines and starts the verifier; CommitRefs routes and applies one
+// change set the State has resolved, with a global barrier, and returns
+// the merged Record, and Verify hands the commit to the verifier. Start
+// and every commit build the Record on the committing goroutine, which
+// alone may commit, verify, call Record and apply changes to the State; a
+// Record itself is immutable and safe to share. The engines read ids back
+// through the State, so its owner must not apply changes while a commit
+// runs.
 type Runtime struct {
-	st      *model.State
-	router  *router
-	workers []*worker
-	resp    chan response
-	// served lists the engines every commit waits for; an engine's index
-	// here is its slot in results and stats, and it runs on shard slot
-	// mod n.
-	served  []harness.ServedEngine
-	results []core.Result
-	stats   []core.EngineStats
+	st     *model.State
+	router *router
+	// engines lists the engines every commit waits for, in lineup order;
+	// engine i runs on shard i mod len(lanes).
+	engines []served
+	lanes   []lane
 	ver     *verifier
 
 	// OnVerify, when set before the first commit, runs on the verifier
@@ -165,24 +197,16 @@ type Runtime struct {
 	loadDur    time.Duration
 	initialDur time.Duration
 
-	// commits and changes count what has been committed since Start; meta
-	// is each shard's apply statistics; answers and rendered are each
-	// served engine's merged answer and its string as of the last commit;
-	// parked is the parked comments' top-3 then; pending marks a commit
-	// not yet handed to the verifier. rec is the Record of the last
-	// commit. All are owned by the committing goroutine.
+	// applies joins the applies of the shards past 0 in a commit. commits
+	// and changes count what has been committed since Start; parked is the
+	// parked comments' top-3 as of the last commit; pending marks a commit
+	// not yet handed to the verifier. rec is the Record of the last commit.
+	// All but applies are owned by the committing goroutine.
+	applies          sync.WaitGroup
 	commits, changes int
-	meta             []Stats
-	answers          []core.Result
-	rendered         []string
 	parked           core.Result
 	pending          bool
 	rec              *Record
-
-	// merge is the reusable ranker the Q2 answers are folded through with
-	// the parked comments — one commit-path merge per engine per commit, so
-	// a fresh allocation each round is pure garbage.
-	merge *core.Ranker
 
 	closeOnce sync.Once
 }
@@ -202,25 +226,17 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 }
 
 // Start places the served engines on n shards, loads and initially
-// evaluates every engine on st, and starts the per-shard writers and the
-// verifier. Start-up must read the whole graph, so each engine loads, and
-// then initially evaluates, on its own goroutine; each phase ends at a
-// barrier, so its duration is its wall time. On error no goroutine is
-// left running.
+// evaluates every engine on st, and starts the verifier. Start-up must
+// read the whole graph, so each engine loads, and then initially
+// evaluates, on its own goroutine; each phase ends at a barrier, so its
+// duration is its wall time. On error no goroutine is left running.
 func Start(n int, st *model.State) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
 	}
 	refs := st.Refs()
 	router, q2Refs := newRouter(st, refs)
-	rt := &Runtime{
-		st:      st,
-		router:  router,
-		workers: make([]*worker, n),
-		resp:    make(chan response, n),
-		meta:    make([]Stats, n),
-		merge:   core.NewTopK(core.TopK),
-	}
+	rt := &Runtime{st: st, router: router, lanes: make([]lane, n)}
 	// startJob is one engine's start-up: where it runs, its part of the
 	// State and the refs that build it.
 	type startJob struct {
@@ -232,7 +248,8 @@ func Start(n int, st *model.State) (*Runtime, error) {
 	var jobs []startJob
 	for _, e := range harness.ServedEngines() {
 		if e.Verifies == "" {
-			rt.served = append(rt.served, e)
+			slot := len(rt.engines)
+			rt.engines = append(rt.engines, served{ServedEngine: e, eng: e.New(), shard: slot % n})
 		} else if rt.ver == nil && e.Query == "Q2" {
 			rt.ver = newVerifier(e, st, router)
 			jobs = append(jobs, startJob{"verifier", rt.ver.eng, rt.ver.part, q2Refs})
@@ -241,26 +258,10 @@ func Start(n int, st *model.State) (*Runtime, error) {
 	if rt.ver == nil {
 		return nil, fmt.Errorf("shard: the lineup has no verifying Q2 engine")
 	}
-	rt.results = make([]core.Result, len(rt.served))
-	rt.stats = make([]core.EngineStats, len(rt.served))
-	for s := range rt.workers {
-		rt.workers[s] = &worker{
-			id:      s,
-			cmds:    make(chan command, 1),
-			resp:    rt.resp,
-			done:    make(chan struct{}),
-			results: rt.results,
-			stats:   rt.stats,
-		}
-	}
-	for slot, e := range rt.served {
-		w := rt.workers[slot%n]
-		inst := engineInst{slot: slot, eng: e.New()}
-		job := startJob{fmt.Sprintf("shard %d", w.id), inst.eng, core.Part{Nodes: st}, refs}
-		if e.Query == "Q1" {
-			w.q1 = append(w.q1, inst)
-		} else {
-			w.q2 = append(w.q2, inst)
+	for i := range rt.engines {
+		e := &rt.engines[i]
+		job := startJob{fmt.Sprintf("shard %d", e.shard), e.eng, core.Part{Nodes: st}, refs}
+		if e.Query == "Q2" {
 			job.part.Comments, job.refs = router.q2Comments, q2Refs
 		}
 		jobs = append(jobs, job)
@@ -299,76 +300,57 @@ func Start(n int, st *model.State) (*Runtime, error) {
 		return nil, err
 	}
 
-	for _, w := range rt.workers {
-		for _, engines := range [][]engineInst{w.q1, w.q2} {
-			for _, e := range engines {
-				if rs, ok := e.eng.(core.ResultSnapshotter); ok {
-					w.results[e.slot], _ = rs.LastResult()
-				}
-			}
-			w.sizes(engines)
+	for i := range rt.engines {
+		e := &rt.engines[i]
+		if rs, ok := e.eng.(core.ResultSnapshotter); ok {
+			e.res, _ = rs.LastResult()
 		}
-		go w.run()
+		e.sizes()
 	}
-	rt.answers = make([]core.Result, len(rt.served))
-	rt.rendered = make([]string, len(rt.served))
 	rt.rec = rt.record()
 	rt.ver.start(rt)
 	return rt, nil
 }
 
-// sizes records engines' state sizes in the worker's table.
-func (w *worker) sizes(engines []engineInst) {
-	for _, e := range engines {
-		if sr, ok := e.eng.(core.StatsReporter); ok {
-			w.stats[e.slot] = sr.Stats()
+// apply applies one commit — its resolved refs and the router's Q2
+// stream q2 — to the engines shard s hosts and writes the outcome to the
+// shard's lane: its error, or a counted commit if an engine had work (an
+// engine whose stream is empty applies nothing). A failed apply is not a
+// commit, so the shard's stats reflect only applied work. An engine never
+// changes an answer once returned, so the committing goroutine may keep
+// it.
+func (rt *Runtime) apply(s int, refs, q2 []model.Ref) {
+	l := &rt.lanes[s]
+	l.err = nil
+	start := time.Now()
+	applied := false
+	for i := range rt.engines {
+		e := &rt.engines[i]
+		stream := e.stream(refs, q2)
+		if e.shard != s || len(stream) == 0 {
+			continue
 		}
-	}
-}
-
-func (w *worker) run() {
-	defer close(w.done)
-	for cmd := range w.cmds {
-		start := time.Now()
-		err := w.update(w.q1, cmd.q1)
-		if err == nil {
-			err = w.update(w.q2, cmd.q2)
-		}
-		w.resp <- response{shard: w.id, err: err, elapsed: time.Since(start)}
-	}
-}
-
-// command returns the worker's work in one commit: the commit's refs if
-// it hosts a Q1-family engine, and the router's Q2 stream q2 if it hosts a
-// Q2-family engine.
-func (w *worker) command(refs, q2 []model.Ref) command {
-	var cmd command
-	if len(w.q1) > 0 {
-		cmd.q1 = refs
-	}
-	if len(w.q2) > 0 {
-		cmd.q2 = q2
-	}
-	return cmd
-}
-
-// update applies one ref list to engines and records their answers and
-// sizes; an empty list is a no-op. An engine's answer is immutable once
-// returned (a new Result per update), so the committing goroutine may
-// keep it.
-func (w *worker) update(engines []engineInst, refs []model.Ref) error {
-	if len(refs) == 0 {
-		return nil
-	}
-	for _, e := range engines {
-		res, err := e.eng.UpdateRefs(refs)
+		res, err := e.eng.UpdateRefs(stream)
 		if err != nil {
-			return fmt.Errorf("shard %d: %s update: %w", w.id, e.eng.Name(), err)
+			l.err = fmt.Errorf("shard %d: %s update: %w", s, e.eng.Name(), err)
+			return
 		}
-		w.results[e.slot] = res
+		e.res = res
+		e.sizes()
+		applied = true
 	}
-	w.sizes(engines)
-	return nil
+	if applied {
+		l.Commits++
+		l.Last = time.Since(start)
+		l.Total += l.Last
+	}
+}
+
+// applyJoined is apply on a goroutine started for the commit, joined by
+// applies.
+func (rt *Runtime) applyJoined(s int, refs, q2 []model.Ref) {
+	defer rt.applies.Done()
+	rt.apply(s, refs, q2)
 }
 
 // Commit applies cs to the runtime's State, commits the resolved changes
@@ -389,42 +371,29 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
 }
 
 // CommitRefs routes one change set the State has validated and resolved,
-// fans it out to the writer goroutines, waits for every touched shard
-// (the commit barrier), and returns the merged Record. The verifier sees
-// the commit once Verify hands it over; a commit not yet handed over goes
-// first. On error the runtime must be considered diverged: some engines
-// may have applied the change set while another failed. Callers should
-// stop committing (the serving layer turns this into its broken state).
+// applies it to the served engines and returns the merged Record. Shard
+// 0's engines apply on the committing goroutine, and every other hosting
+// shard's on a goroutine started for the commit; CommitRefs returns only
+// once each has applied (the commit barrier). The verifier sees the commit
+// once Verify hands it over; a commit not yet handed over goes first. On
+// error the runtime must be considered diverged: some engines may have
+// applied the change set while another failed. Callers should stop
+// committing (the serving layer turns this into its broken state).
 func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
 	rt.Verify()
 	q2 := rt.router.route(refs)
-	active := 0
-	for _, w := range rt.workers {
-		cmd := w.command(refs, q2)
-		if len(cmd.q1) == 0 && len(cmd.q2) == 0 {
-			continue
-		}
-		w.cmds <- cmd
-		active++
+	// Shards beyond the lineup host nothing.
+	hosting := min(len(rt.lanes), len(rt.engines))
+	rt.applies.Add(hosting - 1)
+	for s := 1; s < hosting; s++ {
+		go rt.applyJoined(s, refs, q2)
 	}
-	var firstErr error
-	for i := 0; i < active; i++ {
-		resp := <-rt.resp
-		if resp.err != nil {
-			// A failed apply is not a commit: leave the shard's stats
-			// untouched so they reflect only applied commands.
-			if firstErr == nil {
-				firstErr = resp.err
-			}
-			continue
+	rt.apply(0, refs, q2)
+	rt.applies.Wait()
+	for s := range rt.lanes {
+		if err := rt.lanes[s].err; err != nil {
+			return nil, err
 		}
-		m := &rt.meta[resp.shard]
-		m.Commits++
-		m.Last = resp.elapsed
-		m.Total += resp.elapsed
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	rt.commits++
 	rt.changes += len(refs)
@@ -438,48 +407,40 @@ func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
 func (rt *Runtime) Record() *Record { return rt.rec }
 
 // record builds a new Record from the engines' answers and sizes. A
-// Q2-family answer is merged with the router's parked (likeless,
-// zero-scoring) comments, a virtual partition. An answer whose ids did not
-// change keeps its string, and when none changed the Record keeps the
-// previous Record's map.
+// Q2-family answer is merged with the router's parked comments (see
+// answer). An answer whose ids did not change keeps its string, and when
+// none changed the Record keeps the previous Record's map.
 func (rt *Runtime) record() *Record {
 	rt.parked = rt.router.parkedTopK()
 	changed := rt.rec == nil
-	for i, e := range rt.served {
-		m := rt.results[i]
-		if e.Query == "Q2" {
-			rt.merge.Reset()
-			for _, p := range rt.parked {
-				rt.merge.Consider(p)
-			}
-			for _, p := range m {
-				rt.merge.Consider(p)
-			}
-			m = rt.merge.Peek()
-		}
-		if rt.rec == nil || !m.SameIDs(rt.answers[i]) {
-			rt.answers[i] = append(rt.answers[i][:0], m...)
-			rt.rendered[i] = m.String()
-			changed = true
-		}
-	}
 	rec := &Record{
 		Commits:        rt.commits,
-		Engines:        make([]EngineTotals, len(rt.served)),
-		Shards:         append([]Stats(nil), rt.meta...),
+		Engines:        make([]EngineTotals, len(rt.engines)),
+		Shards:         make([]Stats, len(rt.lanes)),
 		ParkedComments: rt.router.parkedComments(),
 	}
+	for i := range rt.engines {
+		e := &rt.engines[i]
+		var parked core.Result
+		if e.Query == "Q2" {
+			parked = rt.parked
+		}
+		if e.ans.update(e.res, parked) {
+			changed = true
+		}
+		rec.Engines[i] = EngineTotals{Key: e.Key, EngineStats: e.stats}
+	}
+	for s := range rt.lanes {
+		rec.Shards[s] = rt.lanes[s].Stats
+	}
 	if changed {
-		rec.Results = make(map[string]string, len(rt.served)+1)
-		for i, e := range rt.served {
-			rec.Results[e.Key] = rt.rendered[i]
+		rec.Results = make(map[string]string, len(rt.engines)+1)
+		for i := range rt.engines {
+			rec.Results[rt.engines[i].Key] = rt.engines[i].ans.str
 		}
 		rec.Results[rt.ver.key] = rec.Results[rt.ver.verifies]
 	} else {
 		rec.Results = rt.rec.Results
-	}
-	for i, e := range rt.served {
-		rec.Engines[i] = EngineTotals{Key: e.Key, EngineStats: rt.stats[i]}
 	}
 	return rec
 }
@@ -492,17 +453,8 @@ func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 // engine on its own goroutine.
 func (rt *Runtime) InitialDuration() time.Duration { return rt.initialDur }
 
-// Close stops every shard writer and then the verifier, each after it
-// drains its queue; a commit not yet handed to the verifier stays
-// unverified. Idempotent.
+// Close stops the verifier once it has drained its queue; a commit not
+// yet handed to the verifier stays unverified. Idempotent.
 func (rt *Runtime) Close() {
-	rt.closeOnce.Do(func() {
-		for _, w := range rt.workers {
-			close(w.cmds)
-		}
-		for _, w := range rt.workers {
-			<-w.done
-		}
-		rt.ver.stop()
-	})
+	rt.closeOnce.Do(rt.ver.stop)
 }

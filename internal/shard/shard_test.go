@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,7 +107,7 @@ func TestShardedEquivalence(t *testing.T) {
 	for _, rt := range rts[1:] {
 		for _, key := range []string{"q1", "q2", "q2cc"} {
 			if a, b := rts[0].Record().Results[key], rt.Record().Results[key]; a != b {
-				t.Fatalf("initial %s: 1-shard %q vs %d-shard %q", key, a, len(rt.workers), b)
+				t.Fatalf("initial %s: 1-shard %q vs %d-shard %q", key, a, len(rt.lanes), b)
 			}
 		}
 	}
@@ -117,13 +118,13 @@ func TestShardedEquivalence(t *testing.T) {
 		for _, rt := range rts {
 			rec, err := rt.Commit(cs)
 			if err != nil {
-				t.Fatalf("commit %d (%d shards): %v", k, len(rt.workers), err)
+				t.Fatalf("commit %d (%d shards): %v", k, len(rt.lanes), err)
 			}
 			for _, tc := range []struct{ key, want string }{
 				{"q1", wantQ1}, {"q2", wantQ2}, {"q2cc", wantQ2},
 			} {
 				if got := rec.Results[tc.key]; got != tc.want {
-					t.Fatalf("commit %d: %d-shard %s = %q, oracle %q", k, len(rt.workers), tc.key, got, tc.want)
+					t.Fatalf("commit %d: %d-shard %s = %q, oracle %q", k, len(rt.lanes), tc.key, got, tc.want)
 				}
 			}
 		}
@@ -145,7 +146,7 @@ func TestShardedEquivalence(t *testing.T) {
 	for _, key := range []string{"q1", "q2", "q2cc"} {
 		for _, rt := range rts[1:] {
 			if a, b := totals(rts[0], key), totals(rt, key); a != b {
-				t.Errorf("%s: totals diverge across shardings: 1-shard %+v vs %d-shard %+v", key, a, len(rt.workers), b)
+				t.Errorf("%s: totals diverge across shardings: 1-shard %+v vs %d-shard %+v", key, a, len(rt.lanes), b)
 			}
 		}
 	}
@@ -196,13 +197,13 @@ func TestCommitRemoveAndReAddInOneSet(t *testing.T) {
 		for _, rt := range rts {
 			rec, err := rt.Commit(&sets[k])
 			if err != nil {
-				t.Fatalf("commit %d (%d shards): %v", k, len(rt.workers), err)
+				t.Fatalf("commit %d (%d shards): %v", k, len(rt.lanes), err)
 			}
 			for _, tc := range []struct{ key, want string }{
 				{"q1", wantQ1}, {"q2", wantQ2}, {"q2cc", wantQ2},
 			} {
 				if got := rec.Results[tc.key]; got != tc.want {
-					t.Errorf("commit %d (%d shards): %s = %q, oracle %q", k, len(rt.workers), tc.key, got, tc.want)
+					t.Errorf("commit %d (%d shards): %s = %q, oracle %q", k, len(rt.lanes), tc.key, got, tc.want)
 				}
 			}
 		}
@@ -348,7 +349,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // has validated yet. Its model.State rejects a like naming an unknown
 // comment or user and a comment rooted at an unknown post, with
 // model.ErrIntegrity, before any engine loads. New must leave no goroutine
-// behind, neither a start-up worker nor a shard writer.
+// behind, neither a start-up worker nor the verifier.
 func TestNewRejectsDanglingSnapshots(t *testing.T) {
 	for _, tc := range []struct {
 		what   string
@@ -375,14 +376,109 @@ func TestNewRejectsDanglingSnapshots(t *testing.T) {
 			if !errors.Is(err, model.ErrIntegrity) {
 				t.Fatalf("%s, %d shards: New = %v, want an integrity violation", tc.what, n, err)
 			}
-			got := runtime.NumGoroutine()
-			for deadline := time.Now().Add(time.Second); got > before && time.Now().Before(deadline); got = runtime.NumGoroutine() {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if got > before {
+			if got := settledGoroutines(before); got > before {
 				t.Fatalf("%s, %d shards: %d goroutines after the failed New, %d before", tc.what, n, got, before)
 			}
 		}
+	}
+}
+
+// settledGoroutines waits up to a second for the goroutine count to fall
+// to before and returns it then.
+func settledGoroutines(before int) int {
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); got > before && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return got
+}
+
+// TestCloseLeavesNoGoroutine: a runtime starts no long-lived goroutine
+// but the verifier, and each commit joins the goroutines it starts, so
+// Start, a few commits and Close leave nothing running, at every shard
+// count.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 3, ChangeSets: 5, RemovalFraction: 0.2})
+	for _, n := range []int{1, 2, 4} {
+		before := runtime.NumGoroutine()
+		rt, err := New(n, d.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range d.ChangeSets {
+			if _, err := rt.Commit(&d.ChangeSets[k]); err != nil {
+				t.Fatalf("%d shards, commit %d: %v", n, k, err)
+			}
+		}
+		rt.Close()
+		if got := settledGoroutines(before); got > before {
+			t.Fatalf("%d shards: %d goroutines after Close, %d before Start", n, got, before)
+		}
+	}
+}
+
+// failingEngine is a served engine whose every update fails with err.
+type failingEngine struct {
+	core.Engine
+	err error
+}
+
+func (f failingEngine) UpdateRefs([]model.Ref) (core.Result, error) { return nil, f.err }
+
+// TestEngineFailureFailsTheCommit swaps a failing engine into the
+// runtime's engine table, on the committing goroutine (shard 0) and on a
+// goroutine started for the commit (shard 1 of 2). CommitRefs must return
+// an error naming the shard and the engine, the failing shard must count
+// no commit, and no Record, earlier or new, may change.
+func TestEngineFailureFailsTheCommit(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		key    string
+	}{{1, "q1"}, {1, "q2cc"}, {2, "q1"}, {2, "q2cc"}} {
+		t.Run(fmt.Sprintf("shards%d/%s", tc.shards, tc.key), func(t *testing.T) {
+			rt, err := New(tc.shards, twoGroupFixture())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			first := rt.Record()
+			good, err := rt.Commit(&model.ChangeSet{Changes: []model.Change{
+				{Kind: model.KindAddLike, Like: model.Like{UserID: 200, CommentID: 10}},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{fmt.Sprintf("%+v", *first), fmt.Sprintf("%+v", *good)}
+			injected := errors.New("injected failure")
+			var e *served
+			for i := range rt.engines {
+				if rt.engines[i].Key == tc.key {
+					e = &rt.engines[i]
+				}
+			}
+			e.eng = failingEngine{e.eng, injected}
+			commits := rt.lanes[e.shard].Commits
+			_, err = rt.Commit(&model.ChangeSet{Changes: []model.Change{
+				{Kind: model.KindAddLike, Like: model.Like{UserID: 201, CommentID: 10}},
+			}})
+			if !errors.Is(err, injected) {
+				t.Fatalf("commit with a failing %s = %v, want the injected failure", tc.key, err)
+			}
+			if name := fmt.Sprintf("shard %d: %s update", e.shard, e.eng.Name()); !strings.Contains(err.Error(), name) {
+				t.Fatalf("error %q does not name %q", err, name)
+			}
+			if got := rt.lanes[e.shard].Commits; got != commits {
+				t.Fatalf("failing shard %d counted %d commits, %d before the failure", e.shard, got, commits)
+			}
+			if rt.Record() != good {
+				t.Fatal("a failed commit replaced the last Record")
+			}
+			for k, r := range []*Record{first, good} {
+				if got := fmt.Sprintf("%+v", *r); got != want[k] {
+					t.Fatalf("record %d changed:\n got  %s\n want %s", k, got, want[k])
+				}
+			}
+		})
 	}
 }
 

@@ -189,7 +189,7 @@ func checkInitial(t testing.TB, r *router, snap *model.Snapshot, q2 []model.Ref)
 // newCheckedRuntime starts an n-shard runtime on a State of snap, closed
 // when the test ends. It checks the Q2 refs a router of that State renders
 // (the runtime builds its own router the same way) and that each served
-// engine runs on exactly one shard, slot mod n.
+// engine runs on shard slot mod n.
 func newCheckedRuntime(t testing.TB, n int, snap *model.Snapshot) *Runtime {
 	t.Helper()
 	st, err := model.NewState(snap)
@@ -203,32 +203,23 @@ func newCheckedRuntime(t testing.TB, n int, snap *model.Snapshot) *Runtime {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	hosts := make([]int, len(rt.served)) // slot → shard
-	for s := range hosts {
-		hosts[s] = -1
+	if len(rt.lanes) != n {
+		t.Fatalf("%d shards, want %d", len(rt.lanes), n)
 	}
-	for _, w := range rt.workers {
-		for _, e := range append(slices.Clone(w.q1), w.q2...) {
-			if hosts[e.slot] >= 0 {
-				t.Fatalf("engine %s on shards %d and %d", rt.served[e.slot].Key, hosts[e.slot], w.id)
-			}
-			hosts[e.slot] = w.id
-		}
-	}
-	for slot, s := range hosts {
-		if s != slot%n {
-			t.Fatalf("engine %s on shard %d, want %d of %d", rt.served[slot].Key, s, slot%n, n)
+	for slot, e := range rt.engines {
+		if e.shard != slot%n {
+			t.Fatalf("engine %s on shard %d, want %d of %d", e.Key, e.shard, slot%n, n)
 		}
 	}
 	return rt
 }
 
 // commitChecked applies cs to the runtime's State, commits the resolved
-// changes and checks each shard's command and the router's store against
-// the model: a shard's Q1-family engines get exactly the State's resolved
-// changes, its Q2-family engines the one-shard q2View stream, a shard
-// hosting neither gets nothing, and a shard counts a commit exactly when
-// its command holds work. It returns the Q2 stream.
+// changes and checks each shard's streams and the router's store against
+// the model: a Q1-family engine gets exactly the State's resolved changes,
+// a Q2-family engine the one-shard q2View stream, and a shard counts a
+// commit exactly when an engine it hosts had work, so a shard hosting
+// none counts none. It returns the Q2 stream.
 func commitChecked(t testing.TB, rt *Runtime, m *storeModel, cs []model.Change) []model.Change {
 	t.Helper()
 	refs, err := rt.st.Apply(cs)
@@ -245,27 +236,29 @@ func commitChecked(t testing.TB, rt *Runtime, m *storeModel, cs []model.Change) 
 	if want := m.q2(cs); !sameChanges(q2, want) {
 		t.Fatalf("Q2 stream %+v, q2View %+v", q2, want)
 	}
-	for s, w := range rt.workers {
-		cmd := w.command(refs, r.q2)
-		var wantQ1, wantQ2 []model.Change
-		if len(w.q1) > 0 {
-			wantQ1 = cs
-		}
-		if len(w.q2) > 0 {
-			wantQ2 = q2
-		}
-		if got := render(rt.st, cmd.q1); !sameChanges(got, wantQ1) {
-			t.Fatalf("shard %d: Q1 stream %+v, want %+v", s, got, wantQ1)
-		}
-		if got := r.q2Changes(cmd.q2); !sameChanges(got, wantQ2) {
-			t.Fatalf("shard %d: Q2 stream %+v, want %+v", s, got, wantQ2)
+	for s := range rt.lanes {
+		work := 0
+		for i := range rt.engines {
+			e := &rt.engines[i]
+			if e.shard != s {
+				continue
+			}
+			stream := e.stream(refs, r.q2)
+			got, want := render(rt.st, stream), cs
+			if e.Query == "Q2" {
+				got, want = r.q2Changes(stream), q2
+			}
+			if !sameChanges(got, want) {
+				t.Fatalf("shard %d: %s stream %+v, want %+v", s, e.Key, got, want)
+			}
+			work += len(stream)
 		}
 		want := 0
-		if len(cmd.q1)+len(cmd.q2) > 0 {
+		if work > 0 {
 			want = 1
 		}
 		if got := rec.Shards[s].Commits - prev.Shards[s].Commits; got != want {
-			t.Fatalf("shard %d counted %d commits for a command of %d refs", s, got, len(cmd.q1)+len(cmd.q2))
+			t.Fatalf("shard %d counted %d commits for %d refs of work", s, got, work)
 		}
 	}
 	checkStore(t, r, m)
@@ -286,7 +279,7 @@ func synthetic(q2 []model.Change) int {
 
 // TestRouterStoreInvariants commits a seeded datagen stream with 35%
 // removals, in its own change sets, at 2 and 4 shards and checks every
-// shard's command and the store after every commit.
+// shard's streams and the store after every commit.
 func TestRouterStoreInvariants(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 2, Seed: 11, ChangeSets: 150, RemovalFraction: 0.35})
 	for _, n := range []int{2, 4} {
@@ -307,7 +300,7 @@ func TestRouterStoreInvariants(t *testing.T) {
 // TestRouterStoreMatchesBruteForce commits a datagen stream with 30%
 // removals, re-split at random commit boundaries so that a comment and its
 // first like often share a commit, at 2 and 4 shards, and checks every
-// shard's command and the store against the brute-force model after every
+// shard's streams and the store against the brute-force model after every
 // commit.
 func TestRouterStoreMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{2, 4} {
@@ -345,7 +338,7 @@ func TestRouterStoreMatchesBruteForce(t *testing.T) {
 // first change set becomes the initial snapshot of a runtime, on a State
 // of its own, over 2 shards for an input of even length and 4 for odd;
 // every later one is applied to that State and committed, and every
-// shard's command and the store are checked after each against the
+// shard's streams and the store are checked after each against the
 // brute-force model.
 func FuzzRouterStore(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))

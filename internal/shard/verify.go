@@ -114,9 +114,8 @@ type verifier struct {
 	done  chan struct{}
 	cur   atomic.Pointer[Verified]
 
-	res    core.Result // the engine's last answer
-	answer core.Result // its merge with the parked comments, as of cur
-	merge  *core.Ranker
+	res core.Result // the engine's last answer
+	ans answer      // its merge with the parked comments, as of cur
 }
 
 func newVerifier(e harness.ServedEngine, st *model.State, r *router) *verifier {
@@ -130,7 +129,6 @@ func newVerifier(e harness.ServedEngine, st *model.State, r *router) *verifier {
 		queue:    make(chan handoff, verifyDepth),
 		free:     make(chan []model.Ref, verifyDepth+2),
 		done:     make(chan struct{}),
-		merge:    core.NewTopK(core.TopK),
 	}
 	v.part = core.Part{Nodes: &v.nodes, Comments: &v.space}
 	return v
@@ -186,24 +184,11 @@ func (v *verifier) check(h *handoff) error {
 }
 
 // settle merges the engine's answer with h's parked comments, compares the
-// result with the served answer and publishes it. An answer whose ids did
-// not change keeps its string.
+// result with the served answer and publishes it.
 func (v *verifier) settle(h *handoff) {
-	v.merge.Reset()
-	for _, p := range h.parked {
-		v.merge.Consider(p)
-	}
-	for _, p := range v.res {
-		v.merge.Consider(p)
-	}
+	v.ans.update(v.res, h.parked)
 	prev := v.cur.Load()
-	next := &Verified{Commits: h.commits, Changes: h.changes, Published: time.Now(), next: make(chan struct{})}
-	if m := v.merge.Peek(); prev == nil || !m.SameIDs(v.answer) {
-		v.answer = append(v.answer[:0], m...)
-		next.Result = m.String()
-	} else {
-		next.Result = prev.Result
-	}
+	next := &Verified{Commits: h.commits, Changes: h.changes, Result: v.ans.str, Published: time.Now(), next: make(chan struct{})}
 	if sr, ok := v.eng.(core.StatsReporter); ok {
 		next.Engine = sr.Stats()
 	}
