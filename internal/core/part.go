@@ -52,11 +52,12 @@ func (p *Part) comment(i int) model.Comment { return p.Nodes.Comment(p.Comments.
 // Attach loads the engine from refs, the adds that build its part (nodes
 // before the edges on them); UpdateRefs applies one change set's refs and
 // reevaluates. Load and Update are adapters that resolve through a State
-// of the engine's own.
+// of the engine's own. Stats sizes the state the engine keeps.
 type Engine interface {
 	Solution
 	Attach(p Part, refs []model.Ref) error
 	UpdateRefs(refs []model.Ref) (Result, error)
+	Stats() EngineStats
 }
 
 // standalone implements Solution's Load and Update for an engine that runs

@@ -2,38 +2,8 @@ package core
 
 import "repro/internal/grb"
 
-// This file is the introspection surface the serving layer builds on: a
-// zero-cost accessor for the last committed answer of the incremental
-// engines, and size statistics of the maintained engine state.
-
-// ResultSnapshotter is implemented by engines that retain their last
-// committed answer. LastResult returns a copy of that answer without
-// recomputation — the accessor a serving layer uses to publish a
-// snapshot-isolated result after each committed update, and ok=false
-// before Initial has run.
-type ResultSnapshotter interface {
-	LastResult() (Result, bool)
-}
-
-// LastResult implements ResultSnapshotter.
-func (s *Q1Incremental) LastResult() (Result, bool) { return lastResult(s.prev) }
-
-// LastResult implements ResultSnapshotter.
-func (s *Q2Incremental) LastResult() (Result, bool) { return lastResult(s.prev) }
-
-// LastResult implements ResultSnapshotter.
-func (s *Q2IncrementalCC) LastResult() (Result, bool) { return lastResult(s.prev) }
-
-// lastResult copies a retained answer; a nil prev means Initial has not run
-// (Ranker.Result always returns a non-nil slice, even when empty).
-func lastResult(prev Result) (Result, bool) {
-	if prev == nil {
-		return nil, false
-	}
-	out := make(Result, len(prev))
-	copy(out, prev)
-	return out, true
-}
+// This file is the introspection surface the serving layer builds on:
+// size statistics of the maintained engine state.
 
 // EngineStats sizes the state an engine maintains between updates.
 type EngineStats struct {

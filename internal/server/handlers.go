@@ -24,7 +24,9 @@ import (
 //	                          paper's Q2 engine, which verifies it off the
 //	                          commit path, labelled with the seq it reached
 //	POST /update              enqueue changes; {"wait":true} blocks to commit;
-//	                          a body over 1 MiB is answered 413
+//	                          a body outside the schema decodeUpdate lists
+//	                          (the form WireChange encodes) is answered
+//	                          400, a body over 1 MiB 413
 //	GET  /stats               per-phase latencies, engine sizes, queue depth,
 //	                          the Q2 cross-check (waits until it covers seq)
 //	GET  /healthz             readiness: 503 + JSON reason during startup
@@ -181,6 +183,7 @@ type wireLike struct {
 
 // WireChange converts a model.Change to its JSON encoding — the inverse of
 // the /update request format, for clients replaying model change streams.
+// Put through json.Marshal, it writes the one form decodeUpdate accepts.
 func WireChange(ch model.Change) any {
 	w := wireChange{}
 	switch ch.Kind {

@@ -1,13 +1,8 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
-	"strings"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
 
 	"repro/internal/model"
 )
@@ -48,7 +43,7 @@ var (
 // groupNames are the field groups of a change: changeFields after "kind".
 var groupNames = changeFields[1:]
 
-// The field groups, as bits of changeMeta.groups and indices of groupNames.
+// The field groups, as indices of groupNames.
 const (
 	groupPost = iota
 	groupComment
@@ -72,25 +67,11 @@ var wireKinds = []struct {
 	{"remove-like", model.KindRemoveLike, groupLike},
 }
 
-// changeMeta is what a change element holds beside its fields: its kind
-// as 1 + an index of wireKinds (0 for none or an unknown name), the
-// offset of the kind's string token (-1 while it has none), and a bit per
-// present group. A group's fields are zero while its bit is clear.
-type changeMeta struct {
-	kind   uint8
-	groups uint8
-	kindAt int32
-}
-
-// updateDecoder parses one body. changes and meta are the elements of the
-// last "changes" array, n of them; elements past n are kept, because a
-// later "changes" array decodes into them again.
+// updateDecoder parses one body.
 type updateDecoder struct {
 	data    []byte
 	off     int
 	changes []model.Change
-	meta    []changeMeta
-	n       int
 	wait    bool
 	cur     int // the change being parsed, or -1
 }
@@ -111,71 +92,40 @@ type updateDecoder struct {
 //	{"kind": "add-like",          "like":       {"user": n, "comment": n}}
 //	{"kind": "remove-like",       "like":       {"user": n, "comment": n}}
 //
-// It accepts exactly the bodies that encoding/json, with
-// DisallowUnknownFields, decodes into the struct form of that schema, and
-// decodes them to the same changes. That includes encoding/json's rules
-// beyond the schema: keys match case-insensitively (as bytes.EqualFold
-// does) and may be escaped; null leaves a field as it was and makes a
-// group absent; a repeated key decodes into the same field again, so a
-// repeated group merges into the earlier one and a repeated "changes"
-// array decodes element by element into the changes before it; an integer
-// with a fraction or exponent, or outside int64, is an error; an unknown
-// key is an error at every level; and bytes after the object are ignored.
-// Every error names the byte offset, and the change index inside a change.
+// It accepts exactly this schema. "changes" is a non-empty array and
+// "wait" is optional (false when absent). A change has "kind" and the
+// field group of that kind, and nothing else; a group has every one of
+// its fields, each an int64 written without a fraction or an exponent.
+// Keys may come in any order, match byte for byte, are plain ASCII
+// without escapes and appear at most once in an object; null is never a
+// value, and only JSON whitespace may follow the object. encoding/json
+// decodes every body this accepts, into the struct form of the schema,
+// to the same changes. Every error names the byte offset, and the change
+// index inside a change.
 func decodeUpdate(data []byte) ([]model.Change, bool, error) {
 	// Most bodies hold a few changes: parse them on the stack and allocate
 	// only the result.
 	var changes [16]model.Change
-	var meta [16]changeMeta
-	d := updateDecoder{data: data, changes: changes[:0], meta: meta[:0], cur: -1}
+	d := updateDecoder{data: data, changes: changes[:0], cur: -1}
 	if err := d.request(); err != nil {
 		return nil, false, err
 	}
-	if d.n == 0 {
-		return nil, false, errors.New("no changes")
-	}
-	out := make([]model.Change, d.n)
-	for i := range out {
-		m := d.meta[i]
-		if m.kind == 0 {
-			name := ""
-			if m.kindAt >= 0 {
-				name = d.unquote(int(m.kindAt))
-			}
-			return nil, false, fmt.Errorf("change %d: unknown change kind %q", i, name)
-		}
-		k := wireKinds[m.kind-1]
-		if m.groups&(1<<k.group) == 0 {
-			return nil, false, fmt.Errorf("change %d: kind %q requires the %q field", i, k.name, groupNames[k.group])
-		}
-		ch := &d.changes[i]
-		out[i].Kind = k.kind
-		switch k.group {
-		case groupPost:
-			out[i].Post = ch.Post
-		case groupComment:
-			out[i].Comment = ch.Comment
-		case groupUser:
-			out[i].User = ch.User
-		case groupFriendship:
-			out[i].Friendship = ch.Friendship
-		case groupLike:
-			out[i].Like = ch.Like
-		}
-	}
+	out := make([]model.Change, len(d.changes))
+	copy(out, d.changes)
 	return out, d.wait, nil
 }
 
-// request parses the top-level object.
+// request parses the top-level object and the space after it.
 func (d *updateDecoder) request() error {
 	d.space()
 	if d.peek() != '{' {
 		return d.unexpected("a JSON object")
 	}
+	var seen uint8
 	var err error
 	for more := d.open('}'); more && err == nil; {
 		var f int
-		if f, err = d.key(requestFields); err != nil {
+		if f, err = d.key(requestFields, &seen); err != nil {
 			return err
 		}
 		if f == 0 {
@@ -187,128 +137,121 @@ func (d *updateDecoder) request() error {
 			more, err = d.next('}')
 		}
 	}
-	return err
-}
-
-// changeArray parses the value of "changes": null or [] leaves no changes,
-// and element i of an array decodes into change i as left so far.
-func (d *updateDecoder) changeArray() error {
-	switch d.peek() {
-	case 'n':
-		d.changes, d.meta, d.n = d.changes[:0], d.meta[:0], 0
-		return d.literal("null")
-	case '[':
-	default:
-		return d.unexpected(`an array for "changes"`)
-	}
-	var err error
-	i := 0
-	for more := d.open(']'); more && err == nil; i++ {
-		if i == len(d.changes) {
-			d.grow()
-		}
-		d.cur = i
-		if err = d.change(&d.changes[i], &d.meta[i]); err == nil {
-			more, err = d.next(']')
-		}
-	}
 	if err != nil {
 		return err
 	}
-	d.cur = -1
-	d.n = i
-	if i == 0 {
-		d.changes, d.meta = d.changes[:0], d.meta[:0]
+	if seen&1 == 0 {
+		return d.lacks("the request", "changes")
+	}
+	d.space()
+	if d.off < len(d.data) {
+		return d.unexpected("the end of the body")
 	}
 	return nil
 }
 
-// grow adds a fresh element to changes and meta. It copies them into new
-// arrays when full instead of appending, so that the stack arrays
-// decodeUpdate starts them on do not escape.
+// changeArray parses the value of "changes": a non-empty array of changes.
+func (d *updateDecoder) changeArray() error {
+	if d.peek() != '[' {
+		return d.unexpected(`an array for "changes"`)
+	}
+	if !d.open(']') {
+		d.off--
+		return d.errorf("no changes")
+	}
+	for more := true; more; {
+		d.cur = len(d.changes)
+		d.grow()
+		if err := d.change(&d.changes[d.cur]); err != nil {
+			return err
+		}
+		var err error
+		if more, err = d.next(']'); err != nil {
+			return err
+		}
+	}
+	d.cur = -1
+	return nil
+}
+
+// grow adds an element to changes. It copies them into a new array when
+// full instead of appending, so that the stack array decodeUpdate starts
+// them on does not escape. Elements past the length were never written,
+// so the new one is zero.
 func (d *updateDecoder) grow() {
 	n := len(d.changes)
 	if n == cap(d.changes) {
 		changes := make([]model.Change, n, 2*n)
 		copy(changes, d.changes)
-		meta := make([]changeMeta, n, 2*n)
-		copy(meta, d.meta)
-		d.changes, d.meta = changes, meta
+		d.changes = changes
 	}
-	d.changes, d.meta = d.changes[:n+1], d.meta[:n+1]
-	d.changes[n], d.meta[n] = model.Change{}, changeMeta{kindAt: -1}
+	d.changes = d.changes[:n+1]
 }
 
-// change parses one element of "changes" into ch and m; null leaves them
-// as they are.
-func (d *updateDecoder) change(ch *model.Change, m *changeMeta) error {
-	switch d.peek() {
-	case 'n':
-		return d.literal("null")
-	case '{':
-	default:
+// change parses one element of "changes" into ch: its kind and the field
+// group that kind uses.
+func (d *updateDecoder) change(ch *model.Change) error {
+	if d.peek() != '{' {
 		return d.unexpected("a change object")
 	}
+	var seen uint8 // a bit per index of changeFields
+	k := 0         // the index of the kind in wireKinds
 	var err error
 	for more := d.open('}'); more && err == nil; {
 		var f int
-		if f, err = d.key(changeFields); err != nil {
+		if f, err = d.key(changeFields, &seen); err != nil {
 			return err
 		}
 		if f == 0 {
-			err = d.kind(m)
+			k, err = d.kind()
 		} else {
-			err = d.group(ch, m, f-1)
+			err = d.group(ch, f-1)
 		}
 		if err == nil {
 			more, err = d.next('}')
 		}
 	}
-	return err
-}
-
-// kind parses the value of "kind": a string, or null, which leaves it.
-func (d *updateDecoder) kind(m *changeMeta) error {
-	switch d.peek() {
-	case 'n':
-		return d.literal("null")
-	case '"':
-	default:
-		return d.unexpected(`a string for "kind"`)
-	}
-	start := d.off
-	plain, err := d.str()
 	if err != nil {
 		return err
 	}
-	m.kindAt = int32(start)
-	m.kind = 0
-	// The longest wire kind is 17 bytes, all ASCII.
-	var buf [18]byte
-	name := d.data[start+1 : d.off-1]
-	if !plain {
-		name = buf[:0]
-		for s, i := d.data[start+1:d.off-1], 0; i < len(s) && len(name) < len(buf); {
-			var r rune
-			if r, i = nextRune(s, i); r >= utf8.RuneSelf {
-				return nil
-			}
-			name = append(name, byte(r))
-		}
+	if seen&1 == 0 {
+		return d.lacks("the change", "kind")
 	}
-	for k := range wireKinds {
-		if string(name) == wireKinds[k].name {
-			m.kind = uint8(k + 1)
-			break
+	kind := wireKinds[k]
+	if want := uint8(1 | 2<<kind.group); seen != want {
+		d.off--
+		if seen&want != want {
+			return d.errorf("kind %q requires the %q field", kind.name, groupNames[kind.group])
 		}
+		return d.errorf("kind %q takes no field group but the %q field", kind.name, groupNames[kind.group])
 	}
+	ch.Kind = kind.kind
 	return nil
 }
 
-// group parses the value of field group g of ch. An object marks the
-// group present and sets the fields it names; null makes it absent and
-// zero.
-func (d *updateDecoder) group(ch *model.Change, m *changeMeta, g int) error {
+// kind parses the value of "kind", the name of a wire kind, and returns
+// its index in wireKinds.
+func (d *updateDecoder) kind() (int, error) {
+	if d.peek() != '"' {
+		return 0, d.unexpected(`a string for "kind"`)
+	}
+	start := d.off
+	name, err := d.str()
+	if err != nil {
+		return 0, err
+	}
+	for k := range wireKinds {
+		if string(name) == wireKinds[k].name {
+			return k, nil
+		}
+	}
+	d.off = start
+	return 0, d.errorf("unknown change kind %q", string(name))
+}
+
+// group parses the value of field group g of ch: an object with every
+// field of the group.
+func (d *updateDecoder) group(ch *model.Change, g int) error {
 	var fields [4]*int64 // in the order of groupFields[g]
 	switch g {
 	case groupPost:
@@ -322,37 +265,34 @@ func (d *updateDecoder) group(ch *model.Change, m *changeMeta, g int) error {
 	case groupLike:
 		fields = [4]*int64{&ch.Like.UserID, &ch.Like.CommentID}
 	}
-	names := groupFields[g]
-	switch d.peek() {
-	case 'n':
-		m.groups &^= 1 << g
-		for _, p := range fields[:len(names)] {
-			*p = 0
-		}
-		return d.literal("null")
-	case '{':
-	default:
+	if d.peek() != '{' {
 		return d.unexpected(fmt.Sprintf("an object for %q", groupNames[g]))
 	}
-	m.groups |= 1 << g
+	names := groupFields[g]
+	var seen uint8
 	var err error
 	for more := d.open('}'); more && err == nil; {
 		var f int
-		if f, err = d.key(names); err == nil {
+		if f, err = d.key(names, &seen); err == nil {
 			if err = d.integer(fields[f]); err == nil {
 				more, err = d.next('}')
 			}
 		}
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	for f, name := range names {
+		if seen&(1<<f) == 0 {
+			return d.lacks(strconv.Quote(groupNames[g]), name)
+		}
+	}
+	return nil
 }
 
-// integer parses an int64 into p; null leaves p as it is.
+// integer parses an int64 into p.
 func (d *updateDecoder) integer(p *int64) error {
 	c := d.peek()
-	if c == 'n' {
-		return d.literal("null")
-	}
 	if c != '-' && (c < '0' || c > '9') {
 		return d.unexpected("an integer")
 	}
@@ -390,11 +330,9 @@ func (d *updateDecoder) integer(p *int64) error {
 	return nil
 }
 
-// boolean parses true or false into p; null leaves p as it is.
+// boolean parses true or false into p.
 func (d *updateDecoder) boolean(p *bool) error {
 	switch d.peek() {
-	case 'n':
-		return d.literal("null")
 	case 't':
 		*p = true
 		return d.literal("true")
@@ -405,33 +343,34 @@ func (d *updateDecoder) boolean(p *bool) error {
 	return d.unexpected(`a boolean for "wait"`)
 }
 
-// key parses an object key and the colon after it. It returns the index
-// of the name the key matches as encoding/json matches struct fields (by
-// bytes.EqualFold), or an error for an unknown key.
-func (d *updateDecoder) key(names []string) (int, error) {
+// key parses an object key and the colon after it, and returns the index
+// of the name in names the key equals. seen holds a bit per name already
+// parsed in the object; a key not in names, or seen before, is an error.
+func (d *updateDecoder) key(names []string, seen *uint8) (int, error) {
 	if d.peek() != '"' {
 		return 0, d.unexpected("a key")
 	}
 	start := d.off
-	plain, err := d.str()
+	s, err := d.str()
 	if err != nil {
 		return 0, err
 	}
-	s := d.data[start+1 : d.off-1]
 	f := -1
-	if plain {
-		for j, name := range names {
-			if string(s) == name {
-				f = j
-				break
-			}
+	for j, name := range names {
+		if string(s) == name {
+			f = j
+			break
 		}
 	}
-	if f < 0 {
-		if f = foldedMatch(s, names); f < 0 {
-			return 0, d.unknownKey(start)
-		}
+	switch {
+	case f < 0:
+		d.off = start
+		return 0, d.errorf("unknown field %q", string(s))
+	case *seen&(1<<f) != 0:
+		d.off = start
+		return 0, d.errorf("repeated field %q", string(s))
 	}
+	*seen |= 1 << f
 	d.space()
 	if d.peek() != ':' {
 		return 0, d.unexpected("':'")
@@ -441,163 +380,23 @@ func (d *updateDecoder) key(names []string) (int, error) {
 	return f, nil
 }
 
-// foldedMatch returns the index of the name in names that key, the
-// contents of a checked string token, matches after folding, or -1. It
-// folds as encoding/json does: ASCII case-insensitively, and any other
-// rune to the smallest rune of its case-folding orbit. Every name is
-// ASCII, so a key with a rune that does not fold to ASCII, or longer than
-// every name, matches none.
-func foldedMatch(key []byte, names []string) int {
-	var buf [10]byte
-	folded := buf[:0]
-	for i := 0; i < len(key); {
-		var r rune
-		if r, i = nextRune(key, i); r >= utf8.RuneSelf {
-			r = foldRune(r)
-		}
-		if r >= utf8.RuneSelf || len(folded) == len(buf) {
-			return -1
-		}
-		folded = append(folded, byte(r))
-	}
-	for j, name := range names {
-		if strings.EqualFold(string(folded), name) {
-			return j
-		}
-	}
-	return -1
-}
-
-// foldRune is the smallest rune of r's case-folding orbit.
-func foldRune(r rune) rune {
-	for {
-		r2 := unicode.SimpleFold(r)
-		if r2 <= r {
-			return r2
-		}
-		r = r2
-	}
-}
-
-// str consumes the string token at d.off, checking it as a JSON scanner
-// does, and reports whether it is plain: ASCII without escapes, so its
-// bytes are its value.
-func (d *updateDecoder) str() (plain bool, err error) {
-	data, i := d.data, d.off+1
-	for ; i < len(data); i++ {
-		if c := data[i]; c == '"' {
-			d.off = i + 1
-			return true, nil
-		} else if c < ' ' || c == '\\' || c >= utf8.RuneSelf {
-			break
-		}
-	}
-	d.off = i
-	return false, d.strRest()
-}
-
-// strRest consumes the rest of a string token that is not plain from
-// d.off on.
-func (d *updateDecoder) strRest() error {
-	for ; d.off < len(d.data); d.off++ {
-		switch c := d.data[d.off]; {
-		case c == '"':
+// str consumes the string token at d.off and returns its contents. Keys
+// and kinds are plain: printable ASCII without escapes, so that their
+// bytes are their value.
+func (d *updateDecoder) str() ([]byte, error) {
+	start := d.off + 1
+	for d.off = start; d.off < len(d.data); d.off++ {
+		if c := d.data[d.off]; c == '"' {
 			d.off++
-			return nil
-		case c == '\\':
-			d.off++
-			switch d.peek() {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				for j := 0; j < 4; j++ {
-					d.off++
-					if !isHex(d.peek()) {
-						return d.unexpected("a hexadecimal digit")
-					}
-				}
-			default:
-				return d.unexpected("an escape character")
-			}
-		case c < ' ':
-			return d.unexpected("a string character")
+			return d.data[start : d.off-1], nil
+		} else if c < ' ' || c == '\\' || c > '~' {
+			return nil, d.unexpected("printable ASCII without escapes")
 		}
 	}
-	return d.unexpected("'\"'")
+	return nil, d.unexpected(`'"'`)
 }
 
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-func hexValue(s []byte) rune {
-	var r rune
-	for _, c := range s {
-		switch {
-		case c <= '9':
-			r = r<<4 | rune(c-'0')
-		case c <= 'F':
-			r = r<<4 | rune(c-'A'+10)
-		default:
-			r = r<<4 | rune(c-'a'+10)
-		}
-	}
-	return r
-}
-
-// nextRune decodes the rune at s[i] of a checked string token's contents
-// and returns it with the offset after it, as encoding/json unquotes: an
-// invalid UTF-8 byte or a \u escape of an unpaired surrogate is
-// utf8.RuneError.
-func nextRune(s []byte, i int) (rune, int) {
-	if c := s[i]; c != '\\' {
-		if c < utf8.RuneSelf {
-			return rune(c), i + 1
-		}
-		r, n := utf8.DecodeRune(s[i:])
-		return r, i + n
-	}
-	switch c := s[i+1]; c {
-	case 'b':
-		return '\b', i + 2
-	case 'f':
-		return '\f', i + 2
-	case 'n':
-		return '\n', i + 2
-	case 'r':
-		return '\r', i + 2
-	case 't':
-		return '\t', i + 2
-	case 'u':
-		r := hexValue(s[i+2 : i+6])
-		i += 6
-		if !utf16.IsSurrogate(r) {
-			return r, i
-		}
-		if i+6 <= len(s) && s[i] == '\\' && s[i+1] == 'u' {
-			if pair := utf16.DecodeRune(r, hexValue(s[i+2:i+6])); pair != unicode.ReplacementChar {
-				return pair, i + 6
-			}
-		}
-		return unicode.ReplacementChar, i
-	default: // '"', '\\' or '/'
-		return rune(c), i + 2
-	}
-}
-
-// unquote is the value of the checked string token at start, for an
-// error message.
-func (d *updateDecoder) unquote(start int) string {
-	var b strings.Builder
-	s := d.data[start+1:]
-	for i := 0; s[i] != '"'; {
-		var r rune
-		r, i = nextRune(s, i)
-		b.WriteRune(r)
-	}
-	return b.String()
-}
-
-// literal consumes the literal lit (null, true or false) at d.off.
+// literal consumes the literal lit (true or false) at d.off.
 func (d *updateDecoder) literal(lit string) error {
 	if len(d.data)-d.off < len(lit) || string(d.data[d.off:d.off+len(lit)]) != lit {
 		return d.unexpected(lit)
@@ -655,15 +454,19 @@ func (d *updateDecoder) peek() byte {
 }
 
 func (d *updateDecoder) unexpected(want string) error {
-	if d.off >= len(d.data) {
+	switch {
+	case d.off >= len(d.data):
 		return d.errorf("unexpected end of body, want %s", want)
+	case d.data[d.off] >= 0x80: // %q would print it as the rune of that value
+		return d.errorf("unexpected byte %#x, want %s", d.data[d.off], want)
 	}
 	return d.errorf("unexpected %q, want %s", d.data[d.off], want)
 }
 
-func (d *updateDecoder) unknownKey(start int) error {
-	d.off = start
-	return d.errorf("unknown field %q", d.unquote(start))
+// lacks reports that object, closed at d.off-1, lacks key.
+func (d *updateDecoder) lacks(object, key string) error {
+	d.off--
+	return d.errorf("%s lacks %q", object, key)
 }
 
 func (d *updateDecoder) errorf(format string, args ...any) error {

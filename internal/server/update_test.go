@@ -19,7 +19,9 @@ import (
 
 // updateRequest, updateResponse, toModel and decodeUpdateJSON are the
 // encoding/json decoding of /update that decodeUpdate replaced, kept as its
-// oracle and as the baseline of BenchmarkDecodeUpdate.
+// oracle and as the baseline of BenchmarkDecodeUpdate. encoding/json
+// accepts more than the schema (folded and escaped keys, null, repeated
+// keys, bytes after the object); decodeUpdate accepts only the schema.
 
 // updateRequest is the /update body: one or more changes committed
 // atomically as a unit. Wait=true blocks the response until the batch
@@ -123,15 +125,7 @@ func ingestBodies(tb testing.TB) [][]byte {
 	ingest.once.Do(func() {
 		sets := datagen.Generate(datagen.Config{ScaleFactor: 128, Seed: 1, ChangeSets: 1024}).ChangeSets
 		for i, set := range sets {
-			wire := make([]any, len(set.Changes))
-			for j, ch := range set.Changes {
-				wire[j] = WireChange(ch)
-			}
-			b, err := json.Marshal(map[string]any{"changes": wire, "wait": i == len(sets)-1})
-			if err != nil {
-				panic(err)
-			}
-			ingest.bodies = append(ingest.bodies, b)
+			ingest.bodies = append(ingest.bodies, encodeUpdate(set.Changes, i == len(sets)-1))
 		}
 	})
 	if len(ingest.bodies) == 0 {
@@ -140,10 +134,24 @@ func ingestBodies(tb testing.TB) [][]byte {
 	return ingest.bodies
 }
 
-// quirkBodies exercise encoding/json's rules beyond the schema, one or
-// more bodies per rule, accepted and rejected.
-var quirkBodies = []string{
-	// The README's example.
+// encodeUpdate is the /update body of changes as perfbench and
+// internal/loadgen encode it: WireChange values through json.Marshal.
+func encodeUpdate(changes []model.Change, wait bool) []byte {
+	wire := make([]any, len(changes))
+	for i, ch := range changes {
+		wire[i] = WireChange(ch)
+	}
+	b, err := json.Marshal(map[string]any{"changes": wire, "wait": wait})
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// schemaBodies are bodies within the schema, at its edges: the README's
+// example, keys in any order, wait absent, JSON whitespace around the
+// object, and the int64 bounds.
+var schemaBodies = []string{
 	`{
   "changes": [
     {"kind": "add-user", "user": {"id": 90001}},
@@ -151,12 +159,23 @@ var quirkBodies = []string{
   ],
   "wait": true
 }`,
-	// Keys match as bytes.EqualFold does.
+	"\t{\"changes\":[{\"user\":{\"id\":1},\"kind\":\"add-user\"},{\"like\":{\"comment\":3,\"user\":2},\"kind\":\"remove-like\"}]}\r\n ",
+	`{"wait":false,"changes":[{"post":{"timestamp":-1,"id":0},"kind":"add-post"}]}`,
+	`{"changes":[{"kind":"add-user","user":{"id":9223372036854775807}}]}`,
+	`{"changes":[{"kind":"add-user","user":{"id":-9223372036854775808}}]}`,
+	`{"changes":[{"kind":"add-user","user":{"id":-0}}]}`,
+}
+
+// quirkBodies are bodies outside the schema, which decodeUpdate rejects:
+// encoding/json's rules beyond the schema, one or more bodies per rule,
+// whether encoding/json accepts them or not, and syntax errors.
+var quirkBodies = []string{
+	// encoding/json matches keys as bytes.EqualFold does.
 	`{"CHANGES":[{"KIND":"add-user","USER":{"ID":1}}],"WAIT":true}`,
 	"{\"changes\":[{\"\u212Aind\":\"add-user\",\"u\u017Fer\":{\"id\":1}}]}",
 	`{"changes":[{"\u212aind":"add-user","u\u017fer":{"\u0130d":1}}]}`,
 	`{"changes":[{"kind":"ADD-USER","user":{"id":1}}]}`,
-	// Escapes in keys and strings are decoded.
+	// It decodes escapes in keys and strings.
 	`{"ch\u0061nges":[{"kind":"add\u002duser","user":{"\u0069d":1}}],"w\u0061it":true}`,
 	`{"changes":[{"kind":"add-user\ud800","user":{"id":1}}]}`,
 	`{"changes":[{"kind":"\ud83d\ude00","user":{"id":1}}]}`,
@@ -167,6 +186,7 @@ var quirkBodies = []string{
 	`{"changes":[{"kind":"add-user","user":{"id":5},"user":null,"user":{}}]}`,
 	`{"changes":[{"kind":"add-user","kind":null,"user":{"id":5}}],"wait":null}`,
 	`{"changes":[null]}`,
+	`{"changes":null}`,
 	// A repeated group merges into the earlier one.
 	`{"changes":[{"kind":"add-like","like":{"user":1},"like":{"comment":2}}]}`,
 	// A repeated top-level key wins last; a repeated "changes" array
@@ -176,54 +196,82 @@ var quirkBodies = []string{
 	`{"changes":[{"kind":"add-user","user":{"id":1}},{"kind":"add-user","user":{"id":2}}],"changes":[null],"changes":[{},{}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":1}}],"changes":[],"changes":[{}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":1}}],"changes":null,"changes":[{"user":{"id":2}}]}`,
-	// A fraction, exponent or out-of-range id is an error, and so is a
-	// non-bool wait.
+	// A missing field is zero, and a group the kind does not use is
+	// ignored.
+	`{"changes":[{"kind":"add-post","post":{"id":1}}]}`,
+	`{"changes":[{"kind":"add-user","user":{"id":1},"post":{"id":2,"timestamp":3}}]}`,
+	`{"changes":[{"kind":"add-user","user":{"id":1},"post":{}}]}`,
+	// Bytes after the top-level object are ignored.
+	`{"changes":[{"kind":"add-user","user":{"id":1}}]} trailing ] {`,
+	// encoding/json rejects these too: a fraction, exponent or
+	// out-of-range id, a non-bool wait, an unknown key at any level, no
+	// changes, and whatever is not one object.
 	`{"changes":[{"kind":"add-user","user":{"id":1.0}}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":1e3}}]}`,
-	`{"changes":[{"kind":"add-user","user":{"id":9223372036854775807}}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":9223372036854775808}}]}`,
-	`{"changes":[{"kind":"add-user","user":{"id":-9223372036854775808}}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":-9223372036854775809}}]}`,
-	`{"changes":[{"kind":"add-user","user":{"id":-0}}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":01}}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":1}}],"wait":1}`,
 	`{"changes":[{"kind":"add-user","user":{"id":1}}],"wait":"true"}`,
-	// An unknown key is an error at every level, even inside a group the
-	// kind does not use.
 	`{"changes":[{"kind":"add-user","user":{"id":1}}],"extra":0}`,
 	`{"changes":[{"kind":"add-user","user":{"id":1},"extra":0}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":1,"extra":0}}]}`,
 	`{"changes":[{"kind":"add-user","user":{"id":1},"post":{"extra":0}}]}`,
-	// Bytes after the top-level object are ignored.
-	`{"changes":[{"kind":"add-user","user":{"id":1}}]} trailing ] {`,
-	// Neither an object nor a syntax error passes.
+	`{"changes":[]}`, `{"wait":true}`, `{}`,
 	`null`, `[]`, `"changes"`, ``, ` `, `{`, `{"changes":[{"kind":"add-user","user":{"id":1}}]`,
 	`{"changes":[{"kind":"add-user","user":{"id":1}},]}`, `{"changes":[{"kind":"add-user","user":{"id":1}}],}`,
 }
 
+// TestDecodeUpdateAcceptsOnlyTheSchema decodes every schema body as
+// encoding/json does and rejects every quirk body, naming a byte offset.
+func TestDecodeUpdateAcceptsOnlyTheSchema(t *testing.T) {
+	for _, body := range schemaBodies {
+		want, wantWait, err := decodeUpdateJSON([]byte(body))
+		if err != nil {
+			t.Fatalf("encoding/json rejects %q: %v", body, err)
+		}
+		if got, gotWait, err := decodeUpdate([]byte(body)); err != nil || gotWait != wantWait || !slices.Equal(got, want) {
+			t.Errorf("decodeUpdate(%q) = %+v wait=%v error %v, want %+v wait=%v", body, got, gotWait, err, want, wantWait)
+		}
+	}
+	for _, body := range quirkBodies {
+		if got, _, err := decodeUpdate([]byte(body)); err == nil || !strings.Contains(err.Error(), " at byte ") {
+			t.Errorf("decodeUpdate(%q) = %+v, error %v; want an error naming a byte offset", body, got, err)
+		}
+	}
+}
+
 // FuzzDecodeUpdate holds decodeUpdate to the encoding/json decoding it
-// replaced: on every input both accept or both reject, and when they
-// accept they decode the same changes and wait flag.
+// replaced, which accepts more than the schema: (a) every body
+// decodeUpdate accepts, encoding/json accepts with the same changes and
+// wait flag, and every body it rejects, it rejects naming a byte offset;
+// (b) every body encoding/json accepts, re-encoded as clients encode it
+// (encodeUpdate), decodeUpdate decodes to the same changes and wait flag.
 func FuzzDecodeUpdate(f *testing.F) {
 	for _, b := range ingestBodies(f)[:8] {
 		f.Add(b)
 	}
-	for _, b := range quirkBodies {
+	for _, b := range append(schemaBodies, quirkBodies...) {
 		f.Add([]byte(b))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		want, wantWait, wantErr := decodeUpdateJSON(body)
 		got, gotWait, err := decodeUpdate(body)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("body %q: decodeUpdate error %v, encoding/json error %v", body, err, wantErr)
-		}
-		if err == nil && (gotWait != wantWait || !slices.Equal(got, want)) {
+		switch {
+		case err != nil:
+			if !strings.Contains(err.Error(), " at byte ") {
+				t.Errorf("body %q: error %q names no byte offset", body, err)
+			}
+		case wantErr != nil:
+			t.Fatalf("body %q: decodeUpdate gives %+v wait=%v, encoding/json error %v", body, got, gotWait, wantErr)
+		case gotWait != wantWait || !slices.Equal(got, want):
 			t.Fatalf("body %q: decodeUpdate gives %+v wait=%v, encoding/json %+v wait=%v", body, got, gotWait, want, wantWait)
 		}
-		if err != nil && strings.HasPrefix(wantErr.Error(), "change ") {
-			// encoding/json's kind errors name the change; so does ours.
-			if i := strings.IndexByte(wantErr.Error(), ':'); !strings.HasPrefix(err.Error(), wantErr.Error()[:i+1]) {
-				t.Errorf("body %q: error %q does not name the change of %q", body, err, wantErr)
+		if wantErr == nil {
+			canon := encodeUpdate(want, wantWait)
+			if got, gotWait, err := decodeUpdate(canon); err != nil || gotWait != wantWait || !slices.Equal(got, want) {
+				t.Fatalf("body %q re-encoded as %s: decodeUpdate gives %+v wait=%v error %v, want %+v wait=%v",
+					body, canon, got, gotWait, err, want, wantWait)
 			}
 		}
 	})
@@ -241,6 +289,12 @@ func TestDecodeUpdateErrorsNameTheChange(t *testing.T) {
 		`{"kind":"add-user","user":{"id":1}`,
 		`{"kind":"add-user"}`,
 		`{"kind":"explode","user":{"id":1}}`,
+		`{"kind":"add-user","kind":"add-user","user":{"id":1}}`,
+		`{"kind":null,"user":{"id":1}}`,
+		`{"user":{"id":1}}`,
+		`{"kind":"add-post","post":{"id":1}}`,
+		`{"kind":"add-user","user":{"id":1},"like":{"user":1,"comment":2}}`,
+		`{"kind":"add\u002duser","user":{"id":1}}`,
 		`7`,
 	} {
 		body := `{"changes":[` + ok + `,` + bad + `,` + ok + `]}`
@@ -379,7 +433,10 @@ func oneMiBPlusOne() string {
 // TestUpdateContract is the /update status-code table: each row's body is
 // answered with its code, and a rejected request leaves seq unchanged.
 // The codes were recorded against the encoding/json decoder this
-// endpoint used before its one-pass parser.
+// endpoint used before its one-pass parser, except where the schema is
+// stricter: case-folded or escaped keys and kinds, bytes after the object,
+// a repeated key (group or other), null and a group missing a field or
+// beside another group are 400.
 func TestUpdateContract(t *testing.T) {
 	srv, err := New(Config{Dataset: datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 7})})
 	if err != nil {
@@ -412,13 +469,18 @@ func TestUpdateContract(t *testing.T) {
 		{"non-bool wait", `{"changes":[` + user + `],"wait":1}`, http.StatusBadRequest},
 		{"changes null", `{"changes":null,"wait":true}`, http.StatusBadRequest},
 		{"changes empty", `{"changes":[],"wait":true}`, http.StatusBadRequest},
-		{"case-folded keys", `{"CHANGES":[{"KIND":"add-user","User":{"ID":9100002}}],"Wait":true}`, http.StatusOK},
-		{"kelvin sign and long s keys", "{\"changes\":[{\"\u212Aind\":\"add-user\",\"u\u017Fer\":{\"id\":9100003}}],\"wait\":true}", http.StatusOK},
-		{"escaped kind", `{"changes":[{"kind":"add\u002duser","user":{"id":9100004}}],"wait":true}`, http.StatusOK},
-		{"trailing bytes", `{"changes":[{"kind":"add-user","user":{"id":9100005}}],"wait":true} trailing {`, http.StatusOK},
-		{"repeated group merges", `{"changes":[{"kind":"add-user","user":{"id":9100006}},{"kind":"add-user","user":{"id":9100007}},` +
-			`{"kind":"add-friendship","friendship":{"user1":9100006},"friendship":{"user2":9100007}}],"wait":true}`, http.StatusOK},
-		{"null leaves an id as it was", `{"changes":[{"kind":"add-user","user":{"id":9100008},"user":{"id":null}}],"wait":true}`, http.StatusOK},
+		{"case-folded keys", `{"CHANGES":[{"KIND":"add-user","User":{"ID":9100002}}],"Wait":true}`, http.StatusBadRequest},
+		{"kelvin sign and long s keys", "{\"changes\":[{\"\u212Aind\":\"add-user\",\"u\u017Fer\":{\"id\":9100003}}],\"wait\":true}", http.StatusBadRequest},
+		{"escaped kind", `{"changes":[{"kind":"add\u002duser","user":{"id":9100004}}],"wait":true}`, http.StatusBadRequest},
+		{"trailing bytes", `{"changes":[{"kind":"add-user","user":{"id":9100005}}],"wait":true} trailing {`, http.StatusBadRequest},
+		{"repeated group", `{"changes":[{"kind":"add-user","user":{"id":9100006}},{"kind":"add-user","user":{"id":9100007}},` +
+			`{"kind":"add-friendship","friendship":{"user1":9100006},"friendship":{"user2":9100007}}],"wait":true}`, http.StatusBadRequest},
+		{"null id", `{"changes":[{"kind":"add-user","user":{"id":9100008},"user":{"id":null}}],"wait":true}`, http.StatusBadRequest},
+		{"duplicate key", `{"changes":[` + user + `],"wait":true,"wait":true}`, http.StatusBadRequest},
+		{"group missing a field", `{"changes":[{"kind":"add-post","post":{"id":9100009}}],"wait":true}`, http.StatusBadRequest},
+		{"second group", `{"changes":[{"kind":"add-user","user":{"id":9100010},"post":{"id":9100010,"timestamp":1}}],"wait":true}`, http.StatusBadRequest},
+		{"keys in any order", `{"wait":true,"changes":[{"user":{"id":9100002},"kind":"add-user"}]}`, http.StatusOK},
+		{"whitespace after the object", "{\"changes\":[{\"kind\":\"add-user\",\"user\":{\"id\":9100003}}],\"wait\":true} \r\n\t", http.StatusOK},
 		{"1 MiB + 1 byte", oneMiBPlusOne(), http.StatusRequestEntityTooLarge},
 		{"dangling reference", `{"changes":[{"kind":"add-like","like":{"user":9100002,"comment":999999999}}],"wait":true}`, http.StatusConflict},
 	} {

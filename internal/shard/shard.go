@@ -124,9 +124,7 @@ func (e *served) stream(refs, q2 []model.Ref) []model.Ref {
 
 // sizes records the engine's state sizes.
 func (e *served) sizes() {
-	if sr, ok := e.eng.(core.StatsReporter); ok {
-		e.stats = sr.Stats()
-	}
+	e.stats = e.eng.Stats()
 }
 
 // answer is an engine's answer merged with the parked (likeless,
@@ -244,6 +242,7 @@ func Start(n int, st *model.State) (*Runtime, error) {
 		eng   core.Engine
 		part  core.Part
 		refs  []model.Ref
+		res   *core.Result // where Initial's answer is kept
 	}
 	var jobs []startJob
 	for _, e := range harness.ServedEngines() {
@@ -252,7 +251,7 @@ func Start(n int, st *model.State) (*Runtime, error) {
 			rt.engines = append(rt.engines, served{ServedEngine: e, eng: e.New(), shard: slot % n})
 		} else if rt.ver == nil && e.Query == "Q2" {
 			rt.ver = newVerifier(e, st, router)
-			jobs = append(jobs, startJob{"verifier", rt.ver.eng, rt.ver.part, q2Refs})
+			jobs = append(jobs, startJob{"verifier", rt.ver.eng, rt.ver.part, q2Refs, &rt.ver.res})
 		}
 	}
 	if rt.ver == nil {
@@ -260,7 +259,7 @@ func Start(n int, st *model.State) (*Runtime, error) {
 	}
 	for i := range rt.engines {
 		e := &rt.engines[i]
-		job := startJob{fmt.Sprintf("shard %d", e.shard), e.eng, core.Part{Nodes: st}, refs}
+		job := startJob{fmt.Sprintf("shard %d", e.shard), e.eng, core.Part{Nodes: st}, refs, &e.res}
 		if e.Query == "Q2" {
 			job.part.Comments, job.refs = router.q2Comments, q2Refs
 		}
@@ -293,19 +292,15 @@ func Start(n int, st *model.State) (*Runtime, error) {
 	if rt.loadDur, err = phase("load", func(j startJob) error { return j.eng.Attach(j.part, j.refs) }); err != nil {
 		return nil, err
 	}
-	if rt.initialDur, err = phase("initial", func(j startJob) error {
-		_, err := j.eng.Initial()
+	if rt.initialDur, err = phase("initial", func(j startJob) (err error) {
+		*j.res, err = j.eng.Initial()
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
 	for i := range rt.engines {
-		e := &rt.engines[i]
-		if rs, ok := e.eng.(core.ResultSnapshotter); ok {
-			e.res, _ = rs.LastResult()
-		}
-		e.sizes()
+		rt.engines[i].sizes()
 	}
 	rt.rec = rt.record()
 	rt.ver.start(rt)

@@ -27,13 +27,21 @@ import (
 // verifier's engine reads them instead: nodes are never rewritten, so a
 // prefix taken at the commit is exactly what the commit's refs need.
 
-// verifyDepth is how many handed-over commits may wait for the verifier:
-// the next hand-off blocks until it catches up, so its lag and the memory
-// queued for it stay bounded. The paper's Q2 averages 0.05–0.34 ms per
-// commit at sf 32 and about 0.1 ms at sf 128 under a saturating insert
-// stream, against about 1.3 ms or more between the commits of every served
-// workload (the densest, perfbench's ingest-sf128, commits every 1.3–1.4
-// ms), so 8 is ample.
+// verifyDepth is how many handed-over commits may wait for the verifier.
+// It bounds two things: the verifier's lag, at most verifyDepth queued
+// commits plus the one it is checking, and the memory queued for it, the
+// hand-offs of those commits (each a copy of the commit's Q2 refs plus
+// node and comment-space headers). The hand-off after the store of a
+// commit blocks while verifyDepth commits wait, until the verifier takes
+// one; from then on the committing goroutine runs at the verifier's pace.
+// That happens whenever commits come faster than the paper's Q2 checks
+// them, which removals make slow. Measured in process (1 shard, no WAL,
+// back-to-back waited commits of 2–8 changes, 35% removals): 115–151 µs
+// per commit at sf 32, against 22–24 µs with a queue that never blocks,
+// and 505–605 µs at sf 128. Insert-only streams seldom block it: on them
+// the paper's Q2 took 0.05–0.34 ms per commit at sf 32 and about 0.1 ms
+// at sf 128, while perfbench's densest workload, ingest-sf128, commits
+// every 1.3 ms or more.
 const verifyDepth = 8
 
 // Verified is the verifier's published state after one checked commit (or
@@ -137,9 +145,6 @@ func newVerifier(e harness.ServedEngine, st *model.State, r *router) *verifier {
 // start checks Start's evaluation against rt's first Record and starts the
 // verifier's goroutine.
 func (v *verifier) start(rt *Runtime) {
-	if rs, ok := v.eng.(core.ResultSnapshotter); ok {
-		v.res, _ = rs.LastResult()
-	}
 	v.settle(&handoff{parked: rt.parked, served: rt.Record().Results[v.verifies]})
 	go v.run()
 }
@@ -189,9 +194,7 @@ func (v *verifier) settle(h *handoff) {
 	v.ans.update(v.res, h.parked)
 	prev := v.cur.Load()
 	next := &Verified{Commits: h.commits, Changes: h.changes, Result: v.ans.str, Published: time.Now(), next: make(chan struct{})}
-	if sr, ok := v.eng.(core.StatsReporter); ok {
-		next.Engine = sr.Stats()
-	}
+	next.Engine = v.eng.Stats()
 	if prev != nil {
 		next.Disagreements = prev.Disagreements
 	}
