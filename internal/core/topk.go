@@ -177,8 +177,5 @@ func (x *RankIndex) Init(keys []int, entry func(key int) Entry) {
 // place its new value ranks.
 func (x *RankIndex) Set(i int, e Entry) { x.h.Set(Slot[Entry]{Val: e, Key: int32(i)}) }
 
-// Remove drops key i; removing an absent key is a no-op.
-func (x *RankIndex) Remove(i int) { x.h.Remove(i) }
-
 // Top returns the best k entries, best first.
 func (x *RankIndex) Top(k int) Result { return x.h.Top(k) }

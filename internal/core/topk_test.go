@@ -95,7 +95,8 @@ func TestRankerMergeMatchesGlobalRanker(t *testing.T) {
 // Set/Remove/Top sequences over a small key space with many equal scores
 // and timestamps, and after every operation checks the index's length and
 // its Top(k) for k = 1..4 against a brute-force sort of a map holding the
-// same entries.
+// same entries. The engines only Set; removals go to the embedded
+// RankHeap's Remove, which the router's parked set calls.
 func FuzzRankIndex(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(9), []byte{0x10, 0x21, 0x32, 0x80, 0x91, 0x10, 0x10, 0xa3, 0x44, 0x55, 0x66, 0x77})
@@ -117,7 +118,7 @@ func FuzzRankIndex(f *testing.F) {
 			// (with 4 scores and 2 timestamps, so ties abound) or Remove.
 			key := int(op & 0x0f)
 			if op&0x80 != 0 && op&0x40 != 0 {
-				x.Remove(key)
+				x.h.Remove(key)
 				delete(want, key)
 			} else {
 				e := Entry{ID: int64(key), Score: int64(op>>4) & 3, Timestamp: int64(step) & 1}

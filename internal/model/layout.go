@@ -1,0 +1,205 @@
+package model
+
+import "slices"
+
+// The codec table: which entity family each change kind carries, and each
+// family's int64 fields in the one order every codec writes them — the
+// dataset CSV files, WAL records and snapshots, and /update bodies:
+//
+//	family      fields
+//	post        id, timestamp
+//	comment     id, timestamp, parent, post
+//	user        id
+//	friendship  user1, user2
+//	like        user, comment
+//
+// A snapshot's five arrays are the families in KeyKind order. The
+// functions below are the only code that maps a family's fields to the
+// struct fields of Post, Comment, User, Friendship and Like.
+
+// Families is the number of entity families: every KeyKind below it names
+// one.
+const Families = KeyLike + 1
+
+// MaxFields is the largest number of fields of a family (a comment's).
+const MaxFields = 4
+
+var fieldNames = [Families][]string{
+	KeyPost:       {"id", "timestamp"},
+	KeyComment:    {"id", "timestamp", "parent", "post"},
+	KeyUser:       {"id"},
+	KeyFriendship: {"user1", "user2"},
+	KeyLike:       {"user", "comment"},
+}
+
+var kindFamily = [...]KeyKind{
+	KindAddPost:          KeyPost,
+	KindAddComment:       KeyComment,
+	KindAddUser:          KeyUser,
+	KindAddFriendship:    KeyFriendship,
+	KindAddLike:          KeyLike,
+	KindRemoveFriendship: KeyFriendship,
+	KindRemoveLike:       KeyLike,
+}
+
+// Fields names family f's fields in codec order, as the /update schema
+// spells them; its length is the family's field count.
+func (f KeyKind) Fields() []string { return fieldNames[f] }
+
+// Family returns the entity family a change of kind k carries; ok is false
+// for an unknown kind.
+func (k ChangeKind) Family() (f KeyKind, ok bool) {
+	if int(k) >= len(kindFamily) {
+		return 0, false
+	}
+	return kindFamily[k], true
+}
+
+// Each entity's fields in codec order: an append function reads them, an
+// Of function builds the entity from them.
+
+func (p *Post) appendFields(dst []int64) []int64 { return append(dst, p.ID, p.Timestamp) }
+func postOf(v []int64) Post                      { return Post{ID: v[0], Timestamp: v[1]} }
+
+func (c *Comment) appendFields(dst []int64) []int64 {
+	return append(dst, c.ID, c.Timestamp, c.ParentID, c.PostID)
+}
+func commentOf(v []int64) Comment {
+	return Comment{ID: v[0], Timestamp: v[1], ParentID: v[2], PostID: v[3]}
+}
+
+func (u *User) appendFields(dst []int64) []int64 { return append(dst, u.ID) }
+func userOf(v []int64) User                      { return User{ID: v[0]} }
+
+func (e *Friendship) appendFields(dst []int64) []int64 { return append(dst, e.User1, e.User2) }
+func friendshipOf(v []int64) Friendship                { return Friendship{User1: v[0], User2: v[1]} }
+
+func (l *Like) appendFields(dst []int64) []int64 { return append(dst, l.UserID, l.CommentID) }
+func likeOf(v []int64) Like                      { return Like{UserID: v[0], CommentID: v[1]} }
+
+// AppendFields appends to dst the fields of family f in ch's field group,
+// in codec order. f must be a family; the last one is the default case,
+// which keeps the method within the compiler's inlining budget for the
+// WAL encoder's loop.
+func (ch *Change) AppendFields(dst []int64, f KeyKind) []int64 {
+	switch f {
+	case KeyPost:
+		return ch.Post.appendFields(dst)
+	case KeyComment:
+		return ch.Comment.appendFields(dst)
+	case KeyUser:
+		return ch.User.appendFields(dst)
+	case KeyFriendship:
+		return ch.Friendship.appendFields(dst)
+	default:
+		return ch.Like.appendFields(dst)
+	}
+}
+
+// SetFields sets the field group of family f in ch to the fields vals
+// holds in codec order, as many as the family has.
+func (ch *Change) SetFields(f KeyKind, vals []int64) {
+	switch f {
+	case KeyPost:
+		ch.Post = postOf(vals)
+	case KeyComment:
+		ch.Comment = commentOf(vals)
+	case KeyUser:
+		ch.User = userOf(vals)
+	case KeyFriendship:
+		ch.Friendship = friendshipOf(vals)
+	case KeyLike:
+		ch.Like = likeOf(vals)
+	}
+}
+
+// Len returns the length of s's array of family f.
+func (s *Snapshot) Len(f KeyKind) int {
+	switch f {
+	case KeyPost:
+		return len(s.Posts)
+	case KeyComment:
+		return len(s.Comments)
+	case KeyUser:
+		return len(s.Users)
+	case KeyFriendship:
+		return len(s.Friendships)
+	case KeyLike:
+		return len(s.Likes)
+	}
+	return 0
+}
+
+// AppendFields appends to dst the fields of the entities [i, j) of s's
+// array of family f, in codec order.
+func (s *Snapshot) AppendFields(dst []int64, f KeyKind, i, j int) []int64 {
+	switch f {
+	case KeyPost:
+		for k := i; k < j; k++ {
+			dst = s.Posts[k].appendFields(dst)
+		}
+	case KeyComment:
+		for k := i; k < j; k++ {
+			dst = s.Comments[k].appendFields(dst)
+		}
+	case KeyUser:
+		for k := i; k < j; k++ {
+			dst = s.Users[k].appendFields(dst)
+		}
+	case KeyFriendship:
+		for k := i; k < j; k++ {
+			dst = s.Friendships[k].appendFields(dst)
+		}
+	case KeyLike:
+		for k := i; k < j; k++ {
+			dst = s.Likes[k].appendFields(dst)
+		}
+	}
+	return dst
+}
+
+// AppendEntities appends to s's array of family f the entities whose
+// fields vals holds in codec order; len(vals) is a multiple of the
+// family's field count.
+func (s *Snapshot) AppendEntities(f KeyKind, vals []int64) {
+	n := len(f.Fields())
+	switch f {
+	case KeyPost:
+		for ; len(vals) > 0; vals = vals[n:] {
+			s.Posts = append(s.Posts, postOf(vals))
+		}
+	case KeyComment:
+		for ; len(vals) > 0; vals = vals[n:] {
+			s.Comments = append(s.Comments, commentOf(vals))
+		}
+	case KeyUser:
+		for ; len(vals) > 0; vals = vals[n:] {
+			s.Users = append(s.Users, userOf(vals))
+		}
+	case KeyFriendship:
+		for ; len(vals) > 0; vals = vals[n:] {
+			s.Friendships = append(s.Friendships, friendshipOf(vals))
+		}
+	case KeyLike:
+		for ; len(vals) > 0; vals = vals[n:] {
+			s.Likes = append(s.Likes, likeOf(vals))
+		}
+	}
+}
+
+// Grow makes room in s's array of family f for n more entities, so that
+// appending them does not reallocate it. A nil array stays nil for n 0.
+func (s *Snapshot) Grow(f KeyKind, n int) {
+	switch f {
+	case KeyPost:
+		s.Posts = slices.Grow(s.Posts, n)
+	case KeyComment:
+		s.Comments = slices.Grow(s.Comments, n)
+	case KeyUser:
+		s.Users = slices.Grow(s.Users, n)
+	case KeyFriendship:
+		s.Friendships = slices.Grow(s.Friendships, n)
+	case KeyLike:
+		s.Likes = slices.Grow(s.Likes, n)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -197,6 +198,28 @@ func TestReadDatasetFirstErrorInFileOrder(t *testing.T) {
 		var pe *csv.ParseError
 		if !errors.As(err, &pe) {
 			t.Fatalf("run %d: ReadDataset = %v, want comments.csv's short-row error", run, err)
+		}
+	}
+}
+
+// TestReadDatasetRejectsQuotes: dataset fields are plain integers, so a
+// double quote in a snapshot or a change file, even around a field
+// encoding/csv would read, is an error naming the file and the line.
+func TestReadDatasetRejectsQuotes(t *testing.T) {
+	for name, body := range map[string]string{
+		"likes.csv":     "2,201\n\"3\",201\n",
+		"change-01.csv": "friend,1,4\n\"like\",2,202\n",
+	} {
+		dir := filepath.Join(t.TempDir(), "ds")
+		if err := WriteDataset(dir, ExampleDataset()); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadDataset(dir)
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s with a quoted field: ReadDataset = %v, want an error naming the file and line 2", name, err)
 		}
 	}
 }

@@ -93,15 +93,25 @@ func BenchmarkStartup(b *testing.B) {
 	}
 }
 
+// serverCommitSets is how many change sets BenchmarkServerCommit replays.
+const serverCommitSets = 2000
+
 // BenchmarkServerCommit is the server.commit rung: one waited in-process
-// Enqueue per change set of the datagen sf-32, seed-1 stream with 35%
+// Enqueue per change set of a fixed stream, the first serverCommitSets
+// (2,000) change sets of the datagen sf-32, seed-1 stream with 35%
 // removals, each committing alone, at 1 and 2 shards, without a WAL and
-// with one fsynced on every append. ns/commit is the time from Enqueue to
-// its return: validation, the WAL append beside the engines' apply, and
-// publication. Periodic snapshots run at the default cadence, as in
-// ttcserve. The rung below is shard.Commit; perfbench's churn-durable-sf32
-// adds HTTP and concurrent readers on top of the durable 2-shard case.
+// with one fsynced on every append. When b.N runs past the stream, the
+// server restarts from the same dataset, with a fresh WAL directory, off
+// the clock, so every -benchtime measures the same commits. ns/commit is
+// the time from Enqueue to its return: validation, the WAL append beside
+// the engines' apply, publication and the hand-off to the verifier.
+// verify-block-ns/commit is the part of it the hand-offs spent waiting for
+// room in the verifier's queue (shard.Runtime.VerifyBlocked). Periodic
+// snapshots run at the default cadence, as in ttcserve. The rung below is
+// shard.Commit; perfbench's churn-durable-sf32 adds HTTP and concurrent
+// readers on top of the durable 2-shard case.
 func BenchmarkServerCommit(b *testing.B) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1, RemovalFraction: 0.35, ChangeSets: serverCommitSets})
 	for _, shards := range []int{1, 2} {
 		for _, durable := range []bool{false, true} {
 			name := fmt.Sprintf("shards%d/nowal", shards)
@@ -109,25 +119,41 @@ func BenchmarkServerCommit(b *testing.B) {
 				name = fmt.Sprintf("shards%d/fsync-always", shards)
 			}
 			b.Run(name, func(b *testing.B) {
-				d := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1, RemovalFraction: 0.35, ChangeSets: b.N})
-				cfg := Config{Dataset: d, Shards: shards}
-				if durable {
-					cfg.PersistDir = b.TempDir()
-					cfg.Fsync = wal.SyncAlways
+				var srv *Server
+				var blocked time.Duration
+				stop := func() {
+					srv.Close()
+					blocked += srv.rt.VerifyBlocked()
 				}
-				srv, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
+				start := func() {
+					cfg := Config{Dataset: d, Shards: shards}
+					if durable {
+						cfg.PersistDir = b.TempDir()
+						cfg.Fsync = wal.SyncAlways
+					}
+					var err error
+					if srv, err = New(cfg); err != nil {
+						b.Fatal(err)
+					}
 				}
-				defer srv.Close()
+				start()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := srv.Enqueue(d.ChangeSets[i].Changes, true); err != nil {
-						b.Fatalf("change set %d: %v", i, err)
+					k := i % len(d.ChangeSets)
+					if k == 0 && i > 0 {
+						b.StopTimer()
+						stop()
+						start()
+						b.StartTimer()
+					}
+					if err := srv.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
+						b.Fatalf("change set %d: %v", k, err)
 					}
 				}
 				b.StopTimer()
+				stop()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/commit")
+				b.ReportMetric(float64(blocked.Nanoseconds())/float64(b.N), "verify-block-ns/commit")
 			})
 		}
 	}

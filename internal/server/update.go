@@ -26,45 +26,31 @@ func appendUpdateResponse(b []byte, queued int, committed bool, seq int) []byte 
 	return append(b, "}\n"...)
 }
 
-// The keys of the request and of a change, and of each field group by
-// group, as the JSON tags of the struct form spell them.
+// The keys of the request and of a change, as the JSON tags of the struct
+// form spell them. A change's field groups are its keys after "kind", one
+// per entity family in model.KeyKind order; a group's keys are its
+// family's fields (model.KeyKind.Fields).
 var (
 	requestFields = []string{"changes", "wait"}
 	changeFields  = []string{"kind", "post", "comment", "user", "friendship", "like"}
-	groupFields   = [...][]string{
-		groupPost:       {"id", "timestamp"},
-		groupComment:    {"id", "timestamp", "parent", "post"},
-		groupUser:       {"id"},
-		groupFriendship: {"user1", "user2"},
-		groupLike:       {"user", "comment"},
-	}
 )
 
-// groupNames are the field groups of a change: changeFields after "kind".
+// groupNames are the field groups of a change by family: changeFields
+// after "kind".
 var groupNames = changeFields[1:]
 
-// The field groups, as indices of groupNames.
-const (
-	groupPost = iota
-	groupComment
-	groupUser
-	groupFriendship
-	groupLike
-)
-
-// wireKinds are the change kinds by wire name, with the group each uses.
+// wireKinds are the change kinds by wire name.
 var wireKinds = []struct {
-	name  string
-	kind  model.ChangeKind
-	group int
+	name string
+	kind model.ChangeKind
 }{
-	{"add-post", model.KindAddPost, groupPost},
-	{"add-comment", model.KindAddComment, groupComment},
-	{"add-user", model.KindAddUser, groupUser},
-	{"add-friendship", model.KindAddFriendship, groupFriendship},
-	{"add-like", model.KindAddLike, groupLike},
-	{"remove-friendship", model.KindRemoveFriendship, groupFriendship},
-	{"remove-like", model.KindRemoveLike, groupLike},
+	{"add-post", model.KindAddPost},
+	{"add-comment", model.KindAddComment},
+	{"add-user", model.KindAddUser},
+	{"add-friendship", model.KindAddFriendship},
+	{"add-like", model.KindAddLike},
+	{"remove-friendship", model.KindRemoveFriendship},
+	{"remove-like", model.KindRemoveLike},
 }
 
 // updateDecoder parses one body.
@@ -72,8 +58,13 @@ type updateDecoder struct {
 	data    []byte
 	off     int
 	changes []model.Change
-	wait    bool
-	cur     int // the change being parsed, or -1
+	// heap points to decodeUpdate's variable for the array changes move
+	// to once they outgrow its stack array. Escape analysis does not tell
+	// d's fields apart, so the result must be kept out of d for the stack
+	// array not to escape.
+	heap *[]model.Change
+	wait bool
+	cur  int // the change being parsed, or -1
 }
 
 // decodeUpdate parses an /update body into its changes and its wait flag.
@@ -104,11 +95,16 @@ type updateDecoder struct {
 // index inside a change.
 func decodeUpdate(data []byte) ([]model.Change, bool, error) {
 	// Most bodies hold a few changes: parse them on the stack and allocate
-	// only the result.
+	// only the result. A body with more is parsed into the heap array that
+	// grow makes, and that is the result.
 	var changes [16]model.Change
-	d := updateDecoder{data: data, changes: changes[:0], cur: -1}
+	var heap []model.Change
+	d := updateDecoder{data: data, changes: changes[:0], heap: &heap, cur: -1}
 	if err := d.request(); err != nil {
 		return nil, false, err
+	}
+	if heap != nil {
+		return heap[:len(d.changes)], d.wait, nil
 	}
 	out := make([]model.Change, len(d.changes))
 	copy(out, d.changes)
@@ -174,16 +170,16 @@ func (d *updateDecoder) changeArray() error {
 	return nil
 }
 
-// grow adds an element to changes. It copies them into a new array when
-// full instead of appending, so that the stack array decodeUpdate starts
-// them on does not escape. Elements past the length were never written,
-// so the new one is zero.
+// grow adds an element to changes. It copies them into a new array, held
+// in *heap, when full instead of appending, so that the stack array
+// decodeUpdate starts them on does not escape. Elements past the length
+// were never written, so the new one is zero.
 func (d *updateDecoder) grow() {
 	n := len(d.changes)
 	if n == cap(d.changes) {
-		changes := make([]model.Change, n, 2*n)
-		copy(changes, d.changes)
-		d.changes = changes
+		*d.heap = make([]model.Change, n, 2*n)
+		copy(*d.heap, d.changes)
+		d.changes = *d.heap
 	}
 	d.changes = d.changes[:n+1]
 }
@@ -205,7 +201,7 @@ func (d *updateDecoder) change(ch *model.Change) error {
 		if f == 0 {
 			k, err = d.kind()
 		} else {
-			err = d.group(ch, f-1)
+			err = d.group(ch, model.KeyKind(f-1))
 		}
 		if err == nil {
 			more, err = d.next('}')
@@ -218,12 +214,13 @@ func (d *updateDecoder) change(ch *model.Change) error {
 		return d.lacks("the change", "kind")
 	}
 	kind := wireKinds[k]
-	if want := uint8(1 | 2<<kind.group); seen != want {
+	group, _ := kind.kind.Family()
+	if want := uint8(1 | 2<<group); seen != want {
 		d.off--
 		if seen&want != want {
-			return d.errorf("kind %q requires the %q field", kind.name, groupNames[kind.group])
+			return d.errorf("kind %q requires the %q field", kind.name, groupNames[group])
 		}
-		return d.errorf("kind %q takes no field group but the %q field", kind.name, groupNames[kind.group])
+		return d.errorf("kind %q takes no field group but the %q field", kind.name, groupNames[group])
 	}
 	ch.Kind = kind.kind
 	return nil
@@ -249,32 +246,21 @@ func (d *updateDecoder) kind() (int, error) {
 	return 0, d.errorf("unknown change kind %q", string(name))
 }
 
-// group parses the value of field group g of ch: an object with every
-// field of the group.
-func (d *updateDecoder) group(ch *model.Change, g int) error {
-	var fields [4]*int64 // in the order of groupFields[g]
-	switch g {
-	case groupPost:
-		fields = [4]*int64{&ch.Post.ID, &ch.Post.Timestamp}
-	case groupComment:
-		fields = [4]*int64{&ch.Comment.ID, &ch.Comment.Timestamp, &ch.Comment.ParentID, &ch.Comment.PostID}
-	case groupUser:
-		fields = [4]*int64{&ch.User.ID}
-	case groupFriendship:
-		fields = [4]*int64{&ch.Friendship.User1, &ch.Friendship.User2}
-	case groupLike:
-		fields = [4]*int64{&ch.Like.UserID, &ch.Like.CommentID}
-	}
+// group parses the value of the field group of family f into ch: an
+// object with every field of the family. It does not depend on ch's kind,
+// which may come after the group.
+func (d *updateDecoder) group(ch *model.Change, f model.KeyKind) error {
 	if d.peek() != '{' {
-		return d.unexpected(fmt.Sprintf("an object for %q", groupNames[g]))
+		return d.unexpected(fmt.Sprintf("an object for %q", groupNames[f]))
 	}
-	names := groupFields[g]
+	names := f.Fields()
+	var vals [model.MaxFields]int64 // in the order of names
 	var seen uint8
 	var err error
 	for more := d.open('}'); more && err == nil; {
-		var f int
-		if f, err = d.key(names, &seen); err == nil {
-			if err = d.integer(fields[f]); err == nil {
+		var k int
+		if k, err = d.key(names, &seen); err == nil {
+			if err = d.integer(&vals[k]); err == nil {
 				more, err = d.next('}')
 			}
 		}
@@ -282,11 +268,12 @@ func (d *updateDecoder) group(ch *model.Change, g int) error {
 	if err != nil {
 		return err
 	}
-	for f, name := range names {
-		if seen&(1<<f) == 0 {
-			return d.lacks(strconv.Quote(groupNames[g]), name)
+	for k, name := range names {
+		if seen&(1<<k) == 0 {
+			return d.lacks(strconv.Quote(groupNames[f]), name)
 		}
 	}
+	ch.SetFields(f, vals[:len(names)])
 	return nil
 }
 

@@ -198,12 +198,14 @@ type Runtime struct {
 	// applies joins the applies of the shards past 0 in a commit. commits
 	// and changes count what has been committed since Start; parked is the
 	// parked comments' top-3 as of the last commit; pending marks a commit
-	// not yet handed to the verifier. rec is the Record of the last commit.
-	// All but applies are owned by the committing goroutine.
+	// not yet handed to the verifier; verifyBlocked is the time Verify
+	// waited for the verifier's queue. rec is the Record of the last
+	// commit. All but applies are owned by the committing goroutine.
 	applies          sync.WaitGroup
 	commits, changes int
 	parked           core.Result
 	pending          bool
+	verifyBlocked    time.Duration
 	rec              *Record
 
 	closeOnce sync.Once

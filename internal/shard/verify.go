@@ -240,7 +240,7 @@ func (rt *Runtime) Verify() {
 	default:
 	}
 	of := rt.router.q2Comments.Of
-	v.queue <- handoff{
+	h := handoff{
 		commits:  rt.commits,
 		changes:  rt.changes,
 		refs:     append(buf, rt.router.q2...),
@@ -250,7 +250,19 @@ func (rt *Runtime) Verify() {
 		served:   rt.rec.Results[v.verifies],
 		hook:     rt.OnVerify,
 	}
+	select {
+	case v.queue <- h:
+	default:
+		start := time.Now()
+		v.queue <- h
+		rt.verifyBlocked += time.Since(start)
+	}
 }
+
+// VerifyBlocked returns how long Verify has waited for room in the
+// verifier's queue since Start, in total. Must be called from the
+// committing goroutine, or once it has stopped committing.
+func (rt *Runtime) VerifyBlocked() time.Duration { return rt.verifyBlocked }
 
 // Verified returns the newest value the verifier has published. Safe to
 // call from any goroutine.

@@ -17,13 +17,14 @@ import (
 //
 //	u64 batch sequence number | u32 change count | changes
 //
-// where each change is a one-byte kind tag followed by its fixed-width
-// little-endian int64 fields (2 for a post, 4 for a comment, 1 for a user,
-// 2 for a friendship or like edge). Everything is little-endian. The CRC
-// covers only the payload: a torn write corrupts either the length/CRC
-// header (detected by a short read or an absurd length) or the payload
-// (detected by the CRC), and either way the record and everything after it
-// is discarded as the un-committed tail.
+// where each change is a one-byte kind tag followed by the fields of the
+// entity family the kind carries, as fixed-width int64s in model's codec
+// order (model.KeyKind.Fields: 2 for a post, 4 for a comment, 1 for a
+// user, 2 for a friendship or like edge). Everything is little-endian.
+// The CRC covers only the payload: a torn write corrupts either the
+// length/CRC header (detected by a short read or an absurd length) or the
+// payload (detected by the CRC), and either way the record and everything
+// after it is discarded as the un-committed tail.
 
 const (
 	segmentMagic  = "TTCWAL01"
@@ -53,41 +54,25 @@ type Batch struct {
 	Changes []model.Change
 }
 
-// appendUint64 and friends build payloads without intermediate buffers.
+// appendUint64 builds payloads without intermediate buffers.
 func appendUint64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendID(b []byte, v model.ID) []byte {
-	return appendUint64(b, uint64(v))
 }
 
 // encodePayload serializes a batch into a record payload.
 func encodePayload(dst []byte, seq uint64, changes []model.Change) ([]byte, error) {
 	dst = appendUint64(dst, seq)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(changes)))
+	var vals [model.MaxFields]int64
 	for i := range changes {
 		ch := &changes[i]
-		dst = append(dst, byte(ch.Kind))
-		switch ch.Kind {
-		case model.KindAddPost:
-			dst = appendID(dst, ch.Post.ID)
-			dst = appendUint64(dst, uint64(ch.Post.Timestamp))
-		case model.KindAddComment:
-			dst = appendID(dst, ch.Comment.ID)
-			dst = appendUint64(dst, uint64(ch.Comment.Timestamp))
-			dst = appendID(dst, ch.Comment.ParentID)
-			dst = appendID(dst, ch.Comment.PostID)
-		case model.KindAddUser:
-			dst = appendID(dst, ch.User.ID)
-		case model.KindAddFriendship, model.KindRemoveFriendship:
-			dst = appendID(dst, ch.Friendship.User1)
-			dst = appendID(dst, ch.Friendship.User2)
-		case model.KindAddLike, model.KindRemoveLike:
-			dst = appendID(dst, ch.Like.UserID)
-			dst = appendID(dst, ch.Like.CommentID)
-		default:
+		f, ok := ch.Kind.Family()
+		if !ok {
 			return nil, fmt.Errorf("wal: cannot encode unknown change kind %d", ch.Kind)
+		}
+		dst = append(dst, byte(ch.Kind))
+		for _, v := range ch.AppendFields(vals[:0], f) {
+			dst = appendUint64(dst, uint64(v))
 		}
 	}
 	return dst, nil
@@ -120,11 +105,6 @@ func (r *byteReader) u32() (uint32, error) {
 	return v, nil
 }
 
-func (r *byteReader) id() (model.ID, error) {
-	v, err := r.u64()
-	return model.ID(v), err
-}
-
 func (r *byteReader) byte() (byte, error) {
 	if r.remaining() < 1 {
 		return 0, fmt.Errorf("wal: truncated payload at offset %d", r.off)
@@ -149,60 +129,28 @@ func decodePayload(p []byte) (Batch, error) {
 	if int(count) > r.remaining()/minChangeSize {
 		return Batch{}, fmt.Errorf("wal: change count %d exceeds payload capacity", count)
 	}
-	b := Batch{Seq: seq, Changes: make([]model.Change, 0, count)}
-	for i := uint32(0); i < count; i++ {
+	b := Batch{Seq: seq, Changes: make([]model.Change, count)}
+	var vals [model.MaxFields]int64
+	for i := range b.Changes {
+		ch := &b.Changes[i]
 		kind, err := r.byte()
 		if err != nil {
 			return Batch{}, err
 		}
-		ch := model.Change{Kind: model.ChangeKind(kind)}
-		switch ch.Kind {
-		case model.KindAddPost:
-			if ch.Post.ID, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-			ts, err := r.u64()
-			if err != nil {
-				return Batch{}, err
-			}
-			ch.Post.Timestamp = int64(ts)
-		case model.KindAddComment:
-			if ch.Comment.ID, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-			ts, err := r.u64()
-			if err != nil {
-				return Batch{}, err
-			}
-			ch.Comment.Timestamp = int64(ts)
-			if ch.Comment.ParentID, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-			if ch.Comment.PostID, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-		case model.KindAddUser:
-			if ch.User.ID, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-		case model.KindAddFriendship, model.KindRemoveFriendship:
-			if ch.Friendship.User1, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-			if ch.Friendship.User2, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-		case model.KindAddLike, model.KindRemoveLike:
-			if ch.Like.UserID, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-			if ch.Like.CommentID, err = r.id(); err != nil {
-				return Batch{}, err
-			}
-		default:
+		ch.Kind = model.ChangeKind(kind)
+		f, ok := ch.Kind.Family()
+		if !ok {
 			return Batch{}, fmt.Errorf("wal: unknown change kind %d at change %d", kind, i)
 		}
-		b.Changes = append(b.Changes, ch)
+		fields := vals[:len(f.Fields())]
+		for k := range fields {
+			v, err := r.u64()
+			if err != nil {
+				return Batch{}, err
+			}
+			fields[k] = int64(v)
+		}
+		ch.SetFields(f, fields)
 	}
 	if r.remaining() != 0 {
 		return Batch{}, fmt.Errorf("wal: %d trailing bytes after %d changes", r.remaining(), count)

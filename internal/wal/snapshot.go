@@ -19,13 +19,14 @@ import (
 //	( u32 len>0 | u32 CRC-32C of chunk | chunk bytes )* |
 //	u32 0 | u32 chunk count
 //
-// The chunk payloads concatenate to the body: the five entity arrays, each
-// as a u64 count and fixed-width little-endian int64 fields (see the
-// append*Rec encoders for the per-entity field lists). Chunk boundaries
-// carry no meaning beyond the encoder's buffer limit. Every chunk carries
-// its own CRC, so corruption is localized and detected without buffering
-// the whole file's checksum state, and the zero-length terminator (whose
-// CRC field holds the chunk count) proves the image is complete.
+// The chunk payloads concatenate to the body: the five entity arrays, one
+// per family in model.KeyKind order, each as a u64 count and its entities'
+// fields as fixed-width little-endian int64s, in model's codec order
+// (model.KeyKind.Fields). Chunk boundaries carry no meaning beyond the
+// encoder's buffer limit. Every chunk carries its own CRC, so corruption
+// is localized and detected without buffering the whole file's checksum
+// state, and the zero-length terminator (whose CRC field holds the chunk
+// count) proves the image is complete.
 //
 // Snapshots are written through replaceFile, so a visible snap-*.snap is
 // always complete; the CRCs guard against latent media corruption, and
@@ -42,35 +43,11 @@ const (
 	// field cannot drive a giant allocation before the remaining-bytes
 	// check would catch it.
 	maxSnapChunkLen = 64 << 20
+
+	// snapBatch is how many entities the codec moves between a snapshot
+	// and its fields at a time.
+	snapBatch = 256
 )
-
-// Per-entity field encoders — the single definition of each entity's body
-// layout (parseSnapshotArrays is its decoder).
-func appendPostRec(b []byte, p model.Post) []byte {
-	b = appendID(b, p.ID)
-	return appendUint64(b, uint64(p.Timestamp))
-}
-
-func appendCommentRec(b []byte, c model.Comment) []byte {
-	b = appendID(b, c.ID)
-	b = appendUint64(b, uint64(c.Timestamp))
-	b = appendID(b, c.ParentID)
-	return appendID(b, c.PostID)
-}
-
-func appendUserRec(b []byte, u model.User) []byte {
-	return appendID(b, u.ID)
-}
-
-func appendFriendshipRec(b []byte, f model.Friendship) []byte {
-	b = appendID(b, f.User1)
-	return appendID(b, f.User2)
-}
-
-func appendLikeRec(b []byte, l model.Like) []byte {
-	b = appendID(b, l.UserID)
-	return appendID(b, l.CommentID)
-}
 
 // chunkWriter frames the streaming encoder's output: entities accumulate
 // in a bounded buffer that is flushed as one CRC-checked chunk whenever it
@@ -114,6 +91,25 @@ func (cw *chunkWriter) maybeFlush() error {
 	return nil
 }
 
+// put appends entities of width fields each, whose fields vals holds, and
+// flushes the buffer after each entity that takes it to the limit.
+func (cw *chunkWriter) put(vals []int64, width int) error {
+	size := 8 * width
+	for len(vals) > 0 {
+		// The entities up to the one that reaches the limit.
+		k := min(len(vals), max(1, (cw.limit-len(cw.buf)+size-1)/size)*width)
+		buf := cw.buf
+		for _, v := range vals[:k] {
+			buf = appendUint64(buf, uint64(v))
+		}
+		cw.buf, vals = buf, vals[k:]
+		if err := cw.maybeFlush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // terminator flushes the final partial chunk and writes the zero-length
 // end marker carrying the chunk count.
 func (cw *chunkWriter) terminator() error {
@@ -145,43 +141,18 @@ func encodeSnapshotStream(w io.Writer, seq, meta uint64, s *model.Snapshot, chun
 	}
 
 	cw := &chunkWriter{w: w, buf: make([]byte, 0, chunkBytes+64), limit: chunkBytes, onChunk: onChunk}
-	// Each entity is appended whole, then the buffer is flushed if it crossed the limit
-	// — a chunk never splits an entity's fields, but that is an encoder
-	// convenience, not a format guarantee the decoder relies on (it
-	// reassembles the body before parsing).
-	cw.buf = appendUint64(cw.buf, uint64(len(s.Posts)))
-	for _, p := range s.Posts {
-		cw.buf = appendPostRec(cw.buf, p)
-		if err := cw.maybeFlush(); err != nil {
-			return err
-		}
-	}
-	cw.buf = appendUint64(cw.buf, uint64(len(s.Comments)))
-	for _, c := range s.Comments {
-		cw.buf = appendCommentRec(cw.buf, c)
-		if err := cw.maybeFlush(); err != nil {
-			return err
-		}
-	}
-	cw.buf = appendUint64(cw.buf, uint64(len(s.Users)))
-	for _, u := range s.Users {
-		cw.buf = appendUserRec(cw.buf, u)
-		if err := cw.maybeFlush(); err != nil {
-			return err
-		}
-	}
-	cw.buf = appendUint64(cw.buf, uint64(len(s.Friendships)))
-	for _, f := range s.Friendships {
-		cw.buf = appendFriendshipRec(cw.buf, f)
-		if err := cw.maybeFlush(); err != nil {
-			return err
-		}
-	}
-	cw.buf = appendUint64(cw.buf, uint64(len(s.Likes)))
-	for _, l := range s.Likes {
-		cw.buf = appendLikeRec(cw.buf, l)
-		if err := cw.maybeFlush(); err != nil {
-			return err
+	// Each entity is appended whole, then the buffer is flushed if it
+	// crossed the limit — a chunk never splits an entity's fields, but that
+	// is an encoder convenience, not a format guarantee the decoder relies
+	// on (it reassembles the body before parsing).
+	var vals [snapBatch * model.MaxFields]int64
+	for f := model.KeyKind(0); f < model.Families; f++ {
+		n, width := s.Len(f), len(f.Fields())
+		cw.buf = appendUint64(cw.buf, uint64(n))
+		for i := 0; i < n; i += snapBatch {
+			if err := cw.put(s.AppendFields(vals[:0], f, i, min(i+snapBatch, n)), width); err != nil {
+				return err
+			}
 		}
 	}
 	return cw.terminator()
@@ -250,94 +221,30 @@ func decodeSnapshot(data []byte) (seq, meta uint64, _ *model.Snapshot, _ error) 
 // layout — consuming the reader fully.
 func parseSnapshotArrays(r *byteReader) (*model.Snapshot, error) {
 	s := &model.Snapshot{}
-
-	// count validates an array length against the bytes actually present;
-	// zero counts leave the slice nil so a decoded snapshot is DeepEqual to
-	// the encoded one.
-	count := func(entrySize int) (int, error) {
+	var vals [snapBatch * model.MaxFields]int64
+	for f := model.KeyKind(0); f < model.Families; f++ {
+		// The count is checked against the bytes present, 8 per field, so
+		// the fields below cannot run past the end. A zero count leaves the
+		// array nil, so a decoded snapshot is DeepEqual to the encoded one.
 		n, err := r.u64()
 		if err != nil {
-			return 0, err
-		}
-		if n > uint64(r.remaining()/entrySize) {
-			return 0, fmt.Errorf("wal: snapshot count %d exceeds remaining bytes", n)
-		}
-		return int(n), nil
-	}
-
-	n, err := count(16)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		s.Posts = make([]model.Post, n)
-	}
-	for i := range s.Posts {
-		s.Posts[i].ID, _ = r.id()
-		ts, err := r.u64()
-		if err != nil {
 			return nil, err
 		}
-		s.Posts[i].Timestamp = int64(ts)
-	}
-
-	if n, err = count(32); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		s.Comments = make([]model.Comment, n)
-	}
-	for i := range s.Comments {
-		s.Comments[i].ID, _ = r.id()
-		ts, err := r.u64()
-		if err != nil {
-			return nil, err
+		width := len(f.Fields())
+		if n > uint64(r.remaining()/(8*width)) {
+			return nil, fmt.Errorf("wal: snapshot count %d exceeds remaining bytes", n)
 		}
-		s.Comments[i].Timestamp = int64(ts)
-		s.Comments[i].ParentID, _ = r.id()
-		if s.Comments[i].PostID, err = r.id(); err != nil {
-			return nil, err
+		s.Grow(f, int(n))
+		for left := int(n); left > 0; {
+			batch := vals[:min(left, snapBatch)*width]
+			for k := range batch {
+				batch[k] = int64(binary.LittleEndian.Uint64(r.b[r.off:]))
+				r.off += 8
+			}
+			s.AppendEntities(f, batch)
+			left -= len(batch) / width
 		}
 	}
-
-	if n, err = count(8); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		s.Users = make([]model.User, n)
-	}
-	for i := range s.Users {
-		if s.Users[i].ID, err = r.id(); err != nil {
-			return nil, err
-		}
-	}
-
-	if n, err = count(16); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		s.Friendships = make([]model.Friendship, n)
-	}
-	for i := range s.Friendships {
-		s.Friendships[i].User1, _ = r.id()
-		if s.Friendships[i].User2, err = r.id(); err != nil {
-			return nil, err
-		}
-	}
-
-	if n, err = count(16); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		s.Likes = make([]model.Like, n)
-	}
-	for i := range s.Likes {
-		s.Likes[i].UserID, _ = r.id()
-		if s.Likes[i].CommentID, err = r.id(); err != nil {
-			return nil, err
-		}
-	}
-
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("wal: %d trailing bytes after snapshot body", r.remaining())
 	}

@@ -10,6 +10,10 @@
 //	wal-<firstseq>.seg   append log segments (see record.go for the framing)
 //	snap-<seq>.snap      model snapshots, written atomically (replaceFile)
 //
+// Both write an entity as its family's int64 fields in the order of
+// model's codec table (model.KeyKind.Fields), the order the dataset CSV
+// files and /update bodies use too; this package names no entity field.
+//
 // Records are length-prefixed and CRC-32C-checksummed individually, so a
 // torn or corrupted tail record — the signature of a crash mid-write — is
 // detected and truncated on open, never fatal; corruption anywhere before
