@@ -17,7 +17,8 @@ import (
 // Dataset directory layout, patterned after the CSV inputs of the TTC 2018
 // benchmark framework: one file per entity family, each row the entity's
 // fields in the codec order of the family table (layout.go), and one file
-// per change set, each row a change's tag followed by its family's fields:
+// per change set, each row a change's tag (the kind table, layout.go)
+// followed by its family's fields:
 //
 //	posts.csv      id,ts
 //	comments.csv   id,ts,parent,post
@@ -30,9 +31,6 @@ import (
 
 // snapshotFiles are the snapshot's files by family.
 var snapshotFiles = [Families]string{"posts.csv", "comments.csv", "users.csv", "friends.csv", "likes.csv"}
-
-// changeTags are the change rows' tags by change kind.
-var changeTags = []string{"post", "comment", "user", "friend", "like", "unfriend", "unlike"}
 
 // WriteDataset serializes d into directory dir, creating it if needed.
 func WriteDataset(dir string, d *Dataset) error {
@@ -63,7 +61,7 @@ func WriteDataset(dir string, d *Dataset) error {
 					return fmt.Errorf("model: unknown change kind %d", ch.Kind)
 				}
 				vals = ch.AppendFields(vals[:0], f)
-				w.row(changeTags[ch.Kind], vals)
+				w.row(kinds[ch.Kind].tag, vals)
 			}
 			return nil
 		}); err != nil {
@@ -122,7 +120,7 @@ func ReadDataset(dir string) (*Dataset, error) {
 		wg.Add(1)
 		go func(f KeyKind) {
 			defer wg.Done()
-			errs[f] = readCSV(filepath.Join(dir, snapshotFiles[f]), nil, []int{len(f.Fields())}, func(_ int, v []int64) {
+			errs[f] = readCSV(filepath.Join(dir, snapshotFiles[f]), int(f), func(_ ChangeKind, v []int64) {
 				s.AppendEntities(f, v)
 			})
 		}(f)
@@ -145,13 +143,11 @@ func ReadDataset(dir string) (*Dataset, error) {
 		}
 	}
 	sort.Strings(changeFiles)
-	fields := changeFields()
 	for _, name := range changeFiles {
 		var cs ChangeSet
-		if err := readCSV(filepath.Join(dir, name), changeTags, fields, func(k int, v []int64) {
-			ch := Change{Kind: ChangeKind(k)}
-			f, _ := ch.Kind.Family()
-			ch.SetFields(f, v)
+		if err := readCSV(filepath.Join(dir, name), -1, func(k ChangeKind, v []int64) {
+			ch := Change{Kind: k}
+			ch.SetFields(kinds[k].family, v)
 			cs.Changes = append(cs.Changes, ch)
 		}); err != nil {
 			return nil, err
@@ -161,32 +157,22 @@ func ReadDataset(dir string) (*Dataset, error) {
 	return d, nil
 }
 
-// changeFields returns the number of fields after a change row's tag, by
-// change kind: the field count of the kind's family.
-func changeFields() []int {
-	fields := make([]int, len(changeTags))
-	for k := range fields {
-		f, _ := ChangeKind(k).Family()
-		fields[k] = len(f.Fields())
-	}
-	return fields
-}
-
 // readCSV opens path and reads it with readRecords.
-func readCSV(path string, tags []string, fields []int, row func(int, []int64)) error {
+func readCSV(path string, family int, row func(ChangeKind, []int64)) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return readRecords(path, f, tags, fields, row)
+	return readRecords(path, f, family, row)
 }
 
 // readRecords reads a dataset file, named path in its errors, calling row
-// with each record's tag and integer fields, in a slice it reuses. With
-// tags nil, every record is fields[0] integers and its tag is 0; otherwise
-// a record's first field is one of tags, its tag is that one's index t,
-// and fields[t] integers follow.
+// with each record's change kind and integer fields, in a slice it reuses.
+// In a snapshot file (family ≥ 0) every record is the fields of that
+// family and its kind is 0; in a change file (family -1) a record's first
+// field is a change kind's tag, and the fields of the kind's family
+// follow.
 //
 // It parses the bytes in place: lines end in \n or \r\n, empty lines are
 // skipped, fields are split at every comma, and a record's tag and field
@@ -198,7 +184,7 @@ func readCSV(path string, tags []string, fields []int, row func(int, []int64)) e
 // dataset files quotes a field. Errors name the file and the line: a
 // *csv.ParseError with csv.ErrFieldCount for a wrong field count, a
 // *strconv.NumError for a field that is not an int64.
-func readRecords(path string, r io.Reader, tags []string, fields []int, row func(int, []int64)) error {
+func readRecords(path string, r io.Reader, family int, row func(ChangeKind, []int64)) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	vals := make([]int64, 0, MaxFields)
 	var long []byte // a line longer than br's buffer
@@ -225,19 +211,20 @@ func readRecords(path string, r io.Reader, tags []string, fields []int, row func
 		b = bytes.TrimSuffix(b, []byte{'\r'})
 		if len(b) > 0 {
 			n := bytes.Count(b, []byte{','}) + 1
-			t := 0
-			if tags != nil {
+			k, f := ChangeKind(0), KeyKind(family)
+			if family < 0 {
 				tag, rest, _ := bytes.Cut(b, []byte{','})
-				if t = tagIndex(tags, tag); t < 0 {
+				var ok bool
+				if k, ok = kindOfTag(tag); !ok {
 					return fmt.Errorf("%s: line %d: unknown change tag %q", path, line, tag)
 				}
-				b, n = rest, n-1
+				f, b, n = kinds[k].family, rest, n-1
 			}
-			if n != fields[t] {
+			if n != len(f.Fields()) {
 				return fmt.Errorf("%s: %w", path, &csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount})
 			}
 			vals = vals[:n]
-			for k := range vals {
+			for i := range vals {
 				field := b
 				if c := bytes.IndexByte(b, ','); c >= 0 {
 					field, b = b[:c], b[c+1:]
@@ -246,24 +233,14 @@ func readRecords(path string, r io.Reader, tags []string, fields []int, row func
 				if err != nil {
 					return fmt.Errorf("%s: line %d: %w", path, line, err)
 				}
-				vals[k] = v
+				vals[i] = v
 			}
-			row(t, vals)
+			row(k, vals)
 		}
 		if err == io.EOF {
 			return nil
 		}
 	}
-}
-
-// tagIndex returns the index of tag in tags, or -1.
-func tagIndex(tags []string, tag []byte) int {
-	for t, name := range tags {
-		if string(tag) == name {
-			return t
-		}
-	}
-	return -1
 }
 
 // parseInt is strconv.ParseInt(string(b), 10, 64) without the string: an

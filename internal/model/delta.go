@@ -32,25 +32,25 @@ type ChangeKey struct {
 	A, B ID
 }
 
-// Key returns the change's canonical key.
+// Key returns the change's canonical key, built from the fields of the
+// kind's family (the codec table): a node family keys on its id, an edge
+// family on its two endpoints, a friendship's in ascending order.
 func (ch *Change) Key() ChangeKey {
-	switch ch.Kind {
-	case KindAddPost:
-		return ChangeKey{Kind: KeyPost, A: ch.Post.ID}
-	case KindAddComment:
-		return ChangeKey{Kind: KeyComment, A: ch.Comment.ID}
-	case KindAddUser:
-		return ChangeKey{Kind: KeyUser, A: ch.User.ID}
-	case KindAddFriendship, KindRemoveFriendship:
-		k := ch.Friendship.key()
-		return ChangeKey{Kind: KeyFriendship, A: k[0], B: k[1]}
-	case KindAddLike, KindRemoveLike:
-		return ChangeKey{Kind: KeyLike, A: ch.Like.UserID, B: ch.Like.CommentID}
-	default:
+	f, ok := ch.Kind.Family()
+	if !ok {
 		// Unknown kinds key on themselves alone so they never alias a real
 		// element; validation rejects them long before compaction runs.
 		return ChangeKey{Kind: KeyKind(0xff), A: ID(ch.Kind)}
 	}
+	var buf [MaxFields]int64
+	v := ch.AppendFields(buf[:0], f)
+	switch f {
+	case KeyFriendship:
+		return ChangeKey{Kind: f, A: min(v[0], v[1]), B: max(v[0], v[1])}
+	case KeyLike:
+		return ChangeKey{Kind: f, A: v[0], B: v[1]}
+	}
+	return ChangeKey{Kind: f, A: v[0]}
 }
 
 // Normalize rewrites every change into its canonical form in place:

@@ -7,26 +7,34 @@ import (
 	"testing"
 )
 
+// TestChangeKeyCanonical pins the key of every kind: a node on its id
+// alone, a friendship on its endpoints in ascending order whichever way
+// they are spelled, a like on (user, comment), an unknown kind on itself.
 func TestChangeKeyCanonical(t *testing.T) {
-	f1 := Change{Kind: KindAddFriendship, Friendship: Friendship{User1: 7, User2: 3}}
-	f2 := Change{Kind: KindRemoveFriendship, Friendship: Friendship{User1: 3, User2: 7}}
-	if f1.Key() != f2.Key() {
-		t.Fatalf("friendship orientations key differently: %+v vs %+v", f1.Key(), f2.Key())
+	for _, c := range []struct {
+		ch   Change
+		want ChangeKey
+	}{
+		{Change{Kind: KindAddPost, Post: Post{ID: 5, Timestamp: 9}}, ChangeKey{Kind: KeyPost, A: 5}},
+		{Change{Kind: KindAddComment, Comment: Comment{ID: 5, Timestamp: 9, ParentID: 4, PostID: 3}}, ChangeKey{Kind: KeyComment, A: 5}},
+		{Change{Kind: KindAddUser, User: User{ID: 5}}, ChangeKey{Kind: KeyUser, A: 5}},
+		{Change{Kind: KindAddFriendship, Friendship: Friendship{User1: 7, User2: 3}}, ChangeKey{Kind: KeyFriendship, A: 3, B: 7}},
+		{Change{Kind: KindAddFriendship, Friendship: Friendship{User1: 3, User2: 7}}, ChangeKey{Kind: KeyFriendship, A: 3, B: 7}},
+		{Change{Kind: KindRemoveFriendship, Friendship: Friendship{User1: 7, User2: -3}}, ChangeKey{Kind: KeyFriendship, A: -3, B: 7}},
+		{Change{Kind: KindRemoveFriendship, Friendship: Friendship{User1: 4, User2: 4}}, ChangeKey{Kind: KeyFriendship, A: 4, B: 4}},
+		{Change{Kind: KindAddLike, Like: Like{UserID: 7, CommentID: 3}}, ChangeKey{Kind: KeyLike, A: 7, B: 3}},
+		{Change{Kind: KindRemoveLike, Like: Like{UserID: 3, CommentID: 7}}, ChangeKey{Kind: KeyLike, A: 3, B: 7}},
+		{Change{Kind: ChangeKind(9), User: User{ID: 5}}, ChangeKey{Kind: 0xff, A: 9}},
+	} {
+		if got := c.ch.Key(); got != c.want {
+			t.Errorf("%v %+v: key %+v, want %+v", c.ch.Kind, c.ch, got, c.want)
+		}
 	}
-	l1 := Change{Kind: KindAddLike, Like: Like{UserID: 3, CommentID: 7}}
-	l2 := Change{Kind: KindRemoveLike, Like: Like{UserID: 3, CommentID: 7}}
-	if l1.Key() != l2.Key() {
-		t.Fatal("add and remove of the same like key differently")
-	}
-	if l1.Key() == f1.Key() {
-		t.Fatal("like (3,7) aliases friendship {3,7}")
-	}
-	// Node keys of different families never alias even with equal ids.
-	p := Change{Kind: KindAddPost, Post: Post{ID: 5}}
-	c := Change{Kind: KindAddComment, Comment: Comment{ID: 5}}
-	u := Change{Kind: KindAddUser, User: User{ID: 5}}
-	if p.Key() == c.Key() || c.Key() == u.Key() || p.Key() == u.Key() {
-		t.Fatal("node keys alias across families")
+	if a := testing.AllocsPerRun(10, func() {
+		ch := Change{Kind: KindAddComment, Comment: Comment{ID: 5}}
+		_ = ch.Key()
+	}); a != 0 {
+		t.Errorf("Key allocates %.0f times, want 0", a)
 	}
 }
 

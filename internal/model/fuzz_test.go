@@ -52,9 +52,10 @@ func FuzzReadRecords(f *testing.F) {
 	})
 }
 
-// record is one record as read: its tag and its integer fields.
+// record is one record as read: its change kind (0 in a snapshot file)
+// and its integer fields.
 type record struct {
-	tag  int
+	kind ChangeKind
 	vals []int64
 }
 
@@ -93,13 +94,6 @@ func (o *readOutcome) fail(err error, line int) {
 //	(c) the rows read, written by WriteDataset, read back equal through
 //	    ReadDataset.
 func checkReadRecords(t *testing.T, data []byte, family int) {
-	var tags []string
-	var fields []int
-	if family < 0 {
-		tags, fields = changeTags, changeFields()
-	} else {
-		fields = []int{len(KeyKind(family).Fields())}
-	}
 
 	var want readOutcome
 	r := csv.NewReader(bytes.NewReader(data))
@@ -120,15 +114,16 @@ oracle:
 			break
 		}
 		line, _ := r.FieldPos(0)
-		row, off := record{}, 0
-		if tags != nil {
-			if row.tag = tagIndex(tags, []byte(rec[0])); row.tag < 0 {
+		row, off, f := record{}, 0, KeyKind(family)
+		if family < 0 {
+			var ok bool
+			if row.kind, ok = kindOfTag([]byte(rec[0])); !ok {
 				want.fail(fmt.Errorf("unknown tag %q", rec[0]), line)
 				break
 			}
-			rec, off = rec[1:], 1
+			rec, off, f = rec[1:], 1, kinds[row.kind].family
 		}
-		if len(rec) != fields[row.tag] {
+		if len(rec) != len(f.Fields()) {
 			want.fail(csv.ErrFieldCount, line)
 			break
 		}
@@ -145,8 +140,8 @@ oracle:
 	}
 
 	var got readOutcome
-	if err := readRecords("in.csv", bytes.NewReader(data), tags, fields, func(tag int, v []int64) {
-		got.rows = append(got.rows, record{tag, append([]int64(nil), v...)})
+	if err := readRecords("in.csv", bytes.NewReader(data), family, func(k ChangeKind, v []int64) {
+		got.rows = append(got.rows, record{k, append([]int64(nil), v...)})
 	}); err != nil {
 		got.fail(err, 0)
 		if !strings.HasPrefix(got.err, "in.csv: ") {
@@ -172,12 +167,11 @@ oracle:
 	}
 
 	d := &Dataset{Snapshot: &Snapshot{}}
-	if tags != nil {
+	if family < 0 {
 		var cs ChangeSet
 		for _, row := range got.rows {
-			ch := Change{Kind: ChangeKind(row.tag)}
-			f, _ := ch.Kind.Family()
-			ch.SetFields(f, row.vals)
+			ch := Change{Kind: row.kind}
+			ch.SetFields(kinds[row.kind].family, row.vals)
 			cs.Changes = append(cs.Changes, ch)
 		}
 		d.ChangeSets = []ChangeSet{cs}

@@ -1,21 +1,22 @@
 package model
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
-// The codec table: which entity family each change kind carries, and each
-// family's int64 fields in the one order every codec writes them — the
-// dataset CSV files, WAL records and snapshots, and /update bodies:
-//
-//	family      fields
-//	post        id, timestamp
-//	comment     id, timestamp, parent, post
-//	user        id
-//	friendship  user1, user2
-//	like        user, comment
-//
-// A snapshot's five arrays are the families in KeyKind order. The
-// functions below are the only code that maps a family's fields to the
-// struct fields of Post, Comment, User, Friendship and Like.
+// The codec table. kinds holds, for each change kind, the name String
+// returns, the tag that leads its row in a dataset change file, its name
+// in an /update body (WireName), the entity family it carries and whether
+// it removes. fieldNames holds each family's int64 fields in the one
+// order every codec writes them: the dataset CSV files, WAL records and
+// snapshots, and /update bodies. A snapshot's five arrays are the
+// families in KeyKind order. The functions below are the only code that
+// maps a kind to its names and family, or a family's fields to the struct
+// fields of Post, Comment, User, Friendship and Like.
+
+// Kinds is the number of change kinds: every ChangeKind below it names one.
+const Kinds = KindRemoveLike + 1
 
 // Families is the number of entity families: every KeyKind below it names
 // one.
@@ -23,6 +24,20 @@ const Families = KeyLike + 1
 
 // MaxFields is the largest number of fields of a family (a comment's).
 const MaxFields = 4
+
+var kinds = [Kinds]struct {
+	name, tag, wire string
+	family          KeyKind
+	removes         bool
+}{
+	KindAddPost:          {"AddPost", "post", "add-post", KeyPost, false},
+	KindAddComment:       {"AddComment", "comment", "add-comment", KeyComment, false},
+	KindAddUser:          {"AddUser", "user", "add-user", KeyUser, false},
+	KindAddFriendship:    {"AddFriendship", "friend", "add-friendship", KeyFriendship, false},
+	KindAddLike:          {"AddLike", "like", "add-like", KeyLike, false},
+	KindRemoveFriendship: {"RemoveFriendship", "unfriend", "remove-friendship", KeyFriendship, true},
+	KindRemoveLike:       {"RemoveLike", "unlike", "remove-like", KeyLike, true},
+}
 
 var fieldNames = [Families][]string{
 	KeyPost:       {"id", "timestamp"},
@@ -32,28 +47,59 @@ var fieldNames = [Families][]string{
 	KeyLike:       {"user", "comment"},
 }
 
-var kindFamily = [...]KeyKind{
-	KindAddPost:          KeyPost,
-	KindAddComment:       KeyComment,
-	KindAddUser:          KeyUser,
-	KindAddFriendship:    KeyFriendship,
-	KindAddLike:          KeyLike,
-	KindRemoveFriendship: KeyFriendship,
-	KindRemoveLike:       KeyLike,
+// String names the change kind as Go spells its constant, without Kind.
+func (k ChangeKind) String() string {
+	if k >= Kinds {
+		return fmt.Sprintf("ChangeKind(%d)", uint8(k))
+	}
+	return kinds[k].name
+}
+
+// WireName is the kind's name in an /update body, or "" for an unknown
+// kind.
+func (k ChangeKind) WireName() string {
+	if k >= Kinds {
+		return ""
+	}
+	return kinds[k].wire
+}
+
+// WireKind returns the kind whose WireName is name; ok is false for none.
+func WireKind(name []byte) (ChangeKind, bool) {
+	for k := range kinds {
+		if string(name) == kinds[k].wire {
+			return ChangeKind(k), true
+		}
+	}
+	return 0, false
+}
+
+// kindOfTag returns the kind whose dataset tag is tag; ok is false for
+// none.
+func kindOfTag(tag []byte) (ChangeKind, bool) {
+	for k := range kinds {
+		if string(tag) == kinds[k].tag {
+			return ChangeKind(k), true
+		}
+	}
+	return 0, false
+}
+
+// IsRemoval reports whether the kind deletes model content.
+func (k ChangeKind) IsRemoval() bool { return k < Kinds && kinds[k].removes }
+
+// Family returns the entity family a change of kind k carries; ok is false
+// for an unknown kind.
+func (k ChangeKind) Family() (f KeyKind, ok bool) {
+	if k >= Kinds {
+		return 0, false
+	}
+	return kinds[k].family, true
 }
 
 // Fields names family f's fields in codec order, as the /update schema
 // spells them; its length is the family's field count.
 func (f KeyKind) Fields() []string { return fieldNames[f] }
-
-// Family returns the entity family a change of kind k carries; ok is false
-// for an unknown kind.
-func (k ChangeKind) Family() (f KeyKind, ok bool) {
-	if int(k) >= len(kindFamily) {
-		return 0, false
-	}
-	return kindFamily[k], true
-}
 
 // Each entity's fields in codec order: an append function reads them, an
 // Of function builds the entity from them.

@@ -12,8 +12,6 @@
 // values.
 package model
 
-import "fmt"
-
 // ID is an external entity identifier as found in the dataset files. Posts,
 // comments and users draw from independent id spaces.
 type ID = int64
@@ -130,33 +128,6 @@ const (
 	KindRemoveFriendship
 	KindRemoveLike
 )
-
-// String names the change kind.
-func (k ChangeKind) String() string {
-	switch k {
-	case KindAddPost:
-		return "AddPost"
-	case KindAddComment:
-		return "AddComment"
-	case KindAddUser:
-		return "AddUser"
-	case KindAddFriendship:
-		return "AddFriendship"
-	case KindAddLike:
-		return "AddLike"
-	case KindRemoveFriendship:
-		return "RemoveFriendship"
-	case KindRemoveLike:
-		return "RemoveLike"
-	default:
-		return fmt.Sprintf("ChangeKind(%d)", uint8(k))
-	}
-}
-
-// IsRemoval reports whether the kind deletes model content.
-func (k ChangeKind) IsRemoval() bool {
-	return k == KindRemoveFriendship || k == KindRemoveLike
-}
 
 // HasRemovals reports whether the change set contains any removal.
 func (cs *ChangeSet) HasRemovals() bool {

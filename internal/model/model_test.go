@@ -224,20 +224,47 @@ func TestReadDatasetRejectsQuotes(t *testing.T) {
 	}
 }
 
+// TestChangeKindString pins every kind's three names in the kind table:
+// the names are distinct across kinds in each column, and the dataset tag
+// and the /update name each map back to their kind.
 func TestChangeKindString(t *testing.T) {
-	names := map[ChangeKind]string{
-		KindAddPost:       "AddPost",
-		KindAddComment:    "AddComment",
-		KindAddUser:       "AddUser",
-		KindAddFriendship: "AddFriendship",
-		KindAddLike:       "AddLike",
+	want := [Kinds][3]string{
+		KindAddPost:          {"AddPost", "post", "add-post"},
+		KindAddComment:       {"AddComment", "comment", "add-comment"},
+		KindAddUser:          {"AddUser", "user", "add-user"},
+		KindAddFriendship:    {"AddFriendship", "friend", "add-friendship"},
+		KindAddLike:          {"AddLike", "like", "add-like"},
+		KindRemoveFriendship: {"RemoveFriendship", "unfriend", "remove-friendship"},
+		KindRemoveLike:       {"RemoveLike", "unlike", "remove-like"},
 	}
-	for k, want := range names {
-		if k.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", k, k.String(), want)
+	seen := [3]map[string]ChangeKind{{}, {}, {}}
+	for k := ChangeKind(0); k < Kinds; k++ {
+		got := [3]string{k.String(), kinds[k].tag, k.WireName()}
+		if got != want[k] {
+			t.Errorf("kind %d: names %q, want %q", k, got, want[k])
+		}
+		for col, name := range got {
+			if other, dup := seen[col][name]; dup {
+				t.Errorf("kinds %d and %d share the name %q", other, k, name)
+			}
+			seen[col][name] = k
+		}
+		if back, ok := kindOfTag([]byte(got[1])); !ok || back != k {
+			t.Errorf("tag %q maps to %v, %v; want %v", got[1], back, ok, k)
+		}
+		if back, ok := WireKind([]byte(got[2])); !ok || back != k {
+			t.Errorf("/update name %q maps to %v, %v; want %v", got[2], back, ok, k)
 		}
 	}
-	if ChangeKind(99).String() == "" {
-		t.Fatal("unknown kind must still render")
+	if ChangeKind(99).String() != "ChangeKind(99)" || ChangeKind(99).WireName() != "" {
+		t.Errorf("unknown kind renders as %q, /update name %q", ChangeKind(99), ChangeKind(99).WireName())
+	}
+	for _, name := range []string{"", "Post", "add-Post", "AddPost", "unlike "} {
+		if _, ok := kindOfTag([]byte(name)); ok {
+			t.Errorf("tag %q maps to a kind", name)
+		}
+		if _, ok := WireKind([]byte(name)); ok {
+			t.Errorf("/update name %q maps to a kind", name)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func BenchmarkReadMergeCached(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if body := snap.queryBody("Q1", EngineQ1); len(body) == 0 {
+			if body := snap.queryBody(0, "Q1", EngineQ1); len(body) == 0 {
 				b.Fatal("empty body")
 			}
 		}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grb"
-	"repro/internal/model"
 	"repro/internal/shard"
 	"repro/internal/wal"
 )
@@ -58,31 +57,13 @@ type queryResponse struct {
 	AsOf    time.Time `json:"asOf"`
 }
 
-// engineCacheIdx maps an engine key to its slot in Snapshot.respCache, or
-// -1 for a key without a slot — a future engine added to the routes but
-// not here must bypass the cache, never silently share another engine's
-// slot (and serve its cached body).
-func engineCacheIdx(engine string) int {
-	switch engine {
-	case EngineQ1:
-		return 0
-	case EngineQ2CC:
-		return 1
-	default:
-		return -1
-	}
-}
-
-// queryBody returns the marshaled response body for one query endpoint,
-// served from the snapshot's epoch cache: repeated reads between commits
-// cost zero JSON encodes and zero per-request allocations beyond the
-// ResponseWriter itself.
-func (snap *Snapshot) queryBody(query, engine string) []byte {
-	idx := engineCacheIdx(engine)
-	if idx >= 0 {
-		if b := snap.respCache[idx].Load(); b != nil {
-			return *b
-		}
+// queryBody returns the marshaled response body of the query endpoint
+// whose slot in Snapshot.respCache is slot, served from the snapshot's
+// epoch cache: repeated reads between commits cost zero JSON encodes and
+// zero per-request allocations beyond the ResponseWriter itself.
+func (snap *Snapshot) queryBody(slot int, query, engine string) []byte {
+	if b := snap.respCache[slot].Load(); b != nil {
+		return *b
 	}
 	b, err := json.Marshal(queryResponse{
 		Query:   query,
@@ -97,21 +78,19 @@ func (snap *Snapshot) queryBody(query, engine string) []byte {
 		b = []byte(`{"error":"encode failed"}`)
 	}
 	b = append(b, '\n')
-	if idx >= 0 {
-		snap.respCache[idx].Store(&b)
-	}
+	snap.respCache[slot].Store(&b)
 	return b
 }
 
 func (s *Server) handleQuery(query, key string) http.HandlerFunc {
+	engine, slot := key, 0
+	if key == EngineQ2 {
+		engine, slot = EngineQ2CC, 1 // the CC extension serves Q2
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			httpError(w, http.StatusMethodNotAllowed, "use GET")
 			return
-		}
-		engine := key
-		if key == EngineQ2 {
-			engine = EngineQ2CC // the CC extension serves Q2
 		}
 		switch e := r.URL.Query().Get("engine"); {
 		case e == "", e == "cc" && key == EngineQ2, e == "incremental" && key == EngineQ1:
@@ -127,7 +106,7 @@ func (s *Server) handleQuery(query, key string) http.HandlerFunc {
 		snap := s.Snapshot()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(snap.queryBody(query, engine))
+		_, _ = w.Write(snap.queryBody(slot, query, engine))
 	}
 }
 
@@ -142,75 +121,6 @@ func (s *Server) verifiedResponse(v *shard.Verified) queryResponse {
 		Changes: s.baseChanges + v.Changes,
 		AsOf:    v.Published,
 	}
-}
-
-// wireChange is the JSON encoding of one model.Change. Kind selects which
-// field group must be present.
-type wireChange struct {
-	Kind       string          `json:"kind"`
-	Post       *wirePost       `json:"post,omitempty"`
-	Comment    *wireComment    `json:"comment,omitempty"`
-	User       *wireUser       `json:"user,omitempty"`
-	Friendship *wireFriendship `json:"friendship,omitempty"`
-	Like       *wireLike       `json:"like,omitempty"`
-}
-
-type wirePost struct {
-	ID        model.ID `json:"id"`
-	Timestamp int64    `json:"timestamp"`
-}
-
-type wireComment struct {
-	ID        model.ID `json:"id"`
-	Timestamp int64    `json:"timestamp"`
-	Parent    model.ID `json:"parent"`
-	Post      model.ID `json:"post"`
-}
-
-type wireUser struct {
-	ID model.ID `json:"id"`
-}
-
-type wireFriendship struct {
-	User1 model.ID `json:"user1"`
-	User2 model.ID `json:"user2"`
-}
-
-type wireLike struct {
-	User    model.ID `json:"user"`
-	Comment model.ID `json:"comment"`
-}
-
-// WireChange converts a model.Change to its JSON encoding — the inverse of
-// the /update request format, for clients replaying model change streams.
-// Put through json.Marshal, it writes the one form decodeUpdate accepts.
-func WireChange(ch model.Change) any {
-	w := wireChange{}
-	switch ch.Kind {
-	case model.KindAddPost:
-		w.Kind = "add-post"
-		w.Post = &wirePost{ID: ch.Post.ID, Timestamp: ch.Post.Timestamp}
-	case model.KindAddComment:
-		w.Kind = "add-comment"
-		w.Comment = &wireComment{ID: ch.Comment.ID, Timestamp: ch.Comment.Timestamp,
-			Parent: ch.Comment.ParentID, Post: ch.Comment.PostID}
-	case model.KindAddUser:
-		w.Kind = "add-user"
-		w.User = &wireUser{ID: ch.User.ID}
-	case model.KindAddFriendship, model.KindRemoveFriendship:
-		w.Kind = "add-friendship"
-		if ch.Kind == model.KindRemoveFriendship {
-			w.Kind = "remove-friendship"
-		}
-		w.Friendship = &wireFriendship{User1: ch.Friendship.User1, User2: ch.Friendship.User2}
-	case model.KindAddLike, model.KindRemoveLike:
-		w.Kind = "add-like"
-		if ch.Kind == model.KindRemoveLike {
-			w.Kind = "remove-like"
-		}
-		w.Like = &wireLike{User: ch.Like.UserID, Comment: ch.Like.CommentID}
-	}
-	return w
 }
 
 // handleUpdate reads the body whole, decodes it in one pass

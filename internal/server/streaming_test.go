@@ -262,11 +262,11 @@ func TestQueryBodyEpochCache(t *testing.T) {
 	defer srv.Close()
 
 	snap := srv.Snapshot()
-	if snap.respCache[engineCacheIdx(EngineQ1)].Load() != nil {
+	if snap.respCache[0].Load() != nil {
 		t.Fatal("cache slot filled before any read")
 	}
-	b1 := snap.queryBody("Q1", EngineQ1)
-	b2 := snap.queryBody("Q1", EngineQ1)
+	b1 := snap.queryBody(0, "Q1", EngineQ1)
+	b2 := snap.queryBody(0, "Q1", EngineQ1)
 	if &b1[0] != &b2[0] {
 		t.Fatal("second read re-encoded instead of serving the cached bytes")
 	}
@@ -278,7 +278,7 @@ func TestQueryBodyEpochCache(t *testing.T) {
 		t.Fatalf("cached body %+v disagrees with snapshot seq %d", resp, snap.Seq)
 	}
 	// Distinct engines use distinct slots.
-	if bytes.Equal(snap.queryBody("Q2", EngineQ2CC), b1) && snap.Results[EngineQ2CC] != snap.Results[EngineQ1] {
+	if bytes.Equal(snap.queryBody(1, "Q2", EngineQ2CC), b1) && snap.Results[EngineQ2CC] != snap.Results[EngineQ1] {
 		t.Fatal("engines share a cache slot")
 	}
 
@@ -292,7 +292,7 @@ func TestQueryBodyEpochCache(t *testing.T) {
 		t.Fatal("commit did not publish a new snapshot")
 	}
 	var after queryResponse
-	if err := json.Unmarshal(snapAfter.queryBody("Q1", EngineQ1), &after); err != nil {
+	if err := json.Unmarshal(snapAfter.queryBody(0, "Q1", EngineQ1), &after); err != nil {
 		t.Fatal(err)
 	}
 	if after.Seq != snap.Seq+1 {
@@ -300,7 +300,7 @@ func TestQueryBodyEpochCache(t *testing.T) {
 	}
 	// The old snapshot's cache still answers its own epoch.
 	var old queryResponse
-	if err := json.Unmarshal(snap.queryBody("Q1", EngineQ1), &old); err != nil {
+	if err := json.Unmarshal(snap.queryBody(0, "Q1", EngineQ1), &old); err != nil {
 		t.Fatal(err)
 	}
 	if old.Seq != snap.Seq {

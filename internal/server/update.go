@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -26,10 +27,10 @@ func appendUpdateResponse(b []byte, queued int, committed bool, seq int) []byte 
 	return append(b, "}\n"...)
 }
 
-// The keys of the request and of a change, as the JSON tags of the struct
-// form spell them. A change's field groups are its keys after "kind", one
-// per entity family in model.KeyKind order; a group's keys are its
-// family's fields (model.KeyKind.Fields).
+// The keys of the request and of a change. A change's field groups are its
+// keys after "kind", one per entity family in model.KeyKind order; a
+// group's keys are its family's fields (model.KeyKind.Fields), and a
+// kind's name is its model.ChangeKind.WireName.
 var (
 	requestFields = []string{"changes", "wait"}
 	changeFields  = []string{"kind", "post", "comment", "user", "friendship", "like"}
@@ -39,18 +40,34 @@ var (
 // after "kind".
 var groupNames = changeFields[1:]
 
-// wireKinds are the change kinds by wire name.
-var wireKinds = []struct {
-	name string
-	kind model.ChangeKind
-}{
-	{"add-post", model.KindAddPost},
-	{"add-comment", model.KindAddComment},
-	{"add-user", model.KindAddUser},
-	{"add-friendship", model.KindAddFriendship},
-	{"add-like", model.KindAddLike},
-	{"remove-friendship", model.KindRemoveFriendship},
-	{"remove-like", model.KindRemoveLike},
+// WireChange encodes ch as one element of an /update body's "changes",
+// for clients replaying model change streams. It writes the form
+// decodeUpdate reads: its kind's name and the field group of its family,
+// the fields in codec order. A kind outside the table is encoded as
+// {"kind":""}, which decodeUpdate rejects.
+func WireChange(ch model.Change) json.RawMessage {
+	// 128 bytes hold any change whose fields have at most 10 digits.
+	b := append(make([]byte, 0, 128), `{"kind":"`...)
+	b = append(b, ch.Kind.WireName()...)
+	b = append(b, '"')
+	if f, ok := ch.Kind.Family(); ok {
+		var buf [model.MaxFields]int64
+		names := f.Fields()
+		b = append(b, `,"`...)
+		b = append(b, groupNames[f]...)
+		b = append(b, `":{`...)
+		for i, v := range ch.AppendFields(buf[:0], f) {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '"')
+			b = append(b, names[i]...)
+			b = append(b, `":`...)
+			b = strconv.AppendInt(b, v, 10)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}')
 }
 
 // updateDecoder parses one body.
@@ -73,7 +90,8 @@ type updateDecoder struct {
 //	{"changes": [change, ...], "wait": bool}
 //
 // and each change names its kind and carries the field group that kind
-// uses (WireChange writes this form):
+// uses (WireChange writes this form; the names and groups come from
+// model's kind table):
 //
 //	{"kind": "add-post",          "post":       {"id": n, "timestamp": n}}
 //	{"kind": "add-comment",       "comment":    {"id": n, "timestamp": n, "parent": n, "post": n}}
@@ -191,7 +209,7 @@ func (d *updateDecoder) change(ch *model.Change) error {
 		return d.unexpected("a change object")
 	}
 	var seen uint8 // a bit per index of changeFields
-	k := 0         // the index of the kind in wireKinds
+	var kind model.ChangeKind
 	var err error
 	for more := d.open('}'); more && err == nil; {
 		var f int
@@ -199,7 +217,7 @@ func (d *updateDecoder) change(ch *model.Change) error {
 			return err
 		}
 		if f == 0 {
-			k, err = d.kind()
+			kind, err = d.kind()
 		} else {
 			err = d.group(ch, model.KeyKind(f-1))
 		}
@@ -213,22 +231,21 @@ func (d *updateDecoder) change(ch *model.Change) error {
 	if seen&1 == 0 {
 		return d.lacks("the change", "kind")
 	}
-	kind := wireKinds[k]
-	group, _ := kind.kind.Family()
+	group, _ := kind.Family()
 	if want := uint8(1 | 2<<group); seen != want {
 		d.off--
 		if seen&want != want {
-			return d.errorf("kind %q requires the %q field", kind.name, groupNames[group])
+			return d.errorf("kind %q requires the %q field", kind.WireName(), groupNames[group])
 		}
-		return d.errorf("kind %q takes no field group but the %q field", kind.name, groupNames[group])
+		return d.errorf("kind %q takes no field group but the %q field", kind.WireName(), groupNames[group])
 	}
-	ch.Kind = kind.kind
+	ch.Kind = kind
 	return nil
 }
 
-// kind parses the value of "kind", the name of a wire kind, and returns
-// its index in wireKinds.
-func (d *updateDecoder) kind() (int, error) {
+// kind parses the value of "kind", a kind's WireName, and returns the
+// kind.
+func (d *updateDecoder) kind() (model.ChangeKind, error) {
 	if d.peek() != '"' {
 		return 0, d.unexpected(`a string for "kind"`)
 	}
@@ -237,10 +254,8 @@ func (d *updateDecoder) kind() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for k := range wireKinds {
-		if string(name) == wireKinds[k].name {
-			return k, nil
-		}
+	if k, ok := model.WireKind(name); ok {
+		return k, nil
 	}
 	d.off = start
 	return 0, d.errorf("unknown change kind %q", string(name))

@@ -17,11 +17,13 @@ import (
 	"repro/internal/model"
 )
 
-// updateRequest, updateResponse, toModel and decodeUpdateJSON are the
-// encoding/json decoding of /update that decodeUpdate replaced, kept as its
-// oracle and as the baseline of BenchmarkDecodeUpdate. encoding/json
-// accepts more than the schema (folded and escaped keys, null, repeated
-// keys, bytes after the object); decodeUpdate accepts only the schema.
+// updateRequest, updateResponse, wireChange, toModel and decodeUpdateJSON
+// are the encoding/json decoding of /update that decodeUpdate replaced,
+// kept as its oracle and as the baseline of BenchmarkDecodeUpdate.
+// encoding/json accepts more than the schema (folded and escaped keys,
+// null, repeated keys, bytes after the object); decodeUpdate accepts only
+// the schema. wireOf is the struct form WireChange replaced: put through
+// json.Marshal, it is the oracle of WireChange's bytes.
 
 // updateRequest is the /update body: one or more changes committed
 // atomically as a unit. Wait=true blocks the response until the batch
@@ -37,6 +39,73 @@ type updateResponse struct {
 	// Seq is the last committed batch at response time; with wait=true the
 	// request's changes are included in it.
 	Seq int `json:"seq"`
+}
+
+// wireChange is the JSON encoding of one model.Change. Kind selects which
+// field group must be present.
+type wireChange struct {
+	Kind       string          `json:"kind"`
+	Post       *wirePost       `json:"post,omitempty"`
+	Comment    *wireComment    `json:"comment,omitempty"`
+	User       *wireUser       `json:"user,omitempty"`
+	Friendship *wireFriendship `json:"friendship,omitempty"`
+	Like       *wireLike       `json:"like,omitempty"`
+}
+
+type wirePost struct {
+	ID        model.ID `json:"id"`
+	Timestamp int64    `json:"timestamp"`
+}
+
+type wireComment struct {
+	ID        model.ID `json:"id"`
+	Timestamp int64    `json:"timestamp"`
+	Parent    model.ID `json:"parent"`
+	Post      model.ID `json:"post"`
+}
+
+type wireUser struct {
+	ID model.ID `json:"id"`
+}
+
+type wireFriendship struct {
+	User1 model.ID `json:"user1"`
+	User2 model.ID `json:"user2"`
+}
+
+type wireLike struct {
+	User    model.ID `json:"user"`
+	Comment model.ID `json:"comment"`
+}
+
+// wireOf is ch in the struct form.
+func wireOf(ch model.Change) wireChange {
+	w := wireChange{}
+	switch ch.Kind {
+	case model.KindAddPost:
+		w.Kind = "add-post"
+		w.Post = &wirePost{ID: ch.Post.ID, Timestamp: ch.Post.Timestamp}
+	case model.KindAddComment:
+		w.Kind = "add-comment"
+		w.Comment = &wireComment{ID: ch.Comment.ID, Timestamp: ch.Comment.Timestamp,
+			Parent: ch.Comment.ParentID, Post: ch.Comment.PostID}
+	case model.KindAddUser:
+		w.Kind = "add-user"
+		w.User = &wireUser{ID: ch.User.ID}
+	case model.KindAddFriendship, model.KindRemoveFriendship:
+		w.Kind = "add-friendship"
+		if ch.Kind == model.KindRemoveFriendship {
+			w.Kind = "remove-friendship"
+		}
+		w.Friendship = &wireFriendship{User1: ch.Friendship.User1, User2: ch.Friendship.User2}
+	case model.KindAddLike, model.KindRemoveLike:
+		w.Kind = "add-like"
+		if ch.Kind == model.KindRemoveLike {
+			w.Kind = "remove-like"
+		}
+		w.Like = &wireLike{User: ch.Like.UserID, Comment: ch.Like.CommentID}
+	}
+	return w
 }
 
 func (c *wireChange) toModel() (model.Change, error) {
@@ -141,7 +210,11 @@ func encodeUpdate(changes []model.Change, wait bool) []byte {
 	for i, ch := range changes {
 		wire[i] = WireChange(ch)
 	}
-	b, err := json.Marshal(map[string]any{"changes": wire, "wait": wait})
+	return marshal(map[string]any{"changes": wire, "wait": wait})
+}
+
+func marshal(v any) []byte {
+	b, err := json.Marshal(v)
 	if err != nil {
 		panic(err)
 	}
@@ -246,7 +319,10 @@ func TestDecodeUpdateAcceptsOnlyTheSchema(t *testing.T) {
 // decodeUpdate accepts, encoding/json accepts with the same changes and
 // wait flag, and every body it rejects, it rejects naming a byte offset;
 // (b) every body encoding/json accepts, re-encoded as clients encode it
-// (encodeUpdate), decodeUpdate decodes to the same changes and wait flag.
+// (encodeUpdate), decodeUpdate decodes to the same changes and wait flag,
+// and WireChange encodes each of its changes to the bytes json.Marshal
+// writes for the change's struct form (wireOf). With (a), every body
+// decodeUpdate accepts re-encodes through WireChange to the same changes.
 func FuzzDecodeUpdate(f *testing.F) {
 	for _, b := range ingestBodies(f)[:8] {
 		f.Add(b)
@@ -268,6 +344,11 @@ func FuzzDecodeUpdate(f *testing.F) {
 			t.Fatalf("body %q: decodeUpdate gives %+v wait=%v, encoding/json %+v wait=%v", body, got, gotWait, want, wantWait)
 		}
 		if wantErr == nil {
+			for _, ch := range want {
+				if b, o := WireChange(ch), marshal(wireOf(ch)); !bytes.Equal(b, o) {
+					t.Fatalf("body %q: WireChange(%+v) = %s, the struct form %s", body, ch, b, o)
+				}
+			}
 			canon := encodeUpdate(want, wantWait)
 			if got, gotWait, err := decodeUpdate(canon); err != nil || gotWait != wantWait || !slices.Equal(got, want) {
 				t.Fatalf("body %q re-encoded as %s: decodeUpdate gives %+v wait=%v error %v, want %+v wait=%v",
@@ -305,7 +386,9 @@ func TestDecodeUpdateErrorsNameTheChange(t *testing.T) {
 }
 
 // TestWireChangeBytes pins WireChange's encoding of every kind, which
-// perfbench and internal/loadgen post: it is the form decodeUpdate reads.
+// perfbench and internal/loadgen post: it is the form decodeUpdate reads,
+// and the bytes json.Marshal writes for the struct form. A kind outside
+// the table encodes as {"kind":""}, which decodeUpdate rejects.
 func TestWireChangeBytes(t *testing.T) {
 	for _, c := range []struct {
 		ch   model.Change
@@ -333,10 +416,20 @@ func TestWireChangeBytes(t *testing.T) {
 		if string(b) != c.want {
 			t.Errorf("WireChange(%v) = %s, want %s", c.ch.Kind, b, c.want)
 		}
+		if o, err := json.Marshal(wireOf(c.ch)); err != nil || string(o) != c.want {
+			t.Errorf("struct form of %v = %s, %v; want %s", c.ch.Kind, o, err, c.want)
+		}
 		body := `{"changes":[` + string(b) + `]}`
 		if got, _, err := decodeUpdate([]byte(body)); err != nil || len(got) != 1 || got[0] != c.ch {
 			t.Errorf("decodeUpdate(%s) = %+v, %v; want %+v", body, got, err, c.ch)
 		}
+	}
+	b := WireChange(model.Change{Kind: model.Kinds, User: model.User{ID: 1}})
+	if string(b) != `{"kind":""}` {
+		t.Errorf("WireChange of kind %d = %s, want {\"kind\":\"\"}", model.Kinds, b)
+	}
+	if _, _, err := decodeUpdate([]byte(`{"changes":[` + string(b) + `]}`)); err == nil {
+		t.Errorf("decodeUpdate accepts %s", b)
 	}
 }
 

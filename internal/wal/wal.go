@@ -65,32 +65,25 @@ const (
 	SyncOff
 )
 
+// syncPolicyNames are the policies' names, the ttcserve -fsync values.
+var syncPolicyNames = [...]string{SyncAlways: "always", SyncInterval: "interval", SyncOff: "off"}
+
 // String names the policy (the inverse of ParseSyncPolicy).
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncOff:
-		return "off"
-	default:
+	if p < 0 || int(p) >= len(syncPolicyNames) {
 		return fmt.Sprintf("SyncPolicy(%d)", int(p))
 	}
+	return syncPolicyNames[p]
 }
 
 // ParseSyncPolicy maps the ttcserve -fsync flag values to a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "off":
-		return SyncOff, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or off)", s)
+	for p, name := range syncPolicyNames {
+		if s == name {
+			return SyncPolicy(p), nil
+		}
 	}
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or off)", s)
 }
 
 // Options parameterizes Open. Zero values mean defaults.

@@ -366,8 +366,12 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Errorf("round trip %q -> %v", s, p)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Error("bad policy accepted")
+	_, err := ParseSyncPolicy("sometimes")
+	if want := `wal: unknown fsync policy "sometimes" (want always, interval or off)`; err == nil || err.Error() != want {
+		t.Errorf("bad policy: error %v, want %s", err, want)
+	}
+	if s := SyncPolicy(7).String(); s != "SyncPolicy(7)" {
+		t.Errorf("SyncPolicy(7).String() = %q", s)
 	}
 }
 
