@@ -37,12 +37,12 @@ type Snapshot struct {
 	At time.Time
 
 	// respCache holds the lazily marshaled /query response body, one slot
-	// per query endpoint (q1, q2) — the epoch cache of the read hot path. A published
-	// Snapshot is immutable, so the first read of each engine between
-	// commits pays the JSON encode and every subsequent read is a plain
-	// byte write; the next commit publishes a fresh Snapshot, which
-	// invalidates the cache by construction (the commit sequence is the
-	// epoch). Concurrent first readers may race to fill a slot; they
-	// marshal identical bytes, so last-store-wins is harmless.
+	// per query endpoint (q1, q2) — the epoch cache of the read hot path.
+	// A published Snapshot is immutable, so the first read of each
+	// endpoint between commits pays the JSON encode and every subsequent
+	// read is a plain byte write; the next commit publishes a fresh
+	// Snapshot, which invalidates the cache by construction (the commit
+	// sequence is the epoch). Concurrent first readers may race to fill a
+	// slot; they marshal identical bytes, so last-store-wins is harmless.
 	respCache [2]atomic.Pointer[[]byte]
 }
