@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -240,6 +241,68 @@ func TestQ2ParallelInitialMatchesSerial(t *testing.T) {
 			}
 			if parallel.subgraphEntries != serial.subgraphEntries {
 				t.Fatalf("subgraph entries: %d at four workers, %d at one", parallel.subgraphEntries, serial.subgraphEntries)
+			}
+		})
+	}
+}
+
+// TestQ2CCParallelAttachMatchesSerial: Attach labels comments on
+// runtime.GOMAXPROCS(0) workers, each in a search of its own, into its
+// comment's stretch of one sizes array. At four workers the labels,
+// sizes, free lists and scores must equal one worker's exactly, after
+// Attach and after a stream with removals, on datagen and on the hub
+// graph. Under -race it also checks that the workers share the friend
+// lists read-only.
+func TestQ2CCParallelAttachMatchesSerial(t *testing.T) {
+	hubSnap, hubStream := hubSnapshot(rand.New(rand.NewSource(5)))
+	hubSets := make([]model.ChangeSet, 40)
+	for k := range hubSets {
+		hubSets[k] = hubStream.next()
+	}
+	d := datagen.Generate(datagen.Config{ScaleFactor: 4, Seed: 11, ChangeSets: 40, RemovalFraction: 0.35})
+	for _, tc := range []struct {
+		name string
+		snap *model.Snapshot
+		sets []model.ChangeSet
+	}{
+		{"datagen-sf4-rf35", d.Snapshot, d.ChangeSets},
+		{"hub", hubSnap, hubSets},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) (attached []commentLabels, eng *Q2IncrementalCC, results []Result) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				eng = NewQ2IncrementalCC()
+				if err := eng.Load(tc.snap); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range eng.cc {
+					c.likes, c.sizes = slices.Clone(c.likes), slices.Clone(c.sizes)
+					attached = append(attached, c)
+				}
+				res, err := eng.Initial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = []Result{res}
+				for k := range tc.sets {
+					res, err := eng.Update(&tc.sets[k])
+					if err != nil {
+						t.Fatalf("update %d: %v", k, err)
+					}
+					results = append(results, res)
+				}
+				return attached, eng, results
+			}
+			serialAttached, serial, want := run(1)
+			parallelAttached, parallel, got := run(4)
+			if !reflect.DeepEqual(parallelAttached, serialAttached) {
+				t.Fatal("Attach's labels at four workers differ from one worker's")
+			}
+			if !reflect.DeepEqual(parallel.cc, serial.cc) {
+				t.Fatal("labels after the stream at four workers differ from one worker's")
+			}
+			for k := range want {
+				assertResultsEqual(t, "four workers", fmt.Sprintf("step %d", k), want[k], got[k])
 			}
 		})
 	}

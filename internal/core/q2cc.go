@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
 
+	"repro/internal/grb"
 	"repro/internal/model"
 )
 
@@ -182,8 +184,10 @@ func (*Q2IncrementalCC) Query() string { return "Q2" }
 // Attach implements Engine. It builds the friend lists, each comment's
 // sorted liker list and each user's like list in arrays shared by all
 // entities, then labels each comment's components by one search from each
-// unlabelled liker, in the scratch the updates reuse. The per-user and
-// per-comment slices get a quarter more room than the part needs, as
+// unlabelled liker. Comments are labelled on runtime.GOMAXPROCS(0)
+// workers, as Q2Incremental.Initial scores them, each worker searching in
+// scratch of its own; the updates reuse the first worker's. The per-user
+// and per-comment slices get a quarter more room than the part needs, as
 // RankIndex.Init does, so the first users and comments an update adds do
 // not copy them.
 func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
@@ -255,33 +259,48 @@ func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
 		s.nFriends[u] = int32(len(s.adj[u]))
 		s.friendEdges += len(s.adj[u])
 	}
-	sizes := make([]int32, 0, s.likeEdges)
-	// Comment ci's labels are sizes[first[ci]:first[ci+1]]; a comment has
-	// at most one label per like.
+	// Every user's like list is filled first: the labelling reads the
+	// users' lists on several goroutines, so nothing may append to them
+	// meanwhile.
+	for ci := range s.cc {
+		for _, l := range s.cc[ci].likes {
+			s.adj[l.user] = append(s.adj[l.user], int32(ci))
+		}
+	}
+	// A comment has at most one label per like, so comment ci's labels
+	// take a prefix of sizes[first[ci]:first[ci+1]], its likes' stretch of
+	// one array. Each worker labels whole comments in its own search.
+	sizes := make([]int32, s.likeEdges)
 	first := make([]int32, nc+1)
 	for ci := range s.cc {
-		c := &s.cc[ci]
-		for k := range c.likes {
-			u := c.likes[k].user
-			s.adj[u] = append(s.adj[u], int32(ci))
-			if c.likes[k].label >= 0 {
-				continue
-			}
-			comp := s.collect(c, k, len(c.likes))
-			l := int32(len(sizes)) - first[ci]
-			for _, y := range comp {
-				c.likes[y].label = l
-			}
-			sizes = append(sizes, int32(len(comp)))
-			c.score += int64(len(comp)) * int64(len(comp))
-		}
-		first[ci+1] = int32(len(sizes))
+		first[ci+1] = first[ci] + int32(len(s.cc[ci].likes))
 	}
-	for ci := range s.cc {
-		lo, hi := first[ci], first[ci+1]
-		s.cc[ci].sizes = sizes[lo:hi:hi]
-	}
+	searches := make([]ccSearch, runtime.GOMAXPROCS(0))
+	grb.ParallelItems(nc, len(searches), func(w, ci int) {
+		s.label(&searches[w], &s.cc[ci], sizes[first[ci]:first[ci+1]])
+	})
+	s.search = searches[0]
 	return nil
+}
+
+// label labels c's components by one search from each unlabelled liker, in
+// q, numbering them in the order of their first likers; their sizes go to
+// the front of sizes, which c keeps.
+func (s *Q2IncrementalCC) label(q *ccSearch, c *commentLabels, sizes []int32) {
+	n := 0
+	for k := range c.likes {
+		if c.likes[k].label >= 0 {
+			continue
+		}
+		comp := s.collect(q, c, k, len(c.likes))
+		for _, y := range comp {
+			c.likes[y].label = int32(n)
+		}
+		sizes[n] = int32(len(comp))
+		n++
+		c.score += int64(len(comp)) * int64(len(comp))
+	}
+	c.sizes = sizes[:n:n]
 }
 
 // carve returns one empty list per count, each a slice of one shared
@@ -334,9 +353,8 @@ func (s *Q2IncrementalCC) forNeighbours(c *commentLabels, x int, f func(y int) b
 // collect returns the slots of the component of c's liker at slot x: a
 // search over friendships among the likers that carry x's label, which
 // stops once it has reached limit likers (the component's size, when it is
-// known). The slice is the search's scratch.
-func (s *Q2IncrementalCC) collect(c *commentLabels, x, limit int) []int32 {
-	q := &s.search
+// known), in search q. The slice is q's scratch.
+func (s *Q2IncrementalCC) collect(q *ccSearch, c *commentLabels, x, limit int) []int32 {
 	q.begin(len(c.likes))
 	l := c.likes[x].label
 	q.visit(0, x)
@@ -362,7 +380,7 @@ func (s *Q2IncrementalCC) union(c *commentLabels, x, y int) {
 		x, lx, ly = y, ly, lx
 	}
 	sx, sy := c.sizes[lx], c.sizes[ly]
-	for _, k := range s.collect(c, x, int(sx)) {
+	for _, k := range s.collect(&s.search, c, x, int(sx)) {
 		c.likes[k].label = ly
 	}
 	c.sizes[ly] = sx + sy

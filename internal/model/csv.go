@@ -5,13 +5,14 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Dataset directory layout, patterned after the CSV inputs of the TTC 2018
@@ -106,30 +107,88 @@ func writeCSV(path string, body func(*rowWriter) error) error {
 	return f.Close()
 }
 
+// chunkBytes is about how much of a snapshot file one chunk holds:
+// ReadDataset cuts each file at the first line end at or past every
+// chunkBytes.
+const chunkBytes = 256 << 10
+
 // ReadDataset deserializes a dataset directory written by WriteDataset. It
-// parses the five snapshot files concurrently, each into its own slice;
-// when several fail, the error of the first in the order posts, comments,
-// users, friends, likes is returned. Change files are read after them, in
-// name order.
+// reads each snapshot file whole, cuts it into chunks at line ends (see
+// chunkBytes) and parses the chunks of every file on runtime.GOMAXPROCS(0)
+// goroutines through readRecords, each chunk into a slice of its own;
+// then it appends each family's chunks in file order, into one array
+// grown once. When several files fail, the error of the first in the
+// order posts, comments, users, friends, likes is returned, and within a
+// file the first line's. Change files are read after them, in name order.
 func ReadDataset(dir string) (*Dataset, error) {
-	d := &Dataset{Snapshot: &Snapshot{}}
-	s := d.Snapshot
-	var errs [Families]error
-	var wg sync.WaitGroup
+	// A chunk is a line-aligned stretch of the file of family f: its bytes
+	// and the number of its first line, or the error of reading the file;
+	// then what parsing it gave: its rows' fields in codec order, or the
+	// error.
+	type chunk struct {
+		path string
+		f    KeyKind
+		b    []byte
+		line int
+		vals []int64
+		err  error
+	}
+	var chunks []chunk
 	for f := KeyKind(0); f < Families; f++ {
+		path := filepath.Join(dir, snapshotFiles[f])
+		b, err := os.ReadFile(path)
+		if err != nil {
+			chunks = append(chunks, chunk{path: path, f: f, err: err})
+			continue
+		}
+		for line := 1; len(b) > 0; {
+			n := len(b)
+			if n > chunkBytes {
+				if i := bytes.IndexByte(b[chunkBytes-1:], '\n'); i >= 0 {
+					n = chunkBytes + i
+				}
+			}
+			lines := bytes.Count(b[:n], []byte{'\n'})
+			// A row per line, the last one perhaps without its '\n'.
+			vals := make([]int64, 0, (lines+1)*len(f.Fields()))
+			chunks = append(chunks, chunk{path: path, f: f, b: b[:n], line: line, vals: vals})
+			line += lines
+			b = b[n:]
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(chunks)); w > 0; w-- {
 		wg.Add(1)
-		go func(f KeyKind) {
+		go func() {
 			defer wg.Done()
-			errs[f] = readCSV(filepath.Join(dir, snapshotFiles[f]), int(f), func(_ ChangeKind, v []int64) {
-				s.AppendEntities(f, v)
-			})
-		}(f)
+			for i := int(next.Add(1)) - 1; i < len(chunks); i = int(next.Add(1)) - 1 {
+				c := &chunks[i]
+				if c.err == nil {
+					c.err = readRecords(c.path, c.b, c.line, int(c.f), func(_ ChangeKind, v []int64) {
+						c.vals = append(c.vals, v...)
+					})
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+
+	d := &Dataset{Snapshot: &Snapshot{}}
+	s := d.Snapshot
+	var n [Families]int
+	for i := range chunks {
+		c := &chunks[i]
+		if c.err != nil {
+			return nil, c.err
 		}
+		n[c.f] += len(c.vals) / len(c.f.Fields())
+	}
+	for f := KeyKind(0); f < Families; f++ {
+		s.Grow(f, n[f])
+	}
+	for i := range chunks {
+		s.AppendEntities(chunks[i].f, chunks[i].vals)
 	}
 
 	entries, err := os.ReadDir(dir)
@@ -157,18 +216,18 @@ func ReadDataset(dir string) (*Dataset, error) {
 	return d, nil
 }
 
-// readCSV opens path and reads it with readRecords.
+// readCSV reads the file at path whole and parses it with readRecords.
 func readCSV(path string, family int, row func(ChangeKind, []int64)) error {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return readRecords(path, f, family, row)
+	return readRecords(path, b, 1, family, row)
 }
 
-// readRecords reads a dataset file, named path in its errors, calling row
-// with each record's change kind and integer fields, in a slice it reuses.
+// readRecords parses b, a dataset file or a line-aligned stretch of one
+// whose first line is line, named path in its errors, calling row with
+// each record's change kind and integer fields, in a slice it reuses.
 // In a snapshot file (family ≥ 0) every record is the fields of that
 // family and its kind is 0; in a change file (family -1) a record's first
 // field is a change kind's tag, and the fields of the kind's family
@@ -184,63 +243,52 @@ func readCSV(path string, family int, row func(ChangeKind, []int64)) error {
 // dataset files quotes a field. Errors name the file and the line: a
 // *csv.ParseError with csv.ErrFieldCount for a wrong field count, a
 // *strconv.NumError for a field that is not an int64.
-func readRecords(path string, r io.Reader, family int, row func(ChangeKind, []int64)) error {
-	br := bufio.NewReaderSize(r, 64<<10)
+func readRecords(path string, b []byte, line, family int, row func(ChangeKind, []int64)) error {
 	vals := make([]int64, 0, MaxFields)
-	var long []byte // a line longer than br's buffer
-	for line := 1; ; line++ {
-		b, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			long = append(long[:0], b...)
-			for err == bufio.ErrBufferFull {
-				b, err = br.ReadSlice('\n')
-				long = append(long, b...)
-			}
-			b = long
+	for ; len(b) > 0; line++ {
+		l := b
+		if i := bytes.IndexByte(b, '\n'); i >= 0 {
+			l, b = b[:i], b[i+1:]
+		} else {
+			b = nil
 		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if len(b) == 0 { // err is io.EOF
-			return nil
-		}
-		if bytes.IndexByte(b, '"') >= 0 {
+		if bytes.IndexByte(l, '"') >= 0 {
 			return fmt.Errorf("%s: line %d: a double quote (fields are plain integers)", path, line)
 		}
-		b = bytes.TrimSuffix(b, []byte{'\n'})
-		b = bytes.TrimSuffix(b, []byte{'\r'})
-		if len(b) > 0 {
-			n := bytes.Count(b, []byte{','}) + 1
-			k, f := ChangeKind(0), KeyKind(family)
-			if family < 0 {
-				tag, rest, _ := bytes.Cut(b, []byte{','})
-				var ok bool
-				if k, ok = kindOfTag(tag); !ok {
-					return fmt.Errorf("%s: line %d: unknown change tag %q", path, line, tag)
-				}
-				f, b, n = kinds[k].family, rest, n-1
-			}
-			if n != len(f.Fields()) {
-				return fmt.Errorf("%s: %w", path, &csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount})
-			}
-			vals = vals[:n]
-			for i := range vals {
-				field := b
-				if c := bytes.IndexByte(b, ','); c >= 0 {
-					field, b = b[:c], b[c+1:]
-				}
-				v, err := parseInt(field)
-				if err != nil {
-					return fmt.Errorf("%s: line %d: %w", path, line, err)
-				}
-				vals[i] = v
-			}
-			row(k, vals)
+		if n := len(l); n > 0 && l[n-1] == '\r' {
+			l = l[:n-1]
 		}
-		if err == io.EOF {
-			return nil
+		if len(l) == 0 {
+			continue
 		}
+		n := bytes.Count(l, []byte{','}) + 1
+		k, f := ChangeKind(0), KeyKind(family)
+		if family < 0 {
+			tag, rest, _ := bytes.Cut(l, []byte{','})
+			var ok bool
+			if k, ok = kindOfTag(tag); !ok {
+				return fmt.Errorf("%s: line %d: unknown change tag %q", path, line, tag)
+			}
+			f, l, n = kinds[k].family, rest, n-1
+		}
+		if n != len(f.Fields()) {
+			return fmt.Errorf("%s: %w", path, &csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount})
+		}
+		vals = vals[:n]
+		for i := range vals {
+			field := l
+			if c := bytes.IndexByte(l, ','); c >= 0 {
+				field, l = l[:c], l[c+1:]
+			}
+			v, err := parseInt(field)
+			if err != nil {
+				return fmt.Errorf("%s: line %d: %w", path, line, err)
+			}
+			vals[i] = v
+		}
+		row(k, vals)
 	}
+	return nil
 }
 
 // parseInt is strconv.ParseInt(string(b), 10, 64) without the string: an

@@ -61,7 +61,7 @@ func (ch *Change) Key() ChangeKey {
 func (cs *ChangeSet) Normalize() {
 	for i := range cs.Changes {
 		ch := &cs.Changes[i]
-		if ch.Kind == KindAddFriendship || ch.Kind == KindRemoveFriendship {
+		if f, _ := ch.Kind.Family(); f == KeyFriendship {
 			if ch.Friendship.User1 > ch.Friendship.User2 {
 				ch.Friendship.User1, ch.Friendship.User2 = ch.Friendship.User2, ch.Friendship.User1
 			}

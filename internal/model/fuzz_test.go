@@ -140,7 +140,7 @@ oracle:
 	}
 
 	var got readOutcome
-	if err := readRecords("in.csv", bytes.NewReader(data), family, func(k ChangeKind, v []int64) {
+	if err := readRecords("in.csv", data, 1, family, func(k ChangeKind, v []int64) {
 		got.rows = append(got.rows, record{k, append([]int64(nil), v...)})
 	}); err != nil {
 		got.fail(err, 0)

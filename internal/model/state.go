@@ -205,14 +205,12 @@ func (st *State) DropHeldAdds(dst, changes []Change) []Change {
 	var present map[ChangeKey]bool // the edges changes has touched so far
 	for i := range changes {
 		ch := &changes[i]
-		switch ch.Kind {
-		case KindAddLike, KindAddFriendship, KindRemoveLike, KindRemoveFriendship:
-		default:
+		if f, _ := ch.Kind.Family(); f != KeyLike && f != KeyFriendship {
 			dst = append(dst, *ch)
 			continue
 		}
 		k := ch.Key()
-		add := ch.Kind == KindAddLike || ch.Kind == KindAddFriendship
+		add := !ch.Kind.IsRemoval()
 		if add {
 			held, touched := present[k]
 			if !touched {

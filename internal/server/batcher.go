@@ -243,6 +243,8 @@ func (s *Server) store(seq int, cs *model.ChangeSet, rec *shard.Record, apply ti
 	s.stats.Updates.Count++
 	s.stats.Updates.Total += elapsed
 	s.stats.Updates.Last = elapsed
+	s.stats.VerifyQueue = s.rt.VerifyQueue()
+	s.stats.VerifyBlocked = durationMS(s.rt.VerifyBlocked())
 	s.mu.Unlock()
 }
 

@@ -22,6 +22,7 @@ import (
 //	                          the same); ?engine=incremental answers from the
 //	                          paper's Q2 engine, which verifies it off the
 //	                          commit path, labelled with the seq it reached
+//	                          (it waits while that engine loads, after ready)
 //	POST /update              enqueue changes; {"wait":true} blocks to commit;
 //	                          a body outside the schema decodeUpdate lists
 //	                          (the form WireChange encodes) is answered
@@ -96,8 +97,14 @@ func (s *Server) handleQuery(query, key string) http.HandlerFunc {
 		case e == "", e == "cc" && key == EngineQ2, e == "incremental" && key == EngineQ1:
 			// the served engine
 		case e == "incremental":
-			// the paper's Q2 engine, as its verifier last published it
-			writeJSON(w, http.StatusOK, s.verifiedResponse(s.rt.Verified()))
+			// the paper's Q2 engine, as its verifier last published it;
+			// while it loads, the check of Start's evaluation is awaited
+			v := s.rt.Verified().At(0, true)
+			if v.Commits < 0 {
+				httpError(w, http.StatusServiceUnavailable, "the paper's Q2 failed to load: %v", v.Err)
+				return
+			}
+			writeJSON(w, http.StatusOK, s.verifiedResponse(v))
 			return
 		default:
 			httpError(w, http.StatusBadRequest, "unknown engine %q for %s", e, query)
@@ -167,12 +174,20 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // /stats, each declared once, under its wire name. Server.mu guards them;
 // handleStats copies them whole, beside the Snapshot they belong to.
 type counters struct {
-	// Load and Initial are the wall times of the engines' start-up phases:
-	// every engine loads the State, and then initially evaluates it, on
-	// its own goroutine (see shard.Start). Validation of the
-	// base state runs alongside and is not part of either.
+	// Load and Initial are the wall times of the served engines' start-up
+	// phases: each loads the State, and then initially evaluates it, on
+	// its own goroutine (see shard.Start). The paper's Q2, which verifies
+	// them, loads after both, while the server already serves, and is
+	// part of neither.
 	Load    durationMS `json:"loadMs"`
 	Initial durationMS `json:"initialMs"`
+	// VerifyQueue is how many earlier commits waited for the verifier when
+	// this commit was published, and VerifyBlocked the total time commits
+	// had waited for room in its queue by then (shard.Runtime.VerifyQueue
+	// and VerifyBlocked). The first commits after a fresh start queue
+	// behind the verifier's load.
+	VerifyQueue   int        `json:"verifyQueue"`
+	VerifyBlocked durationMS `json:"verifyBlockedMs"`
 	// Updates aggregates the update+reevaluation phase of every committed
 	// batch (harness.Measurement's phase breakdown) in O(1) state, so a
 	// long-lived server never grows with commit count; Mean is derived
@@ -249,7 +264,8 @@ type statsResponse struct {
 	// ttcvalidate; anything nonzero is a bug. The paper's engine checks
 	// each commit off the commit path; /stats waits until it has reached
 	// Seq, unless the server is broken, so Q2VerifiedSeq equals Seq and
-	// engines.q2 is its state there.
+	// engines.q2 is its state there. A broken server serves the last seq
+	// it reached: one below the base seq if the paper's Q2 failed to load.
 	Q2Disagreements int `json:"q2Disagreements"`
 	Q2VerifiedSeq   int `json:"q2VerifiedSeq"`
 
@@ -327,8 +343,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// The writer publishes each Snapshot and counts its commit under mu, so
 	// the two are read as one. The verifier checks only published commits,
 	// so its value read first is not past the Snapshot, and At finds its
-	// value at the Snapshot's commit.
-	v := s.rt.Verified()
+	// value at the Snapshot's commit; even a broken server waits for the
+	// verifier's load, which always ends.
+	v := s.rt.Verified().At(0, true)
 	s.mu.Lock()
 	snap := s.Snapshot()
 	c := s.stats

@@ -24,15 +24,17 @@
 // latency is the longer of the two steps rather than their sum. Once
 // published, the batch goes to the paper's Q2 engine, which verifies the
 // served Q2 answer on a goroutine of its own, a bounded number of commits
-// behind. Read path: an atomic pointer load merging nothing at all —
-// answers were merged with the parked comments at commit time.
+// behind. That engine loads on its goroutine too, and New does not wait
+// for it: start-up waits only for the served engines, and the first
+// commits queue behind the verifier's load. Read path: an atomic pointer
+// load merging nothing at all — answers were merged with the parked
+// comments at commit time.
 package server
 
 import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,7 +117,7 @@ type Config struct {
 	// snapshotChunkHook observes every flushed chunk; batchHook sees each
 	// batch the writer closes, before it commits; walHook runs at the start
 	// of each commit's WAL step, before the append, and holds that step
-	// while it blocks; verifyHook is the shard runtime's OnVerify — test
+	// while it blocks; verifyHook is shard.Start's onVerify — test
 	// hooks (same package only) for pinning down compaction, encode/commit,
 	// batching, append/publish and verifier interleavings.
 	segmentBytes       int64
@@ -262,11 +264,13 @@ type Server struct {
 	lastSnap    int
 }
 
-// New builds the serving state, warms every engine through its Load and
-// Initial phases, publishes the base snapshot, and starts the writer. The
-// base state is validated concurrently with the engine warm-up; a state
-// that fails validation is never served: New closes the engines and
-// returns the validation error, which wraps model.ErrIntegrity.
+// New builds the serving state, warms the served engines through their
+// Load and Initial phases, publishes the base snapshot, and starts the
+// writer; the paper's Q2, which verifies the served Q2 engine, loads in
+// the background (see shard.Start), so ?engine=incremental and /stats
+// wait for it at first. The base state is validated before any engine
+// loads; a state that fails validation is never served: New returns the
+// validation error, which wraps model.ErrIntegrity.
 //
 // Without persistence the base state is the configured dataset (loaded or
 // generated). With Config.PersistDir the durability directory decides: a
@@ -337,7 +341,7 @@ func New(cfg Config) (*Server, error) {
 	changeSets := d.ChangeSets
 	rec.Snapshot, cfg.Dataset = nil, nil
 	grb.SetThreads(cfg.Threads)
-	rt, err := shard.Start(cfg.Shards, state)
+	rt, err := shard.Start(cfg.Shards, state, cfg.verifyHook)
 	if err != nil {
 		closeWAL()
 		return nil, fmt.Errorf("server: %w", err)
@@ -352,7 +356,6 @@ func New(cfg Config) (*Server, error) {
 		wal:        wlog,
 	}
 	state.OnDetach = s.noteDetach
-	rt.OnVerify = cfg.verifyHook
 	s.stats.Load = durationMS(rt.LoadDuration())
 	s.stats.Initial = durationMS(rt.InitialDuration())
 
@@ -392,13 +395,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.lastSnap = baseSeq
 	}
-
-	// Start-up ends on the served heap: its last collection ran while the
-	// parsed dataset and the refs that built the engines were still live,
-	// and the pacer sets the next heap goal to twice what a collection
-	// leaves. Collecting once more here sets the first goal as a server to
-	// twice the served state instead.
-	runtime.GC()
 
 	// Readiness: immediate unless there is a WAL tail to replay, in which
 	// case the writer flips it after the replay commits.

@@ -202,6 +202,8 @@ var goldenStatsKeys = []string{
 	"shards", "shards[].commits", "shards[].lastMs", "shards[].meanMs", "shards[].shard",
 	"threads",
 	"updates", "updates.count", "updates.lastMs", "updates.meanMs", "updates.totalMs",
+	"verifyBlockedMs",
+	"verifyQueue",
 }
 
 // goldenPersistenceKeys is what PersistDir adds, after one compaction pass.

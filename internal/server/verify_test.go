@@ -1,11 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,4 +196,193 @@ func TestReplayChecksEveryBatchWithTheVerifier(t *testing.T) {
 		t.Fatalf("ready at seq %d with the verifier at commit %d of %d replayed", srv.Snapshot().Seq, srv.rt.Verified().Commits, n)
 	}
 	checkVerified(t, "after replay", srv, n, oracleQ2)
+}
+
+// holdVerifierLoad returns a verifier hook that holds the verifier's load
+// until release is called, a channel closed once the load is held, and
+// release, which may be called more than once.
+func holdVerifierLoad() (hook func(commits int) error, held chan struct{}, release func()) {
+	held, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	return func(commits int) error {
+		if commits == 0 {
+			close(held)
+			<-gate
+		}
+		return nil
+	}, held, func() { once.Do(func() { close(gate) }) }
+}
+
+// serveAsync serves a GET of path through h on another goroutine; the
+// channel yields the response once the handler returns.
+func serveAsync(h http.Handler, path string) <-chan *httptest.ResponseRecorder {
+	out := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		out <- rec
+	}()
+	return out
+}
+
+// queueStats is the part of /stats that reports the verifier's queue.
+type queueStats struct {
+	verifiedStats
+	VerifyQueue   int     `json:"verifyQueue"`
+	VerifyBlocked float64 `json:"verifyBlockedMs"`
+}
+
+// TestStartupServesBeforeTheVerifierLoads holds the paper's Q2 in its
+// load: New has returned and the server is ready, the served engines
+// answer at seq 0, and ?engine=incremental and /stats wait; waited updates
+// then commit, queued behind the load. Released, ?engine=incremental
+// answers seq 0 and /stats the last seq, both with no disagreement, and
+// /stats shows the commit that queued behind the load.
+func TestStartupServesBeforeTheVerifierLoads(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 61, RemovalFraction: 0.2})
+	oracleQ1, oracleQ2 := oracle(t, "Q1", d), oracle(t, "Q2", d)
+	hook, held, release := holdVerifierLoad()
+	srv, err := New(Config{Dataset: d, Shards: 2, verifyHook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer release()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	<-held
+
+	var h healthResponse
+	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK || h.Status != "ready" {
+		t.Fatalf("/healthz while the verifier loads: %d %+v", code, h)
+	}
+	var q queryResponse
+	for path, want := range map[string]string{"/query/q1": oracleQ1[0], "/query/q2": oracleQ2[0], "/query/q2?engine=cc": oracleQ2[0]} {
+		if code := getJSON(t, ts.URL+path, &q); code != http.StatusOK || q.Seq != 0 || q.Result != want {
+			t.Fatalf("%s while the verifier loads: %d %+v, oracle %q", path, code, q, want)
+		}
+	}
+	incremental := serveAsync(srv.Handler(), "/query/q2?engine=incremental")
+	stats := serveAsync(srv.Handler(), "/stats")
+	select {
+	case <-incremental:
+		t.Fatal("?engine=incremental answered while the verifier loads")
+	case <-stats:
+		t.Fatal("/stats answered while the verifier loads")
+	case <-time.After(50 * time.Millisecond):
+	}
+	const commits = 2
+	for k := 0; k < commits; k++ {
+		if resp, _ := postUpdate(t, ts.URL, d.ChangeSets[k].Changes, true); resp.StatusCode != http.StatusOK {
+			t.Fatalf("update %d while the verifier loads: status %d", k+1, resp.StatusCode)
+		}
+	}
+
+	release()
+	rec := <-incremental
+	if err := json.NewDecoder(rec.Body).Decode(&q); err != nil || rec.Code != http.StatusOK || q.Seq != 0 || q.Result != oracleQ2[0] {
+		t.Fatalf("?engine=incremental after the load: %d %+v (%v), oracle %q", rec.Code, q, err, oracleQ2[0])
+	}
+	// /stats read the Snapshot once the load ended: at the last commit's
+	// publication, the commits before it waited behind the load, and none
+	// waited for room.
+	var st queueStats
+	rec = <-stats
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil || rec.Code != http.StatusOK || st.Seq != commits ||
+		st.Q2VerifiedSeq != commits || st.Q2Disagreements != 0 || st.Broken != "" || st.VerifyQueue != commits-1 || st.VerifyBlocked != 0 {
+		t.Fatalf("/stats after the load: %d %+v (%v)", rec.Code, st, err)
+	}
+	if code := getJSON(t, ts.URL+"/query/q2?engine=incremental", &q); code != http.StatusOK || q.Seq != commits || q.Result != oracleQ2[commits] {
+		t.Fatalf("?engine=incremental after %d commits: %d %+v, oracle %q", commits, code, q, oracleQ2[commits])
+	}
+}
+
+// TestStartupVerifierLoadFailureBreaksServer fails the paper's Q2 in its
+// load: the server turns broken — /update and /healthz answer 503 — and
+// keeps serving the served answers at seq 0 and /stats, which reports the
+// error and, with no commit verified, q2VerifiedSeq one below the base;
+// ?engine=incremental, which has no answer, says why with a 503.
+func TestStartupVerifierLoadFailureBreaksServer(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 67})
+	oracleQ1, oracleQ2 := oracle(t, "Q1", d), oracle(t, "Q2", d)
+	boom := errors.New("injected verifier load failure")
+	srv, err := New(Config{Dataset: d, verifyHook: func(commits int) error {
+		if commits == 0 {
+			return boom
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for srv.brokenErr() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed load did not break the server within 30s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.brokenErr(); !errors.Is(err, boom) {
+		t.Fatalf("broken: %v, want the verifier's load error", err)
+	}
+	if resp, _ := postUpdate(t, ts.URL, d.ChangeSets[0].Changes, true); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/update after the failed load: status %d, want 503", resp.StatusCode)
+	}
+	var h healthResponse
+	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusServiceUnavailable || h.Status != "broken" {
+		t.Fatalf("/healthz after the failed load: %d %+v", code, h)
+	}
+	var q queryResponse
+	for path, want := range map[string]string{"/query/q1": oracleQ1[0], "/query/q2": oracleQ2[0], "/query/q2?engine=cc": oracleQ2[0]} {
+		if code := getJSON(t, ts.URL+path, &q); code != http.StatusOK || q.Seq != 0 || q.Result != want {
+			t.Fatalf("%s after the failed load: %d %+v, oracle %q", path, code, q, want)
+		}
+	}
+	var st verifiedStats
+	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK || st.Seq != 0 || st.Q2VerifiedSeq != -1 ||
+		!strings.Contains(st.Broken, boom.Error()) {
+		t.Fatalf("/stats after the failed load: %d %+v", code, st)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if code := getJSON(t, ts.URL+"/query/q2?engine=incremental", &e); code != http.StatusServiceUnavailable || !strings.Contains(e.Error, boom.Error()) {
+		t.Fatalf("?engine=incremental after the failed load: %d %+v", code, e)
+	}
+}
+
+// TestStartupCloseDuringVerifierLoad: Close waits for a held load, returns
+// once it is released, and leaves no goroutine running.
+func TestStartupCloseDuringVerifierLoad(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 71})
+	before := runtime.NumGoroutine()
+	hook, held, release := holdVerifierLoad()
+	defer release()
+	srv, err := New(Config{Dataset: d, Shards: 2, verifyHook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while the verifier's load is held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return within 30s of the load's release")
+	}
+	if got := waitGoroutines(before); got > before {
+		t.Fatalf("%d goroutines after Close, %d before New", got, before)
+	}
 }

@@ -86,7 +86,8 @@ func TestRouterRetainedBytes(t *testing.T) {
 
 // TestRuntimeRetainedBytes is the combined memory gate: model.State plus
 // a runtime started on it (the router, the q1 and q2cc engines and the
-// verifier's q2), as a server holds them, on routerFixture. Go 1.24
+// verifier's q2, once it has loaded), as a server holds them, on
+// routerFixture. Go 1.24
 // measures 87.5 bytes per snapshot entity at one shard, State 43.7 of
 // them; the bound adds 15%. With the router's parked comments ranked
 // through entry copies it measured 101.4. The same State and runtime with
@@ -105,11 +106,12 @@ func TestRuntimeRetainedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := Start(n, st)
+		rt, err := Start(n, st, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rt.Close()
+		rt.Verified().At(0, true) // the verifier loads after Start returns
 		got := float64(heapAfterGC()-before) / float64(entities)
 		runtime.KeepAlive(rt)
 		runtime.KeepAlive(snap) // or the second collection frees it

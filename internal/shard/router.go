@@ -97,12 +97,12 @@ func newRouter(st *model.State, refs []model.Ref) (r *router, q2 []model.Ref) {
 func (r *router) route(refs []model.Ref) []model.Ref {
 	r.q2 = r.q2[:0]
 	for _, x := range refs {
-		switch x.Kind {
-		case model.KindAddComment:
+		if x.Kind == model.KindAddComment {
 			r.q2Local = append(r.q2Local, -1)
 			r.parkedRank.Set(core.Slot[struct{}]{Key: x.A})
 			continue
-		case model.KindAddLike, model.KindRemoveLike:
+		}
+		if f, _ := x.Kind.Family(); f == model.KeyLike {
 			if c := x.B; r.q2Local[c] < 0 {
 				r.q2Local[c] = int32(len(r.q2Comments.Of))
 				r.q2Comments.Of = append(r.q2Comments.Of, c)

@@ -25,10 +25,11 @@
 // visible in every engine at once and a serving layer's wait=1 keeps
 // meaning "globally visible". The paper's Q2 engine is not served: it
 // verifies the CC extension, which serves Q2, off the barrier (see
-// verify.go). Verify hands it each commit once the commit is published,
-// and it checks every commit on a goroutine of its own, at most
-// verifyDepth commits behind. The verifier's is the only goroutine that
-// outlives a call.
+// verify.go). It loads on a goroutine of its own, which Start does not
+// wait for, so start-up waits only for the served engines; Verify hands
+// it each commit once the commit is published, and it checks Start's
+// evaluation and then every commit, at most verifyDepth commits behind.
+// The verifier's is the only goroutine that outlives a call.
 //
 // What the Runtime exposes is one immutable Record per commit (and one
 // from New): the merged answers, the served engines' size totals, each
@@ -41,6 +42,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -169,11 +171,12 @@ type lane struct {
 }
 
 // Runtime is the sharded engine runtime over a model.State. Start loads
-// the engines and starts the verifier; CommitRefs routes and applies one
-// change set the State has resolved, with a global barrier, and returns
-// the merged Record, and Verify hands the commit to the verifier. Start
-// and every commit build the Record on the committing goroutine, which
-// alone may commit, verify, call Record and apply changes to the State; a
+// the served engines and starts the verifier, which loads its own engine
+// without Start waiting for it; CommitRefs routes and applies one change
+// set the State has resolved, with a global barrier, and returns the
+// merged Record, and Verify hands the commit to the verifier. Start and
+// every commit build the Record on the committing goroutine, which alone
+// may commit, verify, call Record and apply changes to the State; a
 // Record itself is immutable and safe to share. The engines read ids back
 // through the State, so its owner must not apply changes while a commit
 // runs.
@@ -185,12 +188,6 @@ type Runtime struct {
 	engines []served
 	lanes   []lane
 	ver     *verifier
-
-	// OnVerify, when set before the first commit, runs on the verifier
-	// before it checks each commit, with the commit's count since Start;
-	// an error it returns fails that check as an engine error would. It
-	// is a test hook: it holds or fails the verifier.
-	OnVerify func(commits int) error
 
 	loadDur    time.Duration
 	initialDur time.Duration
@@ -222,15 +219,24 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	return Start(n, st)
+	return Start(n, st, nil)
 }
 
 // Start places the served engines on n shards, loads and initially
-// evaluates every engine on st, and starts the verifier. Start-up must
-// read the whole graph, so each engine loads, and then initially
+// evaluates each of them on st, and starts the verifier. Start-up must
+// read the whole graph, so each served engine loads, and then initially
 // evaluates, on its own goroutine; each phase ends at a barrier, so its
-// duration is its wall time. On error no goroutine is left running.
-func Start(n int, st *model.State) (*Runtime, error) {
+// duration is its wall time. Start then collects once, so the server
+// starts under a heap goal of twice the served state, not twice
+// start-up's peak. The verifier loads and initially evaluates the paper's
+// Q2 on its own goroutine after that, and Start returns without waiting
+// for it (see Verified). On error no goroutine is left running.
+//
+// onVerify, when not nil, runs on the verifier before it checks each
+// commit, with the commit's count since Start: 0 before it loads, to
+// check Start's evaluation. An error it returns fails that check as an
+// engine error would. It is a test hook: it holds or fails the verifier.
+func Start(n int, st *model.State, onVerify func(commits int) error) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
 	}
@@ -252,8 +258,7 @@ func Start(n int, st *model.State) (*Runtime, error) {
 			slot := len(rt.engines)
 			rt.engines = append(rt.engines, served{ServedEngine: e, eng: e.New(), shard: slot % n})
 		} else if rt.ver == nil && e.Query == "Q2" {
-			rt.ver = newVerifier(e, st, router)
-			jobs = append(jobs, startJob{"verifier", rt.ver.eng, rt.ver.part, q2Refs, &rt.ver.res})
+			rt.ver = newVerifier(e, st, router, onVerify)
 		}
 	}
 	if rt.ver == nil {
@@ -305,7 +310,14 @@ func Start(n int, st *model.State) (*Runtime, error) {
 		rt.engines[i].sizes()
 	}
 	rt.rec = rt.record()
-	rt.ver.start(rt)
+	// The last collection ran while the served engines loaded, and the
+	// pacer sets the next heap goal to twice what a collection leaves. One
+	// collection now, with the refs that built them garbage, sets it to
+	// twice the served state instead, and the verifier's engine loads
+	// under that goal. It runs before the verifier starts, so it does not
+	// mark the verifier's load.
+	runtime.GC()
+	rt.ver.start(rt, q2Refs)
 	return rt, nil
 }
 
@@ -442,16 +454,17 @@ func (rt *Runtime) record() *Record {
 	return rec
 }
 
-// LoadDuration is the wall time of the load phase: every engine loading
-// the State, each on its own goroutine.
+// LoadDuration is the wall time of Start's load phase: every served
+// engine loading the State, each on its own goroutine. The verifier's
+// load is not part of it.
 func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 
-// InitialDuration is the wall time of the initial-evaluation phase, every
-// engine on its own goroutine.
+// InitialDuration is the wall time of Start's initial-evaluation phase,
+// every served engine on its own goroutine.
 func (rt *Runtime) InitialDuration() time.Duration { return rt.initialDur }
 
-// Close stops the verifier once it has drained its queue; a commit not
-// yet handed to the verifier stays unverified. Idempotent.
+// Close stops the verifier once it has loaded and drained its queue; a
+// commit not yet handed to the verifier stays unverified. Idempotent.
 func (rt *Runtime) Close() {
 	rt.closeOnce.Do(rt.ver.stop)
 }

@@ -198,7 +198,7 @@ func newCheckedRuntime(t testing.TB, n int, snap *model.Snapshot) *Runtime {
 	}
 	r, q2 := newRouter(st, st.Refs())
 	checkInitial(t, r, snap, q2)
-	rt, err := Start(n, st)
+	rt, err := Start(n, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,21 @@ import (
 
 // The verifier runs the lineup's verifying engine — the paper's Q2, which
 // cross-checks the CC extension that serves Q2 — off the commit barrier,
-// on a goroutine of its own. Verify hands it each commit once the commit
-// is published: the commit's Q2 refs, copied out of the router's reused
-// stream, its position, the parked comments' top-3 and the served engine's
-// merged answer then. The verifier applies the refs, merges the engine's
-// answer with the parked top-3 and counts a disagreement where the result
-// differs from the served answer of the same commit. It publishes each
-// checked commit as one immutable Verified.
+// on a goroutine of its own. That goroutine also loads the engine: Start
+// launches it once the served engines are ready and returns, so time to
+// ready pays for the served engines only. It runs the engine's Attach and
+// Initial on the refs that built the served Q2 engine, drops them, checks
+// Start's evaluation against Start's Record, and then the commits handed
+// to it. Until it has checked Start's evaluation, its published value is
+// a placeholder before commit 0 (see Verified), so a wait for any commit
+// waits for the load too. Commits handed over meanwhile queue behind the
+// load, within verifyDepth like any other. Verify hands it each commit
+// once the commit is published: the commit's Q2 refs, copied out of the
+// router's reused stream, its position, the parked comments' top-3 and
+// the served engine's merged answer then. The verifier applies the refs,
+// merges the engine's answer with the parked top-3 and counts a
+// disagreement where the result differs from the served answer of the
+// same commit. It publishes each checked commit as one immutable Verified.
 //
 // The engine reads ids back through the State and the Q2 comment space,
 // which the committing goroutine keeps appending to while the verifier
@@ -45,11 +53,14 @@ import (
 const verifyDepth = 8
 
 // Verified is the verifier's published state after one checked commit (or
-// after Start). It is never changed once published; later values follow
-// it through At.
+// after Start's evaluation). It is never changed once published; later
+// values follow it through At. Until the verifier has loaded, the newest
+// value is a placeholder with Commits −1, whose Err is set if the load
+// failed.
 type Verified struct {
 	// Commits counts the commits since Start the verifier has checked, and
-	// Changes their changes.
+	// Changes their changes; Commits is 0 once it has checked Start's
+	// evaluation.
 	Commits, Changes int
 	// Result is the verifying engine's answer merged with the parked
 	// comments of that commit ("id|id|id").
@@ -100,7 +111,6 @@ type handoff struct {
 	comments         []int32
 	parked           core.Result
 	served           string
-	hook             func(commits int) error
 }
 
 // verifier owns the verifying engine. Its goroutine alone touches the
@@ -108,6 +118,7 @@ type handoff struct {
 type verifier struct {
 	key, verifies string
 	eng           core.Engine
+	hook          func(commits int) error // Start's onVerify
 	// part is what the engine reads ids through: nodes and space, which
 	// the verifier sets from each hand-off before applying it.
 	part  core.Part
@@ -126,12 +137,13 @@ type verifier struct {
 	ans answer      // its merge with the parked comments, as of cur
 }
 
-func newVerifier(e harness.ServedEngine, st *model.State, r *router) *verifier {
+func newVerifier(e harness.ServedEngine, st *model.State, r *router, hook func(commits int) error) *verifier {
 	of := r.q2Comments.Of
 	v := &verifier{
 		key:      e.Key,
 		verifies: e.Verifies,
 		eng:      e.New(),
+		hook:     hook,
 		nodes:    st.Nodes(),
 		space:    core.Space{Of: of[:len(of):len(of)]},
 		queue:    make(chan handoff, verifyDepth),
@@ -139,28 +151,30 @@ func newVerifier(e harness.ServedEngine, st *model.State, r *router) *verifier {
 		done:     make(chan struct{}),
 	}
 	v.part = core.Part{Nodes: &v.nodes, Comments: &v.space}
+	v.cur.Store(&Verified{Commits: -1, next: make(chan struct{})})
 	return v
 }
 
-// start checks Start's evaluation against rt's first Record and starts the
-// verifier's goroutine.
-func (v *verifier) start(rt *Runtime) {
-	v.settle(&handoff{parked: rt.parked, served: rt.Record().Results[v.verifies]})
-	go v.run()
+// start starts the verifier's goroutine on the refs that build its engine
+// (the router's Q2 refs of Start), with Start's evaluation, as rt's first
+// Record holds it, as the first commit to check.
+func (v *verifier) start(rt *Runtime, refs []model.Ref) {
+	go v.run(refs, handoff{parked: rt.parked, served: rt.rec.Results[v.verifies]})
 }
 
-func (v *verifier) run() {
+// run loads the engine from refs and checks Start's evaluation, first,
+// then every handed-over commit until the queue is closed. After a failed
+// check it checks nothing more, but keeps taking hand-offs.
+func (v *verifier) run(refs []model.Ref, first handoff) {
 	defer close(v.done)
-	failed := false
+	err := v.load(refs) // nothing holds refs past load
+	if err == nil {
+		v.settle(&first)
+	}
+	failed := v.fail(&first, err)
 	for h := range v.queue {
 		if !failed {
-			if err := v.check(&h); err != nil {
-				failed = true
-				stop := *v.cur.Load()
-				stop.Err = fmt.Errorf("shard: verify commit %d: %w", h.commits, err)
-				stop.next, stop.succ = make(chan struct{}), nil
-				v.publish(&stop)
-			}
+			failed = v.fail(&h, v.check(&h))
 		}
 		select {
 		case v.free <- h.refs[:0]:
@@ -169,10 +183,41 @@ func (v *verifier) run() {
 	}
 }
 
+// fail publishes err, if not nil, as the failed check of h's commit, on a
+// copy of the newest value, and reports whether it did.
+func (v *verifier) fail(h *handoff, err error) bool {
+	if err == nil {
+		return false
+	}
+	stop := *v.cur.Load()
+	stop.Err = fmt.Errorf("shard: verify commit %d: %w", h.commits, err)
+	stop.next, stop.succ = make(chan struct{}), nil
+	v.publish(&stop)
+	return true
+}
+
+// load runs the engine's start-up on refs: Attach, then Initial.
+func (v *verifier) load(refs []model.Ref) error {
+	if v.hook != nil {
+		if err := v.hook(0); err != nil {
+			return err
+		}
+	}
+	if err := v.eng.Attach(v.part, refs); err != nil {
+		return fmt.Errorf("%s load: %w", v.eng.Name(), err)
+	}
+	res, err := v.eng.Initial()
+	if err != nil {
+		return fmt.Errorf("%s initial: %w", v.eng.Name(), err)
+	}
+	v.res = res
+	return nil
+}
+
 // check applies one handed-over commit and publishes its Verified.
 func (v *verifier) check(h *handoff) error {
-	if h.hook != nil {
-		if err := h.hook(h.commits); err != nil {
+	if v.hook != nil {
+		if err := v.hook(h.commits); err != nil {
 			return err
 		}
 	}
@@ -192,12 +237,9 @@ func (v *verifier) check(h *handoff) error {
 // result with the served answer and publishes it.
 func (v *verifier) settle(h *handoff) {
 	v.ans.update(v.res, h.parked)
-	prev := v.cur.Load()
 	next := &Verified{Commits: h.commits, Changes: h.changes, Result: v.ans.str, Published: time.Now(), next: make(chan struct{})}
 	next.Engine = v.eng.Stats()
-	if prev != nil {
-		next.Disagreements = prev.Disagreements
-	}
+	next.Disagreements = v.cur.Load().Disagreements
 	if next.Result != h.served {
 		next.Disagreements++
 	}
@@ -208,16 +250,13 @@ func (v *verifier) settle(h *handoff) {
 // its predecessor.
 func (v *verifier) publish(next *Verified) {
 	prev := v.cur.Load()
-	if prev != nil {
-		prev.succ = next
-	}
+	prev.succ = next
 	v.cur.Store(next)
-	if prev != nil {
-		close(prev.next)
-	}
+	close(prev.next)
 }
 
-// stop closes the queue and waits until the verifier has drained it.
+// stop closes the queue and waits until the verifier has loaded and
+// drained it.
 func (v *verifier) stop() {
 	close(v.queue)
 	<-v.done
@@ -248,7 +287,6 @@ func (rt *Runtime) Verify() {
 		comments: of[:len(of):len(of)],
 		parked:   rt.parked,
 		served:   rt.rec.Results[v.verifies],
-		hook:     rt.OnVerify,
 	}
 	select {
 	case v.queue <- h:
@@ -264,8 +302,14 @@ func (rt *Runtime) Verify() {
 // committing goroutine, or once it has stopped committing.
 func (rt *Runtime) VerifyBlocked() time.Duration { return rt.verifyBlocked }
 
-// Verified returns the newest value the verifier has published. Safe to
-// call from any goroutine.
+// VerifyQueue returns how many handed-over commits wait for the verifier
+// behind the one it is checking (or behind its load). Safe to call from
+// any goroutine.
+func (rt *Runtime) VerifyQueue() int { return len(rt.ver.queue) }
+
+// Verified returns the newest value the verifier has published: the
+// placeholder before commit 0 until it has loaded. Safe to call from any
+// goroutine.
 func (rt *Runtime) Verified() *Verified { return rt.ver.cur.Load() }
 
 // Drain hands over a pending commit (see Verify), waits until the verifier
