@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ttcserve -addr :8080 -sf 4 -threads 2
+//	ttcserve -addr :8080 -sf 4
 //	ttcserve -data data/sf8 -replay
 //	ttcserve -sf 4 -data-dir /var/lib/ttc -fsync always -snapshot-every 256
 //
@@ -47,16 +47,15 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		data    = flag.String("data", "", "dataset directory (from ttcgen); empty generates")
-		sf      = flag.Int("sf", 1, "scale factor when generating")
-		seed    = flag.Int64("seed", 2018, "generator seed when generating")
-		threads = flag.Int("threads", 1, "GraphBLAS thread count")
-		batch   = flag.Int("batch", 64, "max changes merged into one commit")
-		flush   = flag.Duration("flush", 2*time.Millisecond, "max wait for co-batched unwaited updates before committing (a batch holding a waited update commits at once)")
-		queue   = flag.Int("queue", 256, "write queue capacity (requests)")
-		shards  = flag.Int("shards", 1, "engine shards (each served engine runs whole on one: q1 on shard 0, q2cc on shard 1 mod N, applying a commit side by side from 2 shards on; shards beyond the served lineup host nothing)")
-		replay  = flag.Bool("replay", false, "replay the dataset's change sets through the write queue at startup")
+		addr   = flag.String("addr", ":8080", "listen address")
+		data   = flag.String("data", "", "dataset directory (from ttcgen); empty generates")
+		sf     = flag.Int("sf", 1, "scale factor when generating")
+		seed   = flag.Int64("seed", 2018, "generator seed when generating")
+		batch  = flag.Int("batch", 64, "max changes merged into one commit")
+		flush  = flag.Duration("flush", 2*time.Millisecond, "max wait for co-batched unwaited updates before committing (a batch holding a waited update commits at once)")
+		queue  = flag.Int("queue", 256, "write queue capacity (requests)")
+		shards = flag.Int("shards", 1, "engine shards (each served engine runs whole on one: q1 on shard 0, q2cc on shard 1 mod N, applying a commit side by side from 2 shards on; shards beyond the served lineup host nothing)")
+		replay = flag.Bool("replay", false, "replay the dataset's change sets through the write queue at startup")
 
 		dataDir   = flag.String("data-dir", "", "durability directory (write-ahead log + snapshots); empty disables persistence")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always, interval or off")
@@ -65,7 +64,7 @@ func main() {
 		compEvery = flag.Int("compact-every", 0, "compact sealed WAL segments by change key every N committed batches (0 disables; only meaningful with -data-dir)")
 	)
 	flag.Parse()
-	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *threads, *batch, *queue, *shards, *snapEvery, *compEvery, *flush, *fsyncIvl)
+	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *batch, *queue, *shards, *snapEvery, *compEvery, *flush, *fsyncIvl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttcserve:", err)
 		os.Exit(2)
@@ -75,7 +74,6 @@ func main() {
 		DataDir:       *data,
 		ScaleFactor:   *sf,
 		Seed:          *seed,
-		Threads:       *threads,
 		MaxBatch:      *batch,
 		FlushInterval: *flush,
 		QueueDepth:    *queue,
@@ -185,15 +183,12 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // validateFlags rejects nonsense flag combinations with exit status 2
 // before any work happens, and resolves the fsync policy name.
-func validateFlags(addr, data, fsync string, sf, threads, batch, queue, shards, snapEvery, compEvery int, flush, fsyncIvl time.Duration) (wal.SyncPolicy, error) {
+func validateFlags(addr, data, fsync string, sf, batch, queue, shards, snapEvery, compEvery int, flush, fsyncIvl time.Duration) (wal.SyncPolicy, error) {
 	if addr == "" {
 		return 0, errors.New("-addr must not be empty")
 	}
 	if data == "" && sf < 1 {
 		return 0, fmt.Errorf("-sf must be >= 1 (got %d)", sf)
-	}
-	if threads < 1 {
-		return 0, fmt.Errorf("-threads must be >= 1 (got %d)", threads)
 	}
 	if batch < 1 {
 		return 0, fmt.Errorf("-batch must be >= 1 (got %d)", batch)

@@ -17,12 +17,12 @@ import (
 // in this package makes `go test ./...` compile the binary.
 func TestValidateFlags(t *testing.T) {
 	type flags struct {
-		addr, data, fsync                 string
-		sf, threads, batch, queue, shards int
-		snapEvery, compEvery              int
-		flush, fsyncIvl                   time.Duration
+		addr, data, fsync        string
+		sf, batch, queue, shards int
+		snapEvery, compEvery     int
+		flush, fsyncIvl          time.Duration
 	}
-	ok := flags{addr: ":8080", fsync: "always", sf: 1, threads: 1, batch: 64,
+	ok := flags{addr: ":8080", fsync: "always", sf: 1, batch: 64,
 		queue: 256, shards: 1, snapEvery: 256, flush: time.Millisecond, fsyncIvl: time.Millisecond}
 	cases := []struct {
 		name    string
@@ -37,7 +37,6 @@ func TestValidateFlags(t *testing.T) {
 		{"ok snapshots disabled", func(f *flags) { f.snapEvery = -1 }, false},
 		{"empty addr", func(f *flags) { f.addr = "" }, true},
 		{"zero sf", func(f *flags) { f.sf = 0 }, true},
-		{"zero threads", func(f *flags) { f.threads = 0 }, true},
 		{"zero batch", func(f *flags) { f.batch = 0 }, true},
 		{"zero queue", func(f *flags) { f.queue = 0 }, true},
 		{"zero shards", func(f *flags) { f.shards = 0 }, true},
@@ -55,7 +54,7 @@ func TestValidateFlags(t *testing.T) {
 		f := ok
 		tc.mut(&f)
 		policy, err := validateFlags(f.addr, f.data, f.fsync,
-			f.sf, f.threads, f.batch, f.queue, f.shards, f.snapEvery, f.compEvery, f.flush, f.fsyncIvl)
+			f.sf, f.batch, f.queue, f.shards, f.snapEvery, f.compEvery, f.flush, f.fsyncIvl)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: validateFlags = %v, wantErr=%v", tc.name, err, tc.wantErr)
 		}

@@ -82,7 +82,7 @@ func q2ScoreAll(likes, friends *grb.Matrix[bool], commentIdx []int, scores []int
 }
 
 // scorersFor returns scorers when it holds n of them, else n new ones: a
-// change of -threads costs one regrowth of the buffers.
+// change of grb.Threads() costs one regrowth of the buffers.
 func scorersFor(scorers []q2Scorer, n int) []q2Scorer {
 	if len(scorers) != n {
 		return make([]q2Scorer, n)
@@ -178,7 +178,7 @@ func (s *Q2Batch) evaluate() (Result, error) {
 //
 // Initial scores every comment on runtime.GOMAXPROCS(0) workers, because
 // start-up reads the whole graph anyway; Update re-scores on grb.Threads()
-// workers, the -threads setting of the commit path.
+// workers (one in the server, ttcrun's -threads otherwise).
 type Q2Incremental struct {
 	standalone
 	g       *graph

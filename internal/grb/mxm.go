@@ -16,8 +16,7 @@ func MxM[A, B, C any](s Semiring[A, B, C], a *Matrix[A], b *Matrix[B]) (*Matrix[
 	c := NewMatrix[C](a.nrows, b.ncols)
 	rowCols := make([][]Index, a.nrows)
 	rowVals := make([][]C, a.nrows)
-	bounds := parallelChunks(a.nrows)
-	runChunks(bounds, func(_, lo, hi int) {
+	parallelRanges(a.nrows, func(lo, hi int) {
 		acc := make([]C, b.ncols)
 		present := make([]bool, b.ncols)
 		var touched []Index

@@ -34,10 +34,12 @@ func Threads() int { return int(numThreads.Load()) }
 // goroutine; below it kernels run sequentially to avoid scheduling overhead.
 const minParallelWork = 4096
 
-// parallelRanges invokes body(lo, hi) over a partition of [0, n) using up to
-// Threads() goroutines. body must be safe to call concurrently on disjoint
-// ranges. When the work is small or only one thread is configured it calls
-// body(0, n) inline.
+// parallelRanges invokes body(lo, hi) over a static partition of [0, n)
+// into at most Threads() contiguous ranges, one goroutine each; it is the
+// one fan-out of the row kernels. body must be safe to call concurrently
+// on disjoint ranges (MxM, which stitches its rows back in order, writes
+// them by row index). When the work is small or only one thread is
+// configured it calls body(0, n) inline, allocating nothing.
 func parallelRanges(n int, body func(lo, hi int)) {
 	nt := Threads()
 	if n <= 0 {
@@ -69,11 +71,11 @@ func parallelRanges(n int, body func(lo, hi int)) {
 // ParallelItems invokes body(w, i) for every i in [0, n) on up to workers
 // goroutines with dynamic (work-stealing counter) scheduling; w in
 // [0, workers) names the goroutine, so body can use per-worker scratch.
-// Unlike the internal chunked helpers it takes its worker count from the
-// caller and parallelizes even small n, because callers use it for
-// coarse-grained tasks of highly uneven cost — e.g. the per-comment
-// connected-component computations of Q2, which the paper parallelizes
-// with OpenMP at comment granularity.
+// Unlike parallelRanges it takes its worker count from the caller and
+// parallelizes even small n, because callers use it for coarse-grained
+// tasks of highly uneven cost — e.g. the per-comment connected-component
+// computations of Q2, which the paper parallelizes with OpenMP at comment
+// granularity.
 func ParallelItems(n, workers int, body func(w, i int)) {
 	if workers > n {
 		workers = n
@@ -98,47 +100,6 @@ func ParallelItems(n, workers int, body func(w, i int)) {
 				body(w, i)
 			}
 		}(w)
-	}
-	wg.Wait()
-}
-
-// parallelChunks partitions [0, n) into at most Threads() contiguous chunks
-// and returns the boundaries (len = #chunks+1). Kernels that must stitch
-// per-chunk results back together in order (e.g. MxM building CSR output)
-// use this instead of parallelRanges.
-func parallelChunks(n int) []int {
-	nt := Threads()
-	if nt <= 1 || n < minParallelWork {
-		return []int{0, n}
-	}
-	if nt > n {
-		nt = n
-	}
-	bounds := make([]int, 0, nt+1)
-	chunk := (n + nt - 1) / nt
-	for lo := 0; lo <= n; lo += chunk {
-		bounds = append(bounds, lo)
-	}
-	if bounds[len(bounds)-1] != n {
-		bounds = append(bounds, n)
-	}
-	return bounds
-}
-
-// runChunks executes body over each chunk defined by bounds concurrently.
-func runChunks(bounds []int, body func(chunk, lo, hi int)) {
-	nchunks := len(bounds) - 1
-	if nchunks == 1 {
-		body(0, bounds[0], bounds[1])
-		return
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			body(c, bounds[c], bounds[c+1])
-		}(c)
 	}
 	wg.Wait()
 }

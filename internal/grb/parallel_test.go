@@ -3,6 +3,7 @@ package grb
 import (
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -75,34 +76,39 @@ func TestSetThreads(t *testing.T) {
 	}
 }
 
+// TestParallelRangesCoversAll pins the one static fan-out: every index of
+// [0, n) is covered exactly once, by at most Threads() non-empty ranges;
+// on one thread, or below minParallelWork, body runs once, inline, and the
+// call allocates nothing.
 func TestParallelRangesCoversAll(t *testing.T) {
-	defer SetThreads(SetThreads(7))
-	for _, n := range []int{0, 1, 5, minParallelWork - 1, minParallelWork, 3*minParallelWork + 17} {
-		covered := make([]int32, n)
-		parallelRanges(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				covered[i]++
+	defer SetThreads(SetThreads(1))
+	for _, nt := range []int{1, 5, 7} {
+		SetThreads(nt)
+		for _, n := range []int{0, 1, 5, minParallelWork - 1, minParallelWork, 4*minParallelWork + 3} {
+			covered := make([]int32, n)
+			var calls atomic.Int32
+			parallelRanges(n, func(lo, hi int) {
+				calls.Add(1)
+				if lo >= hi {
+					t.Errorf("threads=%d n=%d: empty range [%d,%d)", nt, n, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					covered[i]++
+				}
+			})
+			for i, c := range covered {
+				if c != 1 {
+					t.Fatalf("threads=%d n=%d: index %d covered %d times", nt, n, i, c)
+				}
 			}
-		})
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d covered %d times", n, i, c)
+			if c := int(calls.Load()); c > nt || n > 0 && (nt == 1 || n < minParallelWork) && c != 1 {
+				t.Fatalf("threads=%d n=%d: %d ranges", nt, n, c)
 			}
 		}
 	}
-}
-
-func TestParallelChunksPartition(t *testing.T) {
-	defer SetThreads(SetThreads(5))
-	for _, n := range []int{minParallelWork, minParallelWork*4 + 3} {
-		bounds := parallelChunks(n)
-		if bounds[0] != 0 || bounds[len(bounds)-1] != n {
-			t.Fatalf("bounds %v do not span [0,%d]", bounds, n)
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				t.Fatalf("bounds %v not strictly increasing", bounds)
-			}
-		}
+	SetThreads(1)
+	body := func(lo, hi int) {}
+	if allocs := testing.AllocsPerRun(100, func() { parallelRanges(4*minParallelWork, body) }); allocs != 0 {
+		t.Fatalf("one-thread parallelRanges allocates %.0f times per call, want 0", allocs)
 	}
 }

@@ -191,52 +191,38 @@ func (d *Dataset) TotalInserts() int {
 // even on removal-heavy histories — the naive per-removal slice scan is
 // quadratic.
 func (s *Snapshot) Apply(cs *ChangeSet) {
-	if !cs.HasRemovals() {
-		for _, ch := range cs.Changes {
-			switch ch.Kind {
-			case KindAddPost:
-				s.Posts = append(s.Posts, ch.Post)
-			case KindAddComment:
-				s.Comments = append(s.Comments, ch.Comment)
-			case KindAddUser:
-				s.Users = append(s.Users, ch.User)
-			case KindAddFriendship:
-				s.Friendships = append(s.Friendships, ch.Friendship)
-			case KindAddLike:
-				s.Likes = append(s.Likes, ch.Like)
-			}
-		}
-		return
-	}
-
 	// Index edge instances by canonical key — but only for the keys this
 	// set actually removes, so the maps stay O(|changes|) even when the
 	// snapshot holds millions of edges (the slice scans below are already
 	// paid by the final compaction pass). Values are slice positions (a
 	// stack per key, so duplicate instances remove LIFO); removal marks the
-	// position dead and a final pass compacts each touched slice once.
-	friendIdx := make(map[[2]ID][]int)
-	likeIdx := make(map[[2]ID][]int)
-	for _, ch := range cs.Changes {
-		switch ch.Kind {
-		case KindRemoveFriendship:
-			friendIdx[ch.Friendship.key()] = nil
-		case KindRemoveLike:
-			likeIdx[ch.Like.key()] = nil
+	// position dead and a final pass compacts each touched slice once. A
+	// set that removes nothing leaves the maps nil: no key is tracked, the
+	// loop below only appends, and Apply is O(|changes|).
+	var friendIdx, likeIdx map[[2]ID][]int
+	var deadFriends, deadLikes map[int]struct{}
+	if cs.HasRemovals() {
+		friendIdx, likeIdx = make(map[[2]ID][]int), make(map[[2]ID][]int)
+		deadFriends, deadLikes = make(map[int]struct{}), make(map[int]struct{})
+		for _, ch := range cs.Changes {
+			switch ch.Kind {
+			case KindRemoveFriendship:
+				friendIdx[ch.Friendship.key()] = nil
+			case KindRemoveLike:
+				likeIdx[ch.Like.key()] = nil
+			}
+		}
+		for i, f := range s.Friendships {
+			if stack, tracked := friendIdx[f.key()]; tracked {
+				friendIdx[f.key()] = append(stack, i)
+			}
+		}
+		for i, l := range s.Likes {
+			if stack, tracked := likeIdx[l.key()]; tracked {
+				likeIdx[l.key()] = append(stack, i)
+			}
 		}
 	}
-	for i, f := range s.Friendships {
-		if stack, tracked := friendIdx[f.key()]; tracked {
-			friendIdx[f.key()] = append(stack, i)
-		}
-	}
-	for i, l := range s.Likes {
-		if stack, tracked := likeIdx[l.key()]; tracked {
-			likeIdx[l.key()] = append(stack, i)
-		}
-	}
-	deadFriends := make(map[int]struct{})
-	deadLikes := make(map[int]struct{})
 
 	for _, ch := range cs.Changes {
 		switch ch.Kind {

@@ -139,8 +139,10 @@ func (s *Server) commit(batch []updateReq) {
 	}
 
 	// Canonicalize the merged batch (friendship endpoints ordered) so the
-	// WAL stores — and every engine sees — the change-key-normalized form;
-	// cs.Changes is the writer's own buffer, never a caller's slice.
+	// WAL record stores the change-key-normalized form its compactor keys
+	// on. Only the record sees it: the engines get the refs State.Apply
+	// resolved above, before this. cs.Changes is the writer's own buffer,
+	// never a caller's slice.
 	cs.Normalize()
 
 	seq := s.snap.Load().Seq + 1
@@ -319,11 +321,8 @@ func (s *Server) noteDetach(d time.Duration) {
 // disk chunk by chunk while the writer returns to draining the queue. The
 // graceful close calls it too, once the writer has exited, and waits.
 func (s *Server) snapshotDurable(seq int) {
-	s.mu.Lock()
-	last := s.lastSnap
-	s.mu.Unlock()
-	if seq == last {
-		return
+	if uint64(seq) == s.wal.Metrics().LastSnapSeq {
+		return // already written
 	}
 	if s.snapInProgress.Load() {
 		// One encode in flight at a time: the request waits for it to
@@ -350,7 +349,7 @@ func (s *Server) snapshotDurable(seq int) {
 		encStart := time.Now()
 		err := s.wal.WriteSnapshotStream(uint64(seq), meta, view, s.streamChunk)
 		release()
-		s.finishSnapshot(seq, encStart, err)
+		s.finishSnapshot(encStart, err)
 		s.snapInProgress.Store(false)
 	}()
 	s.noteSnapStall(time.Since(start))
@@ -359,14 +358,13 @@ func (s *Server) snapshotDurable(seq int) {
 // finishSnapshot records one snapshot attempt's outcome. Callers clear
 // snapInProgress only *after* this returns: single-flighting means a newer
 // encode cannot start — and so cannot write its bookkeeping — until the
-// older one's has landed, which keeps lastSnap monotone.
-func (s *Server) finishSnapshot(seq int, start time.Time, err error) {
+// older one's has landed.
+func (s *Server) finishSnapshot(start time.Time, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case err == nil:
 		s.stats.Persist.StreamedSnapshots++
-		s.lastSnap = seq
 		s.stats.Persist.LastSnapshotMs = durationMS(time.Since(start))
 	case errors.Is(err, wal.ErrSnapshotAborted):
 		// Shutdown cancellation, not a failure.

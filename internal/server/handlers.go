@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/grb"
 	"repro/internal/shard"
 	"repro/internal/wal"
 )
@@ -242,8 +241,8 @@ type persistCounters struct {
 // statsResponse reports the serving-side view of the paper's phase
 // breakdown (harness.Measurement conventions: load, initial, then one
 // update+reevaluation entry per committed batch) plus engine and queue
-// state. Every figure but the live ones (queue depth, threads, readiness,
-// WAL metrics and the in-flight snapshot) belongs to the commit Seq names.
+// state. Every figure but the live ones (queue depth, readiness, WAL
+// metrics and the in-flight snapshot) belongs to the commit Seq names.
 type statsResponse struct {
 	counters
 
@@ -254,7 +253,6 @@ type statsResponse struct {
 	Inserts    int                         `json:"inserts"`
 	Removals   int                         `json:"removals"`
 	QueueDepth int                         `json:"queueDepth"`
-	Threads    int                         `json:"threads"`
 	Engines    map[string]core.EngineStats `json:"engines"`
 	Broken     string                      `json:"broken,omitempty"`
 
@@ -282,32 +280,16 @@ type statsResponse struct {
 }
 
 // persistStatsJSON is the /stats view of internal/wal: the live log and
-// snapshot metrics plus the server's durability counters.
+// snapshot metrics, as wal.Metrics names them, plus the server's
+// durability counters.
 type persistStatsJSON struct {
-	Dir   string `json:"dir"`
-	Fsync string `json:"fsync"`
-
-	WalAppends    int64  `json:"walAppends"`
-	WalBytes      int64  `json:"walBytes"`
-	WalFsyncs     int64  `json:"walFsyncs"`
-	WalRotations  int64  `json:"walRotations"`
-	WalSegments   int    `json:"walSegments"`
-	WalLastSeq    uint64 `json:"walLastSeq"`
-	WalSyncErrors int64  `json:"walSyncErrors"`
-
-	Snapshots       int64  `json:"snapshots"`
-	SnapshotBytes   int64  `json:"snapshotBytes"`
-	LastSnapshotSeq uint64 `json:"lastSnapshotSeq"`
-	TrimmedSegments int64  `json:"trimmedSegments"`
+	Dir        string `json:"dir"`
+	Fsync      string `json:"fsync"`
+	WalLastSeq uint64 `json:"walLastSeq"`
 	// SnapshotInProgress reports a background encode in flight right now.
 	SnapshotInProgress bool `json:"snapshotInProgress"`
 
-	// Change-key compaction of sealed WAL segments (ttcserve
-	// -compact-every; see internal/wal).
-	Compactions    int64 `json:"compactions"`
-	CompactedSegs  int64 `json:"compactedSegments"`
-	CompactedBytes int64 `json:"compactedBytes"`
-
+	wal.Metrics
 	persistCounters
 }
 
@@ -366,7 +348,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Inserts:        snap.Inserts,
 		Removals:       snap.Removals,
 		QueueDepth:     s.QueueDepth(),
-		Threads:        grb.Threads(),
 		Engines:        make(map[string]core.EngineStats, len(snap.Engines)+1),
 		Shards:         make([]shardStatsJSON, len(snap.Shards)),
 		ParkedComments: snap.ParkedComments,
@@ -386,25 +367,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Broken = broken.Error()
 	}
 	if s.wal != nil {
-		wm := s.wal.Metrics()
 		resp.Persistence = &persistStatsJSON{
 			Dir:                s.cfg.PersistDir,
 			Fsync:              s.cfg.Fsync.String(),
-			WalAppends:         wm.Appends,
-			WalBytes:           wm.AppendedBytes,
-			WalFsyncs:          wm.Fsyncs,
-			WalRotations:       wm.Rotations,
-			WalSegments:        wm.Segments,
 			WalLastSeq:         s.wal.LastSeq(),
-			WalSyncErrors:      wm.SyncErrors,
-			Snapshots:          wm.Snapshots,
-			SnapshotBytes:      wm.SnapshotBytes,
-			LastSnapshotSeq:    wm.LastSnapSeq,
-			TrimmedSegments:    wm.TrimmedSegs,
 			SnapshotInProgress: s.snapInProgress.Load(),
-			Compactions:        wm.Compactions,
-			CompactedSegs:      wm.CompactedSegs,
-			CompactedBytes:     wm.CompactedBytes,
+			Metrics:            s.wal.Metrics(),
 			persistCounters:    c.Persist,
 		}
 	}

@@ -196,15 +196,14 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 	t.Logf("shards=%d: %d change sets across %d crash/restart cycles, all answers oracle-identical", shards, n, restarts)
 }
 
-// waitSnapshot waits until the snapshot at seq (or a later one) is durable.
+// waitSnapshot waits until the snapshot at seq (or a later one) is durable
+// and its encode has finished.
 func waitSnapshot(t *testing.T, srv *Server, seq int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		srv.mu.Lock()
-		last := srv.lastSnap
-		srv.mu.Unlock()
-		if last >= seq {
+		last := int(srv.wal.Metrics().LastSnapSeq)
+		if last >= seq && !srv.snapInProgress.Load() {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -828,11 +827,82 @@ func TestReplayAndShutdownShareTheLivePaths(t *testing.T) {
 		t.Errorf("%d of %d shutdown snapshot chunks streamed with snapshotInProgress unset", u, shutdownChunks.Load())
 	}
 	getJSON(t, ts.URL+"/stats", &stats)
-	if got := stats.Persistence.LastSnapshotSeq; got != n+1 {
+	if got := stats.Persistence.LastSnapSeq; got != n+1 {
 		t.Errorf("lastSnapshotSeq = %d after close, want the final seq %d", got, n+1)
 	}
 	if stats.Persistence.SnapshotInProgress {
 		t.Error("snapshotInProgress still set after close")
+	}
+}
+
+// TestRecoveryCloseWritesNoSnapshot pins snapshotDurable's "already
+// written" rule: a server reopened on a directory whose newest snapshot
+// leaves no WAL tail has nothing new to make durable, so neither start-up
+// nor the graceful close writes a snapshot file.
+func TestRecoveryCloseWritesNoSnapshot(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 21})
+	const n = 3
+	cfg := Config{
+		Dataset:       d,
+		PersistDir:    t.TempDir(),
+		Fsync:         wal.SyncOff,
+		SnapshotEvery: -1,
+		FlushInterval: time.Millisecond,
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < n; k++ {
+		if err := srv.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close() // its final snapshot at seq n covers the whole log
+
+	snapFiles := func() map[string]os.FileInfo {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(cfg.PersistDir, "snap-*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]os.FileInfo, len(names))
+		for _, name := range names {
+			fi, err := os.Stat(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[filepath.Base(name)] = fi
+		}
+		return files
+	}
+	before := snapFiles()
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, srv2)
+	if !srv2.Recovered() || srv2.Snapshot().Seq != n {
+		t.Fatalf("reopened at seq %d (recovered %v), want the snapshot's seq %d", srv2.Snapshot().Seq, srv2.Recovered(), n)
+	}
+	ts := httptest.NewServer(srv2.Handler())
+	defer ts.Close()
+	var stats statsResponse
+	getJSON(t, ts.URL+"/stats", &stats)
+	if p := stats.Persistence; p == nil || p.Recovery.ReplayedBatches != 0 || p.Snapshots != 0 || p.LastSnapSeq != n {
+		t.Fatalf("stats.persistence %+v, want no replayed batch, 0 snapshots and lastSnapshotSeq %d", p, n)
+	}
+	srv2.Close()
+
+	after := snapFiles()
+	for name, fi := range after {
+		if old, ok := before[name]; !ok || !os.SameFile(old, fi) {
+			t.Errorf("close wrote %s; the recovered snapshot at seq %d was already durable", name, n)
+		}
+	}
+	if len(after) != len(before) {
+		t.Errorf("%d snapshot files after close, %d before", len(after), len(before))
 	}
 }
 

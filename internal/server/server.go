@@ -67,8 +67,6 @@ type Config struct {
 	ScaleFactor int
 	Seed        int64
 
-	// Threads configures grb.SetThreads for the engines. Default 1.
-	Threads int
 	// MaxBatch caps the number of changes merged into one commit; a single
 	// request is never split. Default 64.
 	MaxBatch int
@@ -135,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 2018
 	}
-	if c.Threads == 0 {
-		c.Threads = 1
-	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
 	}
@@ -161,9 +156,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.Dataset == nil && c.DataDir == "" && c.ScaleFactor < 0 {
 		return fmt.Errorf("scale factor must be >= 1 (got %d)", c.ScaleFactor)
-	}
-	if c.Threads < 0 {
-		return fmt.Errorf("threads must be >= 1 (got %d)", c.Threads)
 	}
 	if c.MaxBatch < 0 {
 		return fmt.Errorf("max batch must be >= 1 (got %d)", c.MaxBatch)
@@ -256,12 +248,9 @@ type Server struct {
 	// counts its commit in one critical section, so /stats never pairs a
 	// Snapshot with another commit's counters.
 	stats counters
-	// replayDone/replayTotal are startup replay's progress (/healthz), and
-	// lastSnap the seq of the last durable snapshot this process wrote (-1
-	// before the first) — updated by the background encoder.
+	// replayDone/replayTotal are startup replay's progress (/healthz).
 	replayDone  int
 	replayTotal int
-	lastSnap    int
 }
 
 // New builds the serving state, warms the served engines through their
@@ -340,7 +329,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	changeSets := d.ChangeSets
 	rec.Snapshot, cfg.Dataset = nil, nil
-	grb.SetThreads(cfg.Threads)
+	// The kernels run on one thread: the shards and the verifier already
+	// run side by side on their own goroutines, a commit's work is O(Δ),
+	// and a second thread did not speed up the verifier at sf 32 or 128.
+	grb.SetThreads(1)
 	rt, err := shard.Start(cfg.Shards, state, cfg.verifyHook)
 	if err != nil {
 		closeWAL()
@@ -361,11 +353,9 @@ func New(cfg Config) (*Server, error) {
 
 	baseSeq, baseChanges := 0, 0
 	if s.wal != nil {
-		s.lastSnap = -1
 		if rec.HasSnapshot {
 			baseSeq = int(rec.SnapshotSeq)
 			baseChanges = int(rec.SnapshotMeta)
-			s.lastSnap = baseSeq
 		}
 		s.stats.Persist.Recovered = rec.HasSnapshot
 		s.stats.Persist.Recovery.SnapshotSeq = baseSeq
@@ -393,7 +383,6 @@ func New(cfg Config) (*Server, error) {
 			s.wal.Close()
 			return nil, fmt.Errorf("server: seed snapshot: %w", err)
 		}
-		s.lastSnap = baseSeq
 	}
 
 	// Readiness: immediate unless there is a WAL tail to replay, in which

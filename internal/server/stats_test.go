@@ -200,7 +200,6 @@ var goldenStatsKeys = []string{
 	"removals",
 	"seq",
 	"shards", "shards[].commits", "shards[].lastMs", "shards[].meanMs", "shards[].shard",
-	"threads",
 	"updates", "updates.count", "updates.lastMs", "updates.meanMs", "updates.totalMs",
 	"verifyBlockedMs",
 	"verifyQueue",

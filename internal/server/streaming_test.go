@@ -215,7 +215,7 @@ func TestSnapshotEveryDefersBehindEncode(t *testing.T) {
 	await("the held encode to land", func() bool { _, last := persist(); return last == every })
 	await("the encode to clear its in-progress flag", func() bool { return !srv.snapInProgress.Load() })
 	commit(held) // seq held+1, no cadence point: starts the pending request
-	await("the pending snapshot", func() bool { _, last := persist(); return last == held+1 })
+	await("the pending snapshot", func() bool { _, last := persist(); return last == held+1 && !srv.snapInProgress.Load() })
 	if p, _ := persist(); p.StreamedSnapshots != 2 || p.SnapshotErrors != 0 {
 		t.Fatalf("%d snapshots streamed, %d errors; want 2 and 0", p.StreamedSnapshots, p.SnapshotErrors)
 	}
@@ -245,9 +245,10 @@ func TestSnapshotEveryDefersBehindEncode(t *testing.T) {
 // persistOf reads a server's durability counters and the seq of its last
 // durable snapshot.
 func persistOf(srv *Server) (persistCounters, int) {
+	last := int(srv.wal.Metrics().LastSnapSeq)
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	return srv.stats.Persist, srv.lastSnap
+	return srv.stats.Persist, last
 }
 
 // TestQueryBodyEpochCache pins the read-path epoch cache: between commits

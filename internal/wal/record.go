@@ -160,8 +160,8 @@ func decodePayload(p []byte) (Batch, error) {
 
 // fillFrameHeader writes the length/CRC header over buf's first
 // recHeaderSize bytes, framing the payload that follows them — the single
-// definition of the record frame layout (Append's pooled-buffer path and
-// frameRecord both go through it).
+// definition of the frame layout (Append's pooled-buffer path, frameRecord
+// and the snapshot's chunkWriter all go through it).
 func fillFrameHeader(buf []byte) {
 	payload := buf[recHeaderSize:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))

@@ -51,7 +51,9 @@ const (
 
 // chunkWriter frames the streaming encoder's output: entities accumulate
 // in a bounded buffer that is flushed as one CRC-checked chunk whenever it
-// reaches the limit. onChunk (when non-nil) observes progress after every
+// reaches the limit. A chunk is framed as a WAL record is: buf keeps
+// recHeaderSize bytes in front of the chunk for fillFrameHeader, and
+// limit counts them. onChunk (when non-nil) observes progress after every
 // flushed chunk; returning an error aborts the stream.
 type chunkWriter struct {
 	w       io.Writer
@@ -63,21 +65,16 @@ type chunkWriter struct {
 }
 
 func (cw *chunkWriter) flush() error {
-	if len(cw.buf) == 0 {
+	if len(cw.buf) == recHeaderSize {
 		return nil
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(cw.buf)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(cw.buf, castagnoli))
-	if _, err := cw.w.Write(hdr[:]); err != nil {
-		return err
-	}
+	fillFrameHeader(cw.buf)
 	if _, err := cw.w.Write(cw.buf); err != nil {
 		return err
 	}
-	cw.written += int64(len(hdr)) + int64(len(cw.buf))
+	cw.written += int64(len(cw.buf))
 	cw.chunks++
-	cw.buf = cw.buf[:0]
+	cw.buf = cw.buf[:recHeaderSize]
 	if cw.onChunk != nil {
 		return cw.onChunk(int(cw.written))
 	}
@@ -140,7 +137,7 @@ func encodeSnapshotStream(w io.Writer, seq, meta uint64, s *model.Snapshot, chun
 		return err
 	}
 
-	cw := &chunkWriter{w: w, buf: make([]byte, 0, chunkBytes+64), limit: chunkBytes, onChunk: onChunk}
+	cw := &chunkWriter{w: w, buf: make([]byte, recHeaderSize, recHeaderSize+chunkBytes+64), limit: recHeaderSize + chunkBytes, onChunk: onChunk}
 	// Each entity is appended whole, then the buffer is flushed if it
 	// crossed the limit — a chunk never splits an entity's fields, but that
 	// is an encoder convenience, not a format guarantee the decoder relies

@@ -145,23 +145,26 @@ type RecoveryInfo struct {
 	TruncatedBytes int64
 }
 
-// Metrics is a point-in-time view of the log's counters, served by /stats.
+// Metrics is a point-in-time view of the log's counters, served by /stats
+// under "persistence" with the JSON names below.
 type Metrics struct {
-	Appends       int64 // records appended this process
-	AppendedBytes int64 // framed bytes appended this process
-	Fsyncs        int64 // explicit fsyncs of the active segment
-	Rotations     int64 // segment rotations
-	Segments      int   // live segment files
-	ActiveBytes   int64 // size of the active segment
-	Snapshots     int64 // snapshots written this process
-	SnapshotBytes int64 // bytes of the last written snapshot
-	LastSnapSeq   uint64
-	TrimmedSegs   int64 // segments deleted by snapshot trims
-	SyncErrors    int64 // background interval-sync failures
+	Appends       int64 `json:"walAppends"`    // records appended this process
+	AppendedBytes int64 `json:"walBytes"`      // framed bytes appended this process
+	Fsyncs        int64 `json:"walFsyncs"`     // explicit fsyncs of the active segment
+	Rotations     int64 `json:"walRotations"`  // segment rotations
+	Segments      int   `json:"walSegments"`   // live segment files
+	ActiveBytes   int64 `json:"-"`             // size of the active segment
+	Snapshots     int64 `json:"snapshots"`     // snapshots written this process
+	SnapshotBytes int64 `json:"snapshotBytes"` // bytes of the last written snapshot
+	// LastSnapSeq is the seq of the snapshot Open recovered (0 without
+	// one), then of each snapshot WriteSnapshotStream lands.
+	LastSnapSeq uint64 `json:"lastSnapshotSeq"`
+	TrimmedSegs int64  `json:"trimmedSegments"` // segments deleted by snapshot trims
+	SyncErrors  int64  `json:"walSyncErrors"`   // background interval-sync failures
 
-	Compactions    int64 // change-key compaction passes this process
-	CompactedSegs  int64 // sealed segments rewritten by compaction
-	CompactedBytes int64 // bytes reclaimed by compaction
+	Compactions    int64 `json:"compactions"`       // change-key compaction passes this process
+	CompactedSegs  int64 `json:"compactedSegments"` // sealed segments rewritten by compaction
+	CompactedBytes int64 `json:"compactedBytes"`    // bytes reclaimed by compaction
 }
 
 // Log is an open write-ahead log. Create with Open.
