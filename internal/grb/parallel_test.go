@@ -3,6 +3,8 @@ package grb
 import (
 	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -110,5 +112,30 @@ func TestParallelRangesCoversAll(t *testing.T) {
 	body := func(lo, hi int) {}
 	if allocs := testing.AllocsPerRun(100, func() { parallelRanges(4*minParallelWork, body) }); allocs != 0 {
 		t.Fatalf("one-thread parallelRanges allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestParallelChunksPartition pins the shape of the static partition: on
+// five threads the ranges handed to body, sorted, are contiguous, non-empty
+// and span exactly [0, n).
+func TestParallelChunksPartition(t *testing.T) {
+	defer SetThreads(SetThreads(5))
+	for _, n := range []int{minParallelWork, minParallelWork*4 + 3} {
+		var mu sync.Mutex
+		var ranges [][2]int
+		parallelRanges(n, func(lo, hi int) {
+			mu.Lock()
+			ranges = append(ranges, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		sort.Slice(ranges, func(i, j int) bool { return ranges[i][0] < ranges[j][0] })
+		if len(ranges) == 0 || len(ranges) > 5 || ranges[0][0] != 0 || ranges[len(ranges)-1][1] != n {
+			t.Fatalf("n=%d: ranges %v do not span [0,%d) in at most 5 parts", n, ranges, n)
+		}
+		for i, r := range ranges {
+			if r[0] >= r[1] || i > 0 && r[0] != ranges[i-1][1] {
+				t.Fatalf("n=%d: ranges %v not contiguous and non-empty", n, ranges)
+			}
+		}
 	}
 }
