@@ -1,6 +1,10 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -191,5 +195,43 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.ScaleFactor != 1 || cfg.ChangeSets != 20 || cfg.ZipfS == 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+}
+
+// TestGenerateBytesAreGolden pins the generator's output byte for byte: the
+// SHA-256 over every file model.WriteDataset writes (each file's name, a
+// NUL, then its bytes, in name order). perfbench's inputs come from the same
+// generator, so a change here changes every benchmarked workload.
+func TestGenerateBytesAreGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		files int
+		sum   string
+	}{
+		{"sf1-seed2018", Config{ScaleFactor: 1, Seed: 2018}, 25, "d329874a41251999c395c041f277175d840da1f0cce62fed57f8c61f0169bab0"},
+		{"sf4-seed7-rf35", Config{ScaleFactor: 4, Seed: 7, RemovalFraction: 0.35, ChangeSets: 30}, 35, "4c5bca34d46742d1feecc12c0e5d4244f895404d9c8e1eadae4051663c4f9880"},
+	} {
+		dir := t.TempDir()
+		if err := model.WriteDataset(dir, Generate(tc.cfg)); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir) // sorted by name
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write([]byte(e.Name()))
+			h.Write([]byte{0})
+			h.Write(b)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); len(entries) != tc.files || got != tc.sum {
+			t.Errorf("%s: dataset bytes changed: %d files, sha256 %s; want %d files, sha256 %s", tc.name, len(entries), got, tc.files, tc.sum)
+		}
 	}
 }
