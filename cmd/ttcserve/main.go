@@ -2,6 +2,9 @@
 // Social Media dataset, keeps the incremental engines warm, and serves
 // concurrent Q1/Q2 reads over HTTP/JSON while ingesting updates through a
 // batching write queue. Readers always see the last committed answer.
+// The write queue holds 256 requests; a commit merges up to 64 changes
+// (never splitting a request), and a batch of only unwaited updates lingers
+// up to 2ms for company while one holding a waited update commits at once.
 //
 // Usage:
 //
@@ -12,13 +15,14 @@
 // With -data-dir every committed batch is written ahead to a checksummed
 // log and the model state is snapshotted periodically, so a restart (or
 // crash) recovers the full committed history from disk instead of
-// replaying the dataset; /healthz answers 503 until that recovery replay
-// has committed. -compact-every N additionally rewrites sealed log
-// segments every N commits under change-key supersession (add+remove
-// pairs net out), bounding replay to the history's net effect.
-// On SIGINT/SIGTERM the server shuts down gracefully: it
-// stops accepting requests, drains the write queue, flushes + fsyncs the
-// WAL, writes a final snapshot, and exits 0.
+// replaying the dataset; -fsync interval fsyncs every 100ms, so a crash
+// loses at most that window's commits. /healthz answers 503 until that
+// recovery replay has committed. -compact-every N additionally rewrites
+// sealed log segments every N commits under change-key supersession
+// (add+remove pairs net out), bounding replay to the history's net effect.
+// On SIGINT/SIGTERM the server shuts down gracefully: it stops accepting
+// requests, drains the write queue, flushes + fsyncs the WAL, writes a
+// final snapshot, and exits 0.
 //
 // Endpoints: GET /query/q1, GET /query/q2 (the connected-components
 // extension; ?engine=cc is the same, ?engine=incremental is the paper's Q2
@@ -51,20 +55,16 @@ func main() {
 		data   = flag.String("data", "", "dataset directory (from ttcgen); empty generates")
 		sf     = flag.Int("sf", 1, "scale factor when generating")
 		seed   = flag.Int64("seed", 2018, "generator seed when generating")
-		batch  = flag.Int("batch", 64, "max changes merged into one commit")
-		flush  = flag.Duration("flush", 2*time.Millisecond, "max wait for co-batched unwaited updates before committing (a batch holding a waited update commits at once)")
-		queue  = flag.Int("queue", 256, "write queue capacity (requests)")
 		shards = flag.Int("shards", 1, "engine shards (each served engine runs whole on one: q1 on shard 0, q2cc on shard 1 mod N, applying a commit side by side from 2 shards on; shards beyond the served lineup host nothing)")
 		replay = flag.Bool("replay", false, "replay the dataset's change sets through the write queue at startup")
 
 		dataDir   = flag.String("data-dir", "", "durability directory (write-ahead log + snapshots); empty disables persistence")
-		fsync     = flag.String("fsync", "always", "WAL fsync policy: always, interval or off")
-		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period for -fsync interval")
+		fsync     = flag.String("fsync", "always", "WAL fsync policy: always, interval (every 100ms) or off")
 		snapEvery = flag.Int("snapshot-every", 256, "write a durable snapshot every N committed batches (negative disables periodic snapshots; only meaningful with -data-dir)")
 		compEvery = flag.Int("compact-every", 0, "compact sealed WAL segments by change key every N committed batches (0 disables; only meaningful with -data-dir)")
 	)
 	flag.Parse()
-	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *batch, *queue, *shards, *snapEvery, *compEvery, *flush, *fsyncIvl)
+	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *shards, *snapEvery, *compEvery)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttcserve:", err)
 		os.Exit(2)
@@ -74,13 +74,9 @@ func main() {
 		DataDir:       *data,
 		ScaleFactor:   *sf,
 		Seed:          *seed,
-		MaxBatch:      *batch,
-		FlushInterval: *flush,
-		QueueDepth:    *queue,
 		Shards:        *shards,
 		PersistDir:    *dataDir,
 		Fsync:         syncPolicy,
-		FsyncInterval: *fsyncIvl,
 		SnapshotEvery: *snapEvery,
 		CompactEvery:  *compEvery,
 	})
@@ -183,31 +179,19 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // validateFlags rejects nonsense flag combinations with exit status 2
 // before any work happens, and resolves the fsync policy name.
-func validateFlags(addr, data, fsync string, sf, batch, queue, shards, snapEvery, compEvery int, flush, fsyncIvl time.Duration) (wal.SyncPolicy, error) {
+func validateFlags(addr, data, fsync string, sf, shards, snapEvery, compEvery int) (wal.SyncPolicy, error) {
 	if addr == "" {
 		return 0, errors.New("-addr must not be empty")
 	}
 	if data == "" && sf < 1 {
 		return 0, fmt.Errorf("-sf must be >= 1 (got %d)", sf)
 	}
-	if batch < 1 {
-		return 0, fmt.Errorf("-batch must be >= 1 (got %d)", batch)
-	}
-	if queue < 1 {
-		return 0, fmt.Errorf("-queue must be >= 1 (got %d)", queue)
-	}
 	if shards < 1 {
 		return 0, fmt.Errorf("-shards must be >= 1 (got %d)", shards)
-	}
-	if flush <= 0 {
-		return 0, fmt.Errorf("-flush must be positive (got %v)", flush)
 	}
 	policy, err := wal.ParseSyncPolicy(fsync)
 	if err != nil {
 		return 0, fmt.Errorf("-fsync: %w", err)
-	}
-	if fsyncIvl <= 0 {
-		return 0, fmt.Errorf("-fsync-interval must be positive (got %v)", fsyncIvl)
 	}
 	if snapEvery == 0 {
 		return 0, errors.New("-snapshot-every must be nonzero (negative disables periodic snapshots)")

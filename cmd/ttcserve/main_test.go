@@ -17,13 +17,11 @@ import (
 // in this package makes `go test ./...` compile the binary.
 func TestValidateFlags(t *testing.T) {
 	type flags struct {
-		addr, data, fsync        string
-		sf, batch, queue, shards int
-		snapEvery, compEvery     int
-		flush, fsyncIvl          time.Duration
+		addr, data, fsync    string
+		sf, shards           int
+		snapEvery, compEvery int
 	}
-	ok := flags{addr: ":8080", fsync: "always", sf: 1, batch: 64,
-		queue: 256, shards: 1, snapEvery: 256, flush: time.Millisecond, fsyncIvl: time.Millisecond}
+	ok := flags{addr: ":8080", fsync: "always", sf: 1, shards: 1, snapEvery: 256}
 	cases := []struct {
 		name    string
 		mut     func(*flags)
@@ -37,14 +35,9 @@ func TestValidateFlags(t *testing.T) {
 		{"ok snapshots disabled", func(f *flags) { f.snapEvery = -1 }, false},
 		{"empty addr", func(f *flags) { f.addr = "" }, true},
 		{"zero sf", func(f *flags) { f.sf = 0 }, true},
-		{"zero batch", func(f *flags) { f.batch = 0 }, true},
-		{"zero queue", func(f *flags) { f.queue = 0 }, true},
 		{"zero shards", func(f *flags) { f.shards = 0 }, true},
 		{"negative shards", func(f *flags) { f.shards = -2 }, true},
-		{"zero flush", func(f *flags) { f.flush = 0 }, true},
-		{"negative flush", func(f *flags) { f.flush = -time.Second }, true},
 		{"bad fsync policy", func(f *flags) { f.fsync = "sometimes" }, true},
-		{"zero fsync interval", func(f *flags) { f.fsyncIvl = 0 }, true},
 		{"nondefault snapshot-every", func(f *flags) { f.snapEvery = 10 }, false},
 		{"zero snapshot-every", func(f *flags) { f.snapEvery = 0 }, true},
 		{"ok compact-every", func(f *flags) { f.compEvery = 64 }, false},
@@ -53,8 +46,7 @@ func TestValidateFlags(t *testing.T) {
 	for _, tc := range cases {
 		f := ok
 		tc.mut(&f)
-		policy, err := validateFlags(f.addr, f.data, f.fsync,
-			f.sf, f.batch, f.queue, f.shards, f.snapEvery, f.compEvery, f.flush, f.fsyncIvl)
+		policy, err := validateFlags(f.addr, f.data, f.fsync, f.sf, f.shards, f.snapEvery, f.compEvery)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: validateFlags = %v, wantErr=%v", tc.name, err, tc.wantErr)
 		}

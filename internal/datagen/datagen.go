@@ -19,25 +19,27 @@ import (
 	"repro/internal/model"
 )
 
-// Config parameterizes generation. The per-scale-factor entity rates
-// default to values calibrated against Table II of the paper: at scale
-// factor 1 the graph has ≈1274 nodes and ≈2533 edges, and each doubling of
-// the scale factor doubles both.
+// Entity counts per unit of scale factor, calibrated against Table II of
+// the paper: at scale factor 1 the graph has ≈1274 nodes and ≈2533 edges,
+// and each doubling of the scale factor doubles both.
+const (
+	usersPerSF       = 280
+	postsPerSF       = 102
+	commentsPerSF    = 892
+	friendshipsPerSF = 350
+	likesPerSF       = 400
+
+	// zipfS is the skew of the power-law samplers.
+	zipfS = 1.4
+)
+
+// Config parameterizes generation.
 type Config struct {
 	// ScaleFactor is the graph size multiplier (1, 2, 4, … 1024 in the
 	// paper). Must be ≥ 1.
 	ScaleFactor int
 	// Seed drives all randomness.
 	Seed int64
-
-	// UsersPerSF, PostsPerSF, CommentsPerSF, FriendshipsPerSF and
-	// LikesPerSF are entity counts per unit of scale factor; zero values
-	// take the Table II-calibrated defaults (280/102/892/350/400).
-	UsersPerSF       int
-	PostsPerSF       int
-	CommentsPerSF    int
-	FriendshipsPerSF int
-	LikesPerSF       int
 
 	// ChangeSets is the number of update steps (default 20, as the
 	// contest's live benchmark replays 20 change sets).
@@ -47,9 +49,6 @@ type Config struct {
 	// #inserts row regardless of scale factor.
 	MinChangesPerSet int
 	MaxChangesPerSet int
-
-	// ZipfS is the skew of the power-law samplers (default 1.4).
-	ZipfS float64
 
 	// RemovalFraction makes each change roll a removal (of an existing
 	// like or friendship) with this probability instead of an insertion —
@@ -68,17 +67,9 @@ func (c Config) withDefaults() Config {
 			*v = d
 		}
 	}
-	def(&c.UsersPerSF, 280)
-	def(&c.PostsPerSF, 102)
-	def(&c.CommentsPerSF, 892)
-	def(&c.FriendshipsPerSF, 350)
-	def(&c.LikesPerSF, 400)
 	def(&c.ChangeSets, 20)
 	def(&c.MinChangesPerSet, 2)
 	def(&c.MaxChangesPerSet, 8)
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.4
-	}
 	return c
 }
 
@@ -152,7 +143,7 @@ func (g *generator) zipfPick(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	z := rand.NewZipf(g.rng, g.cfg.ZipfS, 1, uint64(n-1))
+	z := rand.NewZipf(g.rng, zipfS, 1, uint64(n-1))
 	return n - 1 - int(z.Uint64())
 }
 
@@ -262,21 +253,21 @@ func (g *generator) generateInitial() {
 	cfg := g.cfg
 	s := g.dataset.Snapshot
 	sf := cfg.ScaleFactor
-	for i := 0; i < cfg.UsersPerSF*sf; i++ {
+	for i := 0; i < usersPerSF*sf; i++ {
 		s.Users = append(s.Users, g.newUser())
 	}
-	for i := 0; i < cfg.PostsPerSF*sf; i++ {
+	for i := 0; i < postsPerSF*sf; i++ {
 		s.Posts = append(s.Posts, g.newPost())
 	}
-	for i := 0; i < cfg.CommentsPerSF*sf; i++ {
+	for i := 0; i < commentsPerSF*sf; i++ {
 		s.Comments = append(s.Comments, g.newComment())
 	}
-	for i := 0; i < cfg.FriendshipsPerSF*sf; i++ {
+	for i := 0; i < friendshipsPerSF*sf; i++ {
 		if f, ok := g.newFriendship(); ok {
 			s.Friendships = append(s.Friendships, f)
 		}
 	}
-	for i := 0; i < cfg.LikesPerSF*sf; i++ {
+	for i := 0; i < likesPerSF*sf; i++ {
 		if l, ok := g.newLike(); ok {
 			s.Likes = append(s.Likes, l)
 		}

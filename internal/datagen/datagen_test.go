@@ -193,7 +193,7 @@ func TestDescribe(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.ScaleFactor != 1 || cfg.ChangeSets != 20 || cfg.ZipfS == 0 {
+	if cfg.ScaleFactor != 1 || cfg.ChangeSets != 20 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }

@@ -36,10 +36,11 @@ type Config struct {
 	UpdateWait bool
 	// Timeout bounds each HTTP request. Default 10s.
 	Timeout time.Duration
-	// IDBase is the first generated entity id; the run uses IDBase and up
-	// in every id space. Default 1<<40, far above any dataset's ids.
-	IDBase int64
 }
+
+// idBase is the first generated entity id; a run uses idBase and up in
+// every id space, far above any dataset's ids.
+const idBase = 1 << 40
 
 func (c Config) withDefaults() Config {
 	if len(c.Engines) == 0 {
@@ -47,9 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 10 * time.Second
-	}
-	if c.IDBase == 0 {
-		c.IDBase = 1 << 40
 	}
 	return c
 }
@@ -188,7 +186,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// stalls (and backs the schedule up) is charged for the queueing delay
 	// it caused — the coordinated-omission correction.
 	var idCounter atomic.Int64
-	idCounter.Store(cfg.IDBase)
+	idCounter.Store(idBase)
 	if cfg.UpdateRate > 0 {
 		interval := time.Duration(float64(time.Second) / cfg.UpdateRate)
 		wg.Add(1)

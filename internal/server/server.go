@@ -75,9 +75,6 @@ type Config struct {
 	// anyway. A batch holding a waited request never lingers: it commits
 	// once the queue is empty. Default 2ms.
 	FlushInterval time.Duration
-	// QueueDepth is the write queue's buffered capacity in requests.
-	// Default 256.
-	QueueDepth int
 	// Shards is the number of engine shards: each served engine runs whole
 	// on one of them, and from two shards on the engines of different
 	// shards apply a commit side by side (see internal/shard). Default 1.
@@ -93,11 +90,9 @@ type Config struct {
 	// Empty disables persistence.
 	PersistDir string
 	// Fsync is the WAL append fsync policy (wal.SyncAlways is the zero
-	// value and the default: an acknowledged batch is crash-durable).
+	// value and the default: an acknowledged batch is crash-durable;
+	// wal.SyncInterval fsyncs every 100ms, wal.Options' default).
 	Fsync wal.SyncPolicy
-	// FsyncInterval is the flush period under wal.SyncInterval.
-	// Default 100ms.
-	FsyncInterval time.Duration
 	// SnapshotEvery writes a durable snapshot every N committed batches
 	// (bounding recovery replay to N batches). Default 256; negative
 	// disables periodic snapshots (Close still writes a final one).
@@ -109,8 +104,10 @@ type Config struct {
 	// PersistDir.
 	CompactEvery int
 
-	// segmentBytes overrides the WAL's segment rotation threshold (compaction
-	// only works on sealed segments, so tests use small ones);
+	// queueDepth overrides the write queue's buffered capacity in requests
+	// (default 256; tests fill a one-slot queue); segmentBytes overrides the
+	// WAL's segment rotation threshold (compaction only works on sealed
+	// segments, so tests use small ones);
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
 	// snapshotChunkHook observes every flushed chunk; batchHook sees each
 	// batch the writer closes, before it commits; walHook runs at the start
@@ -118,6 +115,7 @@ type Config struct {
 	// while it blocks; verifyHook is shard.Start's onVerify — test
 	// hooks (same package only) for pinning down compaction, encode/commit,
 	// batching, append/publish and verifier interleavings.
+	queueDepth         int
 	segmentBytes       int64
 	snapshotChunkBytes int
 	snapshotChunkHook  func(written int)
@@ -139,8 +137,8 @@ func (c Config) withDefaults() Config {
 	if c.FlushInterval == 0 {
 		c.FlushInterval = 2 * time.Millisecond
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
+	if c.queueDepth == 0 {
+		c.queueDepth = 256
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
@@ -152,7 +150,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate rejects nonsense configurations (zero values mean "use the
-// default" and are fine); cmd/ttcserve maps the error to exit status 2.
+// default" and are fine); New returns its error. cmd/ttcserve checks its
+// flags itself (exit status 2) before calling New, and exits 1 on New's
+// error.
 func (c Config) Validate() error {
 	if c.Dataset == nil && c.DataDir == "" && c.ScaleFactor < 0 {
 		return fmt.Errorf("scale factor must be >= 1 (got %d)", c.ScaleFactor)
@@ -163,14 +163,8 @@ func (c Config) Validate() error {
 	if c.FlushInterval < 0 {
 		return fmt.Errorf("flush interval must be positive (got %v)", c.FlushInterval)
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("queue depth must be >= 1 (got %d)", c.QueueDepth)
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("shards must be >= 1 (got %d)", c.Shards)
-	}
-	if c.FsyncInterval < 0 {
-		return fmt.Errorf("fsync interval must be positive (got %v)", c.FsyncInterval)
 	}
 	if c.CompactEvery < 0 {
 		return fmt.Errorf("compact every must be >= 0 (got %d; 0 disables)", c.CompactEvery)
@@ -283,7 +277,6 @@ func New(cfg Config) (*Server, error) {
 		wlog, rec, err = wal.Open(wal.Options{
 			Dir:                cfg.PersistDir,
 			Sync:               cfg.Fsync,
-			SyncInterval:       cfg.FsyncInterval,
 			SegmentBytes:       cfg.segmentBytes,
 			SnapshotChunkBytes: cfg.snapshotChunkBytes,
 		})
@@ -343,7 +336,7 @@ func New(cfg Config) (*Server, error) {
 		changeSets: changeSets,
 		rt:         rt,
 		state:      state,
-		updates:    make(chan updateReq, cfg.QueueDepth),
+		updates:    make(chan updateReq, cfg.queueDepth),
 		writerDone: make(chan struct{}),
 		wal:        wlog,
 	}

@@ -369,7 +369,7 @@ func TestBatching(t *testing.T) {
 func TestBackpressureDoesNotDeadlock(t *testing.T) {
 	srv, err := New(Config{
 		Dataset:       datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 5}),
-		QueueDepth:    1,
+		queueDepth:    1,
 		MaxBatch:      4,
 		FlushInterval: time.Millisecond,
 	})
@@ -461,7 +461,7 @@ func TestCloseDuringWaitedEnqueue(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		srv, err := New(Config{
 			Dataset:       datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 21}),
-			QueueDepth:    1,
+			queueDepth:    1,
 			MaxBatch:      4,
 			FlushInterval: time.Millisecond,
 			Shards:        2,
