@@ -393,6 +393,14 @@ func (s *Q2IncrementalCC) union(c *commentLabels, x, y int) {
 // side per round. If the searches meet, x and y are still connected. If one
 // side runs out first, it is a whole component: it takes a new label, and
 // the score drops by 2·s₁·s₂.
+//
+// splitAll with x and y as its two seeds gives the same labels, but split
+// is kept beside it because it is faster for this two-seed case: routing
+// friendship removals through splitAll passed FuzzQ2CCStream (30 s) yet
+// slowed BenchmarkUpdateScaling/q2cc/rf35 (-benchtime 3x, 6 interleaved
+// runs per side, 2 vCPUs) from a median 783 to 872 ns/change at sf 8
+// (slower in 6 of 6 pairs) and from 4,836 to 5,682 ns/change at sf 128
+// (slower in 5 of 6 pairs, tied in the sixth).
 func (s *Q2IncrementalCC) split(c *commentLabels, x, y int) {
 	q := &s.search
 	q.begin(len(c.likes))

@@ -131,13 +131,6 @@ func (s *Server) commit(batch []updateReq) {
 	}
 	cs := model.ChangeSet{Changes: s.changes}
 
-	fail := func(err error) {
-		s.setBroken(err)
-		for _, req := range accepted {
-			req.finish(fmt.Errorf("%w: %w", ErrBroken, err))
-		}
-	}
-
 	// Canonicalize the merged batch (friendship endpoints ordered) so the
 	// WAL record stores the change-key-normalized form its compactor keys
 	// on. Only the record sees it: the engines get the refs State.Apply
@@ -148,7 +141,7 @@ func (s *Server) commit(batch []updateReq) {
 	seq := s.snap.Load().Seq + 1
 	// Pre-commit: the engines apply the batch while the WAL appends it,
 	// since neither needs the other's result. The batch is durable before
-	// it is published or acknowledged: both wait for the join below, and
+	// it is published or acknowledged: both wait for publish's join, and
 	// so do snapshots and compaction. A crash before the join loses only a
 	// batch that nobody saw; replay then redoes it if its record landed.
 	var logged chan error
@@ -161,29 +154,19 @@ func (s *Server) commit(batch []updateReq) {
 			logged <- s.wal.Append(uint64(seq), s.changes)
 		}()
 	}
-	start := time.Now()
-	rec, err := s.rt.CommitRefs(s.refs)
-	elapsed := time.Since(start)
-	if logged != nil {
-		if werr := <-logged; werr != nil {
-			fail(fmt.Errorf("wal append: %w", werr))
-			return
+	if err := s.publish(seq, &cs, s.refs, logged); err != nil {
+		// Validation should make a failed apply unreachable; if it happens
+		// some shards may have applied the batch while another failed, so
+		// stop accepting writes but keep serving the last committed
+		// snapshot.
+		s.setBroken(err)
+		for _, req := range accepted {
+			req.finish(fmt.Errorf("%w: %w", ErrBroken, err))
 		}
-	}
-	if err != nil {
-		// Validation should make this unreachable; if it happens some
-		// shards may have applied the batch while another failed, so stop
-		// accepting writes but keep serving the last committed snapshot.
-		fail(fmt.Errorf("commit: %w", err))
 		return
 	}
-	s.store(seq, &cs, rec, elapsed)
-	// The paper's Q2 checks the published commit on a goroutine of its
-	// own; the hand-off blocks only while it trails by the runtime's
-	// bound. Handing off before answering lets the scheduler run the
-	// waiters' handlers ahead of the verifier.
-	s.rt.Verify()
-
+	// publish handed the commit to the verifier before the waiters are
+	// answered, which lets the scheduler run their handlers ahead of it.
 	for _, req := range accepted {
 		req.finish(nil)
 	}
@@ -212,15 +195,24 @@ func (s *Server) commit(batch []updateReq) {
 
 // publish commits cs, which the State resolved to refs, through the
 // sharded runtime as batch seq, stores the result and hands it to the
-// verifier. It is how WAL replay redoes a recovered batch; a live commit
-// runs the same steps with the WAL append beside the first.
-func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref) error {
+// verifier. A live commit passes logged, the result of the WAL append it
+// runs beside the apply: publish waits for it even when the apply failed,
+// and its error wins. WAL replay passes nil. The paper's Q2 checks the
+// published commit on a goroutine of its own; the hand-off blocks only
+// while it trails by the runtime's bound.
+func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref, logged <-chan error) error {
 	start := time.Now()
 	rec, err := s.rt.CommitRefs(refs)
-	if err != nil {
-		return err
+	elapsed := time.Since(start)
+	if logged != nil {
+		if werr := <-logged; werr != nil {
+			return fmt.Errorf("wal append: %w", werr)
+		}
 	}
-	s.store(seq, cs, rec, time.Since(start))
+	if err != nil {
+		return fmt.Errorf("commit: %w", err)
+	}
+	s.store(seq, cs, rec, elapsed)
 	s.rt.Verify()
 	return nil
 }
@@ -269,8 +261,8 @@ func (s *Server) replayWAL(batches []wal.Batch) bool {
 			s.setBroken(fmt.Errorf("wal replay: batch seq %d: %w", b.Seq, err))
 			return false
 		}
-		if err := s.publish(int(b.Seq), &model.ChangeSet{Changes: b.Changes}, refs); err != nil {
-			s.setBroken(fmt.Errorf("wal replay: commit seq %d: %w", b.Seq, err))
+		if err := s.publish(int(b.Seq), &model.ChangeSet{Changes: b.Changes}, refs, nil); err != nil {
+			s.setBroken(fmt.Errorf("wal replay: seq %d: %w", b.Seq, err))
 			return false
 		}
 	}

@@ -931,17 +931,17 @@ func servedViews(t *testing.T, base string) map[string]string {
 	return views
 }
 
-// writerAwaitsWAL reports whether the writer goroutine is parked in commit
+// writerAwaitsWAL reports whether the writer goroutine is parked in publish
 // itself on a channel receive. While the engines apply a batch it is parked
 // inside shard's CommitRefs instead, so this holds only once the commit
-// barrier has returned and commit waits for its WAL step.
+// barrier has returned and publish waits for the commit's WAL step.
 func writerAwaitsWAL() bool {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		lines := strings.SplitN(g, "\n", 3)
 		if len(lines) >= 2 && strings.Contains(lines[0], "[chan receive") &&
-			strings.HasPrefix(lines[1], "repro/internal/server.(*Server).commit(") {
+			strings.HasPrefix(lines[1], "repro/internal/server.(*Server).publish(") {
 			return true
 		}
 	}

@@ -243,16 +243,6 @@ func Start(n int, st *model.State, onVerify func(commits int) error) (*Runtime, 
 	refs := st.Refs()
 	router, q2Refs := newRouter(st, refs)
 	rt := &Runtime{st: st, router: router, lanes: make([]lane, n)}
-	// startJob is one engine's start-up: where it runs, its part of the
-	// State and the refs that build it.
-	type startJob struct {
-		where string
-		eng   core.Engine
-		part  core.Part
-		refs  []model.Ref
-		res   *core.Result // where Initial's answer is kept
-	}
-	var jobs []startJob
 	for _, e := range harness.ServedEngines() {
 		if e.Verifies == "" {
 			slot := len(rt.engines)
@@ -264,26 +254,18 @@ func Start(n int, st *model.State, onVerify func(commits int) error) (*Runtime, 
 	if rt.ver == nil {
 		return nil, fmt.Errorf("shard: the lineup has no verifying Q2 engine")
 	}
-	for i := range rt.engines {
-		e := &rt.engines[i]
-		job := startJob{fmt.Sprintf("shard %d", e.shard), e.eng, core.Part{Nodes: st}, refs, &e.res}
-		if e.Query == "Q2" {
-			job.part.Comments, job.refs = router.q2Comments, q2Refs
-		}
-		jobs = append(jobs, job)
-	}
 
-	phase := func(name string, f func(j startJob) error) (time.Duration, error) {
+	phase := func(name string, f func(e *served) error) (time.Duration, error) {
 		start := time.Now()
-		errs := make([]error, len(jobs))
+		errs := make([]error, len(rt.engines))
 		var wg sync.WaitGroup
-		for k := range jobs {
+		for k := range rt.engines {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				j := jobs[k]
-				if err := f(j); err != nil {
-					errs[k] = fmt.Errorf("%s: %s %s: %w", j.where, j.eng.Name(), name, err)
+				e := &rt.engines[k]
+				if err := f(e); err != nil {
+					errs[k] = fmt.Errorf("shard %d: %s %s: %w", e.shard, e.eng.Name(), name, err)
 				}
 			}(k)
 		}
@@ -296,11 +278,17 @@ func Start(n int, st *model.State, onVerify func(commits int) error) (*Runtime, 
 		return time.Since(start), nil
 	}
 	var err error
-	if rt.loadDur, err = phase("load", func(j startJob) error { return j.eng.Attach(j.part, j.refs) }); err != nil {
+	if rt.loadDur, err = phase("load", func(e *served) error {
+		part := core.Part{Nodes: st}
+		if e.Query == "Q2" {
+			part.Comments = router.q2Comments
+		}
+		return e.eng.Attach(part, e.stream(refs, q2Refs))
+	}); err != nil {
 		return nil, err
 	}
-	if rt.initialDur, err = phase("initial", func(j startJob) (err error) {
-		*j.res, err = j.eng.Initial()
+	if rt.initialDur, err = phase("initial", func(e *served) (err error) {
+		e.res, err = e.eng.Initial()
 		return err
 	}); err != nil {
 		return nil, err
