@@ -3,16 +3,15 @@ package model
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Dataset directory layout, patterned after the CSV inputs of the TTC 2018
@@ -113,34 +112,41 @@ func writeCSV(path string, body func(*rowWriter) error) error {
 const chunkBytes = 256 << 10
 
 // ReadDataset deserializes a dataset directory written by WriteDataset. It
-// reads each snapshot file whole, cuts it into chunks at line ends (see
-// chunkBytes) and parses the chunks of every file on runtime.GOMAXPROCS(0)
-// goroutines through readRecords, each chunk into a slice of its own;
-// then it appends each family's chunks in file order, into one array
-// grown once. When several files fail, the error of the first in the
-// order posts, comments, users, friends, likes is returned, and within a
-// file the first line's. Change files are read after them, in name order.
+// reads each snapshot file whole and cuts it into chunks at line ends (see
+// chunkBytes). A chunk of n lines holds at most n rows, so each family's
+// array is allocated once, with a place for every line, before any chunk
+// is parsed; then the chunks of every file are parsed through
+// readRecords, each straight into its places in its family's array. Both
+// steps run on runtime.GOMAXPROCS(0) goroutines, the first a file per
+// goroutine. Blank lines leave places unused, which a last serial pass
+// closes up. When several files fail, the error of the first in the order
+// posts, comments, users, friends, likes is returned, and within a file
+// the first line's. Change files are read after them, in name order.
 func ReadDataset(dir string) (*Dataset, error) {
-	// A chunk is a line-aligned stretch of the file of family f: its bytes
-	// and the number of its first line, or the error of reading the file;
-	// then what parsing it gave: its rows' fields in codec order, or the
-	// error.
+	// A chunk is a line-aligned stretch of the file of family f: its bytes,
+	// the number of its first line and the place of its first row in the
+	// family's array, or the error of reading the file; then what parsing
+	// it gave: how many rows, or the error.
 	type chunk struct {
 		path string
 		f    KeyKind
 		b    []byte
 		line int
-		vals []int64
+		at   int
+		rows int
 		err  error
 	}
-	var chunks []chunk
-	for f := KeyKind(0); f < Families; f++ {
+	s := &Snapshot{}
+	var files [Families][]chunk
+	parallel(int(Families), func(i int) {
+		f := KeyKind(i)
 		path := filepath.Join(dir, snapshotFiles[f])
 		b, err := os.ReadFile(path)
 		if err != nil {
-			chunks = append(chunks, chunk{path: path, f: f, err: err})
-			continue
+			files[f] = []chunk{{path: path, f: f, err: err}}
+			return
 		}
+		places := 0
 		for line := 1; len(b) > 0; {
 			n := len(b)
 			if n > chunkBytes {
@@ -148,49 +154,53 @@ func ReadDataset(dir string) (*Dataset, error) {
 					n = chunkBytes + i
 				}
 			}
+			files[f] = append(files[f], chunk{path: path, f: f, b: b[:n], line: line, at: places})
+			// A place per line, the last one perhaps without its '\n'.
 			lines := bytes.Count(b[:n], []byte{'\n'})
-			// A row per line, the last one perhaps without its '\n'.
-			vals := make([]int64, 0, (lines+1)*len(f.Fields()))
-			chunks = append(chunks, chunk{path: path, f: f, b: b[:n], line: line, vals: vals})
+			places += lines
+			if b[n-1] != '\n' {
+				places++
+			}
 			line += lines
 			b = b[n:]
 		}
+		s.setLen(f, places)
+	})
+	var chunks []chunk
+	for _, fc := range files {
+		chunks = append(chunks, fc...)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(chunks)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(chunks); i = int(next.Add(1)) - 1 {
-				c := &chunks[i]
-				if c.err == nil {
-					c.err = readRecords(c.path, c.b, c.line, int(c.f), func(_ ChangeKind, v []int64) {
-						c.vals = append(c.vals, v...)
-					})
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	parallel(len(chunks), func(i int) {
+		c := &chunks[i]
+		if c.err != nil {
+			return
+		}
+		at := c.at
+		c.err = readRecords(c.path, c.b, c.line, int(c.f), func(_ ChangeKind, v []int64) {
+			s.setEntity(c.f, at, v)
+			at++
+		})
+		c.rows = at - c.at
+	})
 
-	d := &Dataset{Snapshot: &Snapshot{}}
-	s := d.Snapshot
-	var n [Families]int
+	var rows [Families]int
+	var vals []int64
 	for i := range chunks {
 		c := &chunks[i]
 		if c.err != nil {
 			return nil, c.err
 		}
-		n[c.f] += len(c.vals) / len(c.f.Fields())
+		for k := 0; rows[c.f] != c.at && k < c.rows; k++ {
+			vals = s.AppendFields(vals[:0], c.f, c.at+k, c.at+k+1)
+			s.setEntity(c.f, rows[c.f]+k, vals)
+		}
+		rows[c.f] += c.rows
 	}
 	for f := KeyKind(0); f < Families; f++ {
-		s.Grow(f, n[f])
-	}
-	for i := range chunks {
-		s.AppendEntities(chunks[i].f, chunks[i].vals)
+		s.setLen(f, rows[f])
 	}
 
+	d := &Dataset{Snapshot: s}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -233,62 +243,136 @@ func readCSV(path string, family int, row func(ChangeKind, []int64)) error {
 // field is a change kind's tag, and the fields of the kind's family
 // follow.
 //
-// It parses the bytes in place: lines end in \n or \r\n, empty lines are
-// skipped, fields are split at every comma, and a record's tag and field
-// count are checked before its fields are parsed. What it accepts,
-// encoding/csv (default settings) followed by the same tag and count
-// checks and strconv.ParseInt accepts too, with the same rows; on input
-// without a double quote the converse holds (FuzzReadRecords,
-// FuzzParseChange). A double quote anywhere is an error: no writer of
-// dataset files quotes a field. Errors name the file and the line: a
-// *csv.ParseError with csv.ErrFieldCount for a wrong field count, a
-// *strconv.NumError for a field that is not an int64.
+// It parses the bytes in place, in one pass over each line: lines end in
+// \n or \r\n, empty lines are skipped, fields are split at every comma,
+// and a field of 1 to 18 digits is summed as it is scanned; any other
+// field goes to parseInt once its end is known. A line's errors are reported at its end, the first of: a double quote,
+// an unknown tag, a wrong field count, the first field that is not an
+// int64. What it accepts, encoding/csv (default settings) followed by the
+// same tag and count checks and strconv.ParseInt accepts too, with the
+// same rows; on input without a double quote the converse holds
+// (FuzzReadRecords, FuzzParseChange). A double quote anywhere is an
+// error: no writer of dataset files quotes a field. Errors name the file
+// and the line: a *csv.ParseError with csv.ErrFieldCount for a wrong
+// field count, a *strconv.NumError for a field that is not an int64.
 func readRecords(path string, b []byte, line, family int, row func(ChangeKind, []int64)) error {
-	vals := make([]int64, 0, MaxFields)
-	for ; len(b) > 0; line++ {
-		l := b
-		if i := bytes.IndexByte(b, '\n'); i >= 0 {
-			l, b = b[:i], b[i+1:]
-		} else {
-			b = nil
+	var vals [MaxFields]int64
+	for p := 0; p < len(b); line, p = line+1, p+1 {
+		// b[p:] starts the line; each branch below leaves p at its '\n'
+		// or at the end of b.
+		if b[p] == '\n' || b[p] == '\r' && (p+1 == len(b) || b[p+1] == '\n') {
+			if b[p] == '\r' {
+				p++
+			}
+			continue // an empty line
 		}
-		if bytes.IndexByte(l, '"') >= 0 {
-			return fmt.Errorf("%s: line %d: a double quote (fields are plain integers)", path, line)
-		}
-		if n := len(l); n > 0 && l[n-1] == '\r' {
-			l = l[:n-1]
-		}
-		if len(l) == 0 {
-			continue
-		}
-		n := bytes.Count(l, []byte{','}) + 1
+		quote := false
 		k, f := ChangeKind(0), KeyKind(family)
 		if family < 0 {
-			tag, rest, _ := bytes.Cut(l, []byte{','})
+			tag := p
+			for ; p < len(b) && b[p] != ',' && b[p] != '\n'; p++ {
+				quote = quote || b[p] == '"'
+			}
+			end := p
+			if (p == len(b) || b[p] == '\n') && b[end-1] == '\r' {
+				end--
+			}
 			var ok bool
-			if k, ok = kindOfTag(tag); !ok {
-				return fmt.Errorf("%s: line %d: unknown change tag %q", path, line, tag)
+			if k, ok = kindOfTag(b[tag:end]); !ok {
+				if i := bytes.IndexByte(b[p:], '\n'); i >= 0 {
+					quote = quote || bytes.IndexByte(b[p:p+i], '"') >= 0
+					p += i
+				} else {
+					quote = quote || bytes.IndexByte(b[p:], '"') >= 0
+					p = len(b)
+				}
+				if quote {
+					return quoteError(path, line)
+				}
+				return fmt.Errorf("%s: line %d: unknown change tag %q", path, line, b[tag:end])
 			}
-			f, l, n = kinds[k].family, rest, n-1
+			f = kinds[k].family
 		}
-		if n != len(f.Fields()) {
+		want, n := len(f.Fields()), 0
+		var numErr error
+		// Fields follow unless the tag ended the line.
+		for more := family >= 0 || p < len(b) && b[p] == ','; more; n++ {
+			if family < 0 || n > 0 {
+				p++ // past the comma
+			}
+			// A plain field, 1 to 18 digits ended by a comma or a '\n',
+			// is summed as it is scanned; any other field is scanned to its
+			// end, which drops a '\r' before a line end, and goes to
+			// parseInt.
+			start := p
+			v, end := digitRun(b, p)
+			if p = end; end == len(b) || b[end] != ',' && b[end] != '\n' || end == start || end-start > 18 {
+				for ; p < len(b) && b[p] != ',' && b[p] != '\n'; p++ {
+					quote = quote || b[p] == '"'
+				}
+				if end = p; (p == len(b) || b[p] == '\n') && end > start && b[end-1] == '\r' {
+					end--
+				}
+				if n < want && numErr == nil {
+					v, numErr = parseInt(b[start:end])
+				}
+			}
+			if n < want {
+				vals[n] = v
+			}
+			more = p < len(b) && b[p] == ','
+		}
+		switch {
+		case quote:
+			return quoteError(path, line)
+		case n != want:
 			return fmt.Errorf("%s: %w", path, &csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount})
+		case numErr != nil:
+			return fmt.Errorf("%s: line %d: %w", path, line, numErr)
 		}
-		vals = vals[:n]
-		for i := range vals {
-			field := l
-			if c := bytes.IndexByte(l, ','); c >= 0 {
-				field, l = l[:c], l[c+1:]
-			}
-			v, err := parseInt(field)
-			if err != nil {
-				return fmt.Errorf("%s: line %d: %w", path, line, err)
-			}
-			vals[i] = v
-		}
-		row(k, vals)
+		row(k, vals[:n])
 	}
 	return nil
+}
+
+// digitRun returns the end of the run of decimal digits at b[p:] and
+// their value, which is exact if the run is at most 18 digits long. It
+// reads eight bytes at a time while eight are left.
+func digitRun(b []byte, p int) (int64, int) {
+	const ones, high = 0x0101010101010101, 0x8080808080808080
+	var v uint64
+	for p+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[p:])
+		// A byte is a digit if its low seven bits lie in '0'..'9' and
+		// its top bit is clear; the subtractions cannot borrow across
+		// bytes.
+		x7 := x &^ high
+		digit := ((x7 | high) - '0'*ones) & ('9'*ones + high - x7) &^ x & high
+		n := bits.TrailingZeros64(^digit&high) / 8
+		if n == 0 {
+			break
+		}
+		// The n digits, first in the lowest byte, move to the top, and
+		// the pairs, quads and octets of digits are summed in place.
+		y := (x << (64 - 8*n)) & 0x0F0F0F0F0F0F0F0F
+		y = (y * (10<<8 + 1)) >> 8 & 0x00FF00FF00FF00FF
+		y = (y * (100<<16 + 1)) >> 16 & 0x0000FFFF0000FFFF
+		y = (y * (10000<<32 + 1)) >> 32
+		v, p = v*pow10[n]+y, p+n
+		if n < 8 {
+			return int64(v), p
+		}
+	}
+	for ; p < len(b) && b[p]-'0' <= 9; p++ {
+		v = v*10 + uint64(b[p]-'0')
+	}
+	return int64(v), p
+}
+
+var pow10 = [9]uint64{1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000}
+
+func quoteError(path string, line int) error {
+	return fmt.Errorf("%s: line %d: a double quote (fields are plain integers)", path, line)
 }
 
 // parseInt is strconv.ParseInt(string(b), 10, 64) without the string: an

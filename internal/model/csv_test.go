@@ -99,3 +99,57 @@ func TestReadDatasetLineInLaterChunk(t *testing.T) {
 		t.Fatalf("a short row at comments.csv line %d: ReadDataset = %v", third, err)
 	}
 }
+
+// TestReadDatasetBlankLines: blank lines ("\n" or "\r\n") anywhere in a
+// snapshot file, before the first row and after the last included, are
+// skipped, so the rows after them move up in their family's array; a
+// file of blank lines only reads as a nil array.
+func TestReadDatasetBlankLines(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1})
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := model.WriteDataset(dir, d); err != nil {
+		t.Fatal(err)
+	}
+	// blanks rewrites the file name with the blank line blank inserted
+	// before each line whose index is in at (len(lines) is past the last).
+	blanks := func(name, blank string, at ...int) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(b, []byte{'\n'})
+		lines = lines[:len(lines)-1] // the empty rest after the last '\n'
+		var out []byte
+		for i := 0; i <= len(lines); i++ {
+			for _, k := range at {
+				if k == i {
+					out = append(out, blank...)
+				}
+			}
+			if i < len(lines) {
+				out = append(out, lines[i]...)
+			}
+		}
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := len(d.Snapshot.Comments)
+	blanks("comments.csv", "\n", 0, 0, n/3, n/2, n/2+1, n)
+	blanks("comments.csv", "\r\n", 1, 2*n/3, n)
+	blanks("likes.csv", "\n", len(d.Snapshot.Likes)/2)
+	if err := os.WriteFile(filepath.Join(dir, "users.csv"), []byte("\n\r\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := model.ReadDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := d.Snapshot.Clone()
+	want.Users = nil
+	if !reflect.DeepEqual(got.Snapshot, want) {
+		t.Fatal("snapshot with blank lines reads back differently from the one written")
+	}
+}

@@ -294,3 +294,115 @@ func BenchmarkIDMap(b *testing.B) {
 		})
 	}
 }
+
+// TestSlotTableRemoveMatchesOracle drives add, remove, the remove's undo
+// and pop on an edge-keyed slotTable, keys drawn from a small dense range
+// and from hash-colliding sets whose home is the first or the last slot,
+// so backward-shift deletion runs through long clusters and across the
+// wrap-around. After every step each key must sit where a plain slice
+// oracle has it, resolve to its position, and absent keys must miss.
+func TestSlotTableRemoveMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var pool []uint64
+	for _, last := range []bool{false, true} {
+		for _, id := range collidingIDs(48, last) {
+			pool = append(pool, uint64(id))
+		}
+	}
+	for k := uint64(0); k < 200; k++ {
+		pool = append(pool, k<<32|(k*7)%13)
+	}
+	var tab slotTable[uint64]
+	var keys []uint64 // the oracle: keys in position order
+	at := func(k uint64) int {
+		for i, x := range keys {
+			if x == k {
+				return i
+			}
+		}
+		return -1
+	}
+	check := func(step int) {
+		t.Helper()
+		if len(tab.keys) != len(keys) {
+			t.Fatalf("step %d: %d keys, want %d", step, len(tab.keys), len(keys))
+		}
+		occupied := 0
+		for _, s := range tab.slots {
+			if s != 0 {
+				occupied++
+			}
+		}
+		if occupied != len(keys) {
+			t.Fatalf("step %d: %d occupied slots for %d keys", step, occupied, len(keys))
+		}
+		for _, k := range pool {
+			got, ok := tab.index(k)
+			if want := at(k); (want >= 0) != ok || (ok && got != want) {
+				t.Fatalf("step %d: index(%x) = %d, %v; want %d", step, k, got, ok, want)
+			}
+		}
+	}
+	for step := 0; step < 6000; step++ {
+		k := pool[rng.Intn(len(pool))]
+		switch i := at(k); {
+		case i < 0:
+			if got, added := tab.add(k); !added || got != len(keys) {
+				t.Fatalf("step %d: add(%x) = %d, %v; want %d, true", step, k, got, added, len(keys))
+			}
+			keys = append(keys, k)
+		case rng.Intn(4) == 0:
+			tab.pop()
+			keys = keys[:len(keys)-1]
+		default:
+			if got := tab.remove(k); got != i {
+				t.Fatalf("step %d: remove(%x) = %d, want %d", step, k, got, i)
+			}
+			last := len(keys) - 1
+			keys[i] = keys[last]
+			keys = keys[:last]
+			if rng.Intn(2) == 0 {
+				check(step)
+				tab.unremove(k, i)
+				keys = unremove(keys, k, i)
+			}
+		}
+		check(step)
+	}
+}
+
+// TestDigitRun: digitRun reads the same run and, up to 18 digits, the
+// same value as a byte-by-byte scan, from every offset of inputs that
+// put bytes next to '0' and '9' (with and without the top bit) at every
+// place of an eight-byte word.
+func TestDigitRun(t *testing.T) {
+	inputs := []string{
+		"1234567,89,0,123456789012345678,9999999999999999999,1\n",
+		"/0123456789:/9\xb0\xb9\xff0",
+		"00000000000000000000000000000001",
+		"",
+		"7",
+	}
+	rng := rand.New(rand.NewSource(1))
+	alphabet := "0123456789/:,\n\r-+\"\xb0\xb9\x80\xff"
+	for k := 0; k < 200; k++ {
+		b := make([]byte, rng.Intn(40))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, in := range inputs {
+		b := []byte(in)
+		for p := 0; p <= len(b); p++ {
+			end, want := p, int64(0)
+			for ; end < len(b) && b[end] >= '0' && b[end] <= '9'; end++ {
+				want = want*10 + int64(b[end]-'0')
+			}
+			v, q := digitRun(b, p)
+			if q != end || (end-p <= 18 && v != want) {
+				t.Fatalf("digitRun(%q, %d) = %d, %d; want %d, %d", b, p, v, q, want, end)
+			}
+		}
+	}
+}

@@ -209,28 +209,58 @@ func (s *Snapshot) AppendFields(dst []int64, f KeyKind, i, j int) []int64 {
 // family's field count.
 func (s *Snapshot) AppendEntities(f KeyKind, vals []int64) {
 	n := len(f.Fields())
+	i := s.Len(f)
+	s.setLen(f, i+len(vals)/n)
+	for ; len(vals) > 0; vals = vals[n:] {
+		s.setEntity(f, i, vals)
+		i++
+	}
+}
+
+// setEntity sets entity i of s's array of family f to the one whose
+// fields vals holds in codec order.
+func (s *Snapshot) setEntity(f KeyKind, i int, vals []int64) {
 	switch f {
 	case KeyPost:
-		for ; len(vals) > 0; vals = vals[n:] {
-			s.Posts = append(s.Posts, postOf(vals))
-		}
+		s.Posts[i] = postOf(vals)
 	case KeyComment:
-		for ; len(vals) > 0; vals = vals[n:] {
-			s.Comments = append(s.Comments, commentOf(vals))
-		}
+		s.Comments[i] = commentOf(vals)
 	case KeyUser:
-		for ; len(vals) > 0; vals = vals[n:] {
-			s.Users = append(s.Users, userOf(vals))
-		}
+		s.Users[i] = userOf(vals)
 	case KeyFriendship:
-		for ; len(vals) > 0; vals = vals[n:] {
-			s.Friendships = append(s.Friendships, friendshipOf(vals))
-		}
+		s.Friendships[i] = friendshipOf(vals)
 	case KeyLike:
-		for ; len(vals) > 0; vals = vals[n:] {
-			s.Likes = append(s.Likes, likeOf(vals))
-		}
+		s.Likes[i] = likeOf(vals)
 	}
+}
+
+// setLen sets the length of s's array of family f to n, growing it as
+// Grow does; an array cut to length 0 is nil.
+func (s *Snapshot) setLen(f KeyKind, n int) {
+	switch f {
+	case KeyPost:
+		s.Posts = setLen(s.Posts, n)
+	case KeyComment:
+		s.Comments = setLen(s.Comments, n)
+	case KeyUser:
+		s.Users = setLen(s.Users, n)
+	case KeyFriendship:
+		s.Friendships = setLen(s.Friendships, n)
+	case KeyLike:
+		s.Likes = setLen(s.Likes, n)
+	}
+}
+
+func setLen[E any](a []E, n int) []E {
+	switch {
+	case n == len(a):
+		return a
+	case n == 0:
+		return nil
+	case n > len(a):
+		return slices.Grow(a, n-len(a))[:n]
+	}
+	return a[:n]
 }
 
 // Grow makes room in s's array of family f for n more entities, so that

@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -18,11 +20,17 @@ import (
 // TTC ids to 0..n−1 matrix indices once, at load time; this is that map).
 // Nodes are never removed, so the indices are stable and a reply always
 // follows its parent. Each comment's root post is kept as a post index.
-// Edges are keyed by their endpoints' index pair packed into a uint64 and
-// map to their slice position, so removing one is a lookup plus a swap
-// with the last edge: O(1), at the cost of edge order. Friendships are
-// stored with ordered endpoints (User1 < User2) and keyed by ordered
-// indices.
+// Each edge family is a flat index beside its slice: the key of every
+// edge, its endpoints' index pair packed into a uint64, at the edge's
+// position, and an open-addressing table of int32 slots over those keys,
+// as IDMap's over ids (13–19 bytes per edge, against 23–26 for a Go map
+// to the position). Removing an edge is a lookup plus a swap with the
+// last edge, in the slice and in the keys, and a backward-shift deletion
+// in the table: O(1), at the cost of edge order. Friendships are stored
+// with ordered endpoints (User1 < User2) and keyed by ordered indices.
+//
+// NewState fills the tables on every core (see there); Refs reads the
+// edges back from the keys in slice order.
 //
 // A State is not safe for concurrent use, except that a View or Nodes may
 // be read by other goroutines while the owner keeps applying changes, and
@@ -32,10 +40,13 @@ type State struct {
 	posts    IDMap
 	comments IDMap
 	users    IDMap
-	root     []int32          // comment index → its root post's index
-	friendAt map[uint64]int32 // pair(lower, higher user index) → index in s.Friendships
-	likeAt   map[uint64]int32 // pair(user, comment) → index in s.Likes
-	s        Snapshot
+	root     []int32 // comment index → its root post's index
+	// friends and likes hold each edge's key at its position in
+	// s.Friendships and s.Likes: pair(lower, higher user index) and
+	// pair(user, comment).
+	friends slotTable[uint64]
+	likes   slotTable[uint64]
+	s       Snapshot
 
 	// refs is Apply's output and removedAt the slice position each
 	// removal of the request took its edge from, both reused.
@@ -76,19 +87,28 @@ func unpack(k uint64) (int32, int32) { return int32(k >> 32), int32(uint32(k)) }
 // order.
 func friendKey(a, b int32) uint64 { return pair(min(a, b), max(a, b)) }
 
+// commentChunk is how many comments NewState checks as one piece of work.
+const commentChunk = 16 << 10
+
 // NewState validates s as an initial state and returns a State holding a
-// copy of it. Entities are checked in the order posts, users, comments
-// (each reply after its parent), friendships, likes. The error wraps
-// ErrIntegrity.
+// copy of it. The error wraps ErrIntegrity. It is the violation a check
+// of every entity one by one finds first, in the order posts, users,
+// comments (each reply after its parent), friendships, likes, and within
+// each family by position.
+//
+// The checks run in two phases, each on runtime.GOMAXPROCS(0)
+// goroutines. The first adds the ids of comments, users and posts to
+// their tables, a table per goroutine, each up to its first duplicate.
+// The second checks each comment's root post and parent, in chunks of
+// commentChunk comments, beside the friendships and the likes, which
+// fill their edge tables on a goroutine each.
 func NewState(s *Snapshot) (*State, error) {
 	st := &State{
-		root:     make([]int32, 0, len(s.Comments)),
-		friendAt: make(map[uint64]int32, len(s.Friendships)),
-		likeAt:   make(map[uint64]int32, len(s.Likes)),
+		root: make([]int32, len(s.Comments)),
 		s: Snapshot{
-			Posts:       make([]Post, 0, len(s.Posts)),
-			Comments:    make([]Comment, 0, len(s.Comments)),
-			Users:       make([]User, 0, len(s.Users)),
+			Posts:       append(make([]Post, 0, len(s.Posts)), s.Posts...),
+			Comments:    append(make([]Comment, 0, len(s.Comments)), s.Comments...),
+			Users:       append(make([]User, 0, len(s.Users)), s.Users...),
 			Friendships: make([]Friendship, 0, len(s.Friendships)),
 			Likes:       make([]Like, 0, len(s.Likes)),
 		},
@@ -96,43 +116,140 @@ func NewState(s *Snapshot) (*State, error) {
 	st.posts.reserve(len(s.Posts))
 	st.comments.reserve(len(s.Comments))
 	st.users.reserve(len(s.Users))
-	// Posts and then comments (a comment needs its root post) go in
-	// beside users, then friendships beside likes: each group writes only
-	// its own tables. The error reported is the first in check order, as
-	// if every entity were checked one by one.
-	var errs [5]error
-	both(func() {
-		errs[0] = addAll(s.Posts, func(p *Post) error { _, err := st.addPost(*p); return err })
-		if errs[0] == nil {
-			errs[2] = addAll(s.Comments, func(c *Comment) error { _, err := st.addComment(c); return err })
+	st.friends.reserve(len(s.Friendships))
+	st.likes.reserve(len(s.Likes))
+
+	// posts, users and comments are the positions of each family's first
+	// duplicate id, or its length. Here and in the second phase, each
+	// goroutine fills copies of the headers of the tables and slices it
+	// appends to, and stores them back when it is done: the State's own
+	// headers share cache lines, which goroutines appending through them
+	// would pass back and forth on every entity.
+	var posts, users, comments int
+	parallel(3, func(i int) {
+		switch i {
+		case 0:
+			m := st.comments
+			comments = addCommentIDs(&m, st.s.Comments, st.root)
+			st.comments = m
+		case 1:
+			m := st.users
+			users = addIDs(&m, s.Users, func(u *User) ID { return u.ID })
+			st.users = m
+		default:
+			m := st.posts
+			posts = addIDs(&m, s.Posts, func(p *Post) ID { return p.ID })
+			st.posts = m
 		}
-	}, func() {
-		errs[1] = addAll(s.Users, func(u *User) error { _, err := st.addUser(*u); return err })
 	})
-	if errs[0] == nil && errs[1] == nil && errs[2] == nil {
-		both(func() {
-			errs[3] = addAll(s.Friendships, func(f *Friendship) error { _, _, err := st.addFriendship(*f); return err })
-		}, func() {
-			errs[4] = addAll(s.Likes, func(l *Like) error { _, _, err := st.addLike(*l); return err })
-		})
+	switch {
+	case posts < len(s.Posts):
+		return nil, initial(violation("duplicate post id %d", s.Posts[posts].ID))
+	case users < len(s.Users):
+		return nil, initial(violation("duplicate user id %d", s.Users[users].ID))
 	}
-	for _, err := range errs {
+
+	// The comments up to the first duplicate are checked; the edges only
+	// if there is none. errs holds the chunks' errors, then the
+	// friendships' and the likes'; the edges start first, as the longest
+	// pieces of work.
+	chunks := (comments + commentChunk - 1) / commentChunk
+	edges := comments == len(s.Comments)
+	errs := make([]error, chunks+2)
+	parallel(chunks+2, func(i int) {
+		switch {
+		case i == 0 && edges:
+			e := &State{users: st.users, friends: st.friends, s: Snapshot{Friendships: st.s.Friendships}}
+			errs[chunks] = addAll(s.Friendships, func(f *Friendship) error { _, _, err := e.addFriendship(*f); return err })
+			st.friends, st.s.Friendships = e.friends, e.s.Friendships
+		case i == 1 && edges:
+			e := &State{users: st.users, comments: st.comments, likes: st.likes, s: Snapshot{Likes: st.s.Likes}}
+			errs[chunks+1] = addAll(s.Likes, func(l *Like) error { _, _, err := e.addLike(*l); return err })
+			st.likes, st.s.Likes = e.likes, e.s.Likes
+		case i >= 2:
+			lo := (i - 2) * commentChunk
+			errs[i-2] = st.checkComments(lo, min(lo+commentChunk, comments))
+		}
+	})
+	for _, err := range errs[:chunks] {
 		if err != nil {
-			return nil, fmt.Errorf("initial state: %w", err)
+			return nil, initial(err)
+		}
+	}
+	if !edges {
+		return nil, initial(violation("duplicate comment id %d", s.Comments[comments].ID))
+	}
+	for _, err := range errs[chunks:] {
+		if err != nil {
+			return nil, initial(err)
 		}
 	}
 	return st, nil
 }
 
-// both runs f and g concurrently and returns when both are done.
-func both(f, g func()) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		g()
-	}()
-	f()
-	<-done
+func initial(err error) error { return fmt.Errorf("initial state: %w", err) }
+
+// parallel calls work(0), …, work(n−1) on min(runtime.GOMAXPROCS(0), n)
+// goroutines, the calling one among them, each taking the lowest index
+// not yet taken, and returns when every call has.
+func parallel(n int, work func(i int)) {
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			work(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n) - 1; w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+}
+
+// addIDs adds the ids of list to m in order and returns the position of
+// the first that m already holds, or len(list).
+func addIDs[E any](m *IDMap, list []E, id func(*E) ID) int {
+	for i := range list {
+		if _, added := m.add(id(&list[i])); !added {
+			return i
+		}
+	}
+	return len(list)
+}
+
+// addCommentIDs adds the ids of comments to m in order and returns the
+// position of the first that m already holds, or len(comments). On the
+// way it sets parent[i] to the parent of comment i (parentOf): the lookup
+// finds a parent among the ids added last, which are the likeliest to be
+// cached.
+func addCommentIDs(m *IDMap, comments []Comment, parent []int32) int {
+	for i := range comments {
+		c := &comments[i]
+		if _, added := m.add(c.ID); !added {
+			return i
+		}
+		parent[i] = parentOf(m, c, i)
+	}
+	return len(comments)
+}
+
+// checkComments checks comments [lo, hi), whose ids are in the table and
+// whose root entries hold their parents (addCommentIDs), and replaces
+// those with their root posts; it stops at the first error.
+func (st *State) checkComments(lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		post, err := st.commentRoot(&st.s.Comments[i], st.root[i], int32(lo))
+		if err != nil {
+			return err
+		}
+		st.root[i] = post
+	}
+	return nil
 }
 
 // addAll adds each entity of list with add and stops at the first error.
@@ -184,13 +301,13 @@ func (st *State) Refs() []Ref {
 	for i, r := range st.root {
 		refs[np+nu+i] = Ref{Kind: KindAddComment, A: int32(i), B: r}
 	}
-	for k, i := range st.friendAt {
+	for i, k := range st.friends.keys {
 		a, b := unpack(k)
-		refs[np+nu+nc+int(i)] = Ref{Kind: KindAddFriendship, A: a, B: b}
+		refs[np+nu+nc+i] = Ref{Kind: KindAddFriendship, A: a, B: b}
 	}
-	for k, i := range st.likeAt {
+	for i, k := range st.likes.keys {
 		u, c := unpack(k)
-		refs[np+nu+nc+nf+int(i)] = Ref{Kind: KindAddLike, A: u, B: c}
+		refs[np+nu+nc+nf+i] = Ref{Kind: KindAddLike, A: u, B: c}
 	}
 	return refs
 }
@@ -233,7 +350,7 @@ func (st *State) DropHeldAdds(dst, changes []Change) []Change {
 // AddLike or AddFriendship change adds.
 func (st *State) holds(ch *Change) bool {
 	var k uint64
-	var at map[uint64]int32
+	var t *slotTable[uint64]
 	switch ch.Kind {
 	case KindAddLike:
 		u, okU := index(&st.users, ch.Like.UserID)
@@ -241,18 +358,18 @@ func (st *State) holds(ch *Change) bool {
 		if !okU || !okC {
 			return false
 		}
-		k, at = pair(u, c), st.likeAt
+		k, t = pair(u, c), &st.likes
 	case KindAddFriendship:
 		a, okA := index(&st.users, ch.Friendship.User1)
 		b, okB := index(&st.users, ch.Friendship.User2)
 		if !okA || !okB {
 			return false
 		}
-		k, at = friendKey(a, b), st.friendAt
+		k, t = friendKey(a, b), &st.friends
 	default:
 		return false
 	}
-	_, ok := at[k]
+	_, ok := t.index(k)
 	return ok
 }
 
@@ -322,10 +439,6 @@ func index(m *IDMap, id ID) (int32, bool) {
 	return int32(i), ok
 }
 
-// user and comment resolve ids the State is known to hold.
-func (st *State) user(id ID) int32    { return int32(st.users.MustIndex(id)) }
-func (st *State) comment(id ID) int32 { return int32(st.comments.MustIndex(id)) }
-
 // apply checks one change and, only if it is valid, applies it and
 // returns it resolved.
 func (st *State) apply(ch *Change) (r Ref, err error) {
@@ -358,8 +471,8 @@ func (st *State) apply(ch *Change) (r Ref, err error) {
 // it is valid, apply it and return the indices it resolved to.
 
 func (st *State) addPost(p Post) (int32, error) {
-	n := st.posts.Len()
-	if st.posts.Add(p.ID) != n {
+	n, added := st.posts.add(p.ID)
+	if !added {
 		return 0, violation("duplicate post id %d", p.ID)
 	}
 	st.s.Posts = append(st.s.Posts, p)
@@ -367,8 +480,8 @@ func (st *State) addPost(p Post) (int32, error) {
 }
 
 func (st *State) addUser(u User) (int32, error) {
-	n := st.users.Len()
-	if st.users.Add(u.ID) != n {
+	n, added := st.users.add(u.ID)
+	if !added {
 		return 0, violation("duplicate user id %d", u.ID)
 	}
 	st.s.Users = append(st.s.Users, u)
@@ -379,11 +492,11 @@ func (st *State) addUser(u User) (int32, error) {
 // the id first and takes it back if a later check fails: one table probe
 // for both the duplicate check and the insert.
 func (st *State) addComment(c *Comment) (int32, error) {
-	n := st.comments.Len()
-	if st.comments.Add(c.ID) != n {
+	n, added := st.comments.add(c.ID)
+	if !added {
 		return 0, violation("duplicate comment id %d", c.ID)
 	}
-	post, err := st.commentRoot(c)
+	post, err := st.commentRoot(c, parentOf(&st.comments, c, n), 0)
 	if err != nil {
 		st.comments.pop()
 		return 0, err
@@ -393,9 +506,23 @@ func (st *State) addComment(c *Comment) (int32, error) {
 	return int32(n), nil
 }
 
-// commentRoot checks a new comment's root post and parent and returns the
-// root post's index.
-func (st *State) commentRoot(c *Comment) (int32, error) {
+// parentOf returns the index of comment i's parent, c.ParentID, among
+// the comments before it in m, or −1 for none or for a direct reply.
+func parentOf(m *IDMap, c *Comment, i int) int32 {
+	if c.ParentID == c.PostID {
+		return -1
+	}
+	if p, ok := m.index(c.ParentID); ok && p < i {
+		return int32(p)
+	}
+	return -1
+}
+
+// commentRoot checks comment c, whose parent among the comments before it
+// is parent (parentOf), against the posts and returns its root post's
+// index. The root of a parent below lo is read through the parent's post
+// id rather than from root, where another goroutine may be writing it.
+func (st *State) commentRoot(c *Comment, parent, lo int32) (int32, error) {
 	post, ok := index(&st.posts, c.PostID)
 	if !ok {
 		return 0, violation("comment %d references missing root post %d", c.ID, c.PostID)
@@ -406,11 +533,16 @@ func (st *State) commentRoot(c *Comment) (int32, error) {
 	if _, isPost := st.posts.Index(c.ParentID); isPost {
 		return 0, violation("comment %d replies to post %d but roots at %d", c.ID, c.ParentID, c.PostID)
 	}
-	parent, isComment := index(&st.comments, c.ParentID)
-	if !isComment || int(parent) == st.comments.Len()-1 { // not the comment itself
+	if parent < 0 {
 		return 0, violation("comment %d references missing parent %d", c.ID, c.ParentID)
 	}
-	if root := st.root[parent]; root != post {
+	var root int32
+	if parent >= lo {
+		root = st.root[parent]
+	} else {
+		root, _ = index(&st.posts, st.s.Comments[parent].PostID)
+	}
+	if root != post {
 		return 0, violation("comment %d root post %d differs from parent's root %d", c.ID, c.PostID, st.posts.IDOf(int(root)))
 	}
 	return post, nil
@@ -427,11 +559,9 @@ func (st *State) addFriendship(f Friendship) (a, b int32, err error) {
 	if b, ok = index(&st.users, f.User2); !ok {
 		return 0, 0, violation("friendship references missing user %d", f.User2)
 	}
-	k := friendKey(a, b)
-	if _, dup := st.friendAt[k]; dup {
+	if _, added := st.friends.add(friendKey(a, b)); !added {
 		return 0, 0, violation("duplicate friendship %d–%d", f.User1, f.User2)
 	}
-	st.friendAt[k] = int32(len(st.s.Friendships))
 	st.s.Friendships = append(st.s.Friendships, f.ordered())
 	return a, b, nil
 }
@@ -444,11 +574,9 @@ func (st *State) addLike(l Like) (u, c int32, err error) {
 	if c, ok = index(&st.comments, l.CommentID); !ok {
 		return 0, 0, violation("like references missing comment %d", l.CommentID)
 	}
-	k := pair(u, c)
-	if _, dup := st.likeAt[k]; dup {
+	if _, added := st.likes.add(pair(u, c)); !added {
 		return 0, 0, violation("duplicate like %d→%d", l.UserID, l.CommentID)
 	}
-	st.likeAt[k] = int32(len(st.s.Likes))
 	st.s.Likes = append(st.s.Likes, l)
 	return u, c, nil
 }
@@ -457,13 +585,13 @@ func (st *State) removeFriendship(f Friendship) (a, b int32, err error) {
 	a, okA := index(&st.users, f.User1)
 	b, okB := index(&st.users, f.User2)
 	k := friendKey(a, b)
-	if _, ok := st.friendAt[k]; !ok || !okA || !okB {
+	if _, ok := st.friends.index(k); !ok || !okA || !okB {
 		return 0, 0, violation("removal of missing friendship %d–%d", f.User1, f.User2)
 	}
 	st.detach()
-	var i int32
-	st.s.Friendships, i = swapRemove(st.friendAt, st.s.Friendships, k, st.friendshipKey)
-	st.removedAt = append(st.removedAt, i)
+	i := st.friends.remove(k)
+	st.s.Friendships = swapRemove(st.s.Friendships, i)
+	st.removedAt = append(st.removedAt, int32(i))
 	return a, b, nil
 }
 
@@ -471,13 +599,13 @@ func (st *State) removeLike(l Like) (u, c int32, err error) {
 	u, okU := index(&st.users, l.UserID)
 	c, okC := index(&st.comments, l.CommentID)
 	k := pair(u, c)
-	if _, ok := st.likeAt[k]; !ok || !okU || !okC {
+	if _, ok := st.likes.index(k); !ok || !okU || !okC {
 		return 0, 0, violation("removal of missing like %d→%d", l.UserID, l.CommentID)
 	}
 	st.detach()
-	var i int32
-	st.s.Likes, i = swapRemove(st.likeAt, st.s.Likes, k, st.likeKey)
-	st.removedAt = append(st.removedAt, i)
+	i := st.likes.remove(k)
+	st.s.Likes = swapRemove(st.s.Likes, i)
+	st.removedAt = append(st.removedAt, int32(i))
 	return u, c, nil
 }
 
@@ -498,32 +626,29 @@ func (st *State) undo(r Ref) {
 		st.users.pop()
 		st.s.Users = st.s.Users[:len(st.s.Users)-1]
 	case KindAddFriendship:
-		delete(st.friendAt, friendKey(r.A, r.B))
+		st.friends.pop()
 		st.s.Friendships = st.s.Friendships[:len(st.s.Friendships)-1]
 	case KindAddLike:
-		delete(st.likeAt, pair(r.A, r.B))
+		st.likes.pop()
 		st.s.Likes = st.s.Likes[:len(st.s.Likes)-1]
 	case KindRemoveFriendship:
 		f := Friendship{User1: st.users.IDOf(int(r.A)), User2: st.users.IDOf(int(r.B))}.ordered()
-		st.s.Friendships = unremove(st.friendAt, st.s.Friendships, f, friendKey(r.A, r.B), st.popRemovedAt(), st.friendshipKey)
+		i := st.popRemovedAt()
+		st.friends.unremove(friendKey(r.A, r.B), i)
+		st.s.Friendships = unremove(st.s.Friendships, f, i)
 	case KindRemoveLike:
 		l := Like{UserID: st.users.IDOf(int(r.A)), CommentID: st.comments.IDOf(int(r.B))}
-		st.s.Likes = unremove(st.likeAt, st.s.Likes, l, pair(r.A, r.B), st.popRemovedAt(), st.likeKey)
+		i := st.popRemovedAt()
+		st.likes.unremove(pair(r.A, r.B), i)
+		st.s.Likes = unremove(st.s.Likes, l, i)
 	}
 }
 
-func (st *State) popRemovedAt() int32 {
+func (st *State) popRemovedAt() int {
 	i := st.removedAt[len(st.removedAt)-1]
 	st.removedAt = st.removedAt[:len(st.removedAt)-1]
-	return i
+	return int(i)
 }
-
-// friendshipKey and likeKey are a stored edge's key.
-func (st *State) friendshipKey(f Friendship) uint64 {
-	return friendKey(st.user(f.User1), st.user(f.User2))
-}
-
-func (st *State) likeKey(l Like) uint64 { return pair(st.user(l.UserID), st.comment(l.CommentID)) }
 
 // detach runs before an in-place edge write. If a view taken since the
 // last detach may still be read, the edge arrays are copied first, so the
@@ -545,30 +670,21 @@ func (st *State) detach() {
 	}
 }
 
-// swapRemove deletes the edge keyed k, which must be present, by moving
-// the last edge into its slot, and returns the shortened list and the
-// slot.
-func swapRemove[E any](at map[uint64]int32, list []E, k uint64, key func(E) uint64) ([]E, int32) {
-	i, last := at[k], len(list)-1
-	if int(i) != last {
-		list[i] = list[last]
-		at[key(list[i])] = i
-	}
-	delete(at, k)
-	return list[:last], i
+// swapRemove deletes edge i of list by moving the last edge into its
+// place, as slotTable.remove moves the keys.
+func swapRemove[E any](list []E, i int) []E {
+	last := len(list) - 1
+	list[i] = list[last]
+	return list[:last]
 }
 
-// unremove reverts swapRemove: the edge now at slot i goes back to the
-// end, and e, keyed k, back to slot i.
-func unremove[E any](at map[uint64]int32, list []E, e E, k uint64, i int32, key func(E) uint64) []E {
-	if int(i) == len(list) {
-		at[k] = i
+// unremove reverts swapRemove: the edge now at i goes back to the end,
+// and e back to i.
+func unremove[E any](list []E, e E, i int) []E {
+	if i == len(list) {
 		return append(list, e)
 	}
-	moved := list[i]
-	at[key(moved)] = int32(len(list))
-	list = append(list, moved)
+	list = append(list, list[i])
 	list[i] = e
-	at[k] = i
 	return list
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -70,6 +69,116 @@ func TestStateApply(t *testing.T) {
 			}
 			if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Apply: %v, want an integrity violation containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestNewStateErrorOrder: with several violations in one initial state,
+// NewState reports the one a check of every entity one by one finds
+// first, in the order posts, users, comments by position, friendships,
+// likes. Its 40,000 comments span several of the chunks NewState checks
+// comments in: comment i replies to comment i−10 (i ≥ 10) under post
+// i mod 10, so some parents lie in an earlier chunk.
+func TestNewStateErrorOrder(t *testing.T) {
+	const posts, users, comments = 10, 50, 40000
+	base := func() *Snapshot {
+		s := &Snapshot{}
+		for i := 0; i < posts; i++ {
+			s.Posts = append(s.Posts, Post{ID: ID(1 + i), Timestamp: int64(i)})
+		}
+		for i := 0; i < users; i++ {
+			s.Users = append(s.Users, User{ID: ID(1000 + i)})
+		}
+		for i := 0; i < comments; i++ {
+			c := Comment{ID: ID(100000 + i), Timestamp: int64(i), PostID: ID(1 + i%posts)}
+			c.ParentID = c.PostID
+			if i >= posts {
+				c.ParentID = ID(100000 + i - posts)
+			}
+			s.Comments = append(s.Comments, c)
+		}
+		for i := 0; i+1 < users; i += 2 {
+			s.Friendships = append(s.Friendships, Friendship{User1: ID(1000 + i), User2: ID(1001 + i)})
+		}
+		for i := 0; i < users; i++ {
+			s.Likes = append(s.Likes, Like{UserID: ID(1000 + i), CommentID: ID(100000 + 7*i)})
+		}
+		return s
+	}
+	// Each violation breaks a valid base and returns the error it causes.
+	type violation func(s *Snapshot) string
+	dupPost := func(s *Snapshot) string {
+		s.Posts[4].ID = s.Posts[3].ID
+		return fmt.Sprintf("duplicate post id %d", s.Posts[3].ID)
+	}
+	dupUser := func(s *Snapshot) string {
+		s.Users[30].ID = s.Users[2].ID
+		return fmt.Sprintf("duplicate user id %d", s.Users[2].ID)
+	}
+	dupComment := func(i int) violation {
+		return func(s *Snapshot) string {
+			s.Comments[i].ID = s.Comments[i-1].ID
+			return fmt.Sprintf("duplicate comment id %d", s.Comments[i].ID)
+		}
+	}
+	replyBeforeParent := func(i int) violation {
+		return func(s *Snapshot) string {
+			c := &s.Comments[i]
+			c.ParentID = s.Comments[i+posts].ID
+			return fmt.Sprintf("comment %d references missing parent %d", c.ID, c.ParentID)
+		}
+	}
+	rootMismatch := func(i int) violation {
+		return func(s *Snapshot) string {
+			c := &s.Comments[i]
+			parentRoot := c.PostID
+			c.PostID = 1 + c.PostID%posts
+			return fmt.Sprintf("comment %d root post %d differs from parent's root %d", c.ID, c.PostID, parentRoot)
+		}
+	}
+	badFriendship := func(s *Snapshot) string {
+		s.Friendships = append(s.Friendships, Friendship{User1: 1000, User2: 999})
+		return "friendship references missing user 999"
+	}
+	badLike := func(s *Snapshot) string {
+		s.Likes = append(s.Likes, Like{UserID: 1001, CommentID: 99})
+		return "like references missing comment 99"
+	}
+
+	cases := []struct {
+		name       string
+		violations []violation // in check order; the first one's error wins
+	}{
+		{"post first", []violation{dupPost, dupUser, replyBeforeParent(20), rootMismatch(16390), dupComment(17000), rootMismatch(33000), badFriendship, badLike}},
+		{"user before comments", []violation{dupUser, replyBeforeParent(20), rootMismatch(16390), dupComment(17000), badFriendship, badLike}},
+		{"reply before its parent", []violation{replyBeforeParent(20), rootMismatch(16390), dupComment(17000), rootMismatch(33000), badFriendship, badLike}},
+		{"root mismatch, parent in an earlier chunk", []violation{rootMismatch(16390), dupComment(17000), rootMismatch(33000), badFriendship, badLike}},
+		{"duplicate comment before later comments", []violation{dupComment(17000), rootMismatch(33000), badFriendship, badLike}},
+		{"duplicate comment before a later reply", []violation{dupComment(15), replyBeforeParent(20), badFriendship, badLike}},
+		{"root mismatch in the last chunk", []violation{rootMismatch(33000), badFriendship, badLike}},
+		{"friendship before like", []violation{badFriendship, badLike}},
+		{"like", []violation{badLike}},
+		{"none", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := base()
+			want := ""
+			for k, v := range tc.violations {
+				if msg := v(s); k == 0 {
+					want = msg
+				}
+			}
+			_, err := NewState(s)
+			if want == "" {
+				if err != nil {
+					t.Fatalf("NewState: %v, want accepted", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("NewState: %v, want an integrity violation containing %q", err, want)
 			}
 		})
 	}
@@ -389,35 +498,58 @@ func sameState(st *State, want *Snapshot) error {
 	if err := sameSnapshot(&st.s, want); err != nil {
 		return err
 	}
-	if len(st.friendAt) != len(st.s.Friendships) || len(st.likeAt) != len(st.s.Likes) {
+	if len(st.friends.keys) != len(st.s.Friendships) || len(st.likes.keys) != len(st.s.Likes) {
 		return errors.New("edge index sizes differ from the edge slices")
+	}
+	if n := occupied(&st.friends) + occupied(&st.likes); n != len(st.s.Friendships)+len(st.s.Likes) {
+		return fmt.Errorf("%d occupied edge slots for %d edges", n, len(st.s.Friendships)+len(st.s.Likes))
 	}
 	for i, f := range st.s.Friendships {
 		if f != f.ordered() {
 			return errors.New("friendship stored with unordered endpoints")
 		}
-		if at, ok := st.friendAt[st.friendshipKey(f)]; !ok || int(at) != i {
+		if at, ok := st.friends.index(friendshipKey(st, f)); !ok || at != i {
 			return errors.New("friendship index is stale")
 		}
 	}
 	for i, l := range st.s.Likes {
-		if at, ok := st.likeAt[st.likeKey(l)]; !ok || int(at) != i {
+		if at, ok := st.likes.index(likeKey(st, l)); !ok || at != i {
 			return errors.New("like index is stale")
 		}
 	}
-	for k, i := range st.friendAt {
+	for i, k := range st.friends.keys {
 		a, b := unpack(k)
 		if f := st.s.Friendships[i]; a >= b || (Friendship{User1: st.users.IDOf(int(a)), User2: st.users.IDOf(int(b))}).key() != f.key() {
 			return fmt.Errorf("friendship key %x does not unpack to %+v", k, f)
 		}
 	}
-	for k, i := range st.likeAt {
+	for i, k := range st.likes.keys {
 		u, c := unpack(k)
 		if l := st.s.Likes[i]; st.users.IDOf(int(u)) != l.UserID || st.comments.IDOf(int(c)) != l.CommentID {
 			return fmt.Errorf("like key %x does not unpack to %+v", k, l)
 		}
 	}
 	return nil
+}
+
+// friendshipKey and likeKey are a stored edge's key, resolved from its ids.
+func friendshipKey(st *State, f Friendship) uint64 {
+	return friendKey(int32(st.users.MustIndex(f.User1)), int32(st.users.MustIndex(f.User2)))
+}
+
+func likeKey(st *State, l Like) uint64 {
+	return pair(int32(st.users.MustIndex(l.UserID)), int32(st.comments.MustIndex(l.CommentID)))
+}
+
+// occupied counts the table's occupied slots.
+func occupied[K ~int64 | ~uint64](t *slotTable[K]) int {
+	n := 0
+	for _, s := range t.slots {
+		if s != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 type edge interface{ key() [2]ID }
@@ -459,15 +591,15 @@ func checkRefs(st *State, req []Change, refs []Ref) error {
 type tables struct {
 	posts, comments, users []ID
 	root                   []int32
-	friendAt, likeAt       map[uint64]int32
+	friends, likes         []uint64
 	s                      *Snapshot
 }
 
 func tablesOf(st *State) tables {
 	return tables{
-		posts: slices.Clone(st.posts.toID), comments: slices.Clone(st.comments.toID), users: slices.Clone(st.users.toID),
-		root:     slices.Clone(st.root),
-		friendAt: maps.Clone(st.friendAt), likeAt: maps.Clone(st.likeAt),
+		posts: slices.Clone(st.posts.keys), comments: slices.Clone(st.comments.keys), users: slices.Clone(st.users.keys),
+		root:    slices.Clone(st.root),
+		friends: slices.Clone(st.friends.keys), likes: slices.Clone(st.likes.keys),
 		s: st.s.Clone(),
 	}
 }
@@ -481,8 +613,15 @@ func sameTables(st *State, want tables, req []Change) error {
 		!slices.Equal(got.users, want.users) || !slices.Equal(got.root, want.root) {
 		return errors.New("node tables differ")
 	}
-	if !maps.Equal(got.friendAt, want.friendAt) || !maps.Equal(got.likeAt, want.likeAt) {
+	if !slices.Equal(got.friends, want.friends) || !slices.Equal(got.likes, want.likes) {
 		return errors.New("edge indexes differ")
+	}
+	for _, t := range []*slotTable[uint64]{&st.friends, &st.likes} {
+		for i, k := range t.keys {
+			if at, ok := t.index(k); !ok || at != i {
+				return fmt.Errorf("edge key %x resolves to %d, %v; want %d", k, at, ok, i)
+			}
+		}
 	}
 	if !reflect.DeepEqual(got.s, want.s) {
 		return errors.New("entity slices differ")

@@ -173,11 +173,17 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // /stats, each declared once, under its wire name. Server.mu guards them;
 // handleStats copies them whole, beside the Snapshot they belong to.
 type counters struct {
-	// Load and Initial are the wall times of the served engines' start-up
-	// phases: each loads the State, and then initially evaluates it, on
-	// its own goroutine (see shard.Start). The paper's Q2, which verifies
-	// them, loads after both, while the server already serves, and is
-	// part of neither.
+	// Read, State, Load and Initial are the wall times of start-up's
+	// steps, in order. Read obtains the base snapshot: opening the
+	// durability directory, which decodes its snapshot on recovery, and
+	// otherwise reading (or generating) the dataset. State validates it
+	// (model.NewState). Load and Initial are the served engines' phases:
+	// each loads the State, and then initially evaluates it, on its own
+	// goroutine (see shard.Start). The paper's Q2, which verifies them,
+	// loads after both, while the server already serves, and is part of
+	// none.
+	Read    durationMS `json:"readMs"`
+	State   durationMS `json:"stateMs"`
 	Load    durationMS `json:"loadMs"`
 	Initial durationMS `json:"initialMs"`
 	// VerifyQueue is how many earlier commits waited for the verifier when

@@ -273,6 +273,7 @@ func New(cfg Config) (*Server, error) {
 		rec  wal.RecoveryInfo
 		err  error
 	)
+	start := time.Now()
 	if cfg.PersistDir != "" {
 		wlog, rec, err = wal.Open(wal.Options{
 			Dir:                cfg.PersistDir,
@@ -315,7 +316,10 @@ func New(cfg Config) (*Server, error) {
 	// the State validates the snapshot and resolves its ids once, and the
 	// shard runtime starts on it. The State holds its own copy, so nothing
 	// of the parsed dataset but its change sets is kept past this point.
+	read := time.Since(start)
+	start = time.Now()
 	state, err := model.NewState(d.Snapshot)
+	validate := time.Since(start)
 	if err != nil {
 		closeWAL()
 		return nil, fmt.Errorf("server: %w", err)
@@ -341,6 +345,8 @@ func New(cfg Config) (*Server, error) {
 		wal:        wlog,
 	}
 	state.OnDetach = s.noteDetach
+	s.stats.Read = durationMS(read)
+	s.stats.State = durationMS(validate)
 	s.stats.Load = durationMS(rt.LoadDuration())
 	s.stats.Initial = durationMS(rt.InitialDuration())
 

@@ -196,10 +196,12 @@ var goldenStatsKeys = []string{
 	"q2Disagreements",
 	"q2VerifiedSeq",
 	"queueDepth",
+	"readMs",
 	"ready",
 	"removals",
 	"seq",
 	"shards", "shards[].commits", "shards[].lastMs", "shards[].meanMs", "shards[].shard",
+	"stateMs",
 	"updates", "updates.count", "updates.lastMs", "updates.meanMs", "updates.totalMs",
 	"verifyBlockedMs",
 	"verifyQueue",
