@@ -246,20 +246,21 @@ func readCSV(path string, family int, row func(ChangeKind, []int64)) error {
 // It parses the bytes in place, in one pass over each line: lines end in
 // \n or \r\n, empty lines are skipped, fields are split at every comma,
 // and a field of 1 to 18 digits is summed as it is scanned; any other
-// field goes to parseInt once its end is known. A line's errors are reported at its end, the first of: a double quote,
-// an unknown tag, a wrong field count, the first field that is not an
-// int64. What it accepts, encoding/csv (default settings) followed by the
-// same tag and count checks and strconv.ParseInt accepts too, with the
-// same rows; on input without a double quote the converse holds
-// (FuzzReadRecords, FuzzParseChange). A double quote anywhere is an
-// error: no writer of dataset files quotes a field. Errors name the file
-// and the line: a *csv.ParseError with csv.ErrFieldCount for a wrong
-// field count, a *strconv.NumError for a field that is not an int64.
+// field goes to parseInt once its end is known. A line's errors are
+// reported at its end, the first of: a double quote, an unknown tag, a
+// wrong field count, the first field that is not an int64. What it
+// accepts, encoding/csv (default settings) followed by the same tag and
+// count checks and strconv.ParseInt accepts too, with the same rows; on
+// input without a double quote the converse holds (FuzzReadRecords,
+// FuzzParseChange). A double quote anywhere is an error: no writer of
+// dataset files quotes a field. Errors name the file and the line: a
+// *csv.ParseError with csv.ErrFieldCount for a wrong field count, a
+// *strconv.NumError for a field that is not an int64.
 func readRecords(path string, b []byte, line, family int, row func(ChangeKind, []int64)) error {
 	var vals [MaxFields]int64
 	for p := 0; p < len(b); line, p = line+1, p+1 {
-		// b[p:] starts the line; each branch below leaves p at its '\n'
-		// or at the end of b.
+		// b[p:] starts the line; what follows leaves p at its '\n' or at
+		// the end of b.
 		if b[p] == '\n' || b[p] == '\r' && (p+1 == len(b) || b[p+1] == '\n') {
 			if b[p] == '\r' {
 				p++
@@ -279,14 +280,11 @@ func readRecords(path string, b []byte, line, family int, row func(ChangeKind, [
 			}
 			var ok bool
 			if k, ok = kindOfTag(b[tag:end]); !ok {
-				if i := bytes.IndexByte(b[p:], '\n'); i >= 0 {
-					quote = quote || bytes.IndexByte(b[p:p+i], '"') >= 0
-					p += i
-				} else {
-					quote = quote || bytes.IndexByte(b[p:], '"') >= 0
-					p = len(b)
+				rest := b[p:]
+				if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+					rest = rest[:i]
 				}
-				if quote {
+				if quote || bytes.IndexByte(rest, '"') >= 0 {
 					return quoteError(path, line)
 				}
 				return fmt.Errorf("%s: line %d: unknown change tag %q", path, line, b[tag:end])

@@ -33,9 +33,9 @@ type slotTable[K ~int64 | ~uint64] struct {
 	keys  []K
 }
 
-// maxIDs is the most keys a slotTable holds: a slot stores position+1 in
+// maxKeys is the most keys a slotTable holds: a slot stores position+1 in
 // an int32.
-const maxIDs = math.MaxInt32
+const maxKeys = math.MaxInt32
 
 // NewIDMap returns an empty mapping.
 func NewIDMap() *IDMap { return &IDMap{} }
@@ -93,7 +93,7 @@ func (t *slotTable[K]) add(k K) (int, bool) {
 		return int(s - 1), false
 	}
 	i := len(t.keys)
-	if i == maxIDs {
+	if i == maxKeys {
 		panic(fmt.Sprintf("model: table full at %d keys", i))
 	}
 	if 4*(i+1) > 3*len(t.slots) {

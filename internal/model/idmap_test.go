@@ -327,14 +327,8 @@ func TestSlotTableRemoveMatchesOracle(t *testing.T) {
 		if len(tab.keys) != len(keys) {
 			t.Fatalf("step %d: %d keys, want %d", step, len(tab.keys), len(keys))
 		}
-		occupied := 0
-		for _, s := range tab.slots {
-			if s != 0 {
-				occupied++
-			}
-		}
-		if occupied != len(keys) {
-			t.Fatalf("step %d: %d occupied slots for %d keys", step, occupied, len(keys))
+		if n := occupied(&tab); n != len(keys) {
+			t.Fatalf("step %d: %d occupied slots for %d keys", step, n, len(keys))
 		}
 		for _, k := range pool {
 			got, ok := tab.index(k)

@@ -239,19 +239,19 @@ func (s *Snapshot) setEntity(f KeyKind, i int, vals []int64) {
 func (s *Snapshot) setLen(f KeyKind, n int) {
 	switch f {
 	case KeyPost:
-		s.Posts = setLen(s.Posts, n)
+		s.Posts = withLen(s.Posts, n)
 	case KeyComment:
-		s.Comments = setLen(s.Comments, n)
+		s.Comments = withLen(s.Comments, n)
 	case KeyUser:
-		s.Users = setLen(s.Users, n)
+		s.Users = withLen(s.Users, n)
 	case KeyFriendship:
-		s.Friendships = setLen(s.Friendships, n)
+		s.Friendships = withLen(s.Friendships, n)
 	case KeyLike:
-		s.Likes = setLen(s.Likes, n)
+		s.Likes = withLen(s.Likes, n)
 	}
 }
 
-func setLen[E any](a []E, n int) []E {
+func withLen[E any](a []E, n int) []E {
 	switch {
 	case n == len(a):
 		return a

@@ -64,14 +64,14 @@ func BenchmarkReadMergeCached(b *testing.B) {
 // read-ms, state-ms, load-ms and initial-ms are New's steps as /stats
 // reports them (readMs, stateMs, loadMs, initialMs): the dataset read,
 // its validation by model.NewState and the served engines' two phases;
-// shard.Start's router and its closing collection make up most of the
-// rest of ns/op. verified-ms is the time from the start of New until the paper's Q2,
-// which loads after New returns, has checked Start's evaluation: the end
-// of start-up's background work. It also reports, as live-MiB and
-// goal-MiB, the heap live at the last collection once the paper's Q2 has
-// loaded (usually start-up's one, at the end of shard.Start) and the heap
-// goal the server then serves under: the start-up rung of a peak-memory
-// ladder below perfbench's server_rss_mb.
+// shard.Start's refs, router and closing collection make up most of the
+// rest of ns/op. verified-ms is the time from the start of New until the
+// paper's Q2, which loads after New returns, has checked Start's
+// evaluation: the end of start-up's background work. It also reports, as
+// live-MiB and goal-MiB, the heap live at the last collection once the
+// paper's Q2 has loaded (usually start-up's one, at the end of
+// shard.Start) and the heap goal the server then serves under: the
+// start-up rung of a peak-memory ladder below perfbench's server_rss_mb.
 func BenchmarkStartup(b *testing.B) {
 	for _, sf := range []int{32, 128} {
 		b.Run(fmt.Sprintf("sf%d", sf), func(b *testing.B) {
