@@ -198,7 +198,7 @@ func FuzzIDMap(f *testing.F) {
 	})
 }
 
-// refIDMap is the layout IDMap replaced: a Go map beside the same toID
+// refIDMap is the layout IDMap replaced: a Go map beside the same id
 // slice. BenchmarkIDMap runs it as the reference.
 type refIDMap struct {
 	toIndex map[ID]int
