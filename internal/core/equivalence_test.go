@@ -246,14 +246,64 @@ func TestQ2ParallelInitialMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestQ2CCParallelAttachMatchesSerial: Attach labels comments on
-// runtime.GOMAXPROCS(0) workers, each in a search of its own, into its
-// comment's stretch of one sizes array. At four workers the labels,
-// sizes, free lists and scores must equal one worker's exactly, after
-// Attach and after a stream with removals, on datagen and on the hub
-// graph. Under -race it also checks that the workers share the friend
-// lists read-only.
-func TestQ2CCParallelAttachMatchesSerial(t *testing.T) {
+// searchLabel is the oracle for Attach's union-find labelling: it
+// relabels every comment of s by one search over friendships (collect)
+// from each unlabelled liker, in slot order, numbering the components in
+// the order of their first likers, as Attach did before.
+func searchLabel(s *Q2IncrementalCC) {
+	var q ccSearch
+	for ci := range s.cc {
+		c := &s.cc[ci]
+		for k := range c.likes {
+			c.likes[k].label = -1
+		}
+		c.sizes, c.free, c.score = nil, 0, 0
+		for k := range c.likes {
+			if c.likes[k].label >= 0 {
+				continue
+			}
+			comp := s.collect(&q, c, k, len(c.likes))
+			for _, y := range comp {
+				c.likes[y].label = int32(len(c.sizes))
+			}
+			c.sizes = append(c.sizes, int32(len(comp)))
+			c.score += int64(len(comp)) * int64(len(comp))
+		}
+		c.sizes = slices.Clip(c.sizes)
+	}
+}
+
+// assertSameLabels fails unless every comment of got has want's likers,
+// labels, sizes, free list and score.
+func assertSameLabels(t *testing.T, step string, got, want *Q2IncrementalCC) {
+	t.Helper()
+	if len(got.cc) != len(want.cc) {
+		t.Fatalf("%s: %d comments, oracle %d", step, len(got.cc), len(want.cc))
+	}
+	differ := 0
+	for ci := range got.cc {
+		g, w := &got.cc[ci], &want.cc[ci]
+		if !slices.Equal(g.likes, w.likes) || !slices.Equal(g.sizes, w.sizes) || g.free != w.free || g.score != w.score {
+			if differ == 0 {
+				t.Errorf("%s: comment %d: likes %v sizes %v free %d score %d, oracle likes %v sizes %v free %d score %d",
+					step, ci, g.likes, g.sizes, g.free, g.score, w.likes, w.sizes, w.free, w.score)
+			}
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%s: %d of %d comments differ from the search labelling", step, differ, len(got.cc))
+	}
+}
+
+// TestQ2CCAttachMatchesSearchLabelling: Attach labels every comment's
+// components by one union-find pass over all likes. Its likers, labels,
+// sizes, free lists and scores must equal the search labelling's
+// (searchLabel) in every comment: on the hub graph, on datagen sf 4 with
+// removals, after Attach and after a 40-set stream that both engines
+// apply, and on the datagen sf-128 seed-1 graph, whose hubs (a user with
+// over 12k friends, a comment with over 4k likers) stress the join.
+func TestQ2CCAttachMatchesSearchLabelling(t *testing.T) {
 	hubSnap, hubStream := hubSnapshot(rand.New(rand.NewSource(5)))
 	hubSets := make([]model.ChangeSet, 40)
 	for k := range hubSets {
@@ -262,48 +312,38 @@ func TestQ2CCParallelAttachMatchesSerial(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 4, Seed: 11, ChangeSets: 40, RemovalFraction: 0.35})
 	for _, tc := range []struct {
 		name string
+		sf   int // when not 0, the datagen seed-1 snapshot at this scale factor
 		snap *model.Snapshot
 		sets []model.ChangeSet
 	}{
-		{"datagen-sf4-rf35", d.Snapshot, d.ChangeSets},
-		{"hub", hubSnap, hubSets},
+		{name: "hub", snap: hubSnap, sets: hubSets},
+		{name: "datagen-sf4-rf35", snap: d.Snapshot, sets: d.ChangeSets},
+		{name: "datagen-sf128-seed1", sf: 128},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers int) (attached []commentLabels, eng *Q2IncrementalCC, results []Result) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-				eng = NewQ2IncrementalCC()
-				if err := eng.Load(tc.snap); err != nil {
+			if tc.sf != 0 {
+				tc.snap = datagen.Generate(datagen.Config{ScaleFactor: tc.sf, Seed: 1}).Snapshot
+			}
+			eng, oracle := NewQ2IncrementalCC(), NewQ2IncrementalCC()
+			for _, s := range []*Q2IncrementalCC{eng, oracle} {
+				if err := s.Load(tc.snap); err != nil {
 					t.Fatal(err)
 				}
-				for _, c := range eng.cc {
-					c.likes, c.sizes = slices.Clone(c.likes), slices.Clone(c.sizes)
-					attached = append(attached, c)
-				}
-				res, err := eng.Initial()
+			}
+			searchLabel(oracle)
+			assertSameLabels(t, "attach", eng, oracle)
+			for k := range tc.sets {
+				want, err := oracle.Update(&tc.sets[k])
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("update %d: %v", k, err)
 				}
-				results = []Result{res}
-				for k := range tc.sets {
-					res, err := eng.Update(&tc.sets[k])
-					if err != nil {
-						t.Fatalf("update %d: %v", k, err)
-					}
-					results = append(results, res)
+				got, err := eng.Update(&tc.sets[k])
+				if err != nil {
+					t.Fatalf("update %d: %v", k, err)
 				}
-				return attached, eng, results
+				assertResultsEqual(t, "union-find labels", fmt.Sprintf("update %d", k), want, got)
 			}
-			serialAttached, serial, want := run(1)
-			parallelAttached, parallel, got := run(4)
-			if !reflect.DeepEqual(parallelAttached, serialAttached) {
-				t.Fatal("Attach's labels at four workers differ from one worker's")
-			}
-			if !reflect.DeepEqual(parallel.cc, serial.cc) {
-				t.Fatal("labels after the stream at four workers differ from one worker's")
-			}
-			for k := range want {
-				assertResultsEqual(t, "four workers", fmt.Sprintf("step %d", k), want[k], got[k])
-			}
+			assertSameLabels(t, "after the stream", eng, oracle)
 		})
 	}
 }

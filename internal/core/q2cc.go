@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"slices"
 
-	"repro/internal/grb"
 	"repro/internal/model"
 )
 
@@ -134,7 +132,7 @@ type ccSearch struct {
 	// list (link), and by neighbour a union-find parent and, at a root,
 	// its merged search (group); live lists the searches still running.
 	owner, link []int32
-	parent      []int32
+	parent      forest
 	group       []ccGroup
 	live        []int32
 }
@@ -183,13 +181,18 @@ func (*Q2IncrementalCC) Query() string { return "Q2" }
 
 // Attach implements Engine. It builds the friend lists, each comment's
 // sorted liker list and each user's like list in arrays shared by all
-// entities, then labels each comment's components by one search from each
-// unlabelled liker. Comments are labelled on runtime.GOMAXPROCS(0)
-// workers, as Q2Incremental.Initial scores them, each worker searching in
-// scratch of its own; the updates reuse the first worker's. The per-user
-// and per-comment slices get a quarter more room than the part needs, as
-// RankIndex.Init does, so the first users and comments an update adds do
-// not copy them.
+// entities, then labels every comment's components at once by union-find
+// over all likes (Tarjan, J. ACM 1975): each like has a global slot, its
+// comment's first slot plus its place among the comment's likers, and for
+// each friendship the two users' like lists, both ascending by comment,
+// are joined by walking the shorter and binary-searching the longer; each
+// comment the users share unites their two slots, the lower slot staying
+// the root. A comment's lowest slot in each component is therefore its
+// root, so one pass in slot order numbers each comment's components in
+// the order of their first likers, as a search from each unlabelled liker
+// would. The per-user and per-comment slices get a quarter more room than
+// the part needs, as RankIndex.Init does, so the first users and comments
+// an update adds do not copy them.
 func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
 	s.part = p
 	var nc, nu, nFriendships, nLikes int
@@ -233,7 +236,11 @@ func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
 		likes[next[l.comment]] = likeLabel{user: l.user, label: -1}
 		next[l.comment]++
 	}
+	// first[ci] is comment ci's first global slot once its likers are
+	// deduplicated; liked counts each user's likes.
 	s.cc = make([]commentLabels, nc, nc+nc/4)
+	first := make([]int32, nc+1)
+	liked := make([]int32, nu)
 	for ci := range s.cc {
 		c := &s.cc[ci]
 		lo, hi := perComment[ci], perComment[ci+1]
@@ -242,9 +249,11 @@ func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
 		c.likes = slices.CompactFunc(ls, func(x, y likeLabel) bool { return x.user == y.user })
 		for _, l := range c.likes {
 			perUser[l.user]++
+			liked[l.user]++
 		}
-		s.likeEdges += len(c.likes)
+		first[ci+1] = first[ci] + int32(len(c.likes))
 	}
+	s.likeEdges = int(first[nc])
 
 	s.adj = carve(perUser)
 	for i := 0; i < len(ends); i += 2 {
@@ -259,48 +268,71 @@ func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
 		s.nFriends[u] = int32(len(s.adj[u]))
 		s.friendEdges += len(s.adj[u])
 	}
-	// Every user's like list is filled first: the labelling reads the
-	// users' lists on several goroutines, so nothing may append to them
-	// meanwhile.
+	// Each user's likes, ascending by comment, and beside them their
+	// global slots.
+	slots := carve(liked)
 	for ci := range s.cc {
-		for _, l := range s.cc[ci].likes {
+		for k, l := range s.cc[ci].likes {
 			s.adj[l.user] = append(s.adj[l.user], int32(ci))
+			slots[l.user] = append(slots[l.user], first[ci]+int32(k))
+		}
+	}
+	parent := make(forest, s.likeEdges)
+	for k := range parent {
+		parent[k] = int32(k)
+	}
+	for u := range s.adj {
+		for _, v := range s.friendsOf(int32(u)) {
+			if int(v) > u {
+				s.joinLikes(parent, slots, int32(u), v)
+			}
 		}
 	}
 	// A comment has at most one label per like, so comment ci's labels
 	// take a prefix of sizes[first[ci]:first[ci+1]], its likes' stretch of
-	// one array. Each worker labels whole comments in its own search.
+	// one array.
 	sizes := make([]int32, s.likeEdges)
-	first := make([]int32, nc+1)
 	for ci := range s.cc {
-		first[ci+1] = first[ci] + int32(len(s.cc[ci].likes))
+		c := &s.cc[ci]
+		lo := first[ci]
+		n := int32(0)
+		for k := range c.likes {
+			if r := parent.find(lo + int32(k)); r == lo+int32(k) {
+				c.likes[k].label = n
+				n++
+			} else {
+				c.likes[k].label = c.likes[r-lo].label
+			}
+			sizes[lo+c.likes[k].label]++
+		}
+		c.sizes = sizes[lo : lo+n : lo+n]
+		for _, z := range c.sizes {
+			c.score += int64(z) * int64(z)
+		}
 	}
-	searches := make([]ccSearch, runtime.GOMAXPROCS(0))
-	grb.ParallelItems(nc, len(searches), func(w, ci int) {
-		s.label(&searches[w], &s.cc[ci], sizes[first[ci]:first[ci+1]])
-	})
-	s.search = searches[0]
 	return nil
 }
 
-// label labels c's components by one search from each unlabelled liker, in
-// q, numbering them in the order of their first likers; their sizes go to
-// the front of sizes, which c keeps.
-func (s *Q2IncrementalCC) label(q *ccSearch, c *commentLabels, sizes []int32) {
-	n := 0
-	for k := range c.likes {
-		if c.likes[k].label >= 0 {
-			continue
-		}
-		comp := s.collect(q, c, k, len(c.likes))
-		for _, y := range comp {
-			c.likes[y].label = int32(n)
-		}
-		sizes[n] = int32(len(comp))
-		n++
-		c.score += int64(len(comp)) * int64(len(comp))
+// joinLikes unites, in parent, the slots of users u's and v's likes of
+// every comment both like. Both like lists ascend by comment, so it walks
+// the shorter one and binary-searches the longer one from where the
+// previous search ended; slots holds each user's likes' global slots.
+func (s *Q2IncrementalCC) joinLikes(parent forest, slots [][]int32, u, v int32) {
+	a, b := s.likesOf(int(u)), s.likesOf(int(v))
+	sa, sb := slots[u], slots[v]
+	if len(b) < len(a) {
+		a, b, sa, sb = b, a, sb, sa
 	}
-	c.sizes = sizes[:n:n]
+	lo := 0
+	for i, ci := range a {
+		k, ok := slices.BinarySearch(b[lo:], ci)
+		lo += k
+		if ok {
+			parent.union(sa[i], sb[lo])
+		} else if lo == len(b) {
+			return
+		}
+	}
 }
 
 // carve returns one empty list per count, each a slice of one shared
@@ -464,7 +496,7 @@ func (s *Q2IncrementalCC) splitAll(c *commentLabels, nbrs []int32, l int32) {
 			if groups == 1 {
 				break
 			}
-			if q.find(g) != g {
+			if q.parent.find(g) != g {
 				continue // absorbed by another search
 			}
 			gr := &q.group[g]
@@ -496,7 +528,7 @@ func (s *Q2IncrementalCC) splitAll(c *commentLabels, nbrs []int32, l int32) {
 					q.mark[y], q.owner[y], q.link[y] = q.epoch, g, -1
 					q.push(gr, int32(y))
 				default:
-					if h := q.find(q.owner[y]); h != g {
+					if h := q.parent.find(q.owner[y]); h != g {
 						q.absorb(g, h)
 						groups--
 					}
@@ -510,13 +542,26 @@ func (s *Q2IncrementalCC) splitAll(c *commentLabels, nbrs []int32, l int32) {
 	}
 }
 
-// find returns the root of neighbour i's merged search.
-func (q *ccSearch) find(i int32) int32 {
-	for q.parent[i] != i {
-		q.parent[i] = q.parent[q.parent[i]]
-		i = q.parent[i]
+// forest is a union-find parent array: i is a root when forest[i] == i.
+type forest []int32
+
+// find returns the root of i's set, halving the path.
+func (f forest) find(i int32) int32 {
+	for f[i] != i {
+		f[i] = f[f[i]]
+		i = f[i]
 	}
 	return i
+}
+
+// union merges the sets of i and j under the lower of their roots, so
+// each set's root is its lowest element.
+func (f forest) union(i, j int32) {
+	ri, rj := f.find(i), f.find(j)
+	if ri > rj {
+		ri, rj = rj, ri
+	}
+	f[rj] = ri
 }
 
 // push appends slot k to group gr's slots to expand.

@@ -62,10 +62,13 @@ func BenchmarkReadMergeCached(b *testing.B) {
 // is the rung under perfbench's setup_s, which adds process start and the
 // first /healthz. BenchmarkWarmup in internal/core times the engines alone.
 // read-ms, state-ms, load-ms and initial-ms are New's steps as /stats
-// reports them (readMs, stateMs, loadMs, initialMs): the dataset read,
-// its validation by model.NewState and the served engines' two phases;
-// shard.Start's refs, router and closing collection make up most of the
-// rest of ns/op. verified-ms is the time from the start of New until the
+// reports them (readMs, stateMs, loadMs, initialMs): the dataset read, its
+// validation by model.NewState, the slowest served engine's load (q2cc's
+// includes its wait for the router, which shard.Start builds while q1
+// loads) and the slowest initial evaluation. Each engine evaluates as
+// soon as it has loaded, so load-ms + initial-ms can exceed the engines'
+// share of ns/op; shard.Start's refs and closing collection make up most
+// of the rest. verified-ms is the time from the start of New until the
 // paper's Q2, which loads after New returns, has checked Start's
 // evaluation: the end of start-up's background work. It also reports, as
 // live-MiB and goal-MiB, the heap live at the last collection once the

@@ -174,12 +174,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // handleStats copies them whole, beside the Snapshot they belong to.
 type counters struct {
 	// Read, State, Load and Initial are the wall times of start-up's
-	// steps, in order. Read obtains the base snapshot: opening the
-	// durability directory, which decodes its snapshot on recovery, and
-	// otherwise reading (or generating) the dataset. State validates it
-	// (model.NewState). Load and Initial are the served engines' phases:
-	// each loads the State, and then initially evaluates it, on its own
-	// goroutine (see shard.Start). The paper's Q2, which verifies them,
+	// steps. Read obtains the base snapshot: opening the durability
+	// directory, which decodes its snapshot on recovery, and otherwise
+	// reading (or generating) the dataset. State validates it
+	// (model.NewState). Each served engine then loads the State and
+	// initially evaluates it on its own goroutine, with no barrier
+	// between engines (see shard.Start): Load is the slowest engine's
+	// load, a Q2 engine's wait for the router included, and Initial the
+	// slowest initial evaluation. The paper's Q2, which verifies them,
 	// loads after both, while the server already serves, and is part of
 	// none.
 	Read    durationMS `json:"readMs"`

@@ -224,79 +224,92 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 
 // Start places the served engines on n shards, loads and initially
 // evaluates each of them on st, and starts the verifier. Start-up must
-// read the whole graph, so each served engine loads, and then initially
-// evaluates, on its own goroutine; each phase ends at a barrier, so its
-// duration is its wall time. Start then collects once, so the server
-// starts under a heap goal of twice the served state, not twice
-// start-up's peak. The verifier loads and initially evaluates the paper's
-// Q2 on its own goroutine after that, and Start returns without waiting
-// for it (see Verified). On error no goroutine is left running.
+// read the whole graph, so each served engine loads and then initially
+// evaluates on its own goroutine, with no barrier between the two: q1's
+// starts as soon as st's refs are built, while the calling goroutine
+// builds the router, and a Q2 engine's waits only for the router, whose
+// stream it loads. LoadDuration and InitialDuration are the slowest
+// engine's load (its wait for the router included) and the slowest
+// initial evaluation. Start then collects once, so the server starts
+// under a heap goal of twice the served state, not twice start-up's peak.
+// The verifier loads and initially evaluates the paper's Q2 on its own
+// goroutine after that, and Start returns without waiting for it (see
+// Verified). On error Start returns the first failing engine's error, in
+// lineup order, once every engine's goroutine has ended, so no goroutine
+// is left running.
 //
 // onVerify, when not nil, runs on the verifier before it checks each
 // commit, with the commit's count since Start: 0 before it loads, to
 // check Start's evaluation. An error it returns fails that check as an
 // engine error would. It is a test hook: it holds or fails the verifier.
 func Start(n int, st *model.State, onVerify func(commits int) error) (*Runtime, error) {
+	return start(n, st, harness.ServedEngines(), onVerify)
+}
+
+// start is Start with the engine lineup as a parameter.
+func start(n int, st *model.State, lineup []harness.ServedEngine, onVerify func(commits int) error) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
 	}
-	refs := st.Refs()
-	router, q2Refs := newRouter(st, refs)
-	rt := &Runtime{st: st, router: router, lanes: make([]lane, n)}
-	for _, e := range harness.ServedEngines() {
+	rt := &Runtime{st: st, lanes: make([]lane, n)}
+	verifier := -1 // its place in the lineup
+	for k, e := range lineup {
 		if e.Verifies == "" {
 			slot := len(rt.engines)
 			rt.engines = append(rt.engines, served{ServedEngine: e, eng: e.New(), shard: slot % n})
-		} else if rt.ver == nil && e.Query == "Q2" {
-			rt.ver = newVerifier(e, st, router, onVerify)
+		} else if verifier < 0 && e.Query == "Q2" {
+			verifier = k
 		}
 	}
-	if rt.ver == nil {
+	if verifier < 0 {
 		return nil, fmt.Errorf("shard: the lineup has no verifying Q2 engine")
 	}
 
-	phase := func(name string, f func(e *served) error) (time.Duration, error) {
-		start := time.Now()
-		errs := make([]error, len(rt.engines))
-		var wg sync.WaitGroup
-		for k := range rt.engines {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				e := &rt.engines[k]
-				if err := f(e); err != nil {
-					errs[k] = fmt.Errorf("shard %d: %s %s: %w", e.shard, e.eng.Name(), name, err)
-				}
-			}(k)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
+	refs := st.Refs()
+	begin := time.Now()
+	var q2Refs []model.Ref
+	routed := make(chan struct{}) // closed once rt.router and q2Refs are set
+	errs := make([]error, len(rt.engines))
+	loads := make([]time.Duration, len(rt.engines))
+	initials := make([]time.Duration, len(rt.engines))
+	var wg sync.WaitGroup
+	for k := range rt.engines {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			e := &rt.engines[k]
+			part, stream := core.Part{Nodes: st}, refs
+			if e.Query == "Q2" {
+				<-routed
+				part.Comments, stream = rt.router.q2Comments, q2Refs
 			}
+			phase, err := "load", e.eng.Attach(part, stream)
+			loads[k] = time.Since(begin)
+			if err == nil {
+				t := time.Now()
+				phase = "initial"
+				e.res, err = e.eng.Initial()
+				initials[k] = time.Since(t)
+			}
+			if err != nil {
+				errs[k] = fmt.Errorf("shard %d: %s %s: %w", e.shard, e.eng.Name(), phase, err)
+				return
+			}
+			e.sizes()
+		}(k)
+	}
+	rt.router, q2Refs = newRouter(st, refs)
+	close(routed)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return time.Since(start), nil
 	}
-	var err error
-	if rt.loadDur, err = phase("load", func(e *served) error {
-		part := core.Part{Nodes: st}
-		if e.Query == "Q2" {
-			part.Comments = router.q2Comments
-		}
-		return e.eng.Attach(part, e.stream(refs, q2Refs))
-	}); err != nil {
-		return nil, err
+	for k := range rt.engines {
+		rt.loadDur, rt.initialDur = max(rt.loadDur, loads[k]), max(rt.initialDur, initials[k])
 	}
-	if rt.initialDur, err = phase("initial", func(e *served) (err error) {
-		e.res, err = e.eng.Initial()
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
-	for i := range rt.engines {
-		rt.engines[i].sizes()
-	}
+	rt.ver = newVerifier(lineup[verifier], st, rt.router, onVerify)
 	rt.rec = rt.record()
 	// The last collection ran while the served engines loaded, and the
 	// pacer sets the next heap goal to twice what a collection leaves. One
@@ -442,13 +455,13 @@ func (rt *Runtime) record() *Record {
 	return rec
 }
 
-// LoadDuration is the wall time of Start's load phase: every served
-// engine loading the State, each on its own goroutine. The verifier's
-// load is not part of it.
+// LoadDuration is the slowest served engine's load in Start, from the
+// moment the State's refs are built until its Attach returns: a Q2
+// engine's wait for the router is part of it. The verifier's load is not.
 func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 
-// InitialDuration is the wall time of Start's initial-evaluation phase,
-// every served engine on its own goroutine.
+// InitialDuration is the slowest served engine's initial evaluation in
+// Start.
 func (rt *Runtime) InitialDuration() time.Duration { return rt.initialDur }
 
 // Close stops the verifier once it has loaded and drained its queue; a

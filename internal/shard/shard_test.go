@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/harness"
 	"repro/internal/model"
 )
 
@@ -479,6 +480,76 @@ func TestEngineFailureFailsTheCommit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// failingStartEngine is a served engine whose Attach or Initial, as phase
+// names, fails with err.
+type failingStartEngine struct {
+	core.Engine
+	phase string // "load" or "initial"
+	err   error
+}
+
+func (f failingStartEngine) Attach(p core.Part, refs []model.Ref) error {
+	if f.phase == "load" {
+		return f.err
+	}
+	return f.Engine.Attach(p, refs)
+}
+
+func (f failingStartEngine) Initial() (core.Result, error) {
+	if f.phase == "initial" {
+		return nil, f.err
+	}
+	return f.Engine.Initial()
+}
+
+// TestStartFailure swaps an engine whose load or initial evaluation fails
+// into the lineup: q1's load, which fails at once while the calling
+// goroutine still builds the router that q2cc's load waits for; q2cc's
+// load; and either engine's initial evaluation. Start must return that
+// engine's error, naming its shard, the engine and the phase, and leave no
+// goroutine behind, the other engine's included, at 1 and 2 shards.
+func TestStartFailure(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 3})
+	for _, tc := range []struct{ key, phase string }{
+		{"q1", "load"}, {"q2cc", "load"}, {"q1", "initial"}, {"q2cc", "initial"},
+	} {
+		for _, n := range []int{1, 2} {
+			t.Run(fmt.Sprintf("shards%d/%s-%s", n, tc.key, tc.phase), func(t *testing.T) {
+				injected := errors.New("injected failure")
+				lineup := harness.ServedEngines()
+				slot := -1
+				for k := range lineup {
+					if e := &lineup[k]; e.Key == tc.key {
+						good := e.New
+						e.New = func() core.Engine { return failingStartEngine{good(), tc.phase, injected} }
+						slot = k
+					}
+				}
+				st, err := model.NewState(d.Snapshot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := runtime.NumGoroutine()
+				rt, err := start(n, st, lineup, nil)
+				if err == nil {
+					rt.Close()
+					t.Fatalf("start with a failing %s %s succeeded", tc.key, tc.phase)
+				}
+				if !errors.Is(err, injected) {
+					t.Fatalf("start with a failing %s %s = %v, want the injected failure", tc.key, tc.phase, err)
+				}
+				name := fmt.Sprintf("%s %s", lineup[slot].New().Name(), tc.phase)
+				if !strings.Contains(err.Error(), name) {
+					t.Fatalf("error %q does not name %q", err, name)
+				}
+				if got := settledGoroutines(before); got > before {
+					t.Fatalf("%d goroutines after the failed start, %d before", got, before)
+				}
+			})
+		}
 	}
 }
 
