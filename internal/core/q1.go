@@ -243,7 +243,7 @@ func (s *Q1Incremental) UpdateRefs(refs []model.Ref) (Result, error) {
 	}
 	// scores′ = scores ⊕ scores⁺, accumulated in place over GrB_ALL. The
 	// changed posts Δscores are exactly scores⁺'s pattern.
-	if err := grb.AssignV(s.scores, nil, scoresPlus, grb.Plus[int64]); err != nil {
+	if err := grb.AssignV(s.scores, scoresPlus, grb.Plus[int64]); err != nil {
 		return nil, err
 	}
 

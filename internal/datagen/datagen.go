@@ -98,6 +98,8 @@ type generator struct {
 	commentIDs []model.ID
 	// commentPost[i] is the root post of commentIDs[i].
 	commentPost []model.ID
+	// One power-law sampler per pool (see zipfPick).
+	userZipf, postZipf, commentZipf zipfSampler
 
 	// friendSeen dedupes undirected friendships; likeSeen dedupes likes.
 	// The parallel lists keep existing edges samplable for removals.
@@ -136,15 +138,26 @@ func (g *generator) ts() int64 {
 	return g.nextTS
 }
 
-// zipfPick samples an index in [0, n) with a power-law preference for
-// *recent* entities (higher indices), the preferential-attachment shape of
-// social activity: most interactions target recent, popular content.
-func (g *generator) zipfPick(n int) int {
+// zipfSampler is a pool's rand.Zipf, built for the pool's length n.
+type zipfSampler struct {
+	n int
+	z *rand.Zipf
+}
+
+// zipfPick samples an index in [0, n) of the pool that z samples, with a
+// power-law preference for *recent* entities (higher indices), the
+// preferential-attachment shape of social activity: most interactions
+// target recent, popular content. It builds a new rand.Zipf only when the
+// pool has grown since its last draw; NewZipf draws nothing from the rng,
+// so the stream is the one a sampler built per draw gives.
+func (g *generator) zipfPick(z *zipfSampler, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	z := rand.NewZipf(g.rng, zipfS, 1, uint64(n-1))
-	return n - 1 - int(z.Uint64())
+	if z.n != n {
+		z.n, z.z = n, rand.NewZipf(g.rng, zipfS, 1, uint64(n-1))
+	}
+	return n - 1 - int(z.z.Uint64())
 }
 
 func (g *generator) newUser() model.User {
@@ -167,11 +180,11 @@ func (g *generator) newPost() model.Post {
 func (g *generator) newComment() model.Comment {
 	var parent, root model.ID
 	if len(g.commentIDs) == 0 || g.rng.Float64() < 0.3 {
-		pi := g.zipfPick(len(g.postIDs))
+		pi := g.zipfPick(&g.postZipf, len(g.postIDs))
 		parent = g.postIDs[pi]
 		root = parent
 	} else {
-		ci := g.zipfPick(len(g.commentIDs))
+		ci := g.zipfPick(&g.commentZipf, len(g.commentIDs))
 		parent = g.commentIDs[ci]
 		root = g.commentPost[ci]
 	}
@@ -186,7 +199,7 @@ func (g *generator) newComment() model.Comment {
 // chosen users, or reports ok=false if it could not find one quickly.
 func (g *generator) newFriendship() (model.Friendship, bool) {
 	for attempt := 0; attempt < 32; attempt++ {
-		a := g.userIDs[g.zipfPick(len(g.userIDs))]
+		a := g.userIDs[g.zipfPick(&g.userZipf, len(g.userIDs))]
 		b := g.userIDs[g.rng.Intn(len(g.userIDs))]
 		if a == b {
 			continue
@@ -209,8 +222,8 @@ func (g *generator) newLike() (model.Like, bool) {
 		return model.Like{}, false
 	}
 	for attempt := 0; attempt < 32; attempt++ {
-		u := g.userIDs[g.zipfPick(len(g.userIDs))]
-		c := g.commentIDs[g.zipfPick(len(g.commentIDs))]
+		u := g.userIDs[g.zipfPick(&g.userZipf, len(g.userIDs))]
+		c := g.commentIDs[g.zipfPick(&g.commentZipf, len(g.commentIDs))]
 		key := [2]model.ID{u, c}
 		if _, dup := g.likeSeen[key]; dup {
 			continue
@@ -306,7 +319,7 @@ func (g *generator) generateChanges() {
 				cs.Changes = append(cs.Changes, model.Change{Kind: model.KindAddComment, Comment: c})
 				// A new comment usually arrives with a like or two.
 				for g.rng.Float64() < 0.5 {
-					u := g.userIDs[g.zipfPick(len(g.userIDs))]
+					u := g.userIDs[g.zipfPick(&g.userZipf, len(g.userIDs))]
 					key := [2]model.ID{u, c.ID}
 					if _, dup := g.likeSeen[key]; dup {
 						break

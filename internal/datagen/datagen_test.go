@@ -235,3 +235,16 @@ func TestGenerateBytesAreGolden(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGenerate times Generate at sf 128 with 2,000 change sets, 35% of
+// them removals: the size of the datasets the server and shard benchmarks
+// build.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := Config{ScaleFactor: 128, Seed: 1, ChangeSets: 2000, RemovalFraction: 0.35}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		generateSink = Generate(cfg)
+	}
+}
+
+var generateSink *model.Dataset

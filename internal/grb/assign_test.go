@@ -2,6 +2,7 @@ package grb
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -9,16 +10,20 @@ import (
 func TestAssignV(t *testing.T) {
 	w := NewVector[int](8)
 	Must0(w.SetElement(1, 100))
-	u, _ := VectorFromTuples(3, []Index{0, 2}, []int{7, 9}, nil)
-	// Assign u into positions {1, 4, 6}: w[1] = 7 (overwrite), w[6] = 9.
-	if err := AssignV(w, []Index{1, 4, 6}, u, nil); err != nil {
+	Must0(w.SetElement(3, 300))
+	u, _ := VectorFromTuples(8, []Index{1, 6}, []int{7, 9}, nil)
+	// w(:) = u over GrB_ALL: w[1] = 7 (overwrite), w[6] = 9, w[3] untouched.
+	if err := AssignV(w, u, nil); err != nil {
 		t.Fatal(err)
 	}
 	if x, _, _ := w.GetElement(1); x != 7 {
 		t.Fatalf("w[1] = %d, want overwritten 7", x)
 	}
+	if x, _, _ := w.GetElement(3); x != 300 {
+		t.Fatalf("w[3] = %d, want untouched 300", x)
+	}
 	if _, ok, _ := w.GetElement(4); ok {
-		t.Fatal("w[4] must stay empty (u[1] empty)")
+		t.Fatal("w[4] must stay empty (u[4] empty)")
 	}
 	if x, _, _ := w.GetElement(6); x != 9 {
 		t.Fatalf("w[6] = %d, want 9", x)
@@ -28,8 +33,8 @@ func TestAssignV(t *testing.T) {
 func TestAssignVAccum(t *testing.T) {
 	w := NewVector[int](4)
 	Must0(w.SetElement(2, 10))
-	u, _ := VectorFromTuples(2, []Index{0, 1}, []int{5, 6}, nil)
-	if err := AssignV(w, []Index{2, 3}, u, Plus[int]); err != nil {
+	u, _ := VectorFromTuples(4, []Index{2, 3}, []int{5, 6}, nil)
+	if err := AssignV(w, u, Plus[int]); err != nil {
 		t.Fatal(err)
 	}
 	if x, _, _ := w.GetElement(2); x != 15 {
@@ -42,15 +47,13 @@ func TestAssignVAccum(t *testing.T) {
 
 func TestAssignVErrors(t *testing.T) {
 	w := NewVector[int](4)
-	u := NewVector[int](2)
-	if err := AssignV(w, []Index{1}, u, nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("index count: %v", err)
+	Must0(w.SetElement(1, 10))
+	u, _ := VectorFromTuples(2, []Index{1}, []int{5}, nil)
+	if err := AssignV(w, u, Plus[int]); !errors.Is(err, ErrDimensionMismatch) {
+		t.Fatalf("size mismatch over GrB_ALL: %v", err)
 	}
-	if err := AssignV(w, []Index{1, 9}, u, nil); !errors.Is(err, ErrIndexOutOfBounds) {
-		t.Fatalf("oob: %v", err)
-	}
-	if err := AssignV(w, []Index{1, 1}, u, nil); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("dup: %v", err)
+	if got := vecToMap(w); !reflect.DeepEqual(got, map[Index]int{1: 10}) {
+		t.Fatalf("a refused AssignV changed w to %v", got)
 	}
 }
 

@@ -15,7 +15,7 @@
 //	GrB_mxv            → MxV, MxVFull
 //	GrB_eWiseAdd       → EWiseAddV
 //	GrB_extract        → ExtractSubmatrix
-//	GrB_assign         → AssignV
+//	GrB_assign         → AssignV (over GrB_ALL)
 //	GrB_apply          → ApplyV
 //	GxB_select         → SelectM
 //	GrB_reduce         → ReduceRows, ReduceCols

@@ -411,50 +411,17 @@ func (a *Matrix[T]) Iterate(f func(i, j Index, x T) bool) {
 	}
 }
 
-// Resize changes the logical shape (GrB_Matrix_resize). Growing is O(rows);
-// shrinking assembles and drops out-of-range entries.
+// Resize grows the logical shape (GrB_Matrix_resize) in O(rows added),
+// keeping the stored entries and pending tuples. A shape smaller in either
+// dimension is ErrInvalidValue and changes nothing: the graphs built on
+// this package never remove a node.
 func (a *Matrix[T]) Resize(nrows, ncols int) error {
-	if nrows < 0 || ncols < 0 {
-		return invalidErrf("Resize: negative shape %d×%d", nrows, ncols)
+	if nrows < a.nrows || ncols < a.ncols {
+		return invalidErrf("Resize: %d×%d would shrink a %d×%d matrix", nrows, ncols, a.nrows, a.ncols)
 	}
-	if nrows >= a.nrows && ncols >= a.ncols {
-		// Pure growth: extend rowPtr, keep storage.
-		for i := a.nrows; i < nrows; i++ {
-			a.rowPtr = append(a.rowPtr, a.rowPtr[len(a.rowPtr)-1])
-		}
-		a.nrows, a.ncols = nrows, ncols
-		return nil
+	for i := a.nrows; i < nrows; i++ {
+		a.rowPtr = append(a.rowPtr, a.rowPtr[len(a.rowPtr)-1])
 	}
-	a.Wait()
-	if nrows < a.nrows {
-		a.colInd = a.colInd[:a.rowPtr[nrows]]
-		a.val = a.val[:a.rowPtr[nrows]]
-		a.rowPtr = a.rowPtr[:nrows+1]
-		a.nrows = nrows
-	} else if nrows > a.nrows {
-		for i := a.nrows; i < nrows; i++ {
-			a.rowPtr = append(a.rowPtr, a.rowPtr[len(a.rowPtr)-1])
-		}
-		a.nrows = nrows
-	}
-	if ncols < a.ncols {
-		w := 0
-		newPtr := make([]int, a.nrows+1)
-		for i := 0; i < a.nrows; i++ {
-			newPtr[i] = w
-			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-				if a.colInd[p] < ncols {
-					a.colInd[w] = a.colInd[p]
-					a.val[w] = a.val[p]
-					w++
-				}
-			}
-		}
-		newPtr[a.nrows] = w
-		a.colInd = a.colInd[:w]
-		a.val = a.val[:w]
-		a.rowPtr = newPtr
-	}
-	a.ncols = ncols
+	a.nrows, a.ncols = nrows, ncols
 	return nil
 }

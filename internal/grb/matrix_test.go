@@ -3,6 +3,7 @@ package grb
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -184,12 +185,20 @@ func TestMatrixResizeGrow(t *testing.T) {
 func TestMatrixResizeShrink(t *testing.T) {
 	a := mustMatrix(t, 3, 3,
 		[]Index{0, 1, 2, 2}, []Index{0, 2, 0, 2}, []int{1, 2, 3, 4})
-	Must0(a.Resize(2, 2))
-	if a.NVals() != 1 {
-		t.Fatalf("NVals = %d, want 1 (only (0,0) survives)", a.NVals())
+	Must0(a.SetElement(2, 1, 5)) // a pending tuple the refusal must keep
+	Must0(a.RemoveElement(0, 0)) // and a pending deletion
+	want := map[[2]Index]int{{1, 2}: 2, {2, 0}: 3, {2, 1}: 5, {2, 2}: 4}
+	for _, shape := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {-1, 3}, {4, 1}} {
+		if err := a.Resize(shape[0], shape[1]); !errors.Is(err, ErrInvalidValue) {
+			t.Fatalf("Resize(%d, %d) of a 3×3 matrix: err = %v, want ErrInvalidValue", shape[0], shape[1], err)
+		}
+		if a.NRows() != 3 || a.NCols() != 3 || a.NPending() != 2 {
+			t.Fatalf("refused Resize(%d, %d) left a %d×%d matrix with %d pending tuples",
+				shape[0], shape[1], a.NRows(), a.NCols(), a.NPending())
+		}
 	}
-	if x, ok, _ := a.GetElement(0, 0); !ok || x != 1 {
-		t.Fatal("surviving element damaged")
+	if got := matToMap(a); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after refused shrinks: %v, want %v", got, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package grb
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
 
 // MxV computes w = A ⊕.⊗ u (GrB_mxv): w_i = ⊕_j mul(A_ij, u_j) over the
@@ -75,11 +74,11 @@ func MxVFull[A, B, C any](s Semiring[A, B, C], a *Matrix[A], u []B, w []C) error
 // VxM computes wᵀ = uᵀ ⊕.⊗ A (GrB_vxm): w_j = ⊕_i mul(u_i, A_ij). This is
 // the sparse "pull from few rows" kernel: it touches only the rows of A
 // indexed by u's stored elements and never assembles pending tuples of
-// untouched rows — the workhorse of the incremental algorithms. With
-// W = Σ_{i ∈ supp(u)} nnz(A(i,:)) products, it costs O(W log W) time and
-// O(W) scratch while W < ncols/vxmDenseFraction, and O(W + ncols) beyond
-// that (see vxmSparse and vxmDense). Both fold each column's products in
-// u's order.
+// untouched rows — the workhorse of the incremental algorithms. Its
+// accumulator is Gustavson's kept sparse: the W = Σ_{i ∈ supp(u)}
+// nnz(A(i,:)) products are sorted by column, then by u's index, and
+// folded, so each column folds in u's order, in O(W log W) time and O(W)
+// scratch, whatever A's column count.
 func VxM[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B]) (*Vector[C], error) {
 	if u.n != a.nrows {
 		return nil, dimErrf("VxM: vector has size %d but matrix is %d×%d", u.n, a.nrows, a.ncols)
@@ -88,25 +87,6 @@ func VxM[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B]) (*Vector[
 	for _, i := range u.ind {
 		work += a.rowPtr[i+1] - a.rowPtr[i] + len(a.pending[i])
 	}
-	if work*vxmDenseFraction < a.ncols {
-		return vxmSparse(s, u, a, work), nil
-	}
-	return vxmDense(s, u, a), nil
-}
-
-// vxmDenseFraction is where VxM's accumulators cross over. On a 100k-column
-// matrix (BenchmarkVxMFront, 2 vCPUs) sparse takes a quarter of dense's
-// time at W = ncols/270 and four fifths at ncols/125; dense is about 10%
-// faster at ncols/64, 30% at ncols/16 and 9× on a full front (W = 8·ncols).
-// Either way scratch is O(W): dense runs only when ncols ≤
-// vxmDenseFraction·W.
-const vxmDenseFraction = 64
-
-// vxmSparse is VxM with Gustavson's accumulator kept sparse: the products
-// are sorted by column, then by u's index (so each column folds in u's
-// order), and folded, in O(W log W) time and O(W) scratch for W products,
-// at most work.
-func vxmSparse[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B], work int) *Vector[C] {
 	prods := make([]vxmProduct[C], 0, work)
 	for p, i := range u.ind {
 		ux := u.val[p]
@@ -130,35 +110,7 @@ func vxmSparse[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B], wor
 			w.setSorted(e.col, e.x)
 		}
 	}
-	return w
-}
-
-// vxmDense is VxM with a dense accumulator of ncols slots: O(W + ncols)
-// time and scratch, plus sorting the touched columns.
-func vxmDense[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B]) *Vector[C] {
-	acc := make([]C, a.ncols)
-	present := make([]bool, a.ncols)
-	var touched []Index
-	for p, i := range u.ind {
-		ux := u.val[p]
-		a.forRow(i, func(j Index, x B) {
-			if !present[j] {
-				present[j] = true
-				acc[j] = s.Mul(ux, x)
-				touched = append(touched, j)
-			} else {
-				acc[j] = s.Add.Op(acc[j], s.Mul(ux, x))
-			}
-		})
-	}
-	sort.Ints(touched)
-	w := NewVector[C](a.ncols)
-	w.ind = make([]Index, 0, len(touched))
-	w.val = make([]C, 0, len(touched))
-	for _, j := range touched {
-		w.setSorted(j, acc[j])
-	}
-	return w
+	return w, nil
 }
 
 // vxmProduct is one product mul(u_i, A_ij) in VxM's accumulator.

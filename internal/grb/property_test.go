@@ -352,7 +352,7 @@ func TestPropSelectPartition(t *testing.T) {
 // pendingOp is one step of a mixed pending-tuple workload.
 type pendingOp struct {
 	kind pendingOpKind
-	i, j Index // position (SetElement, RemoveElement) or new shape (Resize)
+	i, j Index // position (SetElement, RemoveElement) or rows and columns added (Resize)
 	x    int
 }
 
@@ -393,12 +393,7 @@ func checkPendingOps(t *testing.T, nr, nc int, ops []pendingOp) {
 				t.Fatalf("step %d: Wait left %d pending tuples", k, a.NPending())
 			}
 		case opResize:
-			Must0(a.Resize(op.i, op.j))
-			for p := range oracle {
-				if p[0] >= op.i || p[1] >= op.j {
-					delete(oracle, p)
-				}
-			}
+			Must0(a.Resize(a.NRows()+op.i, a.NCols()+op.j))
 		}
 		pend := a.NPending()
 		if got := a.NVals(); got != len(oracle) {
@@ -637,7 +632,7 @@ func randomPendingOps(rng *rand.Rand, n, waitEvery int) []pendingOp {
 			op.kind = opWait
 		case r < 3:
 			op.kind = opResize
-			op.i, op.j = 1+rng.Intn(16), 1+rng.Intn(16)
+			op.i, op.j = rng.Intn(4), rng.Intn(4)
 		case r < 35:
 			op.kind = opRemove
 		default:
@@ -676,8 +671,8 @@ func FuzzMatrixPending(f *testing.F) {
 			op := pendingOp{kind: pendingOpKind(data[k] % 8), i: Index(data[k+1] % 16), j: Index(data[k+2] % 16), x: int(data[k+3])}
 			switch op.kind {
 			case opSet, opRemove, opWait:
-			case opResize:
-				op.i, op.j = op.i+1, op.j+1
+			case opResize: // grow by up to 3, so shapes stay small
+				op.i, op.j = op.i%4, op.j%4
 			default: // weight the decoding towards SetElement
 				op.kind = opSet
 			}
@@ -706,17 +701,17 @@ func TestPropMatrixFromTuplesKeepsInputOrder(t *testing.T) {
 	}
 }
 
-// Property: VxM folds each column's products in u's order on both its
-// accumulators: dense at 8 columns, sparse at 4000 (at most 60 products,
-// below 4000/vxmDenseFraction). The add 31a+b is neither commutative nor
-// associative, so any other order shows.
-func TestPropVxMFoldOrderBothPaths(t *testing.T) {
+// Property: VxM folds each column's products in u's order, at 8 columns
+// (every column hit by several rows) and at 4000 (a few products against
+// many columns). The add 31a+b is neither commutative nor associative, so
+// any other order shows.
+func TestPropVxMFoldOrder(t *testing.T) {
 	s := Semiring[int, int, int]{
 		Add: Monoid[int]{Op: func(a, b int) int { return 31*a + b }},
 		Mul: func(a, b int) int { return a * b },
 	}
 	rng := rand.New(rand.NewSource(11))
-	for _, nc := range []int{8, 4000} { // dense, sparse
+	for _, nc := range []int{8, 4000} {
 		for round := 0; round < 50; round++ {
 			nr := 1 + rng.Intn(20)
 			a := NewMatrix[int](nr, nc)
@@ -750,7 +745,7 @@ func TestPropVxMFoldOrderBothPaths(t *testing.T) {
 	}
 }
 
-// Property: AssignV over GrB_ALL (nil I) equals the map oracle, with and
+// Property: AssignV over GrB_ALL equals the map oracle, with and
 // without an accumulator, whether u adds positions to w or not.
 func TestPropAssignVAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -777,12 +772,9 @@ func TestPropAssignVAll(t *testing.T) {
 			want[i] = x
 			return true
 		})
-		Must0(AssignV(w, nil, u, accum))
+		Must0(AssignV(w, u, accum))
 		if got := vecToMap(w); !reflect.DeepEqual(got, want) || !sortedUnique(w.ind) {
 			t.Fatalf("round %d: AssignV(all) = %v (ind %v), oracle %v", round, got, w.ind, want)
 		}
-	}
-	if err := AssignV(NewVector[int](4), nil, NewVector[int](3), nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("size mismatch over GrB_ALL: %v", err)
 	}
 }

@@ -119,16 +119,11 @@ func (v *Vector[T]) Iterate(f func(i Index, x T) bool) {
 	}
 }
 
-// Resize changes the logical size, dropping elements at positions >= n
-// when shrinking (GrB_Vector_resize).
+// Resize grows the logical size (GrB_Vector_resize), keeping the stored
+// elements. A smaller size is ErrInvalidValue and changes nothing.
 func (v *Vector[T]) Resize(n int) error {
-	if n < 0 {
-		return invalidErrf("Resize: negative size %d", n)
-	}
 	if n < v.n {
-		p := sort.SearchInts(v.ind, n)
-		v.ind = v.ind[:p]
-		v.val = v.val[:p]
+		return invalidErrf("Resize: size %d would shrink a vector of size %d", n, v.n)
 	}
 	v.n = n
 	return nil

@@ -111,13 +111,20 @@ func TestVectorResize(t *testing.T) {
 	for i := 0; i < 10; i += 2 {
 		Must0(v.SetElement(i, i))
 	}
-	Must0(v.Resize(5)) // drops 6, 8
-	if v.Size() != 5 || v.NVals() != 3 {
-		t.Fatalf("after shrink: size=%d nvals=%d, want 5,3", v.Size(), v.NVals())
+	for _, n := range []int{5, -1} {
+		if err := v.Resize(n); !errors.Is(err, ErrInvalidValue) {
+			t.Fatalf("Resize(%d) of a size-10 vector: err = %v, want ErrInvalidValue", n, err)
+		}
+		if v.Size() != 10 || v.NVals() != 5 {
+			t.Fatalf("refused Resize(%d): size=%d nvals=%d, want 10,5", n, v.Size(), v.NVals())
+		}
+	}
+	if x, ok, _ := v.GetElement(8); !ok || x != 8 {
+		t.Fatal("a refused shrink lost element 8")
 	}
 	Must0(v.Resize(20))
-	if v.Size() != 20 || v.NVals() != 3 {
-		t.Fatalf("after grow: size=%d nvals=%d, want 20,3", v.Size(), v.NVals())
+	if v.Size() != 20 || v.NVals() != 5 {
+		t.Fatalf("after grow: size=%d nvals=%d, want 20,5", v.Size(), v.NVals())
 	}
 	Must0(v.SetElement(19, 190))
 	if x, _, _ := v.GetElement(19); x != 190 {

@@ -55,9 +55,10 @@ func (ch *Change) Key() ChangeKey {
 
 // Normalize rewrites every change into its canonical form in place:
 // friendship endpoints are ordered User1 ≤ User2 (the undirected edge's two
-// spellings become one). Engines accept either spelling, but a normalized
-// set has the property that equal keys imply equal encodings — the
-// invariant the WAL compactor and the keyed Apply index rely on.
+// spellings become one). The State and the engines accept either spelling,
+// and ChangeKey orders the endpoints itself; a normalized set adds that
+// equal keys imply equal encodings, so the WAL compactor writes each
+// surviving friendship in one spelling.
 func (cs *ChangeSet) Normalize() {
 	for i := range cs.Changes {
 		ch := &cs.Changes[i]

@@ -130,14 +130,6 @@ func (s *Server) commit(batch []updateReq) {
 		return
 	}
 	cs := model.ChangeSet{Changes: s.changes}
-
-	// Canonicalize the merged batch (friendship endpoints ordered) so the
-	// WAL record stores the change-key-normalized form its compactor keys
-	// on. Only the record sees it: the engines get the refs State.Apply
-	// resolved above, before this. cs.Changes is the writer's own buffer,
-	// never a caller's slice.
-	cs.Normalize()
-
 	seq := s.snap.Load().Seq + 1
 	// Pre-commit: the engines apply the batch while the WAL appends it,
 	// since neither needs the other's result. The batch is durable before

@@ -415,3 +415,71 @@ func TestCompactSkipsSegmentSplitByInFlightSnapshot(t *testing.T) {
 		t.Fatalf("compaction rewrote the segment an in-flight snapshot splits: %+v", rep)
 	}
 }
+
+// TestCompactNetsOutEitherFriendshipSpelling: the writer logs friendships
+// with the endpoints in the order the client sent them, so a sealed
+// segment may add an edge as (9, 2) and remove it as (2, 9). The two must
+// still net out, and recovery through the State must rebuild from the
+// compacted directory what it rebuilds from an untouched copy.
+func TestCompactNetsOutEitherFriendshipSpelling(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Sync: SyncOff, SegmentBytes: 100})
+	base := &model.Snapshot{Users: []model.User{{ID: 2}, {ID: 9}}}
+	if err := l.WriteSnapshotStream(0, 0, base, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Seqs 1–3 fill the sealed segment, seq 4 opens the active one.
+	history := [][]model.Change{
+		{{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 9, User2: 2}}},
+		{{Kind: model.KindAddUser, User: model.User{ID: 3}}},
+		{{Kind: model.KindRemoveFriendship, Friendship: model.Friendship{User1: 2, User2: 9}}},
+		{{Kind: model.KindAddUser, User: model.User{ID: 4}}},
+	}
+	for i, changes := range history {
+		if err := l.Append(uint64(i+1), changes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plain := copyDir(t, dir)
+	rep, err := CompactDir(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SealedSegments != 1 || rep.CompactedSegments != 1 || rep.ChangesIn != 3 || rep.ChangesOut != 1 {
+		t.Fatalf("want the sealed segment's friendship add and remove to net out: %+v", rep)
+	}
+
+	recovered := func(d string) (*model.Snapshot, []Batch) {
+		l, info := mustOpen(t, Options{Dir: d})
+		defer l.Close()
+		st, err := model.NewState(info.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range info.Batches {
+			if _, err := st.Apply(b.Changes); err != nil {
+				t.Fatalf("replay of batch seq %d: %v", b.Seq, err)
+			}
+		}
+		view, release := st.View()
+		defer release()
+		return view.Clone(), info.Batches
+	}
+	got, batches := recovered(dir)
+	want, plainBatches := recovered(plain)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compacted recovery rebuilds %+v, untouched copy %+v", got, want)
+	}
+	if len(got.Friendships) != 0 || len(got.Users) != 4 {
+		t.Fatalf("recovered %+v, want users 2, 9, 3, 4 and no friendship", got)
+	}
+	if len(batches) != 4 || len(batches[0].Changes) != 0 || len(batches[2].Changes) != 0 {
+		t.Fatalf("compacted batches %+v, want seqs 1 and 3 empty", batches)
+	}
+	if fr := plainBatches[0].Changes[0].Friendship; fr.User1 != 9 || fr.User2 != 2 {
+		t.Fatalf("the log stored the add as %+v, want the client's (9, 2)", fr)
+	}
+}
