@@ -74,11 +74,11 @@ func MxVFull[A, B, C any](s Semiring[A, B, C], a *Matrix[A], u []B, w []C) error
 // VxM computes wᵀ = uᵀ ⊕.⊗ A (GrB_vxm): w_j = ⊕_i mul(u_i, A_ij). This is
 // the sparse "pull from few rows" kernel: it touches only the rows of A
 // indexed by u's stored elements and never assembles pending tuples of
-// untouched rows — the workhorse of the incremental algorithms. Its
-// accumulator is Gustavson's kept sparse: the W = Σ_{i ∈ supp(u)}
-// nnz(A(i,:)) products are sorted by column, then by u's index, and
-// folded, so each column folds in u's order, in O(W log W) time and O(W)
-// scratch, whatever A's column count.
+// untouched rows — the workhorse of the incremental algorithms. It keeps
+// Gustavson's accumulator sparse: the W = Σ_{i ∈ supp(u)} nnz(A(i,:))
+// products are sorted by column, then by u's index, and folded in that
+// order, so each column folds in u's order. That costs O(W log W) time and
+// O(W) scratch, whatever A's column count.
 func VxM[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B]) (*Vector[C], error) {
 	if u.n != a.nrows {
 		return nil, dimErrf("VxM: vector has size %d but matrix is %d×%d", u.n, a.nrows, a.ncols)

@@ -55,10 +55,10 @@ func (ch *Change) Key() ChangeKey {
 
 // Normalize rewrites every change into its canonical form in place:
 // friendship endpoints are ordered User1 ≤ User2 (the undirected edge's two
-// spellings become one). The State and the engines accept either spelling,
-// and ChangeKey orders the endpoints itself; a normalized set adds that
-// equal keys imply equal encodings, so the WAL compactor writes each
-// surviving friendship in one spelling.
+// spellings become one). The State, the engines and Snapshot.Apply accept
+// either spelling, and Change.Key orders the endpoints itself; a
+// normalized set adds that equal keys imply equal encodings, so the WAL
+// compactor writes each surviving friendship in one spelling.
 func (cs *ChangeSet) Normalize() {
 	for i := range cs.Changes {
 		ch := &cs.Changes[i]
