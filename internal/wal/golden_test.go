@@ -5,9 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/model"
 )
 
@@ -88,5 +91,43 @@ func TestSnapshotBytesAreGolden(t *testing.T) {
 		if seq != 5 || meta != 6 || !reflect.DeepEqual(s, tc.s) {
 			t.Fatalf("%s: golden snapshot decodes to seq %d meta %d %+v", tc.name, seq, meta, s)
 		}
+	}
+}
+
+// TestStateViewBytesAreGolden pins the snapshot file a State's view
+// writes, byte for byte, after a removal-heavy stream: the order and the
+// spelling of the edges it holds after swap removals (a friendship's users
+// in ascending id order) are the State's, not Snapshot.Apply's.
+func TestStateViewBytesAreGolden(t *testing.T) {
+	const size, sum = 385452, "60acf40bd04c6c7cd880ce2279101bf5d6f3d13334ad059b7eba9831e9f48fa2"
+	d := datagen.Generate(datagen.Config{ScaleFactor: 8, Seed: 1, ChangeSets: 500, RemovalFraction: 0.35})
+	st, err := model.NewState(d.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.ChangeSets {
+		if _, err := st.Apply(d.ChangeSets[i].Changes); err != nil {
+			t.Fatalf("change set %d: %v", i, err)
+		}
+	}
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir, Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	view, release := st.View()
+	err = l.WriteSnapshotStream(7, 9, view, nil)
+	release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sha256.Sum256(data)
+	if len(data) != size || hex.EncodeToString(got[:]) != sum {
+		t.Fatalf("state view snapshot changed: %d bytes, sha256 %x; want %d bytes, sha256 %s", len(data), got, size, sum)
 	}
 }
