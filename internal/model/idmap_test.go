@@ -358,7 +358,8 @@ func TestSlotTableRemoveMatchesOracle(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				check(step)
 				tab.unremove(k, i)
-				keys = unremove(keys, k, i)
+				keys = append(keys, k) // k back to i, the key now at i to the end
+				keys[i], keys[len(keys)-1] = k, keys[i]
 			}
 		}
 		check(step)

@@ -57,13 +57,6 @@ func (f Friendship) key() [2]ID {
 	return [2]ID{f.User1, f.User2}
 }
 
-// ordered is the friendship with its endpoints in ascending order, the
-// form State stores.
-func (f Friendship) ordered() Friendship {
-	k := f.key()
-	return Friendship{User1: k[0], User2: k[1]}
-}
-
 func (l Like) key() [2]ID { return [2]ID{l.UserID, l.CommentID} }
 
 // Snapshot is the initial state of the social network.

@@ -10,27 +10,27 @@ import (
 
 // State is the validated, materialized model: the one table of node
 // indices every layer uses, keyed edge indexes for referential integrity,
-// and the ordered entity slices a snapshot needs. NewState and Apply are
-// the only code that enforces the integrity rules; Validate, the serving
-// writer and WAL replay all go through them.
+// and the posts and comments themselves. NewState and Apply are the only
+// code that enforces the integrity rules; Validate, the serving writer and
+// WAL replay all go through them.
 //
-// Posts, comments and users each live in an IDMap: a node's index is its
-// insertion order, which is also its position in the entity slice, and the
-// sharded runtime and the engines index by it (the paper's solution maps
-// TTC ids to 0..n−1 matrix indices once, at load time; this is that map).
+// Posts, comments and users each live in an IDMap, the users only there:
+// a node's index is its insertion order, which is also a post's or
+// comment's position in its slice, and the sharded runtime and the
+// engines index by it (the paper's solution maps TTC ids to 0..n−1 matrix
+// indices once, at load time; this is that map).
 // Nodes are never removed, so the indices are stable and a reply always
 // follows its parent. Each comment's root post is kept as a post index.
-// Each edge family is a flat index beside its slice: the key of every
-// edge, its endpoints' index pair packed into a uint64, at the edge's
-// position, and an open-addressing table of int32 slots over those keys,
-// as IDMap's over ids (13–19 bytes per edge, against 23–26 for a Go map
-// to the position). Removing an edge is a lookup plus a swap with the
-// last edge, in the slice and in the keys, and a backward-shift deletion
-// in the table: O(1), at the cost of edge order. Friendships are stored
-// with ordered endpoints (User1 < User2) and keyed by ordered indices.
+// Each edge family is one flat index, the only record of its edges: the
+// key of every edge, its endpoints' index pair packed into a uint64, and
+// an open-addressing table of int32 slots over those keys, as IDMap's over
+// ids (13–19 bytes per edge, against 23–26 for a Go map to the position).
+// Removing an edge is a lookup plus a swap of its key with the last one
+// and a backward-shift deletion in the table: O(1), at the cost of edge
+// order. A friendship is keyed by its users' indices in ascending order.
 //
-// NewState fills the tables on every core (see there); Refs reads the
-// edges back from the keys in slice order.
+// NewState fills the tables on every core (see there); Refs and View read
+// the edges back from the keys in key order.
 //
 // A State is not safe for concurrent use, except that a View or Nodes may
 // be read by other goroutines while the owner keeps applying changes, and
@@ -41,26 +41,25 @@ type State struct {
 	comments IDMap
 	users    IDMap
 	root     []int32 // comment index → its root post's index
-	// friends and likes hold each edge's key at its position in
-	// s.Friendships and s.Likes: pair(lower, higher user index) and
+	// friends and likes key each edge: pair(lower, higher user index) and
 	// pair(user, comment).
 	friends slotTable[uint64]
 	likes   slotTable[uint64]
-	s       Snapshot
+	nodes   Nodes // every post and comment, in index order
 
-	// refs is Apply's output and removedAt the slice position each
-	// removal of the request took its edge from, both reused.
+	// refs is Apply's output and removedAt the key position each removal
+	// of the request took its edge from, both reused.
 	refs      []Ref
 	removedAt []int32
 
 	// Copy-on-write for views: shared marks that a view was taken since
-	// the edge arrays were last detached; views counts views not yet
+	// the key arrays were last detached; views counts views not yet
 	// released (they may be read on other goroutines, hence atomic).
 	shared bool
 	views  atomic.Int32
 
 	// OnDetach, when non-nil, observes the pause of every copy-on-write
-	// detach of the edge arrays.
+	// detach of the key arrays.
 	OnDetach func(time.Duration)
 }
 
@@ -105,12 +104,9 @@ const commentChunk = 16 << 10
 func NewState(s *Snapshot) (*State, error) {
 	st := &State{
 		root: make([]int32, len(s.Comments)),
-		s: Snapshot{
-			Posts:       append(make([]Post, 0, len(s.Posts)), s.Posts...),
-			Comments:    append(make([]Comment, 0, len(s.Comments)), s.Comments...),
-			Users:       append(make([]User, 0, len(s.Users)), s.Users...),
-			Friendships: make([]Friendship, 0, len(s.Friendships)),
-			Likes:       make([]Like, 0, len(s.Likes)),
+		nodes: Nodes{
+			posts:    append(make([]Post, 0, len(s.Posts)), s.Posts...),
+			comments: append(make([]Comment, 0, len(s.Comments)), s.Comments...),
 		},
 	}
 	st.posts.reserve(len(s.Posts))
@@ -130,7 +126,7 @@ func NewState(s *Snapshot) (*State, error) {
 		switch i {
 		case 0:
 			m := st.comments
-			comments = addCommentIDs(&m, st.s.Comments, st.root)
+			comments = addCommentIDs(&m, st.nodes.comments, st.root)
 			st.comments = m
 		case 1:
 			m := st.users
@@ -159,13 +155,13 @@ func NewState(s *Snapshot) (*State, error) {
 	parallel(chunks+2, func(i int) {
 		switch {
 		case i == 0 && edges:
-			e := &State{users: st.users, friends: st.friends, s: Snapshot{Friendships: st.s.Friendships}}
+			e := &State{users: st.users, friends: st.friends}
 			errs[chunks] = addAll(s.Friendships, func(f *Friendship) error { _, _, err := e.addFriendship(*f); return err })
-			st.friends, st.s.Friendships = e.friends, e.s.Friendships
+			st.friends = e.friends
 		case i == 1 && edges:
-			e := &State{users: st.users, comments: st.comments, likes: st.likes, s: Snapshot{Likes: st.s.Likes}}
+			e := &State{users: st.users, comments: st.comments, likes: st.likes}
 			errs[chunks+1] = addAll(s.Likes, func(l *Like) error { _, _, err := e.addLike(*l); return err })
-			st.likes, st.s.Likes = e.likes, e.s.Likes
+			st.likes = e.likes
 		case i >= 2:
 			lo := (i - 2) * commentChunk
 			errs[i-2] = st.checkComments(lo, min(lo+commentChunk, comments))
@@ -243,7 +239,7 @@ func addCommentIDs(m *IDMap, comments []Comment, parent []int32) int {
 // those with their root posts; it stops at the first error.
 func (st *State) checkComments(lo, hi int) error {
 	for i := lo; i < hi; i++ {
-		post, err := st.commentRoot(&st.s.Comments[i], st.root[i], int32(lo))
+		post, err := st.commentRoot(&st.nodes.comments[i], st.root[i], int32(lo))
 		if err != nil {
 			return err
 		}
@@ -266,7 +262,7 @@ func addAll[E any](list []E, add func(*E) error) error {
 // them resolved, one Ref per change, in a buffer that stays valid until
 // the next Apply. It is all-or-nothing: on the first invalid change every
 // earlier change of the request is undone, last first, which restores
-// every table, index and slice exactly, and the error, wrapping
+// every table and slice exactly, and the error, wrapping
 // ErrIntegrity, is returned.
 func (st *State) Apply(changes []Change) ([]Ref, error) {
 	st.refs, st.removedAt = st.refs[:0], st.removedAt[:0]
@@ -286,12 +282,11 @@ func (st *State) Apply(changes []Change) ([]Ref, error) {
 
 // Refs returns the changes that build the current state from an empty one,
 // resolved, in the order NewState checks them: posts, users, comments,
-// friendships, likes. Edges come in slice order, read from their keys, so
+// friendships, likes. Edges come in key order, read from their keys, so
 // a friendship's users are in index order.
 func (st *State) Refs() []Ref {
-	s := &st.s
-	np, nu, nc, nf := len(s.Posts), len(s.Users), len(s.Comments), len(s.Friendships)
-	refs := make([]Ref, np+nu+nc+nf+len(s.Likes))
+	np, nu, nc, nf := len(st.nodes.posts), st.users.Len(), len(st.root), len(st.friends.keys)
+	refs := make([]Ref, np+nu+nc+nf+len(st.likes.keys))
 	for i := range refs[:np] {
 		refs[i] = Ref{Kind: KindAddPost, A: int32(i)}
 	}
@@ -379,10 +374,10 @@ func (st *State) Counts() (posts, comments, users int) {
 }
 
 // Post returns post i.
-func (st *State) Post(i int) Post { return st.s.Posts[i] }
+func (st *State) Post(i int) Post { return st.nodes.posts[i] }
 
 // Comment returns comment i.
-func (st *State) Comment(i int) Comment { return st.s.Comments[i] }
+func (st *State) Comment(i int) Comment { return st.nodes.comments[i] }
 
 // Root returns the index of comment i's root post.
 func (st *State) Root(i int) int { return int(st.root[i]) }
@@ -407,26 +402,71 @@ func (n *Nodes) Comment(i int) Comment { return n.comments[i] }
 // to it. Unlike View it marks nothing shared: no node is ever written in
 // place.
 func (st *State) Nodes() Nodes {
-	s := &st.s
-	return Nodes{posts: s.Posts[:len(s.Posts):len(s.Posts)], comments: s.Comments[:len(s.Comments):len(s.Comments)]}
+	return Nodes{posts: clamp(st.nodes.posts), comments: clamp(st.nodes.comments)}
 }
 
-// View returns the current state as a Snapshot in O(1): the slice headers
-// clamped to their length, so later appends stay invisible to it. Until
-// release is called, the first edge removal copies the edge arrays instead
-// of writing them under the view's reader. Call release exactly once,
-// from any goroutine, when the view is no longer read.
-func (st *State) View() (view *Snapshot, release func()) {
+// clamp returns a's header with its capacity cut to its length, so later
+// appends to a stay invisible through it.
+func clamp[E any](a []E) []E { return a[:len(a):len(a)] }
+
+// View is a State's entities as View found them: the posts, the comments,
+// the users' ids and the two edge families' keys, each a clamped slice
+// header. It reads as a Snapshot does, through Len and AppendFields, which
+// resolve each edge key to its endpoints' ids.
+type View struct {
+	posts          []Post
+	comments       []Comment
+	users          []ID
+	friends, likes []uint64
+}
+
+// View returns the current state as a View in O(1), so later appends stay
+// invisible to it. Until release is called, the first edge removal copies
+// the key arrays instead of writing them under the view's reader. Call
+// release exactly once, from any goroutine, when the view is no longer
+// read.
+func (st *State) View() (view *View, release func()) {
 	st.shared = true
 	st.views.Add(1)
-	s := &st.s
-	return &Snapshot{
-		Posts:       s.Posts[:len(s.Posts):len(s.Posts)],
-		Comments:    s.Comments[:len(s.Comments):len(s.Comments)],
-		Users:       s.Users[:len(s.Users):len(s.Users)],
-		Friendships: s.Friendships[:len(s.Friendships):len(s.Friendships)],
-		Likes:       s.Likes[:len(s.Likes):len(s.Likes)],
+	return &View{
+		posts: clamp(st.nodes.posts), comments: clamp(st.nodes.comments), users: clamp(st.users.keys),
+		friends: clamp(st.friends.keys), likes: clamp(st.likes.keys),
 	}, func() { st.views.Add(-1) }
+}
+
+// Len returns the length of v's array of family f.
+func (v *View) Len(f KeyKind) int {
+	return [Families]int{KeyPost: len(v.posts), KeyComment: len(v.comments), KeyUser: len(v.users),
+		KeyFriendship: len(v.friends), KeyLike: len(v.likes)}[f]
+}
+
+// AppendFields appends to dst the fields of the entities [i, j) of v's
+// array of family f, in codec order; a friendship's users come in
+// ascending id order.
+func (v *View) AppendFields(dst []int64, f KeyKind, i, j int) []int64 {
+	switch f {
+	case KeyPost:
+		for k := i; k < j; k++ {
+			dst = v.posts[k].appendFields(dst)
+		}
+	case KeyComment:
+		for k := i; k < j; k++ {
+			dst = v.comments[k].appendFields(dst)
+		}
+	case KeyUser:
+		dst = append(dst, v.users[i:j]...)
+	case KeyFriendship:
+		for _, k := range v.friends[i:j] {
+			a, b := unpack(k)
+			dst = append(dst, min(v.users[a], v.users[b]), max(v.users[a], v.users[b]))
+		}
+	case KeyLike:
+		for _, k := range v.likes[i:j] {
+			u, c := unpack(k)
+			dst = append(dst, v.users[u], v.comments[c].ID)
+		}
+	}
+	return dst
 }
 
 func violation(format string, args ...any) error {
@@ -475,7 +515,7 @@ func (st *State) addPost(p Post) (int32, error) {
 	if !added {
 		return 0, violation("duplicate post id %d", p.ID)
 	}
-	st.s.Posts = append(st.s.Posts, p)
+	st.nodes.posts = append(st.nodes.posts, p)
 	return int32(n), nil
 }
 
@@ -484,7 +524,6 @@ func (st *State) addUser(u User) (int32, error) {
 	if !added {
 		return 0, violation("duplicate user id %d", u.ID)
 	}
-	st.s.Users = append(st.s.Users, u)
 	return int32(n), nil
 }
 
@@ -502,7 +541,7 @@ func (st *State) addComment(c *Comment) (int32, error) {
 		return 0, err
 	}
 	st.root = append(st.root, post)
-	st.s.Comments = append(st.s.Comments, *c)
+	st.nodes.comments = append(st.nodes.comments, *c)
 	return int32(n), nil
 }
 
@@ -540,7 +579,7 @@ func (st *State) commentRoot(c *Comment, parent, lo int32) (int32, error) {
 	if parent >= lo {
 		root = st.root[parent]
 	} else {
-		root, _ = index(&st.posts, st.s.Comments[parent].PostID)
+		root, _ = index(&st.posts, st.nodes.comments[parent].PostID)
 	}
 	if root != post {
 		return 0, violation("comment %d root post %d differs from parent's root %d", c.ID, c.PostID, st.posts.IDOf(int(root)))
@@ -562,7 +601,6 @@ func (st *State) addFriendship(f Friendship) (a, b int32, err error) {
 	if _, added := st.friends.add(friendKey(a, b)); !added {
 		return 0, 0, violation("duplicate friendship %d–%d", f.User1, f.User2)
 	}
-	st.s.Friendships = append(st.s.Friendships, f.ordered())
 	return a, b, nil
 }
 
@@ -577,7 +615,6 @@ func (st *State) addLike(l Like) (u, c int32, err error) {
 	if _, added := st.likes.add(pair(u, c)); !added {
 		return 0, 0, violation("duplicate like %d→%d", l.UserID, l.CommentID)
 	}
-	st.s.Likes = append(st.s.Likes, l)
 	return u, c, nil
 }
 
@@ -589,9 +626,7 @@ func (st *State) removeFriendship(f Friendship) (a, b int32, err error) {
 		return 0, 0, violation("removal of missing friendship %d–%d", f.User1, f.User2)
 	}
 	st.detach()
-	i := st.friends.remove(k)
-	st.s.Friendships = swapRemove(st.s.Friendships, i)
-	st.removedAt = append(st.removedAt, int32(i))
+	st.removedAt = append(st.removedAt, int32(st.friends.remove(k)))
 	return a, b, nil
 }
 
@@ -603,44 +638,33 @@ func (st *State) removeLike(l Like) (u, c int32, err error) {
 		return 0, 0, violation("removal of missing like %d→%d", l.UserID, l.CommentID)
 	}
 	st.detach()
-	i := st.likes.remove(k)
-	st.s.Likes = swapRemove(st.s.Likes, i)
-	st.removedAt = append(st.removedAt, int32(i))
+	st.removedAt = append(st.removedAt, int32(st.likes.remove(k)))
 	return u, c, nil
 }
 
 // undo reverts a change apply accepted. Apply undoes a request's changes
 // last first, so a node being undone is the newest of its table, an edge
-// being un-added is the last of its slice, and an edge being un-removed
+// being un-added is the last of its keys, and an edge being un-removed
 // goes back to the position its removal took it from.
 func (st *State) undo(r Ref) {
 	switch r.Kind {
 	case KindAddPost:
 		st.posts.pop()
-		st.s.Posts = st.s.Posts[:len(st.s.Posts)-1]
+		st.nodes.posts = st.nodes.posts[:len(st.nodes.posts)-1]
 	case KindAddComment:
 		st.comments.pop()
 		st.root = st.root[:len(st.root)-1]
-		st.s.Comments = st.s.Comments[:len(st.s.Comments)-1]
+		st.nodes.comments = st.nodes.comments[:len(st.nodes.comments)-1]
 	case KindAddUser:
 		st.users.pop()
-		st.s.Users = st.s.Users[:len(st.s.Users)-1]
 	case KindAddFriendship:
 		st.friends.pop()
-		st.s.Friendships = st.s.Friendships[:len(st.s.Friendships)-1]
 	case KindAddLike:
 		st.likes.pop()
-		st.s.Likes = st.s.Likes[:len(st.s.Likes)-1]
 	case KindRemoveFriendship:
-		f := Friendship{User1: st.users.IDOf(int(r.A)), User2: st.users.IDOf(int(r.B))}.ordered()
-		i := st.popRemovedAt()
-		st.friends.unremove(friendKey(r.A, r.B), i)
-		st.s.Friendships = unremove(st.s.Friendships, f, i)
+		st.friends.unremove(friendKey(r.A, r.B), st.popRemovedAt())
 	case KindRemoveLike:
-		l := Like{UserID: st.users.IDOf(int(r.A)), CommentID: st.comments.IDOf(int(r.B))}
-		i := st.popRemovedAt()
-		st.likes.unremove(pair(r.A, r.B), i)
-		st.s.Likes = unremove(st.s.Likes, l, i)
+		st.likes.unremove(pair(r.A, r.B), st.popRemovedAt())
 	}
 }
 
@@ -651,9 +675,10 @@ func (st *State) popRemovedAt() int {
 }
 
 // detach runs before an in-place edge write. If a view taken since the
-// last detach may still be read, the edge arrays are copied first, so the
-// pause is one copy per view and only on removal traffic. Appends need no
-// copy: the view's clamped headers cannot see past their length.
+// last detach may still be read, the key arrays are copied first, 8 bytes
+// per edge, so the pause is one copy per view and only on removal traffic.
+// Appends need no copy: the view's clamped headers cannot see past their
+// length, and no user id or node is ever written in place.
 func (st *State) detach() {
 	if !st.shared {
 		return
@@ -663,28 +688,9 @@ func (st *State) detach() {
 		return
 	}
 	start := time.Now()
-	st.s.Friendships = append([]Friendship(nil), st.s.Friendships...)
-	st.s.Likes = append([]Like(nil), st.s.Likes...)
+	st.friends.keys = append([]uint64(nil), st.friends.keys...)
+	st.likes.keys = append([]uint64(nil), st.likes.keys...)
 	if st.OnDetach != nil {
 		st.OnDetach(time.Since(start))
 	}
-}
-
-// swapRemove deletes edge i of list by moving the last edge into its
-// place, as slotTable.remove moves the keys.
-func swapRemove[E any](list []E, i int) []E {
-	last := len(list) - 1
-	list[i] = list[last]
-	return list[:last]
-}
-
-// unremove reverts swapRemove: the edge now at i goes back to the end,
-// and e back to i.
-func unremove[E any](list []E, e E, i int) []E {
-	if i == len(list) {
-		return append(list, e)
-	}
-	list = append(list, list[i])
-	list[i] = e
-	return list
 }

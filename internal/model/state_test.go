@@ -265,7 +265,7 @@ func TestStateViewCopyOnWrite(t *testing.T) {
 	detaches := 0
 	st.OnDetach = func(time.Duration) { detaches++ }
 	view, release := st.View()
-	want := view.Clone()
+	want := materialize(view)
 
 	changes := []Change{
 		{Kind: KindAddUser, User: User{ID: 102}},
@@ -278,7 +278,7 @@ func TestStateViewCopyOnWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sameSnapshot(view, want); err != nil {
+	if err := sameSnapshot(materialize(view), want); err != nil {
 		t.Fatalf("view changed under applies: %v", err)
 	}
 	if detaches != 1 {
@@ -336,7 +336,7 @@ func FuzzState(f *testing.F) {
 		}
 		ref := &Snapshot{}
 		var (
-			view     *Snapshot
+			view     *View
 			viewCopy *Snapshot
 			release  func()
 			req      []Change
@@ -369,13 +369,13 @@ func FuzzState(f *testing.F) {
 			}
 			if requests%3 == 0 {
 				if view != nil {
-					if err := sameSnapshot(view, viewCopy); err != nil {
+					if err := sameSnapshot(materialize(view), viewCopy); err != nil {
 						t.Fatalf("view changed before release: %v", err)
 					}
 					release()
 				}
 				view, release = st.View()
-				viewCopy = view.Clone()
+				viewCopy = materialize(view)
 			}
 			req = req[:0]
 			requests++
@@ -485,60 +485,45 @@ func naiveCheck(s *Snapshot, ch Change) error {
 	return nil
 }
 
-// snapshotOf copies the state's current contents.
+// materialize reads a view into a Snapshot, family by family, as the
+// snapshot encoder reads it.
+func materialize(v *View) *Snapshot {
+	s := &Snapshot{}
+	for f := KeyKind(0); f < Families; f++ {
+		s.AppendEntities(f, v.AppendFields(nil, f, 0, v.Len(f)))
+	}
+	return s
+}
+
+// snapshotOf copies the state's current contents through a view it does
+// not mark shared, so reading it changes no copy-on-write decision.
 func snapshotOf(st *State) *Snapshot {
-	view, release := st.View()
-	defer release()
-	return view.Clone()
+	return materialize(&View{posts: st.nodes.posts, comments: st.nodes.comments, users: st.users.keys, friends: st.friends.keys, likes: st.likes.keys})
 }
 
 // sameState compares the state with want (see sameSnapshot) and checks
-// that its edge indexes point at their edges.
+// that its edge indexes point at their keys and that a friendship's key
+// holds its users' indices in ascending order.
 func sameState(st *State, want *Snapshot) error {
-	if err := sameSnapshot(&st.s, want); err != nil {
+	if err := sameSnapshot(snapshotOf(st), want); err != nil {
 		return err
 	}
-	if len(st.friends.keys) != len(st.s.Friendships) || len(st.likes.keys) != len(st.s.Likes) {
-		return errors.New("edge index sizes differ from the edge slices")
+	if n := occupied(&st.friends) + occupied(&st.likes); n != len(st.friends.keys)+len(st.likes.keys) {
+		return fmt.Errorf("%d occupied edge slots for %d edges", n, len(st.friends.keys)+len(st.likes.keys))
 	}
-	if n := occupied(&st.friends) + occupied(&st.likes); n != len(st.s.Friendships)+len(st.s.Likes) {
-		return fmt.Errorf("%d occupied edge slots for %d edges", n, len(st.s.Friendships)+len(st.s.Likes))
-	}
-	for i, f := range st.s.Friendships {
-		if f != f.ordered() {
-			return errors.New("friendship stored with unordered endpoints")
-		}
-		if at, ok := st.friends.index(friendshipKey(st, f)); !ok || at != i {
-			return errors.New("friendship index is stale")
+	for _, t := range []*slotTable[uint64]{&st.friends, &st.likes} {
+		for i, k := range t.keys {
+			if at, ok := t.index(k); !ok || at != i {
+				return fmt.Errorf("edge key %x resolves to %d, %v; want %d", k, at, ok, i)
+			}
 		}
 	}
-	for i, l := range st.s.Likes {
-		if at, ok := st.likes.index(likeKey(st, l)); !ok || at != i {
-			return errors.New("like index is stale")
-		}
-	}
-	for i, k := range st.friends.keys {
-		a, b := unpack(k)
-		if f := st.s.Friendships[i]; a >= b || (Friendship{User1: st.users.IDOf(int(a)), User2: st.users.IDOf(int(b))}).key() != f.key() {
-			return fmt.Errorf("friendship key %x does not unpack to %+v", k, f)
-		}
-	}
-	for i, k := range st.likes.keys {
-		u, c := unpack(k)
-		if l := st.s.Likes[i]; st.users.IDOf(int(u)) != l.UserID || st.comments.IDOf(int(c)) != l.CommentID {
-			return fmt.Errorf("like key %x does not unpack to %+v", k, l)
+	for _, k := range st.friends.keys {
+		if a, b := unpack(k); a >= b {
+			return fmt.Errorf("friendship key %x holds unordered indices", k)
 		}
 	}
 	return nil
-}
-
-// friendshipKey and likeKey are a stored edge's key, resolved from its ids.
-func friendshipKey(st *State, f Friendship) uint64 {
-	return friendKey(int32(st.users.MustIndex(f.User1)), int32(st.users.MustIndex(f.User2)))
-}
-
-func likeKey(st *State, l Like) uint64 {
-	return pair(int32(st.users.MustIndex(l.UserID)), int32(st.comments.MustIndex(l.CommentID)))
 }
 
 // occupied counts the table's occupied slots.
@@ -600,7 +585,7 @@ func tablesOf(st *State) tables {
 		posts: slices.Clone(st.posts.keys), comments: slices.Clone(st.comments.keys), users: slices.Clone(st.users.keys),
 		root:    slices.Clone(st.root),
 		friends: slices.Clone(st.friends.keys), likes: slices.Clone(st.likes.keys),
-		s: st.s.Clone(),
+		s: snapshotOf(st),
 	}
 }
 

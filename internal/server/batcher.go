@@ -286,7 +286,7 @@ func (s *Server) noteSnapStall(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// noteDetach records a copy-on-write detach of the edge arrays: a removal
+// noteDetach records a copy-on-write detach of the edge keys: a removal
 // committed while an encode still reads a view of them.
 func (s *Server) noteDetach(d time.Duration) {
 	s.noteSnapStall(d)

@@ -216,7 +216,7 @@ type persistCounters struct {
 	SnapshotErrors int        `json:"snapshotErrors"`
 	// Streaming-snapshot health: how long the writer was last (and at worst
 	// ever) paused on snapshot work — the O(1) view handoff or a
-	// copy-on-write detach of the edge arrays — and how many snapshots were
+	// copy-on-write detach of the edge keys — and how many snapshots were
 	// written (counted only on success, so it stays zero when no encode
 	// ever lands), how many times a cadence point found an encode still in
 	// flight and left the one pending request that the first commit after

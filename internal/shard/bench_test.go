@@ -88,10 +88,11 @@ func TestRouterRetainedBytes(t *testing.T) {
 // a runtime started on it (the router, the q1 and q2cc engines and the
 // verifier's q2, once it has loaded), as a server holds them, on
 // routerFixture. Go 1.24
-// measures 84.3 bytes per snapshot entity at one shard, State 40.7 of
+// measures 77.2 bytes per snapshot entity at one shard, State 33.6 of
 // them; the bound adds 15% because slices and matrices are sized by the
 // runtime's growth rule and size classes, which may change between Go
-// versions. With the State's edges keyed in Go maps it measured 87.5, and
+// versions. With the State's users and edges also held as id slices it
+// measured 84.3 (State 40.7), with its edges keyed in Go maps 87.5, and
 // with the router's parked comments ranked through entry copies 101.4.
 // The same State and runtime with Go maps keyed by model.ID in the State
 // and an id map in the router and in every engine measured 149.9–150.4,
@@ -122,8 +123,8 @@ func TestRuntimeRetainedBytes(t *testing.T) {
 		return got
 	}
 	one := retained(1)
-	if one > 96.9 {
-		t.Fatalf("State and one-shard runtime retain %.1f B per snapshot entity, want at most 96.9", one)
+	if one > 88.8 {
+		t.Fatalf("State and one-shard runtime retain %.1f B per snapshot entity, want at most 88.8", one)
 	}
 	for _, n := range []int{2, 4} {
 		if got := retained(n); got > one+0.5 {

@@ -59,10 +59,23 @@ func sameChanges(a, b []model.Change) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
+// snapshotOf reads the state through a view, family by family, as the
+// snapshot encoder does; its users are in index order.
+func snapshotOf(st *model.State) *model.Snapshot {
+	view, release := st.View()
+	defer release()
+	s := &model.Snapshot{}
+	for f := model.KeyKind(0); f < model.Families; f++ {
+		s.AppendEntities(f, view.AppendFields(nil, f, 0, view.Len(f)))
+	}
+	return s
+}
+
 // render turns refs in State indices back into the changes they stand for.
 func render(st *model.State, refs []model.Ref) []model.Change {
-	view, release := st.View() // users in index order
-	defer release()
+	view, release := st.View()
+	users := view.AppendFields(nil, model.KeyUser, 0, view.Len(model.KeyUser)) // ids in index order
+	release()
 	var out []model.Change
 	for _, x := range refs {
 		ch := model.Change{Kind: x.Kind}
@@ -72,11 +85,11 @@ func render(st *model.State, refs []model.Ref) []model.Change {
 		case model.KindAddComment:
 			ch.Comment = st.Comment(int(x.A))
 		case model.KindAddUser:
-			ch.User = view.Users[x.A]
+			ch.User = model.User{ID: users[x.A]}
 		case model.KindAddFriendship, model.KindRemoveFriendship:
-			ch.Friendship = model.Friendship{User1: view.Users[x.A].ID, User2: view.Users[x.B].ID}
+			ch.Friendship = model.Friendship{User1: users[x.A], User2: users[x.B]}
 		case model.KindAddLike, model.KindRemoveLike:
-			ch.Like = model.Like{UserID: view.Users[x.A].ID, CommentID: st.Comment(int(x.B)).ID}
+			ch.Like = model.Like{UserID: users[x.A], CommentID: st.Comment(int(x.B)).ID}
 		}
 		out = append(out, ch)
 	}
@@ -363,10 +376,9 @@ func FuzzRouterStore(f *testing.F) {
 			if rt != nil {
 				commitChecked(t, rt, m, pending)
 			} else {
-				view, release := st.View()
-				rt = newCheckedRuntime(t, 2<<(len(data)%2), view)
-				m = newStoreModel(view)
-				release()
+				snap := snapshotOf(st)
+				rt = newCheckedRuntime(t, 2<<(len(data)%2), snap)
+				m = newStoreModel(snap)
 			}
 			pending = pending[:0]
 		}

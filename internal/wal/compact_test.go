@@ -464,9 +464,7 @@ func TestCompactNetsOutEitherFriendshipSpelling(t *testing.T) {
 				t.Fatalf("replay of batch seq %d: %v", b.Seq, err)
 			}
 		}
-		view, release := st.View()
-		defer release()
-		return view.Clone(), info.Batches
+		return snapshotOf(st), info.Batches
 	}
 	got, batches := recovered(dir)
 	want, plainBatches := recovered(plain)

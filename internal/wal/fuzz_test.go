@@ -204,14 +204,24 @@ func FuzzCompactRecovery(f *testing.F) {
 					t.Fatalf("%s: replay of batch seq %d: %v", filepath.Base(d), b.Seq, err)
 				}
 			}
-			view, release := st.View()
-			got := edgeSets(view)
-			release()
+			got := edgeSets(snapshotOf(st))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: recovered edges %v, committed %v", filepath.Base(d), got, want)
 			}
 		}
 	})
+}
+
+// snapshotOf reads the state through a view, family by family, as the
+// snapshot encoder does.
+func snapshotOf(st *model.State) *model.Snapshot {
+	view, release := st.View()
+	defer release()
+	s := &model.Snapshot{}
+	for f := model.KeyKind(0); f < model.Families; f++ {
+		s.AppendEntities(f, view.AppendFields(nil, f, 0, view.Len(f)))
+	}
+	return s
 }
 
 // edgeSets is a snapshot's likes and (canonical) friendships as sets.

@@ -122,9 +122,17 @@ func (cw *chunkWriter) terminator() error {
 	return nil
 }
 
+// Entities is what a snapshot is written from: the five entity arrays,
+// read through their lengths and their fields in codec order, as a
+// *model.Snapshot or a State's *model.View holds them.
+type Entities interface {
+	Len(f model.KeyKind) int
+	AppendFields(dst []int64, f model.KeyKind, i, j int) []int64
+}
+
 // encodeSnapshotStream writes a snapshot to w chunk by chunk,
 // never holding more than ~chunkBytes of encoded state in memory.
-func encodeSnapshotStream(w io.Writer, seq, meta uint64, s *model.Snapshot, chunkBytes int, onChunk func(int) error) error {
+func encodeSnapshotStream(w io.Writer, seq, meta uint64, s Entities, chunkBytes int, onChunk func(int) error) error {
 	if chunkBytes <= 0 {
 		chunkBytes = defaultSnapChunk
 	}

@@ -460,26 +460,26 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// WriteSnapshotStream atomically persists the full model state as of
-// sequence number seq (replaceFile: temp file, fsync, rename, directory
+// WriteSnapshotStream atomically persists the model state view holds, as
+// of sequence number seq (replaceFile: temp file, fsync, rename, directory
 // fsync) together with meta, an opaque caller value (the server stores its
 // committed-changes counter there), then trims snapshots and sealed
 // segments the recovery procedure no longer needs. The two newest
 // snapshots are kept so a latent corruption of the newest still leaves a
 // recovery point. It encodes straight to the temp file through a bounded
-// buffer (Options.SnapshotChunkBytes) instead of materializing the whole
-// image. It is safe to call concurrently with Append — the snapshot writes
-// to its own file and only takes the log's lock to register itself and for
-// the final metrics/trim bookkeeping — which is what lets a serving writer
-// hand a copy-on-write view to a background goroutine and keep committing
-// while the encode is in flight. A snapshot below the compacted part of the
+// buffer (Options.SnapshotChunkBytes), reading view (a *model.Snapshot, or
+// a State's *model.View) in place. It is safe to call concurrently with
+// Append — the snapshot writes to its own file and only takes the log's
+// lock to register itself and for the final metrics/trim bookkeeping —
+// which is what lets a serving writer hand a copy-on-write view to a
+// background goroutine and keep committing while the encode is in flight. A snapshot below the compacted part of the
 // log is refused: it could split a rewritten segment.
 //
 // onChunk, when non-nil, is invoked after every flushed chunk with the
 // bytes written so far; returning a non-nil error aborts the write (the
 // temp file is removed, nothing is renamed into place) and is returned
 // wrapped in ErrSnapshotAborted when it is that sentinel.
-func (l *Log) WriteSnapshotStream(seq, meta uint64, view *model.Snapshot, onChunk func(written int) error) error {
+func (l *Log) WriteSnapshotStream(seq, meta uint64, view Entities, onChunk func(written int) error) error {
 	l.mu.Lock()
 	if seq < l.compactedSeq {
 		l.mu.Unlock()
