@@ -25,12 +25,13 @@ func (sp *Space) state(i int) int {
 	return int(sp.Of[i])
 }
 
-// Nodes reads a State's node records by State index: the *model.State
+// Nodes reads the id and timestamp of a State's posts and comments by
+// State index, the only fields an engine ranks by: the *model.State
 // itself, or a *model.Nodes prefix of it, which an engine applying on
 // another goroutine than the State's owner reads instead.
 type Nodes interface {
-	Post(i int) model.Post
-	Comment(i int) model.Comment
+	PostIDTime(i int) (model.ID, int64)
+	CommentIDTime(i int) (model.ID, int64)
 }
 
 // Part is the slice of a State an engine holds: every post and user, and
@@ -42,9 +43,17 @@ type Part struct {
 	Comments *Space
 }
 
-// post and comment return the model record of a local index.
-func (p *Part) post(i int) model.Post       { return p.Nodes.Post(i) }
-func (p *Part) comment(i int) model.Comment { return p.Nodes.Comment(p.Comments.state(i)) }
+// postEntry and commentEntry are the ranking entries of a post and of a
+// local comment index at score.
+func (p *Part) postEntry(i int, score int64) Entry {
+	id, ts := p.Nodes.PostIDTime(i)
+	return Entry{ID: id, Score: score, Timestamp: ts}
+}
+
+func (p *Part) commentEntry(i int, score int64) Entry {
+	id, ts := p.Nodes.CommentIDTime(p.Comments.state(i))
+	return Entry{ID: id, Score: score, Timestamp: ts}
+}
 
 // Engine is a GraphBLAS engine: a Solution that also runs on resolved
 // changes, in the indices of the part of a State it holds (local comment

@@ -39,8 +39,7 @@ func q1TopK(g *graph, scores *grb.Vector[int64]) Result {
 		return true
 	})
 	for i := 0; i < g.np; i++ {
-		p := g.part.post(i)
-		t.Consider(Entry{ID: p.ID, Score: dense[i], Timestamp: p.Timestamp})
+		t.Consider(g.part.postEntry(i, dense[i]))
 	}
 	return t.Result()
 }
@@ -176,8 +175,7 @@ func (s *Q1Incremental) Initial() (Result, error) {
 // entries score 0).
 func (s *Q1Incremental) postEntry(i int) Entry {
 	score, _, _ := s.scores.GetElement(i)
-	p := s.g.part.post(i)
-	return Entry{ID: p.ID, Score: score, Timestamp: p.Timestamp}
+	return s.g.part.postEntry(i, score)
 }
 
 // UpdateRefs implements Engine with the incremental maintenance of Alg. 2.

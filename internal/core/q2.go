@@ -95,8 +95,7 @@ func scorersFor(scorers []q2Scorer, n int) []q2Scorer {
 func q2TopK(g *graph, scores []int64) Result {
 	t := NewTopK(TopK)
 	for ci, score := range scores {
-		c := g.part.comment(ci)
-		t.Consider(Entry{ID: c.ID, Score: score, Timestamp: c.Timestamp})
+		t.Consider(g.part.commentEntry(ci, score))
 	}
 	return t.Result()
 }
@@ -258,10 +257,7 @@ func (s *Q2Incremental) Initial() (Result, error) {
 }
 
 // entry is comment ci's ranking entry at its maintained score.
-func (s *Q2Incremental) entry(ci int) Entry {
-	c := s.g.part.comment(ci)
-	return Entry{ID: c.ID, Score: s.scores[ci], Timestamp: c.Timestamp}
-}
+func (s *Q2Incremental) entry(ci int) Entry { return s.g.part.commentEntry(ci, s.scores[ci]) }
 
 // UpdateRefs implements Engine with incremental maintenance.
 func (s *Q2Incremental) UpdateRefs(refs []model.Ref) (Result, error) {

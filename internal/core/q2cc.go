@@ -741,10 +741,7 @@ func (s *Q2IncrementalCC) Initial() (Result, error) {
 }
 
 // entry is comment ci's ranking entry at its maintained score.
-func (s *Q2IncrementalCC) entry(ci int) Entry {
-	c := s.part.comment(ci)
-	return Entry{ID: c.ID, Score: s.cc[ci].score, Timestamp: c.Timestamp}
-}
+func (s *Q2IncrementalCC) entry(ci int) Entry { return s.part.commentEntry(ci, s.cc[ci].score) }
 
 // UpdateRefs implements Engine: feed each change through its event
 // handler, then re-rank the touched comments.

@@ -14,13 +14,15 @@ import (
 // code that enforces the integrity rules; Validate, the serving writer and
 // WAL replay all go through them.
 //
-// Posts, comments and users each live in an IDMap, the users only there:
-// a node's index is its insertion order, which is also a post's or
-// comment's position in its slice, and the sharded runtime and the
-// engines index by it (the paper's solution maps TTC ids to 0..n−1 matrix
-// indices once, at load time; this is that map).
+// Posts, comments and users each live in an IDMap, the only record of
+// their ids: a node's index is its insertion order, and the sharded
+// runtime and the engines index by it (the paper's solution maps TTC ids
+// to 0..n−1 matrix indices once, at load time; this is that map).
 // Nodes are never removed, so the indices are stable and a reply always
-// follows its parent. Each comment's root post is kept as a post index.
+// follows its parent. Beside the ids, a post keeps only its timestamp (8
+// bytes) and a comment its timestamp, its parent's index among the
+// comments (−1 for a direct reply) and its root post's index (16 bytes);
+// Post and Comment rebuild the records from those.
 // Each edge family is one flat index, the only record of its edges: the
 // key of every edge, its endpoints' index pair packed into a uint64, and
 // an open-addressing table of int32 slots over those keys, as IDMap's over
@@ -34,18 +36,20 @@ import (
 //
 // A State is not safe for concurrent use, except that a View or Nodes may
 // be read by other goroutines while the owner keeps applying changes, and
-// that other goroutines may read nodes (Post, Comment, Root, Counts)
-// while the owner is not applying.
+// that other goroutines may read nodes (Post, Comment, PostIDTime,
+// CommentIDTime, Root, Counts) while the owner is not applying.
 type State struct {
 	posts    IDMap
 	comments IDMap
 	users    IDMap
-	root     []int32 // comment index → its root post's index
+	// postTimes and commentRecs hold the rest of each post and comment, by
+	// index.
+	postTimes   []int64
+	commentRecs []commentRec
 	// friends and likes key each edge: pair(lower, higher user index) and
 	// pair(user, comment).
 	friends slotTable[uint64]
 	likes   slotTable[uint64]
-	nodes   Nodes // every post and comment, in index order
 
 	// refs is Apply's output and removedAt the key position each removal
 	// of the request took its edge from, both reused.
@@ -61,6 +65,14 @@ type State struct {
 	// OnDetach, when non-nil, observes the pause of every copy-on-write
 	// detach of the key arrays.
 	OnDetach func(time.Duration)
+}
+
+// commentRec is a comment as the State keeps it beside its id: its
+// timestamp, its parent's index among the comments, or −1 for a direct
+// reply to its root post (parentOf), and its root post's index.
+type commentRec struct {
+	ts           int64
+	parent, root int32
 }
 
 // Ref is one change resolved to a State's node indices. Kind is the
@@ -89,11 +101,11 @@ func friendKey(a, b int32) uint64 { return pair(min(a, b), max(a, b)) }
 // commentChunk is how many comments NewState checks as one piece of work.
 const commentChunk = 16 << 10
 
-// NewState validates s as an initial state and returns a State holding a
-// copy of it. The error wraps ErrIntegrity. It is the violation a check
-// of every entity one by one finds first, in the order posts, users,
-// comments (each reply after its parent), friendships, likes, and within
-// each family by position.
+// NewState validates s as an initial state and returns a State holding
+// its contents; it keeps no reference to s. The error wraps ErrIntegrity.
+// It is the violation a check of every entity one by one finds first, in
+// the order posts, users, comments (each reply after its parent),
+// friendships, likes, and within each family by position.
 //
 // The checks run in two phases, each on runtime.GOMAXPROCS(0)
 // goroutines. The first adds the ids of comments, users and posts to
@@ -103,11 +115,8 @@ const commentChunk = 16 << 10
 // fill their edge tables on a goroutine each.
 func NewState(s *Snapshot) (*State, error) {
 	st := &State{
-		root: make([]int32, len(s.Comments)),
-		nodes: Nodes{
-			posts:    append(make([]Post, 0, len(s.Posts)), s.Posts...),
-			comments: append(make([]Comment, 0, len(s.Comments)), s.Comments...),
-		},
+		postTimes:   make([]int64, len(s.Posts)),
+		commentRecs: make([]commentRec, len(s.Comments)),
 	}
 	st.posts.reserve(len(s.Posts))
 	st.comments.reserve(len(s.Comments))
@@ -126,7 +135,7 @@ func NewState(s *Snapshot) (*State, error) {
 		switch i {
 		case 0:
 			m := st.comments
-			comments = addCommentIDs(&m, st.nodes.comments, st.root)
+			comments = addCommentIDs(&m, s.Comments, st.commentRecs)
 			st.comments = m
 		case 1:
 			m := st.users
@@ -136,6 +145,10 @@ func NewState(s *Snapshot) (*State, error) {
 			m := st.posts
 			posts = addIDs(&m, s.Posts, func(p *Post) ID { return p.ID })
 			st.posts = m
+			ts := st.postTimes
+			for k := range s.Posts {
+				ts[k] = s.Posts[k].Timestamp
+			}
 		}
 	})
 	switch {
@@ -164,7 +177,7 @@ func NewState(s *Snapshot) (*State, error) {
 			st.likes = e.likes
 		case i >= 2:
 			lo := (i - 2) * commentChunk
-			errs[i-2] = st.checkComments(lo, min(lo+commentChunk, comments))
+			errs[i-2] = st.checkComments(s.Comments, lo, min(lo+commentChunk, comments))
 		}
 	})
 	for _, err := range errs[:chunks] {
@@ -220,30 +233,31 @@ func addIDs[E any](m *IDMap, list []E, id func(*E) ID) int {
 
 // addCommentIDs adds the ids of comments to m in order and returns the
 // position of the first that m already holds, or len(comments). On the
-// way it sets parent[i] to the parent of comment i (parentOf): the lookup
-// finds a parent among the ids added last, which are the likeliest to be
-// cached.
-func addCommentIDs(m *IDMap, comments []Comment, parent []int32) int {
+// way it sets recs[i] to comment i's timestamp and parent (parentOf): the
+// lookup finds a parent among the ids added last, which are the likeliest
+// to be cached.
+func addCommentIDs(m *IDMap, comments []Comment, recs []commentRec) int {
 	for i := range comments {
 		c := &comments[i]
 		if _, added := m.add(c.ID); !added {
 			return i
 		}
-		parent[i] = parentOf(m, c, i)
+		recs[i] = commentRec{ts: c.Timestamp, parent: parentOf(m, c, i)}
 	}
 	return len(comments)
 }
 
-// checkComments checks comments [lo, hi), whose ids are in the table and
-// whose root entries hold their parents (addCommentIDs), and replaces
-// those with their root posts; it stops at the first error.
-func (st *State) checkComments(lo, hi int) error {
+// checkComments checks comments[lo:hi], whose ids are in the table and
+// whose records hold their parents (addCommentIDs), and sets the records'
+// root posts; it stops at the first error.
+func (st *State) checkComments(comments []Comment, lo, hi int) error {
 	for i := lo; i < hi; i++ {
-		post, err := st.commentRoot(&st.nodes.comments[i], st.root[i], int32(lo))
+		r := &st.commentRecs[i]
+		post, err := st.commentRoot(&comments[i], r.parent, comments[:lo])
 		if err != nil {
 			return err
 		}
-		st.root[i] = post
+		r.root = post
 	}
 	return nil
 }
@@ -285,7 +299,7 @@ func (st *State) Apply(changes []Change) ([]Ref, error) {
 // friendships, likes. Edges come in key order, read from their keys, so
 // a friendship's users are in index order.
 func (st *State) Refs() []Ref {
-	np, nu, nc, nf := len(st.nodes.posts), st.users.Len(), len(st.root), len(st.friends.keys)
+	np, nu, nc, nf := st.posts.Len(), st.users.Len(), st.comments.Len(), len(st.friends.keys)
 	refs := make([]Ref, np+nu+nc+nf+len(st.likes.keys))
 	for i := range refs[:np] {
 		refs[i] = Ref{Kind: KindAddPost, A: int32(i)}
@@ -293,8 +307,8 @@ func (st *State) Refs() []Ref {
 	for i := range refs[np : np+nu] {
 		refs[np+i] = Ref{Kind: KindAddUser, A: int32(i)}
 	}
-	for i, r := range st.root {
-		refs[np+nu+i] = Ref{Kind: KindAddComment, A: int32(i), B: r}
+	for i := range st.commentRecs {
+		refs[np+nu+i] = Ref{Kind: KindAddComment, A: int32(i), B: st.commentRecs[i].root}
 	}
 	for i, k := range st.friends.keys {
 		a, b := unpack(k)
@@ -374,48 +388,78 @@ func (st *State) Counts() (posts, comments, users int) {
 }
 
 // Post returns post i.
-func (st *State) Post(i int) Post { return st.nodes.posts[i] }
+func (st *State) Post(i int) Post { n := st.nodes(); return n.Post(i) }
 
 // Comment returns comment i.
-func (st *State) Comment(i int) Comment { return st.nodes.comments[i] }
+func (st *State) Comment(i int) Comment { n := st.nodes(); return n.Comment(i) }
+
+// PostIDTime returns post i's id and timestamp.
+func (st *State) PostIDTime(i int) (ID, int64) { return st.posts.keys[i], st.postTimes[i] }
+
+// CommentIDTime returns comment i's id and timestamp.
+func (st *State) CommentIDTime(i int) (ID, int64) {
+	return st.comments.keys[i], st.commentRecs[i].ts
+}
 
 // Root returns the index of comment i's root post.
-func (st *State) Root(i int) int { return int(st.root[i]) }
+func (st *State) Root(i int) int { return int(st.commentRecs[i].root) }
 
 // Nodes is a fixed prefix of a State's posts and comments: the ones it
-// held when Nodes was called. Nodes are never removed or rewritten, so
-// another goroutine may read it while the State's owner keeps applying
-// changes.
+// held when Nodes was called, read through the same arrays as the State.
+// Nodes are never removed or rewritten, so another goroutine may read it
+// while the State's owner keeps applying changes.
 type Nodes struct {
-	posts    []Post
-	comments []Comment
+	postIDs, commentIDs []ID
+	postTimes           []int64
+	commentRecs         []commentRec
 }
 
 // Post returns post i.
-func (n *Nodes) Post(i int) Post { return n.posts[i] }
+func (n *Nodes) Post(i int) Post { return Post{ID: n.postIDs[i], Timestamp: n.postTimes[i]} }
 
-// Comment returns comment i.
-func (n *Nodes) Comment(i int) Comment { return n.comments[i] }
+// Comment returns comment i: its post id is its root post's id, and its
+// parent id that of the comment it replies to, or its post id for a
+// direct reply.
+func (n *Nodes) Comment(i int) Comment {
+	r := &n.commentRecs[i]
+	c := Comment{ID: n.commentIDs[i], Timestamp: r.ts, PostID: n.postIDs[r.root]}
+	c.ParentID = c.PostID
+	if r.parent >= 0 {
+		c.ParentID = n.commentIDs[r.parent]
+	}
+	return c
+}
+
+// PostIDTime returns post i's id and timestamp.
+func (n *Nodes) PostIDTime(i int) (ID, int64) { return n.postIDs[i], n.postTimes[i] }
+
+// CommentIDTime returns comment i's id and timestamp.
+func (n *Nodes) CommentIDTime(i int) (ID, int64) { return n.commentIDs[i], n.commentRecs[i].ts }
+
+// nodes returns the State's arrays of posts and comments, unclamped.
+func (st *State) nodes() Nodes {
+	return Nodes{postIDs: st.posts.keys, commentIDs: st.comments.keys, postTimes: st.postTimes, commentRecs: st.commentRecs}
+}
 
 // Nodes returns the posts and comments the State holds now, in O(1): the
 // slice headers clamped to their length, so later appends stay invisible
 // to it. Unlike View it marks nothing shared: no node is ever written in
 // place.
 func (st *State) Nodes() Nodes {
-	return Nodes{posts: clamp(st.nodes.posts), comments: clamp(st.nodes.comments)}
+	n := st.nodes()
+	return Nodes{postIDs: clamp(n.postIDs), commentIDs: clamp(n.commentIDs), postTimes: clamp(n.postTimes), commentRecs: clamp(n.commentRecs)}
 }
 
 // clamp returns a's header with its capacity cut to its length, so later
 // appends to a stay invisible through it.
 func clamp[E any](a []E) []E { return a[:len(a):len(a)] }
 
-// View is a State's entities as View found them: the posts, the comments,
-// the users' ids and the two edge families' keys, each a clamped slice
-// header. It reads as a Snapshot does, through Len and AppendFields, which
-// resolve each edge key to its endpoints' ids.
+// View is a State's entities as View found them: its Nodes, the users'
+// ids and the two edge families' keys, each a clamped slice header. It
+// reads as a Snapshot does, through Len and AppendFields, which rebuild
+// each post and comment and resolve each edge key to its endpoints' ids.
 type View struct {
-	posts          []Post
-	comments       []Comment
+	nodes          Nodes
 	users          []ID
 	friends, likes []uint64
 }
@@ -429,14 +473,14 @@ func (st *State) View() (view *View, release func()) {
 	st.shared = true
 	st.views.Add(1)
 	return &View{
-		posts: clamp(st.nodes.posts), comments: clamp(st.nodes.comments), users: clamp(st.users.keys),
+		nodes: st.Nodes(), users: clamp(st.users.keys),
 		friends: clamp(st.friends.keys), likes: clamp(st.likes.keys),
 	}, func() { st.views.Add(-1) }
 }
 
 // Len returns the length of v's array of family f.
 func (v *View) Len(f KeyKind) int {
-	return [Families]int{KeyPost: len(v.posts), KeyComment: len(v.comments), KeyUser: len(v.users),
+	return [Families]int{KeyPost: len(v.nodes.postIDs), KeyComment: len(v.nodes.commentIDs), KeyUser: len(v.users),
 		KeyFriendship: len(v.friends), KeyLike: len(v.likes)}[f]
 }
 
@@ -447,11 +491,13 @@ func (v *View) AppendFields(dst []int64, f KeyKind, i, j int) []int64 {
 	switch f {
 	case KeyPost:
 		for k := i; k < j; k++ {
-			dst = v.posts[k].appendFields(dst)
+			p := v.nodes.Post(k)
+			dst = p.appendFields(dst)
 		}
 	case KeyComment:
 		for k := i; k < j; k++ {
-			dst = v.comments[k].appendFields(dst)
+			c := v.nodes.Comment(k)
+			dst = c.appendFields(dst)
 		}
 	case KeyUser:
 		dst = append(dst, v.users[i:j]...)
@@ -463,7 +509,7 @@ func (v *View) AppendFields(dst []int64, f KeyKind, i, j int) []int64 {
 	case KeyLike:
 		for _, k := range v.likes[i:j] {
 			u, c := unpack(k)
-			dst = append(dst, v.users[u], v.comments[c].ID)
+			dst = append(dst, v.users[u], v.nodes.commentIDs[c])
 		}
 	}
 	return dst
@@ -489,7 +535,7 @@ func (st *State) apply(ch *Change) (r Ref, err error) {
 	case KindAddComment:
 		r.A, err = st.addComment(&ch.Comment)
 		if err == nil {
-			r.B = st.root[r.A]
+			r.B = st.commentRecs[r.A].root
 		}
 	case KindAddUser:
 		r.A, err = st.addUser(ch.User)
@@ -515,7 +561,7 @@ func (st *State) addPost(p Post) (int32, error) {
 	if !added {
 		return 0, violation("duplicate post id %d", p.ID)
 	}
-	st.nodes.posts = append(st.nodes.posts, p)
+	st.postTimes = append(st.postTimes, p.Timestamp)
 	return int32(n), nil
 }
 
@@ -535,13 +581,13 @@ func (st *State) addComment(c *Comment) (int32, error) {
 	if !added {
 		return 0, violation("duplicate comment id %d", c.ID)
 	}
-	post, err := st.commentRoot(c, parentOf(&st.comments, c, n), 0)
+	parent := parentOf(&st.comments, c, n)
+	post, err := st.commentRoot(c, parent, nil)
 	if err != nil {
 		st.comments.pop()
 		return 0, err
 	}
-	st.root = append(st.root, post)
-	st.nodes.comments = append(st.nodes.comments, *c)
+	st.commentRecs = append(st.commentRecs, commentRec{ts: c.Timestamp, parent: parent, root: post})
 	return int32(n), nil
 }
 
@@ -559,9 +605,10 @@ func parentOf(m *IDMap, c *Comment, i int) int32 {
 
 // commentRoot checks comment c, whose parent among the comments before it
 // is parent (parentOf), against the posts and returns its root post's
-// index. The root of a parent below lo is read through the parent's post
-// id rather than from root, where another goroutine may be writing it.
-func (st *State) commentRoot(c *Comment, parent, lo int32) (int32, error) {
+// index. The root of a parent among below, initial comments whose records
+// another goroutine may be writing, is read through that comment's post
+// id rather than from its record.
+func (st *State) commentRoot(c *Comment, parent int32, below []Comment) (int32, error) {
 	post, ok := index(&st.posts, c.PostID)
 	if !ok {
 		return 0, violation("comment %d references missing root post %d", c.ID, c.PostID)
@@ -576,10 +623,10 @@ func (st *State) commentRoot(c *Comment, parent, lo int32) (int32, error) {
 		return 0, violation("comment %d references missing parent %d", c.ID, c.ParentID)
 	}
 	var root int32
-	if parent >= lo {
-		root = st.root[parent]
+	if int(parent) < len(below) {
+		root, _ = index(&st.posts, below[parent].PostID)
 	} else {
-		root, _ = index(&st.posts, st.nodes.comments[parent].PostID)
+		root = st.commentRecs[parent].root
 	}
 	if root != post {
 		return 0, violation("comment %d root post %d differs from parent's root %d", c.ID, c.PostID, st.posts.IDOf(int(root)))
@@ -650,11 +697,10 @@ func (st *State) undo(r Ref) {
 	switch r.Kind {
 	case KindAddPost:
 		st.posts.pop()
-		st.nodes.posts = st.nodes.posts[:len(st.nodes.posts)-1]
+		st.postTimes = st.postTimes[:len(st.postTimes)-1]
 	case KindAddComment:
 		st.comments.pop()
-		st.root = st.root[:len(st.root)-1]
-		st.nodes.comments = st.nodes.comments[:len(st.nodes.comments)-1]
+		st.commentRecs = st.commentRecs[:len(st.commentRecs)-1]
 	case KindAddUser:
 		st.users.pop()
 	case KindAddFriendship:

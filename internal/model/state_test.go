@@ -498,7 +498,7 @@ func materialize(v *View) *Snapshot {
 // snapshotOf copies the state's current contents through a view it does
 // not mark shared, so reading it changes no copy-on-write decision.
 func snapshotOf(st *State) *Snapshot {
-	return materialize(&View{posts: st.nodes.posts, comments: st.nodes.comments, users: st.users.keys, friends: st.friends.keys, likes: st.likes.keys})
+	return materialize(&View{nodes: st.nodes(), users: st.users.keys, friends: st.friends.keys, likes: st.likes.keys})
 }
 
 // sameState compares the state with want (see sameSnapshot) and checks
@@ -553,7 +553,7 @@ func checkRefs(st *State, req []Change, refs []Ref) error {
 		case KindAddPost:
 			ok = ok && st.posts.IDOf(int(r.A)) == ch.Post.ID
 		case KindAddComment:
-			ok = ok && st.comments.IDOf(int(r.A)) == ch.Comment.ID && st.posts.IDOf(int(r.B)) == ch.Comment.PostID && st.root[r.A] == r.B
+			ok = ok && st.comments.IDOf(int(r.A)) == ch.Comment.ID && st.posts.IDOf(int(r.B)) == ch.Comment.PostID && st.Root(int(r.A)) == int(r.B)
 		case KindAddUser:
 			ok = ok && st.users.IDOf(int(r.A)) == ch.User.ID
 		case KindAddFriendship, KindRemoveFriendship:
@@ -575,7 +575,8 @@ func checkRefs(st *State, req []Change, refs []Ref) error {
 // tables is a copy of everything a State indexes.
 type tables struct {
 	posts, comments, users []ID
-	root                   []int32
+	postTimes              []int64
+	commentRecs            []commentRec
 	friends, likes         []uint64
 	s                      *Snapshot
 }
@@ -583,7 +584,7 @@ type tables struct {
 func tablesOf(st *State) tables {
 	return tables{
 		posts: slices.Clone(st.posts.keys), comments: slices.Clone(st.comments.keys), users: slices.Clone(st.users.keys),
-		root:    slices.Clone(st.root),
+		postTimes: slices.Clone(st.postTimes), commentRecs: slices.Clone(st.commentRecs),
 		friends: slices.Clone(st.friends.keys), likes: slices.Clone(st.likes.keys),
 		s: snapshotOf(st),
 	}
@@ -595,7 +596,8 @@ func tablesOf(st *State) tables {
 func sameTables(st *State, want tables, req []Change) error {
 	got := tablesOf(st)
 	if !slices.Equal(got.posts, want.posts) || !slices.Equal(got.comments, want.comments) ||
-		!slices.Equal(got.users, want.users) || !slices.Equal(got.root, want.root) {
+		!slices.Equal(got.users, want.users) || !slices.Equal(got.postTimes, want.postTimes) ||
+		!slices.Equal(got.commentRecs, want.commentRecs) {
 		return errors.New("node tables differ")
 	}
 	if !slices.Equal(got.friends, want.friends) || !slices.Equal(got.likes, want.likes) {

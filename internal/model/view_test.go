@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -10,16 +11,49 @@ import (
 )
 
 // heldView is a view with the fields of each family as they were when it
-// was taken.
+// was taken, and a Nodes prefix taken with it, with the id and timestamp
+// of each post and comment as they were.
 type heldView struct {
 	view    *model.View
 	want    [model.Families][]int64
 	release func()
+
+	nodes                   model.Nodes
+	wantPosts, wantComments []int64
+}
+
+// hold takes a view and a Nodes prefix of st and records what they read.
+func hold(st *model.State) *heldView {
+	h := &heldView{nodes: st.Nodes()}
+	h.view, h.release = st.View()
+	for f := model.KeyKind(0); f < model.Families; f++ {
+		h.want[f] = h.view.AppendFields(nil, f, 0, h.view.Len(f))
+	}
+	posts, comments, _ := st.Counts()
+	h.wantPosts = idTimes(nil, posts, h.nodes.PostIDTime)
+	h.wantComments = idTimes(nil, comments, h.nodes.CommentIDTime)
+	return h
+}
+
+// idTimes appends the id and timestamp of nodes [0, n) to dst.
+func idTimes(dst []int64, n int, idTime func(int) (model.ID, int64)) []int64 {
+	for i := 0; i < n; i++ {
+		id, ts := idTime(i)
+		dst = append(dst, id, ts)
+	}
+	return dst
 }
 
 // walk reads every family of the view in batches, as the snapshot encoder
-// does, and compares it with want.
+// does, and the id and timestamp of every node of the prefix, and compares
+// them with what they read when they were taken.
 func (h *heldView) walk() error {
+	if got := idTimes(nil, len(h.wantPosts)/2, h.nodes.PostIDTime); !slices.Equal(got, h.wantPosts) {
+		return errors.New("a post's id or timestamp changed under Nodes")
+	}
+	if got := idTimes(nil, len(h.wantComments)/2, h.nodes.CommentIDTime); !slices.Equal(got, h.wantComments) {
+		return errors.New("a comment's id or timestamp changed under Nodes")
+	}
 	var vals []int64
 	for f := model.KeyKind(0); f < model.Families; f++ {
 		n, width := h.view.Len(f), len(f.Fields())
@@ -37,13 +71,15 @@ func (h *heldView) walk() error {
 	return nil
 }
 
-// TestStateViewReadConcurrently reads views on another goroutine while the
-// owner applies a seeded, removal-heavy stream in which every other
-// change set is first sent with an invalid change at its end, so its
-// rollback puts removed edges' keys back in place. Each view must read as
-// it did when it was taken, both before and after the release of the
-// view taken before it. Run it under the race detector: the reader shares
-// the State's key arrays, which the owner appends to and detaches.
+// TestStateViewReadConcurrently reads views and Nodes prefixes on another
+// goroutine while the owner applies a seeded, removal-heavy stream in
+// which every other change set is first sent with an invalid change at
+// its end, so its rollback pops the nodes it added and puts removed
+// edges' keys back in place. Each view and prefix must read as it did
+// when it was taken, both before and after the release of the view taken
+// before it. Run it under the race detector: the reader shares the
+// State's key arrays, which the owner appends to and detaches, and its
+// node arrays, which the owner appends to and truncates.
 func TestStateViewReadConcurrently(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 2, Seed: 3, ChangeSets: 400, RemovalFraction: 0.5})
 	st, err := model.NewState(d.Snapshot)
@@ -90,12 +126,7 @@ func TestStateViewReadConcurrently(t *testing.T) {
 				t.Fatalf("change set %d: %v", i, err)
 			}
 			if i%5 == 0 {
-				h := &heldView{}
-				h.view, h.release = st.View()
-				for f := model.KeyKind(0); f < model.Families; f++ {
-					h.want[f] = h.view.AppendFields(nil, f, 0, h.view.Len(f))
-				}
-				views <- h
+				views <- hold(st)
 			}
 		}
 	}()

@@ -122,8 +122,8 @@ func (r *router) route(refs []model.Ref) []model.Ref {
 type byComment struct{ st *model.State }
 
 func (o byComment) Entry(s core.Slot[struct{}]) core.Entry {
-	c := o.st.Comment(int(s.Key))
-	return core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp}
+	id, ts := o.st.CommentIDTime(int(s.Key))
+	return core.Entry{ID: id, Score: 0, Timestamp: ts}
 }
 
 func (o byComment) Less(a, b core.Slot[struct{}]) bool { return core.Less(o.Entry(a), o.Entry(b)) }
