@@ -49,9 +49,15 @@ func servedPart(st *model.State, query string) (Part, []model.Ref) {
 	return Part{Nodes: st, Comments: space}, out
 }
 
-// heapAfterGC is the live heap: HeapAlloc right after a collection.
+// heapAfterGC is the live heap: HeapAlloc right after two collections.
+// One is not enough: some garbage outlives the collection that finds it (a
+// sync.Pool's contents move to its victim cache, an object with a
+// finalizer waits for the finalizer to run) and is freed by the next one,
+// so after a single collection the figure would count what the tests run
+// before left behind and depend on test order.
 func heapAfterGC() int64 {
 	var ms runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
@@ -70,7 +76,7 @@ func retainedBytes(t testing.TB, eng Engine, p Part, refs []model.Ref) int64 {
 	}
 	retained := heapAfterGC() - before
 	runtime.KeepAlive(eng)
-	runtime.KeepAlive(p) // or the second collection frees it
+	runtime.KeepAlive(p) // or the closing heapAfterGC frees it
 	runtime.KeepAlive(refs)
 	return retained
 }
@@ -81,13 +87,17 @@ func retainedBytes(t testing.TB, eng Engine, p Part, refs []model.Ref) int64 {
 // (datagen sf 32, seed 1), each engine may retain at most its bound in
 // bytes per entity of the full snapshot (posts, comments, users, likes and
 // friendships). On changes a model.State resolved, with only the matrices
-// each engine reads and q2cc's components in flat per-like labels, Go 1.24
-// measures q1 9.5 (10.1 under -race), q2 11.3 and q2cc 14.9 B per entity.
-// None of them holds a Go map, so each bound is the larger figure plus
-// 15% for allocator differences. Engines with id maps of their own
-// measured q1 21.3, q2 15.5 and q2cc 19.1; Go-map id tables and all five
-// matrices in every engine 52.6, 22.7 and 43.7; q2cc with a DSU and a Go
-// map per comment 38.6.
+// each engine reads, those in 32-bit row pointers, column indices and
+// pending tuples, and q2cc's components in flat per-like labels, Go 1.24
+// measures q1 6.5, q2 7.8 and q2cc 15.3 B per entity, with and without
+// -race. None of them holds a Go map, so each bound is the larger figure
+// plus 15% for allocator differences (q2cc's, which holds no matrix, is
+// its earlier 14.9 plus 15%). With int row pointers, column indices and
+// pending tuples in grb the matrix engines measured q1 10.1 and q2 11.9
+// (9.5 and 11.3 read after a single collection). Engines with id maps of
+// their own measured q1 21.3, q2 15.5 and q2cc 19.1; Go-map id tables and
+// all five matrices in every engine 52.6, 22.7 and 43.7; q2cc with a DSU
+// and a Go map per comment 38.6.
 func TestEngineRetainedBytes(t *testing.T) {
 	snap := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1}).Snapshot
 	entities := len(snap.Posts) + len(snap.Comments) + len(snap.Users) + len(snap.Likes) + len(snap.Friendships)
@@ -101,8 +111,8 @@ func TestEngineRetainedBytes(t *testing.T) {
 		new   func() Engine
 		bound float64
 	}{
-		{"q1", "Q1", func() Engine { return NewQ1Incremental() }, 11.6},
-		{"q2", "Q2", func() Engine { return NewQ2Incremental() }, 13.0},
+		{"q1", "Q1", func() Engine { return NewQ1Incremental() }, 7.5},
+		{"q2", "Q2", func() Engine { return NewQ2Incremental() }, 9.0},
 		{"q2cc", "Q2", func() Engine { return NewQ2IncrementalCC() }, 17.1},
 	} {
 		t.Run(e.name, func(t *testing.T) {

@@ -81,7 +81,7 @@ func BenchmarkVxMFront(b *testing.B) {
 		}
 		work := 0
 		for _, i := range u.ind {
-			work += a.rowPtr[i+1] - a.rowPtr[i]
+			work += int(a.rowPtr[i+1] - a.rowPtr[i])
 		}
 		b.Run(fmt.Sprintf("W÷ncols=%.4f", float64(work)/n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

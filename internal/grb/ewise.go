@@ -38,15 +38,15 @@ func EWiseAddV[T any](op func(T, T) T, u, v *Vector[T]) (*Vector[T], error) {
 }
 
 // stitchRows assembles per-row slices produced by a parallel kernel into the
-// CSR arrays of c.
-func stitchRows[T any](c *Matrix[T], rowCols [][]Index, rowVals [][]T) {
+// CSR arrays of c; they must hold at most 2³¹−1 entries in all.
+func stitchRows[T any](c *Matrix[T], rowCols [][]int32, rowVals [][]T) {
 	nnz := 0
 	for i := range rowCols {
-		c.rowPtr[i] = nnz
+		c.rowPtr[i] = int32(nnz)
 		nnz += len(rowCols[i])
 	}
-	c.rowPtr[c.nrows] = nnz
-	c.colInd = make([]Index, nnz)
+	c.rowPtr[c.nrows] = int32(nnz)
+	c.colInd = make([]int32, nnz)
 	c.val = make([]T, nnz)
 	parallelRanges(c.nrows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

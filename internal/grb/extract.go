@@ -1,10 +1,6 @@
 package grb
 
-import (
-	"math"
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Extract (GrB_extract): gather a submatrix or subvector by index lists.
 // Index lists must not contain duplicates (unlike the C API, which permits
@@ -35,7 +31,7 @@ func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
 	if len(pos) < a.ncols {
 		return invalidErrf("ExtractSubmatrix: position table has %d slots for %d columns", len(pos), a.ncols)
 	}
-	if len(J) >= math.MaxInt32 {
+	if len(J) >= maxIndex {
 		return invalidErrf("ExtractSubmatrix: %d columns overflow the position table", len(J))
 	}
 	jSorted := true
@@ -65,9 +61,10 @@ func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
 		}
 	}
 	c.reset(len(I), len(J))
+	var keys []uint64 // sortRow's scratch for the rows of an unsorted J
 	for r, i := range I {
-		c.rowPtr[r] = len(c.colInd)
-		lo, hi, pend := a.rowPtr[i], a.rowPtr[i+1], a.pending[i]
+		c.rowPtr[r] = int32(len(c.colInd))
+		lo, hi, pend := int(a.rowPtr[i]), int(a.rowPtr[i+1]), a.pending[int32(i)]
 		switch {
 		case hi-lo+len(pend) > len(J) && jSorted:
 			// Walk the shorter side: an ascending J gallops through the
@@ -75,15 +72,16 @@ func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
 			// scanning them. Output is in J order, so already sorted by k.
 			q, pq := lo, 0
 			for k, j := range J {
+				j := int32(j)
 				if pq = gallopPending(pend, pq, j); pq < len(pend) && pend[pq].col == j {
 					if !pend[pq].del { // a pending entry shadows the stored one
-						c.colInd = append(c.colInd, k)
+						c.colInd = append(c.colInd, int32(k))
 						c.val = append(c.val, pend[pq].val)
 					}
 					continue
 				}
 				if q = gallop(a.colInd, q, hi, j); q < hi && a.colInd[q] == j {
-					c.colInd = append(c.colInd, k)
+					c.colInd = append(c.colInd, int32(k))
 					c.val = append(c.val, a.val[q])
 				}
 			}
@@ -92,7 +90,7 @@ func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
 			// An unsorted J probes the long row at each of its columns.
 			for k, j := range J {
 				if x, ok := a.get(i, j); ok {
-					c.colInd = append(c.colInd, k)
+					c.colInd = append(c.colInd, int32(k))
 					c.val = append(c.val, x)
 				}
 			}
@@ -100,24 +98,24 @@ func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
 		case len(pend) == 0:
 			for q := lo; q < hi; q++ {
 				if k := pos[a.colInd[q]]; k != 0 {
-					c.colInd = append(c.colInd, int(k)-1)
+					c.colInd = append(c.colInd, k-1)
 					c.val = append(c.val, a.val[q])
 				}
 			}
 		default:
 			a.forRow(i, func(j Index, x T) {
 				if k := pos[j]; k != 0 {
-					c.colInd = append(c.colInd, int(k)-1)
+					c.colInd = append(c.colInd, k-1)
 					c.val = append(c.val, x)
 				}
 			})
 		}
 		// Row entries arrive by column, so positions in a sorted J do too.
-		if row := c.colInd[c.rowPtr[r]:]; !jSorted && len(row) > 1 && !sort.IntsAreSorted(row) {
-			sortColsVals(row, c.val[c.rowPtr[r]:])
+		if !jSorted {
+			keys = sortRow(c.colInd[c.rowPtr[r]:], c.val[c.rowPtr[r]:], keys)
 		}
 	}
-	c.rowPtr[len(I)] = len(c.colInd)
+	c.rowPtr[len(I)] = int32(len(c.colInd))
 	return nil
 }
 
@@ -125,18 +123,19 @@ func ExtractSubmatrix[T any](c, a *Matrix[T], I, J []Index, pos []int32) error {
 // column is at least j (hi if none): doubling steps from from, then a
 // binary search within the last step, so walking an ascending list of m
 // columns through a row of d entries costs O(m · log(d/m)).
-func gallop(cols []Index, from, hi int, j Index) int {
+func gallop(cols []int32, from, hi int, j int32) int {
 	step, lo := 1, from
 	for from < hi && cols[from] < j {
 		lo = from + 1
 		from += step
 		step *= 2
 	}
-	return lo + sort.SearchInts(cols[lo:min(from, hi)], j)
+	p, _ := slices.BinarySearch(cols[lo:min(from, hi)], j)
+	return lo + p
 }
 
 // gallopPending is gallop over a row's pending entries.
-func gallopPending[T any](ents []matEntry[T], from int, j Index) int {
+func gallopPending[T any](ents []matEntry[T], from int, j int32) int {
 	step, lo := 1, from
 	for from < len(ents) && ents[from].col < j {
 		lo = from + 1
@@ -174,21 +173,4 @@ func ascendingIn(idx []Index, n int) bool {
 		}
 	}
 	return true
-}
-
-// sortColsVals co-sorts a (cols, vals) pair by column.
-func sortColsVals[T any](cols []Index, vals []T) {
-	perm := make([]int, len(cols))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(x, y int) bool { return cols[perm[x]] < cols[perm[y]] })
-	nc := make([]Index, len(cols))
-	nv := make([]T, len(vals))
-	for t, p := range perm {
-		nc[t] = cols[p]
-		nv[t] = vals[p]
-	}
-	copy(cols, nc)
-	copy(vals, nv)
 }

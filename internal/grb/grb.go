@@ -30,6 +30,13 @@
 // slice — and type dispatch happens through Go generics rather than
 // runtime descriptors. Masks are structural: an entry is "in the mask" iff
 // the mask has a stored element at that position.
+//
+// Indices are ints (Index) in the API, but a Matrix stores its row
+// pointers, column indices and pending tuples in 32 bits, as
+// SuiteSparse:GraphBLAS 10 does whenever they fit. So a matrix's shape,
+// the tuples it is built from and its stored elements are bounded by
+// 2³¹−1; beyond that an operation fails with ErrInvalidValue (NewMatrix
+// panics with it) before it allocates.
 package grb
 
 import (

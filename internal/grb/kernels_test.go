@@ -26,10 +26,9 @@ func (a *Matrix[T]) ExtractTuples() (rows, cols []Index, vals []T) {
 	vals = make([]T, len(a.val))
 	for i := 0; i < a.nrows; i++ {
 		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-			rows[p] = i
+			rows[p], cols[p] = i, Index(a.colInd[p])
 		}
 	}
-	copy(cols, a.colInd)
 	copy(vals, a.val)
 	return rows, cols, vals
 }

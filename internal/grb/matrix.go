@@ -1,7 +1,7 @@
 package grb
 
 import (
-	"math/bits"
+	"math"
 	"slices"
 	"sort"
 )
@@ -14,22 +14,33 @@ import (
 // small incremental updates never pay a full O(nnz) rebuild. The buffer
 // assembles itself once it outgrows a fixed fraction of the matrix (see
 // pendingFraction), so it stays bounded without any caller having to Wait.
+//
+// Row pointers, column indices and pending tuples are stored in 32 bits,
+// as SuiteSparse:GraphBLAS 10 stores them whenever they fit: a boolean
+// entry costs 5 bytes, a row 4 and a pending tuple 8. So a shape, a tuple
+// count or a stored-element count beyond maxIndex (2³¹−1) is refused
+// with ErrInvalidValue (a panic in NewMatrix) before anything is
+// allocated.
 type Matrix[T any] struct {
 	nrows, ncols int
-	rowPtr       []int
-	colInd       []Index
+	rowPtr       []int32
+	colInd       []int32
 	val          []T
 
 	// pending holds each row's pending entries sorted by column, at most
 	// one per column (a newer update replaces an older one in place), so
 	// row reads merge them with the CSR row in one pass.
-	pending map[Index][]matEntry[T]
+	pending map[int32][]matEntry[T]
 	npend   int
 	// pendDelta is the net change the pending tuples make to the stored
 	// element count, so NVals = len(colInd) + pendDelta without assembling.
 	// Every CSR-building constructor leaves it 0, as does assembly.
 	pendDelta int
 }
+
+// maxIndex bounds a matrix's shape, its tuple counts and its stored
+// elements, so that every row pointer and column index fits an int32.
+const maxIndex = math.MaxInt32
 
 // A matrix assembles its pending tuples once there are more than
 // pendingFloor of them and more than 1/pendingFraction of its rows plus
@@ -43,17 +54,24 @@ const (
 )
 
 type matEntry[T any] struct {
-	col Index
+	col int32
 	val T
 	del bool // tombstone: a pending deletion (SuiteSparse's "zombie")
 }
 
-// NewMatrix returns an empty nrows×ncols sparse matrix.
-func NewMatrix[T any](nrows, ncols int) *Matrix[T] {
-	if nrows < 0 || ncols < 0 {
-		panic(invalidErrf("NewMatrix: negative shape %d×%d", nrows, ncols))
+// checkShape refuses a negative shape or one beyond maxIndex.
+func checkShape(op string, nrows, ncols int) error {
+	if nrows < 0 || ncols < 0 || nrows > maxIndex || ncols > maxIndex {
+		return invalidErrf("%s: shape %d×%d outside [0, %d] in either dimension", op, nrows, ncols, maxIndex)
 	}
-	return &Matrix[T]{nrows: nrows, ncols: ncols, rowPtr: make([]int, nrows+1)}
+	return nil
+}
+
+// NewMatrix returns an empty nrows×ncols sparse matrix. It panics with
+// ErrInvalidValue on a negative shape or one beyond 2³¹−1.
+func NewMatrix[T any](nrows, ncols int) *Matrix[T] {
+	Must0(checkShape("NewMatrix", nrows, ncols))
+	return &Matrix[T]{nrows: nrows, ncols: ncols, rowPtr: make([]int32, nrows+1)}
 }
 
 // MatrixFromTuples builds a matrix from (row, col, value) triples
@@ -63,11 +81,19 @@ func NewMatrix[T any](nrows, ncols int) *Matrix[T] {
 // each row is sorted by column, stably, so a cell's duplicates stay in
 // input order. Cost: O(n + nrows) for n tuples, plus O(d log d) for a row
 // of d tuples that does not arrive sorted by column. It allocates the CSR
-// arrays and nothing else that grows with n or nrows.
+// arrays, and 8 bytes per tuple of the longest such row as sort scratch,
+// and nothing else that grows with n or nrows. More than 2³¹−1 tuples
+// are ErrInvalidValue.
 func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup func(T, T) T) (*Matrix[T], error) {
 	if len(rows) != len(cols) || len(rows) != len(vals) {
 		return nil, invalidErrf("MatrixFromTuples: tuple slices of unequal length %d/%d/%d",
 			len(rows), len(cols), len(vals))
+	}
+	if len(rows) > maxIndex {
+		return nil, invalidErrf("MatrixFromTuples: %d tuples overflow %d", len(rows), maxIndex)
+	}
+	if err := checkShape("MatrixFromTuples", nrows, ncols); err != nil {
+		return nil, err
 	}
 	a := NewMatrix[T](nrows, ncols)
 	if len(rows) == 0 {
@@ -84,30 +110,30 @@ func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup
 	for _, i := range rows {
 		ptr[i]++
 	}
-	start := 0
+	var start int32
 	for i := 0; i < nrows; i++ {
 		start, ptr[i] = start+ptr[i], start
 	}
 	ptr[nrows] = start
 	// Scatter in input order, advancing each row's start to its end, then
 	// shift the ends back into starts.
-	colInd := make([]Index, len(rows))
+	colInd := make([]int32, len(rows))
 	val := make([]T, len(rows))
 	for k, i := range rows {
 		p := ptr[i]
-		colInd[p], val[p] = cols[k], vals[k]
+		colInd[p], val[p] = int32(cols[k]), vals[k]
 		ptr[i] = p + 1
 	}
 	copy(ptr[1:], ptr[:nrows])
 	ptr[0] = 0
 	// Sort each row by column and combine its duplicates, compacting the
 	// arrays in place: w is the next write position, lo the row's old start.
-	colBits := bits.Len(uint(ncols))
-	w, lo := 0, 0
+	var keys []uint64
+	var w, lo int32
 	for i := 0; i < nrows; i++ {
 		hi := ptr[i+1]
 		ptr[i] = w
-		sortRow(colInd[lo:hi], val[lo:hi], colBits)
+		keys = sortRow(colInd[lo:hi], val[lo:hi], keys)
 		for p := lo; p < hi; p++ {
 			if p > lo && colInd[p] == colInd[w-1] { // a duplicate, next in input order
 				if dup != nil {
@@ -128,22 +154,22 @@ func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup
 }
 
 // sortRow orders one row's columns, and its values with them, by column,
-// keeping equal columns in their current order; colBits bounds the
-// columns' bit length. A row that arrives sorted costs one pass and a
-// short one an insertion sort. A longer row tags each column with its
-// position in the row, so the keys are distinct and an unstable sort puts
+// keeping equal columns in their current order. A row that arrives sorted
+// costs one pass and a short one an insertion sort. A longer row packs
+// each column above its position in the row into a uint64 key of keys, the
+// caller's scratch, so the keys are distinct and an unstable sort puts
 // them in the stable order, then gathers the values after them in place.
-func sortRow[T any](cols []Index, vals []T, colBits int) {
+// It returns the scratch, grown to the row's length if it was shorter.
+func sortRow[T any](cols []int32, vals []T, keys []uint64) []uint64 {
 	n := len(cols)
 	p := 1
 	for p < n && cols[p-1] <= cols[p] {
 		p++
 	}
 	if p >= n {
-		return
+		return keys
 	}
-	shift := bits.Len(uint(n - 1))
-	if n <= 16 || colBits+shift > bits.UintSize-2 { // the keys would not fit a non-negative Index
+	if n <= 16 {
 		for ; p < n; p++ {
 			c, x := cols[p], vals[p]
 			q := p
@@ -153,23 +179,23 @@ func sortRow[T any](cols []Index, vals []T, colBits int) {
 			}
 			cols[q], vals[q] = c, x
 		}
-		return
+		return keys
 	}
-	mask := Index(1)<<shift - 1
-	for q := range cols {
-		cols[q] = cols[q]<<shift | q
+	keys = slices.Grow(keys[:0], n)[:n]
+	for q, c := range cols {
+		keys[q] = uint64(c)<<32 | uint64(q)
 	}
-	slices.Sort(cols)
-	// Position q takes the value from position cols[q]&mask. Follow each
+	slices.Sort(keys)
+	// Position q takes the value from position uint32(keys[q]). Follow each
 	// permutation cycle once; a settled position's tag points at itself.
-	for q := range cols {
-		if cols[q]&mask == q {
+	for q := range keys {
+		if int(uint32(keys[q])) == q {
 			continue
 		}
 		x, j := vals[q], q
 		for {
-			k := cols[j] & mask
-			cols[j] = cols[j]&^mask | j
+			k := int(uint32(keys[j]))
+			keys[j] = keys[j]>>32<<32 | uint64(j)
 			if k == q {
 				vals[j] = x
 				break
@@ -178,9 +204,10 @@ func sortRow[T any](cols []Index, vals []T, colBits int) {
 			j = k
 		}
 	}
-	for q := range cols {
-		cols[q] >>= shift
+	for q, k := range keys {
+		cols[q] = int32(k >> 32)
 	}
+	return keys
 }
 
 // NRows reports the number of rows.
@@ -205,19 +232,25 @@ func (a *Matrix[T]) NPending() int { return a.npend }
 // when nothing in the row is pending. It is what a caller weighs to scan a
 // row or probe it.
 func (a *Matrix[T]) RowNValsBound(i Index) int {
-	return a.rowPtr[i+1] - a.rowPtr[i] + len(a.pending[i])
+	return int(a.rowPtr[i+1]-a.rowPtr[i]) + len(a.pending[int32(i)])
 }
 
 // SetElement stores x at (i, j), overwriting any existing element. The
 // update is buffered as a pending tuple and observed by all subsequent
 // operations. It costs a binary search of row i's pending entries and of
 // its stored entries, which keeps NVals exact, plus the insertion into the
-// row's pending entries.
+// row's pending entries. A new element beyond 2³¹−1 stored ones is
+// ErrInvalidValue.
 func (a *Matrix[T]) SetElement(i, j Index, x T) error {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return boundsErrf("SetElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
-	a.setPending(i, matEntry[T]{col: j, val: x})
+	if a.NVals() >= maxIndex {
+		if _, ok := a.get(i, j); !ok {
+			return invalidErrf("SetElement: (%d,%d) would overflow %d stored elements", i, j, maxIndex)
+		}
+	}
+	a.setPending(i, matEntry[T]{col: int32(j), val: x})
 	return nil
 }
 
@@ -229,7 +262,7 @@ func (a *Matrix[T]) RemoveElement(i, j Index) error {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return boundsErrf("RemoveElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
-	a.setPending(i, matEntry[T]{col: j, del: true})
+	a.setPending(i, matEntry[T]{col: int32(j), del: true})
 	return nil
 }
 
@@ -237,7 +270,7 @@ func (a *Matrix[T]) RemoveElement(i, j Index) error {
 // an older pending entry there, keeps pendDelta exact, and assembles once
 // the buffer outgrows its bound (see pendingFraction).
 func (a *Matrix[T]) setPending(i Index, e matEntry[T]) {
-	ents := a.pending[i]
+	ents := a.pending[int32(i)]
 	q := searchPending(ents, e.col)
 	var had bool
 	if q < len(ents) && ents[q].col == e.col {
@@ -249,9 +282,9 @@ func (a *Matrix[T]) setPending(i Index, e matEntry[T]) {
 		copy(ents[q+1:], ents[q:])
 		ents[q] = e
 		if a.pending == nil {
-			a.pending = make(map[Index][]matEntry[T])
+			a.pending = make(map[int32][]matEntry[T])
 		}
-		a.pending[i] = ents
+		a.pending[int32(i)] = ents
 		a.npend++
 	}
 	if had {
@@ -267,7 +300,7 @@ func (a *Matrix[T]) setPending(i Index, e matEntry[T]) {
 
 // searchPending returns the position of column j in a row's sorted pending
 // entries, or where it would be inserted.
-func searchPending[T any](ents []matEntry[T], j Index) int {
+func searchPending[T any](ents []matEntry[T], j int32) int {
 	return sort.Search(len(ents), func(k int) bool { return ents[k].col >= j })
 }
 
@@ -285,21 +318,20 @@ func (a *Matrix[T]) GetElement(i, j Index) (T, bool, error) {
 // entries included.
 func (a *Matrix[T]) get(i, j Index) (T, bool) {
 	// A pending entry is newer than the CSR entry it shadows.
-	ents := a.pending[i]
-	if q := searchPending(ents, j); q < len(ents) && ents[q].col == j {
+	ents := a.pending[int32(i)]
+	if q := searchPending(ents, int32(j)); q < len(ents) && ents[q].col == int32(j) {
 		return ents[q].val, !ents[q].del
 	}
-	return a.stored(i, j)
+	return a.stored(i, int32(j))
 }
 
 // stored returns the CSR (assembled) element at the in-range position
 // (i, j), ignoring pending entries.
-func (a *Matrix[T]) stored(i, j Index) (T, bool) {
+func (a *Matrix[T]) stored(i Index, j int32) (T, bool) {
 	var zero T
 	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
-	p := lo + sort.SearchInts(a.colInd[lo:hi], j)
-	if p < hi && a.colInd[p] == j {
-		return a.val[p], true
+	if p, ok := slices.BinarySearch(a.colInd[lo:hi], j); ok {
+		return a.val[lo+int32(p)], true
 	}
 	return zero, false
 }
@@ -312,16 +344,16 @@ func (a *Matrix[T]) Wait() {
 	if a.npend == 0 {
 		return
 	}
-	rows := make([]Index, 0, len(a.pending))
+	rows := make([]int32, 0, len(a.pending))
 	for i := range a.pending {
 		rows = append(rows, i)
 	}
-	sort.Ints(rows)
-	newCol := make([]Index, 0, len(a.colInd)+a.pendDelta)
+	slices.Sort(rows)
+	newCol := make([]int32, 0, len(a.colInd)+a.pendDelta)
 	newVal := make([]T, 0, len(a.val)+a.pendDelta)
-	newPtr := make([]int, a.nrows+1)
-	copyRows := func(from, to Index) { // rows [from, to) have nothing pending
-		shift := len(newCol) - a.rowPtr[from]
+	newPtr := make([]int32, a.nrows+1)
+	copyRows := func(from, to int) { // rows [from, to) have nothing pending
+		shift := int32(len(newCol)) - a.rowPtr[from]
 		for r := from; r < to; r++ {
 			newPtr[r] = a.rowPtr[r] + shift
 		}
@@ -330,16 +362,16 @@ func (a *Matrix[T]) Wait() {
 	}
 	next := 0 // first row not yet written
 	for _, i := range rows {
-		copyRows(next, i)
-		newPtr[i] = len(newCol)
-		a.forRow(i, func(j Index, x T) {
-			newCol = append(newCol, j)
+		copyRows(next, int(i))
+		newPtr[i] = int32(len(newCol))
+		a.forRow(int(i), func(j Index, x T) {
+			newCol = append(newCol, int32(j))
 			newVal = append(newVal, x)
 		})
-		next = i + 1
+		next = int(i) + 1
 	}
 	copyRows(next, a.nrows)
-	newPtr[a.nrows] = len(newCol)
+	newPtr[a.nrows] = int32(len(newCol))
 	a.rowPtr, a.colInd, a.val = newPtr, newCol, newVal
 	a.pending = nil
 	a.npend = 0
@@ -350,10 +382,10 @@ func (a *Matrix[T]) Wait() {
 // merging the row's sorted pending entries in one pass without assembling.
 func (a *Matrix[T]) forRow(i Index, f func(j Index, x T)) {
 	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
-	pend := a.pending[i]
+	pend := a.pending[int32(i)]
 	if len(pend) == 0 {
 		for p := lo; p < hi; p++ {
-			f(a.colInd[p], a.val[p])
+			f(Index(a.colInd[p]), a.val[p])
 		}
 		return
 	}
@@ -361,27 +393,27 @@ func (a *Matrix[T]) forRow(i Index, f func(j Index, x T)) {
 	for p < hi && q < len(pend) {
 		switch {
 		case a.colInd[p] < pend[q].col:
-			f(a.colInd[p], a.val[p])
+			f(Index(a.colInd[p]), a.val[p])
 			p++
 		case a.colInd[p] > pend[q].col:
 			if !pend[q].del {
-				f(pend[q].col, pend[q].val)
+				f(Index(pend[q].col), pend[q].val)
 			}
 			q++
 		default: // a pending entry overwrites the stored one; a tombstone kills it
 			if !pend[q].del {
-				f(pend[q].col, pend[q].val)
+				f(Index(pend[q].col), pend[q].val)
 			}
 			p++
 			q++
 		}
 	}
 	for ; p < hi; p++ {
-		f(a.colInd[p], a.val[p])
+		f(Index(a.colInd[p]), a.val[p])
 	}
 	for ; q < len(pend); q++ {
 		if !pend[q].del {
-			f(pend[q].col, pend[q].val)
+			f(Index(pend[q].col), pend[q].val)
 		}
 	}
 }
@@ -404,7 +436,7 @@ func (a *Matrix[T]) Iterate(f func(i, j Index, x T) bool) {
 	a.Wait()
 	for i := 0; i < a.nrows; i++ {
 		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-			if !f(i, a.colInd[p], a.val[p]) {
+			if !f(i, Index(a.colInd[p]), a.val[p]) {
 				return
 			}
 		}
@@ -414,10 +446,13 @@ func (a *Matrix[T]) Iterate(f func(i, j Index, x T) bool) {
 // Resize grows the logical shape (GrB_Matrix_resize) in O(rows added),
 // keeping the stored entries and pending tuples. A shape smaller in either
 // dimension is ErrInvalidValue and changes nothing: the graphs built on
-// this package never remove a node.
+// this package never remove a node. So is a shape beyond 2³¹−1.
 func (a *Matrix[T]) Resize(nrows, ncols int) error {
 	if nrows < a.nrows || ncols < a.ncols {
 		return invalidErrf("Resize: %d×%d would shrink a %d×%d matrix", nrows, ncols, a.nrows, a.ncols)
+	}
+	if err := checkShape("Resize", nrows, ncols); err != nil {
+		return err
 	}
 	for i := a.nrows; i < nrows; i++ {
 		a.rowPtr = append(a.rowPtr, a.rowPtr[len(a.rowPtr)-1])

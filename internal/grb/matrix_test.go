@@ -202,6 +202,38 @@ func TestMatrixResizeShrink(t *testing.T) {
 	}
 }
 
+// TestMatrixColumnBound checks the 32-bit bound on a matrix's columns:
+// NewMatrix panics with ErrInvalidValue at 2³¹ columns and Resize refuses
+// them, leaving the matrix as it was, while 2³¹−1 columns hold an entry in
+// the last one. Columns cost nothing to allocate, so this allocates
+// nothing whether or not the bound is checked; rows cost a pointer each.
+func TestMatrixColumnBound(t *testing.T) {
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, ErrInvalidValue) {
+				t.Fatalf("NewMatrix(1, 1<<31) panicked with %v, want ErrInvalidValue", err)
+			}
+		}()
+		NewMatrix[int](1, 1<<31)
+	}()
+	a := mustMatrix(t, 2, 3, []Index{1}, []Index{2}, []int{5})
+	if err := a.Resize(2, 1<<31); !errors.Is(err, ErrInvalidValue) {
+		t.Fatalf("Resize(2, 1<<31): err = %v, want ErrInvalidValue", err)
+	}
+	if a.NRows() != 2 || a.NCols() != 3 {
+		t.Fatalf("refused Resize left a %d×%d matrix", a.NRows(), a.NCols())
+	}
+	Must0(a.Resize(2, 1<<31-1))
+	Must0(a.SetElement(1, 1<<31-2, 7))
+	want := map[[2]Index]int{{1, 2}: 5, {1, 1<<31 - 2}: 7}
+	if got := matToMap(a); !reflect.DeepEqual(got, want) {
+		t.Fatalf("2×(2³¹−1) matrix holds %v, want %v", got, want)
+	}
+	if _, err := MatrixFromTuples(1, 1<<31, []Index{0}, []Index{1 << 30}, []int{1}, nil); !errors.Is(err, ErrInvalidValue) {
+		t.Fatalf("MatrixFromTuples(1, 1<<31, ...): err = %v, want ErrInvalidValue", err)
+	}
+}
+
 // rowNNZ counts the entries forRow visits in row i, pending ones included.
 func (a *Matrix[T]) rowNNZ(i Index) int {
 	n := 0

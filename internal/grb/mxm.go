@@ -1,12 +1,13 @@
 package grb
 
-import "sort"
+import "slices"
 
 // MxM computes C = A ⊕.⊗ B (GrB_mxm) with Gustavson's row-wise algorithm:
 // for each row i of A, the rows of B selected by A(i,:) are scattered into a
 // dense accumulator. Rows of A are processed in parallel; each worker owns
 // its accumulator. Cost: O(Σ_ik nnz(B(k,:)) for A_ik ≠ 0), the standard
-// sparse-matrix-multiply bound.
+// sparse-matrix-multiply bound. A product of more than 2³¹−1 entries is
+// ErrInvalidValue.
 func MxM[A, B, C any](s Semiring[A, B, C], a *Matrix[A], b *Matrix[B]) (*Matrix[C], error) {
 	if a.ncols != b.nrows {
 		return nil, dimErrf("MxM: %d×%d times %d×%d", a.nrows, a.ncols, b.nrows, b.ncols)
@@ -14,12 +15,12 @@ func MxM[A, B, C any](s Semiring[A, B, C], a *Matrix[A], b *Matrix[B]) (*Matrix[
 	a.Wait()
 	b.Wait()
 	c := NewMatrix[C](a.nrows, b.ncols)
-	rowCols := make([][]Index, a.nrows)
+	rowCols := make([][]int32, a.nrows)
 	rowVals := make([][]C, a.nrows)
 	parallelRanges(a.nrows, func(lo, hi int) {
 		acc := make([]C, b.ncols)
 		present := make([]bool, b.ncols)
-		var touched []Index
+		var touched []int32
 		for i := lo; i < hi; i++ {
 			touched = touched[:0]
 			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
@@ -39,8 +40,8 @@ func MxM[A, B, C any](s Semiring[A, B, C], a *Matrix[A], b *Matrix[B]) (*Matrix[
 			if len(touched) == 0 {
 				continue
 			}
-			sort.Ints(touched)
-			cols := make([]Index, len(touched))
+			slices.Sort(touched)
+			cols := make([]int32, len(touched))
 			vals := make([]C, len(touched))
 			for t, j := range touched {
 				cols[t] = j
@@ -50,6 +51,13 @@ func MxM[A, B, C any](s Semiring[A, B, C], a *Matrix[A], b *Matrix[B]) (*Matrix[
 			rowCols[i], rowVals[i] = cols, vals
 		}
 	})
+	nnz := 0
+	for _, cols := range rowCols {
+		nnz += len(cols)
+	}
+	if nnz > maxIndex {
+		return nil, invalidErrf("MxM: %d product entries overflow %d", nnz, maxIndex)
+	}
 	stitchRows(c, rowCols, rowVals)
 	return c, nil
 }

@@ -59,7 +59,7 @@ func MxVFull[A, B, C any](s Semiring[A, B, C], a *Matrix[A], u []B, w []C) error
 	}
 	for i := range w {
 		acc := s.Add.Identity
-		if len(a.pending[i]) == 0 {
+		if len(a.pending[int32(i)]) == 0 {
 			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
 				acc = s.Add.Op(acc, s.Mul(a.val[p], u[a.colInd[p]]))
 			}
@@ -85,7 +85,7 @@ func VxM[A, B, C any](s Semiring[A, B, C], u *Vector[A], a *Matrix[B]) (*Vector[
 	}
 	work := 0 // an upper bound on W: stored plus pending entries of the rows
 	for _, i := range u.ind {
-		work += a.rowPtr[i+1] - a.rowPtr[i] + len(a.pending[i])
+		work += a.RowNValsBound(i)
 	}
 	prods := make([]vxmProduct[C], 0, work)
 	for p, i := range u.ind {

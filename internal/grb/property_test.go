@@ -475,9 +475,9 @@ func checkExtract(t *testing.T, step int, a *Matrix[int], oracle map[[2]Index]in
 		sort.Ints(J)
 	}
 	for _, i := range I {
-		pend := len(a.pending[i])
+		pend := len(a.pending[int32(i)])
 		switch {
-		case a.rowPtr[i+1]-a.rowPtr[i]+pend > len(J):
+		case a.RowNValsBound(i) > len(J):
 			x.probed++
 			if pend > 0 {
 				x.probedPending++

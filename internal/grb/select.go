@@ -8,14 +8,14 @@ package grb
 func SelectM[T any](pred func(i, j Index, v T) bool, a *Matrix[T]) *Matrix[T] {
 	a.Wait()
 	b := NewMatrix[T](a.nrows, a.ncols)
-	rowCols := make([][]Index, a.nrows)
+	rowCols := make([][]int32, a.nrows)
 	rowVals := make([][]T, a.nrows)
 	parallelRanges(a.nrows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			var cols []Index
+			var cols []int32
 			var vals []T
 			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-				if pred(i, a.colInd[p], a.val[p]) {
+				if pred(i, Index(a.colInd[p]), a.val[p]) {
 					cols = append(cols, a.colInd[p])
 					vals = append(vals, a.val[p])
 				}

@@ -13,7 +13,7 @@ import (
 // 27.9 bytes after validating the datagen sf-32, seed-1 snapshot, and at
 // most 29.8 after then applying its first 900 change sets, which gates
 // the growth slack of the arrays that appends grow. Go 1.24 measures
-// 24.3 and 25.9 with nodes in IDMaps, the only copy of their ids, each
+// 24.3 and 25.9, whichever tests ran before, with nodes in IDMaps, the only copy of their ids, each
 // post's timestamp and each comment's 16-byte record (timestamp, parent
 // and root post as int32 indices) beside them, and each edge family held
 // only as its packed index pairs under an int32 slot table; the bounds
@@ -46,7 +46,7 @@ func TestStateRetainedBytes(t *testing.T) {
 			}
 			retained := heapAfterGC() - before
 			runtime.KeepAlive(st)
-			runtime.KeepAlive(d) // or the second collection frees it
+			runtime.KeepAlive(d) // or the closing heapAfterGC frees it
 			view, release := st.View()
 			entities := 0
 			for f := model.KeyKind(0); f < model.Families; f++ {
@@ -62,9 +62,15 @@ func TestStateRetainedBytes(t *testing.T) {
 	}
 }
 
-// heapAfterGC is the live heap: HeapAlloc right after a collection.
+// heapAfterGC is the live heap: HeapAlloc right after two collections.
+// One is not enough: some garbage outlives the collection that finds it (a
+// sync.Pool's contents move to its victim cache, an object with a
+// finalizer waits for the finalizer to run) and is freed by the next one,
+// so after a single collection the figure would count what the tests run
+// before left behind and depend on test order.
 func heapAfterGC() int64 {
 	var ms runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
