@@ -25,10 +25,10 @@
 // final snapshot, and exits 0.
 //
 // Endpoints: GET /query/q1, GET /query/q2 (the connected-components
-// extension; ?engine=cc is the same, ?engine=incremental is the paper's Q2
-// engine, which verifies it off the commit path, at the seq it has
-// reached), POST /update, GET /stats (q2Disagreements and q2VerifiedSeq
-// cover every commit up to seq), GET /healthz (?probe=live). See
+// extension; ?engine=cc is the same), POST /update, GET /stats
+// (q1Disagreements and q2Disagreements count what the background audit,
+// which checks the served answers against the batch engines, found up to
+// auditedSeq), GET /healthz (?probe=live). See
 // internal/server for the wire format, and cmd/ttcwal for offline
 // inspection of a -data-dir.
 package main

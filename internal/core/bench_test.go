@@ -50,7 +50,7 @@ func BenchmarkQ2Score(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := loadGraph(Part{Nodes: st}, st.Refs(), withLikes|withFriends)
+	g, err := loadGraph(Part{Nodes: st}, stateRefs(st), withLikes|withFriends)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,14 @@ import (
 	"repro/internal/model"
 )
 
+// stateRefs returns the refs that build st's current state, read through
+// a view released at once.
+func stateRefs(st *model.State) []model.Ref {
+	view, release := st.View()
+	defer release()
+	return view.Refs()
+}
+
 func TestLessOrdering(t *testing.T) {
 	cases := []struct {
 		name string
@@ -127,7 +135,7 @@ func TestQ1FriendshipOnlyUpdateKeepsTheAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewQ1Incremental()
-	if err := eng.Attach(Part{Nodes: st}, st.Refs()); err != nil {
+	if err := eng.Attach(Part{Nodes: st}, stateRefs(st)); err != nil {
 		t.Fatal(err)
 	}
 	first, err := eng.Initial()

@@ -14,7 +14,7 @@ import (
 // friendship but no likeless comment (the router parks those and ranks
 // them itself), so its comments get compact local indices in State order.
 func servedPart(st *model.State, query string) (Part, []model.Ref) {
-	refs := st.Refs()
+	refs := stateRefs(st)
 	if query == "Q1" {
 		return Part{Nodes: st}, refs
 	}

@@ -27,8 +27,9 @@ func (sp *Space) state(i int) int {
 
 // Nodes reads the id and timestamp of a State's posts and comments by
 // State index, the only fields an engine ranks by: the *model.State
-// itself, or a *model.Nodes prefix of it, which an engine applying on
-// another goroutine than the State's owner reads instead.
+// itself, or the *model.Nodes of a View of it, which an engine running on
+// another goroutine than the State's owner (the shard runtime's audit)
+// reads instead.
 type Nodes interface {
 	PostIDTime(i int) (model.ID, int64)
 	CommentIDTime(i int) (model.ID, int64)
@@ -101,7 +102,10 @@ func (a *standalone) Load(snap *model.Snapshot) error {
 		return err
 	}
 	a.st = st
-	return a.self.Attach(Part{Nodes: st}, st.Refs())
+	view, release := st.View()
+	refs := view.Refs()
+	release()
+	return a.self.Attach(Part{Nodes: st}, refs)
 }
 
 // Update implements Solution.

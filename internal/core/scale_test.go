@@ -57,7 +57,7 @@ func runUpdates(tb testing.TB, eng Engine, ds *model.Dataset, perUpdate bool) up
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := eng.Attach(Part{Nodes: st}, st.Refs()); err != nil {
+	if err := eng.Attach(Part{Nodes: st}, stateRefs(st)); err != nil {
 		tb.Fatal(err)
 	}
 	if _, err := eng.Initial(); err != nil {

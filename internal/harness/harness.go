@@ -59,28 +59,31 @@ func Factories(query string) map[string]Factory {
 	}
 }
 
-// ServedEngine names one engine the serving layer keeps warm: the key it
-// is served under over HTTP, the query it answers (which also selects the
+// ServedEngine names one engine of the serving lineup: the key it is
+// served under over HTTP, the query it answers (which also selects the
 // change stream it receives — "Q1" engines every change; "Q2" engines
 // every change but the comments nobody has liked yet, which the shard
-// router parks), its constructor, and, for an engine that verifies another
-// instead of serving on the commit path, that engine's key. Every engine
-// runs whole: a served one on one shard, chosen by its position among the
-// served engines, a verifying one on a goroutine of its own.
+// router parks), its constructor, and, for an entry that verifies
+// another, that engine's key. Every served engine runs whole on one
+// shard, chosen by its position among the served engines. internal/shard
+// runs no verifying entry: it serves the verified engine's answer under
+// the entry's key too, and checks the served answers with the batch
+// engines instead. perfbench times each entry's engine, the paper's Q2
+// included.
 type ServedEngine struct {
 	Key   string
 	Query string
 	New   func() core.Engine
-	// Verifies is the key of the engine this one cross-checks off the
-	// commit path (see internal/shard), or "" for an engine every commit
-	// waits for. A verifying engine is a Q2 engine.
+	// Verifies is the key of the engine this one cross-checks, whose
+	// answer the server also serves under Key, or "" for an engine every
+	// commit waits for. A verifying engine is a Q2 engine.
 	Verifies string
 }
 
-// ServedEngines returns the incremental engine lineup instantiated by
-// internal/shard and served by internal/server, in serving order: the
-// engines Factories names "incremental" and "incremental-cc". The paper's
-// Q2 engine verifies the CC extension, which serves Q2.
+// ServedEngines returns the incremental engine lineup of internal/shard
+// and internal/server, in serving order: the engines Factories names
+// "incremental" and "incremental-cc". The paper's Q2 engine verifies the
+// CC extension, which serves Q2.
 func ServedEngines() []ServedEngine {
 	return []ServedEngine{
 		{Key: "q1", Query: "Q1", New: func() core.Engine { return core.NewQ1Incremental() }},

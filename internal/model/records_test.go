@@ -36,17 +36,17 @@ func TestRebuiltRecordsEqualApply(t *testing.T) {
 	for i := range d.ChangeSets {
 		cs := &d.ChangeSets[i]
 		if i%2 == 0 {
-			before := st.Nodes()
+			before := nodesOf(st)
 			if _, err := st.Apply(append(slices.Clip(cs.Changes), duplicate)); err == nil {
 				t.Fatalf("change set %d with a duplicate post was accepted", i)
 			}
-			if err := sameIDTimes(&before, ref); err != nil {
+			if err := sameIDTimes(before, ref); err != nil {
 				t.Fatalf("change set %d, after the rollback: Nodes prefix: %v", i, err)
 			}
 			if _, err := st.Apply(cs.Changes); err != nil {
 				t.Fatalf("change set %d: %v", i, err)
 			}
-			if err := sameIDTimes(&before, ref); err != nil {
+			if err := sameIDTimes(before, ref); err != nil {
 				t.Fatalf("change set %d, after the apply: Nodes prefix taken before it: %v", i, err)
 			}
 		} else if _, err := st.Apply(cs.Changes); err != nil {
@@ -88,7 +88,9 @@ func sameRecords(st *model.State, want *model.Snapshot, fields *[2][]int64) erro
 	if posts != len(want.Posts) || comments != len(want.Comments) {
 		return fmt.Errorf("%d posts and %d comments, want %d and %d", posts, comments, len(want.Posts), len(want.Comments))
 	}
-	n := st.Nodes()
+	view, release := st.View()
+	defer release()
+	n := view.Nodes()
 	for i, p := range want.Posts {
 		if got := st.Post(i); got != p {
 			return fmt.Errorf("State.Post(%d) = %+v, want %+v", i, got, p)
@@ -105,11 +107,9 @@ func sameRecords(st *model.State, want *model.Snapshot, fields *[2][]int64) erro
 			return fmt.Errorf("Nodes.Comment(%d) = %+v, want %+v", i, got, c)
 		}
 	}
-	if err := sameIDTimes(&n, want); err != nil {
+	if err := sameIDTimes(n, want); err != nil {
 		return err
 	}
-	view, release := st.View()
-	defer release()
 	for f, count := range map[model.KeyKind]int{model.KeyPost: posts, model.KeyComment: comments} {
 		if got := view.Len(f); got != count {
 			return fmt.Errorf("family %d: the view holds %d entities, want %d", f, got, count)
@@ -121,6 +121,15 @@ func sameRecords(st *model.State, want *model.Snapshot, fields *[2][]int64) erro
 		}
 	}
 	return nil
+}
+
+// nodesOf returns the Nodes prefix of st's posts and comments now, through
+// a view it releases at once: no node is written in place, so the prefix
+// stays readable.
+func nodesOf(st *model.State) *model.Nodes {
+	view, release := st.View()
+	release()
+	return view.Nodes()
 }
 
 // sameIDTimes checks that the prefix n reads the id and timestamp of

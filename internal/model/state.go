@@ -31,11 +31,11 @@ import (
 // and a backward-shift deletion in the table: O(1), at the cost of edge
 // order. A friendship is keyed by its users' indices in ascending order.
 //
-// NewState fills the tables on every core (see there); Refs and View read
-// the edges back from the keys in key order.
+// NewState fills the tables on every core (see there); a View reads the
+// edges back from the keys in key order.
 //
-// A State is not safe for concurrent use, except that a View or Nodes may
-// be read by other goroutines while the owner keeps applying changes, and
+// A State is not safe for concurrent use, except that a View may be read
+// by other goroutines while the owner keeps applying changes, and
 // that other goroutines may read nodes (Post, Comment, PostIDTime,
 // CommentIDTime, Root, Counts) while the owner is not applying.
 type State struct {
@@ -294,33 +294,6 @@ func (st *State) Apply(changes []Change) ([]Ref, error) {
 	return st.refs, nil
 }
 
-// Refs returns the changes that build the current state from an empty one,
-// resolved, in the order NewState checks them: posts, users, comments,
-// friendships, likes. Edges come in key order, read from their keys, so
-// a friendship's users are in index order.
-func (st *State) Refs() []Ref {
-	np, nu, nc, nf := st.posts.Len(), st.users.Len(), st.comments.Len(), len(st.friends.keys)
-	refs := make([]Ref, np+nu+nc+nf+len(st.likes.keys))
-	for i := range refs[:np] {
-		refs[i] = Ref{Kind: KindAddPost, A: int32(i)}
-	}
-	for i := range refs[np : np+nu] {
-		refs[np+i] = Ref{Kind: KindAddUser, A: int32(i)}
-	}
-	for i := range st.commentRecs {
-		refs[np+nu+i] = Ref{Kind: KindAddComment, A: int32(i), B: st.commentRecs[i].root}
-	}
-	for i, k := range st.friends.keys {
-		a, b := unpack(k)
-		refs[np+nu+nc+i] = Ref{Kind: KindAddFriendship, A: a, B: b}
-	}
-	for i, k := range st.likes.keys {
-		u, c := unpack(k)
-		refs[np+nu+nc+nf+i] = Ref{Kind: KindAddLike, A: u, B: c}
-	}
-	return refs
-}
-
 // DropHeldAdds appends to dst the changes an engine of boolean matrices
 // needs to see and returns dst: every change except an AddLike or
 // AddFriendship of an edge that is present where the change stands in
@@ -405,9 +378,9 @@ func (st *State) CommentIDTime(i int) (ID, int64) {
 func (st *State) Root(i int) int { return int(st.commentRecs[i].root) }
 
 // Nodes is a fixed prefix of a State's posts and comments: the ones it
-// held when Nodes was called, read through the same arrays as the State.
-// Nodes are never removed or rewritten, so another goroutine may read it
-// while the State's owner keeps applying changes.
+// held when its View was taken, read through the same arrays as the
+// State. Nodes are never removed or rewritten, so another goroutine may
+// read it while the State's owner keeps applying changes.
 type Nodes struct {
 	postIDs, commentIDs []ID
 	postTimes           []int64
@@ -441,15 +414,6 @@ func (st *State) nodes() Nodes {
 	return Nodes{postIDs: st.posts.keys, commentIDs: st.comments.keys, postTimes: st.postTimes, commentRecs: st.commentRecs}
 }
 
-// Nodes returns the posts and comments the State holds now, in O(1): the
-// slice headers clamped to their length, so later appends stay invisible
-// to it. Unlike View it marks nothing shared: no node is ever written in
-// place.
-func (st *State) Nodes() Nodes {
-	n := st.nodes()
-	return Nodes{postIDs: clamp(n.postIDs), commentIDs: clamp(n.commentIDs), postTimes: clamp(n.postTimes), commentRecs: clamp(n.commentRecs)}
-}
-
 // clamp returns a's header with its capacity cut to its length, so later
 // appends to a stay invisible through it.
 func clamp[E any](a []E) []E { return a[:len(a):len(a)] }
@@ -457,7 +421,8 @@ func clamp[E any](a []E) []E { return a[:len(a):len(a)] }
 // View is a State's entities as View found them: its Nodes, the users'
 // ids and the two edge families' keys, each a clamped slice header. It
 // reads as a Snapshot does, through Len and AppendFields, which rebuild
-// each post and comment and resolve each edge key to its endpoints' ids.
+// each post and comment and resolve each edge key to its endpoints' ids,
+// and as the refs that build it, through Refs.
 type View struct {
 	nodes          Nodes
 	users          []ID
@@ -467,15 +432,47 @@ type View struct {
 // View returns the current state as a View in O(1), so later appends stay
 // invisible to it. Until release is called, the first edge removal copies
 // the key arrays instead of writing them under the view's reader. Call
-// release exactly once, from any goroutine, when the view is no longer
-// read.
+// release exactly once, from any goroutine, when the view's users and
+// edges are no longer read; its Nodes stay readable after release, since
+// no node is ever written in place.
 func (st *State) View() (view *View, release func()) {
 	st.shared = true
 	st.views.Add(1)
+	n := st.nodes()
 	return &View{
-		nodes: st.Nodes(), users: clamp(st.users.keys),
-		friends: clamp(st.friends.keys), likes: clamp(st.likes.keys),
+		nodes: Nodes{postIDs: clamp(n.postIDs), commentIDs: clamp(n.commentIDs), postTimes: clamp(n.postTimes), commentRecs: clamp(n.commentRecs)},
+		users: clamp(st.users.keys), friends: clamp(st.friends.keys), likes: clamp(st.likes.keys),
 	}, func() { st.views.Add(-1) }
+}
+
+// Nodes returns the view's posts and comments.
+func (v *View) Nodes() *Nodes { return &v.nodes }
+
+// Refs returns the changes that build the view's state from an empty one,
+// resolved, in the order NewState checks them: posts, users, comments,
+// friendships, likes. Edges come in key order, read from their keys, so
+// a friendship's users are in index order.
+func (v *View) Refs() []Ref {
+	np, nu, nc, nf := len(v.nodes.postIDs), len(v.users), len(v.nodes.commentRecs), len(v.friends)
+	refs := make([]Ref, np+nu+nc+nf+len(v.likes))
+	for i := range refs[:np] {
+		refs[i] = Ref{Kind: KindAddPost, A: int32(i)}
+	}
+	for i := range refs[np : np+nu] {
+		refs[np+i] = Ref{Kind: KindAddUser, A: int32(i)}
+	}
+	for i := range v.nodes.commentRecs {
+		refs[np+nu+i] = Ref{Kind: KindAddComment, A: int32(i), B: v.nodes.commentRecs[i].root}
+	}
+	for i, k := range v.friends {
+		a, b := unpack(k)
+		refs[np+nu+nc+i] = Ref{Kind: KindAddFriendship, A: a, B: b}
+	}
+	for i, k := range v.likes {
+		u, c := unpack(k)
+		refs[np+nu+nc+nf+i] = Ref{Kind: KindAddLike, A: u, B: c}
+	}
+	return refs
 }
 
 // Len returns the length of v's array of family f.

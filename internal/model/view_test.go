@@ -11,8 +11,8 @@ import (
 )
 
 // heldView is a view with the fields of each family as they were when it
-// was taken, and a Nodes prefix taken with it, with the id and timestamp
-// of each post and comment as they were.
+// was taken, and its Nodes prefix, with the id and timestamp of each post
+// and comment as they were.
 type heldView struct {
 	view    *model.View
 	want    [model.Families][]int64
@@ -22,10 +22,11 @@ type heldView struct {
 	wantPosts, wantComments []int64
 }
 
-// hold takes a view and a Nodes prefix of st and records what they read.
+// hold takes a view of st and records what it and its Nodes read.
 func hold(st *model.State) *heldView {
-	h := &heldView{nodes: st.Nodes()}
+	h := &heldView{}
 	h.view, h.release = st.View()
+	h.nodes = *h.view.Nodes()
 	for f := model.KeyKind(0); f < model.Families; f++ {
 		h.want[f] = h.view.AppendFields(nil, f, 0, h.view.Len(f))
 	}

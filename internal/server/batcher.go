@@ -100,7 +100,7 @@ func (s *Server) fill(first updateReq) []updateReq {
 // requests: the WAL append (honoring the fsync policy) and the commit
 // through the sharded runtime (whose barrier returns only once every shard
 // has applied its slice). Only when both have returned does it publish the
-// new snapshot, hand it to the verifier and answer the waiters. Rejected
+// new snapshot, offer it to the audit and answer the waiters. Rejected
 // requests get their error and do not reach any engine; accepted requests
 // only get nil after their batch is in the WAL *and* visible to readers on
 // all shards, so a waited update survives a crash the instant /update
@@ -157,8 +157,6 @@ func (s *Server) commit(batch []updateReq) {
 		}
 		return
 	}
-	// publish handed the commit to the verifier before the waiters are
-	// answered, which lets the scheduler run their handlers ahead of it.
 	for _, req := range accepted {
 		req.finish(nil)
 	}
@@ -186,12 +184,11 @@ func (s *Server) commit(batch []updateReq) {
 }
 
 // publish commits cs, which the State resolved to refs, through the
-// sharded runtime as batch seq, stores the result and hands it to the
-// verifier. A live commit passes logged, the result of the WAL append it
-// runs beside the apply: publish waits for it even when the apply failed,
-// and its error wins. WAL replay passes nil. The paper's Q2 checks the
-// published commit on a goroutine of its own; the hand-off blocks only
-// while it trails by the runtime's bound.
+// sharded runtime as batch seq, stores the result and offers it to the
+// runtime's audit, which takes it only when idle and never makes it wait.
+// A live commit passes logged, the result of the WAL append it runs beside
+// the apply: publish waits for it even when the apply failed, and its
+// error wins. WAL replay passes nil.
 func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref, logged <-chan error) error {
 	start := time.Now()
 	rec, err := s.rt.CommitRefs(refs)
@@ -205,14 +202,14 @@ func (s *Server) publish(seq int, cs *model.ChangeSet, refs []model.Ref, logged 
 		return fmt.Errorf("commit: %w", err)
 	}
 	s.store(seq, cs, rec, elapsed)
-	s.rt.Verify()
+	s.rt.Audit()
 	return nil
 }
 
 // store publishes rec, the runtime's Record after batch seq (cs), as the
 // new Snapshot, and records the update phase (apply took elapsed) with
 // it. It is the last step of both a live commit and WAL replay before the
-// verifier gets the batch.
+// audit is offered the batch.
 func (s *Server) store(seq int, cs *model.ChangeSet, rec *shard.Record, apply time.Duration) {
 	elapsed := durationMS(apply)
 	prev := s.snap.Load()
@@ -229,13 +226,12 @@ func (s *Server) store(seq int, cs *model.ChangeSet, rec *shard.Record, apply ti
 	s.stats.Updates.Count++
 	s.stats.Updates.Total += elapsed
 	s.stats.Updates.Last = elapsed
-	s.stats.VerifyQueue = s.rt.VerifyQueue()
-	s.stats.VerifyBlocked = durationMS(s.rt.VerifyBlocked())
 	s.mu.Unlock()
 }
 
-// replayWAL redoes the recovered log tail through the engines, the
-// verifier's included, before any queued request commits. Returns false
+// replayWAL redoes the recovered log tail through the served engines
+// before any queued request commits; the audits that follow check the
+// state it recovers, not each batch. Returns false
 // (leaving the server broken and not ready) if a recovered batch fails —
 // that means the durability directory disagrees with the base snapshot,
 // and serving writes on top would diverge. On success it writes a fresh
@@ -258,14 +254,7 @@ func (s *Server) replayWAL(batches []wal.Batch) bool {
 			return false
 		}
 	}
-	last := int(batches[len(batches)-1].Seq)
-	// Every recovered batch is checked by the paper's Q2 before the server
-	// reports ready.
-	if v := s.rt.Drain(); v.Err != nil {
-		s.setBroken(fmt.Errorf("wal replay: %w", v.Err))
-		return false
-	}
-	s.snapshotDurable(last)
+	s.snapshotDurable(int(batches[len(batches)-1].Seq))
 	s.mu.Lock()
 	s.replayDone = len(batches)
 	s.stats.Persist.Recovery.ReplayedBatches = len(batches)

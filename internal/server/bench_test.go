@@ -68,13 +68,14 @@ func BenchmarkReadMergeCached(b *testing.B) {
 // loads) and the slowest initial evaluation. Each engine evaluates as
 // soon as it has loaded, so load-ms + initial-ms can exceed the engines'
 // share of ns/op; shard.Start's refs and closing collection make up most
-// of the rest. verified-ms is the time from the start of New until the
-// paper's Q2, which loads after New returns, has checked Start's
-// evaluation: the end of start-up's background work. It also reports, as
-// live-MiB and goal-MiB, the heap live at the last collection once the
-// paper's Q2 has loaded (usually start-up's one, at the end of
-// shard.Start) and the heap goal the server then serves under: the
-// start-up rung of a peak-memory ladder below perfbench's server_rss_mb.
+// of the rest. audited-ms is the time from the start of New until the
+// first audit, which checks the base state after New returns, has
+// published: the end of start-up's background work, read by polling every
+// 50µs. It also reports, as live-MiB and goal-MiB, the heap live at the
+// last collection once that audit has run (usually start-up's one, at
+// the end of shard.Start) and the heap goal the server then serves under:
+// the start-up rung of a peak-memory ladder below perfbench's
+// server_rss_mb.
 func BenchmarkStartup(b *testing.B) {
 	for _, sf := range []int{32, 128} {
 		b.Run(fmt.Sprintf("sf%d", sf), func(b *testing.B) {
@@ -86,7 +87,7 @@ func BenchmarkStartup(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			var live, goal uint64
-			var verified time.Duration
+			var audited time.Duration
 			var steps [4]durationMS // read, state, load, initial
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
@@ -95,7 +96,10 @@ func BenchmarkStartup(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				verified += srv.rt.Verified().At(0, true).Published.Sub(start)
+				for srv.rt.Audited().Audits == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
+				audited += time.Since(start)
 				l, g := heapLiveAndGoal()
 				live, goal = live+l, goal+g
 				srv.mu.Lock()
@@ -110,7 +114,7 @@ func BenchmarkStartup(b *testing.B) {
 			for k, unit := range []string{"read-ms", "state-ms", "load-ms", "initial-ms"} {
 				b.ReportMetric(time.Duration(steps[k]).Seconds()*1e3/float64(b.N), unit)
 			}
-			b.ReportMetric(verified.Seconds()*1e3/float64(b.N), "verified-ms")
+			b.ReportMetric(audited.Seconds()*1e3/float64(b.N), "audited-ms")
 			b.ReportMetric(mib(live)/float64(b.N), "live-MiB")
 			b.ReportMetric(mib(goal)/float64(b.N), "goal-MiB")
 		})
@@ -122,66 +126,66 @@ const serverCommitSets = 2000
 
 // BenchmarkServerCommit is the server.commit rung: one waited in-process
 // Enqueue per change set of a fixed stream, the first serverCommitSets
-// (2,000) change sets of the datagen sf-32, seed-1 stream with 35%
-// removals, each committing alone, at 1 and 2 shards, without a WAL and
-// with one fsynced on every append. When b.N runs past the stream, the
-// server restarts from the same dataset, with a fresh WAL directory, off
-// the clock, so every -benchtime measures the same commits. After each
-// start the benchmark waits, off the clock too, until the paper's Q2 has
-// loaded, so no commit times the verifier's start-up. ns/commit is
-// the time from Enqueue to its return: validation, the WAL append beside
-// the engines' apply, publication and the hand-off to the verifier.
-// verify-block-ns/commit is the part of it the hand-offs spent waiting for
-// room in the verifier's queue (shard.Runtime.VerifyBlocked). Periodic
-// snapshots run at the default cadence, as in ttcserve. The rung below is
-// shard.Commit; perfbench's churn-durable-sf32 adds HTTP and concurrent
-// readers on top of the durable 2-shard case.
+// (2,000) change sets of the datagen seed-1 stream with 35% removals at
+// sf 32 and at sf 128, each committing alone, at 1 and 2 shards, without a
+// WAL and with one fsynced on every append. When b.N runs past the stream,
+// the server restarts from the same dataset, with a fresh WAL directory,
+// off the clock, so every -benchtime measures the same commits. ns/commit
+// is the time from Enqueue to its return: validation, the WAL append
+// beside the engines' apply, publication and the offer to the audit.
+// Each server's audits run beside the commits, its first on the base
+// state right after start-up; audits/op counts them per commit, so a
+// reader sees they ran. Periodic snapshots run at the default cadence, as
+// in ttcserve. The rung below is shard.Commit; perfbench's
+// churn-durable-sf32 adds HTTP and concurrent readers on top of the
+// durable 2-shard sf-32 case.
 func BenchmarkServerCommit(b *testing.B) {
-	d := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1, RemovalFraction: 0.35, ChangeSets: serverCommitSets})
-	for _, shards := range []int{1, 2} {
-		for _, durable := range []bool{false, true} {
-			name := fmt.Sprintf("shards%d/nowal", shards)
-			if durable {
-				name = fmt.Sprintf("shards%d/fsync-always", shards)
+	for _, sf := range []int{32, 128} {
+		d := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 1, RemovalFraction: 0.35, ChangeSets: serverCommitSets})
+		for _, shards := range []int{1, 2} {
+			for _, durable := range []bool{false, true} {
+				name := fmt.Sprintf("sf%d/shards%d/nowal", sf, shards)
+				if durable {
+					name = fmt.Sprintf("sf%d/shards%d/fsync-always", sf, shards)
+				}
+				b.Run(name, func(b *testing.B) {
+					var srv *Server
+					audits := 0
+					stop := func() {
+						srv.Close()
+						audits += srv.rt.Audited().Audits
+					}
+					start := func() {
+						cfg := Config{Dataset: d, Shards: shards}
+						if durable {
+							cfg.PersistDir = b.TempDir()
+							cfg.Fsync = wal.SyncAlways
+						}
+						var err error
+						if srv, err = New(cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+					start()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						k := i % len(d.ChangeSets)
+						if k == 0 && i > 0 {
+							b.StopTimer()
+							stop()
+							start()
+							b.StartTimer()
+						}
+						if err := srv.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
+							b.Fatalf("change set %d: %v", k, err)
+						}
+					}
+					b.StopTimer()
+					stop()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/commit")
+					b.ReportMetric(float64(audits)/float64(b.N), "audits/op")
+				})
 			}
-			b.Run(name, func(b *testing.B) {
-				var srv *Server
-				var blocked time.Duration
-				stop := func() {
-					srv.Close()
-					blocked += srv.rt.VerifyBlocked()
-				}
-				start := func() {
-					cfg := Config{Dataset: d, Shards: shards}
-					if durable {
-						cfg.PersistDir = b.TempDir()
-						cfg.Fsync = wal.SyncAlways
-					}
-					var err error
-					if srv, err = New(cfg); err != nil {
-						b.Fatal(err)
-					}
-					srv.rt.Verified().At(0, true)
-				}
-				start()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k := i % len(d.ChangeSets)
-					if k == 0 && i > 0 {
-						b.StopTimer()
-						stop()
-						start()
-						b.StartTimer()
-					}
-					if err := srv.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
-						b.Fatalf("change set %d: %v", k, err)
-					}
-				}
-				b.StopTimer()
-				stop()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/commit")
-				b.ReportMetric(float64(blocked.Nanoseconds())/float64(b.N), "verify-block-ns/commit")
-			})
 		}
 	}
 }

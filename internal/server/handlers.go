@@ -10,24 +10,21 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
 // The HTTP API:
 //
 //	GET  /query/q1            Q1 top-3 from the last committed snapshot
+//	                          (?engine=incremental is the same)
 //	GET  /query/q2            Q2 top-3 from the CC extension (?engine=cc is
-//	                          the same); ?engine=incremental answers from the
-//	                          paper's Q2 engine, which verifies it off the
-//	                          commit path, labelled with the seq it reached
-//	                          (it waits while that engine loads, after ready)
+//	                          the same); any other engine is answered 400
 //	POST /update              enqueue changes; {"wait":true} blocks to commit;
 //	                          a body outside the schema decodeUpdate lists
 //	                          (the form WireChange encodes) is answered
 //	                          400, a body over 1 MiB 413
 //	GET  /stats               per-phase latencies, engine sizes, queue depth,
-//	                          the Q2 cross-check (waits until it covers seq)
+//	                          the audit's last seq and disagreements
 //	GET  /healthz             readiness: 503 + JSON reason during startup
 //	                          WAL replay or after an engine failure, 200
 //	                          once committed snapshots are being served;
@@ -95,16 +92,6 @@ func (s *Server) handleQuery(query, key string) http.HandlerFunc {
 		switch e := r.URL.Query().Get("engine"); {
 		case e == "", e == "cc" && key == EngineQ2, e == "incremental" && key == EngineQ1:
 			// the served engine
-		case e == "incremental":
-			// the paper's Q2 engine, as its verifier last published it;
-			// while it loads, the check of Start's evaluation is awaited
-			v := s.rt.Verified().At(0, true)
-			if v.Commits < 0 {
-				httpError(w, http.StatusServiceUnavailable, "the paper's Q2 failed to load: %v", v.Err)
-				return
-			}
-			writeJSON(w, http.StatusOK, s.verifiedResponse(v))
-			return
 		default:
 			httpError(w, http.StatusBadRequest, "unknown engine %q for %s", e, query)
 			return
@@ -113,19 +100,6 @@ func (s *Server) handleQuery(query, key string) http.HandlerFunc {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(snap.queryBody(slot, query, engine))
-	}
-}
-
-// verifiedResponse is the paper's Q2 answer the verifier published in v,
-// labelled with the commit it reflects.
-func (s *Server) verifiedResponse(v *shard.Verified) queryResponse {
-	return queryResponse{
-		Query:   "Q2",
-		Engine:  EngineQ2,
-		Result:  v.Result,
-		Seq:     s.baseSeq + v.Commits,
-		Changes: s.baseChanges + v.Changes,
-		AsOf:    v.Published,
 	}
 }
 
@@ -181,20 +155,13 @@ type counters struct {
 	// initially evaluates it on its own goroutine, with no barrier
 	// between engines (see shard.Start): Load is the slowest engine's
 	// load, a Q2 engine's wait for the router included, and Initial the
-	// slowest initial evaluation. The paper's Q2, which verifies them,
-	// loads after both, while the server already serves, and is part of
-	// none.
+	// slowest initial evaluation. The first audit, which checks the base
+	// state, runs after both, while the server already serves, and is part
+	// of none.
 	Read    durationMS `json:"readMs"`
 	State   durationMS `json:"stateMs"`
 	Load    durationMS `json:"loadMs"`
 	Initial durationMS `json:"initialMs"`
-	// VerifyQueue is how many earlier commits waited for the verifier when
-	// this commit was published, and VerifyBlocked the total time commits
-	// had waited for room in its queue by then (shard.Runtime.VerifyQueue
-	// and VerifyBlocked). The first commits after a fresh start queue
-	// behind the verifier's load.
-	VerifyQueue   int        `json:"verifyQueue"`
-	VerifyBlocked durationMS `json:"verifyBlockedMs"`
 	// Updates aggregates the update+reevaluation phase of every committed
 	// batch (harness.Measurement's phase breakdown) in O(1) state, so a
 	// long-lived server never grows with commit count; Mean is derived
@@ -221,7 +188,8 @@ type persistCounters struct {
 	// ever lands), how many times a cadence point found an encode still in
 	// flight and left the one pending request that the first commit after
 	// that encode starts (cadence points reached while a request is
-	// already pending share it), and detaches removals forced.
+	// already pending share it), and detaches removals forced (under a
+	// snapshot's view, or an audit's while it reads its view into refs).
 	LastSnapshotStallNs int64 `json:"lastSnapshotStallNs"`
 	MaxSnapshotStallNs  int64 `json:"maxSnapshotStallNs"`
 	StreamedSnapshots   int   `json:"streamedSnapshots"`
@@ -264,16 +232,16 @@ type statsResponse struct {
 	Engines    map[string]core.EngineStats `json:"engines"`
 	Broken     string                      `json:"broken,omitempty"`
 
-	// Q2Disagreements counts the commits up to Q2VerifiedSeq where the
-	// paper's Q2 engine and the connected-components extension, which
-	// serves Q2, disagreed — continuous cross-validation in the spirit of
-	// ttcvalidate; anything nonzero is a bug. The paper's engine checks
-	// each commit off the commit path; /stats waits until it has reached
-	// Seq, unless the server is broken, so Q2VerifiedSeq equals Seq and
-	// engines.q2 is its state there. A broken server serves the last seq
-	// it reached: one below the base seq if the paper's Q2 failed to load.
+	// AuditedSeq is the seq of the last state the runtime's audit checked
+	// against the batch engines (see internal/shard), or one below the
+	// base seq before the first audit; it trails Seq, and /stats does not
+	// wait for it. Q1Disagreements and Q2Disagreements count the audits in
+	// which the served Q1 or Q2 answer differed from the batch engine's:
+	// continuous cross-validation in the spirit of ttcvalidate; anything
+	// nonzero is a bug.
+	AuditedSeq      int `json:"auditedSeq"`
+	Q1Disagreements int `json:"q1Disagreements"`
 	Q2Disagreements int `json:"q2Disagreements"`
-	Q2VerifiedSeq   int `json:"q2VerifiedSeq"`
 
 	// Shards reports each engine shard's apply latencies; ParkedComments
 	// counts the never-liked comments the router holds outside the Q2
@@ -331,20 +299,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The writer publishes each Snapshot and counts its commit under mu, so
-	// the two are read as one. The verifier checks only published commits,
-	// so its value read first is not past the Snapshot, and At finds its
-	// value at the Snapshot's commit; even a broken server waits for the
-	// verifier's load, which always ends.
-	v := s.rt.Verified().At(0, true)
+	// the two are read as one. The audit checks only published commits, so
+	// its value read first is not past the Snapshot.
+	a := s.rt.Audited()
 	s.mu.Lock()
 	snap := s.Snapshot()
 	c := s.stats
 	broken := s.brokenLocked()
 	s.mu.Unlock()
-	v = v.At(snap.Commits, broken == nil)
-	if broken == nil && v.Err != nil {
-		broken = s.brokenErr()
-	}
 
 	if c.Updates.Count > 0 {
 		c.Updates.Mean = durationMS(time.Duration(c.Updates.Total) / time.Duration(c.Updates.Count))
@@ -356,18 +318,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Inserts:        snap.Inserts,
 		Removals:       snap.Removals,
 		QueueDepth:     s.QueueDepth(),
-		Engines:        make(map[string]core.EngineStats, len(snap.Engines)+1),
+		Engines:        make(map[string]core.EngineStats, len(snap.Engines)),
 		Shards:         make([]shardStatsJSON, len(snap.Shards)),
 		ParkedComments: snap.ParkedComments,
 		Ready:          s.Ready(),
 
-		Q2Disagreements: v.Disagreements,
-		Q2VerifiedSeq:   s.baseSeq + v.Commits,
+		AuditedSeq:      a.Seq,
+		Q1Disagreements: a.Q1Disagreements,
+		Q2Disagreements: a.Q2Disagreements,
 	}
 	for _, e := range snap.Engines {
 		resp.Engines[e.Key] = e.EngineStats
 	}
-	resp.Engines[EngineQ2] = v.Engine
 	for i, st := range snap.Shards {
 		resp.Shards[i] = shardStatsJSON{Shard: i, Commits: st.Commits, Last: durationMS(st.Last), Mean: durationMS(st.Mean())}
 	}

@@ -19,14 +19,14 @@ func heapLiveAndGoal() (live, goal uint64) {
 }
 
 // TestStartupEndsOnTheServedHeap pins start-up's one collection, which
-// shard.Start runs before it starts the verifier, whose load of the
-// paper's Q2 ends after New has returned. Under GOGC=100 the pacer sets the next heap goal to about
-// twice the heap its last collection marked, so the first goal a server
-// runs under must come from the served state, not from start-up's
-// transients: the parsed dataset and the refs that built the engines.
-// Once the verifier has checked Start's evaluation on an sf-32 dataset
-// directory, the goal may be at most 2.25× the live heap a collection
-// then finds. Without that collection the goal comes from a cycle that
+// shard.Start runs before it starts the auditor, whose first audit ends
+// after New has returned. Under GOGC=100 the pacer sets the next heap
+// goal to about twice the heap its last collection marked, so the first
+// goal a server runs under must come from the served state, not from
+// start-up's transients: the parsed dataset and the refs that built the
+// engines. Once the first audit has checked the base state of an sf-32
+// dataset directory, the goal may be at most 2.25× the live heap a
+// collection then finds. Without that collection the goal comes from a cycle that
 // ran while the engines were loading.
 func TestStartupEndsOnTheServedHeap(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(100))
@@ -42,7 +42,7 @@ func TestStartupEndsOnTheServedHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.rt.Verified().At(0, true)
+	waitAudited(t, srv, 0)
 	_, goal := heapLiveAndGoal()
 	runtime.GC()
 	live, _ := heapLiveAndGoal()

@@ -143,7 +143,7 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 		}
 		snap := srv.Snapshot()
 		checkAgainstOracle(t, fmt.Sprintf("recovered (restart %d)", restarts), snap, k, oracleQ1, oracleQ2)
-		checkVerified(t, fmt.Sprintf("recovered (restart %d)", restarts), srv, k, oracleQ2)
+		checkAudits(t, fmt.Sprintf("recovered (restart %d)", restarts), srv)
 		if snap.Changes != wantChanges[k] {
 			t.Fatalf("recovered at seq %d with %d changes, want %d", k, snap.Changes, wantChanges[k])
 		}
@@ -159,7 +159,7 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 			k++
 			snap := srv.Snapshot()
 			checkAgainstOracle(t, "post-commit", snap, k, oracleQ1, oracleQ2)
-			checkVerified(t, "post-commit", srv, k, oracleQ2)
+			checkAudits(t, "post-commit", srv)
 			for key, want := range uninterrupted[k] {
 				if snap.Results[key] != want {
 					t.Fatalf("engine %s at seq %d: %q differs from uninterrupted run's %q",
@@ -187,7 +187,7 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 	defer srv.Close()
 	waitReady(t, srv)
 	checkAgainstOracle(t, "final restart", srv.Snapshot(), n, oracleQ1, oracleQ2)
-	checkVerified(t, "final restart", srv, n, oracleQ2)
+	checkAudits(t, "final restart", srv)
 	for key, want := range uninterrupted[n] {
 		if got := srv.Snapshot().Results[key]; got != want {
 			t.Fatalf("final engine %s: %q differs from uninterrupted run's %q", key, got, want)
@@ -906,12 +906,10 @@ func TestRecoveryCloseWritesNoSnapshot(t *testing.T) {
 	}
 }
 
-// queryPaths are every query endpoint: the three served answers and the
-// paper's Q2 as its verifier last published it.
-var queryPaths = []string{"/query/q1", "/query/q2", "/query/q2?engine=cc", "/query/q2?engine=incremental"}
+// queryPaths are every query endpoint: the three served answers.
+var queryPaths = []string{"/query/q1", "/query/q2", "/query/q2?engine=cc"}
 
-// servedViews fetches every read endpoint's body: /stats, which returns
-// once the verifier has checked the published seq, then the query
+// servedViews fetches every read endpoint's body: /stats, then the query
 // answers.
 func servedViews(t *testing.T, base string) map[string]string {
 	t.Helper()
@@ -950,12 +948,13 @@ func writerAwaitsWAL() bool {
 
 // TestNothingPublishedBeforeDurable holds a commit's WAL step after the
 // engines have applied the batch: until the step returns, the published
-// Snapshot, every /query answer (the verifier's paper-Q2 answer included)
-// and /stats must still show the previous commit, and the waited Enqueue
-// must not return. Released, the commit is published. A writer that
-// published, or handed the batch to the verifier, before joining the WAL
-// step fails here. The verifier's goroutine parks in internal/shard, so
-// the goroutine dump still finds the writer alone at the join.
+// Snapshot, every /query answer and /stats must still show the previous
+// commit, and the waited Enqueue must not return. Released, the commit is
+// published. A writer that published, or offered the batch to the audit,
+// before joining the WAL step fails here. The first audit is held
+// throughout, so no audit moves /stats' figures and none is offered the
+// batch; the auditor's goroutine parks in internal/shard, so the
+// goroutine dump still finds the writer alone at the join.
 func TestNothingPublishedBeforeDurable(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -969,6 +968,7 @@ func testNothingPublishedBeforeDurable(t *testing.T, shards int) {
 	var hold atomic.Bool
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	audit, audited, releaseAudit := holdAudit(0)
 	srv, err := New(Config{
 		Dataset:       d,
 		Shards:        shards,
@@ -981,11 +981,14 @@ func testNothingPublishedBeforeDurable(t *testing.T, shards int) {
 				<-release
 			}
 		},
+		auditHook: audit,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	defer releaseAudit()
+	<-audited
 	// Released before Close on every path, so a failing check cannot leave
 	// the writer parked on the held step.
 	var releaseOnce sync.Once
@@ -1038,12 +1041,16 @@ func testNothingPublishedBeforeDurable(t *testing.T, shards int) {
 	if got := srv.Snapshot().Results[EngineQ1]; got != oracleQ1[2] {
 		t.Fatalf("Q1 after release %q, oracle %q", got, oracleQ1[2])
 	}
+	if a := srv.rt.Audited(); a.Audits != 0 {
+		t.Fatalf("audited %+v while the first audit is held", *a)
+	}
 }
 
 // TestWALFailureLeavesServerBroken closes the server's log under it, so the
 // next commit's append fails while the engines apply the batch. The waited
 // /update must get 503 (ErrBroken) and nothing may be published: seq,
-// every answer and /stats (apart from its broken field) stay as they were.
+// every answer and /stats (apart from its broken field) stay as they were;
+// the first audit is held throughout, so no audit moves /stats' figures.
 // A restart from the directory must serve exactly the durable prefix.
 func TestWALFailureLeavesServerBroken(t *testing.T) {
 	for _, shards := range []int{1, 2} {
@@ -1064,10 +1071,15 @@ func testWALFailureLeavesServerBroken(t *testing.T, shards int) {
 		Fsync:         wal.SyncAlways,
 		SnapshotEvery: -1,
 	}
-	srv, err := New(cfg)
+	audit, audited, releaseAudit := holdAudit(0)
+	defer releaseAudit()
+	held := cfg
+	held.auditHook = audit
+	srv, err := New(held)
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-audited
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	const k = 3
@@ -1112,6 +1124,7 @@ func testWALFailureLeavesServerBroken(t *testing.T, shards int) {
 	if !reflect.DeepEqual(statsBefore, statsAfter) {
 		t.Errorf("/stats changed after the failed append:\nbefore %s\nafter  %s", before["/stats"], after["/stats"])
 	}
+	releaseAudit()
 	srv.Close()
 
 	srv2, err := New(cfg)

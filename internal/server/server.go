@@ -22,13 +22,11 @@
 // and fsync run alongside that apply, and publication waits for both: a
 // batch is durable before it is published or acknowledged, and a commit's
 // latency is the longer of the two steps rather than their sum. Once
-// published, the batch goes to the paper's Q2 engine, which verifies the
-// served Q2 answer on a goroutine of its own, a bounded number of commits
-// behind. That engine loads on its goroutine too, and New does not wait
-// for it: start-up waits only for the served engines, and the first
-// commits queue behind the verifier's load. Read path: an atomic pointer
-// load merging nothing at all — answers were merged with the parked
-// comments at commit time.
+// published, the batch is offered to the runtime's audit, which takes it
+// only when idle and checks the served answers against the batch engines
+// on a goroutine of its own; no commit or read waits for it. Read path:
+// an atomic pointer load merging nothing at all — answers were merged
+// with the parked comments at commit time.
 package server
 
 import (
@@ -46,12 +44,11 @@ import (
 	"repro/internal/wal"
 )
 
-// Engine keys served by the query endpoints. /query/q2 serves q2cc's
-// answer, which the paper's Q2 engine verifies commit by commit off the
-// commit path (see internal/shard); ?engine=incremental reads the latter.
+// Engine keys of the served answers. /query/q2 serves q2cc's answer, and
+// each Snapshot also carries it under EngineQ2, the paper's Q2 key.
 const (
 	EngineQ1   = "q1"   // GraphBLAS Incremental, Q1
-	EngineQ2   = "q2"   // GraphBLAS Incremental, Q2 (the verifier)
+	EngineQ2   = "q2"   // Q2: q2cc's answer
 	EngineQ2CC = "q2cc" // incremental connected components, Q2
 )
 
@@ -112,16 +109,16 @@ type Config struct {
 	// snapshotChunkHook observes every flushed chunk; batchHook sees each
 	// batch the writer closes, before it commits; walHook runs at the start
 	// of each commit's WAL step, before the append, and holds that step
-	// while it blocks; verifyHook is shard.Start's onVerify — test
+	// while it blocks; auditHook is shard.Start's onAudit — test
 	// hooks (same package only) for pinning down compaction, encode/commit,
-	// batching, append/publish and verifier interleavings.
+	// batching, append/publish and audit interleavings.
 	queueDepth         int
 	segmentBytes       int64
 	snapshotChunkBytes int
 	snapshotChunkHook  func(written int)
 	batchHook          func(batch []updateReq)
 	walHook            func()
-	verifyHook         func(commits int) error
+	auditHook          func(seq int) error
 }
 
 func (c Config) withDefaults() Config {
@@ -181,13 +178,10 @@ type Server struct {
 	changeSets []model.ChangeSet
 
 	// rt owns the engines: the served engines, placed on its shards, and
-	// the verifier, the one goroutine it keeps running. Only the batching
+	// the auditor, the one goroutine it keeps running. Only the batching
 	// goroutine commits through it; readers see its figures only through
-	// the published Snapshot and the verifier's published values.
+	// the published Snapshot and the auditor's published values.
 	rt *shard.Runtime
-	// baseSeq and baseChanges are the position of the state the runtime
-	// started on: a Snapshot's Seq is baseSeq plus its Record's Commits.
-	baseSeq, baseChanges int
 
 	snap atomic.Pointer[Snapshot]
 
@@ -249,11 +243,11 @@ type Server struct {
 
 // New builds the serving state, warms the served engines through their
 // Load and Initial phases, publishes the base snapshot, and starts the
-// writer; the paper's Q2, which verifies the served Q2 engine, loads in
-// the background (see shard.Start), so ?engine=incremental and /stats
-// wait for it at first. The base state is validated before any engine
-// loads; a state that fails validation is never served: New returns the
-// validation error, which wraps model.ErrIntegrity.
+// writer; the runtime's first audit checks the base state in the
+// background (see shard.Start), and nothing waits for it. The base state
+// is validated before any engine loads; a state that fails validation is
+// never served: New returns the validation error, which wraps
+// model.ErrIntegrity.
 //
 // Without persistence the base state is the configured dataset (loaded or
 // generated). With Config.PersistDir the durability directory decides: a
@@ -326,11 +320,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	changeSets := d.ChangeSets
 	rec.Snapshot, cfg.Dataset = nil, nil
-	// The kernels run on one thread: the shards and the verifier already
-	// run side by side on their own goroutines, a commit's work is O(Δ),
-	// and a second thread did not speed up the verifier at sf 32 or 128.
+	baseSeq, baseChanges := 0, 0
+	if rec.HasSnapshot {
+		baseSeq, baseChanges = int(rec.SnapshotSeq), int(rec.SnapshotMeta)
+	}
+	// The kernels run on one thread: the shards and the audit already run
+	// side by side on their own goroutines, and a commit's work is O(Δ).
 	grb.SetThreads(1)
-	rt, err := shard.Start(cfg.Shards, state, cfg.verifyHook)
+	rt, err := shard.Start(cfg.Shards, state, baseSeq, cfg.auditHook)
 	if err != nil {
 		closeWAL()
 		return nil, fmt.Errorf("server: %w", err)
@@ -350,18 +347,12 @@ func New(cfg Config) (*Server, error) {
 	s.stats.Load = durationMS(rt.LoadDuration())
 	s.stats.Initial = durationMS(rt.InitialDuration())
 
-	baseSeq, baseChanges := 0, 0
 	if s.wal != nil {
-		if rec.HasSnapshot {
-			baseSeq = int(rec.SnapshotSeq)
-			baseChanges = int(rec.SnapshotMeta)
-		}
 		s.stats.Persist.Recovered = rec.HasSnapshot
 		s.stats.Persist.Recovery.SnapshotSeq = baseSeq
 		s.stats.Persist.Recovery.TruncatedBytes = rec.TruncatedBytes
 		s.replayTotal = len(rec.Batches)
 	}
-	s.baseSeq, s.baseChanges = baseSeq, baseChanges
 
 	s.snap.Store(&Snapshot{
 		Seq:     baseSeq,
@@ -446,7 +437,7 @@ var ErrBroken = errors.New("server: engines failed")
 func (s *Server) QueueDepth() int { return len(s.updates) }
 
 // Close stops the batching goroutine after it drains the queue, then stops
-// the runtime's verifier. Pending waiters are answered (committed requests
+// the runtime's auditor. Pending waiters are answered (committed requests
 // with nil, the rest with an error); subsequent Enqueue calls return
 // ErrClosed.
 //
@@ -547,11 +538,11 @@ func (s *Server) brokenErr() error {
 	return s.brokenLocked()
 }
 
-// brokenLocked returns the first engine failure: a commit's, or the
-// verifier's, which it records on first sight. s.mu must be held.
+// brokenLocked returns the first engine failure: a commit's, or an
+// audit's, which it records on first sight. s.mu must be held.
 func (s *Server) brokenLocked() error {
 	if s.broken == nil {
-		if err := s.rt.Verified().Err; err != nil {
+		if err := s.rt.Audited().Err; err != nil {
 			s.broken = err
 		}
 	}

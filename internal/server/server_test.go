@@ -184,10 +184,10 @@ func testServeConcurrentReadsWithOracle(t *testing.T, shards int) {
 	if st.Seq != len(d.ChangeSets) || st.Updates.Count != len(d.ChangeSets) {
 		t.Errorf("stats: seq=%d updates=%d, want %d", st.Seq, st.Updates.Count, len(d.ChangeSets))
 	}
-	if st.Q2Disagreements != 0 {
-		t.Errorf("Q2 engines disagreed on %d commits", st.Q2Disagreements)
+	if st.Q1Disagreements+st.Q2Disagreements != 0 {
+		t.Errorf("audits disagreed with the served answers: q1 %d, q2 %d", st.Q1Disagreements, st.Q2Disagreements)
 	}
-	if st.Engines[EngineQ1].NNZ == 0 || st.Engines[EngineQ2].NNZ == 0 || st.Engines[EngineQ2CC].NNZ == 0 {
+	if st.Engines[EngineQ1].NNZ == 0 || st.Engines[EngineQ2CC].NNZ == 0 {
 		t.Errorf("engine stats missing nnz: %+v", st.Engines)
 	}
 	if len(st.Shards) != shards {
@@ -539,9 +539,9 @@ func TestCloseRejectsWrites(t *testing.T) {
 	}
 }
 
-// TestStatsReportPendingTuples: after a waited update the matrix engines
-// hold pending tuples, and /stats must report them — reading engine stats
-// must not assemble the matrices first.
+// TestStatsReportPendingTuples: after a waited update the matrix engine
+// (q1) holds pending tuples, and /stats must report them — reading engine
+// stats must not assemble the matrices first.
 func TestStatsReportPendingTuples(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 3})
 	srv, err := New(Config{Dataset: d, FlushInterval: time.Millisecond})
@@ -563,9 +563,7 @@ func TestStatsReportPendingTuples(t *testing.T) {
 	}
 	var st statsResponse
 	getJSON(t, ts.URL+"/stats", &st)
-	for _, key := range []string{EngineQ1, EngineQ2} {
-		if st.Engines[key].Pending == 0 {
-			t.Errorf("/stats engines.%s.pending = 0 after a waited update: %+v", key, st.Engines[key])
-		}
+	if st.Engines[EngineQ1].Pending == 0 {
+		t.Errorf("/stats engines.%s.pending = 0 after a waited update: %+v", EngineQ1, st.Engines[EngineQ1])
 	}
 }

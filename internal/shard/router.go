@@ -11,9 +11,7 @@ import (
 // the State resolved it, in State indices; they keep no friendship matrix.
 //
 // Q2 (influential comments) engines receive every post, user and
-// friendship as it arrives, and the verifier (verify.go) feeds the paper's
-// Q2 the same stream, a few commits later. Comments with no likes are the
-// exception: they score exactly 0, so the router parks them locally and
+// friendship as it arrives. Comments with no likes are the exception: they score exactly 0, so the router parks them locally and
 // ranks the parked set as one more (virtual) partition at merge time. A
 // parked comment reaches the Q2 engines at its first like (or unlike), as
 // a synthetic AddComment prepended to that change.
@@ -47,7 +45,7 @@ type router struct {
 }
 
 // newRouter parks the likeless comments of st, whose resolved contents
-// are refs (st.Refs()), and returns the router with the refs that build
+// are refs (a View's Refs), and returns the router with the refs that build
 // the Q2 engines, in their indices.
 func newRouter(st *model.State, refs []model.Ref) (r *router, q2 []model.Ref) {
 	_, nc, _ := st.Counts()

@@ -10,6 +10,14 @@ import (
 	"repro/internal/model"
 )
 
+// stateRefs returns the refs that build st's current state, read through
+// a view released at once.
+func stateRefs(st *model.State) []model.Ref {
+	view, release := st.View()
+	defer release()
+	return view.Refs()
+}
+
 // TestRouterParkedCommentLifecycle is the direct unit test of the router's
 // parked-comment lifecycle: a likeless comment reaches no Q2 engine — it
 // parks at the router and ranks through parkedTopK as a virtual partition —
@@ -29,7 +37,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, q2 := newRouter(st, st.Refs())
+	r, q2 := newRouter(st, stateRefs(st))
 
 	// Initial analysis: the likeless comment parked, the liked one did not.
 	if !isParked(r, 11) {
@@ -114,7 +122,7 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := newRouter(st, st.Refs())
+	r, _ := newRouter(st, stateRefs(st))
 	for step := 0; step < 5000; step++ {
 		switch {
 		case len(live) == 0 || rng.Intn(100) < 45:

@@ -23,21 +23,17 @@
 // every other hosting shard's on a goroutine started for the commit, and
 // returns only once each has applied it — so a committed change set is
 // visible in every engine at once and a serving layer's wait=1 keeps
-// meaning "globally visible". The paper's Q2 engine is not served: it
-// verifies the CC extension, which serves Q2, off the barrier (see
-// verify.go). It loads on a goroutine of its own, which Start does not
-// wait for, so start-up waits only for the served engines; Verify hands
-// it each commit once the commit is published, and it checks Start's
-// evaluation and then every commit, at most verifyDepth commits behind.
-// The verifier's is the only goroutine that outlives a call.
+// meaning "globally visible". Off the commit path, an audit checks the
+// served answers against the batch engines (see audit.go): Audit offers
+// it each published commit, and it takes one whenever it is idle and
+// rested. The auditor's is the only goroutine that outlives a call.
 //
 // What the Runtime exposes is one immutable Record per commit (and one
 // from New): the merged answers, the served engines' size totals, each
 // shard's apply statistics and the parked-comment count, all as of that
-// commit; and, from the verifier, one immutable Verified per verified
-// commit. There is no live accessor beside them, so a layer that
-// publishes the Record with its commit never serves figures of two
-// different commits.
+// commit; and, from the auditor, one immutable Audited per audit. There
+// is no live accessor beside them, so a layer that publishes the Record
+// with its commit never serves figures of two different commits.
 package shard
 
 import (
@@ -78,14 +74,14 @@ type Record struct {
 	// Start's own.
 	Commits int
 	// Results maps engine key to the merged global top-3 ("id|id|id"). A
-	// verifying engine's key maps to the answer of the engine it verifies,
+	// verifying engine's key (harness.ServedEngine.Verifies), whose engine
+	// the runtime does not run, maps to the answer of the engine it names,
 	// which serves its query. A Record shares the previous Record's map
 	// when no answer changed.
 	Results map[string]string
 	// Engines holds every served engine's state sizes, in lineup order.
 	// Each served engine runs whole on one shard, so its sizes do not
-	// depend on the shard count. The verifying engine's sizes are in its
-	// Verified.
+	// depend on the shard count.
 	Engines []EngineTotals
 	// Shards holds each shard's apply statistics, indexed by shard.
 	Shards []Stats
@@ -132,8 +128,7 @@ func (e *served) sizes() {
 // answer is an engine's answer merged with the parked (likeless,
 // zero-scoring) comments, a virtual partition, and its string. It is the
 // one parked-merge rule: the runtime keeps one per served engine (a
-// Q1-family engine merges no parked comment) and the verifier one for its
-// engine.
+// Q1-family engine merges no parked comment).
 type answer struct {
 	merge *core.Ranker // reused: one merge per engine per commit
 	ids   core.Result
@@ -171,15 +166,14 @@ type lane struct {
 }
 
 // Runtime is the sharded engine runtime over a model.State. Start loads
-// the served engines and starts the verifier, which loads its own engine
-// without Start waiting for it; CommitRefs routes and applies one change
-// set the State has resolved, with a global barrier, and returns the
-// merged Record, and Verify hands the commit to the verifier. Start and
-// every commit build the Record on the committing goroutine, which alone
-// may commit, verify, call Record and apply changes to the State; a
-// Record itself is immutable and safe to share. The engines read ids back
-// through the State, so its owner must not apply changes while a commit
-// runs.
+// the served engines and starts the auditor; CommitRefs routes and
+// applies one change set the State has resolved, with a global barrier,
+// and returns the merged Record, and Audit offers the commit to the
+// auditor. Start and every commit build the Record on the committing
+// goroutine, which alone may commit, audit, call Record and apply changes
+// to the State; a Record itself is immutable and safe to share. The
+// engines read ids back through the State, so its owner must not apply
+// changes while a commit runs.
 type Runtime struct {
 	st     *model.State
 	router *router
@@ -187,22 +181,22 @@ type Runtime struct {
 	// engine i runs on shard i mod len(lanes).
 	engines []served
 	lanes   []lane
-	ver     *verifier
+	// aliases are the lineup's verifying engines, which the runtime does
+	// not run: each Record maps their keys to the answers they name.
+	aliases []harness.ServedEngine
+	aud     *auditor
 
 	loadDur    time.Duration
 	initialDur time.Duration
 
 	// applies joins the applies of the shards past 0 in a commit. commits
 	// and changes count what has been committed since Start; parked is the
-	// parked comments' top-3 as of the last commit; pending marks a commit
-	// not yet handed to the verifier; verifyBlocked is the time Verify
-	// waited for the verifier's queue. rec is the Record of the last
-	// commit. All but applies are owned by the committing goroutine.
+	// parked comments' top-3 as of the last commit; rec is the Record of
+	// the last commit. All but applies are owned by the committing
+	// goroutine.
 	applies          sync.WaitGroup
 	commits, changes int
 	parked           core.Result
-	pending          bool
-	verifyBlocked    time.Duration
 	rec              *Record
 
 	closeOnce sync.Once
@@ -219,11 +213,11 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	return Start(n, st, nil)
+	return Start(n, st, 0, nil)
 }
 
 // Start places the served engines on n shards, loads and initially
-// evaluates each of them on st, and starts the verifier. Start-up must
+// evaluates each of them on st, and starts the auditor. Start-up must
 // read the whole graph, so each served engine loads and then initially
 // evaluates on its own goroutine, with no barrier between the two: q1's
 // starts as soon as st's refs are built, while the calling goroutine
@@ -232,40 +226,41 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 // engine's load (its wait for the router included) and the slowest
 // initial evaluation. Start then collects once, so the server starts
 // under a heap goal of twice the served state, not twice start-up's peak.
-// The verifier loads and initially evaluates the paper's Q2 on its own
-// goroutine after that, and Start returns without waiting for it (see
-// Verified). On error Start returns the first failing engine's error, in
-// lineup order, once every engine's goroutine has ended, so no goroutine
-// is left running.
+// It then starts the auditor and offers it Start's state, and returns
+// without waiting for that audit. On error Start returns the first failing
+// engine's error, in lineup order, once every engine's goroutine has
+// ended, so no goroutine is left running.
 //
-// onVerify, when not nil, runs on the verifier before it checks each
-// commit, with the commit's count since Start: 0 before it loads, to
-// check Start's evaluation. An error it returns fails that check as an
-// engine error would. It is a test hook: it holds or fails the verifier.
-func Start(n int, st *model.State, onVerify func(commits int) error) (*Runtime, error) {
-	return start(n, st, harness.ServedEngines(), onVerify)
+// base is st's seq: the auditor labels each state it checks with base
+// plus the commits since Start. onAudit, when not nil, runs on the auditor
+// at the start of each audit, with the seq it checks, and the auditor
+// then does not rest between audits. An error it returns fails that audit
+// as an engine error would. It is a test hook: it holds, fails or paces
+// the audits.
+func Start(n int, st *model.State, base int, onAudit func(seq int) error) (*Runtime, error) {
+	return start(n, st, base, harness.ServedEngines(), onAudit)
 }
 
 // start is Start with the engine lineup as a parameter.
-func start(n int, st *model.State, lineup []harness.ServedEngine, onVerify func(commits int) error) (*Runtime, error) {
+func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAudit func(seq int) error) (*Runtime, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
 	}
 	rt := &Runtime{st: st, lanes: make([]lane, n)}
-	verifier := -1 // its place in the lineup
-	for k, e := range lineup {
-		if e.Verifies == "" {
-			slot := len(rt.engines)
-			rt.engines = append(rt.engines, served{ServedEngine: e, eng: e.New(), shard: slot % n})
-		} else if verifier < 0 && e.Query == "Q2" {
-			verifier = k
+	var audited []harness.ServedEngine
+	for _, e := range lineup {
+		if e.Verifies != "" {
+			rt.aliases = append(rt.aliases, e)
+			continue
 		}
-	}
-	if verifier < 0 {
-		return nil, fmt.Errorf("shard: the lineup has no verifying Q2 engine")
+		slot := len(rt.engines)
+		rt.engines = append(rt.engines, served{ServedEngine: e, eng: e.New(), shard: slot % n})
+		audited = append(audited, e)
 	}
 
-	refs := st.Refs()
+	view, release := st.View()
+	refs := view.Refs()
+	release()
 	begin := time.Now()
 	var q2Refs []model.Ref
 	routed := make(chan struct{}) // closed once rt.router and q2Refs are set
@@ -309,16 +304,14 @@ func start(n int, st *model.State, lineup []harness.ServedEngine, onVerify func(
 	for k := range rt.engines {
 		rt.loadDur, rt.initialDur = max(rt.loadDur, loads[k]), max(rt.initialDur, initials[k])
 	}
-	rt.ver = newVerifier(lineup[verifier], st, rt.router, onVerify)
 	rt.rec = rt.record()
 	// The last collection ran while the served engines loaded, and the
 	// pacer sets the next heap goal to twice what a collection leaves. One
 	// collection now, with the refs that built them garbage, sets it to
-	// twice the served state instead, and the verifier's engine loads
-	// under that goal. It runs before the verifier starts, so it does not
-	// mark the verifier's load.
+	// twice the served state instead, before the server serves.
 	runtime.GC()
-	rt.ver.start(rt, q2Refs)
+	rt.aud = newAuditor(base, audited, onAudit)
+	rt.Audit()
 	return rt, nil
 }
 
@@ -364,7 +357,7 @@ func (rt *Runtime) applyJoined(s int, refs, q2 []model.Ref) {
 }
 
 // Commit applies cs to the runtime's State, commits the resolved changes
-// (see CommitRefs) and hands the commit to the verifier (see Verify). A
+// (see CommitRefs) and offers the commit to the auditor (see Audit). A
 // change set the State rejects changes nothing, and its error wraps
 // model.ErrIntegrity.
 func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
@@ -376,7 +369,7 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt.Verify()
+	rt.Audit()
 	return rec, nil
 }
 
@@ -384,13 +377,11 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
 // applies it to the served engines and returns the merged Record. Shard
 // 0's engines apply on the committing goroutine, and every other hosting
 // shard's on a goroutine started for the commit; CommitRefs returns only
-// once each has applied (the commit barrier). The verifier sees the commit
-// once Verify hands it over; a commit not yet handed over goes first. On
-// error the runtime must be considered diverged: some engines may have
-// applied the change set while another failed. Callers should stop
-// committing (the serving layer turns this into its broken state).
+// once each has applied (the commit barrier). On error the runtime must
+// be considered diverged: some engines may have applied the change set
+// while another failed. Callers should stop committing (the serving layer
+// turns this into its broken state).
 func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
-	rt.Verify()
 	q2 := rt.router.route(refs)
 	// Shards beyond the lineup host nothing.
 	hosting := min(len(rt.lanes), len(rt.engines))
@@ -407,7 +398,6 @@ func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
 	}
 	rt.commits++
 	rt.changes += len(refs)
-	rt.pending = true
 	rt.rec = rt.record()
 	return rt.rec, nil
 }
@@ -444,11 +434,13 @@ func (rt *Runtime) record() *Record {
 		rec.Shards[s] = rt.lanes[s].Stats
 	}
 	if changed {
-		rec.Results = make(map[string]string, len(rt.engines)+1)
+		rec.Results = make(map[string]string, len(rt.engines)+len(rt.aliases))
 		for i := range rt.engines {
 			rec.Results[rt.engines[i].Key] = rt.engines[i].ans.str
 		}
-		rec.Results[rt.ver.key] = rec.Results[rt.ver.verifies]
+		for _, a := range rt.aliases {
+			rec.Results[a.Key] = rec.Results[a.Verifies]
+		}
 	} else {
 		rec.Results = rt.rec.Results
 	}
@@ -457,15 +449,14 @@ func (rt *Runtime) record() *Record {
 
 // LoadDuration is the slowest served engine's load in Start, from the
 // moment the State's refs are built until its Attach returns: a Q2
-// engine's wait for the router is part of it. The verifier's load is not.
+// engine's wait for the router is part of it.
 func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 
 // InitialDuration is the slowest served engine's initial evaluation in
 // Start.
 func (rt *Runtime) InitialDuration() time.Duration { return rt.initialDur }
 
-// Close stops the verifier once it has loaded and drained its queue; a
-// commit not yet handed to the verifier stays unverified. Idempotent.
+// Close stops the auditor once a running audit ends. Idempotent.
 func (rt *Runtime) Close() {
-	rt.closeOnce.Do(rt.ver.stop)
+	rt.closeOnce.Do(rt.aud.close)
 }

@@ -209,9 +209,9 @@ func newCheckedRuntime(t testing.TB, n int, snap *model.Snapshot) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, q2 := newRouter(st, st.Refs())
+	r, q2 := newRouter(st, stateRefs(st))
 	checkInitial(t, r, snap, q2)
-	rt, err := Start(n, st, nil)
+	rt, err := Start(n, st, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
