@@ -50,7 +50,9 @@ func BenchmarkQ2Score(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := loadGraph(Part{Nodes: st}, stateRefs(st), withLikes|withFriends)
+	view, release := st.View()
+	g, err := loadGraph(Part{Nodes: st}, view, withLikes|withFriends)
+	release()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,12 +8,15 @@ import (
 	"repro/internal/model"
 )
 
-// stateRefs returns the refs that build st's current state, read through
-// a view released at once.
-func stateRefs(st *model.State) []model.Ref {
+// attach attaches eng to p, a part of st, from a View of st released once
+// Attach returns.
+func attach(tb testing.TB, eng Engine, p Part, st *model.State) {
+	tb.Helper()
 	view, release := st.View()
 	defer release()
-	return view.Refs()
+	if err := eng.Attach(p, view); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 func TestLessOrdering(t *testing.T) {
@@ -135,9 +138,7 @@ func TestQ1FriendshipOnlyUpdateKeepsTheAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewQ1Incremental()
-	if err := eng.Attach(Part{Nodes: st}, stateRefs(st)); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, eng, Part{Nodes: st}, st)
 	first, err := eng.Initial()
 	if err != nil {
 		t.Fatal(err)

@@ -91,10 +91,13 @@ func assertCCScores(t *testing.T, cc *Q2IncrementalCC, step string, want map[mod
 
 // commentIndex maps every comment id of st to its index.
 func commentIndex(st *model.State) map[model.ID]int {
-	_, nc, _ := st.Counts()
+	view, release := st.View()
+	nc := view.Len(model.KeyComment)
+	release()
 	index := make(map[model.ID]int, nc)
 	for i := 0; i < nc; i++ {
-		index[st.Comment(i).ID] = i
+		id, _ := st.CommentIDTime(i)
+		index[id] = i
 	}
 	return index
 }

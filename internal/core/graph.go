@@ -63,39 +63,25 @@ type delta struct {
 	removedFriends [][2]int // (user, user) index pairs
 }
 
-// loadGraph builds the parts keep selects from refs, the adds that build
-// the engine's part.
-func loadGraph(p Part, refs []model.Ref, keep parts) (*graph, error) {
-	g := &graph{part: p}
-	var nLikes, nFriends int
-	for _, r := range refs {
-		switch r.Kind {
-		case model.KindAddPost:
-			g.np++
-		case model.KindAddComment:
-			g.nc++
-		case model.KindAddUser:
-			g.nu++
-		case model.KindAddLike:
-			nLikes++
-		case model.KindAddFriendship:
-			nFriends++
+// loadGraph builds the parts keep selects from v, a View of the State p
+// is a part of (see Engine).
+func loadGraph(p Part, v *model.View, keep parts) (*graph, error) {
+	g := &graph{part: p, np: v.Len(model.KeyPost), nc: p.Comments.held(v), nu: v.Len(model.KeyUser)}
+	nodes := v.Nodes()
+	rpRows, rpCols := tuples(keep&(withRootPost|withRootPostT) != 0, g.nc, func(k int) (int, int) {
+		return nodes.Root(p.Comments.state(k)), k
+	})
+	lkRows, lkCols := tuples(keep&(withLikes|withLikesT) != 0, v.Len(model.KeyLike), func(k int) (int, int) {
+		u, c := v.Like(k)
+		return int(p.Comments.local(c)), int(u)
+	})
+	frRows, frCols := tuples(keep&withFriends != 0, 2*v.Len(model.KeyFriendship), func(k int) (int, int) {
+		a, b := v.Friendship(k / 2)
+		if k%2 == 1 {
+			a, b = b, a
 		}
-	}
-	rpRows, rpCols := tupleRoom(keep&(withRootPost|withRootPostT) != 0, g.nc)
-	lkRows, lkCols := tupleRoom(keep&(withLikes|withLikesT) != 0, nLikes)
-	frRows, frCols := tupleRoom(keep&withFriends != 0, 2*nFriends)
-	for _, r := range refs {
-		a, b := int(r.A), int(r.B)
-		switch {
-		case r.Kind == model.KindAddComment && rpRows != nil:
-			rpRows, rpCols = append(rpRows, b), append(rpCols, a)
-		case r.Kind == model.KindAddLike && lkRows != nil:
-			lkRows, lkCols = append(lkRows, b), append(lkCols, a)
-		case r.Kind == model.KindAddFriendship && frRows != nil:
-			frRows, frCols = append(frRows, a, b), append(frCols, b, a)
-		}
-	}
+		return int(a), int(b)
+	})
 	var err error
 	if g.rootPost, err = buildMatrix(keep&withRootPost != 0, g.np, g.nc, rpRows, rpCols); err != nil {
 		return nil, err
@@ -115,13 +101,17 @@ func loadGraph(p Part, refs []model.Ref, keep parts) (*graph, error) {
 	return g, nil
 }
 
-// tupleRoom returns empty row and column lists with room for n tuples, or
-// nil lists when the matrices they would build are not kept.
-func tupleRoom(kept bool, n int) (rows, cols []grb.Index) {
+// tuples returns the n tuples at(0), …, at(n−1) as row and column lists,
+// or nil lists when the matrices they would build are not kept.
+func tuples(kept bool, n int, at func(k int) (i, j int)) (rows, cols []grb.Index) {
 	if !kept {
 		return nil, nil
 	}
-	return make([]grb.Index, 0, n), make([]grb.Index, 0, n)
+	rows, cols = make([]grb.Index, n), make([]grb.Index, n)
+	for k := range rows {
+		rows[k], cols[k] = at(k)
+	}
+	return rows, cols
 }
 
 // buildMatrix builds an nrows × ncols boolean matrix with a true at each

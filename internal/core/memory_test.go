@@ -9,44 +9,17 @@ import (
 )
 
 // servedPart is the part of st a one-shard runtime hands an engine of the
-// given query, and the refs that build it: Q1 holds every node and edge
-// (it keeps no friendship matrix); Q2 holds every post, user, like and
-// friendship but no likeless comment (the router parks those and ranks
-// them itself), so its comments get compact local indices in State order.
-func servedPart(st *model.State, query string) (Part, []model.Ref) {
-	refs := stateRefs(st)
+// given query: Q1 holds every node and edge (it keeps no friendship
+// matrix); Q2 holds every post, user, like and friendship but no likeless
+// comment (the router parks those and ranks them itself), so its comments
+// are numbered as the router numbers them.
+func servedPart(st *model.State, query string) Part {
 	if query == "Q1" {
-		return Part{Nodes: st}, refs
+		return Part{Nodes: st}
 	}
-	_, nc, _ := st.Counts()
-	local := make([]int32, nc)
-	for _, r := range refs {
-		if r.Kind == model.KindAddLike {
-			local[r.B] = 1
-		}
-	}
-	space := &Space{}
-	for ci, liked := range local {
-		local[ci] = -1
-		if liked == 1 {
-			local[ci] = int32(len(space.Of))
-			space.Of = append(space.Of, int32(ci))
-		}
-	}
-	out := refs[:0]
-	for _, r := range refs {
-		switch r.Kind {
-		case model.KindAddComment:
-			if local[r.A] < 0 {
-				continue
-			}
-			r.A = local[r.A]
-		case model.KindAddLike:
-			r.B = local[r.B]
-		}
-		out = append(out, r)
-	}
-	return Part{Nodes: st, Comments: space}, out
+	view, release := st.View()
+	defer release()
+	return Part{Nodes: st, Comments: LikedSpace(view)}
 }
 
 // heapAfterGC is the live heap: HeapAlloc right after two collections.
@@ -64,20 +37,17 @@ func heapAfterGC() int64 {
 }
 
 // retainedBytes is the heap an engine keeps after Attach and Initial on
-// its part, excluding the State, the part's spaces and the refs.
-func retainedBytes(t testing.TB, eng Engine, p Part, refs []model.Ref) int64 {
+// p, a part of st, excluding the State and the part's spaces.
+func retainedBytes(t testing.TB, eng Engine, p Part, st *model.State) int64 {
 	t.Helper()
 	before := heapAfterGC()
-	if err := eng.Attach(p, refs); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, eng, p, st)
 	if _, err := eng.Initial(); err != nil {
 		t.Fatal(err)
 	}
 	retained := heapAfterGC() - before
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(p) // or the closing heapAfterGC frees it
-	runtime.KeepAlive(refs)
 	return retained
 }
 
@@ -116,8 +86,8 @@ func TestEngineRetainedBytes(t *testing.T) {
 		{"q2cc", "Q2", func() Engine { return NewQ2IncrementalCC() }, 17.1},
 	} {
 		t.Run(e.name, func(t *testing.T) {
-			p, refs := servedPart(st, e.query)
-			got := float64(retainedBytes(t, e.new(), p, refs)) / float64(entities)
+			p := servedPart(st, e.query)
+			got := float64(retainedBytes(t, e.new(), p, st)) / float64(entities)
 			t.Logf("%s retains %.1f B per snapshot entity", e.name, got)
 			if got > e.bound {
 				t.Fatalf("%s retains %.1f B per snapshot entity, want at most %.1f", e.name, got, e.bound)

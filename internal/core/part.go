@@ -4,18 +4,38 @@ import "repro/internal/model"
 
 // Engines index nodes the way model.State does, and resolve nothing
 // themselves: the State validates every change and resolves it to node
-// indices (model.Ref) once, and an engine consumes those. The served Q2
-// engines hold only the comments someone has liked; they number them
-// compactly in the order they receive them, and a Space records which
-// State comment each local index is. Ids and timestamps are read back
-// through the State.
+// indices (model.Ref) once, and an engine consumes those. An engine
+// attaches from a View of the State, reading its node counts and edge
+// keys in place. The served Q2 engines hold only the comments someone has
+// liked; they number them compactly, and a Space records which State
+// comment each local index is. Ids and timestamps are read back through
+// the State.
 
-// Space maps an engine's compact local comment indices to the State's:
-// local index i is State index Of[i]. The shard router assigns the local
-// indices, in the order it hands the comments to the engines, and records
-// them here. A nil *Space is the identity: the engine holds every
-// comment.
-type Space struct{ Of []int32 }
+// Space maps an engine's compact local comment indices to the State's and
+// back: local index i is State index Of[i], and State comment c is local
+// index Local[c], or −1 while the engine does not hold it. LikedSpace
+// numbers the comments at load; the shard router then numbers each
+// comment it hands the engines next, in that order, and records it here.
+// A nil *Space is the identity: the engine holds every comment.
+type Space struct{ Of, Local []int32 }
+
+// LikedSpace returns the space of the comments some like of v reaches, in
+// State order: the comments the served Q2 engines hold at load.
+func LikedSpace(v *model.View) *Space {
+	sp := &Space{Local: make([]int32, v.Len(model.KeyComment))}
+	for k, n := 0, v.Len(model.KeyLike); k < n; k++ {
+		_, c := v.Like(k)
+		sp.Local[c] = 1
+	}
+	for ci, liked := range sp.Local {
+		sp.Local[ci] = -1
+		if liked == 1 {
+			sp.Local[ci] = int32(len(sp.Of))
+			sp.Of = append(sp.Of, int32(ci))
+		}
+	}
+	return sp
+}
 
 // state returns the State index of local index i.
 func (sp *Space) state(i int) int {
@@ -23,6 +43,22 @@ func (sp *Space) state(i int) int {
 		return i
 	}
 	return int(sp.Of[i])
+}
+
+// local returns the local index of State comment c.
+func (sp *Space) local(c int32) int32 {
+	if sp == nil {
+		return c
+	}
+	return sp.Local[c]
+}
+
+// held returns how many of v's comments the space holds.
+func (sp *Space) held(v *model.View) int {
+	if sp == nil {
+		return v.Len(model.KeyComment)
+	}
+	return len(sp.Of)
 }
 
 // Nodes reads the id and timestamp of a State's posts and comments by
@@ -59,13 +95,15 @@ func (p *Part) commentEntry(i int, score int64) Entry {
 // Engine is a GraphBLAS engine: a Solution that also runs on resolved
 // changes, in the indices of the part of a State it holds (local comment
 // indices, State post and user indices), as the sharded runtime drives it.
-// Attach loads the engine from refs, the adds that build its part (nodes
-// before the edges on them); UpdateRefs applies one change set's refs and
-// reevaluates. Load and Update are adapters that resolve through a State
-// of the engine's own. Stats sizes the state the engine keeps.
+// Attach loads the engine from v, a View of the State p is a part of: it
+// takes the node counts from v and the part's comments from its space,
+// and reads every friendship and like key in place (each like's comment
+// in the space). UpdateRefs applies one change set's refs and reevaluates.
+// Load and Update are adapters that resolve through a State of the
+// engine's own. Stats sizes the state the engine keeps.
 type Engine interface {
 	Solution
-	Attach(p Part, refs []model.Ref) error
+	Attach(p Part, v *model.View) error
 	UpdateRefs(refs []model.Ref) (Result, error)
 	Stats() EngineStats
 }
@@ -103,9 +141,8 @@ func (a *standalone) Load(snap *model.Snapshot) error {
 	}
 	a.st = st
 	view, release := st.View()
-	refs := view.Refs()
-	release()
-	return a.self.Attach(Part{Nodes: st}, refs)
+	defer release()
+	return a.self.Attach(Part{Nodes: st}, view)
 }
 
 // Update implements Solution.

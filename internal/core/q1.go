@@ -65,8 +65,8 @@ func (*Q1Batch) Query() string { return "Q1" }
 
 // Attach implements Engine: the batch engine keeps the two matrices of
 // Alg. 1.
-func (s *Q1Batch) Attach(p Part, refs []model.Ref) error {
-	g, err := loadGraph(p, refs, withRootPost|withLikes)
+func (s *Q1Batch) Attach(p Part, v *model.View) error {
+	g, err := loadGraph(p, v, withRootPost|withLikes)
 	if err != nil {
 		return err
 	}
@@ -142,8 +142,8 @@ func (*Q1Incremental) Query() string { return "Q1" }
 
 // Attach implements Engine. Update reads only RootPostᵀ, but Initial's
 // Alg. 1 also needs RootPost and Likes; Initial releases those two.
-func (s *Q1Incremental) Attach(p Part, refs []model.Ref) error {
-	g, err := loadGraph(p, refs, withRootPost|withRootPostT|withLikes)
+func (s *Q1Incremental) Attach(p Part, v *model.View) error {
+	g, err := loadGraph(p, v, withRootPost|withRootPostT|withLikes)
 	if err != nil {
 		return err
 	}

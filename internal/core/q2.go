@@ -121,8 +121,8 @@ func (*Q2Batch) Name() string { return "GraphBLAS Batch" }
 func (*Q2Batch) Query() string { return "Q2" }
 
 // Attach implements Engine.
-func (s *Q2Batch) Attach(p Part, refs []model.Ref) error {
-	g, err := loadGraph(p, refs, withLikes|withFriends)
+func (s *Q2Batch) Attach(p Part, v *model.View) error {
+	g, err := loadGraph(p, v, withLikes|withFriends)
 	if err != nil {
 		return err
 	}
@@ -230,8 +230,8 @@ func (*Q2Incremental) Query() string { return "Q2" }
 
 // Attach implements Engine: Likes′ᵀ serves the affected-comment
 // detection, Likes and Friends the re-scoring.
-func (s *Q2Incremental) Attach(p Part, refs []model.Ref) error {
-	g, err := loadGraph(p, refs, withLikes|withLikesT|withFriends)
+func (s *Q2Incremental) Attach(p Part, v *model.View) error {
+	g, err := loadGraph(p, v, withLikes|withLikesT|withFriends)
 	if err != nil {
 		return err
 	}

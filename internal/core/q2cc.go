@@ -179,9 +179,10 @@ func (*Q2IncrementalCC) Name() string { return "GraphBLAS Incremental (increment
 // Query implements Solution.
 func (*Q2IncrementalCC) Query() string { return "Q2" }
 
-// Attach implements Engine. It builds the friend lists, each comment's
-// sorted liker list and each user's like list in arrays shared by all
-// entities, then labels every comment's components at once by union-find
+// Attach implements Engine. It counts, then fills from v's edge keys,
+// which hold each edge once, the friend lists, each comment's sorted liker
+// list and each user's like list in arrays shared by all entities, then
+// labels every comment's components at once by union-find
 // over all likes (Tarjan, J. ACM 1975): each like has a global slot, its
 // comment's first slot plus its place among the comment's likers, and for
 // each friendship the two users' like lists, both ascending by comment,
@@ -193,80 +194,56 @@ func (*Q2IncrementalCC) Query() string { return "Q2" }
 // would. The per-user and per-comment slices get a quarter more room than
 // the part needs, as RankIndex.Init does, so the first users and comments
 // an update adds do not copy them.
-func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
+func (s *Q2IncrementalCC) Attach(p Part, v *model.View) error {
 	s.part = p
-	var nc, nu, nFriendships, nLikes int
-	for _, r := range refs {
-		switch r.Kind {
-		case model.KindAddPost:
-			s.np++
-		case model.KindAddComment:
-			nc++
-		case model.KindAddUser:
-			nu++
-		case model.KindAddFriendship:
-			nFriendships++
-		case model.KindAddLike:
-			nLikes++
-		}
-	}
+	s.np = v.Len(model.KeyPost)
+	nc, nu := p.Comments.held(v), v.Len(model.KeyUser)
+	nf, nl := v.Len(model.KeyFriendship), v.Len(model.KeyLike)
 
-	ends := make([]int32, 0, 2*nFriendships)
-	perUser := make([]int32, nu) // list lengths: friends, then likes
-	type like struct{ comment, user int32 }
-	resolved := make([]like, 0, nLikes)
+	// perUser counts each user's friends and likes, liked its likes alone;
+	// perComment[ci] is comment ci's first global slot.
+	perUser, liked := make([]int32, nu), make([]int32, nu)
+	for k := 0; k < nf; k++ {
+		a, b := v.Friendship(k)
+		perUser[a]++
+		perUser[b]++
+	}
 	perComment := make([]int32, nc+1)
-	for _, r := range refs {
-		switch r.Kind {
-		case model.KindAddFriendship:
-			ends = append(ends, r.A, r.B)
-			perUser[r.A]++
-			perUser[r.B]++
-		case model.KindAddLike:
-			resolved = append(resolved, like{r.B, r.A})
-			perComment[r.B+1]++
-		}
+	for k := 0; k < nl; k++ {
+		u, c := v.Like(k)
+		perComment[p.Comments.local(c)+1]++
+		perUser[u]++
+		liked[u]++
 	}
 	for ci := 0; ci < nc; ci++ {
 		perComment[ci+1] += perComment[ci]
 	}
-	likes := make([]likeLabel, len(resolved))
+	likes := make([]likeLabel, nl)
 	next := slices.Clone(perComment[:nc])
-	for _, l := range resolved {
-		likes[next[l.comment]] = likeLabel{user: l.user, label: -1}
-		next[l.comment]++
+	for k := 0; k < nl; k++ {
+		u, c := v.Like(k)
+		c = p.Comments.local(c)
+		likes[next[c]] = likeLabel{user: u, label: -1}
+		next[c]++
 	}
-	// first[ci] is comment ci's first global slot once its likers are
-	// deduplicated; liked counts each user's likes.
 	s.cc = make([]commentLabels, nc, nc+nc/4)
-	first := make([]int32, nc+1)
-	liked := make([]int32, nu)
 	for ci := range s.cc {
-		c := &s.cc[ci]
 		lo, hi := perComment[ci], perComment[ci+1]
-		ls := likes[lo:hi:hi]
-		slices.SortFunc(ls, func(x, y likeLabel) int { return int(x.user - y.user) })
-		c.likes = slices.CompactFunc(ls, func(x, y likeLabel) bool { return x.user == y.user })
-		for _, l := range c.likes {
-			perUser[l.user]++
-			liked[l.user]++
-		}
-		first[ci+1] = first[ci] + int32(len(c.likes))
+		s.cc[ci].likes = likes[lo:hi:hi]
+		slices.SortFunc(s.cc[ci].likes, func(x, y likeLabel) int { return int(x.user - y.user) })
 	}
-	s.likeEdges = int(first[nc])
+	s.likeEdges, s.friendEdges = nl, 2*nf
 
 	s.adj = carve(perUser)
-	for i := 0; i < len(ends); i += 2 {
-		a, b := ends[i], ends[i+1]
+	for k := 0; k < nf; k++ {
+		a, b := v.Friendship(k)
 		s.adj[a] = append(s.adj[a], b)
 		s.adj[b] = append(s.adj[b], a)
 	}
 	s.nFriends = make([]int32, nu, cap(s.adj))
 	for u, fs := range s.adj {
 		slices.Sort(fs)
-		s.adj[u] = slices.Compact(fs)
-		s.nFriends[u] = int32(len(s.adj[u]))
-		s.friendEdges += len(s.adj[u])
+		s.nFriends[u] = int32(len(fs))
 	}
 	// Each user's likes, ascending by comment, and beside them their
 	// global slots.
@@ -274,7 +251,7 @@ func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
 	for ci := range s.cc {
 		for k, l := range s.cc[ci].likes {
 			s.adj[l.user] = append(s.adj[l.user], int32(ci))
-			slots[l.user] = append(slots[l.user], first[ci]+int32(k))
+			slots[l.user] = append(slots[l.user], perComment[ci]+int32(k))
 		}
 	}
 	parent := make(forest, s.likeEdges)
@@ -289,12 +266,12 @@ func (s *Q2IncrementalCC) Attach(p Part, refs []model.Ref) error {
 		}
 	}
 	// A comment has at most one label per like, so comment ci's labels
-	// take a prefix of sizes[first[ci]:first[ci+1]], its likes' stretch of
-	// one array.
+	// take a prefix of sizes[perComment[ci]:perComment[ci+1]], its likes'
+	// stretch of one array.
 	sizes := make([]int32, s.likeEdges)
 	for ci := range s.cc {
 		c := &s.cc[ci]
-		lo := first[ci]
+		lo := perComment[ci]
 		n := int32(0)
 		for k := range c.likes {
 			if r := parent.find(lo + int32(k)); r == lo+int32(k) {

@@ -13,8 +13,8 @@ import (
 // each comment's timestamp, parent index and root post index beside their
 // ids, and rebuilds their records from those. On datagen sf 32, seed 1,
 // 900 change sets at removal fraction 0.35, the rebuilt records must equal
-// Snapshot.Apply's after every set: State.Post and State.Comment, a Nodes
-// prefix's, and a View's fields for posts and comments, at every index.
+// Snapshot.Apply's after every set: a Nodes prefix's, and a View's fields
+// for posts and comments, at every index.
 // Every other set is first sent with a duplicate post at its end, so
 // Apply adds its nodes and pops them again; a Nodes prefix taken before
 // that must still read its own ids and timestamps after the rollback and
@@ -80,29 +80,22 @@ func TestRebuiltRecordsEqualApply(t *testing.T) {
 }
 
 // sameRecords checks that the State's posts and comments equal want's, at
-// every index, as Post and Comment rebuild them, as a Nodes prefix reads
-// them and as a View writes their fields. It reads the fields into the
-// buffers in fields.
+// every index, as a Nodes prefix rebuilds them and as a View writes their
+// fields. It reads the fields into the buffers in fields.
 func sameRecords(st *model.State, want *model.Snapshot, fields *[2][]int64) error {
-	posts, comments, _ := st.Counts()
+	view, release := st.View()
+	defer release()
+	posts, comments := view.Len(model.KeyPost), view.Len(model.KeyComment)
 	if posts != len(want.Posts) || comments != len(want.Comments) {
 		return fmt.Errorf("%d posts and %d comments, want %d and %d", posts, comments, len(want.Posts), len(want.Comments))
 	}
-	view, release := st.View()
-	defer release()
 	n := view.Nodes()
 	for i, p := range want.Posts {
-		if got := st.Post(i); got != p {
-			return fmt.Errorf("State.Post(%d) = %+v, want %+v", i, got, p)
-		}
 		if got := n.Post(i); got != p {
 			return fmt.Errorf("Nodes.Post(%d) = %+v, want %+v", i, got, p)
 		}
 	}
 	for i, c := range want.Comments {
-		if got := st.Comment(i); got != c {
-			return fmt.Errorf("State.Comment(%d) = %+v, want %+v", i, got, c)
-		}
 		if got := n.Comment(i); got != c {
 			return fmt.Errorf("Nodes.Comment(%d) = %+v, want %+v", i, got, c)
 		}

@@ -22,7 +22,7 @@ import (
 // follows its parent. Beside the ids, a post keeps only its timestamp (8
 // bytes) and a comment its timestamp, its parent's index among the
 // comments (−1 for a direct reply) and its root post's index (16 bytes);
-// Post and Comment rebuild the records from those.
+// a View's Nodes rebuild the records from those.
 // Each edge family is one flat index, the only record of its edges: the
 // key of every edge, its endpoints' index pair packed into a uint64, and
 // an open-addressing table of int32 slots over those keys, as IDMap's over
@@ -36,8 +36,8 @@ import (
 //
 // A State is not safe for concurrent use, except that a View may be read
 // by other goroutines while the owner keeps applying changes, and
-// that other goroutines may read nodes (Post, Comment, PostIDTime,
-// CommentIDTime, Root, Counts) while the owner is not applying.
+// that other goroutines may read nodes (PostIDTime, CommentIDTime, Root)
+// while the owner is not applying.
 type State struct {
 	posts    IDMap
 	comments IDMap
@@ -355,17 +355,6 @@ func (st *State) holds(ch *Change) bool {
 	return ok
 }
 
-// Counts reports the number of posts, comments and users.
-func (st *State) Counts() (posts, comments, users int) {
-	return st.posts.Len(), st.comments.Len(), st.users.Len()
-}
-
-// Post returns post i.
-func (st *State) Post(i int) Post { n := st.nodes(); return n.Post(i) }
-
-// Comment returns comment i.
-func (st *State) Comment(i int) Comment { n := st.nodes(); return n.Comment(i) }
-
 // PostIDTime returns post i's id and timestamp.
 func (st *State) PostIDTime(i int) (ID, int64) { return st.posts.keys[i], st.postTimes[i] }
 
@@ -375,7 +364,7 @@ func (st *State) CommentIDTime(i int) (ID, int64) {
 }
 
 // Root returns the index of comment i's root post.
-func (st *State) Root(i int) int { return int(st.commentRecs[i].root) }
+func (st *State) Root(i int) int { n := st.nodes(); return n.Root(i) }
 
 // Nodes is a fixed prefix of a State's posts and comments: the ones it
 // held when its View was taken, read through the same arrays as the
@@ -409,6 +398,9 @@ func (n *Nodes) PostIDTime(i int) (ID, int64) { return n.postIDs[i], n.postTimes
 // CommentIDTime returns comment i's id and timestamp.
 func (n *Nodes) CommentIDTime(i int) (ID, int64) { return n.commentIDs[i], n.commentRecs[i].ts }
 
+// Root returns the index of comment i's root post.
+func (n *Nodes) Root(i int) int { return int(n.commentRecs[i].root) }
+
 // nodes returns the State's arrays of posts and comments, unclamped.
 func (st *State) nodes() Nodes {
 	return Nodes{postIDs: st.posts.keys, commentIDs: st.comments.keys, postTimes: st.postTimes, commentRecs: st.commentRecs}
@@ -422,7 +414,8 @@ func clamp[E any](a []E) []E { return a[:len(a):len(a)] }
 // ids and the two edge families' keys, each a clamped slice header. It
 // reads as a Snapshot does, through Len and AppendFields, which rebuild
 // each post and comment and resolve each edge key to its endpoints' ids,
-// and as the refs that build it, through Refs.
+// and in State indices, through Nodes, Friendship and Like, as the
+// engines attach from it. Edges come in key order.
 type View struct {
 	nodes          Nodes
 	users          []ID
@@ -448,32 +441,11 @@ func (st *State) View() (view *View, release func()) {
 // Nodes returns the view's posts and comments.
 func (v *View) Nodes() *Nodes { return &v.nodes }
 
-// Refs returns the changes that build the view's state from an empty one,
-// resolved, in the order NewState checks them: posts, users, comments,
-// friendships, likes. Edges come in key order, read from their keys, so
-// a friendship's users are in index order.
-func (v *View) Refs() []Ref {
-	np, nu, nc, nf := len(v.nodes.postIDs), len(v.users), len(v.nodes.commentRecs), len(v.friends)
-	refs := make([]Ref, np+nu+nc+nf+len(v.likes))
-	for i := range refs[:np] {
-		refs[i] = Ref{Kind: KindAddPost, A: int32(i)}
-	}
-	for i := range refs[np : np+nu] {
-		refs[np+i] = Ref{Kind: KindAddUser, A: int32(i)}
-	}
-	for i := range v.nodes.commentRecs {
-		refs[np+nu+i] = Ref{Kind: KindAddComment, A: int32(i), B: v.nodes.commentRecs[i].root}
-	}
-	for i, k := range v.friends {
-		a, b := unpack(k)
-		refs[np+nu+nc+i] = Ref{Kind: KindAddFriendship, A: a, B: b}
-	}
-	for i, k := range v.likes {
-		u, c := unpack(k)
-		refs[np+nu+nc+nf+i] = Ref{Kind: KindAddLike, A: u, B: c}
-	}
-	return refs
-}
+// Friendship returns the users of friendship k, in index order.
+func (v *View) Friendship(k int) (a, b int32) { return unpack(v.friends[k]) }
+
+// Like returns the user and the comment of like k.
+func (v *View) Like(k int) (user, comment int32) { return unpack(v.likes[k]) }
 
 // Len returns the length of v's array of family f.
 func (v *View) Len(f KeyKind) int {

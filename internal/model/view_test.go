@@ -30,9 +30,8 @@ func hold(st *model.State) *heldView {
 	for f := model.KeyKind(0); f < model.Families; f++ {
 		h.want[f] = h.view.AppendFields(nil, f, 0, h.view.Len(f))
 	}
-	posts, comments, _ := st.Counts()
-	h.wantPosts = idTimes(nil, posts, h.nodes.PostIDTime)
-	h.wantComments = idTimes(nil, comments, h.nodes.CommentIDTime)
+	h.wantPosts = idTimes(nil, h.view.Len(model.KeyPost), h.nodes.PostIDTime)
+	h.wantComments = idTimes(nil, h.view.Len(model.KeyComment), h.nodes.CommentIDTime)
 	return h
 }
 

@@ -226,7 +226,12 @@ func (s *Server) store(seq int, cs *model.ChangeSet, rec *shard.Record, apply ti
 	s.stats.Updates.Count++
 	s.stats.Updates.Total += elapsed
 	s.stats.Updates.Last = elapsed
+	for _, d := range s.detaches {
+		s.stall(d)
+		s.stats.Persist.CowClones++
+	}
 	s.mu.Unlock()
+	s.detaches = s.detaches[:0]
 }
 
 // replayWAL redoes the recovered log tail through the served engines
@@ -270,18 +275,22 @@ func (s *Server) replayWAL(batches []wal.Batch) bool {
 // encode.
 func (s *Server) noteSnapStall(d time.Duration) {
 	s.mu.Lock()
-	s.stats.Persist.LastSnapshotStallNs = d.Nanoseconds()
-	s.stats.Persist.MaxSnapshotStallNs = max(s.stats.Persist.MaxSnapshotStallNs, d.Nanoseconds())
+	s.stall(d)
 	s.mu.Unlock()
 }
 
+// stall records one writer pause under s.mu.
+func (s *Server) stall(d time.Duration) {
+	s.stats.Persist.LastSnapshotStallNs = d.Nanoseconds()
+	s.stats.Persist.MaxSnapshotStallNs = max(s.stats.Persist.MaxSnapshotStallNs, d.Nanoseconds())
+}
+
 // noteDetach records a copy-on-write detach of the edge keys: a removal
-// committed while an encode still reads a view of them.
+// validated while an encode or an audit still reads a view of them. The
+// writer's validation of a batch takes the detach, so /stats shows it
+// with the next publication (store), not before that batch is durable.
 func (s *Server) noteDetach(d time.Duration) {
-	s.noteSnapStall(d)
-	s.mu.Lock()
-	s.stats.Persist.CowClones++
-	s.mu.Unlock()
+	s.detaches = append(s.detaches, d)
 }
 
 // snapshotDurable persists the materialized model state at seq. A failure

@@ -63,12 +63,13 @@ func BenchmarkReadMergeCached(b *testing.B) {
 // first /healthz. BenchmarkWarmup in internal/core times the engines alone.
 // read-ms, state-ms, load-ms and initial-ms are New's steps as /stats
 // reports them (readMs, stateMs, loadMs, initialMs): the dataset read, its
-// validation by model.NewState, the slowest served engine's load (q2cc's
-// includes its wait for the router, which shard.Start builds while q1
-// loads) and the slowest initial evaluation. Each engine evaluates as
+// validation by model.NewState, the slowest served engine's load, an
+// attach to shard.Start's View of the State (q2cc's includes its wait for
+// the router, which shard.Start builds from the same View while q1
+// loads), and the slowest initial evaluation. Each engine evaluates as
 // soon as it has loaded, so load-ms + initial-ms can exceed the engines'
-// share of ns/op; shard.Start's refs and closing collection make up most
-// of the rest. audited-ms is the time from the start of New until the
+// share of ns/op; shard.Start's closing collection makes up most of the
+// rest. audited-ms is the time from the start of New until the
 // first audit, which checks the base state after New returns, has
 // published: the end of start-up's background work, read by polling every
 // 50µs. It also reports, as live-MiB and goal-MiB, the heap live at the

@@ -189,7 +189,8 @@ type persistCounters struct {
 	// flight and left the one pending request that the first commit after
 	// that encode starts (cadence points reached while a request is
 	// already pending share it), and detaches removals forced (under a
-	// snapshot's view, or an audit's while it reads its view into refs).
+	// snapshot's view, or an audit's while its batch engines attach to
+	// it), counted with the commit that forced them.
 	LastSnapshotStallNs int64 `json:"lastSnapshotStallNs"`
 	MaxSnapshotStallNs  int64 `json:"maxSnapshotStallNs"`
 	StreamedSnapshots   int   `json:"streamedSnapshots"`

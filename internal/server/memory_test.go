@@ -23,8 +23,8 @@ func heapLiveAndGoal() (live, goal uint64) {
 // after New has returned. Under GOGC=100 the pacer sets the next heap
 // goal to about twice the heap its last collection marked, so the first
 // goal a server runs under must come from the served state, not from
-// start-up's transients: the parsed dataset and the refs that built the
-// engines. Once the first audit has checked the base state of an sf-32
+// start-up's transients: the parsed dataset and the tuple lists that
+// built the engines. Once the first audit has checked the base state of an sf-32
 // dataset directory, the goal may be at most 2.25× the live heap a
 // collection then finds. Without that collection the goal comes from a cycle that
 // ran while the engines were loading.

@@ -199,6 +199,10 @@ type Server struct {
 	// counts them).
 	changes []model.Change
 	refs    []model.Ref
+	// detaches holds the pauses of the copy-on-write detaches the state
+	// took since the last publication, writer-owned until store counts
+	// them with the next commit.
+	detaches []time.Duration
 	// wal is the durability subsystem (nil when Config.PersistDir is
 	// empty): every committed batch is appended to it before the commit's
 	// waiters are released, and the state is periodically snapshotted

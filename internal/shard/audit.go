@@ -16,12 +16,12 @@ import (
 // paper's from-scratch reference, off the commit path: differential
 // testing (McKeeman, "Differential Testing for Software", DTJ 1998). One
 // goroutine, started by Start, takes a View of the State at a published
-// commit with that commit's Record, reads the View into the refs that
-// build it and releases it at once, then loads Q1Batch on them, evaluates
-// it and drops it, and loads Q2Batch over every comment, with no router,
-// drops the refs and evaluates it. Each batch answer is compared with the
-// Record's answer of every served engine of its query: q1's, and q2cc's
-// merged with the parked comments, so the router's merge is checked too.
+// commit with that commit's Record, attaches Q1Batch to the View,
+// evaluates it and drops it, then attaches Q2Batch over every comment,
+// with no router, releases the View and evaluates it. Each batch answer
+// is compared with the Record's answer of every served engine of its
+// query: q1's, and q2cc's merged with the parked comments, so the
+// router's merge is checked too.
 // A difference counts as a disagreement, and the first one is logged with
 // its seq and both answers. An audit error is final: the auditor audits
 // nothing after it, and a serving layer treats it as an engine failure.
@@ -32,7 +32,7 @@ import (
 // rested, so a commit never waits for it. Start offers its own state, so
 // the first audit checks Start's evaluation.
 //
-// An audit allocates about as much as the served state holds (4.2 MiB at
+// An audit allocates about as much as the served state holds (3.5 MiB at
 // sf 32), and a collection that runs during it sets the next heap goal to
 // twice the served state plus what the audit then holds. So after each
 // audit, before publishing it, the auditor collects, setting the goal
@@ -162,36 +162,46 @@ func (a *auditor) audit(o offer) *Audited {
 	return &next
 }
 
-// answers reads view into the refs that build it, calls release, and
-// returns Q1Batch's and Q2Batch's answers on them. It keeps only a copy
-// of the view's Nodes, so the view's edge keys are garbage once read even
-// if a removal has detached the State from them. The refs are not read
-// past Q2Batch's load, nor Q1Batch past its answer, so neither is live
-// while Q2Batch evaluates.
+// answers calls the hook, if any, and returns Q1Batch's and Q2Batch's
+// answers on view, attaching each to it in turn. It calls release once
+// Q2Batch has attached, before Q2Batch evaluates, or on the first error.
+// It keeps only a copy of the view's Nodes, so the view's edge keys are
+// garbage once released if a removal has detached the State from them,
+// and Q1Batch is not read past its answer, so neither is live while
+// Q2Batch evaluates.
 func (a *auditor) answers(view *model.View, release func(), seq int) (q1, q2 string, err error) {
-	refs := view.Refs()
-	release()
-	nodes := *view.Nodes()
 	if a.hook != nil {
-		if err := a.hook(seq); err != nil {
-			return "", "", err
-		}
+		err = a.hook(seq)
 	}
+	nodes := *view.Nodes()
 	part := core.Part{Nodes: &nodes}
-	if q1, err = batch(core.NewQ1Batch(), part, refs); err != nil {
-		return "", "", err
+	q1Batch, q2Batch := core.NewQ1Batch(), core.NewQ2Batch()
+	if err == nil {
+		err = load(q1Batch, part, view)
 	}
-	if q2, err = batch(core.NewQ2Batch(), part, refs); err != nil {
-		return "", "", err
+	if err == nil {
+		q1, err = evaluate(q1Batch)
 	}
-	return q1, q2, nil
+	if err == nil {
+		err = load(q2Batch, part, view)
+	}
+	release()
+	if err == nil {
+		q2, err = evaluate(q2Batch)
+	}
+	return q1, q2, err
 }
 
-// batch loads a fresh batch engine from refs and returns its answer.
-func batch(e core.Engine, part core.Part, refs []model.Ref) (string, error) {
-	if err := e.Attach(part, refs); err != nil {
-		return "", fmt.Errorf("%s %s load: %w", e.Name(), e.Query(), err)
+// load attaches a fresh batch engine to view.
+func load(e core.Engine, part core.Part, view *model.View) error {
+	if err := e.Attach(part, view); err != nil {
+		return fmt.Errorf("%s %s load: %w", e.Name(), e.Query(), err)
 	}
+	return nil
+}
+
+// evaluate returns a loaded batch engine's answer.
+func evaluate(e core.Engine) (string, error) {
 	res, err := e.Initial()
 	if err != nil {
 		return "", fmt.Errorf("%s %s: %w", e.Name(), e.Query(), err)

@@ -164,8 +164,10 @@ func TestVerifierMatchesOracle(t *testing.T) {
 // TestVerifierBackpressure: an audit never holds a commit back. With an
 // audit held, 16 commits, twice as many as the queue of the per-commit
 // verifier this audit replaced held before it blocked them, return; no
-// offer is taken meanwhile. Released, the held audit publishes, and the
-// next commit is audited.
+// offer is taken meanwhile. The held audit holds its View, which the
+// commits' removals leave through exactly one copy-on-write detach of the
+// State's edge keys. Released, the held audit checks the State as of its
+// View, and the next commit is audited.
 func TestVerifierBackpressure(t *testing.T) {
 	const commits = 16
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 37, RemovalFraction: 0.3, ChangeSets: commits + 2})
@@ -177,9 +179,17 @@ func TestVerifierBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-held
+	removals, detaches := 0, 0
+	for _, cs := range d.ChangeSets[1 : commits+1] {
+		removals += cs.RemovalCount()
+	}
+	rt.st.OnDetach = func(time.Duration) { detaches++ }
 	commitWithin(t, rt, d.ChangeSets[1:commits+1], 30*time.Second)
 	if a := rt.Audited(); a.Audits != 1 || a.Seq != 0 {
 		t.Fatalf("while the audit of seq 1 is held: %+v", *a)
+	}
+	if removals == 0 || detaches != 1 {
+		t.Fatalf("%d removals under the held audit's View detached the State %d times, want once", removals, detaches)
 	}
 	release()
 	waitAudit(t, rt)

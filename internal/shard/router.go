@@ -18,21 +18,20 @@ import (
 //
 // The router routes changes the State has already validated and resolved
 // (model.Ref), so it rejects nothing. The Q2 engines number their
-// comments compactly (see core.Space): the router assigns those local
-// indices, in the order it hands the comments to the engines, records
-// them, and translates each ref into them. Users and posts keep their
-// State indices.
+// comments compactly (see core.Space): core.LikedSpace numbers the liked
+// comments at load, the router numbers each comment it hands the engines
+// after that, in that order, records it, and translates each ref into
+// those indices. Users and posts keep their State indices.
 
 // router holds the Q2 stream's state. It is confined to the runtime's
 // committing goroutine; nothing here is safe for concurrent use.
 type router struct {
 	st *model.State
 
-	// q2Comments is the Q2 engines' comments; q2Local holds each comment's
-	// local index there, by State index, or −1 while the comment is parked:
-	// never liked, so in no Q2 engine and scoring exactly 0.
+	// q2Comments is the Q2 engines' comments: each comment's local index
+	// there, by State index, or −1 while the comment is parked: never
+	// liked, so in no Q2 engine and scoring exactly 0.
 	q2Comments *core.Space
-	q2Local    []int32
 
 	// parkedRank ranks the parked comments as a virtual partition. Its
 	// slots are their State indices alone: ids and timestamps are read
@@ -44,70 +43,42 @@ type router struct {
 	q2 []model.Ref
 }
 
-// newRouter parks the likeless comments of st, whose resolved contents
-// are refs (a View's Refs), and returns the router with the refs that build
-// the Q2 engines, in their indices.
-func newRouter(st *model.State, refs []model.Ref) (r *router, q2 []model.Ref) {
-	_, nc, _ := st.Counts()
-	r = &router{
-		st:         st,
-		q2Comments: &core.Space{},
-		q2Local:    make([]int32, nc),
-	}
-	liked := 0
-	for _, x := range refs {
-		if x.Kind == model.KindAddLike && r.q2Local[x.B] == 0 {
-			r.q2Local[x.B] = 1
-			liked++
-		}
-	}
+// newRouter numbers the liked comments of view, a View of st, as the Q2
+// engines attach them from it, and parks the likeless ones.
+func newRouter(st *model.State, view *model.View) *router {
+	r := &router{st: st, q2Comments: core.LikedSpace(view)}
+	nc, liked := len(r.q2Comments.Local), len(r.q2Comments.Of)
 	// The parked slots become the heap's storage, with a quarter more room
 	// for the comments that park next.
 	parked := make([]core.Slot[struct{}], 0, (nc-liked)+(nc-liked)/4)
-	for ci, l := range r.q2Local {
-		r.q2Local[ci] = -1
-		if l == 1 {
-			r.q2Local[ci] = int32(len(r.q2Comments.Of))
-			r.q2Comments.Of = append(r.q2Comments.Of, int32(ci))
-		} else {
+	for ci, l := range r.q2Comments.Local {
+		if l < 0 {
 			parked = append(parked, core.Slot[struct{}]{Key: int32(ci)})
 		}
 	}
 	r.parkedRank.Init(byComment{st}, parked)
-	q2 = make([]model.Ref, 0, len(refs)-len(parked))
-	for _, x := range refs {
-		switch x.Kind {
-		case model.KindAddComment:
-			if r.q2Local[x.A] < 0 {
-				continue
-			}
-			x.A = r.q2Local[x.A]
-		case model.KindAddLike:
-			x.B = r.q2Local[x.B]
-		}
-		q2 = append(q2, x)
-	}
-	return r, q2
+	return r
 }
 
 // route translates one validated, resolved change set into the Q2 stream,
 // which stays valid until the next route.
 func (r *router) route(refs []model.Ref) []model.Ref {
 	r.q2 = r.q2[:0]
+	sp := r.q2Comments
 	for _, x := range refs {
 		if x.Kind == model.KindAddComment {
-			r.q2Local = append(r.q2Local, -1)
+			sp.Local = append(sp.Local, -1)
 			r.parkedRank.Set(core.Slot[struct{}]{Key: x.A})
 			continue
 		}
 		if f, _ := x.Kind.Family(); f == model.KeyLike {
-			if c := x.B; r.q2Local[c] < 0 {
-				r.q2Local[c] = int32(len(r.q2Comments.Of))
-				r.q2Comments.Of = append(r.q2Comments.Of, c)
+			if c := x.B; sp.Local[c] < 0 {
+				sp.Local[c] = int32(len(sp.Of))
+				sp.Of = append(sp.Of, c)
 				r.parkedRank.Remove(int(c))
-				r.q2 = append(r.q2, model.Ref{Kind: model.KindAddComment, A: r.q2Local[c], B: int32(r.st.Root(int(c)))})
+				r.q2 = append(r.q2, model.Ref{Kind: model.KindAddComment, A: sp.Local[c], B: int32(r.st.Root(int(c)))})
 			}
-			x.B = r.q2Local[x.B]
+			x.B = sp.Local[x.B]
 		}
 		r.q2 = append(r.q2, x)
 	}

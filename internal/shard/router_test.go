@@ -10,12 +10,12 @@ import (
 	"repro/internal/model"
 )
 
-// stateRefs returns the refs that build st's current state, read through
-// a view released at once.
-func stateRefs(st *model.State) []model.Ref {
+// routerOf returns the router Start builds on st, from a View of st
+// released once the router is built.
+func routerOf(st *model.State) *router {
 	view, release := st.View()
 	defer release()
-	return view.Refs()
+	return newRouter(st, view)
 }
 
 // TestRouterParkedCommentLifecycle is the direct unit test of the router's
@@ -37,7 +37,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, q2 := newRouter(st, stateRefs(st))
+	r := routerOf(st)
 
 	// Initial analysis: the likeless comment parked, the liked one did not.
 	if !isParked(r, 11) {
@@ -47,10 +47,9 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 		t.Fatal("liked comment 10 parked")
 	}
 	var comments []model.ID
-	for _, ch := range r.q2Changes(q2) {
-		if ch.Kind == model.KindAddComment {
-			comments = append(comments, ch.Comment.ID)
-		}
+	for _, ci := range r.q2Comments.Of {
+		id, _ := st.CommentIDTime(int(ci))
+		comments = append(comments, id)
 	}
 	if !reflect.DeepEqual(comments, []model.ID{10}) {
 		t.Fatalf("initial Q2 engines hold comments %v, want only 10", comments)
@@ -122,7 +121,7 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := newRouter(st, stateRefs(st))
+	r := routerOf(st)
 	for step := 0; step < 5000; step++ {
 		switch {
 		case len(live) == 0 || rng.Intn(100) < 45:
@@ -147,10 +146,10 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 			routeChanges(t, r, model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: 1, CommentID: id}})
 		}
 		var all core.Result
-		for ci, local := range r.q2Local {
+		for ci, local := range r.q2Comments.Local {
 			if local < 0 {
-				c := st.Comment(ci)
-				all = append(all, core.Entry{ID: c.ID, Timestamp: c.Timestamp})
+				id, ts := st.CommentIDTime(ci)
+				all = append(all, core.Entry{ID: id, Timestamp: ts})
 			}
 		}
 		sort.Slice(all, func(i, j int) bool { return core.Less(all[i], all[j]) })
@@ -164,5 +163,5 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 // isParked reports whether comment id is in the router's parking.
 func isParked(r *router, id model.ID) bool {
 	ci := commentIndex(r.st, id)
-	return ci >= 0 && r.q2Local[ci] < 0
+	return ci >= 0 && r.q2Comments.Local[ci] < 0
 }

@@ -9,8 +9,8 @@
 // The runtime therefore answers exactly as one engine per query would,
 // whatever the shard count.
 //
-// The runtime runs on a model.State, the one id → index map: Start loads
-// the engines from the State's resolved contents, and every commit hands
+// The runtime runs on a model.State, the one id → index map: Start
+// attaches the engines to a View of the State, and every commit hands
 // them the changes the State has already validated and resolved
 // (model.Ref), so neither the router nor an engine resolves an id or
 // rejects a change. The Q2 engines number their comments compactly; the
@@ -218,23 +218,25 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 
 // Start places the served engines on n shards, loads and initially
 // evaluates each of them on st, and starts the auditor. Start-up must
-// read the whole graph, so each served engine loads and then initially
-// evaluates on its own goroutine, with no barrier between the two: q1's
-// starts as soon as st's refs are built, while the calling goroutine
-// builds the router, and a Q2 engine's waits only for the router, whose
-// stream it loads. LoadDuration and InitialDuration are the slowest
-// engine's load (its wait for the router included) and the slowest
-// initial evaluation. Start then collects once, so the server starts
-// under a heap goal of twice the served state, not twice start-up's peak.
-// It then starts the auditor and offers it Start's state, and returns
-// without waiting for that audit. On error Start returns the first failing
-// engine's error, in lineup order, once every engine's goroutine has
-// ended, so no goroutine is left running.
+// read the whole graph, so each served engine attaches to one View of st
+// and then initially evaluates on its own goroutine, with no barrier
+// between the two: q1's starts at once, while the calling goroutine
+// numbers the liked comments for the router from the same View, and a Q2
+// engine's waits only for the router, whose comment space it attaches
+// with. The View is released once every engine has returned.
+// LoadDuration and InitialDuration are the slowest engine's load (its
+// wait for the router included) and the slowest initial evaluation.
+// Start then collects once, so the server starts under a heap goal of
+// twice the served state, not twice start-up's peak. It then starts the
+// auditor and offers it Start's state, and returns without waiting for
+// that audit. On error Start returns the first failing engine's error, in
+// lineup order, once every engine's goroutine has ended, so no goroutine
+// is left running.
 //
 // base is st's seq: the auditor labels each state it checks with base
 // plus the commits since Start. onAudit, when not nil, runs on the auditor
-// at the start of each audit, with the seq it checks, and the auditor
-// then does not rest between audits. An error it returns fails that audit
+// at the start of each audit, while the audit holds its View, with the
+// seq it checks, and the auditor then does not rest between audits. An error it returns fails that audit
 // as an engine error would. It is a test hook: it holds, fails or paces
 // the audits.
 func Start(n int, st *model.State, base int, onAudit func(seq int) error) (*Runtime, error) {
@@ -259,11 +261,8 @@ func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAu
 	}
 
 	view, release := st.View()
-	refs := view.Refs()
-	release()
 	begin := time.Now()
-	var q2Refs []model.Ref
-	routed := make(chan struct{}) // closed once rt.router and q2Refs are set
+	routed := make(chan struct{}) // closed once rt.router is set
 	errs := make([]error, len(rt.engines))
 	loads := make([]time.Duration, len(rt.engines))
 	initials := make([]time.Duration, len(rt.engines))
@@ -273,12 +272,12 @@ func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAu
 		go func(k int) {
 			defer wg.Done()
 			e := &rt.engines[k]
-			part, stream := core.Part{Nodes: st}, refs
+			part := core.Part{Nodes: st}
 			if e.Query == "Q2" {
 				<-routed
-				part.Comments, stream = rt.router.q2Comments, q2Refs
+				part.Comments = rt.router.q2Comments
 			}
-			phase, err := "load", e.eng.Attach(part, stream)
+			phase, err := "load", e.eng.Attach(part, view)
 			loads[k] = time.Since(begin)
 			if err == nil {
 				t := time.Now()
@@ -293,9 +292,10 @@ func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAu
 			e.sizes()
 		}(k)
 	}
-	rt.router, q2Refs = newRouter(st, refs)
+	rt.router = newRouter(st, view)
 	close(routed)
 	wg.Wait()
+	release()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -307,8 +307,8 @@ func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAu
 	rt.rec = rt.record()
 	// The last collection ran while the served engines loaded, and the
 	// pacer sets the next heap goal to twice what a collection leaves. One
-	// collection now, with the refs that built them garbage, sets it to
-	// twice the served state instead, before the server serves.
+	// collection now, with the tuple lists that built them garbage, sets
+	// it to twice the served state instead, before the server serves.
 	runtime.GC()
 	rt.aud = newAuditor(base, audited, onAudit)
 	rt.Audit()
@@ -448,7 +448,7 @@ func (rt *Runtime) record() *Record {
 }
 
 // LoadDuration is the slowest served engine's load in Start, from the
-// moment the State's refs are built until its Attach returns: a Q2
+// moment Start takes its View until the engine's Attach returns: a Q2
 // engine's wait for the router is part of it.
 func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 

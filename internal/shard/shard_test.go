@@ -488,11 +488,11 @@ type failingStartEngine struct {
 	err   error
 }
 
-func (f failingStartEngine) Attach(p core.Part, refs []model.Ref) error {
+func (f failingStartEngine) Attach(p core.Part, v *model.View) error {
 	if f.phase == "load" {
 		return f.err
 	}
-	return f.Engine.Attach(p, refs)
+	return f.Engine.Attach(p, v)
 }
 
 func (f failingStartEngine) Initial() (core.Result, error) {

@@ -76,20 +76,21 @@ func render(st *model.State, refs []model.Ref) []model.Change {
 	view, release := st.View()
 	users := view.AppendFields(nil, model.KeyUser, 0, view.Len(model.KeyUser)) // ids in index order
 	release()
+	nodes := view.Nodes() // readable after the release
 	var out []model.Change
 	for _, x := range refs {
 		ch := model.Change{Kind: x.Kind}
 		switch x.Kind {
 		case model.KindAddPost:
-			ch.Post = st.Post(int(x.A))
+			ch.Post = nodes.Post(int(x.A))
 		case model.KindAddComment:
-			ch.Comment = st.Comment(int(x.A))
+			ch.Comment = nodes.Comment(int(x.A))
 		case model.KindAddUser:
 			ch.User = model.User{ID: users[x.A]}
 		case model.KindAddFriendship, model.KindRemoveFriendship:
 			ch.Friendship = model.Friendship{User1: users[x.A], User2: users[x.B]}
 		case model.KindAddLike, model.KindRemoveLike:
-			ch.Like = model.Like{UserID: users[x.A], CommentID: st.Comment(int(x.B)).ID}
+			ch.Like = model.Like{UserID: users[x.A], CommentID: nodes.Comment(int(x.B)).ID}
 		}
 		out = append(out, ch)
 	}
@@ -111,11 +112,18 @@ func (r *router) q2Changes(refs []model.Ref) []model.Change {
 	return render(r.st, state)
 }
 
+// commentCount returns how many comments st holds, read through a view
+// released at once.
+func commentCount(st *model.State) int {
+	view, release := st.View()
+	defer release()
+	return view.Len(model.KeyComment)
+}
+
 // commentIndex returns the State index of comment id, or −1.
 func commentIndex(st *model.State, id model.ID) int {
-	_, nc, _ := st.Counts()
-	for i := 0; i < nc; i++ {
-		if st.Comment(i).ID == id {
+	for i, nc := 0, commentCount(st); i < nc; i++ {
+		if c, _ := st.CommentIDTime(i); c == id {
 			return i
 		}
 	}
@@ -128,25 +136,26 @@ func commentIndex(st *model.State, id model.ID) int {
 // parkedTopK count and rank the parked set.
 func checkStore(t testing.TB, r *router, m *storeModel) {
 	t.Helper()
-	_, nc, _ := r.st.Counts()
-	if n := len(r.q2Local); n != nc || n != len(m.comments) {
+	nc := commentCount(r.st)
+	local := r.q2Comments.Local
+	if n := len(local); n != nc || n != len(m.comments) {
 		t.Fatalf("router places %d comments; state %d, model %d", n, nc, len(m.comments))
 	}
 	var parked core.Result
 	for ci := 0; ci < nc; ci++ {
-		id := r.st.Comment(ci).ID
+		id, _ := r.st.CommentIDTime(ci)
 		c, ok := m.comments[id]
 		if !ok {
 			t.Fatalf("state comment %d (id %d): not in the model", ci, id)
 		}
-		isParked := r.q2Local[ci] < 0
+		isParked := local[ci] < 0
 		if isParked == m.everLiked[id] {
 			t.Fatalf("comment %d: parked %v, ever liked %v", id, isParked, m.everLiked[id])
 		}
 		if isParked {
 			parked = append(parked, core.Entry{ID: id, Timestamp: c.Timestamp})
-		} else if got := r.q2Comments.Of[r.q2Local[ci]]; int(got) != ci {
-			t.Fatalf("comment %d: Q2 local index %d leads to state comment %d, not %d", id, r.q2Local[ci], got, ci)
+		} else if got := r.q2Comments.Of[local[ci]]; int(got) != ci {
+			t.Fatalf("comment %d: Q2 local index %d leads to state comment %d, not %d", id, local[ci], got, ci)
 		}
 	}
 	if r.parkedComments() != len(parked) {
@@ -158,64 +167,44 @@ func checkStore(t testing.TB, r *router, m *storeModel) {
 	}
 }
 
-// checkInitial asserts the Q2 engines' refs a new router renders of its
-// state (snap): snap without its likeless comments.
-func checkInitial(t testing.TB, r *router, snap *model.Snapshot, q2 []model.Ref) {
+// checkInitial asserts the comments a new router of a State of snap
+// numbers for the Q2 engines to attach: snap's liked comments, in snap
+// order.
+func checkInitial(t testing.TB, r *router, snap *model.Snapshot) {
 	t.Helper()
 	m := newStoreModel(snap)
 	checkStore(t, r, m)
-	var got model.Snapshot
-	for _, ch := range r.q2Changes(q2) {
-		switch ch.Kind {
-		case model.KindAddPost:
-			got.Posts = append(got.Posts, ch.Post)
-		case model.KindAddComment:
-			got.Comments = append(got.Comments, ch.Comment)
-		case model.KindAddUser:
-			got.Users = append(got.Users, ch.User)
-		case model.KindAddFriendship:
-			got.Friendships = append(got.Friendships, ch.Friendship)
-		case model.KindAddLike:
-			got.Likes = append(got.Likes, ch.Like)
-		}
+	view, release := r.st.View()
+	release()
+	var got, liked []model.Comment
+	for _, ci := range r.q2Comments.Of {
+		got = append(got, view.Nodes().Comment(int(ci)))
 	}
-	var liked []model.Comment
 	for _, c := range snap.Comments {
 		if m.everLiked[c.ID] {
 			liked = append(liked, c)
 		}
 	}
-	// The State stores friendships with ordered endpoints.
-	ordered := func(fs []model.Friendship) []model.Friendship {
-		out := make([]model.Friendship, len(fs))
-		for k, f := range fs {
-			out[k] = model.Friendship{User1: min(f.User1, f.User2), User2: max(f.User1, f.User2)}
-		}
-		return out
-	}
-	if !slices.Equal(got.Comments, liked) || !slices.Equal(got.Posts, snap.Posts) || !slices.Equal(got.Users, snap.Users) ||
-		!slices.Equal(got.Likes, snap.Likes) || !slices.Equal(ordered(got.Friendships), ordered(snap.Friendships)) {
-		t.Fatalf("Q2 engines' refs %+v, want %+v with comments %+v", got, snap, liked)
+	if !slices.Equal(got, liked) {
+		t.Fatalf("Q2 engines' comments %+v, want %+v", got, liked)
 	}
 }
 
 // newCheckedRuntime starts an n-shard runtime on a State of snap, closed
-// when the test ends. It checks the Q2 refs a router of that State renders
-// (the runtime builds its own router the same way) and that each served
-// engine runs on shard slot mod n.
+// when the test ends. It checks the comments its router numbers for the
+// Q2 engines and that each served engine runs on shard slot mod n.
 func newCheckedRuntime(t testing.TB, n int, snap *model.Snapshot) *Runtime {
 	t.Helper()
 	st, err := model.NewState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, q2 := newRouter(st, stateRefs(st))
-	checkInitial(t, r, snap, q2)
 	rt, err := Start(n, st, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	checkInitial(t, rt.router, snap)
 	if len(rt.lanes) != n {
 		t.Fatalf("%d shards, want %d", len(rt.lanes), n)
 	}
