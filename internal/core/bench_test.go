@@ -51,7 +51,7 @@ func BenchmarkQ2Score(b *testing.B) {
 		b.Fatal(err)
 	}
 	view, release := st.View()
-	g, err := loadGraph(Part{Nodes: st}, view, withLikes|withFriends)
+	g, err := loadGraph(st, view, withLikes|withFriends)
 	release()
 	if err != nil {
 		b.Fatal(err)

@@ -107,11 +107,6 @@ type Ranker struct {
 // NewTopK returns a Ranker keeping the best k entries.
 func NewTopK(k int) *Ranker { return &Ranker{k: k} }
 
-// Reset empties the ranker for reuse, keeping its entry storage — callers
-// on a hot path (the per-commit shard merge) rank thousands of times and
-// should not allocate a fresh ranker each round.
-func (t *Ranker) Reset() { t.entries = t.entries[:0] }
-
 // Consider offers an entry for ranking.
 func (t *Ranker) Consider(e Entry) {
 	pos := len(t.entries)
@@ -127,10 +122,6 @@ func (t *Ranker) Consider(e Entry) {
 	copy(t.entries[pos+1:], t.entries[pos:])
 	t.entries[pos] = e
 }
-
-// Peek returns the ranked entries without copying them; they are valid
-// only until the ranker next changes.
-func (t *Ranker) Peek() Result { return t.entries }
 
 // Result returns the ranked entries.
 func (t *Ranker) Result() Result {

@@ -8,13 +8,13 @@ import (
 	"repro/internal/model"
 )
 
-// attach attaches eng to p, a part of st, from a View of st released once
-// Attach returns.
-func attach(tb testing.TB, eng Engine, p Part, st *model.State) {
+// attach attaches eng to st from a View of st released once Attach
+// returns.
+func attach(tb testing.TB, eng Engine, st *model.State) {
 	tb.Helper()
 	view, release := st.View()
 	defer release()
-	if err := eng.Attach(p, view); err != nil {
+	if err := eng.Attach(st, view); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -138,7 +138,7 @@ func TestQ1FriendshipOnlyUpdateKeepsTheAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewQ1Incremental()
-	attach(t, eng, Part{Nodes: st}, st)
+	attach(t, eng, st)
 	first, err := eng.Initial()
 	if err != nil {
 		t.Fatal(err)

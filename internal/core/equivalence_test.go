@@ -77,13 +77,18 @@ func runAll(t *testing.T, d *model.Dataset, engines []Solution, q1 bool) {
 	}
 }
 
-// assertCCScores checks every comment's maintained Q2IncrementalCC score
-// against the oracle's.
+// assertCCScores checks every comment's maintained Q2IncrementalCC score,
+// read through its local index (a parked comment scores 0), against the
+// oracle's.
 func assertCCScores(t *testing.T, cc *Q2IncrementalCC, step string, want map[model.ID]int64) {
 	t.Helper()
 	index := commentIndex(cc.st)
 	for id, score := range want {
-		if got := cc.cc[index[id]].score; got != score {
+		var got int64
+		if l := cc.local[index[id]]; l >= 0 {
+			got = cc.cc[l].score
+		}
+		if got != score {
 			t.Fatalf("%s %s: comment %d scores %d, oracle %d", cc.Name(), step, id, got, score)
 		}
 	}

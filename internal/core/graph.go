@@ -9,8 +9,8 @@ import (
 
 // graph is the linear-algebraic representation of the social network used
 // by the GraphBLAS engines: boolean adjacency matrices per edge type, in
-// the orientations the algorithms read, over the part of the State the
-// engine holds. Each engine builds and maintains only the matrices it
+// the orientations the algorithms read, over the State the engine
+// attached from. Each engine builds and maintains only the matrices it
 // reads (a nil matrix is one it does not keep):
 //
 //	rootPost   |posts| × |comments|   Q1Batch; Q1Incremental's Initial (Alg. 1)
@@ -20,16 +20,15 @@ import (
 //	likesT     |users| × |comments|   Q2Incremental (friendship probing)
 //	friends    |users| × |users|      Q2Batch, Q2Incremental (symmetric)
 //
-// Matrix indices are the part's node indices (see Part): the State
-// resolved every change before the engine sees it, so a graph keeps no id
-// map and has no unknown reference to reject. Ids and timestamps are read
-// back through the part.
+// Matrix indices are State node indices: the State resolved every change
+// before the engine sees it, so a graph keeps no id map and has no unknown
+// reference to reject. Ids and timestamps are read back through nodes.
 //
 // Change sets grow the dimensions (|posts′|, |comments′|, |users′|) and add
 // entries as pending tuples; whole-matrix kernels assemble lazily while
 // row-sparse kernels never do, matching SuiteSparse semantics.
 type graph struct {
-	part       Part
+	nodes      Nodes
 	np, nc, nu int
 
 	rootPost  *grb.Matrix[bool]
@@ -63,17 +62,17 @@ type delta struct {
 	removedFriends [][2]int // (user, user) index pairs
 }
 
-// loadGraph builds the parts keep selects from v, a View of the State p
-// is a part of (see Engine).
-func loadGraph(p Part, v *model.View, keep parts) (*graph, error) {
-	g := &graph{part: p, np: v.Len(model.KeyPost), nc: p.Comments.held(v), nu: v.Len(model.KeyUser)}
-	nodes := v.Nodes()
+// loadGraph builds the parts keep selects from v, a View of the State
+// nodes reads (see Engine).
+func loadGraph(nodes Nodes, v *model.View, keep parts) (*graph, error) {
+	g := &graph{nodes: nodes, np: v.Len(model.KeyPost), nc: v.Len(model.KeyComment), nu: v.Len(model.KeyUser)}
+	vn := v.Nodes()
 	rpRows, rpCols := tuples(keep&(withRootPost|withRootPostT) != 0, g.nc, func(k int) (int, int) {
-		return nodes.Root(p.Comments.state(k)), k
+		return vn.Root(k), k
 	})
 	lkRows, lkCols := tuples(keep&(withLikes|withLikesT) != 0, v.Len(model.KeyLike), func(k int) (int, int) {
 		u, c := v.Like(k)
-		return int(p.Comments.local(c)), int(u)
+		return int(c), int(u)
 	})
 	frRows, frCols := tuples(keep&withFriends != 0, 2*v.Len(model.KeyFriendship), func(k int) (int, int) {
 		a, b := v.Friendship(k / 2)

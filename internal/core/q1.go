@@ -39,7 +39,7 @@ func q1TopK(g *graph, scores *grb.Vector[int64]) Result {
 		return true
 	})
 	for i := 0; i < g.np; i++ {
-		t.Consider(g.part.postEntry(i, dense[i]))
+		t.Consider(postEntry(g.nodes, i, dense[i]))
 	}
 	return t.Result()
 }
@@ -65,8 +65,8 @@ func (*Q1Batch) Query() string { return "Q1" }
 
 // Attach implements Engine: the batch engine keeps the two matrices of
 // Alg. 1.
-func (s *Q1Batch) Attach(p Part, v *model.View) error {
-	g, err := loadGraph(p, v, withRootPost|withLikes)
+func (s *Q1Batch) Attach(nodes Nodes, v *model.View) error {
+	g, err := loadGraph(nodes, v, withRootPost|withLikes)
 	if err != nil {
 		return err
 	}
@@ -142,8 +142,8 @@ func (*Q1Incremental) Query() string { return "Q1" }
 
 // Attach implements Engine. Update reads only RootPostᵀ, but Initial's
 // Alg. 1 also needs RootPost and Likes; Initial releases those two.
-func (s *Q1Incremental) Attach(p Part, v *model.View) error {
-	g, err := loadGraph(p, v, withRootPost|withRootPostT|withLikes)
+func (s *Q1Incremental) Attach(nodes Nodes, v *model.View) error {
+	g, err := loadGraph(nodes, v, withRootPost|withRootPostT|withLikes)
 	if err != nil {
 		return err
 	}
@@ -175,7 +175,7 @@ func (s *Q1Incremental) Initial() (Result, error) {
 // entries score 0).
 func (s *Q1Incremental) postEntry(i int) Entry {
 	score, _, _ := s.scores.GetElement(i)
-	return s.g.part.postEntry(i, score)
+	return postEntry(s.g.nodes, i, score)
 }
 
 // UpdateRefs implements Engine with the incremental maintenance of Alg. 2.

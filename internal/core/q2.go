@@ -95,7 +95,7 @@ func scorersFor(scorers []q2Scorer, n int) []q2Scorer {
 func q2TopK(g *graph, scores []int64) Result {
 	t := NewTopK(TopK)
 	for ci, score := range scores {
-		t.Consider(g.part.commentEntry(ci, score))
+		t.Consider(commentEntry(g.nodes, ci, score))
 	}
 	return t.Result()
 }
@@ -121,8 +121,8 @@ func (*Q2Batch) Name() string { return "GraphBLAS Batch" }
 func (*Q2Batch) Query() string { return "Q2" }
 
 // Attach implements Engine.
-func (s *Q2Batch) Attach(p Part, v *model.View) error {
-	g, err := loadGraph(p, v, withLikes|withFriends)
+func (s *Q2Batch) Attach(nodes Nodes, v *model.View) error {
+	g, err := loadGraph(nodes, v, withLikes|withFriends)
 	if err != nil {
 		return err
 	}
@@ -230,8 +230,8 @@ func (*Q2Incremental) Query() string { return "Q2" }
 
 // Attach implements Engine: Likes′ᵀ serves the affected-comment
 // detection, Likes and Friends the re-scoring.
-func (s *Q2Incremental) Attach(p Part, v *model.View) error {
-	g, err := loadGraph(p, v, withLikes|withLikesT|withFriends)
+func (s *Q2Incremental) Attach(nodes Nodes, v *model.View) error {
+	g, err := loadGraph(nodes, v, withLikes|withLikesT|withFriends)
 	if err != nil {
 		return err
 	}
@@ -257,7 +257,7 @@ func (s *Q2Incremental) Initial() (Result, error) {
 }
 
 // entry is comment ci's ranking entry at its maintained score.
-func (s *Q2Incremental) entry(ci int) Entry { return s.g.part.commentEntry(ci, s.scores[ci]) }
+func (s *Q2Incremental) entry(ci int) Entry { return commentEntry(s.g.nodes, ci, s.scores[ci]) }
 
 // UpdateRefs implements Engine with incremental maintenance.
 func (s *Q2Incremental) UpdateRefs(refs []model.Ref) (Result, error) {

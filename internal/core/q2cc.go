@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -38,16 +39,30 @@ import (
 // likers, or by probing its friends for each of the comment's likers,
 // whichever list is shorter, so a hub's friend list is never scanned for a
 // small comment. The comments a change set touched are re-ranked in a
-// RankIndex over every comment, so the top-3 costs O(|touched| log
+// RankIndex over the held comments, so the top-3 costs O(|touched| log
 // |comments|).
+//
+// A comment nobody has liked scores exactly 0, and most comments are
+// never liked (90% at sf 32), so the engine holds labels only for the
+// comments someone has liked and parks the rest: it numbers the held
+// comments compactly, in the order they were first liked, and ranks the
+// parked ones in a RankHeap of their bare State indices, read back through
+// nodes. A comment joins the held ones at its first like (or unlike) and
+// stays held, even once unliked back to no like. The answer ranks both
+// sets' candidates through one Ranker.
 type Q2IncrementalCC struct {
 	standalone
-	part Part
-	np   int // posts: not read for scoring; backs Stats().Posts
+	nodes Nodes
+	np    int // posts: not read for scoring; backs Stats().Posts
+
+	// of holds each held comment's State index, by local index; local
+	// holds each State comment's local index, or −1 while it is parked.
+	of, local []int32
+	parked    RankHeap[struct{}, byComment]
 
 	// adj holds, by user index, the user's friends (ascending user
-	// indices) and then the comments the user likes (comment indices, in
-	// no order): one slice per user for both lists, split at nFriends.
+	// indices) and then the comments the user likes (local comment
+	// indices, in no order): one slice per user for both lists, split at nFriends.
 	adj      [][]int32
 	nFriends []int32
 	// friendEdges and likeEdges are the total lengths of the two lists,
@@ -55,10 +70,9 @@ type Q2IncrementalCC struct {
 	friendEdges, likeEdges int
 
 	cc   []commentLabels
-	rank RankIndex // by comment index
-	prev Result
+	rank RankIndex // by local comment index
 
-	touched []int32  // comments the current change set touched
+	touched []int32  // local comments the current change set touched
 	search  ccSearch // scratch of every component search
 }
 
@@ -179,7 +193,8 @@ func (*Q2IncrementalCC) Name() string { return "GraphBLAS Incremental (increment
 // Query implements Solution.
 func (*Q2IncrementalCC) Query() string { return "Q2" }
 
-// Attach implements Engine. It counts, then fills from v's edge keys,
+// Attach implements Engine. It numbers the liked comments and parks the
+// rest (number), then counts and fills from v's edge keys,
 // which hold each edge once, the friend lists, each comment's sorted liker
 // list and each user's like list in arrays shared by all entities, then
 // labels every comment's components at once by union-find
@@ -192,12 +207,13 @@ func (*Q2IncrementalCC) Query() string { return "Q2" }
 // root, so one pass in slot order numbers each comment's components in
 // the order of their first likers, as a search from each unlabelled liker
 // would. The per-user and per-comment slices get a quarter more room than
-// the part needs, as RankIndex.Init does, so the first users and comments
+// the View needs, as RankIndex.Init does, so the first users and comments
 // an update adds do not copy them.
-func (s *Q2IncrementalCC) Attach(p Part, v *model.View) error {
-	s.part = p
+func (s *Q2IncrementalCC) Attach(nodes Nodes, v *model.View) error {
+	s.nodes = nodes
 	s.np = v.Len(model.KeyPost)
-	nc, nu := p.Comments.held(v), v.Len(model.KeyUser)
+	s.number(v)
+	nc, nu := len(s.of), v.Len(model.KeyUser)
 	nf, nl := v.Len(model.KeyFriendship), v.Len(model.KeyLike)
 
 	// perUser counts each user's friends and likes, liked its likes alone;
@@ -211,7 +227,7 @@ func (s *Q2IncrementalCC) Attach(p Part, v *model.View) error {
 	perComment := make([]int32, nc+1)
 	for k := 0; k < nl; k++ {
 		u, c := v.Like(k)
-		perComment[p.Comments.local(c)+1]++
+		perComment[s.local[c]+1]++
 		perUser[u]++
 		liked[u]++
 	}
@@ -222,7 +238,7 @@ func (s *Q2IncrementalCC) Attach(p Part, v *model.View) error {
 	next := slices.Clone(perComment[:nc])
 	for k := 0; k < nl; k++ {
 		u, c := v.Like(k)
-		c = p.Comments.local(c)
+		c = s.local[c]
 		likes[next[c]] = likeLabel{user: u, label: -1}
 		next[c]++
 	}
@@ -289,6 +305,91 @@ func (s *Q2IncrementalCC) Attach(p Part, v *model.View) error {
 	}
 	return nil
 }
+
+// number numbers the comments some like of v reaches, in State order, and
+// parks the rest. The parked slots become the parked heap's storage, and
+// of gets its room, with a quarter more room for the comments that park
+// or join next.
+func (s *Q2IncrementalCC) number(v *model.View) {
+	s.local = make([]int32, v.Len(model.KeyComment))
+	liked := 0
+	for k, n := 0, v.Len(model.KeyLike); k < n; k++ {
+		_, c := v.Like(k)
+		if s.local[c] == 0 {
+			s.local[c] = 1
+			liked++
+		}
+	}
+	rest := len(s.local) - liked
+	s.of = make([]int32, 0, liked+liked/4)
+	parked := make([]Slot[struct{}], 0, rest+rest/4)
+	for ci, l := range s.local {
+		if l == 0 {
+			s.local[ci] = -1
+			parked = append(parked, Slot[struct{}]{Key: int32(ci)})
+			continue
+		}
+		s.local[ci] = int32(len(s.of))
+		s.of = append(s.of, int32(ci))
+	}
+	s.parked.Init(byComment{s.nodes}, parked)
+}
+
+// held returns State comment c's local index. A parked comment first
+// joins the held ones: it leaves the parked heap and takes the next local
+// index, with no likes yet, and is touched.
+func (s *Q2IncrementalCC) held(c int32) int {
+	if s.local[c] < 0 {
+		s.local[c] = int32(len(s.of))
+		s.of = append(s.of, c)
+		s.parked.Remove(int(c))
+		s.cc = append(s.cc, commentLabels{})
+		s.touched = append(s.touched, s.local[c])
+	}
+	return int(s.local[c])
+}
+
+// ParkedComments checks the engine's comment numbering against its own
+// invariants and returns, by State index, whether each comment is parked.
+// The invariants: of and local are inverse maps over the held comments,
+// each held comment has its labels, and the parked heap holds exactly the
+// comments with no local index. It reads every comment; tests call it
+// after each change set.
+func (s *Q2IncrementalCC) ParkedComments() ([]bool, error) {
+	if len(s.cc) != len(s.of) {
+		return nil, fmt.Errorf("%d held comments, %d with labels", len(s.of), len(s.cc))
+	}
+	parked := make([]bool, len(s.local))
+	n := 0
+	for c, l := range s.local {
+		inHeap := c < len(s.parked.pos) && s.parked.pos[c] != 0
+		switch {
+		case l < 0:
+			parked[c] = true
+			n++
+			if !inHeap {
+				return nil, fmt.Errorf("comment %d is parked but not in the parked heap", c)
+			}
+		case inHeap:
+			return nil, fmt.Errorf("held comment %d is in the parked heap", c)
+		case int(l) >= len(s.of) || s.of[l] != int32(c):
+			return nil, fmt.Errorf("comment %d: local index %d does not lead back to it", c, l)
+		}
+	}
+	if n != s.parked.Len() || len(s.local)-n != len(s.of) {
+		return nil, fmt.Errorf("%d parked and %d held of %d comments; the heap holds %d",
+			n, len(s.of), len(s.local), s.parked.Len())
+	}
+	return parked, nil
+}
+
+// byComment ranks the parked comments, each slot keyed by its State index,
+// by their entries read through nodes: likeless, each scores 0.
+type byComment struct{ nodes Nodes }
+
+func (o byComment) Entry(x Slot[struct{}]) Entry { return commentEntry(o.nodes, int(x.Key), 0) }
+
+func (o byComment) Less(a, b Slot[struct{}]) bool { return Less(o.Entry(a), o.Entry(b)) }
 
 // joinLikes unites, in parent, the slots of users u's and v's likes of
 // every comment both like. Both like lists ascend by comment, so it walks
@@ -713,15 +814,25 @@ func (s *Q2IncrementalCC) dropFriend(a, b int) bool {
 // evaluation just fills the rank index.
 func (s *Q2IncrementalCC) Initial() (Result, error) {
 	s.rank.Init(denseKeys(len(s.cc)), s.entry)
-	s.prev = s.rank.Top(TopK)
-	return s.prev, nil
+	return s.top(), nil
 }
 
-// entry is comment ci's ranking entry at its maintained score.
-func (s *Q2IncrementalCC) entry(ci int) Entry { return s.part.commentEntry(ci, s.cc[ci].score) }
+// entry is held comment ci's ranking entry at its maintained score.
+func (s *Q2IncrementalCC) entry(ci int) Entry {
+	return commentEntry(s.nodes, int(s.of[ci]), s.cc[ci].score)
+}
+
+// top ranks the best held comments and the best parked ones through one
+// Ranker.
+func (s *Q2IncrementalCC) top() Result {
+	t := Ranker{k: TopK, entries: make(Result, 0, TopK)}
+	s.rank.h.feed(&t)
+	s.parked.feed(&t)
+	return t.entries
+}
 
 // UpdateRefs implements Engine: feed each change through its event
-// handler, then re-rank the touched comments.
+// handler, then re-rank the touched comments. A new comment parks.
 func (s *Q2IncrementalCC) UpdateRefs(refs []model.Ref) (Result, error) {
 	s.touched = s.touched[:0]
 	for _, r := range refs {
@@ -733,12 +844,12 @@ func (s *Q2IncrementalCC) UpdateRefs(refs []model.Ref) (Result, error) {
 			s.adj = append(s.adj, nil)
 			s.nFriends = append(s.nFriends, 0)
 		case model.KindAddComment:
-			s.cc = append(s.cc, commentLabels{})
-			s.touched = append(s.touched, int32(a))
+			s.local = append(s.local, -1)
+			s.parked.Set(Slot[struct{}]{Key: r.A})
 		case model.KindAddLike:
-			s.onLike(b, a)
+			s.onLike(s.held(r.B), a)
 		case model.KindRemoveLike:
-			s.onUnlike(b, a)
+			s.onUnlike(s.held(r.B), a)
 		case model.KindAddFriendship:
 			s.onFriendship(a, b)
 		case model.KindRemoveFriendship:
@@ -749,6 +860,5 @@ func (s *Q2IncrementalCC) UpdateRefs(refs []model.Ref) (Result, error) {
 	for _, ci := range slices.Compact(s.touched) {
 		s.rank.Set(int(ci), s.entry(int(ci)))
 	}
-	s.prev = s.rank.Top(TopK)
-	return s.prev, nil
+	return s.top(), nil
 }

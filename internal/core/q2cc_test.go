@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -129,11 +132,15 @@ func (st *ccStream) sets(data []byte) []model.ChangeSet {
 }
 
 // checkCCLabels checks one engine's flat component state against its own
-// invariants: each comment's likers strictly ascending, each label's size
-// equal to the likes carrying it, every other label on the free list once,
-// and the score equal to Σ sizes².
+// invariants: its comment numbering's (see ParkedComments), each held
+// comment's likers strictly ascending, each label's size equal to the
+// likes carrying it, every other label on the free list once, and the
+// score equal to Σ sizes².
 func checkCCLabels(t *testing.T, s *Q2IncrementalCC) {
 	t.Helper()
+	if _, err := s.ParkedComments(); err != nil {
+		t.Fatal(err)
+	}
 	for ci := range s.cc {
 		c := &s.cc[ci]
 		count := make([]int32, len(c.sizes))
@@ -216,4 +223,169 @@ func FuzzQ2CCStream(f *testing.F) {
 			check("update", want, got)
 		}
 	})
+}
+
+// parkedIDs returns the ids of the comments s parks, in State order, after
+// checking its comment numbering.
+func parkedIDs(t *testing.T, s *Q2IncrementalCC) []model.ID {
+	t.Helper()
+	parked, err := s.ParkedComments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []model.ID
+	for ci, p := range parked {
+		if p {
+			id, _ := s.st.CommentIDTime(ci)
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// update applies changes to s through its own State.
+func update(t *testing.T, s *Q2IncrementalCC, changes ...model.Change) Result {
+	t.Helper()
+	res, err := s.Update(&model.ChangeSet{Changes: changes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestQ2CCParkedCommentLifecycle is the unit test of q2cc's parking: a
+// likeless comment holds no labels, parks and ranks through the parked
+// heap; a new comment parks; its first like moves it among the held
+// comments, labelled and ranked there; and once unliked back to no like
+// it stays held, scoring 0.
+func TestQ2CCParkedCommentLifecycle(t *testing.T) {
+	snap := &model.Snapshot{
+		Posts: []model.Post{{ID: 1, Timestamp: 1}},
+		Comments: []model.Comment{
+			{ID: 10, Timestamp: 5, ParentID: 1, PostID: 1}, // liked: held
+			{ID: 11, Timestamp: 7, ParentID: 1, PostID: 1}, // likeless: parks
+		},
+		Users: []model.User{{ID: 100}, {ID: 101}},
+		Likes: []model.Like{{UserID: 100, CommentID: 10}},
+	}
+	s := NewQ2IncrementalCC()
+	if err := s.Load(snap); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Initial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := parkedIDs(t, s); !reflect.DeepEqual(got, []model.ID{11}) {
+		t.Fatalf("initially parked %v, want [11]", got)
+	}
+	if len(s.cc) != 1 {
+		t.Fatalf("%d comments hold labels, want only 10", len(s.cc))
+	}
+	if got := s.parked.Top(TopK).String(); got != "11" {
+		t.Fatalf("parked ranking = %q, want %q", got, "11")
+	}
+	if res.String() != "10|11" {
+		t.Fatalf("initial answer %q, want 10|11", res)
+	}
+
+	// A new likeless comment parks and outranks the older parked one
+	// (equal zero scores, newer timestamp wins).
+	res = update(t, s, model.Change{Kind: model.KindAddComment, Comment: model.Comment{ID: 12, Timestamp: 9, ParentID: 1, PostID: 1}})
+	if got := parkedIDs(t, s); !reflect.DeepEqual(got, []model.ID{11, 12}) {
+		t.Fatalf("parked %v after a new comment, want [11 12]", got)
+	}
+	if got := s.parked.Top(TopK).String(); got != "12|11" {
+		t.Fatalf("parked ranking = %q, want %q", got, "12|11")
+	}
+	if res.String() != "10|12|11" {
+		t.Fatalf("answer %q, want 10|12|11", res)
+	}
+
+	// First like: comment 12 joins the held comments with one liker.
+	res = update(t, s, model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: 101, CommentID: 12}})
+	if got := parkedIDs(t, s); !reflect.DeepEqual(got, []model.ID{11}) {
+		t.Fatalf("parked %v after 12's first like, want [11]", got)
+	}
+	if got := s.parked.Top(TopK).String(); got != "11" {
+		t.Fatalf("parked ranking after the join = %q, want %q", got, "11")
+	}
+	if res.String() != "12|10|11" {
+		t.Fatalf("answer %q, want 12|10|11", res)
+	}
+
+	// Unliked back to no like, comment 12 stays held and scores 0.
+	res = update(t, s, model.Change{Kind: model.KindRemoveLike, Like: model.Like{UserID: 101, CommentID: 12}})
+	if got := parkedIDs(t, s); !reflect.DeepEqual(got, []model.ID{11}) {
+		t.Fatalf("parked %v after 12's unlike, want [11]", got)
+	}
+	ci := commentIndex(s.st)[12]
+	if l := s.local[ci]; l < 0 || s.cc[l].score != 0 || len(s.cc[l].likes) != 0 {
+		t.Fatalf("comment 12 after its unlike: local index %d, want held with no like and score 0", l)
+	}
+	if res.String() != "10|12|11" {
+		t.Fatalf("answer %q, want 10|12|11", res)
+	}
+}
+
+// TestParkedTopKMatchesBruteForce is a differential test of q2cc's parked
+// heap: starting from a snapshot's likeless comments, over random
+// sequences of new comments (which park) and first likes (which move a
+// comment among the held ones) with many equal timestamps, the parked
+// heap's top-3 must equal a brute-force top-3 of the parked comments.
+func TestParkedTopKMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	snap := &model.Snapshot{Posts: []model.Post{{ID: 1}}, Users: []model.User{{ID: 1}}}
+	var live []model.ID // parked ids, for picking first likes
+	next := model.ID(1)
+	for ; next <= 20; next++ {
+		snap.Comments = append(snap.Comments, model.Comment{ID: next, Timestamp: int64(rng.Intn(8)), ParentID: 1, PostID: 1})
+		live = append(live, next)
+	}
+	s := NewQ2IncrementalCC()
+	if err := s.Load(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Initial(); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 5000; step++ {
+		switch {
+		case len(live) == 0 || rng.Intn(100) < 45:
+			update(t, s, model.Change{Kind: model.KindAddComment, Comment: model.Comment{ID: next, Timestamp: int64(rng.Intn(8)), ParentID: 1, PostID: 1}})
+			live = append(live, next)
+			next++
+		default:
+			// Half the first likes hit the parked top-3, as first likes on
+			// the newest comments do; the rest hit any parked comment.
+			var id model.ID
+			if top := s.parked.Top(TopK); rng.Intn(2) == 0 && len(top) > 0 {
+				id = top[rng.Intn(len(top))].ID
+			} else {
+				id = live[rng.Intn(len(live))]
+			}
+			for k, v := range live {
+				if v == id {
+					live = append(live[:k], live[k+1:]...)
+					break
+				}
+			}
+			update(t, s, model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: 1, CommentID: id}})
+		}
+		var all Result
+		for ci, l := range s.local {
+			if l < 0 {
+				id, ts := s.st.CommentIDTime(ci)
+				all = append(all, Entry{ID: id, Timestamp: ts})
+			}
+		}
+		sort.Slice(all, func(i, j int) bool { return Less(all[i], all[j]) })
+		want := all[:min(TopK, len(all))]
+		if got := s.parked.Top(TopK); got.String() != want.String() {
+			t.Fatalf("step %d: parked top-3 = %q, brute force %q", step, got, want)
+		}
+	}
+	if _, err := s.ParkedComments(); err != nil {
+		t.Fatal(err)
+	}
 }

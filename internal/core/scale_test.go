@@ -57,7 +57,7 @@ func runUpdates(tb testing.TB, eng Engine, ds *model.Dataset, perUpdate bool) up
 	if err != nil {
 		tb.Fatal(err)
 	}
-	attach(tb, eng, Part{Nodes: st}, st)
+	attach(tb, eng, st)
 	if _, err := eng.Initial(); err != nil {
 		tb.Fatal(err)
 	}

@@ -60,7 +60,8 @@ func (s *Q2Incremental) Stats() EngineStats { return s.g.engineStats() }
 // Stats implements StatsReporter in O(1). The CC engine maintains adjacency
 // lists and per-comment component labels instead of matrices; NNZ counts the
 // directed friend edges and the user→comment like edges it stores, from
-// counters its handlers keep.
+// counters its handlers keep; Comments counts every comment it ranks,
+// the parked ones included.
 func (s *Q2IncrementalCC) Stats() EngineStats {
-	return EngineStats{Posts: s.np, Comments: len(s.cc), Users: len(s.adj), NNZ: s.friendEdges + s.likeEdges}
+	return EngineStats{Posts: s.np, Comments: len(s.local), Users: len(s.adj), NNZ: s.friendEdges + s.likeEdges}
 }

@@ -13,7 +13,7 @@ package core
 // while a slot with an empty value is the bare key of an entity the
 // Ranking reads through a table of its own. Keys index a dense position
 // table, so they should be small non-negative ints below 2^31 (an
-// engine's dense entity index, the router's comment index). The zero
+// engine's dense entity index, a parked comment's State index). The zero
 // value is an empty heap under the zero Ranking.
 type RankHeap[S any, R Ranking[S]] struct {
 	heap []Slot[S]
@@ -91,15 +91,22 @@ func (x *RankHeap[S, R]) Remove(i int) {
 	}
 }
 
-// Top returns the best k entries, best first. Every heap ancestor ranks
-// before its descendants, so the k-th best entry has at most k−1 ancestors
-// and sits in the first 2^k−1 slots; only those go through a Ranker.
+// Top returns the best k entries, best first.
 func (x *RankHeap[S, R]) Top(k int) Result {
 	t := Ranker{k: k, entries: make(Result, 0, k)}
-	for _, s := range x.heap[:min(len(x.heap), 1<<k-1)] {
+	x.feed(&t)
+	return t.entries // the ranker is gone: its entries are the caller's
+}
+
+// feed offers t the heap's candidates for its best t.k entries. Every
+// heap ancestor ranks before its descendants, so the k-th best entry has
+// at most k−1 ancestors and sits in the first 2^k−1 slots; only those are
+// offered. Several heaps may feed one Ranker, which then ranks their
+// union.
+func (x *RankHeap[S, R]) feed(t *Ranker) {
+	for _, s := range x.heap[:min(len(x.heap), 1<<t.k-1)] {
 		t.Consider(x.rank.Entry(s))
 	}
-	return t.entries // the ranker is gone: its entries are the caller's
 }
 
 // fix restores the heap order around position p after its slot changed.

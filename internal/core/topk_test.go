@@ -8,7 +8,7 @@ import (
 )
 
 // rankParts feeds every partition's entries through one ranker, the way
-// the sharded runtime merges q2cc's answer with the parked comments.
+// q2cc ranks its held and its parked comments together.
 func rankParts(t *Ranker, parts ...Result) Result {
 	for _, p := range parts {
 		for _, e := range p {
@@ -43,21 +43,6 @@ func TestRankerMergeFewerThanK(t *testing.T) {
 	got := rankParts(NewTopK(TopK), Result{{ID: 1, Score: 5}}, Result{{ID: 2, Score: 7}})
 	if len(got) != 2 || got[0].ID != 2 || got[1].ID != 1 {
 		t.Errorf("got %q, want 2|1", got)
-	}
-}
-
-// TestRankerMergeReset pins the reuse contract the sharded runtime's
-// commit-path merge relies on: after Reset the ranker ranks from scratch,
-// and a previously returned Result is not aliased by later rounds.
-func TestRankerMergeReset(t *testing.T) {
-	r := NewTopK(TopK)
-	first := rankParts(r, Result{{ID: 1, Score: 9}, {ID: 2, Score: 8}, {ID: 3, Score: 7}})
-	r.Reset()
-	if got := rankParts(r, Result{{ID: 4, Score: 1}}); len(got) != 1 || got[0].ID != 4 {
-		t.Fatalf("after Reset got %q, want 4", got)
-	}
-	if first.String() != "1|2|3" {
-		t.Fatalf("pre-Reset result mutated: %q", first)
 	}
 }
 
@@ -96,7 +81,7 @@ func TestRankerMergeMatchesGlobalRanker(t *testing.T) {
 // and timestamps, and after every operation checks the index's length and
 // its Top(k) for k = 1..4 against a brute-force sort of a map holding the
 // same entries. The engines only Set; removals go to the embedded
-// RankHeap's Remove, which the router's parked set calls.
+// RankHeap's Remove, which q2cc's parked set calls.
 func FuzzRankIndex(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(9), []byte{0x10, 0x21, 0x32, 0x80, 0x91, 0x10, 0x10, 0xa3, 0x44, 0x55, 0x66, 0x77})

@@ -60,12 +60,10 @@ func Factories(query string) map[string]Factory {
 }
 
 // ServedEngine names one engine of the serving lineup: the key it is
-// served under over HTTP, the query it answers (which also selects the
-// change stream it receives — "Q1" engines every change; "Q2" engines
-// every change but the comments nobody has liked yet, which the shard
-// router parks), its constructor, and, for an entry that verifies
-// another, that engine's key. Every served engine runs whole on one
-// shard, chosen by its position among the served engines. internal/shard
+// served under over HTTP, the query it answers, its constructor, and, for
+// an entry that verifies another, that engine's key. Every served engine
+// receives every change and runs whole on one shard, chosen by its
+// position among the served engines. internal/shard
 // runs no verifying entry: it serves the verified engine's answer under
 // the entry's key too, and checks the served answers with the batch
 // engines instead. perfbench times each entry's engine, the paper's Q2

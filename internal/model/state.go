@@ -363,9 +363,6 @@ func (st *State) CommentIDTime(i int) (ID, int64) {
 	return st.comments.keys[i], st.commentRecs[i].ts
 }
 
-// Root returns the index of comment i's root post.
-func (st *State) Root(i int) int { n := st.nodes(); return n.Root(i) }
-
 // Nodes is a fixed prefix of a State's posts and comments: the ones it
 // held when its View was taken, read through the same arrays as the
 // State. Nodes are never removed or rewritten, so another goroutine may

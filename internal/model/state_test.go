@@ -553,7 +553,7 @@ func checkRefs(st *State, req []Change, refs []Ref) error {
 		case KindAddPost:
 			ok = ok && st.posts.IDOf(int(r.A)) == ch.Post.ID
 		case KindAddComment:
-			ok = ok && st.comments.IDOf(int(r.A)) == ch.Comment.ID && st.posts.IDOf(int(r.B)) == ch.Comment.PostID && st.Root(int(r.A)) == int(r.B)
+			ok = ok && st.comments.IDOf(int(r.A)) == ch.Comment.ID && st.posts.IDOf(int(r.B)) == ch.Comment.PostID && int(st.commentRecs[r.A].root) == int(r.B)
 		case KindAddUser:
 			ok = ok && st.users.IDOf(int(r.A)) == ch.User.ID
 		case KindAddFriendship, KindRemoveFriendship:

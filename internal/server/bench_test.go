@@ -64,9 +64,8 @@ func BenchmarkReadMergeCached(b *testing.B) {
 // read-ms, state-ms, load-ms and initial-ms are New's steps as /stats
 // reports them (readMs, stateMs, loadMs, initialMs): the dataset read, its
 // validation by model.NewState, the slowest served engine's load, an
-// attach to shard.Start's View of the State (q2cc's includes its wait for
-// the router, which shard.Start builds from the same View while q1
-// loads), and the slowest initial evaluation. Each engine evaluates as
+// attach to shard.Start's View of the State, and the slowest initial
+// evaluation. Each engine evaluates as
 // soon as it has loaded, so load-ms + initial-ms can exceed the engines'
 // share of ns/op; shard.Start's closing collection makes up most of the
 // rest. audited-ms is the time from the start of New until the
@@ -129,14 +128,22 @@ const serverCommitSets = 2000
 // Enqueue per change set of a fixed stream, the first serverCommitSets
 // (2,000) change sets of the datagen seed-1 stream with 35% removals at
 // sf 32 and at sf 128, each committing alone, at 1 and 2 shards, without a
-// WAL and with one fsynced on every append. When b.N runs past the stream,
+// WAL, with one fsynced on every append, and without a WAL with the audits
+// run back to back (nowal-audit-loop). When b.N runs past the stream,
 // the server restarts from the same dataset, with a fresh WAL directory,
 // off the clock, so every -benchtime measures the same commits. ns/commit
 // is the time from Enqueue to its return: validation, the WAL append
 // beside the engines' apply, publication and the offer to the audit.
 // Each server's audits run beside the commits, its first on the base
 // state right after start-up; audits/op counts them per commit, so a
-// reader sees they ran. Periodic snapshots run at the default cadence, as
+// reader sees they ran. Rested, an audit takes at most 5% of a core, and
+// the 2,000-commit stream is over before the first audit's rest ends, so
+// nowal and fsync-always see only that audit (audits/op 0.0005). The
+// nowal-audit-loop case sets the server's audit hook, which switches the
+// rest off: an audit starts whenever one ends, with the next published
+// commit, so the commits run beside a steady-state audit and its
+// collection all along — the worst case of "no commit waits for the
+// audit". Periodic snapshots run at the default cadence, as
 // in ttcserve. The rung below is shard.Commit; perfbench's
 // churn-durable-sf32 adds HTTP and concurrent readers on top of the
 // durable 2-shard sf-32 case.
@@ -144,12 +151,11 @@ func BenchmarkServerCommit(b *testing.B) {
 	for _, sf := range []int{32, 128} {
 		d := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 1, RemovalFraction: 0.35, ChangeSets: serverCommitSets})
 		for _, shards := range []int{1, 2} {
-			for _, durable := range []bool{false, true} {
-				name := fmt.Sprintf("sf%d/shards%d/nowal", sf, shards)
-				if durable {
-					name = fmt.Sprintf("sf%d/shards%d/fsync-always", sf, shards)
-				}
-				b.Run(name, func(b *testing.B) {
+			for _, mode := range []struct {
+				name            string
+				durable, looped bool
+			}{{"nowal", false, false}, {"fsync-always", true, false}, {"nowal-audit-loop", false, true}} {
+				b.Run(fmt.Sprintf("sf%d/shards%d/%s", sf, shards, mode.name), func(b *testing.B) {
 					var srv *Server
 					audits := 0
 					stop := func() {
@@ -158,9 +164,12 @@ func BenchmarkServerCommit(b *testing.B) {
 					}
 					start := func() {
 						cfg := Config{Dataset: d, Shards: shards}
-						if durable {
+						if mode.durable {
 							cfg.PersistDir = b.TempDir()
 							cfg.Fsync = wal.SyncAlways
+						}
+						if mode.looped {
+							cfg.auditHook = func(int) error { return nil }
 						}
 						var err error
 						if srv, err = New(cfg); err != nil {

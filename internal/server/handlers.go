@@ -154,8 +154,7 @@ type counters struct {
 	// (model.NewState). Each served engine then loads the State and
 	// initially evaluates it on its own goroutine, with no barrier
 	// between engines (see shard.Start): Load is the slowest engine's
-	// load, a Q2 engine's wait for the router included, and Initial the
-	// slowest initial evaluation. The first audit, which checks the base
+	// load and Initial the slowest initial evaluation. The first audit, which checks the base
 	// state, runs after both, while the server already serves, and is part
 	// of none.
 	Read    durationMS `json:"readMs"`
@@ -244,11 +243,8 @@ type statsResponse struct {
 	Q1Disagreements int `json:"q1Disagreements"`
 	Q2Disagreements int `json:"q2Disagreements"`
 
-	// Shards reports each engine shard's apply latencies; ParkedComments
-	// counts the never-liked comments the router holds outside the Q2
-	// engines (Q2 engine comments + parked = all comments).
-	Shards         []shardStatsJSON `json:"shards"`
-	ParkedComments int              `json:"parkedComments"`
+	// Shards reports each engine shard's apply latencies.
+	Shards []shardStatsJSON `json:"shards"`
 
 	// Ready mirrors /healthz readiness; Persistence reports the durability
 	// subsystem (nil when -data-dir is not configured).
@@ -313,16 +309,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		c.Updates.Mean = durationMS(time.Duration(c.Updates.Total) / time.Duration(c.Updates.Count))
 	}
 	resp := statsResponse{
-		counters:       c,
-		Seq:            snap.Seq,
-		Changes:        snap.Changes,
-		Inserts:        snap.Inserts,
-		Removals:       snap.Removals,
-		QueueDepth:     s.QueueDepth(),
-		Engines:        make(map[string]core.EngineStats, len(snap.Engines)),
-		Shards:         make([]shardStatsJSON, len(snap.Shards)),
-		ParkedComments: snap.ParkedComments,
-		Ready:          s.Ready(),
+		counters:   c,
+		Seq:        snap.Seq,
+		Changes:    snap.Changes,
+		Inserts:    snap.Inserts,
+		Removals:   snap.Removals,
+		QueueDepth: s.QueueDepth(),
+		Engines:    make(map[string]core.EngineStats, len(snap.Engines)),
+		Shards:     make([]shardStatsJSON, len(snap.Shards)),
+		Ready:      s.Ready(),
 
 		AuditedSeq:      a.Seq,
 		Q1Disagreements: a.Q1Disagreements,

@@ -25,8 +25,8 @@
 // published, the batch is offered to the runtime's audit, which takes it
 // only when idle and checks the served answers against the batch engines
 // on a goroutine of its own; no commit or read waits for it. Read path:
-// an atomic pointer load merging nothing at all — answers were merged
-// with the parked comments at commit time.
+// an atomic pointer load merging nothing at all — each answer was
+// rendered at commit time.
 package server
 
 import (

@@ -25,13 +25,12 @@ type Snapshot struct {
 	// insertion volume from removal churn.
 	Inserts  int
 	Removals int
-	// Record is the sharded runtime's merged view as of this commit:
-	// Results maps engine key (EngineQ1, EngineQ2, EngineQ2CC) to the
-	// contest's "id|id|id" answer string, and Engines, Shards and
-	// ParkedComments are the engine sizes, per-shard apply statistics and
-	// parked-comment count /stats serves. Built by the writer (engines are
-	// not safe for concurrent access) and immutable, so readers never
-	// touch a live engine or the runtime.
+	// Record is the sharded runtime's view as of this commit: Results
+	// maps engine key (EngineQ1, EngineQ2, EngineQ2CC) to the contest's
+	// "id|id|id" answer string, and Engines and Shards are the engine
+	// sizes and per-shard apply statistics /stats serves. Built by the
+	// writer (engines are not safe for concurrent access) and immutable,
+	// so readers never touch a live engine or the runtime.
 	*shard.Record
 	// At is the publication time.
 	At time.Time

@@ -108,8 +108,8 @@ func waitGoroutines(want int) int {
 }
 
 // TestNewRejectsEveryIntegrityClass: validation runs alongside the engine
-// start-up, so the engines load snapshots it rejects. Whatever the router
-// or an engine makes of one, New must return the validation error
+// start-up, so the engines load snapshots it rejects. Whatever an engine
+// makes of one, New must return the validation error
 // (wrapping model.ErrIntegrity), never panic, and leave no goroutine
 // behind: no auditor, no start-up worker. It checks the dataset path,
 // the dataset path with a fresh durability directory, and recovery from a

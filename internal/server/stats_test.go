@@ -19,12 +19,12 @@ import (
 
 // TestStatsNeverTorn: every figure of one /stats response belongs to the
 // commit its seq names. Each waited commit adds one comment nobody likes,
-// so it parks at the router and the Q2 engines never see it, and it
-// reaches exactly one shard (q1's). So at seq k the
-// served Q2 engine's (q2cc's) comments plus the parked comments equal the
-// base comments plus k, and updates.count and the shards' commits both
-// sum to k. The audit checks only published commits, so auditedSeq is at
-// most k, with no disagreement. Concurrent readers check those invariants
+// which the served Q2 engine (q2cc) parks and counts, and every shard
+// that hosts an engine counts every commit. So at seq k q2cc's comments
+// equal the base comments plus k, updates.count is k, and the shards'
+// commits sum to k times the hosting shards (one per served engine, at
+// most the shard count). The audit checks only published commits, so
+// auditedSeq is at most k, with no disagreement. Concurrent readers check those invariants
 // on every response while the commits run.
 func TestStatsNeverTorn(t *testing.T) {
 	for _, shards := range []int{1, 2} {
@@ -35,6 +35,7 @@ func TestStatsNeverTorn(t *testing.T) {
 func testStatsNeverTorn(t *testing.T, shards int) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 3})
 	base := len(d.Snapshot.Comments)
+	hosting := min(shards, 2) // q1 and q2cc
 	post := d.Snapshot.Posts[0].ID
 	srv, err := New(Config{Dataset: d, Shards: shards})
 	if err != nil {
@@ -49,7 +50,6 @@ func testStatsNeverTorn(t *testing.T, shards int) {
 		Q1Disagreements int                         `json:"q1Disagreements"`
 		Q2Disagreements int                         `json:"q2Disagreements"`
 		Engines         map[string]core.EngineStats `json:"engines"`
-		ParkedComments  int                         `json:"parkedComments"`
 		Updates         struct {
 			Count int `json:"count"`
 		} `json:"updates"`
@@ -58,9 +58,8 @@ func testStatsNeverTorn(t *testing.T, shards int) {
 		} `json:"shards"`
 	}
 	check := func(st statsView) string {
-		if got := st.Engines[EngineQ2CC].Comments + st.ParkedComments; got != base+st.Seq {
-			return fmt.Sprintf("seq %d: q2cc comments %d + parked %d = %d, want %d",
-				st.Seq, st.Engines[EngineQ2CC].Comments, st.ParkedComments, got, base+st.Seq)
+		if got := st.Engines[EngineQ2CC].Comments; got != base+st.Seq {
+			return fmt.Sprintf("seq %d: q2cc comments %d, want %d", st.Seq, got, base+st.Seq)
 		}
 		if st.AuditedSeq > st.Seq || st.Q1Disagreements+st.Q2Disagreements != 0 {
 			return fmt.Sprintf("seq %d: auditedSeq %d, disagreements %d and %d", st.Seq, st.AuditedSeq, st.Q1Disagreements, st.Q2Disagreements)
@@ -72,8 +71,8 @@ func testStatsNeverTorn(t *testing.T, shards int) {
 		for _, sh := range st.Shards {
 			commits += sh.Commits
 		}
-		if commits != st.Seq {
-			return fmt.Sprintf("seq %d: shard commits sum to %d", st.Seq, commits)
+		if commits != st.Seq*hosting {
+			return fmt.Sprintf("seq %d: shard commits sum to %d, want %d", st.Seq, commits, st.Seq*hosting)
 		}
 		return ""
 	}
@@ -190,7 +189,6 @@ var goldenStatsKeys = []string{
 	"initialMs",
 	"inserts",
 	"loadMs",
-	"parkedComments",
 	"q1Disagreements",
 	"q2Disagreements",
 	"queueDepth",

@@ -17,11 +17,10 @@ import (
 // testing (McKeeman, "Differential Testing for Software", DTJ 1998). One
 // goroutine, started by Start, takes a View of the State at a published
 // commit with that commit's Record, attaches Q1Batch to the View,
-// evaluates it and drops it, then attaches Q2Batch over every comment,
-// with no router, releases the View and evaluates it. Each batch answer
-// is compared with the Record's answer of every served engine of its
-// query: q1's, and q2cc's merged with the parked comments, so the
-// router's merge is checked too.
+// evaluates it and drops it, then attaches Q2Batch, releases the View and
+// evaluates it. Each batch answer is compared with the Record's answer of
+// every served engine of its query: q1's and q2cc's, whose answer ranks
+// the comments it parks (never liked, so scoring 0) beside the others.
 // A difference counts as a disagreement, and the first one is logged with
 // its seq and both answers. An audit error is final: the auditor audits
 // nothing after it, and a serving layer treats it as an engine failure.
@@ -174,16 +173,15 @@ func (a *auditor) answers(view *model.View, release func(), seq int) (q1, q2 str
 		err = a.hook(seq)
 	}
 	nodes := *view.Nodes()
-	part := core.Part{Nodes: &nodes}
 	q1Batch, q2Batch := core.NewQ1Batch(), core.NewQ2Batch()
 	if err == nil {
-		err = load(q1Batch, part, view)
+		err = load(q1Batch, &nodes, view)
 	}
 	if err == nil {
 		q1, err = evaluate(q1Batch)
 	}
 	if err == nil {
-		err = load(q2Batch, part, view)
+		err = load(q2Batch, &nodes, view)
 	}
 	release()
 	if err == nil {
@@ -193,8 +191,8 @@ func (a *auditor) answers(view *model.View, release func(), seq int) (q1, q2 str
 }
 
 // load attaches a fresh batch engine to view.
-func load(e core.Engine, part core.Part, view *model.View) error {
-	if err := e.Attach(part, view); err != nil {
+func load(e core.Engine, nodes core.Nodes, view *model.View) error {
+	if err := e.Attach(nodes, view); err != nil {
 		return fmt.Errorf("%s %s load: %w", e.Name(), e.Query(), err)
 	}
 	return nil

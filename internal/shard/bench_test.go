@@ -10,10 +10,10 @@ import (
 	"repro/internal/model"
 )
 
-// routerFixture is the scale-factor-32 snapshot the memory gates and
-// BenchmarkNewRouter build a router or runtime of, and its entity count
-// (posts, comments, users, likes and friendships).
-func routerFixture() (*model.Snapshot, int) {
+// sf32Fixture is the scale-factor-32 snapshot the memory gates build a
+// runtime of, and its entity count (posts, comments, users, likes and
+// friendships).
+func sf32Fixture() (*model.Snapshot, int) {
 	snap := datagen.Generate(datagen.Config{ScaleFactor: 32, Seed: 1}).Snapshot
 	return snap, len(snap.Posts) + len(snap.Comments) + len(snap.Users) + len(snap.Likes) + len(snap.Friendships)
 }
@@ -32,73 +32,13 @@ func heapAfterGC() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// BenchmarkNewRouter builds the router of routerFixture and reports the
-// heap it retains per snapshot entity: the router's share of a server's
-// memory, beside the engines and model.State. The router keeps an int32
-// per comment (its local index in the Q2 engines or −1) and one per liked
-// comment (the Q2 comment space), and a 4-byte heap slot per parked
-// comment.
-func BenchmarkNewRouter(b *testing.B) {
-	snap, entities := routerFixture()
-	st, err := model.NewState(snap)
-	if err != nil {
-		b.Fatal(err)
-	}
-	view, release := st.View()
-	defer release()
-	var retained int64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		before := heapAfterGC()
-		b.StartTimer()
-		r := newRouter(st, view)
-		b.StopTimer()
-		retained = heapAfterGC() - before
-		runtime.KeepAlive(r)
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(retained)/float64(entities), "retained-B/entity")
-}
-
-// TestRouterRetainedBytes is a deterministic memory gate on the router: the
-// router of routerFixture, started the way the runtime starts it on a
-// model.State and a View of it, neither of which it counts, must
-// retain at most 7.2 bytes per snapshot entity: Go 1.24 measures
-// 6.3 with the Q2 comment space and the parked comments ranked by
-// State index alone, with and without -race, and the bound adds 15%. The
-// 4-shard router that also assigned every post and comment an index in
-// its Q1 partition measured 8.5; a parked set ranked through copies of
-// each comment's entry (id, score, timestamp) 22.4; its own comment id
-// map, records and parked flags before that 37.6, and the union-find
-// store with member rings before those took 87. The router holds no Go
-// map, so its layout does not vary across Go versions.
-func TestRouterRetainedBytes(t *testing.T) {
-	snap, entities := routerFixture()
-	st, err := model.NewState(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, release := st.View()
-	defer release()
-	before := heapAfterGC()
-	r := newRouter(st, view)
-	retained := heapAfterGC() - before
-	runtime.KeepAlive(r)
-	runtime.KeepAlive(view)
-	runtime.KeepAlive(st) // or the closing heapAfterGC frees it
-	got := float64(retained) / float64(entities)
-	t.Logf("router retains %.1f B per snapshot entity", got)
-	if got > 7.2 {
-		t.Fatalf("router retains %.1f B per snapshot entity, want at most 7.2", got)
-	}
-}
-
 // TestRuntimeRetainedBytes is the combined memory gate: model.State plus
-// a runtime started on it (the router and the q1 and q2cc engines, once
-// the first audit has run), as a server holds them, on routerFixture's
-// snapshot (datagen sf 32, seed 1). Go 1.24 measures 52.4–52.6 bytes per
-// snapshot entity at one shard, State 24.3 of them, with and without
-// -race; the bound adds 15% because slices and matrices are sized by the
+// a runtime started on it (the q1 and q2cc engines, once the first audit
+// has run), as a server holds them, on sf32Fixture's snapshot (datagen
+// sf 32, seed 1). Go 1.24 measures 52.4–52.7 bytes per snapshot entity at
+// one shard, State 24.3 of them, with and without -race, the same with
+// q2cc parking the never-liked comments as with a router in front of it
+// parking them; the bound adds 15% because slices and matrices are sized by the
 // runtime's growth rule and size classes, which may change between Go
 // versions. With the paper's Q2 also running in the runtime, as a
 // per-commit verifier of q2cc, it measured 60.2. With grb's matrices
@@ -106,8 +46,8 @@ func TestRouterRetainedBytes(t *testing.T) {
 // measured 67.9, with a copy of every post
 // and comment record in the State beside its IDMaps 77.2 (State 33.6),
 // with the State's users and edges also held as id slices 84.3 (State
-// 40.7), with its edges keyed in Go maps 87.5, and with the router's
-// parked comments ranked through entry copies 101.4. The same State and
+// 40.7), with its edges keyed in Go maps 87.5, and with the parked
+// comments ranked through entry copies 101.4. The same State and
 // runtime with Go maps keyed by model.ID in the State and an id map in
 // the router and in every engine measured 149.9–150.4, State 54.5–55.0.
 // Every engine runs whole on one shard, so 2 and 4 shards must retain at
@@ -120,7 +60,7 @@ func TestRouterRetainedBytes(t *testing.T) {
 // at a time through State.Apply and CommitRefs and divides by the
 // entities the State then holds: it sees what the start row misses, the
 // matrices' pending tuples and regrown row pointers and the arrays that
-// appends grow. Go 1.24 measures 59.3 B per entity (59.6 under -race;
+// appends grow. Go 1.24 measures 59.2–59.3 B per entity (59.6 under -race;
 // 73.6 with the per-commit verifier, 83.0 with int matrices); the bound
 // adds 15%.
 func TestRuntimeRetainedBytes(t *testing.T) {
@@ -191,7 +131,7 @@ func waitAudits(t *testing.T, rt *Runtime, n int) {
 }
 
 // TestAuditBytes is the audit's gate: the bytes one audit allocates
-// (runtime.MemStats.TotalAlloc across it) on a State of routerFixture's
+// (runtime.MemStats.TotalAlloc across it) on a State of sf32Fixture's
 // snapshot (datagen sf 32, seed 1), with the kernels on one thread, as
 // the server runs them: Q1Batch's attach to its View and evaluation, and
 // Q2Batch's. All of it is garbage once the audit returns. Go 1.24 measures
@@ -200,7 +140,7 @@ func waitAudits(t *testing.T, rt *Runtime, n int) {
 // 4.21 (4.24).
 func TestAuditBytes(t *testing.T) {
 	defer grb.SetThreads(grb.SetThreads(1))
-	snap, _ := routerFixture()
+	snap, _ := sf32Fixture()
 	st, err := model.NewState(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -230,10 +170,11 @@ func TestAuditBytes(t *testing.T) {
 // (runtime.MemStats.TotalAlloc across it) on a State of the datagen
 // sf-128, seed-1 snapshot, with the kernels on one thread, as the server
 // runs them, and the first audit held until the figure is read: the
-// router, the served engines' attach to Start's View and their initial
-// evaluation. Go 1.24 measures 15.93 MiB (15.94 under -race); the bound
-// adds 15%. Reading the View into refs, which the router copied the Q2
-// part of and the engines loaded from, took 21.44 MiB.
+// served engines' attach to Start's View and their initial evaluation.
+// Go 1.24 measures 15.84 MiB (15.93 with a shard router numbering the
+// liked comments beside q2cc); the bound adds 15% to the router's figure.
+// Reading the View into refs, which the router copied the Q2 part of and
+// the engines loaded from, took 21.44 MiB.
 func TestStartAllocatedBytes(t *testing.T) {
 	defer grb.SetThreads(grb.SetThreads(1))
 	st, err := model.NewState(datagen.Generate(datagen.Config{ScaleFactor: 128, Seed: 1}).Snapshot)

@@ -2,25 +2,20 @@
 // is a lane of the commit: every served engine runs whole on one shard,
 // engine i of the served lineup on shard i mod N, so over two shards Q1
 // and the CC extension that serves Q2 apply each commit side by side, and
-// shards beyond the lineup host nothing. Q1's answer is its engine's. The
-// Q2 engines hold every comment but the never-liked ones, which park at
-// the router (see router.go) and score exactly 0, so the Q2 answer is the
-// engine's top-3 merged with the parked comments' through one core.Ranker.
-// The runtime therefore answers exactly as one engine per query would,
+// shards beyond the lineup host nothing. Each query's answer is its
+// engine's, so the runtime answers exactly as one engine per query would,
 // whatever the shard count.
 //
 // The runtime runs on a model.State, the one id → index map: Start
 // attaches the engines to a View of the State, and every commit hands
-// them the changes the State has already validated and resolved
-// (model.Ref), so neither the router nor an engine resolves an id or
-// rejects a change. The Q2 engines number their comments compactly; the
-// router assigns those local indices and records them (core.Space). Ids
-// and timestamps are read back through the State. New and Commit are
-// adapters that resolve through a State of the runtime's own.
+// every engine the changes the State has already validated and resolved
+// (model.Ref), unchanged, so no engine resolves an id or rejects a
+// change. Ids and timestamps are read back through the State. New and
+// Commit are adapters that resolve through a State of the runtime's own.
 //
-// Commits are barriers over the served engines: CommitRefs routes the
-// change set, applies shard 0's engines on the committing goroutine and
-// every other hosting shard's on a goroutine started for the commit, and
+// Commits are barriers over the served engines: CommitRefs applies the
+// change set to shard 0's engines on the committing goroutine and every
+// other hosting shard's on a goroutine started for the commit, and
 // returns only once each has applied it — so a committed change set is
 // visible in every engine at once and a serving layer's wait=1 keeps
 // meaning "globally visible". Off the commit path, an audit checks the
@@ -29,11 +24,11 @@
 // rested. The auditor's is the only goroutine that outlives a call.
 //
 // What the Runtime exposes is one immutable Record per commit (and one
-// from New): the merged answers, the served engines' size totals, each
-// shard's apply statistics and the parked-comment count, all as of that
-// commit; and, from the auditor, one immutable Audited per audit. There
-// is no live accessor beside them, so a layer that publishes the Record
-// with its commit never serves figures of two different commits.
+// from New): the answers, the served engines' size totals and each
+// shard's apply statistics, all as of that commit; and, from the
+// auditor, one immutable Audited per audit. There is no live accessor
+// beside them, so a layer that publishes the Record with its commit never
+// serves figures of two different commits.
 package shard
 
 import (
@@ -49,8 +44,8 @@ import (
 
 // Stats is one shard's apply statistics.
 type Stats struct {
-	// Commits counts the commits in which the shard's engines had work
-	// and applied it.
+	// Commits counts the commits the shard's engines applied: every commit
+	// on a shard that hosts an engine, none on one that hosts none.
 	Commits int
 	// Last and Total aggregate the shard's apply latencies.
 	Last  time.Duration
@@ -73,7 +68,7 @@ type Record struct {
 	// Commits counts the commits since Start this Record follows: 0 for
 	// Start's own.
 	Commits int
-	// Results maps engine key to the merged global top-3 ("id|id|id"). A
+	// Results maps engine key to the global top-3 ("id|id|id"). A
 	// verifying engine's key (harness.ServedEngine.Verifies), whose engine
 	// the runtime does not run, maps to the answer of the engine it names,
 	// which serves its query. A Record shares the previous Record's map
@@ -85,10 +80,6 @@ type Record struct {
 	Engines []EngineTotals
 	// Shards holds each shard's apply statistics, indexed by shard.
 	Shards []Stats
-	// ParkedComments counts the never-liked comments the router holds
-	// outside the Q2 engines (they rank as a virtual partition; see
-	// router.go). Q2 engine comments plus this count cover all comments.
-	ParkedComments int
 }
 
 // EngineTotals is one served engine's state sizes.
@@ -108,53 +99,15 @@ type served struct {
 	shard int
 	res   core.Result      // its last answer
 	stats core.EngineStats // its sizes then
-	ans   answer           // res merged with the parked comments
-}
-
-// stream returns what the engine applies of one commit: the commit's refs
-// for a Q1-family engine, the router's Q2 stream q2 for a Q2-family one.
-func (e *served) stream(refs, q2 []model.Ref) []model.Ref {
-	if e.Query == "Q2" {
-		return q2
-	}
-	return refs
+	// shown is the answer str renders: the earliest answer since which
+	// the ranked ids have not changed.
+	shown core.Result
+	str   string
 }
 
 // sizes records the engine's state sizes.
 func (e *served) sizes() {
 	e.stats = e.eng.Stats()
-}
-
-// answer is an engine's answer merged with the parked (likeless,
-// zero-scoring) comments, a virtual partition, and its string. It is the
-// one parked-merge rule: the runtime keeps one per served engine (a
-// Q1-family engine merges no parked comment).
-type answer struct {
-	merge *core.Ranker // reused: one merge per engine per commit
-	ids   core.Result
-	str   string
-	set   bool // ids and str hold a merge
-}
-
-// update merges res with parked and reports whether the merged ids
-// changed; only then is the string rendered anew.
-func (a *answer) update(res, parked core.Result) bool {
-	if a.merge == nil {
-		a.merge = core.NewTopK(core.TopK)
-	}
-	a.merge.Reset()
-	for _, p := range parked {
-		a.merge.Consider(p)
-	}
-	for _, p := range res {
-		a.merge.Consider(p)
-	}
-	m := a.merge.Peek()
-	if a.set && m.SameIDs(a.ids) {
-		return false
-	}
-	a.ids, a.str, a.set = append(a.ids[:0], m...), m.String(), true
-	return true
 }
 
 // lane is one shard: its apply statistics and the error of its apply in
@@ -166,17 +119,16 @@ type lane struct {
 }
 
 // Runtime is the sharded engine runtime over a model.State. Start loads
-// the served engines and starts the auditor; CommitRefs routes and
-// applies one change set the State has resolved, with a global barrier,
-// and returns the merged Record, and Audit offers the commit to the
-// auditor. Start and every commit build the Record on the committing
-// goroutine, which alone may commit, audit, call Record and apply changes
-// to the State; a Record itself is immutable and safe to share. The
-// engines read ids back through the State, so its owner must not apply
-// changes while a commit runs.
+// the served engines and starts the auditor; CommitRefs applies one
+// change set the State has resolved, with a global barrier, and returns
+// the Record, and Audit offers the commit to the auditor. Start and every
+// commit build the Record on the committing goroutine, which alone may
+// commit, audit, call Record and apply changes to the State; a Record
+// itself is immutable and safe to share. The engines read ids back
+// through the State, so its owner must not apply changes while a commit
+// runs.
 type Runtime struct {
-	st     *model.State
-	router *router
+	st *model.State
 	// engines lists the engines every commit waits for, in lineup order;
 	// engine i runs on shard i mod len(lanes).
 	engines []served
@@ -190,13 +142,11 @@ type Runtime struct {
 	initialDur time.Duration
 
 	// applies joins the applies of the shards past 0 in a commit. commits
-	// and changes count what has been committed since Start; parked is the
-	// parked comments' top-3 as of the last commit; rec is the Record of
-	// the last commit. All but applies are owned by the committing
-	// goroutine.
+	// and changes count what has been committed since Start; rec is the
+	// Record of the last commit. All but applies are owned by the
+	// committing goroutine.
 	applies          sync.WaitGroup
 	commits, changes int
-	parked           core.Result
 	rec              *Record
 
 	closeOnce sync.Once
@@ -220,12 +170,9 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 // evaluates each of them on st, and starts the auditor. Start-up must
 // read the whole graph, so each served engine attaches to one View of st
 // and then initially evaluates on its own goroutine, with no barrier
-// between the two: q1's starts at once, while the calling goroutine
-// numbers the liked comments for the router from the same View, and a Q2
-// engine's waits only for the router, whose comment space it attaches
-// with. The View is released once every engine has returned.
-// LoadDuration and InitialDuration are the slowest engine's load (its
-// wait for the router included) and the slowest initial evaluation.
+// between engines. The View is released once every engine has returned.
+// LoadDuration and InitialDuration are the slowest engine's load and the
+// slowest initial evaluation.
 // Start then collects once, so the server starts under a heap goal of
 // twice the served state, not twice start-up's peak. It then starts the
 // auditor and offers it Start's state, and returns without waiting for
@@ -262,7 +209,6 @@ func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAu
 
 	view, release := st.View()
 	begin := time.Now()
-	routed := make(chan struct{}) // closed once rt.router is set
 	errs := make([]error, len(rt.engines))
 	loads := make([]time.Duration, len(rt.engines))
 	initials := make([]time.Duration, len(rt.engines))
@@ -272,12 +218,7 @@ func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAu
 		go func(k int) {
 			defer wg.Done()
 			e := &rt.engines[k]
-			part := core.Part{Nodes: st}
-			if e.Query == "Q2" {
-				<-routed
-				part.Comments = rt.router.q2Comments
-			}
-			phase, err := "load", e.eng.Attach(part, view)
+			phase, err := "load", e.eng.Attach(st, view)
 			loads[k] = time.Since(begin)
 			if err == nil {
 				t := time.Now()
@@ -292,8 +233,6 @@ func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAu
 			e.sizes()
 		}(k)
 	}
-	rt.router = newRouter(st, view)
-	close(routed)
 	wg.Wait()
 	release()
 	for _, err := range errs {
@@ -315,45 +254,38 @@ func start(n int, st *model.State, base int, lineup []harness.ServedEngine, onAu
 	return rt, nil
 }
 
-// apply applies one commit — its resolved refs and the router's Q2
-// stream q2 — to the engines shard s hosts and writes the outcome to the
-// shard's lane: its error, or a counted commit if an engine had work (an
-// engine whose stream is empty applies nothing). A failed apply is not a
-// commit, so the shard's stats reflect only applied work. An engine never
-// changes an answer once returned, so the committing goroutine may keep
-// it.
-func (rt *Runtime) apply(s int, refs, q2 []model.Ref) {
+// apply applies one commit's resolved refs to the engines shard s hosts
+// and writes the outcome to the shard's lane: its error, or a counted
+// commit. A failed apply is not a commit, so the shard's stats reflect
+// only applied work. An engine never changes an answer once returned, so
+// the committing goroutine may keep it.
+func (rt *Runtime) apply(s int, refs []model.Ref) {
 	l := &rt.lanes[s]
 	l.err = nil
 	start := time.Now()
-	applied := false
 	for i := range rt.engines {
 		e := &rt.engines[i]
-		stream := e.stream(refs, q2)
-		if e.shard != s || len(stream) == 0 {
+		if e.shard != s {
 			continue
 		}
-		res, err := e.eng.UpdateRefs(stream)
+		res, err := e.eng.UpdateRefs(refs)
 		if err != nil {
 			l.err = fmt.Errorf("shard %d: %s update: %w", s, e.eng.Name(), err)
 			return
 		}
 		e.res = res
 		e.sizes()
-		applied = true
 	}
-	if applied {
-		l.Commits++
-		l.Last = time.Since(start)
-		l.Total += l.Last
-	}
+	l.Commits++
+	l.Last = time.Since(start)
+	l.Total += l.Last
 }
 
 // applyJoined is apply on a goroutine started for the commit, joined by
 // applies.
-func (rt *Runtime) applyJoined(s int, refs, q2 []model.Ref) {
+func (rt *Runtime) applyJoined(s int, refs []model.Ref) {
 	defer rt.applies.Done()
-	rt.apply(s, refs, q2)
+	rt.apply(s, refs)
 }
 
 // Commit applies cs to the runtime's State, commits the resolved changes
@@ -373,8 +305,8 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
 	return rec, nil
 }
 
-// CommitRefs routes one change set the State has validated and resolved,
-// applies it to the served engines and returns the merged Record. Shard
+// CommitRefs applies one change set the State has validated and resolved
+// to the served engines and returns the Record. Shard
 // 0's engines apply on the committing goroutine, and every other hosting
 // shard's on a goroutine started for the commit; CommitRefs returns only
 // once each has applied (the commit barrier). On error the runtime must
@@ -382,14 +314,13 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (*Record, error) {
 // while another failed. Callers should stop committing (the serving layer
 // turns this into its broken state).
 func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
-	q2 := rt.router.route(refs)
 	// Shards beyond the lineup host nothing.
 	hosting := min(len(rt.lanes), len(rt.engines))
 	rt.applies.Add(hosting - 1)
 	for s := 1; s < hosting; s++ {
-		go rt.applyJoined(s, refs, q2)
+		go rt.applyJoined(s, refs)
 	}
-	rt.apply(0, refs, q2)
+	rt.apply(0, refs)
 	rt.applies.Wait()
 	for s := range rt.lanes {
 		if err := rt.lanes[s].err; err != nil {
@@ -406,26 +337,20 @@ func (rt *Runtime) CommitRefs(refs []model.Ref) (*Record, error) {
 // Must be called from the committing goroutine.
 func (rt *Runtime) Record() *Record { return rt.rec }
 
-// record builds a new Record from the engines' answers and sizes. A
-// Q2-family answer is merged with the router's parked comments (see
-// answer). An answer whose ids did not change keeps its string, and when
-// none changed the Record keeps the previous Record's map.
+// record builds a new Record from the engines' answers and sizes. An
+// answer whose ids did not change keeps its string, and when none changed
+// the Record keeps the previous Record's map.
 func (rt *Runtime) record() *Record {
-	rt.parked = rt.router.parkedTopK()
 	changed := rt.rec == nil
 	rec := &Record{
-		Commits:        rt.commits,
-		Engines:        make([]EngineTotals, len(rt.engines)),
-		Shards:         make([]Stats, len(rt.lanes)),
-		ParkedComments: rt.router.parkedComments(),
+		Commits: rt.commits,
+		Engines: make([]EngineTotals, len(rt.engines)),
+		Shards:  make([]Stats, len(rt.lanes)),
 	}
 	for i := range rt.engines {
 		e := &rt.engines[i]
-		var parked core.Result
-		if e.Query == "Q2" {
-			parked = rt.parked
-		}
-		if e.ans.update(e.res, parked) {
+		if rt.rec == nil || !e.res.SameIDs(e.shown) {
+			e.shown, e.str = e.res, e.res.String()
 			changed = true
 		}
 		rec.Engines[i] = EngineTotals{Key: e.Key, EngineStats: e.stats}
@@ -436,7 +361,7 @@ func (rt *Runtime) record() *Record {
 	if changed {
 		rec.Results = make(map[string]string, len(rt.engines)+len(rt.aliases))
 		for i := range rt.engines {
-			rec.Results[rt.engines[i].Key] = rt.engines[i].ans.str
+			rec.Results[rt.engines[i].Key] = rt.engines[i].str
 		}
 		for _, a := range rt.aliases {
 			rec.Results[a.Key] = rec.Results[a.Verifies]
@@ -448,8 +373,7 @@ func (rt *Runtime) record() *Record {
 }
 
 // LoadDuration is the slowest served engine's load in Start, from the
-// moment Start takes its View until the engine's Attach returns: a Q2
-// engine's wait for the router is part of it.
+// moment Start takes its View until the engine's Attach returns.
 func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 
 // InitialDuration is the slowest served engine's initial evaluation in

@@ -151,8 +151,8 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestCommitRemoveAndReAddInOneSet: a commit may remove an edge and add it
-// back, also a like on a parked comment or on a comment the same commit
-// adds. Every runtime ends with the edge, as the batch engines do.
+// back, also a like on a parked (never-liked) comment or on a comment the
+// same commit adds. Every runtime ends with the edge, as the batch engines do.
 func TestCommitRemoveAndReAddInOneSet(t *testing.T) {
 	like := func(kind model.ChangeKind, u, c model.ID) model.Change {
 		return model.Change{Kind: kind, Like: model.Like{UserID: u, CommentID: c}}
@@ -208,10 +208,10 @@ func TestCommitRemoveAndReAddInOneSet(t *testing.T) {
 	}
 }
 
-// TestParkedCommentsRankExactly pins the router's parking of likeless
-// comments: they live in no engine, yet must rank exactly (score 0, newest
-// first) in the merged Q2 answer, reach the Q2 engines at their first like,
-// and stay exact afterwards.
+// TestParkedCommentsRankExactly pins q2cc's parking of likeless comments:
+// they hold no labels, yet must rank exactly (score 0, newest first) in
+// the served Q2 answer, join the held comments at their first like, and
+// stay exact afterwards.
 func TestParkedCommentsRankExactly(t *testing.T) {
 	snap := &model.Snapshot{
 		Posts: []model.Post{{ID: 1, Timestamp: 1}},
@@ -244,7 +244,7 @@ func TestParkedCommentsRankExactly(t *testing.T) {
 	}
 
 	steps := []model.ChangeSet{
-		// First like on parked comment 11: unparks into the Q2 engines.
+		// First like on parked comment 11: q2cc holds it from now on.
 		{Changes: []model.Change{{Kind: model.KindAddLike, Like: model.Like{UserID: 101, CommentID: 11}}}},
 		// A fresh comment parks, and must still outrank older zero-score ones.
 		{Changes: []model.Change{{Kind: model.KindAddComment, Comment: model.Comment{ID: 13, Timestamp: 9, ParentID: 1, PostID: 1}}}},
@@ -272,8 +272,19 @@ func TestParkedCommentsRankExactly(t *testing.T) {
 		}
 	}
 	// Comment 12 never got a like: it is the one comment still parked.
-	if got := rt3.Record().ParkedComments; got != 1 {
-		t.Errorf("parked comments = %d, want 1", got)
+	parked, err := q2ccOf(t, rt3).ParkedComments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []model.ID
+	for ci, p := range parked {
+		if p {
+			id, _ := rt3.st.CommentIDTime(ci)
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) != 1 || ids[0] != 12 {
+		t.Errorf("parked comments %v, want [12]", ids)
 	}
 }
 
@@ -488,11 +499,11 @@ type failingStartEngine struct {
 	err   error
 }
 
-func (f failingStartEngine) Attach(p core.Part, v *model.View) error {
+func (f failingStartEngine) Attach(nodes core.Nodes, v *model.View) error {
 	if f.phase == "load" {
 		return f.err
 	}
-	return f.Engine.Attach(p, v)
+	return f.Engine.Attach(nodes, v)
 }
 
 func (f failingStartEngine) Initial() (core.Result, error) {
@@ -503,9 +514,8 @@ func (f failingStartEngine) Initial() (core.Result, error) {
 }
 
 // TestStartFailure swaps an engine whose load or initial evaluation fails
-// into the lineup: q1's load, which fails at once while the calling
-// goroutine still builds the router that q2cc's load waits for; q2cc's
-// load; and either engine's initial evaluation. Start must return that
+// into the lineup: either engine's load, which fails at once while the
+// other engine still loads, and either engine's initial evaluation. Start must return that
 // engine's error, naming its shard, the engine and the phase, and leave no
 // goroutine behind, the other engine's included, at 1 and 2 shards.
 func TestStartFailure(t *testing.T) {
@@ -551,9 +561,9 @@ func TestStartFailure(t *testing.T) {
 }
 
 // TestCommitRejectsUnknownReferences: a dangling reference must surface as
-// an error rather than a panic or silent misroute. The runtime routes only
+// an error rather than a panic or silent misroute. The runtime commits only
 // changes its model.State has resolved, so the State rejects each of these,
-// with model.ErrIntegrity, before the router or an engine sees it; Commit
+// with model.ErrIntegrity, before an engine sees it; Commit
 // returns that error.
 func TestCommitRejectsUnknownReferences(t *testing.T) {
 	for _, tc := range []struct {
@@ -593,8 +603,8 @@ func TestRecordsAreImmutable(t *testing.T) {
 	defer rt.Close()
 	first := rt.Record()
 	want := fmt.Sprintf("%+v", *first)
-	if len(first.Shards) != 2 || first.ParkedComments != 0 {
-		t.Fatalf("initial record %s: want 2 shards, no parked comment", want)
+	if len(first.Shards) != 2 {
+		t.Fatalf("initial record %s: want 2 shards", want)
 	}
 	rec, err := rt.Commit(&model.ChangeSet{Changes: []model.Change{
 		{Kind: model.KindAddComment, Comment: model.Comment{ID: 30, Timestamp: 9, ParentID: 1, PostID: 1}},
@@ -613,7 +623,7 @@ func TestRecordsAreImmutable(t *testing.T) {
 	for _, st := range rec.Shards {
 		commits += st.Commits
 	}
-	if q2cc, _ := engineTotals(rec, "q2cc"); commits == 0 || rec.ParkedComments != 1 || q2cc.Comments != 2 {
+	if q2cc, _ := engineTotals(rec, "q2cc"); commits == 0 || q2cc.Comments != 3 {
 		t.Fatalf("record after one commit: %+v", *rec)
 	}
 }
