@@ -241,10 +241,16 @@ func BenchmarkMixedWorkload(b *testing.B) {
 	}
 }
 
+// byEntry ranks heap slots that hold their entries, as the engines' do.
+type byEntry struct{}
+
+func (byEntry) Less(a, b core.Slot[core.Entry]) bool     { return core.Less(a.Val, b.Val) }
+func (byEntry) Entry(s core.Slot[core.Entry]) core.Entry { return s.Val }
+
 // BenchmarkAblationTopKIndex quantifies the incremental engines' top-3
-// maintenance (a core.RankIndex over every entity, re-ranking only the
-// entries whose score changed) against a full rescan of the score vector.
-// Each step changes the same 10 entries' scores, up or down.
+// maintenance (a core.RankHeap of entries over every entity, re-ranking
+// only the entries whose score changed) against a full rescan of the score
+// vector. Each step changes the same 10 entries' scores, up or down.
 func BenchmarkAblationTopKIndex(b *testing.B) {
 	for _, n := range []int{10_000, 1_000_000} {
 		scores := make([]int64, n)
@@ -261,10 +267,10 @@ func BenchmarkAblationTopKIndex(b *testing.B) {
 				_ = t.Result()
 			}
 		})
-		b.Run(fmt.Sprintf("RankIndex/n%d", n), func(b *testing.B) {
-			var x core.RankIndex
+		b.Run(fmt.Sprintf("RankHeap/n%d", n), func(b *testing.B) {
+			var x core.RankHeap[core.Entry, byEntry]
 			for idx, s := range scores {
-				x.Set(idx, core.Entry{ID: model.ID(idx), Score: s, Timestamp: int64(idx)})
+				x.Set(core.Slot[core.Entry]{Val: core.Entry{ID: model.ID(idx), Score: s, Timestamp: int64(idx)}, Key: int32(idx)})
 			}
 			changed := make([]int, 10)
 			for i := range changed {
@@ -274,7 +280,7 @@ func BenchmarkAblationTopKIndex(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for k, idx := range changed {
 					score := int64((i*31 + k*97) % 1000)
-					x.Set(idx, core.Entry{ID: model.ID(idx), Score: score, Timestamp: int64(idx)})
+					x.Set(core.Slot[core.Entry]{Val: core.Entry{ID: model.ID(idx), Score: score, Timestamp: int64(idx)}, Key: int32(idx)})
 				}
 				_ = x.Top(core.TopK)
 			}

@@ -223,26 +223,3 @@ func TestQ2NewUserThenLikeAcrossChangeSets(t *testing.T) {
 		}
 	}
 }
-
-func TestQ2DuplicateLikeIsIdempotent(t *testing.T) {
-	// Re-inserting an existing like must not change scores (boolean
-	// structure); all engines must agree.
-	d := model.ExampleDataset()
-	dup := model.ChangeSet{Changes: []model.Change{
-		{Kind: model.KindAddLike, Like: model.Like{UserID: model.U2, CommentID: model.C1}},
-	}}
-	for _, eng := range q2Engines() {
-		if err := eng.Load(d.Snapshot); err != nil {
-			t.Fatal(err)
-		}
-		first, err := eng.Initial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Update(&dup)
-		if err != nil {
-			t.Fatalf("%s: %v", eng.Name(), err)
-		}
-		assertResultsEqual(t, eng.Name(), "dup-like", first, res)
-	}
-}

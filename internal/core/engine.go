@@ -36,9 +36,10 @@ func commentEntry(nodes Nodes, i int, score int64) Entry {
 // node counts from v and reads every friendship and like key in place.
 // The engine reads nodes, when it is the *model.State itself, only while
 // the State's owner is not applying changes: between commits, or inside
-// one. UpdateRefs applies one change set's refs and reevaluates. Load and
-// Update are adapters that resolve through a State of the engine's own.
-// Stats sizes the state the engine keeps.
+// one. UpdateRefs applies one change set's refs and reevaluates; it
+// checks nothing, because refs come only from a State that accepted the
+// set. Load and Update are adapters that check and resolve through a
+// State of the engine's own. Stats sizes the state the engine keeps.
 type Engine interface {
 	Solution
 	Attach(nodes Nodes, v *model.View) error
@@ -50,15 +51,13 @@ type Engine interface {
 // on its own, as in the paper's harness: it resolves through a State of
 // its own and feeds the engine the resolved changes.
 //
-// Two rules differ from a served State's, both about data no engine reads.
-// An engine reads a comment's root post, never its parent, and the Q2
-// engines are fed a view without the comments nobody likes, which other
-// comments may reply to: so the engine's State files each comment directly
-// under its root post. And the engines' matrices are boolean, so an insert
-// stream that adds a like or friendship the State already holds changes
-// nothing: Update drops an add of an edge that is present at that point
-// of the set (see model.State.DropHeldAdds), where a served State would
-// reject it as a duplicate. Every other rule is checked as given.
+// The State checks every rule as the served State does: a change set with
+// a duplicate add, or any other violation, fails with model.ErrIntegrity
+// and the engine sees nothing of it. One rule differs, about data no
+// engine reads: an engine reads a comment's root post, never its parent,
+// and the Q2 engines may be fed a view without the comments nobody likes,
+// which other comments may reply to, so the engine's State files each
+// comment directly under its root post.
 type standalone struct {
 	self    Engine
 	st      *model.State
@@ -85,7 +84,7 @@ func (a *standalone) Load(snap *model.Snapshot) error {
 
 // Update implements Solution.
 func (a *standalone) Update(cs *model.ChangeSet) (Result, error) {
-	a.changes = a.st.DropHeldAdds(a.changes[:0], cs.Changes)
+	a.changes = append(a.changes[:0], cs.Changes...)
 	for i := range a.changes {
 		if ch := &a.changes[i]; ch.Kind == model.KindAddComment {
 			ch.Comment.ParentID = ch.Comment.PostID

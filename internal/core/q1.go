@@ -115,14 +115,14 @@ func (s *Q1Batch) evaluate() (Result, error) {
 // are built from the new comments alone, VxM's scratch is bounded by its
 // products, and the score vector is never copied.
 //
-// The top-3 answer is read from a RankIndex over every post, updated only
+// The top-3 answer is read from a RankHeap over every post, updated only
 // for the posts in scores⁺'s pattern and the new posts, so ranking costs
 // O(|Δscores| log |posts|) whether the change set adds or removes edges.
 type Q1Incremental struct {
 	standalone
 	g      *graph
 	scores *grb.Vector[int64]
-	rank   RankIndex // by post index
+	rank   RankHeap[Entry, byEntry] // by post index
 	prev   Result
 }
 
@@ -152,7 +152,7 @@ func (s *Q1Incremental) Attach(nodes Nodes, v *model.View) error {
 }
 
 // Initial implements Solution: the first evaluation is a full one; it also
-// seeds the maintained score vector and fills the rank index. Alg. 2 never
+// seeds the maintained score vector and fills the rank heap. Alg. 2 never
 // reads RootPost or Likes, so they are released here: likes enter Update
 // only as the change set's like-count deltas.
 func (s *Q1Incremental) Initial() (Result, error) {
@@ -166,7 +166,7 @@ func (s *Q1Incremental) Initial() (Result, error) {
 	}
 	s.g.rootPost, s.g.likes = nil, nil
 	s.scores = scores
-	s.rank.Init(denseKeys(s.g.np), s.postEntry)
+	rankAll(&s.rank, s.g.np, s.postEntry)
 	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
 }
@@ -246,11 +246,11 @@ func (s *Q1Incremental) UpdateRefs(refs []model.Ref) (Result, error) {
 	}
 
 	scoresPlus.Iterate(func(i grb.Index, _ int64) bool {
-		s.rank.Set(i, s.postEntry(i))
+		s.rank.Set(Slot[Entry]{Val: s.postEntry(i), Key: int32(i)})
 		return true
 	})
 	for _, pi := range d.newPosts {
-		s.rank.Set(pi, s.postEntry(pi))
+		s.rank.Set(Slot[Entry]{Val: s.postEntry(pi), Key: int32(pi)})
 	}
 	s.prev = s.rank.Top(TopK)
 	return s.prev, nil

@@ -169,7 +169,7 @@ func (s *Q2Batch) evaluate() (Result, error) {
 //     for the literal formulation, kept for the ablation benchmark).
 //
 // Affected comments are re-scored with the batch kernel into the maintained
-// score vector and re-ranked in a RankIndex over every comment, so the
+// score vector and re-ranked in a RankHeap over every comment, so the
 // top-3 costs O(|affected| log |comments|) whether the change set adds or
 // removes edges. Re-scoring a comment costs its induced subgraph: its
 // likers, their friend rows (or, for a friend row longer than the liker
@@ -181,8 +181,8 @@ func (s *Q2Batch) evaluate() (Result, error) {
 type Q2Incremental struct {
 	standalone
 	g       *graph
-	scores  []int64   // dense by comment index
-	rank    RankIndex // by comment index
+	scores  []int64                  // dense by comment index
+	rank    RankHeap[Entry, byEntry] // by comment index
 	prev    Result
 	scorers []q2Scorer // Update's, one per grb.Threads() worker
 
@@ -251,7 +251,7 @@ func (s *Q2Incremental) Initial() (Result, error) {
 	if _, err := q2ScoreAll(s.g.likes, s.g.friends, all, s.scores, scorers); err != nil {
 		return nil, err
 	}
-	s.rank.Init(all, s.entry)
+	rankAll(&s.rank, nc, s.entry)
 	s.prev = s.rank.Top(TopK)
 	return s.prev, nil
 }
@@ -318,7 +318,7 @@ func (s *Q2Incremental) UpdateRefs(refs []model.Ref) (Result, error) {
 	s.subgraphEntries += int64(entries)
 
 	for _, ci := range idxs {
-		s.rank.Set(ci, s.entry(ci))
+		s.rank.Set(Slot[Entry]{Val: s.entry(ci), Key: int32(ci)})
 	}
 	s.prev = s.rank.Top(TopK)
 	return s.prev, nil

@@ -39,7 +39,7 @@ import (
 // likers, or by probing its friends for each of the comment's likers,
 // whichever list is shorter, so a hub's friend list is never scanned for a
 // small comment. The comments a change set touched are re-ranked in a
-// RankIndex over the held comments, so the top-3 costs O(|touched| log
+// RankHeap over the held comments, so the top-3 costs O(|touched| log
 // |comments|).
 //
 // A comment nobody has liked scores exactly 0, and most comments are
@@ -47,9 +47,9 @@ import (
 // comments someone has liked and parks the rest: it numbers the held
 // comments compactly, in the order they were first liked, and ranks the
 // parked ones in a RankHeap of their bare State indices, read back through
-// nodes. A comment joins the held ones at its first like (or unlike) and
-// stays held, even once unliked back to no like. The answer ranks both
-// sets' candidates through one Ranker.
+// nodes. A comment joins the held ones at its first like and stays held,
+// even once unliked back to no like. The answer ranks both sets'
+// candidates through one Ranker.
 type Q2IncrementalCC struct {
 	standalone
 	nodes Nodes
@@ -70,7 +70,7 @@ type Q2IncrementalCC struct {
 	friendEdges, likeEdges int
 
 	cc   []commentLabels
-	rank RankIndex // by local comment index
+	rank RankHeap[Entry, byEntry] // by local comment index
 
 	touched []int32  // local comments the current change set touched
 	search  ccSearch // scratch of every component search
@@ -207,7 +207,7 @@ func (*Q2IncrementalCC) Query() string { return "Q2" }
 // root, so one pass in slot order numbers each comment's components in
 // the order of their first likers, as a search from each unlabelled liker
 // would. The per-user and per-comment slices get a quarter more room than
-// the View needs, as RankIndex.Init does, so the first users and comments
+// the View needs, as rankAll does, so the first users and comments
 // an update adds do not copy them.
 func (s *Q2IncrementalCC) Attach(nodes Nodes, v *model.View) error {
 	s.nodes = nodes
@@ -688,10 +688,7 @@ func (s *Q2IncrementalCC) relabel(c *commentLabels, comp []int32, l int32) {
 // onLike ingests a likes edge (comment ci ← user ui).
 func (s *Q2IncrementalCC) onLike(ci, ui int) {
 	c := &s.cc[ci]
-	k, dup := c.slot(int32(ui))
-	if dup {
-		return
-	}
+	k, _ := c.slot(int32(ui))
 	c.likes = slices.Insert(c.likes, k, likeLabel{user: int32(ui), label: c.newLabel(1)})
 	c.score++ // new singleton: +1²
 	s.forNeighbours(c, k, func(y int) bool {
@@ -708,10 +705,7 @@ func (s *Q2IncrementalCC) onLike(ci, ui int) {
 // from all at once for the pieces its removal split apart (splitAll).
 func (s *Q2IncrementalCC) onUnlike(ci, ui int) {
 	c := &s.cc[ci]
-	k, ok := c.slot(int32(ui))
-	if !ok {
-		return
-	}
+	k, _ := c.slot(int32(ui))
 	l := c.likes[k].label
 	nbrs := s.search.nbrs[:0] // their slots once the like is gone
 	s.forNeighbours(c, k, func(y int) bool {
@@ -743,9 +737,7 @@ func (s *Q2IncrementalCC) onUnlike(ci, ui int) {
 // onFriendship ingests an undirected friends edge: the endpoints'
 // components merge in every comment both users like.
 func (s *Q2IncrementalCC) onFriendship(a, b int) {
-	if a == b || !s.addFriend(a, b) {
-		return // a self-friendship joins nothing; or already friends
-	}
+	s.addFriend(a, b)
 	s.addFriend(b, a)
 	s.friendEdges += 2
 	s.forCoLiked(a, b, s.union)
@@ -754,9 +746,7 @@ func (s *Q2IncrementalCC) onFriendship(a, b int) {
 // onUnfriend ingests a friendship removal: in every comment both users
 // still like, the edge may have held their component together.
 func (s *Q2IncrementalCC) onUnfriend(a, b int) {
-	if !s.dropFriend(a, b) {
-		return // not friends
-	}
+	s.dropFriend(a, b)
 	s.dropFriend(b, a)
 	s.friendEdges -= 2
 	s.forCoLiked(a, b, s.split)
@@ -787,33 +777,24 @@ func (s *Q2IncrementalCC) friendsOf(u int32) []int32 { return s.adj[u][:s.nFrien
 // likesOf is the comments user u likes.
 func (s *Q2IncrementalCC) likesOf(u int) []int32 { return s.adj[u][s.nFriends[u]:] }
 
-// addFriend adds b to a's friends unless it is there already, and reports
-// whether it did.
-func (s *Q2IncrementalCC) addFriend(a, b int) bool {
-	k, found := slices.BinarySearch(s.friendsOf(int32(a)), int32(b))
-	if found {
-		return false
-	}
+// addFriend adds b to a's friends.
+func (s *Q2IncrementalCC) addFriend(a, b int) {
+	k, _ := slices.BinarySearch(s.friendsOf(int32(a)), int32(b))
 	s.adj[a] = slices.Insert(s.adj[a], k, int32(b))
 	s.nFriends[a]++
-	return true
 }
 
-// dropFriend removes b from a's friends and reports whether it was there.
-func (s *Q2IncrementalCC) dropFriend(a, b int) bool {
-	k, found := slices.BinarySearch(s.friendsOf(int32(a)), int32(b))
-	if !found {
-		return false
-	}
+// dropFriend removes b from a's friends.
+func (s *Q2IncrementalCC) dropFriend(a, b int) {
+	k, _ := slices.BinarySearch(s.friendsOf(int32(a)), int32(b))
 	s.adj[a] = slices.Delete(s.adj[a], k, k+1)
 	s.nFriends[a]--
-	return true
 }
 
 // Initial implements Solution: scores are already maintained, so the first
-// evaluation just fills the rank index.
+// evaluation just fills the rank heap.
 func (s *Q2IncrementalCC) Initial() (Result, error) {
-	s.rank.Init(denseKeys(len(s.cc)), s.entry)
+	rankAll(&s.rank, len(s.cc), s.entry)
 	return s.top(), nil
 }
 
@@ -826,13 +807,16 @@ func (s *Q2IncrementalCC) entry(ci int) Entry {
 // Ranker.
 func (s *Q2IncrementalCC) top() Result {
 	t := Ranker{k: TopK, entries: make(Result, 0, TopK)}
-	s.rank.h.feed(&t)
+	s.rank.feed(&t)
 	s.parked.feed(&t)
 	return t.entries
 }
 
 // UpdateRefs implements Engine: feed each change through its event
-// handler, then re-rank the touched comments. A new comment parks.
+// handler, then re-rank the touched comments. A new comment parks. The
+// handlers trust the refs, as the State that resolved them checked them:
+// an add is of an edge not yet held, a removal of a held one, and a
+// friendship joins two distinct users; so an unlike is of a held comment.
 func (s *Q2IncrementalCC) UpdateRefs(refs []model.Ref) (Result, error) {
 	s.touched = s.touched[:0]
 	for _, r := range refs {
@@ -849,7 +833,7 @@ func (s *Q2IncrementalCC) UpdateRefs(refs []model.Ref) (Result, error) {
 		case model.KindAddLike:
 			s.onLike(s.held(r.B), a)
 		case model.KindRemoveLike:
-			s.onUnlike(s.held(r.B), a)
+			s.onUnlike(int(s.local[r.B]), a)
 		case model.KindAddFriendship:
 			s.onFriendship(a, b)
 		case model.KindRemoveFriendship:
@@ -858,7 +842,7 @@ func (s *Q2IncrementalCC) UpdateRefs(refs []model.Ref) (Result, error) {
 	}
 	slices.Sort(s.touched)
 	for _, ci := range slices.Compact(s.touched) {
-		s.rank.Set(int(ci), s.entry(int(ci)))
+		s.rank.Set(Slot[Entry]{Val: s.entry(int(ci)), Key: ci})
 	}
 	return s.top(), nil
 }

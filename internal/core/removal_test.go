@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/datagen"
@@ -166,34 +167,60 @@ func TestRemoveAndReAddInOneSet(t *testing.T) {
 	runAll(t, d, q2Engines(), false)
 }
 
-func TestRepeatedAddInOneSetIsIdempotent(t *testing.T) {
-	// The engines' matrices are boolean: a set that adds the same edge
-	// twice, in either spelling, scores as the set adding it once.
-	once := model.ChangeSet{Changes: []model.Change{
-		{Kind: model.KindAddLike, Like: model.Like{UserID: model.U1, CommentID: model.C1}},
-		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: model.U1, User2: model.U2}},
+// TestDuplicateAddIsRejected: an engine's Update checks a set through
+// its State as the served State does, so a set that adds an edge already
+// present at that point of the set fails with model.ErrIntegrity, also
+// after valid changes, and the engine sees nothing of it: the next valid
+// set answers as on an engine that never saw the rejected one.
+func TestDuplicateAddIsRejected(t *testing.T) {
+	const u5 = model.ID(500)
+	like := func(u, c model.ID) model.Change {
+		return model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: u, CommentID: c}}
+	}
+	friend := func(a, b model.ID) model.Change {
+		return model.Change{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: a, User2: b}}
+	}
+	addUser := model.Change{Kind: model.KindAddUser, User: model.User{ID: u5}}
+	next := model.ChangeSet{Changes: []model.Change{
+		addUser, like(u5, model.C3), like(model.U1, model.C1), friend(model.U1, model.U2),
 	}}
-	twice := model.ChangeSet{Changes: []model.Change{
-		once.Changes[0], once.Changes[1], once.Changes[0],
-		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: model.U2, User2: model.U1}},
-	}}
+	cases := []struct {
+		name string
+		set  []model.Change
+	}{
+		{"like the state holds", []model.Change{addUser, like(u5, model.C3), like(model.U2, model.C1)}},
+		{"like repeated in the set", []model.Change{addUser, like(model.U1, model.C1), like(model.U1, model.C1)}},
+		{"friendship in both spellings", []model.Change{addUser, friend(model.U1, model.U2), friend(model.U2, model.U1)}},
+	}
 	d := model.ExampleDataset()
-	update := func(eng Solution, cs *model.ChangeSet) Result {
+	start := func(eng Solution) {
 		if err := eng.Load(d.Snapshot); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Initial(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Update(cs)
-		if err != nil {
-			t.Fatalf("%s: %v", eng.Name(), err)
-		}
-		return res
 	}
-	want := append(q1Engines(), q2Engines()...)
-	for i, eng := range append(q1Engines(), q2Engines()...) {
-		assertResultsEqual(t, eng.Name(), "repeated-add", update(want[i], &once), update(eng, &twice))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := append(q1Engines(), q2Engines()...)
+			for i, eng := range append(q1Engines(), q2Engines()...) {
+				start(eng)
+				if _, err := eng.Update(&model.ChangeSet{Changes: tc.set}); !errors.Is(err, model.ErrIntegrity) {
+					t.Fatalf("%s: Update = %v, want an integrity violation", eng.Name(), err)
+				}
+				got, err := eng.Update(&next)
+				if err != nil {
+					t.Fatalf("%s: next set after the rejected one: %v", eng.Name(), err)
+				}
+				start(fresh[i])
+				want, err := fresh[i].Update(&next)
+				if err != nil {
+					t.Fatalf("%s: %v", eng.Name(), err)
+				}
+				assertResultsEqual(t, eng.Name(), "after-rejected-set", want, got)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,7 @@ package core
 // (removals).
 //
 // A slot holds its key and as much of its entry as the Ranking needs to
-// order it: an engine's RankIndex copies whole Entries into its slots,
+// order it: an engine's heap copies whole Entries into its slots,
 // while a slot with an empty value is the bare key of an entity the
 // Ranking reads through a table of its own. Keys index a dense position
 // table, so they should be small non-negative ints below 2^31 (an
@@ -155,34 +155,21 @@ func (x *RankHeap[S, R]) place(p int, s Slot[S]) {
 	x.pos[s.Key] = int32(p + 1)
 }
 
-// RankIndex is the engines' RankHeap: each slot holds its entry.
-type RankIndex struct{ h RankHeap[Entry, byEntry] }
-
-// byEntry ranks slots that hold their entries.
+// byEntry ranks slots that hold their entries: the engines' rank heaps.
 type byEntry struct{}
 
 func (byEntry) Less(a, b Slot[Entry]) bool { return Less(a.Val, b.Val) }
 func (byEntry) Entry(s Slot[Entry]) Entry  { return s.Val }
 
-// Len reports how many keys the index holds.
-func (x *RankIndex) Len() int { return x.h.Len() }
-
-// Init replaces the index's content with one entry per key in keys, which
-// must be distinct, in O(n). It allocates once, with a quarter more room
-// than keys need (about what append's next growth would give), so the load
-// leaves no garbage and the keys Set soon after it do not copy the whole
-// index.
-func (x *RankIndex) Init(keys []int, entry func(key int) Entry) {
-	slots := make([]Slot[Entry], len(keys), len(keys)+len(keys)/4)
-	for p, k := range keys {
-		slots[p] = Slot[Entry]{Val: entry(k), Key: int32(k)}
+// rankAll bulk-loads x with entry(i) under every key i < n, in O(n): an
+// engine's first full evaluation. It allocates once, with a quarter more
+// room than the keys need (about what append's next growth would give),
+// so the load leaves no garbage and the keys Set soon after it do not copy
+// the whole heap.
+func rankAll(x *RankHeap[Entry, byEntry], n int, entry func(i int) Entry) {
+	slots := make([]Slot[Entry], n, n+n/4)
+	for i := range slots {
+		slots[i] = Slot[Entry]{Val: entry(i), Key: int32(i)}
 	}
-	x.h.Init(byEntry{}, slots)
+	x.Init(byEntry{}, slots)
 }
-
-// Set stores e under key i, inserting the key or moving its entry to the
-// place its new value ranks.
-func (x *RankIndex) Set(i int, e Entry) { x.h.Set(Slot[Entry]{Val: e, Key: int32(i)}) }
-
-// Top returns the best k entries, best first.
-func (x *RankIndex) Top(k int) Result { return x.h.Top(k) }

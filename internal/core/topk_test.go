@@ -76,38 +76,38 @@ func TestRankerMergeMatchesGlobalRanker(t *testing.T) {
 	}
 }
 
-// FuzzRankIndex bulk-loads some keys with Init, then drives random
+// FuzzRankIndex drives the engines' rank index, a RankHeap of whole
+// entries: it bulk-loads some keys with Init, then runs random
 // Set/Remove/Top sequences over a small key space with many equal scores
-// and timestamps, and after every operation checks the index's length and
+// and timestamps, and after every operation checks the heap's length and
 // its Top(k) for k = 1..4 against a brute-force sort of a map holding the
-// same entries. The engines only Set; removals go to the embedded
-// RankHeap's Remove, which q2cc's parked set calls.
+// same entries. The engines only Set; q2cc's parked set also Removes.
 func FuzzRankIndex(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(9), []byte{0x10, 0x21, 0x32, 0x80, 0x91, 0x10, 0x10, 0xa3, 0x44, 0x55, 0x66, 0x77})
 	f.Add(uint8(16), []byte{0xff, 0x00, 0xfe, 0x01, 0xfd, 0x02, 0xfc, 0x03, 0x81, 0x82, 0x83})
 	f.Add(uint8(0), []byte{0xc4}) // removes the root of a bulk-loaded heap
 	f.Fuzz(func(t *testing.T, n uint8, ops []byte) {
-		var x RankIndex
+		var x RankHeap[Entry, byEntry]
 		want := map[int]Entry{}
 		initial := func(i int) Entry { return Entry{ID: int64(i), Score: int64(i*5) % 3, Timestamp: int64(i) & 1} }
 		// Init takes every other key from n%17 up: sparse keys, or none.
-		var keys []int
+		var slots []Slot[Entry]
 		for k := int(n % 17); k < 16; k += 2 {
-			keys = append(keys, k)
+			slots = append(slots, Slot[Entry]{Val: initial(k), Key: int32(k)})
 			want[k] = initial(k)
 		}
-		x.Init(keys, initial)
+		x.Init(byEntry{}, slots)
 		for step, op := range ops {
 			// Low 4 bits pick one of 16 keys; the high bits pick Set
 			// (with 4 scores and 2 timestamps, so ties abound) or Remove.
 			key := int(op & 0x0f)
 			if op&0x80 != 0 && op&0x40 != 0 {
-				x.h.Remove(key)
+				x.Remove(key)
 				delete(want, key)
 			} else {
 				e := Entry{ID: int64(key), Score: int64(op>>4) & 3, Timestamp: int64(step) & 1}
-				x.Set(key, e)
+				x.Set(Slot[Entry]{Val: e, Key: int32(key)})
 				want[key] = e
 			}
 			if x.Len() != len(want) {

@@ -294,67 +294,6 @@ func (st *State) Apply(changes []Change) ([]Ref, error) {
 	return st.refs, nil
 }
 
-// DropHeldAdds appends to dst the changes an engine of boolean matrices
-// needs to see and returns dst: every change except an AddLike or
-// AddFriendship of an edge that is present where the change stands in
-// the sequence, because an earlier change of it added the edge, or the
-// state holds it and no earlier change removed it. Such an add changes no
-// boolean matrix, while Apply rejects it as a duplicate.
-func (st *State) DropHeldAdds(dst, changes []Change) []Change {
-	var present map[ChangeKey]bool // the edges changes has touched so far
-	for i := range changes {
-		ch := &changes[i]
-		if f, _ := ch.Kind.Family(); f != KeyLike && f != KeyFriendship {
-			dst = append(dst, *ch)
-			continue
-		}
-		k := ch.Key()
-		add := !ch.Kind.IsRemoval()
-		if add {
-			held, touched := present[k]
-			if !touched {
-				held = st.holds(ch)
-			}
-			if held {
-				continue
-			}
-		}
-		if present == nil {
-			present = make(map[ChangeKey]bool)
-		}
-		present[k] = add
-		dst = append(dst, *ch)
-	}
-	return dst
-}
-
-// holds reports whether the state holds the like or friendship an
-// AddLike or AddFriendship change adds.
-func (st *State) holds(ch *Change) bool {
-	var k uint64
-	var t *slotTable[uint64]
-	switch ch.Kind {
-	case KindAddLike:
-		u, okU := index(&st.users, ch.Like.UserID)
-		c, okC := index(&st.comments, ch.Like.CommentID)
-		if !okU || !okC {
-			return false
-		}
-		k, t = pair(u, c), &st.likes
-	case KindAddFriendship:
-		a, okA := index(&st.users, ch.Friendship.User1)
-		b, okB := index(&st.users, ch.Friendship.User2)
-		if !okA || !okB {
-			return false
-		}
-		k, t = friendKey(a, b), &st.friends
-	default:
-		return false
-	}
-	_, ok := t.index(k)
-	return ok
-}
-
 // PostIDTime returns post i's id and timestamp.
 func (st *State) PostIDTime(i int) (ID, int64) { return st.posts.keys[i], st.postTimes[i] }
 

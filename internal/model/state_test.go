@@ -224,39 +224,6 @@ func TestStateRollbackIsComplete(t *testing.T) {
 	}
 }
 
-// TestDropHeldAdds: an add is dropped exactly when its edge is present at
-// its place in the sequence, so what is kept applies cleanly.
-func TestDropHeldAdds(t *testing.T) {
-	st := stateFixture(t)
-	like := func(kind ChangeKind, u, c ID) Change { return Change{Kind: kind, Like: Like{UserID: u, CommentID: c}} }
-	friend := func(kind ChangeKind, a, b ID) Change {
-		return Change{Kind: kind, Friendship: Friendship{User1: a, User2: b}}
-	}
-	req := []Change{
-		like(KindAddLike, 100, 10),               // held: dropped
-		like(KindRemoveLike, 100, 10),            // kept
-		like(KindAddLike, 100, 10),               // removed above: kept
-		like(KindAddLike, 100, 10),               // added above: dropped
-		friend(KindAddFriendship, 100, 101),      // held in the other spelling: dropped
-		friend(KindRemoveFriendship, 101, 100),   // kept
-		friend(KindAddFriendship, 100, 101),      // kept
-		{Kind: KindAddUser, User: User{ID: 102}}, // kept
-		friend(KindAddFriendship, 102, 100),      // kept
-		friend(KindAddFriendship, 100, 102),      // added above: dropped
-		{Kind: KindAddComment, Comment: Comment{ID: 11, ParentID: 10, PostID: 1}},
-		like(KindAddLike, 101, 11), // kept
-		like(KindAddLike, 101, 11), // dropped
-	}
-	want := []Change{req[1], req[2], req[5], req[6], req[7], req[8], req[10], req[11]}
-	got := st.DropHeldAdds(nil, req)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DropHeldAdds kept\n%v\nwant\n%v", got, want)
-	}
-	if _, err := st.Apply(got); err != nil {
-		t.Fatalf("Apply of the kept changes: %v", err)
-	}
-}
-
 // TestStateViewCopyOnWrite: a view never changes under later applies; the
 // first edge removal while it is held detaches the edge arrays once, and
 // none is needed after release.

@@ -154,9 +154,12 @@ type counters struct {
 	// (model.NewState). Each served engine then loads the State and
 	// initially evaluates it on its own goroutine, with no barrier
 	// between engines (see shard.Start): Load is the slowest engine's
-	// load and Initial the slowest initial evaluation. The first audit, which checks the base
-	// state, runs after both, while the server already serves, and is part
-	// of none.
+	// load and Initial the slowest engine's initial evaluation. Those
+	// phases overlap across engines on shared cores, so neither figure
+	// isolates its own phase's cost: one engine's load slows another's
+	// initial evaluation, and the two trade against each other. The first
+	// audit, which checks the base state, runs after both, while the
+	// server already serves, and is part of none.
 	Read    durationMS `json:"readMs"`
 	State   durationMS `json:"stateMs"`
 	Load    durationMS `json:"loadMs"`

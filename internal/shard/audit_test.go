@@ -16,9 +16,6 @@ import (
 	"repro/internal/model"
 )
 
-// The audit is the runtime's verifier of its served answers; the tests
-// named after the verifier check it.
-
 // startHooked starts an n-shard runtime on a State of snap, at base seq 0,
 // with onAudit as its audit hook, closed when the test ends.
 func startHooked(t *testing.T, n int, snap *model.Snapshot, onAudit func(seq int) error) *Runtime {
@@ -104,14 +101,14 @@ func batchAnswers(t *testing.T, snap *model.Snapshot) (q1, q2 string) {
 	return out[0], out[1]
 }
 
-// TestVerifierMatchesOracle: at 1 and 4 shards, a removal-heavy stream of
+// TestAuditMatchesOracle: at 1 and 4 shards, a removal-heavy stream of
 // 500 change sets commits while a hooked auditor, which does not rest,
 // audits each commit it is offered while idle; every 25 commits the
 // stream waits for it, so the commit after is audited. It records no
 // disagreement, and at every audited seq the served q1 and q2 (q2cc's
 // answer) equal Q1Batch's and Q2Batch's over Snapshot.Apply of the
 // stream's prefix.
-func TestVerifierMatchesOracle(t *testing.T) {
+func TestAuditMatchesOracle(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 31, RemovalFraction: 0.35, ChangeSets: 500})
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
@@ -161,14 +158,14 @@ func TestVerifierMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestVerifierBackpressure: an audit never holds a commit back. With an
+// TestAuditHoldsNoCommitBack: an audit never holds a commit back. With an
 // audit held, 16 commits, twice as many as the queue of the per-commit
 // verifier this audit replaced held before it blocked them, return; no
 // offer is taken meanwhile. The held audit holds its View, which the
 // commits' removals leave through exactly one copy-on-write detach of the
 // State's edge keys. Released, the held audit checks the State as of its
 // View, and the next commit is audited.
-func TestVerifierBackpressure(t *testing.T) {
+func TestAuditHoldsNoCommitBack(t *testing.T) {
 	const commits = 16
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 37, RemovalFraction: 0.3, ChangeSets: commits + 2})
 	hook, held, release := holdAudit(1)
@@ -205,10 +202,10 @@ func TestVerifierBackpressure(t *testing.T) {
 	}
 }
 
-// TestVerifierErrorIsFinal: an audit that fails publishes its error,
+// TestAuditErrorIsFinal: an audit that fails publishes its error,
 // naming the seq it checked, beside the figures of the audits before it;
 // the auditor audits nothing after it, and commits never wait on it.
-func TestVerifierErrorIsFinal(t *testing.T) {
+func TestAuditErrorIsFinal(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 41, ChangeSets: 20})
 	boom := errors.New("injected")
 	var mu sync.Mutex
@@ -240,12 +237,12 @@ func TestVerifierErrorIsFinal(t *testing.T) {
 	}
 }
 
-// TestStartupLeavesTheVerifierLoading holds the first audit, which checks
-// Start's state: Start has returned with the served engines' answers,
+// TestStartupLeavesTheFirstAuditRunning holds the first audit, which
+// checks Start's state: Start has returned with the served engines' answers,
 // nothing is audited yet (Seq one below the base), and 16 commits return
 // while the audit is held. Released, it checks Start's evaluation with no
 // disagreement, and the next commit is audited.
-func TestStartupLeavesTheVerifierLoading(t *testing.T) {
+func TestStartupLeavesTheFirstAuditRunning(t *testing.T) {
 	const commits = 16
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 47, RemovalFraction: 0.3, ChangeSets: commits + 1})
 	hook, held, release := holdAudit(0)
@@ -274,10 +271,10 @@ func TestStartupLeavesTheVerifierLoading(t *testing.T) {
 	}
 }
 
-// TestStartupVerifierLoadFailure: a first audit that fails is published
+// TestStartupFirstAuditFailure: a first audit that fails is published
 // with no audit counted and Seq one below the base; the auditor audits
 // nothing after it, and commits never wait on it.
-func TestStartupVerifierLoadFailure(t *testing.T) {
+func TestStartupFirstAuditFailure(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 53, ChangeSets: 8})
 	boom := errors.New("injected first audit failure")
 	rt := startHooked(t, 1, d.Snapshot, func(seq int) error {
@@ -294,9 +291,9 @@ func TestStartupVerifierLoadFailure(t *testing.T) {
 	commitWithin(t, rt, d.ChangeSets, 30*time.Second)
 }
 
-// TestStartupCloseDuringVerifierLoad: Close waits for a held first audit,
+// TestStartupCloseDuringFirstAudit: Close waits for a held first audit,
 // returns once it is released, and leaves no goroutine running.
-func TestStartupCloseDuringVerifierLoad(t *testing.T) {
+func TestStartupCloseDuringFirstAudit(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 59})
 	for _, n := range []int{1, 2} {
 		before := runtime.NumGoroutine()

@@ -171,8 +171,9 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 // read the whole graph, so each served engine attaches to one View of st
 // and then initially evaluates on its own goroutine, with no barrier
 // between engines. The View is released once every engine has returned.
-// LoadDuration and InitialDuration are the slowest engine's load and the
-// slowest initial evaluation.
+// LoadDuration and InitialDuration are the slowest load and the slowest
+// initial evaluation of any served engine; the phases overlap across
+// engines on shared cores, so neither isolates its own cost.
 // Start then collects once, so the server starts under a heap goal of
 // twice the served state, not twice start-up's peak. It then starts the
 // auditor and offers it Start's state, and returns without waiting for
@@ -373,11 +374,15 @@ func (rt *Runtime) record() *Record {
 }
 
 // LoadDuration is the slowest served engine's load in Start, from the
-// moment Start takes its View until the engine's Attach returns.
+// moment Start takes its View until the engine's Attach returns. The
+// engines load and evaluate side by side on shared cores, so one engine's
+// load overlaps another's and its initial evaluation: the figure does not
+// isolate the load's own cost.
 func (rt *Runtime) LoadDuration() time.Duration { return rt.loadDur }
 
 // InitialDuration is the slowest served engine's initial evaluation in
-// Start.
+// Start. Like LoadDuration, it overlaps other engines' phases on shared
+// cores, so it does not isolate the evaluation's own cost.
 func (rt *Runtime) InitialDuration() time.Duration { return rt.initialDur }
 
 // Close stops the auditor once a running audit ends. Idempotent.
