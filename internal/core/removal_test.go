@@ -167,31 +167,50 @@ func TestRemoveAndReAddInOneSet(t *testing.T) {
 	runAll(t, d, q2Engines(), false)
 }
 
-// TestDuplicateAddIsRejected: an engine's Update checks a set through
-// its State as the served State does, so a set that adds an edge already
-// present at that point of the set fails with model.ErrIntegrity, also
-// after valid changes, and the engine sees nothing of it: the next valid
-// set answers as on an engine that never saw the rejected one.
-func TestDuplicateAddIsRejected(t *testing.T) {
-	const u5 = model.ID(500)
-	like := func(u, c model.ID) model.Change {
-		return model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: u, CommentID: c}}
-	}
-	friend := func(a, b model.ID) model.Change {
-		return model.Change{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: a, User2: b}}
-	}
-	addUser := model.Change{Kind: model.KindAddUser, User: model.User{ID: u5}}
+// An engine's Update checks a set through its State as the served State
+// does, so a set that adds an edge already present at that point of the
+// set fails with model.ErrIntegrity, also after valid changes, and the
+// engine sees nothing of it: the next valid set answers as on an engine
+// that never saw the rejected one. Each case's set is checked on every Q1
+// and Q2 engine.
+type duplicateAddCase struct {
+	name string
+	set  []model.Change
+}
+
+const dupUser = model.ID(500)
+
+var dupAddUser = model.Change{Kind: model.KindAddUser, User: model.User{ID: dupUser}}
+
+func dupLike(u, c model.ID) model.Change {
+	return model.Change{Kind: model.KindAddLike, Like: model.Like{UserID: u, CommentID: c}}
+}
+
+func dupFriend(a, b model.ID) model.Change {
+	return model.Change{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: a, User2: b}}
+}
+
+// TestHeldAddIsRejected: a set that adds a like the State already holds.
+func TestHeldAddIsRejected(t *testing.T) {
+	checkDuplicateAddRejected(t, []duplicateAddCase{
+		{"like the state holds", []model.Change{dupAddUser, dupLike(dupUser, model.C3), dupLike(model.U2, model.C1)}},
+	})
+}
+
+// TestRepeatedAddInOneSetIsRejected: a set that adds the same edge twice,
+// in either spelling.
+func TestRepeatedAddInOneSetIsRejected(t *testing.T) {
+	checkDuplicateAddRejected(t, []duplicateAddCase{
+		{"like repeated in the set", []model.Change{dupAddUser, dupLike(model.U1, model.C1), dupLike(model.U1, model.C1)}},
+		{"friendship in both spellings", []model.Change{dupAddUser, dupFriend(model.U1, model.U2), dupFriend(model.U2, model.U1)}},
+	})
+}
+
+func checkDuplicateAddRejected(t *testing.T, cases []duplicateAddCase) {
+	t.Helper()
 	next := model.ChangeSet{Changes: []model.Change{
-		addUser, like(u5, model.C3), like(model.U1, model.C1), friend(model.U1, model.U2),
+		dupAddUser, dupLike(dupUser, model.C3), dupLike(model.U1, model.C1), dupFriend(model.U1, model.U2),
 	}}
-	cases := []struct {
-		name string
-		set  []model.Change
-	}{
-		{"like the state holds", []model.Change{addUser, like(u5, model.C3), like(model.U2, model.C1)}},
-		{"like repeated in the set", []model.Change{addUser, like(model.U1, model.C1), like(model.U1, model.C1)}},
-		{"friendship in both spellings", []model.Change{addUser, friend(model.U1, model.U2), friend(model.U2, model.U1)}},
-	}
 	d := model.ExampleDataset()
 	start := func(eng Solution) {
 		if err := eng.Load(d.Snapshot); err != nil {
