@@ -17,9 +17,10 @@
 // crash) recovers the full committed history from disk instead of
 // replaying the dataset; -fsync interval fsyncs every 100ms, so a crash
 // loses at most that window's commits. /healthz answers 503 until that
-// recovery replay has committed. -compact-every N additionally rewrites
-// sealed log segments every N commits under change-key supersession
-// (add+remove pairs net out), bounding replay to the history's net effect.
+// recovery replay has committed. Each snapshot trims the log segments
+// it covers, so replay stays bounded by -snapshot-every; ttcwal -compact
+// rewrites a stopped server's sealed segments under change-key
+// supersession.
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops accepting
 // requests, drains the write queue, flushes + fsyncs the WAL, writes a
 // final snapshot, and exits 0.
@@ -61,10 +62,9 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "durability directory (write-ahead log + snapshots); empty disables persistence")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always, interval (every 100ms) or off")
 		snapEvery = flag.Int("snapshot-every", 256, "write a durable snapshot every N committed batches (negative disables periodic snapshots; only meaningful with -data-dir)")
-		compEvery = flag.Int("compact-every", 0, "compact sealed WAL segments by change key every N committed batches (0 disables; only meaningful with -data-dir)")
 	)
 	flag.Parse()
-	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *shards, *snapEvery, *compEvery)
+	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *shards, *snapEvery)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttcserve:", err)
 		os.Exit(2)
@@ -78,7 +78,6 @@ func main() {
 		PersistDir:    *dataDir,
 		Fsync:         syncPolicy,
 		SnapshotEvery: *snapEvery,
-		CompactEvery:  *compEvery,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttcserve:", err)
@@ -179,7 +178,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // validateFlags rejects nonsense flag combinations with exit status 2
 // before any work happens, and resolves the fsync policy name.
-func validateFlags(addr, data, fsync string, sf, shards, snapEvery, compEvery int) (wal.SyncPolicy, error) {
+func validateFlags(addr, data, fsync string, sf, shards, snapEvery int) (wal.SyncPolicy, error) {
 	if addr == "" {
 		return 0, errors.New("-addr must not be empty")
 	}
@@ -195,9 +194,6 @@ func validateFlags(addr, data, fsync string, sf, shards, snapEvery, compEvery in
 	}
 	if snapEvery == 0 {
 		return 0, errors.New("-snapshot-every must be nonzero (negative disables periodic snapshots)")
-	}
-	if compEvery < 0 {
-		return 0, fmt.Errorf("-compact-every must be >= 0 (got %d; 0 disables)", compEvery)
 	}
 	return policy, nil
 }

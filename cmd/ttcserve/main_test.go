@@ -17,9 +17,8 @@ import (
 // in this package makes `go test ./...` compile the binary.
 func TestValidateFlags(t *testing.T) {
 	type flags struct {
-		addr, data, fsync    string
-		sf, shards           int
-		snapEvery, compEvery int
+		addr, data, fsync     string
+		sf, shards, snapEvery int
 	}
 	ok := flags{addr: ":8080", fsync: "always", sf: 1, shards: 1, snapEvery: 256}
 	cases := []struct {
@@ -40,13 +39,11 @@ func TestValidateFlags(t *testing.T) {
 		{"bad fsync policy", func(f *flags) { f.fsync = "sometimes" }, true},
 		{"nondefault snapshot-every", func(f *flags) { f.snapEvery = 10 }, false},
 		{"zero snapshot-every", func(f *flags) { f.snapEvery = 0 }, true},
-		{"ok compact-every", func(f *flags) { f.compEvery = 64 }, false},
-		{"negative compact-every", func(f *flags) { f.compEvery = -1 }, true},
 	}
 	for _, tc := range cases {
 		f := ok
 		tc.mut(&f)
-		policy, err := validateFlags(f.addr, f.data, f.fsync, f.sf, f.shards, f.snapEvery, f.compEvery)
+		policy, err := validateFlags(f.addr, f.data, f.fsync, f.sf, f.shards, f.snapEvery)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: validateFlags = %v, wantErr=%v", tc.name, err, tc.wantErr)
 		}

@@ -353,8 +353,9 @@ func (s *Q2IncrementalCC) held(c int32) int {
 // invariants and returns, by State index, whether each comment is parked.
 // The invariants: of and local are inverse maps over the held comments,
 // each held comment has its labels, and the parked heap holds exactly the
-// comments with no local index. It reads every comment; tests call it
-// after each change set.
+// comments with no local index. It reads every comment. It is a test
+// oracle: no binary calls it, and it is exported only because
+// internal/shard's tests check the parked set after each change set.
 func (s *Q2IncrementalCC) ParkedComments() ([]bool, error) {
 	if len(s.cc) != len(s.of) {
 		return nil, fmt.Errorf("%d held comments, %d with labels", len(s.of), len(s.cc))

@@ -17,8 +17,8 @@ import (
 	"repro/internal/wal"
 )
 
-// The runtime's audit is the server's verifier of its served answers; the
-// tests named after the verifier check it over the server.
+// The runtime's audit checks the served answers with the batch engines;
+// these tests check it over the server.
 
 // auditStats is the part of /stats the audit tests read.
 type auditStats struct {
@@ -94,13 +94,13 @@ func serveAsync(h http.Handler, path string) <-chan *httptest.ResponseRecorder {
 	return out
 }
 
-// TestVerifierOverHTTP: at 1 and 4 shards, with a hooked audit that does
+// TestAuditOverHTTP: at 1 and 4 shards, with a hooked audit that does
 // not rest, after every waited update /stats answers at once with an
 // audited seq no later than its seq and no disagreement, every query
 // answers the oracle's at that seq, ?engine=incremental on /query/q1
 // answers as the served engine does, and on /query/q2 is refused with 400,
 // as any unknown engine is. The audits reach the last seq.
-func TestVerifierOverHTTP(t *testing.T) {
+func TestAuditOverHTTP(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 23, RemovalFraction: 0.3})
 	oracleQ1, oracleQ2 := oracle(t, "Q1", d), oracle(t, "Q2", d)
 	for _, shards := range []int{1, 4} {
@@ -160,12 +160,12 @@ func TestVerifierOverHTTP(t *testing.T) {
 	}
 }
 
-// TestVerifierFailureLeavesServerBroken fails every audit from seq 2 on:
+// TestAuditFailureLeavesServerBroken fails every audit from seq 2 on:
 // the commits are acknowledged (audits run after publication), then the
 // server turns broken — /update and /healthz answer 503 — while every
 // read keeps serving: the served answers at the last seq, and /stats with
 // the audit's error and the seq of the last audit that passed.
-func TestVerifierFailureLeavesServerBroken(t *testing.T) {
+func TestAuditFailureLeavesServerBroken(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 29})
 	oracleQ1, oracleQ2 := oracle(t, "Q1", d), oracle(t, "Q2", d)
 	boom := errors.New("injected audit failure")
@@ -270,13 +270,13 @@ func TestReplayIsAuditedAfterReady(t *testing.T) {
 	checkAudits(t, "after replay", srv)
 }
 
-// TestStartupServesBeforeTheVerifierLoads holds the first audit, of the
+// TestStartupServesBeforeTheFirstAudit holds the first audit, of the
 // base state: New has returned and the server is ready, the served engines
 // answer at seq 0, and 16 waited updates (twice the queue the per-commit
 // verifier this audit replaced held before it blocked commits) commit
 // while /stats answers at once with nothing audited. Released, the audit
 // checks the base state with no disagreement.
-func TestStartupServesBeforeTheVerifierLoads(t *testing.T) {
+func TestStartupServesBeforeTheFirstAudit(t *testing.T) {
 	const commits = 16
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 61, RemovalFraction: 0.2, ChangeSets: commits})
 	oracleQ1, oracleQ2 := oracle(t, "Q1", d), oracle(t, "Q2", d)
@@ -320,11 +320,11 @@ func TestStartupServesBeforeTheVerifierLoads(t *testing.T) {
 	checkAudits(t, "after the release", srv)
 }
 
-// TestStartupVerifierLoadFailureBreaksServer fails the first audit, of the
+// TestStartupFirstAuditFailureBreaksServer fails the first audit, of the
 // base state: the server turns broken — /update and /healthz answer 503 —
 // and keeps serving the served answers at seq 0 and /stats, which reports
 // the error and, with nothing audited, auditedSeq one below the base.
-func TestStartupVerifierLoadFailureBreaksServer(t *testing.T) {
+func TestStartupFirstAuditFailureBreaksServer(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 67})
 	oracleQ1, oracleQ2 := oracle(t, "Q1", d), oracle(t, "Q2", d)
 	boom := errors.New("injected first audit failure")
@@ -370,9 +370,9 @@ func TestStartupVerifierLoadFailureBreaksServer(t *testing.T) {
 	}
 }
 
-// TestStartupCloseDuringVerifierLoad: Close waits for a held first audit,
+// TestStartupCloseWaitsForTheFirstAudit: Close waits for a held first audit,
 // returns once it is released, and leaves no goroutine running.
-func TestStartupCloseDuringVerifierLoad(t *testing.T) {
+func TestStartupCloseWaitsForTheFirstAudit(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 71})
 	before := runtime.NumGoroutine()
 	hook, held, release := holdAudit(0)

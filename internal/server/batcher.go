@@ -134,8 +134,8 @@ func (s *Server) commit(batch []updateReq) {
 	// Pre-commit: the engines apply the batch while the WAL appends it,
 	// since neither needs the other's result. The batch is durable before
 	// it is published or acknowledged: both wait for publish's join, and
-	// so do snapshots and compaction. A crash before the join loses only a
-	// batch that nobody saw; replay then redoes it if its record landed.
+	// so do snapshots. A crash before the join loses only a batch that
+	// nobody saw; replay then redoes it if its record landed.
 	var logged chan error
 	if s.wal != nil {
 		logged = make(chan error, 1)
@@ -167,19 +167,6 @@ func (s *Server) commit(batch []updateReq) {
 	// which the first commit after that encode lands starts.
 	if s.wal != nil && s.cfg.SnapshotEvery > 0 && (s.snapPending || seq%s.cfg.SnapshotEvery == 0) {
 		s.snapshotDurable(seq)
-	}
-	// Compaction cadence: supersede add+remove churn in the sealed WAL
-	// segments. Like snapshots it runs after the acks, and a failure only
-	// means the history replays longer.
-	if s.wal != nil && s.cfg.CompactEvery > 0 && seq%s.cfg.CompactEvery == 0 {
-		rep, err := s.wal.Compact()
-		s.mu.Lock()
-		if err != nil {
-			s.stats.Persist.CompactionErrors++
-		} else {
-			s.stats.Persist.LastCompaction = &rep
-		}
-		s.mu.Unlock()
 	}
 }
 

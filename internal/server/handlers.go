@@ -178,8 +178,8 @@ type counters struct {
 	Persist persistCounters `json:"-"`
 }
 
-// persistCounters is the durability bookkeeping of /stats: snapshot and
-// compaction outcomes and what startup recovery did.
+// persistCounters is the durability bookkeeping of /stats: snapshot
+// outcomes and what startup recovery did.
 type persistCounters struct {
 	LastSnapshotMs durationMS `json:"lastSnapshotMs"`
 	SnapshotErrors int        `json:"snapshotErrors"`
@@ -198,12 +198,6 @@ type persistCounters struct {
 	StreamedSnapshots   int   `json:"streamedSnapshots"`
 	SkippedSnapshots    int   `json:"skippedSnapshots"`
 	CowClones           int   `json:"cowClones"`
-	// CompactionErrors counts failed change-key compaction passes;
-	// LastCompaction is the most recent successful pass (nil until one
-	// completes; each pass stores a new report, never changing an old one).
-	CompactionErrors int                   `json:"compactionErrors"`
-	LastCompaction   *wal.CompactionReport `json:"lastCompaction,omitempty"`
-
 	// Recovered reports that the base state came from a durable snapshot
 	// rather than the dataset; Recovery is where that snapshot was, how
 	// much WAL tail was replayed, and whether a torn tail was truncated.

@@ -342,110 +342,85 @@ func testCompactedWALRecoveryOracle(t *testing.T, snapshotEvery int) {
 		rep.ChangesIn, rep.ChangesOut, rep.SealedSegments, rep.BytesIn, rep.BytesOut)
 }
 
-// TestServerCompactEvery wires the cadence: with -compact-every the writer
-// compacts sealed segments as it goes, and /stats reports the passes. After
-// a crash the directory recovers the exact final state — also when periodic
-// snapshots land inside segments that seal and are compacted later.
-//
-// The snapshot cases crash with the newest snapshot inside a segment that
-// sealed and was compacted after it: at seq 24 of 13-record segments
-// (14..26, compacted at 28) and at seq 55 of 14-record segments (43..56,
-// compacted at 57).
-func TestServerCompactEvery(t *testing.T) {
-	for _, tc := range []struct {
-		snapshotEvery, compactEvery int
-		segmentBytes                int64
-		churn                       int
-	}{
-		{-1, 4, 1024, 64},
-		{8, 4, 480, 30},
-		{5, 3, 512, 58},
-	} {
-		t.Run(fmt.Sprintf("snapshotEvery=%d/compactEvery=%d", tc.snapshotEvery, tc.compactEvery), func(t *testing.T) {
-			testServerCompactEvery(t, tc.snapshotEvery, tc.compactEvery, tc.segmentBytes, tc.churn)
-		})
-	}
-}
-
-func testServerCompactEvery(t *testing.T, snapshotEvery, compactEvery int, segmentBytes int64, churn int) {
+// TestDurableLogBoundedBySnapshots: snapshots alone keep a long-running
+// server's log bounded. A durable server at the default segment size and
+// snapshot cadence takes 8,000 waited commits of 64 likes the dataset
+// does not hold, added and then removed on the next commit; the log
+// rotates at least twice, yet the snapshot trims leave at most two
+// segments, having deleted every sealed segment but possibly the newest.
+// A crash then recovers the exact pre-crash seq and answers.
+func TestDurableLogBoundedBySnapshots(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 5})
-	dir := t.TempDir()
-	srv, err := New(Config{
-		Dataset:       d,
-		PersistDir:    dir,
-		Fsync:         wal.SyncOff,
-		SnapshotEvery: snapshotEvery,
-		segmentBytes:  segmentBytes,
-		CompactEvery:  compactEvery,
-		FlushInterval: time.Millisecond,
-	})
+	held := make(map[model.Like]bool, len(d.Snapshot.Likes))
+	for _, l := range d.Snapshot.Likes {
+		held[l] = true
+	}
+	var add, remove []model.Change
+	for _, u := range d.Snapshot.Users {
+		l := model.Like{UserID: u.ID, CommentID: d.Snapshot.Comments[0].ID}
+		if held[l] {
+			continue
+		}
+		add = append(add, model.Change{Kind: model.KindAddLike, Like: l})
+		remove = append(remove, model.Change{Kind: model.KindRemoveLike, Like: l})
+		if len(add) == 64 {
+			break
+		}
+	}
+	if len(add) < 64 {
+		t.Fatalf("only %d likes the dataset does not hold", len(add))
+	}
+
+	const commits = 8000
+	cfg := Config{Dataset: d, PersistDir: t.TempDir(), Fsync: wal.SyncOff}
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := d.Snapshot.Users[0].ID
-	c := d.Snapshot.Comments[0].ID
-	for i := 0; i < churn; i++ {
-		kind := model.KindAddLike
-		if i%2 == 1 {
-			kind = model.KindRemoveLike
+	every := srv.cfg.SnapshotEvery
+	for i := 1; i <= commits; i++ {
+		set := add
+		if i%2 == 0 {
+			set = remove
 		}
-		ch := model.Change{Kind: kind, Like: model.Like{UserID: u, CommentID: c}}
-		if err := srv.Enqueue([]model.Change{ch}, true); err != nil {
-			t.Fatalf("churn %d: %v", i, err)
+		if err := srv.Enqueue(set, true); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
 		}
-		if snapshotEvery > 0 {
+		if i%every == 0 {
 			// Let each cadence snapshot land before the next commit, so
-			// none is skipped behind a slower encode and the crash finds
-			// the newest one on disk.
-			waitSnapshot(t, srv, i+1-(i+1)%snapshotEvery)
+			// none is deferred behind a slower encode.
+			waitSnapshot(t, srv, i)
 		}
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stats statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, ts.URL+"/stats", &stats)
 	final := srv.Snapshot()
 	srv.crash()
-	if stats.Persistence == nil {
+	p := stats.Persistence
+	if p == nil {
 		t.Fatal("stats.persistence missing")
 	}
-	if stats.Persistence.Compactions == 0 {
-		t.Fatal("compact-every cadence never compacted")
+	if p.Rotations < 2 || p.Segments > 2 || p.TrimmedSegs < p.Rotations-1 {
+		t.Fatalf("log not bounded by snapshots: walRotations=%d walSegments=%d trimmedSegments=%d",
+			p.Rotations, p.Segments, p.TrimmedSegs)
 	}
-	if snapshotEvery < 0 && (stats.Persistence.CompactedSegs == 0 || stats.Persistence.CompactedBytes <= 0) {
-		t.Fatalf("compaction reclaimed nothing: %+v", stats.Persistence)
+	if stats.Inserts != commits/2*64 || stats.Removals != commits/2*64 || stats.Inserts+stats.Removals != stats.Changes {
+		t.Fatalf("insert/removal split: inserts=%d removals=%d changes=%d", stats.Inserts, stats.Removals, stats.Changes)
 	}
-	if stats.Persistence.LastCompaction == nil {
-		t.Fatal("stats.persistence.lastCompaction missing after a pass")
-	}
-	if stats.Inserts == 0 || stats.Removals == 0 {
-		t.Fatalf("insert/removal split not tracked: inserts=%d removals=%d", stats.Inserts, stats.Removals)
-	}
-	if stats.Inserts+stats.Removals != stats.Changes {
-		t.Fatalf("inserts(%d)+removals(%d) != changes(%d)", stats.Inserts, stats.Removals, stats.Changes)
-	}
+	t.Logf("%d commits: walBytes=%d walRotations=%d walSegments=%d trimmedSegments=%d",
+		commits, p.AppendedBytes, p.Rotations, p.Segments, p.TrimmedSegs)
 
-	// The compacted directory still recovers the exact final state.
-	srv2, err := New(Config{Dataset: d, PersistDir: dir, Fsync: wal.SyncOff, FlushInterval: time.Millisecond})
+	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
 	waitReady(t, srv2)
-	if got := srv2.Snapshot().Seq; got != final.Seq {
-		t.Fatalf("recovered seq %d, want %d", got, final.Seq)
-	}
-	for _, key := range []string{EngineQ1, EngineQ2, EngineQ2CC} {
-		if got := srv2.Snapshot().Results[key]; got != final.Results[key] {
-			t.Fatalf("engine %s after restart: %q, want %q", key, got, final.Results[key])
-		}
+	got := srv2.Snapshot()
+	if got.Seq != final.Seq || !reflect.DeepEqual(got.Results, final.Results) {
+		t.Fatalf("recovered seq %d %v, want seq %d %v", got.Seq, got.Results, final.Seq, final.Results)
 	}
 }
 

@@ -94,24 +94,18 @@ type Config struct {
 	// (bounding recovery replay to N batches). Default 256; negative
 	// disables periodic snapshots (Close still writes a final one).
 	SnapshotEvery int
-	// CompactEvery runs change-key compaction over the WAL's sealed
-	// segments every N committed batches (see internal/wal: superseded
-	// add+remove pairs drop out of the replay history, record sequence
-	// numbers survive). 0 disables compaction; only meaningful with
-	// PersistDir.
-	CompactEvery int
 
 	// queueDepth overrides the write queue's buffered capacity in requests
 	// (default 256; tests fill a one-slot queue); segmentBytes overrides the
-	// WAL's segment rotation threshold (compaction only works on sealed
-	// segments, so tests use small ones);
+	// WAL's segment rotation threshold (offline compaction only works on
+	// sealed segments, so tests use small ones);
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
 	// snapshotChunkHook observes every flushed chunk; batchHook sees each
 	// batch the writer closes, before it commits; walHook runs at the start
 	// of each commit's WAL step, before the append, and holds that step
 	// while it blocks; auditHook is shard.Start's onAudit — test
-	// hooks (same package only) for pinning down compaction, encode/commit,
-	// batching, append/publish and audit interleavings.
+	// hooks (same package only) for pinning down encode/commit, batching,
+	// append/publish and audit interleavings.
 	queueDepth         int
 	segmentBytes       int64
 	snapshotChunkBytes int
@@ -162,9 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("shards must be >= 1 (got %d)", c.Shards)
-	}
-	if c.CompactEvery < 0 {
-		return fmt.Errorf("compact every must be >= 0 (got %d; 0 disables)", c.CompactEvery)
 	}
 	return nil
 }

@@ -21,8 +21,8 @@ type Snapshot struct {
 	// Inserts and Removals split the changes this process committed —
 	// including recovered WAL-tail replay, but not history already folded
 	// into the recovery snapshot (the durable metadata does not retain the
-	// split). They let /stats and the WAL compaction report distinguish
-	// insertion volume from removal churn.
+	// split). They let /stats distinguish insertion volume from removal
+	// churn.
 	Inserts  int
 	Removals int
 	// Record is the sharded runtime's view as of this commit: Results

@@ -204,17 +204,9 @@ var goldenStatsKeys = []string{
 // goldenPersistenceKeys is what PersistDir adds, after one compaction pass.
 var goldenPersistenceKeys = []string{
 	"persistence",
-	"persistence.compactedBytes", "persistence.compactedSegments", "persistence.compactionErrors", "persistence.compactions",
 	"persistence.cowClones",
 	"persistence.dir",
 	"persistence.fsync",
-	"persistence.lastCompaction",
-	"persistence.lastCompaction.batches", "persistence.lastCompaction.bytesIn", "persistence.lastCompaction.bytesOut",
-	"persistence.lastCompaction.changesIn", "persistence.lastCompaction.changesOut",
-	"persistence.lastCompaction.compactedSegments", "persistence.lastCompaction.dryRun",
-	"persistence.lastCompaction.insertsIn", "persistence.lastCompaction.insertsOut",
-	"persistence.lastCompaction.removalsIn", "persistence.lastCompaction.removalsOut",
-	"persistence.lastCompaction.sealedSegments",
 	"persistence.lastSnapshotMs", "persistence.lastSnapshotSeq", "persistence.lastSnapshotStallNs",
 	"persistence.maxSnapshotStallNs",
 	"persistence.recovered",
@@ -269,7 +261,7 @@ func diffKeys(got, want []string) (extra, missing []string) {
 }
 
 // TestStatsKeySet pins every JSON key path /stats serves, without and with
-// persistence (after a compaction pass, so lastCompaction is present).
+// persistence.
 // perfbench's statsDoc reads loadMs, initialMs, seq, changes,
 // q2Disagreements and persistence.walAppends/walBytes/walFsyncs/
 // maxSnapshotStallNs; any change to this list is a change to the wire.
@@ -284,7 +276,6 @@ func TestStatsKeySet(t *testing.T) {
 				cfg.Fsync = wal.SyncOff
 				cfg.SnapshotEvery = -1
 				cfg.segmentBytes = 1024
-				cfg.CompactEvery = 4
 			}
 			srv, err := New(cfg)
 			if err != nil {

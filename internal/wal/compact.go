@@ -63,10 +63,10 @@ type CompactionReport struct {
 	DryRun bool `json:"dryRun"`
 }
 
-// Compact rewrites the log's sealed segments under change-key supersession.
-// It must be called from the committing goroutine (the one calling
-// Append); appends to the active segment continue unaffected, as sealed
-// segments are immutable until trimmed or compacted. The pass holds
+// Compact rewrites an open log's sealed segments under change-key
+// supersession. Call it from the goroutine that calls Append; appends to
+// the active segment continue unaffected, as sealed segments are
+// immutable until trimmed or compacted. The pass holds
 // maintMu throughout so a background snapshot completing mid-pass cannot
 // trim a sealed segment out from under the rewrite (the swap would
 // resurrect the deleted file and tear a hole recovery refuses).
@@ -96,15 +96,7 @@ func (l *Log) Compact() (CompactionReport, error) {
 	if err != nil {
 		return CompactionReport{}, err
 	}
-	rep, err := compactSegments(l.opt.Dir, sealed, append(snaps, onDisk...), false)
-	if err == nil {
-		l.mu.Lock()
-		l.metrics.Compactions++
-		l.metrics.CompactedSegs += int64(rep.CompactedSegments)
-		l.metrics.CompactedBytes += rep.BytesIn - rep.BytesOut
-		l.mu.Unlock()
-	}
-	return rep, err
+	return compactSegments(l.opt.Dir, sealed, append(snaps, onDisk...), false)
 }
 
 // CompactDir compacts a durability directory offline (no server running):

@@ -218,9 +218,8 @@ func TestLogCompactLive(t *testing.T) {
 	if rep.CompactedSegments == 0 {
 		t.Fatalf("live compaction rewrote nothing: %+v", rep)
 	}
-	m := l.Metrics()
-	if m.Compactions != 1 || m.CompactedSegs != int64(rep.CompactedSegments) || m.CompactedBytes <= 0 {
-		t.Fatalf("compaction metrics not recorded: %+v", m)
+	if rep.BytesOut >= rep.BytesIn {
+		t.Fatalf("live compaction reclaimed no bytes: %+v", rep)
 	}
 	// A second pass with no newly sealed segments skips everything — the
 	// watermark keeps periodic passes from re-reading the whole history.

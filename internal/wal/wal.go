@@ -31,9 +31,11 @@
 // the same scan, so ttcwal flags a gap exactly when Open refuses to start.
 // Compaction rewrites a sealed segment only when no snapshot on disk or in
 // flight splits it: recovery replays a whole compacted segment or none of
-// it. Append and Compact are intended for the one committing goroutine;
-// WriteSnapshotStream may run beside it on another goroutine, and Metrics
-// is safe from any goroutine.
+// it. It is a tool, not a step of serving: CompactDir rewrites a stopped
+// server's directory (ttcwal -compact), and Log.Compact an open log's
+// sealed segments from the goroutine that appends. Append is intended for
+// the one committing goroutine; WriteSnapshotStream may run beside it on
+// another goroutine, and Metrics is safe from any goroutine.
 package wal
 
 import (
@@ -161,10 +163,6 @@ type Metrics struct {
 	LastSnapSeq uint64 `json:"lastSnapshotSeq"`
 	TrimmedSegs int64  `json:"trimmedSegments"` // segments deleted by snapshot trims
 	SyncErrors  int64  `json:"walSyncErrors"`   // background interval-sync failures
-
-	Compactions    int64 `json:"compactions"`       // change-key compaction passes this process
-	CompactedSegs  int64 `json:"compactedSegments"` // sealed segments rewritten by compaction
-	CompactedBytes int64 `json:"compactedBytes"`    // bytes reclaimed by compaction
 }
 
 // Log is an open write-ahead log. Create with Open.
@@ -174,7 +172,7 @@ type Log struct {
 	// maintMu serializes the operations that restructure sealed segment
 	// *files*: a snapshot's post-write trim (which deletes sealed segments)
 	// and Compact's rewrite-then-swap. Snapshots may complete on a
-	// background goroutine while the committing goroutine runs Compact, and
+	// background goroutine while the appending goroutine runs Compact, and
 	// a trim racing a rewrite could resurrect a deleted segment (the
 	// .compact rename recreating a name the trim just removed) — tearing a
 	// hole recovery refuses. Ordering: maintMu before mu; Append never
